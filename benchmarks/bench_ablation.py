@@ -122,7 +122,8 @@ def test_parallel_checks(benchmark):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.passed
     benchmark.extra_info["note"] = (
-        "thread pool demonstrates independence; CPython's GIL limits speedup"
+        "parallel=8 is the owner-chunked process map; near-duplicate fullmesh "
+        "checks make it slower than serial (see README: When --jobs helps)"
     )
 
 

@@ -3,18 +3,17 @@
 The per-file checkers (PR 8) are deliberately blind across call
 boundaries — and that is exactly where the repo's plumbing bugs lived:
 a ``conflict_budget`` accepted by a caller and silently not forwarded to
-the callee that also accepts it (PR 4), shims drifting away from the
-code they claim to wrap, and mutable module state reached from code the
-thread/process dispatch layer runs concurrently.  This module adds the
-interprocedural layer those checks need, in the same two-phase shape as
-everything else in :mod:`repro.analysis`:
+the callee that also accepts it (PR 4), and shims drifting away from the
+code they claim to wrap.  This module adds the interprocedural layer
+those checks need, in the same two-phase shape as everything else in
+:mod:`repro.analysis`:
 
 * :func:`extract_callgraph_facts` — a single per-file AST pass producing
   JSON-able *symbol facts*: the module's import alias table, its
-  module-level mutable state and ``SHARED_STATE`` declarations, and one
-  record per function/method (parameters, annotations, call sites with
-  argument descriptors, global/class-attribute mutations with their
-  lock-guard status, deprecation warnings, control-flow summary).  The
+  module-level mutable state, and one record per function/method
+  (parameters, annotations, call sites with argument descriptors,
+  global/class-attribute mutations with their lock-guard status,
+  deprecation warnings, control-flow summary).  The
   engine stores these under the reserved :data:`CALLGRAPH_KEY` facts key
   so they ride the existing digest-keyed fact cache; bump
   :data:`CALLGRAPH_VERSION` whenever the fact shape changes.
@@ -39,7 +38,7 @@ just the cases the repo actually uses:
 * ``Class(...)`` instantiation: an edge to ``Class.__init__``;
 * ``Class(...).method(...)``: constructor-chained method calls;
 * higher-order *may-call* edges: a bare-name argument resolving to a
-  project function (``pool.map(_run_threaded, ...)``, a transfer
+  project function (``pool.map(_run_chunk, ...)``, a transfer
   function passed as a parameter) links the caller to that function with
   no argument information.
 
@@ -62,11 +61,7 @@ if TYPE_CHECKING:
 CALLGRAPH_KEY = "__callgraph__"
 
 #: Bump when the extracted fact shape changes; invalidates cached facts.
-CALLGRAPH_VERSION = 1
-
-#: Module/class-level tuple declaring names as deliberately shared
-#: mutable state (the concurrency checker's analogue of PICKLE_ROOTS).
-SHARED_STATE_DECL = "SHARED_STATE"
+CALLGRAPH_VERSION = 2
 
 _MUTATING_METHODS = frozenset(
     {
@@ -145,16 +140,6 @@ def _dotted(expr: ast.expr) -> str | None:
             return ".".join(reversed(parts))
         else:
             return None
-
-
-def _string_names(node: ast.expr) -> list[str]:
-    """Elements of a literal tuple/list of strings (declaration syntax)."""
-    names: list[str] = []
-    if isinstance(node, (ast.Tuple, ast.List)):
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                names.append(element.value)
-    return names
 
 
 def _mutable_kind(value: ast.expr) -> str | None:
@@ -305,7 +290,7 @@ class _FunctionCollector(ast.NodeVisitor):
     def _visit_nested(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         # Nested definitions are folded into the enclosing function: the
         # dispatch idiom wraps the real work in a local closure
-        # (``_run_threaded`` inside ``ThreadBackend.run``), and the
+        # (a ``_work`` helper defined inside a ``run`` method), and the
         # closure's calls and writes happen whenever the encloser runs
         # it.  Nested parameter annotations join the receiver table
         # (without shadowing the encloser's) so ``check: LocalCheck``
@@ -480,7 +465,6 @@ def extract_callgraph_facts(tree: ast.AST, source: str, path: str) -> dict[str, 
     package = module.rsplit(".", 1)[0] if "." in module else ""
     imports: dict[str, str] = {}
     module_state: dict[str, dict[str, Any]] = {}
-    shared: list[str] = []
     functions: list[dict[str, Any]] = []
     classes: list[dict[str, Any]] = []
     module_symbols: list[str] = []
@@ -515,18 +499,17 @@ def extract_callgraph_facts(tree: ast.AST, source: str, path: str) -> dict[str, 
             functions.append(_function_facts(node, None))
             module_symbols.append(node.name)
         elif isinstance(node, ast.ClassDef):
-            cls_shared: list[str] = []
             attrs: dict[str, int] = {}
             methods: list[str] = []
             init_assigned: list[str] = []
             for stmt in node.body:
                 if isinstance(stmt, ast.Assign):
                     for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            if target.id == SHARED_STATE_DECL:
-                                cls_shared.extend(_string_names(stmt.value))
-                            elif _mutable_kind(stmt.value) is not None:
-                                attrs[target.id] = stmt.lineno
+                        if (
+                            isinstance(target, ast.Name)
+                            and _mutable_kind(stmt.value) is not None
+                        ):
+                            attrs[target.id] = stmt.lineno
                 elif isinstance(stmt, ast.AnnAssign) and isinstance(
                     stmt.target, ast.Name
                 ):
@@ -552,7 +535,6 @@ def extract_callgraph_facts(tree: ast.AST, source: str, path: str) -> dict[str, 
                     ],
                     "methods": methods,
                     "mutable_attrs": attrs,
-                    "shared": cls_shared,
                     "init_assigned": init_assigned,
                     "warns_deprecation": any(
                         f["warns_deprecation"]
@@ -573,15 +555,12 @@ def extract_callgraph_facts(tree: ast.AST, source: str, path: str) -> dict[str, 
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     module_symbols.append(target.id)
-                    if target.id == SHARED_STATE_DECL:
-                        shared.extend(_string_names(node.value))
-                    else:
-                        kind = _mutable_kind(node.value)
-                        if kind is not None and not target.id.startswith("__"):
-                            module_state[target.id] = {
-                                "line": node.lineno,
-                                "kind": kind,
-                            }
+                    kind = _mutable_kind(node.value)
+                    if kind is not None and not target.id.startswith("__"):
+                        module_state[target.id] = {
+                            "line": node.lineno,
+                            "kind": kind,
+                        }
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             module_symbols.append(node.target.id)
             if node.value is not None:
@@ -625,7 +604,6 @@ def extract_callgraph_facts(tree: ast.AST, source: str, path: str) -> dict[str, 
         "is_shim_module": bool(_SHIM_MODULE_PHRASE.search(first_doc_line)),
         "imports": imports,
         "module_state": module_state,
-        "shared": shared,
         "module_symbols": module_symbols,
         "module_control_flow": module_control_flow,
         "functions": functions,
@@ -700,7 +678,6 @@ class ClassInfo:
     bases: tuple[str, ...]
     methods: frozenset[str]
     mutable_attrs: dict[str, int] = field(default_factory=dict)
-    shared: frozenset[str] = frozenset()
     init_assigned: frozenset[str] = frozenset()
     warns_deprecation: bool = False
     doc_deprecated: bool = False
@@ -874,7 +851,6 @@ def build_call_graph(project: "Project") -> CallGraph:
                 bases=tuple(cls["bases"]),
                 methods=frozenset(cls["methods"]),
                 mutable_attrs=dict(cls["mutable_attrs"]),
-                shared=frozenset(cls["shared"]),
                 init_assigned=frozenset(cls["init_assigned"]),
                 warns_deprecation=bool(cls["warns_deprecation"]),
                 doc_deprecated=bool(cls["doc_deprecated"]),

@@ -3,7 +3,6 @@
 from repro.analysis.checkers import (  # noqa: F401
     budget_flow,
     cache_format,
-    concurrency_discipline,
     deadline_discipline,
     digest_coverage,
     pickle_safety,

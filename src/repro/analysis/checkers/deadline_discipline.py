@@ -228,8 +228,8 @@ class DeadlineDisciplineChecker(Checker):
                                 ),
                                 hint=(
                                     "short-circuit first: `if time.monotonic() "
-                                    ">= run_deadline: skip` (see WorkerPool."
-                                    "_run_chunks_serially for the pattern)"
+                                    ">= run_deadline: skip` (see repro.core."
+                                    "exec.pool._run_chunk for the pattern)"
                                 ),
                                 symbol=f"{func}:remaining",
                             )

@@ -1,14 +1,15 @@
 """pickle-safety: the worker/cache object graph must stay picklable.
 
 The bug class (PR 3): ``_FrozenGhost`` — a class defined inside a
-function — rode into a ``WorkerPool`` chunk payload.  Pickle serialises
+function — rode into a worker-process chunk payload.  Pickle serialises
 classes *by reference* (module + qualified name), so a local class is
 unpicklable; the pool degraded to serial execution silently and the
 "parallel" benchmark measured the serial path for weeks.
 
 The checker walks the static type graph reachable from the pickle roots
-(the types :class:`repro.core.parallel.WorkerPool` ships in chunk
-payloads and :meth:`repro.core.workspace.Workspace.save` persists) and
+(the types :func:`repro.core.exec.pool.run_checks_in_processes` ships to
+and from its workers and :meth:`repro.core.workspace.Workspace.save`
+persists) and
 flags, on every reachable class:
 
 * definition inside a function — unpicklable by reference;
@@ -37,8 +38,10 @@ import re
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, Project, register
 
-#: Types repro.core.parallel ships in chunk payloads / replies, and
-#: types Workspace.save persists (directly or inside tracker state).
+#: Types the process map (repro.core.exec.pool) ships — the initializer
+#: context (config, universe, ghosts), the chunked checks, the outcomes
+#: coming back — and types Workspace.save persists (directly or inside
+#: tracker state).
 DEFAULT_ROOTS = (
     "LocalCheck",
     "CheckOutcome",
@@ -99,7 +102,7 @@ def _contains_lambda(node: ast.expr) -> bool:
 class PickleSafetyChecker(Checker):
     id = "pickle-safety"
     description = (
-        "types reachable from WorkerPool payloads and Workspace.save must "
+        "types reachable from process-map payloads and Workspace.save must "
         "pickle (the _FrozenGhost bug class)"
     )
     version = 1

@@ -14,10 +14,10 @@ What is reused and what is replaced:
 
 * **Reused** — plan validation (duplicate keys, stage cycles), the
   scheduler's round loop and plan-order outcome routing, the
-  ``ExecutionContext`` job/backend resolution, and the degrade-and-warn
+  ``ExecutionContext`` job resolution, and the degrade-and-warn
   bookkeeping (:meth:`ExecutionContext.record_fallback`).
-* **Replaced** — the solver-specific backends.  ``SerialBackend`` wants
-  per-owner :class:`CheckSession`\\ s and ``ProcessBackend`` ships
+* **Replaced** — the solver-specific dispatch.  ``SerialBackend`` wants
+  per-owner :class:`CheckSession`\\ s and the solver's process map ships
   ``NetworkConfig`` payloads; extraction needs neither, so the lint
   chain is :class:`ProcessExtractionBackend` (a
   ``ProcessPoolExecutor`` over pickled tasks) degrading to
@@ -38,8 +38,6 @@ byte-identical findings (pinned by the differential test in
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -141,7 +139,7 @@ class ProcessExtractionBackend:
     Returns ``None`` when the process machinery is unavailable (no
     ``fork``/``spawn`` support, pool broken mid-flight), letting the
     scheduler degrade to the serial path — same contract as the solver's
-    ``ProcessBackend``.
+    ``run_checks_in_processes``.
     """
 
     name = "process"
@@ -150,6 +148,11 @@ class ProcessExtractionBackend:
         self.jobs = jobs
 
     def run(self, request: "BatchRequest") -> list[ExtractionOutcome] | None:
+        # Imported here so `lightyear verify` (which loads this module to
+        # build the lint sub-parser) does not pay for process machinery.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         tasks = list(request.checks)
         try:
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
@@ -189,30 +192,13 @@ def run_extraction(
     """Discharge extraction tasks through the exec runtime.
 
     Builds the plan, runs it on a :class:`LintScheduler` over an
-    ephemeral :class:`ExecutionContext` (``autopool=False``: the lint
-    pool is per-run, never persistent), and returns outcomes in sorted
+    ephemeral :class:`ExecutionContext`, and returns outcomes in sorted
     file order regardless of execution order.
-
-    The backend is pinned explicitly (``process`` when the resolved job
-    count exceeds one, else ``serial``) rather than left on ``auto``, so
-    the ``REPRO_BACKEND`` environment override — which CI uses to swerve
-    the *solver* suite across backends — cannot change lint findings.
     """
     if not tasks:
         return []
-    resolved = resolve_jobs(jobs)
-    context = ExecutionContext(
-        parallel=resolved,
-        backend="process" if resolved > 1 else "serial",
-        conflict_budget=None,
-        sessions=None,
-        workers=None,
-        autopool=False,
+    scheduler = LintScheduler(ExecutionContext(parallel=jobs))
+    result = scheduler.run(
+        build_lint_plan(tasks), config=None, universe=None, ghosts=()
     )
-    try:
-        plan = build_lint_plan(tasks)
-        scheduler = LintScheduler(context)
-        result = scheduler.run(plan, config=None, universe=None, ghosts=())
-        return list(result.outcomes)
-    finally:
-        context.close()
+    return list(result.outcomes)

@@ -369,12 +369,6 @@ def canonical_policy(obj: object) -> object:
     raise TypeError(f"cannot canonicalise policy object {obj!r}")
 
 
-#: Deliberately unguarded shared state (audited by the repro.analysis
-#: concurrency-discipline checker): the digest of a route map is a pure
-#: function of its value, so racing writers store identical strings and
-#: a lost update only repeats the hash.  Dict writes are GIL-atomic.
-SHARED_STATE = ("_route_map_digests",)
-
 _route_map_digests: dict[RouteMap, str] = {}
 
 

@@ -12,7 +12,7 @@ Subcommands:
   if any property fails, printing localised counterexamples.
   ``--jobs N`` (or ``--jobs auto``) discharges independent local checks on
   ``N`` worker processes, one chunk per router — the paper's per-device
-  deployment model; ``--jobs 1`` forces the serial path.
+  deployment model; without it (or with ``--jobs 1``) checks run serially.
   ``--cache DIR`` persists the workspace's outcome cache: a second
   ``verify`` against the same configuration and spec loads it and re-runs
   nothing.
@@ -32,7 +32,7 @@ Subcommands:
   The incremental pipeline end to end: verify every property in the spec
   against ``BASE``, then re-verify against ``EDITED`` reusing everything
   the edit did not invalidate — per-owner check groups, solver sessions,
-  the attribute universe, and (with ``--jobs``) worker processes.  Prints
+  and the attribute universe.  Prints
   the structural diff and, per property, how many checks the re-run
   consulted versus reused.  Exits non-zero if the edited configuration
   fails a property.  With ``--cache DIR`` the base run's outcomes are
@@ -44,17 +44,15 @@ Subcommands:
 Exit codes (``verify``/``reverify``): 0 every property proved; 1 a
 property has a counterexample; 2 usage, configuration, or cache errors;
 3 nothing failed outright but some checks are UNKNOWN (``--budget``,
-``--deadline``, ``--wall-budget``) or execution degraded (worker
-crashes, serial fallbacks) — see the README's "Failure modes &
+``--deadline``, ``--wall-budget``) or execution degraded (a ``--jobs``
+run that fell back to serial) — see the README's "Failure modes &
 degradation" section.  ``lint`` exits 0 clean, 1 on fresh findings (or
 resolved baseline entries pending a ratchet), 2 on usage errors.
 
 Every subcommand executes through the unified runtime in
 :mod:`repro.core.exec`: the workspace's trackers build staged
-``CheckPlan``\\ s and one ``Scheduler`` dispatches them on the selected
-backend.  The ``REPRO_BACKEND`` environment variable overrides backend
-selection for ``auto`` runs with no explicit worker pool (CI uses
-``REPRO_BACKEND=thread`` to exercise the non-default backend).
+``CheckPlan``\\ s and one ``Scheduler`` dispatches them — serially, or
+with ``--jobs N`` on a per-batch process map.
 
 Example::
 
@@ -82,7 +80,7 @@ CACHE_FILENAME = "workspace.lyc"
 # counterexample; 2 usage/config/cache errors; EXIT_DEGRADED when nothing
 # failed outright but the answer is weaker than asked — some checks came
 # back UNKNOWN (budget, deadline, wall budget) or execution degraded
-# (worker deaths, serial fallbacks).  Scripts must not read a degraded
+# (a --jobs run fell back to serial).  Scripts must not read a degraded
 # run as a clean pass.
 EXIT_DEGRADED = 3
 
@@ -157,21 +155,6 @@ def _parse_seconds(value: str) -> float:
     return seconds
 
 
-def _resolve_backend(args: argparse.Namespace) -> tuple[int | str | None, str]:
-    """Map the --jobs/--parallel flags to (parallel, backend), as verify does.
-
-    With neither flag, the backend stays ``"auto"`` and the execution
-    context applies the ``REPRO_BACKEND`` environment override (if any)
-    at dispatch time — see :meth:`repro.core.exec.ExecutionContext.
-    resolved_backend`.
-    """
-    if args.jobs is not None:
-        return args.jobs, "process"
-    if getattr(args, "parallel", None):
-        return args.parallel, "thread"
-    return None, "auto"
-
-
 def _spec_problems(spec, topology) -> list[tuple]:
     """The spec's problems as (prop, invariants, interference) triples."""
     problems: list[tuple] = []
@@ -191,7 +174,6 @@ def _open_workspace(
     config,
     ghosts,
     parallel,
-    backend,
     problems,
     budget,
     deadline_s=None,
@@ -206,11 +188,7 @@ def _open_workspace(
     """
     if cache_path is None or not cache_path.exists():
         workspace = Workspace(
-            config,
-            ghosts=ghosts,
-            parallel=parallel,
-            backend=backend,
-            deadline_s=deadline_s,
+            config, ghosts=ghosts, parallel=parallel, deadline_s=deadline_s
         )
         return workspace, False
     workspace = Workspace.load(
@@ -218,7 +196,6 @@ def _open_workspace(
         config=config,
         ghosts=ghosts,
         parallel=parallel,
-        backend=backend,
         deadline_s=deadline_s,
     )
     for prop, invariants, interference in problems:
@@ -262,11 +239,12 @@ def _consulted_line(result, label: str = "reverify") -> str:
 def _apply_solver_reuse_flag(args: argparse.Namespace) -> None:
     """Honour ``--no-solver-reuse`` before any session or pool exists.
 
-    Sessions snapshot the flag at construction and it rides in the worker
-    context fingerprint, so setting it here switches warm-start end to
-    end: pre-asserted fragments, learnt retention, and cache seeds.  Set
-    unconditionally so repeated in-process ``main()`` calls (tests) do
-    not inherit a previous invocation's flag.
+    Sessions snapshot the flag at construction and it is shipped to
+    worker processes with the problem context, so setting it here
+    switches warm-start end to end: pre-asserted fragments, learnt
+    retention, and cache seeds.  Set unconditionally so repeated
+    in-process ``main()`` calls (tests) do not inherit a previous
+    invocation's flag.
     """
     set_solver_reuse_enabled(not getattr(args, "no_solver_reuse", False))
 
@@ -276,20 +254,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     spec = spec_from_json(Path(args.spec).read_text())
     ghosts = spec.build_ghosts(config.topology)
-    # With --jobs: the process backend, real cores chunked per owner router.
-    parallel, backend = _resolve_backend(args)
     problems = _spec_problems(spec, config.topology)
     cache_path = _cache_file(args.cache)
-    # The workspace keeps one session pool (and, with --jobs, one persistent
-    # worker pool) alive across every property in the spec, so encodings
-    # built for the first property are reused by all later ones; with
-    # --cache the outcome store additionally persists across invocations.
+    # The workspace keeps one session pool alive across every property in
+    # the spec, so encodings built for the first property are reused by all
+    # later ones on the serial path; with --cache the outcome store
+    # additionally persists across invocations.
     workspace, loaded = _open_workspace(
         cache_path,
         config,
         ghosts,
-        parallel,
-        backend,
+        args.jobs,
         problems,
         args.budget,
         deadline_s=args.deadline,
@@ -350,7 +325,6 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
     diff = diff_configs(base, edited)
     print(f"config diff: {diff.summary()}")
 
-    parallel, backend = _resolve_backend(args)
     problems = _spec_problems(spec, base.topology)
     cache_path = _cache_file(args.cache)
     # One workspace over the base config: the base run's per-owner sessions
@@ -360,8 +334,7 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
         cache_path,
         base,
         ghosts,
-        parallel,
-        backend,
+        args.jobs,
         problems,
         args.budget,
         deadline_s=args.deadline,
@@ -413,9 +386,6 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
             # much of it the reverify actually imported (a digest mismatch
             # after an invasive edit legitimately imports less).
             imported = workspace.sessions.stats()["learnts_imported"]
-            pool = workspace._worker_pool
-            if pool is not None:
-                imported += pool.learnts_seeded
             print(
                 f"solver reuse: restored {workspace.restored_learnts} learnt "
                 f"clauses for {workspace.restored_learnt_owners} owners; "
@@ -459,14 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_jobs,
         default=None,
         metavar="N",
-        help="worker processes for checks: a count or 'auto' (= cpu count); "
-        "1 forces the serial path",
-    )
-    p_verify.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        help="legacy thread-pool width for checks (prefer --jobs)",
+        help="worker processes for checks: a count or 'auto' (= available "
+        "CPUs); omitted or 1 runs serially",
     )
     p_verify.add_argument(
         "--budget", type=int, default=None, help="per-check SAT conflict budget"
@@ -521,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_jobs,
         default=None,
         metavar="N",
-        help="worker processes kept alive across the base run and the "
-        "reverify: a count or 'auto' (= cpu count); 1 forces the serial path",
+        help="worker processes for checks: a count or 'auto' (= available "
+        "CPUs); omitted or 1 runs serially",
     )
     p_rev.add_argument(
         "--budget", type=int, default=None, help="per-check SAT conflict budget"

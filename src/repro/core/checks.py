@@ -311,7 +311,7 @@ def group_checks_by_owner(
 
     This is the owner index both reuse mechanisms are built on: the
     incremental verifier re-runs exactly one group per edited router, and
-    the worker pool routes each group to a fixed worker so that worker's
+    the process map hands each group to one worker as a chunk so that its
     per-owner session encoding stays hot.
     """
     groups: dict[str | None, list[LocalCheck]] = {}

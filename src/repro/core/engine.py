@@ -1,9 +1,8 @@
 """The Lightyear engine facade — now a deprecated shim over ``Workspace``.
 
 ``Lightyear`` predates :class:`repro.core.workspace.Workspace`, which
-owns the same substrate (one engine-wide :class:`repro.smt.SessionPool`,
-one persistent :class:`repro.core.parallel.WorkerPool` when the process
-backend is active) and adds property-polymorphic ``verify``, incremental
+owns the same substrate (one engine-wide :class:`repro.smt.SessionPool`)
+and adds property-polymorphic ``verify``, incremental
 ``apply``/``reverify``, and an on-disk outcome cache.  The facade remains
 so existing callers keep working: every method delegates to an internal
 workspace, ``verify_safety``/``verify_liveness`` emit a
@@ -12,8 +11,8 @@ workspace, ``verify_safety``/``verify_liveness`` emit a
 workspace's own.
 
 ``incremental_safety`` / ``incremental_liveness`` still hand out the
-(deprecated) incremental verifiers, borrowing the engine's pools — the
-modern equivalent is simply more ``verify`` calls on one workspace.
+(deprecated) incremental verifiers, borrowing the engine's session pool —
+the modern equivalent is simply more ``verify`` calls on one workspace.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ class Lightyear:
         ``apply``/``reverify``/``save``/``load`` subsume the incremental
         verifier factories.
 
-    Parameters mirror :class:`Workspace` (config, ghosts, parallel,
-    backend); ``verify_safety``/``verify_liveness`` delegate to the
-    workspace's polymorphic ``verify`` and warn.
+    Parameters mirror :class:`Workspace` (config, ghosts, parallel);
+    ``verify_safety``/``verify_liveness`` delegate to the workspace's
+    polymorphic ``verify`` and warn.
     """
 
     def __init__(
@@ -52,15 +51,11 @@ class Lightyear:
         config: NetworkConfig,
         ghosts: tuple[GhostAttribute, ...] = (),
         parallel: int | str | None = None,
-        backend: str = "auto",
     ) -> None:
-        self._workspace = Workspace(
-            config, ghosts=ghosts, parallel=parallel, backend=backend
-        )
+        self._workspace = Workspace(config, ghosts=ghosts, parallel=parallel)
         self.config = config
         self.ghosts = tuple(ghosts)
         self.parallel = parallel
-        self.backend = backend
 
     @property
     def stats(self) -> WorkspaceStats:
@@ -75,12 +70,7 @@ class Lightyear:
         """The underlying workspace (migration escape hatch)."""
         return self._workspace
 
-    def _workers(self):
-        """The engine's persistent worker pool, created on first use."""
-        return self._workspace._workers()
-
     def close(self) -> None:
-        """Release the persistent worker processes, if any."""
         self._workspace.close()
 
     def __enter__(self) -> "Lightyear":
@@ -133,24 +123,16 @@ class Lightyear:
         invariants: InvariantMap,
         conflict_budget: int | None = None,
     ) -> IncrementalVerifier:
-        """An incremental §4 verifier borrowing this engine's pools.
-
-        The verifier shares the engine's ``SessionPool`` (encodings built
-        by earlier ``verify_*`` calls are reused) and draws workers from
-        the engine's persistent pool lazily, so it never spawns or owns
-        processes of its own — the engine's ``close()`` remains the single
-        release point.
-        """
+        """An incremental §4 verifier borrowing this engine's session pool
+        (encodings built by earlier ``verify_*`` calls are reused)."""
         return IncrementalVerifier(
             self.config,
             prop,
             invariants,
             ghosts=self.ghosts,
             parallel=self.parallel,
-            backend=self.backend,
             conflict_budget=conflict_budget,
             sessions=self.sessions,
-            workers=self._workspace._workers,
         )
 
     def incremental_liveness(
@@ -159,15 +141,13 @@ class Lightyear:
         interference_invariants: dict[str, InvariantMap] | None = None,
         conflict_budget: int | None = None,
     ) -> IncrementalLivenessVerifier:
-        """An incremental §5 verifier borrowing this engine's pools."""
+        """An incremental §5 verifier borrowing this engine's session pool."""
         return IncrementalLivenessVerifier(
             self.config,
             prop,
             interference_invariants=interference_invariants,
             ghosts=self.ghosts,
             parallel=self.parallel,
-            backend=self.backend,
             conflict_budget=conflict_budget,
             sessions=self.sessions,
-            workers=self._workspace._workers,
         )

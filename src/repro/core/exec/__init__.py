@@ -9,50 +9,34 @@ a :class:`CheckPlan` and hands it to a :class:`Scheduler` bound to an
   groups (property-agnostic; "full verify", "reverify after edit", and
   "one sub-proof" are all just plans);
 * :mod:`repro.core.exec.scheduler` — *when*: one dispatch loop owning
-  deadlines, budgets, degradation recording, warm-start seed routing,
-  outcome ordering, and cross-stage pipelining;
-* :mod:`repro.core.exec.backends` — *how*: serial sessions, threads, or
-  worker processes (:mod:`repro.core.exec.pool`), behind one protocol.
-
-This is the seam a future ``lightyear serve`` daemon (queueing and
-interleaving plans across requests) and host-level owner-sharding (a
-coordinator partitioning one plan across backends) plug into.
+  deadlines, budgets, degradation recording, outcome ordering, and
+  cross-stage pipelining;
+* *how* — exactly two ways to run a batch: :class:`SerialBackend`
+  (:mod:`repro.core.exec.backends`; in-process, one session per owner
+  router, the default) and :func:`run_checks_in_processes`
+  (:mod:`repro.core.exec.pool`; an owner-chunked per-batch process map,
+  reached by ``--jobs N`` / ``parallel=N``, falling back to serial if the
+  pool machinery fails).
 """
 
-from repro.core.exec.backends import (
-    Backend,
-    BatchRequest,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
-from repro.core.exec.context import (
-    BACKENDS,
-    ENV_BACKEND,
-    ExecutionContext,
-    resolve_jobs,
-)
+from repro.core.exec.backends import Backend, BatchRequest, SerialBackend
+from repro.core.exec.context import ExecutionContext, resolve_jobs
 from repro.core.exec.plan import CheckGroup, CheckPlan, GroupKey, Stage
-from repro.core.exec.pool import WorkerPool, run_checks_in_processes
+from repro.core.exec.pool import run_checks_in_processes
 from repro.core.exec.scheduler import GroupResult, PlanResult, Scheduler
 
 __all__ = [
-    "BACKENDS",
     "Backend",
     "BatchRequest",
     "CheckGroup",
     "CheckPlan",
-    "ENV_BACKEND",
     "ExecutionContext",
     "GroupKey",
     "GroupResult",
     "PlanResult",
-    "ProcessBackend",
     "Scheduler",
     "SerialBackend",
     "Stage",
-    "ThreadBackend",
-    "WorkerPool",
     "resolve_jobs",
     "run_checks_in_processes",
 ]

@@ -1,29 +1,25 @@
 """Execution backends: how one batch of check groups actually runs.
 
-A :class:`Backend` turns a :class:`BatchRequest` — the flattened checks
-of the groups a :class:`~repro.core.exec.scheduler.Scheduler` round found
-ready — into outcomes, in request order.  Three strategies exist:
+A :class:`BatchRequest` is the flattened checks of the groups a
+:class:`~repro.core.exec.scheduler.Scheduler` round found ready; running
+it yields outcomes in request order.  There are exactly two ways to run
+one:
 
 * :class:`SerialBackend` — in-process, one shared
   :class:`~repro.smt.solver.CheckSession` per owner router, with
-  warm-start seed import on first touch.  This is the path every other
-  strategy degrades to, and the only one that can stop *between* checks
-  when a run deadline expires.
-* :class:`ThreadBackend` — legacy thread pool, hermetic solver per check
-  (no shared sessions: the term-interning layer is not thread-safe).
-* :class:`ProcessBackend` — the paper's deployment model: checks chunked
-  by owner router and discharged by worker *processes*.  Wraps either a
-  persistent :class:`~repro.core.exec.pool.WorkerPool` (sessions live in
-  the workers across calls) or the one-shot pool.
-
-Returning ``None`` from a process strategy means "machinery unavailable"
-— the scheduler records the degradation and tries the next strategy.
+  warm-start seed import on first touch.  The default, and the path a
+  failed process map degrades to.
+* :func:`repro.core.exec.pool.run_checks_in_processes` — the paper's
+  deployment model, reached by ``--jobs N`` / ``parallel=N``: checks
+  chunked by owner router and mapped over a per-batch pool of worker
+  *processes*.  Returns ``None`` when the process machinery is
+  unavailable or broke; the scheduler then records the degradation and
+  re-runs the batch on the serial backend.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
@@ -36,12 +32,10 @@ from repro.core.checks import (
     skipped_outcome,
 )
 from repro.core.exec.plan import CheckGroup
-from repro.core.exec.pool import WorkerPool, run_checks_in_processes
 from repro.smt.solver import SessionPool
 
 if TYPE_CHECKING:
     from repro.bgp.config import NetworkConfig
-    from repro.core.report import DegradationReport
     from repro.lang.ghost import GhostAttribute
     from repro.lang.universe import AttributeUniverse
 
@@ -146,100 +140,3 @@ class SerialBackend:
                 )
             )
         return outcomes
-
-
-class ThreadBackend:
-    """Legacy thread pool; hermetic solver per check, no shared sessions."""
-
-    name = "thread"
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = jobs
-
-    def run(self, request: BatchRequest) -> list[CheckOutcome]:
-        def _run_threaded(check: LocalCheck) -> CheckOutcome:
-            if request.expired():
-                return skipped_outcome(check, "wall-budget")
-            return check.run(
-                request.config,
-                request.universe,
-                request.ghosts,
-                request.conflict_budget,
-                deadline_s=request.effective_deadline(),
-            )
-
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(_run_threaded, request.checks))
-
-
-class ProcessBackend:
-    """Worker processes, one chunk per owner router — the paper's model.
-
-    ``workers`` (a persistent :class:`WorkerPool`) is preferred: its
-    worker processes keep owner-keyed sessions alive across calls, the
-    process-side analogue of a :class:`SessionPool`.  Without one, the
-    one-shot pool forks per batch.  Either path returns ``None`` when the
-    process machinery is unavailable, letting the scheduler degrade.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        jobs: int,
-        workers: WorkerPool | None = None,
-        sessions: SessionPool | None = None,
-    ) -> None:
-        self.jobs = jobs
-        self.workers = workers
-        self.sessions = sessions
-
-    def run(self, request: BatchRequest) -> list[CheckOutcome] | None:
-        if self.workers is not None:
-            return self.run_persistent(request, None)
-        return self.run_oneshot(request)
-
-    def run_persistent(
-        self, request: BatchRequest, degradation: "DegradationReport | None"
-    ) -> list[CheckOutcome] | None:
-        """Dispatch on the persistent pool, recording recovery counters."""
-        workers = self.workers
-        assert workers is not None
-        if self.sessions is not None and self.sessions.seeds:
-            # Warm-start seeds staged on the caller's pool (e.g. restored
-            # from a workspace cache) belong to the worker processes when
-            # they are the ones discharging the checks.
-            workers.absorb_learnts(self.sessions.seeds)
-        respawns = workers.worker_respawns
-        redispatched = workers.chunks_redispatched
-        quarantined = workers.checks_quarantined
-        outcomes = workers.run(
-            request.checks,
-            request.config,
-            request.universe,
-            request.ghosts,
-            request.conflict_budget,
-            deadline_s=request.deadline_s,
-            run_deadline=request.run_deadline,
-        )
-        if degradation is not None:
-            degradation.worker_respawns += workers.worker_respawns - respawns
-            degradation.chunks_redispatched += (
-                workers.chunks_redispatched - redispatched
-            )
-            degradation.checks_quarantined += (
-                workers.checks_quarantined - quarantined
-            )
-        return outcomes
-
-    def run_oneshot(self, request: BatchRequest) -> list[CheckOutcome] | None:
-        """Fork a per-batch pool; ``None`` if process machinery is absent."""
-        return run_checks_in_processes(
-            request.checks,
-            request.config,
-            request.universe,
-            request.ghosts,
-            request.conflict_budget,
-            self.jobs,
-            deadline_s=request.deadline_s,
-        )

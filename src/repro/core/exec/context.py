@@ -1,20 +1,15 @@
 """Execution context: the bundled substrate every verification path shares.
 
-An :class:`ExecutionContext` carries what used to travel as a ~10-argument
-caravan (``parallel, conflict_budget, backend, sessions, workers,
-deadline_s, wall_budget_s``): the owner-keyed :class:`SessionPool`, an
-optional persistent :class:`WorkerPool` (owned, borrowed, or lazily
-supplied), the budgets, and the run-deadline bookkeeping.  It is the
-class formerly known as ``IncrementalSubstrate`` (still importable under
-that name from :mod:`repro.core.incremental`);
-:class:`repro.core.workspace.Workspace` inherits it, so pool-lifecycle
-fixes land in exactly one place.
+An :class:`ExecutionContext` carries what used to travel as an argument
+caravan (``parallel, conflict_budget, sessions, deadline_s,
+wall_budget_s``): the owner-keyed :class:`SessionPool`, the requested
+worker-process count, the budgets, and the run-deadline bookkeeping.
+:class:`repro.core.workspace.Workspace` inherits it, so the trackers and
+the scheduler see one object.
 
-Backend selection also lives here: :meth:`resolved_backend` applies the
-``REPRO_BACKEND`` environment override, which CI uses to run the whole
-tier-1 suite over the non-default backend.  The override only applies to
-contexts that asked for ``"auto"`` *and* hold no worker pool — an
-explicitly borrowed pool is an explicit choice of the process path.
+There is no backend selection to do here: ``parallel`` resolving to more
+than one job means the per-batch process map, anything else the serial
+session path (see :meth:`repro.core.exec.scheduler.Scheduler._dispatch`).
 """
 
 from __future__ import annotations
@@ -22,21 +17,9 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from typing import Callable, Union
 
-from repro.core.exec.pool import WorkerPool
 from repro.core.report import DegradationReport
 from repro.smt.solver import SessionPool
-
-#: The recognised execution backends, in documentation order.
-BACKENDS = ("auto", "serial", "process", "thread")
-
-#: Environment variable overriding backend selection for ``"auto"``
-#: contexts with no explicit worker pool (unknown values are ignored;
-#: ``auto`` is the no-op override).
-ENV_BACKEND = "REPRO_BACKEND"
-
-WorkerSupplier = Union[WorkerPool, Callable[[], "WorkerPool | None"], None]
 
 
 def _available_cpus() -> int:
@@ -86,38 +69,22 @@ def resolve_jobs(parallel: int | str | None) -> int:
 
 
 class ExecutionContext:
-    """Shared pool plumbing for workspaces, trackers, and the scheduler.
+    """Session pool, job count and budgets for workspaces and the scheduler.
 
-    Owns (or borrows) the persistent reuse substrate: an owner-keyed
-    :class:`SessionPool` and an optional :class:`WorkerPool` (or a lazy
-    supplier of one, like ``Workspace._workers``).
-
-    ``autopool`` controls whether the context may *create* a persistent
-    pool when the backend allows processes and ``parallel`` >= 2.
-    Long-lived contexts (a :class:`~repro.core.workspace.Workspace`) want
-    that; the ephemeral context a single ``run_checks`` call builds must
-    not — the one-shot process pool already covers it, and a per-call
-    persistent pool would leak worker processes.
+    Owns an owner-keyed :class:`SessionPool`, or borrows the caller's
+    (``sessions=``) — a borrowed pool is never cleared by this context.
     """
 
     def __init__(
         self,
-        parallel: int | str | None,
-        backend: str,
-        conflict_budget: int | None,
-        sessions: SessionPool | None,
-        workers: WorkerSupplier,
+        parallel: int | str | None = None,
+        conflict_budget: int | None = None,
+        sessions: SessionPool | None = None,
         deadline_s: float | None = None,
         wall_budget_s: float | None = None,
-        autopool: bool = True,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         resolve_jobs(parallel)  # reject negative counts at construction
         self.parallel = parallel
-        self.backend = backend
         self.conflict_budget = conflict_budget
         self.deadline_s = deadline_s
         self.wall_budget_s = wall_budget_s
@@ -129,31 +96,7 @@ class ExecutionContext:
         self._external_deadline = False
         self.sessions = sessions if sessions is not None else SessionPool()
         self._owns_sessions = sessions is None
-        # ``workers`` lends an externally owned pool; the context then
-        # never creates or closes worker processes itself.
-        self._borrowed_workers = workers
-        self._worker_pool: WorkerPool | None = None
-        self._autopool = autopool
         self._fallback_warned = False
-
-    # -- backend selection ---------------------------------------------
-
-    def resolved_backend(self) -> str:
-        """The backend this context actually dispatches on.
-
-        Honors the :data:`ENV_BACKEND` override, but only for ``"auto"``
-        contexts with no explicit worker pool: a caller that lends a
-        :class:`WorkerPool` (or already created one) has chosen the
-        process path, and the environment must not silently bypass it.
-        """
-        if self.backend != "auto":
-            return self.backend
-        if self._borrowed_workers is not None or self._worker_pool is not None:
-            return self.backend
-        override = os.environ.get(ENV_BACKEND, "").strip().lower()
-        if override in BACKENDS and override != "auto":
-            return override
-        return self.backend
 
     # -- degradation reporting -----------------------------------------
 
@@ -206,28 +149,7 @@ class ExecutionContext:
         )
         return self._run_deadline
 
-    # -- worker pool lifecycle -----------------------------------------
-
-    def _workers(self) -> WorkerPool | None:
-        if self._borrowed_workers is not None:
-            if callable(self._borrowed_workers):
-                return self._borrowed_workers()
-            return self._borrowed_workers
-        if self.resolved_backend() not in ("auto", "process"):
-            return None
-        if not self._autopool:
-            return None
-        if resolve_jobs(self.parallel) < 2:
-            return None
-        if self._worker_pool is None:
-            self._worker_pool = WorkerPool(resolve_jobs(self.parallel))
-        return self._worker_pool
-
-    def close(self) -> None:
-        """Release the owned worker pool (borrowed pools stay untouched)."""
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
+    # -- substrate lifecycle ------------------------------------------
 
     def _reset_substrate(self) -> None:
         """Drop cached encodings after a topology change.
@@ -236,10 +158,7 @@ class ExecutionContext:
         checks solve under assumptions), so this is purely a memory
         measure — and therefore must not touch a **borrowed** pool, whose
         other users (the engine, sibling verifiers) still want their
-        encodings.  An owned worker pool is released outright; a borrowed
-        one keeps running — its contexts are content-fingerprinted, so the
-        new topology simply ships as a new context.
+        encodings.
         """
         if self._owns_sessions:
             self.sessions.clear()
-        self.close()

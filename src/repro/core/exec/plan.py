@@ -29,11 +29,6 @@ from typing import TYPE_CHECKING, Iterator
 if TYPE_CHECKING:
     from repro.core.checks import LocalCheck
 
-#: Plan/worker-payload types that legitimately cross pickle boundaries
-#: (audited by the ``repro.analysis`` pickle-safety checker).  Groups and
-#: stages are frozen value objects over already-whitelisted check types.
-PICKLE_ROOTS = ("CheckGroup", "Stage")
-
 #: The routing key of a group: any hashable tuple chosen by the planner.
 GroupKey = tuple
 

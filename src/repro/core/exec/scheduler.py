@@ -6,17 +6,15 @@
 against an :class:`~repro.core.exec.context.ExecutionContext`.  It owns
 everything the four pre-refactor dispatch sites each re-implemented:
 
-* **strategy selection and degradation** — persistent worker pool, then
-  the one-shot process pool, then threads, then the serial session path,
-  recording every fallback on the :class:`DegradationReport` (and
-  warning once per context, see
+* **strategy selection and degradation** — the per-batch process map
+  when the context asks for more than one job, else the serial session
+  path; a failed process map is re-run serially and recorded on the
+  :class:`DegradationReport` (warning once per context, see
   :meth:`ExecutionContext.record_fallback`);
 * **deadlines** — the per-check ``deadline_s`` and the absolute
-  ``run_deadline`` wall budget; groups scheduled after expiry resolve to
-  UNKNOWN/``wall-budget`` without touching a solver;
-* **warm-start seed routing** — staged :class:`SessionPool` seeds are
-  absorbed into the worker pool when processes discharge the checks, and
-  imported per owner session on the serial path;
+  ``run_deadline`` wall budget, honoured on both paths; checks reached
+  after expiry resolve to UNKNOWN/``wall-budget`` without touching a
+  solver;
 * **outcome ordering** — outcomes are routed back to their group keys,
   and flat iteration follows plan order regardless of execution order;
 * **stage pipelining** — each round dispatches *every* group whose
@@ -32,14 +30,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.checks import CheckOutcome
-from repro.core.exec.backends import (
-    BatchRequest,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.core.exec.backends import BatchRequest, SerialBackend
 from repro.core.exec.context import ExecutionContext, resolve_jobs
 from repro.core.exec.plan import CheckGroup, CheckPlan, GroupKey
+from repro.core.exec.pool import run_checks_in_processes
 
 if TYPE_CHECKING:
     from repro.bgp.config import NetworkConfig
@@ -185,49 +179,31 @@ class Scheduler:
     def _dispatch(
         self, batch: BatchRequest, degradation: "DegradationReport | None"
     ) -> list[CheckOutcome]:
-        """Run one batch through the strategy chain, degrading in order.
+        """Run one batch: the process map if asked for, else serially.
 
-        The chain and its quirks are load-bearing compatibility: a failed
-        persistent-pool dispatch *falls through* to the one-shot pool (one
-        batch can record two fallbacks); the one-shot pool is skipped for
-        single-check batches and under a run deadline (its blocking map()
-        cannot return partial results); the thread strategy only applies
-        when explicitly selected; everything lands on the serial path.
+        A single check cannot parallelise and an already-expired batch
+        only needs its checks marked UNKNOWN, so neither forks a pool.  A
+        process map that returns ``None`` (pool machinery unavailable, a
+        worker died) is recorded as one serial fallback and the whole
+        batch re-runs on the serial path, which computes the same
+        outcomes.
         """
         context = self.context
         if not batch.checks:
             return []
-        backend = context.resolved_backend()
         jobs = resolve_jobs(context.parallel)
-        workers = (
-            context._workers() if backend in ("auto", "process") else None
-        )
-        if workers is not None and backend in ("auto", "process"):
-            process = ProcessBackend(jobs, workers=workers, sessions=context.sessions)
-            outcomes = process.run_persistent(batch, degradation)
-            if outcomes is not None:
-                return outcomes
-            context.record_fallback(
-                workers.last_fallback_reason or "worker pool unavailable",
-                degradation,
+        if jobs > 1 and len(batch.checks) > 1 and not batch.expired():
+            outcomes = run_checks_in_processes(
+                batch.checks,
+                batch.config,
+                batch.universe,
+                batch.ghosts,
+                batch.conflict_budget,
+                jobs,
+                deadline_s=batch.deadline_s,
+                run_deadline=batch.run_deadline,
             )
-        # A single check cannot parallelise; forking a one-shot pool for it
-        # (e.g. the liveness implication with parallel > 1 and no
-        # WorkerPool) would be pure overhead, so it takes the serial
-        # session path below.  The one-shot pool is also skipped under a
-        # run deadline: its blocking map() cannot return partial results,
-        # so the serial path below (which can stop between checks) honours
-        # the wall budget instead.
-        if (
-            jobs > 1
-            and len(batch.checks) > 1
-            and backend in ("auto", "process")
-            and batch.run_deadline is None
-        ):
-            outcomes = ProcessBackend(jobs).run_oneshot(batch)
             if outcomes is not None:
                 return outcomes
-            context.record_fallback("one-shot process pool unavailable", degradation)
-        elif jobs > 1 and backend == "thread":
-            return ThreadBackend(jobs).run(batch)
+            context.record_fallback("process pool unavailable or broke", degradation)
         return SerialBackend(context.sessions).run(batch)

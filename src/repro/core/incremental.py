@@ -43,7 +43,6 @@ import hashlib
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import (
@@ -57,7 +56,6 @@ from repro.core.exec import (
     CheckPlan,
     ExecutionContext,
     Scheduler,
-    WorkerPool,
 )
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import DegradationReport
@@ -80,8 +78,6 @@ def network_digest(config: NetworkConfig) -> str:
     Today that is exactly ``external_asns``: external neighbors' AS numbers
     enter the attribute universe (``AttributeUniverse.from_config``) and
     AS-path reasoning, but appear in no :meth:`RouterConfig.digest`.
-    (:meth:`repro.core.parallel.WorkerPool._fingerprint` includes them for
-    the same reason.)
     """
     canon = tuple(sorted(config.external_asns.items()))
     return hashlib.sha256(repr(canon).encode()).hexdigest()
@@ -408,8 +404,8 @@ class DeprecatedVerifierShim:
 
     def __getattr__(self, name: str):
         # Delegate introspection attributes (sessions, _universe,
-        # _checks_by_owner, _impl_outcome, universe_builds, _worker_pool,
-        # ...) to the tracker first, then the workspace.
+        # _checks_by_owner, _impl_outcome, universe_builds, ...) to the
+        # tracker first, then the workspace.
         entry = object.__getattribute__(self, "_entry")
         # repro: ignore[shim-fidelity] -- __getattr__ must branch: pre-init
         # access (pickle/copy) has no _entry yet and must raise, not recurse
@@ -432,8 +428,8 @@ class IncrementalVerifier(DeprecatedVerifierShim):
         session, and an on-disk outcome cache (``save``/``load``).
 
     This shim builds a single-property workspace and delegates everything
-    to it; results, counters, and session/worker-pool behavior are
-    identical to the pre-workspace implementation, and internal attributes
+    to it; results, counters, and session-pool behavior are identical to
+    the pre-workspace implementation, and internal attributes
     (``sessions``, ``_universe``, ``_checks_by_owner``, ...) resolve
     against the underlying tracker and workspace.
     """
@@ -445,10 +441,8 @@ class IncrementalVerifier(DeprecatedVerifierShim):
         invariants: InvariantMap,
         ghosts: tuple[GhostAttribute, ...] = (),
         parallel: int | str | None = None,
-        backend: str = "auto",
         conflict_budget: int | None = None,
         sessions: SessionPool | None = None,
-        workers: "WorkerPool | Callable[[], WorkerPool | None] | None" = None,
     ) -> None:
         warnings.warn(
             "IncrementalVerifier is deprecated; use repro.core.workspace."
@@ -462,10 +456,8 @@ class IncrementalVerifier(DeprecatedVerifierShim):
             config,
             ghosts=ghosts,
             parallel=parallel,
-            backend=backend,
             conflict_budget=conflict_budget,
             sessions=sessions,
-            workers=workers,
         )
         self.prop = prop
         self.invariants = invariants

@@ -30,7 +30,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import (
@@ -43,7 +42,6 @@ from repro.core.exec import (
     CheckGroup,
     CheckPlan,
     Scheduler,
-    WorkerPool,
 )
 from repro.core.incremental import (
     DeprecatedVerifierShim,
@@ -291,7 +289,7 @@ class LivenessTracker:
 
         # One single-stage plan for everything invalidated: group keys map
         # each outcome block back to its cache cell, and a one-round batch
-        # lets the worker pool overlap chunks across pipeline stages.
+        # lets a process map overlap chunks across pipeline stages.
         plan_groups: list[CheckGroup] = []
         for owner, group in prop_groups.items():
             if owner in rerun_prop:
@@ -397,10 +395,8 @@ class IncrementalLivenessVerifier(DeprecatedVerifierShim):
         interference_invariants: dict[str, InvariantMap] | None = None,
         ghosts: tuple[GhostAttribute, ...] = (),
         parallel: int | str | None = None,
-        backend: str = "auto",
         conflict_budget: int | None = None,
         sessions: SessionPool | None = None,
-        workers: "WorkerPool | Callable[[], WorkerPool | None] | None" = None,
     ) -> None:
         warnings.warn(
             "IncrementalLivenessVerifier is deprecated; use repro.core."
@@ -414,10 +410,8 @@ class IncrementalLivenessVerifier(DeprecatedVerifierShim):
             config,
             ghosts=ghosts,
             parallel=parallel,
-            backend=backend,
             conflict_budget=conflict_budget,
             sessions=sessions,
-            workers=workers,
         )
         self.prop = prop
         self.interference_invariants = interference_invariants

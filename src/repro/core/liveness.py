@@ -18,10 +18,10 @@ Encoding reuse mirrors the §4 pipeline: one **covering universe**
 every no-interference sub-proof's invariants — including caller-supplied
 ``interference_invariants`` — and one owner-keyed
 :class:`repro.smt.SessionPool` is threaded through the propagation checks,
-the final implication (discharged via ``run_checks`` like everything else,
-so it honours the selected backend), and each sub-proof.  A caller can
-pass its own ``universe``/``sessions``/``workers`` to extend the sharing
-across many liveness properties, the way the Table-4c sweep does
+the final implication (discharged through the scheduler like everything
+else), and each sub-proof.  A caller can pass its own
+``universe``/``sessions`` to extend the sharing across many liveness
+properties, the way the Table-4c sweep does
 (:func:`repro.workloads.wan_properties.verify_ip_reuse_liveness_problems`).
 
 Check **generation** is separable from execution:
@@ -60,7 +60,6 @@ from repro.core.exec import (
     ExecutionContext,
     Scheduler,
     Stage,
-    WorkerPool,
 )
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import DegradationReport, VerificationReport
@@ -363,10 +362,8 @@ def verify_liveness(
     ghosts: tuple[GhostAttribute, ...] = (),
     parallel: int | str | None = None,
     conflict_budget: int | None = None,
-    backend: str = "auto",
     universe: AttributeUniverse | None = None,
     sessions: SessionPool | None = None,
-    workers: WorkerPool | None = None,
     deadline_s: float | None = None,
     wall_budget_s: float | None = None,
 ) -> LivenessReport:
@@ -380,10 +377,9 @@ def verify_liveness(
 
     ``universe`` overrides the covering universe (it must content-cover
     :func:`liveness_universe`'s result); ``sessions`` supplies a persistent
-    owner-keyed :class:`SessionPool` and ``workers`` a persistent
-    :class:`WorkerPool` — both default to pipeline-local pools, so even a
-    one-shot call shares encodings between the propagation checks, the
-    implication, and all no-interference sub-proofs.
+    owner-keyed :class:`SessionPool` — it defaults to a pipeline-local
+    pool, so even a one-shot call shares encodings between the propagation
+    checks, the implication, and all no-interference sub-proofs.
     """
     start = time.perf_counter()
     prop.validate_against(config.topology)
@@ -393,13 +389,10 @@ def verify_liveness(
     # pool — and a pool-creation failure warns once, not once per stage.
     context = ExecutionContext(
         parallel,
-        backend,
         conflict_budget,
         sessions,
-        workers,
         deadline_s=deadline_s,
         wall_budget_s=wall_budget_s,
-        autopool=False,
     )
     run_deadline = context._begin_run_deadline()
     degradation = DegradationReport()

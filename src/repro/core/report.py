@@ -44,22 +44,19 @@ def unknown_label(outcome) -> str:
 class DegradationReport:
     """How far a run strayed from clean parallel execution.
 
-    Verification that silently degrades — a worker pool quietly replaced
-    by a serial rerun, a crashed worker's chunks re-run who knows where —
-    is verification nobody can trust under load.  Every recovery mechanism
-    in the execution layer therefore reports here: the collector is
-    threaded through ``run_checks`` and attached to the resulting report,
-    and :func:`format_report` renders a "degraded execution" section
-    whenever anything is non-zero.  Timeout/wall-budget unknowns are *not*
-    duplicated here; they live on the outcomes themselves
-    (``CheckOutcome.unknown_reason``) and are counted by
+    Verification that silently degrades — a process pool quietly replaced
+    by a serial rerun — is verification nobody can trust under load.  The
+    execution layer's one recovery mechanism (re-running a batch serially
+    when the pool machinery fails or a worker dies) reports here: the
+    collector is threaded through ``run_checks`` and attached to the
+    resulting report, and :func:`format_report` renders a "degraded
+    execution" section whenever anything is non-zero.  Timeout/wall-budget
+    unknowns are *not* duplicated here; they live on the outcomes
+    themselves (``CheckOutcome.unknown_reason``) and are counted by
     :meth:`VerificationReport.unknown_reason_counts`.
     """
 
     serial_fallbacks: int = 0
-    worker_respawns: int = 0
-    chunks_redispatched: int = 0
-    checks_quarantined: int = 0
     reasons: list[str] = field(default_factory=list)
 
     def record_fallback(self, reason: str) -> None:
@@ -67,18 +64,10 @@ class DegradationReport:
         self.reasons.append(reason)
 
     def degraded(self) -> bool:
-        return bool(
-            self.serial_fallbacks
-            or self.worker_respawns
-            or self.chunks_redispatched
-            or self.checks_quarantined
-        )
+        return bool(self.serial_fallbacks)
 
     def merge(self, other: "DegradationReport") -> None:
         self.serial_fallbacks += other.serial_fallbacks
-        self.worker_respawns += other.worker_respawns
-        self.chunks_redispatched += other.chunks_redispatched
-        self.checks_quarantined += other.checks_quarantined
         self.reasons.extend(other.reasons)
 
     def describe(self) -> list[str]:
@@ -89,16 +78,6 @@ class DegradationReport:
                 f"{self.serial_fallbacks} serial fallback(s) — parallel "
                 f"execution was unavailable or broke; results were computed "
                 f"serially instead"
-            )
-        if self.worker_respawns:
-            lines.append(f"{self.worker_respawns} worker process(es) died and were respawned")
-        if self.chunks_redispatched:
-            lines.append(
-                f"{self.chunks_redispatched} chunk(s) re-dispatched after a worker death"
-            )
-        if self.checks_quarantined:
-            lines.append(
-                f"{self.checks_quarantined} check(s) quarantined to in-process execution"
             )
         for reason in self.reasons:
             lines.append(f"reason: {reason}")

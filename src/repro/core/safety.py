@@ -7,15 +7,14 @@ aggregate results.  By the §4.3 theorem, if every check passes the property
 holds on all valid traces — for arbitrary external announcements and
 arbitrary node/link failures.
 
-Execution backends (:func:`run_checks`): the default serial path discharges
-checks through one shared :class:`repro.smt.CheckSession` per owner router,
-so the transfer-function encoding is built once per router instead of once
-per check.  With ``parallel`` > 1 the ``process`` backend mirrors the
-paper's deployment — checks chunked by owner router and discharged by a
-pool of worker *processes* (real cores, no GIL), with the problem context
-shipped once per worker — degrading to the serial path wherever process
-pools are unavailable.  A legacy ``thread`` backend remains for callers
-that want concurrent I/O without process semantics.
+Execution (:func:`run_checks`): the default serial path discharges checks
+through one shared :class:`repro.smt.CheckSession` per owner router, so
+the transfer-function encoding is built once per router instead of once
+per check.  With ``parallel`` > 1 the batch mirrors the paper's deployment
+— checks chunked by owner router and mapped over a per-call pool of worker
+*processes* (real cores, no GIL), with the problem context shipped once
+per worker — re-running serially if the process pool is unavailable or a
+worker dies.
 """
 
 from __future__ import annotations
@@ -31,11 +30,9 @@ from repro.core.checks import (
     generate_safety_checks,
 )
 from repro.core.exec import (  # noqa: F401  (re-exported compatibility names)
-    BACKENDS,
     CheckPlan,
     ExecutionContext,
     Scheduler,
-    WorkerPool,
     resolve_jobs,
 )
 from repro.core.properties import InvariantMap, SafetyProperty
@@ -113,9 +110,7 @@ def run_checks(
     ghosts: tuple[GhostAttribute, ...] = (),
     parallel: int | str | None = None,
     conflict_budget: int | None = None,
-    backend: str = "auto",
     sessions: SessionPool | None = None,
-    workers: WorkerPool | None = None,
     deadline_s: float | None = None,
     run_deadline: float | None = None,
     degradation: DegradationReport | None = None,
@@ -123,54 +118,34 @@ def run_checks(
     """Discharge a list of checks; outcomes come back in input order.
 
     Checks are independent, so they parallelise trivially.  ``parallel``
-    is the worker count (``"auto"`` = cpu count; ``None``/``0``/``1`` =
-    serial); ``backend`` picks the execution strategy:
+    is the worker-process count (``"auto"`` = available CPUs;
+    ``None``/``0``/``1`` = serial).  With more than one job the checks are
+    chunked by owner router and mapped over a per-call process pool — the
+    paper's per-device model; if no pool can be created, or a worker dies,
+    the call re-runs serially (same outcomes, deterministically ordered).
 
-    * ``"auto"``/``"process"`` — worker processes, one chunk per owner
-      router, the paper's per-device model.  Falls back to serial (same
-      outcomes, deterministically ordered) if no pool can be created.
-    * ``"serial"`` — in-process, one shared :class:`CheckSession` per
-      owner router.
-    * ``"thread"`` — legacy thread pool, hermetic solver per check.
-
-    Two handles make encodings persistent across calls:
-
-    * ``sessions`` — an owner-keyed :class:`SessionPool` the serial path
-      draws each owner's session from (and leaves populated), so
-      incremental re-verification and multi-family sweeps pass one pool
-      repeatedly and pay only marginal encoding.
-    * ``workers`` — a persistent :class:`repro.core.parallel.WorkerPool`
-      used whenever the backend allows processes; its workers keep their
-      own owner-keyed sessions alive across calls, the process-side
-      analogue of ``sessions``.  If the pool machinery is unavailable the
-      call degrades through the remaining strategies unchanged.
-
-    The one-shot process path (``parallel`` > 1 without ``workers``) keeps
-    per-call workers, so a supplied ``sessions`` pool is simply unused
-    there (outcomes are identical either way).
+    ``sessions`` makes encodings persistent across *serial* calls: an
+    owner-keyed :class:`SessionPool` the serial path draws each owner's
+    session from (and leaves populated), so incremental re-verification
+    and multi-family sweeps pass one pool repeatedly and pay only marginal
+    encoding.  Worker processes keep per-call sessions, so the pool is
+    simply unused there (outcomes are identical either way).
 
     Fault-tolerance knobs: ``deadline_s`` bounds each check's solve in
     wall-clock seconds; ``run_deadline`` (absolute ``time.monotonic()``)
     bounds the whole call, resolving still-unrun checks to UNKNOWN with
     reason ``wall-budget``.  ``degradation`` is an optional
     :class:`DegradationReport` collector: serial fallbacks (also announced
-    via ``warnings.warn`` so they are never invisible) and the worker
-    pool's recovery counters are recorded on it.
+    via ``warnings.warn`` so they are never invisible) are recorded on it.
 
-    Since PR 9 this is a thin compatibility wrapper: it builds a
-    one-group :class:`~repro.core.exec.plan.CheckPlan` plus an ephemeral
+    This is a thin wrapper: it builds a one-group
+    :class:`~repro.core.exec.plan.CheckPlan` plus an ephemeral
     :class:`~repro.core.exec.context.ExecutionContext` and lets the
     :class:`~repro.core.exec.scheduler.Scheduler` dispatch it.  Callers
     with staged or multi-group work should build plans directly.
     """
     context = ExecutionContext(
-        parallel,
-        backend,
-        conflict_budget,
-        sessions,
-        workers,
-        deadline_s=deadline_s,
-        autopool=False,
+        parallel, conflict_budget, sessions, deadline_s=deadline_s
     )
     plan = CheckPlan.single(list(checks))
     result = Scheduler(context).run(
@@ -193,9 +168,7 @@ def verify_safety(
     universe: AttributeUniverse | None = None,
     parallel: int | str | None = None,
     conflict_budget: int | None = None,
-    backend: str = "auto",
     sessions: SessionPool | None = None,
-    workers: WorkerPool | None = None,
     deadline_s: float | None = None,
     wall_budget_s: float | None = None,
 ) -> SafetyReport:
@@ -220,9 +193,7 @@ def verify_safety(
         ghosts,
         parallel=parallel,
         conflict_budget=conflict_budget,
-        backend=backend,
         sessions=sessions,
-        workers=workers,
         deadline_s=deadline_s,
         run_deadline=run_deadline,
         degradation=degradation,
@@ -242,10 +213,8 @@ def verify_safety_family(
     ghosts: tuple[GhostAttribute, ...] = (),
     parallel: int | str | None = None,
     conflict_budget: int | None = None,
-    backend: str = "auto",
     universe: AttributeUniverse | None = None,
     sessions: SessionPool | None = None,
-    workers: WorkerPool | None = None,
     deadline_s: float | None = None,
     wall_budget_s: float | None = None,
 ) -> SafetyReport:
@@ -256,11 +225,10 @@ def verify_safety_family(
     invariants, so they run once; only the cheap ``I_l ⊆ P`` implication
     check repeats per property.
 
-    ``universe``, ``sessions``, and ``workers`` let a caller hoist
-    encoding reuse one level further: Table-4 sweeps run many families
-    over the same network, so they build one covering universe and one
-    :class:`SessionPool` (or one persistent worker pool) and pass them to
-    every family (see
+    ``universe`` and ``sessions`` let a caller hoist encoding reuse one
+    level further: Table-4 sweeps run many families over the same
+    network, so they build one covering universe and one
+    :class:`SessionPool` and pass them to every family (see
     :func:`repro.workloads.wan_properties.verify_peering_problems`).
     """
     if not props:
@@ -299,9 +267,7 @@ def verify_safety_family(
         ghosts,
         parallel=parallel,
         conflict_budget=conflict_budget,
-        backend=backend,
         sessions=sessions,
-        workers=workers,
         deadline_s=deadline_s,
         run_deadline=run_deadline,
         degradation=degradation,

@@ -2,9 +2,9 @@
 
 Four PRs of performance work converged on one architecture: every entry
 point (safety, liveness, incremental safety, incremental liveness) wants
-the same persistent substrate — an owner-keyed :class:`SessionPool`, an
-optional process-backend :class:`WorkerPool`, per-router policy digests,
-one covering attribute universe, and an owner-indexed outcome store.
+the same persistent substrate — an owner-keyed :class:`SessionPool`,
+per-router policy digests, one covering attribute universe, and an
+owner-indexed outcome store.
 :class:`Workspace` owns all of it once, the way an incremental SAT solver
 exposes one long-lived solver object instead of per-call functions:
 
@@ -16,7 +16,7 @@ exposes one long-lived solver object instead of per-call functions:
 
 ``verify`` is property-polymorphic: a :class:`SafetyProperty` runs the §4
 pipeline, a :class:`LivenessProperty` the §5 pipeline, both against the
-workspace's shared pools.  Each verified property gets a persistent
+workspace's shared session pool.  Each verified property gets a persistent
 *tracker* (:class:`repro.core.incremental.SafetyTracker` /
 :class:`repro.core.incremental_liveness.LivenessTracker`) holding its
 owner-indexed check/outcome cache, so re-verifying after ``apply`` —
@@ -68,9 +68,6 @@ from repro.lang.predicates import Predicate
 from repro.smt.solver import solver_reuse_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from typing import Callable
-
-    from repro.core.exec import WorkerPool
     from repro.core.liveness import LivenessReport
     from repro.core.safety import SafetyReport
     from repro.smt.solver import SessionPool
@@ -221,13 +218,11 @@ class Workspace(ExecutionContext):
     ghosts:
         Ghost-attribute definitions available to properties and invariants.
     parallel:
-        Worker count for independent local checks: an integer, ``"auto"``
-        (one per core), or ``None``/``1`` for the serial path.
-    backend:
-        Execution strategy: ``"auto"``/``"process"`` run checks as worker
-        *processes* chunked by owner router (the paper's per-device model,
-        with a serial fallback), ``"serial"`` forces in-process execution,
-        ``"thread"`` keeps the legacy thread pool.
+        Worker-process count for independent local checks: an integer or
+        ``"auto"`` (one per available CPU) maps each batch, chunked by
+        owner router, over a per-batch process pool (the paper's
+        per-device model, with a serial fallback); ``None``/``0``/``1``
+        is the serial session path.
     conflict_budget:
         Default per-check SAT conflict budget for every ``verify`` call
         (overridable per call).
@@ -242,13 +237,13 @@ class Workspace(ExecutionContext):
         :meth:`ExecutionContext.set_run_deadline` instead pins one
         absolute deadline across several runs.  Neither deadline is part
         of a cache fingerprint — they bound execution, not the problem.
-    sessions / workers:
-        Borrow an externally owned :class:`SessionPool` / persistent
-        :class:`WorkerPool` (or a lazy supplier of one) instead of owning
-        fresh pools; the workspace then never clears or closes them.
+    sessions:
+        Borrow an externally owned :class:`SessionPool` instead of owning
+        a fresh one; the workspace then never clears it.
 
-    The workspace is a context manager; ``close()`` releases the owned
-    worker processes (sessions need no teardown).
+    The workspace is a context manager for its callers' convenience;
+    ``close()`` has nothing to release (worker processes live for one
+    batch, sessions need no teardown).
     """
 
     def __init__(
@@ -256,10 +251,8 @@ class Workspace(ExecutionContext):
         config: NetworkConfig,
         ghosts: tuple[GhostAttribute, ...] = (),
         parallel: int | str | None = None,
-        backend: str = "auto",
         conflict_budget: int | None = None,
         sessions: "SessionPool | None" = None,
-        workers: "WorkerPool | Callable[[], WorkerPool | None] | None" = None,
         deadline_s: float | None = None,
         wall_budget_s: float | None = None,
     ) -> None:
@@ -268,10 +261,8 @@ class Workspace(ExecutionContext):
             raise ValueError("invalid network configuration: " + "; ".join(problems))
         super().__init__(
             parallel,
-            backend,
             conflict_budget,
             sessions,
-            workers,
             deadline_s=deadline_s,
             wall_budget_s=wall_budget_s,
         )
@@ -291,6 +282,9 @@ class Workspace(ExecutionContext):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    def close(self) -> None:
+        """Nothing to release; kept so ``with``/``close()`` callers stay valid."""
 
     # -- registration --------------------------------------------------
 
@@ -502,27 +496,19 @@ class Workspace(ExecutionContext):
     # -- persistence ---------------------------------------------------
 
     def _solver_state(self) -> dict[str, Any]:
-        """Per-owner learnt exports from every substrate this run touched.
+        """Per-owner learnt exports from the session pool this run used.
 
         Sessions themselves are not picklable (term interning makes their
         encodings process-local); what persists is the digest-guarded
         learnt-clause export, replayable into a deterministically rebuilt
         session.  Sources, freshest last: seeds loaded but never consumed,
-        the serial session pool's exports, and the worker pool's collected
-        per-owner store.  Empty when solver reuse is disabled.
+        then the session pool's exports.  Empty when solver reuse is
+        disabled.
         """
         if not solver_reuse_enabled():
             return {}
         solver_state: dict[str, Any] = dict(self.sessions.seeds)
         solver_state.update(self.sessions.export_learnts())
-        workers = self._worker_pool
-        if workers is None and self._borrowed_workers is not None:
-            borrowed = self._borrowed_workers
-            # A callable supplier is only resolved lazily by runs; calling
-            # it here could *spawn* a pool at save time, so don't.
-            workers = None if callable(borrowed) else borrowed
-        if workers is not None:
-            solver_state.update(workers.learnt_snapshot())
         return solver_state
 
     def save(self, path: str | os.PathLike[str]) -> None:
@@ -580,10 +566,8 @@ class Workspace(ExecutionContext):
         config: NetworkConfig | None = None,
         ghosts: tuple[GhostAttribute, ...] | None = None,
         parallel: int | str | None = None,
-        backend: str = "auto",
         conflict_budget: int | None = None,
         sessions: "SessionPool | None" = None,
-        workers: "WorkerPool | Callable[[], WorkerPool | None] | None" = None,
         deadline_s: float | None = None,
         wall_budget_s: float | None = None,
     ) -> "Workspace":
@@ -594,8 +578,8 @@ class Workspace(ExecutionContext):
         content fingerprints must match the saved ones —
         :class:`WorkspaceCacheMismatch` otherwise, so a cache can never
         silently answer for a different network or ghost set.  Execution
-        parameters (``parallel``/``backend``/pools) are not part of the
-        fingerprint; pass whatever this process should use.
+        parameters (``parallel``, the session pool, deadlines) are not part
+        of the fingerprint; pass whatever this process should use.
         """
         try:
             with open(path, "rb") as handle:
@@ -642,10 +626,8 @@ class Workspace(ExecutionContext):
                 config,
                 ghosts=tuple(ghosts),
                 parallel=parallel,
-                backend=backend,
                 conflict_budget=conflict_budget,
                 sessions=sessions,
-                workers=workers,
                 deadline_s=deadline_s,
                 wall_budget_s=wall_budget_s,
             )

@@ -49,12 +49,6 @@ class TermCacheStats:
 # cache.  The on/off switch is driven by the lang-layer master toggle in
 # :mod:`repro.lang.transfer`.
 
-#: Deliberately unguarded shared state (audited by the repro.analysis
-#: concurrency-discipline checker): entries are interned terms keyed by
-#: value, so racing writers store identical objects — a lost update is a
-#: recompute, not corruption.  Dict item writes are atomic under the GIL.
-SHARED_STATE = ("_term_cache",)
-
 _term_cache_enabled: bool = True
 _term_cache: dict[tuple, Term] = {}
 _term_stats = TermCacheStats()

@@ -65,12 +65,6 @@ class SymbolicRoute:
     # checks create the same "r" route thousands of times per sweep; the
     # cache turns that into one dict hit per check.  It must die with the
     # intern table: route fields compare by term identity.
-    #
-    # Declared shared (audited by the concurrency-discipline checker):
-    # referential transparency means racing writers cache equivalent
-    # routes, so an unguarded lost update is a recompute, not corruption.
-    SHARED_STATE = ("_fresh_cache",)
-
     _fresh_cache: ClassVar[dict[tuple[str, AttributeUniverse], "SymbolicRoute"]] = {}
 
     @classmethod

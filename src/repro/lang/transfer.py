@@ -111,13 +111,6 @@ from repro.smt.terms import Term, register_intern_dependent
 # :mod:`repro.lang.predicates`; re-exported under the transfer name.
 TransferCacheStats = TermCacheStats
 
-#: Deliberately unguarded shared state (audited by the repro.analysis
-#: concurrency-discipline checker): both caches memoise *idempotent*
-#: values — terms are interned, so racing writers compute identical
-#: entries and a lost update only costs a recompute, never corruption.
-#: Single dict item writes are atomic under the GIL.
-SHARED_STATE = ("_transfer_cache", "_originate_cache")
-
 _cache_enabled: bool = True
 _transfer_cache: dict[tuple, tuple[Term, SymbolicRoute]] = {}
 _originate_cache: dict[tuple, tuple[SymbolicRoute, ...]] = {}

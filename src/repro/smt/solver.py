@@ -675,10 +675,9 @@ class SessionPool:
 
     Pools live wherever reuse pays: :class:`repro.core.incremental.
     IncrementalVerifier` keeps one across ``reverify`` calls, the Table-4
-    sweeps hoist one above their property-family loops, ``verify_liveness``
-    shares one across propagation, implication, and every no-interference
-    sub-proof, and each :class:`repro.core.parallel.WorkerPool` worker
-    process holds its own pool for the checks routed to it.
+    sweeps hoist one above their property-family loops, and
+    ``verify_liveness`` shares one across propagation, implication, and
+    every no-interference sub-proof.
     """
 
     def __init__(self) -> None:

@@ -3,7 +3,7 @@
 :mod:`repro.testing.faults` is the fault-injection harness the chaos
 tests drive: it plants failures (worker kills, check delays, check
 exceptions, cache corruption) at fixed, named points so recovery
-behaviour can be *asserted* — exact outcomes, exact redispatch counts —
+behaviour can be *asserted* — exact outcomes, exact fallback counts —
 instead of hoped for.
 """
 

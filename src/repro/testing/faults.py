@@ -1,15 +1,14 @@
 """Deterministic fault injection for the verification runtime.
 
-The fault-tolerant execution layer (worker respawn, chunk redispatch,
-quarantine, deadlines) is only trustworthy if its recovery paths are
-exercised on demand.  This module plants failures at fixed points:
+The fault-tolerant execution layer (serial fallback after a worker
+death, deadlines) is only trustworthy if its recovery paths are exercised
+on demand.  This module plants failures at fixed points:
 
-* **kill worker after N chunks** — a :class:`repro.core.parallel.
-  WorkerPool` worker calls ``os._exit(1)`` on receipt of its Nth chunk,
-  before replying, simulating a hard crash mid-run.  ``times`` bounds how
-  many worker incarnations die (the parent strips one firing per respawn),
-  so "the same chunk kills its worker twice" is a reproducible scenario,
-  not a race.
+* **kill in check** — a pool *worker process* about to run a matching
+  check calls ``os._exit(1)``, simulating a hard crash mid-run.  It fires
+  only inside a worker (``multiprocessing.parent_process() is not None``),
+  so the serial re-run the parent falls back to does not re-fire it and
+  the recovery path is deterministically testable.
 * **delay check by T** — :meth:`repro.core.checks.LocalCheck.run` sleeps
   ``T`` seconds before solving, for checks whose description matches.
 * **hang check** — the matching check sleeps until its wall-clock
@@ -27,13 +26,11 @@ exercised on demand.  This module plants failures at fixed points:
 Faults are installed process-wide with :func:`install` (tests) or via the
 ``REPRO_FAULTS`` environment variable (CLI/subprocess chaos runs), e.g.::
 
-    REPRO_FAULTS="kill_worker_after_chunks=2,kill_times=1,kill_worker_index=0"
+    REPRO_FAULTS="kill_in_check_match=import check at R3"
     REPRO_FAULTS="delay_check_s=0.5,delay_check_match=import check at R3"
 
-Worker processes do not re-read the environment: the parent pool ships
-each worker its :meth:`FaultPlan.worker_faults` slice at spawn time, so a
-respawned worker can be handed a plan with the kill fault already
-consumed — the property that makes kill-twice scenarios terminate.
+Worker processes do not re-read the environment: the process map ships
+the parent's active plan to each worker with the problem context.
 
 Everything here is inert unless a plan is active; the hooks cost one
 ``None`` check on the hot path.
@@ -43,7 +40,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class FaultInjected(RuntimeError):
@@ -58,14 +55,12 @@ HANG_CAP_S = 10.0
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A declarative set of faults to inject, picklable so pools can ship
-    per-worker slices to worker processes."""
+    """A declarative set of faults to inject, picklable so the process
+    map can ship it to worker processes."""
 
-    # Kill the targeted worker on receipt of its Nth chunk (1-based),
-    # before it replies.  ``kill_times`` incarnations die in total.
-    kill_worker_after_chunks: int | None = None
-    kill_worker_index: int = 0
-    kill_times: int = 1
+    # ``os._exit(1)`` a pool worker process about to run a matching check
+    # (never the parent process, so the serial fallback completes).
+    kill_in_check_match: str | None = None
     # Sleep before solving any check whose description contains the match
     # substring (empty string matches every check).
     delay_check_s: float = 0.0
@@ -106,40 +101,6 @@ class FaultPlan:
                 kwargs[key] = value
         return cls(**kwargs)
 
-    # -- pool-side helpers ---------------------------------------------
-
-    def worker_faults(self, worker_index: int) -> "FaultPlan | None":
-        """The slice of this plan a given worker process should enforce.
-
-        Only the kill fault is worker-scoped; check-level faults travel to
-        every worker (they key on check descriptions, not workers).
-        Returns ``None`` when nothing applies, so workers skip the hook
-        entirely.
-        """
-        plan = self
-        if (
-            plan.kill_worker_after_chunks is not None
-            and (plan.kill_worker_index != worker_index or plan.kill_times <= 0)
-        ):
-            plan = replace(plan, kill_worker_after_chunks=None)
-        if (
-            plan.kill_worker_after_chunks is None
-            and not plan.delay_check_s
-            and plan.hang_check_match is None
-            and plan.raise_in_check_match is None
-        ):
-            return None
-        return plan
-
-    def consume_kill(self) -> "FaultPlan":
-        """One worker incarnation died: arm one fewer future firing."""
-        if self.kill_worker_after_chunks is None:
-            return self
-        remaining = self.kill_times - 1
-        if remaining <= 0:
-            return replace(self, kill_worker_after_chunks=None, kill_times=0)
-        return replace(self, kill_times=remaining)
-
     # -- check-level hooks ---------------------------------------------
 
     def _matches(self, pattern: str | None, check) -> bool:
@@ -147,6 +108,12 @@ class FaultPlan:
 
     def on_check_start(self, check, deadline_abs: float | None) -> None:
         """Apply check-level faults before a check starts solving."""
+        if self._matches(self.kill_in_check_match, check):
+            import multiprocessing  # only ever loaded when this fault fires
+
+            if multiprocessing.parent_process() is not None:
+                # Simulated hard crash: no reply, no cleanup, no exit handlers.
+                os._exit(1)
         if self._matches(self.raise_in_check_match, check):
             raise FaultInjected(f"injected failure in check: {check}")
         if self.delay_check_s and (

@@ -21,11 +21,9 @@ covers the Table-4c liveness sweep
 (:func:`verify_ip_reuse_liveness_problems`): one universe spanning every
 region's property, constraints, and interference invariants, and one pool
 shared by all regions' propagation/implication/no-interference checks.
-All runners also accept a persistent :class:`repro.core.parallel.
-WorkerPool` for the process backend — or, since the session-oriented API
-redesign, a whole :class:`repro.core.workspace.Workspace` via
-``workspace=``, whose session pool, worker pool, and execution settings
-the sweep then shares with everything else the workspace runs.
+All runners also accept a whole :class:`repro.core.workspace.Workspace`
+via ``workspace=``, whose session pool and ``parallel`` setting the sweep
+then shares with everything else the workspace runs.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from typing import Sequence
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.topology import Edge
 from repro.core.liveness import LivenessReport, liveness_predicates, verify_liveness
-from repro.core.parallel import WorkerPool
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.safety import SafetyReport, build_universe, verify_safety_family
 from repro.smt.solver import SessionPool
@@ -151,22 +148,16 @@ def combined_peering_problem(wan: WanNetwork) -> PeeringProblem:
 def _workspace_defaults(
     workspace,
     parallel: int | str | None,
-    backend: str,
     sessions: SessionPool | None,
-    workers: WorkerPool | None,
-) -> tuple[int | str | None, str, SessionPool | None, WorkerPool | None]:
+) -> tuple[int | str | None, SessionPool | None]:
     """Fill unset execution knobs from a :class:`Workspace`, when given."""
     if workspace is None:
-        return parallel, backend, sessions, workers
+        return parallel, sessions
     if parallel is None:
         parallel = workspace.parallel
-    if backend == "auto":
-        backend = workspace.backend
     if sessions is None:
         sessions = workspace.sessions
-    if workers is None:
-        workers = workspace._workers()
-    return parallel, backend, sessions, workers
+    return parallel, sessions
 
 
 def _verify_problem_families(
@@ -174,9 +165,7 @@ def _verify_problem_families(
     problems,
     parallel: int | str | None,
     conflict_budget: int | None,
-    backend: str,
     sessions: SessionPool | None,
-    workers: WorkerPool | None = None,
 ):
     """Run a list of property-family problems against shared encodings.
 
@@ -207,10 +196,8 @@ def _verify_problem_families(
             ghosts=(prob.ghost,),
             parallel=parallel,
             conflict_budget=conflict_budget,
-            backend=backend,
             universe=universe,
             sessions=pool,
-            workers=workers,
         )
         results.append((prob, report))
     return results
@@ -221,9 +208,7 @@ def verify_peering_problems(
     problems: Sequence[PeeringProblem] | None = None,
     parallel: int | str | None = None,
     conflict_budget: int | None = None,
-    backend: str = "auto",
     sessions: SessionPool | None = None,
-    workers: WorkerPool | None = None,
     workspace=None,
 ) -> list[tuple[PeeringProblem, SafetyReport]]:
     """Run Table-4a peering families with encodings shared across families.
@@ -233,16 +218,14 @@ def verify_peering_problems(
     the session pool above the family loop therefore turns every family
     after the first into (mostly) assumption-scoped re-solves against the
     encodings the first family built.  Pass ``workspace=`` to share a
-    :class:`repro.core.workspace.Workspace`'s pools and execution settings
-    instead of spelling them out.
+    :class:`repro.core.workspace.Workspace`'s session pool and ``parallel``
+    setting instead of spelling them out.
     """
     if problems is None:
         problems = all_peering_problems(wan)
-    parallel, backend, sessions, workers = _workspace_defaults(
-        workspace, parallel, backend, sessions, workers
-    )
+    parallel, sessions = _workspace_defaults(workspace, parallel, sessions)
     return _verify_problem_families(
-        wan, problems, parallel, conflict_budget, backend, sessions, workers
+        wan, problems, parallel, conflict_budget, sessions
     )
 
 
@@ -326,9 +309,7 @@ def verify_ip_reuse_safety_problems(
     regions: Sequence[int] | None = None,
     parallel: int | str | None = None,
     conflict_budget: int | None = None,
-    backend: str = "auto",
     sessions: SessionPool | None = None,
-    workers: WorkerPool | None = None,
     workspace=None,
 ) -> list[tuple[IpReuseSafetyProblem, SafetyReport]]:
     """Run Table-4b families for many regions with shared encodings.
@@ -341,11 +322,9 @@ def verify_ip_reuse_safety_problems(
     if regions is None:
         regions = range(wan.regions)
     problems = [ip_reuse_safety_problem(wan, region) for region in regions]
-    parallel, backend, sessions, workers = _workspace_defaults(
-        workspace, parallel, backend, sessions, workers
-    )
+    parallel, sessions = _workspace_defaults(workspace, parallel, sessions)
     return _verify_problem_families(
-        wan, problems, parallel, conflict_budget, backend, sessions, workers
+        wan, problems, parallel, conflict_budget, sessions
     )
 
 
@@ -447,9 +426,7 @@ def verify_ip_reuse_liveness_problems(
     regions: Sequence[int] | None = None,
     parallel: int | str | None = None,
     conflict_budget: int | None = None,
-    backend: str = "auto",
     sessions: SessionPool | None = None,
-    workers: WorkerPool | None = None,
     workspace=None,
 ) -> list[tuple[IpReuseLivenessProblem, LivenessReport]]:
     """Run Table-4c liveness problems for many regions with shared encodings.
@@ -464,9 +441,7 @@ def verify_ip_reuse_liveness_problems(
     if regions is None:
         regions = range(wan.regions)
     problems = [ip_reuse_liveness_problem(wan, region) for region in regions]
-    parallel, backend, sessions, workers = _workspace_defaults(
-        workspace, parallel, backend, sessions, workers
-    )
+    parallel, sessions = _workspace_defaults(workspace, parallel, sessions)
     preds: list[Predicate] = []
     ghosts = []
     for prob in problems:
@@ -485,10 +460,8 @@ def verify_ip_reuse_liveness_problems(
             ghosts=(prob.ghost,),
             parallel=parallel,
             conflict_budget=conflict_budget,
-            backend=backend,
             universe=universe,
             sessions=pool,
-            workers=workers,
         )
         results.append((prob, report))
     return results

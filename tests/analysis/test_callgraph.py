@@ -79,6 +79,8 @@ class TestExtraction:
         assert [c["dstar"] for c in calls] == [False, True]
 
     def test_module_state_and_shared_declaration(self):
+        # A tuple of names is an ordinary immutable symbol: there is no
+        # shared-state declaration syntax any more.
         facts = _facts(
             "SHARED_STATE = ('_cache',)\n"
             "_cache = {}\n"
@@ -86,7 +88,7 @@ class TestExtraction:
             "LIMIT = 3\n"
         )
         assert set(facts["module_state"]) == {"_cache", "_names"}
-        assert facts["shared"] == ["_cache"]
+        assert "shared" not in facts
 
     def test_lock_guard_detection(self):
         facts = _facts(

@@ -165,44 +165,6 @@ class TestBudgetFlow:
         assert result.fresh == []
 
 
-class TestConcurrencyDiscipline:
-    DIR = FIXTURES / "concurrency_discipline"
-
-    def test_flags_unguarded_cache_reached_via_pool_map(self, lint):
-        # Scheduler.run -> pool.map(_solve, ...) is a may-call edge; the
-        # worker's bare module-dict write is flagged even though no
-        # dispatch method touches the cache directly.
-        result = lint(self.DIR, [self.DIR / "bad_dispatch.py"],
-                      checkers=["concurrency-discipline"])
-        assert _keys(result.fresh) == {
-            "concurrency-discipline:bad_dispatch.py:_solve:_RESULT_CACHE"
-        }
-
-    def test_lock_guarded_write_is_clean(self, lint):
-        result = lint(self.DIR, [self.DIR / "good_dispatch_locked.py"],
-                      checkers=["concurrency-discipline"])
-        assert result.fresh == []
-
-    def test_shared_state_declaration_is_honoured(self, lint):
-        result = lint(self.DIR, [self.DIR / "good_dispatch_declared.py"],
-                      checkers=["concurrency-discipline"])
-        assert result.fresh == []
-
-    def test_non_dispatch_classes_are_out_of_scope(self, lint):
-        # Identical write, but the enclosing class is not a dispatcher
-        # and nothing dispatched reaches it.
-        result = lint(self.DIR, [self.DIR / "good_not_dispatched.py"],
-                      checkers=["concurrency-discipline"])
-        assert result.fresh == []
-
-    def test_dispatcher_subclasses_inherit_the_obligation(self, lint):
-        result = lint(self.DIR, [self.DIR / "bad_subclass_attr.py"],
-                      checkers=["concurrency-discipline"])
-        assert _keys(result.fresh) == {
-            "concurrency-discipline:bad_subclass_attr.py:LintScheduler.dispatch:_seen"
-        }
-
-
 class TestShimFidelity:
     DIR = FIXTURES / "shim_fidelity"
 

@@ -17,7 +17,6 @@ CHECKER_IDS = (
     "deadline-discipline",
     "cache-format-discipline",
     "budget-flow",
-    "concurrency-discipline",
     "shim-fidelity",
 )
 

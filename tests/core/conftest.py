@@ -1,4 +1,5 @@
-"""Shared fixtures: the Figure 1 verification problem (Tables 2 and 3)."""
+"""Shared fixtures: the Figure 1 verification problem (Tables 2 and 3),
+and a broken process pool for the serial-fallback tests."""
 
 from __future__ import annotations
 
@@ -19,6 +20,18 @@ from repro.workloads.figure1 import (
 @pytest.fixture
 def fig1_config():
     return build_figure1()
+
+
+@pytest.fixture
+def broken_process_pool(monkeypatch):
+    """Every ``ProcessPoolExecutor`` construction fails, as in a sandbox
+    without semaphore support: ``parallel`` > 1 must degrade to serial."""
+    import concurrent.futures
+
+    def _unavailable(*args, **kwargs):
+        raise OSError("process pools unavailable (injected by the test)")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _unavailable)
 
 
 @pytest.fixture

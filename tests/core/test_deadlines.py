@@ -4,8 +4,9 @@ A verification run must never hang on one pathological check: with
 ``deadline_s`` a hung check comes back UNKNOWN with reason ``timeout``
 inside the budget, and with a wall budget the run returns partial
 results (remaining checks UNKNOWN with reason ``wall-budget``) instead
-of running forever.  The hang is injected, so these tests are fast and
-deterministic — no real runaway SAT search needed.
+of running forever — on the serial path and, with ``parallel`` > 1,
+inside the process map's workers alike.  The hang is injected, so these
+tests are fast and deterministic — no real runaway SAT search needed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import pytest
 from repro.bgp.topology import Edge
 from repro.cli import EXIT_DEGRADED, main
 from repro.core.checks import generate_safety_checks
+from repro.core.exec.pool import run_checks_in_processes
 from repro.core.properties import InvariantMap, SafetyProperty
+from repro.core.report import DegradationReport
 from repro.core.safety import build_universe, run_checks, verify_safety
 from repro.core.workspace import Workspace
 from repro.lang.ghost import GhostAttribute
@@ -143,6 +146,52 @@ def test_workspace_pinned_run_deadline_wins_over_budget():
     assert report.passed
 
 
+def test_process_map_skips_every_check_after_an_expired_run_deadline():
+    config, ghost, prop, invariants = _fullmesh_problem(4)
+    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    # Straight at the process map (the scheduler would not even fork for
+    # an expired batch): the workers themselves must honour the deadline.
+    outcomes = run_checks_in_processes(
+        checks, config, universe, (ghost,), None, 2,
+        run_deadline=time.monotonic() - 1.0,
+    )
+    if outcomes is None:
+        pytest.skip("process pools unavailable in this environment")
+    assert [o.check for o in outcomes] == checks
+    assert all(o.unknown and o.unknown_reason == "wall-budget" for o in outcomes)
+    assert all(o.stats.num_vars == 0 for o in outcomes)  # nothing was encoded
+
+
+def test_process_map_wall_budget_expiring_mid_run_returns_partial_results():
+    config, ghost, prop, invariants = _fullmesh_problem(5)
+    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    serial = run_checks(checks, config, universe, (ghost,))
+    # ~0.1 s per check: several seconds of work even on two workers, so a
+    # 0.6 s budget expires mid-run with checks decided on both sides of it.
+    faults.install(FaultPlan(delay_check_s=0.1))
+    degradation = DegradationReport()
+    start = time.monotonic()
+    outcomes = run_checks(
+        checks, config, universe, (ghost,), parallel=2,
+        run_deadline=start + 0.6, degradation=degradation,
+    )
+    elapsed = time.monotonic() - start
+    # The budget was honoured inside the workers, not by going serial.
+    assert degradation.serial_fallbacks == 0
+    assert elapsed < 0.1 * len(checks) / 2
+    # Checks reached after expiry are skipped; the (at most one per
+    # worker) check in flight at expiry times out, as on the serial path.
+    reasons = [o.unknown_reason for o in outcomes if o.unknown]
+    assert reasons.count("wall-budget") >= 1
+    assert reasons.count("timeout") <= 2
+    assert set(reasons) <= {"wall-budget", "timeout"}
+    decided = [(o, ref) for o, ref in zip(outcomes, serial) if not o.unknown]
+    assert decided
+    assert all(o.check == ref.check and o.passed == ref.passed for o, ref in decided)
+
+
 # ---------------------------------------------------------------------------
 # CLI: flags parse, degraded runs exit EXIT_DEGRADED
 # ---------------------------------------------------------------------------
@@ -209,6 +258,20 @@ def test_cli_exhausted_wall_budget_exits_degraded(cli_inputs, capsys):
     assert code == EXIT_DEGRADED
     out = capsys.readouterr().out
     assert "UNKNOWN (wall budget exhausted)" in out
+
+
+def test_cli_jobs_honour_the_wall_budget(cli_inputs, capsys):
+    # --jobs N --wall-budget S must not silently become a serial run, and
+    # must still report the budget's UNKNOWNs with exit 3.
+    config, spec = cli_inputs
+    faults.install(FaultPlan(delay_check_s=0.2))
+    start = time.monotonic()
+    code = main(["verify", config, spec, "--jobs", "2", "--wall-budget", "0.5"])
+    assert time.monotonic() - start < 5.0
+    assert code == EXIT_DEGRADED
+    out = capsys.readouterr().out
+    assert "UNKNOWN (wall budget exhausted)" in out
+    assert "degraded execution" not in out
 
 
 def test_cli_hung_check_under_deadline_exits_degraded(cli_inputs, capsys):

@@ -8,9 +8,10 @@ hermetic per-check discharge (checks are independent, so the reference
 needs no shared state) and the legacy barriered liveness order — and the
 suite asserts the scheduler-driven paths return identical reports:
 outcome fingerprints *in order*, unknown-reason buckets, degradation
-counters, and cache-consultation counters, across backends and seeded
-random configurations.  The deprecated verifier shims are held to the
-same standard against the workspaces they wrap.
+counters, and cache-consultation counters, across the serial path and
+the process map and over seeded random configurations.  The deprecated
+verifier shims are held to the same standard against the workspaces they
+wrap.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from repro.workloads.randomnet import build_random_network
 
 from tests.core.conftest import customer_liveness_property
 
-#: The backend × job-count matrix every differential case runs over.
-BACKENDS = (("serial", 1), ("thread", 2), ("process", 2), ("auto", 2))
+#: The job counts every differential case runs over: the serial path and
+#: the process map.
+JOBS = (1, 2)
 
 
 def _fingerprint(outcome):
@@ -92,7 +94,7 @@ def _no_transit_problem(n: int, model: str, seed: int, broken: bool):
     return config, ghost, prop, invariants
 
 
-# -- safety: every backend vs the hermetic reference -------------------
+# -- safety: both execution paths vs the hermetic reference ------------
 
 
 @pytest.mark.parametrize(
@@ -106,7 +108,7 @@ def test_safety_identical_across_backends(n, model, seed, broken):
     reference = [_fingerprint(check.run(config, universe, (ghost,))) for check in checks]
     if broken:
         assert any(not passed for __, passed, *__rest in reference)
-    for backend, parallel in BACKENDS:
+    for parallel in JOBS:
         degradation = DegradationReport()
         outcomes = run_checks(
             checks,
@@ -114,20 +116,19 @@ def test_safety_identical_across_backends(n, model, seed, broken):
             universe,
             (ghost,),
             parallel=parallel,
-            backend=backend,
             degradation=degradation,
         )
-        assert [_fingerprint(o) for o in outcomes] == reference, (backend, parallel)
+        assert [_fingerprint(o) for o in outcomes] == reference, parallel
         # A healthy platform records no degradation on any path.
-        assert degradation.serial_fallbacks == 0, (backend, parallel)
+        assert degradation.serial_fallbacks == 0, parallel
 
 
 def test_safety_report_buckets_identical_across_backends():
     config, ghost, prop, invariants = _no_transit_problem(5, "ba", 4, True)
     reference = verify_safety(config, prop, invariants, ghosts=(ghost,))
-    for backend, parallel in BACKENDS:
+    for parallel in JOBS:
         report = verify_safety(
-            config, prop, invariants, ghosts=(ghost,), parallel=parallel, backend=backend
+            config, prop, invariants, ghosts=(ghost,), parallel=parallel
         )
         assert report.passed == reference.passed
         assert report.unknown_reason_counts == reference.unknown_reason_counts
@@ -153,7 +154,7 @@ def test_liveness_plans_match_hermetic_reference():
     # Pipelined (the live order) and barriered (the pre-PR-9 order) plans
     # must be indistinguishable in everything but wall-clock shape.
     for pipelined in (True, False):
-        context = ExecutionContext(None, "serial", None, None, None, autopool=False)
+        context = ExecutionContext()
         result = Scheduler(context).run(
             liveness_plan(checks, pipelined=pipelined), config, universe, ()
         )
@@ -172,25 +173,25 @@ def test_liveness_driver_identical_across_backends(buggy):
     prop = customer_liveness_property()
     reference = verify_liveness(config, prop)
     assert reference.passed is (not buggy)
-    for backend, parallel in BACKENDS:
-        report = verify_liveness(config, prop, parallel=parallel, backend=backend)
-        assert report.passed == reference.passed, (backend, parallel)
+    for parallel in JOBS:
+        report = verify_liveness(config, prop, parallel=parallel)
+        assert report.passed == reference.passed, parallel
         assert [_fingerprint(o) for o in report.iter_outcomes()] == [
             _fingerprint(o) for o in reference.iter_outcomes()
-        ], (backend, parallel)
+        ], parallel
         assert report.unknown_reason_counts == reference.unknown_reason_counts
 
 
 # -- incremental reverify: cached + fresh vs from-scratch --------------
 
 
-@pytest.mark.parametrize("backend,parallel", [("serial", None), ("thread", 2), ("process", 2)])
-def test_incremental_reverify_matches_scratch(backend, parallel):
+@pytest.mark.parametrize(
+    "parallel", [pytest.param(None, id="serial-None"), pytest.param(2, id="process-2")]
+)
+def test_incremental_reverify_matches_scratch(parallel):
     config, ghost, prop, invariants = _no_transit_problem(5, "gnp", 0, False)
     edited, __, __, __ = _no_transit_problem(5, "gnp", 0, True)
-    workspace = Workspace(
-        config, ghosts=(ghost,), parallel=parallel, backend=backend
-    )
+    workspace = Workspace(config, ghosts=(ghost,), parallel=parallel)
     try:
         first = workspace.verify(prop, invariants)
         assert first.passed
@@ -203,7 +204,7 @@ def test_incremental_reverify_matches_scratch(backend, parallel):
     # compare as multisets; pass/fail and unknown buckets must agree too.
     assert sorted(_fingerprint(o) for o in result.report.iter_outcomes()) == sorted(
         _fingerprint(o) for o in scratch.iter_outcomes()
-    ), (backend, parallel)
+    ), parallel
     assert result.report.passed == scratch.passed is False
     assert (
         result.report.unknown_reason_counts == scratch.unknown_reason_counts

@@ -30,7 +30,6 @@ from repro.core.exec import (
     ExecutionContext,
     Scheduler,
     Stage,
-    WorkerPool,
     resolve_jobs,
 )
 from repro.core.properties import InvariantMap, SafetyProperty
@@ -228,7 +227,7 @@ def test_barriered_stages_run_in_separate_batches():
 
 
 def context_serial() -> ExecutionContext:
-    return ExecutionContext(None, "serial", None, None, None, autopool=False)
+    return ExecutionContext()
 
 
 def test_empty_plan_and_empty_groups():
@@ -245,48 +244,22 @@ def test_empty_plan_and_empty_groups():
 
 
 def test_context_validates_eagerly():
-    with pytest.raises(ValueError, match="unknown backend"):
-        ExecutionContext(None, "gpu", None, None, None)
     with pytest.raises(ValueError, match="parallel must be >= 0"):
-        ExecutionContext(-2, "auto", None, None, None)
-
-
-def test_env_override_applies_only_to_bare_auto_contexts(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "thread")
-    assert ExecutionContext(None, "auto", None, None, None).resolved_backend() == (
-        "thread"
-    )
-    # Explicit backends and contexts holding a worker pool are exempt.
-    assert ExecutionContext(None, "serial", None, None, None).resolved_backend() == (
-        "serial"
-    )
-    pool = WorkerPool(1)  # never started: no processes are forked
-    try:
-        assert (
-            ExecutionContext(None, "auto", None, None, pool).resolved_backend()
-            == "auto"
-        )
-    finally:
-        pool.close()
-    monkeypatch.setenv("REPRO_BACKEND", "bogus")
-    assert ExecutionContext(None, "auto", None, None, None).resolved_backend() == (
-        "auto"
-    )
+        ExecutionContext(-2)
 
 
 # -- serial-fallback warning dedup (satellite: warn once per context) --
 
 
-def test_fallback_warns_once_per_context_but_counts_every_batch():
+def test_fallback_warns_once_per_context_but_counts_every_batch(broken_process_pool):
     config, ghost, universe, checks = _fullmesh_problem(3)
-    pool = WorkerPool(2)
-    pool.close()  # unusable: every persistent dispatch degrades
-    context = ExecutionContext(2, "process", None, None, pool)
+    context = ExecutionContext(2)
     degradation = DegradationReport()
-    # Two barriered stages force two dispatch batches through the dead pool.
+    # Two barriered stages force two dispatch batches through the broken
+    # pool (two checks each: a single check never reaches the pool).
     plan = CheckPlan(
         groups=_groups(
-            checks, (("a",), slice(0, 1), "first"), (("b",), slice(1, 2), "second")
+            checks, (("a",), slice(0, 2), "first"), (("b",), slice(2, 4), "second")
         ),
         stages=(Stage("first"), Stage("second", after=("first",))),
     )
@@ -306,49 +279,29 @@ def test_fallback_warns_once_per_context_but_counts_every_batch():
     assert all(o.passed for o in result.outcomes)
 
 
-def test_run_checks_still_warns_per_call():
+def test_run_checks_still_warns_per_call(broken_process_pool):
     # Each run_checks call builds a fresh context, so the legacy
     # one-warning-per-call behavior is preserved for direct callers.
     config, ghost, universe, checks = _fullmesh_problem(3)
-    pool = WorkerPool(2)
-    pool.close()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for __ in range(2):
-            run_checks(
-                checks[:1],
-                config,
-                universe,
-                (ghost,),
-                parallel=2,
-                backend="process",
-                workers=pool,
-            )
+            run_checks(checks[:2], config, universe, (ghost,), parallel=2)
     fallback_warnings = [
         w for w in caught if issubclass(w.category, RuntimeWarning)
     ]
     assert len(fallback_warnings) == 2
 
 
-def test_empty_batches_never_record_fallbacks():
-    # The legacy pool returned [] for an empty check list before ever
-    # starting workers; the scheduler must preserve that — no warning, no
-    # degradation event, even when the pool is unusable.
+def test_empty_batches_never_record_fallbacks(broken_process_pool):
+    # An empty check list returns [] before any pool is created — no
+    # warning, no degradation event, even when the pool is unusable.
     config, ghost, universe, __ = _fullmesh_problem(3)
-    pool = WorkerPool(2)
-    pool.close()
     degradation = DegradationReport()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         outcomes = run_checks(
-            [],
-            config,
-            universe,
-            (ghost,),
-            parallel=2,
-            backend="process",
-            workers=pool,
-            degradation=degradation,
+            [], config, universe, (ghost,), parallel=2, degradation=degradation
         )
     assert outcomes == []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -300,7 +300,7 @@ def test_engine_factory_borrows_engine_pools():
         assert len(engine.sessions) > 0  # encodings landed in the engine pool
         # close() must not touch anything it does not own.
         v.close()
-        assert v._worker_pool is None
+        assert len(engine.sessions) > 0
 
 
 def test_topology_change_triggers_full_rerun():

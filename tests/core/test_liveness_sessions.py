@@ -13,12 +13,10 @@ every no-interference sub-proof share encodings.  The pinned claims:
 * a warm pool re-verifies with zero marginal encoding;
 * the implication check goes through the shared pool (the ``None``-owner
   session discharges it alongside the sub-proof implications);
-* the process backend and the persistent ``WorkerPool`` agree with serial.
+* the process map (``parallel=2``) agrees with serial.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.bgp.route import Community
 from repro.core.checks import CheckKind, LocalCheck
@@ -28,7 +26,6 @@ from repro.core.liveness import (
     liveness_universe,
     verify_liveness,
 )
-from repro.core.parallel import WorkerPool
 from repro.core.properties import InvariantMap
 from repro.core.safety import build_universe, verify_safety
 from repro.lang.predicates import HasCommunity, Implies
@@ -191,23 +188,8 @@ def test_liveness_universe_covers_subproof_universes(fig1_config):
 def test_liveness_process_backend_agrees_with_serial(fig1_config):
     prop = customer_liveness_property()
     serial = verify_liveness(fig1_config, prop)
-    process = verify_liveness(fig1_config, prop, parallel=2, backend="process")
+    process = verify_liveness(fig1_config, prop, parallel=2)
     assert _liveness_fp(process) == _liveness_fp(serial)
-
-
-def test_liveness_with_worker_pool_agrees_and_persists():
-    config = build_full_mesh(4)
-    prop = full_mesh_liveness_property(4)
-    serial = verify_liveness(config, prop)
-    with WorkerPool(2) as pool:
-        first = verify_liveness(config, prop, workers=pool)
-        if pool.chunks_run == 0:
-            pytest.skip("process pools unavailable in this environment")
-        assert _liveness_fp(first) == _liveness_fp(serial)
-        second = verify_liveness(config, prop, workers=pool)
-        assert _liveness_fp(second) == _liveness_fp(serial)
-        # The whole second pipeline re-solved against existing encodings.
-        assert all(g == (0, 0) for g in pool.last_encoding_growth.values())
 
 
 def test_hoisted_wan_liveness_sweep_matches_per_region_runs():

@@ -1,12 +1,13 @@
-"""The verification execution backends must be interchangeable.
+"""The two execution paths must be interchangeable.
 
 Three pillars:
 
 * shared-encoding :class:`CheckSession` reuse (the serial default) returns
   outcomes identical to hermetic fresh-solver checks on the fullmesh
   workload — including counterexample witnesses on broken networks;
-* the process backend returns the same outcomes in the same order as the
-  serial path (or falls back to it where process pools are unavailable);
+* the process map (``parallel`` > 1) returns the same outcomes in the same
+  order as the serial path (or falls back to it where process pools are
+  unavailable);
 * job-count resolution (``auto``, integers, serial forcing) behaves as the
   CLI contract promises.
 """
@@ -91,9 +92,7 @@ def test_process_backend_agrees_with_serial():
     config, ghost, prop, invariants = _fullmesh_problem(5)
     universe, checks = _problem_pieces(config, ghost, prop, invariants)
     serial = run_checks(checks, config, universe, (ghost,), parallel=1)
-    parallel = run_checks(
-        checks, config, universe, (ghost,), parallel=2, backend="process"
-    )
+    parallel = run_checks(checks, config, universe, (ghost,), parallel=2)
     assert [_outcome_fingerprint(o) for o in parallel] == [
         _outcome_fingerprint(o) for o in serial
     ]
@@ -103,9 +102,7 @@ def test_process_backend_ships_counterexamples_back():
     config, ghost, prop, invariants = _fullmesh_problem(4)
     strip = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
     config.routers["R3"].neighbors["R1"].import_map = strip
-    report = verify_safety(
-        config, prop, invariants, ghosts=(ghost,), parallel=2, backend="process"
-    )
+    report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
     assert not report.passed
     assert report.failures, "counterexamples must survive the process boundary"
     assert any(f.blamed_router == "R3" for f in report.failures)
@@ -114,14 +111,6 @@ def test_process_backend_ships_counterexamples_back():
 def test_verify_safety_parallel_auto_passes():
     config, ghost, prop, invariants = _fullmesh_problem(5)
     report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel="auto")
-    assert report.passed
-
-
-def test_thread_backend_still_works():
-    config, ghost, prop, invariants = _fullmesh_problem(4)
-    report = verify_safety(
-        config, prop, invariants, ghosts=(ghost,), parallel=2, backend="thread"
-    )
     assert report.passed
 
 
@@ -148,14 +137,16 @@ def test_resolve_jobs_contract():
 
 
 def test_unknown_backend_rejected():
+    # There is no backend to pick any more: ``parallel`` alone selects
+    # between the serial path and the process map.
     config, ghost, prop, invariants = _fullmesh_problem(3)
     universe, checks = _problem_pieces(config, ghost, prop, invariants)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         run_checks(checks, config, universe, (ghost,), backend="gpu")
 
 
 def test_chunking_is_complete_and_owner_pure():
-    from repro.core.parallel import chunk_by_owner
+    from repro.core.exec.pool import chunk_by_owner
 
     config, ghost, prop, invariants = _fullmesh_problem(5)
     __, checks = _problem_pieces(config, ghost, prop, invariants)

@@ -1,13 +1,16 @@
-"""Chunk-granular recovery tests: killed workers, redispatch, quarantine.
+"""Recovery tests: a worker process dies, or the pool cannot start.
 
-The fault-tolerance claim is precise: when a worker process dies mid-run,
-the pool respawns it and re-dispatches *only the lost chunks* — never the
-whole run, and never by silently falling back to a full serial rerun.
-These tests kill workers at deterministic points via the fault-injection
-harness and counter-assert exactly that.
+The fault-tolerance claim is deliberately small: when the process map's
+machinery fails — a worker is killed mid-run, or no pool can be created —
+the batch is re-run on the serial path, *recorded* (one ``serial_fallbacks``
+event, one ``RuntimeWarning`` per context, exit 3 from the CLI), with
+outcomes identical to a serial run and no child process left behind.  A
+genuine exception raised by a check is not machinery failure and must
+propagate.  These tests kill workers at deterministic points via the
+fault-injection harness and counter-assert exactly that.
 
 ``REPRO_CHAOS_SEED`` (set by the CI chaos job) varies the mesh size and
-the targeted worker so repeated runs walk different schedules.
+which owner's check kills its worker.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ import warnings
 import pytest
 
 from repro.bgp.topology import Edge
+from repro.cli import EXIT_DEGRADED, main
 from repro.core.checks import check_owner, generate_safety_checks
-from repro.core.parallel import WorkerPool
+from repro.core.exec import CheckGroup, CheckPlan, ExecutionContext, Scheduler, Stage
 from repro.core.properties import InvariantMap, SafetyProperty
+from repro.core.report import DegradationReport
 from repro.core.safety import build_universe, run_checks, verify_safety
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
@@ -31,7 +36,7 @@ from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 MESH_SIZE = 4 + CHAOS_SEED % 3
-KILL_INDEX = CHAOS_SEED % 2
+KILL_OWNER = f"R{1 + CHAOS_SEED % 3}"
 
 
 @pytest.fixture(autouse=True)
@@ -73,130 +78,90 @@ def _fingerprint(outcome):
     )
 
 
-def _pool_or_skip(pool: WorkerPool, outcomes):
-    if outcomes is None:
-        pool.close()
-        pytest.skip("process pools unavailable in this environment")
-    return outcomes
+def _kill_plan(checks, owner: str = KILL_OWNER) -> FaultPlan:
+    """Kill the worker that reaches ``owner``'s first check."""
+    victim = next(c for c in checks if check_owner(c) == owner)
+    return FaultPlan(kill_in_check_match=str(victim))
 
 
 def _assert_no_leaked_children():
-    # Every worker the pool (or a recovery) spawned must be reaped by
-    # close(); a leaked child here would outlive the test session.
+    # Every worker a process map spawned must be reaped before the call
+    # returns; a leaked child here would outlive the test session.
     assert multiprocessing.active_children() == []
 
 
-def test_killed_worker_recovers_with_only_lost_chunks_redispatched():
+def test_killed_worker_falls_back_to_one_serial_rerun():
     config, ghost, prop, invariants = _fullmesh_problem(MESH_SIZE)
     universe, checks = _pieces(config, ghost, prop, invariants)
     serial = run_checks(checks, config, universe, (ghost,))
 
-    # The targeted worker dies on receipt of its 2nd chunk: it has acked
-    # exactly one, so the lost set is its remaining assignment.
-    faults.install(
-        FaultPlan(kill_worker_after_chunks=2, kill_worker_index=KILL_INDEX)
+    faults.install(_kill_plan(checks))
+    context = ExecutionContext(2)
+    degradation = DegradationReport()
+    # Two barriered stages, both containing the poison check: the worker
+    # dies in each batch, so two fallbacks but one warning.
+    owned = [i for i, c in enumerate(checks) if check_owner(c) == KILL_OWNER]
+    assert len(owned) > 1  # a single check would never reach the pool
+    plan = CheckPlan(
+        groups=(
+            CheckGroup(("a",), tuple(checks), "first"),
+            CheckGroup(("b",), tuple(checks[i] for i in owned), "second"),
+        ),
+        stages=(Stage("first"), Stage("second", after=("first",))),
     )
-    pool = WorkerPool(2)
-    try:
-        pooled = _pool_or_skip(pool, pool.run(checks, config, universe, (ghost,)))
-        stats = pool.stats()
-
-        # Identical outcomes to the serial path, in order.
-        assert [_fingerprint(o) for o in pooled] == [_fingerprint(o) for o in serial]
-
-        # Exactly one death, exactly the lost chunks redispatched: the
-        # dead worker acked 1 chunk of its assignment, so lost = rest.
-        assigned = len(stats["per_worker_owners"][KILL_INDEX])
-        assert assigned >= 2, stats  # the kill actually fired
-        assert stats["worker_respawns"] == 1
-        assert stats["chunks_redispatched"] == assigned - 1
-
-        # NOT a full serial rerun: the pool produced the result itself,
-        # nothing fell back and nothing was quarantined.
-        assert stats["serial_fallbacks"] == 0
-        assert stats["checks_quarantined"] == 0
-        assert stats["quarantined_owners"] == []
-
-        # The respawned worker is a full citizen: a second run is clean.
-        second = pool.run(checks, config, universe, (ghost,))
-        assert second is not None
-        assert pool.worker_respawns == 1  # unchanged
-        assert [_fingerprint(o) for o in second] == [_fingerprint(o) for o in serial]
-    finally:
-        pool.close()
-    _assert_no_leaked_children()
-
-
-def test_chunk_that_kills_twice_is_quarantined():
-    config, ghost, prop, invariants = _fullmesh_problem(MESH_SIZE)
-    universe, checks = _pieces(config, ghost, prop, invariants)
-    serial = run_checks(checks, config, universe, (ghost,))
-
-    # Worker 0 dies on its *first* chunk, twice: the same chunk is blamed
-    # for both deaths and must be quarantined to in-process execution
-    # rather than killing a third incarnation.
-    faults.install(
-        FaultPlan(kill_worker_after_chunks=1, kill_worker_index=0, kill_times=2)
-    )
-    pool = WorkerPool(2)
-    try:
-        pooled = _pool_or_skip(pool, pool.run(checks, config, universe, (ghost,)))
-        stats = pool.stats()
-        assert [_fingerprint(o) for o in pooled] == [_fingerprint(o) for o in serial]
-        assert stats["worker_respawns"] == 2
-        assert stats["checks_quarantined"] > 0
-        assert len(stats["quarantined_owners"]) == 1
-        assert stats["serial_fallbacks"] == 0
-
-        # The quarantine is sticky: the next run partitions the owner out
-        # before dispatch (more quarantined checks, no new deaths).
-        quarantined_before = stats["checks_quarantined"]
-        second = pool.run(checks, config, universe, (ghost,))
-        assert second is not None
-        assert [_fingerprint(o) for o in second] == [_fingerprint(o) for o in serial]
-        assert pool.worker_respawns == 2  # unchanged
-        assert pool.checks_quarantined > quarantined_before
-    finally:
-        pool.close()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = Scheduler(context).run(
+            plan, config, universe, (ghost,), degradation=degradation
+        )
+    # Identical outcomes to the serial path, in order: the kill fires only
+    # inside a worker, so the parent's serial re-run completes.
+    assert [_fingerprint(o) for o in result.group(("a",))] == [
+        _fingerprint(o) for o in serial
+    ]
+    assert [_fingerprint(o) for o in result.group(("b",))] == [
+        _fingerprint(serial[i]) for i in owned
+    ]
+    assert degradation.serial_fallbacks == 2
+    assert len(degradation.reasons) == 2
+    fallback_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(fallback_warnings) == 1, "one warning per context, not per batch"
+    assert "degraded to the serial path" in str(fallback_warnings[0].message)
     _assert_no_leaked_children()
 
 
 def test_verify_safety_reports_recovery_as_degradation():
     config, ghost, prop, invariants = _fullmesh_problem(4)
-    faults.install(FaultPlan(kill_worker_after_chunks=2, kill_worker_index=0))
-    pool = WorkerPool(2)
-    try:
-        report = verify_safety(config, prop, invariants, ghosts=(ghost,), workers=pool)
-        if pool.chunks_run == 0:
-            pytest.skip("process pools unavailable in this environment")
-        assert report.passed
-        assert report.degradation is not None
-        assert report.degradation.worker_respawns == 1
-        assert report.degradation.chunks_redispatched >= 1
-        assert report.degradation.degraded()
-    finally:
-        pool.close()
+    __, checks = _pieces(config, ghost, prop, invariants)
+    reference = verify_safety(config, prop, invariants, ghosts=(ghost,))
+    faults.install(_kill_plan(checks))
+    with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
+        report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
+    assert report.passed
+    assert [_fingerprint(o) for o in report.outcomes] == [
+        _fingerprint(o) for o in reference.outcomes
+    ]
+    assert report.degradation is not None
+    assert report.degradation.serial_fallbacks == 1
+    assert report.degradation.degraded()
     _assert_no_leaked_children()
 
 
 def test_clean_run_reports_no_degradation():
     config, ghost, prop, invariants = _fullmesh_problem(4)
-    with WorkerPool(2) as pool:
-        report = verify_safety(config, prop, invariants, ghosts=(ghost,), workers=pool)
-        if pool.chunks_run == 0:
-            pytest.skip("process pools unavailable in this environment")
-        assert report.passed
-        assert report.degradation is not None
-        assert not report.degradation.degraded()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
+    assert report.passed
+    assert report.degradation is not None
+    assert not report.degradation.degraded()
     _assert_no_leaked_children()
 
 
-def test_serial_fallback_is_observable_not_silent():
+def test_serial_fallback_is_observable_not_silent(broken_process_pool):
     config, ghost, prop, invariants = _fullmesh_problem(4)
-    pool = WorkerPool(2)
-    pool.close()  # a closed pool refuses work: run_checks must fall back
     with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
-        report = verify_safety(config, prop, invariants, ghosts=(ghost,), workers=pool)
+        report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
     assert report.passed
     assert report.degradation is not None
     assert report.degradation.serial_fallbacks == 1
@@ -209,23 +174,52 @@ def test_exception_in_check_propagates_and_pool_survives():
     universe, checks = _pieces(config, ghost, prop, invariants)
     victim = next(c for c in checks if check_owner(c) == "R1")
     faults.install(FaultPlan(raise_in_check_match=str(victim)))
-    pool = WorkerPool(2)
-    try:
-        with pytest.raises(faults.FaultInjected):
-            outcomes = pool.run(checks, config, universe, (ghost,))
-            if outcomes is None:
-                pytest.skip("process pools unavailable in this environment")
-        # A genuine check exception is not a crash: no respawn happened,
-        # and the pool still serves later runs.  (Workers keep their
-        # spawn-time fault plan by design, so steer clear of the victim.)
-        faults.reset()
-        rest = [c for c in checks if check_owner(c) != "R1"]
-        serial = run_checks(rest, config, universe, (ghost,))
-        again = pool.run(rest, config, universe, (ghost,))
-        assert again is not None
-        assert [_fingerprint(o) for o in again] == [_fingerprint(o) for o in serial]
-        assert pool.worker_respawns == 0
-        assert pool.serial_fallbacks == 0
-    finally:
-        pool.close()
+    degradation = DegradationReport()
+    with pytest.raises(faults.FaultInjected):
+        run_checks(
+            checks, config, universe, (ghost,), parallel=2, degradation=degradation
+        )
+    # A genuine check exception is not a crash: nothing degraded to serial
+    # (the serial path would have raised the same exception anyway), the
+    # failed call's workers are gone, and the next call gets a fresh pool.
+    assert degradation.serial_fallbacks == 0
+    _assert_no_leaked_children()
+    faults.reset()
+    serial = run_checks(checks, config, universe, (ghost,))
+    again = run_checks(
+        checks, config, universe, (ghost,), parallel=2, degradation=degradation
+    )
+    assert [_fingerprint(o) for o in again] == [_fingerprint(o) for o in serial]
+    assert degradation.serial_fallbacks == 0
+    _assert_no_leaked_children()
+
+
+def test_cli_killed_worker_exits_degraded_with_the_same_verdict(
+    tmp_path, capsys, monkeypatch
+):
+    from tests.core.test_deadlines import CONFIG_TEXT, SPEC_JSON
+
+    config = tmp_path / "network.cfg"
+    config.write_text(CONFIG_TEXT)
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC_JSON)
+
+    def verdict_lines(out: str) -> list[str]:
+        # Up to the em dash: the property and its verdict, not the timings.
+        return [line.split(" — ")[0] for line in out.splitlines() if " — " in line]
+
+    assert main(["verify", str(config), str(spec)]) == 0
+    clean = capsys.readouterr().out
+    assert "degraded execution" not in clean
+
+    # Through the environment, the way a chaos run of the real CLI sets it.
+    monkeypatch.setenv("REPRO_FAULTS", "kill_in_check_match=import check at R1")
+    faults.reset()
+    with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
+        code = main(["verify", str(config), str(spec), "--jobs", "2"])
+    assert code == EXIT_DEGRADED
+    degraded = capsys.readouterr().out
+    assert verdict_lines(degraded)[0] == verdict_lines(clean)[0]
+    assert "PASSED" in verdict_lines(degraded)[0]
+    assert "1 serial fallback(s)" in degraded
     _assert_no_leaked_children()

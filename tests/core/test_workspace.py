@@ -126,8 +126,12 @@ def test_verify_rejects_non_properties(fig1_config):
 
 
 def test_workspace_validates_config_and_backend(fig1_config):
-    with pytest.raises(ValueError):
+    # No backend to choose: ``parallel`` is the only execution knob, and
+    # it is validated at construction.
+    with pytest.raises(TypeError):
         Workspace(fig1_config, backend="quantum")
+    with pytest.raises(ValueError):
+        Workspace(fig1_config, parallel=-1)
     broken = build_figure1()
     del broken.routers["R1"]
     with pytest.raises(ValueError):

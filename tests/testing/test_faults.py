@@ -2,7 +2,7 @@
 
 The chaos suite (test_recovery / test_deadlines) trusts this module to
 fire exactly the configured faults; these tests pin the plan parsing,
-per-worker slicing, and file-damage helpers it builds on.
+check-level hooks, and file-damage helpers it builds on.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ def _clean_faults():
 
 def test_from_env_parses_every_field():
     plan = FaultPlan.from_env(
-        "kill_worker_after_chunks=2, kill_worker_index=1, kill_times=3,"
+        "kill_in_check_match=originate check,"
         "delay_check_s=0.25, delay_check_match=import check,"
         "hang_check_match=export check, raise_in_check_match=implication"
     )
     assert plan == FaultPlan(
-        kill_worker_after_chunks=2,
-        kill_worker_index=1,
-        kill_times=3,
+        kill_in_check_match="originate check",
         delay_check_s=0.25,
         delay_check_match="import check",
         hang_check_match="export check",
@@ -59,27 +57,27 @@ def test_from_env_empty_means_no_plan():
 
 def test_from_env_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown or malformed"):
-        FaultPlan.from_env("kill_wroker_after_chunks=2")
+        FaultPlan.from_env("kill_in_chekc_match=R1")
 
 
 def test_from_env_rejects_malformed_entries():
     with pytest.raises(ValueError, match="unknown or malformed"):
-        FaultPlan.from_env("kill_worker_after_chunks")
+        FaultPlan.from_env("kill_in_check_match")
 
 
 def test_active_plan_reads_environment_once(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "kill_worker_after_chunks=1")
+    monkeypatch.setenv("REPRO_FAULTS", "delay_check_s=1")
     reset()
-    assert active_plan().kill_worker_after_chunks == 1
+    assert active_plan().delay_check_s == 1
     # Cached: later env changes are not observed until the next reset().
-    monkeypatch.setenv("REPRO_FAULTS", "kill_worker_after_chunks=7")
-    assert active_plan().kill_worker_after_chunks == 1
+    monkeypatch.setenv("REPRO_FAULTS", "delay_check_s=7")
+    assert active_plan().delay_check_s == 1
     reset()
-    assert active_plan().kill_worker_after_chunks == 7
+    assert active_plan().delay_check_s == 7
 
 
 def test_install_wins_over_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "kill_worker_after_chunks=1")
+    monkeypatch.setenv("REPRO_FAULTS", "delay_check_s=1")
     install(None)
     assert active_plan() is None
     install(FaultPlan(delay_check_s=0.1))
@@ -87,45 +85,16 @@ def test_install_wins_over_environment(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Per-worker slicing and kill accounting
-# ---------------------------------------------------------------------------
-
-
-def test_worker_faults_strips_kill_for_other_workers():
-    plan = FaultPlan(kill_worker_after_chunks=2, kill_worker_index=0)
-    assert plan.worker_faults(0) == plan
-    # The kill is worker-scoped; with nothing else set the slice is inert.
-    assert plan.worker_faults(1) is None
-
-
-def test_worker_faults_keeps_check_level_faults_everywhere():
-    plan = FaultPlan(
-        kill_worker_after_chunks=2, kill_worker_index=0, delay_check_s=0.5
-    )
-    other = plan.worker_faults(1)
-    assert other.kill_worker_after_chunks is None
-    assert other.delay_check_s == 0.5
-
-
-def test_consume_kill_counts_down_then_disarms():
-    plan = FaultPlan(kill_worker_after_chunks=1, kill_times=2)
-    once = plan.consume_kill()
-    assert once.kill_worker_after_chunks == 1
-    assert once.kill_times == 1
-    twice = once.consume_kill()
-    assert twice.kill_worker_after_chunks is None
-    # A disarmed plan ships no kill to any worker.
-    assert twice.worker_faults(0) is None
-
-
-def test_consume_kill_without_kill_is_identity():
-    plan = FaultPlan(delay_check_s=0.1)
-    assert plan.consume_kill() is plan
-
-
-# ---------------------------------------------------------------------------
 # Check-level hooks
 # ---------------------------------------------------------------------------
+
+
+def test_kill_in_check_spares_the_parent_process():
+    # The kill fault os._exit()s pool *workers* only.  Here — in the
+    # process that would run the serial fallback — a match is a no-op;
+    # the worker side is exercised end to end in core/test_recovery.py.
+    install(FaultPlan(kill_in_check_match="export check at R2"))
+    on_check_start("export check at R2 on R2->E2")
 
 
 def test_raise_in_check_fires_on_match_only():
