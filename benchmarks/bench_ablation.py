@@ -18,8 +18,8 @@ import pytest
 from repro.baselines.localonly import LocalOnlyChecker
 from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
-from repro.core.incremental import IncrementalVerifier
 from repro.core.safety import verify_safety, verify_safety_family
+from repro.core.workspace import Workspace
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, TruePred
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 from repro.workloads.wan import build_wan
@@ -81,8 +81,8 @@ def test_full_reverification(benchmark):
 
 def test_incremental_reverification(benchmark):
     config, ghost, prop, invariants = fullmesh_problem(20)
-    verifier = IncrementalVerifier(config, prop, invariants, ghosts=(ghost,))
-    verifier.verify()
+    workspace = Workspace(config, ghosts=(ghost,))
+    workspace.verify(prop, invariants)
 
     # Edit one router: R5 gets a new (harmless) import map on its eBGP session.
     from benchmarks.conftest import fullmesh_problem as rebuild
@@ -93,7 +93,9 @@ def test_incremental_reverification(benchmark):
     )
 
     def run():
-        return verifier.reverify(edited)
+        workspace.apply(edited)
+        (entry,) = workspace.reverify()
+        return entry.last_result
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.report.passed

@@ -15,7 +15,10 @@ statically, on every commit:
 * :mod:`repro.analysis.checkers.deadline_discipline` — hot-path loops
   sample deadlines; remaining-budget arithmetic is expiry-guarded;
 * :mod:`repro.analysis.checkers.cache_format` — persisted shapes change
-  only together with a ``CACHE_FORMAT`` bump (shape manifest).
+  only together with a ``CACHE_FORMAT`` bump (shape manifest);
+* :mod:`repro.analysis.checkers.budget_flow` — a budget parameter a
+  function holds is forwarded to every callee that accepts it (the one
+  interprocedural checker, over :mod:`repro.analysis.callgraph`).
 
 Run via ``lightyear lint`` or ``python -m repro.analysis``.  Findings
 are suppressible in place (``# repro: ignore[checker-id] -- reason``)

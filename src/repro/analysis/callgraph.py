@@ -1,21 +1,21 @@
 """Interprocedural facts: per-file symbol/call extraction + the project call graph.
 
-The per-file checkers (PR 8) are deliberately blind across call
-boundaries — and that is exactly where the repo's plumbing bugs lived:
-a ``conflict_budget`` accepted by a caller and silently not forwarded to
-the callee that also accepts it (PR 4), and shims drifting away from the
-code they claim to wrap.  This module adds the interprocedural layer
-those checks need, in the same two-phase shape as everything else in
-:mod:`repro.analysis`:
+The per-file checkers are deliberately blind across call boundaries —
+and that is exactly where one of the repo's plumbing bugs lived: a
+``conflict_budget`` accepted by a caller and silently not forwarded to
+the callee that also accepts it (PR 4).  This module is the
+interprocedural layer ``budget-flow`` needs, and nothing more — every
+fact here is read by that checker — in the same two-phase shape as
+everything else in :mod:`repro.analysis`:
 
 * :func:`extract_callgraph_facts` — a single per-file AST pass producing
-  JSON-able *symbol facts*: the module's import alias table, its
-  module-level mutable state, and one record per function/method
-  (parameters, annotations, call sites with argument descriptors,
-  global/class-attribute mutations with their lock-guard status,
-  deprecation warnings, control-flow summary).  The
-  engine stores these under the reserved :data:`CALLGRAPH_KEY` facts key
-  so they ride the existing digest-keyed fact cache; bump
+  JSON-able *symbol facts*: the module's import alias table, its classes
+  (names and bases, for method lookup), and one record per
+  function/method (parameters, defaults, receiver annotations, call
+  sites with argument descriptors).  Nested definitions are folded into
+  their encloser: a closure's calls happen when the encloser runs it.
+  The engine stores these under the reserved :data:`CALLGRAPH_KEY` facts
+  key so they ride the existing digest-keyed fact cache; bump
   :data:`CALLGRAPH_VERSION` whenever the fact shape changes.
 
 * :func:`build_call_graph` — composes every file's symbol facts into a
@@ -36,11 +36,7 @@ just the cases the repo actually uses:
 * ``param.method(...)`` / ``var.method(...)`` where the receiver carries
   a resolvable class annotation (``check: LocalCheck``);
 * ``Class(...)`` instantiation: an edge to ``Class.__init__``;
-* ``Class(...).method(...)``: constructor-chained method calls;
-* higher-order *may-call* edges: a bare-name argument resolving to a
-  project function (``pool.map(_run_chunk, ...)``, a transfer
-  function passed as a parameter) links the caller to that function with
-  no argument information.
+* ``Class(...).method(...)``: constructor-chained method calls.
 
 Unresolvable calls are dropped, so the graph under-approximates — the
 right failure mode for lint: every edge it reports is real.
@@ -49,9 +45,8 @@ right failure mode for lint: every edge it reports is real.
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.analysis.registry import Project
@@ -61,42 +56,7 @@ if TYPE_CHECKING:
 CALLGRAPH_KEY = "__callgraph__"
 
 #: Bump when the extracted fact shape changes; invalidates cached facts.
-CALLGRAPH_VERSION = 2
-
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "add",
-        "extend",
-        "insert",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "appendleft",
-        "sort",
-    }
-)
-
-#: A module *declares itself* a shim with this phrase in its docstring's
-#: first line ("Compatibility shim — ...", "now a deprecated shim over
-#: ...").  A bare "shim" is not enough: modules *about* shims (this
-#: checker suite) would self-match.
-_SHIM_MODULE_PHRASE = re.compile(
-    r"(compatibility|deprecated|deprecation)\s+shim", re.IGNORECASE
-)
-
-_CONTROL_FLOW = {
-    ast.If: "if",
-    ast.For: "for",
-    ast.While: "while",
-    ast.Try: "try",
-    ast.With: "with",
-    ast.Match: "match",
-}
+CALLGRAPH_VERSION = 3
 
 
 def module_name_for(path: str) -> str:
@@ -142,29 +102,6 @@ def _dotted(expr: ast.expr) -> str | None:
             return None
 
 
-def _mutable_kind(value: ast.expr) -> str | None:
-    """'dict'/'list'/'set'/... when ``value`` builds mutable state."""
-    if isinstance(value, ast.Dict):
-        return "dict"
-    if isinstance(value, ast.List):
-        return "list"
-    if isinstance(value, ast.Set):
-        return "set"
-    if isinstance(value, ast.ListComp):
-        return "list"
-    if isinstance(value, ast.DictComp):
-        return "dict"
-    if isinstance(value, ast.SetComp):
-        return "set"
-    if isinstance(value, ast.Call):
-        name = _dotted(value.func)
-        if name in ("dict", "list", "set", "collections.defaultdict",
-                    "defaultdict", "collections.deque", "deque",
-                    "collections.Counter", "Counter", "bytearray"):
-            return name.split(".")[-1]
-    return None
-
-
 def _annotation_name(node: ast.expr | None) -> str | None:
     """The dotted class name an annotation resolves the receiver to.
 
@@ -201,101 +138,20 @@ def _annotation_name(node: ast.expr | None) -> str | None:
 
 
 class _FunctionCollector(ast.NodeVisitor):
-    """Collects one function's calls, mutations, and statement summary."""
+    """Collects one function's call sites and receiver annotations."""
 
-    def __init__(self, self_name: str | None) -> None:
-        self.self_name = self_name
+    def __init__(self) -> None:
         self.calls: list[dict[str, Any]] = []
-        self.global_writes: list[dict[str, Any]] = []
-        self.self_writes: list[dict[str, Any]] = []
-        self.self_assigned: list[str] = []
-        self.control_flow: list[list[Any]] = []
-        self.nested_defs: list[list[Any]] = []
-        self.warns_deprecation = False
         self.annotations: dict[str, str] = {}
-        self._with_lock_depth = 0
-
-    # -- helpers -------------------------------------------------------
-
-    def _guarded(self) -> bool:
-        return self._with_lock_depth > 0
-
-    def _record_name_mutation(self, name: str, line: int) -> None:
-        self.global_writes.append(
-            {"name": name, "line": line, "guarded": self._guarded()}
-        )
-
-    def _record_self_mutation(self, attr: str, line: int) -> None:
-        self.self_writes.append(
-            {"attr": attr, "line": line, "guarded": self._guarded()}
-        )
-
-    def _mutation_target(self, target: ast.expr, line: int) -> None:
-        """A store through a subscript/attribute mutates its receiver."""
-        if isinstance(target, ast.Subscript):
-            receiver = target.value
-            if isinstance(receiver, ast.Name):
-                self._record_name_mutation(receiver.id, line)
-            elif (
-                isinstance(receiver, ast.Attribute)
-                and isinstance(receiver.value, ast.Name)
-                and receiver.value.id == self.self_name
-            ):
-                self._record_self_mutation(receiver.attr, line)
-
-    # -- statement visitors --------------------------------------------
-
-    def visit_With(self, node: ast.With) -> None:
-        lock_like = any(
-            (lambda name: name is not None and "lock" in name.lower())(
-                _dotted(item.context_expr.func)
-                if isinstance(item.context_expr, ast.Call)
-                else _dotted(item.context_expr)
-            )
-            for item in node.items
-        )
-        self._note_control_flow(node)
-        if lock_like:
-            self._with_lock_depth += 1
-            self.generic_visit(node)
-            self._with_lock_depth -= 1
-        else:
-            self.generic_visit(node)
-
-    def _note_control_flow(self, node: ast.stmt) -> None:
-        kind = _CONTROL_FLOW.get(type(node))
-        if kind is not None:
-            self.control_flow.append([kind, node.lineno])
-
-    def visit_If(self, node: ast.If) -> None:
-        self._note_control_flow(node)
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._note_control_flow(node)
-        self.generic_visit(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._note_control_flow(node)
-        self.generic_visit(node)
-
-    def visit_Try(self, node: ast.Try) -> None:
-        self._note_control_flow(node)
-        self.generic_visit(node)
-
-    def visit_Match(self, node: ast.Match) -> None:
-        self._note_control_flow(node)
-        self.generic_visit(node)
 
     def _visit_nested(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         # Nested definitions are folded into the enclosing function: the
         # dispatch idiom wraps the real work in a local closure
         # (a ``_work`` helper defined inside a ``run`` method), and the
-        # closure's calls and writes happen whenever the encloser runs
-        # it.  Nested parameter annotations join the receiver table
-        # (without shadowing the encloser's) so ``check: LocalCheck``
-        # still resolves ``check.run``.
-        self.nested_defs.append([node.name, node.lineno])
+        # closure's calls happen whenever the encloser runs it.  Nested
+        # parameter annotations join the receiver table (without
+        # shadowing the encloser's) so ``check: LocalCheck`` still
+        # resolves ``check.run``.
         args = node.args
         for a in args.posonlyargs + args.args + args.kwonlyargs:
             annotation = _annotation_name(a.annotation)
@@ -311,45 +167,17 @@ class _FunctionCollector(ast.NodeVisitor):
         self._visit_nested(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.nested_defs.append([node.name, node.lineno])
+        return  # a local class's methods are not the encloser's calls
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         return  # opaque; do not collect its internals
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._mutation_target(target, node.lineno)
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == self.self_name
-            ):
-                self.self_assigned.append(target.attr)
-        self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if isinstance(node.target, ast.Name):
             annotation = _annotation_name(node.annotation)
             if annotation is not None:
                 self.annotations[node.target.id] = annotation
-        self._mutation_target(node.target, node.lineno)
         self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._mutation_target(node.target, node.lineno)
-        if isinstance(node.target, ast.Name):
-            self._record_name_mutation(node.target.id, node.lineno)
-        elif (
-            isinstance(node.target, ast.Attribute)
-            and isinstance(node.target.value, ast.Name)
-            and node.target.value.id == self.self_name
-        ):
-            self._record_self_mutation(node.target.attr, node.lineno)
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        for name in node.names:
-            self._record_name_mutation(name, node.lineno)
 
     def visit_Call(self, node: ast.Call) -> None:
         self._collect_call(node)
@@ -357,31 +185,9 @@ class _FunctionCollector(ast.NodeVisitor):
 
     def _collect_call(self, node: ast.Call) -> None:
         target = _dotted(node.func)
-        # Mutating method call on a module-level name or self attribute.
-        if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATING_METHODS:
-            receiver = node.func.value
-            if isinstance(receiver, ast.Name):
-                self._record_name_mutation(receiver.id, node.lineno)
-            elif (
-                isinstance(receiver, ast.Attribute)
-                and isinstance(receiver.value, ast.Name)
-                and receiver.value.id == self.self_name
-            ):
-                self._record_self_mutation(receiver.attr, node.lineno)
-        if target in ("warnings.warn", "warn"):
-            if any(
-                isinstance(arg, ast.Name) and arg.id == "DeprecationWarning"
-                for arg in node.args
-            ) or any(
-                isinstance(kw.value, ast.Name)
-                and kw.value.id == "DeprecationWarning"
-                for kw in node.keywords
-            ):
-                self.warns_deprecation = True
         if target is None:
             return
         pos: list[str | None] = []
-        passed: list[str] = []
         star = False
         for arg in node.args:
             if isinstance(arg, ast.Starred):
@@ -389,7 +195,6 @@ class _FunctionCollector(ast.NodeVisitor):
                 continue
             if isinstance(arg, ast.Name):
                 pos.append(arg.id)
-                passed.append(arg.id)
             else:
                 pos.append(None)
         kw: dict[str, str | None] = {}
@@ -399,7 +204,6 @@ class _FunctionCollector(ast.NodeVisitor):
                 dstar = True
             elif isinstance(keyword.value, ast.Name):
                 kw[keyword.arg] = keyword.value.id
-                passed.append(keyword.value.id)
             else:
                 kw[keyword.arg] = None
         self.calls.append(
@@ -410,7 +214,6 @@ class _FunctionCollector(ast.NodeVisitor):
                 "kw": kw,
                 "star": star,
                 "dstar": dstar,
-                "passed": passed,
             }
         )
 
@@ -428,15 +231,13 @@ def _function_facts(
         for a, d in zip(args.kwonlyargs, args.kw_defaults)
         if d is not None
     ]
-    self_name = params[0] if cls is not None and params else None
-    collector = _FunctionCollector(self_name)
+    collector = _FunctionCollector()
     for a in args.posonlyargs + args.args + args.kwonlyargs:
         annotation = _annotation_name(a.annotation)
         if annotation is not None:
             collector.annotations[a.arg] = annotation
     for stmt in node.body:
         collector.visit(stmt)
-    docstring = ast.get_docstring(node) or ""
     return {
         "name": node.name,
         "qualname": f"{cls}.{node.name}" if cls else node.name,
@@ -449,43 +250,36 @@ def _function_facts(
         "kwarg": args.kwarg is not None,
         "annotations": collector.annotations,
         "calls": collector.calls,
-        "global_writes": collector.global_writes,
-        "self_writes": collector.self_writes,
-        "self_assigned": collector.self_assigned,
-        "control_flow": collector.control_flow,
-        "nested_defs": collector.nested_defs,
-        "warns_deprecation": collector.warns_deprecation,
-        "doc_deprecated": ".. deprecated::" in docstring,
     }
+
+
+def _is_import_guard(node: ast.If) -> bool:
+    """``if TYPE_CHECKING:`` / ``if __name__ == ...:`` — module idiom whose
+    imports still bind names the annotations refer to."""
+    test = node.test
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and test.left.id == "__name__"
+    )
 
 
 def extract_callgraph_facts(tree: ast.AST, source: str, path: str) -> dict[str, Any]:
     """The per-file symbol facts (JSON-able; cached by content digest)."""
     module = module_name_for(path)
-    package = module.rsplit(".", 1)[0] if "." in module else ""
     imports: dict[str, str] = {}
-    module_state: dict[str, dict[str, Any]] = {}
     functions: list[dict[str, Any]] = []
     classes: list[dict[str, Any]] = []
-    module_symbols: list[str] = []
 
-    body = tree.body if isinstance(tree, ast.Module) else []
-    docstring = ast.get_docstring(tree) if isinstance(tree, ast.Module) else None
-    first_doc_line = (docstring or "").strip().splitlines()[0] if docstring else ""
-    module_control_flow: list[list[Any]] = []
-
-    for node in body:
+    for node in tree.body if isinstance(tree, ast.Module) else []:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 imports[bound] = alias.name if alias.asname else alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom):
             if node.level:
-                base_parts = module.split(".")
-                # level 1 = current package; each extra level climbs one.
-                climb = node.level if module.endswith("__init__") else node.level
-                base = ".".join(base_parts[: len(base_parts) - climb + 0] or [])
                 # For a module `pkg.mod`, level 1 -> `pkg`.
+                base_parts = module.split(".")
                 base = ".".join(base_parts[:-node.level]) if len(base_parts) >= node.level else ""
                 prefix = f"{base}.{node.module}" if node.module and base else (node.module or base)
             else:
@@ -497,115 +291,36 @@ def extract_callgraph_facts(tree: ast.AST, source: str, path: str) -> dict[str, 
                 imports[bound] = f"{prefix}.{alias.name}" if prefix else alias.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions.append(_function_facts(node, None))
-            module_symbols.append(node.name)
         elif isinstance(node, ast.ClassDef):
-            attrs: dict[str, int] = {}
-            methods: list[str] = []
-            init_assigned: list[str] = []
             for stmt in node.body:
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if (
-                            isinstance(target, ast.Name)
-                            and _mutable_kind(stmt.value) is not None
-                        ):
-                            attrs[target.id] = stmt.lineno
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    if stmt.value is not None and _mutable_kind(stmt.value) is not None:
-                        if "ClassVar" in ast.dump(stmt.annotation):
-                            attrs[stmt.target.id] = stmt.lineno
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    facts = _function_facts(stmt, node.name)
-                    functions.append(facts)
-                    methods.append(stmt.name)
-                    if stmt.name == "__init__":
-                        init_assigned = facts["self_assigned"]
-            cls_doc = ast.get_docstring(node) or ""
-            cls_doc_first = cls_doc.strip().splitlines()[0] if cls_doc.strip() else ""
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions.append(_function_facts(stmt, node.name))
             classes.append(
                 {
                     "name": node.name,
-                    "line": node.lineno,
                     "bases": [
                         name
                         for name in (_dotted(base) for base in node.bases)
                         if name is not None
                     ],
-                    "methods": methods,
-                    "mutable_attrs": attrs,
-                    "init_assigned": init_assigned,
-                    "warns_deprecation": any(
-                        f["warns_deprecation"]
-                        for f in functions
-                        if f["cls"] == node.name
-                    ),
-                    # Self-declared deprecation only: the summary line or
-                    # an explicit directive.  A class whose docstring
-                    # merely *mentions* deprecated callers is not a shim.
-                    "doc_deprecated": (
-                        ".. deprecated::" in cls_doc
-                        or "deprecated" in cls_doc_first.lower()
-                    ),
                 }
             )
-            module_symbols.append(node.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    module_symbols.append(target.id)
-                    kind = _mutable_kind(node.value)
-                    if kind is not None and not target.id.startswith("__"):
-                        module_state[target.id] = {
-                            "line": node.lineno,
-                            "kind": kind,
-                        }
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            module_symbols.append(node.target.id)
-            if node.value is not None:
-                kind = _mutable_kind(node.value)
-                if kind is not None and not node.target.id.startswith("__"):
-                    module_state[node.target.id] = {
-                        "line": node.lineno,
-                        "kind": kind,
-                    }
-        elif type(node) in _CONTROL_FLOW and not isinstance(node, (ast.If,)):
-            module_control_flow.append([_CONTROL_FLOW[type(node)], node.lineno])
-        elif isinstance(node, ast.If):
-            # `if TYPE_CHECKING:` / `__name__ == "__main__"` guards are
-            # module idiom, not logic; record others.
-            test = node.test
-            idiomatic = (
-                isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
-            ) or (
-                isinstance(test, ast.Compare)
-                and isinstance(test.left, ast.Name)
-                and test.left.id == "__name__"
-            )
-            if not idiomatic:
-                module_control_flow.append(["if", node.lineno])
-            else:
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.ImportFrom) and not sub.level:
-                        prefix = sub.module or ""
-                        for alias in sub.names:
-                            if alias.name == "*":
-                                continue
-                            bound = alias.asname or alias.name
-                            imports.setdefault(
-                                bound,
-                                f"{prefix}.{alias.name}" if prefix else alias.name,
-                            )
+        elif isinstance(node, ast.If) and _is_import_guard(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom) and not sub.level:
+                    prefix = sub.module or ""
+                    for alias in sub.names:
+                        if alias.name == "*":
+                            continue
+                        bound = alias.asname or alias.name
+                        imports.setdefault(
+                            bound,
+                            f"{prefix}.{alias.name}" if prefix else alias.name,
+                        )
 
     return {
         "module": module,
-        "package": package,
-        "is_shim_module": bool(_SHIM_MODULE_PHRASE.search(first_doc_line)),
         "imports": imports,
-        "module_state": module_state,
-        "module_symbols": module_symbols,
-        "module_control_flow": module_control_flow,
         "functions": functions,
         "classes": classes,
     }
@@ -654,15 +369,12 @@ class CallEdge:
     at this site; ``forwarded`` maps callee parameter name -> the caller
     parameter passed verbatim.  ``uncertain`` marks sites using ``*args``
     / ``**kwargs`` expansion, where the received set is a lower bound.
-    ``kind`` is ``"call"`` for a direct call or ``"maycall"`` for a
-    function object passed as an argument (no parameter flow known).
     """
 
     caller: str
     callee: str
     path: str
     line: int
-    kind: str = "call"
     received: frozenset[str] = frozenset()
     forwarded: tuple[tuple[str, str], ...] = ()
     uncertain: bool = False
@@ -673,14 +385,7 @@ class ClassInfo:
     fqid: str  # "module:Class"
     module: str
     name: str
-    path: str
-    line: int
     bases: tuple[str, ...]
-    methods: frozenset[str]
-    mutable_attrs: dict[str, int] = field(default_factory=dict)
-    init_assigned: frozenset[str] = frozenset()
-    warns_deprecation: bool = False
-    doc_deprecated: bool = False
 
 
 class CallGraph:
@@ -689,39 +394,13 @@ class CallGraph:
     def __init__(self) -> None:
         self.functions: dict[str, FunctionNode] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.edges: list[CallEdge] = []
         self._edges_from: dict[str, list[CallEdge]] = {}
-        self._modules: dict[str, str] = {}  # module -> path
 
     def edges_from(self, fqid: str) -> list[CallEdge]:
         return self._edges_from.get(fqid, [])
 
     def add_edge(self, edge: CallEdge) -> None:
-        self.edges.append(edge)
         self._edges_from.setdefault(edge.caller, []).append(edge)
-
-    def reachable(self, roots: Iterable[str]) -> set[str]:
-        """Functions transitively callable from ``roots`` (roots included)."""
-        seen: set[str] = set()
-        frontier = [fqid for fqid in roots if fqid in self.functions]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for edge in self.edges_from(current):
-                if edge.callee not in seen:
-                    frontier.append(edge.callee)
-        return seen
-
-    def iter_methods(self, class_fqid: str) -> Iterator[FunctionNode]:
-        info = self.classes.get(class_fqid)
-        if info is None:
-            return
-        for method in sorted(info.methods):
-            node = self.functions.get(f"{info.module}:{info.name}.{method}")
-            if node is not None:
-                yield node
 
     # -- resolution helpers (used during build) -------------------------
 
@@ -773,7 +452,6 @@ class CallGraph:
 
 
 def _edge_from_call(
-    graph: CallGraph,
     caller: FunctionNode,
     callee: FunctionNode,
     call: dict[str, Any],
@@ -800,7 +478,6 @@ def _edge_from_call(
         callee=callee.fqid,
         path=caller.path,
         line=int(call["line"]),
-        kind="call",
         received=frozenset(received),
         forwarded=tuple(sorted(forwarded)),
         uncertain=bool(call["star"] or call["dstar"]),
@@ -817,14 +494,11 @@ def build_call_graph(project: "Project") -> CallGraph:
             facts_by_path[path] = facts
 
     imports_by_module: dict[str, dict[str, str]] = {}
-    symbols_by_module: dict[str, set[str]] = {}
 
-    # Pass 1: index functions, classes, imports, module symbols.
+    # Pass 1: index functions, classes, imports.
     for path, facts in facts_by_path.items():
         module = str(facts["module"])
-        graph._modules[module] = path
         imports_by_module[module] = dict(facts.get("imports", {}))
-        symbols_by_module[module] = set(facts.get("module_symbols", ()))
         for func in facts.get("functions", ()):
             node = FunctionNode(
                 fqid=f"{module}:{func['qualname']}",
@@ -846,14 +520,7 @@ def build_call_graph(project: "Project") -> CallGraph:
                 fqid=f"{module}:{cls['name']}",
                 module=module,
                 name=str(cls["name"]),
-                path=path,
-                line=int(cls["line"]),
                 bases=tuple(cls["bases"]),
-                methods=frozenset(cls["methods"]),
-                mutable_attrs=dict(cls["mutable_attrs"]),
-                init_assigned=frozenset(cls["init_assigned"]),
-                warns_deprecation=bool(cls["warns_deprecation"]),
-                doc_deprecated=bool(cls["doc_deprecated"]),
             )
             graph.classes[info.fqid] = info
 
@@ -945,24 +612,6 @@ def build_call_graph(project: "Project") -> CallGraph:
                     node, skip_self = resolve_function(module, target)
                 if node is not None:
                     graph.add_edge(
-                        _edge_from_call(
-                            graph, caller, node, call, caller_params, skip_self
-                        )
+                        _edge_from_call(caller, node, call, caller_params, skip_self)
                     )
-                # Higher-order: project functions passed as arguments.
-                for descriptor in call["pos"] + list(call["kw"].values()):
-                    if descriptor is None or descriptor == self_name:
-                        continue
-                    passed_node, _ = resolve_function(module, descriptor)
-                    if passed_node is not None:
-                        graph.add_edge(
-                            CallEdge(
-                                caller=caller.fqid,
-                                callee=passed_node.fqid,
-                                path=path,
-                                line=int(call["line"]),
-                                kind="maycall",
-                                uncertain=True,
-                            )
-                        )
     return graph

@@ -6,5 +6,4 @@ from repro.analysis.checkers import (  # noqa: F401
     deadline_discipline,
     digest_coverage,
     pickle_safety,
-    shim_fidelity,
 )

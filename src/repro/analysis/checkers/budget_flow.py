@@ -61,7 +61,7 @@ class BudgetFlowChecker(Checker):
             if not held:
                 continue
             for edge in graph.edges_from(fqid):
-                if edge.kind != "call" or edge.uncertain:
+                if edge.uncertain:
                     continue
                 callee = graph.functions.get(edge.callee)
                 if callee is None or callee.fqid == caller.fqid:

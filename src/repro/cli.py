@@ -15,18 +15,19 @@ Subcommands:
   deployment model; without it (or with ``--jobs 1``) checks run serially.
   ``--cache DIR`` persists the workspace's outcome cache: a second
   ``verify`` against the same configuration and spec loads it and re-runs
-  nothing.
+  nothing — except groups whose cached outcome is a time-bound UNKNOWN
+  (``--deadline``/``--wall-budget``), which are re-run and re-saved.
 
 * ``lightyear diff OLD NEW``
   Structurally compare two configurations and report which routers
   changed — the input to incremental re-verification.
 
 * ``lightyear lint [PATHS]``
-  Run the repo's own static-analysis pass (:mod:`repro.analysis`): four
+  Run the repo's own static-analysis pass (:mod:`repro.analysis`): five
   checkers enforcing the verifier's soundness invariants — digest
-  coverage, pickle safety, deadline discipline, cache-format discipline
-  — with per-file caching, inline suppressions, and a committed
-  baseline ratchet.  Exits non-zero on any fresh finding.
+  coverage, pickle safety, deadline discipline, cache-format discipline,
+  budget flow — with per-file caching, inline suppressions, and a
+  committed baseline ratchet.  Exits non-zero on any fresh finding.
 
 * ``lightyear reverify BASE EDITED SPEC``
   The incremental pipeline end to end: verify every property in the spec
@@ -276,6 +277,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # deadline so it spans every property, not each run separately.
         workspace.set_run_deadline(time.monotonic() + args.wall_budget)
     reports = []
+    reran = False
     with workspace:
         for prop, invariants, interference in problems:
             report = workspace.verify(
@@ -293,9 +295,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     conflict_budget=args.budget,
                 )
                 print(_consulted_line(entry.last_result, "cache"))
+                reran = reran or entry.last_result.rerun_checks > 0
             print()
             reports.append(report)
-        if cache_path is not None and not loaded:
+        # A loaded cache is rewritten only if this run repaired it: the
+        # config matches by construction, so the only groups it can have
+        # re-run are those cached as time-bound UNKNOWNs.
+        if cache_path is not None and (reran or not loaded):
             workspace.save(cache_path)
 
     print(
@@ -407,7 +413,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0 if diff.is_empty else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser — or, given the ``command`` about to run, one that
+    skips importing :mod:`repro.analysis` unless that command is ``lint``."""
     parser = argparse.ArgumentParser(
         prog="lightyear",
         description="Modular BGP control-plane verification (SIGCOMM 2023 reproduction)",
@@ -527,15 +535,21 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the static-analysis pass over the repo's own sources",
     )
-    from repro.analysis.cli import add_lint_arguments, run_from_args
+    if command in (None, "lint"):
+        from repro.analysis.cli import add_lint_arguments, run_from_args
 
-    add_lint_arguments(p_lint)
-    p_lint.set_defaults(func=run_from_args)
+        add_lint_arguments(p_lint)
+        p_lint.set_defaults(func=run_from_args)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no options of its own, so the first
+    # non-option word is the subcommand (none: usage/help, full parser).
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -12,9 +12,13 @@ incremental ``apply``/``reverify``, and an on-disk outcome cache
     report = ws.verify(prop, invariants)   # SafetyProperty or LivenessProperty
     assert report.passed
 
-The older entry points — the :class:`Lightyear` facade, the free
-``verify_safety``/``verify_liveness`` functions, and the two incremental
-verifier classes — remain as deprecation shims over ``Workspace``.
+There are two layers, and neither wraps the other.  The free functions
+``verify_safety``/``verify_liveness`` (with ``verify_safety_family`` and
+``run_checks`` in :mod:`repro.core.safety`) are stateless and one-shot:
+generate every check, run it, report.  ``Workspace`` is the stateful
+layer over the same generators and scheduler, and its incremental tracker
+(:mod:`repro.core.incremental`) is differentially tested against the
+one-shot functions.
 """
 
 from repro.core.properties import (
@@ -35,12 +39,7 @@ from repro.core.workspace import (
     WorkspaceEntry,
     WorkspaceStats,
 )
-from repro.core.engine import Lightyear, EngineStats
-from repro.core.incremental import IncrementalVerifier, IncrementalResult
-from repro.core.incremental_liveness import (
-    IncrementalLivenessVerifier,
-    IncrementalLivenessResult,
-)
+from repro.core.incremental import IncrementalResult
 from repro.core.inference import InferenceResult, infer_safety_invariants
 from repro.core.scenario import ImpactAssessment, assess_impact
 from repro.core.templates import (
@@ -71,12 +70,7 @@ __all__ = [
     "WorkspaceCacheMismatch",
     "WorkspaceEntry",
     "WorkspaceStats",
-    "Lightyear",
-    "EngineStats",
-    "IncrementalVerifier",
     "IncrementalResult",
-    "IncrementalLivenessVerifier",
-    "IncrementalLivenessResult",
     "InferenceResult",
     "infer_safety_invariants",
     "ImpactAssessment",

@@ -1,7 +1,7 @@
 """The unified execution runtime: plan → scheduler → backend.
 
 Every verification path — ``verify_safety``/``run_checks``, the §5
-liveness pipeline, the incremental trackers, and the workspace — builds
+liveness pipeline, the workspace's incremental tracker — builds
 a :class:`CheckPlan` and hands it to a :class:`Scheduler` bound to an
 :class:`ExecutionContext`.  The three layers:
 

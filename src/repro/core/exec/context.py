@@ -71,8 +71,9 @@ def resolve_jobs(parallel: int | str | None) -> int:
 class ExecutionContext:
     """Session pool, job count and budgets for workspaces and the scheduler.
 
-    Owns an owner-keyed :class:`SessionPool`, or borrows the caller's
-    (``sessions=``) — a borrowed pool is never cleared by this context.
+    Holds an owner-keyed :class:`SessionPool`: a fresh one, or the pool a
+    one-shot function's caller passed (``sessions=``) to keep encodings
+    across calls.
     """
 
     def __init__(
@@ -95,7 +96,6 @@ class ExecutionContext:
         self._run_deadline: float | None = None
         self._external_deadline = False
         self.sessions = sessions if sessions is not None else SessionPool()
-        self._owns_sessions = sessions is None
         self._fallback_warned = False
 
     # -- degradation reporting -----------------------------------------
@@ -156,9 +156,7 @@ class ExecutionContext:
 
         Session reuse is always *sound* (databases are definitional and
         checks solve under assumptions), so this is purely a memory
-        measure — and therefore must not touch a **borrowed** pool, whose
-        other users (the engine, sibling verifiers) still want their
-        encodings.
+        measure.  Only a workspace's tracker calls it, and a workspace
+        always owns its pool.
         """
-        if self._owns_sessions:
-            self.sessions.clear()
+        self.sessions.clear()

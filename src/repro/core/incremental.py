@@ -1,68 +1,66 @@
 """Incremental re-verification: only re-check what a config change touches.
 
-Because every local check depends on a single router's policy (§4.2), a
-configuration change to router ``R`` invalidates only:
+Every local check reads a single router's policy (§4.2), and a §5
+liveness proof is nothing but propagation checks plus §4 safety
+sub-proofs — so "which cached outcomes does an edit to router ``R``
+invalidate?" has one answer for every property kind: the checks *owned*
+by ``R`` (:func:`repro.core.checks.check_owner`).  Import checks on edges
+into ``R``, export and originate checks on edges out of it, in every
+section of the proof; nothing else.  Owner-less checks (the ``I_l ⊆ P``
+and ``C_n ⊆ P`` implications, owner ``None``) read only the property and
+invariants, and ``None`` is never an edited router, so they are never
+re-run for a config edit.  This is the incremental benefit §2 and §7
+claim; the ablation benchmark measures the saving.
 
-* import checks on edges into ``R`` (they run R's import maps);
-* export and originate checks on edges out of ``R``;
-
-Everything else — including the property-implication check, which depends
-only on the user's invariants — is reused from the previous run.  This is
-the incremental benefit §2 and §7 claim; the ablation benchmark measures
-the saving.
-
-The cache is an **owner index**: checks and their outcomes are stored
-grouped by owner router (:func:`repro.core.checks.group_checks_by_owner`),
-so a reverify compares per-router digests (O(routers)) and then touches
-only the changed owners' groups — it never walks, hashes, or re-keys the
-unchanged owners' checks.  ``IncrementalResult.checks_consulted`` counts
-the checks a run actually examined; a single-router edit consults exactly
-that router's group.
+:class:`PropertyTracker` is that rule, written once.  Its cache is an
+**owner index** — ``section → owner → [checks]`` and ``section → owner →
+[outcomes]`` — where a safety property has the single section
+``("safety",)`` and a liveness property has ``("prop",)``, ``("impl",)``
+and one ``("sub", router)`` per path router.  What differs between the
+kinds lives in a small *problem builder* beside the pipeline it describes
+(:class:`repro.core.safety.SafetyProblem`,
+:class:`repro.core.liveness.LivenessProblem`; the :class:`Problem`
+protocol below): the covering universe, check generation per section —
+in full, or restricted to some owners — and report assembly.  A run
+compares per-router digests (O(routers)) and then touches only the
+invalidated owners' groups: ``IncrementalResult.checks_consulted`` counts
+the checks a run actually examined, and a single-router edit consults
+exactly that router's groups.
 
 Change detection covers more than router policies: the digest map carries
 one extra **network-level** entry (:data:`NETWORK_DIGEST_KEY`) derived
 from ``NetworkConfig.external_asns``.  External ASNs never belong to any
 router's policy digest, yet they feed ``AttributeUniverse.from_config``
-and AS-path reasoning, so an ``set_external_asn`` edit on an unchanged
-topology must invalidate every cached outcome — keying exclusively on
-router digests used to reuse a stale universe and stale outcomes.
+and AS-path reasoning, so a ``set_external_asn`` edit on an unchanged
+topology invalidates every cached outcome.
 
-Since the :class:`repro.core.workspace.Workspace` redesign, the machinery
-lives in :class:`SafetyTracker` — the per-property owner-indexed cache a
-workspace drives (and persists to disk).  The public
-:class:`IncrementalVerifier` remains as a deprecated shim over a
-single-property workspace.  The §5 liveness pipeline has the same
-owner-granular tracker in :mod:`repro.core.incremental_liveness`; it
-shares the digest helpers defined here (:func:`config_digests` /
-:func:`diff_digests`).
+A :class:`repro.core.workspace.Workspace` keeps one tracker per verified
+property and persists its :meth:`~PropertyTracker.state_dict`.  The
+stateless :func:`repro.core.safety.verify_safety` /
+:func:`repro.core.liveness.verify_liveness` pipelines are the reference
+the tracker is differentially tested against: after any edit sequence its
+report must equal theirs on the edited configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass
+from typing import Any, Protocol
 
 from repro.bgp.config import NetworkConfig
-from repro.core.checks import (
-    CheckOutcome,
-    LocalCheck,
-    generate_safety_checks,
-    group_checks_by_owner,
-)
+from repro.core.checks import CheckOutcome, LocalCheck, group_checks_by_owner
 from repro.core.exec import (
     CheckGroup,
     CheckPlan,
     ExecutionContext,
+    GroupKey,
     Scheduler,
 )
-from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.report import DegradationReport
-from repro.core.safety import SafetyReport, build_universe
+from repro.core.report import DegradationReport, VerificationReport
 from repro.lang.ghost import GhostAttribute
 from repro.lang.universe import AttributeUniverse
-from repro.smt.solver import SessionPool
 
 
 # The reserved key carrying network-level identity (external ASNs) in a
@@ -70,6 +68,12 @@ from repro.smt.solver import SessionPool
 # configs accept arbitrary ones), so only a different type truly cannot
 # collide — a router literally named "__network__" must not shadow it.
 NETWORK_DIGEST_KEY = ("network",)
+
+# UNKNOWN reasons that say "ran out of time", not "this problem is hard":
+# ``deadline_s``/``wall_budget_s`` are deliberately outside the entry
+# fingerprint, so an outcome they produced answers for that run only.
+# ``conflicts`` is not here — the conflict budget *is* fingerprinted.
+TIME_BOUND_REASONS = frozenset({"timeout", "wall-budget"})
 
 
 def network_digest(config: NetworkConfig) -> str:
@@ -86,7 +90,7 @@ def network_digest(config: NetworkConfig) -> str:
 def config_digests(config: NetworkConfig) -> dict:
     """Per-router policy digests plus the :data:`NETWORK_DIGEST_KEY` entry.
 
-    This is the change-detection snapshot the trackers diff: every input
+    This is the change-detection snapshot the tracker diffs: every input
     that can alter a cached outcome without altering the topology object
     graph is covered by some key.
     """
@@ -102,22 +106,6 @@ def diff_digests(old: dict, new: dict) -> set:
     return changed
 
 
-def diff_config_snapshot(
-    old_digests: dict, config: NetworkConfig
-) -> tuple[dict, set, bool]:
-    """Digest snapshot diff: (new digests, changed routers, network edit?).
-
-    The single change-detection routine both trackers run — PR 4 had to
-    fix it once (external ASNs were invisible to router digests), so it
-    must not exist in two copies.
-    """
-    new_digests = config_digests(config)
-    changed = diff_digests(old_digests, new_digests)
-    network_changed = NETWORK_DIGEST_KEY in changed
-    changed.discard(NETWORK_DIGEST_KEY)
-    return new_digests, changed, network_changed
-
-
 def topology_changed(old: NetworkConfig, new: NetworkConfig) -> bool:
     """Whether two configs differ in routers or edges (check-set identity)."""
     return (
@@ -126,24 +114,59 @@ def topology_changed(old: NetworkConfig, new: NetworkConfig) -> bool:
     )
 
 
-# The shared pool plumbing formerly defined here as IncrementalSubstrate
-# now lives in :class:`repro.core.exec.context.ExecutionContext`; the old
-# name remains importable for existing callers and pickled references.
-IncrementalSubstrate = ExecutionContext
+#: One part of a proof: ``("safety",)``, ``("prop",)``, ``("impl",)`` or
+#: ``("sub", router)``.  A plan group key is ``(*section, owner)``.
+Section = tuple
+
+
+class Problem(Protocol):
+    """What the tracker needs to know about one property kind.
+
+    ``prop`` and ``invariants`` are the two constructor arguments (the
+    user's invariant map for safety, the optional interference-invariant
+    dict for liveness); the tracker persists them verbatim and
+    ``Workspace.load`` rebuilds the builder from them.
+    """
+
+    kind: str
+    prop: Any
+    invariants: Any
+
+    def universe(
+        self, config: NetworkConfig, ghosts: tuple[GhostAttribute, ...]
+    ) -> AttributeUniverse:
+        """The universe covering every check of this problem on ``config``."""
+        ...
+
+    def checks(
+        self, config: NetworkConfig, owners: set[str] | None = None
+    ) -> dict[Section, list[LocalCheck]]:
+        """Every section's checks — or, with ``owners``, only the checks
+        those routers own (sections owning none may be omitted)."""
+        ...
+
+    def report(
+        self,
+        outcomes: dict[Section, list[CheckOutcome]],
+        wall_time_s: float,
+        degradation: DegradationReport,
+    ) -> VerificationReport:
+        """Assemble the pipeline's report from per-section outcomes."""
+        ...
 
 
 @dataclass
 class IncrementalResult:
-    """A re-verification outcome plus cache accounting."""
+    """A (re-)verification outcome plus cache accounting."""
 
-    report: SafetyReport
+    report: VerificationReport
     rerun_checks: int
     cached_checks: int
     # Checks whose cache entries this run individually examined or wrote.
-    # In the owner-indexed implementation this equals ``rerun_checks`` *by
-    # design* — cached groups are reused wholesale, never inspected
-    # per-check — and that equality is the O(changed-owner) claim: the
-    # pre-index digest walk examined every cached check on every run.
+    # This equals ``rerun_checks`` *by design* — cached groups are reused
+    # wholesale, never inspected per-check — and that equality is the
+    # O(changed-owner) claim: the pre-index digest walk examined every
+    # cached check on every run.
     checks_consulted: int = 0
 
     @property
@@ -152,97 +175,99 @@ class IncrementalResult:
         return self.cached_checks / total if total else 0.0
 
 
-class SafetyTracker:
-    """The owner-indexed §4 cache for one safety property.
+class PropertyTracker:
+    """The owner-indexed outcome cache for one property, of either kind.
 
     This is the unit a :class:`repro.core.workspace.Workspace` keeps per
-    verified property: the generated check list and every outcome stored
-    grouped by owner router, keyed by that router's configuration digest.
-    ``run`` with an updated :class:`NetworkConfig` (same topology) re-runs
-    only the groups whose owner digest changed — cost is O(changed owner),
-    not a walk over the full outcome cache.  Changing the property or
-    invariants requires a new tracker — those inputs touch every check.
+    verified property: the generated checks and every outcome stored per
+    section, grouped by owner router, keyed by that router's configuration
+    digest.  ``run`` with an updated :class:`NetworkConfig` re-runs
+
+        {owner ∈ changed routers} ∪ {owners with no reusable outcome}
+
+    in every section — all owners on ``full`` or a network-level
+    (external-ASN) edit, and everything after a topology change, which
+    resets the cache.  Cost is O(changed owner), not a walk over the
+    outcome cache.  Changing the property, invariants or conflict budget
+    requires a new tracker — those inputs touch every check.
+
+    A group whose last run ended in a time-bound UNKNOWN
+    (:data:`TIME_BOUND_REASONS`) is reported but never reusable: the next
+    run of this tracker, in-process or after ``save``/``load``, re-runs
+    it.  Otherwise one degraded ``--wall-budget`` run would answer UNKNOWN
+    for every later run of the same cache.
 
     Between runs the tracker also keeps the expensive state alive:
 
-    * the substrate's ``sessions`` — one persistent :class:`SessionPool`
-      keyed by owner router.  A rerun check is discharged against its
-      owner's existing clause database, so only the *changed* transfer
-      terms are encoded; owners whose digest is unchanged see no solver
-      activity at all.
-    * the attribute universe and generated check list, which are rebuilt
-      only when a digest actually changed (and the universe object is
-      swapped only when its *content* changed, keeping the symbolic-route
-      and transfer caches hot).  ``universe_builds`` counts adoptions.
+    * the context's ``sessions`` — one persistent :class:`SessionPool`
+      keyed by owner router, shared by every section.  A rerun check is
+      discharged against its owner's existing clause database, so only
+      the *changed* transfer terms are encoded; owners whose digest is
+      unchanged see no solver activity at all.
+    * the attribute universe and generated checks, which are rebuilt only
+      when a digest actually changed (and the universe object is swapped
+      only when its *content* changed, keeping the symbolic-route and
+      transfer caches hot).  ``universe_builds`` counts adoptions.
 
     The outcome index (but not the solver state) is what
     ``Workspace.save`` persists, which is why the tracker's whole cache is
     a few plain picklable dicts.
     """
 
-    kind = "safety"
-
     def __init__(
         self,
-        substrate: IncrementalSubstrate,
+        context: ExecutionContext,
         config: NetworkConfig,
-        prop: SafetyProperty,
-        invariants: InvariantMap,
+        problem: Problem,
         ghosts: tuple[GhostAttribute, ...] = (),
         conflict_budget: int | None = None,
     ) -> None:
-        self.substrate = substrate
-        self.prop = prop
-        self.invariants = invariants
+        self.context = context
+        self.problem = problem
         self.ghosts = tuple(ghosts)
         self.conflict_budget = conflict_budget
         self._config = config
         self._digests: dict = {}
         self._universe: AttributeUniverse | None = None
-        self._checks_by_owner: dict[str | None, list[LocalCheck]] | None = None
-        self._outcomes_by_owner: dict[str | None, list[CheckOutcome]] = {}
+        self._checks: dict[Section, dict[str | None, list[LocalCheck]]] | None = None
+        self._outcomes: dict[Section, dict[str | None, list[CheckOutcome]]] = {}
+        # Group keys whose cached outcomes hold a time-bound UNKNOWN.
+        self._time_bound: set[GroupKey] = set()
         self.universe_builds = 0
         self._ran = False
-
-    # Kept for introspection/tests: the flat check list, in group order.
-    @property
-    def _checks(self) -> list[LocalCheck] | None:
-        if self._checks_by_owner is None:
-            return None
-        return [c for group in self._checks_by_owner.values() for c in group]
 
     # -- persistence ---------------------------------------------------
 
     def state_dict(self) -> dict:
         """The picklable cache state ``Workspace.save`` persists."""
         return {
-            "prop": self.prop,
-            "invariants": self.invariants,
+            "prop": self.problem.prop,
+            "invariants": self.problem.invariants,
             "conflict_budget": self.conflict_budget,
             "config": self._config,
             "digests": self._digests,
-            "checks_by_owner": self._checks_by_owner,
-            "outcomes_by_owner": self._outcomes_by_owner,
+            "checks": self._checks,
+            "outcomes": self._outcomes,
+            "time_bound": self._time_bound,
         }
 
     @classmethod
     def from_state(
         cls,
-        substrate: IncrementalSubstrate,
+        context: ExecutionContext,
+        problem: Problem,
         state: dict,
         ghosts: tuple[GhostAttribute, ...],
-    ) -> "SafetyTracker":
+    ) -> "PropertyTracker":
+        """Restore a tracker; ``problem`` was rebuilt from the state's
+        ``prop``/``invariants`` by the caller, who knows the kind."""
         tracker = cls(
-            substrate,
-            state["config"],
-            state["prop"],
-            state["invariants"],
-            ghosts,
-            state["conflict_budget"],
+            context, state["config"], problem, ghosts, state["conflict_budget"]
         )
         tracker._digests = state["digests"]
-        tracker._checks_by_owner = state["checks_by_owner"]
-        tracker._outcomes_by_owner = state["outcomes_by_owner"]
+        tracker._checks = state["checks"]
+        tracker._outcomes = state["outcomes"]
+        tracker._time_bound = set(state["time_bound"])
         # The universe is deliberately not persisted (it is cheap to rescan
         # and references the live term graph); the first run after a load
         # rebuilds it, which does not touch any cached outcome.
@@ -251,215 +276,114 @@ class SafetyTracker:
 
     # -- the incremental run -------------------------------------------
 
-    def run(self, config: NetworkConfig, full: bool = False) -> IncrementalResult:
-        """(Re-)verify against ``config``, reusing everything still valid."""
-        if topology_changed(self._config, config):
-            # Topology changes regenerate the check set; start over.
-            self._outcomes_by_owner.clear()
-            self._universe = None
-            self._checks_by_owner = None
-            self._digests = {}
-            self.substrate._reset_substrate()
-        self._config = config
-        return self._run(config, full=full or not self._ran)
-
     def _refresh_problem(
         self, config: NetworkConfig, changed: set[str], network_changed: bool
-    ) -> None:
-        """Rebuild universe/checks only when some verification input changed.
+    ) -> dict[Section, dict[str | None, list[LocalCheck]]]:
+        """Rebuild checks/universe only where a verification input changed.
 
         ``changed`` holds edited router names; ``network_changed`` flags a
         network-level edit (external ASNs), which rescans the universe but
-        leaves the check list alone — checks carry predicates and route-map
+        leaves the checks alone — checks carry predicates and route-map
         names, never ASNs.
         """
-        if self._universe is not None and not changed and not network_changed:
-            return
-        universe = build_universe(
-            config, self.invariants, [self.prop.predicate], self.ghosts
-        )
-        if universe != self._universe:
-            # Adopt only on content change; an equal universe keeps the
-            # existing object so downstream value-keyed caches stay warm.
-            self._universe = universe
-            self.universe_builds += 1
-        if self._checks_by_owner is None:
-            self._checks_by_owner = group_checks_by_owner(
-                generate_safety_checks(
-                    config, self.invariants, self.prop.location, self.prop.predicate
-                )
-            )
-        else:
+        if self._checks is None:
+            self._checks = {
+                section: group_checks_by_owner(checks)
+                for section, checks in self.problem.checks(config).items()
+            }
+        elif changed:
             # Refresh only the edited owners' groups (their route-map
             # metadata or originations may have changed); everything else —
-            # including the owner-less implication group — carries over.
-            fresh_groups = group_checks_by_owner(
-                generate_safety_checks(
-                    config,
-                    self.invariants,
-                    self.prop.location,
-                    self.prop.predicate,
-                    owners=changed,
-                )
-            )
-            for owner in changed:
-                self._checks_by_owner[owner] = fresh_groups.get(owner, [])
+            # including every owner-less implication — carries over.
+            fresh = self.problem.checks(config, owners=changed)
+            for section, groups in self._checks.items():
+                regrouped = group_checks_by_owner(fresh.get(section, []))
+                for owner in changed:
+                    if owner in groups:
+                        groups[owner] = regrouped.get(owner, [])
+        if self._universe is None or changed or network_changed:
+            universe = self.problem.universe(config, self.ghosts)
+            if universe != self._universe:
+                # Adopt only on content change; an equal universe keeps the
+                # existing object so downstream value-keyed caches stay warm.
+                self._universe = universe
+                self.universe_builds += 1
+        return self._checks
 
-    def _run(self, config: NetworkConfig, full: bool) -> IncrementalResult:
+    def run(self, config: NetworkConfig, full: bool = False) -> IncrementalResult:
+        """(Re-)verify against ``config``, reusing everything still valid."""
         start = time.perf_counter()
-        new_digests, changed, network_changed = diff_config_snapshot(
-            self._digests, config
-        )
-        self._refresh_problem(config, changed, network_changed)
+        if topology_changed(self._config, config):
+            # Topology changes regenerate the check set; start over.
+            self._universe = None
+            self._checks = None
+            self._outcomes = {}
+            self._time_bound = set()
+            self._digests = {}
+            self.context._reset_substrate()
+        self._config = config
+
+        new_digests = config_digests(config)
+        changed = diff_digests(self._digests, new_digests)
+        network_changed = NETWORK_DIGEST_KEY in changed
+        changed.discard(NETWORK_DIGEST_KEY)
+        sections = self._refresh_problem(config, changed, network_changed)
         universe = self._universe
-        groups = self._checks_by_owner
-        assert universe is not None and groups is not None
+        assert universe is not None
 
-        if full or network_changed:
-            # A network-level edit (external ASNs) changes the universe and
-            # AS-path semantics under every cached outcome: rerun everything.
-            rerun_owners = set(groups)
-        else:
-            # O(changed owner): only edited routers' groups, plus any group
-            # with no cached outcomes yet (first run after a topology reset).
-            rerun_owners = {owner for owner in changed if owner in groups}
-            rerun_owners |= {
-                owner for owner in groups if owner not in self._outcomes_by_owner
-            }
-
-        # The reverify plan: one group per invalidated owner, in group
-        # order — "reverify after an edit" is just a smaller plan than
-        # "full verify", and the scheduler does not care which it got.
+        # A network-level edit (external ASNs) changes the universe and
+        # AS-path semantics under every cached outcome: rerun everything.
+        everything = full or network_changed or not self._ran
+        # The reverify plan: one group per invalidated (section, owner), in
+        # section/group order — "reverify after an edit" is just a smaller
+        # plan than "full verify", and the scheduler does not care which it
+        # got.  One stage, so a process map overlaps chunks across sections.
         plan = CheckPlan(
             groups=tuple(
-                CheckGroup(("safety", owner), tuple(groups[owner]), "reverify")
-                for owner in groups
-                if owner in rerun_owners
+                CheckGroup((*section, owner), tuple(group), "reverify")
+                for section, groups in sections.items()
+                for owner, group in groups.items()
+                if everything
+                or owner in changed
+                or owner not in self._outcomes.get(section, ())
+                or (*section, owner) in self._time_bound
             ),
         )
-        cached: list[CheckOutcome] = []
-        for owner in groups:
-            if owner not in rerun_owners:
-                cached.extend(self._outcomes_by_owner[owner])
 
-        substrate = self.substrate
+        context = self.context
         degradation = DegradationReport()
-        result = Scheduler(substrate).run(
+        result = Scheduler(context).run(
             plan,
             config,
             universe,
             self.ghosts,
             conflict_budget=self.conflict_budget,
-            run_deadline=substrate._begin_run_deadline(),
+            run_deadline=context._begin_run_deadline(),
             degradation=degradation,
         )
-        fresh = result.outcomes
-        for owner in rerun_owners:
-            key = ("safety", owner)
-            self._outcomes_by_owner[owner] = (
-                result.group(key) if key in result.results else []
-            )
+        # Scatter fresh outcomes back into the owner index by group key.
+        for key in result.order:
+            fresh = result.group(key)
+            self._outcomes.setdefault(key[:-1], {})[key[-1]] = fresh
+            if any(o.unknown_reason in TIME_BOUND_REASONS for o in fresh):
+                self._time_bound.add(key)
+            else:
+                self._time_bound.discard(key)
         self._digests = new_digests
         self._ran = True
 
-        report = SafetyReport(
-            property=self.prop,
-            outcomes=cached + fresh,
-            wall_time_s=time.perf_counter() - start,
-            degradation=degradation,
-        )
+        # Reports list outcomes in section/group order on every run, so a
+        # reverify's report is laid out exactly like a first run's.
+        by_section = {
+            section: [o for owner in groups for o in self._outcomes[section][owner]]
+            for section, groups in sections.items()
+        }
+        total = sum(len(outcomes) for outcomes in by_section.values())
         return IncrementalResult(
-            report=report,
-            rerun_checks=len(fresh),
-            cached_checks=len(cached),
+            report=self.problem.report(
+                by_section, time.perf_counter() - start, degradation
+            ),
+            rerun_checks=plan.num_checks,
+            cached_checks=total - plan.num_checks,
             checks_consulted=plan.num_checks,
         )
-
-
-class DeprecatedVerifierShim:
-    """Shared delegation plumbing for the deprecated verifier facades.
-
-    A subclass's ``__init__`` warns, builds the single-property
-    ``_workspace``, and registers ``_entry``; everything else — running,
-    re-verifying, closing, and resolving legacy introspection attributes
-    against the tracker and then the workspace — lives here once.
-    """
-
-    _workspace = None  # set by subclass __init__
-    _entry = None
-
-    def verify(self):
-        """Initial full verification (populates the cache)."""
-        self._workspace._run_entry(self._entry)
-        return self._entry.last_result
-
-    def reverify(self, new_config: NetworkConfig):
-        """Re-verify after a configuration change."""
-        self._workspace.apply(new_config)
-        self._workspace._run_entry(self._entry)
-        return self._entry.last_result
-
-    def close(self) -> None:
-        self._workspace.close()
-
-    def __getattr__(self, name: str):
-        # Delegate introspection attributes (sessions, _universe,
-        # _checks_by_owner, _impl_outcome, universe_builds, ...) to the
-        # tracker first, then the workspace.
-        entry = object.__getattribute__(self, "_entry")
-        # repro: ignore[shim-fidelity] -- __getattr__ must branch: pre-init
-        # access (pickle/copy) has no _entry yet and must raise, not recurse
-        if entry is None:
-            raise AttributeError(name)
-        # repro: ignore[shim-fidelity] -- the tracker-then-workspace probe IS
-        # the delegation; there is no single real target to forward to
-        if hasattr(entry.tracker, name):
-            return getattr(entry.tracker, name)
-        return getattr(object.__getattribute__(self, "_workspace"), name)
-
-
-class IncrementalVerifier(DeprecatedVerifierShim):
-    """Deprecated: verify once, then re-verify cheaply after config edits.
-
-    .. deprecated::
-        Use :class:`repro.core.workspace.Workspace` — ``verify(prop,
-        invariants)`` then ``apply(edited)`` / ``reverify()`` — which
-        additionally handles liveness properties, many properties per
-        session, and an on-disk outcome cache (``save``/``load``).
-
-    This shim builds a single-property workspace and delegates everything
-    to it; results, counters, and session-pool behavior are identical to
-    the pre-workspace implementation, and internal attributes
-    (``sessions``, ``_universe``, ``_checks_by_owner``, ...) resolve
-    against the underlying tracker and workspace.
-    """
-
-    def __init__(
-        self,
-        config: NetworkConfig,
-        prop: SafetyProperty,
-        invariants: InvariantMap,
-        ghosts: tuple[GhostAttribute, ...] = (),
-        parallel: int | str | None = None,
-        conflict_budget: int | None = None,
-        sessions: SessionPool | None = None,
-    ) -> None:
-        warnings.warn(
-            "IncrementalVerifier is deprecated; use repro.core.workspace."
-            "Workspace (verify/apply/reverify) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.workspace import Workspace
-
-        self._workspace = Workspace(
-            config,
-            ghosts=ghosts,
-            parallel=parallel,
-            conflict_budget=conflict_budget,
-            sessions=sessions,
-        )
-        self.prop = prop
-        self.invariants = invariants
-        self.ghosts = tuple(ghosts)
-        self._entry = self._workspace._ensure_entry(prop, invariants)

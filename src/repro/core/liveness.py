@@ -28,15 +28,18 @@ Check **generation** is separable from execution:
 :func:`generate_liveness_checks` returns the complete §5 check set — the
 propagation checks, the final implication, and each no-interference
 sub-proof's §4 check list — without running anything.
-:func:`verify_liveness` is a thin driver over that set, and
-:class:`repro.core.incremental_liveness.IncrementalLivenessVerifier`
-caches it in an owner index for O(changed-owner) re-verification.  The
-incremental invalidation contract follows from what each check reads: a
-single-router edit to ``R`` invalidates ``R``'s propagation checks (its
-filters on the witness path) and ``R``'s owner group inside *every*
-sub-proof (its filters appear in each sub-proof's full-network check set)
-— but never the final implication, which depends only on the property and
-constraints, and never another owner's groups.  A network-level edit
+:func:`verify_liveness` is the stateless one-shot driver over that set.
+The stateful layer, :class:`repro.core.workspace.Workspace`, sees the same
+pipeline through :class:`LivenessProblem`: it hands the check set to the
+owner-indexed :class:`repro.core.incremental.PropertyTracker` as sections
+(``("prop",)``, ``("impl",)``, one ``("sub", router)`` per path router) for
+O(changed-owner) re-verification, differentially tested against
+:func:`verify_liveness`.  The invalidation contract follows from what
+each check reads: a single-router edit to ``R`` invalidates ``R``'s
+propagation checks (its filters on the witness path) and ``R``'s owner
+group inside *every* sub-proof (its filters appear in each sub-proof's
+full-network check set) — but never the final implication, which is owned
+by no router, and never another owner's groups.  A network-level edit
 (external ASNs) invalidates everything: it changes the attribute universe
 under every encoding.
 """
@@ -52,6 +55,7 @@ from repro.core.checks import (
     CheckKind,
     CheckOutcome,
     LocalCheck,
+    check_owner,
     generate_safety_checks,
 )
 from repro.core.exec import (
@@ -202,7 +206,7 @@ class LivenessChecks:
 
     Separating generation from execution is what makes the pipeline
     cacheable: :func:`verify_liveness` runs this set once, while the
-    incremental verifier stores each piece in an owner index
+    incremental tracker stores each piece in an owner index
     (:func:`repro.core.checks.group_checks_by_owner`) and re-runs only the
     groups a config edit invalidated.
     """
@@ -310,14 +314,93 @@ def liveness_universe(
     )
 
 
-#: Group keys used by the liveness plan (shared with the incremental
-#: tracker, whose keys extend the sub-proof key with the owner router).
+#: Group keys of the liveness plan — and the incremental tracker's
+#: sections, whose plan keys extend each with the owner router.
 PROPAGATION_KEY = ("prop",)
 IMPLICATION_KEY = ("impl",)
 
 
 def subproof_key(router: str) -> tuple:
     return ("sub", router)
+
+
+class LivenessProblem:
+    """The §5 pipeline as :class:`repro.core.incremental.PropertyTracker`
+    sees it: the propagation checks, the implication, and one section per
+    no-interference sub-proof.  ``invariants`` is the optional
+    ``interference_invariants`` dict of :func:`verify_liveness`."""
+
+    kind = "liveness"
+
+    def __init__(
+        self,
+        prop: LivenessProperty,
+        invariants: dict[str, InvariantMap] | None = None,
+    ) -> None:
+        self.prop = prop
+        self.invariants = invariants
+
+    def universe(
+        self, config: NetworkConfig, ghosts: tuple[GhostAttribute, ...]
+    ) -> AttributeUniverse:
+        return liveness_universe(config, self.prop, self.invariants, ghosts)
+
+    def checks(
+        self, config: NetworkConfig, owners: set[str] | None = None
+    ) -> dict[tuple, list[LocalCheck]]:
+        if owners is None:
+            self.prop.validate_against(config.topology)
+            checks = generate_liveness_checks(config, self.prop, self.invariants)
+            sections = {
+                PROPAGATION_KEY: checks.propagation,
+                IMPLICATION_KEY: [checks.implication],
+            }
+            for router, sub_checks in checks.subproof_checks.items():
+                sections[subproof_key(router)] = sub_checks
+            return sections
+        # The sub-proof properties and invariant maps are cheap functions
+        # of (topology, prop, invariants): re-derived, never cached.
+        properties, invariants = resolve_interference_invariants(
+            config, self.prop, self.invariants
+        )
+        sections = {
+            PROPAGATION_KEY: [
+                check
+                for check in generate_propagation_checks(config, self.prop)
+                if check_owner(check) in owners
+            ]
+        }
+        for router, safety_prop in properties.items():
+            sections[subproof_key(router)] = generate_safety_checks(
+                config,
+                invariants[router],
+                safety_prop.location,
+                safety_prop.predicate,
+                owners=owners,
+            )
+        return sections
+
+    def report(
+        self,
+        outcomes: dict[tuple, list[CheckOutcome]],
+        wall_time_s: float,
+        degradation: DegradationReport,
+    ) -> LivenessReport:
+        return LivenessReport(
+            property=self.prop,
+            propagation_outcomes=outcomes[PROPAGATION_KEY],
+            implication_outcome=outcomes[IMPLICATION_KEY][0],
+            interference_reports={
+                router: SafetyReport(
+                    property=safety_prop,
+                    outcomes=outcomes[subproof_key(router)],
+                    wall_time_s=0.0,
+                )
+                for router, safety_prop in interference_properties(self.prop).items()
+            },
+            wall_time_s=wall_time_s,
+            degradation=degradation,
+        )
 
 
 def liveness_plan(checks: LivenessChecks, pipelined: bool = True) -> CheckPlan:

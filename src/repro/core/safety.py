@@ -15,6 +15,11 @@ per check.  With ``parallel`` > 1 the batch mirrors the paper's deployment
 *processes* (real cores, no GIL), with the problem context shipped once
 per worker — re-running serially if the process pool is unavailable or a
 worker dies.
+
+The functions here are stateless and one-shot: nothing survives a call.
+The stateful layer is :class:`repro.core.workspace.Workspace`, whose
+incremental tracker sees this pipeline through :class:`SafetyProblem` and
+is differentially tested against :func:`verify_safety`.
 """
 
 from __future__ import annotations
@@ -29,18 +34,9 @@ from repro.core.checks import (
     LocalCheck,
     generate_safety_checks,
 )
-from repro.core.exec import (  # noqa: F401  (re-exported compatibility names)
-    CheckPlan,
-    ExecutionContext,
-    Scheduler,
-    resolve_jobs,
-)
+from repro.core.exec import CheckPlan, ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.report import (  # noqa: F401
-    DegradationReport,
-    VerificationReport,
-    failure_status,
-)
+from repro.core.report import DegradationReport, VerificationReport
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import predicate_atoms
 from repro.lang.universe import AttributeUniverse
@@ -101,6 +97,52 @@ def build_universe(
         extra_asns=tuple(asns),
         ghosts=tuple(ghost_names),
     )
+
+
+#: The one section of a §4 proof in the incremental tracker's owner index.
+SAFETY_KEY = ("safety",)
+
+
+class SafetyProblem:
+    """The §4 pipeline as :class:`repro.core.incremental.PropertyTracker`
+    sees it: one section holding every check ``verify_safety`` would run."""
+
+    kind = "safety"
+
+    def __init__(self, prop: SafetyProperty, invariants: InvariantMap) -> None:
+        self.prop = prop
+        self.invariants = invariants
+
+    def universe(
+        self, config: NetworkConfig, ghosts: tuple[GhostAttribute, ...]
+    ) -> AttributeUniverse:
+        return build_universe(config, self.invariants, [self.prop.predicate], ghosts)
+
+    def checks(
+        self, config: NetworkConfig, owners: set[str] | None = None
+    ) -> dict[tuple, list[LocalCheck]]:
+        return {
+            SAFETY_KEY: generate_safety_checks(
+                config,
+                self.invariants,
+                self.prop.location,
+                self.prop.predicate,
+                owners=owners,
+            )
+        }
+
+    def report(
+        self,
+        outcomes: dict[tuple, list[CheckOutcome]],
+        wall_time_s: float,
+        degradation: DegradationReport,
+    ) -> SafetyReport:
+        return SafetyReport(
+            property=self.prop,
+            outcomes=outcomes[SAFETY_KEY],
+            wall_time_s=wall_time_s,
+            degradation=degradation,
+        )
 
 
 def run_checks(

@@ -1,11 +1,14 @@
-"""The session-oriented verification workspace — Lightyear's public API.
+"""The session-oriented verification workspace — the stateful layer.
 
-Four PRs of performance work converged on one architecture: every entry
-point (safety, liveness, incremental safety, incremental liveness) wants
-the same persistent substrate — an owner-keyed :class:`SessionPool`,
+The library has two layers, and neither is a shim over the other.  The
+*one-shot functions* (:func:`repro.core.safety.verify_safety`,
+``verify_safety_family``, ``run_checks``,
+:func:`repro.core.liveness.verify_liveness`) are stateless: build the
+problem, run every check, return a report.  :class:`Workspace` is the
+*stateful* layer over the same check generators and the same scheduler:
+it owns the persistent substrate — an owner-keyed :class:`SessionPool`,
 per-router policy digests, one covering attribute universe, and an
-owner-indexed outcome store.
-:class:`Workspace` owns all of it once, the way an incremental SAT solver
+owner-indexed outcome store — once, the way an incremental SAT solver
 exposes one long-lived solver object instead of per-call functions:
 
     ws = Workspace(config, ghosts=(ghost,))
@@ -17,11 +20,11 @@ exposes one long-lived solver object instead of per-call functions:
 ``verify`` is property-polymorphic: a :class:`SafetyProperty` runs the §4
 pipeline, a :class:`LivenessProperty` the §5 pipeline, both against the
 workspace's shared session pool.  Each verified property gets a persistent
-*tracker* (:class:`repro.core.incremental.SafetyTracker` /
-:class:`repro.core.incremental_liveness.LivenessTracker`) holding its
-owner-indexed check/outcome cache, so re-verifying after ``apply`` —
-or simply calling ``verify`` again — consults only the checks a config
-edit invalidated.
+:class:`repro.core.incremental.PropertyTracker` holding its owner-indexed
+check/outcome cache, so re-verifying after ``apply`` — or simply calling
+``verify`` again — consults only the checks a config edit invalidated.
+The one-shot functions are the reference the tracker is differentially
+tested against (incremental ≡ full ≡ cache-loaded).
 
 **On-disk outcome cache.**  ``save(path)`` persists the digests, check
 lists, and outcomes of every tracker — plus the per-owner solver state
@@ -35,12 +38,10 @@ clauses the base run learned.  A cache whose fingerprint does not match
 the offered configuration or spec is rejected with
 :class:`WorkspaceCacheMismatch`; restored learnt clauses are additionally
 guarded by a content digest per owner session, so a divergent clause
-database refuses the transplant (counted, never unsound).
-
-The legacy entry points — ``verify_safety``/``verify_liveness`` free
-functions, the :class:`repro.core.engine.Lightyear` facade, and the two
-``Incremental*Verifier`` classes — remain as thin deprecation shims over
-this class.
+database refuses the transplant (counted, never unsound).  Outcomes that
+are UNKNOWN only because a run ran out of *time* (``deadline_s``,
+``wall_budget_s`` — neither is part of the fingerprint) are saved for the
+record but never reused: the next run re-runs their groups.
 """
 
 from __future__ import annotations
@@ -51,26 +52,24 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any, Callable
 
 from repro.bgp.config import NetworkConfig
 from repro.core.exec import ExecutionContext
 from repro.core.incremental import (
-    SafetyTracker,
+    IncrementalResult,
+    Problem,
+    PropertyTracker,
     config_digests,
     diff_digests,
 )
-from repro.core.incremental_liveness import LivenessTracker
+from repro.core.liveness import LivenessProblem
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import VerificationReport
+from repro.core.safety import SafetyProblem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
 from repro.smt.solver import solver_reuse_enabled
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.liveness import LivenessReport
-    from repro.core.safety import SafetyReport
-    from repro.smt.solver import SessionPool
 
 
 # Bump whenever the pickled cache layout changes; a loader never guesses.
@@ -78,7 +77,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 # attribution), so format-1 outcomes would deserialize incompletely.
 # Format 3: adds the integrity-checked per-owner solver-state section
 # (kept learnt clauses keyed by preamble digest) for solver warm-start.
-CACHE_FORMAT = 3
+# Format 4: one tracker state shape for both property kinds (sectioned
+# ``checks``/``outcomes`` owner indexes, ``time_bound`` group keys).
+CACHE_FORMAT = 4
+
+# Entry kind -> the problem builder ``load`` rebuilds a tracker's problem
+# with, from the persisted ``(prop, invariants)``.
+_PROBLEM_KINDS: dict[str, Callable[[Any, Any], Problem]] = {
+    SafetyProblem.kind: SafetyProblem,
+    LivenessProblem.kind: LivenessProblem,
+}
 
 
 class WorkspaceCacheError(ValueError):
@@ -117,13 +125,11 @@ class WorkspaceEntry:
     kind: str  # "safety" | "liveness"
     property: SafetyProperty | LivenessProperty
     fingerprint: str
-    tracker: SafetyTracker | LivenessTracker
-    # IncrementalResult | IncrementalLivenessResult (typed dynamically:
-    # the two result families share only their report attribute).
-    last_result: Any = None
+    tracker: PropertyTracker
+    last_result: IncrementalResult | None = None
 
     @property
-    def report(self) -> Any:
+    def report(self) -> VerificationReport | None:
         """The most recent run's report, if any."""
         return None if self.last_result is None else self.last_result.report
 
@@ -170,28 +176,20 @@ def _ghosts_fp(ghosts: tuple[GhostAttribute, ...]) -> tuple[object, ...]:
     )
 
 
-def _entry_fingerprint(
-    kind: str,
-    prop: SafetyProperty | LivenessProperty,
-    invariants: InvariantMap | None,
-    interference_invariants: dict[str, InvariantMap] | None,
-    conflict_budget: int | None,
-) -> str:
-    interference_fp = None
-    if interference_invariants is not None:
-        interference_fp = tuple(
+def _entry_fingerprint(problem: Problem, conflict_budget: int | None) -> str:
+    """Content identity of one registered problem (never persisted: ``load``
+    recomputes it from the restored problem)."""
+    invariants = problem.invariants
+    invariants_fp: object
+    if isinstance(invariants, dict):  # liveness: per-router interference maps
+        invariants_fp = tuple(
             sorted(
-                (router, _invariant_map_fp(inv))
-                for router, inv in interference_invariants.items()
+                (router, _invariant_map_fp(inv)) for router, inv in invariants.items()
             )
         )
-    payload = (
-        kind,
-        repr(prop),
-        _invariant_map_fp(invariants),
-        interference_fp,
-        conflict_budget,
-    )
+    else:
+        invariants_fp = _invariant_map_fp(invariants)
+    payload = (problem.kind, repr(problem.prop), invariants_fp, conflict_budget)
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -237,9 +235,6 @@ class Workspace(ExecutionContext):
         :meth:`ExecutionContext.set_run_deadline` instead pins one
         absolute deadline across several runs.  Neither deadline is part
         of a cache fingerprint — they bound execution, not the problem.
-    sessions:
-        Borrow an externally owned :class:`SessionPool` instead of owning
-        a fresh one; the workspace then never clears it.
 
     The workspace is a context manager for its callers' convenience;
     ``close()`` has nothing to release (worker processes live for one
@@ -252,7 +247,6 @@ class Workspace(ExecutionContext):
         ghosts: tuple[GhostAttribute, ...] = (),
         parallel: int | str | None = None,
         conflict_budget: int | None = None,
-        sessions: "SessionPool | None" = None,
         deadline_s: float | None = None,
         wall_budget_s: float | None = None,
     ) -> None:
@@ -262,7 +256,6 @@ class Workspace(ExecutionContext):
         super().__init__(
             parallel,
             conflict_budget,
-            sessions,
             deadline_s=deadline_s,
             wall_budget_s=wall_budget_s,
         )
@@ -303,30 +296,26 @@ class Workspace(ExecutionContext):
         invariants: InvariantMap | dict[str, InvariantMap] | None,
         interference_invariants: dict[str, InvariantMap] | None,
         conflict_budget: int | None,
-    ) -> tuple[
-        str,
-        InvariantMap | None,
-        dict[str, InvariantMap] | None,
-        int | None,
-        str,
-    ]:
-        """(kind, invariants, interference, budget, fingerprint) for a request."""
+    ) -> tuple[Problem, int | None, str]:
+        """(problem builder, budget, fingerprint) for a request."""
         budget = (
             conflict_budget if conflict_budget is not None else self.conflict_budget
         )
+        problem: Problem
         if isinstance(prop, SafetyProperty):
             if interference_invariants is not None:
                 raise TypeError(
                     "interference_invariants only applies to liveness properties"
                 )
-            inv = (
+            if isinstance(invariants, dict):
+                raise TypeError("safety properties take one invariant map")
+            problem = SafetyProblem(
+                prop,
                 invariants
                 if invariants is not None
-                else InvariantMap(self.config.topology)
+                else InvariantMap(self.config.topology),
             )
-            fingerprint = _entry_fingerprint("safety", prop, inv, None, budget)
-            return "safety", inv, None, budget, fingerprint
-        if isinstance(prop, LivenessProperty):
+        elif isinstance(prop, LivenessProperty):
             if interference_invariants is None and isinstance(invariants, dict):
                 # Positional convenience: ws.verify(liveness_prop, {...}).
                 interference_invariants = invariants
@@ -335,13 +324,12 @@ class Workspace(ExecutionContext):
                     "liveness properties take interference_invariants, not an "
                     "invariant map"
                 )
-            fingerprint = _entry_fingerprint(
-                "liveness", prop, None, interference_invariants, budget
+            problem = LivenessProblem(prop, interference_invariants)
+        else:
+            raise TypeError(
+                f"expected a SafetyProperty or LivenessProperty, got {prop!r}"
             )
-            return "liveness", None, interference_invariants, budget, fingerprint
-        raise TypeError(
-            f"expected a SafetyProperty or LivenessProperty, got {prop!r}"
-        )
+        return problem, budget, _entry_fingerprint(problem, budget)
 
     def _ensure_entry(
         self,
@@ -352,22 +340,17 @@ class Workspace(ExecutionContext):
         conflict_budget: int | None = None,
     ) -> WorkspaceEntry:
         """The entry for a property, registered (not run) on first sight."""
-        kind, inv, interference, budget, fingerprint = self._normalize(
+        problem, budget, fingerprint = self._normalize(
             prop, invariants, interference_invariants, conflict_budget
         )
         for entry in self._entries:
             if entry.fingerprint == fingerprint:
                 return entry
-        if kind == "safety":
-            tracker: SafetyTracker | LivenessTracker = SafetyTracker(
-                self, self.config, prop, inv, self.ghosts, budget
-            )
-        else:
-            tracker = LivenessTracker(
-                self, self.config, prop, interference, self.ghosts, budget
-            )
         entry = WorkspaceEntry(
-            kind=kind, property=prop, fingerprint=fingerprint, tracker=tracker
+            kind=problem.kind,
+            property=prop,
+            fingerprint=fingerprint,
+            tracker=PropertyTracker(self, self.config, problem, self.ghosts, budget),
         )
         self._entries.append(entry)
         return entry
@@ -386,7 +369,7 @@ class Workspace(ExecutionContext):
         so it finds cache-loaded entries for freshly parsed, equal
         problems — object identity plays no part.
         """
-        __, ___, ____, _____, fingerprint = self._normalize(
+        __, ___, fingerprint = self._normalize(
             prop, invariants, interference_invariants, conflict_budget
         )
         for entry in self._entries:
@@ -419,7 +402,9 @@ class Workspace(ExecutionContext):
 
     # -- verification --------------------------------------------------
 
-    def _run_entry(self, entry: WorkspaceEntry, full: bool = False) -> Any:
+    def _run_entry(
+        self, entry: WorkspaceEntry, full: bool = False
+    ) -> IncrementalResult:
         """Run one entry's tracker against the current config."""
         result = entry.tracker.run(self.config, full=full)
         entry.last_result = result
@@ -433,7 +418,7 @@ class Workspace(ExecutionContext):
         *,
         interference_invariants: dict[str, InvariantMap] | None = None,
         conflict_budget: int | None = None,
-    ) -> "SafetyReport | LivenessReport":
+    ) -> VerificationReport:
         """Verify a property against the current configuration.
 
         Dispatches on the property type: a :class:`SafetyProperty` runs
@@ -567,7 +552,6 @@ class Workspace(ExecutionContext):
         ghosts: tuple[GhostAttribute, ...] | None = None,
         parallel: int | str | None = None,
         conflict_budget: int | None = None,
-        sessions: "SessionPool | None" = None,
         deadline_s: float | None = None,
         wall_budget_s: float | None = None,
     ) -> "Workspace":
@@ -578,8 +562,8 @@ class Workspace(ExecutionContext):
         content fingerprints must match the saved ones —
         :class:`WorkspaceCacheMismatch` otherwise, so a cache can never
         silently answer for a different network or ghost set.  Execution
-        parameters (``parallel``, the session pool, deadlines) are not part
-        of the fingerprint; pass whatever this process should use.
+        parameters (``parallel``, deadlines) are not part of the
+        fingerprint; pass whatever this process should use.
         """
         try:
             with open(path, "rb") as handle:
@@ -627,48 +611,33 @@ class Workspace(ExecutionContext):
                 ghosts=tuple(ghosts),
                 parallel=parallel,
                 conflict_budget=conflict_budget,
-                sessions=sessions,
                 deadline_s=deadline_s,
                 wall_budget_s=wall_budget_s,
             )
             for doc in state["entries"]:
                 kind = doc["kind"]
                 tracker_state = doc["state"]
-                if kind == "safety":
-                    tracker: SafetyTracker | LivenessTracker = SafetyTracker.from_state(
-                        workspace, tracker_state, workspace.ghosts
-                    )
-                    fingerprint = _entry_fingerprint(
-                        kind,
-                        tracker.prop,
-                        tracker.invariants,
-                        None,
-                        tracker.conflict_budget,
-                    )
-                elif kind == "liveness":
-                    tracker = LivenessTracker.from_state(
-                        workspace, tracker_state, workspace.ghosts
-                    )
-                    fingerprint = _entry_fingerprint(
-                        kind,
-                        tracker.prop,
-                        None,
-                        tracker.interference_invariants,
-                        tracker.conflict_budget,
-                    )
-                else:
+                if kind not in _PROBLEM_KINDS:
                     raise WorkspaceCacheError(
                         f"workspace cache at {path} holds an unknown entry kind "
                         f"{kind!r}"
                     )
+                problem = _PROBLEM_KINDS[kind](
+                    tracker_state["prop"], tracker_state["invariants"]
+                )
+                tracker = PropertyTracker.from_state(
+                    workspace, problem, tracker_state, workspace.ghosts
+                )
                 # Trackers carry their own config snapshot for topology-change
                 # detection; point them at this process's (content-equal) one.
                 tracker._config = workspace.config
                 workspace._entries.append(
                     WorkspaceEntry(
                         kind=kind,
-                        property=tracker.prop,
-                        fingerprint=fingerprint,
+                        property=problem.prop,
+                        fingerprint=_entry_fingerprint(
+                            problem, tracker.conflict_budget
+                        ),
                         tracker=tracker,
                     )
                 )

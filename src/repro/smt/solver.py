@@ -673,8 +673,8 @@ class SessionPool:
     under assumptions — so a pool never needs invalidation for correctness;
     ``drop`` exists to bound memory when an owner's policy is gone for good.
 
-    Pools live wherever reuse pays: :class:`repro.core.incremental.
-    IncrementalVerifier` keeps one across ``reverify`` calls, the Table-4
+    Pools live wherever reuse pays: a :class:`repro.core.workspace.
+    Workspace` keeps one across ``reverify`` calls, the Table-4
     sweeps hoist one above their property-family loops, and
     ``verify_liveness`` shares one across propagation, implication, and
     every no-interference sub-proof.

@@ -163,47 +163,3 @@ class TestBudgetFlow:
         result = lint(self.DIR, [self.DIR / "good_star_forward.py"],
                       checkers=["budget-flow"])
         assert result.fresh == []
-
-
-class TestShimFidelity:
-    DIR = FIXTURES / "shim_fidelity"
-
-    def test_flags_logic_in_a_shim_module(self, lint):
-        result = lint(self.DIR, [self.DIR / "bad_shim_logic.py"],
-                      checkers=["shim-fidelity"])
-        assert _keys(result.fresh) == {
-            "shim-fidelity:bad_shim_logic.py:module:try#1",
-            "shim-fidelity:bad_shim_logic.py:verify:if#1",
-        }
-
-    def test_flags_shim_classes_and_their_subclasses(self, lint):
-        # OldVerifier warns DeprecationWarning, so it is a shim; the
-        # subclass TunedVerifier inherits the obligation.  The module's
-        # ordinary make_workspace function is untouched.
-        result = lint(self.DIR, [self.DIR / "bad_shim_class.py"],
-                      checkers=["shim-fidelity"])
-        assert _keys(result.fresh) == {
-            "shim-fidelity:bad_shim_class.py:OldVerifier.verify:for#1",
-            "shim-fidelity:bad_shim_class.py:OldVerifier.verify:if#1",
-            "shim-fidelity:bad_shim_class.py:TunedVerifier.tuned:while#1",
-        }
-
-    def test_symbols_are_line_independent_ordinals(self, lint, tmp_path):
-        # Prepending a comment block moves every line; the baseline keys
-        # must not move with them.
-        source = (self.DIR / "bad_shim_logic.py").read_text()
-        doc_end = source.index('"""', 3) + len('"""\n')
-        (tmp_path / "bad_shim_logic.py").write_text(
-            source[:doc_end] + "\n# padding\n# padding\n# padding\n"
-            + source[doc_end:]
-        )
-        result = lint(tmp_path, checkers=["shim-fidelity"])
-        assert _keys(result.fresh) == {
-            "shim-fidelity:bad_shim_logic.py:module:try#1",
-            "shim-fidelity:bad_shim_logic.py:verify:if#1",
-        }
-
-    def test_pure_delegation_is_clean(self, lint):
-        result = lint(self.DIR, [self.DIR / "good_shim.py"],
-                      checkers=["shim-fidelity"])
-        assert result.fresh == []

@@ -17,7 +17,6 @@ CHECKER_IDS = (
     "deadline-discipline",
     "cache-format-discipline",
     "budget-flow",
-    "shim-fidelity",
 )
 
 
@@ -133,6 +132,45 @@ def test_jobs_flag_values(tmp_path):
     assert _run("--jobs", "auto", *base) == 0
     assert _run("--jobs", "nope", *base) == 2   # usage error, not a crash
     assert _run("--jobs", "-3", *base) == 2
+
+
+def test_verify_does_not_import_the_linter(tmp_path):
+    """``lightyear verify`` builds its parser without ``repro.analysis``:
+    only the ``lint`` command (or no command: help, the parity test below)
+    materialises the lint arguments."""
+    import json
+
+    from repro.bgp.configjson import config_to_json
+    from repro.workloads.figure1 import build_figure1
+
+    spec = {
+        "safety": [
+            {
+                "name": "trivial",
+                "location": "R2->ISP2",
+                "predicate": {"kind": "true"},
+                "invariants": {"default": {"kind": "true"}, "overrides": {}},
+            }
+        ]
+    }
+    (tmp_path / "base.json").write_text(config_to_json(build_figure1()))
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    program = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(['verify', sys.argv[1], sys.argv[2]])\n"
+        "leaked = sorted(m for m in sys.modules if m.startswith('repro.analysis'))\n"
+        "print('leaked:', leaked)\n"
+        "sys.exit(code or bool(leaked))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program,
+         str(tmp_path / "base.json"), str(tmp_path / "spec.json")],
+        capture_output=True, text=True, env=_module_env(), cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASSED" in proc.stdout
+    assert "leaked: []" in proc.stdout
 
 
 def _option_strings(parser):

@@ -34,7 +34,7 @@ def _task(rel: str, source: str, checkers=("digest-coverage",)) -> ExtractionTas
 def _mixed_tree(tmp_path: Path) -> Path:
     """A tree with findings from several checkers — enough files that a
     process pool actually fans out."""
-    for sub in ("digest_coverage", "budget_flow", "shim_fidelity"):
+    for sub in ("digest_coverage", "budget_flow", "deadline_discipline"):
         for src in (FIXTURES / sub).glob("*.py"):
             shutil.copy(src, tmp_path / f"{sub}__{src.name}")
     return tmp_path

@@ -64,25 +64,27 @@ def test_diff_agrees_with_incremental_verifier_ownership():
     # The routers the diff flags are exactly the ones whose checks the
     # incremental verifier re-runs.
     from repro.bgp.topology import Edge
-    from repro.core.incremental import IncrementalVerifier
+    from repro.core.workspace import Workspace
     from repro.lang.ghost import GhostAttribute
 
-    from tests.core.conftest import no_transit_invariants, no_transit_property
+    from tests.core.conftest import (
+        no_transit_invariants,
+        no_transit_property,
+        reverify,
+    )
 
     old = build_figure1()
     ghost = GhostAttribute.source_tracker(
         "FromISP1", old.topology, [Edge("ISP1", "R1")]
     )
-    verifier = IncrementalVerifier(
-        old, no_transit_property(), no_transit_invariants(old), ghosts=(ghost,)
-    )
-    verifier.verify()
+    workspace = Workspace(old, ghosts=(ghost,))
+    workspace.verify(no_transit_property(), no_transit_invariants(old))
 
     new = build_figure1()
     new.routers["R2"].neighbors["R1"].import_map = RouteMap.permit_all()
     diff = diff_configs(old, new)
     assert diff.changed_routers == ["R2"]
 
-    result = verifier.reverify(new)
+    result = reverify(workspace, new)
     # R2 owns imports on 3 in-edges and exports on 3 out-edges.
     assert result.rerun_checks == 6

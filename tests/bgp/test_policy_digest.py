@@ -256,9 +256,13 @@ def test_originated_ghost_order_is_canonical():
 
 def test_digest_equality_implies_cached_check_reuse():
     """A reorder-only rebuild of the config reruns zero checks."""
-    from repro.core.incremental import IncrementalVerifier
+    from repro.core.workspace import Workspace
     from repro.workloads.figure1 import build_figure1
-    from tests.core.conftest import no_transit_invariants, no_transit_property
+    from tests.core.conftest import (
+        no_transit_invariants,
+        no_transit_property,
+        reverify,
+    )
     from repro.lang.ghost import GhostAttribute
     from repro.bgp.topology import Edge
 
@@ -266,10 +270,8 @@ def test_digest_equality_implies_cached_check_reuse():
     ghost = GhostAttribute.source_tracker(
         "FromISP1", config.topology, [Edge("ISP1", "R1")]
     )
-    verifier = IncrementalVerifier(
-        config, no_transit_property(), no_transit_invariants(config), ghosts=(ghost,)
-    )
-    verifier.verify()
+    workspace = Workspace(config, ghosts=(ghost,))
+    workspace.verify(no_transit_property(), no_transit_invariants(config))
 
     # Rebuild the same network with every router's neighbors inserted in
     # reverse order; digests must match, so nothing reruns.
@@ -283,7 +285,7 @@ def test_digest_equality_implies_cached_check_reuse():
         shuffled.set_external_asn(node, asn)
     assert shuffled.policy_digests() == config.policy_digests()
 
-    result = verifier.reverify(shuffled)
+    result = reverify(workspace, shuffled)
     assert result.rerun_checks == 0
     assert result.reuse_fraction == 1.0
     assert result.report.passed

@@ -1,5 +1,6 @@
 """Shared fixtures: the Figure 1 verification problem (Tables 2 and 3),
-and a broken process pool for the serial-fallback tests."""
+a broken process pool for the serial-fallback tests, and helpers for
+reading a single-property workspace's cache accounting."""
 
 from __future__ import annotations
 
@@ -39,6 +40,25 @@ def from_isp1(fig1_config):
     return GhostAttribute.source_tracker(
         "FromISP1", fig1_config.topology, [Edge("ISP1", "R1")]
     )
+
+
+def last_result(workspace):
+    """The ``IncrementalResult`` of a single-property workspace's last run."""
+    (entry,) = workspace.entries
+    return entry.last_result
+
+
+def reverify(workspace, edited):
+    """``apply(edited)`` then ``reverify()`` on a single-property workspace."""
+    workspace.apply(edited)
+    (entry,) = workspace.reverify()
+    return entry.last_result
+
+
+def owner_check_count(tracker, owner) -> int:
+    """How many checks the tracker's owner index holds for ``owner``,
+    across every section of the proof."""
+    return sum(len(groups.get(owner, [])) for groups in tracker._checks.values())
 
 
 def no_transit_property() -> SafetyProperty:

@@ -290,3 +290,113 @@ def test_cli_rejects_nonpositive_durations(cli_inputs):
         main(["verify", config, spec, "--deadline", "0"])
     with pytest.raises(SystemExit):
         main(["verify", config, spec, "--wall-budget", "-5"])
+
+
+# ---------------------------------------------------------------------------
+# A degraded run must not poison the cache
+# ---------------------------------------------------------------------------
+#
+# ``deadline_s``/``wall_budget_s`` are not part of an entry's fingerprint,
+# so an UNKNOWN they caused answers for that run only: the group is
+# reported, saved — and re-run by the next run, in-process or cache-loaded.
+
+
+def _consulted(out: str) -> tuple[int, int]:
+    """(consulted, total) from the CLI's ``cache: consulted N of M`` line."""
+    words = out[out.index("consulted") :].split()
+    return int(words[1]), int(words[3])
+
+
+def test_wall_budget_unknowns_are_rerun_in_process_and_after_a_load(tmp_path):
+    config, ghost, prop, invariants = _fullmesh_problem(4)
+    # Owner groups run in the order R1, R2, R3, R4, implication.  Stalling
+    # R3's first check past the budget leaves R1 and R2 decided and
+    # everything from R3 on time-bound.
+    faults.install(FaultPlan(delay_check_s=0.5, delay_check_match="at R3"))
+    ws = Workspace(config, ghosts=(ghost,), wall_budget_s=0.3)
+    degraded = ws.verify(prop, invariants)
+    faults.reset()
+    assert set(degraded.unknown_reason_counts) <= {"wall-budget", "timeout"}
+    (entry,) = ws.entries
+    groups = entry.tracker._checks[("safety",)]
+    time_bound = sum(
+        len(groups[owner]) for (__, owner) in entry.tracker._time_bound
+    )
+    assert 0 < len(degraded.unknowns) <= time_bound < degraded.num_checks
+
+    # The degraded outcomes are saved (the decided ones are worth keeping)...
+    path = tmp_path / "workspace.lyc"
+    ws.save(path)
+    # ...and both the live and the loaded tracker re-run exactly the
+    # time-bound groups once the budget is lifted; nothing else.
+    ws.wall_budget_s = None
+    loaded = Workspace.load(path, config=config, ghosts=(ghost,))
+    for workspace in (ws, loaded):
+        report = workspace.verify(prop, invariants)
+        assert report.passed
+        result = workspace.entries[0].last_result
+        assert result.rerun_checks == time_bound
+        assert result.cached_checks == report.num_checks - time_bound
+        # Repaired: a third run has nothing left to re-run.
+        workspace.verify(prop, invariants)
+        assert workspace.entries[0].last_result.checks_consulted == 0
+
+
+def test_cli_wall_budget_unknowns_do_not_poison_the_cache(
+    cli_inputs, tmp_path, capsys
+):
+    config, spec = cli_inputs
+    cached = ["verify", config, spec, "--cache", str(tmp_path / "cache")]
+    assert main([*cached, "--wall-budget", "0.000001"]) == EXIT_DEGRADED
+    capsys.readouterr()
+
+    # No budget: every (wall-budget UNKNOWN) group is re-run, the verdict is
+    # the uncached one, and the repaired cache is saved again...
+    assert main(cached) == 0
+    out = capsys.readouterr().out
+    assert "PASSED" in out and "UNKNOWN" not in out
+    consulted, total = _consulted(out)
+    assert consulted == total > 0
+    # ...so a third invocation re-runs nothing.
+    assert main(cached) == 0
+    assert _consulted(capsys.readouterr().out) == (0, total)
+
+
+def test_cli_deadline_unknowns_do_not_poison_the_cache(cli_inputs, tmp_path, capsys):
+    config, spec = cli_inputs
+    cached = ["verify", config, spec, "--cache", str(tmp_path / "cache")]
+    faults.install(FaultPlan(hang_check_match="import check at R1"))
+    assert main([*cached, "--deadline", "0.2"]) == EXIT_DEGRADED
+    assert "UNKNOWN (deadline exceeded)" in capsys.readouterr().out
+    faults.reset()
+
+    # Only R1's owner group held a timeout: it alone is re-run.
+    assert main(cached) == 0
+    out = capsys.readouterr().out
+    assert "PASSED" in out and "UNKNOWN" not in out
+    consulted, total = _consulted(out)
+    assert 0 < consulted < total
+    assert main(cached) == 0
+    assert _consulted(capsys.readouterr().out) == (0, total)
+
+
+def test_conflict_budget_unknowns_are_reused(tmp_path):
+    """The conflict budget *is* part of the entry fingerprint, so a
+    ``conflicts`` UNKNOWN is a deterministic answer to the registered
+    problem: it stays cached, in-process and across save/load."""
+    from repro.workloads.wan import build_wan
+    from repro.workloads.wan_properties import ip_reuse_safety_problem
+
+    wan = build_wan(2, 3)
+    problem = ip_reuse_safety_problem(wan, 0)
+    ws = Workspace(wan.config, ghosts=(problem.ghost,), conflict_budget=1)
+    first = ws.verify(problem.properties[0], problem.invariants)
+    assert set(first.unknown_reason_counts) == {"conflicts"}
+
+    path = tmp_path / "workspace.lyc"
+    ws.save(path)
+    loaded = Workspace.load(path, conflict_budget=1)
+    for workspace in (ws, loaded):
+        again = workspace.verify(problem.properties[0], problem.invariants)
+        assert workspace.entries[0].last_result.checks_consulted == 0
+        assert again.unknown_reason_counts == first.unknown_reason_counts

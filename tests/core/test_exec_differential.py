@@ -9,9 +9,7 @@ needs no shared state) and the legacy barriered liveness order — and the
 suite asserts the scheduler-driven paths return identical reports:
 outcome fingerprints *in order*, unknown-reason buckets, degradation
 counters, and cache-consultation counters, across the serial path and
-the process map and over seeded random configurations.  The deprecated
-verifier shims are held to the same standard against the workspaces they
-wrap.
+the process map and over seeded random configurations.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
 from repro.core.checks import generate_safety_checks
 from repro.core.exec import ExecutionContext, Scheduler
-from repro.core.incremental import IncrementalVerifier
 from repro.core.liveness import (
     IMPLICATION_KEY,
     PROPAGATION_KEY,
@@ -200,8 +197,9 @@ def test_incremental_reverify_matches_scratch(parallel):
     finally:
         workspace.close()
     scratch = verify_safety(edited, prop, invariants, ghosts=(ghost,))
-    # The incremental report orders cached groups before fresh ones, so
-    # compare as multisets; pass/fail and unknown buckets must agree too.
+    # The tracker lists outcomes owner group by owner group, the scratch
+    # run edge by edge, so compare as multisets; pass/fail and unknown
+    # buckets must agree too.
     assert sorted(_fingerprint(o) for o in result.report.iter_outcomes()) == sorted(
         _fingerprint(o) for o in scratch.iter_outcomes()
     ), parallel
@@ -235,37 +233,3 @@ def test_incremental_liveness_reverify_matches_scratch():
     assert result.report.passed == scratch.passed is False
     assert result.checks_consulted == result.rerun_checks
     assert result.rerun_checks + result.cached_checks == scratch.num_checks
-
-
-# -- deprecated shims vs the workspaces they wrap ----------------------
-
-
-def test_incremental_verifier_shim_matches_workspace():
-    config, ghost, prop, invariants = _no_transit_problem(5, "ba", 1, False)
-    edited, __, __, __ = _no_transit_problem(5, "ba", 1, True)
-
-    with pytest.warns(DeprecationWarning):
-        shim = IncrementalVerifier(config, prop, invariants, ghosts=(ghost,))
-    try:
-        shim_first = shim.verify()
-        shim_again = shim.reverify(edited)
-    finally:
-        shim.close()
-
-    workspace = Workspace(config, ghosts=(ghost,))
-    try:
-        ws_first = workspace.verify(prop, invariants)
-        workspace.apply(edited)
-        ws_again = workspace.reverify()[0].last_result
-    finally:
-        workspace.close()
-
-    assert [_fingerprint(o) for o in shim_first.report.iter_outcomes()] == [
-        _fingerprint(o) for o in ws_first.iter_outcomes()
-    ]
-    assert [_fingerprint(o) for o in shim_again.report.iter_outcomes()] == [
-        _fingerprint(o) for o in ws_again.report.iter_outcomes()
-    ]
-    assert shim_again.rerun_checks == ws_again.rerun_checks
-    assert shim_again.cached_checks == ws_again.cached_checks
-    assert shim_again.checks_consulted == ws_again.checks_consulted

@@ -1,4 +1,9 @@
-"""Tests for incremental re-verification after per-router config edits."""
+"""Tests for incremental re-verification after per-router config edits.
+
+Driven through ``Workspace.verify/apply/reverify``; the cache accounting
+is read off the single entry's ``last_result`` and, where a test pins what
+the tracker kept alive, off ``entry.tracker``.
+"""
 
 from __future__ import annotations
 
@@ -13,33 +18,40 @@ from repro.bgp.policy import (
     RouteMapClause,
 )
 from repro.bgp.prefix import Prefix, PrefixRange
-from repro.core.incremental import IncrementalVerifier
+from repro.core.safety import SAFETY_KEY
+from repro.core.workspace import Workspace
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
-from tests.core.conftest import no_transit_invariants, no_transit_property
+from tests.core.conftest import (
+    last_result,
+    no_transit_invariants,
+    no_transit_property,
+    reverify,
+)
 
 
-def _verifier(config, from_isp1):
-    return IncrementalVerifier(
-        config,
-        no_transit_property(),
-        no_transit_invariants(config),
-        ghosts=(from_isp1,),
-    )
+def _workspace(config, from_isp1, **kwargs):
+    return Workspace(config, ghosts=(from_isp1,), **kwargs)
+
+
+def _verify(ws):
+    """First (full) verification of the no-transit problem."""
+    ws.verify(no_transit_property(), no_transit_invariants(ws.config))
+    return last_result(ws)
 
 
 def test_initial_run_executes_all_checks(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    result = v.verify()
+    ws = _workspace(fig1_config, from_isp1)
+    result = _verify(ws)
     assert result.report.passed
     assert result.rerun_checks == 19
     assert result.cached_checks == 0
 
 
 def test_noop_reverify_reuses_everything(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    result = v.reverify(build_figure1())  # identical configuration
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
+    result = reverify(ws, build_figure1())  # identical configuration
     assert result.report.passed
     assert result.rerun_checks == 0
     assert result.cached_checks == 19
@@ -47,8 +59,8 @@ def test_noop_reverify_reuses_everything(fig1_config, from_isp1):
 
 
 def test_single_router_edit_reruns_only_its_checks(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
 
     # Edit R3's customer import (a benign tweak: extra deny of a bogon).
     updated = build_figure1()
@@ -64,7 +76,7 @@ def test_single_router_edit_reruns_only_its_checks(fig1_config, from_isp1):
         "CUST-IN", new_clauses
     )
 
-    result = v.reverify(updated)
+    result = reverify(ws, updated)
     assert result.report.passed
     # R3 owns: imports on Customer->R3, R1->R3, R2->R3 and exports on
     # R3->Customer, R3->R1, R3->R2 = 6 checks.
@@ -73,8 +85,8 @@ def test_single_router_edit_reruns_only_its_checks(fig1_config, from_isp1):
 
 
 def test_breaking_edit_detected_incrementally(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    assert v.verify().report.passed
+    ws = _workspace(fig1_config, from_isp1)
+    assert _verify(ws).report.passed
 
     # R2 starts re-tagging... er, stripping the transit community on the
     # iBGP import from R1 — breaking the "no filter strips 100:1" invariant.
@@ -85,14 +97,14 @@ def test_breaking_edit_detected_incrementally(fig1_config, from_isp1):
         "STRIP",
         (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),),
     )
-    result = v.reverify(updated)
+    result = reverify(ws, updated)
     assert not result.report.passed
     assert result.rerun_checks == 6
     blamed = {f.blamed_router for f in result.report.failures}
     assert blamed == {"R2"}
 
     # Reverting the edit re-runs R2's checks again and passes.
-    result2 = v.reverify(build_figure1())
+    result2 = reverify(ws, build_figure1())
     assert result2.report.passed
     assert result2.rerun_checks == 6
 
@@ -100,25 +112,27 @@ def test_breaking_edit_detected_incrementally(fig1_config, from_isp1):
 def test_universe_not_rebuilt_when_nothing_changed(fig1_config, from_isp1):
     """Regression: reverify used to rebuild the universe (and the check
     list) unconditionally; with unchanged digests both must be reused."""
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    assert v.universe_builds == 1
-    universe = v._universe
-    groups = {owner: id(group) for owner, group in v._checks_by_owner.items()}
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
+    tracker = ws.entries[0].tracker
+    assert tracker.universe_builds == 1
+    universe = tracker._universe
+    groups = {o: id(group) for o, group in tracker._checks[SAFETY_KEY].items()}
 
-    v.reverify(build_figure1())
-    assert v.universe_builds == 1
-    assert v._universe is universe  # same object, not an equal rebuild
+    reverify(ws, build_figure1())
+    assert tracker.universe_builds == 1
+    assert tracker._universe is universe  # same object, not an equal rebuild
     # Every owner group object survives untouched — nothing regenerated.
-    assert {o: id(g) for o, g in v._checks_by_owner.items()} == groups
+    assert {o: id(g) for o, g in tracker._checks[SAFETY_KEY].items()} == groups
 
 
 def test_universe_object_kept_across_content_preserving_edits(fig1_config, from_isp1):
     """A policy edit that mentions no new communities/ASNs rescans but
     keeps the same universe object, so value-keyed caches stay warm."""
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    universe = v._universe
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
+    tracker = ws.entries[0].tracker
+    universe = tracker._universe
 
     updated = build_figure1()
     old_map = updated.routers["R3"].neighbors["Customer"].import_map
@@ -133,15 +147,15 @@ def test_universe_object_kept_across_content_preserving_edits(fig1_config, from_
         )
         + old_map.clauses,
     )
-    result = v.reverify(updated)
+    result = reverify(ws, updated)
     assert result.rerun_checks == 6
-    assert v.universe_builds == 1
-    assert v._universe is universe
+    assert tracker.universe_builds == 1
+    assert tracker._universe is universe
 
 
 def test_universe_rebuilt_when_edit_mentions_new_community(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
 
     updated = build_figure1()
     from repro.bgp.route import Community
@@ -159,9 +173,10 @@ def test_universe_rebuilt_when_edit_mentions_new_community(fig1_config, from_isp
             ),
         ),
     )
-    result = v.reverify(updated)
-    assert v.universe_builds == 2  # the universe content genuinely changed
-    assert Community(999, 9) in v._universe.communities
+    result = reverify(ws, updated)
+    tracker = ws.entries[0].tracker
+    assert tracker.universe_builds == 2  # the universe content genuinely changed
+    assert Community(999, 9) in tracker._universe.communities
     assert result.rerun_checks == 6
     assert result.report.passed
 
@@ -169,8 +184,8 @@ def test_universe_rebuilt_when_edit_mentions_new_community(fig1_config, from_isp
 def test_reverify_consults_only_the_edited_owners_checks(fig1_config, from_isp1):
     """The owner index makes reverify O(changed owner): a single-router
     edit examines exactly that router's check group, never the full cache."""
-    v = _verifier(fig1_config, from_isp1)
-    initial = v.verify()
+    ws = _workspace(fig1_config, from_isp1)
+    initial = _verify(ws)
     assert initial.checks_consulted == 19  # a full verify consults everything
 
     updated = build_figure1()
@@ -186,16 +201,16 @@ def test_reverify_consults_only_the_edited_owners_checks(fig1_config, from_isp1)
         )
         + old_map.clauses,
     )
-    result = v.reverify(updated)
+    result = reverify(ws, updated)
     assert result.checks_consulted == 6  # R3's owner group, nothing else
     assert result.rerun_checks == 6
     assert result.cached_checks == 13
 
 
 def test_noop_reverify_consults_no_checks(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    result = v.reverify(build_figure1())
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
+    result = reverify(ws, build_figure1())
     assert result.checks_consulted == 0
 
 
@@ -226,15 +241,14 @@ def test_external_asn_edit_invalidates_all_outcomes():
     )
     invariants = InvariantMap(config.topology)
     invariants.set_edge("R4", "E4", AsPathHas(INTERNAL_AS))
-    v = IncrementalVerifier(config, prop, invariants)
-    initial = v.verify()
-    assert initial.report.passed
+    ws = Workspace(config)
+    assert ws.verify(prop, invariants).passed
 
     # E4 joins our AS: the session becomes iBGP, no prepend happens, and
     # the export check must now fail.  Only external_asns changed.
     edited = full_mesh_external_asn_edit(n, asn=INTERNAL_AS)
     assert edited.policy_digests() == config.policy_digests()
-    result = v.reverify(edited)
+    result = reverify(ws, edited)
     assert not result.report.passed
     assert result.cached_checks == 0  # every outcome recomputed
     fresh = verify_safety(edited, prop, invariants)
@@ -244,7 +258,7 @@ def test_external_asn_edit_invalidates_all_outcomes():
     }
 
     # Reverting the ASN restores the pass — again via a full recompute.
-    reverted = v.reverify(build_full_mesh(n))
+    reverted = reverify(ws, build_full_mesh(n))
     assert reverted.report.passed
     assert reverted.cached_checks == 0
 
@@ -253,15 +267,16 @@ def test_external_asn_edit_rescans_universe(fig1_config, from_isp1):
     """The universe is rebuilt on a network-level edit (external ASNs feed
     ``AttributeUniverse.from_config``), even with all router digests
     unchanged."""
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    assert v.universe_builds == 1
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
+    tracker = ws.entries[0].tracker
+    assert tracker.universe_builds == 1
 
     updated = build_figure1()
     updated.set_external_asn("ISP2", 999)
-    result = v.reverify(updated)
-    assert v.universe_builds == 2
-    assert 999 in v._universe.asns
+    result = reverify(ws, updated)
+    assert tracker.universe_builds == 2
+    assert 999 in tracker._universe.asns
     assert result.cached_checks == 0
 
 
@@ -280,70 +295,10 @@ def test_conflict_budget_is_threaded_to_run_checks(
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(mod.Scheduler, "run", spy)
-    v = IncrementalVerifier(
-        fig1_config,
-        no_transit_property(),
-        no_transit_invariants(fig1_config),
-        ghosts=(from_isp1,),
-        conflict_budget=4242,
-    )
-    v.verify()
-    v.reverify(build_figure1())
+    ws = _workspace(fig1_config, from_isp1, conflict_budget=4242)
+    _verify(ws)
+    reverify(ws, build_figure1())
     assert captured and all(budget == 4242 for budget in captured)
-
-
-def test_engine_factory_borrows_engine_pools(fig1_config, from_isp1):
-    from repro.core.engine import Lightyear
-
-    with Lightyear(fig1_config, ghosts=(from_isp1,)) as engine:
-        v = engine.incremental_safety(
-            no_transit_property(), no_transit_invariants(fig1_config)
-        )
-        assert v.sessions is engine.sessions
-        assert v.verify().report.passed
-        assert len(engine.sessions) > 0
-        v.close()
-        assert v.sessions is engine.sessions  # still borrowed, still populated
-        assert len(engine.sessions) > 0
-
-
-def test_topology_reset_spares_borrowed_session_pool(fig1_config, from_isp1):
-    """A topology change must not clear a *borrowed* session pool: other
-    verifiers sharing the engine's pool still want their encodings.  (An
-    owned pool is still cleared — that path is memory hygiene only.)"""
-    from repro.bgp.config import NeighborConfig
-    from repro.core.engine import Lightyear
-
-    with Lightyear(fig1_config, ghosts=(from_isp1,)) as engine:
-        v = engine.incremental_safety(
-            no_transit_property(), no_transit_invariants(fig1_config)
-        )
-        v.verify()
-        encoded = engine.sessions.total_encoding()
-        assert len(engine.sessions) > 0
-
-        grown = build_figure1()
-        grown.topology.add_external("ISP3")
-        grown.set_external_asn("ISP3", 400)
-        grown.topology.add_peering("R1", "ISP3")
-        grown.routers["R1"].add_neighbor(NeighborConfig("ISP3", 400))
-        result = v.reverify(grown)
-        assert result.report.passed
-        # The shared pool survived the reset (and only ever grew).
-        assert len(engine.sessions) > 0
-        assert engine.sessions.total_encoding() >= encoded
-
-    # An owned pool, by contrast, is cleared and repopulated.
-    owned = IncrementalVerifier(
-        build_figure1(),
-        no_transit_property(),
-        no_transit_invariants(fig1_config),
-        ghosts=(from_isp1,),
-    )
-    owned.verify()
-    pool = owned.sessions
-    owned.reverify(grown)
-    assert owned.sessions is pool  # same pool object, repopulated
 
 
 def test_network_digest_key_cannot_collide_with_router_names():
@@ -368,8 +323,9 @@ def test_network_digest_key_cannot_collide_with_router_names():
 
 
 def test_topology_change_triggers_full_rerun(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
+    ws = _workspace(fig1_config, from_isp1)
+    _verify(ws)
+    pool = ws.sessions
 
     updated = build_figure1()
     updated.topology.add_external("ISP3")
@@ -379,6 +335,10 @@ def test_topology_change_triggers_full_rerun(fig1_config, from_isp1):
 
     updated.routers["R1"].add_neighbor(NeighborConfig("ISP3", 400))
 
-    result = v.reverify(updated)
+    result = reverify(ws, updated)
     assert result.cached_checks == 0
     assert result.rerun_checks == 21  # two more edges -> two more checks
+    # The reset cleared the workspace's pool in place and the rerun
+    # repopulated it: same object, encodings for the new check set.
+    assert ws.sessions is pool
+    assert len(pool) > 0

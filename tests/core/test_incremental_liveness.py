@@ -1,6 +1,7 @@
-"""Tests for incremental liveness re-verification (the §5 reuse wrapper).
+"""Tests for incremental liveness re-verification (§5 through the tracker).
 
-The pinned claims mirror the safety-side ``IncrementalVerifier`` suite:
+Driven through ``Workspace.verify/apply/reverify``.  The pinned claims
+mirror the safety-side suite in ``test_incremental.py``:
 
 * a single-router edit consults only that owner's check groups — its
   propagation checks (if it sits on the witness path) and its owner group
@@ -12,8 +13,7 @@ The pinned claims mirror the safety-side ``IncrementalVerifier`` suite:
 * a network-level edit (``set_external_asn``) invalidates everything;
 * unchanged owners are never re-encoded (the session pool's per-owner
   encoding sizes are the witness);
-* ``conflict_budget`` is threaded through to ``run_checks``;
-* ``Lightyear.incremental_liveness`` borrows the engine's pools.
+* ``conflict_budget`` is threaded through to the scheduler.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from repro.bgp.policy import (
     RouteMapClause,
 )
 from repro.bgp.prefix import Prefix, PrefixRange
-from repro.core.engine import Lightyear
-from repro.core.incremental_liveness import IncrementalLivenessVerifier
-from repro.core.liveness import verify_liveness
+from repro.core.liveness import IMPLICATION_KEY, PROPAGATION_KEY, verify_liveness
+from repro.core.workspace import Workspace
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.fullmesh import (
     TRANSIT_COMMUNITY,
@@ -42,7 +41,12 @@ from repro.workloads.fullmesh import (
     full_mesh_single_router_edit,
 )
 
-from tests.core.conftest import customer_liveness_property
+from tests.core.conftest import (
+    customer_liveness_property,
+    last_result,
+    owner_check_count,
+    reverify,
+)
 
 
 def _outcome_fp(outcome):
@@ -60,9 +64,9 @@ def _outcome_fp(outcome):
 def _liveness_fp(report):
     """Order-insensitive per-section fingerprint.
 
-    The incremental verifier assembles each section from its owner groups,
-    so within a section the outcome *order* differs from a fresh pipeline;
-    the *set* of (check, outcome) pairs must not.
+    The tracker assembles each section from its owner groups, so within a
+    section the outcome *order* differs from a fresh pipeline; the *set*
+    of (check, outcome) pairs must not.
     """
     return (
         sorted(_outcome_fp(o) for o in report.propagation_outcomes),
@@ -74,19 +78,23 @@ def _liveness_fp(report):
     )
 
 
-def _expected_owner_consultation(verifier, owner):
-    """How many checks the owner index holds for ``owner`` across stages."""
-    count = len(verifier._prop_groups.get(owner, []))
-    for groups in verifier._sub_groups.values():
-        count += len(groups.get(owner, []))
-    return count
+def _verified(config, prop, **kwargs):
+    """A workspace whose one property has had its first (full) run."""
+    ws = Workspace(config, **kwargs)
+    ws.verify(prop)
+    return ws, ws.entries[0].tracker
+
+
+def _implication_outcome(tracker):
+    (outcome,) = tracker._outcomes[IMPLICATION_KEY][None]
+    return outcome
 
 
 def test_initial_run_matches_fresh_pipeline_and_counts_everything():
     config = build_full_mesh(5)
     prop = full_mesh_liveness_property(5)
-    v = IncrementalLivenessVerifier(config, prop)
-    result = v.verify()
+    ws, __ = _verified(config, prop)
+    result = last_result(ws)
     fresh = verify_liveness(config, prop)
     assert result.report.passed
     assert result.report.num_checks == fresh.num_checks
@@ -99,9 +107,9 @@ def test_initial_run_matches_fresh_pipeline_and_counts_everything():
 def test_noop_reverify_consults_no_checks():
     config = build_full_mesh(5)
     prop = full_mesh_liveness_property(5)
-    v = IncrementalLivenessVerifier(config, prop)
-    initial = v.verify()
-    result = v.reverify(build_full_mesh(5))
+    ws, __ = _verified(config, prop)
+    initial = last_result(ws)
+    result = reverify(ws, build_full_mesh(5))
     assert result.report.passed
     assert result.rerun_checks == 0
     assert result.checks_consulted == 0
@@ -114,56 +122,56 @@ def test_off_path_edit_consults_only_subproof_groups():
     """An edit off the witness path invalidates no propagation check and
     never the implication — just the owner's group in each sub-proof."""
     n = 5
-    v = IncrementalLivenessVerifier(build_full_mesh(n), full_mesh_liveness_property(n))
-    v.verify()
-    implication_before = v._impl_outcome
+    prop = full_mesh_liveness_property(n)
+    ws, tracker = _verified(build_full_mesh(n), prop)
+    implication_before = _implication_outcome(tracker)
 
     edited = full_mesh_single_router_edit(n)  # edits R5, off the E2->R2->R3 path
-    result = v.reverify(edited)
+    result = reverify(ws, edited)
     assert result.report.passed
-    expected = _expected_owner_consultation(v, f"R{n}")
-    assert len(v._prop_groups.get(f"R{n}", [])) == 0  # truly off-path
+    expected = owner_check_count(tracker, f"R{n}")
+    assert f"R{n}" not in tracker._checks[PROPAGATION_KEY]  # truly off-path
     assert result.checks_consulted == expected
     assert result.rerun_checks == expected
     # The implication outcome was reused wholesale, not re-run.
-    assert v._impl_outcome is implication_before
-    assert _liveness_fp(result.report) == _liveness_fp(verify_liveness(edited, v.prop))
+    assert _implication_outcome(tracker) is implication_before
+    assert _liveness_fp(result.report) == _liveness_fp(verify_liveness(edited, prop))
 
 
 def test_on_path_edit_also_reruns_its_propagation_checks():
     n = 5
-    v = IncrementalLivenessVerifier(build_full_mesh(n), full_mesh_liveness_property(n))
-    v.verify()
-    implication_before = v._impl_outcome
+    prop = full_mesh_liveness_property(n)
+    ws, tracker = _verified(build_full_mesh(n), prop)
+    implication_before = _implication_outcome(tracker)
 
     edited = full_mesh_single_router_edit(n, router="R2")  # on the witness path
-    result = v.reverify(edited)
+    result = reverify(ws, edited)
     # The bogon deny overlaps the short-prefix constraint, so the import
     # propagation check at R2 now genuinely fails — a localized failure the
     # incremental run must detect from R2's groups alone.
-    fresh = verify_liveness(edited, v.prop)
+    fresh = verify_liveness(edited, prop)
     assert not fresh.passed
     assert not result.report.passed
-    expected = _expected_owner_consultation(v, "R2")
-    assert len(v._prop_groups.get("R2", [])) > 0  # import from E2, export to R3
+    expected = owner_check_count(tracker, "R2")
+    assert len(tracker._checks[PROPAGATION_KEY]["R2"]) > 0  # import from E2, export to R3
     assert result.checks_consulted == expected
-    assert v._impl_outcome is implication_before
+    assert _implication_outcome(tracker) is implication_before
     assert _liveness_fp(result.report) == _liveness_fp(fresh)
 
 
 def test_breaking_edit_detected_incrementally_and_revertible():
     prop = customer_liveness_property()
-    v = IncrementalLivenessVerifier(build_figure1(), prop)
-    assert v.verify().report.passed
+    ws, tracker = _verified(build_figure1(), prop)
+    assert last_result(ws).report.passed
 
     broken = build_figure1(buggy_r3_strip=True)
-    result = v.reverify(broken)
+    result = reverify(ws, broken)
     assert not result.report.passed
-    assert result.rerun_checks == _expected_owner_consultation(v, "R3")
+    assert result.rerun_checks == owner_check_count(tracker, "R3")
     assert _liveness_fp(result.report) == _liveness_fp(verify_liveness(broken, prop))
 
     # Reverting the edit re-runs R3's groups again and passes.
-    reverted = v.reverify(build_figure1())
+    reverted = reverify(ws, build_figure1())
     assert reverted.report.passed
     assert reverted.rerun_checks == result.rerun_checks
 
@@ -172,40 +180,39 @@ def test_external_asn_edit_recomputes_everything():
     """Regression guard shared with the safety verifier: ``set_external_asn``
     changes no router digest, yet must invalidate every cached outcome."""
     n = 5
-    v = IncrementalLivenessVerifier(build_full_mesh(n), full_mesh_liveness_property(n))
-    initial = v.verify()
-    assert v.universe_builds == 1
+    prop = full_mesh_liveness_property(n)
+    ws, tracker = _verified(build_full_mesh(n), prop)
+    initial = last_result(ws)
+    assert tracker.universe_builds == 1
 
     edited = full_mesh_external_asn_edit(n)
-    result = v.reverify(edited)
+    result = reverify(ws, edited)
     total = result.rerun_checks + result.cached_checks
     assert result.rerun_checks == total  # nothing reused
     assert result.cached_checks == 0
-    assert v.universe_builds == 2  # the universe content genuinely changed
-    assert _liveness_fp(result.report) == _liveness_fp(verify_liveness(edited, v.prop))
+    assert tracker.universe_builds == 2  # the universe content genuinely changed
+    assert _liveness_fp(result.report) == _liveness_fp(verify_liveness(edited, prop))
     assert total == initial.rerun_checks
 
 
 def test_unchanged_owners_are_not_reencoded():
     n = 5
-    v = IncrementalLivenessVerifier(build_full_mesh(n), full_mesh_liveness_property(n))
-    v.verify()
-    sizes_before = v.sessions.encoding_sizes()
+    ws, __ = _verified(build_full_mesh(n), full_mesh_liveness_property(n))
+    sizes_before = ws.sessions.encoding_sizes()
 
-    result = v.reverify(full_mesh_single_router_edit(n))
+    result = reverify(ws, full_mesh_single_router_edit(n))
     assert result.report.passed
-    sizes_after = v.sessions.encoding_sizes()
+    sizes_after = ws.sessions.encoding_sizes()
     grown = {k for k in sizes_after if sizes_after[k] != sizes_before.get(k)}
     assert grown == {f"R{n}"}  # only the edited owner's session grew
 
 
 def test_noop_reverify_adds_no_encoding():
     n = 5
-    v = IncrementalLivenessVerifier(build_full_mesh(n), full_mesh_liveness_property(n))
-    v.verify()
-    encoded = v.sessions.total_encoding()
-    v.reverify(build_full_mesh(n))
-    assert v.sessions.total_encoding() == encoded
+    ws, __ = _verified(build_full_mesh(n), full_mesh_liveness_property(n))
+    encoded = ws.sessions.total_encoding()
+    reverify(ws, build_full_mesh(n))
+    assert ws.sessions.total_encoding() == encoded
 
 
 def _random_edit(config, rng, n):
@@ -255,22 +262,21 @@ def test_randomized_edit_sequence_matches_fresh_pipeline(seed):
     n = 4
     rng = random.Random(seed)
     prop = full_mesh_liveness_property(n)
-    v = IncrementalLivenessVerifier(build_full_mesh(n), prop)
-    v.verify()
+    ws, __ = _verified(build_full_mesh(n), prop)
     # The mutation mix makes the sequence hit both pass and fail outcomes
     # across seeds; each step must agree with a from-scratch pipeline.
     for __ in range(3):
         edited = build_full_mesh(n)
         for ___ in range(rng.randrange(1, 3)):
             _random_edit(edited, rng, n)
-        result = v.reverify(edited)
+        result = reverify(ws, edited)
         fresh = verify_liveness(edited, prop)
         assert result.report.passed == fresh.passed
         assert _liveness_fp(result.report) == _liveness_fp(fresh)
 
 
 def test_conflict_budget_is_threaded_to_run_checks(monkeypatch):
-    import repro.core.incremental_liveness as mod
+    import repro.core.incremental as mod
 
     captured = []
     real = mod.Scheduler.run
@@ -280,37 +286,21 @@ def test_conflict_budget_is_threaded_to_run_checks(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(mod.Scheduler, "run", spy)
-    config = build_figure1()
-    v = IncrementalLivenessVerifier(
-        config, customer_liveness_property(), conflict_budget=7777
+    ws, __ = _verified(
+        build_figure1(), customer_liveness_property(), conflict_budget=7777
     )
-    v.verify()
-    v.reverify(build_figure1(buggy_r3_strip=True))
+    reverify(ws, build_figure1(buggy_r3_strip=True))
     assert captured and all(budget == 7777 for budget in captured)
-
-
-def test_engine_factory_borrows_engine_pools():
-    config = build_figure1()
-    prop = customer_liveness_property()
-    with Lightyear(config) as engine:
-        v = engine.incremental_liveness(prop)
-        assert v.sessions is engine.sessions
-        result = v.verify()
-        assert result.report.passed
-        assert len(engine.sessions) > 0  # encodings landed in the engine pool
-        # close() must not touch anything it does not own.
-        v.close()
-        assert len(engine.sessions) > 0
 
 
 def test_topology_change_triggers_full_rerun():
     n = 4
     prop = full_mesh_liveness_property(n)
-    v = IncrementalLivenessVerifier(build_full_mesh(n), prop)
-    initial = v.verify()
+    ws, __ = _verified(build_full_mesh(n), prop)
+    initial = last_result(ws)
 
     grown = build_full_mesh(n + 1)  # same path, one more router and external
-    result = v.reverify(grown)
+    result = reverify(ws, grown)
     assert result.report.passed
     assert result.cached_checks == 0
     assert result.rerun_checks > initial.rerun_checks

@@ -6,7 +6,6 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind
-from repro.core.engine import Lightyear
 from repro.core.liveness import (
     generate_propagation_checks,
     interference_properties,
@@ -121,13 +120,6 @@ def test_liveness_report_metrics(fig1_config):
     assert report.max_vars > 0
     assert report.solve_time_s >= 0
     assert "PASSED" in report.summary()
-
-
-def test_liveness_through_engine(fig1_config):
-    engine = Lightyear(fig1_config)
-    report = engine.verify_liveness(customer_liveness_property())
-    assert report.passed
-    assert engine.stats.num_checks == report.num_checks
 
 
 def test_custom_interference_invariants(fig1_config):

@@ -21,8 +21,9 @@ import pytest
 from repro.bgp.policy import RouteMap, RouteMapClause, DeleteCommunity
 from repro.bgp.topology import Edge
 from repro.core.checks import check_owner, generate_safety_checks
+from repro.core.exec import resolve_jobs
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.safety import build_universe, resolve_jobs, run_checks, verify_safety
+from repro.core.safety import build_universe, run_checks, verify_safety
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh

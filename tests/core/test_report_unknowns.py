@@ -116,7 +116,7 @@ def test_liveness_formatter_lists_unknown_checks():
 def test_empty_status_never_renders_zero_checks():
     """Even a degenerate report (no failures, no unknowns, not passed —
     impossible today, defensive tomorrow) must not claim '0 checks'."""
-    from repro.core.safety import failure_status
+    from repro.core.report import failure_status
 
     assert failure_status([], []) == "FAILED"
     assert failure_status([object()], []) == "FAILED (1 failed)"

@@ -6,9 +6,9 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind, generate_safety_checks
-from repro.core.engine import Lightyear
 from repro.core.properties import SafetyProperty
 from repro.core.safety import verify_safety
+from repro.core.workspace import Workspace
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
@@ -104,17 +104,6 @@ def test_too_strong_invariant_fails_at_establishing_filter(fig1_config, from_isp
     assert Edge("ISP1", "R1") in blamed_edges
 
 
-def test_engine_facade_and_stats(fig1_config, from_isp1):
-    engine = Lightyear(fig1_config, ghosts=(from_isp1,))
-    inv = no_transit_invariants(fig1_config)
-    report = engine.verify_safety(no_transit_property(), inv)
-    assert report.passed
-    assert engine.stats.num_checks == report.num_checks == 19
-    assert engine.stats.max_vars > 0
-    assert engine.stats.max_clauses > 0
-    assert engine.stats.wall_time_s > 0
-
-
 def test_parallel_checks_agree_with_sequential(fig1_config, from_isp1):
     inv = no_transit_invariants(fig1_config)
     seq = verify_safety(
@@ -135,7 +124,7 @@ def test_engine_rejects_invalid_config():
     topo.add_router("R1")
     config = NetworkConfig(topo)  # R1 has no RouterConfig
     with pytest.raises(ValueError):
-        Lightyear(config)
+        Workspace(config)
 
 
 def test_report_summary_text(fig1_config, from_isp1):

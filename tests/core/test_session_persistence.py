@@ -17,8 +17,8 @@ from repro.bgp.policy import (
     RouteMapClause,
 )
 from repro.bgp.prefix import PrefixRange
-from repro.core.incremental import IncrementalVerifier
 from repro.core.safety import verify_safety_family
+from repro.core.workspace import Workspace
 from repro.smt.solver import SessionPool
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.wan import build_wan
@@ -28,16 +28,14 @@ from repro.workloads.wan_properties import (
     verify_peering_problems,
 )
 
-from tests.core.conftest import no_transit_invariants, no_transit_property
+from tests.core.conftest import no_transit_invariants, no_transit_property, reverify
 
 
-def _verifier(config, from_isp1):
-    return IncrementalVerifier(
-        config,
-        no_transit_property(),
-        no_transit_invariants(config),
-        ghosts=(from_isp1,),
-    )
+def _verified(config, from_isp1):
+    """A workspace that has run the no-transit problem once, in full."""
+    ws = Workspace(config, ghosts=(from_isp1,))
+    ws.verify(no_transit_property(), no_transit_invariants(config))
+    return ws
 
 
 def _edit_r3(config):
@@ -58,35 +56,32 @@ def _edit_r3(config):
 
 
 def test_verify_builds_one_session_per_owner(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
+    ws = _verified(fig1_config, from_isp1)
     # Three routers own filter checks; the implication check owns None.
-    assert set(v.sessions.keys()) == {"R1", "R2", "R3", None}
-    assert v.sessions.created == 4
+    assert set(ws.sessions.keys()) == {"R1", "R2", "R3", None}
+    assert ws.sessions.created == 4
 
 
 def test_noop_reverify_touches_no_sessions(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    before = v.sessions.encoding_sizes()
-    discharged_before = v.sessions.checks_discharged
-    result = v.reverify(build_figure1())
+    ws = _verified(fig1_config, from_isp1)
+    before = ws.sessions.encoding_sizes()
+    discharged_before = ws.sessions.checks_discharged
+    result = reverify(ws, build_figure1())
     assert result.rerun_checks == 0
-    assert v.sessions.encoding_sizes() == before
-    assert v.sessions.checks_discharged == discharged_before
+    assert ws.sessions.encoding_sizes() == before
+    assert ws.sessions.checks_discharged == discharged_before
 
 
 def test_reverify_reencodes_only_the_edited_owner(fig1_config, from_isp1):
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    before = v.sessions.encoding_sizes()
+    ws = _verified(fig1_config, from_isp1)
+    before = ws.sessions.encoding_sizes()
 
-    result = v.reverify(_edit_r3(build_figure1()))
+    result = reverify(ws, _edit_r3(build_figure1()))
     assert result.report.passed
     assert result.rerun_checks == 6  # R3's owner group
 
-    after = v.sessions.encoding_sizes()
-    assert v.sessions.created == 4  # sessions persisted, none rebuilt
+    after = ws.sessions.encoding_sizes()
+    assert ws.sessions.created == 4  # sessions persisted, none rebuilt
     grew = {key for key in after if after[key] != before[key]}
     assert grew == {"R3"}, f"expected only R3's encoding to grow, got {grew}"
     # And it genuinely grew — the new deny clause needs new terms.
@@ -96,14 +91,13 @@ def test_reverify_reencodes_only_the_edited_owner(fig1_config, from_isp1):
 def test_second_reverify_of_same_edit_adds_no_encoding(fig1_config, from_isp1):
     """Flip-flopping between two configs re-solves but re-encodes nothing:
     both policy variants are already in R3's persistent clause database."""
-    v = _verifier(fig1_config, from_isp1)
-    v.verify()
-    v.reverify(_edit_r3(build_figure1()))
-    sizes_after_edit = v.sessions.encoding_sizes()
+    ws = _verified(fig1_config, from_isp1)
+    reverify(ws, _edit_r3(build_figure1()))
+    sizes_after_edit = ws.sessions.encoding_sizes()
 
-    v.reverify(build_figure1())  # back to the original policy
-    v.reverify(_edit_r3(build_figure1()))  # and to the edit again
-    assert v.sessions.encoding_sizes() == sizes_after_edit
+    reverify(ws, build_figure1())  # back to the original policy
+    reverify(ws, _edit_r3(build_figure1()))  # and to the edit again
+    assert ws.sessions.encoding_sizes() == sizes_after_edit
 
 
 def test_wan_sweep_shares_one_session_per_owner_across_families():

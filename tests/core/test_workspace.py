@@ -11,10 +11,7 @@ Pinned claims:
 * ``save``/``load`` round-trips the outcome cache through disk: a fresh
   workspace (fresh process stand-in) skips the base run and consults only
   the edited owners' checks, while a config/ghost fingerprint mismatch or
-  a corrupt/foreign file is rejected loudly;
-* the legacy entry points (``Lightyear.verify_safety``/``verify_liveness``
-  and both ``Incremental*Verifier`` classes) are deprecation shims: they
-  warn, and they produce the same results as the workspace they wrap.
+  a corrupt/foreign file is rejected loudly.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ import pytest
 
 from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
 from repro.bgp.prefix import PrefixRange
-from repro.core.engine import Lightyear
-from repro.core.incremental import IncrementalVerifier
-from repro.core.incremental_liveness import IncrementalLivenessVerifier
 from repro.core.liveness import verify_liveness
 from repro.core.safety import verify_safety
 from repro.core.workspace import (
@@ -47,6 +41,7 @@ from tests.core.conftest import (
     customer_liveness_property,
     no_transit_invariants,
     no_transit_property,
+    owner_check_count,
 )
 
 
@@ -130,6 +125,9 @@ def test_workspace_validates_config_and_backend(fig1_config):
     # it is validated at construction.
     with pytest.raises(TypeError):
         Workspace(fig1_config, backend="quantum")
+    # A workspace always owns its session pool; nothing can lend it one.
+    with pytest.raises(TypeError):
+        Workspace(fig1_config, sessions=None)
     with pytest.raises(ValueError):
         Workspace(fig1_config, parallel=-1)
     broken = build_figure1()
@@ -190,10 +188,7 @@ def test_reverify_touches_all_properties_but_only_edited_owners(
     assert safety_entry.last_result.report.passed
     # Liveness: R3's propagation checks + its group in each sub-proof,
     # never the implication.
-    tracker = liveness_entry.tracker
-    expected = len(tracker._prop_groups.get("R3", []))
-    for groups in tracker._sub_groups.values():
-        expected += len(groups.get("R3", []))
+    expected = owner_check_count(liveness_entry.tracker, "R3")
     assert liveness_entry.last_result.checks_consulted == expected
     assert liveness_entry.last_result.report.passed
     # Both match fresh pipelines on the edited config.
@@ -369,64 +364,9 @@ def test_save_load_liveness_on_fullmesh(tmp_path):
     edited = full_mesh_single_router_edit(n)  # edits R5, off the path
     loaded.apply(edited)
     (entry,) = loaded.reverify()
-    tracker = entry.tracker
-    expected = sum(
-        len(groups.get(f"R{n}", [])) for groups in tracker._sub_groups.values()
-    )
+    expected = owner_check_count(entry.tracker, f"R{n}")
     assert expected > 0
     assert entry.last_result.checks_consulted == expected
     assert _report_fp(entry.last_result.report) == _report_fp(
         verify_liveness(edited, prop)
     )
-
-
-# ---------------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------------
-
-
-def test_lightyear_verify_safety_warns_and_delegates(fig1_config, from_isp1):
-    engine = Lightyear(fig1_config, ghosts=(from_isp1,))
-    with pytest.warns(DeprecationWarning, match="Workspace.verify"):
-        report = engine.verify_safety(
-            no_transit_property(), no_transit_invariants(fig1_config)
-        )
-    assert report.passed
-    # The engine's stats/sessions are the underlying workspace's.
-    assert engine.stats is engine.workspace.stats
-    assert engine.sessions is engine.workspace.sessions
-
-
-def test_lightyear_verify_liveness_warns_and_delegates(fig1_config, from_isp1):
-    engine = Lightyear(fig1_config, ghosts=(from_isp1,))
-    with pytest.warns(DeprecationWarning, match="Workspace.verify"):
-        report = engine.verify_liveness(customer_liveness_property())
-    assert report.passed
-
-
-def test_incremental_verifier_warns_and_matches_workspace(fig1_config, from_isp1):
-    with pytest.warns(DeprecationWarning, match="Workspace"):
-        verifier = IncrementalVerifier(
-            fig1_config,
-            no_transit_property(),
-            no_transit_invariants(fig1_config),
-            ghosts=(from_isp1,),
-        )
-    initial = verifier.verify()
-    result = verifier.reverify(_edit_r3(build_figure1()))
-
-    ws = Workspace(build_figure1(), ghosts=(from_isp1,))
-    ws.verify(no_transit_property(), no_transit_invariants(fig1_config))
-    ws.apply(_edit_r3(build_figure1()))
-    (entry,) = ws.reverify()
-    assert initial.rerun_checks == 19
-    assert result.checks_consulted == entry.last_result.checks_consulted == 6
-    assert _report_fp(result.report) == _report_fp(entry.last_result.report)
-
-
-def test_incremental_liveness_verifier_warns(fig1_config):
-    with pytest.warns(DeprecationWarning, match="Workspace"):
-        verifier = IncrementalLivenessVerifier(
-            fig1_config, customer_liveness_property()
-        )
-    assert verifier.verify().report.passed

@@ -2,15 +2,15 @@
 
 These tests mirror the paper's tables row by row: the user-provided rows
 (property, invariants, path constraints) are built exactly as printed, and
-the generated rows are exercised through the engine.
+the generated rows are exercised through a :class:`Workspace`.
 """
 
 from __future__ import annotations
 
 from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind, generate_safety_checks
-from repro.core.engine import Lightyear
 from repro.core.liveness import generate_propagation_checks, interference_properties
+from repro.core.workspace import Workspace
 from repro.lang.ghost import GhostAttribute
 from repro.workloads.figure1 import build_figure1
 
@@ -21,17 +21,17 @@ from tests.core.conftest import (
 )
 
 
-def _engine():
+def _workspace():
     config = build_figure1()
     ghost = GhostAttribute.source_tracker(
         "FromISP1", config.topology, [Edge("ISP1", "R1")]
     )
-    return Lightyear(config, ghosts=(ghost,)), config
+    return Workspace(config, ghosts=(ghost,)), config
 
 
 def test_table2_complete_walkthrough():
-    engine, config = _engine()
-    report = engine.verify_safety(no_transit_property(), no_transit_invariants(config))
+    workspace, config = _workspace()
+    report = workspace.verify(no_transit_property(), no_transit_invariants(config))
     assert report.passed
 
     # Table 2's generated-check rows: the ISP1->R1 import establishes the
@@ -56,9 +56,9 @@ def test_table2_complete_walkthrough():
 
 
 def test_table3_complete_walkthrough():
-    engine, config = _engine()
+    workspace, config = _workspace()
     prop = customer_liveness_property()
-    report = engine.verify_liveness(prop)
+    report = workspace.verify(prop)
     assert report.passed
 
     # Table 3's propagation rows.
@@ -80,15 +80,15 @@ def test_both_bugs_from_section2_are_found():
     ghost = GhostAttribute.source_tracker(
         "FromISP1", config.topology, [Edge("ISP1", "R1")]
     )
-    engine = Lightyear(config, ghosts=(ghost,))
-    report = engine.verify_safety(no_transit_property(), no_transit_invariants(config))
+    report = Workspace(config, ghosts=(ghost,)).verify(
+        no_transit_property(), no_transit_invariants(config)
+    )
     assert not report.passed
     assert {f.blamed_router for f in report.failures} == {"R1"}
 
     # Bug 2: R3 forgets to strip communities -> liveness fails at R3.
     config2 = build_figure1(buggy_r3_strip=True)
-    engine2 = Lightyear(config2)
-    report2 = engine2.verify_liveness(customer_liveness_property())
+    report2 = Workspace(config2).verify(customer_liveness_property())
     assert not report2.passed
     blamed = {f.blamed_router for f in report2.failures}
     assert "R3" in blamed

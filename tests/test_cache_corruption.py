@@ -106,8 +106,8 @@ def test_future_format_raises_cache_error(tmp_path):
 
 
 def test_previous_format_raises_cache_error(tmp_path):
-    # A format-2 cache (pre solver-state) must be rejected readably, not
-    # loaded with the solver-state section silently missing.
+    # The previous format (two tracker state shapes) must be rejected
+    # readably, never loaded into the current layout.
     target = tmp_path / "workspace.lyc"
     target.write_bytes(pickle.dumps({"format": CACHE_FORMAT - 1}))
     with pytest.raises(WorkspaceCacheError, match="format"):
@@ -232,3 +232,13 @@ def test_cli_corrupt_cache_exits_2(cli_setup, capsys, damage):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_cli_previous_format_cache_exits_2(cli_setup, capsys):
+    s = cli_setup
+    s["cache_file"].parent.mkdir()
+    s["cache_file"].write_bytes(pickle.dumps({"format": CACHE_FORMAT - 1}))
+    assert main(["verify", s["base"], s["spec"], "--cache", s["cache"]]) == 2
+    err = capsys.readouterr().err
+    assert f"has format {CACHE_FORMAT - 1}" in err
+    assert "delete it and rerun" in err
