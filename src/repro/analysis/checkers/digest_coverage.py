@@ -16,11 +16,9 @@ not by ``NetworkConfig`` itself).  The cross-file union is class-blind
 zero-configuration coverage of exactly the historical failure shape: a
 field nobody's digest reads anywhere.
 
-A class is digest-bearing when it defines a method whose name looks like
-a digest (``digest``/``fingerprint``/``canonical``/``_fp``) *and* that
-method reads at least one public ``self`` attribute — a property
-exposing private solver state (``CheckSession.preamble_digest``) is not
-a content fingerprint of the object's fields.
+A class is digest-bearing when it defines a (non-static) method whose
+name looks like a digest (``digest``/``fingerprint``/``canonical``/
+``_fp``).
 """
 
 from __future__ import annotations
@@ -105,7 +103,7 @@ class DigestCoverageChecker(Checker):
         "every public field of a digest-bearing class must be consumed by "
         "some digest computation (the external_asns bug class)"
     )
-    version = 1
+    version = 2
 
     def extract(self, tree: ast.AST, source: str, path: str):
         classes = []
@@ -126,20 +124,16 @@ class DigestCoverageChecker(Checker):
                 and is_digest_name(stmt.name)
                 and not _is_staticmethod(stmt)
             ]
-            self_covered: set[str] = set()
-            bearing_methods: list[str] = []
-            for method in digest_methods:
-                reads = _self_reads(method)
-                if any(not attr.startswith("_") for attr in reads):
-                    bearing_methods.append(method.name)
-                    self_covered |= reads
-            if not bearing_methods:
+            if not digest_methods:
                 continue
+            self_covered: set[str] = set()
+            for method in digest_methods:
+                self_covered |= _self_reads(method)
             classes.append(
                 {
                     "name": node.name,
                     "line": node.lineno,
-                    "methods": bearing_methods,
+                    "methods": [method.name for method in digest_methods],
                     "fields": _class_fields(node),
                     "self_covered": sorted(self_covered),
                 }

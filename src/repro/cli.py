@@ -73,7 +73,6 @@ from repro.bgp.configparse import parse_config
 from repro.core.report import format_report
 from repro.core.workspace import Workspace, WorkspaceCacheMismatch
 from repro.lang.specjson import spec_from_json
-from repro.smt.solver import set_solver_reuse_enabled, solver_reuse_enabled
 
 CACHE_FILENAME = "workspace.lyc"
 
@@ -237,21 +236,7 @@ def _consulted_line(result, label: str = "reverify") -> str:
     )
 
 
-def _apply_solver_reuse_flag(args: argparse.Namespace) -> None:
-    """Honour ``--no-solver-reuse`` before any session or pool exists.
-
-    Sessions snapshot the flag at construction and it is shipped to
-    worker processes with the problem context, so setting it here
-    switches warm-start end to end: pre-asserted fragments, learnt
-    retention, and cache seeds.  Set unconditionally so repeated
-    in-process ``main()`` calls (tests) do not inherit a previous
-    invocation's flag.
-    """
-    set_solver_reuse_enabled(not getattr(args, "no_solver_reuse", False))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _apply_solver_reuse_flag(args)
     config = _load_config(args.config)
     spec = spec_from_json(Path(args.spec).read_text())
     ghosts = spec.build_ghosts(config.topology)
@@ -316,7 +301,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_reverify(args: argparse.Namespace) -> int:
     from repro.bgp.configdiff import diff_configs
 
-    _apply_solver_reuse_flag(args)
     base = _load_config(args.base)
     edited = _load_config(args.edited)
     problems_found = edited.validate()
@@ -387,16 +371,6 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
             print(_consulted_line(result))
             print()
             reports.append(result.report)
-        if loaded and solver_reuse_enabled():
-            # Warm-start observability: what the cache restored and how
-            # much of it the reverify actually imported (a digest mismatch
-            # after an invasive edit legitimately imports less).
-            imported = workspace.sessions.stats()["learnts_imported"]
-            print(
-                f"solver reuse: restored {workspace.restored_learnts} learnt "
-                f"clauses for {workspace.restored_learnt_owners} owners; "
-                f"{imported} imported into sessions"
-            )
     return _reports_exit_code(reports)
 
 
@@ -411,6 +385,41 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         for change in diff.details[router]:
             print(f"  {router}: {change}")
     return 0 if diff.is_empty else 1
+
+
+def _add_run_options(
+    parser: argparse.ArgumentParser, wall_budget_help: str, cache_help: str
+) -> None:
+    """The execution options ``verify`` and ``reverify`` share; only the
+    two help strings that genuinely differ are parameters."""
+    parser.add_argument(
+        "--jobs",
+        type=_parse_jobs,
+        default=None,
+        metavar="N",
+        help="worker processes for checks: a count or 'auto' (= available "
+        "CPUs); omitted or 1 runs serially",
+    )
+    parser.add_argument(
+        "--budget", type=int, default=None, help="per-check SAT conflict budget"
+    )
+    parser.add_argument(
+        "--deadline",
+        type=_parse_seconds,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock cap per check; a check that exceeds it is reported "
+        "UNKNOWN (deadline exceeded) instead of hanging the run",
+    )
+    parser.add_argument(
+        "--wall-budget",
+        type=_parse_seconds,
+        default=None,
+        metavar="SECONDS",
+        help=wall_budget_help,
+    )
+    parser.add_argument("--cache", metavar="DIR", default=None, help=cache_help)
+    parser.add_argument("--verbose", action="store_true")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -432,48 +441,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify properties from a spec file")
     p_verify.add_argument("config", help="configuration file (.txt dialect or .json)")
     p_verify.add_argument("spec", help="JSON verification spec")
-    p_verify.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=None,
-        metavar="N",
-        help="worker processes for checks: a count or 'auto' (= available "
-        "CPUs); omitted or 1 runs serially",
+    _add_run_options(
+        p_verify,
+        wall_budget_help="wall-clock cap for the whole invocation; once spent, "
+        "remaining checks are reported UNKNOWN (wall budget exhausted) and the "
+        "partial results are printed",
+        cache_help="persist the outcome cache in DIR; a later verify/reverify "
+        "of the same config+spec loads it instead of re-verifying",
     )
-    p_verify.add_argument(
-        "--budget", type=int, default=None, help="per-check SAT conflict budget"
-    )
-    p_verify.add_argument(
-        "--deadline",
-        type=_parse_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock cap per check; a check that exceeds it is reported "
-        "UNKNOWN (deadline exceeded) instead of hanging the run",
-    )
-    p_verify.add_argument(
-        "--wall-budget",
-        type=_parse_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock cap for the whole invocation; once spent, remaining "
-        "checks are reported UNKNOWN (wall budget exhausted) and the partial "
-        "results are printed",
-    )
-    p_verify.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="persist the outcome cache in DIR; a later verify/reverify of "
-        "the same config+spec loads it instead of re-verifying",
-    )
-    p_verify.add_argument(
-        "--no-solver-reuse",
-        action="store_true",
-        help="disable solver warm-start (shared-fragment pre-assertion and "
-        "learnt-clause reuse); escape hatch for debugging or A/B timing",
-    )
-    p_verify.add_argument("--verbose", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_diff = sub.add_parser("diff", help="compare two configurations")
@@ -488,47 +463,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p_rev.add_argument("base", help="base configuration (.txt dialect or .json)")
     p_rev.add_argument("edited", help="edited configuration (same topology)")
     p_rev.add_argument("spec", help="JSON verification spec")
-    p_rev.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=None,
-        metavar="N",
-        help="worker processes for checks: a count or 'auto' (= available "
-        "CPUs); omitted or 1 runs serially",
+    _add_run_options(
+        p_rev,
+        wall_budget_help="wall-clock cap for the whole invocation (base run "
+        "plus reverify); once spent, remaining checks are reported UNKNOWN",
+        cache_help="persist the BASE outcome cache in DIR; later invocations "
+        "load it, skip the base run, and consult only the edited owners' checks",
     )
-    p_rev.add_argument(
-        "--budget", type=int, default=None, help="per-check SAT conflict budget"
-    )
-    p_rev.add_argument(
-        "--deadline",
-        type=_parse_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock cap per check; a check that exceeds it is reported "
-        "UNKNOWN (deadline exceeded) instead of hanging the run",
-    )
-    p_rev.add_argument(
-        "--wall-budget",
-        type=_parse_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock cap for the whole invocation (base run plus "
-        "reverify); once spent, remaining checks are reported UNKNOWN",
-    )
-    p_rev.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="persist the BASE outcome cache in DIR; later invocations load "
-        "it, skip the base run, and consult only the edited owners' checks",
-    )
-    p_rev.add_argument(
-        "--no-solver-reuse",
-        action="store_true",
-        help="disable solver warm-start (shared-fragment pre-assertion and "
-        "learnt-clause reuse), including cache-restored learnt clauses",
-    )
-    p_rev.add_argument("--verbose", action="store_true")
     p_rev.set_defaults(func=_cmd_reverify)
 
     p_lint = sub.add_parser(

@@ -321,37 +321,18 @@ def group_checks_by_owner(
 
 
 def prepare_session(
-    session: "smt.CheckSession",
-    universe: AttributeUniverse,
-    checks: "list[LocalCheck] | tuple[LocalCheck, ...]" = (),
+    session: "smt.CheckSession", universe: AttributeUniverse
 ) -> None:
-    """Install the warm-start preamble shared by an owner's checks.
+    """Pre-assert the symbolic route's well-formedness into ``session``.
 
-    Asserts the symbolic route's well-formedness constraint once into the
-    session's clause DB — every filter and implication check includes it,
-    so it is sound to pre-assert, and each check then skips it as an
+    Every filter and implication check over ``universe`` includes that
+    constraint among its assertions, so asserting it once into the
+    session's clause DB is sound, and each check then skips it as an
     assumption (originate checks use constant, variable-disjoint routes
-    and are unaffected).  The invariant predicates the checks assume (and,
-    for implications, conclude) are *primed*: Tseitin-encoded without
-    being asserted, enlarging the digested region so learnt clauses over
-    them survive export (:meth:`repro.smt.CheckSession.export_learnts`).
-
-    The preamble depends only on the universe, topology, and invariants —
-    never on a check's transfer-function encoding — so two runs over an
-    unchanged owner produce identical preambles and their digests match.
-    No-op on sessions built with solver reuse disabled.
+    and are unaffected).  Idempotent: :meth:`repro.smt.CheckSession.prepare`
+    ignores conjuncts it has already asserted.
     """
-    if not session.reuse_enabled:
-        return
-    route = SymbolicRoute.fresh("r", universe)
-    prime = []
-    for check in checks:
-        if check.kind is CheckKind.ORIGINATE:
-            continue
-        prime.append(predicate_term(check.assumption, route))
-        if check.kind is CheckKind.IMPLICATION:
-            prime.append(predicate_term(check.goal, route))
-    session.prepare(shared=(route.well_formed(),), prime=prime)
+    session.prepare(shared=(SymbolicRoute.fresh("r", universe).well_formed(),))
 
 
 def _merge_stats(a: SolverStats, b: SolverStats) -> SolverStats:

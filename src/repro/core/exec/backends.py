@@ -6,9 +6,9 @@ it yields outcomes in request order.  There are exactly two ways to run
 one:
 
 * :class:`SerialBackend` — in-process, one shared
-  :class:`~repro.smt.solver.CheckSession` per owner router, with
-  warm-start seed import on first touch.  The default, and the path a
-  failed process map degrades to.
+  :class:`~repro.smt.solver.CheckSession` per owner router, drawn from
+  the caller's pool so encodings persist across batches.  The default,
+  and the path a failed process map degrades to.
 * :func:`repro.core.exec.pool.run_checks_in_processes` — the paper's
   deployment model, reached by ``--jobs N`` / ``parallel=N``: checks
   chunked by owner router and mapped over a per-batch pool of worker
@@ -27,7 +27,6 @@ from repro.core.checks import (
     CheckOutcome,
     LocalCheck,
     check_owner,
-    group_checks_by_owner,
     prepare_session,
     skipped_outcome,
 )
@@ -106,29 +105,22 @@ class SerialBackend:
     ) -> list[CheckOutcome]:
         """Discharge one group serially; sessions persist on the pool.
 
-        Preparation is group-granular: the first touch of an owner's
-        session within a group installs the shared preamble for that
-        group's checks and imports any pending warm-start seed —
-        reproducing the legacy per-``run_checks``-call behavior, where a
-        group was exactly one call's batch.
+        The first touch of an owner's session within a group pre-asserts
+        the route's well-formedness for the request's universe
+        (:func:`~repro.core.checks.prepare_session`; idempotent, so later
+        groups over the same universe add nothing).
         """
-        checks = list(group.checks)
-        owner_groups = group_checks_by_owner(checks)
         prepared: set[int] = set()
         outcomes: list[CheckOutcome] = []
-        for check in checks:
+        for check in group.checks:
             if request.expired():
                 outcomes.append(skipped_outcome(check, "wall-budget"))
                 continue
             effective = request.effective_deadline()
-            owner = check_owner(check)
-            session = self.sessions.get(owner)
+            session = self.sessions.get(check_owner(check))
             if id(session) not in prepared:
-                # First touch of this session in this group: install the
-                # shared preamble and import any pending warm-start seed.
                 prepared.add(id(session))
-                prepare_session(session, request.universe, owner_groups[owner])
-                self.sessions.try_seed(owner, session)
+                prepare_session(session, request.universe)
             outcomes.append(
                 check.run(
                     request.config,

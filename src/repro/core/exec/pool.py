@@ -31,11 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.checks import check_owner, prepare_session, skipped_outcome
 from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
-from repro.smt.solver import (
-    CheckSession,
-    set_solver_reuse_enabled,
-    solver_reuse_enabled,
-)
+from repro.smt.solver import CheckSession
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -58,7 +54,6 @@ def _init_worker(
     cache_enabled: bool,
     deadline_s: float | None,
     run_deadline: float | None,
-    solver_reuse: bool,
     fault_plan: "faults.FaultPlan | None",
 ) -> None:
     global _WORKER_CONTEXT
@@ -70,9 +65,6 @@ def _init_worker(
     # pickle usefully), but a cache-off differential run must stay cache-off
     # end to end.
     set_transfer_cache_enabled(cache_enabled)
-    # Likewise the solver warm-start switch: sessions snapshot it at
-    # construction, so it must be set before any session exists.
-    set_solver_reuse_enabled(solver_reuse)
     # The parent's fault plan, shipped rather than inherited so injection
     # does not depend on the start method (fork copies it, spawn would not).
     faults.install(fault_plan)
@@ -103,7 +95,7 @@ def _run_chunk(
             effective = remaining if effective is None else min(effective, remaining)
         if session is None:
             session = CheckSession()
-            prepare_session(session, universe, [c for __, c in indexed_checks])
+            prepare_session(session, universe)
         pairs.append(
             (
                 index,
@@ -165,7 +157,7 @@ def run_checks_in_processes(
             initargs=(
                 config, universe, ghosts, conflict_budget,
                 transfer_cache_enabled(), deadline_s, run_deadline,
-                solver_reuse_enabled(), faults.active_plan(),
+                faults.active_plan(),
             ),
         )
         try:

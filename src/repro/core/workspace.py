@@ -27,18 +27,16 @@ The one-shot functions are the reference the tracker is differentially
 tested against (incremental ≡ full ≡ cache-loaded).
 
 **On-disk outcome cache.**  ``save(path)`` persists the digests, check
-lists, and outcomes of every tracker — plus the per-owner solver state
-(kept learnt clauses with their preamble digests), so a later invocation
-warm-starts the *solver*, not just the outcome table — in a versioned
-file keyed by a config+spec fingerprint; ``Workspace.load(path,
-config=...)`` restores them in a fresh process.  A second ``lightyear
-reverify --cache DIR`` invocation thus skips the base run entirely,
-consults only the edited owners' checks, and re-solves them against the
-clauses the base run learned.  A cache whose fingerprint does not match
-the offered configuration or spec is rejected with
-:class:`WorkspaceCacheMismatch`; restored learnt clauses are additionally
-guarded by a content digest per owner session, so a divergent clause
-database refuses the transplant (counted, never unsound).  Outcomes that
+lists, and outcomes of every tracker — results only, never solver state —
+in a versioned file keyed by a config+spec fingerprint and sealed by a
+SHA-256 of the whole payload; ``Workspace.load(path, config=...)``
+restores them in a fresh process.  A second ``lightyear reverify --cache
+DIR`` invocation thus skips the base run entirely and consults only the
+edited owners' checks, on freshly built sessions.  A file whose payload
+digest does not match is rejected as corrupt before anything in it is
+used (one flipped bit could otherwise turn a cached FAILED into PASSED);
+a cache whose fingerprint does not match the offered configuration or
+spec is rejected with :class:`WorkspaceCacheMismatch`.  Outcomes that
 are UNKNOWN only because a run ran out of *time* (``deadline_s``,
 ``wall_budget_s`` — neither is part of the fingerprint) are saved for the
 record but never reused: the next run re-runs their groups.
@@ -52,7 +50,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable
 
 from repro.bgp.config import NetworkConfig
 from repro.core.exec import ExecutionContext
@@ -69,7 +67,6 @@ from repro.core.report import VerificationReport
 from repro.core.safety import SafetyProblem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
-from repro.smt.solver import solver_reuse_enabled
 
 
 # Bump whenever the pickled cache layout changes; a loader never guesses.
@@ -79,7 +76,10 @@ from repro.smt.solver import solver_reuse_enabled
 # (kept learnt clauses keyed by preamble digest) for solver warm-start.
 # Format 4: one tracker state shape for both property kinds (sectioned
 # ``checks``/``outcomes`` owner indexes, ``time_bound`` group keys).
-CACHE_FORMAT = 4
+# Format 5: the solver-state section is gone (nothing solver-side is
+# persisted) and a SHA-256 of the whole pickle follows it in the file.
+CACHE_FORMAT = 5
+_DIGEST_LEN = hashlib.sha256().digest_size
 
 # Entry kind -> the problem builder ``load`` rebuilds a tracker's problem
 # with, from the persisted ``(prop, invariants)``.
@@ -205,6 +205,24 @@ def _topology_fp(config: NetworkConfig) -> tuple[object, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _payload_digest(handle: BinaryIO, length: int) -> bytes:
+    """SHA-256 of the first ``length`` bytes of ``handle``.
+
+    Read in chunks: a multi-megabyte cache is never held as one ``bytes``
+    next to the object graph it unpickles into.  Leaves ``handle``
+    positioned at ``length``.
+    """
+    sha = hashlib.sha256()
+    handle.seek(0)
+    while length > 0:
+        chunk = handle.read(min(length, 1 << 20))
+        if not chunk:
+            break
+        sha.update(chunk)
+        length -= len(chunk)
+    return sha.digest()
+
+
 class Workspace(ExecutionContext):
     """One verification session over one network configuration.
 
@@ -263,12 +281,6 @@ class Workspace(ExecutionContext):
         self.ghosts = tuple(ghosts)
         self.stats = WorkspaceStats()
         self._entries: list[WorkspaceEntry] = []
-        # Solver warm-start restore counters (set by load()): learnt
-        # clauses and distinct owners restored from the cache's
-        # solver-state section.  Actual imports happen lazily at the next
-        # run and are counted on the sessions/pools themselves.
-        self.restored_learnts = 0
-        self.restored_learnt_owners = 0
 
     def __enter__(self) -> "Workspace":
         return self
@@ -480,35 +492,15 @@ class Workspace(ExecutionContext):
 
     # -- persistence ---------------------------------------------------
 
-    def _solver_state(self) -> dict[str, Any]:
-        """Per-owner learnt exports from the session pool this run used.
-
-        Sessions themselves are not picklable (term interning makes their
-        encodings process-local); what persists is the digest-guarded
-        learnt-clause export, replayable into a deterministically rebuilt
-        session.  Sources, freshest last: seeds loaded but never consumed,
-        then the session pool's exports.  Empty when solver reuse is
-        disabled.
-        """
-        if not solver_reuse_enabled():
-            return {}
-        solver_state: dict[str, Any] = dict(self.sessions.seeds)
-        solver_state.update(self.sessions.export_learnts())
-        return solver_state
-
     def save(self, path: str | os.PathLike[str]) -> None:
-        """Persist digests, check lists, outcomes, and solver state to ``path``.
+        """Persist digests, check lists and outcomes to ``path``.
 
         The file is versioned and fingerprinted by configuration digests,
         ghost definitions, and the registered spec; :meth:`load` refuses a
-        mismatch.  Solver *sessions* are not persisted (their encodings are
-        process-local); instead the per-owner learnt-clause exports ride
-        along as an integrity-checked blob, and :meth:`load` stages them as
-        seeds the next run imports — or refuses on a digest mismatch.
+        mismatch.  Nothing solver-side is persisted (session encodings are
+        process-local).  The pickle is followed by its SHA-256, which
+        :meth:`load` checks before using anything in the file.
         """
-        solver_blob = pickle.dumps(
-            self._solver_state(), protocol=pickle.HIGHEST_PROTOCOL
-        )
         state = {
             "format": CACHE_FORMAT,
             "config_digests": config_digests(self.config),
@@ -520,11 +512,6 @@ class Workspace(ExecutionContext):
                 {"kind": entry.kind, "state": entry.tracker.state_dict()}
                 for entry in self._entries
             ],
-            # Stored as pre-pickled bytes plus a content hash: a byte flip
-            # inside the blob would otherwise unpickle into a *valid* but
-            # wrong clause list and be injected silently.
-            "solver_state": solver_blob,
-            "solver_state_sha": hashlib.sha256(solver_blob).hexdigest(),
         }
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -534,8 +521,9 @@ class Workspace(ExecutionContext):
             dir=str(target.parent), prefix=target.name, suffix=".tmp"
         )
         try:
-            with os.fdopen(fd, "wb") as handle:
+            with os.fdopen(fd, "w+b") as handle:
                 pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(_payload_digest(handle, handle.tell()))
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -567,6 +555,9 @@ class Workspace(ExecutionContext):
         """
         try:
             with open(path, "rb") as handle:
+                payload_len = os.fstat(handle.fileno()).st_size - _DIGEST_LEN
+                intact = _payload_digest(handle, payload_len) == handle.read()
+                handle.seek(0)
                 state = pickle.load(handle)
         except OSError as exc:
             raise WorkspaceCacheError(f"cannot read workspace cache: {exc}") from exc
@@ -583,10 +574,17 @@ class Workspace(ExecutionContext):
                 f"workspace cache at {path} has format {state['format']}, "
                 f"this build reads format {CACHE_FORMAT}; delete it and rerun"
             )
-        # Everything below interprets untrusted on-disk structure: a
-        # corrupt-but-unpicklable payload fails above, but a bit flip can
-        # also yield a *valid* pickle with the wrong shape, and the caller
-        # must see WorkspaceCacheError, never a raw KeyError/TypeError.
+        # Up to here only ``format`` was read, to tell an older build's
+        # digest-less file from a damaged one.  A flipped bit can leave a
+        # *valid* pickle with a different verdict inside, so nothing else
+        # is used unless the payload digest holds.
+        if not intact:
+            raise WorkspaceCacheError(
+                f"workspace cache at {path} is corrupt: payload digest mismatch"
+            )
+        # An intact file of this format can still have the wrong shape
+        # (written by a diverged build); the caller must see
+        # WorkspaceCacheError, never a raw KeyError/TypeError.
         try:
             if config is None:
                 config = state["config"]
@@ -641,38 +639,6 @@ class Workspace(ExecutionContext):
                         tracker=tracker,
                     )
                 )
-            # Solver warm-start section: verify integrity, then stage the
-            # per-owner learnt exports as session seeds.  The next run
-            # imports each seed iff its preamble digest still matches the
-            # deterministically rebuilt clause DB.
-            blob = state["solver_state"]
-            sha = state["solver_state_sha"]
-            if (
-                not isinstance(blob, bytes)
-                or hashlib.sha256(blob).hexdigest() != sha
-            ):
-                raise WorkspaceCacheError(
-                    f"workspace cache at {path} is corrupt: solver-state "
-                    f"integrity check failed"
-                )
-            try:
-                solver_state = pickle.loads(blob)
-            except Exception as exc:
-                raise WorkspaceCacheError(
-                    f"workspace cache at {path} is corrupt: solver-state "
-                    f"section failed to load: {exc!r}"
-                ) from exc
-            if not isinstance(solver_state, dict):
-                raise WorkspaceCacheError(
-                    f"workspace cache at {path} is corrupt: solver-state "
-                    f"section has the wrong shape"
-                )
-            if solver_reuse_enabled():
-                for owner, export in solver_state.items():
-                    digest, clauses = export
-                    workspace.sessions.seed(owner, digest, clauses)
-                    workspace.restored_learnts += len(clauses)
-                workspace.restored_learnt_owners = len(solver_state)
         except WorkspaceCacheError:
             raise
         except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:

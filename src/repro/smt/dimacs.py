@@ -7,9 +7,7 @@ can be dumped for cross-checking against a reference solver, and standard
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from repro.smt.sat import SatSolver
 
@@ -90,33 +88,6 @@ def to_dimacs(num_vars: int, clauses: list[list[int]], comment: str = "") -> str
     for clause in clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def cnf_digest(
-    num_vars: int,
-    clauses: Iterable[Sequence[int]],
-    units: Iterable[int] = (),
-) -> str:
-    """Stable fingerprint of a CNF: variable count, clause set, root units.
-
-    Clause order and the in-clause literal order are normalised away (the
-    solver permutes watched literals in place), so two solvers that were
-    fed the same clauses in the same encoding compare equal regardless of
-    search history.  Works on any consistent integer literal
-    representation — external DIMACS literals and the solver's internal
-    2v/2v+1 codes alike, as long as both sides use the same one.
-    """
-    h = hashlib.sha256()
-    h.update(str(num_vars).encode())
-    h.update(b"|")
-    for clause in sorted(tuple(sorted(c)) for c in clauses):
-        h.update(",".join(str(l) for l in clause).encode())
-        h.update(b";")
-    h.update(b"|")
-    for lit in sorted(units):
-        h.update(str(lit).encode())
-        h.update(b";")
-    return h.hexdigest()
 
 
 def export_solver(solver: SatSolver, comment: str = "") -> str:

@@ -1,6 +1,6 @@
 """Cache-format fixture: persisted shapes changed, CACHE_FORMAT did not.
 
-Relative to v1: the save-state dict gains ``solver_state``, the tracker
+Relative to v1: the save-state dict gains ``side_table``, the tracker
 state gains ``learnts``, and ``Payload`` gains a field — all without a
 format bump.  Every one of these is the historical bug.
 """
@@ -35,7 +35,7 @@ class Store:
         state = {
             "format": CACHE_FORMAT,
             "tracker": self.state_dict(),
-            "solver_state": b"",
+            "side_table": b"",
         }
         with open(path, "wb") as handle:
             pickle.dump(state, handle)

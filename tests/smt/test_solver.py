@@ -224,3 +224,24 @@ def _brute_force_satisfiable(term) -> bool:
             if model.eval_bool(term):
                 return True
     return False
+
+
+def test_model_evaluates_chain_deeper_than_the_recursion_limit():
+    import sys
+
+    from repro.smt.solver import Model
+
+    # The worklist evaluator is the only one: a term chain no recursive
+    # walk could finish must still evaluate, to what Python computes.
+    depth = sys.getrecursionlimit() + 500
+    x = smt.bv_var("deep_x", 16)
+    p = smt.bool_var("deep_p")
+    chain, expected, steps = x, 7, [3, 5, 11]
+    for i in range(depth):
+        step = steps[i % 3]
+        chain = smt.bv_add(smt.bv_xor(chain, smt.bv_const(step, 16)), x)
+        expected = ((expected ^ step) + 7) & 0xFFFF
+    model = Model({p: True}, {x: 7})
+    assert model.eval_bv(chain) == expected
+    guarded = smt.and_(p, smt.bv_eq(chain, smt.bv_const(expected, 16)))
+    assert model.eval_bool(guarded) is True

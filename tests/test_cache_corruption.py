@@ -6,13 +6,17 @@ a readable message.
 Corruption is injected byte-by-byte with the fault harness's
 :func:`repro.testing.faults.corrupt_file` / :func:`truncate_file`, so
 the loader's hardening is asserted at many positions (header, middle,
-tail), not just for an unreadable file.
+tail), not just for an unreadable file — and at every pickled boolean,
+where one flipped bit leaves a *valid* pickle holding the opposite
+verdict that only the whole-payload digest can catch.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
+import pickletools
 import shutil
 from pathlib import Path
 
@@ -28,9 +32,12 @@ from repro.core.workspace import (
     WorkspaceCacheError,
     WorkspaceCacheMismatch,
 )
+from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import TruePred
 from repro.testing.faults import corrupt_file, truncate_file
 from repro.workloads.figure1 import build_figure1
+
+from tests.core.conftest import no_transit_invariants, no_transit_property
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +50,11 @@ def saved_cache(tmp_path_factory):
         ws.verify(prop, ws.invariants())
         ws.save(tmp / "workspace.lyc")
     return tmp / "workspace.lyc", config
+
+
+def _sealed(payload: bytes) -> bytes:
+    """``payload`` in the on-disk layout: the pickle, then its SHA-256."""
+    return payload + hashlib.sha256(payload).digest()
 
 
 def _damaged_copy(saved: Path, tmp_path: Path, damage) -> Path:
@@ -76,6 +88,36 @@ def test_truncation_anywhere_raises_cache_error(saved_cache, tmp_path, keep_frac
         Workspace.load(copy, config=config)
 
 
+def test_flip_of_every_pickled_boolean_raises_cache_error(tmp_path):
+    # The bug this pins: NEWFALSE (0x89) and NEWTRUE (0x88) differ in bit
+    # 0, so one flipped bit turns a cached ``passed=False`` into ``True``
+    # inside a perfectly valid pickle.  Without a digest over the whole
+    # payload such a file loaded and a reverify reported PASSED.
+    config = build_figure1(buggy_r1_tagging=True)
+    ghost = GhostAttribute.source_tracker(
+        "FromISP1", config.topology, [Edge("ISP1", "R1")]
+    )
+    saved = tmp_path / "src" / "workspace.lyc"
+    with Workspace(config, ghosts=(ghost,)) as ws:
+        report = ws.verify(no_transit_property(), no_transit_invariants(config))
+        assert not report.passed
+        ws.save(saved)
+    offsets = [
+        pos
+        for opcode, __, pos in pickletools.genops(saved.read_bytes())
+        if opcode.name in ("NEWTRUE", "NEWFALSE")
+    ]
+    assert len(offsets) > 10
+    for offset in offsets:
+        copy = _damaged_copy(saved, tmp_path, lambda p: corrupt_file(p, offset, 0x01))
+        with pytest.raises(WorkspaceCacheError, match="digest"):
+            Workspace.load(copy, config=config, ghosts=(ghost,))
+    # The undamaged file still loads and still reports the failure.
+    with Workspace.load(saved, config=config, ghosts=(ghost,)) as ws:
+        (entry,) = ws.reverify()
+        assert not entry.last_result.report.passed
+
+
 def test_unreadable_path_raises_cache_error(tmp_path):
     with pytest.raises(WorkspaceCacheError, match="cannot read"):
         Workspace.load(tmp_path / "does-not-exist.lyc")
@@ -90,12 +132,23 @@ def test_valid_pickle_wrong_shape_raises_cache_error(tmp_path):
 
 
 def test_valid_pickle_missing_keys_raises_cache_error(tmp_path):
-    # Parses, has a format field, but the payload shape is wrong: the
+    # Intact, has a format field, but the payload shape is wrong: the
     # loader's interpretation hardening must wrap the KeyError.
     target = tmp_path / "workspace.lyc"
-    target.write_bytes(pickle.dumps({"format": CACHE_FORMAT}))
-    with pytest.raises(WorkspaceCacheError, match="corrupt"):
+    target.write_bytes(_sealed(pickle.dumps({"format": CACHE_FORMAT})))
+    with pytest.raises(WorkspaceCacheError, match="corrupt.*KeyError"):
         Workspace.load(target)
+
+
+def test_current_format_without_digest_raises_cache_error(saved_cache, tmp_path):
+    # A file of this format whose trailing digest is missing (here: cut
+    # off exactly) is damaged, however well its pickle loads.
+    saved, config = saved_cache
+    payload_len = saved.stat().st_size - hashlib.sha256().digest_size
+    copy = _damaged_copy(saved, tmp_path, lambda p: truncate_file(p, payload_len))
+    pickle.loads(copy.read_bytes())  # the pickle itself is whole
+    with pytest.raises(WorkspaceCacheError, match="digest"):
+        Workspace.load(copy, config=config)
 
 
 def test_future_format_raises_cache_error(tmp_path):
@@ -106,78 +159,12 @@ def test_future_format_raises_cache_error(tmp_path):
 
 
 def test_previous_format_raises_cache_error(tmp_path):
-    # The previous format (two tracker state shapes) must be rejected
-    # readably, never loaded into the current layout.
+    # The previous format (no payload digest, a solver section) must be
+    # rejected readably — by its format number, not as "corrupt".
     target = tmp_path / "workspace.lyc"
     target.write_bytes(pickle.dumps({"format": CACHE_FORMAT - 1}))
-    with pytest.raises(WorkspaceCacheError, match="format"):
+    with pytest.raises(WorkspaceCacheError, match=f"has format {CACHE_FORMAT - 1}"):
         Workspace.load(target)
-
-
-# ---------------------------------------------------------------------------
-# Solver-state section: flips inside the pickled blob must be caught
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def solver_state_cache(tmp_path_factory):
-    """A saved cache whose solver-state section is non-trivial."""
-    from repro.smt.solver import SessionPool
-    from repro.workloads.wan import build_wan
-    from repro.workloads.wan_properties import verify_ip_reuse_safety_problems
-
-    tmp = tmp_path_factory.mktemp("solverstate")
-    wan = build_wan(regions=2, routers_per_region=3)
-    pool = SessionPool()
-    verify_ip_reuse_safety_problems(wan, sessions=pool)
-    exports = pool.export_learnts()
-    assert exports, "fixture workload must export learnt clauses"
-
-    config = build_figure1()
-    prop = SafetyProperty(location=Edge("R2", "ISP2"), predicate=TruePred(), name="t")
-    with Workspace(config) as ws:
-        ws.verify(prop, ws.invariants())
-        # Stage real learnt exports so the persisted section has bulk.
-        for key, (digest, clauses) in exports.items():
-            ws.sessions.seed(key, digest, clauses)
-        ws.save(tmp / "workspace.lyc")
-
-    saved = tmp / "workspace.lyc"
-    state = pickle.loads(saved.read_bytes())
-    blob = state["solver_state"]
-    assert len(blob) > 64, "solver-state blob unexpectedly small"
-    offset = saved.read_bytes().index(blob)
-    return saved, config, offset, len(blob)
-
-
-@pytest.mark.parametrize("position", [0.0, 0.25, 0.5, 0.75, 0.999])
-def test_bit_flip_inside_solver_state_raises_cache_error(
-    solver_state_cache, tmp_path, position
-):
-    # The blob is length-prefixed bytes inside the outer pickle, so a flip
-    # inside it can yield a blob that still unpickles "successfully" but
-    # wrongly; the stored sha256 must catch every byte.
-    saved, config, blob_offset, blob_len = solver_state_cache
-    offset = blob_offset + int(blob_len * position)
-    copy = _damaged_copy(saved, tmp_path, lambda p: corrupt_file(p, offset))
-    with pytest.raises(WorkspaceCacheError):
-        Workspace.load(copy, config=config)
-
-
-def test_wrong_shape_solver_state_raises_cache_error(solver_state_cache, tmp_path):
-    # A well-formed pickle of the wrong type in the slot (integrity sha
-    # recomputed to match) exercises the shape check, not the sha check.
-    import hashlib
-
-    saved, config, __, __unused = solver_state_cache
-    state = pickle.loads(saved.read_bytes())
-    blob = pickle.dumps(["not", "a", "dict"])
-    state["solver_state"] = blob
-    state["solver_state_sha"] = hashlib.sha256(blob).hexdigest()
-    target = tmp_path / "workspace.lyc"
-    target.write_bytes(pickle.dumps(state))
-    with pytest.raises(WorkspaceCacheError, match="solver-state"):
-        Workspace.load(target, config=config)
 
 
 def test_mismatch_is_a_cache_error_subtype():
