@@ -81,7 +81,7 @@ def _dotted(expr: ast.expr) -> str | None:
     """A dotted rendering of a call target, or ``None`` if not dotted.
 
     Constructor chains render with a ``()`` marker:
-    ``SerialBackend(x).run`` -> ``SerialBackend().run``.
+    ``Scheduler(x).run`` -> ``Scheduler().run``.
     """
     parts: list[str] = []
     node = expr

@@ -19,8 +19,8 @@ hot-path`` marker, which is how fixtures and future hot modules opt in):
   compares against expiry lets a *negative* remainder flow onward: each
   subsequent check still pays full encoding before its solve notices the
   deadline is in the past.  The fix shape is an explicit short-circuit
-  (``if time.monotonic() >= run_deadline: skip``) before the subtraction
-  is used.
+  (``if remaining <= 0: skip``, or ``if time.monotonic() >= run_deadline:
+  skip`` ahead of the subtraction) before the remainder is used.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ import ast
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, Project, register
 
-#: Hot-path files: the solver core and the execution runtime (the process
-#: transport plus the backends computing per-check deadline remainders;
+#: Hot-path files: the solver core and the execution runtime (the
+#: per-check loop computing deadline remainders and the process map;
 #: the scheduler module opts in via the ``# repro: hot-path`` marker).
 HOT_PATH_SUFFIXES = (
     "repro/smt/sat.py",
     "repro/smt/solver.py",
     "repro/core/exec/pool.py",
-    "repro/core/exec/backends.py",
 )
 
 HOT_PATH_MARKER = "# repro: hot-path"
@@ -227,9 +226,9 @@ class DeadlineDisciplineChecker(Checker):
                                     f"and later work still pays full setup cost"
                                 ),
                                 hint=(
-                                    "short-circuit first: `if time.monotonic() "
-                                    ">= run_deadline: skip` (see repro.core."
-                                    "exec.pool._run_chunk for the pattern)"
+                                    "short-circuit first: `if remaining <= 0: "
+                                    "skip` (see repro.core.exec.pool."
+                                    "run_in_sessions for the pattern)"
                                 ),
                                 symbol=f"{func}:remaining",
                             )

@@ -39,9 +39,9 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, Project, register
 
 #: Types the process map (repro.core.exec.pool) ships — the initializer
-#: context (config, universe, ghosts), the chunked checks, the outcomes
-#: coming back — and types Workspace.save persists (directly or inside
-#: tracker state).
+#: context (config, universe, ghosts, fault plan), the chunked checks, the
+#: outcomes coming back — and types Workspace.save persists (directly or
+#: inside tracker state).
 DEFAULT_ROOTS = (
     "LocalCheck",
     "CheckOutcome",
@@ -49,6 +49,7 @@ DEFAULT_ROOTS = (
     "NetworkConfig",
     "AttributeUniverse",
     "GhostAttribute",
+    "FaultPlan",
     "SafetyProperty",
     "LivenessProperty",
     "InvariantMap",

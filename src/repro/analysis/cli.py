@@ -54,14 +54,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(the ratchet; fresh findings are never adopted and still fail)",
     )
     parser.add_argument(
-        "--jobs",
-        default=None,
-        metavar="N",
-        help="fact-extraction workers: an integer, or 'auto' for one per "
-        "available CPU (default: serial); findings are identical at any "
-        "job count",
-    )
-    parser.add_argument(
         "--manifest",
         default=None,
         metavar="FILE",
@@ -127,7 +119,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         manifest_file=manifest,
         update_manifest=args.update_manifest,
         checker_ids=args.checkers,
-        jobs=args.jobs,
     )
     try:
         result = run_lint(options)

@@ -11,11 +11,9 @@ including composing the project call graph — re-runs every invocation.
 Suppressions and the baseline are applied here, not in checkers, so
 every checker gets both behaviours for free.
 
-Extraction for cache-miss files is dispatched through the exec runtime
-(:mod:`repro.analysis.execution`): one :class:`CheckPlan` over the
-files, discharged serially or by a process pool depending on
-``LintOptions.jobs``.  Facts are reassembled in sorted file order, so
-the job count never changes the findings.
+The package imports nothing from the program it analyses: a syntax
+error anywhere in ``repro`` must surface as a ``parse-error`` finding,
+not as an ``ImportError`` in the linter.
 
 The baseline is a *ratchet*: ``update_baseline`` only ever shrinks it
 (resolved findings are dropped; fresh findings are never adopted and
@@ -36,7 +34,6 @@ from repro.analysis.callgraph import (
     CALLGRAPH_VERSION,
     extract_callgraph_facts,
 )
-from repro.analysis.execution import ExtractionTask, run_extraction
 from repro.analysis.findings import Finding, LintResult, Severity
 from repro.analysis.registry import Checker, Project, all_checkers
 from repro.analysis.suppressions import Suppression, is_suppressed
@@ -56,7 +53,6 @@ class LintOptions:
     manifest_file: Path | None = None
     update_manifest: bool = False
     checker_ids: list[str] | None = None  # None = all registered
-    jobs: int | str | None = None  # None/1 = serial, N or "auto" = processes
 
 
 def discover_files(paths: list[Path]) -> list[Path]:
@@ -94,15 +90,6 @@ def _selected_checkers(options: LintOptions) -> list[Checker]:
 
 
 def run_lint(options: LintOptions) -> LintResult:
-    from repro.core.exec.context import resolve_jobs
-
-    try:
-        resolve_jobs(options.jobs)  # reject bad job counts before any work
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid --jobs value {options.jobs!r}: expected an integer >= 0 "
-            f"or 'auto'"
-        ) from None
     checkers = _selected_checkers(options)
     versions = {checker.id: checker.version for checker in checkers}
     # The engine's call-graph symbol facts ride the same cache entries;
@@ -120,29 +107,21 @@ def run_lint(options: LintOptions) -> LintResult:
     files = discover_files(options.paths or [options.root])
     findings: list[Finding] = []
 
-    # Phase 1: cache lookups; misses become extraction tasks.
-    digests: dict[str, str] = {}
-    tasks: list[ExtractionTask] = []
-    checker_ids = tuple(checker.id for checker in checkers)
+    # Per file, in sorted order: cached facts if the content digest and
+    # checker versions match, else a fresh extraction.
     for file_path in files:
         rel = _relative(file_path, options.root)
         data = file_path.read_bytes()
         digest = content_digest(data)
-        digests[rel] = digest
         facts = cache.lookup(rel, digest, versions)
         if facts is None:
-            tasks.append(ExtractionTask(rel=rel, data=data, checker_ids=checker_ids))
+            facts, parse_findings = extract_file_facts(rel, data, checkers)
+            cache.store(rel, digest, versions, facts)
+            findings.extend(parse_findings)
         else:
             result.files_from_cache += 1
-            project.facts[rel] = facts
+        project.facts[rel] = facts
         result.files_analyzed += 1
-
-    # Phase 2: extraction through the exec runtime (plan -> scheduler ->
-    # backend); outcomes arrive in sorted file order.
-    for outcome in run_extraction(tasks, options.jobs):
-        cache.store(outcome.rel, digests[outcome.rel], versions, outcome.facts)
-        project.facts[outcome.rel] = outcome.facts
-        findings.extend(outcome.findings)
 
     suppression_maps = {
         rel: _suppression_index_from_facts(facts)
@@ -193,8 +172,7 @@ def extract_file_facts(
     the engine's own records (suppression index, call-graph symbols).
 
     Pure with respect to its arguments — no engine state, no
-    filesystem — so it can run in a worker process and ship its result
-    back whole.  Parse errors become findings rather than crashes (lint
+    filesystem.  Parse errors become findings rather than crashes (lint
     must not die on a bad file — that is exactly when it is needed).
     """
     from repro.analysis.suppressions import parse_suppressions

@@ -51,9 +51,9 @@ degradation" section.  ``lint`` exits 0 clean, 1 on fresh findings (or
 resolved baseline entries pending a ratchet), 2 on usage errors.
 
 Every subcommand executes through the unified runtime in
-:mod:`repro.core.exec`: the workspace's trackers build staged
-``CheckPlan``\\ s and one ``Scheduler`` dispatches them — serially, or
-with ``--jobs N`` on a per-batch process map.
+:mod:`repro.core.exec`: the workspace's trackers hand each run's
+``{key: checks}`` mapping to one ``Scheduler``, which runs it as one
+batch — serially, or with ``--jobs N`` on a per-batch process map.
 
 Example::
 

@@ -8,8 +8,9 @@ worker-process count, the budgets, and the run-deadline bookkeeping.
 the scheduler see one object.
 
 There is no backend selection to do here: ``parallel`` resolving to more
-than one job means the per-batch process map, anything else the serial
-session path (see :meth:`repro.core.exec.scheduler.Scheduler._dispatch`).
+than one job means the per-batch process map for batches that span more
+than one owner, anything else the serial session path (see
+:meth:`repro.core.exec.scheduler.Scheduler.run`).
 """
 
 from __future__ import annotations
@@ -105,18 +106,19 @@ class ExecutionContext:
     ) -> None:
         """Record a degradation to the serial path, warning once.
 
-        Every fallback event is counted on ``degradation`` (so a
-        multi-stage run carries the full count), but the
-        :class:`RuntimeWarning` fires once per context — a liveness
-        pipeline that cannot create a pool degrades identically at every
-        stage, and repeating the warning per stage is spam, not signal.
+        Every fallback event is counted on ``degradation`` (so each run's
+        report carries its own), but the
+        :class:`RuntimeWarning` fires once per context — a workspace that
+        cannot create a pool degrades identically on every run, and
+        repeating the warning per run is spam, not signal.  The warning
+        is attributed to the caller of :meth:`Scheduler.run`.
         """
         if not self._fallback_warned:
             self._fallback_warned = True
             warnings.warn(
                 f"parallel check execution degraded to the serial path: {reason}",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=3,
             )
         if degradation is not None:
             degradation.record_fallback(reason)

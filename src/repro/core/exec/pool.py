@@ -1,4 +1,8 @@
-"""Process-parallel local-check execution: one owner-chunked process map.
+"""How a batch of local checks runs: the session loop and the process map.
+
+:func:`run_in_sessions` is the one per-check loop — wall-budget expiry,
+effective deadline, the owner's :class:`repro.smt.CheckSession`, the
+check — and the whole of the serial path.
 
 The paper's deployment discharges local checks as separate processes, one
 per device; :func:`run_checks_in_processes` is the reproduction of that
@@ -6,11 +10,11 @@ execution model, and the only parallel path the runtime has.  It chunks a
 check list by owner router (:func:`repro.core.checks.check_owner`), ships
 the immutable problem context — configuration, attribute universe,
 ghosts, budgets, the run deadline — to each worker exactly once through
-the pool initializer, and runs every chunk against one per-owner
-:class:`repro.smt.CheckSession` so the shared encoding stays hot within a
-chunk.  Outcomes (including counterexamples) are plain picklable
-dataclasses and come back tagged with their original index, so callers
-see results in input order regardless of scheduling.
+the pool initializer, and runs every chunk through the same loop on a
+fresh per-chunk :class:`repro.smt.SessionPool`, so the shared encoding
+stays hot within a chunk.  Outcomes (including counterexamples) are plain
+picklable dataclasses and come back tagged with their original index, so
+callers see results in input order regardless of scheduling.
 
 Workers live for one call: nothing persists between batches on the
 process side (sessions, learnt clauses and term caches are rebuilt per
@@ -31,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.checks import check_owner, prepare_session, skipped_outcome
 from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
-from repro.smt.solver import CheckSession
+from repro.smt.solver import SessionPool
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -70,6 +74,53 @@ def _init_worker(
     faults.install(fault_plan)
 
 
+def run_in_sessions(
+    checks: Sequence["LocalCheck"],
+    config: "NetworkConfig",
+    universe: "AttributeUniverse",
+    ghosts: tuple["GhostAttribute", ...],
+    conflict_budget: int | None,
+    deadline_s: float | None,
+    run_deadline: float | None,
+    sessions: SessionPool,
+) -> list["CheckOutcome"]:
+    """Discharge ``checks`` in order, each on its owner's session.
+
+    The one per-check loop: the serial path runs a whole batch through it
+    on the context's persistent pool, a worker runs one chunk through it
+    on a fresh pool.  The first touch of an owner's session pre-asserts the
+    route's well-formedness for ``universe`` (:func:`prepare_session`;
+    idempotent across calls).
+    """
+    prepared: set[str | None] = set()
+    outcomes: list["CheckOutcome"] = []
+    for check in checks:
+        # Effective per-check deadline: the tighter of the check budget and
+        # what is left of the run's wall budget, from one clock sample.
+        # ``run_deadline`` is absolute CLOCK_MONOTONIC, which is system-wide
+        # on Linux, so a parent's timestamp is directly comparable in a
+        # worker.  An expired budget short-circuits before any encoding.
+        effective = deadline_s
+        if run_deadline is not None:
+            remaining = run_deadline - time.monotonic()
+            if remaining <= 0:
+                outcomes.append(skipped_outcome(check, "wall-budget"))
+                continue
+            effective = remaining if effective is None else min(effective, remaining)
+        owner = check_owner(check)
+        session = sessions.get(owner)
+        if owner not in prepared:
+            prepared.add(owner)
+            prepare_session(session, universe)
+        outcomes.append(
+            check.run(
+                config, universe, ghosts, conflict_budget,
+                session=session, deadline_s=effective,
+            )
+        )
+    return outcomes
+
+
 def _run_chunk(
     indexed_checks: list[tuple[int, "LocalCheck"]],
 ) -> list[tuple[int, "CheckOutcome"]]:
@@ -78,34 +129,12 @@ def _run_chunk(
     (
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
     ) = _WORKER_CONTEXT
-    session: CheckSession | None = None
-    pairs: list[tuple[int, "CheckOutcome"]] = []
-    for index, check in indexed_checks:
-        # Effective per-check deadline: the tighter of the check budget and
-        # what is left of the run's wall budget.  ``run_deadline`` is
-        # absolute CLOCK_MONOTONIC, which is system-wide on Linux, so the
-        # parent's timestamp is directly comparable here.  An expired
-        # budget short-circuits before any encoding.
-        effective = deadline_s
-        if run_deadline is not None:
-            remaining = run_deadline - time.monotonic()
-            if remaining <= 0.0:
-                pairs.append((index, skipped_outcome(check, "wall-budget")))
-                continue
-            effective = remaining if effective is None else min(effective, remaining)
-        if session is None:
-            session = CheckSession()
-            prepare_session(session, universe)
-        pairs.append(
-            (
-                index,
-                check.run(
-                    config, universe, ghosts, conflict_budget,
-                    session=session, deadline_s=effective,
-                ),
-            )
-        )
-    return pairs
+    outcomes = run_in_sessions(
+        [check for __, check in indexed_checks],
+        config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
+        SessionPool(),
+    )
+    return [(index, outcome) for (index, __), outcome in zip(indexed_checks, outcomes)]
 
 
 def chunk_by_owner(
@@ -167,7 +196,7 @@ def run_checks_in_processes(
                 # queued: it resolves here instead of being pickled to a
                 # worker and back only to have each check skipped there.
                 # Chunks already with a worker finish promptly through
-                # _run_chunk's own expiry check.
+                # run_in_sessions' own expiry check.
                 remaining = max(0.0, run_deadline - time.monotonic())
                 wait(futures, timeout=remaining, return_when=FIRST_EXCEPTION)
                 for future in futures:

@@ -51,13 +51,7 @@ from typing import Any, Protocol
 
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import CheckOutcome, LocalCheck, group_checks_by_owner
-from repro.core.exec import (
-    CheckGroup,
-    CheckPlan,
-    ExecutionContext,
-    GroupKey,
-    Scheduler,
-)
+from repro.core.exec import ExecutionContext, GroupKey, Scheduler
 from repro.core.report import DegradationReport, VerificationReport
 from repro.lang.ghost import GhostAttribute
 from repro.lang.universe import AttributeUniverse
@@ -115,7 +109,7 @@ def topology_changed(old: NetworkConfig, new: NetworkConfig) -> bool:
 
 
 #: One part of a proof: ``("safety",)``, ``("prop",)``, ``("impl",)`` or
-#: ``("sub", router)``.  A plan group key is ``(*section, owner)``.
+#: ``("sub", router)``.  A scheduler group key is ``(*section, owner)``.
 Section = tuple
 
 
@@ -334,26 +328,25 @@ class PropertyTracker:
         # A network-level edit (external ASNs) changes the universe and
         # AS-path semantics under every cached outcome: rerun everything.
         everything = full or network_changed or not self._ran
-        # The reverify plan: one group per invalidated (section, owner), in
-        # section/group order — "reverify after an edit" is just a smaller
-        # plan than "full verify", and the scheduler does not care which it
-        # got.  One stage, so a process map overlaps chunks across sections.
-        plan = CheckPlan(
-            groups=tuple(
-                CheckGroup((*section, owner), tuple(group), "reverify")
-                for section, groups in sections.items()
-                for owner, group in groups.items()
-                if everything
-                or owner in changed
-                or owner not in self._outcomes.get(section, ())
-                or (*section, owner) in self._time_bound
-            ),
-        )
+        # The reverify mapping: one group per invalidated (section, owner),
+        # in section/group order — "reverify after an edit" is just a
+        # smaller mapping than "full verify", and the scheduler does not
+        # care which it got.  One batch, so a process map overlaps chunks
+        # across sections.
+        stale: dict[GroupKey, list[LocalCheck]] = {
+            (*section, owner): group
+            for section, groups in sections.items()
+            for owner, group in groups.items()
+            if everything
+            or owner in changed
+            or owner not in self._outcomes.get(section, ())
+            or (*section, owner) in self._time_bound
+        }
 
         context = self.context
         degradation = DegradationReport()
         result = Scheduler(context).run(
-            plan,
+            stale,
             config,
             universe,
             self.ghosts,
@@ -362,8 +355,7 @@ class PropertyTracker:
             degradation=degradation,
         )
         # Scatter fresh outcomes back into the owner index by group key.
-        for key in result.order:
-            fresh = result.group(key)
+        for key, fresh in result.items():
             self._outcomes.setdefault(key[:-1], {})[key[-1]] = fresh
             if any(o.unknown_reason in TIME_BOUND_REASONS for o in fresh):
                 self._time_bound.add(key)
@@ -379,11 +371,12 @@ class PropertyTracker:
             for section, groups in sections.items()
         }
         total = sum(len(outcomes) for outcomes in by_section.values())
+        rerun = sum(len(group) for group in stale.values())
         return IncrementalResult(
             report=self.problem.report(
                 by_section, time.perf_counter() - start, degradation
             ),
-            rerun_checks=plan.num_checks,
-            cached_checks=total - plan.num_checks,
-            checks_consulted=plan.num_checks,
+            rerun_checks=rerun,
+            cached_checks=total - rerun,
+            checks_consulted=rerun,
         )

@@ -58,13 +58,7 @@ from repro.core.checks import (
     check_owner,
     generate_safety_checks,
 )
-from repro.core.exec import (
-    CheckGroup,
-    CheckPlan,
-    ExecutionContext,
-    Scheduler,
-    Stage,
-)
+from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import DegradationReport, VerificationReport
 from repro.core.safety import SafetyReport, build_universe
@@ -314,8 +308,8 @@ def liveness_universe(
     )
 
 
-#: Group keys of the liveness plan — and the incremental tracker's
-#: sections, whose plan keys extend each with the owner router.
+#: Group keys of :func:`verify_liveness`'s mapping — and the incremental
+#: tracker's sections, whose own keys extend each with the owner router.
 PROPAGATION_KEY = ("prop",)
 IMPLICATION_KEY = ("impl",)
 
@@ -403,41 +397,6 @@ class LivenessProblem:
         )
 
 
-def liveness_plan(checks: LivenessChecks, pipelined: bool = True) -> CheckPlan:
-    """The §5 pipeline as a staged :class:`CheckPlan`.
-
-    Three stages: ``propagation``, ``implication`` (which waits for
-    propagation), and ``interference``.  Only the implication depends on
-    the propagation stage, so the interference sub-proofs — each a
-    full-network §4 problem, the bulk of the work — are scheduled in the
-    very first round alongside propagation.  ``pipelined=False`` instead
-    rebuilds the pre-PR-9 barrier order (propagation, then implication,
-    then sub-proofs), which exists for the pipelining benchmark and
-    differential tests.
-    """
-    if pipelined:
-        stages = (
-            Stage("propagation"),
-            Stage("implication", after=("propagation",)),
-            Stage("interference"),
-        )
-    else:
-        stages = (
-            Stage("propagation"),
-            Stage("implication", after=("propagation",)),
-            Stage("interference", after=("implication",)),
-        )
-    groups = [
-        CheckGroup(PROPAGATION_KEY, tuple(checks.propagation), "propagation"),
-        CheckGroup(IMPLICATION_KEY, (checks.implication,), "implication"),
-    ]
-    for router, sub_checks in checks.subproof_checks.items():
-        groups.append(
-            CheckGroup(subproof_key(router), tuple(sub_checks), "interference")
-        )
-    return CheckPlan(groups=tuple(groups), stages=stages)
-
-
 def verify_liveness(
     config: NetworkConfig,
     prop: LivenessProperty,
@@ -469,7 +428,7 @@ def verify_liveness(
     # One execution context spans the whole pipeline: propagation,
     # implication, and every sub-proof draw down the same wall budget,
     # report into the same degradation collector, and share the session
-    # pool — and a pool-creation failure warns once, not once per stage.
+    # pool.
     context = ExecutionContext(
         parallel,
         conflict_budget,
@@ -483,10 +442,16 @@ def verify_liveness(
     if universe is None:
         universe = liveness_universe(config, prop, interference_invariants, ghosts)
     checks = generate_liveness_checks(config, prop, interference_invariants)
-    plan = liveness_plan(checks)
+    # Checks are independent, so the whole pipeline is one batch; mapping
+    # order only fixes which checks the serial path (and so an expiring
+    # wall budget) reaches first: propagation, sub-proofs, implication.
+    groups: dict[tuple, list[LocalCheck]] = {PROPAGATION_KEY: checks.propagation}
+    for router, sub_checks in checks.subproof_checks.items():
+        groups[subproof_key(router)] = sub_checks
+    groups[IMPLICATION_KEY] = [checks.implication]
 
-    result = Scheduler(context).run(
-        plan,
+    outcomes = Scheduler(context).run(
+        groups,
         config,
         universe,
         tuple(ghosts),
@@ -494,21 +459,6 @@ def verify_liveness(
         run_deadline=run_deadline,
         degradation=degradation,
     )
-
-    interference_reports: dict[str, SafetyReport] = {}
-    for router, safety_prop in checks.subproof_properties.items():
-        key = subproof_key(router)
-        interference_reports[router] = SafetyReport(
-            property=safety_prop,
-            outcomes=result.group(key),
-            wall_time_s=result.wall_time_s(key),
-        )
-
-    return LivenessReport(
-        property=prop,
-        propagation_outcomes=result.group(PROPAGATION_KEY),
-        implication_outcome=result.group(IMPLICATION_KEY)[0],
-        interference_reports=interference_reports,
-        wall_time_s=time.perf_counter() - start,
-        degradation=degradation,
+    return LivenessProblem(prop, interference_invariants).report(
+        outcomes, time.perf_counter() - start, degradation
     )

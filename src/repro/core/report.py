@@ -10,9 +10,8 @@ presentation order) and the base derives all counting from it, so a new
 outcome state or a new pipeline changes the accounting in exactly one
 place.
 
-:func:`format_report` renders any report for the CLI and examples; the
-legacy ``format_safety_report``/``format_liveness_report`` names remain
-as aliases.
+:func:`format_report` renders any report for the CLI and examples,
+dispatching to ``format_safety_report``/``format_liveness_report``.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.counterexample import CheckFailure
 
 
-# Human-readable text for CheckOutcome.unknown_reason values.  The absent /
-# None case covers outcomes produced before reasons existed (old caches).
+# Human-readable text for CheckOutcome.unknown_reason values; an UNKNOWN
+# carrying no reason gets the generic label.
 _UNKNOWN_LABELS = {
     "conflicts": "conflict budget exhausted",
     "timeout": "deadline exceeded",

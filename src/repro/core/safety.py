@@ -34,7 +34,7 @@ from repro.core.checks import (
     LocalCheck,
     generate_safety_checks,
 )
-from repro.core.exec import CheckPlan, ExecutionContext, Scheduler
+from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import DegradationReport, VerificationReport
 from repro.lang.ghost import GhostAttribute
@@ -161,10 +161,11 @@ def run_checks(
 
     Checks are independent, so they parallelise trivially.  ``parallel``
     is the worker-process count (``"auto"`` = available CPUs;
-    ``None``/``0``/``1`` = serial).  With more than one job the checks are
-    chunked by owner router and mapped over a per-call process pool — the
-    paper's per-device model; if no pool can be created, or a worker dies,
-    the call re-runs serially (same outcomes, deterministically ordered).
+    ``None``/``0``/``1`` = serial).  With more than one job, checks of
+    more than one owner router are chunked by owner and mapped over a
+    per-call process pool — the paper's per-device model; if no pool can
+    be created, or a worker dies, the call re-runs serially (same
+    outcomes, deterministically ordered).
 
     ``sessions`` makes encodings persistent across *serial* calls: an
     owner-keyed :class:`SessionPool` the serial path draws each owner's
@@ -180,26 +181,24 @@ def run_checks(
     :class:`DegradationReport` collector: serial fallbacks (also announced
     via ``warnings.warn`` so they are never invisible) are recorded on it.
 
-    This is a thin wrapper: it builds a one-group
-    :class:`~repro.core.exec.plan.CheckPlan` plus an ephemeral
-    :class:`~repro.core.exec.context.ExecutionContext` and lets the
-    :class:`~repro.core.exec.scheduler.Scheduler` dispatch it.  Callers
-    with staged or multi-group work should build plans directly.
+    This is a thin wrapper: a one-key mapping run by a
+    :class:`~repro.core.exec.scheduler.Scheduler` on an ephemeral
+    :class:`~repro.core.exec.context.ExecutionContext`.  Callers with
+    keyed work pass their ``{key: checks}`` mapping to the scheduler
+    directly.
     """
     context = ExecutionContext(
         parallel, conflict_budget, sessions, deadline_s=deadline_s
     )
-    plan = CheckPlan.single(list(checks))
-    result = Scheduler(context).run(
-        plan,
+    return Scheduler(context).run(
+        {SAFETY_KEY: checks},
         config,
         universe,
         tuple(ghosts),
         conflict_budget=conflict_budget,
         run_deadline=run_deadline,
         degradation=degradation,
-    )
-    return result.outcomes
+    )[SAFETY_KEY]
 
 
 def verify_safety(

@@ -115,8 +115,7 @@ class TestDeadlineDiscipline:
 
     def test_scheduler_dispatch_with_stop_discipline_is_clean(self, lint):
         # The mirrored fixes: the loop samples the run deadline between
-        # batches, and the remainder is clamped at expiry (the
-        # ``BatchRequest.effective_deadline`` shape).
+        # batches, and the remainder is clamped at expiry.
         result = lint(self.DIR, [self.DIR / "good_scheduler.py"],
                       checkers=["deadline-discipline"])
         assert result.fresh == []

@@ -125,13 +125,64 @@ def test_lightyear_lint_subcommand(tmp_path):
     assert "digest-coverage" in proc.stdout
 
 
-def test_jobs_flag_values(tmp_path):
-    shutil.copy(FIXTURES / "digest_coverage" / "good_covered.py", tmp_path / "m.py")
-    base = ("--root", tmp_path, "--no-cache", tmp_path)
-    assert _run("--jobs", "2", *base) == 0
-    assert _run("--jobs", "auto", *base) == 0
-    assert _run("--jobs", "nope", *base) == 2   # usage error, not a crash
-    assert _run("--jobs", "-3", *base) == 2
+def test_lint_jobs_flag_is_a_usage_error(tmp_path):
+    """Lint is one sorted-file loop: ``--jobs`` is gone from both entry
+    points (``verify --jobs`` is unaffected), and argparse says so."""
+    (tmp_path / "m.py").write_text("x = 1\n")
+    tail = ["--jobs", "2", "--root", str(tmp_path), "--no-cache", str(tmp_path)]
+    for entry in (["repro.analysis"], ["repro.cli", "lint"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", *entry, *tail],
+            capture_output=True, text=True, env=_module_env(), cwd=REPO_ROOT,
+        )
+        assert proc.returncode == 2, (entry, proc.stdout + proc.stderr)
+        assert "unrecognized arguments: --jobs" in proc.stderr, entry
+
+
+def test_the_linter_imports_nothing_it_lints():
+    """Mirror of the test below: ``python -m repro.analysis`` loads no
+    ``repro`` module outside ``repro.analysis`` — it must keep working
+    when the program it analyses does not import."""
+    program = (
+        "import sys\n"
+        "from repro.analysis.cli import main\n"
+        "code = main(['--no-cache'])\n"
+        "leaked = sorted(m for m in sys.modules if m.startswith('repro.')\n"
+        "                and not m.startswith('repro.analysis'))\n"
+        "print('leaked:', leaked)\n"
+        "sys.exit(code or bool(leaked))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True, text=True, env=_module_env(), cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "leaked: []" in proc.stdout
+
+
+def test_lint_reports_a_syntax_error_in_the_package_it_runs_from(tmp_path):
+    """The developer-with-a-typo case: a copy of the package with a
+    syntax error in ``lang/universe.py``, linted *from that copy*, yields
+    a ``parse-error`` finding — not a traceback from importing it."""
+    copy = tmp_path / "tree"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro", copy / "src" / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    # With the manifest alongside, the typo is the tree's only finding.
+    shutil.copy(REPO_ROOT / "cache-shape.json", copy)
+    broken = copy / "src" / "repro" / "lang" / "universe.py"
+    broken.write_text(broken.read_text() + "\ndef broken(:\n")
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "--no-cache", "--root", str(copy)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "src/repro/lang/universe.py:" in proc.stdout
+    assert "error[parse-error]" in proc.stdout
+    assert "1 fresh error(s)" in proc.stdout
 
 
 def test_verify_does_not_import_the_linter(tmp_path):
@@ -201,5 +252,5 @@ def test_entry_point_parity():
 
     standalone_opts = _option_strings(standalone)
     lint_opts = _option_strings(lint_parser)
-    assert "--jobs" in standalone_opts
+    assert "--no-cache" in standalone_opts
     assert standalone_opts == lint_opts

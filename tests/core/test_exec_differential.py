@@ -1,15 +1,16 @@
-"""Differential tests: the PR 9 scheduler vs pre-refactor semantics.
+"""Differential tests: the scheduler vs hermetic per-check discharge.
 
-The execution-runtime refactor's contract is behavioral identity: every
-verification path now builds a :class:`CheckPlan` and hands it to the
-:class:`Scheduler`, and nothing observable may change.  The reference
-implementations here re-create the pre-refactor semantics directly —
-hermetic per-check discharge (checks are independent, so the reference
-needs no shared state) and the legacy barriered liveness order — and the
-suite asserts the scheduler-driven paths return identical reports:
-outcome fingerprints *in order*, unknown-reason buckets, degradation
-counters, and cache-consultation counters, across the serial path and
-the process map and over seeded random configurations.
+The execution runtime's contract is behavioral identity: every
+verification path hands a ``{key: checks}`` mapping to the
+:class:`Scheduler`, and nothing observable may depend on how the batch
+ran.  The reference here is hermetic per-check discharge
+(``check.run(..., session=None)``: checks are independent, so the
+reference needs no shared state), and the suite asserts the
+scheduler-driven paths return identical reports: outcome fingerprints
+*in order*, unknown-reason buckets, degradation counters, and
+cache-consultation counters, across the serial path and the process map,
+over seeded random configurations — and, for the §5 mapping, in either
+key order, which is the independence that makes one batch enough.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.liveness import (
     IMPLICATION_KEY,
     PROPAGATION_KEY,
-    generate_liveness_checks,
-    liveness_plan,
+    LivenessProblem,
     liveness_universe,
     subproof_key,
     verify_liveness,
@@ -134,44 +134,81 @@ def test_safety_report_buckets_identical_across_backends():
         ]
 
 
-# -- liveness: pipelined and barriered plans vs the reference ----------
+# -- liveness: the §5 mapping vs the reference, in any order -----------
 
 
-def test_liveness_plans_match_hermetic_reference():
+def _figure1_liveness():
+    """The Figure-1 §5 sections and each one's hermetic fingerprints."""
     config = build_figure1()
     prop = customer_liveness_property()
-    checks = generate_liveness_checks(config, prop)
     universe = liveness_universe(config, prop)
-    prop_ref = [_fingerprint(c.run(config, universe, ())) for c in checks.propagation]
-    impl_ref = _fingerprint(checks.implication.run(config, universe, ()))
-    sub_ref = {
-        router: [_fingerprint(c.run(config, universe, ())) for c in sub]
-        for router, sub in checks.subproof_checks.items()
+    sections = LivenessProblem(prop).checks(config)
+    reference = {
+        key: [_fingerprint(check.run(config, universe, ())) for check in checks]
+        for key, checks in sections.items()
     }
-    # Pipelined (the live order) and barriered (the pre-PR-9 order) plans
-    # must be indistinguishable in everything but wall-clock shape.
-    for pipelined in (True, False):
-        context = ExecutionContext()
-        result = Scheduler(context).run(
-            liveness_plan(checks, pipelined=pipelined), config, universe, ()
-        )
-        assert [
-            _fingerprint(o) for o in result.group(PROPAGATION_KEY)
-        ] == prop_ref, pipelined
-        assert _fingerprint(result.group(IMPLICATION_KEY)[0]) == impl_ref
-        for router, ref in sub_ref.items():
-            got = [_fingerprint(o) for o in result.group(subproof_key(router))]
-            assert got == ref, (pipelined, router)
+    return config, prop, universe, sections, reference
+
+
+def test_liveness_mapping_matches_hermetic_reference():
+    # verify_liveness's own mapping, read back through its report.
+    config, prop, __, __, reference = _figure1_liveness()
+    report = verify_liveness(config, prop)
+    assert [_fingerprint(o) for o in report.propagation_outcomes] == reference[
+        PROPAGATION_KEY
+    ]
+    assert [_fingerprint(report.implication_outcome)] == reference[IMPLICATION_KEY]
+    assert len(report.interference_reports) == len(reference) - 2
+    for router, sub in report.interference_reports.items():
+        assert [_fingerprint(o) for o in sub.outcomes] == reference[
+            subproof_key(router)
+        ], router
+
+
+def test_outcomes_do_not_depend_on_mapping_order():
+    # Independence (the §4.3/§5.3 theorems) is what licenses running a
+    # whole proof as one batch with no stages: any key order gives every
+    # key the hermetic outcomes, over sessions warmed in a different order.
+    config, __, universe, sections, reference = _figure1_liveness()
+    for keys in (list(sections), list(reversed(sections))):
+        mapping = {key: sections[key] for key in keys}
+        result = Scheduler(ExecutionContext()).run(mapping, config, universe, ())
+        assert list(result) == keys
+        for key in keys:
+            assert [_fingerprint(o) for o in result[key]] == reference[key], key
+        # Flat order is mapping order, check for check.
+        assert [o.check for outcomes in result.values() for o in outcomes] == [
+            check for checks in mapping.values() for check in checks
+        ]
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Counts ``ProcessPoolExecutor`` constructions (they still work)."""
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    return built
 
 
 @pytest.mark.parametrize("buggy", [False, True])
-def test_liveness_driver_identical_across_backends(buggy):
+def test_liveness_driver_identical_across_backends(buggy, pools_built):
     config = build_figure1(buggy_r3_strip=buggy)
     prop = customer_liveness_property()
     reference = verify_liveness(config, prop)
     assert reference.passed is (not buggy)
     for parallel in JOBS:
+        del pools_built[:]
         report = verify_liveness(config, prop, parallel=parallel)
+        # One batch: the whole §5 pipeline shares a single process map.
+        assert len(pools_built) == (1 if parallel > 1 else 0), parallel
         assert report.passed == reference.passed, parallel
         assert [_fingerprint(o) for o in report.iter_outcomes()] == [
             _fingerprint(o) for o in reference.iter_outcomes()

@@ -1,18 +1,15 @@
-"""Unit tests for the ``repro.core.exec`` runtime (PR 9).
+"""Unit tests for the ``repro.core.exec`` runtime.
 
-Four clusters:
+Three clusters:
 
 * ``resolve_jobs("auto")`` source preference — process CPU count, then
   the affinity mask, then ``os.cpu_count()`` — pinned per source by
   monkeypatching;
-* :class:`CheckPlan` validation (duplicate keys/stages, undeclared
-  stages, dependency cycles) and implicit stage derivation;
-* :class:`Scheduler` round structure — pipelined stages batch together,
-  barriered stages wait, and flat outcomes follow *plan* order no matter
-  what order the rounds executed groups in;
+* :class:`Scheduler` batch structure — one dispatch per run, outcomes
+  routed back per key, and a single-owner batch never forks a pool;
 * serial-fallback degradation — the :class:`RuntimeWarning` fires once
-  per :class:`ExecutionContext` while the :class:`DegradationReport`
-  carries the full per-batch event count.
+  per :class:`ExecutionContext` while each run's
+  :class:`DegradationReport` carries its own event.
 """
 
 from __future__ import annotations
@@ -23,15 +20,8 @@ import warnings
 import pytest
 
 from repro.bgp.topology import Edge
-from repro.core.checks import generate_safety_checks
-from repro.core.exec import (
-    CheckGroup,
-    CheckPlan,
-    ExecutionContext,
-    Scheduler,
-    Stage,
-    resolve_jobs,
-)
+from repro.core.checks import check_owner, generate_safety_checks
+from repro.core.exec import ExecutionContext, Scheduler, resolve_jobs
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import DegradationReport
 from repro.core.safety import build_universe, run_checks
@@ -94,153 +84,41 @@ def test_auto_skips_empty_or_failing_sources(monkeypatch):
     assert resolve_jobs("auto") == 1
 
 
-# -- CheckPlan validation ----------------------------------------------
-
-
-def _groups(checks, *specs):
-    """Build groups from (key, slice, stage) specs over ``checks``."""
-    return tuple(
-        CheckGroup(key, tuple(checks[sl]), stage) for key, sl, stage in specs
-    )
-
-
-def test_plan_rejects_duplicate_group_keys():
-    __, __, __, checks = _fullmesh_problem(3)
-    with pytest.raises(ValueError, match="duplicate group keys"):
-        CheckPlan(
-            groups=_groups(
-                checks, (("a",), slice(0, 1), "run"), (("a",), slice(1, 2), "run")
-            )
-        )
-
-
-def test_plan_rejects_duplicate_stage_names():
-    __, __, __, checks = _fullmesh_problem(3)
-    with pytest.raises(ValueError, match="duplicate stage names"):
-        CheckPlan(
-            groups=_groups(checks, (("a",), slice(0, 1), "s")),
-            stages=(Stage("s"), Stage("s")),
-        )
-
-
-def test_plan_rejects_group_in_undeclared_stage():
-    __, __, __, checks = _fullmesh_problem(3)
-    with pytest.raises(ValueError, match="undeclared stage"):
-        CheckPlan(
-            groups=_groups(checks, (("a",), slice(0, 1), "ghost-stage")),
-            stages=(Stage("real"),),
-        )
-
-
-def test_plan_rejects_dependency_on_undeclared_stage():
-    with pytest.raises(ValueError, match="undeclared stage"):
-        CheckPlan(groups=(), stages=(Stage("a", after=("missing",)),))
-
-
-def test_plan_rejects_stage_cycles():
-    with pytest.raises(ValueError, match="cycle"):
-        CheckPlan(
-            groups=(),
-            stages=(Stage("a", after=("b",)), Stage("b", after=("a",))),
-        )
-
-
-def test_plan_derives_implicit_stages_in_appearance_order():
-    __, __, __, checks = _fullmesh_problem(3)
-    plan = CheckPlan(
-        groups=_groups(
-            checks,
-            (("x",), slice(0, 1), "late"),
-            (("y",), slice(1, 2), "early"),
-            (("z",), slice(2, 3), "late"),
-        )
-    )
-    assert [stage.name for stage in plan.stages] == ["late", "early"]
-    assert all(stage.after == () for stage in plan.stages)
-    assert plan.num_checks == 3
-
-
-# -- Scheduler round structure -----------------------------------------
-
-
-def _batched_keys(context, plan, config, universe, ghost):
-    """Run ``plan`` and return each dispatch round's group keys."""
-    scheduler = Scheduler(context)
-    rounds = []
-    original = Scheduler._dispatch
-
-    def spy(self, batch, degradation):
-        rounds.append([group.key for group in batch.groups])
-        return original(self, batch, degradation)
-
-    Scheduler._dispatch = spy
-    try:
-        result = scheduler.run(plan, config, universe, (ghost,))
-    finally:
-        Scheduler._dispatch = original
-    return rounds, result
-
-
-def test_independent_stages_pipeline_into_one_batch():
-    config, ghost, universe, checks = _fullmesh_problem(3)
-    plan = CheckPlan(
-        groups=_groups(
-            checks,
-            (("a",), slice(0, 2), "first"),
-            (("b",), slice(2, 3), "second"),
-            (("c",), slice(3, None), "third"),
-        ),
-        stages=(
-            Stage("first"),
-            Stage("second", after=("first",)),
-            Stage("third"),  # independent: rides along with "first"
-        ),
-    )
-    rounds, result = _batched_keys(context_serial(), plan, config, universe, ghost)
-    assert rounds == [[("a",), ("c",)], [("b",)]]
-    # Flat outcomes follow *plan* order even though ("c",) ran first.
-    reference = [check.run(config, universe, (ghost,)) for check in checks]
-    assert [_fingerprint(o) for o in result.outcomes] == [
-        _fingerprint(o) for o in reference
-    ]
-
-
-def test_barriered_stages_run_in_separate_batches():
-    config, ghost, universe, checks = _fullmesh_problem(3)
-    plan = CheckPlan(
-        groups=_groups(
-            checks,
-            (("a",), slice(0, 2), "first"),
-            (("b",), slice(2, 3), "second"),
-            (("c",), slice(3, None), "third"),
-        ),
-        stages=(
-            Stage("first"),
-            Stage("second", after=("first",)),
-            Stage("third", after=("second",)),
-        ),
-    )
-    rounds, result = _batched_keys(context_serial(), plan, config, universe, ghost)
-    assert rounds == [[("a",)], [("b",)], [("c",)]]
-    assert len(result.outcomes) == len(checks)
-    assert result.group(("a",)) == result.outcomes[:2]
-
-
-def context_serial() -> ExecutionContext:
-    return ExecutionContext()
+# -- Scheduler batch structure -----------------------------------------
 
 
 def test_empty_plan_and_empty_groups():
     config, ghost, universe, __ = _fullmesh_problem(3)
-    empty = Scheduler(context_serial()).run(
-        CheckPlan(groups=()), config, universe, (ghost,)
+    assert Scheduler(ExecutionContext()).run({}, config, universe, (ghost,)) == {}
+    one_empty = Scheduler(ExecutionContext()).run(
+        {("none",): []}, config, universe, (ghost,)
     )
-    assert empty.outcomes == []
-    one_empty = Scheduler(context_serial()).run(
-        CheckPlan(groups=(CheckGroup(("none",), ()),)), config, universe, (ghost,)
-    )
-    assert one_empty.group(("none",)) == []
-    assert one_empty.outcomes == []
+    assert one_empty == {("none",): []}
+
+
+def test_single_owner_batch_never_forks_a_pool(broken_process_pool):
+    # The map overlaps owner chunks; one owner's checks — every reverify
+    # after a one-router edit — have nothing to overlap and belong on the
+    # warm in-process session.  Under a broken pool, reaching for the map
+    # would show as a fallback and a warning.
+    config, ghost, universe, checks = _fullmesh_problem(4)
+    owned = [check for check in checks if check_owner(check) == "R1"]
+    assert len(owned) > 1
+    reference = [check.run(config, universe, (ghost,)) for check in owned]
+    degradation = DegradationReport()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = Scheduler(ExecutionContext(2)).run(
+            {("a",): owned[:1], ("b",): owned[1:]},
+            config,
+            universe,
+            (ghost,),
+            degradation=degradation,
+        )
+    assert [_fingerprint(o) for o in result[("a",)] + result[("b",)]] == [
+        _fingerprint(o) for o in reference
+    ]
+    assert degradation.serial_fallbacks == 0
 
 
 def test_context_validates_eagerly():
@@ -255,28 +133,29 @@ def test_fallback_warns_once_per_context_but_counts_every_batch(broken_process_p
     config, ghost, universe, checks = _fullmesh_problem(3)
     context = ExecutionContext(2)
     degradation = DegradationReport()
-    # Two barriered stages force two dispatch batches through the broken
-    # pool (two checks each: a single check never reaches the pool).
-    plan = CheckPlan(
-        groups=_groups(
-            checks, (("a",), slice(0, 2), "first"), (("b",), slice(2, 4), "second")
-        ),
-        stages=(Stage("first"), Stage("second", after=("first",))),
-    )
+    # Two runs on one context are two batches through the broken pool
+    # (each spans two owners: a single-owner batch never reaches it).
+    batches = (checks[:2], checks[2:4])
+    assert all(len({check_owner(c) for c in batch}) > 1 for batch in batches)
+    outcomes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = Scheduler(context).run(
-            plan, config, universe, (ghost,), degradation=degradation
-        )
+        for batch in batches:
+            result = Scheduler(context).run(
+                {("a",): batch}, config, universe, (ghost,), degradation=degradation
+            )
+            outcomes.extend(result[("a",)])
     fallback_warnings = [
         w for w in caught if issubclass(w.category, RuntimeWarning)
     ]
     assert len(fallback_warnings) == 1, "one warning per context, not per batch"
     assert "degraded to the serial path" in str(fallback_warnings[0].message)
+    # Attributed to the code that called Scheduler.run, not to the runtime.
+    assert fallback_warnings[0].filename == __file__
     # ...but the report still carries the full event count.
     assert degradation.serial_fallbacks == 2
     assert len(degradation.reasons) == 2
-    assert all(o.passed for o in result.outcomes)
+    assert len(outcomes) == 4 and all(o.passed for o in outcomes)
 
 
 def test_run_checks_still_warns_per_call(broken_process_pool):

@@ -24,7 +24,7 @@ import pytest
 from repro.bgp.topology import Edge
 from repro.cli import EXIT_DEGRADED, main
 from repro.core.checks import check_owner, generate_safety_checks
-from repro.core.exec import CheckGroup, CheckPlan, ExecutionContext, Scheduler, Stage
+from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import DegradationReport
 from repro.core.safety import build_universe, run_checks, verify_safety
@@ -98,29 +98,29 @@ def test_killed_worker_falls_back_to_one_serial_rerun():
     faults.install(_kill_plan(checks))
     context = ExecutionContext(2)
     degradation = DegradationReport()
-    # Two barriered stages, both containing the poison check: the worker
-    # dies in each batch, so two fallbacks but one warning.
-    owned = [i for i, c in enumerate(checks) if check_owner(c) == KILL_OWNER]
-    assert len(owned) > 1  # a single check would never reach the pool
-    plan = CheckPlan(
-        groups=(
-            CheckGroup(("a",), tuple(checks), "first"),
-            CheckGroup(("b",), tuple(checks[i] for i in owned), "second"),
-        ),
-        stages=(Stage("first"), Stage("second", after=("first",))),
-    )
+    # Two runs on one context, both containing the poison check: the
+    # worker dies in each batch, so two fallbacks but one warning.  The
+    # second batch is the victim's owner plus one other (a single-owner
+    # batch would never reach the pool).
+    second = [
+        i
+        for i, c in enumerate(checks)
+        if check_owner(c) in (KILL_OWNER, "R4")
+    ]
+    results = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = Scheduler(context).run(
-            plan, config, universe, (ghost,), degradation=degradation
-        )
+        for batch in (checks, [checks[i] for i in second]):
+            results.append(
+                Scheduler(context).run(
+                    {("a",): batch}, config, universe, (ghost,), degradation=degradation
+                )[("a",)]
+            )
     # Identical outcomes to the serial path, in order: the kill fires only
     # inside a worker, so the parent's serial re-run completes.
-    assert [_fingerprint(o) for o in result.group(("a",))] == [
-        _fingerprint(o) for o in serial
-    ]
-    assert [_fingerprint(o) for o in result.group(("b",))] == [
-        _fingerprint(serial[i]) for i in owned
+    assert [_fingerprint(o) for o in results[0]] == [_fingerprint(o) for o in serial]
+    assert [_fingerprint(o) for o in results[1]] == [
+        _fingerprint(serial[i]) for i in second
     ]
     assert degradation.serial_fallbacks == 2
     assert len(degradation.reasons) == 2
