@@ -9,6 +9,7 @@ contributes two directed edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -24,6 +25,11 @@ class Edge:
 
     def __str__(self) -> str:
         return f"{self.src}->{self.dst}"
+
+
+#: Sort key giving the same order as ``Edge``'s own comparison, without a
+#: generated ``__lt__`` call per comparison (a 20 000-edge mesh makes 240 000).
+edge_key = attrgetter("src", "dst")
 
 
 class Topology:
@@ -113,16 +119,20 @@ class Topology:
             yield Edge(src, node)
 
     def internal_edges(self) -> Iterator[Edge]:
-        """Edges between two internal routers."""
-        for edge in sorted(self._edges):
-            if edge.src in self._routers and edge.dst in self._routers:
-                yield edge
+        """Edges between two internal routers, in ``(src, dst)`` order."""
+        routers = self._routers
+        return iter(sorted(
+            (e for e in self._edges if e.src in routers and e.dst in routers),
+            key=edge_key,
+        ))
 
     def external_edges(self) -> Iterator[Edge]:
-        """Edges with an external endpoint."""
-        for edge in sorted(self._edges):
-            if edge.src in self._externals or edge.dst in self._externals:
-                yield edge
+        """Edges with an external endpoint, in ``(src, dst)`` order."""
+        externals = self._externals
+        return iter(sorted(
+            (e for e in self._edges if e.src in externals or e.dst in externals),
+            key=edge_key,
+        ))
 
     def validate_path(self, path: Iterable[object]) -> None:
         """Check that an alternating node/edge sequence is a topological path.

@@ -43,12 +43,14 @@ Subcommands:
   configuration, ghost set, or spec is rejected with a non-zero exit.
 
 Exit codes (``verify``/``reverify``): 0 every property proved; 1 a
-property has a counterexample; 2 usage, configuration, or cache errors;
-3 nothing failed outright but some checks are UNKNOWN (``--budget``,
-``--deadline``, ``--wall-budget``) or execution degraded (a ``--jobs``
-run that fell back to serial) — see the README's "Failure modes &
-degradation" section.  ``lint`` exits 0 clean, 1 on fresh findings (or
-resolved baseline entries pending a ratchet), 2 on usage errors.
+property has a counterexample; 2 usage, configuration, or cache errors,
+or a SAT model that failed its self-check (an internal error, never
+reported as a counterexample); 3 nothing failed outright but some checks
+are UNKNOWN (``--budget``, ``--deadline``, ``--wall-budget``) or
+execution degraded (a ``--jobs`` run that fell back to serial) — see the
+README's "Failure modes & degradation" section.  ``lint`` exits 0 clean,
+1 on fresh findings (or resolved baseline entries pending a ratchet), 2
+on usage errors.
 
 Every subcommand executes through the unified runtime in
 :mod:`repro.core.exec`: the workspace's trackers hand each run's
@@ -70,6 +72,8 @@ from pathlib import Path
 
 from repro.bgp.configjson import config_from_json, config_to_json
 from repro.bgp.configparse import parse_config
+from repro.core.checks import InternalError
+from repro.core.exec import resolve_jobs
 from repro.core.report import format_report
 from repro.core.workspace import Workspace, WorkspaceCacheMismatch
 from repro.lang.specjson import spec_from_json
@@ -289,12 +293,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if cache_path is not None and (reran or not loaded):
             workspace.save(cache_path)
 
-    print(
+    totals = (
         f"totals: {workspace.stats.num_checks} local checks, "
         f"largest {workspace.stats.max_vars} vars / {workspace.stats.max_clauses} "
         f"constraints, {workspace.stats.wall_time_s:.2f}s "
         f"({workspace.stats.solve_time_s:.2f}s solving)"
     )
+    if resolve_jobs(args.jobs) == 1:
+        # Under --jobs each worker keeps its own query memo and none comes
+        # back, so there is no run-wide count to print.
+        totals += f", {len(workspace.sessions.answers)} distinct queries solved"
+    print(totals)
     return _reports_exit_code(reports)
 
 
@@ -495,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 2
 
 

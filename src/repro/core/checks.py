@@ -14,6 +14,27 @@ persistent :class:`repro.smt.SessionPool` when the caller supplies one).
 Term construction itself is also reused: the transfer functions called
 from ``run`` are memoised by policy content in :mod:`repro.lang.transfer`,
 so two edges running the same filter build their symbolic relation once.
+
+On real policy most checks are the *same* query: hash-consing hands
+:meth:`LocalCheck._discharge` the identical tuple of interned assertions
+for every edge running the same filter under the same invariants.  A
+pooled session therefore carries its pool's query memo
+(:attr:`repro.smt.SessionPool.answers`), consulted before the session is
+asked to solve.  The rules, all enforced in ``_discharge``:
+
+* only SAT/UNSAT answers are stored — an UNKNOWN (``conflicts`` /
+  ``timeout``) describes a budget, not the query;
+* a check whose deadline has already expired bypasses the memo and comes
+  back UNKNOWN/``timeout`` exactly as without it;
+* the hermetic path (``session=None``) never touches the memo — it is the
+  reference the memoised path is differentially tested against;
+* a hit's outcome belongs to the *asking* check: its counterexample is
+  rebuilt from the stored model with the asking check's own terms, so
+  blame stays on the asking edge, and its stats are the shared zero-cost
+  :data:`MEMO_HIT_STATS`;
+* every SAT answer, solved or recalled, is replayed against the asking
+  check's own assertions before it may become a :class:`CheckFailure`; a
+  model that does not satisfy them raises :class:`InternalError`.
 """
 
 from __future__ import annotations
@@ -25,7 +46,7 @@ from dataclasses import dataclass, field
 from repro import smt
 from repro.bgp.config import NetworkConfig
 from repro.bgp.route import Route
-from repro.bgp.topology import Edge
+from repro.bgp.topology import Edge, edge_key
 from repro.core.counterexample import CheckFailure
 from repro.core.properties import Location
 from repro.lang.ghost import GhostAttribute
@@ -33,8 +54,19 @@ from repro.lang.predicates import Predicate, predicate_term
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import symbolic_originated, transfer_export, transfer_import
 from repro.lang.universe import AttributeUniverse
+from repro.smt.sat import SatStats
 from repro.smt.solver import SolverStats
 from repro.testing import faults
+
+
+#: The stats of an answer recalled from the query memo: nothing was encoded
+#: or solved for the asking check.  One shared instance, so the outcomes of
+#: a run's repeats also pickle as one object.
+MEMO_HIT_STATS = SolverStats()
+
+
+class InternalError(RuntimeError):
+    """The verifier contradicted itself; never a verdict about the network."""
 
 
 class CheckKind(enum.Enum):
@@ -72,8 +104,10 @@ class LocalCheck:
         """Discharge the check with the SMT solver.
 
         With ``session`` the query is solved under assumptions against the
-        session's shared clause database instead of a fresh encoding; the
-        outcome is identical either way.  ``deadline_s`` is a wall-clock
+        session's shared clause database instead of a fresh encoding — or,
+        for a pooled session, recalled from the pool's query memo when an
+        earlier check already asked it; verdict, blamed edge and UNKNOWN
+        reason are identical either way.  ``deadline_s`` is a wall-clock
         budget in seconds for the whole check — multi-query checks
         (originate) spread it across their discharges — after which the
         outcome is UNKNOWN with ``unknown_reason == "timeout"``.
@@ -102,29 +136,53 @@ class LocalCheck:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
     def _discharge(
+        self,
         assertions: list,
+        universe: AttributeUniverse,
         conflict_budget: int | None,
         session: "smt.CheckSession | None",
         deadline_abs: float | None = None,
     ) -> tuple["smt.Result", SolverStats, "smt.Model | None"]:
-        """Decide a conjunction; returns (result, stats, model-if-SAT)."""
+        """Decide a conjunction; returns (result, stats, model-if-SAT).
+
+        A pooled ``session`` is asked only for queries its pool's memo has
+        not answered, and gets the route's well-formedness pre-asserted
+        (:func:`prepare_session`) before its first such solve.
+        """
         deadline_s = (
             None if deadline_abs is None else deadline_abs - time.monotonic()
         )
-        if session is not None:
-            result = session.check(
-                assertions, conflict_budget=conflict_budget, deadline_s=deadline_s
+        if session is None:
+            solver = smt.Solver()
+            for assertion in assertions:
+                solver.add(assertion)
+            result = solver.check(conflict_budget=conflict_budget, deadline_s=deadline_s)
+            model = solver.model() if result is smt.Result.SAT else None
+            stats = solver.stats
+        else:
+            query = tuple(assertions)
+            answers = session.answers
+            expired = deadline_s is not None and deadline_s <= 0
+            answer = None if answers is None or expired else answers.get(query)
+            if answer is not None:
+                session.memo_hits += 1
+                result, model = answer
+                stats = MEMO_HIT_STATS
+            else:
+                prepare_session(session, universe)
+                result = session.check(
+                    assertions, conflict_budget=conflict_budget, deadline_s=deadline_s
+                )
+                model = session.model() if result is smt.Result.SAT else None
+                stats = session.stats
+                if answers is not None and result is not smt.Result.UNKNOWN:
+                    answers[query] = (result, model)
+        if model is not None and not all(model.eval_bool(a) for a in assertions):
+            raise InternalError(
+                f"{self}: the solver's model does not satisfy the check's own query"
             )
-            model = session.model() if result is smt.Result.SAT else None
-            return result, session.stats, model
-        solver = smt.Solver()
-        for assertion in assertions:
-            solver.add(assertion)
-        result = solver.check(conflict_budget=conflict_budget, deadline_s=deadline_s)
-        model = solver.model() if result is smt.Result.SAT else None
-        return result, solver.stats, model
+        return result, stats, model
 
     def _run_filter(
         self,
@@ -153,7 +211,7 @@ class LocalCheck:
             assertions.append(accepted)
             assertions.append(smt.not_(predicate_term(self.goal, route_out)))
         result, stats, model = self._discharge(
-            assertions, conflict_budget, session, deadline_abs
+            assertions, universe, conflict_budget, session, deadline_abs
         )
 
         if result is smt.Result.UNSAT:
@@ -192,6 +250,7 @@ class LocalCheck:
         for sym in symbolic_originated(config, self.edge, universe, ghosts):
             result, stats, model = self._discharge(
                 [smt.not_(predicate_term(self.goal, sym))],
+                universe,
                 conflict_budget,
                 session,
                 deadline_abs,
@@ -232,7 +291,7 @@ class LocalCheck:
             smt.not_(predicate_term(self.goal, route)),
         ]
         result, stats, model = self._discharge(
-            assertions, conflict_budget, session, deadline_abs
+            assertions, universe, conflict_budget, session, deadline_abs
         )
         if result is smt.Result.UNSAT:
             return CheckOutcome(check=self, passed=True, stats=stats)
@@ -330,19 +389,30 @@ def prepare_session(
     session's clause DB is sound, and each check then skips it as an
     assumption (originate checks use constant, variable-disjoint routes
     and are unaffected).  Idempotent: :meth:`repro.smt.CheckSession.prepare`
-    ignores conjuncts it has already asserted.
+    ignores conjuncts it has already asserted, which is what lets
+    :meth:`LocalCheck._discharge` call this ahead of every solve — a
+    session none of whose checks miss the query memo is never prepared.
     """
     session.prepare(shared=(SymbolicRoute.fresh("r", universe).well_formed(),))
 
 
 def _merge_stats(a: SolverStats, b: SolverStats) -> SolverStats:
-    merged = SolverStats(
+    """Stats of a multi-query check so far: ``a`` accumulated, ``b`` the latest."""
+    return SolverStats(
         num_vars=max(a.num_vars, b.num_vars),
         num_clauses=max(a.num_clauses, b.num_clauses),
         build_time_s=a.build_time_s + b.build_time_s,
         solve_time_s=a.solve_time_s + b.solve_time_s,
+        sat=SatStats(
+            decisions=a.sat.decisions + b.sat.decisions,
+            propagations=a.sat.propagations + b.sat.propagations,
+            conflicts=a.sat.conflicts + b.sat.conflicts,
+            restarts=a.sat.restarts + b.sat.restarts,
+            learned=a.sat.learned + b.sat.learned,
+            max_learnt_len=max(a.sat.max_learnt_len, b.sat.max_learnt_len),
+        ),
+        unknown_reason=b.unknown_reason,
     )
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +437,11 @@ def generate_safety_checks(
     checks: list[LocalCheck] = []
     topo = config.topology
     if owners is None:
-        edges = sorted(topo.edges)
+        edges = sorted(topo.edges, key=edge_key)
     else:
         edges = sorted(
-            e for e in topo.edges if e.src in owners or e.dst in owners
+            (e for e in topo.edges if e.src in owners or e.dst in owners),
+            key=edge_key,
         )
     for edge in edges:
         if topo.is_router(edge.dst) and (owners is None or edge.dst in owners):

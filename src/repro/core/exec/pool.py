@@ -10,16 +10,18 @@ execution model, and the only parallel path the runtime has.  It chunks a
 check list by owner router (:func:`repro.core.checks.check_owner`), ships
 the immutable problem context — configuration, attribute universe,
 ghosts, budgets, the run deadline — to each worker exactly once through
-the pool initializer, and runs every chunk through the same loop on a
-fresh per-chunk :class:`repro.smt.SessionPool`, so the shared encoding
-stays hot within a chunk.  Outcomes (including counterexamples) are plain
-picklable dataclasses and come back tagged with their original index, so
-callers see results in input order regardless of scheduling.
+the pool initializer, and runs every chunk through the same loop on the
+worker's own :class:`repro.smt.SessionPool`, so the shared encoding stays
+hot within a chunk and the pool's query memo spans every chunk the worker
+runs.  Outcomes (including counterexamples) are plain picklable
+dataclasses and come back tagged with their original index, so callers
+see results in input order regardless of scheduling.
 
 Workers live for one call: nothing persists between batches on the
-process side (sessions, learnt clauses and term caches are rebuilt per
-chunk), which is why ``--jobs`` pays off only when per-check work is
-large — see the README's "When ``--jobs`` helps".
+process side (sessions, learnt clauses, the query memo and term caches
+are rebuilt per worker), and a query the serial path solves once is
+solved once *per worker* — which is why ``--jobs`` pays off only when
+per-check work is large; see the README's "When ``--jobs`` helps".
 
 Process pools are not universally available (sandboxes without
 semaphores, restricted spawn semantics) and a worker can die mid-run; any
@@ -33,7 +35,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.checks import check_owner, prepare_session, skipped_outcome
+from repro.core.checks import check_owner, skipped_outcome
 from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
 from repro.smt.solver import SessionPool
 from repro.testing import faults
@@ -47,6 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 # Per-worker problem context, installed once by the pool initializer so the
 # (comparatively large) config/universe payload is not re-pickled per task.
+# Its last element is the worker's session pool: one per worker lifetime
+# (= one batch), so the query memo spans the owner chunks the worker runs.
 _WORKER_CONTEXT: tuple | None = None
 
 
@@ -63,6 +67,7 @@ def _init_worker(
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = (
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
+        SessionPool(),
     )
     # Mirror the parent's transfer-memoisation switch: workers rebuild
     # their own caches from the shipped config/universe (term graphs don't
@@ -87,12 +92,11 @@ def run_in_sessions(
     """Discharge ``checks`` in order, each on its owner's session.
 
     The one per-check loop: the serial path runs a whole batch through it
-    on the context's persistent pool, a worker runs one chunk through it
-    on a fresh pool.  The first touch of an owner's session pre-asserts the
-    route's well-formedness for ``universe`` (:func:`prepare_session`;
-    idempotent across calls).
+    on the context's persistent pool, a worker runs each of its chunks
+    through it on the worker's pool.  A check whose query the pool's memo
+    already holds never reaches its session (see
+    :meth:`repro.core.checks.LocalCheck._discharge`).
     """
-    prepared: set[str | None] = set()
     outcomes: list["CheckOutcome"] = []
     for check in checks:
         # Effective per-check deadline: the tighter of the check budget and
@@ -107,15 +111,10 @@ def run_in_sessions(
                 outcomes.append(skipped_outcome(check, "wall-budget"))
                 continue
             effective = remaining if effective is None else min(effective, remaining)
-        owner = check_owner(check)
-        session = sessions.get(owner)
-        if owner not in prepared:
-            prepared.add(owner)
-            prepare_session(session, universe)
         outcomes.append(
             check.run(
                 config, universe, ghosts, conflict_budget,
-                session=session, deadline_s=effective,
+                session=sessions.get(check_owner(check)), deadline_s=effective,
             )
         )
     return outcomes
@@ -128,11 +127,12 @@ def _run_chunk(
     assert _WORKER_CONTEXT is not None, "worker initializer did not run"
     (
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
+        sessions,
     ) = _WORKER_CONTEXT
     outcomes = run_in_sessions(
         [check for __, check in indexed_checks],
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
-        SessionPool(),
+        sessions,
     )
     return [(index, outcome) for (index, __), outcome in zip(indexed_checks, outcomes)]
 

@@ -160,8 +160,16 @@ class SymbolicRoute:
     # ------------------------------------------------------------------
 
     def well_formed(self) -> Term:
-        """Structural constraints every real route satisfies."""
-        return smt.bv_ule(self.prefix_len, smt.bv_const(32, LEN_WIDTH))
+        """Structural constraints every real route satisfies.
+
+        Cached on the instance (fields are immutable, updates copy): every
+        filter and implication check asks the one cached ``fresh`` route.
+        """
+        term = self.__dict__.get("_well_formed")
+        if term is None:
+            term = smt.bv_ule(self.prefix_len, smt.bv_const(32, LEN_WIDTH))
+            object.__setattr__(self, "_well_formed", term)
+        return term
 
     # ------------------------------------------------------------------
     # Field access helpers

@@ -21,6 +21,13 @@ Two entry points share the same bit-blast → Tseitin → CDCL pipeline:
   (bounded by the SAT core's database reduction): nothing solver-side is
   exported, persisted or shipped between processes.
 
+A :class:`SessionPool` keys sessions by owner router and, above them, owns
+the run's **query memo**: the tuple of interned assertions a check hands a
+session *is* the query, so each distinct tuple is solved once per pool
+(see the class docstring; :meth:`repro.core.checks.LocalCheck._discharge`
+consults it before ``CheckSession.check``, the one-shot :class:`Solver`
+never does).
+
 ``Model`` evaluates *original* terms (including bit-vectors) against the
 SAT assignment so callers never see the bit-level encoding.  ``prove``
 wraps the refutation idiom used throughout Lightyear: a check ``A => B``
@@ -154,6 +161,11 @@ class Model:
         if isinstance(term, T.BvIte):
             return memo[term.then] if memo[term.cond] else memo[term.els]
         raise TypeError(f"cannot evaluate {term!r}")
+
+
+#: The query memo's shape: a query — the tuple of interned assertions handed
+#: to :meth:`CheckSession.check` — to its decided answer and SAT model.
+Answers = dict[tuple[Term, ...], tuple[Result, Model | None]]
 
 
 def _extract_model(sat: SatSolver, tseitin: Tseitin, blaster: Bitblaster) -> Model:
@@ -304,6 +316,10 @@ class CheckSession:
         self._asserted: set[Term] = set()
         # Conjuncts skipped that way, cumulative over the session.
         self.shared_skips = 0
+        # The owning pool's query memo (None for a session outside a pool)
+        # and how many of this session's checks it answered.
+        self.answers: Answers | None = None
+        self.memo_hits = 0
 
     def prepare(self, shared: Sequence[Term] = ()) -> None:
         """Assert once what every later check in this session asserts.
@@ -438,6 +454,18 @@ class SessionPool:
     pool never needs invalidation for correctness;
     ``drop`` exists to bound memory when an owner's policy is gone for good.
 
+    Above the sessions the pool owns ``answers``, the query memo: each
+    distinct query is solved once per pool, whichever owner asks first,
+    and every session the pool creates shares the one dict.  It is sound
+    because the tuple of assertions *is* the query — a session database
+    adds only definitions and ``prepare()``'s conjunct, which is itself
+    among the assertions.  Only SAT and UNSAT are stored (an UNKNOWN is a statement about a budget, not about
+    the query).  The key is the query's content — interned terms, compared
+    by identity — so an edited policy builds a different key and nothing
+    needs invalidating on ``drop`` or across
+    :func:`repro.smt.terms.clear_intern_cache`; the memo dies with
+    ``clear()``, is never pickled and never reaches the on-disk cache.
+
     Pools live wherever reuse pays: a :class:`repro.core.workspace.
     Workspace` keeps one across ``reverify`` calls, the Table-4
     sweeps hoist one above their property-family loops, and
@@ -448,15 +476,22 @@ class SessionPool:
     def __init__(self) -> None:
         self._sessions: dict[object, CheckSession] = {}
         self.created = 0
+        self.answers: Answers = {}
 
     def stats(self) -> dict[str, int]:
-        """Aggregated reuse counters across the pool's sessions."""
+        """Aggregated reuse counters across the pool's sessions.
+
+        ``checks_discharged`` counts queries a session solved;
+        ``memo_hits`` those answered from ``answers`` instead.
+        """
         sessions = self._sessions.values()
         return {
             "sessions": len(sessions),
             "checks_discharged": self.checks_discharged,
             "shared_skips": sum(s.shared_skips for s in sessions),
             "learnts_kept": sum(len(s._sat._learnts) for s in sessions),
+            "memo_entries": len(self.answers),
+            "memo_hits": sum(s.memo_hits for s in sessions),
         }
 
     def get(self, key: object) -> CheckSession:
@@ -464,6 +499,7 @@ class SessionPool:
         session = self._sessions.get(key)
         if session is None:
             session = self._sessions[key] = CheckSession()
+            session.answers = self.answers
             self.created += 1
         return session
 
@@ -475,6 +511,7 @@ class SessionPool:
 
     def clear(self) -> None:
         self._sessions.clear()
+        self.answers.clear()
 
     def keys(self) -> KeysView[object]:
         return self._sessions.keys()

@@ -55,6 +55,22 @@ def test_edge_classification():
     assert internal | external == topo.edges
 
 
+def test_edge_iteration_order_is_by_source_then_destination():
+    """``internal_edges``/``external_edges`` filter first and sort by a
+    ``(src, dst)`` key; the order is the one ``sorted(edges)`` gives."""
+    topo = build_figure1().topology
+    assert list(topo.internal_edges()) == [
+        Edge("R1", "R2"), Edge("R1", "R3"), Edge("R2", "R1"),
+        Edge("R2", "R3"), Edge("R3", "R1"), Edge("R3", "R2"),
+    ]
+    assert list(topo.external_edges()) == [
+        Edge("Customer", "R3"), Edge("ISP1", "R1"), Edge("ISP2", "R2"),
+        Edge("R1", "ISP1"), Edge("R2", "ISP2"), Edge("R3", "Customer"),
+    ]
+    assert sorted(topo.internal_edges()) == list(topo.internal_edges())
+    assert sorted(topo.external_edges()) == list(topo.external_edges())
+
+
 def test_validate_path_accepts_figure1_witness():
     topo = build_figure1().topology
     topo.validate_path(

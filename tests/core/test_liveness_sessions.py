@@ -126,14 +126,16 @@ def test_liveness_shares_one_session_per_owner(fig1_config):
 
 def test_implication_check_goes_through_shared_pool(fig1_config):
     """Regression: the final implication used to bypass ``run_checks`` with
-    a hermetic one-shot solver.  Now the ``None``-owner session discharges
+    a hermetic one-shot solver.  Now the ``None``-owner session answers
     it together with the sub-proof implications: one liveness implication
-    plus one per no-interference sub-proof (R3 and R2)."""
+    plus one per no-interference sub-proof (R3 and R2) — each either
+    solved by that session or recalled from the pool's query memo."""
     pool = SessionPool()
     verify_liveness(fig1_config, customer_liveness_property(), sessions=pool)
     none_session = pool.peek(None)
     assert none_session is not None
-    assert none_session.checks_discharged == 3
+    assert none_session.checks_discharged + none_session.memo_hits == 3
+    assert none_session.checks_discharged >= 1
 
 
 def test_warm_pool_liveness_adds_no_encoding():

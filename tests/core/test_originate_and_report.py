@@ -94,6 +94,45 @@ def test_originate_check_fails_when_untagged():
 # ---------------------------------------------------------------------------
 
 
+def test_multi_query_outcome_keeps_search_counters_and_unknown_reason():
+    """Regression: merging the stats of an originate check's discharges
+    dropped the SAT counters and the UNKNOWN reason."""
+    from repro.core.checks import _merge_stats
+    from repro.smt.sat import SatStats
+    from repro.smt.solver import SolverStats
+
+    first = SolverStats(
+        num_vars=3, num_clauses=7, build_time_s=0.5, solve_time_s=0.25,
+        sat=SatStats(decisions=2, propagations=5, conflicts=1, restarts=1,
+                     learned=1, max_learnt_len=4),
+    )
+    second = SolverStats(
+        num_vars=9, num_clauses=2, build_time_s=0.5, solve_time_s=0.25,
+        sat=SatStats(decisions=3, propagations=7, conflicts=2, max_learnt_len=2),
+        unknown_reason="conflicts",
+    )
+    merged = _merge_stats(first, second)
+    assert (merged.num_vars, merged.num_clauses) == (9, 7)
+    assert (merged.build_time_s, merged.solve_time_s) == (1.0, 0.5)
+    assert merged.sat == SatStats(
+        decisions=5, propagations=12, conflicts=3, restarts=1, learned=1, max_learnt_len=4
+    )
+    assert merged.unknown_reason == "conflicts"
+
+    # End to end: an originate check that runs out of time says why on its
+    # stats too, not only on the outcome.
+    config = _config_with_origination(tagged=False)
+    prop, invariants = _originated_tagged_problem(config)
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    (originate,) = [c for c in checks if c.kind is CheckKind.ORIGINATE]
+    from repro.core.safety import build_universe
+
+    universe = build_universe(config, invariants, [prop.predicate], ())
+    outcome = originate.run(config, universe, deadline_s=0.0)
+    assert outcome.unknown and outcome.unknown_reason == "timeout"
+    assert outcome.stats.unknown_reason == "timeout"
+
+
 def test_format_safety_report_pass_and_verbose():
     config = build_figure1()
     prop = SafetyProperty(
