@@ -18,6 +18,7 @@ import pytest
 from repro.baselines.localonly import LocalOnlyChecker
 from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
+from repro.core.exec import ExecutionContext
 from repro.core.safety import verify_safety, verify_safety_family
 from repro.core.workspace import Workspace
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, TruePred
@@ -119,7 +120,9 @@ def test_parallel_checks(benchmark):
     config, ghost, prop, invariants = fullmesh_problem(30)
 
     def run():
-        return verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=8)
+        return verify_safety(
+            config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(parallel=8)
+        )
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.passed

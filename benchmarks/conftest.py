@@ -4,7 +4,7 @@ Every benchmark regenerates one paper artifact (a figure series or a table
 row).  Absolute numbers differ from the paper — the substrate is a pure
 Python SAT solver, not Z3 on the authors' hardware — but the comparisons
 (who wins, growth curves, where timeouts start) reproduce the published
-shape.  ``EXPERIMENTS.md`` records paper-vs-measured for each artifact.
+shape; each test asserts the comparison it reproduces.
 """
 
 from __future__ import annotations

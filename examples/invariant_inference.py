@@ -13,6 +13,7 @@ Run: ``python examples/invariant_inference.py``
 
 from repro.bgp.topology import Edge
 from repro.core import SafetyProperty, infer_safety_invariants
+from repro.core.exec import ExecutionContext
 from repro.core.safety import verify_safety
 from repro.lang import GhostAttribute
 from repro.lang.predicates import GhostIs, Not
@@ -31,7 +32,10 @@ def main() -> None:
     )
 
     print("searching for a key invariant that proves:", prop, "\n")
-    result = infer_safety_invariants(config, prop, from_isp1)
+    # Every candidate, and the re-verification below, run on one context:
+    # the routers' filters are encoded once for the whole search.
+    context = ExecutionContext()
+    result = infer_safety_invariants(config, prop, from_isp1, context=context)
     for attempt in result.attempts:
         mark = "verified" if attempt.passed else "refuted"
         print(f"  candidate {attempt.invariant!r}: {mark}")
@@ -44,7 +48,7 @@ def main() -> None:
 
     # The inferred invariants are a normal InvariantMap; re-verify with it.
     report = verify_safety(
-        config, prop, result.invariants(config), ghosts=(from_isp1,)
+        config, prop, result.invariants(config), ghosts=(from_isp1,), context=context
     )
     print(report.summary())
     assert report.passed

@@ -12,16 +12,22 @@ production network), then:
 Run: ``python examples/wan_bogon_filtering.py``
 """
 
-from repro.core.safety import verify_safety_family
+from repro.core.exec import ExecutionContext
+from repro.core.safety import verify_safety
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import all_peering_problems
 
 
 def verify_all(wan, label: str) -> None:
     print(f"--- {label} ---")
+    context = ExecutionContext()  # shared by all eleven families: one encoding each
     for problem in all_peering_problems(wan):
-        report = verify_safety_family(
-            wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
+        report = verify_safety(
+            wan.config,
+            problem.properties,
+            problem.invariants,
+            ghosts=(problem.ghost,),
+            context=context,
         )
         status = "PASS" if report.passed else f"FAIL ({len(report.failures)})"
         print(

@@ -15,8 +15,9 @@ bug is injected to show the workflow that found a real misconfiguration.
 Run: ``python examples/wan_ip_reuse.py``
 """
 
+from repro.core.exec import ExecutionContext
 from repro.core.liveness import verify_liveness
-from repro.core.safety import verify_safety_family
+from repro.core.safety import verify_safety
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import (
     ip_reuse_liveness_problem,
@@ -27,12 +28,19 @@ from repro.workloads.wan_properties import (
 def main() -> None:
     wan = build_wan(regions=4, routers_per_region=3)
     print(f"WAN with {wan.regions} regions; reused pool 172.16.0.0/12\n")
+    # One context for every problem on this network: they share its session
+    # pool (each router's filters are encoded once) and its limits.
+    context = ExecutionContext()
 
     print("--- Table 4b: reuse isolation (safety), every region ---")
     for region in range(wan.regions):
         problem = ip_reuse_safety_problem(wan, region)
-        report = verify_safety_family(
-            wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
+        report = verify_safety(
+            wan.config,
+            problem.properties,
+            problem.invariants,
+            ghosts=(problem.ghost,),
+            context=context,
         )
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -49,6 +57,7 @@ def main() -> None:
             problem.property,
             interference_invariants=problem.interference_invariants,
             ghosts=(problem.ghost,),
+            context=context,
         )
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -60,7 +69,7 @@ def main() -> None:
     print("\n--- injected bug: region 2 tags with an undocumented community ---")
     buggy = build_wan(regions=4, routers_per_region=3, wrong_community_region=2)
     problem = ip_reuse_safety_problem(buggy, region=2)
-    report = verify_safety_family(
+    report = verify_safety(
         buggy.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
     )
     assert not report.passed

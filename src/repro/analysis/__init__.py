@@ -15,10 +15,14 @@ statically, on every commit:
 * :mod:`repro.analysis.checkers.deadline_discipline` — hot-path loops
   sample deadlines; remaining-budget arithmetic is expiry-guarded;
 * :mod:`repro.analysis.checkers.cache_format` — persisted shapes change
-  only together with a ``CACHE_FORMAT`` bump (shape manifest);
-* :mod:`repro.analysis.checkers.budget_flow` — a budget parameter a
-  function holds is forwarded to every callee that accepts it (the one
-  interprocedural checker, over :mod:`repro.analysis.callgraph`).
+  only together with a ``CACHE_FORMAT`` bump (shape manifest).
+
+The fifth invariant — a ``--budget`` parsed and then dropped on the way
+to the solver (PR 4) — is no longer a lint: budgets and deadlines live
+only on :class:`repro.core.exec.ExecutionContext`, which the scheduler
+reads, so there is no chain of parameters left to drop one from; the
+forwarding that remains under the scheduler is pinned by behaviour tests
+(``tests/core/test_deadlines.py``).
 
 Run via ``lightyear lint`` or ``python -m repro.analysis``.  Findings
 are suppressible in place (``# repro: ignore[checker-id] -- reason``)

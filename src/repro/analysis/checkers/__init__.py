@@ -1,7 +1,6 @@
 """Built-in checkers.  Importing this package registers all of them."""
 
 from repro.analysis.checkers import (  # noqa: F401
-    budget_flow,
     cache_format,
     deadline_discipline,
     digest_coverage,

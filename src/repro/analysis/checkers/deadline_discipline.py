@@ -121,14 +121,17 @@ def _function_records(tree: ast.AST) -> list[dict]:
     return records
 
 
-# Cache of node -> owning function, computed per call tree.
-_owner_cache: dict[int, dict[int, ast.AST]] = {}
+# Cache of node -> owning function, computed per call tree.  The tree is
+# held alongside its index so its id() cannot be reused while cached.
+_owner_cache: dict[int, tuple[ast.AST, dict[int, ast.AST | None]]] = {}
 
 
 def _owning_function(tree: ast.AST, target: ast.AST) -> ast.AST | None:
     """The innermost function whose body contains ``target``."""
-    index = _owner_cache.get(id(tree))
-    if index is None:
+    cached = _owner_cache.get(id(tree))
+    if cached is not None:
+        index = cached[1]
+    else:
         index = {}
         stack: list[tuple[ast.AST, ast.AST | None]] = [(tree, None)]
         while stack:
@@ -142,7 +145,7 @@ def _owning_function(tree: ast.AST, target: ast.AST) -> ast.AST | None:
             for child in ast.iter_child_nodes(node):
                 stack.append((child, next_owner))
         _owner_cache.clear()  # one tree at a time is enough
-        _owner_cache[id(tree)] = index
+        _owner_cache[id(tree)] = (tree, index)
     return index.get(id(target))
 
 

@@ -5,9 +5,9 @@ Orchestrates one run end to end::
     result = run_lint(LintOptions(root=repo_root, paths=[src/repro]))
 
 Per-file work (AST parse, checker extraction, the engine's own
-suppression and call-graph symbol facts) is cached keyed by content
-digest (:mod:`repro.analysis.cache`); the cross-file analyze phase —
-including composing the project call graph — re-runs every invocation.
+suppression index) is cached keyed by content digest
+(:mod:`repro.analysis.cache`); the cross-file analyze phase re-runs
+every invocation.
 Suppressions and the baseline are applied here, not in checkers, so
 every checker gets both behaviours for free.
 
@@ -29,11 +29,6 @@ from pathlib import Path
 
 from repro.analysis.baseline import load_baseline, partition, save_baseline
 from repro.analysis.cache import FactCache, content_digest
-from repro.analysis.callgraph import (
-    CALLGRAPH_KEY,
-    CALLGRAPH_VERSION,
-    extract_callgraph_facts,
-)
 from repro.analysis.findings import Finding, LintResult, Severity
 from repro.analysis.registry import Checker, Project, all_checkers
 from repro.analysis.suppressions import Suppression, is_suppressed
@@ -92,11 +87,6 @@ def _selected_checkers(options: LintOptions) -> list[Checker]:
 def run_lint(options: LintOptions) -> LintResult:
     checkers = _selected_checkers(options)
     versions = {checker.id: checker.version for checker in checkers}
-    # The engine's call-graph symbol facts ride the same cache entries;
-    # their version participates in the key, so bumping
-    # CALLGRAPH_VERSION invalidates cached facts exactly like a checker
-    # version bump does.
-    versions[CALLGRAPH_KEY] = CALLGRAPH_VERSION
     cache = FactCache(options.cache_file)
     result = LintResult()
 
@@ -169,7 +159,7 @@ def extract_file_facts(
     rel: str, data: bytes, checkers: list[Checker]
 ) -> tuple[dict[str, object], list[Finding]]:
     """Run the extract phase over one file: every checker's facts plus
-    the engine's own records (suppression index, call-graph symbols).
+    the engine's own record (the suppression index).
 
     Pure with respect to its arguments — no engine state, no
     filesystem.  Parse errors become findings rather than crashes (lint
@@ -202,7 +192,6 @@ def extract_file_facts(
         }
         for supp in parse_suppressions(source)
     ]
-    facts[CALLGRAPH_KEY] = extract_callgraph_facts(tree, source, rel)
     for checker in checkers:
         extracted = checker.extract(tree, source, rel)
         if extracted is not None:

@@ -19,12 +19,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.analysis.findings import Finding
-
-if TYPE_CHECKING:
-    from repro.analysis.callgraph import CallGraph
 
 JsonFacts = Any  # JSON-serialisable: the cache round-trips it through json
 
@@ -39,7 +36,6 @@ class Project:
     # Engine options checkers may consult (e.g. cache-format's manifest
     # path and --update-manifest flag).
     options: dict[str, Any] = field(default_factory=dict)
-    _call_graph: "CallGraph | None" = field(default=None, repr=False)
 
     def facts_for(self, checker_id: str) -> Iterable[tuple[str, JsonFacts]]:
         """(path, facts) pairs for one checker, in sorted path order."""
@@ -47,17 +43,6 @@ class Project:
             per_file = self.facts[path].get(checker_id)
             if per_file is not None:
                 yield path, per_file
-
-    def call_graph(self) -> "CallGraph":
-        """The project call graph, composed from the per-file symbol
-        facts the engine stores under ``callgraph.CALLGRAPH_KEY``.
-        Built at most once per run; every interprocedural checker's
-        analyze phase shares the same instance."""
-        if self._call_graph is None:
-            from repro.analysis.callgraph import build_call_graph
-
-            self._call_graph = build_call_graph(self)
-        return self._call_graph
 
 
 class Checker:

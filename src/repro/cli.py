@@ -23,11 +23,11 @@ Subcommands:
   changed — the input to incremental re-verification.
 
 * ``lightyear lint [PATHS]``
-  Run the repo's own static-analysis pass (:mod:`repro.analysis`): five
+  Run the repo's own static-analysis pass (:mod:`repro.analysis`): four
   checkers enforcing the verifier's soundness invariants — digest
-  coverage, pickle safety, deadline discipline, cache-format discipline,
-  budget flow — with per-file caching, inline suppressions, and a
-  committed baseline ratchet.  Exits non-zero on any fresh finding.
+  coverage, pickle safety, deadline discipline, cache-format discipline
+  — with per-file caching, inline suppressions, and a committed baseline
+  ratchet.  Exits non-zero on any fresh finding.
 
 * ``lightyear reverify BASE EDITED SPEC``
   The incremental pipeline end to end: verify every property in the spec
@@ -177,44 +177,44 @@ def _open_workspace(
     cache_path: Path | None,
     config,
     ghosts,
-    parallel,
     problems,
-    budget,
-    deadline_s=None,
+    args: argparse.Namespace,
 ) -> tuple[Workspace, bool]:
     """A workspace for ``config``: loaded from the cache when one exists.
 
-    A loadable cache must cover exactly this spec (same properties,
+    ``--jobs``, ``--budget``, ``--deadline`` and ``--wall-budget`` are
+    handed over here, once; everything the workspace runs is bound by
+    them.  A loadable cache must cover exactly this spec (same properties,
     invariants, and budget) — a stale or foreign cache raises
-    :class:`WorkspaceCacheMismatch` rather than silently answering for
-    the wrong problem.  ``deadline_s`` is an execution parameter, not
-    part of the cache identity.
+    :class:`WorkspaceCacheMismatch` rather than silently answering for the
+    wrong problem.  The deadlines are execution parameters, not part of
+    the cache identity.
     """
-    if cache_path is None or not cache_path.exists():
-        workspace = Workspace(
-            config, ghosts=ghosts, parallel=parallel, deadline_s=deadline_s
-        )
-        return workspace, False
-    workspace = Workspace.load(
-        cache_path,
-        config=config,
-        ghosts=ghosts,
-        parallel=parallel,
-        deadline_s=deadline_s,
+    limits = dict(
+        parallel=args.jobs, conflict_budget=args.budget, deadline_s=args.deadline
     )
-    for prop, invariants, interference in problems:
-        if not workspace.has_entry(
-            prop,
-            invariants,
-            interference_invariants=interference,
-            conflict_budget=budget,
-        ):
-            raise WorkspaceCacheMismatch(
-                f"workspace cache at {cache_path} does not cover this spec "
-                f"(no cached outcomes for {prop}); delete the cache or rerun "
-                f"without --cache"
-            )
-    return workspace, True
+    loaded = cache_path is not None and cache_path.exists()
+    if not loaded:
+        workspace = Workspace(config, ghosts=ghosts, **limits)
+    else:
+        workspace = Workspace.load(cache_path, config=config, ghosts=ghosts, **limits)
+        # A load without --budget adopts the saved one; that is not this spec.
+        same_budget = workspace.conflict_budget == args.budget
+        for prop, invariants, interference in problems:
+            if not same_budget or not workspace.has_entry(
+                prop, invariants, interference_invariants=interference
+            ):
+                raise WorkspaceCacheMismatch(
+                    f"workspace cache at {cache_path} does not cover this spec "
+                    f"(no cached outcomes for {prop}); delete the cache or rerun "
+                    f"without --cache"
+                )
+    if args.wall_budget is not None:
+        # One budget for the whole invocation: pin a single absolute
+        # deadline so it spans every property (and a reverify's base run),
+        # not each run separately.
+        workspace.set_run_deadline(time.monotonic() + args.wall_budget)
+    return workspace, loaded
 
 
 def _reports_exit_code(reports) -> int:
@@ -250,38 +250,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # the spec, so encodings built for the first property are reused by all
     # later ones on the serial path; with --cache the outcome store
     # additionally persists across invocations.
-    workspace, loaded = _open_workspace(
-        cache_path,
-        config,
-        ghosts,
-        args.jobs,
-        problems,
-        args.budget,
-        deadline_s=args.deadline,
-    )
+    workspace, loaded = _open_workspace(cache_path, config, ghosts, problems, args)
     if loaded:
         print(f"cache: loaded outcomes from {cache_path}")
-    if args.wall_budget is not None:
-        # One budget for the whole invocation: pin a single absolute
-        # deadline so it spans every property, not each run separately.
-        workspace.set_run_deadline(time.monotonic() + args.wall_budget)
     reports = []
     reran = False
     with workspace:
         for prop, invariants, interference in problems:
             report = workspace.verify(
-                prop,
-                invariants,
-                interference_invariants=interference,
-                conflict_budget=args.budget,
+                prop, invariants, interference_invariants=interference
             )
             print(format_report(report, verbose=args.verbose))
             if loaded:
                 entry = workspace.entry(
-                    prop,
-                    invariants,
-                    interference_invariants=interference,
-                    conflict_budget=args.budget,
+                    prop, invariants, interference_invariants=interference
                 )
                 print(_consulted_line(entry.last_result, "cache"))
                 reran = reran or entry.last_result.rerun_checks > 0
@@ -329,18 +311,7 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
     # One workspace over the base config: the base run's per-owner sessions
     # (or, cache-loaded, its persisted outcomes) are what the reverify
     # re-solves against.
-    workspace, loaded = _open_workspace(
-        cache_path,
-        base,
-        ghosts,
-        args.jobs,
-        problems,
-        args.budget,
-        deadline_s=args.deadline,
-    )
-    if args.wall_budget is not None:
-        # The budget covers the whole invocation (base run + reverify).
-        workspace.set_run_deadline(time.monotonic() + args.wall_budget)
+    workspace, loaded = _open_workspace(cache_path, base, ghosts, problems, args)
     reports = []
     with workspace:
         if loaded:
@@ -348,10 +319,7 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
         else:
             for prop, invariants, interference in problems:
                 report = workspace.verify(
-                    prop,
-                    invariants,
-                    interference_invariants=interference,
-                    conflict_budget=args.budget,
+                    prop, invariants, interference_invariants=interference
                 )
                 if args.verbose:
                     print(f"base: {report.summary()}")
@@ -365,12 +333,7 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
         # than this invocation asked about, and those must not leak into
         # the output or the exit code.
         selected = [
-            workspace.entry(
-                prop,
-                invariants,
-                interference_invariants=interference,
-                conflict_budget=args.budget,
-            )
+            workspace.entry(prop, invariants, interference_invariants=interference)
             for prop, invariants, interference in problems
         ]
         workspace.apply(edited)

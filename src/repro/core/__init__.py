@@ -13,12 +13,14 @@ incremental ``apply``/``reverify``, and an on-disk outcome cache
     assert report.passed
 
 There are two layers, and neither wraps the other.  The free functions
-``verify_safety``/``verify_liveness`` (with ``verify_safety_family`` and
-``run_checks`` in :mod:`repro.core.safety`) are stateless and one-shot:
+``verify_safety``/``verify_liveness`` build a problem and hand it to the
+one-shot driver (:func:`repro.core.safety.run_problem`): stateless —
 generate every check, run it, report.  ``Workspace`` is the stateful
-layer over the same generators and scheduler, and its incremental tracker
-(:mod:`repro.core.incremental`) is differentially tested against the
-one-shot functions.
+layer over the same problem builders and scheduler, and its incremental
+tracker (:mod:`repro.core.incremental`) is differentially tested against
+the one-shot driver.  How a run executes (worker processes, budgets,
+deadlines, session pool) is an :class:`repro.core.exec.ExecutionContext`:
+the ``context=`` of a free function, or the workspace itself.
 """
 
 from repro.core.properties import (

@@ -142,7 +142,7 @@ class LocalCheck:
         universe: AttributeUniverse,
         conflict_budget: int | None,
         session: "smt.CheckSession | None",
-        deadline_abs: float | None = None,
+        deadline_abs: float | None,
     ) -> tuple["smt.Result", SolverStats, "smt.Model | None"]:
         """Decide a conjunction; returns (result, stats, model-if-SAT).
 
@@ -420,6 +420,20 @@ def _merge_stats(a: SolverStats, b: SolverStats) -> SolverStats:
 # ---------------------------------------------------------------------------
 
 
+def implication_check(
+    location: Location, assumption: Predicate, goal: Predicate, claim: str
+) -> LocalCheck:
+    """The owner-less closing check of a proof: ``assumption ⊆ goal``."""
+    return LocalCheck(
+        kind=CheckKind.IMPLICATION,
+        edge=None,
+        location=location,
+        assumption=assumption,
+        goal=goal,
+        description=f"implication check at {location}: {claim}",
+    )
+
+
 def generate_safety_checks(
     config: NetworkConfig,
     invariants,
@@ -488,16 +502,11 @@ def generate_safety_checks(
                 )
     if owners is None:
         checks.append(
-            LocalCheck(
-                kind=CheckKind.IMPLICATION,
-                edge=None,
-                location=property_location,
-                assumption=invariants.get(property_location),
-                goal=property_predicate,
-                description=(
-                    f"implication check at {property_location}: "
-                    f"I[{property_location}] implies the property"
-                ),
+            implication_check(
+                property_location,
+                invariants.get(property_location),
+                property_predicate,
+                f"I[{property_location}] implies the property",
             )
         )
     return checks

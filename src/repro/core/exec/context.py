@@ -1,11 +1,13 @@
 """Execution context: the bundled substrate every verification path shares.
 
-An :class:`ExecutionContext` carries what used to travel as an argument
-caravan (``parallel, conflict_budget, sessions, deadline_s,
-wall_budget_s``): the owner-keyed :class:`SessionPool`, the requested
-worker-process count, the budgets, and the run-deadline bookkeeping.
-:class:`repro.core.workspace.Workspace` inherits it, so the trackers and
-the scheduler see one object.
+An :class:`ExecutionContext` is the only carrier of *how* to run: the
+owner-keyed :class:`SessionPool`, the requested worker-process count, the
+conflict budget, the per-check deadline and the wall budget.  Nothing
+above :meth:`repro.core.exec.scheduler.Scheduler.run` takes any of these
+as a parameter — a one-shot function takes ``context=``, a
+:class:`repro.core.workspace.Workspace` *is* one (it inherits this
+class), and the scheduler reads every limit from the context it is bound
+to, so a limit set here cannot be dropped on the way down.
 
 There is no backend selection to do here: ``parallel`` resolving to more
 than one job means the per-batch process map for batches that span more
@@ -16,8 +18,10 @@ than one owner, anything else the serial session path (see
 from __future__ import annotations
 
 import os
+import sys
 import time
 import warnings
+from types import FrameType
 
 from repro.core.report import DegradationReport
 from repro.smt.solver import SessionPool
@@ -72,9 +76,9 @@ def resolve_jobs(parallel: int | str | None) -> int:
 class ExecutionContext:
     """Session pool, job count and budgets for workspaces and the scheduler.
 
-    Holds an owner-keyed :class:`SessionPool`: a fresh one, or the pool a
-    one-shot function's caller passed (``sessions=``) to keep encodings
-    across calls.
+    Holds an owner-keyed :class:`SessionPool`: a fresh one, or the one
+    passed as ``sessions=``.  Handing the same context to several one-shot
+    calls is how they share encodings and the query memo.
     """
 
     def __init__(
@@ -90,12 +94,9 @@ class ExecutionContext:
         self.conflict_budget = conflict_budget
         self.deadline_s = deadline_s
         self.wall_budget_s = wall_budget_s
-        # An absolute time.monotonic() deadline for the run in flight.
-        # Normally derived per run from ``wall_budget_s``; callers that
-        # want one budget to span several runs (the CLI spanning every
-        # spec property) pin it with :meth:`set_run_deadline`.
-        self._run_deadline: float | None = None
-        self._external_deadline = False
+        # An absolute time.monotonic() deadline pinned across runs by
+        # :meth:`set_run_deadline`; None = derive one per run.
+        self._pinned_deadline: float | None = None
         self.sessions = sessions if sessions is not None else SessionPool()
         self._fallback_warned = False
 
@@ -111,14 +112,21 @@ class ExecutionContext:
         :class:`RuntimeWarning` fires once per context — a workspace that
         cannot create a pool degrades identically on every run, and
         repeating the warning per run is spam, not signal.  The warning
-        is attributed to the caller of :meth:`Scheduler.run`.
+        is attributed to the first frame outside ``repro.core``: whoever
+        called :meth:`Scheduler.run`, ``verify_safety`` or
+        ``Workspace.verify``, however many driver frames lie between.
         """
         if not self._fallback_warned:
             self._fallback_warned = True
+            # Walk out past this frame, Scheduler.run and any driver frame.
+            frame: FrameType | None = sys._getframe(2)
+            depth = 2
+            while frame and frame.f_globals.get("__name__", "").startswith("repro.core."):
+                frame, depth = frame.f_back, depth + 1
             warnings.warn(
                 f"parallel check execution degraded to the serial path: {reason}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=depth + 1,
             )
         if degradation is not None:
             degradation.record_fallback(reason)
@@ -128,37 +136,23 @@ class ExecutionContext:
     def set_run_deadline(self, deadline: float | None) -> None:
         """Pin an absolute ``time.monotonic()`` deadline across runs.
 
-        Until cleared (pass ``None``), every tracker run checks against
-        this single deadline instead of deriving a fresh one from
+        Until cleared (pass ``None``), every run checks against this
+        single deadline instead of deriving a fresh one from
         ``wall_budget_s`` — how one ``--wall-budget`` spans all the
         properties of one CLI invocation.
         """
-        self._run_deadline = deadline
-        self._external_deadline = deadline is not None
+        self._pinned_deadline = deadline
 
-    def _begin_run_deadline(self) -> float | None:
-        """The run deadline a tracker run should enforce, refreshed.
+    def begin_run_deadline(self) -> float | None:
+        """The deadline the run now starting must enforce.
 
-        With an externally pinned deadline, that; otherwise a fresh
-        ``now + wall_budget_s`` per run (or ``None`` without a budget).
+        The pinned deadline if there is one; otherwise a fresh
+        ``now + wall_budget_s`` (or ``None`` without a budget).  Called
+        by :meth:`Scheduler.run` and nowhere else, so a run is exactly
+        one batch.
         """
-        if self._external_deadline:
-            return self._run_deadline
-        self._run_deadline = (
-            None
-            if self.wall_budget_s is None
-            else time.monotonic() + self.wall_budget_s
-        )
-        return self._run_deadline
-
-    # -- substrate lifecycle ------------------------------------------
-
-    def _reset_substrate(self) -> None:
-        """Drop cached encodings after a topology change.
-
-        Session reuse is always *sound* (databases are definitional and
-        checks solve under assumptions), so this is purely a memory
-        measure.  Only a workspace's tracker calls it, and a workspace
-        always owns its pool.
-        """
-        self.sessions.clear()
+        if self._pinned_deadline is not None:
+            return self._pinned_deadline
+        if self.wall_budget_s is None:
+            return None
+        return time.monotonic() + self.wall_budget_s

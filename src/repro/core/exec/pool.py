@@ -154,8 +154,8 @@ def run_checks_in_processes(
     ghosts: tuple["GhostAttribute", ...],
     conflict_budget: int | None,
     jobs: int,
-    deadline_s: float | None = None,
-    run_deadline: float | None = None,
+    deadline_s: float | None,
+    run_deadline: float | None,
 ) -> "list[CheckOutcome] | None":
     """Run checks on a process pool; None if no pool could be used.
 

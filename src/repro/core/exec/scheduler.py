@@ -18,10 +18,10 @@ mappings of different sizes.  The scheduler owns:
   there are two to overlap), else the serial session loop; a failed map is
   re-run serially and recorded on the :class:`DegradationReport` (warning
   once per context, see :meth:`ExecutionContext.record_fallback`);
-* **deadlines** — the per-check ``deadline_s`` and the absolute
-  ``run_deadline`` wall budget, honoured on both paths; checks reached
-  after expiry resolve to UNKNOWN/``wall-budget`` without touching a
-  solver;
+* **limits** — the conflict budget, the per-check ``deadline_s`` and the
+  run's wall deadline are read from the context here, once per run, and
+  honoured on both paths; checks reached after the wall deadline resolve
+  to UNKNOWN/``wall-budget`` without touching a solver;
 * **outcome ordering** — checks run in mapping order (on the serial path
   exactly; the map returns them in that order) and each key gets back the
   outcomes of its own checks, in its own order.
@@ -59,8 +59,6 @@ class Scheduler:
         config: "NetworkConfig",
         universe: "AttributeUniverse",
         ghosts: tuple["GhostAttribute", ...] = (),
-        conflict_budget: int | None = None,
-        run_deadline: float | None = None,
         degradation: "DegradationReport | None" = None,
     ) -> dict[GroupKey, list["CheckOutcome"]]:
         """Discharge every check of ``groups`` as one batch.
@@ -76,6 +74,7 @@ class Scheduler:
         outcomes.
         """
         context = self.context
+        run_deadline = context.begin_run_deadline()
         ghosts = tuple(ghosts)
         flat = [check for checks in groups.values() for check in checks]
         outcomes: list["CheckOutcome"] | None = None
@@ -87,10 +86,10 @@ class Scheduler:
                 config,
                 universe,
                 ghosts,
-                conflict_budget,
+                context.conflict_budget,
                 jobs,
-                deadline_s=context.deadline_s,
-                run_deadline=run_deadline,
+                context.deadline_s,
+                run_deadline,
             )
             if outcomes is None:
                 context.record_fallback("process pool unavailable or broke", degradation)
@@ -100,7 +99,7 @@ class Scheduler:
                 config,
                 universe,
                 ghosts,
-                conflict_budget,
+                context.conflict_budget,
                 context.deadline_s,
                 run_deadline,
                 context.sessions,

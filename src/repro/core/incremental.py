@@ -20,12 +20,12 @@ and one ``("sub", router)`` per path router.  What differs between the
 kinds lives in a small *problem builder* beside the pipeline it describes
 (:class:`repro.core.safety.SafetyProblem`,
 :class:`repro.core.liveness.LivenessProblem`; the :class:`Problem`
-protocol below): the covering universe, check generation per section —
-in full, or restricted to some owners — and report assembly.  A run
-compares per-router digests (O(routers)) and then touches only the
-invalidated owners' groups: ``IncrementalResult.checks_consulted`` counts
-the checks a run actually examined, and a single-router edit consults
-exactly that router's groups.
+protocol below): the predicates its universe must cover, check
+generation per section — in full, or restricted to some owners — and
+report assembly.  A run compares per-router digests (O(routers)) and then
+touches only the invalidated owners' groups:
+``IncrementalResult.checks_consulted`` counts the checks a run actually
+examined, and a single-router edit consults exactly that router's groups.
 
 Change detection covers more than router policies: the digest map carries
 one extra **network-level** entry (:data:`NETWORK_DIGEST_KEY`) derived
@@ -36,10 +36,11 @@ topology invalidates every cached outcome.
 
 A :class:`repro.core.workspace.Workspace` keeps one tracker per verified
 property and persists its :meth:`~PropertyTracker.state_dict`.  The
-stateless :func:`repro.core.safety.verify_safety` /
-:func:`repro.core.liveness.verify_liveness` pipelines are the reference
-the tracker is differentially tested against: after any edit sequence its
-report must equal theirs on the edited configuration.
+stateless :func:`repro.core.safety.run_problem` (behind ``verify_safety``
+/ ``verify_liveness``) runs the same problem builders from scratch and is
+the reference the tracker is differentially tested against: after any
+edit sequence its report must equal that one's on the edited
+configuration.
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Protocol, TypeVar
 
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import CheckOutcome, LocalCheck, group_checks_by_owner
 from repro.core.exec import ExecutionContext, GroupKey, Scheduler
 from repro.core.report import DegradationReport, VerificationReport
+from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
+from repro.lang.predicates import Predicate
 from repro.lang.universe import AttributeUniverse
 
 
@@ -113,8 +116,11 @@ def topology_changed(old: NetworkConfig, new: NetworkConfig) -> bool:
 Section = tuple
 
 
-class Problem(Protocol):
-    """What the tracker needs to know about one property kind.
+R_co = TypeVar("R_co", bound=VerificationReport, covariant=True)
+
+
+class Problem(Protocol[R_co]):
+    """What a driver needs to know about one property kind.
 
     ``prop`` and ``invariants`` are the two constructor arguments (the
     user's invariant map for safety, the optional interference-invariant
@@ -126,10 +132,9 @@ class Problem(Protocol):
     prop: Any
     invariants: Any
 
-    def universe(
-        self, config: NetworkConfig, ghosts: tuple[GhostAttribute, ...]
-    ) -> AttributeUniverse:
-        """The universe covering every check of this problem on ``config``."""
+    def predicates(self) -> list[Predicate]:
+        """Every predicate a check of this problem can mention — what the
+        attribute universe it runs under must cover."""
         ...
 
     def checks(
@@ -144,7 +149,7 @@ class Problem(Protocol):
         outcomes: dict[Section, list[CheckOutcome]],
         wall_time_s: float,
         degradation: DegradationReport,
-    ) -> VerificationReport:
+    ) -> R_co:
         """Assemble the pipeline's report from per-section outcomes."""
         ...
 
@@ -182,8 +187,9 @@ class PropertyTracker:
     in every section — all owners on ``full`` or a network-level
     (external-ASN) edit, and everything after a topology change, which
     resets the cache.  Cost is O(changed owner), not a walk over the
-    outcome cache.  Changing the property, invariants or conflict budget
-    requires a new tracker — those inputs touch every check.
+    outcome cache.  Changing the property or invariants requires a new
+    tracker, a different conflict budget a new context — those inputs
+    touch every check.
 
     A group whose last run ended in a time-bound UNKNOWN
     (:data:`TIME_BOUND_REASONS`) is reported but never reusable: the next
@@ -214,12 +220,10 @@ class PropertyTracker:
         config: NetworkConfig,
         problem: Problem,
         ghosts: tuple[GhostAttribute, ...] = (),
-        conflict_budget: int | None = None,
     ) -> None:
         self.context = context
         self.problem = problem
         self.ghosts = tuple(ghosts)
-        self.conflict_budget = conflict_budget
         self._config = config
         self._digests: dict = {}
         self._universe: AttributeUniverse | None = None
@@ -237,7 +241,7 @@ class PropertyTracker:
         return {
             "prop": self.problem.prop,
             "invariants": self.problem.invariants,
-            "conflict_budget": self.conflict_budget,
+            "conflict_budget": self.context.conflict_budget,
             "config": self._config,
             "digests": self._digests,
             "checks": self._checks,
@@ -255,9 +259,7 @@ class PropertyTracker:
     ) -> "PropertyTracker":
         """Restore a tracker; ``problem`` was rebuilt from the state's
         ``prop``/``invariants`` by the caller, who knows the kind."""
-        tracker = cls(
-            context, state["config"], problem, ghosts, state["conflict_budget"]
-        )
+        tracker = cls(context, state["config"], problem, ghosts)
         tracker._digests = state["digests"]
         tracker._checks = state["checks"]
         tracker._outcomes = state["outcomes"]
@@ -296,7 +298,9 @@ class PropertyTracker:
                     if owner in groups:
                         groups[owner] = regrouped.get(owner, [])
         if self._universe is None or changed or network_changed:
-            universe = self.problem.universe(config, self.ghosts)
+            universe = build_universe(
+                config, None, self.problem.predicates(), self.ghosts
+            )
             if universe != self._universe:
                 # Adopt only on content change; an equal universe keeps the
                 # existing object so downstream value-keyed caches stay warm.
@@ -314,7 +318,8 @@ class PropertyTracker:
             self._outcomes = {}
             self._time_bound = set()
             self._digests = {}
-            self.context._reset_substrate()
+            # Session reuse is always sound; this only bounds memory.
+            self.context.sessions.clear()
         self._config = config
 
         new_digests = config_digests(config)
@@ -343,16 +348,9 @@ class PropertyTracker:
             or (*section, owner) in self._time_bound
         }
 
-        context = self.context
         degradation = DegradationReport()
-        result = Scheduler(context).run(
-            stale,
-            config,
-            universe,
-            self.ghosts,
-            conflict_budget=self.conflict_budget,
-            run_deadline=context._begin_run_deadline(),
-            degradation=degradation,
+        result = Scheduler(self.context).run(
+            stale, config, universe, self.ghosts, degradation
         )
         # Scatter fresh outcomes back into the owner index by group key.
         for key, fresh in result.items():

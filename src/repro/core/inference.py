@@ -32,6 +32,7 @@ from repro.bgp.config import NetworkConfig
 from repro.bgp.policy import AddCommunity, RouteMap
 from repro.bgp.route import Community
 from repro.core.counterexample import CheckFailure
+from repro.core.exec import ExecutionContext
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import SafetyReport, verify_safety
 from repro.lang.ghost import GhostAttribute
@@ -130,13 +131,14 @@ def infer_safety_invariants(
     prop: SafetyProperty,
     ghost: GhostAttribute,
     max_candidates: int = 16,
-    conflict_budget: int | None = None,
+    context: ExecutionContext | None = None,
 ) -> InferenceResult:
     """Search for a community-tracking invariant that verifies ``prop``.
 
     The property should be about the ghost attribute (e.g. ``not
     Ghost(r)`` at an egress edge).  Returns the first verified candidate;
-    each rejected candidate carries its refuting counterexamples.
+    each rejected candidate carries its refuting counterexamples.  Every
+    candidate runs on ``context`` (its budget, its sessions).
     """
     attempts: list[CandidateResult] = []
     winner: CandidateResult | None = None
@@ -146,7 +148,7 @@ def infer_safety_invariants(
         key_invariant = Implies(tracked, HasCommunity(community))
         invariants = _build_map(config, prop, key_invariant)
         report: SafetyReport = verify_safety(
-            config, prop, invariants, ghosts=(ghost,), conflict_budget=conflict_budget
+            config, prop, invariants, ghosts=(ghost,), context=context
         )
         result = CandidateResult(
             community=community,

@@ -13,40 +13,30 @@ If everything passes, then — provided the neighbor actually announces a
 ``C_1`` route and no link *on the path* fails — a ``P`` route reaches the
 target location (§5.3 theorem).  Failures elsewhere are tolerated.
 
-Encoding reuse mirrors the §4 pipeline: one **covering universe**
-(:func:`liveness_universe`) spans the property, the path constraints, and
-every no-interference sub-proof's invariants — including caller-supplied
-``interference_invariants`` — and one owner-keyed
-:class:`repro.smt.SessionPool` is threaded through the propagation checks,
-the final implication (discharged through the scheduler like everything
-else), and each sub-proof.  A caller can pass its own
-``universe``/``sessions`` to extend the sharing across many liveness
-properties, the way the Table-4c sweep does
-(:func:`repro.workloads.wan_properties.verify_ip_reuse_liveness_problems`).
-
 Check **generation** is separable from execution:
 :func:`generate_liveness_checks` returns the complete §5 check set — the
 propagation checks, the final implication, and each no-interference
 sub-proof's §4 check list — without running anything.
-:func:`verify_liveness` is the stateless one-shot driver over that set.
-The stateful layer, :class:`repro.core.workspace.Workspace`, sees the same
-pipeline through :class:`LivenessProblem`: it hands the check set to the
-owner-indexed :class:`repro.core.incremental.PropertyTracker` as sections
-(``("prop",)``, ``("impl",)``, one ``("sub", router)`` per path router) for
-O(changed-owner) re-verification, differentially tested against
-:func:`verify_liveness`.  The invalidation contract follows from what
-each check reads: a single-router edit to ``R`` invalidates ``R``'s
-propagation checks (its filters on the witness path) and ``R``'s owner
-group inside *every* sub-proof (its filters appear in each sub-proof's
-full-network check set) — but never the final implication, which is owned
-by no router, and never another owner's groups.  A network-level edit
-(external ASNs) invalidates everything: it changes the attribute universe
-under every encoding.
+:class:`LivenessProblem` states that set as sections (``("prop",)``, one
+``("sub", router)`` per path router, ``("impl",)``) under **one covering
+universe** spanning the property, the path constraints and every
+sub-proof's invariants, caller-supplied ``interference_invariants``
+included.  :func:`verify_liveness` hands one to the stateless
+:func:`repro.core.safety.run_problem`;
+:class:`repro.core.workspace.Workspace` hands the same one to the
+owner-indexed :class:`repro.core.incremental.PropertyTracker` for
+O(changed-owner) re-verification, differentially tested against the
+former.  The invalidation contract follows from what each check reads: a
+single-router edit to ``R`` invalidates ``R``'s propagation checks (its
+filters on the witness path) and ``R``'s owner group inside *every*
+sub-proof (its filters appear in each sub-proof's full-network check set)
+— but never the final implication, which is owned by no router, and never
+another owner's groups.  A network-level edit (external ASNs) invalidates
+everything: it changes the attribute universe under every encoding.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.bgp.config import NetworkConfig
@@ -57,15 +47,15 @@ from repro.core.checks import (
     LocalCheck,
     check_owner,
     generate_safety_checks,
+    implication_check,
 )
-from repro.core.exec import ExecutionContext, Scheduler
+from repro.core.exec import ExecutionContext
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import DegradationReport, VerificationReport
-from repro.core.safety import SafetyReport, build_universe
+from repro.core.safety import SafetyReport, invariant_predicates, run_problem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Implies, Predicate, PrefixIn, TruePred, prefix_projection
 from repro.lang.universe import AttributeUniverse
-from repro.smt.solver import SessionPool
 
 
 @dataclass
@@ -209,33 +199,9 @@ class LivenessChecks:
     propagation: list[LocalCheck]
     # The final ``C_n ⊆ P`` implication (owner-less: reads no router config).
     implication: LocalCheck
-    # Per path router: its no-interference safety property, the invariant
-    # map proving it, and the resulting full-network §4 check list.
-    subproof_properties: dict[str, SafetyProperty]
-    subproof_invariants: dict[str, InvariantMap]
+    # Per path router: the full-network §4 check list of its
+    # no-interference sub-proof.
     subproof_checks: dict[str, list[LocalCheck]]
-
-    @property
-    def num_checks(self) -> int:
-        return (
-            len(self.propagation)
-            + 1
-            + sum(len(checks) for checks in self.subproof_checks.values())
-        )
-
-
-def implication_check(prop: LivenessProperty) -> LocalCheck:
-    """The final §5 check: the last path constraint implies the property."""
-    return LocalCheck(
-        kind=CheckKind.IMPLICATION,
-        edge=None,
-        location=prop.location,
-        assumption=prop.constraints[-1],
-        goal=prop.predicate,
-        description=(
-            f"implication check at {prop.location}: C_n implies the property"
-        ),
-    )
 
 
 def generate_liveness_checks(
@@ -244,72 +210,28 @@ def generate_liveness_checks(
     interference_invariants: dict[str, InvariantMap] | None = None,
 ) -> LivenessChecks:
     """Generate the full §5 check set without executing anything."""
-    subproof_properties, subproof_invariants = resolve_interference_invariants(
+    properties, invariants = resolve_interference_invariants(
         config, prop, interference_invariants
     )
-    subproof_checks = {
-        router: generate_safety_checks(
-            config,
-            subproof_invariants[router],
-            safety_prop.location,
-            safety_prop.predicate,
-        )
-        for router, safety_prop in subproof_properties.items()
-    }
     return LivenessChecks(
         propagation=generate_propagation_checks(config, prop),
-        implication=implication_check(prop),
-        subproof_properties=subproof_properties,
-        subproof_invariants=subproof_invariants,
-        subproof_checks=subproof_checks,
+        implication=implication_check(
+            prop.location,
+            prop.constraints[-1],
+            prop.predicate,
+            "C_n implies the property",
+        ),
+        subproof_checks={
+            router: generate_safety_checks(
+                config, invariants[router], safety_prop.location, safety_prop.predicate
+            )
+            for router, safety_prop in properties.items()
+        },
     )
 
 
-def liveness_predicates(
-    prop: LivenessProperty,
-    interference_invariants: dict[str, InvariantMap] | None = None,
-) -> list[Predicate]:
-    """Every predicate the §5 pipeline for ``prop`` can mention.
-
-    This is the covering contract in one place: the property and path
-    constraints (propagation and implication checks), each no-interference
-    property, and every predicate in caller-supplied
-    ``interference_invariants``.  Sweep runners that hoist one universe
-    over many liveness properties concatenate these lists rather than
-    re-deriving the collection (and drifting from it).
-    """
-    preds: list[Predicate] = [prop.predicate, *prop.constraints]
-    for router, safety_prop in interference_properties(prop).items():
-        preds.append(safety_prop.predicate)
-        if interference_invariants and router in interference_invariants:
-            inv = interference_invariants[router]
-            preds.append(inv.default)
-            preds.extend(inv.get(loc) for loc in inv.overridden_locations())
-    return preds
-
-
-def liveness_universe(
-    config: NetworkConfig,
-    prop: LivenessProperty,
-    interference_invariants: dict[str, InvariantMap] | None = None,
-    ghosts: tuple[GhostAttribute, ...] = (),
-) -> AttributeUniverse:
-    """One attribute universe covering the entire §5 pipeline.
-
-    The universe must content-cover every universe a sub-step would have
-    built for itself — crucially including the atoms (communities, ASNs,
-    ghosts) of ``interference_invariants`` predicates, which need not
-    appear anywhere in the constraints.  Hoisting one superset universe is
-    sound: the finite abstraction only distinguishes *more* values, and
-    every predicate a check mentions still has its atoms present.
-    """
-    return build_universe(
-        config, None, liveness_predicates(prop, interference_invariants), ghosts
-    )
-
-
-#: Group keys of :func:`verify_liveness`'s mapping — and the incremental
-#: tracker's sections, whose own keys extend each with the owner router.
+#: Section keys of a §5 proof (the incremental tracker's own group keys
+#: extend each with the owner router).
 PROPAGATION_KEY = ("prop",)
 IMPLICATION_KEY = ("impl",)
 
@@ -319,10 +241,14 @@ def subproof_key(router: str) -> tuple:
 
 
 class LivenessProblem:
-    """The §5 pipeline as :class:`repro.core.incremental.PropertyTracker`
-    sees it: the propagation checks, the implication, and one section per
-    no-interference sub-proof.  ``invariants`` is the optional
-    ``interference_invariants`` dict of :func:`verify_liveness`."""
+    """The §5 pipeline, stated once for :func:`repro.core.safety.run_problem`
+    and :class:`repro.core.incremental.PropertyTracker`: the propagation
+    checks, one section per no-interference sub-proof, the implication.
+
+    ``invariants`` optionally maps each path router to the invariant map
+    proving its no-interference property; a router without one gets the
+    default inductive shape (:func:`resolve_interference_invariants`).
+    """
 
     kind = "liveness"
 
@@ -334,10 +260,23 @@ class LivenessProblem:
         self.prop = prop
         self.invariants = invariants
 
-    def universe(
-        self, config: NetworkConfig, ghosts: tuple[GhostAttribute, ...]
-    ) -> AttributeUniverse:
-        return liveness_universe(config, self.prop, self.invariants, ghosts)
+    def predicates(self) -> list[Predicate]:
+        """Every predicate the §5 pipeline for ``prop`` can mention.
+
+        The covering contract in one place: the property and path
+        constraints (propagation and implication checks), each
+        no-interference property, and every predicate of a caller-supplied
+        interference invariant map — whose atoms (communities, ASNs,
+        ghosts) need not appear anywhere in the constraints.  One superset
+        universe for all sections is sound: the finite abstraction only
+        distinguishes *more* values.
+        """
+        preds: list[Predicate] = [self.prop.predicate, *self.prop.constraints]
+        for router, safety_prop in interference_properties(self.prop).items():
+            preds.append(safety_prop.predicate)
+            if self.invariants and router in self.invariants:
+                preds.extend(invariant_predicates(self.invariants[router]))
+        return preds
 
     def checks(
         self, config: NetworkConfig, owners: set[str] | None = None
@@ -345,12 +284,13 @@ class LivenessProblem:
         if owners is None:
             self.prop.validate_against(config.topology)
             checks = generate_liveness_checks(config, self.prop, self.invariants)
-            sections = {
-                PROPAGATION_KEY: checks.propagation,
-                IMPLICATION_KEY: [checks.implication],
-            }
+            # Checks are independent, so section order only fixes which
+            # checks the serial path (and so an expiring wall budget)
+            # reaches first: propagation, sub-proofs, implication.
+            sections = {PROPAGATION_KEY: checks.propagation}
             for router, sub_checks in checks.subproof_checks.items():
                 sections[subproof_key(router)] = sub_checks
+            sections[IMPLICATION_KEY] = [checks.implication]
             return sections
         # The sub-proof properties and invariant maps are cheap functions
         # of (topology, prop, invariants): re-derived, never cached.
@@ -402,63 +342,11 @@ def verify_liveness(
     prop: LivenessProperty,
     interference_invariants: dict[str, InvariantMap] | None = None,
     ghosts: tuple[GhostAttribute, ...] = (),
-    parallel: int | str | None = None,
-    conflict_budget: int | None = None,
+    *,
+    context: ExecutionContext | None = None,
     universe: AttributeUniverse | None = None,
-    sessions: SessionPool | None = None,
-    deadline_s: float | None = None,
-    wall_budget_s: float | None = None,
 ) -> LivenessReport:
-    """Verify a liveness property (the §5 pipeline).
-
-    ``interference_invariants`` optionally maps each path router to the
-    invariant map proving its no-interference property.  When omitted, the
-    default inductive shape is used: the no-interference predicate itself at
-    every internal location (with external edges pinned to True) — the
-    three-part structure §2.1 describes.
-
-    ``universe`` overrides the covering universe (it must content-cover
-    :func:`liveness_universe`'s result); ``sessions`` supplies a persistent
-    owner-keyed :class:`SessionPool` — it defaults to a pipeline-local
-    pool, so even a one-shot call shares encodings between the propagation
-    checks, the implication, and all no-interference sub-proofs.
-    """
-    start = time.perf_counter()
-    prop.validate_against(config.topology)
-    # One execution context spans the whole pipeline: propagation,
-    # implication, and every sub-proof draw down the same wall budget,
-    # report into the same degradation collector, and share the session
-    # pool.
-    context = ExecutionContext(
-        parallel,
-        conflict_budget,
-        sessions,
-        deadline_s=deadline_s,
-        wall_budget_s=wall_budget_s,
-    )
-    run_deadline = context._begin_run_deadline()
-    degradation = DegradationReport()
-
-    if universe is None:
-        universe = liveness_universe(config, prop, interference_invariants, ghosts)
-    checks = generate_liveness_checks(config, prop, interference_invariants)
-    # Checks are independent, so the whole pipeline is one batch; mapping
-    # order only fixes which checks the serial path (and so an expiring
-    # wall budget) reaches first: propagation, sub-proofs, implication.
-    groups: dict[tuple, list[LocalCheck]] = {PROPAGATION_KEY: checks.propagation}
-    for router, sub_checks in checks.subproof_checks.items():
-        groups[subproof_key(router)] = sub_checks
-    groups[IMPLICATION_KEY] = [checks.implication]
-
-    outcomes = Scheduler(context).run(
-        groups,
-        config,
-        universe,
-        tuple(ghosts),
-        conflict_budget=conflict_budget,
-        run_deadline=run_deadline,
-        degradation=degradation,
-    )
-    return LivenessProblem(prop, interference_invariants).report(
-        outcomes, time.perf_counter() - start, degradation
-    )
+    """Verify a liveness property via local checks (§5); see
+    :class:`LivenessProblem` and :func:`repro.core.safety.run_problem`."""
+    problem = LivenessProblem(prop, interference_invariants)
+    return run_problem(context or ExecutionContext(), problem, config, ghosts, universe)

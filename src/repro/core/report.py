@@ -47,7 +47,7 @@ class DegradationReport:
     by a serial rerun — is verification nobody can trust under load.  The
     execution layer's one recovery mechanism (re-running a batch serially
     when the pool machinery fails or a worker dies) reports here: the
-    collector is threaded through ``run_checks`` and attached to the
+    collector is handed to ``Scheduler.run`` and attached to the
     resulting report, and :func:`format_report` renders a "degraded
     execution" section whenever anything is non-zero.  Timeout/wall-budget
     unknowns are *not* duplicated here; they live on the outcomes

@@ -1,15 +1,18 @@
 """The session-oriented verification workspace — the stateful layer.
 
 The library has two layers, and neither is a shim over the other.  The
-*one-shot functions* (:func:`repro.core.safety.verify_safety`,
-``verify_safety_family``, ``run_checks``,
-:func:`repro.core.liveness.verify_liveness`) are stateless: build the
-problem, run every check, return a report.  :class:`Workspace` is the
-*stateful* layer over the same check generators and the same scheduler:
-it owns the persistent substrate — an owner-keyed :class:`SessionPool`,
-per-router policy digests, one covering attribute universe, and an
-owner-indexed outcome store — once, the way an incremental SAT solver
-exposes one long-lived solver object instead of per-call functions:
+*one-shot driver* (:func:`repro.core.safety.run_problem`, behind
+``verify_safety`` and :func:`repro.core.liveness.verify_liveness`) is
+stateless: build the problem, run every check, return a report.
+:class:`Workspace` is the *stateful* layer over the same problem builders
+and the same scheduler: it owns the persistent substrate — an owner-keyed
+:class:`SessionPool`, per-router policy digests, one covering attribute
+universe, and an owner-indexed outcome store — once, the way an
+incremental SAT solver exposes one long-lived solver object instead of
+per-call functions.  It *is* an :class:`ExecutionContext`: ``parallel``,
+the conflict budget and the deadlines are set when it is opened and
+nowhere else (one workspace, one budget), and it can be handed to a
+one-shot function as ``context=`` to share its sessions and limits.
 
     ws = Workspace(config, ghosts=(ghost,))
     report = ws.verify(prop, invariants)        # safety or liveness
@@ -23,7 +26,7 @@ workspace's shared session pool.  Each verified property gets a persistent
 :class:`repro.core.incremental.PropertyTracker` holding its owner-indexed
 check/outcome cache, so re-verifying after ``apply`` — or simply calling
 ``verify`` again — consults only the checks a config edit invalidated.
-The one-shot functions are the reference the tracker is differentially
+The one-shot driver is the reference the tracker is differentially
 tested against (incremental ≡ full ≡ cache-loaded).
 
 **On-disk outcome cache.**  ``save(path)`` persists the digests, check
@@ -177,8 +180,8 @@ def _ghosts_fp(ghosts: tuple[GhostAttribute, ...]) -> tuple[object, ...]:
 
 
 def _entry_fingerprint(problem: Problem, conflict_budget: int | None) -> str:
-    """Content identity of one registered problem (never persisted: ``load``
-    recomputes it from the restored problem)."""
+    """Content identity of one registered problem under the workspace's
+    budget (never persisted: ``load`` recomputes it)."""
     invariants = problem.invariants
     invariants_fp: object
     if isinstance(invariants, dict):  # liveness: per-router interference maps
@@ -240,8 +243,8 @@ class Workspace(ExecutionContext):
         per-device model, with a serial fallback); ``None``/``0``/``1``
         is the serial session path.
     conflict_budget:
-        Default per-check SAT conflict budget for every ``verify`` call
-        (overridable per call).
+        Per-check SAT conflict budget for everything this workspace runs;
+        part of every entry's fingerprint and of the saved cache.
     deadline_s:
         Wall-clock cap, in seconds, for each individual check's solve;
         a check that exceeds it comes back UNKNOWN with reason
@@ -307,12 +310,8 @@ class Workspace(ExecutionContext):
         prop: SafetyProperty | LivenessProperty,
         invariants: InvariantMap | dict[str, InvariantMap] | None,
         interference_invariants: dict[str, InvariantMap] | None,
-        conflict_budget: int | None,
-    ) -> tuple[Problem, int | None, str]:
-        """(problem builder, budget, fingerprint) for a request."""
-        budget = (
-            conflict_budget if conflict_budget is not None else self.conflict_budget
-        )
+    ) -> tuple[Problem, str]:
+        """(problem builder, fingerprint) for a request."""
         problem: Problem
         if isinstance(prop, SafetyProperty):
             if interference_invariants is not None:
@@ -341,31 +340,7 @@ class Workspace(ExecutionContext):
             raise TypeError(
                 f"expected a SafetyProperty or LivenessProperty, got {prop!r}"
             )
-        return problem, budget, _entry_fingerprint(problem, budget)
-
-    def _ensure_entry(
-        self,
-        prop: SafetyProperty | LivenessProperty,
-        invariants: InvariantMap | dict[str, InvariantMap] | None = None,
-        *,
-        interference_invariants: dict[str, InvariantMap] | None = None,
-        conflict_budget: int | None = None,
-    ) -> WorkspaceEntry:
-        """The entry for a property, registered (not run) on first sight."""
-        problem, budget, fingerprint = self._normalize(
-            prop, invariants, interference_invariants, conflict_budget
-        )
-        for entry in self._entries:
-            if entry.fingerprint == fingerprint:
-                return entry
-        entry = WorkspaceEntry(
-            kind=problem.kind,
-            property=prop,
-            fingerprint=fingerprint,
-            tracker=PropertyTracker(self, self.config, problem, self.ghosts, budget),
-        )
-        self._entries.append(entry)
-        return entry
+        return problem, _entry_fingerprint(problem, self.conflict_budget)
 
     def entry(
         self,
@@ -373,21 +348,18 @@ class Workspace(ExecutionContext):
         invariants: InvariantMap | dict[str, InvariantMap] | None = None,
         *,
         interference_invariants: dict[str, InvariantMap] | None = None,
-        conflict_budget: int | None = None,
     ) -> WorkspaceEntry | None:
         """The registered entry matching this exact problem, if any.
 
-        Matching is by content fingerprint (property, invariants, budget),
-        so it finds cache-loaded entries for freshly parsed, equal
-        problems — object identity plays no part.
+        Matching is by content fingerprint (property, invariants, and the
+        workspace's budget), so it finds cache-loaded entries for freshly
+        parsed, equal problems — object identity plays no part.
         """
-        __, ___, fingerprint = self._normalize(
-            prop, invariants, interference_invariants, conflict_budget
-        )
-        for entry in self._entries:
-            if entry.fingerprint == fingerprint:
-                return entry
-        return None
+        __, fingerprint = self._normalize(prop, invariants, interference_invariants)
+        return self._registered(fingerprint)
+
+    def _registered(self, fingerprint: str) -> WorkspaceEntry | None:
+        return next((e for e in self._entries if e.fingerprint == fingerprint), None)
 
     def has_entry(
         self,
@@ -395,20 +367,14 @@ class Workspace(ExecutionContext):
         invariants: InvariantMap | dict[str, InvariantMap] | None = None,
         *,
         interference_invariants: dict[str, InvariantMap] | None = None,
-        conflict_budget: int | None = None,
     ) -> bool:
-        """Whether this exact property (same invariants/budget) is registered.
+        """Whether this exact property (same invariants) is registered.
 
         Used by the CLI to check that a loaded cache covers the spec it is
         about to run.
         """
         return (
-            self.entry(
-                prop,
-                invariants,
-                interference_invariants=interference_invariants,
-                conflict_budget=conflict_budget,
-            )
+            self.entry(prop, invariants, interference_invariants=interference_invariants)
             is not None
         )
 
@@ -429,7 +395,6 @@ class Workspace(ExecutionContext):
         invariants: InvariantMap | dict[str, InvariantMap] | None = None,
         *,
         interference_invariants: dict[str, InvariantMap] | None = None,
-        conflict_budget: int | None = None,
     ) -> VerificationReport:
         """Verify a property against the current configuration.
 
@@ -444,16 +409,20 @@ class Workspace(ExecutionContext):
         caches the outcomes in an owner index; any later ``verify`` of the
         same property — including after :meth:`apply` — re-runs only what
         changed, exactly like :meth:`reverify`.  Changing the invariants
-        or budget registers a separate entry (those inputs touch every
-        check).  Returns the pipeline's report; the consultation counters
-        live on the matching :attr:`entries` element's ``last_result``.
+        registers a separate entry (they touch every check).  Returns the
+        pipeline's report; the consultation counters live on the matching
+        :attr:`entries` element's ``last_result``.
         """
-        entry = self._ensure_entry(
-            prop,
-            invariants,
-            interference_invariants=interference_invariants,
-            conflict_budget=conflict_budget,
-        )
+        problem, fingerprint = self._normalize(prop, invariants, interference_invariants)
+        entry = self._registered(fingerprint)
+        if entry is None:
+            entry = WorkspaceEntry(
+                kind=problem.kind,
+                property=prop,
+                fingerprint=fingerprint,
+                tracker=PropertyTracker(self, self.config, problem, self.ghosts),
+            )
+            self._entries.append(entry)
         return self._run_entry(entry).report
 
     def apply(self, edit: NetworkConfig) -> set[str]:
@@ -545,12 +514,12 @@ class Workspace(ExecutionContext):
     ) -> "Workspace":
         """Restore a workspace (outcome caches included) from :meth:`save`.
 
-        ``config``/``ghosts`` default to the saved objects; when supplied
-        (the CLI passes the freshly parsed base configuration), their
-        content fingerprints must match the saved ones —
+        ``config``/``ghosts``/``conflict_budget`` default to the saved
+        values; when supplied (the CLI passes the freshly parsed base
+        configuration), they must match the saved ones —
         :class:`WorkspaceCacheMismatch` otherwise, so a cache can never
-        silently answer for a different network or ghost set.  Execution
-        parameters (``parallel``, deadlines) are not part of the
+        silently answer for a different network, ghost set or budget.
+        Execution parameters (``parallel``, deadlines) are not part of the
         fingerprint; pass whatever this process should use.
         """
         try:
@@ -604,6 +573,16 @@ class Workspace(ExecutionContext):
                     f"workspace cache at {path} was saved with different ghost "
                     f"definitions; delete it or rerun without the cache"
                 )
+            # One workspace, one budget: the entries' common saved budget.
+            saved = {doc["state"]["conflict_budget"] for doc in state["entries"]}
+            if conflict_budget is None and len(saved) == 1:
+                (conflict_budget,) = saved
+            elif saved - {conflict_budget}:
+                raise WorkspaceCacheMismatch(
+                    f"workspace cache at {path} holds outcomes decided under "
+                    f"conflict budget(s) {sorted(saved, key=repr)}, not "
+                    f"{conflict_budget}; delete it or rerun without the cache"
+                )
             workspace = cls(
                 config,
                 ghosts=tuple(ghosts),
@@ -633,9 +612,7 @@ class Workspace(ExecutionContext):
                     WorkspaceEntry(
                         kind=kind,
                         property=problem.prop,
-                        fingerprint=_entry_fingerprint(
-                            problem, tracker.conflict_budget
-                        ),
+                        fingerprint=_entry_fingerprint(problem, conflict_budget),
                         tracker=tracker,
                     )
                 )

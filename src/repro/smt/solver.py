@@ -445,9 +445,9 @@ class SessionPool:
 
     The intended key is the owner router of a check group
     (:func:`repro.core.checks.check_owner`; ``None`` for invariant-only
-    checks).  Passing one pool across many ``run_checks`` calls makes the
-    per-owner encodings persistent: a re-verification or a later property
-    family re-uses the clauses an earlier call already built and pays only
+    checks).  Running many batches on one pool (one
+    :class:`repro.core.exec.ExecutionContext`) makes the per-owner
+    encodings persistent: a re-verification or a later property family re-uses the clauses an earlier call already built and pays only
     the marginal encoding of genuinely new terms.  Reuse is always sound —
     a session database holds only definitions and what every one of its
     checks asserts, and each check is discharged under assumptions — so a
@@ -466,11 +466,11 @@ class SessionPool:
     :func:`repro.smt.terms.clear_intern_cache`; the memo dies with
     ``clear()``, is never pickled and never reaches the on-disk cache.
 
-    Pools live wherever reuse pays: a :class:`repro.core.workspace.
-    Workspace` keeps one across ``reverify`` calls, the Table-4
-    sweeps hoist one above their property-family loops, and
-    ``verify_liveness`` shares one across propagation, implication, and
-    every no-interference sub-proof.
+    Pools live on execution contexts: a :class:`repro.core.workspace.
+    Workspace` keeps one across ``reverify`` calls, the Table-4 sweeps
+    run every problem on one context, and a liveness proof is one batch,
+    so propagation, implication and every no-interference sub-proof
+    share one.
     """
 
     def __init__(self) -> None:
@@ -555,23 +555,17 @@ class Counterexample:
 
 
 def prove(
-    goal: Term,
-    assumptions: list[Term] | None = None,
-    conflict_budget: int | None = None,
+    goal: Term, assumptions: list[Term] | None = None
 ) -> tuple[Counterexample | None, SolverStats]:
-    """Prove ``assumptions => goal`` by refutation.
+    """Prove ``assumptions => goal`` by refutation (unbounded search).
 
     Returns ``(None, stats)`` when the implication is valid and
-    ``(Counterexample, stats)`` when it is not.  Raises ``TimeoutError`` if
-    the conflict budget runs out.
+    ``(Counterexample, stats)`` when it is not.
     """
     solver = Solver()
     for a in assumptions or []:
         solver.add(a)
     solver.add(T.not_(goal))
-    result = solver.check(conflict_budget=conflict_budget)
-    if result is Result.UNKNOWN:
-        raise TimeoutError("conflict budget exhausted")
-    if result is Result.UNSAT:
+    if solver.check() is Result.UNSAT:
         return None, solver.stats
     return Counterexample(solver.model(), solver.stats), solver.stats

@@ -12,18 +12,13 @@ This module constructs, for a generated :class:`WanNetwork`:
 Each builder returns the property (or property family), the invariant map,
 and the ghost attributes — ready to hand to the verification entry points.
 
-The ``verify_*_problems`` runners additionally hoist encoding reuse above
-the property-family loop: a Table-4 sweep builds **one** attribute universe
-covering every family and **one** persistent :class:`repro.smt.SessionPool`,
-so the transfer-function encodings built for the first family are reused by
-all later ones instead of being rebuilt per family.  The same hoisting
-covers the Table-4c liveness sweep
-(:func:`verify_ip_reuse_liveness_problems`): one universe spanning every
-region's property, constraints, and interference invariants, and one pool
-shared by all regions' propagation/implication/no-interference checks.
-All runners also accept a whole :class:`repro.core.workspace.Workspace`
-via ``workspace=``, whose session pool and ``parallel`` setting the sweep
-then shares with everything else the workspace runs.
+The ``verify_*_problems`` runners are one sweep (:func:`_sweep`) over
+different problem lists: **one** attribute universe covering every
+problem's properties, constraints and invariants, and **one**
+:class:`repro.core.exec.ExecutionContext` — ``workspace=``, any context, a
+:class:`repro.core.workspace.Workspace` being one — whose session pool,
+``parallel`` setting, budget and deadlines every problem runs under.  The
+encodings built for the first problem are reused by all later ones.
 """
 
 from __future__ import annotations
@@ -33,10 +28,10 @@ from typing import Sequence
 
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.topology import Edge
-from repro.core.liveness import LivenessReport, liveness_predicates, verify_liveness
+from repro.core.exec import ExecutionContext
+from repro.core.liveness import LivenessProblem, LivenessReport
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
-from repro.core.safety import SafetyReport, build_universe, verify_safety_family
-from repro.smt.solver import SessionPool
+from repro.core.safety import SafetyProblem, SafetyReport, build_universe, run_problem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import (
     AllOf,
@@ -103,6 +98,9 @@ class PeeringProblem:
     invariants: InvariantMap
     ghost: GhostAttribute
 
+    def problem(self) -> SafetyProblem:
+        return SafetyProblem(self.properties, self.invariants)
+
 
 def peering_problem(wan: WanNetwork, name: str, quality: Predicate) -> PeeringProblem:
     """Build the property family "FromPeer(r) => Q(r) at every router".
@@ -141,92 +139,49 @@ def combined_peering_problem(wan: WanNetwork) -> PeeringProblem:
 
 
 # ---------------------------------------------------------------------------
-# Hoisted sweep runners: one universe + one session pool across families
+# The sweep: one universe + one execution context across problems
 # ---------------------------------------------------------------------------
 
 
-def _workspace_defaults(
-    workspace,
-    parallel: int | str | None,
-    sessions: SessionPool | None,
-) -> tuple[int | str | None, SessionPool | None]:
-    """Fill unset execution knobs from a :class:`Workspace`, when given."""
-    if workspace is None:
-        return parallel, sessions
-    if parallel is None:
-        parallel = workspace.parallel
-    if sessions is None:
-        sessions = workspace.sessions
-    return parallel, sessions
+def _sweep(wan: WanNetwork, problems, context: ExecutionContext | None) -> list:
+    """Run WAN problems back to back against shared encodings.
 
-
-def _verify_problem_families(
-    wan: WanNetwork,
-    problems,
-    parallel: int | str | None,
-    conflict_budget: int | None,
-    sessions: SessionPool | None,
-):
-    """Run a list of property-family problems against shared encodings.
-
-    One attribute universe covers every family's properties, invariants,
-    and ghosts, and one :class:`SessionPool` is threaded through all of
-    them — so the symbolic input routes, the memoised transfer outputs,
-    and the per-owner session encodings are identical (and built once)
-    across the whole sweep.
+    One attribute universe covers every problem's predicates and ghosts,
+    and every problem runs on the one ``context`` — so the symbolic input
+    routes, the memoised transfer outputs, the per-owner session
+    encodings and the query memo are built once for the whole sweep, and
+    the context's budget and deadlines bound every problem in it.
     """
-    preds = []
-    ghosts = []
-    for prob in problems:
-        preds.extend(p.predicate for p in prob.properties)
-        preds.append(prob.invariants.default)
-        preds.extend(
-            prob.invariants.get(loc)
-            for loc in prob.invariants.overridden_locations()
-        )
-        ghosts.append(prob.ghost)
-    universe = build_universe(wan.config, None, preds, tuple(ghosts))
-    pool = sessions if sessions is not None else SessionPool()
-    results = []
-    for prob in problems:
-        report = verify_safety_family(
-            wan.config,
-            prob.properties,
-            prob.invariants,
-            ghosts=(prob.ghost,),
-            parallel=parallel,
-            conflict_budget=conflict_budget,
-            universe=universe,
-            sessions=pool,
-        )
-        results.append((prob, report))
-    return results
+    if context is None:
+        context = ExecutionContext()
+    proofs = [prob.problem() for prob in problems]
+    universe = build_universe(
+        wan.config,
+        None,
+        [pred for proof in proofs for pred in proof.predicates()],
+        tuple(prob.ghost for prob in problems),
+    )
+    return [
+        (prob, run_problem(context, proof, wan.config, (prob.ghost,), universe))
+        for prob, proof in zip(problems, proofs)
+    ]
 
 
 def verify_peering_problems(
     wan: WanNetwork,
     problems: Sequence[PeeringProblem] | None = None,
-    parallel: int | str | None = None,
-    conflict_budget: int | None = None,
-    sessions: SessionPool | None = None,
-    workspace=None,
+    workspace: ExecutionContext | None = None,
 ) -> list[tuple[PeeringProblem, SafetyReport]]:
     """Run Table-4a peering families with encodings shared across families.
 
     All eleven families read the same filters under the same ``FromPeer``
-    ghost; only the quality predicate differs.  Hoisting the universe and
-    the session pool above the family loop therefore turns every family
-    after the first into (mostly) assumption-scoped re-solves against the
-    encodings the first family built.  Pass ``workspace=`` to share a
-    :class:`repro.core.workspace.Workspace`'s session pool and ``parallel``
-    setting instead of spelling them out.
+    ghost; only the quality predicate differs, so every family after the
+    first is (mostly) assumption-scoped re-solves against the encodings
+    the first family built.
     """
     if problems is None:
         problems = all_peering_problems(wan)
-    parallel, sessions = _workspace_defaults(workspace, parallel, sessions)
-    return _verify_problem_families(
-        wan, problems, parallel, conflict_budget, sessions
-    )
+    return _sweep(wan, problems, workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +219,9 @@ class IpReuseSafetyProblem:
     properties: list[SafetyProperty]
     invariants: InvariantMap
     ghost: GhostAttribute
+
+    def problem(self) -> SafetyProblem:
+        return SafetyProblem(self.properties, self.invariants)
 
 
 def ip_reuse_safety_problem(wan: WanNetwork, region: int) -> IpReuseSafetyProblem:
@@ -307,10 +265,7 @@ def ip_reuse_safety_problem(wan: WanNetwork, region: int) -> IpReuseSafetyProble
 def verify_ip_reuse_safety_problems(
     wan: WanNetwork,
     regions: Sequence[int] | None = None,
-    parallel: int | str | None = None,
-    conflict_budget: int | None = None,
-    sessions: SessionPool | None = None,
-    workspace=None,
+    workspace: ExecutionContext | None = None,
 ) -> list[tuple[IpReuseSafetyProblem, SafetyReport]]:
     """Run Table-4b families for many regions with shared encodings.
 
@@ -321,11 +276,7 @@ def verify_ip_reuse_safety_problems(
     """
     if regions is None:
         regions = range(wan.regions)
-    problems = [ip_reuse_safety_problem(wan, region) for region in regions]
-    parallel, sessions = _workspace_defaults(workspace, parallel, sessions)
-    return _verify_problem_families(
-        wan, problems, parallel, conflict_budget, sessions
-    )
+    return _sweep(wan, [ip_reuse_safety_problem(wan, r) for r in regions], workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +292,9 @@ class IpReuseLivenessProblem:
     property: LivenessProperty
     interference_invariants: dict[str, InvariantMap]
     ghost: GhostAttribute
+
+    def problem(self) -> LivenessProblem:
+        return LivenessProblem(self.property, self.interference_invariants)
 
 
 def ip_reuse_liveness_problem(
@@ -424,44 +378,15 @@ def ip_reuse_liveness_problem(
 def verify_ip_reuse_liveness_problems(
     wan: WanNetwork,
     regions: Sequence[int] | None = None,
-    parallel: int | str | None = None,
-    conflict_budget: int | None = None,
-    sessions: SessionPool | None = None,
-    workspace=None,
+    workspace: ExecutionContext | None = None,
 ) -> list[tuple[IpReuseLivenessProblem, LivenessReport]]:
     """Run Table-4c liveness problems for many regions with shared encodings.
 
-    One universe covers every region's property, path constraints, *and*
-    interference invariants (whose predicates mention other regions'
-    communities — atoms a per-region universe would otherwise rebuild
-    differently), and one session pool is threaded through every region's
-    propagation, implication, and no-interference checks.  Regions after
-    the first then mostly re-solve against encodings the first built.
+    The covering universe includes every region's interference invariants
+    (whose predicates mention other regions' communities — atoms a
+    per-region universe would otherwise rebuild differently), so regions
+    after the first mostly re-solve against encodings the first built.
     """
     if regions is None:
         regions = range(wan.regions)
-    problems = [ip_reuse_liveness_problem(wan, region) for region in regions]
-    parallel, sessions = _workspace_defaults(workspace, parallel, sessions)
-    preds: list[Predicate] = []
-    ghosts = []
-    for prob in problems:
-        preds.extend(
-            liveness_predicates(prob.property, prob.interference_invariants)
-        )
-        ghosts.append(prob.ghost)
-    universe = build_universe(wan.config, None, preds, tuple(ghosts))
-    pool = sessions if sessions is not None else SessionPool()
-    results = []
-    for prob in problems:
-        report = verify_liveness(
-            wan.config,
-            prob.property,
-            interference_invariants=prob.interference_invariants,
-            ghosts=(prob.ghost,),
-            parallel=parallel,
-            conflict_budget=conflict_budget,
-            universe=universe,
-            sessions=pool,
-        )
-        results.append((prob, report))
-    return results
+    return _sweep(wan, [ip_reuse_liveness_problem(wan, r) for r in regions], workspace)

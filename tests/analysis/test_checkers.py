@@ -120,45 +120,3 @@ class TestDeadlineDiscipline:
                       checkers=["deadline-discipline"])
         assert result.fresh == []
         assert result.suppressed == []
-
-
-class TestBudgetFlow:
-    DIR = FIXTURES / "budget_flow"
-
-    def test_flags_the_pr4_dropped_budget_chain(self, lint):
-        # The real regression: the CLI threads conflict_budget into the
-        # engine, the engine loops over checks and calls run_one without
-        # it, and the parameter silently falls back to its default.  The
-        # drop site is interprocedural — caller and callee live in
-        # different files — so the whole fixture dir is the unit.
-        result = lint(self.DIR, [self.DIR], checkers=["budget-flow"])
-        assert (
-            "budget-flow:bad_chain_engine.py:verify_all->run_one:conflict_budget"
-            in _keys(result.fresh)
-        )
-
-    def test_forwarding_chain_is_clean(self, lint):
-        result = lint(
-            self.DIR,
-            [self.DIR / "good_chain_cli.py",
-             self.DIR / "good_chain_engine.py",
-             self.DIR / "good_chain_helpers.py"],
-            checkers=["budget-flow"],
-        )
-        assert result.fresh == []
-
-    def test_flags_intra_class_method_drop(self, lint):
-        result = lint(self.DIR, [self.DIR / "bad_method_drop.py"],
-                      checkers=["budget-flow"])
-        assert _keys(result.fresh) == {
-            "budget-flow:bad_method_drop.py:Runner.run->Runner._solve:deadline_s"
-        }
-        (finding,) = result.fresh
-        assert "deadline_s" in finding.message
-
-    def test_star_forwarding_is_trusted(self, lint):
-        # **kwargs expansion makes the argument set uncertain; the checker
-        # stays silent rather than guessing.
-        result = lint(self.DIR, [self.DIR / "good_star_forward.py"],
-                      checkers=["budget-flow"])
-        assert result.fresh == []

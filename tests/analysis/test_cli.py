@@ -16,7 +16,6 @@ CHECKER_IDS = (
     "pickle-safety",
     "deadline-discipline",
     "cache-format-discipline",
-    "budget-flow",
 )
 
 

@@ -1,16 +1,21 @@
 """Shared fixtures: the Figure 1 verification problem (Tables 2 and 3),
 a broken process pool for the serial-fallback tests, and helpers for
-reading a single-property workspace's cache accounting."""
+reading a single-property workspace's cache accounting, and the §6.2
+no-transit problem on E1/R1/R2/E2-shaped networks (full meshes, random
+networks) that half the suite verifies."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.bgp.topology import Edge
+from repro.core.checks import generate_safety_checks
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
+from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, PrefixIn
 from repro.bgp.prefix import PrefixRange
+from repro.workloads import fullmesh
 from repro.workloads.figure1 import (
     CUSTOMER_PREFIX,
     TRANSIT_COMMUNITY,
@@ -59,6 +64,33 @@ def owner_check_count(tracker, owner) -> int:
     """How many checks the tracker's owner index holds for ``owner``,
     across every section of the proof."""
     return sum(len(groups.get(owner, [])) for groups in tracker._checks.values())
+
+
+def mesh_no_transit(config):
+    """(ghost, property, invariants): no E1 route is sent on R2->E2."""
+    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
+    prop = SafetyProperty(
+        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
+    )
+    invariants = InvariantMap(
+        config.topology,
+        default=Implies(GhostIs("FromE1"), HasCommunity(fullmesh.TRANSIT_COMMUNITY)),
+    )
+    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
+    return ghost, prop, invariants
+
+
+def fullmesh_problem(n: int):
+    """(config, ghost, property, invariants) on the N-router full mesh."""
+    config = fullmesh.build_full_mesh(n)
+    return (config, *mesh_no_transit(config))
+
+
+def safety_pieces(config, ghost, prop, invariants):
+    """(universe, checks) of a safety problem, for tests below ``verify_safety``."""
+    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    return universe, checks
 
 
 def no_transit_property() -> SafetyProperty:

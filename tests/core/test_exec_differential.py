@@ -27,7 +27,6 @@ from repro.core.liveness import (
     IMPLICATION_KEY,
     PROPAGATION_KEY,
     LivenessProblem,
-    liveness_universe,
     subproof_key,
     verify_liveness,
 )
@@ -112,7 +111,7 @@ def test_safety_identical_across_backends(n, model, seed, broken):
             config,
             universe,
             (ghost,),
-            parallel=parallel,
+            context=ExecutionContext(parallel=parallel),
             degradation=degradation,
         )
         assert [_fingerprint(o) for o in outcomes] == reference, parallel
@@ -125,7 +124,7 @@ def test_safety_report_buckets_identical_across_backends():
     reference = verify_safety(config, prop, invariants, ghosts=(ghost,))
     for parallel in JOBS:
         report = verify_safety(
-            config, prop, invariants, ghosts=(ghost,), parallel=parallel
+            config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(parallel)
         )
         assert report.passed == reference.passed
         assert report.unknown_reason_counts == reference.unknown_reason_counts
@@ -141,8 +140,9 @@ def _figure1_liveness():
     """The Figure-1 §5 sections and each one's hermetic fingerprints."""
     config = build_figure1()
     prop = customer_liveness_property()
-    universe = liveness_universe(config, prop)
-    sections = LivenessProblem(prop).checks(config)
+    problem = LivenessProblem(prop)
+    universe = build_universe(config, None, problem.predicates(), ())
+    sections = problem.checks(config)
     reference = {
         key: [_fingerprint(check.run(config, universe, ())) for check in checks]
         for key, checks in sections.items()
@@ -206,7 +206,7 @@ def test_liveness_driver_identical_across_backends(buggy, pools_built):
     assert reference.passed is (not buggy)
     for parallel in JOBS:
         del pools_built[:]
-        report = verify_liveness(config, prop, parallel=parallel)
+        report = verify_liveness(config, prop, context=ExecutionContext(parallel))
         # One batch: the whole §5 pipeline shares a single process map.
         assert len(pools_built) == (1 if parallel > 1 else 0), parallel
         assert report.passed == reference.passed, parallel

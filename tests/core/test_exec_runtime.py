@@ -19,31 +19,17 @@ import warnings
 
 import pytest
 
-from repro.bgp.topology import Edge
-from repro.core.checks import check_owner, generate_safety_checks
+from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, Scheduler, resolve_jobs
-from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import DegradationReport
-from repro.core.safety import build_universe, run_checks
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
-from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh
+from repro.core.safety import run_checks
+
+from tests.core.conftest import fullmesh_problem, safety_pieces
 
 
 def _fullmesh_problem(n: int):
-    config = build_full_mesh(n)
-    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
-    return config, ghost, universe, checks
+    config, ghost, prop, invariants = fullmesh_problem(n)
+    return (config, ghost, *safety_pieces(config, ghost, prop, invariants))
 
 
 def _fingerprint(outcome):
@@ -159,13 +145,12 @@ def test_fallback_warns_once_per_context_but_counts_every_batch(broken_process_p
 
 
 def test_run_checks_still_warns_per_call(broken_process_pool):
-    # Each run_checks call builds a fresh context, so the legacy
-    # one-warning-per-call behavior is preserved for direct callers.
+    # A fresh context per call warns per call: the dedup is per context.
     config, ghost, universe, checks = _fullmesh_problem(3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for __ in range(2):
-            run_checks(checks[:2], config, universe, (ghost,), parallel=2)
+            run_checks(checks[:2], config, universe, (ghost,), context=ExecutionContext(2))
     fallback_warnings = [
         w for w in caught if issubclass(w.category, RuntimeWarning)
     ]
@@ -180,7 +165,8 @@ def test_empty_batches_never_record_fallbacks(broken_process_pool):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         outcomes = run_checks(
-            [], config, universe, (ghost,), parallel=2, degradation=degradation
+            [], config, universe, (ghost,), context=ExecutionContext(2),
+            degradation=degradation,
         )
     assert outcomes == []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

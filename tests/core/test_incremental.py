@@ -284,17 +284,17 @@ def test_conflict_budget_is_threaded_to_run_checks(
     monkeypatch, fig1_config, from_isp1
 ):
     """Regression: the CLI's --budget used to be dropped on the floor by
-    the incremental path — ``run_checks`` never saw it."""
-    import repro.core.incremental as mod
+    the incremental path — the per-check loop never saw it."""
+    import repro.core.exec.scheduler as mod
 
     captured = []
-    real = mod.Scheduler.run
+    real = mod.run_in_sessions
 
-    def spy(self, *args, **kwargs):
-        captured.append(kwargs.get("conflict_budget"))
-        return real(self, *args, **kwargs)
+    def spy(checks, config, universe, ghosts, conflict_budget, *rest):
+        captured.append(conflict_budget)
+        return real(checks, config, universe, ghosts, conflict_budget, *rest)
 
-    monkeypatch.setattr(mod.Scheduler, "run", spy)
+    monkeypatch.setattr(mod, "run_in_sessions", spy)
     ws = _workspace(fig1_config, from_isp1, conflict_budget=4242)
     _verify(ws)
     reverify(ws, build_figure1())

@@ -276,16 +276,16 @@ def test_randomized_edit_sequence_matches_fresh_pipeline(seed):
 
 
 def test_conflict_budget_is_threaded_to_run_checks(monkeypatch):
-    import repro.core.incremental as mod
+    import repro.core.exec.scheduler as mod
 
     captured = []
-    real = mod.Scheduler.run
+    real = mod.run_in_sessions
 
-    def spy(self, *args, **kwargs):
-        captured.append(kwargs.get("conflict_budget"))
-        return real(self, *args, **kwargs)
+    def spy(checks, config, universe, ghosts, conflict_budget, *rest):
+        captured.append(conflict_budget)
+        return real(checks, config, universe, ghosts, conflict_budget, *rest)
 
-    monkeypatch.setattr(mod.Scheduler, "run", spy)
+    monkeypatch.setattr(mod, "run_in_sessions", spy)
     ws, __ = _verified(
         build_figure1(), customer_liveness_property(), conflict_budget=7777
     )

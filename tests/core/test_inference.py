@@ -7,6 +7,7 @@ import pytest
 from repro.bgp.policy import AddCommunity, RouteMap, RouteMapClause
 from repro.bgp.route import Community
 from repro.bgp.topology import Edge
+from repro.core.exec import ExecutionContext
 from repro.core.inference import (
     candidate_communities,
     infer_safety_invariants,
@@ -50,6 +51,21 @@ def test_inferred_invariants_actually_verify():
     invariants = result.invariants(config)
     report = verify_safety(config, prop, invariants, ghosts=(ghost,))
     assert report.passed
+
+
+def test_inference_runs_every_candidate_on_the_callers_context():
+    config = build_figure1()
+    ghost, prop = _setup(config)
+    # An already-spent wall budget reaches every candidate's checks: all
+    # UNKNOWN, so nothing is "found" — and nothing was ever encoded.
+    spent = ExecutionContext(wall_budget_s=1e-9)
+    result = infer_safety_invariants(config, prop, ghost, context=spent)
+    assert not result.found and result.attempts
+    assert len(spent.sessions) == 0
+    # A plain one decides, on the caller's session pool.
+    context = ExecutionContext()
+    assert infer_safety_invariants(config, prop, ghost, context=context).found
+    assert context.sessions.checks_discharged > 0
 
 
 def test_inference_fails_on_buggy_network_with_counterexamples():

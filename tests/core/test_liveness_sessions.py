@@ -2,7 +2,7 @@
 
 PR 3 threads one covering universe and one owner-keyed ``SessionPool``
 through ``verify_liveness``: propagation checks, the final implication
-(now discharged via ``run_checks`` instead of a hermetic bypass), and
+(now discharged via the scheduler instead of a hermetic bypass), and
 every no-interference sub-proof share encodings.  The pinned claims:
 
 * pooled/hoisted liveness is outcome-identical to the old fresh-solver,
@@ -13,17 +13,18 @@ every no-interference sub-proof share encodings.  The pinned claims:
 * a warm pool re-verifies with zero marginal encoding;
 * the implication check goes through the shared pool (the ``None``-owner
   session discharges it alongside the sub-proof implications);
-* the process map (``parallel=2``) agrees with serial.
+* the process map (``ExecutionContext(parallel=2)``) agrees with serial.
 """
 
 from __future__ import annotations
 
 from repro.bgp.route import Community
 from repro.core.checks import CheckKind, LocalCheck
+from repro.core.exec import ExecutionContext
 from repro.core.liveness import (
+    LivenessProblem,
     generate_propagation_checks,
     interference_properties,
-    liveness_universe,
     verify_liveness,
 )
 from repro.core.properties import InvariantMap
@@ -116,7 +117,8 @@ def test_pooled_liveness_matches_fresh_pipeline_on_broken_network():
 
 def test_liveness_shares_one_session_per_owner(fig1_config):
     pool = SessionPool()
-    report = verify_liveness(fig1_config, customer_liveness_property(), sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    report = verify_liveness(fig1_config, customer_liveness_property(), context=context)
     assert report.passed
     # Propagation + implication + two whole-network sub-proofs all drew
     # from the same pool: one session per owner for the entire pipeline.
@@ -125,13 +127,14 @@ def test_liveness_shares_one_session_per_owner(fig1_config):
 
 
 def test_implication_check_goes_through_shared_pool(fig1_config):
-    """Regression: the final implication used to bypass ``run_checks`` with
+    """Regression: the final implication used to bypass the scheduler with
     a hermetic one-shot solver.  Now the ``None``-owner session answers
     it together with the sub-proof implications: one liveness implication
     plus one per no-interference sub-proof (R3 and R2) — each either
     solved by that session or recalled from the pool's query memo."""
     pool = SessionPool()
-    verify_liveness(fig1_config, customer_liveness_property(), sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    verify_liveness(fig1_config, customer_liveness_property(), context=context)
     none_session = pool.peek(None)
     assert none_session is not None
     assert none_session.checks_discharged + none_session.memo_hits == 3
@@ -142,12 +145,13 @@ def test_warm_pool_liveness_adds_no_encoding():
     config = build_full_mesh(5)
     prop = full_mesh_liveness_property(5)
     pool = SessionPool()
-    first = verify_liveness(config, prop, sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    first = verify_liveness(config, prop, context=context)
     assert first.passed
     warm_encoding = pool.total_encoding()
     sizes = pool.encoding_sizes()
 
-    second = verify_liveness(config, prop, sessions=pool)
+    second = verify_liveness(config, prop, context=context)
     assert second.passed
     assert pool.total_encoding() == warm_encoding
     assert pool.encoding_sizes() == sizes
@@ -169,7 +173,9 @@ def test_liveness_universe_covers_subproof_universes(fig1_config):
         "R1", Implies(HasCommunity(extra), props["R3"].predicate)
     )
 
-    hoisted = liveness_universe(fig1_config, prop, custom, ())
+    hoisted = build_universe(
+        fig1_config, None, LivenessProblem(prop, custom).predicates(), ()
+    )
     assert extra in hoisted.communities
 
     for router, safety_prop in props.items():
@@ -190,14 +196,15 @@ def test_liveness_universe_covers_subproof_universes(fig1_config):
 def test_liveness_process_backend_agrees_with_serial(fig1_config):
     prop = customer_liveness_property()
     serial = verify_liveness(fig1_config, prop)
-    process = verify_liveness(fig1_config, prop, parallel=2)
+    process = verify_liveness(fig1_config, prop, context=ExecutionContext(parallel=2))
     assert _liveness_fp(process) == _liveness_fp(serial)
 
 
 def test_hoisted_wan_liveness_sweep_matches_per_region_runs():
     wan = build_wan(regions=3, routers_per_region=3, peers_per_edge=1)
     pool = SessionPool()
-    hoisted = verify_ip_reuse_liveness_problems(wan, sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    hoisted = verify_ip_reuse_liveness_problems(wan, workspace=context)
     assert len(hoisted) == wan.regions
     for region, (problem, report) in enumerate(hoisted):
         solo_problem = ip_reuse_liveness_problem(wan, region)

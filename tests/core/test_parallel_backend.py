@@ -19,28 +19,12 @@ import os
 import pytest
 
 from repro.bgp.policy import RouteMap, RouteMapClause, DeleteCommunity
-from repro.bgp.topology import Edge
-from repro.core.checks import check_owner, generate_safety_checks
-from repro.core.exec import resolve_jobs
-from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.safety import build_universe, run_checks, verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
-from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh
+from repro.core.checks import check_owner
+from repro.core.exec import ExecutionContext, resolve_jobs
+from repro.core.safety import run_checks, verify_safety
+from repro.workloads.fullmesh import TRANSIT_COMMUNITY
 
-
-def _fullmesh_problem(n: int):
-    config = build_full_mesh(n)
-    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    return config, ghost, prop, invariants
+from tests.core.conftest import fullmesh_problem, safety_pieces
 
 
 def _outcome_fingerprint(outcome):
@@ -55,15 +39,9 @@ def _outcome_fingerprint(outcome):
     )
 
 
-def _problem_pieces(config, ghost, prop, invariants):
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
-    return universe, checks
-
-
 def test_session_reuse_matches_fresh_solvers_on_fullmesh():
-    config, ghost, prop, invariants = _fullmesh_problem(6)
-    universe, checks = _problem_pieces(config, ghost, prop, invariants)
+    config, ghost, prop, invariants = fullmesh_problem(6)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     # Reference: hermetic solver per check (no session).
     reference = [check.run(config, universe, (ghost,)) for check in checks]
     # Default serial path: one shared session per owner router.
@@ -77,10 +55,10 @@ def test_session_reuse_matches_fresh_solvers_on_fullmesh():
 def test_session_reuse_matches_fresh_solvers_on_broken_fullmesh():
     # Strip the transit tag inside the mesh: checks must fail identically,
     # with the same localisation, under both discharge strategies.
-    config, ghost, prop, invariants = _fullmesh_problem(4)
+    config, ghost, prop, invariants = fullmesh_problem(4)
     strip = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
     config.routers["R3"].neighbors["R1"].import_map = strip
-    universe, checks = _problem_pieces(config, ghost, prop, invariants)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     reference = [check.run(config, universe, (ghost,)) for check in checks]
     shared = run_checks(checks, config, universe, (ghost,))
     assert [_outcome_fingerprint(o) for o in shared] == [
@@ -90,28 +68,28 @@ def test_session_reuse_matches_fresh_solvers_on_broken_fullmesh():
 
 
 def test_process_backend_agrees_with_serial():
-    config, ghost, prop, invariants = _fullmesh_problem(5)
-    universe, checks = _problem_pieces(config, ghost, prop, invariants)
-    serial = run_checks(checks, config, universe, (ghost,), parallel=1)
-    parallel = run_checks(checks, config, universe, (ghost,), parallel=2)
+    config, ghost, prop, invariants = fullmesh_problem(5)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
+    serial = run_checks(checks, config, universe, (ghost,), context=ExecutionContext(parallel=1))
+    parallel = run_checks(checks, config, universe, (ghost,), context=ExecutionContext(parallel=2))
     assert [_outcome_fingerprint(o) for o in parallel] == [
         _outcome_fingerprint(o) for o in serial
     ]
 
 
 def test_process_backend_ships_counterexamples_back():
-    config, ghost, prop, invariants = _fullmesh_problem(4)
+    config, ghost, prop, invariants = fullmesh_problem(4)
     strip = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
     config.routers["R3"].neighbors["R1"].import_map = strip
-    report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
+    report = verify_safety(config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(parallel=2))
     assert not report.passed
     assert report.failures, "counterexamples must survive the process boundary"
     assert any(f.blamed_router == "R3" for f in report.failures)
 
 
 def test_verify_safety_parallel_auto_passes():
-    config, ghost, prop, invariants = _fullmesh_problem(5)
-    report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel="auto")
+    config, ghost, prop, invariants = fullmesh_problem(5)
+    report = verify_safety(config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(parallel="auto"))
     assert report.passed
 
 
@@ -140,8 +118,8 @@ def test_resolve_jobs_contract():
 def test_unknown_backend_rejected():
     # There is no backend to pick any more: ``parallel`` alone selects
     # between the serial path and the process map.
-    config, ghost, prop, invariants = _fullmesh_problem(3)
-    universe, checks = _problem_pieces(config, ghost, prop, invariants)
+    config, ghost, prop, invariants = fullmesh_problem(3)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     with pytest.raises(TypeError):
         run_checks(checks, config, universe, (ghost,), backend="gpu")
 
@@ -149,8 +127,8 @@ def test_unknown_backend_rejected():
 def test_chunking_is_complete_and_owner_pure():
     from repro.core.exec.pool import chunk_by_owner
 
-    config, ghost, prop, invariants = _fullmesh_problem(5)
-    __, checks = _problem_pieces(config, ghost, prop, invariants)
+    config, ghost, prop, invariants = fullmesh_problem(5)
+    __, checks = safety_pieces(config, ghost, prop, invariants)
     chunks = chunk_by_owner(checks)
     indices = sorted(i for chunk in chunks for i, __ in chunk)
     assert indices == list(range(len(checks)))

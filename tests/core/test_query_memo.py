@@ -18,17 +18,10 @@ import pytest
 from repro.bgp.policy import ClearCommunities, DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
 from repro.cli import main as cli_main
-from repro.core.checks import (
-    MEMO_HIT_STATS,
-    CheckKind,
-    InternalError,
-    generate_safety_checks,
-)
-from repro.core.properties import InvariantMap, SafetyProperty
+from repro.core.checks import MEMO_HIT_STATS, CheckKind, InternalError
+from repro.core.exec import ExecutionContext
 from repro.core.safety import build_universe, run_checks
 from repro.core.workspace import Workspace
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.smt.solver import CheckSession, Model, Result, SessionPool
 from repro.smt.terms import clear_intern_cache
 from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh
@@ -41,22 +34,14 @@ from repro.workloads.wan_properties import (
     verify_peering_problems,
 )
 
+from tests.core.conftest import mesh_no_transit, safety_pieces
+
 STRIP = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
 
 
 def _no_transit_problem(config):
-    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
-    return ghost, prop, invariants, universe, checks
+    ghost, prop, invariants = mesh_no_transit(config)
+    return (ghost, prop, invariants, *safety_pieces(config, ghost, prop, invariants))
 
 
 def _fingerprint(outcome):
@@ -101,7 +86,8 @@ def test_memo_matches_hermetic_on_random_networks(model, seed, broken):
                     session.import_map = STRIP
     ghost, __, __, universe, checks = _no_transit_problem(config)
     pool = SessionPool()
-    outcomes = run_checks(checks, config, universe, (ghost,), sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
     assert any(o.failure for o in outcomes) == broken
     assert pool.stats()["memo_hits"] > 0
     _assert_matches_hermetic(outcomes, config, universe, (ghost,))
@@ -111,7 +97,8 @@ def test_memo_matches_hermetic_on_wan_sweep_with_skipped_bogon_filter():
     wan = build_wan(regions=3, routers_per_region=3, buggy_edge_router="W1-0")
     problem = peering_problem(wan, "no-bogons", peering_quality_predicates(wan)["no-bogons"])
     pool = SessionPool()
-    ((__, report),) = verify_peering_problems(wan, problems=[problem], sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    ((__, report),) = verify_peering_problems(wan, problems=[problem], workspace=context)
     assert {f.blamed_router for f in report.failures} == {"W1-0"}
     universe = build_universe(
         wan.config,
@@ -141,7 +128,10 @@ def test_memo_matches_hermetic_with_a_planted_clear_communities_fault():
 def test_budgeted_unknowns_are_not_memoised_and_a_later_run_decides():
     wan = build_wan(regions=2, routers_per_region=3)
     pool = SessionPool()
-    starved = verify_ip_reuse_safety_problems(wan, conflict_budget=0, sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    starved = verify_ip_reuse_safety_problems(
+        wan, workspace=ExecutionContext(conflict_budget=0, sessions=pool)
+    )
     unknown = [o for __, r in starved for o in r.iter_outcomes() if o.unknown]
     assert unknown and {o.unknown_reason for o in unknown} == {"conflicts"}
     assert all(result is not Result.UNKNOWN for result, __ in pool.answers.values())
@@ -149,7 +139,7 @@ def test_budgeted_unknowns_are_not_memoised_and_a_later_run_decides():
     # one of the UNKNOWNs above.
     assert pool.checks_discharged - len(pool.answers) == len(unknown)
 
-    decided = verify_ip_reuse_safety_problems(wan, sessions=pool)
+    decided = verify_ip_reuse_safety_problems(wan, workspace=context)
     assert all(report.passed for __, report in decided)
 
 
@@ -157,7 +147,8 @@ def test_an_expired_deadline_bypasses_the_memo():
     config = build_full_mesh(4)
     ghost, __, __, universe, checks = _no_transit_problem(config)
     pool = SessionPool()
-    assert all(o.passed for o in run_checks(checks, config, universe, (ghost,), sessions=pool))
+    context = ExecutionContext(sessions=pool)
+    assert all(o.passed for o in run_checks(checks, config, universe, (ghost,), context=context))
     # Every query is now in the memo, yet a check that starts with no time
     # left still comes back UNKNOWN/timeout.
     late = checks[0].run(config, universe, (ghost,), session=pool.get("R1"), deadline_s=0.0)
@@ -174,7 +165,8 @@ def test_memo_hit_counterexample_names_and_satisfies_the_asking_check():
         config.routers["R5"].neighbors[peer].import_map = STRIP
     ghost, __, __, universe, checks = _no_transit_problem(config)
     pool = SessionPool()
-    outcomes = run_checks(checks, config, universe, (ghost,), sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
     failed = [o for o in outcomes if o.failure]
     assert [o.check.edge for o in failed] == [Edge(p, "R5") for p in ("R1", "R2", "R3")]
     hits = [o for o in failed if o.stats is MEMO_HIT_STATS]
@@ -196,7 +188,8 @@ def test_fullmesh_solves_each_distinct_query_once():
     ghost, __, __, universe, checks = _no_transit_problem(config)
     assert not [c for c in checks if c.kind is CheckKind.ORIGINATE]
     pool = SessionPool()
-    outcomes = run_checks(checks, config, universe, (ghost,), sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
     assert all(o.passed for o in outcomes)
     _assert_one_solve_per_distinct_query(pool, len(checks))
     # The repeats carry the one shared zero-cost stats object.
@@ -207,8 +200,9 @@ def test_fullmesh_solves_each_distinct_query_once():
 def test_wan_sweep_solves_each_distinct_query_once():
     wan = build_wan(regions=3, routers_per_region=3)
     pool = SessionPool()
-    results = verify_peering_problems(wan, sessions=pool)
-    results += verify_ip_reuse_safety_problems(wan, sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    results = verify_peering_problems(wan, workspace=context)
+    results += verify_ip_reuse_safety_problems(wan, workspace=context)
     assert all(report.passed for __, report in results)
     _assert_one_solve_per_distinct_query(pool, sum(r.num_checks for __, r in results))
 
@@ -257,15 +251,16 @@ def test_save_load_reverify_matches_hermetic(tmp_path):
 
 def test_no_memo_hit_across_clear_intern_cache():
     pool = SessionPool()
+    context = ExecutionContext(sessions=pool)
     config = build_full_mesh(4)
     ghost, __, __, universe, checks = _no_transit_problem(config)
-    run_checks(checks[:1], config, universe, (ghost,), sessions=pool)
+    run_checks(checks[:1], config, universe, (ghost,), context=context)
     assert len(pool.answers) == 1
 
     clear_intern_cache()
     config = build_full_mesh(4)
     ghost, __, __, universe, checks = _no_transit_problem(config)
-    outcome = run_checks(checks[:1], config, universe, (ghost,), sessions=pool)[0]
+    outcome = run_checks(checks[:1], config, universe, (ghost,), context=context)[0]
     # Structurally the same query, but built from new terms: a new key.
     assert outcome.passed and outcome.stats is not MEMO_HIT_STATS
     assert pool.stats()["memo_hits"] == 0
@@ -290,7 +285,8 @@ def test_a_model_that_fails_its_own_query_is_an_internal_error():
     config.routers["R3"].neighbors["R1"].import_map = STRIP
     ghost, __, __, universe, checks = _no_transit_problem(config)
     pool = SessionPool()
-    outcomes = run_checks(checks, config, universe, (ghost,), sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
     (failed,) = [o for o in outcomes if o.failure]
     assert _plant_wrong_model(pool) == 1
     with pytest.raises(InternalError, match="import check at R3"):

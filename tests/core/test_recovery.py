@@ -21,18 +21,15 @@ import warnings
 
 import pytest
 
-from repro.bgp.topology import Edge
 from repro.cli import EXIT_DEGRADED, main
-from repro.core.checks import check_owner, generate_safety_checks
+from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, Scheduler
-from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import DegradationReport
-from repro.core.safety import build_universe, run_checks, verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
+from repro.core.safety import run_checks, verify_safety
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
-from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh
+
+from tests.core.conftest import fullmesh_problem, safety_pieces
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 MESH_SIZE = 4 + CHAOS_SEED % 3
@@ -44,26 +41,6 @@ def _clean_faults():
     faults.reset()
     yield
     faults.reset()
-
-
-def _fullmesh_problem(n: int):
-    config = build_full_mesh(n)
-    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    return config, ghost, prop, invariants
-
-
-def _pieces(config, ghost, prop, invariants):
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
-    return universe, checks
 
 
 def _fingerprint(outcome):
@@ -91,8 +68,8 @@ def _assert_no_leaked_children():
 
 
 def test_killed_worker_falls_back_to_one_serial_rerun():
-    config, ghost, prop, invariants = _fullmesh_problem(MESH_SIZE)
-    universe, checks = _pieces(config, ghost, prop, invariants)
+    config, ghost, prop, invariants = fullmesh_problem(MESH_SIZE)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     serial = run_checks(checks, config, universe, (ghost,))
 
     faults.install(_kill_plan(checks))
@@ -131,12 +108,14 @@ def test_killed_worker_falls_back_to_one_serial_rerun():
 
 
 def test_verify_safety_reports_recovery_as_degradation():
-    config, ghost, prop, invariants = _fullmesh_problem(4)
-    __, checks = _pieces(config, ghost, prop, invariants)
+    config, ghost, prop, invariants = fullmesh_problem(4)
+    __, checks = safety_pieces(config, ghost, prop, invariants)
     reference = verify_safety(config, prop, invariants, ghosts=(ghost,))
     faults.install(_kill_plan(checks))
     with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
-        report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
+        report = verify_safety(
+            config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(2)
+        )
     assert report.passed
     assert [_fingerprint(o) for o in report.outcomes] == [
         _fingerprint(o) for o in reference.outcomes
@@ -148,10 +127,12 @@ def test_verify_safety_reports_recovery_as_degradation():
 
 
 def test_clean_run_reports_no_degradation():
-    config, ghost, prop, invariants = _fullmesh_problem(4)
+    config, ghost, prop, invariants = fullmesh_problem(4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
+        report = verify_safety(
+            config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(2)
+        )
     assert report.passed
     assert report.degradation is not None
     assert not report.degradation.degraded()
@@ -159,9 +140,13 @@ def test_clean_run_reports_no_degradation():
 
 
 def test_serial_fallback_is_observable_not_silent(broken_process_pool):
-    config, ghost, prop, invariants = _fullmesh_problem(4)
-    with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
-        report = verify_safety(config, prop, invariants, ghosts=(ghost,), parallel=2)
+    config, ghost, prop, invariants = fullmesh_problem(4)
+    with pytest.warns(RuntimeWarning, match="degraded to the serial path") as caught:
+        report = verify_safety(
+            config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(2)
+        )
+    # Attributed to this call, not to a driver frame inside repro.core.
+    assert [w.filename for w in caught] == [__file__]
     assert report.passed
     assert report.degradation is not None
     assert report.degradation.serial_fallbacks == 1
@@ -170,14 +155,15 @@ def test_serial_fallback_is_observable_not_silent(broken_process_pool):
 
 
 def test_exception_in_check_propagates_and_pool_survives():
-    config, ghost, prop, invariants = _fullmesh_problem(4)
-    universe, checks = _pieces(config, ghost, prop, invariants)
+    config, ghost, prop, invariants = fullmesh_problem(4)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     victim = next(c for c in checks if check_owner(c) == "R1")
     faults.install(FaultPlan(raise_in_check_match=str(victim)))
     degradation = DegradationReport()
     with pytest.raises(faults.FaultInjected):
         run_checks(
-            checks, config, universe, (ghost,), parallel=2, degradation=degradation
+            checks, config, universe, (ghost,), context=ExecutionContext(2),
+            degradation=degradation,
         )
     # A genuine check exception is not a crash: nothing degraded to serial
     # (the serial path would have raised the same exception anyway), the
@@ -187,7 +173,8 @@ def test_exception_in_check_propagates_and_pool_survives():
     faults.reset()
     serial = run_checks(checks, config, universe, (ghost,))
     again = run_checks(
-        checks, config, universe, (ghost,), parallel=2, degradation=degradation
+        checks, config, universe, (ghost,), context=ExecutionContext(2),
+        degradation=degradation,
     )
     assert [_fingerprint(o) for o in again] == [_fingerprint(o) for o in serial]
     assert degradation.serial_fallbacks == 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind, generate_safety_checks
+from repro.core.exec import ExecutionContext
 from repro.core.properties import SafetyProperty
 from repro.core.safety import verify_safety
 from repro.core.workspace import Workspace
@@ -110,7 +111,11 @@ def test_parallel_checks_agree_with_sequential(fig1_config, from_isp1):
         fig1_config, no_transit_property(), inv, ghosts=(from_isp1,)
     )
     par = verify_safety(
-        fig1_config, no_transit_property(), inv, ghosts=(from_isp1,), parallel=4
+        fig1_config,
+        no_transit_property(),
+        inv,
+        ghosts=(from_isp1,),
+        context=ExecutionContext(parallel=4),
     )
     assert seq.passed == par.passed
     assert seq.num_checks == par.num_checks

@@ -17,6 +17,7 @@ from repro.bgp.policy import (
     RouteMapClause,
 )
 from repro.bgp.prefix import PrefixRange
+from repro.core.exec import ExecutionContext
 from repro.core.safety import verify_safety_family
 from repro.core.workspace import Workspace
 from repro.smt.solver import SessionPool
@@ -104,7 +105,8 @@ def test_wan_sweep_shares_one_session_per_owner_across_families():
     wan = build_wan(regions=3, routers_per_region=3, peers_per_edge=1)
     problems = all_peering_problems(wan)[:4]
     pool = SessionPool()
-    results = verify_peering_problems(wan, problems=problems, sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    results = verify_peering_problems(wan, problems=problems, workspace=context)
     assert all(report.passed for __, report in results)
 
     owners = set(wan.config.topology.routers) | {None}
@@ -124,10 +126,11 @@ def test_wan_families_after_first_reuse_encodings():
     wan = build_wan(regions=3, routers_per_region=3, peers_per_edge=1)
     problems = all_peering_problems(wan)[:3]
     pool = SessionPool()
+    context = ExecutionContext(sessions=pool)
 
-    verify_peering_problems(wan, problems=problems[:1], sessions=pool)
+    verify_peering_problems(wan, problems=problems[:1], workspace=context)
     first_total = sum(v for v, __ in pool.encoding_sizes().values())
-    verify_peering_problems(wan, problems=problems[1:], sessions=pool)
+    verify_peering_problems(wan, problems=problems[1:], workspace=context)
     later_total = sum(v for v, __ in pool.encoding_sizes().values())
 
     # Two further families together must cost (much) less marginal encoding
@@ -151,7 +154,8 @@ def test_hoisted_peering_sweep_matches_per_family_runs():
 def test_hoisted_ip_reuse_sweep_matches_per_region_runs():
     wan = build_wan(regions=3, routers_per_region=3, peers_per_edge=1)
     pool = SessionPool()
-    results = verify_ip_reuse_safety_problems(wan, sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    results = verify_ip_reuse_safety_problems(wan, workspace=context)
     assert len(results) == wan.regions
     assert all(report.passed for __, report in results)
     # Regions share the pool too: still one session per owner overall.

@@ -19,27 +19,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bgp.topology import Edge
 from repro.core.checks import prepare_session
-from repro.core.liveness import liveness_universe, verify_liveness
-from repro.core.properties import InvariantMap, SafetyProperty
+from repro.core.exec import ExecutionContext
+from repro.core.liveness import LivenessProblem, verify_liveness
 from repro.core.safety import build_universe, verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.smt import terms as T
 from repro.smt.sat import SatSolver
 from repro.smt.solver import CheckSession, SessionPool
-from repro.workloads.fullmesh import (
-    TRANSIT_COMMUNITY,
-    build_full_mesh,
-    full_mesh_liveness_property,
-)
+from repro.workloads.fullmesh import build_full_mesh, full_mesh_liveness_property
 from repro.workloads.randomnet import build_random_network
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import (
     verify_ip_reuse_safety_problems,
     verify_peering_problems,
 )
+
+from tests.core.conftest import mesh_no_transit
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +63,8 @@ class TestSessionReuse:
     def test_shared_fragments_skip_per_check_assumptions(self):
         wan = build_wan(regions=2, routers_per_region=3)
         pool = SessionPool()
-        verify_ip_reuse_safety_problems(wan, sessions=pool)
+        context = ExecutionContext(sessions=pool)
+        verify_ip_reuse_safety_problems(wan, workspace=context)
         stats = pool.stats()
         # Every discharged check skipped at least the well-formedness
         # fragment it used to ship as an assumption.
@@ -76,7 +72,7 @@ class TestSessionReuse:
 
     def test_prepare_is_idempotent_and_encodes_nothing_new(self):
         config = build_full_mesh(4)
-        ghost, prop, invariants = _no_transit_problem(config)
+        ghost, prop, invariants = mesh_no_transit(config)
         universe = build_universe(config, invariants, [prop.predicate], (ghost,))
         pool = SessionPool()
         session = pool.get("R1")
@@ -98,19 +94,6 @@ class TestSessionReuse:
 # ---------------------------------------------------------------------------
 
 
-def _no_transit_problem(config):
-    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    return ghost, prop, invariants
-
-
 def _fingerprint(outcome):
     return (str(outcome.check), outcome.passed, outcome.unknown, outcome.unknown_reason)
 
@@ -128,7 +111,7 @@ def _assert_matches_hermetic(report, config, universe, ghosts):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_differential_safety_random_networks(model, seed):
     config = build_random_network(8, model=model, seed=seed)
-    ghost, prop, invariants = _no_transit_problem(config)
+    ghost, prop, invariants = mesh_no_transit(config)
     universe = build_universe(config, invariants, [prop.predicate], (ghost,))
     report = verify_safety(config, prop, invariants, ghosts=(ghost,))
     _assert_matches_hermetic(report, config, universe, (ghost,))
@@ -139,7 +122,8 @@ def test_differential_liveness_fullmesh(n):
     config = build_full_mesh(n)
     prop = full_mesh_liveness_property(n)
     report = verify_liveness(config, prop)
-    _assert_matches_hermetic(report, config, liveness_universe(config, prop), ())
+    universe = build_universe(config, None, LivenessProblem(prop).predicates(), ())
+    _assert_matches_hermetic(report, config, universe, ())
 
 
 def test_differential_wan_with_learnt_traffic():
@@ -147,8 +131,9 @@ def test_differential_wan_with_learnt_traffic():
     # given with a warm learnt DB must equal the hermetic one.
     wan = build_wan(regions=2, routers_per_region=3)
     pool = SessionPool()
-    results = verify_ip_reuse_safety_problems(wan, sessions=pool)
-    results += verify_peering_problems(wan, sessions=pool)
+    context = ExecutionContext(sessions=pool)
+    results = verify_ip_reuse_safety_problems(wan, workspace=context)
+    results += verify_peering_problems(wan, workspace=context)
     assert pool.stats()["learnts_kept"] > 0
     for problem, report in results:
         universe = build_universe(

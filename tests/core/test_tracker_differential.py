@@ -7,19 +7,25 @@ external-ASN edits, topology changes — the tracker's report must equal a
 from-scratch ``verify_safety``/``verify_liveness`` on the edited
 configuration, and its accounting must add up.  A second test pins that a
 tracker restored by ``Workspace.load`` behaves exactly like the one that
-was saved.
+was saved.  A third pins the reference itself: on a first run, for every
+problem kind (a property family included), ``run_problem`` ≡ the tracker ≡
+the tracker restored from its pickled state.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
-from repro.core.liveness import verify_liveness
+from repro.core.exec import ExecutionContext
+from repro.core.incremental import PropertyTracker
+from repro.core.liveness import LivenessProblem, verify_liveness
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.safety import verify_safety
+from repro.core.safety import SafetyProblem, run_problem, verify_safety
 from repro.core.workspace import Workspace
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
@@ -30,7 +36,20 @@ from repro.workloads.fullmesh import (
     full_mesh_single_router_edit,
 )
 
-from tests.core.conftest import last_result, reverify
+from repro.workloads.figure1 import build_figure1
+from repro.workloads.wan import build_wan
+from repro.workloads.wan_properties import (
+    ip_reuse_liveness_problem,
+    ip_reuse_safety_problem,
+)
+
+from tests.core.conftest import (
+    customer_liveness_property,
+    last_result,
+    no_transit_invariants,
+    no_transit_property,
+    reverify,
+)
 from tests.core.test_incremental_liveness import _outcome_fp, _random_edit
 
 #: Topology edits switch between the N- and (N+1)-router mesh.
@@ -60,9 +79,19 @@ def _problem(kind):
     )
 
 
+def _fp(outcome):
+    failure = outcome.failure
+    return (
+        *_outcome_fp(outcome),
+        outcome.unknown_reason,
+        failure and (failure.check.edge, failure.blamed_router),
+    )
+
+
 def _report_fp(report):
     """Per-section outcome multisets (the tracker lists a section owner
-    group by owner group, a one-shot run edge by edge)."""
+    group by owner group, a one-shot run edge by edge): checks, verdicts,
+    witness routes, UNKNOWN reasons and blamed edges."""
     if hasattr(report, "interference_reports"):
         sections = [
             report.propagation_outcomes,
@@ -71,7 +100,7 @@ def _report_fp(report):
         ]
     else:
         sections = [report.outcomes]
-    return [sorted(_outcome_fp(o) for o in section) for section in sections]
+    return [sorted(map(_fp, section), key=repr) for section in sections]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -127,3 +156,73 @@ def test_loaded_tracker_reverifies_like_the_saved_one(kind, tmp_path):
     for counter in ("rerun_checks", "cached_checks", "checks_consulted"):
         assert getattr(from_disk, counter) == getattr(in_process, counter), counter
     assert 0 < from_disk.rerun_checks < last_result(ws).report.num_checks
+
+
+# -- the reference stays a reference -----------------------------------
+
+
+def _figure1():
+    config = build_figure1()
+    ghost = GhostAttribute.source_tracker("FromISP1", config.topology, [Edge("ISP1", "R1")])
+    prop, invariants = no_transit_property(), no_transit_invariants(config)
+    return config, (ghost,), {
+        "safety": SafetyProblem(prop, invariants),
+        "family": SafetyProblem([prop], invariants),
+        "liveness": LivenessProblem(customer_liveness_property()),
+    }
+
+
+def _fullmesh():
+    # R3 strips the transit tag on its import from R1 (a blamed edge), and
+    # the family's second property fails its implication (no edge at all).
+    config = build_full_mesh(N + 1)
+    strip = RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),))
+    config.routers["R3"].neighbors["R1"].import_map = RouteMap("STRIP", (strip,))
+    ghosts, (prop, invariants), __ = _problem("safety")
+    elsewhere = SafetyProperty(Edge("R3", "E3"), prop.predicate, name="no-transit")
+    return config, ghosts, {
+        "safety": SafetyProblem(prop, invariants),
+        "family": SafetyProblem([prop, elsewhere], invariants),
+        "liveness": LivenessProblem(full_mesh_liveness_property(N + 1)),
+    }
+
+
+def _wan():
+    wan = build_wan(2, 3)
+    safety, liveness = ip_reuse_safety_problem(wan, 0), ip_reuse_liveness_problem(wan, 0)
+    return wan.config, (safety.ghost,), {
+        "safety": SafetyProblem(safety.properties[0], safety.invariants),
+        "family": safety.problem(),
+        "liveness": liveness.problem(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["safety", "family", "liveness"])
+@pytest.mark.parametrize("network", [_figure1, _fullmesh, _wan], ids=lambda f: f.__name__[1:])
+def test_run_problem_is_the_reference(network, kind):
+    config, ghosts, problems = network()
+    problem = problems[kind]
+    reference = run_problem(ExecutionContext(), problem, config, ghosts)
+    tracker = PropertyTracker(ExecutionContext(), config, problem, ghosts)
+    first = tracker.run(config)
+    assert first.rerun_checks == reference.num_checks and first.cached_checks == 0
+
+    # What Workspace.save/load does to a tracker: pickle its state, rebuild
+    # the problem from the persisted (prop, invariants), restore.
+    state = pickle.loads(pickle.dumps(tracker.state_dict()))
+    rebuilt = type(problem)(state["prop"], state["invariants"])
+    restored = PropertyTracker.from_state(ExecutionContext(), rebuilt, state, ghosts)
+    again = restored.run(config)
+    assert again.rerun_checks == 0 and again.cached_checks == reference.num_checks
+
+    # The restored tracker lays its report out exactly like the saved one...
+    assert list(map(_fp, again.report.iter_outcomes())) == list(
+        map(_fp, first.report.iter_outcomes())
+    )
+    # ...and both agree with the reference section by section (a tracker
+    # lists a section owner group by owner group, the reference edge by
+    # edge): same verdicts, blamed edges and UNKNOWN reasons.
+    for report in (first.report, again.report):
+        assert str(report.property) == str(reference.property)
+        assert report.passed == reference.passed
+        assert _report_fp(report) == _report_fp(reference)

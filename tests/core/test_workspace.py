@@ -16,6 +16,7 @@ Pinned claims:
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -94,23 +95,6 @@ def test_verify_dispatches_on_property_type(fig1_config, from_isp1):
     assert ws.stats.num_checks == safety.num_checks + liveness.num_checks
 
 
-def test_verify_matches_free_functions(fig1_config, from_isp1):
-    ws = Workspace(fig1_config, ghosts=(from_isp1,))
-    safety = ws.verify(no_transit_property(), no_transit_invariants(fig1_config))
-    liveness = ws.verify(customer_liveness_property())
-    fresh_safety = verify_safety(
-        fig1_config,
-        no_transit_property(),
-        no_transit_invariants(fig1_config),
-        ghosts=(from_isp1,),
-    )
-    fresh_liveness = verify_liveness(
-        fig1_config, customer_liveness_property(), ghosts=(from_isp1,)
-    )
-    assert _report_fp(safety) == _report_fp(fresh_safety)
-    assert _report_fp(liveness) == _report_fp(fresh_liveness)
-
-
 def test_verify_rejects_non_properties(fig1_config):
     ws = Workspace(fig1_config)
     with pytest.raises(TypeError):
@@ -149,13 +133,20 @@ def test_repeat_verify_consults_nothing(fig1_config, from_isp1):
 
 
 def test_different_budget_registers_a_separate_entry(fig1_config, from_isp1):
-    ws = Workspace(fig1_config, ghosts=(from_isp1,))
-    inv = no_transit_invariants(fig1_config)
-    ws.verify(no_transit_property(), inv)
-    assert ws.has_entry(no_transit_property(), inv)
-    assert not ws.has_entry(no_transit_property(), inv, conflict_budget=123)
-    ws.verify(no_transit_property(), inv, conflict_budget=123)
-    assert len(ws.entries) == 2
+    prop, inv = no_transit_property(), no_transit_invariants(fig1_config)
+    ws = Workspace(fig1_config, ghosts=(from_isp1,), conflict_budget=123)
+    ws.verify(prop, inv)
+    (entry,) = ws.entries
+    assert entry.tracker.state_dict()["conflict_budget"] == 123
+    # One workspace, one budget: there is no per-call override to drop.
+    with pytest.raises(TypeError):
+        ws.verify(prop, inv, conflict_budget=5)
+    with pytest.raises(TypeError):
+        ws.has_entry(prop, inv, conflict_budget=123)
+    # The budget is still part of an entry's identity.
+    unlimited = Workspace(fig1_config, ghosts=(from_isp1,))
+    unlimited.verify(prop, inv)
+    assert unlimited.entries[0].fingerprint != entry.fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +310,36 @@ def test_load_rejects_ghost_mismatch(tmp_path, fig1_config, from_isp1):
     )
     with pytest.raises(WorkspaceCacheMismatch):
         Workspace.load(path, config=build_figure1(), ghosts=(other,))
+
+
+def test_load_adopts_the_saved_budget_and_rejects_another(tmp_path, fig1_config, from_isp1):
+    prop, inv = no_transit_property(), no_transit_invariants(fig1_config)
+    ws = Workspace(fig1_config, ghosts=(from_isp1,), conflict_budget=7)
+    ws.verify(prop, inv)
+    path = tmp_path / "workspace.lyc"
+    ws.save(path)
+    # Like config and ghosts: defaults to the saved value, must match if given.
+    for loaded in (Workspace.load(path), Workspace.load(path, conflict_budget=7)):
+        assert loaded.conflict_budget == 7
+        assert loaded.has_entry(prop, inv)
+        assert loaded.entries[0].fingerprint == ws.entries[0].fingerprint
+        loaded.verify(prop, inv)
+        assert loaded.entries[0].last_result.checks_consulted == 0
+    with pytest.raises(WorkspaceCacheMismatch, match="conflict budget"):
+        Workspace.load(path, conflict_budget=8)
+
+    # A format-5 file written when the budget was per call can hold entries
+    # decided under different budgets.  One workspace runs under one, so
+    # the file is refused — with a message, with or without a budget.
+    state = pickle.loads(path.read_bytes())
+    second = pickle.loads(pickle.dumps(state["entries"][0]))
+    second["state"]["conflict_budget"] = None
+    state["entries"].append(second)
+    payload = pickle.dumps(state)
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    for budget in (None, 7):
+        with pytest.raises(WorkspaceCacheMismatch, match=r"budget\(s\) \[7, None\]"):
+            Workspace.load(path, conflict_budget=budget)
 
 
 def test_load_rejects_corrupt_and_foreign_files(tmp_path):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.exec import ExecutionContext
 from repro.core.liveness import verify_liveness
 from repro.core.safety import verify_safety_family
+from repro.core.workspace import Workspace
 from repro.workloads.wan import build_wan, region_community
 from repro.workloads.wan_properties import (
     all_peering_problems,
@@ -14,6 +18,9 @@ from repro.workloads.wan_properties import (
     ip_reuse_safety_problem,
     peering_problem,
     peering_quality_predicates,
+    verify_ip_reuse_liveness_problems,
+    verify_ip_reuse_safety_problems,
+    verify_peering_problems,
 )
 
 
@@ -139,3 +146,40 @@ def test_liveness_target_router_validation(wan):
         ip_reuse_liveness_problem(wan, region=0, target_router=attach)
     with pytest.raises(ValueError):
         ip_reuse_liveness_problem(wan, region=0, target_router="W1-0")
+
+
+# -- a context handed to a sweep carries *all* its limits ----------------
+#
+# Regression: the sweeps used to copy ``parallel`` and ``sessions`` out of
+# a ``workspace=`` and silently drop its budget and deadlines.  The counts
+# are what ``conflict_budget=0`` as a keyword produced on this WAN.
+
+SWEEPS = {
+    verify_peering_problems: 1,
+    verify_ip_reuse_safety_problems: 12,
+    verify_ip_reuse_liveness_problems: 0,
+}
+
+
+def _unknown_reasons(results):
+    return Counter(
+        o.unknown_reason for __, r in results for o in r.iter_outcomes() if o.unknown
+    )
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda sweep: sweep.__name__)
+def test_sweep_runs_under_its_contexts_limits(sweep):
+    small = build_wan(2, 3)
+    for context in (
+        ExecutionContext(conflict_budget=0),
+        Workspace(small.config, conflict_budget=0),
+    ):
+        assert _unknown_reasons(sweep(small, workspace=context))["conflicts"] == SWEEPS[sweep]
+    for context in (
+        ExecutionContext(wall_budget_s=1e-9),
+        Workspace(small.config, conflict_budget=0, wall_budget_s=1e-9),
+    ):
+        results = sweep(small, workspace=context)
+        total = sum(r.num_checks for __, r in results)
+        assert _unknown_reasons(results) == {"wall-budget": total} and total
+    assert all(r.passed for __, r in sweep(small))
