@@ -7,7 +7,7 @@ map, and to render the violated implication.
 
 A check can be discharged hermetically (a fresh :class:`repro.smt.Solver`
 per query) or against a shared :class:`repro.smt.CheckSession`, which
-reuses the bit-blasted, Tseitin-encoded transfer-function fragments across
+reuses the clause-encoded transfer-function fragments across
 the checks that share them — see :func:`repro.core.safety.run_checks`,
 which routes checks to one session per owner router (drawn from a
 persistent :class:`repro.smt.SessionPool` when the caller supplies one).

@@ -1,20 +1,21 @@
 """Public solver facade: assertions in, SAT/UNSAT plus models out.
 
-Two entry points share the same bit-blast → Tseitin → CDCL pipeline:
+Two entry points share the same encode → CDCL pipeline
+(:mod:`repro.smt.encode` maps a term to SAT literals in one pass):
 
 * :class:`Solver` is the one-shot interface — collect assertions, build a
   fresh encoding, decide it.  Simple and hermetic; used by the monolithic
   Minesweeper baseline and anywhere a single query is discharged.
 * :class:`CheckSession` is the reusable interface Lightyear's local checks
-  go through.  A session keeps one SAT solver, one bit-blaster, and one
-  Tseitin encoder alive across many checks: the hash-consed term DAG means
-  structurally shared fragments (the symbolic route, the well-formedness
-  constraint, repeated transfer functions) are lowered and clause-encoded
-  exactly once, and each individual check is discharged with
-  ``solve(assumptions=...)`` against the accumulated clause database.
+  go through.  A session keeps one SAT solver and one encoder alive
+  across many checks: the hash-consed term DAG means structurally shared
+  fragments (the symbolic route, the well-formedness constraint, repeated
+  transfer functions) are clause-encoded exactly once, and each individual
+  check is discharged with ``solve(assumptions=...)`` against the
+  accumulated clause database.
   Soundness: the session never *asserts* a check's constraints — they enter
   as assumption literals scoped to one solve — and every clause in the
-  database is a definitional Tseitin equivalence or a fragment
+  database is a definitional gate equivalence or a fragment
   :meth:`CheckSession.prepare` asserted because every check of the session
   asserts it anyway, so learnt clauses carry over between checks without
   affecting any later answer.  They live and die with their session
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable, KeysView, Sequence
+from dataclasses import dataclass, field
+from typing import KeysView, Sequence
 
 from repro.smt import terms as T
-from repro.smt.bitblast import Bitblaster
+from repro.smt.encode import Encoder, conjuncts
 from repro.smt.sat import SatSolver, SatStats
 from repro.smt.terms import Term
-from repro.smt.tseitin import Tseitin
 
 
 class Result(enum.Enum):
@@ -168,38 +168,15 @@ class Model:
 Answers = dict[tuple[Term, ...], tuple[Result, Model | None]]
 
 
-def _extract_model(sat: SatSolver, tseitin: Tseitin, blaster: Bitblaster) -> Model:
+def _extract_model(sat: SatSolver, encoder: Encoder) -> Model:
     """Read a term-level model out of the SAT assignment."""
-    assignment = sat.model()
-    bool_values: dict[Term, bool] = {}
-    for term, lit in tseitin._lit_memo.items():
-        if isinstance(term, T.BoolVar):
-            bool_values[term] = assignment.get(abs(lit), False) == (lit > 0)
-    bv_values: dict[Term, int] = {}
-    for bv, bits in blaster.bv_bits.items():
-        value = 0
-        for i, bit in enumerate(bits):
-            lit = tseitin._lit_memo.get(bit)
-            if lit is None:
-                continue
-            if assignment.get(abs(lit), False) == (lit > 0):
-                value |= 1 << i
-        bv_values[bv] = value
+    value = sat.value
+    bool_values = {term: value(var) is True for term, var in encoder.bool_vars.items()}
+    bv_values = {
+        term: sum(1 << i for i, var in enumerate(bits) if value(var))
+        for term, bits in encoder.bv_vars.items()
+    }
     return Model(bool_values, bv_values)
-
-
-def _conjuncts(term: Term) -> Iterable[Term]:
-    """Split (possibly nested) top-level conjunctions, iteratively."""
-    if not isinstance(term, T.And):
-        yield term
-        return
-    stack: list[Term] = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, T.And):
-            stack.extend(t.args)
-        else:
-            yield t
 
 
 class Solver:
@@ -225,21 +202,19 @@ class Solver:
     def assertions(self) -> tuple[Term, ...]:
         return tuple(self._assertions)
 
-    def _build(self) -> tuple[SatSolver, Bitblaster, Tseitin]:
+    def _build(self) -> tuple[SatSolver, Encoder]:
         build_start = time.perf_counter()
         sat = SatSolver()
-        blaster = Bitblaster()
-        tseitin = Tseitin(sat)
-        lowered = [blaster.blast_bool(a) for a in self._assertions]
-        for term in lowered:
-            tseitin.assert_true(term)
+        encoder = Encoder(sat)
+        for term in self._assertions:
+            encoder.assert_true(term)
         build_end = time.perf_counter()
         self.stats = SolverStats(
             num_vars=sat.num_vars,
             num_clauses=sat.num_clauses_added,
             build_time_s=build_end - build_start,
         )
-        return sat, blaster, tseitin
+        return sat, encoder
 
     def encode_only(self) -> SolverStats:
         """Build the CNF encoding without running SAT search.
@@ -264,7 +239,7 @@ class Solver:
         """
         self._model = None
         self.stats.unknown_reason = None
-        sat, blaster, tseitin = self._build()
+        sat, encoder = self._build()
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         solve_start = time.perf_counter()
         answer = sat.solve(conflict_budget=conflict_budget, deadline=deadline)
@@ -276,7 +251,7 @@ class Solver:
             return Result.UNKNOWN
         if not answer:
             return Result.UNSAT
-        self._model = _extract_model(sat, tseitin, blaster)
+        self._model = _extract_model(sat, encoder)
         return Result.SAT
 
     def model(self) -> Model:
@@ -288,12 +263,12 @@ class Solver:
 class CheckSession:
     """A reusable encoding context for discharging many related checks.
 
-    Where :class:`Solver` rebuilds the term → Tseitin → CDCL pipeline per
-    query, a session keeps all three layers alive.  Each ``check(...)``
-    call lowers its assertions through the *shared* bit-blaster and Tseitin
-    encoder — hash-consed subterms that earlier checks already encoded cost
-    a dictionary hit, not fresh clauses — and then runs CDCL with the
-    top-level conjunct literals as assumptions.
+    Where :class:`Solver` rebuilds the term → CNF → CDCL pipeline per
+    query, a session keeps both layers alive.  Each ``check(...)`` call
+    encodes its assertions through the *shared* encoder — hash-consed
+    subterms that earlier checks already encoded cost a dictionary hit,
+    not fresh clauses — and then runs CDCL with the top-level conjunct
+    literals as assumptions.
 
     The intended granularity is one session per owner router: all checks
     reading one router's transfer functions share most of their encoding
@@ -306,12 +281,11 @@ class CheckSession:
 
     def __init__(self) -> None:
         self._sat = SatSolver()
-        self._blaster = Bitblaster()
-        self._tseitin = Tseitin(self._sat)
+        self._encoder = Encoder(self._sat)
         self._model: Model | None = None
         self.stats = SolverStats()
         self.checks_discharged = 0
-        # Lowered conjuncts asserted into the clause DB by prepare();
+        # Conjuncts asserted into the clause DB by prepare();
         # check() skips these instead of shipping them as assumptions.
         self._asserted: set[Term] = set()
         # Conjuncts skipped that way, cumulative over the session.
@@ -329,20 +303,20 @@ class CheckSession:
         future check in this session includes each shared term among its
         assertions (the owner route's well-formedness constraint
         qualifies; check-specific goals do not).  Idempotent per conjunct;
-        raises ``ValueError`` on a literally-false fragment.
+        raises ``ValueError`` on a fragment that encodes to false, before
+        it can poison the clause DB.
         """
+        sat, encoder = self._sat, self._encoder
         # Assertions and their unit propagation must land at level 0.
-        self._sat.reset_trail()
+        sat.reset_trail()
         for term in shared:
-            if not term.is_bool:
-                raise TypeError(f"shared fragments must be boolean, got {term!r}")
-            lowered = self._blaster.blast_bool(term)
-            for conjunct in _conjuncts(lowered):
-                if conjunct is T.TRUE or conjunct in self._asserted:
+            for conjunct in conjuncts(term):
+                if conjunct in self._asserted:
                     continue
-                if conjunct is T.FALSE:
+                clause = encoder.clause(conjunct)
+                if all(lit == -encoder.true for lit in clause):
                     raise ValueError("shared fragment is unsatisfiable")
-                self._tseitin.assert_true(conjunct)
+                sat.add_clause(clause)
                 self._asserted.add(conjunct)
 
     def check(
@@ -368,22 +342,20 @@ class CheckSession:
         assumptions: list[int] = []
         infeasible = False
         asserted = self._asserted
+        literal = self._encoder.literal
+        true = self._encoder.true
         for assertion in assertions:
-            if not assertion.is_bool:
-                raise TypeError(f"assertions must be boolean, got {assertion!r}")
-            lowered = self._blaster.blast_bool(assertion)
-            for conjunct in _conjuncts(lowered):
-                if conjunct is T.TRUE:
-                    continue
-                if conjunct is T.FALSE:
-                    infeasible = True
-                    continue
+            for conjunct in conjuncts(assertion):
                 if conjunct in asserted:
                     # Pre-asserted by prepare(): already a clause in the
                     # DB, no assumption literal needed.
                     self.shared_skips += 1
                     continue
-                assumptions.append(self._tseitin.literal(conjunct))
+                lit = literal(conjunct)
+                if lit == -true:
+                    infeasible = True
+                elif lit != true:
+                    assumptions.append(lit)
         build_time = time.perf_counter() - build_start
         if not sat.ok:
             # The clause database is definitional plus prepare()'s
@@ -399,7 +371,9 @@ class CheckSession:
         self.checks_discharged += 1
         if infeasible:
             return Result.UNSAT
-        sat_before = replace(sat.stats)
+        before = sat.stats
+        decisions, propagations = before.decisions, before.propagations
+        conflicts, restarts, learned = before.conflicts, before.restarts, before.learned
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         solve_start = time.perf_counter()
         answer = sat.solve(
@@ -409,11 +383,11 @@ class CheckSession:
         )
         self.stats.solve_time_s = time.perf_counter() - solve_start
         self.stats.sat = SatStats(
-            decisions=sat.stats.decisions - sat_before.decisions,
-            propagations=sat.stats.propagations - sat_before.propagations,
-            conflicts=sat.stats.conflicts - sat_before.conflicts,
-            restarts=sat.stats.restarts - sat_before.restarts,
-            learned=sat.stats.learned - sat_before.learned,
+            decisions=sat.stats.decisions - decisions,
+            propagations=sat.stats.propagations - propagations,
+            conflicts=sat.stats.conflicts - conflicts,
+            restarts=sat.stats.restarts - restarts,
+            learned=sat.stats.learned - learned,
             max_learnt_len=sat.stats.max_learnt_len,
         )
         if answer is None:
@@ -421,7 +395,7 @@ class CheckSession:
             return Result.UNKNOWN
         if not answer:
             return Result.UNSAT
-        self._model = _extract_model(sat, self._tseitin, self._blaster)
+        self._model = _extract_model(sat, self._encoder)
         return Result.SAT
 
     def model(self) -> Model:

@@ -4,7 +4,7 @@ Two sorts exist: ``BOOL`` and ``BitVecSort(width)``.  Terms are built through
 the smart constructors at the bottom of this module (``and_``, ``bv_eq``,
 ...), which perform light constant folding and flattening so that downstream
 encoders see smaller DAGs.  Structural sharing matters: identical subterms are
-interned so the Tseitin transform and the bit-blaster can memoise on object
+interned so the encoder (:mod:`repro.smt.encode`) can memoise on object
 identity.
 """
 

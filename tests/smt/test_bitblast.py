@@ -1,17 +1,20 @@
-"""Directed and exhaustive tests for the bit-blaster."""
+"""Directed and exhaustive tests for the bit-vector side of the encoder."""
 
 from __future__ import annotations
 
-import itertools
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import smt
-from repro.smt.bitblast import Bitblaster
-from repro.smt.solver import Model
-from repro.smt.terms import BoolVar
+from repro.smt.encode import Encoder
+from repro.smt.sat import SatSolver
 
 
 def _eval_with(term, assignments: dict[str, int], width: int):
@@ -69,27 +72,31 @@ def test_width_one_vectors():
 
 
 def test_bitblaster_names_bits_deterministically():
-    blaster = Bitblaster()
-    bits = blaster.blast_bv(smt.bv_var("v", 4))
-    assert [b.name for b in bits] == ["v!0", "v!1", "v!2", "v!3"]
-    again = blaster.blast_bv(smt.bv_var("v", 4))
+    # The encoder's bits have no names: a BvVar is one fresh SAT variable
+    # per bit, memoised and recorded where model extraction reads it.
+    sat = SatSolver()
+    encoder = Encoder(sat)
+    bits = encoder.bits(smt.bv_var("v", 4))
+    assert len(set(bits)) == 4 and all(0 < b <= sat.num_vars for b in bits)
+    assert encoder.true not in bits
+    again = encoder.bits(smt.bv_var("v", 4))
     assert bits == again  # memoised
-    assert smt.bv_var("v", 4) in blaster.bv_bits
+    assert encoder.bv_vars[smt.bv_var("v", 4)] == bits
+    assert sat.num_clauses_added == 1  # only the true literal's unit
 
 
 def test_bitblaster_rejects_unknown_nodes():
-    blaster = Bitblaster()
+    encoder = Encoder(SatSolver())
     with pytest.raises(TypeError):
-        blaster.blast_bool(smt.bv_var("v", 4))
+        encoder.literal(smt.bv_var("v", 4))
     with pytest.raises(TypeError):
-        blaster.blast_bv(smt.bool_var("p"))
+        encoder.bits(smt.bool_var("p"))
 
 
 def test_constant_bv_blasts_to_constants():
-    blaster = Bitblaster()
-    bits = blaster.blast_bv(smt.bv_const(0b101, 3))
-    values = [b is smt.true() for b in bits]
-    assert values == [True, False, True]
+    encoder = Encoder(SatSolver())
+    bits = encoder.bits(smt.bv_const(0b101, 3))
+    assert bits == (encoder.true, -encoder.true, encoder.true)
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,3 +142,49 @@ def test_nested_ite_chain():
         solver2.add(c2 if v2 else smt.not_(c2))
         solver2.add(smt.bv_eq(term, smt.bv_const(expected % 3 + 1, 8)))
         assert solver2.check() is smt.Result.UNSAT
+
+
+_COUNTERS_SCRIPT = """
+import sys
+from pathlib import Path
+from repro.bgp.configjson import config_from_json
+from repro.core.workspace import Workspace
+from repro.lang.specjson import spec_from_json
+
+config = config_from_json(Path(sys.argv[1]).read_text())
+spec = spec_from_json(Path(sys.argv[2]).read_text())
+with Workspace(config, ghosts=spec.build_ghosts(config.topology)) as workspace:
+    for sspec in spec.safety:
+        assert workspace.verify(sspec.property, sspec.build_invariants(config.topology)).passed
+    session = workspace.sessions.peek("R2")
+    sat = session._sat.stats
+    print(session.total_vars, session.total_clauses, sat.decisions, sat.propagations)
+"""
+
+
+def test_encoding_counters_do_not_depend_on_the_hash_seed(tmp_path):
+    # Gate keys are sorted ints and no set iteration reaches a clause, so
+    # one policy-diverse router's session (unique random route maps: the
+    # workload that bypasses every term cache) encodes to the same CNF and
+    # searches it the same way whatever PYTHONHASHSEED says.
+    root = Path(__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location(
+        "e2e_inputs", root / "benchmarks" / "e2e" / "e2e_inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    config_doc, spec_doc, __ = inputs.policy_diverse(8, 0)
+    (tmp_path / "config.json").write_text(inputs.dump(config_doc))
+    (tmp_path / "spec.json").write_text(inputs.dump(spec_doc))
+
+    def counters(hash_seed: str) -> list[int]:
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-c", _COUNTERS_SCRIPT, tmp_path / "config.json", tmp_path / "spec.json"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )  # fmt: skip
+        return [int(field) for field in done.stdout.split()]
+
+    seed0 = counters("0")
+    assert seed0 == counters("1")
+    assert seed0[0] > 50 and seed0[1] > 50  # a real encoding, not an empty session

@@ -1,4 +1,4 @@
-"""End-to-end tests of the SMT facade: bit-blasting + Tseitin + CDCL."""
+"""End-to-end tests of the SMT facade: encoder + CDCL."""
 
 from __future__ import annotations
 

@@ -152,13 +152,21 @@ def test_liveness_target_router_validation(wan):
 #
 # Regression: the sweeps used to copy ``parallel`` and ``sessions`` out of
 # a ``workspace=`` and silently drop its budget and deadlines.  The counts
-# are what ``conflict_budget=0`` as a keyword produced on this WAN.
+# are measured under ``conflict_budget=0`` on this WAN and move with the
+# CNF's shape: a query propagation alone decides has no conflict to spend
+# (the peering sweep's single UNKNOWN went that way with the one-pass
+# encoder).  What must not move is that some sweep still hits the budget —
+# all-zero is exactly what a dropped budget looks like.
 
 SWEEPS = {
-    verify_peering_problems: 1,
+    verify_peering_problems: 0,
     verify_ip_reuse_safety_problems: 12,
     verify_ip_reuse_liveness_problems: 0,
 }
+
+
+def test_some_sweep_still_hits_the_conflict_budget():
+    assert any(SWEEPS.values()), "re-pinned to all zeros: nothing tells a dropped budget apart"
 
 
 def _unknown_reasons(results):
