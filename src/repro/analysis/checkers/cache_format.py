@@ -40,6 +40,7 @@ from repro.analysis.registry import Checker, Project, register
 #: Dataclasses whose instances land in the persisted cache (inside
 #: tracker state dicts or solver exports).
 PERSISTED_TYPES = (
+    "GroupOutcomes",
     "LocalCheck",
     "CheckOutcome",
     "CheckFailure",
@@ -80,7 +81,7 @@ class CacheFormatChecker(Checker):
         "persisted cache shapes may only change together with a "
         "CACHE_FORMAT bump, tracked via the checked-in shape manifest"
     )
-    version = 1
+    version = 2
 
     def extract(self, tree: ast.AST, source: str, path: str):
         cache_format: dict | None = None

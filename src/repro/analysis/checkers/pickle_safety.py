@@ -43,6 +43,7 @@ from repro.analysis.registry import Checker, Project, register
 #: outcomes coming back — and types Workspace.save persists (directly or
 #: inside tracker state).
 DEFAULT_ROOTS = (
+    "GroupOutcomes",
     "LocalCheck",
     "CheckOutcome",
     "CheckFailure",

@@ -134,6 +134,14 @@ class Topology:
             key=edge_key,
         ))
 
+    def canonical(self) -> tuple[list[str], list[tuple[str, list[str]]]]:
+        """Routers and directed edges in construction-order-independent form
+        (for digests): sorted per source node, not as one 20 000-edge list."""
+        return (
+            sorted(self._routers),
+            [(src, sorted(dsts)) for src, dsts in sorted(self._out.items())],
+        )
+
     def validate_path(self, path: Iterable[object]) -> None:
         """Check that an alternating node/edge sequence is a topological path.
 

@@ -13,11 +13,12 @@ re-run for a config edit.  This is the incremental benefit §2 and §7
 claim; the ablation benchmark measures the saving.
 
 :class:`PropertyTracker` is that rule, written once.  Its cache is an
-**owner index** — ``section → owner → [checks]`` and ``section → owner →
-[outcomes]`` — where a safety property has the single section
-``("safety",)`` and a liveness property has ``("prop",)``, ``("impl",)``
-and one ``("sub", router)`` per path router.  What differs between the
-kinds lives in a small *problem builder* beside the pipeline it describes
+**owner index** — ``(*section, owner) →``
+:class:`~repro.core.report.GroupOutcomes`, results only: checks are a pure
+function of ``(problem, config, owner)`` — where a safety property has the
+single section ``("safety",)`` and a liveness property has ``("prop",)``,
+``("impl",)`` and one ``("sub", router)`` per path router.  What differs
+between the kinds lives in a small *problem builder* beside the pipeline it describes
 (:class:`repro.core.safety.SafetyProblem`,
 :class:`repro.core.liveness.LivenessProblem`; the :class:`Problem`
 protocol below): the predicates its universe must cover, check
@@ -28,11 +29,13 @@ touches only the invalidated owners' groups:
 examined, and a single-router edit consults exactly that router's groups.
 
 Change detection covers more than router policies: the digest map carries
-one extra **network-level** entry (:data:`NETWORK_DIGEST_KEY`) derived
-from ``NetworkConfig.external_asns``.  External ASNs never belong to any
+a **network-level** entry (:data:`NETWORK_DIGEST_KEY`) derived from
+``NetworkConfig.external_asns`` — external ASNs never belong to any
 router's policy digest, yet they feed ``AttributeUniverse.from_config``
 and AS-path reasoning, so a ``set_external_asn`` edit on an unchanged
-topology invalidates every cached outcome.
+topology invalidates every cached outcome — and a **topology** entry
+(:data:`TOPOLOGY_DIGEST_KEY`), whose change resets the cache.  The map is
+persisted with the outcomes, so a restored tracker notices either too.
 
 A :class:`repro.core.workspace.Workspace` keeps one tracker per verified
 property and persists its :meth:`~PropertyTracker.state_dict`.  The
@@ -48,12 +51,13 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Any, Protocol, TypeVar
+from functools import partial
+from typing import Any, Protocol, Sequence, TypeVar
 
 from repro.bgp.config import NetworkConfig
-from repro.core.checks import CheckOutcome, LocalCheck, group_checks_by_owner
+from repro.core.checks import LocalCheck, group_checks_by_owner
 from repro.core.exec import ExecutionContext, GroupKey, Scheduler
-from repro.core.report import DegradationReport, VerificationReport
+from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
 from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
@@ -65,6 +69,8 @@ from repro.lang.universe import AttributeUniverse
 # configs accept arbitrary ones), so only a different type truly cannot
 # collide — a router literally named "__network__" must not shadow it.
 NETWORK_DIGEST_KEY = ("network",)
+# Likewise for what fixes the check set: which routers and edges exist.
+TOPOLOGY_DIGEST_KEY = ("topology",)
 
 # UNKNOWN reasons that say "ran out of time", not "this problem is hard":
 # ``deadline_s``/``wall_budget_s`` are deliberately outside the entry
@@ -84,15 +90,22 @@ def network_digest(config: NetworkConfig) -> str:
     return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
-def config_digests(config: NetworkConfig) -> dict:
-    """Per-router policy digests plus the :data:`NETWORK_DIGEST_KEY` entry.
+def topology_digest(config: NetworkConfig) -> str:
+    """Digest of the routers and directed edges."""
+    return hashlib.sha256(repr(config.topology.canonical()).encode()).hexdigest()
 
-    This is the change-detection snapshot the tracker diffs: every input
-    that can alter a cached outcome without altering the topology object
-    graph is covered by some key.
+
+def config_digests(config: NetworkConfig) -> dict:
+    """Per-router policy digests plus the :data:`NETWORK_DIGEST_KEY` and
+    :data:`TOPOLOGY_DIGEST_KEY` entries.
+
+    This is the change-detection snapshot the tracker diffs (and the cache
+    identity ``Workspace.load`` compares): every input that can alter a
+    cached outcome is covered by some key.
     """
     digests: dict = config.policy_digests()
     digests[NETWORK_DIGEST_KEY] = network_digest(config)
+    digests[TOPOLOGY_DIGEST_KEY] = topology_digest(config)
     return digests
 
 
@@ -101,14 +114,6 @@ def diff_digests(old: dict, new: dict) -> set:
     changed = {key for key, digest in new.items() if old.get(key) != digest}
     changed.update(key for key in old if key not in new)
     return changed
-
-
-def topology_changed(old: NetworkConfig, new: NetworkConfig) -> bool:
-    """Whether two configs differ in routers or edges (check-set identity)."""
-    return (
-        new.topology.routers != old.topology.routers
-        or new.topology.edges != old.topology.edges
-    )
 
 
 #: One part of a proof: ``("safety",)``, ``("prop",)``, ``("impl",)`` or
@@ -146,11 +151,11 @@ class Problem(Protocol[R_co]):
 
     def report(
         self,
-        outcomes: dict[Section, list[CheckOutcome]],
+        groups: dict[Section, list[GroupOutcomes]],
         wall_time_s: float,
         degradation: DegradationReport,
     ) -> R_co:
-        """Assemble the pipeline's report from per-section outcomes."""
+        """Assemble the pipeline's report from per-section outcome groups."""
         ...
 
 
@@ -174,22 +179,36 @@ class IncrementalResult:
         return self.cached_checks / total if total else 0.0
 
 
+def _by_group_key(
+    sections: dict[Section, list[LocalCheck]],
+) -> dict[GroupKey, Sequence[LocalCheck]]:
+    """Per-section check lists as one scheduler mapping, by owner group."""
+    return {
+        (*section, owner): group
+        for section, checks in sections.items()
+        for owner, group in group_checks_by_owner(checks).items()
+    }
+
+
 class PropertyTracker:
     """The owner-indexed outcome cache for one property, of either kind.
 
     This is the unit a :class:`repro.core.workspace.Workspace` keeps per
-    verified property: the generated checks and every outcome stored per
-    section, grouped by owner router, keyed by that router's configuration
-    digest.  ``run`` with an updated :class:`NetworkConfig` re-runs
+    verified property: every outcome stored per section, grouped by owner
+    router, keyed by that router's configuration digest.  ``run`` with an
+    updated :class:`NetworkConfig` re-runs
 
         {owner ∈ changed routers} ∪ {owners with no reusable outcome}
 
-    in every section — all owners on ``full`` or a network-level
-    (external-ASN) edit, and everything after a topology change, which
-    resets the cache.  Cost is O(changed owner), not a walk over the
-    outcome cache.  Changing the property or invariants requires a new
-    tracker, a different conflict budget a new context — those inputs
-    touch every check.
+    in every section — all owners on a network-level (external-ASN) edit,
+    and everything after a topology change, which resets the cache.  Cost
+    is O(changed owner), not a walk over the outcome cache.  Changing the
+    property or invariants requires a new tracker, a different conflict
+    budget a new context — those inputs touch every check.
+
+    Checks are not part of the cache: a run generates those of the groups
+    it re-runs and nothing else; a report's per-check listing regenerates
+    those of groups restored without them, if someone asks for it.
 
     A group whose last run ended in a time-bound UNKNOWN
     (:data:`TIME_BOUND_REASONS`) is reported but never reusable: the next
@@ -204,35 +223,31 @@ class PropertyTracker:
       discharged against its owner's existing clause database, so only
       the *changed* transfer terms are encoded; owners whose digest is
       unchanged see no solver activity at all.
-    * the attribute universe and generated checks, which are rebuilt only
-      when a digest actually changed (and the universe object is swapped
-      only when its *content* changed, keeping the symbolic-route and
-      transfer caches hot).  ``universe_builds`` counts adoptions.
+    * the attribute universe, which is rescanned only when a digest
+      actually changed (and the universe object is swapped only when its
+      *content* changed, keeping the symbolic-route and transfer caches
+      hot).  ``universe_builds`` counts adoptions.
 
-    The outcome index (but not the solver state) is what
-    ``Workspace.save`` persists, which is why the tracker's whole cache is
-    a few plain picklable dicts.
+    The outcome index and its digests (but not the solver state) are what
+    ``Workspace.save`` persists.
     """
 
     def __init__(
         self,
         context: ExecutionContext,
-        config: NetworkConfig,
         problem: Problem,
         ghosts: tuple[GhostAttribute, ...] = (),
     ) -> None:
         self.context = context
         self.problem = problem
         self.ghosts = tuple(ghosts)
-        self._config = config
+        # The snapshot the stored groups were decided under (none yet).
         self._digests: dict = {}
         self._universe: AttributeUniverse | None = None
-        self._checks: dict[Section, dict[str | None, list[LocalCheck]]] | None = None
-        self._outcomes: dict[Section, dict[str | None, list[CheckOutcome]]] = {}
-        # Group keys whose cached outcomes hold a time-bound UNKNOWN.
+        self._groups: dict[GroupKey, GroupOutcomes] = {}
+        # Group keys whose stored outcomes hold a time-bound UNKNOWN.
         self._time_bound: set[GroupKey] = set()
         self.universe_builds = 0
-        self._ran = False
 
     # -- persistence ---------------------------------------------------
 
@@ -242,10 +257,8 @@ class PropertyTracker:
             "prop": self.problem.prop,
             "invariants": self.problem.invariants,
             "conflict_budget": self.context.conflict_budget,
-            "config": self._config,
             "digests": self._digests,
-            "checks": self._checks,
-            "outcomes": self._outcomes,
+            "groups": self._groups,
             "time_bound": self._time_bound,
         }
 
@@ -258,45 +271,76 @@ class PropertyTracker:
         ghosts: tuple[GhostAttribute, ...],
     ) -> "PropertyTracker":
         """Restore a tracker; ``problem`` was rebuilt from the state's
-        ``prop``/``invariants`` by the caller, who knows the kind."""
-        tracker = cls(context, state["config"], problem, ghosts)
+        ``prop``/``invariants`` by the caller, who knows the kind.  The
+        groups answer for the configuration ``digests`` describes: the
+        first ``run`` diffs it against the one it is given."""
+        tracker = cls(context, problem, ghosts)
         tracker._digests = state["digests"]
-        tracker._checks = state["checks"]
-        tracker._outcomes = state["outcomes"]
+        tracker._groups = state["groups"]
         tracker._time_bound = set(state["time_bound"])
         # The universe is deliberately not persisted (it is cheap to rescan
         # and references the live term graph); the first run after a load
         # rebuilds it, which does not touch any cached outcome.
-        tracker._ran = True
         return tracker
 
     # -- the incremental run -------------------------------------------
 
-    def _refresh_problem(
-        self, config: NetworkConfig, changed: set[str], network_changed: bool
-    ) -> dict[Section, dict[str | None, list[LocalCheck]]]:
-        """Rebuild checks/universe only where a verification input changed.
+    def _stale_checks(
+        self, config: NetworkConfig, changed: set, everything: bool
+    ) -> dict[GroupKey, Sequence[LocalCheck]]:
+        """The checks this run must execute, by group key, in index order:
+        the whole check set, or the regenerated groups of the owners that
+        were edited or hold a time-bound UNKNOWN."""
+        if everything:
+            return _by_group_key(self.problem.checks(config))
+        keys = [
+            key for key in self._groups if key[-1] in changed or key in self._time_bound
+        ]
+        owners = {key[-1] for key in keys} - {None}
+        fresh = (
+            _by_group_key(self.problem.checks(config, owners=owners)) if owners else {}
+        )
+        for key in keys:
+            if key[-1] is None:  # no generator call yields these: the group keeps them
+                fresh[key] = self._groups[key].checks or ()
+        return {key: fresh.get(key, ()) for key in keys}
 
-        ``changed`` holds edited router names; ``network_changed`` flags a
-        network-level edit (external ASNs), which rescans the universe but
-        leaves the checks alone — checks carry predicates and route-map
-        names, never ASNs.
-        """
-        if self._checks is None:
-            self._checks = {
-                section: group_checks_by_owner(checks)
-                for section, checks in self.problem.checks(config).items()
-            }
-        elif changed:
-            # Refresh only the edited owners' groups (their route-map
-            # metadata or originations may have changed); everything else —
-            # including every owner-less implication — carries over.
-            fresh = self.problem.checks(config, owners=changed)
-            for section, groups in self._checks.items():
-                regrouped = group_checks_by_owner(fresh.get(section, []))
-                for owner in changed:
-                    if owner in groups:
-                        groups[owner] = regrouped.get(owner, [])
+    def _regenerate(
+        self, config: NetworkConfig, missing: dict[GroupKey, GroupOutcomes]
+    ) -> None:
+        """The ``regenerate`` of groups restored without checks: one
+        generator call for all of them, on a config they are valid for."""
+        owners = {key[-1] for key in missing}
+        regenerated = _by_group_key(self.problem.checks(config, owners=owners))
+        for key, group in missing.items():
+            group.checks = regenerated.get(key, [])
+
+    def run(
+        self, config: NetworkConfig, digests: dict | None = None
+    ) -> IncrementalResult:
+        """(Re-)verify against ``config``, reusing everything still valid;
+        ``digests`` is its ``config_digests`` if the caller holds them."""
+        start = time.perf_counter()
+        new_digests = config_digests(config) if digests is None else digests
+        changed = diff_digests(self._digests, new_digests)
+        # A changed topology changes the check set, a network-level edit
+        # (external ASNs) the universe and AS-path semantics under every
+        # stored outcome: rerun everything.  A first run changes both.
+        topology_changed = TOPOLOGY_DIGEST_KEY in changed
+        network_changed = NETWORK_DIGEST_KEY in changed
+        changed -= {TOPOLOGY_DIGEST_KEY, NETWORK_DIGEST_KEY}
+        everything = topology_changed or network_changed
+        if topology_changed and self._digests:
+            self._universe = None
+            # Session reuse is always sound; this only bounds memory.
+            self.context.sessions.clear()
+
+        # The reverify mapping: one group per invalidated (section, owner),
+        # in section/group order — "reverify after an edit" is just a
+        # smaller mapping than "full verify", and the scheduler does not
+        # care which it got.  One batch, so a process map overlaps chunks
+        # across sections.
+        stale = self._stale_checks(config, changed, everything)
         if self._universe is None or changed or network_changed:
             universe = build_universe(
                 config, None, self.problem.predicates(), self.ghosts
@@ -306,75 +350,40 @@ class PropertyTracker:
                 # existing object so downstream value-keyed caches stay warm.
                 self._universe = universe
                 self.universe_builds += 1
-        return self._checks
-
-    def run(self, config: NetworkConfig, full: bool = False) -> IncrementalResult:
-        """(Re-)verify against ``config``, reusing everything still valid."""
-        start = time.perf_counter()
-        if topology_changed(self._config, config):
-            # Topology changes regenerate the check set; start over.
-            self._universe = None
-            self._checks = None
-            self._outcomes = {}
-            self._time_bound = set()
-            self._digests = {}
-            # Session reuse is always sound; this only bounds memory.
-            self.context.sessions.clear()
-        self._config = config
-
-        new_digests = config_digests(config)
-        changed = diff_digests(self._digests, new_digests)
-        network_changed = NETWORK_DIGEST_KEY in changed
-        changed.discard(NETWORK_DIGEST_KEY)
-        sections = self._refresh_problem(config, changed, network_changed)
-        universe = self._universe
-        assert universe is not None
-
-        # A network-level edit (external ASNs) changes the universe and
-        # AS-path semantics under every cached outcome: rerun everything.
-        everything = full or network_changed or not self._ran
-        # The reverify mapping: one group per invalidated (section, owner),
-        # in section/group order — "reverify after an edit" is just a
-        # smaller mapping than "full verify", and the scheduler does not
-        # care which it got.  One batch, so a process map overlaps chunks
-        # across sections.
-        stale: dict[GroupKey, list[LocalCheck]] = {
-            (*section, owner): group
-            for section, groups in sections.items()
-            for owner, group in groups.items()
-            if everything
-            or owner in changed
-            or owner not in self._outcomes.get(section, ())
-            or (*section, owner) in self._time_bound
-        }
+        assert self._universe is not None
 
         degradation = DegradationReport()
         result = Scheduler(self.context).run(
-            stale, config, universe, self.ghosts, degradation
+            stale, config, self._universe, self.ghosts, degradation
         )
-        # Scatter fresh outcomes back into the owner index by group key.
-        for key, fresh in result.items():
-            self._outcomes.setdefault(key[:-1], {})[key[-1]] = fresh
-            if any(o.unknown_reason in TIME_BOUND_REASONS for o in fresh):
+        # Fold fresh outcomes into the owner index (a full run's *is* it).
+        if everything:
+            self._groups = {}
+            self._time_bound = set()
+        for key, outcomes in result.items():
+            group = self._groups[key] = GroupOutcomes.of(stale[key], outcomes)
+            if any(o.unknown_reason in TIME_BOUND_REASONS for o in group.kept.values()):
                 self._time_bound.add(key)
             else:
                 self._time_bound.discard(key)
         self._digests = new_digests
-        self._ran = True
 
-        # Reports list outcomes in section/group order on every run, so a
+        # Reports list groups in section/group order on every run, so a
         # reverify's report is laid out exactly like a first run's.
-        by_section = {
-            section: [o for owner in groups for o in self._outcomes[section][owner]]
-            for section, groups in sections.items()
-        }
-        total = sum(len(outcomes) for outcomes in by_section.values())
-        rerun = sum(len(group) for group in stale.values())
+        by_section: dict[Section, list[GroupOutcomes]] = {}
+        missing: dict[GroupKey, GroupOutcomes] = {}
+        regenerate = partial(self._regenerate, config, missing)
+        for key, group in self._groups.items():
+            by_section.setdefault(key[:-1], []).append(group)
+            if group.checks is None:  # restored from a cache, not listed yet
+                missing[key] = group
+                group.regenerate = regenerate
+        elapsed = time.perf_counter() - start
+        report = self.problem.report(by_section, elapsed, degradation)
+        rerun = sum(len(checks) for checks in stale.values())
         return IncrementalResult(
-            report=self.problem.report(
-                by_section, time.perf_counter() - start, degradation
-            ),
+            report=report,
             rerun_checks=rerun,
-            cached_checks=total - rerun,
+            cached_checks=report.num_checks - rerun,
             checks_consulted=rerun,
         )

@@ -38,6 +38,7 @@ everything: it changes the attribute universe under every encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.topology import Edge
@@ -51,7 +52,7 @@ from repro.core.checks import (
 )
 from repro.core.exec import ExecutionContext
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
-from repro.core.report import DegradationReport, VerificationReport
+from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
 from repro.core.safety import SafetyReport, invariant_predicates, run_problem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Implies, Predicate, PrefixIn, TruePred, prefix_projection
@@ -64,28 +65,38 @@ class LivenessReport(VerificationReport):
 
     Outcome accounting (``passed``/``failures``/``unknowns``/size maxima/
     solve time) is inherited from the shared
-    :class:`repro.core.report.VerificationReport` protocol, derived from
-    :meth:`iter_outcomes` — propagation checks first, then the final
-    implication, then every no-interference sub-proof's outcomes.
+    :class:`repro.core.report.VerificationReport` protocol, folded from
+    :meth:`iter_groups` — propagation checks first, then the final
+    implication, then every no-interference sub-proof's groups.
     """
 
     property: LivenessProperty
-    propagation_outcomes: list[CheckOutcome]
-    implication_outcome: CheckOutcome
+    propagation: list[GroupOutcomes]
+    implication: GroupOutcomes
     interference_reports: dict[str, SafetyReport]
     wall_time_s: float
     degradation: DegradationReport | None = None
 
-    def iter_outcomes(self):
-        yield from self.propagation_outcomes
-        yield self.implication_outcome
+    def iter_groups(self) -> Iterable[GroupOutcomes]:
+        yield from self.propagation
+        yield self.implication
         for report in self.interference_reports.values():
-            yield from report.iter_outcomes()
+            yield from report.groups
+
+    @property
+    def propagation_outcomes(self) -> list[CheckOutcome]:
+        return [outcome for group in self.propagation for outcome in group.outcomes()]
+
+    @property
+    def implication_outcome(self) -> CheckOutcome:
+        # Owner-less, so kept whole: no listing needed.
+        return self.implication.kept[0]
 
     def summary(self) -> str:
+        propagation = sum(len(group.stats) for group in self.propagation)
         return (
             f"{self.property}: {self.status()} — {self.num_checks} local checks "
-            f"({len(self.propagation_outcomes)} propagation, "
+            f"({propagation} propagation, "
             f"{len(self.interference_reports)} no-interference sub-proofs), "
             f"{self.wall_time_s:.2f}s total"
         )
@@ -316,18 +327,18 @@ class LivenessProblem:
 
     def report(
         self,
-        outcomes: dict[tuple, list[CheckOutcome]],
+        groups: dict[tuple, list[GroupOutcomes]],
         wall_time_s: float,
         degradation: DegradationReport,
     ) -> LivenessReport:
         return LivenessReport(
             property=self.prop,
-            propagation_outcomes=outcomes[PROPAGATION_KEY],
-            implication_outcome=outcomes[IMPLICATION_KEY][0],
+            propagation=groups[PROPAGATION_KEY],
+            implication=groups[IMPLICATION_KEY][0],
             interference_reports={
                 router: SafetyReport(
                     property=safety_prop,
-                    outcomes=outcomes[subproof_key(router)],
+                    groups=groups[subproof_key(router)],
                     wall_time_s=0.0,
                 )
                 for router, safety_prop in interference_properties(self.prop).items()

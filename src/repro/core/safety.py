@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, TypeVar
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import (
@@ -37,7 +38,7 @@ from repro.core.checks import (
 )
 from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.report import DegradationReport, VerificationReport
+from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate, predicate_atoms
 from repro.lang.universe import AttributeUniverse
@@ -54,20 +55,21 @@ class SafetyReport(VerificationReport):
 
     All outcome accounting (``passed``/``failures``/``unknowns``/size
     maxima/solve time) is inherited from the shared
-    :class:`repro.core.report.VerificationReport` protocol.
+    :class:`repro.core.report.VerificationReport` protocol, folded from
+    ``groups``; ``outcomes`` is the per-check listing, built on first use.
     """
 
     property: SafetyProperty
-    outcomes: list[CheckOutcome]
+    groups: list[GroupOutcomes]
     wall_time_s: float
     degradation: DegradationReport | None = None
 
-    def iter_outcomes(self):
-        return iter(self.outcomes)
+    def iter_groups(self) -> Iterable[GroupOutcomes]:
+        return self.groups
 
-    @property
-    def num_checks(self) -> int:
-        return len(self.outcomes)
+    @cached_property
+    def outcomes(self) -> list[CheckOutcome]:
+        return list(self.iter_outcomes())
 
     def summary(self) -> str:
         return (
@@ -167,7 +169,7 @@ class SafetyProblem:
 
     def report(
         self,
-        outcomes: dict[tuple, list[CheckOutcome]],
+        groups: dict[tuple, list[GroupOutcomes]],
         wall_time_s: float,
         degradation: DegradationReport,
     ) -> SafetyReport:
@@ -175,7 +177,7 @@ class SafetyProblem:
         if self._family:
             name = f"{first.name or 'family'} (x{len(self._props)} locations)"
             first = SafetyProperty(first.location, first.predicate, name=name)
-        return SafetyReport(first, outcomes[SAFETY_KEY], wall_time_s, degradation)
+        return SafetyReport(first, groups[SAFETY_KEY], wall_time_s, degradation)
 
 
 def run_problem(
@@ -196,11 +198,15 @@ def run_problem(
     """
     start = time.perf_counter()
     degradation = DegradationReport()
-    groups = problem.checks(config)
+    sections = problem.checks(config)
     if universe is None:
         universe = build_universe(config, None, problem.predicates(), ghosts)
-    outcomes = Scheduler(context).run(groups, config, universe, ghosts, degradation)
-    return problem.report(outcomes, time.perf_counter() - start, degradation)
+    outcomes = Scheduler(context).run(sections, config, universe, ghosts, degradation)
+    groups = {
+        section: [GroupOutcomes.of(checks, outcomes[section])]
+        for section, checks in sections.items()
+    }
+    return problem.report(groups, time.perf_counter() - start, degradation)
 
 
 def run_checks(

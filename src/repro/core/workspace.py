@@ -24,19 +24,22 @@ one-shot function as ``context=`` to share its sessions and limits.
 pipeline, a :class:`LivenessProperty` the §5 pipeline, both against the
 workspace's shared session pool.  Each verified property gets a persistent
 :class:`repro.core.incremental.PropertyTracker` holding its owner-indexed
-check/outcome cache, so re-verifying after ``apply`` — or simply calling
+outcome cache, so re-verifying after ``apply`` — or simply calling
 ``verify`` again — consults only the checks a config edit invalidated.
 The one-shot driver is the reference the tracker is differentially
 tested against (incremental ≡ full ≡ cache-loaded).
 
-**On-disk outcome cache.**  ``save(path)`` persists the digests, check
-lists, and outcomes of every tracker — results only, never solver state —
-in a versioned file keyed by a config+spec fingerprint and sealed by a
-SHA-256 of the whole payload; ``Workspace.load(path, config=...)``
-restores them in a fresh process.  A second ``lightyear reverify --cache
-DIR`` invocation thus skips the base run entirely and consults only the
-edited owners' checks, on freshly built sessions.  A file whose payload
-digest does not match is rejected as corrupt before anything in it is
+**On-disk outcome cache.**  ``save(path)`` persists the digests and
+outcome groups (:class:`~repro.core.report.GroupOutcomes`: stats rows,
+non-passed and owner-less outcomes, folds) of every tracker — never the
+checks, which are regenerated, nor solver state — in a versioned file
+keyed by a config+spec fingerprint and sealed by a SHA-256 of the whole
+payload; ``Workspace.load(path, config=...)`` restores them in a fresh
+process (the saved configuration is a nested pickle only ``load(path)``
+without ``config=`` opens).  A second ``lightyear reverify --cache DIR``
+invocation thus skips the base run entirely and generates, runs and reads
+only the edited owners' checks, on freshly built sessions.  A file whose
+payload digest does not match is rejected as corrupt before anything in it is
 used (one flipped bit could otherwise turn a cached FAILED into PASSED);
 a cache whose fingerprint does not match the offered configuration or
 spec is rejected with :class:`WorkspaceCacheMismatch`.  Outcomes that
@@ -51,9 +54,10 @@ import hashlib
 import os
 import pickle
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, Callable
 
 from repro.bgp.config import NetworkConfig
 from repro.core.exec import ExecutionContext
@@ -81,7 +85,10 @@ from repro.lang.predicates import Predicate
 # ``checks``/``outcomes`` owner indexes, ``time_bound`` group keys).
 # Format 5: the solver-state section is gone (nothing solver-side is
 # persisted) and a SHA-256 of the whole pickle follows it in the file.
-CACHE_FORMAT = 5
+# Format 6: a tracker persists ``groups`` (one GroupOutcomes per (section,
+# owner)) instead of ``checks``/``outcomes`` objects, and no ``config``; the
+# topology is a digest-map key; ``config`` is a nested, deflated pickle.
+CACHE_FORMAT = 6
 _DIGEST_LEN = hashlib.sha256().digest_size
 
 # Entry kind -> the problem builder ``load`` rebuilds a tracker's problem
@@ -196,34 +203,9 @@ def _entry_fingerprint(problem: Problem, conflict_budget: int | None) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
-def _topology_fp(config: NetworkConfig) -> tuple[object, ...]:
-    return (
-        tuple(sorted(config.topology.routers)),
-        tuple(sorted(config.topology.edges)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The workspace
 # ---------------------------------------------------------------------------
-
-
-def _payload_digest(handle: BinaryIO, length: int) -> bytes:
-    """SHA-256 of the first ``length`` bytes of ``handle``.
-
-    Read in chunks: a multi-megabyte cache is never held as one ``bytes``
-    next to the object graph it unpickles into.  Leaves ``handle``
-    positioned at ``length``.
-    """
-    sha = hashlib.sha256()
-    handle.seek(0)
-    while length > 0:
-        chunk = handle.read(min(length, 1 << 20))
-        if not chunk:
-            break
-        sha.update(chunk)
-        length -= len(chunk)
-    return sha.digest()
 
 
 class Workspace(ExecutionContext):
@@ -281,6 +263,8 @@ class Workspace(ExecutionContext):
             wall_budget_s=wall_budget_s,
         )
         self.config = config
+        # Digested once per configuration, here and in ``apply``.
+        self._digests = config_digests(config)
         self.ghosts = tuple(ghosts)
         self.stats = WorkspaceStats()
         self._entries: list[WorkspaceEntry] = []
@@ -380,11 +364,9 @@ class Workspace(ExecutionContext):
 
     # -- verification --------------------------------------------------
 
-    def _run_entry(
-        self, entry: WorkspaceEntry, full: bool = False
-    ) -> IncrementalResult:
+    def _run_entry(self, entry: WorkspaceEntry) -> IncrementalResult:
         """Run one entry's tracker against the current config."""
-        result = entry.tracker.run(self.config, full=full)
+        result = entry.tracker.run(self.config, self._digests)
         entry.last_result = result
         self.stats.absorb(result.report)
         return result
@@ -420,7 +402,7 @@ class Workspace(ExecutionContext):
                 kind=problem.kind,
                 property=prop,
                 fingerprint=fingerprint,
-                tracker=PropertyTracker(self, self.config, problem, self.ghosts),
+                tracker=PropertyTracker(self, problem, self.ghosts),
             )
             self._entries.append(entry)
         return self._run_entry(entry).report
@@ -429,7 +411,9 @@ class Workspace(ExecutionContext):
         """Stage an edited configuration for subsequent runs.
 
         Returns the set of changed digest keys (router names, plus the
-        network-level key if external ASNs changed).  The edit is *not*
+        network-level / topology key if external ASNs / routers or edges
+        changed).  The edit is digested here, once — a configuration
+        mutated in place later goes unnoticed — and *not*
         re-validated — real incident configs are routinely inconsistent in
         ways the symbolic pipeline tolerates (e.g. a stale ``remote-as``
         after :meth:`NetworkConfig.set_external_asn`); callers that want
@@ -437,8 +421,9 @@ class Workspace(ExecutionContext):
         does.  Topology changes are allowed and reset the affected
         trackers' caches on their next run.
         """
-        changed = diff_digests(config_digests(self.config), config_digests(edit))
-        self.config = edit
+        digests = config_digests(edit)
+        changed = diff_digests(self._digests, digests)
+        self.config, self._digests = edit, digests
         return changed
 
     def reverify(
@@ -462,7 +447,7 @@ class Workspace(ExecutionContext):
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        """Persist digests, check lists and outcomes to ``path``.
+        """Persist digests and outcome groups to ``path``.
 
         The file is versioned and fingerprinted by configuration digests,
         ghost definitions, and the registered spec; :meth:`load` refuses a
@@ -472,10 +457,10 @@ class Workspace(ExecutionContext):
         """
         state = {
             "format": CACHE_FORMAT,
-            "config_digests": config_digests(self.config),
-            "topology": _topology_fp(self.config),
+            "config_digests": self._digests,
             "ghosts_fp": _ghosts_fp(self.ghosts),
-            "config": self.config,
+            # A blob: only ``load(path)`` without ``config=`` rebuilds it.
+            "config": zlib.compress(pickle.dumps(self.config, protocol=5), 1),
             "ghosts": self.ghosts,
             "entries": [
                 {"kind": entry.kind, "state": entry.tracker.state_dict()}
@@ -490,9 +475,9 @@ class Workspace(ExecutionContext):
             dir=str(target.parent), prefix=target.name, suffix=".tmp"
         )
         try:
-            with os.fdopen(fd, "w+b") as handle:
-                pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                handle.write(_payload_digest(handle, handle.tell()))
+            payload = pickle.dumps(state, protocol=5)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload + hashlib.sha256(payload).digest())
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -519,15 +504,16 @@ class Workspace(ExecutionContext):
         configuration), they must match the saved ones —
         :class:`WorkspaceCacheMismatch` otherwise, so a cache can never
         silently answer for a different network, ghost set or budget.
+        Outcomes saved between an ``apply`` and its ``reverify`` answer
+        for the digests their tracker kept, and are diffed, not trusted.
         Execution parameters (``parallel``, deadlines) are not part of the
         fingerprint; pass whatever this process should use.
         """
         try:
-            with open(path, "rb") as handle:
-                payload_len = os.fstat(handle.fileno()).st_size - _DIGEST_LEN
-                intact = _payload_digest(handle, payload_len) == handle.read()
-                handle.seek(0)
-                state = pickle.load(handle)
+            raw = Path(path).read_bytes()
+            seal = hashlib.sha256(raw[:-_DIGEST_LEN]).digest()
+            intact = seal == raw[-_DIGEST_LEN:]
+            state = pickle.loads(raw)  # reads up to the pickle's end, not the seal
         except OSError as exc:
             raise WorkspaceCacheError(f"cannot read workspace cache: {exc}") from exc
         except Exception as exc:  # unpickling garbage
@@ -556,16 +542,7 @@ class Workspace(ExecutionContext):
         # WorkspaceCacheError, never a raw KeyError/TypeError.
         try:
             if config is None:
-                config = state["config"]
-            elif (
-                config_digests(config) != state["config_digests"]
-                or _topology_fp(config) != state["topology"]
-            ):
-                raise WorkspaceCacheMismatch(
-                    f"workspace cache at {path} was saved for a different "
-                    f"configuration (policy digests differ); delete it or rerun "
-                    f"without the cache"
-                )
+                config = pickle.loads(zlib.decompress(state["config"]))
             if ghosts is None:
                 ghosts = state["ghosts"]
             elif _ghosts_fp(tuple(ghosts)) != state["ghosts_fp"]:
@@ -591,6 +568,12 @@ class Workspace(ExecutionContext):
                 deadline_s=deadline_s,
                 wall_budget_s=wall_budget_s,
             )
+            if workspace._digests != state["config_digests"]:
+                raise WorkspaceCacheMismatch(
+                    f"workspace cache at {path} was saved for a different "
+                    f"configuration (policy digests differ); delete it or rerun "
+                    f"without the cache"
+                )
             for doc in state["entries"]:
                 kind = doc["kind"]
                 tracker_state = doc["state"]
@@ -602,23 +585,20 @@ class Workspace(ExecutionContext):
                 problem = _PROBLEM_KINDS[kind](
                     tracker_state["prop"], tracker_state["invariants"]
                 )
-                tracker = PropertyTracker.from_state(
-                    workspace, problem, tracker_state, workspace.ghosts
-                )
-                # Trackers carry their own config snapshot for topology-change
-                # detection; point them at this process's (content-equal) one.
-                tracker._config = workspace.config
                 workspace._entries.append(
                     WorkspaceEntry(
                         kind=kind,
                         property=problem.prop,
                         fingerprint=_entry_fingerprint(problem, conflict_budget),
-                        tracker=tracker,
+                        tracker=PropertyTracker.from_state(
+                            workspace, problem, tracker_state, workspace.ghosts
+                        ),
                     )
                 )
         except WorkspaceCacheError:
             raise
-        except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, IndexError, ValueError, EOFError,
+                pickle.PickleError, zlib.error) as exc:  # fmt: skip
             raise WorkspaceCacheError(
                 f"workspace cache at {path} is corrupt: {exc!r}"
             ) from exc

@@ -63,7 +63,9 @@ def reverify(workspace, edited):
 def owner_check_count(tracker, owner) -> int:
     """How many checks the tracker's owner index holds for ``owner``,
     across every section of the proof."""
-    return sum(len(groups.get(owner, [])) for groups in tracker._checks.values())
+    return sum(
+        len(group.stats) for key, group in tracker._groups.items() if key[-1] == owner
+    )
 
 
 def mesh_no_transit(config):

@@ -330,10 +330,8 @@ def test_wall_budget_unknowns_are_rerun_in_process_and_after_a_load(tmp_path):
     faults.reset()
     assert set(degraded.unknown_reason_counts) <= {"wall-budget", "timeout"}
     (entry,) = ws.entries
-    groups = entry.tracker._checks[("safety",)]
-    time_bound = sum(
-        len(groups[owner]) for (__, owner) in entry.tracker._time_bound
-    )
+    tracker = entry.tracker
+    time_bound = sum(len(tracker._groups[key].stats) for key in tracker._time_bound)
     assert 0 < len(degraded.unknowns) <= time_bound < degraded.num_checks
 
     # The degraded outcomes are saved (the decided ones are worth keeping)...

@@ -18,7 +18,6 @@ from repro.bgp.policy import (
     RouteMapClause,
 )
 from repro.bgp.prefix import Prefix, PrefixRange
-from repro.core.safety import SAFETY_KEY
 from repro.core.workspace import Workspace
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
@@ -111,19 +110,19 @@ def test_breaking_edit_detected_incrementally(fig1_config, from_isp1):
 
 def test_universe_not_rebuilt_when_nothing_changed(fig1_config, from_isp1):
     """Regression: reverify used to rebuild the universe (and the check
-    list) unconditionally; with unchanged digests both must be reused."""
+    list) unconditionally; with unchanged digests nothing is rebuilt."""
     ws = _workspace(fig1_config, from_isp1)
     _verify(ws)
     tracker = ws.entries[0].tracker
     assert tracker.universe_builds == 1
     universe = tracker._universe
-    groups = {o: id(group) for o, group in tracker._checks[SAFETY_KEY].items()}
+    groups = {key: id(group) for key, group in tracker._groups.items()}
 
     reverify(ws, build_figure1())
     assert tracker.universe_builds == 1
     assert tracker._universe is universe  # same object, not an equal rebuild
     # Every owner group object survives untouched — nothing regenerated.
-    assert {o: id(g) for o, g in tracker._checks[SAFETY_KEY].items()} == groups
+    assert {key: id(group) for key, group in tracker._groups.items()} == groups
 
 
 def test_universe_object_kept_across_content_preserving_edits(fig1_config, from_isp1):

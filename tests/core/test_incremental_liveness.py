@@ -86,7 +86,7 @@ def _verified(config, prop, **kwargs):
 
 
 def _implication_outcome(tracker):
-    (outcome,) = tracker._outcomes[IMPLICATION_KEY][None]
+    (outcome,) = tracker._groups[(*IMPLICATION_KEY, None)].kept.values()
     return outcome
 
 
@@ -130,7 +130,7 @@ def test_off_path_edit_consults_only_subproof_groups():
     result = reverify(ws, edited)
     assert result.report.passed
     expected = owner_check_count(tracker, f"R{n}")
-    assert f"R{n}" not in tracker._checks[PROPAGATION_KEY]  # truly off-path
+    assert (*PROPAGATION_KEY, f"R{n}") not in tracker._groups  # truly off-path
     assert result.checks_consulted == expected
     assert result.rerun_checks == expected
     # The implication outcome was reused wholesale, not re-run.
@@ -153,7 +153,7 @@ def test_on_path_edit_also_reruns_its_propagation_checks():
     assert not fresh.passed
     assert not result.report.passed
     expected = owner_check_count(tracker, "R2")
-    assert len(tracker._checks[PROPAGATION_KEY]["R2"]) > 0  # import from E2, export to R3
+    assert len(tracker._groups[(*PROPAGATION_KEY, "R2")].stats) > 0  # import from E2, export to R3
     assert result.checks_consulted == expected
     assert _implication_outcome(tracker) is implication_before
     assert _liveness_fp(result.report) == _liveness_fp(fresh)

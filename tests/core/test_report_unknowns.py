@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from repro.core.checks import CheckKind, CheckOutcome, LocalCheck
 from repro.core.liveness import verify_liveness
-from repro.core.report import format_liveness_report, format_safety_report
+from repro.core.report import (
+    GroupOutcomes,
+    format_liveness_report,
+    format_safety_report,
+)
 from repro.core.safety import SafetyReport, verify_safety
 from repro.lang.predicates import TruePred
 from repro.smt.solver import SolverStats
@@ -24,7 +28,8 @@ from tests.core.conftest import (
 )
 
 
-def _unknown_outcome(description="undecided stub check"):
+def _unknown_group(description="undecided stub check"):
+    """One more group for a report: a single undecided check."""
     check = LocalCheck(
         kind=CheckKind.IMPLICATION,
         edge=None,
@@ -32,9 +37,10 @@ def _unknown_outcome(description="undecided stub check"):
         goal=TruePred(),
         description=description,
     )
-    return CheckOutcome(
+    outcome = CheckOutcome(
         check=check, passed=False, stats=SolverStats(), unknown=True
     )
+    return GroupOutcomes.of([check], [outcome])
 
 
 def _fig1_safety_report(config=None):
@@ -53,7 +59,7 @@ def _fig1_safety_report(config=None):
 def test_safety_summary_counts_unknowns_distinctly():
     report = _fig1_safety_report()
     assert report.passed
-    report.outcomes.append(_unknown_outcome())
+    report.groups.append(_unknown_group())
     assert not report.passed
     assert not report.failures  # no counterexample anywhere...
     assert len(report.unknowns) == 1  # ...but one undecided check
@@ -73,7 +79,7 @@ def test_safety_summary_mixes_failures_and_unknowns():
     )
     report = _fig1_safety_report(broken)
     assert report.failures
-    report.outcomes.append(_unknown_outcome())
+    report.groups.append(_unknown_group())
     summary = report.summary()
     assert f"{len(report.failures)} failed" in summary
     assert "1 unknown" in summary
@@ -81,7 +87,7 @@ def test_safety_summary_mixes_failures_and_unknowns():
 
 def test_safety_formatter_lists_unknown_checks():
     report = _fig1_safety_report()
-    report.outcomes.append(_unknown_outcome("the undecided check"))
+    report.groups.append(_unknown_group("the undecided check"))
     text = format_safety_report(report)
     assert "UNKNOWN (budget exhausted): the undecided check" in text
 
@@ -106,8 +112,7 @@ def test_liveness_formatter_lists_unknown_checks():
     report.implication_outcome.passed = False
     report.implication_outcome.unknown = True
     sub = next(iter(report.interference_reports.values()))
-    sub.outcomes[0].passed = False
-    sub.outcomes[0].unknown = True
+    sub.groups.append(_unknown_group())
     text = format_liveness_report(report)
     assert text.count("UNKNOWN (budget exhausted)") == 2
     assert "FAILED (2 unknown)" in report.summary()

@@ -203,7 +203,7 @@ def test_run_problem_is_the_reference(network, kind):
     config, ghosts, problems = network()
     problem = problems[kind]
     reference = run_problem(ExecutionContext(), problem, config, ghosts)
-    tracker = PropertyTracker(ExecutionContext(), config, problem, ghosts)
+    tracker = PropertyTracker(ExecutionContext(), problem, ghosts)
     first = tracker.run(config)
     assert first.rerun_checks == reference.num_checks and first.cached_checks == 0
 

@@ -18,6 +18,7 @@ import json
 import pickle
 import pickletools
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
@@ -102,20 +103,36 @@ def test_flip_of_every_pickled_boolean_raises_cache_error(tmp_path):
         report = ws.verify(no_transit_property(), no_transit_invariants(config))
         assert not report.passed
         ws.save(saved)
+    payload = saved.read_bytes()
     offsets = [
         pos
-        for opcode, __, pos in pickletools.genops(saved.read_bytes())
+        for opcode, __, pos in pickletools.genops(payload)
         if opcode.name in ("NEWTRUE", "NEWFALSE")
     ]
+    # Format 6 keeps whole outcomes only for the failed check and the
+    # implication, so these are their ``passed``/``unknown``/``rejected``.
     assert len(offsets) > 10
+    # The saved configuration is a deflated pickle nested in the payload,
+    # opened only by ``load(path)`` without ``config=`` — long after the
+    # digest check.  Every byte of it is sealed by that same digest.
+    blob = pickle.loads(payload)["config"]
+    pickle.loads(zlib.decompress(blob))
+    start = payload.index(blob)
+    offsets += range(start, start + len(blob))
     for offset in offsets:
         copy = _damaged_copy(saved, tmp_path, lambda p: corrupt_file(p, offset, 0x01))
         with pytest.raises(WorkspaceCacheError, match="digest"):
             Workspace.load(copy, config=config, ghosts=(ghost,))
-    # The undamaged file still loads and still reports the failure.
-    with Workspace.load(saved, config=config, ghosts=(ghost,)) as ws:
-        (entry,) = ws.reverify()
-        assert not entry.last_result.report.passed
+        with pytest.raises(WorkspaceCacheError, match="digest"):
+            Workspace.load(copy)
+    # The undamaged file still loads, either way, and still reports the
+    # failure — from the stored outcome, nothing is re-run.
+    for offered in ({"config": config, "ghosts": (ghost,)}, {}):
+        with Workspace.load(saved, **offered) as ws:
+            (entry,) = ws.reverify()
+            assert not entry.last_result.report.passed
+            assert entry.last_result.rerun_checks == 0
+            assert entry.last_result.report.failures[0].blamed_router == "R1"
 
 
 def test_unreadable_path_raises_cache_error(tmp_path):
@@ -159,12 +176,16 @@ def test_future_format_raises_cache_error(tmp_path):
 
 
 def test_previous_format_raises_cache_error(tmp_path):
-    # The previous format (no payload digest, a solver section) must be
-    # rejected readably — by its format number, not as "corrupt".
+    # The previous format (checks and outcome objects per tracker) must be
+    # rejected readably — by its format number, sealed or not, never as
+    # "corrupt" and never by reading it as the current shape.
+    assert CACHE_FORMAT == 6
+    refusal = "has format 5, this build reads format 6; delete it and rerun"
     target = tmp_path / "workspace.lyc"
-    target.write_bytes(pickle.dumps({"format": CACHE_FORMAT - 1}))
-    with pytest.raises(WorkspaceCacheError, match=f"has format {CACHE_FORMAT - 1}"):
-        Workspace.load(target)
+    for content in (pickle.dumps({"format": 5}), _sealed(pickle.dumps({"format": 5}))):
+        target.write_bytes(content)
+        with pytest.raises(WorkspaceCacheError, match=refusal):
+            Workspace.load(target)
 
 
 def test_mismatch_is_a_cache_error_subtype():
