@@ -1,8 +1,2 @@
-"""Built-in checkers.  Importing this package registers all of them."""
-
-from repro.analysis.checkers import (  # noqa: F401
-    cache_format,
-    deadline_discipline,
-    digest_coverage,
-    pickle_safety,
-)
+"""The lint's checkers: each is an ``id``, a one-line ``description`` and
+``check(files) -> list[Finding]`` over every parsed file of the run."""

@@ -33,9 +33,13 @@ from __future__ import annotations
 
 import ast
 import json
+from pathlib import Path
+from typing import Sequence
 
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, Project, register
+from repro.analysis.findings import Finding, SourceFile
+
+#: The checked-in manifest, resolved against the repo root.
+MANIFEST_FILENAME = "cache-shape.json"
 
 #: Dataclasses whose instances land in the persisted cache (inside
 #: tracker state dicts or solver exports).
@@ -74,119 +78,99 @@ def _dataclass_fields(cls: ast.ClassDef) -> list[str]:
     )
 
 
-@register
-class CacheFormatChecker(Checker):
+def _assigns(node: ast.Assign, name: str) -> bool:
+    return any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+
+
+def _extract(file: SourceFile) -> tuple[tuple[int, object] | None, dict[str, list[str]]]:
+    """One file's ``CACHE_FORMAT`` assignment as ``(line, value)`` and its
+    persisted shapes, keyed as in the manifest."""
+    shape_types = set(PERSISTED_TYPES)
+    for node in file.tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.Tuple, ast.List))
+            and _assigns(node, "CACHE_SHAPE_TYPES")
+        ):
+            shape_types.update(
+                el.value
+                for el in node.value.elts
+                if isinstance(el, ast.Constant) and isinstance(el.value, str)
+            )
+
+    cache_format: tuple[int, object] | None = None
+    for node in ast.walk(file.tree):
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and _assigns(node, "CACHE_FORMAT")
+        ):
+            cache_format = (node.lineno, node.value.value)
+
+    shapes: dict[str, list[str]] = {}
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if child.name in shape_types:
+                    shapes[f"dataclass:{child.name}"] = _dataclass_fields(child)
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.FunctionDef) and child.name in ("save", "state_dict"):
+                # save() persists its `state = {...}` literal; state_dict()
+                # the dict literal it returns.
+                where = "save:state" if child.name == "save" else "state_dict"
+                for stmt in ast.walk(child):
+                    value = None
+                    if child.name == "save":
+                        if (
+                            isinstance(stmt, ast.Assign)
+                            and len(stmt.targets) == 1
+                            and _assigns(stmt, "state")
+                        ):
+                            value = stmt.value
+                    elif isinstance(stmt, ast.Return):
+                        value = stmt.value
+                    keys = None if value is None else _dict_literal_keys(value)
+                    if keys is not None:
+                        shapes[f"{file.path}::{owner or '<module>'}.{where}"] = keys
+            visit(child, owner)
+
+    visit(file.tree, "")
+    return cache_format, shapes
+
+
+class CacheFormatDiscipline:
     id = "cache-format-discipline"
     description = (
         "persisted cache shapes may only change together with a "
         "CACHE_FORMAT bump, tracked via the checked-in shape manifest"
     )
-    version = 2
 
-    def extract(self, tree: ast.AST, source: str, path: str):
-        cache_format: dict | None = None
-        shapes: dict[str, list[str]] = {}
-        shape_types: set[str] = set(PERSISTED_TYPES)
+    def __init__(self, manifest: Path, update: bool = False) -> None:
+        self.manifest = manifest
+        self.update = update
 
-        if isinstance(tree, ast.Module):
-            for node in tree.body:
-                if isinstance(node, ast.Assign) and isinstance(
-                    node.value, (ast.Tuple, ast.List)
-                ):
-                    names = [
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    ]
-                    if "CACHE_SHAPE_TYPES" in names:
-                        shape_types.update(
-                            el.value
-                            for el in node.value.elts
-                            if isinstance(el, ast.Constant)
-                            and isinstance(el.value, str)
-                        )
-
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "CACHE_FORMAT"
-                        and isinstance(node.value, ast.Constant)
-                    ):
-                        cache_format = {
-                            "value": node.value.value,
-                            "line": node.lineno,
-                        }
-
-        class_stack: list[str] = []
-
-        def visit(node: ast.AST) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.ClassDef):
-                    if child.name in shape_types:
-                        shapes[f"dataclass:{child.name}"] = _dataclass_fields(child)
-                    class_stack.append(child.name)
-                    visit(child)
-                    class_stack.pop()
-                elif isinstance(child, ast.FunctionDef):
-                    owner = ".".join(class_stack) or "<module>"
-                    if child.name == "save":
-                        for stmt in ast.walk(child):
-                            if (
-                                isinstance(stmt, ast.Assign)
-                                and len(stmt.targets) == 1
-                                and isinstance(stmt.targets[0], ast.Name)
-                                and stmt.targets[0].id == "state"
-                            ):
-                                keys = _dict_literal_keys(stmt.value)
-                                if keys is not None:
-                                    shapes[f"{path}::{owner}.save:state"] = keys
-                    elif child.name == "state_dict":
-                        for stmt in ast.walk(child):
-                            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                                keys = _dict_literal_keys(stmt.value)
-                                if keys is not None:
-                                    shapes[f"{path}::{owner}.state_dict"] = keys
-                    visit(child)
-                else:
-                    visit(child)
-
-        visit(tree)
-        if cache_format is None and not shapes:
-            return None
-        return {"cache_format": cache_format, "shapes": shapes}
-
-    def analyze(self, project: Project) -> list[Finding]:
-        current_shapes: dict[str, list[str]] = {}
-        cache_format: dict | None = None
-        format_path = ""
-        for path, facts in project.facts_for(self.id):
-            fmt = facts.get("cache_format")
-            if fmt is not None and (
-                cache_format is None or path.endswith("core/workspace.py")
+    def check(self, files: Sequence[SourceFile]) -> list[Finding]:
+        current: dict[str, list[str]] = {}
+        anchor: tuple[str, int, object] | None = None  # (path, line, value)
+        for file in files:
+            file_anchor, shapes = _extract(file)
+            if file_anchor is not None and (
+                anchor is None or file.path.endswith("core/workspace.py")
             ):
-                cache_format = fmt
-                format_path = path
-            current_shapes.update(facts.get("shapes", {}))
-
-        if cache_format is None:
+                anchor = (file.path, *file_anchor)
+            current.update(shapes)
+        if anchor is None:
             # Nothing under analysis persists a versioned cache (e.g. a
             # fixture set without one): nothing to discipline.
             return []
+        path, line, cache_format = anchor
 
-        manifest_file = project.options.get("manifest_file")
-        anchor_line = cache_format["line"]
+        def finding(message: str, hint: str, symbol: str) -> Finding:
+            return Finding(self.id, path, line, message, hint=hint, symbol=symbol)
 
-        if project.options.get("update_manifest"):
-            if manifest_file is None:
-                return [
-                    Finding(
-                        checker=self.id,
-                        path=format_path,
-                        line=anchor_line,
-                        message="--update-manifest given but no manifest path configured",
-                        symbol="manifest",
-                    )
-                ]
+        if self.update:
             payload = {
                 "comment": (
                     "Statically extracted persisted-cache shapes as of the "
@@ -194,93 +178,55 @@ class CacheFormatChecker(Checker):
                     "--update-manifest` in the same commit as a format bump; "
                     "never edit by hand."
                 ),
-                "cache_format": cache_format["value"],
-                "shapes": {k: current_shapes[k] for k in sorted(current_shapes)},
+                "cache_format": cache_format,
+                "shapes": {key: current[key] for key in sorted(current)},
             }
-            manifest_file.write_text(json.dumps(payload, indent=2) + "\n")
+            self.manifest.write_text(json.dumps(payload, indent=2) + "\n")
             return []
-
-        if manifest_file is None or not manifest_file.exists():
+        if not self.manifest.exists():
             return [
-                Finding(
-                    checker=self.id,
-                    path=format_path,
-                    line=anchor_line,
-                    message=(
-                        "no cache-shape manifest found; the format-bump "
-                        "discipline cannot be checked"
-                    ),
-                    hint="run `lightyear lint --update-manifest` and commit the result",
-                    symbol="manifest-missing",
+                finding(
+                    "no cache-shape manifest found; the format-bump discipline "
+                    "cannot be checked",
+                    "run `lightyear lint --update-manifest` and commit the result",
+                    "manifest-missing",
                 )
             ]
-
         try:
-            manifest = json.loads(manifest_file.read_text())
+            manifest = json.loads(self.manifest.read_text())
             recorded_format = manifest["cache_format"]
-            recorded_shapes = {
-                key: sorted(value) for key, value in manifest["shapes"].items()
-            }
+            recorded = {key: sorted(value) for key, value in manifest["shapes"].items()}
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             return [
-                Finding(
-                    checker=self.id,
-                    path=format_path,
-                    line=anchor_line,
-                    message=f"cache-shape manifest is unreadable: {exc!r}",
-                    hint="regenerate with `lightyear lint --update-manifest`",
-                    symbol="manifest-corrupt",
+                finding(
+                    f"cache-shape manifest is unreadable: {exc!r}",
+                    "regenerate with `lightyear lint --update-manifest`",
+                    "manifest-corrupt",
                 )
             ]
-
-        changed = sorted(
-            key
-            for key in set(current_shapes) | set(recorded_shapes)
-            if current_shapes.get(key) != recorded_shapes.get(key)
-        )
-        findings: list[Finding] = []
-        if changed and cache_format["value"] == recorded_format:
-            for key in changed:
-                was = recorded_shapes.get(key)
-                now = current_shapes.get(key)
-                findings.append(
-                    Finding(
-                        checker=self.id,
-                        path=format_path,
-                        line=anchor_line,
-                        message=(
-                            f"persisted shape {key!r} changed "
-                            f"({_shape_delta(was, now)}) without a CACHE_FORMAT "
-                            f"bump; an old on-disk cache would load into the "
-                            f"wrong shape"
-                        ),
-                        hint=(
-                            "bump CACHE_FORMAT (with a comment saying what "
-                            "changed), then run `lightyear lint "
-                            "--update-manifest` in the same commit"
-                        ),
-                        symbol=key,
-                    )
+        if cache_format != recorded_format:
+            return [
+                finding(
+                    f"CACHE_FORMAT is {cache_format} but the manifest records "
+                    f"{recorded_format}; the manifest is stale",
+                    "run `lightyear lint --update-manifest` and commit the "
+                    "regenerated manifest with the bump",
+                    "manifest-stale",
                 )
-        elif cache_format["value"] != recorded_format:
-            findings.append(
-                Finding(
-                    checker=self.id,
-                    path=format_path,
-                    line=anchor_line,
-                    message=(
-                        f"CACHE_FORMAT is {cache_format['value']} but the "
-                        f"manifest records {recorded_format}; the manifest is "
-                        f"stale"
-                    ),
-                    hint=(
-                        "run `lightyear lint --update-manifest` and commit the "
-                        "regenerated manifest with the bump"
-                    ),
-                    symbol="manifest-stale",
-                )
+            ]
+        return [
+            finding(
+                f"persisted shape {key!r} changed "
+                f"({_shape_delta(recorded.get(key), current.get(key))}) without a "
+                f"CACHE_FORMAT bump; an old on-disk cache would load into the "
+                f"wrong shape",
+                "bump CACHE_FORMAT (with a comment saying what changed), then run "
+                "`lightyear lint --update-manifest` in the same commit",
+                key,
             )
-        return findings
+            for key in sorted(set(current) | set(recorded))
+            if current.get(key) != recorded.get(key)
+        ]
 
 
 def _shape_delta(was: list[str] | None, now: list[str] | None) -> str:

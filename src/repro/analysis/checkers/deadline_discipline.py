@@ -26,9 +26,9 @@ hot-path`` marker, which is how fixtures and future hot modules opt in):
 from __future__ import annotations
 
 import ast
+from typing import Sequence
 
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, Project, register
+from repro.analysis.findings import Finding, SourceFile
 
 #: Hot-path files: the solver core and the execution runtime (the
 #: per-check loop computing deadline remainders and the process map;
@@ -77,76 +77,39 @@ def _is_monotonic_call(node: ast.expr) -> bool:
     )
 
 
-def _function_records(tree: ast.AST) -> list[dict]:
-    records = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        loops = []
-        for child in ast.walk(node):
-            if isinstance(child, ast.While) and _is_constant_true(child.test):
-                # Nested functions own their loops; skip loops that belong
-                # to an inner def (they are walked when that def comes up).
-                if _owning_function(tree, child) is not node:
-                    continue
-                loops.append(
-                    {"line": child.lineno, "samples": _mentions_deadline(child)}
-                )
-        remaining = []
-        guarded = _has_expiry_guard(node)
-        for child in ast.walk(node):
-            if _owning_function(tree, child) is not node:
-                continue
-            value = None
-            if isinstance(child, (ast.Assign, ast.AnnAssign)):
-                value = child.value
-            elif isinstance(child, ast.NamedExpr):
-                value = child.value
-            if (
-                value is not None
-                and isinstance(value, ast.BinOp)
-                and isinstance(value.op, ast.Sub)
-                and _is_monotonic_call(value.right)
-            ):
-                remaining.append(child.lineno)
-        if loops or remaining:
-            records.append(
-                {
-                    "function": node.name,
-                    "loops": loops,
-                    "remaining": remaining,
-                    "guarded": guarded,
-                }
-            )
-    return records
+_Function = ast.FunctionDef | ast.AsyncFunctionDef
 
 
-# Cache of node -> owning function, computed per call tree.  The tree is
-# held alongside its index so its id() cannot be reused while cached.
-_owner_cache: dict[int, tuple[ast.AST, dict[int, ast.AST | None]]] = {}
+def _owned_nodes(tree: ast.AST) -> dict[_Function, list[ast.AST]]:
+    """Each function -> the nodes of its body outside any nested def.
+
+    Built once per file: nested functions own their loops and remainders,
+    which are judged when that def's own turn comes.
+    """
+    owned: dict[_Function, list[ast.AST]] = {}
+    stack: list[tuple[ast.AST, _Function | None]] = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        if owner is not None:
+            owned[owner].append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owned[node] = []
+            owner = node
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return owned
 
 
-def _owning_function(tree: ast.AST, target: ast.AST) -> ast.AST | None:
-    """The innermost function whose body contains ``target``."""
-    cached = _owner_cache.get(id(tree))
-    if cached is not None:
-        index = cached[1]
-    else:
-        index = {}
-        stack: list[tuple[ast.AST, ast.AST | None]] = [(tree, None)]
-        while stack:
-            node, owner = stack.pop()
-            index[id(node)] = owner
-            next_owner = (
-                node
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                else owner
-            )
-            for child in ast.iter_child_nodes(node):
-                stack.append((child, next_owner))
-        _owner_cache.clear()  # one tree at a time is enough
-        _owner_cache[id(tree)] = (tree, index)
-    return index.get(id(target))
+def _remaining_line(node: ast.AST) -> int | None:
+    """The line of ``x = something - time.monotonic()`` (plain, annotated
+    or walrus), or None for any other node."""
+    if (
+        isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Sub)
+        and _is_monotonic_call(node.value.right)
+    ):
+        return node.lineno
+    return None
 
 
 def _has_expiry_guard(func: ast.AST) -> bool:
@@ -175,65 +138,64 @@ def _has_expiry_guard(func: ast.AST) -> bool:
     return False
 
 
-@register
-class DeadlineDisciplineChecker(Checker):
+class DeadlineDiscipline:
     id = "deadline-discipline"
     description = (
         "unbounded hot-path loops must sample the deadline; computed "
         "remaining budgets must be guarded against expiry (the PR 6 hang class)"
     )
-    version = 1
 
-    def extract(self, tree: ast.AST, source: str, path: str):
-        hot = path.endswith(HOT_PATH_SUFFIXES) or HOT_PATH_MARKER in source
-        if not hot:
-            return None
-        return {"functions": _function_records(tree)}
-
-    def analyze(self, project: Project) -> list[Finding]:
+    def check(self, files: Sequence[SourceFile]) -> list[Finding]:
         findings: list[Finding] = []
-        for path, facts in project.facts_for(self.id):
-            for record in facts.get("functions", ()):
-                func = record["function"]
-                for loop in record["loops"]:
-                    if loop["samples"]:
-                        continue
-                    findings.append(
-                        Finding(
-                            checker=self.id,
-                            path=path,
-                            line=loop["line"],
-                            message=(
-                                f"unbounded `while True` in hot-path function "
-                                f"{func}() never samples a deadline"
-                            ),
-                            hint=(
-                                "sample the deadline inside the loop (cheaply, "
-                                "e.g. every N iterations), or suppress with the "
-                                "structural reason the loop terminates"
-                            ),
-                            symbol=f"{func}:while@{loop['line']}",
-                        )
-                    )
-                if record["remaining"] and not record["guarded"]:
-                    for line in record["remaining"]:
-                        findings.append(
-                            Finding(
-                                checker=self.id,
-                                path=path,
-                                line=line,
-                                message=(
-                                    f"{func}() computes a remaining budget but "
-                                    f"never guards against it having already "
-                                    f"expired; a negative remainder flows on "
-                                    f"and later work still pays full setup cost"
-                                ),
-                                hint=(
-                                    "short-circuit first: `if remaining <= 0: "
-                                    "skip` (see repro.core.exec.pool."
-                                    "run_in_sessions for the pattern)"
-                                ),
-                                symbol=f"{func}:remaining",
-                            )
-                        )
+        for file in files:
+            if file.path.endswith(HOT_PATH_SUFFIXES) or HOT_PATH_MARKER in file.source:
+                for func, nodes in _owned_nodes(file.tree).items():
+                    findings.extend(self._function_findings(file.path, func, nodes))
+        return findings
+
+    def _function_findings(
+        self, path: str, func: _Function, nodes: list[ast.AST]
+    ) -> list[Finding]:
+        findings = [
+            Finding(
+                checker=self.id,
+                path=path,
+                line=node.lineno,
+                message=(
+                    f"unbounded `while True` in hot-path function "
+                    f"{func.name}() never samples a deadline"
+                ),
+                hint=(
+                    "sample the deadline inside the loop (cheaply, e.g. every N "
+                    "iterations), or suppress with the structural reason the "
+                    "loop terminates"
+                ),
+                symbol=f"{func.name}:while@{node.lineno}",
+            )
+            for node in nodes
+            if isinstance(node, ast.While)
+            and _is_constant_true(node.test)
+            and not _mentions_deadline(node)
+        ]
+        remaining = [line for node in nodes if (line := _remaining_line(node))]
+        if remaining and not _has_expiry_guard(func):
+            findings.extend(
+                Finding(
+                    checker=self.id,
+                    path=path,
+                    line=line,
+                    message=(
+                        f"{func.name}() computes a remaining budget but never "
+                        f"guards against it having already expired; a negative "
+                        f"remainder flows on and later work still pays full "
+                        f"setup cost"
+                    ),
+                    hint=(
+                        "short-circuit first: `if remaining <= 0: skip` (see "
+                        "repro.core.exec.pool.run_in_sessions for the pattern)"
+                    ),
+                    symbol=f"{func.name}:remaining",
+                )
+                for line in remaining
+            )
         return findings

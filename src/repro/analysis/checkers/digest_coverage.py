@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import ast
 import re
+from typing import Sequence
 
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, Project, register
+from repro.analysis.findings import Finding, SourceFile
 
 _DIGEST_NAME = re.compile(r"(?:^|_)(digest|digests|fingerprint|fp|canonical|canon)(?:_|$)")
 
@@ -96,81 +96,61 @@ def _class_fields(cls: ast.ClassDef) -> dict[str, int]:
     return {name: line for name, line in fields.items() if not name.startswith("_")}
 
 
-@register
-class DigestCoverageChecker(Checker):
+class DigestCoverage:
     id = "digest-coverage"
     description = (
         "every public field of a digest-bearing class must be consumed by "
         "some digest computation (the external_asns bug class)"
     )
-    version = 2
 
-    def extract(self, tree: ast.AST, source: str, path: str):
-        classes = []
-        covered_everywhere: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and is_digest_name(node.name):
-                # Any digest-like callable, module-level or method,
-                # contributes its attribute reads to the project-wide
-                # coverage union.
-                covered_everywhere |= _attribute_reads(node)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            digest_methods = [
-                stmt
-                for stmt in node.body
-                if isinstance(stmt, ast.FunctionDef)
-                and is_digest_name(stmt.name)
-                and not _is_staticmethod(stmt)
-            ]
-            if not digest_methods:
-                continue
-            self_covered: set[str] = set()
-            for method in digest_methods:
-                self_covered |= _self_reads(method)
-            classes.append(
-                {
-                    "name": node.name,
-                    "line": node.lineno,
-                    "methods": [method.name for method in digest_methods],
-                    "fields": _class_fields(node),
-                    "self_covered": sorted(self_covered),
-                }
-            )
-        if not classes and not covered_everywhere:
-            return None
-        return {"classes": classes, "covered": sorted(covered_everywhere)}
-
-    def analyze(self, project: Project) -> list[Finding]:
-        global_union: set[str] = set()
-        for __, facts in project.facts_for(self.id):
-            global_union |= set(facts.get("covered", ()))
+    def check(self, files: Sequence[SourceFile]) -> list[Finding]:
+        # Any digest-like callable, module-level or method, contributes
+        # its attribute reads to the project-wide coverage union.
+        covered: set[str] = set()
+        for file in files:
+            for node in ast.walk(file.tree):
+                if isinstance(node, ast.FunctionDef) and is_digest_name(node.name):
+                    covered |= _attribute_reads(node)
         findings: list[Finding] = []
-        for path, facts in project.facts_for(self.id):
-            for cls in facts.get("classes", ()):
-                self_covered = set(cls["self_covered"])
-                for field_name, line in sorted(cls["fields"].items()):
-                    if field_name in self_covered or field_name in global_union:
-                        continue
-                    methods = "/".join(cls["methods"])
-                    findings.append(
-                        Finding(
-                            checker=self.id,
-                            path=path,
-                            line=line,
-                            message=(
-                                f"field {cls['name']}.{field_name} is not consumed "
-                                f"by any digest computation ({methods} on the "
-                                f"class, nor any digest-like function project-wide)"
-                            ),
-                            hint=(
-                                f"include {field_name!r} in {cls['name']}."
-                                f"{cls['methods'][0]} (or a covering digest "
-                                f"function), or suppress with a reason if the "
-                                f"field truly cannot change verification results"
-                            ),
-                            symbol=f"{cls['name']}.{field_name}",
-                        )
-                    )
+        for file in files:
+            for node in ast.walk(file.tree):
+                if isinstance(node, ast.ClassDef):
+                    findings.extend(self._class_findings(file.path, node, covered))
         return findings
+
+    def _class_findings(
+        self, path: str, cls: ast.ClassDef, covered: set[str]
+    ) -> list[Finding]:
+        methods = [
+            stmt
+            for stmt in cls.body
+            if isinstance(stmt, ast.FunctionDef)
+            and is_digest_name(stmt.name)
+            and not _is_staticmethod(stmt)
+        ]
+        if not methods:
+            return []
+        self_covered: set[str] = set()
+        for method in methods:
+            self_covered |= _self_reads(method)
+        names = "/".join(method.name for method in methods)
+        return [
+            Finding(
+                checker=self.id,
+                path=path,
+                line=line,
+                message=(
+                    f"field {cls.name}.{field_name} is not consumed by any digest "
+                    f"computation ({names} on the class, nor any digest-like "
+                    f"function project-wide)"
+                ),
+                hint=(
+                    f"include {field_name!r} in {cls.name}.{methods[0].name} (or a "
+                    f"covering digest function), or suppress with a reason if the "
+                    f"field truly cannot change verification results"
+                ),
+                symbol=f"{cls.name}.{field_name}",
+            )
+            for field_name, line in sorted(_class_fields(cls).items())
+            if field_name not in self_covered and field_name not in covered
+        ]

@@ -1,56 +1,33 @@
-"""The lint engine: discover files, extract facts (cached), analyze.
+"""The lint pass: parse every file once, run each checker over the parsed
+files, apply in-place suppressions.
 
-Orchestrates one run end to end::
+::
 
-    result = run_lint(LintOptions(root=repo_root, paths=[src/repro]))
+    result = run_lint(repo_root, [repo_root / "src" / "repro"])
 
-Per-file work (AST parse, checker extraction, the engine's own
-suppression index) is cached keyed by content digest
-(:mod:`repro.analysis.cache`); the cross-file analyze phase re-runs
-every invocation.
-Suppressions and the baseline are applied here, not in checkers, so
-every checker gets both behaviours for free.
-
-The package imports nothing from the program it analyses: a syntax
-error anywhere in ``repro`` must surface as a ``parse-error`` finding,
-not as an ``ImportError`` in the linter.
-
-The baseline is a *ratchet*: ``update_baseline`` only ever shrinks it
-(resolved findings are dropped; fresh findings are never adopted and
-keep failing the run).  Growing the baseline is a deliberate manual
-edit, not a flag.
+Suppressions are applied here, not in checkers, so every checker gets
+them for free.  The package imports nothing from the program it
+analyses: a syntax error anywhere in ``repro`` must surface as a
+``parse-error`` finding, not as an ``ImportError`` in the linter.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
-from repro.analysis.baseline import load_baseline, partition, save_baseline
-from repro.analysis.cache import FactCache, content_digest
-from repro.analysis.findings import Finding, LintResult, Severity
-from repro.analysis.registry import Checker, Project, all_checkers
-from repro.analysis.suppressions import Suppression, is_suppressed
-
-# Facts key reserved for the engine's own per-file records (suppression
-# index); checker ids may not collide with it.
-_SUPPRESSIONS_KEY = "__suppressions__"
-
-
-@dataclass
-class LintOptions:
-    root: Path
-    paths: list[Path] = field(default_factory=list)
-    cache_file: Path | None = None
-    baseline_file: Path | None = None
-    update_baseline: bool = False
-    manifest_file: Path | None = None
-    update_manifest: bool = False
-    checker_ids: list[str] | None = None  # None = all registered
+from repro.analysis.checkers.cache_format import (
+    MANIFEST_FILENAME,
+    CacheFormatDiscipline,
+)
+from repro.analysis.checkers.deadline_discipline import DeadlineDiscipline
+from repro.analysis.checkers.digest_coverage import DigestCoverage
+from repro.analysis.findings import Checker, Finding, LintResult, Severity, SourceFile
+from repro.analysis.suppressions import Suppression, is_suppressed, suppression_index
 
 
-def discover_files(paths: list[Path]) -> list[Path]:
+def discover_files(paths: Sequence[Path]) -> list[Path]:
     """All .py files under ``paths`` (files pass through), sorted."""
     found: set[Path] = set()
     for path in paths:
@@ -70,201 +47,85 @@ def _relative(path: Path, root: Path) -> str:
         return path.resolve().as_posix()
 
 
-def _selected_checkers(options: LintOptions) -> list[Checker]:
-    checkers = all_checkers()
-    if options.checker_ids is None:
-        return checkers
-    by_id = {checker.id: checker for checker in checkers}
-    unknown = [cid for cid in options.checker_ids if cid not in by_id]
-    if unknown:
-        raise ValueError(
-            f"unknown checker(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(by_id))})"
-        )
-    return [by_id[cid] for cid in options.checker_ids]
-
-
-def run_lint(options: LintOptions) -> LintResult:
-    checkers = _selected_checkers(options)
-    versions = {checker.id: checker.version for checker in checkers}
-    cache = FactCache(options.cache_file)
-    result = LintResult()
-
-    project = Project(root=options.root)
-    project.options["manifest_file"] = options.manifest_file
-    project.options["update_manifest"] = options.update_manifest
-
-    files = discover_files(options.paths or [options.root])
-    findings: list[Finding] = []
-
-    # Per file, in sorted order: cached facts if the content digest and
-    # checker versions match, else a fresh extraction.
-    for file_path in files:
-        rel = _relative(file_path, options.root)
-        data = file_path.read_bytes()
-        digest = content_digest(data)
-        facts = cache.lookup(rel, digest, versions)
-        if facts is None:
-            facts, parse_findings = extract_file_facts(rel, data, checkers)
-            cache.store(rel, digest, versions, facts)
-            findings.extend(parse_findings)
-        else:
-            result.files_from_cache += 1
-        project.facts[rel] = facts
-        result.files_analyzed += 1
-
-    suppression_maps = {
-        rel: _suppression_index_from_facts(facts)
-        for rel, facts in project.facts.items()
-    }
-
-    cache.prune(set(project.facts))
-    cache.save()
-
-    for checker in checkers:
-        findings.extend(checker.analyze(project))
-    findings.extend(_suppression_hygiene(suppression_maps))
-
-    kept: list[Finding] = []
-    for finding in findings:
-        index = suppression_maps.get(finding.path, {})
-        if finding.checker != "suppression" and is_suppressed(
-            index, finding.line, finding.checker
-        ):
-            result.suppressed.append(finding)
-        else:
-            kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.checker, f.message))
-
-    baseline = load_baseline(options.baseline_file)
-    errors = [f for f in kept if f.severity is Severity.ERROR]
-    warnings = [f for f in kept if f.severity is not Severity.ERROR]
-    fresh, baselined, resolved = partition(errors, baseline)
-    result.fresh = fresh + warnings
-    result.fresh.sort(key=lambda f: (f.path, f.line, f.checker, f.message))
-    result.baselined = baselined
-    result.resolved = resolved
-
-    if options.update_baseline and options.baseline_file is not None:
-        # Shrink-only ratchet: keep exactly the baselined findings that
-        # still occur.  Fresh findings are NOT adopted — they stay fresh
-        # and the run still fails; growing the baseline is a manual edit
-        # with review, never a flag.
-        save_baseline(options.baseline_file, baselined)
-        result.resolved = []
-    return result
-
-
-def extract_file_facts(
-    rel: str, data: bytes, checkers: list[Checker]
-) -> tuple[dict[str, object], list[Finding]]:
-    """Run the extract phase over one file: every checker's facts plus
-    the engine's own record (the suppression index).
-
-    Pure with respect to its arguments — no engine state, no
-    filesystem.  Parse errors become findings rather than crashes (lint
-    must not die on a bad file — that is exactly when it is needed).
-    """
-    from repro.analysis.suppressions import parse_suppressions
-
-    facts: dict[str, object] = {}
-    findings: list[Finding] = []
+def _parse(rel: str, data: bytes) -> SourceFile | Finding:
+    """The parsed file, or the ``parse-error`` finding that replaces it
+    (lint must not die on a bad file — that is exactly when it is needed)."""
     try:
         source = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        findings.append(
-            Finding("parse-error", rel, 0, f"not valid UTF-8: {exc}", symbol="encoding")
-        )
-        return facts, findings
+        return Finding("parse-error", rel, 0, f"not valid UTF-8: {exc}", symbol="encoding")
     try:
-        tree = ast.parse(source, filename=rel)
+        return SourceFile(rel, ast.parse(source, filename=rel), source)
     except SyntaxError as exc:
-        findings.append(
-            Finding("parse-error", rel, exc.lineno or 0, f"syntax error: {exc.msg}")
-        )
-        return facts, findings
-    facts[_SUPPRESSIONS_KEY] = [
-        {
-            "line": supp.line,
-            "comment_line": supp.comment_line,
-            "ids": list(supp.checker_ids),
-            "reason": supp.reason,
-        }
-        for supp in parse_suppressions(source)
-    ]
+        return Finding("parse-error", rel, exc.lineno or 0, f"syntax error: {exc.msg}")
+
+
+def run_lint(root: Path, paths: Sequence[Path], update_manifest: bool = False) -> LintResult:
+    """Lint the ``.py`` files under ``paths``; finding paths are relative
+    to ``root``, and the cache-shape manifest is ``root/cache-shape.json``
+    (rewritten from the code when ``update_manifest``)."""
+    files: list[SourceFile] = []
+    findings: list[Finding] = []
+    discovered = discover_files(paths)
+    for file_path in discovered:
+        parsed = _parse(_relative(file_path, root), file_path.read_bytes())
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+        else:
+            files.append(parsed)
+
+    checkers: tuple[Checker, ...] = (
+        DigestCoverage(),
+        DeadlineDiscipline(),
+        CacheFormatDiscipline(root / MANIFEST_FILENAME, update_manifest),
+    )
     for checker in checkers:
-        extracted = checker.extract(tree, source, rel)
-        if extracted is not None:
-            facts[checker.id] = extracted
-    return facts, findings
+        findings.extend(checker.check(files))
+
+    indexes = {file.path: suppression_index(file.source) for file in files}
+    findings.extend(_reasonless_suppressions(indexes))
+    result = LintResult(files_analyzed=len(discovered))
+    for finding in sorted(findings, key=lambda f: (f.path, f.line, f.checker, f.message)):
+        if finding.checker != "suppression" and is_suppressed(
+            indexes.get(finding.path, {}), finding.line, finding.checker
+        ):
+            result.suppressed.append(finding)
+        else:
+            result.findings.append(finding)
+    return result
 
 
-def _suppression_index_from_facts(
-    facts: dict[str, object],
-) -> dict[int, list[Suppression]]:
-    index: dict[int, list[Suppression]] = {}
-    records = facts.get(_SUPPRESSIONS_KEY)
-    if not isinstance(records, list):
-        return index
-    for record in records:
-        supp = Suppression(
-            line=int(record["line"]),
-            comment_line=int(record["comment_line"]),
-            checker_ids=tuple(record["ids"]),
-            reason=str(record["reason"]),
-        )
-        index.setdefault(supp.line, []).append(supp)
-    return index
-
-
-def _suppression_hygiene(
-    suppression_maps: dict[str, dict[int, list[Suppression]]],
+def _reasonless_suppressions(
+    indexes: dict[str, dict[int, list[Suppression]]],
 ) -> list[Finding]:
     """Reasonless suppressions are warnings: an exemption with no 'why'
     is how the next reader re-introduces the bug it hides."""
-    findings: list[Finding] = []
-    for path in sorted(suppression_maps):
-        for supps in suppression_maps[path].values():
-            for supp in supps:
-                if not supp.reason:
-                    findings.append(
-                        Finding(
-                            "suppression",
-                            path,
-                            supp.comment_line,
-                            f"suppression for [{', '.join(supp.checker_ids)}] "
-                            "has no reason string",
-                            hint="append ` -- why this is safe` to the comment",
-                            severity=Severity.WARNING,
-                            symbol=f"line{supp.comment_line}",
-                        )
-                    )
-    return findings
+    return [
+        Finding(
+            "suppression",
+            path,
+            supp.comment_line,
+            f"suppression for [{', '.join(supp.checker_ids)}] has no reason string",
+            hint="append ` -- why this is safe` to the comment",
+            severity=Severity.WARNING,
+            symbol=f"line{supp.comment_line}",
+        )
+        for path, index in indexes.items()
+        for supps in index.values()
+        for supp in supps
+        if not supp.reason
+    ]
 
 
 def render_result(result: LintResult, verbose: bool = False) -> str:
     """Human-readable report for the CLI."""
-    lines: list[str] = []
-    for finding in result.fresh:
-        lines.append(finding.render())
+    lines = [finding.render() for finding in result.findings]
     if verbose:
-        for finding in result.baselined:
-            lines.append(f"{finding.render()}  [baselined]")
-        for finding in result.suppressed:
-            lines.append(f"{finding.render()}  [suppressed]")
-    if result.resolved:
-        lines.append(
-            f"{len(result.resolved)} baselined finding(s) resolved — run "
-            "`lightyear lint --update-baseline` to ratchet the baseline down:"
-        )
-        for key in result.resolved:
-            lines.append(f"  resolved: {key}")
-    errors = sum(1 for f in result.fresh if f.severity is Severity.ERROR)
-    warnings = len(result.fresh) - errors
+        lines.extend(f"{finding.render()}  [suppressed]" for finding in result.suppressed)
+    errors = sum(1 for f in result.findings if f.severity is Severity.ERROR)
     lines.append(
-        f"lint: {result.files_analyzed} files "
-        f"({result.files_from_cache} cached), "
-        f"{errors} fresh error(s), {warnings} warning(s), "
-        f"{len(result.baselined)} baselined, {len(result.suppressed)} suppressed"
+        f"lint: {result.files_analyzed} files, {errors} error(s), "
+        f"{len(result.findings) - errors} warning(s), "
+        f"{len(result.suppressed)} suppressed"
     )
     return "\n".join(lines)

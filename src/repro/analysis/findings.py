@@ -1,26 +1,24 @@
-"""Structured findings emitted by the static-analysis checkers.
+"""The types the engine and the checkers share.
 
-A :class:`Finding` is one diagnostic: where it is (``path:line``), which
-checker produced it, how bad it is, what is wrong, and — because a lint
-that only complains trains people to suppress it — a concrete fix hint.
-
-Findings carry a *stable key* (:meth:`Finding.key`) used by the baseline
-ratchet.  The key deliberately excludes the line number: moving code
-around must not convert known debt into "fresh" violations, otherwise
-every refactor fights the baseline.
+A checker receives every parsed file as a :class:`SourceFile` and
+returns :class:`Finding` diagnostics: where (``path:line``), which
+checker, how bad, what is wrong, and — because a lint that only
+complains trains people to suppress it — a concrete fix hint.
 """
 
 from __future__ import annotations
 
+import ast
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple, Protocol, Sequence
 
 
 class Severity(enum.Enum):
     """How a finding affects the exit code.
 
-    ``ERROR`` findings fail the run (exit 1) unless baselined or
-    suppressed; ``WARNING`` findings are printed but never fail.
+    ``ERROR`` findings fail the run (exit 1) unless suppressed;
+    ``WARNING`` findings are printed but never fail.
     """
 
     WARNING = "warning"
@@ -38,13 +36,11 @@ class Finding:
     hint: str = ""
     severity: Severity = Severity.ERROR
     # A short stable symbol (class/function/field name) the finding is
-    # about.  Part of the baseline key, so renaming the symbol counts as
-    # resolving the old finding and introducing a new one — which is what
-    # a ratchet should do.
+    # about, so a finding can be named without its line number.
     symbol: str = ""
 
     def key(self) -> str:
-        """Stable identity for baseline bookkeeping (line-independent)."""
+        """Line-independent identity: checker, file and symbol."""
         return f"{self.checker}:{self.path}:{self.symbol or self.message}"
 
     def location(self) -> str:
@@ -57,19 +53,32 @@ class Finding:
         return text
 
 
+class SourceFile(NamedTuple):
+    """One file of the lint run, parsed once and shared by every checker."""
+
+    path: str  # repo-relative, forward slashes
+    tree: ast.Module
+    source: str
+
+
+class Checker(Protocol):
+    """A checker: an id, a one-line description, and one pass over the
+    parsed files (cross-file checkers see them all at once)."""
+
+    id: str
+    description: str
+
+    def check(self, files: Sequence[SourceFile]) -> list[Finding]: ...
+
+
 @dataclass
 class LintResult:
-    """Outcome of one engine run, partitioned for the exit-code contract."""
+    """Outcome of one lint run: what is reported and what was suppressed."""
 
-    fresh: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    # Baseline keys with no matching finding any more: resolved debt the
-    # ratchet wants removed from the baseline file.
-    resolved: list[str] = field(default_factory=list)
     files_analyzed: int = 0
-    files_from_cache: int = 0
 
     @property
     def failed(self) -> bool:
-        return any(f.severity is Severity.ERROR for f in self.fresh)
+        return any(f.severity is Severity.ERROR for f in self.findings)

@@ -7,7 +7,7 @@ comment above them without fighting line length.
 
 Syntax::
 
-    x = risky()  # repro: ignore[pickle-safety] -- handle closed in __exit__
+    x = f(y)  # repro: ignore[digest-coverage] -- y cannot change a verdict
     # repro: ignore[deadline-discipline] -- bounded by the trail length
     while True:
         ...

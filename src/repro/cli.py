@@ -23,11 +23,11 @@ Subcommands:
   changed — the input to incremental re-verification.
 
 * ``lightyear lint [PATHS]``
-  Run the repo's own static-analysis pass (:mod:`repro.analysis`): four
+  Run the repo's own static-analysis pass (:mod:`repro.analysis`): three
   checkers enforcing the verifier's soundness invariants — digest
-  coverage, pickle safety, deadline discipline, cache-format discipline
-  — with per-file caching, inline suppressions, and a committed baseline
-  ratchet.  Exits non-zero on any fresh finding.
+  coverage, deadline discipline, cache-format discipline — over files
+  parsed once, with inline suppressions.  Exits non-zero on any
+  unsuppressed error finding.
 
 * ``lightyear reverify BASE EDITED SPEC``
   The incremental pipeline end to end: verify every property in the spec
@@ -49,8 +49,7 @@ reported as a counterexample); 3 nothing failed outright but some checks
 are UNKNOWN (``--budget``, ``--deadline``, ``--wall-budget``) or
 execution degraded (a ``--jobs`` run that fell back to serial) — see the
 README's "Failure modes & degradation" section.  ``lint`` exits 0 clean,
-1 on fresh findings (or resolved baseline entries pending a ratchet), 2
-on usage errors.
+1 on unsuppressed error findings, 2 on usage errors.
 
 Every subcommand executes through the unified runtime in
 :mod:`repro.core.exec`: the workspace's trackers hand each run's

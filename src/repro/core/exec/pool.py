@@ -120,11 +120,13 @@ def run_in_sessions(
     return outcomes
 
 
-def _run_chunk(
-    indexed_checks: list[tuple[int, "LocalCheck"]],
-) -> list[tuple[int, "CheckOutcome"]]:
-    """Discharge one owner's checks in this worker, sharing one session."""
+def _run_chunk(payload: bytes) -> list[tuple[int, "CheckOutcome"]]:
+    """Discharge one owner's pickled ``(index, check)`` pairs in this
+    worker, sharing one session."""
+    import pickle
+
     assert _WORKER_CONTEXT is not None, "worker initializer did not run"
+    indexed_checks: list[tuple[int, "LocalCheck"]] = pickle.loads(payload)
     (
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
         sessions,
@@ -160,10 +162,10 @@ def run_checks_in_processes(
     """Run checks on a process pool; None if no pool could be used.
 
     Results come back in input order.  Failures of the *pool machinery*
-    (no semaphore support, a worker dying, unpicklable payloads) degrade to
-    ``None`` so the caller can rerun serially; genuine exceptions raised by
-    a check itself still propagate.  ``deadline_s`` is a per-check
-    wall-clock budget and ``run_deadline`` the absolute ``time.monotonic()``
+    (no semaphore support, a worker dying, a chunk that does not pickle)
+    degrade to ``None`` so the caller can rerun serially; genuine
+    exceptions raised by a check itself still propagate.  ``deadline_s``
+    is a per-check wall-clock budget and ``run_deadline`` the absolute ``time.monotonic()``
     end of the whole run; both are applied inside the workers, where checks
     that start after the run deadline resolve to UNKNOWN/``wall-budget``
     without touching a solver — as do, here in the parent, the chunks no
@@ -178,6 +180,15 @@ def run_checks_in_processes(
     chunks = chunk_by_owner(checks)
     if not chunks:
         return []
+    # Pickled here, before any worker exists, not in the pool's feeder
+    # thread: an unpicklable payload then degrades to serial instead of
+    # being confused with an exception a check raises in a worker.  It
+    # fails as AttributeError (a function-local class) or TypeError (a
+    # lock or other OS handle) as often as PicklingError.
+    try:
+        payloads = [pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL) for chunk in chunks]
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
     outcomes: list["CheckOutcome | None"] = [None] * len(checks)
     try:
         pool = ProcessPoolExecutor(
@@ -190,10 +201,10 @@ def run_checks_in_processes(
             ),
         )
         try:
-            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
+            futures = [pool.submit(_run_chunk, payload) for payload in payloads]
             if run_deadline is not None:
                 # Once the budget is spent, withdraw every chunk still
-                # queued: it resolves here instead of being pickled to a
+                # queued: it resolves here instead of being shipped to a
                 # worker and back only to have each check skipped there.
                 # Chunks already with a worker finish promptly through
                 # run_in_sessions' own expiry check.

@@ -171,7 +171,6 @@ class BoolVar(Term):
         return self.name
 
 
-# repro: ignore[pickle-safety] -- name collision with predicates.Not; terms are interned per-process and never ride in worker payloads or the workspace cache
 class Not(Term):
     __slots__ = ("arg",)
 

@@ -10,20 +10,13 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture
 def lint():
-    """Run the lint engine over explicit paths with explicit options.
+    """Run the lint pass over explicit paths (default: all of ``root``);
+    the cache-shape manifest is ``root/cache-shape.json``."""
+    from repro.analysis.engine import run_lint
 
-    No cache, baseline, or manifest unless the test passes one — each
-    behaviour is exercised in isolation.
-    """
-    from repro.analysis.engine import LintOptions, run_lint
-
-    def run(root, paths=None, checkers=None, **kwargs):
-        options = LintOptions(
-            root=Path(root),
-            paths=[Path(p) for p in (paths or [root])],
-            checker_ids=list(checkers) if checkers is not None else None,
-            **kwargs,
+    def run(root, paths=None, update_manifest=False):
+        return run_lint(
+            Path(root), [Path(p) for p in (paths or [root])], update_manifest
         )
-        return run_lint(options)
 
     return run

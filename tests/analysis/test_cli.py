@@ -1,4 +1,4 @@
-"""The lint CLI: exit codes, the ratchet workflow, and the real repo gate."""
+"""The lint CLI: exit codes, the flag set, and the real repo gate."""
 
 import os
 import shutil
@@ -6,18 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-CHECKER_IDS = (
-    "digest-coverage",
-    "pickle-safety",
-    "deadline-discipline",
-    "cache-format-discipline",
-)
-
 
 def _run(*argv):
     return main([str(arg) for arg in argv])
@@ -25,12 +19,12 @@ def _run(*argv):
 
 def test_clean_tree_exits_zero(tmp_path):
     shutil.copy(FIXTURES / "digest_coverage" / "good_covered.py", tmp_path / "m.py")
-    assert _run("--root", tmp_path, "--no-cache", tmp_path) == 0
+    assert _run("--root", tmp_path, tmp_path) == 0
 
 
 def test_fresh_findings_exit_one(tmp_path, capsys):
     shutil.copy(FIXTURES / "digest_coverage" / "bad_external_asns.py", tmp_path / "m.py")
-    assert _run("--root", tmp_path, "--no-cache", tmp_path) == 1
+    assert _run("--root", tmp_path, tmp_path) == 1
     out = capsys.readouterr().out
     assert "digest-coverage" in out
     assert "m.py:" in out
@@ -38,61 +32,13 @@ def test_fresh_findings_exit_one(tmp_path, capsys):
 
 
 def test_missing_path_exits_two(tmp_path):
-    assert _run("--root", tmp_path, "--no-cache", tmp_path / "nope") == 2
-
-
-def test_unknown_checker_exits_two(tmp_path):
-    (tmp_path / "m.py").write_text("x = 1\n")
-    assert _run("--root", tmp_path, "--no-cache",
-                "--checker", "no-such-checker", tmp_path) == 2
-
-
-def test_list_checkers(capsys):
-    assert _run("--list-checkers") == 0
-    out = capsys.readouterr().out
-    for checker_id in CHECKER_IDS:
-        assert checker_id in out
-
-
-def test_ratchet_workflow_exit_codes(tmp_path):
-    import json
-
-    target = tmp_path / "net.py"
-    baseline = tmp_path / "baseline.json"
-    shutil.copy(FIXTURES / "digest_coverage" / "bad_external_asns.py", target)
-    base = ("--root", tmp_path, "--no-cache", "--checker", "digest-coverage",
-            "--baseline", baseline, tmp_path)
-
-    assert _run(*base) == 1                        # fresh violation
-    # Shrink-only: --update-baseline does NOT adopt the fresh finding.
-    assert _run("--update-baseline", *base) == 1
-    assert json.loads(baseline.read_text())["findings"] == []
-
-    # Adoption is a manual, reviewed edit of the baseline file.
-    baseline.write_text(json.dumps(
-        {"findings": ["digest-coverage:net.py:Network.external_asns"]}
-    ))
-    assert _run(*base) == 0                        # baselined: gate passes
-
-    shutil.copy(FIXTURES / "digest_coverage" / "good_covered.py", target)
-    assert _run(*base) == 1                        # resolved debt demands a ratchet
-    assert _run("--update-baseline", *base) == 0   # baseline shrinks
-    assert _run(*base) == 0
-
-
-def test_cache_dir_round_trip(tmp_path, capsys):
-    shutil.copy(FIXTURES / "digest_coverage" / "good_covered.py", tmp_path / "m.py")
-    base = ("--root", tmp_path, "--cache-dir", tmp_path / "cache", tmp_path)
-    assert _run(*base) == 0
-    assert _run(*base) == 0
-    out = capsys.readouterr().out
-    assert "(1 cached)" in out.splitlines()[-1]
+    assert _run("--root", tmp_path, tmp_path / "nope") == 2
 
 
 def test_repo_sources_pass_the_gate():
-    """The committed baseline + manifest keep src/repro clean — the same
-    invocation CI runs as a blocking job."""
-    assert _run("--root", REPO_ROOT, "--no-cache", REPO_ROOT / "src" / "repro") == 0
+    """The committed manifest keeps src/repro clean — the same invocation
+    CI runs as a blocking job."""
+    assert _run("--root", REPO_ROOT, REPO_ROOT / "src" / "repro") == 0
 
 
 def _module_env():
@@ -104,12 +50,16 @@ def _module_env():
 
 
 def test_python_dash_m_entry_point():
+    """The default run lints src/repro under the detected root: clean,
+    with exactly the two reasoned ``sat.py`` loop suppressions."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "--list-checkers"],
+        [sys.executable, "-m", "repro.analysis"],
         capture_output=True, text=True, env=_module_env(), cwd=REPO_ROOT,
     )
-    assert proc.returncode == 0
-    assert "deadline-discipline" in proc.stdout
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith(
+        "0 error(s), 0 warning(s), 2 suppressed"
+    )
 
 
 def test_lightyear_lint_subcommand(tmp_path):
@@ -117,7 +67,7 @@ def test_lightyear_lint_subcommand(tmp_path):
     shutil.copy(FIXTURES / "digest_coverage" / "bad_external_asns.py", bad)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "lint", "--root", str(tmp_path),
-         "--no-cache", str(tmp_path)],
+         str(tmp_path)],
         capture_output=True, text=True, env=_module_env(), cwd=REPO_ROOT,
     )
     assert proc.returncode == 1
@@ -128,7 +78,7 @@ def test_lint_jobs_flag_is_a_usage_error(tmp_path):
     """Lint is one sorted-file loop: ``--jobs`` is gone from both entry
     points (``verify --jobs`` is unaffected), and argparse says so."""
     (tmp_path / "m.py").write_text("x = 1\n")
-    tail = ["--jobs", "2", "--root", str(tmp_path), "--no-cache", str(tmp_path)]
+    tail = ["--jobs", "2", "--root", str(tmp_path), str(tmp_path)]
     for entry in (["repro.analysis"], ["repro.cli", "lint"]):
         proc = subprocess.run(
             [sys.executable, "-m", *entry, *tail],
@@ -138,6 +88,30 @@ def test_lint_jobs_flag_is_a_usage_error(tmp_path):
         assert "unrecognized arguments: --jobs" in proc.stderr, entry
 
 
+REMOVED_FLAGS = (
+    ["--no-cache"],
+    ["--cache-dir", "x"],
+    ["--baseline", "x"],
+    ["--update-baseline"],
+    ["--manifest", "x"],
+    ["--checker", "digest-coverage"],
+    ["--list-checkers"],
+)
+
+
+@pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda flag: flag[0])
+def test_removed_flags_are_usage_errors(flag, tmp_path, capsys):
+    """The fact cache, the baseline, the manifest override and checker
+    selection are gone from both entry points: argparse exits 2."""
+    from repro.cli import main as lightyear
+
+    for entry in (main, lambda argv: lightyear(["lint", *argv])):
+        with pytest.raises(SystemExit) as exc:
+            entry([*flag, "--root", str(tmp_path), str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
 def test_the_linter_imports_nothing_it_lints():
     """Mirror of the test below: ``python -m repro.analysis`` loads no
     ``repro`` module outside ``repro.analysis`` — it must keep working
@@ -145,7 +119,7 @@ def test_the_linter_imports_nothing_it_lints():
     program = (
         "import sys\n"
         "from repro.analysis.cli import main\n"
-        "code = main(['--no-cache'])\n"
+        "code = main([])\n"
         "leaked = sorted(m for m in sys.modules if m.startswith('repro.')\n"
         "                and not m.startswith('repro.analysis'))\n"
         "print('leaked:', leaked)\n"
@@ -174,14 +148,14 @@ def test_lint_reports_a_syntax_error_in_the_package_it_runs_from(tmp_path):
     broken.write_text(broken.read_text() + "\ndef broken(:\n")
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "--no-cache", "--root", str(copy)],
+        [sys.executable, "-m", "repro.analysis", "--root", str(copy)],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "src/repro/lang/universe.py:" in proc.stdout
     assert "error[parse-error]" in proc.stdout
-    assert "1 fresh error(s)" in proc.stdout
+    assert "1 error(s)," in proc.stdout
 
 
 def test_verify_does_not_import_the_linter(tmp_path):
@@ -251,5 +225,6 @@ def test_entry_point_parity():
 
     standalone_opts = _option_strings(standalone)
     lint_opts = _option_strings(lint_parser)
-    assert "--no-cache" in standalone_opts
-    assert standalone_opts == lint_opts
+    assert standalone_opts == lint_opts == {
+        "-h", "--help", "--root", "--update-manifest", "--verbose",
+    }

@@ -1,10 +1,7 @@
-"""Framework behaviour: suppression syntax, the fact cache, the ratchet."""
+"""Framework behaviour: suppression syntax, parse errors, finding rendering."""
 
-import json
-import shutil
 from pathlib import Path
 
-from repro.analysis.cache import CACHE_VERSION, FactCache, content_digest
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.suppressions import (
     is_suppressed,
@@ -14,17 +11,16 @@ from repro.analysis.suppressions import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD_DIGEST = FIXTURES / "digest_coverage" / "bad_external_asns.py"
-GOOD_DIGEST = FIXTURES / "digest_coverage" / "good_covered.py"
 
 
 class TestSuppressionSyntax:
     def test_same_line_suppression(self):
         (supp,) = parse_suppressions(
-            "x = risky()  # repro: ignore[pickle-safety] -- closed in __exit__\n"
+            "x = f(y)  # repro: ignore[digest-coverage] -- y cannot change a verdict\n"
         )
         assert supp.line == supp.comment_line == 1
-        assert supp.checker_ids == ("pickle-safety",)
-        assert supp.reason == "closed in __exit__"
+        assert supp.checker_ids == ("digest-coverage",)
+        assert supp.reason == "y cannot change a verdict"
 
     def test_standalone_comment_forwards_to_next_code_line(self):
         source = (
@@ -49,8 +45,8 @@ class TestSuppressionSyntax:
             "b = 2  # repro: ignore[*] -- generated code\n"
         )
         assert is_suppressed(index, 1, "digest-coverage")
-        assert not is_suppressed(index, 1, "pickle-safety")
-        assert is_suppressed(index, 2, "pickle-safety")
+        assert not is_suppressed(index, 1, "deadline-discipline")
+        assert is_suppressed(index, 2, "deadline-discipline")
         assert not is_suppressed(index, 3, "digest-coverage")
 
     def test_plain_comments_are_not_suppressions(self):
@@ -61,7 +57,7 @@ class TestSuppressionSyntax:
             "x = 1  # repro: ignore[digest-coverage]\n"
         )
         result = lint(tmp_path)
-        (finding,) = result.fresh
+        (finding,) = result.findings
         assert finding.checker == "suppression"
         assert finding.severity is Severity.WARNING
         assert not result.failed  # warnings never fail the gate
@@ -73,209 +69,18 @@ class TestSuppressionSyntax:
             "        self.external_asns = {}",
         )
         (tmp_path / "net.py").write_text(source)
-        result = lint(tmp_path, checkers=["digest-coverage"])
-        assert result.fresh == []
+        result = lint(tmp_path)
+        assert result.findings == []
         assert len(result.suppressed) == 1
 
 
-class TestFactCache:
-    VERSIONS = {"digest-coverage": 1, "pickle-safety": 1}
-
-    def test_roundtrip_and_persistence(self, tmp_path):
-        cache_file = tmp_path / "lint-cache.json"
-        digest = content_digest(b"source")
-        cache = FactCache(cache_file)
-        cache.store("a.py", digest, self.VERSIONS, {"digest-coverage": {"k": 1}})
-        cache.save()
-        reloaded = FactCache(cache_file)
-        assert reloaded.lookup("a.py", digest, self.VERSIONS) == {
-            "digest-coverage": {"k": 1}
-        }
-
-    def test_content_change_misses(self, tmp_path):
-        cache = FactCache(None)
-        cache.store("a.py", content_digest(b"old"), self.VERSIONS, {})
-        assert cache.lookup("a.py", content_digest(b"new"), self.VERSIONS) is None
-
-    def test_checker_version_bump_misses(self, tmp_path):
-        cache = FactCache(None)
-        cache.store("a.py", content_digest(b"src"), self.VERSIONS, {})
-        bumped = dict(self.VERSIONS, **{"digest-coverage": 2})
-        assert cache.lookup("a.py", content_digest(b"src"), bumped) is None
-
-    def test_cache_layout_version_mismatch_discards_file(self, tmp_path):
-        cache_file = tmp_path / "lint-cache.json"
-        cache_file.write_text(json.dumps(
-            {"version": CACHE_VERSION + 1,
-             "files": {"a.py": {"digest": "d", "checker_versions": {}, "facts": {}}}}
-        ))
-        assert FactCache(cache_file).lookup("a.py", "d", {}) is None
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        cache_file = tmp_path / "lint-cache.json"
-        cache_file.write_text("{broken")
-        assert FactCache(cache_file).lookup("a.py", "d", {}) is None
-
-    def test_prune_drops_dead_entries(self, tmp_path):
-        cache_file = tmp_path / "lint-cache.json"
-        digest = content_digest(b"x")
-        cache = FactCache(cache_file)
-        cache.store("dead.py", digest, {}, {})
-        cache.store("live.py", digest, {}, {})
-        cache.prune({"live.py"})
-        cache.save()
-        reloaded = FactCache(cache_file)
-        assert reloaded.lookup("dead.py", digest, {}) is None
-        assert reloaded.lookup("live.py", digest, {}) == {}
-
-
 class TestEngineCaching:
-    def test_warm_run_hits_and_edit_invalidates(self, lint, tmp_path):
-        for name in ("bad_external_asns.py", "good_covered.py"):
-            shutil.copy(FIXTURES / "digest_coverage" / name, tmp_path / name)
-        cache_file = tmp_path / "cache" / "lint-cache.json"
-
-        cold = lint(tmp_path, cache_file=cache_file)
-        assert (cold.files_analyzed, cold.files_from_cache) == (2, 0)
-
-        warm = lint(tmp_path, cache_file=cache_file)
-        assert (warm.files_analyzed, warm.files_from_cache) == (2, 2)
-        assert {f.key() for f in warm.fresh} == {f.key() for f in cold.fresh}
-
-        edited = (tmp_path / "good_covered.py").read_text() + "\n# touched\n"
-        (tmp_path / "good_covered.py").write_text(edited)
-        mixed = lint(tmp_path, cache_file=cache_file)
-        assert (mixed.files_analyzed, mixed.files_from_cache) == (2, 1)
-
     def test_parse_error_is_a_finding_not_a_crash(self, lint, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
         result = lint(tmp_path)
-        (finding,) = result.fresh
+        (finding,) = result.findings
         assert finding.checker == "parse-error"
         assert "syntax error" in finding.message
-
-
-def _adopt_baseline(path: Path, keys) -> None:
-    """Simulate historical debt: adopting into the baseline is a manual,
-    reviewed edit — ``--update-baseline`` only ever shrinks the file."""
-    path.write_text(json.dumps({"findings": sorted(keys)}))
-
-
-BAD_KEY = "digest-coverage:net.py:Network.external_asns"
-
-
-class TestBaselineRatchet:
-    def test_fresh_then_baselined_then_resolved(self, lint, tmp_path):
-        target = tmp_path / "net.py"
-        shutil.copy(BAD_DIGEST, target)
-        baseline = tmp_path / "baseline.json"
-        opts = dict(checkers=["digest-coverage"], baseline_file=baseline)
-
-        first = lint(tmp_path, **opts)
-        assert first.failed and len(first.fresh) == 1
-
-        # Known debt (manually adopted) passes the gate but stays visible.
-        _adopt_baseline(baseline, [f.key() for f in first.fresh])
-        again = lint(tmp_path, **opts)
-        assert not again.failed
-        assert len(again.baselined) == 1 and again.fresh == []
-
-        # Fixing the debt leaves a resolved entry: the ratchet.
-        shutil.copy(GOOD_DIGEST, target)
-        fixed = lint(tmp_path, **opts)
-        assert fixed.fresh == [] and fixed.baselined == []
-        assert fixed.resolved == [BAD_KEY]
-
-        ratcheted = lint(tmp_path, update_baseline=True, **opts)
-        assert ratcheted.resolved == []
-        assert json.loads(baseline.read_text())["findings"] == []
-
-    def test_update_baseline_never_adopts_fresh_findings(self, lint, tmp_path):
-        # The shrink-only contract: with fresh findings present,
-        # --update-baseline leaves them fresh (the run still fails) and
-        # the written baseline does not contain them.
-        shutil.copy(BAD_DIGEST, tmp_path / "net.py")
-        baseline = tmp_path / "baseline.json"
-        opts = dict(checkers=["digest-coverage"], baseline_file=baseline)
-
-        result = lint(tmp_path, update_baseline=True, **opts)
-        assert result.failed
-        assert [f.key() for f in result.fresh] == [BAD_KEY]
-        assert json.loads(baseline.read_text())["findings"] == []
-
-        # And the next run still fails: nothing was buried.
-        assert lint(tmp_path, **opts).failed
-
-    def test_update_baseline_shrinks_but_keeps_live_debt(self, lint, tmp_path):
-        shutil.copy(BAD_DIGEST, tmp_path / "net.py")
-        baseline = tmp_path / "baseline.json"
-        stale = "digest-coverage:gone.py:Old.field"
-        _adopt_baseline(baseline, [BAD_KEY, stale])
-        opts = dict(checkers=["digest-coverage"], baseline_file=baseline)
-
-        result = lint(tmp_path, update_baseline=True, **opts)
-        assert not result.failed and len(result.baselined) == 1
-        # The stale entry is dropped, the live one is kept: shrink-only.
-        assert json.loads(baseline.read_text())["findings"] == [BAD_KEY]
-
-    def test_update_baseline_composes_with_update_manifest(self, lint, tmp_path):
-        # Both maintenance flags in one run: the manifest is regenerated,
-        # the baseline shrinks, and a fresh finding still fails the run —
-        # neither flag can be used to bury it.
-        shutil.copy(BAD_DIGEST, tmp_path / "net.py")
-        # The manifest is only written when something under analysis
-        # actually persists a versioned cache.
-        (tmp_path / "store.py").write_text("CACHE_FORMAT = 1\n")
-        baseline = tmp_path / "baseline.json"
-        manifest = tmp_path / "cache-shape.json"
-        stale = "digest-coverage:gone.py:Old.field"
-        _adopt_baseline(baseline, [stale])
-
-        result = lint(
-            tmp_path,
-            checkers=["digest-coverage", "cache-format-discipline"],
-            baseline_file=baseline,
-            update_baseline=True,
-            manifest_file=manifest,
-            update_manifest=True,
-        )
-        assert manifest.exists()  # --update-manifest took effect
-        assert json.loads(baseline.read_text())["findings"] == []  # shrunk
-        assert result.failed  # the fresh finding survived both flags
-        assert [f.key() for f in result.fresh] == [BAD_KEY]
-
-    def test_baseline_does_not_cover_new_findings_at_other_sites(self, lint, tmp_path):
-        shutil.copy(BAD_DIGEST, tmp_path / "net.py")
-        baseline = tmp_path / "baseline.json"
-        opts = dict(checkers=["digest-coverage"], baseline_file=baseline)
-        _adopt_baseline(baseline, [BAD_KEY])
-
-        # A second, distinct gap gets a new key and fails the run even
-        # though the first one is baselined.
-        source = (tmp_path / "net.py").read_text().replace(
-            "        self.external_asns = {}",
-            "        self.external_asns = {}\n        self.bgp_timers = {}",
-        )
-        (tmp_path / "net.py").write_text(source)
-        result = lint(tmp_path, **opts)
-        assert result.failed
-        assert [f.key() for f in result.fresh] == [
-            "digest-coverage:net.py:Network.bgp_timers"
-        ]
-        assert len(result.baselined) == 1
-
-    def test_baseline_keys_are_line_independent(self, lint, tmp_path):
-        shutil.copy(BAD_DIGEST, tmp_path / "net.py")
-        baseline = tmp_path / "baseline.json"
-        opts = dict(checkers=["digest-coverage"], baseline_file=baseline)
-        _adopt_baseline(baseline, [BAD_KEY])
-
-        # Shift every line down; the finding key must still match.
-        (tmp_path / "net.py").write_text(
-            "# moved\n# moved\n" + (tmp_path / "net.py").read_text()
-        )
-        result = lint(tmp_path, **opts)
-        assert not result.failed and len(result.baselined) == 1
 
 
 def test_finding_render_and_key():

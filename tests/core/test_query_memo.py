@@ -13,6 +13,8 @@ instead of compared.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.bgp.policy import ClearCommunities, DeleteCommunity, RouteMap, RouteMapClause
@@ -215,7 +217,7 @@ def test_a_jobs_worker_keeps_one_memo_across_its_owner_chunks(monkeypatch):
     monkeypatch.setattr(exec_pool, "_WORKER_CONTEXT", None)
     exec_pool._init_worker(config, universe, (ghost,), None, True, None, None, None)
     chunks = exec_pool.chunk_by_owner(checks)
-    outcomes = [pair for chunk in chunks for pair in exec_pool._run_chunk(chunk)]
+    outcomes = [pair for chunk in chunks for pair in exec_pool._run_chunk(pickle.dumps(chunk))]
     assert all(outcome.passed for __, outcome in outcomes)
     worker_pool = exec_pool._WORKER_CONTEXT[-1]
     assert len(worker_pool) == len(chunks)  # one session per owner chunk
