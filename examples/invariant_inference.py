@@ -12,8 +12,9 @@ Run: ``python examples/invariant_inference.py``
 """
 
 from repro.bgp.topology import Edge
-from repro.core import SafetyProperty, infer_safety_invariants
+from repro.core import SafetyProperty
 from repro.core.exec import ExecutionContext
+from repro.core.inference import infer_safety_invariants
 from repro.core.safety import verify_safety
 from repro.lang import GhostAttribute
 from repro.lang.predicates import GhostIs, Not

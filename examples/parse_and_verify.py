@@ -8,7 +8,8 @@ round-tripped through JSON, and verified.
 Run: ``python examples/parse_and_verify.py``
 """
 
-from repro.bgp import config_from_json, config_to_json, parse_config
+from repro.bgp.configjson import config_from_json, config_to_json
+from repro.bgp.configparse import parse_config
 from repro.bgp.topology import Edge
 from repro.core import SafetyProperty, Workspace
 from repro.core.properties import InvariantMap

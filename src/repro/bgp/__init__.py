@@ -5,6 +5,13 @@ paper.
 This package has no dependency on the SMT layer; it provides the *concrete*
 semantics that the symbolic layer (:mod:`repro.lang`) mirrors and that the
 test suite uses as ground truth.
+
+The package namespace re-exports the data model (routes, prefixes,
+topology, policies, configurations) and the JSON codec.  The simulator
+(:mod:`repro.bgp.simulator`), the decision process
+(:mod:`repro.bgp.selection`) and the dialect parser
+(:mod:`repro.bgp.configparse`) are imported from their own modules, so
+verifying a JSON configuration loads none of them.
 """
 
 from repro.bgp.prefix import Prefix, PrefixRange, PrefixTrie
@@ -36,9 +43,6 @@ from repro.bgp.policy import (
     SetOrigin,
 )
 from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
-from repro.bgp.selection import best_route, prefer
-from repro.bgp.simulator import Event, EventKind, SimulationResult, Simulator
-from repro.bgp.configparse import parse_config, ConfigSyntaxError
 from repro.bgp.configjson import config_from_json, config_to_json
 
 __all__ = [
@@ -78,14 +82,6 @@ __all__ = [
     "NeighborConfig",
     "NetworkConfig",
     "RouterConfig",
-    "best_route",
-    "prefer",
-    "Event",
-    "EventKind",
-    "SimulationResult",
-    "Simulator",
-    "parse_config",
-    "ConfigSyntaxError",
     "config_from_json",
     "config_to_json",
 ]

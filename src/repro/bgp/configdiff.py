@@ -74,9 +74,8 @@ def diff_configs(old: NetworkConfig, new: NetworkConfig) -> ConfigDiff:
     """Structurally compare two configurations."""
     diff = ConfigDiff()
     diff.topology_changed = (
-        old.topology.routers != new.topology.routers
-        or old.topology.externals != new.topology.externals
-        or old.topology.edges != new.topology.edges
+        old.topology.externals != new.topology.externals
+        or old.topology.canonical() != new.topology.canonical()
     )
     old_names = set(old.routers)
     new_names = set(new.routers)

@@ -153,10 +153,51 @@ def config_to_json(config: NetworkConfig) -> str:
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
+#
+# A malformed document raises ValueError, never KeyError/TypeError: each
+# level (router, neighbor, route map, clause) catches what its body raised
+# and re-raises it prefixed with its location, so the CLI prints e.g.
+# ``router 'R1': neighbor 'R2': missing "remote_asn"`` and exits 2.
+
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
+
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "an integer", float: "a number", type(None): "null",
+}
 
 
-def _match_from_json(doc: dict[str, Any]) -> Match:
-    kind = doc["kind"]
+def _located(where: str, exc: Exception) -> ValueError:
+    reason = f'missing "{exc.args[0]}"' if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{where}: {reason}")
+
+
+def _ill_typed(what: str, expected: str, value: Any) -> ValueError:
+    got = _JSON_KINDS.get(type(value), type(value).__name__)
+    return ValueError(f"{what} must be {expected}, got {got}")
+
+
+def _object(value: Any, what: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise _ill_typed(what, "an object", value)
+    return value
+
+
+def _array(value: Any, what: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise _ill_typed(what, "an array", value)
+    return value
+
+
+def _int(doc: dict[str, Any], key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:  # a JSON ``true`` is a bool, not an ASN
+        raise _ill_typed(f'"{key}"', "an integer", value)
+    return value
+
+
+def _match_from_json(doc: Any) -> Match:
+    kind = _object(doc, "a match")["kind"]
     if kind == "community":
         return MatchCommunity(Community.parse(doc["community"]))
     if kind == "prefix":
@@ -182,8 +223,8 @@ def _match_from_json(doc: dict[str, Any]) -> Match:
     raise ValueError(f"unknown match kind {kind!r}")
 
 
-def _action_from_json(doc: dict[str, Any]) -> Action:
-    kind = doc["kind"]
+def _action_from_json(doc: Any) -> Action:
+    kind = _object(doc, "an action")["kind"]
     if kind == "set-local-pref":
         return SetLocalPref(doc["value"])
     if kind == "set-med":
@@ -203,65 +244,98 @@ def _action_from_json(doc: dict[str, Any]) -> Action:
     raise ValueError(f"unknown action kind {kind!r}")
 
 
-def _route_from_json(doc: dict[str, Any]) -> Route:
+def _route_from_json(doc: Any) -> Route:
+    doc = _object(doc, "an originated route")
     return Route(
         prefix=Prefix.parse(doc["prefix"]),
-        as_path=tuple(doc.get("as_path", ())),
+        as_path=tuple(_array(doc.get("as_path", []), '"as_path"')),
         next_hop=doc.get("next_hop", 0),
         local_pref=doc.get("local_pref", 100),
         med=doc.get("med", 0),
-        communities=frozenset(Community.parse(c) for c in doc.get("communities", ())),
+        communities=frozenset(
+            Community.parse(c) for c in _array(doc.get("communities", []), '"communities"')
+        ),
         origin=doc.get("origin", 0),
     )
 
 
-def _route_map_from_json(doc: dict[str, Any]) -> RouteMap:
-    return RouteMap(
-        doc["name"],
-        tuple(
-            RouteMapClause(
-                seq=c["seq"],
-                disposition=Disposition(c["disposition"]),
-                matches=tuple(_match_from_json(m) for m in c.get("matches", ())),
-                actions=tuple(_action_from_json(a) for a in c.get("actions", ())),
-            )
-            for c in doc.get("clauses", ())
-        ),
+def _clause_from_json(doc: Any) -> RouteMapClause:
+    doc = _object(doc, "a clause")
+    return RouteMapClause(
+        seq=_int(doc, "seq"),
+        disposition=Disposition(doc["disposition"]),
+        matches=tuple(_match_from_json(m) for m in _array(doc.get("matches", []), '"matches"')),
+        actions=tuple(_action_from_json(a) for a in _array(doc.get("actions", []), '"actions"')),
     )
 
 
+def _route_map_from_json(doc: Any, key: str) -> RouteMap:
+    doc = _object(doc, f'"{key}"')
+    name = doc["name"]
+    if not isinstance(name, str):
+        raise _ill_typed(f'"{key}" name', "a string", name)
+    clauses = []
+    for index, clause in enumerate(_array(doc.get("clauses", []), f"route map {name!r} clauses")):
+        try:
+            clauses.append(_clause_from_json(clause))
+        except _MALFORMED as exc:
+            raise _located(f"route map {name!r} clause {index}", exc) from None
+    return RouteMap(name, tuple(clauses))
+
+
+def _neighbor_from_json(peer: str, doc: Any) -> NeighborConfig:
+    doc = _object(doc, "a neighbor")
+    import_map = doc.get("import_map")
+    export_map = doc.get("export_map")
+    originated = doc.get("originated")
+    return NeighborConfig(
+        peer=peer,
+        remote_asn=_int(doc, "remote_asn"),
+        import_map=None if import_map is None else _route_map_from_json(import_map, "import_map"),
+        export_map=None if export_map is None else _route_map_from_json(export_map, "export_map"),
+        originated=tuple(
+            _route_from_json(r) for r in _array(originated, '"originated"')
+        ) if originated else (),
+    )
+
+
+def _router_from_json(name: str, doc: Any, topo: Topology) -> RouterConfig:
+    doc = _object(doc, "a router")
+    rc = RouterConfig(name=name, asn=_int(doc, "asn"))
+    neighbors = _object(doc.get("neighbors", {}), '"neighbors"')
+    for peer, ndoc in neighbors.items():
+        try:
+            rc.neighbors[peer] = _neighbor_from_json(peer, ndoc)
+        except _MALFORMED as exc:
+            raise _located(f"neighbor {peer!r}", exc) from None
+    topo.add_sessions(name, neighbors)
+    return rc
+
+
 def config_from_json(text: str) -> NetworkConfig:
-    """Parse a JSON document produced by :func:`config_to_json`."""
-    doc = json.loads(text)
+    """Parse a JSON document produced by :func:`config_to_json`.
+
+    Raises :class:`ValueError` naming the router (and neighbor, route map,
+    clause) of any missing or ill-typed field.
+    """
+    doc = _object(json.loads(text), "the configuration")
+    routers = _object(doc.get("routers", {}), '"routers"')
+    externals = _object(doc.get("externals", {}), '"externals"')
     topo = Topology()
-    for name in doc.get("routers", {}):
+    for name in routers:
         topo.add_router(name)
-    for name in doc.get("externals", {}):
-        topo.add_external(name)
-
     config = NetworkConfig(topo)
-    for name, asn in doc.get("externals", {}).items():
-        if asn is not None:
-            config.external_asns[name] = asn
+    for name, asn in externals.items():
+        try:
+            topo.add_external(name)
+            if asn is not None:
+                config.set_external_asn(name, _int(externals, name))
+        except _MALFORMED as exc:
+            raise _located(f"external {name!r}", exc) from None
 
-    for name, rdoc in doc.get("routers", {}).items():
-        rc = RouterConfig(name=name, asn=rdoc["asn"])
-        for peer, ndoc in rdoc.get("neighbors", {}).items():
-            topo.add_peering(name, peer)
-            rc.add_neighbor(
-                NeighborConfig(
-                    peer=peer,
-                    remote_asn=ndoc["remote_asn"],
-                    import_map=None
-                    if ndoc.get("import_map") is None
-                    else _route_map_from_json(ndoc["import_map"]),
-                    export_map=None
-                    if ndoc.get("export_map") is None
-                    else _route_map_from_json(ndoc["export_map"]),
-                    originated=tuple(
-                        _route_from_json(r) for r in ndoc.get("originated", ())
-                    ),
-                )
-            )
-        config.add_router_config(rc)
+    for name, rdoc in routers.items():
+        try:
+            config.add_router_config(_router_from_json(name, rdoc, topo))
+        except _MALFORMED as exc:
+            raise _located(f"router {name!r}", exc) from None
     return config

@@ -355,7 +355,10 @@ class _Parser:
                 raise ConfigSyntaxError(
                     0, f"{pending.router}: neighbor {pending.peer!r} is not declared"
                 )
-            topo.add_peering(pending.router, pending.peer)
+            try:
+                topo.add_peering(pending.router, pending.peer)
+            except ValueError as exc:
+                raise ConfigSyntaxError(0, f"{pending.router}: {exc}") from None
             import_map = self._lookup_map(built_maps, pending.import_map_name, pending)
             export_map = self._lookup_map(built_maps, pending.export_map_name, pending)
             router_configs[pending.router].add_neighbor(

@@ -4,18 +4,23 @@ Mirrors §3.1: a topology is ``(Routers, Externals, Edges)`` where edges are
 *directed* — the edge ``A -> B`` carries announcements from A to B and has an
 export filter at A and an import filter at B.  A bidirectional BGP session
 contributes two directed edges.
+
+The edge set is stored only as adjacency (``src -> {dst}`` and back), so
+building, querying and comparing a topology makes no per-edge object;
+:class:`Edge` values are made on demand by the queries that return them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """A directed BGP peering edge ``src -> dst``."""
+class Edge(NamedTuple):
+    """A directed BGP peering edge ``src -> dst``.
+
+    A plain tuple: it equals (and hashes like) ``(src, dst)`` and sorts by
+    ``(src, dst)``.
+    """
 
     src: str
     dst: str
@@ -25,11 +30,6 @@ class Edge:
 
     def __str__(self) -> str:
         return f"{self.src}->{self.dst}"
-
-
-#: Sort key giving the same order as ``Edge``'s own comparison, without a
-#: generated ``__lt__`` call per comparison (a 20 000-edge mesh makes 240 000).
-edge_key = attrgetter("src", "dst")
 
 
 class Topology:
@@ -43,7 +43,6 @@ class Topology:
     def __init__(self) -> None:
         self._routers: set[str] = set()
         self._externals: set[str] = set()
-        self._edges: set[Edge] = set()
         self._out: dict[str, set[str]] = {}
         self._in: dict[str, set[str]] = {}
 
@@ -61,23 +60,38 @@ class Topology:
             raise ValueError(f"{name!r} is already an internal router")
         self._externals.add(name)
 
-    def add_edge(self, src: str, dst: str) -> Edge:
-        """Add one directed edge; both endpoints must already exist."""
+    def _check_edge(self, src: str, dst: str) -> None:
         for node in (src, dst):
             if node not in self._routers and node not in self._externals:
                 raise ValueError(f"unknown node {node!r}")
+        if src == dst:
+            raise ValueError(f"{src!r} cannot peer with itself")
         if src in self._externals and dst in self._externals:
             raise ValueError(f"edge {src}->{dst} connects two external nodes")
-        edge = Edge(src, dst)
-        if edge not in self._edges:
-            self._edges.add(edge)
-            self._out.setdefault(src, set()).add(dst)
-            self._in.setdefault(dst, set()).add(src)
-        return edge
+
+    def add_edge(self, src: str, dst: str) -> Edge:
+        """Add one directed edge; both endpoints must already exist."""
+        self._check_edge(src, dst)
+        self._out.setdefault(src, set()).add(dst)
+        self._in.setdefault(dst, set()).add(src)
+        return Edge(src, dst)
 
     def add_peering(self, a: str, b: str) -> tuple[Edge, Edge]:
         """Add a bidirectional session: both directed edges."""
         return self.add_edge(a, b), self.add_edge(b, a)
+
+    def add_sessions(self, node: str, peers: Collection[str]) -> None:
+        """:meth:`add_peering` of ``node`` with each of ``peers``, in one
+        pass that builds no :class:`Edge` (one router's neighbor list)."""
+        for peer in peers:
+            self._check_edge(node, peer)
+        if not peers:
+            return
+        self._out.setdefault(node, set()).update(peers)
+        self._in.setdefault(node, set()).update(peers)
+        for peer in peers:
+            self._out.setdefault(peer, set()).add(node)
+            self._in.setdefault(peer, set()).add(node)
 
     # ------------------------------------------------------------------
     # Queries
@@ -93,7 +107,11 @@ class Topology:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(self._edges)
+        """Every directed edge, built from the adjacency on each call: for
+        one node's edges use :meth:`edges_from`/:meth:`edges_to`."""
+        return frozenset(
+            Edge(src, dst) for src, dsts in self._out.items() for dst in dsts
+        )
 
     def is_router(self, name: str) -> bool:
         return name in self._routers
@@ -102,7 +120,7 @@ class Topology:
         return name in self._externals
 
     def has_edge(self, src: str, dst: str) -> bool:
-        return Edge(src, dst) in self._edges
+        return dst in self._out.get(src, ())
 
     def successors(self, node: str) -> frozenset[str]:
         return frozenset(self._out.get(node, ()))
@@ -118,21 +136,22 @@ class Topology:
         for src in sorted(self._in.get(node, ())):
             yield Edge(src, node)
 
+    def _sorted_edges(self, keep: Callable[[str, str], bool]) -> Iterator[Edge]:
+        """The edges ``keep`` accepts, in ``(src, dst)`` order."""
+        for src in sorted(self._out):
+            for dst in sorted(self._out[src]):
+                if keep(src, dst):
+                    yield Edge(src, dst)
+
     def internal_edges(self) -> Iterator[Edge]:
         """Edges between two internal routers, in ``(src, dst)`` order."""
         routers = self._routers
-        return iter(sorted(
-            (e for e in self._edges if e.src in routers and e.dst in routers),
-            key=edge_key,
-        ))
+        return self._sorted_edges(lambda src, dst: src in routers and dst in routers)
 
     def external_edges(self) -> Iterator[Edge]:
         """Edges with an external endpoint, in ``(src, dst)`` order."""
         externals = self._externals
-        return iter(sorted(
-            (e for e in self._edges if e.src in externals or e.dst in externals),
-            key=edge_key,
-        ))
+        return self._sorted_edges(lambda src, dst: src in externals or dst in externals)
 
     def canonical(self) -> tuple[list[str], list[tuple[str, list[str]]]]:
         """Routers and directed edges in construction-order-independent form
@@ -157,20 +176,21 @@ class Topology:
                 if not isinstance(nxt, Edge) or nxt.src != current:
                     raise ValueError(f"path step {current!r} must be followed by an out-edge")
             elif isinstance(current, Edge):
-                if current not in self._edges:
+                if not self.has_edge(*current):
                     raise ValueError(f"edge {current} is not in the topology")
                 if not isinstance(nxt, str) or nxt != current.dst:
                     raise ValueError(f"edge {current} must be followed by node {current.dst!r}")
             else:
                 raise TypeError(f"path elements must be str or Edge, got {current!r}")
         for item in items:
-            if isinstance(item, Edge) and item not in self._edges:
+            if isinstance(item, Edge) and not self.has_edge(*item):
                 raise ValueError(f"edge {item} is not in the topology")
             if isinstance(item, str) and item not in self._routers and item not in self._externals:
                 raise ValueError(f"unknown node {item!r} in path")
 
     def __repr__(self) -> str:
+        edges = sum(len(dsts) for dsts in self._out.values())
         return (
             f"Topology(routers={len(self._routers)}, externals={len(self._externals)}, "
-            f"edges={len(self._edges)})"
+            f"edges={edges})"
         )

@@ -70,7 +70,6 @@ import time
 from pathlib import Path
 
 from repro.bgp.configjson import config_from_json, config_to_json
-from repro.bgp.configparse import parse_config
 from repro.core.checks import InternalError
 from repro.core.exec import resolve_jobs
 from repro.core.report import format_report
@@ -96,6 +95,11 @@ def _load_config(path: str):
     are concatenated (sorted by name) and parsed as one network.
     """
     target = Path(path)
+    if target.suffix == ".json" and not target.is_dir():
+        return config_from_json(target.read_text())
+    # The dialect parser is imported only for dialect inputs.
+    from repro.bgp.configparse import parse_config
+
     if target.is_dir():
         pieces = sorted(
             p for p in target.iterdir() if p.suffix in (".cfg", ".txt", ".conf")
@@ -103,10 +107,7 @@ def _load_config(path: str):
         if not pieces:
             raise ValueError(f"{path}: no .cfg/.txt/.conf files in directory")
         return parse_config("\n".join(p.read_text() for p in pieces))
-    text = target.read_text()
-    if target.suffix == ".json":
-        return config_from_json(text)
-    return parse_config(text)
+    return parse_config(target.read_text())
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:

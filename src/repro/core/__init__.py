@@ -21,6 +21,11 @@ tracker (:mod:`repro.core.incremental`) is differentially tested against
 the one-shot driver.  How a run executes (worker processes, budgets,
 deadlines, session pool) is an :class:`repro.core.exec.ExecutionContext`:
 the ``context=`` of a free function, or the workspace itself.
+
+Invariant inference (:mod:`repro.core.inference`), impact assessment
+(:mod:`repro.core.scenario`) and the property templates
+(:mod:`repro.core.templates`) are imported from their own modules; no
+``verify`` needs them, so the package does not load them.
 """
 
 from repro.core.properties import (
@@ -42,15 +47,6 @@ from repro.core.workspace import (
     WorkspaceStats,
 )
 from repro.core.incremental import IncrementalResult
-from repro.core.inference import InferenceResult, infer_safety_invariants
-from repro.core.scenario import ImpactAssessment, assess_impact
-from repro.core.templates import (
-    TemplateProblem,
-    attribute_bound,
-    bogon_filtering,
-    isolation,
-    no_transit,
-)
 
 __all__ = [
     "InvariantMap",
@@ -73,13 +69,4 @@ __all__ = [
     "WorkspaceEntry",
     "WorkspaceStats",
     "IncrementalResult",
-    "InferenceResult",
-    "infer_safety_invariants",
-    "ImpactAssessment",
-    "assess_impact",
-    "TemplateProblem",
-    "attribute_bound",
-    "bogon_filtering",
-    "isolation",
-    "no_transit",
 ]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from repro import smt
 from repro.bgp.config import NetworkConfig
 from repro.bgp.route import Route
-from repro.bgp.topology import Edge, edge_key
+from repro.bgp.topology import Edge
 from repro.core.counterexample import CheckFailure
 from repro.core.properties import Location
 from repro.lang.ghost import GhostAttribute
@@ -451,11 +451,10 @@ def generate_safety_checks(
     checks: list[LocalCheck] = []
     topo = config.topology
     if owners is None:
-        edges = sorted(topo.edges, key=edge_key)
+        edges = sorted(topo.edges)
     else:
         edges = sorted(
-            (e for e in topo.edges if e.src in owners or e.dst in owners),
-            key=edge_key,
+            {e for owner in owners for e in (*topo.edges_from(owner), *topo.edges_to(owner))}
         )
     for edge in edges:
         if topo.is_router(edge.dst) and (owners is None or edge.dst in owners):

@@ -119,7 +119,7 @@ class InvariantMap:
 
     def _check_settable(self, location: Location) -> None:
         if isinstance(location, Edge):
-            if location not in self._topology.edges:
+            if not self._topology.has_edge(*location):
                 raise KeyError(f"edge {location} is not in the topology")
             if self._topology.is_external(location.src):
                 raise ValueError(

@@ -51,6 +51,7 @@ record but never reused: the next run re-runs their groups.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import tempfile
@@ -88,7 +89,10 @@ from repro.lang.predicates import Predicate
 # Format 6: a tracker persists ``groups`` (one GroupOutcomes per (section,
 # owner)) instead of ``checks``/``outcomes`` objects, and no ``config``; the
 # topology is a digest-map key; ``config`` is a nested, deflated pickle.
-CACHE_FORMAT = 6
+# Format 7: ``Edge`` is a NamedTuple (pickled as a tuple, not a dataclass
+# state dict) and the pickled ``Topology`` holds adjacency only (no
+# ``_edges`` set); every persisted property or outcome with an edge changes.
+CACHE_FORMAT = 7
 _DIGEST_LEN = hashlib.sha256().digest_size
 
 # Entry kind -> the problem builder ``load`` rebuilds a tracker's problem
@@ -201,6 +205,24 @@ def _entry_fingerprint(problem: Problem, conflict_budget: int | None) -> str:
         invariants_fp = _invariant_map_fp(invariants)
     payload = (problem.kind, repr(problem.prop), invariants_fp, conflict_budget)
     return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _declared_format(raw: bytes) -> object:
+    """The ``format`` a cache file's pickle opens with, read from its first
+    opcodes without building any object — an older format may hold objects
+    this build's classes cannot rebuild (a format-6 ``Edge``).  ``None`` if
+    the file does not open like a cache."""
+    import pickletools
+
+    try:
+        opcodes = [arg for _, arg, _ in itertools.islice(pickletools.genops(raw), 8)]
+    except Exception:
+        return None
+    if "format" not in opcodes:
+        return None
+    following = opcodes[opcodes.index("format") + 1:]
+    # The key is followed by its memo slot (MEMOIZE, no argument), then the value.
+    return next((arg for arg in following if arg is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +533,19 @@ class Workspace(ExecutionContext):
         """
         try:
             raw = Path(path).read_bytes()
-            seal = hashlib.sha256(raw[:-_DIGEST_LEN]).digest()
-            intact = seal == raw[-_DIGEST_LEN:]
-            state = pickle.loads(raw)  # reads up to the pickle's end, not the seal
         except OSError as exc:
             raise WorkspaceCacheError(f"cannot read workspace cache: {exc}") from exc
-        except Exception as exc:  # unpickling garbage
-            raise WorkspaceCacheError(
-                f"workspace cache at {path} is corrupt or not a cache: {exc}"
-            ) from exc
+        seal = hashlib.sha256(raw[:-_DIGEST_LEN]).digest()
+        intact = seal == raw[-_DIGEST_LEN:]
+        try:
+            state = pickle.loads(raw)  # reads up to the pickle's end, not the seal
+        except Exception as exc:  # unpickling garbage, or an older build's objects
+            declared = _declared_format(raw)
+            if declared is None or declared == CACHE_FORMAT:
+                raise WorkspaceCacheError(
+                    f"workspace cache at {path} is corrupt or not a cache: {exc}"
+                ) from exc
+            state = {"format": declared}
         if not isinstance(state, dict) or "format" not in state:
             raise WorkspaceCacheError(
                 f"workspace cache at {path} is not a workspace cache"

@@ -158,10 +158,24 @@ def test_lint_reports_a_syntax_error_in_the_package_it_runs_from(tmp_path):
     assert "1 error(s)," in proc.stdout
 
 
+# Modules a JSON ``verify`` never runs, so must never import: the
+# simulator and decision process, the dialect parser, and the library
+# extras of ``repro.core``.
+NOT_IMPORTED_BY_VERIFY = (
+    "repro.bgp.simulator",
+    "repro.bgp.selection",
+    "repro.bgp.configparse",
+    "repro.core.inference",
+    "repro.core.scenario",
+    "repro.core.templates",
+)
+
+
 def test_verify_does_not_import_the_linter(tmp_path):
     """``lightyear verify`` builds its parser without ``repro.analysis``:
     only the ``lint`` command (or no command: help, the parity test below)
-    materialises the lint arguments."""
+    materialises the lint arguments.  Nor does a JSON ``verify`` load any
+    of :data:`NOT_IMPORTED_BY_VERIFY`."""
     import json
 
     from repro.bgp.configjson import config_to_json
@@ -183,7 +197,8 @@ def test_verify_does_not_import_the_linter(tmp_path):
         "import sys\n"
         "from repro.cli import main\n"
         "code = main(['verify', sys.argv[1], sys.argv[2]])\n"
-        "leaked = sorted(m for m in sys.modules if m.startswith('repro.analysis'))\n"
+        "leaked = sorted(m for m in sys.modules if m.startswith('repro.analysis')\n"
+        f"                or m in {NOT_IMPORTED_BY_VERIFY!r})\n"
         "print('leaked:', leaked)\n"
         "sys.exit(code or bool(leaked))\n"
     )

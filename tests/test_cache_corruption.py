@@ -13,7 +13,9 @@ verdict that only the whole-payload digest can catch.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
+import io
 import json
 import pickle
 import pickletools
@@ -176,16 +178,53 @@ def test_future_format_raises_cache_error(tmp_path):
 
 
 def test_previous_format_raises_cache_error(tmp_path):
-    # The previous format (checks and outcome objects per tracker) must be
-    # rejected readably — by its format number, sealed or not, never as
-    # "corrupt" and never by reading it as the current shape.
-    assert CACHE_FORMAT == 6
-    refusal = "has format 5, this build reads format 6; delete it and rerun"
+    # The previous format (dataclass edges) must be rejected readably — by
+    # its format number, sealed or not, never as "corrupt" and never by
+    # reading it as the current shape.
+    assert CACHE_FORMAT == 7
+    refusal = "has format 6, this build reads format 7; delete it and rerun"
     target = tmp_path / "workspace.lyc"
-    for content in (pickle.dumps({"format": 5}), _sealed(pickle.dumps({"format": 5}))):
+    for content in (pickle.dumps({"format": 6}), _sealed(pickle.dumps({"format": 6}))):
         target.write_bytes(content)
         with pytest.raises(WorkspaceCacheError, match=refusal):
             Workspace.load(target)
+
+
+class _Format6Pickler(pickle.Pickler):
+    """Pickles an ``Edge`` the way format 6 did, as a dataclass: rebuilt by
+    ``Edge.__new__(Edge)`` and then its state dict — which this build's
+    tuple ``Edge`` cannot do."""
+
+    def reducer_override(self, obj):
+        if type(obj) is Edge:
+            return copyreg.__newobj__, (Edge,), {"src": obj.src, "dst": obj.dst}
+        return NotImplemented
+
+
+def _format6_cache(saved: Path, target: Path) -> None:
+    """``saved`` rewritten in format 6's layout: same state, format 6, every
+    edge pickled as a dataclass, sealed."""
+    state = pickle.loads(saved.read_bytes())
+    state["format"] = 6
+    buffer = io.BytesIO()
+    _Format6Pickler(buffer, protocol=5).dump(state)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(_sealed(buffer.getvalue()))
+
+
+def test_format6_layout_is_refused_by_its_format(saved_cache, tmp_path):
+    # Unpickling a format-6 file fails on its first edge, before the
+    # loader could read ``format``: the refusal must still name the format.
+    saved, config = saved_cache
+    target = tmp_path / "workspace.lyc"
+    _format6_cache(saved, target)
+    with pytest.raises(TypeError):
+        pickle.loads(target.read_bytes())
+    refusal = "has format 6, this build reads format 7; delete it and rerun"
+    with pytest.raises(WorkspaceCacheError, match=refusal):
+        Workspace.load(target, config=config)
+    with pytest.raises(WorkspaceCacheError, match=refusal):
+        Workspace.load(target)
 
 
 def test_mismatch_is_a_cache_error_subtype():
@@ -250,3 +289,15 @@ def test_cli_previous_format_cache_exits_2(cli_setup, capsys):
     err = capsys.readouterr().err
     assert f"has format {CACHE_FORMAT - 1}" in err
     assert "delete it and rerun" in err
+
+
+def test_cli_reverify_on_format6_cache_exits_2(cli_setup, capsys):
+    s = cli_setup
+    assert main(["verify", s["base"], s["spec"], "--cache", s["cache"]]) == 0
+    capsys.readouterr()
+    _format6_cache(s["cache_file"], s["cache_file"])
+    code = main(["reverify", s["base"], s["base"], s["spec"], "--cache", s["cache"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "has format 6, this build reads format 7; delete it and rerun" in err
+    assert "Traceback" not in err

@@ -119,7 +119,7 @@ def test_wan_dc_import_tags_reused_prefixes(wan):
 def test_wan_interregion_import_blocks_regional_communities(wan):
     # W0-0 and W1-0 are inter-region neighbors.
     edge = Edge("W0-0", "W1-0")
-    assert wan.config.topology.has_edge(*edge.__dict__.values()) or edge in wan.config.topology.edges
+    assert wan.config.topology.has_edge(*edge)
     tagged = Route(
         prefix=Prefix.parse("172.16.1.0/24"),
         communities={region_community(0)},
