@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 from repro.bgp.prefix import Prefix, PrefixRange
-from repro.bgp.route import Community, Route
+from repro.bgp.route import Community, Route, hash_once
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +284,7 @@ class RouteMapClause:
         return route
 
 
+@hash_once
 @dataclass(frozen=True)
 class RouteMap:
     """An ordered sequence of clauses with first-match semantics."""

@@ -11,9 +11,11 @@ simulated traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 from repro.bgp.prefix import Prefix
+
+_C = TypeVar("_C", bound=type)
 
 
 ORIGIN_IGP = 0
@@ -143,3 +145,35 @@ class _FrozenGhost(dict):
     popitem = _blocked  # type: ignore[assignment]
     clear = _blocked  # type: ignore[assignment]
     setdefault = _blocked  # type: ignore[assignment]
+
+
+def hash_once(cls: _C) -> _C:
+    """Cache a frozen dataclass's generated ``__hash__`` on the instance.
+
+    A value used as a memo key hashes once; the hash is never pickled.
+    Stack it *above* ``@dataclass(frozen=True)``, which regenerates
+    ``__hash__`` per class and would ignore a base-class override.  The
+    first ``hash()`` stores the generated function's own value in the
+    instance ``__dict__``; ``__getstate__`` drops it, so pickles are
+    byte-identical whether or not the value was hashed, and a value loaded
+    under another ``PYTHONHASHSEED`` (or copied) recomputes its hash.
+    """
+    generated: Callable[[object], int] = cls.__dict__["__hash__"]
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> object:
+        state = object.__getstate__(self)
+        if isinstance(state, dict) and "_hash" in state:
+            state = {k: v for k, v in state.items() if k != "_hash"} or None
+        return state
+
+    setattr(cls, "__hash__", __hash__)
+    setattr(cls, "__getstate__", __getstate__)
+    return cls

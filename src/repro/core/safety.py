@@ -93,13 +93,17 @@ def build_universe(
     predicates,
     ghosts: tuple[GhostAttribute, ...],
 ) -> AttributeUniverse:
-    """The universe covering config, invariants, properties, and ghosts."""
+    """The universe covering config, invariants, properties, and ghosts.
+
+    A sweep hands over the same few predicates thousands of times (every
+    problem's invariant overrides), so each distinct one is walked once.
+    """
     communities = set()
     asns = set()
     ghost_names = {g.name for g in ghosts}
-    preds = list(predicates)
+    preds = set(predicates)
     if invariants is not None:
-        preds.extend(invariant_predicates(invariants))
+        preds.update(invariant_predicates(invariants))
     for pred in preds:
         c, a, g = predicate_atoms(pred)
         communities |= c

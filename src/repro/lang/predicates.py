@@ -12,6 +12,12 @@ description of such a set that can be interpreted twice:
 
 :func:`prefix_projection` computes a sound over-approximation of the §5.2
 set ``Prefix(C_i)`` used in no-interference checks.
+
+Predicates are memo keys (:func:`predicate_term`, the universe builder),
+and a value used as a memo key hashes once; the hash is never pickled:
+every subclass stacks :func:`repro.bgp.route.hash_once` above its
+``@dataclass(frozen=True)``, which would otherwise regenerate a
+tree-walking ``__hash__`` per class.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 from repro import smt
 from repro.bgp.prefix import Prefix, PrefixRange
-from repro.bgp.route import Community, Route
+from repro.bgp.route import Community, Route, hash_once
 from repro.lang.symroute import ADDR_WIDTH, LEN_WIDTH, SymbolicRoute
 from repro.smt.terms import Term, register_intern_dependent
 
@@ -113,6 +119,7 @@ class Predicate:
         return Implies(self, other)
 
 
+@hash_once
 @dataclass(frozen=True)
 class TruePred(Predicate):
     """All routes (the unconstrained external-edge invariant)."""
@@ -127,6 +134,7 @@ class TruePred(Predicate):
         return "True"
 
 
+@hash_once
 @dataclass(frozen=True)
 class FalsePred(Predicate):
     """No routes (a location no route may ever reach)."""
@@ -141,6 +149,7 @@ class FalsePred(Predicate):
         return "False"
 
 
+@hash_once
 @dataclass(frozen=True)
 class HasCommunity(Predicate):
     """Routes tagged with a community: ``c in Comm(r)``."""
@@ -157,6 +166,7 @@ class HasCommunity(Predicate):
         return f"{self.community} in Comm(r)"
 
 
+@hash_once
 @dataclass(frozen=True)
 class PrefixIn(Predicate):
     """Routes whose prefix matches some entry of a prefix list."""
@@ -186,6 +196,7 @@ class PrefixIn(Predicate):
         return f"Prefix(r) in {{{', '.join(str(r) for r in self.ranges)}}}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class GhostIs(Predicate):
     """Routes whose ghost attribute has the given value."""
@@ -204,6 +215,7 @@ class GhostIs(Predicate):
         return f"{self.name}(r)" if self.value else f"not {self.name}(r)"
 
 
+@hash_once
 @dataclass(frozen=True)
 class AsPathHas(Predicate):
     """Routes whose AS path mentions an ASN."""
@@ -220,6 +232,7 @@ class AsPathHas(Predicate):
         return f"{self.asn} in ASPath(r)"
 
 
+@hash_once
 @dataclass(frozen=True)
 class LocalPrefIn(Predicate):
     """Routes with local preference in [low, high]."""
@@ -242,6 +255,7 @@ class LocalPrefIn(Predicate):
         return f"LocalPref(r) in [{self.low}, {self.high}]"
 
 
+@hash_once
 @dataclass(frozen=True)
 class MedIn(Predicate):
     """Routes with MED in [low, high]."""
@@ -264,6 +278,7 @@ class MedIn(Predicate):
         return f"MED(r) in [{self.low}, {self.high}]"
 
 
+@hash_once
 @dataclass(frozen=True)
 class AsPathLenIn(Predicate):
     """Routes whose AS-path length lies in [low, high]."""
@@ -286,6 +301,7 @@ class AsPathLenIn(Predicate):
         return f"|ASPath(r)| in [{self.low}, {self.high}]"
 
 
+@hash_once
 @dataclass(frozen=True)
 class OriginIs(Predicate):
     """Routes with the given BGP origin code."""
@@ -304,6 +320,7 @@ class OriginIs(Predicate):
         return f"Origin(r) = {self.origin}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class NextHopIn(Predicate):
     """Routes whose next hop falls in any of the given prefixes."""
@@ -330,6 +347,7 @@ class NextHopIn(Predicate):
         return f"NextHop(r) in {{{', '.join(str(p) for p in self.prefixes)}}}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Not(Predicate):
     inner: Predicate
@@ -344,6 +362,7 @@ class Not(Predicate):
         return f"not ({self.inner!r})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class AllOf(Predicate):
     inners: tuple[Predicate, ...]
@@ -362,6 +381,7 @@ class AllOf(Predicate):
         return " and ".join(f"({p!r})" for p in self.inners) or "True"
 
 
+@hash_once
 @dataclass(frozen=True)
 class AnyOf(Predicate):
     inners: tuple[Predicate, ...]
@@ -380,6 +400,7 @@ class AnyOf(Predicate):
         return " or ".join(f"({p!r})" for p in self.inners) or "False"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Implies(Predicate):
     antecedent: Predicate

@@ -175,16 +175,23 @@ class SymbolicRoute:
     # Field access helpers
     # ------------------------------------------------------------------
 
+    # Every constructor keys the field dicts by exactly the universe's
+    # values, so membership is one dict probe; the universe's own (linear)
+    # ``require_*`` runs only on a miss, to raise its error.
+
     def community_term(self, comm: Community) -> Term:
-        self.universe.require_community(comm)
+        if comm not in self.communities:
+            self.universe.require_community(comm)
         return self.communities[comm]
 
     def as_path_member_term(self, asn: int) -> Term:
-        self.universe.require_asn(asn)
+        if asn not in self.as_path_members:
+            self.universe.require_asn(asn)
         return self.as_path_members[asn]
 
     def ghost_term(self, name: str) -> Term:
-        self.universe.require_ghost(name)
+        if name not in self.ghosts:
+            self.universe.require_ghost(name)
         return self.ghosts[name]
 
     # ------------------------------------------------------------------
@@ -195,7 +202,8 @@ class SymbolicRoute:
         return replace(self, **updates)  # type: ignore[arg-type]
 
     def with_community(self, comm: Community, value: Term) -> "SymbolicRoute":
-        self.universe.require_community(comm)
+        if comm not in self.communities:
+            self.universe.require_community(comm)
         comms = dict(self.communities)
         comms[comm] = value
         return replace(self, communities=comms)
@@ -204,13 +212,15 @@ class SymbolicRoute:
         return replace(self, communities={c: value for c in self.communities})
 
     def with_as_path_member(self, asn: int, value: Term) -> "SymbolicRoute":
-        self.universe.require_asn(asn)
+        if asn not in self.as_path_members:
+            self.universe.require_asn(asn)
         members = dict(self.as_path_members)
         members[asn] = value
         return replace(self, as_path_members=members)
 
     def with_ghost(self, name: str, value: Term) -> "SymbolicRoute":
-        self.universe.require_ghost(name)
+        if name not in self.ghosts:
+            self.universe.require_ghost(name)
         ghosts = dict(self.ghosts)
         ghosts[name] = value
         return replace(self, ghosts=ghosts)

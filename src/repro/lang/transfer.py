@@ -46,6 +46,11 @@ discipline changes the update pairs).  A companion cache in
 ``set_transfer_cache_enabled`` / ``transfer_cache_disabled`` switch both
 layers for differential testing, and ``transfer_cache_stats`` /
 ``predicate_term_cache_stats`` expose hit/miss counters for benchmarks.
+
+Key cost: a value used as a memo key hashes once; the hash is never
+pickled.  Route maps (the digest memo), universes (the ``fresh`` cache)
+and predicates carry :func:`repro.bgp.route.hash_once`, so a hit costs
+one dict probe, not a walk over the key's dataclass tree.
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ from repro.bgp.policy import (
     PrependAsPath,
     RouteMap,
 )
-from repro.bgp.route import Community
+from repro.bgp.route import Community, hash_once
 
 
+@hash_once
 @dataclass(frozen=True)
 class AttributeUniverse:
     """The distinguishable communities, ASNs, and ghost attribute names."""

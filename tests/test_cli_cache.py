@@ -194,6 +194,41 @@ def test_warm_cache_still_detects_breaking_edit(cache_setup, tmp_path, capsys):
     assert "blamed router: R2" in out
 
 
+def test_reverify_cache_written_under_another_hash_seed(cache_setup, tmp_path):
+    # The cache pickles route maps that were hashed (memo keys) before the
+    # save; the stored hash must not travel, or a process with another
+    # PYTHONHASHSEED would miss every memo entry keyed by a loaded map.
+    from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
+    from repro.workloads.figure1 import TRANSIT_COMMUNITY
+
+    s = cache_setup
+    broken = build_figure1()
+    broken.routers["R2"].neighbors["R1"].import_map = RouteMap(
+        "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),)
+    )
+    (tmp_path / "broken.json").write_text(config_to_json(broken))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def reverify(edited, hash_seed):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        args = [sys.executable, "-m", "repro.cli", "reverify",
+                s["base"], edited, s["spec"], "--cache", s["cache"]]  # fmt: skip
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        verdicts = [
+            line.split(" — ")[0]
+            for line in done.stdout.splitlines()
+            if "safety at" in line or "reverify: consulted" in line
+        ]
+        return done.returncode, "base run skipped" in done.stdout, verdicts
+
+    code, skipped, primed = reverify(s["edited"], "0")
+    assert (code, skipped) == (0, False)
+    assert reverify(s["edited"], "1") == (0, True, primed)
+    code, skipped, verdicts = reverify(str(tmp_path / "broken.json"), "2")
+    assert (code, skipped) == (1, True)
+    assert any("FAILED" in line for line in verdicts)
+
+
 # ---------------------------------------------------------------------------
 # Mismatch rejection
 # ---------------------------------------------------------------------------
