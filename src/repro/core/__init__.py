@@ -17,10 +17,11 @@ There are two layers, and neither wraps the other.  The free functions
 one-shot driver (:func:`repro.core.safety.run_problem`): stateless —
 generate every check, run it, report.  ``Workspace`` is the stateful
 layer over the same problem builders and scheduler, and its incremental
-tracker (:mod:`repro.core.incremental`) is differentially tested against
-the one-shot driver.  How a run executes (worker processes, budgets,
-deadlines, session pool) is an :class:`repro.core.exec.ExecutionContext`:
-the ``context=`` of a free function, or the workspace itself.
+tracker (:mod:`repro.core.incremental`) is held to the one-shot driver by
+the test suite's equivalence oracle (``tests/oracle.py``).  How a run
+executes (worker processes, budgets, deadlines, session pool) is an
+:class:`repro.core.exec.ExecutionContext`: the ``context=`` of a free
+function, or the workspace itself.
 
 Invariant inference (:mod:`repro.core.inference`), impact assessment
 (:mod:`repro.core.scenario`) and the property templates

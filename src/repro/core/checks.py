@@ -8,7 +8,7 @@ map, and to render the violated implication.
 A check can be discharged hermetically (a fresh :class:`repro.smt.Solver`
 per query) or against a shared :class:`repro.smt.CheckSession`, which
 reuses the clause-encoded transfer-function fragments across
-the checks that share them — see :func:`repro.core.safety.run_checks`,
+the checks that share them — see :class:`repro.core.exec.Scheduler`,
 which routes checks to one session per owner router (drawn from a
 persistent :class:`repro.smt.SessionPool` when the caller supplies one).
 Term construction itself is also reused: the transfer functions called
@@ -27,7 +27,7 @@ asked to solve.  The rules, all enforced in ``_discharge``:
 * a check whose deadline has already expired bypasses the memo and comes
   back UNKNOWN/``timeout`` exactly as without it;
 * the hermetic path (``session=None``) never touches the memo — it is the
-  reference the memoised path is differentially tested against;
+  reference of the equivalence oracle (``tests/oracle.py``);
 * a hit's outcome belongs to the *asking* check: its counterexample is
   rebuilt from the stored model with the asking check's own terms, so
   blame stays on the asking edge, and its stats are the shared zero-cost

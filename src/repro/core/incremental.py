@@ -40,10 +40,10 @@ persisted with the outcomes, so a restored tracker notices either too.
 A :class:`repro.core.workspace.Workspace` keeps one tracker per verified
 property and persists its :meth:`~PropertyTracker.state_dict`.  The
 stateless :func:`repro.core.safety.run_problem` (behind ``verify_safety``
-/ ``verify_liveness``) runs the same problem builders from scratch and is
-the reference the tracker is differentially tested against: after any
-edit sequence its report must equal that one's on the edited
-configuration.
+/ ``verify_liveness``) runs the same problem builders from scratch; the
+equivalence oracle (``tests/oracle.py``) holds the tracker to it: after
+an edit, and after ``save`` → ``load``, its report must fingerprint as a
+from-scratch run on the edited configuration.
 """
 
 from __future__ import annotations

@@ -25,14 +25,15 @@ included.  :func:`verify_liveness` hands one to the stateless
 :func:`repro.core.safety.run_problem`;
 :class:`repro.core.workspace.Workspace` hands the same one to the
 owner-indexed :class:`repro.core.incremental.PropertyTracker` for
-O(changed-owner) re-verification, differentially tested against the
-former.  The invalidation contract follows from what each check reads: a
-single-router edit to ``R`` invalidates ``R``'s propagation checks (its
-filters on the witness path) and ``R``'s owner group inside *every*
-sub-proof (its filters appear in each sub-proof's full-network check set)
-— but never the final implication, which is owned by no router, and never
-another owner's groups.  A network-level edit (external ASNs) invalidates
-everything: it changes the attribute universe under every encoding.
+O(changed-owner) re-verification, held to the former by the equivalence
+oracle (``tests/oracle.py``).  The invalidation contract follows from
+what each check reads: a single-router edit to ``R`` invalidates ``R``'s
+propagation checks (its filters on the witness path) and ``R``'s owner
+group inside *every* sub-proof (its filters appear in each sub-proof's
+full-network check set) — but never the final implication, which is
+owned by no router, and never another owner's groups.  A network-level
+edit (external ASNs) invalidates everything: it changes the attribute
+universe under every encoding.
 """
 
 from __future__ import annotations

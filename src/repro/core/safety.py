@@ -18,8 +18,8 @@ session pool — is the :class:`~repro.core.exec.ExecutionContext` passed as
 
 :func:`run_problem` is stateless: every check runs, nothing survives the
 call.  The stateful layer is :class:`repro.core.workspace.Workspace`,
-whose incremental tracker sees the same builders and is differentially
-tested against this function.
+whose incremental tracker sees the same builders and is held to this
+function by the equivalence oracle (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -211,26 +211,6 @@ def run_problem(
         for section, checks in sections.items()
     }
     return problem.report(groups, time.perf_counter() - start, degradation)
-
-
-def run_checks(
-    checks: list[LocalCheck],
-    config: NetworkConfig,
-    universe: AttributeUniverse,
-    ghosts: tuple[GhostAttribute, ...] = (),
-    context: ExecutionContext | None = None,
-    degradation: DegradationReport | None = None,
-) -> list[CheckOutcome]:
-    """Discharge a bare check list; outcomes come back in input order.
-
-    A one-key mapping run by a :class:`~repro.core.exec.Scheduler` on
-    ``context`` (default: a fresh serial one).  Serial fallbacks of a
-    ``parallel`` context are recorded on ``degradation`` when given (and
-    always announced via ``warnings.warn``).
-    """
-    return Scheduler(context or ExecutionContext()).run(
-        {SAFETY_KEY: checks}, config, universe, tuple(ghosts), degradation
-    )[SAFETY_KEY]
 
 
 def verify_safety(

@@ -26,8 +26,8 @@ workspace's shared session pool.  Each verified property gets a persistent
 :class:`repro.core.incremental.PropertyTracker` holding its owner-indexed
 outcome cache, so re-verifying after ``apply`` — or simply calling
 ``verify`` again — consults only the checks a config edit invalidated.
-The one-shot driver is the reference the tracker is differentially
-tested against (incremental ≡ full ≡ cache-loaded).
+The one-shot driver is the tracker's reference in the equivalence oracle
+(``tests/oracle.py``: incremental ≡ full ≡ cache-loaded).
 
 **On-disk outcome cache.**  ``save(path)`` persists the digests and
 outcome groups (:class:`~repro.core.report.GroupOutcomes`: stats rows,

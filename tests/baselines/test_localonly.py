@@ -3,20 +3,13 @@
 from __future__ import annotations
 
 from repro.baselines.localonly import LocalOnlyChecker
-from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
 from repro.core.safety import verify_safety
-from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, TruePred
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
-from tests.core.conftest import no_transit_invariants, no_transit_property
-
-
-def _ghost(config):
-    return GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+from tests import oracle
+from tests.core.conftest import isp1_ghost, no_transit_invariants, no_transit_property
 
 
 KEY = Implies(GhostIs("FromISP1"), HasCommunity(TRANSIT_COMMUNITY))
@@ -31,14 +24,14 @@ def _obvious_checks(config, ghost) -> LocalOnlyChecker:
 
 def test_user_listed_checks_pass_on_clean_network():
     config = build_figure1()
-    result = _obvious_checks(config, _ghost(config)).run()
+    result = _obvious_checks(config, isp1_ghost(config)).run()
     assert result.passed
     assert len(result.outcomes) == 2
 
 
 def test_user_listed_checks_catch_a_directly_checked_bug():
     config = build_figure1(buggy_r1_tagging=True)
-    result = _obvious_checks(config, _ghost(config)).run()
+    result = _obvious_checks(config, isp1_ghost(config)).run()
     assert not result.passed  # the bug is on a listed edge: caught
 
 
@@ -47,11 +40,8 @@ def test_local_only_misses_internal_stripping_bug():
     # the check users forget.  The local-only baseline (just the two
     # obvious checks) passes; Lightyear's generated closure fails.
     config = build_figure1()
-    config.routers["R2"].neighbors["R1"].import_map = RouteMap(
-        "STRIP",
-        (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),),
-    )
-    ghost = _ghost(config)
+    config.routers["R2"].neighbors["R1"].import_map = oracle.STRIP
+    ghost = isp1_ghost(config)
 
     local = _obvious_checks(config, ghost).run()
     assert local.passed  # bug missed

@@ -11,7 +11,6 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.bgp.topology import Edge
 from repro.core.properties import SafetyProperty
-from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Not
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.universe import AttributeUniverse
@@ -19,17 +18,12 @@ from repro.smt.solver import Model
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 from repro.workloads.fullmesh import build_full_mesh
 
+from tests import oracle
+from tests.core.conftest import isp1_ghost, mesh_no_transit, no_transit_property
+
 
 def _no_transit_setup(config):
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R2", "ISP2"),
-        predicate=Not(GhostIs("FromISP1")),
-        name="no-transit",
-    )
-    return ghost, prop
+    return isp1_ghost(config), no_transit_property()
 
 
 def test_preference_relation_is_total_on_concretes():
@@ -50,10 +44,7 @@ def test_preference_relation_is_total_on_concretes():
 
 
 def test_figure1_no_transit_verified_monolithically():
-    config = build_figure1()
-    ghost, prop = _no_transit_setup(config)
-    verifier = MinesweeperVerifier(config, ghosts=(ghost,))
-    result = verifier.verify(prop)
+    result = oracle.minesweeper(oracle.CASES["figure1-safety"])
     assert result.verified
     assert result.counterexample is None
     assert not result.timed_out
@@ -110,13 +101,7 @@ def test_encoding_size_grows_superlinearly():
     ghost_sizes = {}
     for n in (3, 6):
         config = build_full_mesh(n)
-        ghost = GhostAttribute.source_tracker(
-            "FromE1", config.topology, [Edge("E1", "R1")]
-        )
-        prop = SafetyProperty(
-            location=Edge("R2", "E2"),
-            predicate=Not(GhostIs("FromE1")),
-        )
+        ghost, prop, __ = mesh_no_transit(config)
         verifier = MinesweeperVerifier(config, ghosts=(ghost,))
         ghost_sizes[n] = verifier.encoding_size(prop)
     vars3, __ = ghost_sizes[3]
@@ -127,28 +112,18 @@ def test_encoding_size_grows_superlinearly():
 
 def test_timeout_reports_timed_out():
     config = build_full_mesh(4)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1"))
-    )
+    ghost, prop, __ = mesh_no_transit(config)
     verifier = MinesweeperVerifier(config, ghosts=(ghost,))
     # The monolithic query needs dozens of conflicts on this mesh, so one
     # is not enough: undecided, and flagged as a timeout, not a verdict.
     result = verifier.verify(prop, conflict_budget=1)
     assert result.timed_out and not result.verified
     assert result.counterexample is None
-    assert verifier.verify(prop).verified
+    assert oracle.minesweeper(oracle.fullmesh_case(4, "safety")).verified
 
 
 def test_fullmesh_no_transit_verified_small():
     config = build_full_mesh(3)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1"))
-    )
+    ghost, prop, __ = mesh_no_transit(config)
     result = MinesweeperVerifier(config, ghosts=(ghost,)).verify(prop)
     assert result.verified

@@ -63,20 +63,17 @@ def test_remote_asn_change_detected():
 def test_diff_agrees_with_incremental_verifier_ownership():
     # The routers the diff flags are exactly the ones whose checks the
     # incremental verifier re-runs.
-    from repro.bgp.topology import Edge
     from repro.core.workspace import Workspace
-    from repro.lang.ghost import GhostAttribute
 
     from tests.core.conftest import (
+        isp1_ghost,
         no_transit_invariants,
         no_transit_property,
         reverify,
     )
 
     old = build_figure1()
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", old.topology, [Edge("ISP1", "R1")]
-    )
+    ghost = isp1_ghost(old)
     workspace = Workspace(old, ghosts=(ghost,))
     workspace.verify(no_transit_property(), no_transit_invariants(old))
 

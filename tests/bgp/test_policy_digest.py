@@ -259,17 +259,14 @@ def test_digest_equality_implies_cached_check_reuse():
     from repro.core.workspace import Workspace
     from repro.workloads.figure1 import build_figure1
     from tests.core.conftest import (
+        isp1_ghost,
         no_transit_invariants,
         no_transit_property,
         reverify,
     )
-    from repro.lang.ghost import GhostAttribute
-    from repro.bgp.topology import Edge
 
     config = build_figure1()
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+    ghost = isp1_ghost(config)
     workspace = Workspace(config, ghosts=(ghost,))
     workspace.verify(no_transit_property(), no_transit_invariants(config))
 

@@ -1,8 +1,9 @@
 """Shared fixtures: the Figure 1 verification problem (Tables 2 and 3),
-a broken process pool for the serial-fallback tests, and helpers for
-reading a single-property workspace's cache accounting, and the §6.2
-no-transit problem on E1/R1/R2/E2-shaped networks (full meshes, random
-networks) that half the suite verifies."""
+a broken process pool for the serial-fallback tests, helpers for reading
+a single-property workspace's cache accounting, the §6.2 no-transit
+problem on E1/R1/R2/E2-shaped networks (full meshes, random networks)
+that half the suite verifies, and :func:`run_batch` for a bare check
+list."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.checks import generate_safety_checks
+from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
@@ -40,11 +42,14 @@ def broken_process_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _unavailable)
 
 
+def isp1_ghost(config) -> GhostAttribute:
+    """Table 2's ``FromISP1`` ghost on a Figure-1-shaped network."""
+    return GhostAttribute.source_tracker("FromISP1", config.topology, [Edge("ISP1", "R1")])
+
+
 @pytest.fixture
 def from_isp1(fig1_config):
-    return GhostAttribute.source_tracker(
-        "FromISP1", fig1_config.topology, [Edge("ISP1", "R1")]
-    )
+    return isp1_ghost(fig1_config)
 
 
 def last_result(workspace):
@@ -93,6 +98,14 @@ def safety_pieces(config, ghost, prop, invariants):
     universe = build_universe(config, invariants, [prop.predicate], (ghost,))
     checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
     return universe, checks
+
+
+def run_batch(checks, config, universe, ghosts, context=None, degradation=None):
+    """A bare check list run as one batch; outcomes in input order."""
+    batch = Scheduler(context or ExecutionContext()).run(
+        {("batch",): checks}, config, universe, ghosts, degradation
+    )
+    return batch[("batch",)]
 
 
 def no_transit_property() -> SafetyProperty:

@@ -25,7 +25,7 @@ from repro.core.checks import generate_safety_checks, implication_check
 from repro.core.exec import ExecutionContext
 from repro.core.exec.pool import run_checks_in_processes
 from repro.core.report import DegradationReport
-from repro.core.safety import build_universe, run_checks, verify_safety
+from repro.core.safety import build_universe, verify_safety
 from repro.core.workspace import Workspace
 from repro.lang.predicates import AllOf, AnyOf, HasCommunity, Not
 from repro.lang.specjson import SafetySpec, VerificationSpec, location_to_str, spec_to_json
@@ -37,7 +37,7 @@ from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import ip_reuse_safety_problem
 
-from tests.core.conftest import fullmesh_problem
+from tests.core.conftest import fullmesh_problem, run_batch
 
 
 @pytest.fixture(autouse=True)
@@ -77,7 +77,7 @@ def test_hung_check_times_out_within_budget_and_rest_completes():
     faults.install(FaultPlan(hang_check_match=victim))
 
     start = time.monotonic()
-    outcomes = run_checks(
+    outcomes = run_batch(
         checks, config, universe, (ghost,), context=ExecutionContext(deadline_s=0.2)
     )
     elapsed = time.monotonic() - start
@@ -165,13 +165,13 @@ def test_process_map_wall_budget_expiring_mid_run_returns_partial_results():
     config, ghost, prop, invariants = fullmesh_problem(5)
     universe = build_universe(config, invariants, [prop.predicate], (ghost,))
     checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
-    serial = run_checks(checks, config, universe, (ghost,))
+    serial = run_batch(checks, config, universe, (ghost,))
     # ~0.1 s per check: several seconds of work even on two workers, so a
     # 0.6 s budget expires mid-run with checks decided on both sides of it.
     faults.install(FaultPlan(delay_check_s=0.1))
     degradation = DegradationReport()
     start = time.monotonic()
-    outcomes = run_checks(
+    outcomes = run_batch(
         checks, config, universe, (ghost,),
         context=ExecutionContext(parallel=2, wall_budget_s=0.6),
         degradation=degradation,

@@ -22,18 +22,14 @@ import pytest
 from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, Scheduler, resolve_jobs
 from repro.core.report import DegradationReport
-from repro.core.safety import run_checks
 
-from tests.core.conftest import fullmesh_problem, safety_pieces
+from tests import oracle
+from tests.core.conftest import fullmesh_problem, run_batch, safety_pieces
 
 
 def _fullmesh_problem(n: int):
     config, ghost, prop, invariants = fullmesh_problem(n)
     return (config, ghost, *safety_pieces(config, ghost, prop, invariants))
-
-
-def _fingerprint(outcome):
-    return (str(outcome.check), outcome.passed, outcome.unknown)
 
 
 # -- resolve_jobs("auto") source preference ----------------------------
@@ -101,8 +97,8 @@ def test_single_owner_batch_never_forks_a_pool(broken_process_pool):
             (ghost,),
             degradation=degradation,
         )
-    assert [_fingerprint(o) for o in result[("a",)] + result[("b",)]] == [
-        _fingerprint(o) for o in reference
+    assert [oracle.outcome_key(o) for o in result[("a",)] + result[("b",)]] == [
+        oracle.outcome_key(o) for o in reference
     ]
     assert degradation.serial_fallbacks == 0
 
@@ -150,7 +146,7 @@ def test_run_checks_still_warns_per_call(broken_process_pool):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for __ in range(2):
-            run_checks(checks[:2], config, universe, (ghost,), context=ExecutionContext(2))
+            run_batch(checks[:2], config, universe, (ghost,), context=ExecutionContext(2))
     fallback_warnings = [
         w for w in caught if issubclass(w.category, RuntimeWarning)
     ]
@@ -164,7 +160,7 @@ def test_empty_batches_never_record_fallbacks(broken_process_pool):
     degradation = DegradationReport()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcomes = run_checks(
+        outcomes = run_batch(
             [], config, universe, (ghost,), context=ExecutionContext(2),
             degradation=degradation,
         )

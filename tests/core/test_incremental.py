@@ -7,20 +7,11 @@ the tracker kept alive, off ``entry.tracker``.
 
 from __future__ import annotations
 
-import copy
-
-from repro.bgp.policy import (
-    AddCommunity,
-    Disposition,
-    MatchCommunity,
-    MatchPrefix,
-    RouteMap,
-    RouteMapClause,
-)
-from repro.bgp.prefix import Prefix, PrefixRange
+from repro.bgp.policy import AddCommunity, RouteMap, RouteMapClause
 from repro.core.workspace import Workspace
-from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
+from repro.workloads.figure1 import build_figure1
 
+from tests import oracle
 from tests.core.conftest import (
     last_result,
     no_transit_invariants,
@@ -62,18 +53,7 @@ def test_single_router_edit_reruns_only_its_checks(fig1_config, from_isp1):
     _verify(ws)
 
     # Edit R3's customer import (a benign tweak: extra deny of a bogon).
-    updated = build_figure1()
-    old_map = updated.routers["R3"].neighbors["Customer"].import_map
-    new_clauses = (
-        RouteMapClause(
-            1,
-            Disposition.DENY,
-            matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
-        ),
-    ) + old_map.clauses
-    updated.routers["R3"].neighbors["Customer"].import_map = RouteMap(
-        "CUST-IN", new_clauses
-    )
+    updated = oracle.bogon_edit(build_figure1(), "R3", "Customer")
 
     result = reverify(ws, updated)
     assert result.report.passed
@@ -89,13 +69,7 @@ def test_breaking_edit_detected_incrementally(fig1_config, from_isp1):
 
     # R2 starts re-tagging... er, stripping the transit community on the
     # iBGP import from R1 — breaking the "no filter strips 100:1" invariant.
-    updated = build_figure1()
-    from repro.bgp.policy import DeleteCommunity
-
-    updated.routers["R2"].neighbors["R1"].import_map = RouteMap(
-        "STRIP",
-        (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),),
-    )
+    updated, __ = oracle.CASES["figure1-safety-planted"].mutant()
     result = reverify(ws, updated)
     assert not result.report.passed
     assert result.rerun_checks == 6
@@ -133,19 +107,7 @@ def test_universe_object_kept_across_content_preserving_edits(fig1_config, from_
     tracker = ws.entries[0].tracker
     universe = tracker._universe
 
-    updated = build_figure1()
-    old_map = updated.routers["R3"].neighbors["Customer"].import_map
-    updated.routers["R3"].neighbors["Customer"].import_map = RouteMap(
-        "CUST-IN",
-        (
-            RouteMapClause(
-                1,
-                Disposition.DENY,
-                matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
-            ),
-        )
-        + old_map.clauses,
-    )
+    updated = oracle.bogon_edit(build_figure1(), "R3", "Customer")
     result = reverify(ws, updated)
     assert result.rerun_checks == 6
     assert tracker.universe_builds == 1
@@ -187,19 +149,7 @@ def test_reverify_consults_only_the_edited_owners_checks(fig1_config, from_isp1)
     initial = _verify(ws)
     assert initial.checks_consulted == 19  # a full verify consults everything
 
-    updated = build_figure1()
-    old_map = updated.routers["R3"].neighbors["Customer"].import_map
-    updated.routers["R3"].neighbors["Customer"].import_map = RouteMap(
-        "CUST-IN",
-        (
-            RouteMapClause(
-                1,
-                Disposition.DENY,
-                matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
-            ),
-        )
-        + old_map.clauses,
-    )
+    updated = oracle.bogon_edit(build_figure1(), "R3", "Customer")
     result = reverify(ws, updated)
     assert result.checks_consulted == 6  # R3's owner group, nothing else
     assert result.rerun_checks == 6
@@ -220,7 +170,7 @@ def test_external_asn_edit_invalidates_all_outcomes():
     would have returned the pre-edit PASS here)."""
     from repro.bgp.topology import Edge
     from repro.core.properties import InvariantMap, SafetyProperty
-    from repro.core.safety import verify_safety
+    from repro.core.safety import SafetyProblem
     from repro.lang.predicates import AsPathHas
     from repro.workloads.fullmesh import (
         INTERNAL_AS,
@@ -250,11 +200,9 @@ def test_external_asn_edit_invalidates_all_outcomes():
     result = reverify(ws, edited)
     assert not result.report.passed
     assert result.cached_checks == 0  # every outcome recomputed
-    fresh = verify_safety(edited, prop, invariants)
-    assert result.report.passed == fresh.passed
-    assert {str(f.check) for f in result.report.failures} == {
-        str(f.check) for f in fresh.failures
-    }
+    assert oracle.fingerprint(result.report) == oracle.reference(
+        edited, (), SafetyProblem(prop, invariants)
+    )
 
     # Reverting the ASN restores the pass — again via a full recompute.
     reverted = reverify(ws, build_full_mesh(n))

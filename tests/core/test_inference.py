@@ -6,26 +6,20 @@ import pytest
 
 from repro.bgp.policy import AddCommunity, RouteMap, RouteMapClause
 from repro.bgp.route import Community
-from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
 from repro.core.inference import (
     candidate_communities,
     infer_safety_invariants,
 )
 from repro.core.safety import verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, Not
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 from repro.workloads.fullmesh import build_full_mesh
 
-from tests.core.conftest import no_transit_property
+from tests.core.conftest import isp1_ghost, mesh_no_transit, no_transit_property
 
 
 def _setup(config):
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
-    return ghost, no_transit_property()
+    return isp1_ghost(config), no_transit_property()
 
 
 def test_candidates_prioritise_source_edge_communities():
@@ -97,14 +91,7 @@ def test_inference_skips_decoy_communities():
 
 def test_inference_on_full_mesh():
     config = build_full_mesh(6)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    from repro.core.properties import SafetyProperty
-
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
+    ghost, prop, __ = mesh_no_transit(config)
     result = infer_safety_invariants(config, prop, ghost)
     assert result.found
     assert result.winner.community == TRANSIT_COMMUNITY

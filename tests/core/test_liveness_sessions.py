@@ -5,8 +5,8 @@ through ``verify_liveness``: propagation checks, the final implication
 (now discharged via the scheduler instead of a hermetic bypass), and
 every no-interference sub-proof share encodings.  The pinned claims:
 
-* pooled/hoisted liveness is outcome-identical to the old fresh-solver,
-  per-sub-proof-universe pipeline (pass and fail cases);
+* pooled/hoisted liveness fingerprints as the hermetic reference does
+  (oracle cells, ``tests/oracle.py``; pass and fail cases);
 * the covering universe content-covers every universe a sub-step would
   have built for itself — including atoms that only appear in
   caller-supplied ``interference_invariants``;
@@ -19,16 +19,10 @@ every no-interference sub-proof share encodings.  The pinned claims:
 from __future__ import annotations
 
 from repro.bgp.route import Community
-from repro.core.checks import CheckKind, LocalCheck
 from repro.core.exec import ExecutionContext
-from repro.core.liveness import (
-    LivenessProblem,
-    generate_propagation_checks,
-    interference_properties,
-    verify_liveness,
-)
+from repro.core.liveness import LivenessProblem, interference_properties, verify_liveness
 from repro.core.properties import InvariantMap
-from repro.core.safety import build_universe, verify_safety
+from repro.core.safety import build_universe
 from repro.lang.predicates import HasCommunity, Implies
 from repro.smt.solver import SessionPool
 from repro.workloads.figure1 import build_figure1
@@ -39,80 +33,21 @@ from repro.workloads.wan_properties import (
     verify_ip_reuse_liveness_problems,
 )
 
+from tests import oracle
 from tests.core.conftest import customer_liveness_property
 
 
-def _outcome_fp(outcome):
-    failure = outcome.failure
-    return (
-        str(outcome.check),
-        outcome.passed,
-        outcome.unknown,
-        None
-        if failure is None
-        else (str(failure.input_route), str(failure.output_route), failure.rejected),
-    )
+FIGURE1_LIVENESS = oracle.CASES["figure1-liveness"]
 
 
-def _liveness_fp(report):
-    return (
-        [_outcome_fp(o) for o in report.propagation_outcomes],
-        _outcome_fp(report.implication_outcome),
-        {
-            router: [_outcome_fp(o) for o in rep.outcomes]
-            for router, rep in report.interference_reports.items()
-        },
-    )
-
-
-def _reference_liveness_fp(config, prop, interference_invariants=None, ghosts=()):
-    """The pre-reuse pipeline: hermetic solvers, per-sub-proof universes."""
-    universe = build_universe(
-        config, None, [prop.predicate, *prop.constraints], ghosts
-    )
-    propagation = [
-        check.run(config, universe, ghosts)
-        for check in generate_propagation_checks(config, prop)
-    ]
-    implication = LocalCheck(
-        kind=CheckKind.IMPLICATION,
-        edge=None,
-        location=prop.location,
-        assumption=prop.constraints[-1],
-        goal=prop.predicate,
-        description=f"implication check at {prop.location}: C_n implies the property",
-    ).run(config, universe, ghosts)
-    interference = {}
-    for router, safety_prop in interference_properties(prop).items():
-        if interference_invariants and router in interference_invariants:
-            inv = interference_invariants[router]
-        else:
-            inv = InvariantMap(config.topology, default=safety_prop.predicate)
-        # universe=None: each sub-proof builds its own, as the old code did.
-        interference[router] = verify_safety(config, safety_prop, inv, ghosts=ghosts)
-    return (
-        [_outcome_fp(o) for o in propagation],
-        _outcome_fp(implication),
-        {
-            router: [_outcome_fp(o) for o in rep.outcomes]
-            for router, rep in interference.items()
-        },
-    )
-
-
-def test_pooled_liveness_matches_fresh_pipeline(fig1_config):
-    prop = customer_liveness_property()
-    pooled = verify_liveness(fig1_config, prop)
-    assert pooled.passed
-    assert _liveness_fp(pooled) == _reference_liveness_fp(fig1_config, prop)
+def test_pooled_liveness_matches_fresh_pipeline():
+    reference = oracle.agree(FIGURE1_LIVENESS, "pooled")
+    assert not oracle.blamed_routers(reference)
 
 
 def test_pooled_liveness_matches_fresh_pipeline_on_broken_network():
-    config = build_figure1(buggy_r3_strip=True)
-    prop = customer_liveness_property()
-    pooled = verify_liveness(config, prop)
-    assert not pooled.passed
-    assert _liveness_fp(pooled) == _reference_liveness_fp(config, prop)
+    reference = oracle.agree(oracle.CASES["figure1-liveness-planted"], "pooled")
+    assert oracle.blamed_routers(reference) == {"R3"}
 
 
 def test_liveness_shares_one_session_per_owner(fig1_config):
@@ -155,7 +90,7 @@ def test_warm_pool_liveness_adds_no_encoding():
     assert second.passed
     assert pool.total_encoding() == warm_encoding
     assert pool.encoding_sizes() == sizes
-    assert _liveness_fp(first) == _liveness_fp(second)
+    assert oracle.fingerprint(first) == oracle.fingerprint(second)
 
 
 def test_liveness_universe_covers_subproof_universes(fig1_config):
@@ -188,16 +123,12 @@ def test_liveness_universe_covers_subproof_universes(fig1_config):
 
     # End to end: with the hoisted universe the custom-atom invariant must
     # lower without a missing-atom KeyError, sharing one pool throughout.
-    report = verify_liveness(fig1_config, prop, interference_invariants=custom)
-    fp = _reference_liveness_fp(fig1_config, prop, interference_invariants=custom)
-    assert _liveness_fp(report) == fp
+    problem = lambda config: ((), LivenessProblem(prop, custom))
+    oracle.agree(oracle.Case("figure1-liveness-custom", build_figure1, problem), "pooled")
 
 
-def test_liveness_process_backend_agrees_with_serial(fig1_config):
-    prop = customer_liveness_property()
-    serial = verify_liveness(fig1_config, prop)
-    process = verify_liveness(fig1_config, prop, context=ExecutionContext(parallel=2))
-    assert _liveness_fp(process) == _liveness_fp(serial)
+def test_liveness_process_backend_agrees_with_serial():
+    oracle.agree(FIGURE1_LIVENESS, "pooled", "parallel")
 
 
 def test_hoisted_wan_liveness_sweep_matches_per_region_runs():
@@ -216,6 +147,6 @@ def test_hoisted_wan_liveness_sweep_matches_per_region_runs():
         )
         assert report.passed == solo.passed
         assert report.num_checks == solo.num_checks
-        assert _liveness_fp(report) == _liveness_fp(solo)
+        assert oracle.fingerprint(report) == oracle.fingerprint(solo)
     # The sweep shared one pool: a single session per owner overall.
     assert pool.created == len(set(wan.config.topology.routers)) + 1

@@ -15,10 +15,8 @@ import sys
 import pytest
 
 from repro.bgp.policy import RouteMap
-from repro.bgp.topology import Edge
 from repro.core import safety
 from repro.core.exec import ExecutionContext
-from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate, predicate_atoms
 from repro.lang.transfer import reset_transfer_cache
 from repro.lang.universe import AttributeUniverse
@@ -33,6 +31,7 @@ from repro.workloads.wan_properties import (
 
 from tests.core.conftest import (
     customer_liveness_property,
+    isp1_ghost,
     no_transit_invariants,
     no_transit_property,
 )
@@ -103,7 +102,7 @@ def _wan_sweep_inputs():
 
 def _figure1_inputs():
     config = build_figure1()
-    ghost = GhostAttribute.source_tracker("FromISP1", config.topology, [Edge("ISP1", "R1")])
+    ghost = isp1_ghost(config)
     liveness = customer_liveness_property()
     predicates = [no_transit_property().predicate, liveness.predicate, *liveness.constraints]
     return config, no_transit_invariants(config), predicates, (ghost,)

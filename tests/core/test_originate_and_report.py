@@ -15,7 +15,7 @@ from repro.core.safety import verify_safety
 from repro.lang.predicates import HasCommunity, Not, TruePred
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
-from tests.core.conftest import customer_liveness_property
+from tests.core.conftest import customer_liveness_property, isp1_ghost
 
 
 OWN = Community(65000, 9)
@@ -155,9 +155,7 @@ def test_format_safety_report_failure_contains_explanation():
     from repro.lang.ghost import GhostAttribute
     from tests.core.conftest import no_transit_invariants, no_transit_property
 
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+    ghost = isp1_ghost(config)
     report = verify_safety(
         config, no_transit_property(), no_transit_invariants(config), ghosts=(ghost,)
     )

@@ -29,13 +29,7 @@ import time
 import pytest
 
 from repro.bgp.config import RouterConfig
-from repro.bgp.policy import (
-    DeleteCommunity,
-    Disposition,
-    MatchPrefix,
-    RouteMap,
-    RouteMapClause,
-)
+from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
 from repro.bgp.prefix import PrefixRange
 from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
@@ -44,24 +38,20 @@ from repro.core.properties import InvariantMap, LivenessProperty
 from repro.core.report import format_report
 from repro.core.safety import run_problem
 from repro.core.workspace import Workspace
-from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Implies, PrefixIn
 from repro.workloads.figure1 import CUSTOMER_PREFIX, build_figure1
-from repro.workloads.fullmesh import (
-    TRANSIT_COMMUNITY,
-    build_full_mesh,
-    full_mesh_single_router_edit,
-)
+from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 from repro.workloads.randomnet import build_random_network
 
+from tests import oracle
 from tests.core.conftest import (
     customer_liveness_property,
+    isp1_ghost,
     mesh_no_transit,
     no_transit_invariants,
     no_transit_property,
     reverify,
 )
-from tests.core.test_tracker_differential import _fp, _problem
 
 
 def _ranges(text: str) -> PrefixIn:
@@ -77,22 +67,9 @@ HARD = Implies(
     SHORT,
     _ranges("0.0.0.0/1 ge 1 le 24") | _ranges("128.0.0.0/1 ge 1 le 24") | _ranges("0.0.0.0/0 le 0"),
 )
-STRIP = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
-BOGONS = MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),))
-
-
 def _deny(ranges: PrefixRange) -> RouteMap:
     deny = RouteMapClause(10, Disposition.DENY, matches=(MatchPrefix((ranges,)),))
     return RouteMap("BREAK-PROP", (deny, RouteMapClause(20)))
-
-
-def _benign_edit(config, router: str, external: str):
-    """One more bogon deny on ``router``'s import from ``external``."""
-    session = config.routers[router].neighbors[external]
-    clauses = session.import_map.clauses
-    bogon = RouteMapClause(clauses[0].seq - 1, Disposition.DENY, matches=(BOGONS,))
-    session.import_map = RouteMap(f"{session.import_map.name}-EDIT", (bogon, *clauses))
-    return config
 
 
 def _problems(config, safety, liveness, hard_edge):
@@ -111,21 +88,21 @@ def _figure1():
         config = build_figure1()
         # FAILED: R2 strips the transit tag (safety), R3 stops exporting
         # customer prefixes to R2 (liveness propagation).
-        config.routers["R2"].neighbors["R1"].import_map = STRIP
+        config.routers["R2"].neighbors["R1"].import_map = oracle.STRIP
         config.routers["R3"].neighbors["R2"].export_map = _deny(
             PrefixRange(CUSTOMER_PREFIX, 8, 24)
         )
         return config
 
     config = build()
-    ghost = GhostAttribute.source_tracker("FromISP1", config.topology, [Edge("ISP1", "R1")])
+    ghost = isp1_ghost(config)
     problems = _problems(
         config,
         (no_transit_property(), no_transit_invariants(config)),
         customer_liveness_property(),
         ("R3", "Customer"),
     )
-    return config, (ghost,), problems, _benign_edit(build(), "R1", "ISP1")
+    return config, (ghost,), problems, oracle.bogon_edit(build(), "R1", "ISP1")
 
 
 def _mesh_shaped(build):
@@ -139,7 +116,7 @@ def _mesh_shaped(build):
         peer = min(r for r in topology.successors("R2") if topology.is_router(r))
         # FAILED: ``peer`` strips the transit tag on its import from R2
         # (safety), R2 stops exporting short prefixes to it (liveness).
-        config.routers[peer].neighbors["R2"].import_map = STRIP
+        config.routers[peer].neighbors["R2"].import_map = oracle.STRIP
         config.routers["R2"].neighbors[peer].export_map = _deny(PrefixRange.parse("0.0.0.0/0 le 24"))
         return config, peer
 
@@ -157,7 +134,7 @@ def _mesh_shaped(build):
         name="short-prefix-leaves",
     )
     problems = _problems(config, (prop, invariants), liveness, (f"R{last}", f"E{last}"))
-    edited = _benign_edit(planted()[0], f"R{last - 1}", f"E{last - 1}")
+    edited = oracle.bogon_edit(planted()[0], f"R{last - 1}", f"E{last - 1}")
     return config, (ghost,), problems, edited
 
 
@@ -184,7 +161,7 @@ def _text(report) -> str:
 
 
 def _order(report) -> list:
-    return [_fp(o) for o in report.iter_outcomes()]
+    return list(map(oracle.outcome_key, report.iter_outcomes()))
 
 
 def _accounting(result) -> tuple[int, int, int]:
@@ -259,17 +236,9 @@ def test_cache_loaded_reverify_generates_only_the_edited_owners_checks(
     from repro.core.checks import generate_safety_checks
 
     n = 6
-    ghosts, problem, __ = _problem(kind)  # built for the 4- and 5-mesh...
-    config = build_full_mesh(n)
-    if kind == "safety":  # ...so rebuild the invariants over this one
-        ghost, prop, invariants = mesh_no_transit(config)
-        ghosts, problem = (ghost,), (prop, invariants)
-    else:
-        from repro.workloads.fullmesh import full_mesh_liveness_property
-
-        problem = (full_mesh_liveness_property(n),)
-    ws = Workspace(config, ghosts=ghosts)
-    total = ws.verify(*problem).num_checks
+    ghosts, problem = oracle.mesh_problem(kind, n)
+    ws = Workspace(build_full_mesh(n), ghosts=ghosts)
+    total = ws.verify(problem.prop, problem.invariants).num_checks
     path = tmp_path / "workspace.lyc"
     ws.save(path)
 
@@ -306,12 +275,12 @@ def test_cache_loaded_reverify_generates_only_the_edited_owners_checks(
     listing = list(report.iter_outcomes())
     assert asked == [{"R4"}] * sections + [others] * sections
     assert len(listing) == total and all(o.passed for o in listing)
-    assert [_fp(o) for o in report.iter_outcomes()] == list(map(_fp, listing))
+    assert list(map(oracle.outcome_key, report.iter_outcomes())) == list(map(oracle.outcome_key, listing))
     format_report(report, verbose=True)
     assert len(asked) == 2 * sections
     # ...and lists what the in-process tracker, which never dropped its
     # checks, lists.
-    assert list(map(_fp, listing)) == _order(reverify(ws, edited).report)
+    assert list(map(oracle.outcome_key, listing)) == _order(reverify(ws, edited).report)
 
 
 def test_a_cold_reverify_digests_each_configuration_once(tmp_path, monkeypatch):
@@ -341,9 +310,9 @@ def test_a_saved_topology_change_is_noticed_after_a_load(kind, tmp_path):
     the restored tracker's groups answer for the old topology.  It used to
     be pointed at the loaded configuration, find nothing changed, and
     report PASSED without the new router's checks (41 of 51)."""
-    ghosts, problem, from_scratch = _problem(kind)
+    ghosts, problem = oracle.mesh_problem(kind, 5)
     ws = Workspace(build_full_mesh(4), ghosts=ghosts)
-    before = ws.verify(*problem).num_checks
+    before = ws.verify(problem.prop, problem.invariants).num_checks
     grown = build_full_mesh(5)
     ws.apply(grown)
     path = tmp_path / "workspace.lyc"
@@ -351,11 +320,9 @@ def test_a_saved_topology_change_is_noticed_after_a_load(kind, tmp_path):
 
     (from_disk,) = Workspace.load(path, ghosts=ghosts).reverify()
     (in_process,) = ws.reverify()
-    reference = from_scratch(grown)
-    assert reference.num_checks > before
+    reference = oracle.reference(grown, ghosts, problem)
     for entry in (from_disk, in_process):
-        assert entry.report.passed == reference.passed
-        assert entry.report.num_checks == reference.num_checks
+        assert entry.report.num_checks > before
         assert entry.last_result.cached_checks == 0
-        assert sorted(_order(entry.report), key=repr) == sorted(_order(reference), key=repr)
+        assert oracle.fingerprint(entry.report) == reference
     assert _order(from_disk.report) == _order(in_process.report)

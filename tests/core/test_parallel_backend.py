@@ -1,15 +1,14 @@
 """The two execution paths must be interchangeable.
 
-Three pillars:
+Pinned here:
 
-* shared-encoding :class:`CheckSession` reuse (the serial default) returns
-  outcomes identical to hermetic fresh-solver checks on the fullmesh
-  workload — including counterexample witnesses on broken networks;
-* the process map (``parallel`` > 1) returns the same outcomes in the same
-  order as the serial path (or falls back to it where process pools are
-  unavailable);
+* shared-encoding :class:`CheckSession` reuse (the serial default) and
+  the process map (``parallel`` > 1) fingerprint as hermetic fresh-solver
+  checks do on the fullmesh workload — counterexample witnesses and blame
+  on broken networks included (oracle cells, ``tests/oracle.py``);
 * job-count resolution (``auto``, integers, serial forcing) behaves as the
-  CLI contract promises.
+  CLI contract promises, and the process map's chunks are complete and
+  owner-pure.
 """
 
 from __future__ import annotations
@@ -18,73 +17,40 @@ import os
 
 import pytest
 
-from repro.bgp.policy import RouteMap, RouteMapClause, DeleteCommunity
 from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, resolve_jobs
-from repro.core.safety import run_checks, verify_safety
-from repro.workloads.fullmesh import TRANSIT_COMMUNITY
+from repro.core.safety import verify_safety
 
+from tests import oracle
 from tests.core.conftest import fullmesh_problem, safety_pieces
 
 
-def _outcome_fingerprint(outcome):
-    failure = outcome.failure
-    return (
-        str(outcome.check),
-        outcome.passed,
-        outcome.unknown,
-        None
-        if failure is None
-        else (str(failure.input_route), str(failure.output_route), failure.rejected),
-    )
-
-
 def test_session_reuse_matches_fresh_solvers_on_fullmesh():
-    config, ghost, prop, invariants = fullmesh_problem(6)
-    universe, checks = safety_pieces(config, ghost, prop, invariants)
-    # Reference: hermetic solver per check (no session).
-    reference = [check.run(config, universe, (ghost,)) for check in checks]
-    # Default serial path: one shared session per owner router.
-    shared = run_checks(checks, config, universe, (ghost,))
-    assert [_outcome_fingerprint(o) for o in shared] == [
-        _outcome_fingerprint(o) for o in reference
-    ]
-    assert all(o.passed for o in shared)
+    # Reference: hermetic solver per check; default serial path: one
+    # shared session per owner router.
+    reference = oracle.agree(oracle.fullmesh_case(6, "safety"), "pooled")
+    assert not oracle.blamed_routers(reference)
 
 
 def test_session_reuse_matches_fresh_solvers_on_broken_fullmesh():
-    # Strip the transit tag inside the mesh: checks must fail identically,
-    # with the same localisation, under both discharge strategies.
-    config, ghost, prop, invariants = fullmesh_problem(4)
-    strip = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
-    config.routers["R3"].neighbors["R1"].import_map = strip
-    universe, checks = safety_pieces(config, ghost, prop, invariants)
-    reference = [check.run(config, universe, (ghost,)) for check in checks]
-    shared = run_checks(checks, config, universe, (ghost,))
-    assert [_outcome_fingerprint(o) for o in shared] == [
-        _outcome_fingerprint(o) for o in reference
-    ]
-    assert any(not o.passed for o in shared)
+    # The transit tag stripped inside the mesh: checks must fail
+    # identically, with the same localisation, under both strategies.
+    reference = oracle.agree(oracle.fullmesh_case(4, "safety", planted=True), "pooled")
+    assert oracle.blamed_routers(reference) == {"R2"}
 
 
 def test_process_backend_agrees_with_serial():
-    config, ghost, prop, invariants = fullmesh_problem(5)
-    universe, checks = safety_pieces(config, ghost, prop, invariants)
-    serial = run_checks(checks, config, universe, (ghost,), context=ExecutionContext(parallel=1))
-    parallel = run_checks(checks, config, universe, (ghost,), context=ExecutionContext(parallel=2))
-    assert [_outcome_fingerprint(o) for o in parallel] == [
-        _outcome_fingerprint(o) for o in serial
-    ]
+    case = oracle.fullmesh_case(5, "safety")
+    oracle.agree(case, "pooled", "parallel")
+    # ...and lists them in the serial path's order, check for check.
+    listing = lambda report: list(map(oracle.outcome_key, report.iter_outcomes()))
+    assert listing(oracle.parallel(case)) == listing(oracle.pooled(case))
 
 
 def test_process_backend_ships_counterexamples_back():
-    config, ghost, prop, invariants = fullmesh_problem(4)
-    strip = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
-    config.routers["R3"].neighbors["R1"].import_map = strip
-    report = verify_safety(config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(parallel=2))
-    assert not report.passed
-    assert report.failures, "counterexamples must survive the process boundary"
-    assert any(f.blamed_router == "R3" for f in report.failures)
+    # Counterexamples, blame included, survive the process boundary.
+    case = oracle.fullmesh_case(4, "safety", planted=True)
+    assert oracle.blamed_routers(oracle.run("parallel", case)) == {"R2"}
 
 
 def test_verify_safety_parallel_auto_passes():
@@ -113,15 +79,6 @@ def test_resolve_jobs_contract():
         assert auto == (os.cpu_count() or 1)
     with pytest.raises(ValueError):
         resolve_jobs(-2)
-
-
-def test_unknown_backend_rejected():
-    # There is no backend to pick any more: ``parallel`` alone selects
-    # between the serial path and the process map.
-    config, ghost, prop, invariants = fullmesh_problem(3)
-    universe, checks = safety_pieces(config, ghost, prop, invariants)
-    with pytest.raises(TypeError):
-        run_checks(checks, config, universe, (ghost,), backend="gpu")
 
 
 def test_chunking_is_complete_and_owner_pure():

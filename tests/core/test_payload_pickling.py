@@ -36,7 +36,7 @@ from repro.core.checks import (
 from repro.core.exec import ExecutionContext
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import DegradationReport, GroupOutcomes
-from repro.core.safety import run_checks, verify_safety
+from repro.core.safety import verify_safety
 from repro.core.workspace import Workspace
 from repro.lang import predicates
 from repro.lang.ghost import GhostAttribute
@@ -59,16 +59,15 @@ from repro.workloads.figure1 import build_figure1
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import verify_ip_reuse_liveness_problems
 
+from tests import oracle
 from tests.core.conftest import (
     fullmesh_problem,
+    isp1_ghost,
     no_transit_invariants,
     no_transit_property,
+    run_batch,
     safety_pieces,
 )
-
-
-def _fingerprint(outcome):
-    return (str(outcome.check), outcome.passed, outcome.unknown, outcome.failure)
 
 
 def _assert_no_leaked_children():
@@ -91,14 +90,14 @@ def test_unpicklable_chunk_degrades_to_one_recorded_serial_fallback():
     checks[victim] = dataclasses.replace(
         checks[victim], description=LocalDescription(checks[victim].description)
     )
-    serial = run_checks(checks, config, universe, (ghost,))
+    serial = run_batch(checks, config, universe, (ghost,))
     degradation = DegradationReport()
     with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
-        parallel = run_checks(
+        parallel = run_batch(
             checks, config, universe, (ghost,),
             context=ExecutionContext(parallel=2), degradation=degradation,
         )
-    assert [_fingerprint(o) for o in parallel] == [_fingerprint(o) for o in serial]
+    assert [oracle.outcome_key(o) for o in parallel] == [oracle.outcome_key(o) for o in serial]
     assert degradation.serial_fallbacks == 1
     _assert_no_leaked_children()
 
@@ -119,7 +118,7 @@ def test_attribute_error_raised_by_a_check_in_a_worker_propagates():
     )
     degradation = DegradationReport()
     with pytest.raises(AttributeError, match="raised by the check itself") as raised:
-        run_checks(
+        run_batch(
             checks, config, universe, (ghost,),
             context=ExecutionContext(parallel=2), degradation=degradation,
         )
@@ -159,7 +158,7 @@ def corpus(tmp_path_factory):
     """Real instances from a figure-1 safety run, a ``build_wan(2, 3)``
     liveness run, a fault plan and a saved workspace's state."""
     config = build_figure1()
-    ghost = GhostAttribute.source_tracker("FromISP1", config.topology, [Edge("ISP1", "R1")])
+    ghost = isp1_ghost(config)
     prop, invariants = no_transit_property(), no_transit_invariants(config)
     universe, checks = safety_pieces(config, ghost, prop, invariants)
     report = verify_safety(config, prop, invariants, ghosts=(ghost,))

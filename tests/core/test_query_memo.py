@@ -5,28 +5,28 @@ interned assertions for every check that asks the same question, so a
 :class:`SessionPool` remembers the SAT/UNSAT answer per tuple and only
 queries it has not seen reach a ``CheckSession``.  The reference is the
 hermetic path (``check.run(..., session=None)``: a fresh ``Solver``, no
-session, no memo) and the contract is identity on verdict, blamed edge,
-``rejected`` and UNKNOWN reason — the witness *route* may legitimately
-differ, so each memo-hit witness is validated against the asking check
-instead of compared.
+session, no memo) and the contract is the oracle's fingerprint
+(``tests/oracle.py``): verdict, blamed edge, ``rejected``, UNKNOWN reason
+and witness routes.  Each memo-hit witness is also validated against the
+asking check.
 """
 
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import pytest
 
-from repro.bgp.policy import ClearCommunities, DeleteCommunity, RouteMap, RouteMapClause
+from repro.bgp.policy import ClearCommunities, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
 from repro.cli import main as cli_main
 from repro.core.checks import MEMO_HIT_STATS, CheckKind, InternalError
 from repro.core.exec import ExecutionContext
-from repro.core.safety import build_universe, run_checks
 from repro.core.workspace import Workspace
 from repro.smt.solver import CheckSession, Model, Result, SessionPool
 from repro.smt.terms import clear_intern_cache
-from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh
+from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.randomnet import build_random_network
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import (
@@ -36,9 +36,10 @@ from repro.workloads.wan_properties import (
     verify_peering_problems,
 )
 
-from tests.core.conftest import mesh_no_transit, safety_pieces
+from tests import oracle
+from tests.core.conftest import mesh_no_transit, run_batch, safety_pieces
 
-STRIP = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),))
+STRIP = oracle.STRIP
 
 
 def _no_transit_problem(config):
@@ -46,22 +47,11 @@ def _no_transit_problem(config):
     return (ghost, prop, invariants, *safety_pieces(config, ghost, prop, invariants))
 
 
-def _fingerprint(outcome):
-    failure = outcome.failure
-    return (
-        str(outcome.check),
-        outcome.passed,
-        outcome.unknown,
-        outcome.unknown_reason,
-        None if failure is None else (failure.check.edge, failure.blamed_router, failure.rejected),
-    )
-
-
-def _assert_matches_hermetic(outcomes, config, universe, ghosts):
-    assert outcomes
-    for outcome in outcomes:
-        reference = outcome.check.run(config, universe, ghosts)
-        assert _fingerprint(outcome) == _fingerprint(reference)
+def _pooled(case, pool):
+    """The case's pooled report on ``pool``, checked against hermetic."""
+    report = oracle.pooled(case, ExecutionContext(sessions=pool))
+    assert oracle.fingerprint(report) == oracle.run("hermetic", case)
+    return report
 
 
 def _assert_one_solve_per_distinct_query(pool, num_queries):
@@ -78,21 +68,22 @@ def _assert_one_solve_per_distinct_query(pool, num_queries):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("broken", [False, True])
 def test_memo_matches_hermetic_on_random_networks(model, seed, broken):
-    config = build_random_network(8, model=model, seed=seed)
-    if broken:
+    def mutant():
         # The same faulty map on every internal import of two routers: the
         # failing query repeats, so most failures are memo hits.
+        config = build_random_network(8, model=model, seed=seed)
         for router in ("R3", "R4"):
             for peer, session in config.routers[router].neighbors.items():
                 if config.topology.is_router(peer):
                     session.import_map = STRIP
-    ghost, __, __, universe, checks = _no_transit_problem(config)
+        return config, "R3"
+
+    network = lambda: build_random_network(8, model=model, seed=seed)
+    case = oracle.Case(f"randomnet8-{model}-{seed}", network, oracle.no_transit, mutant, broken)
     pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
-    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
-    assert any(o.failure for o in outcomes) == broken
+    report = _pooled(case, pool)
+    assert bool(report.failures) == broken
     assert pool.stats()["memo_hits"] > 0
-    _assert_matches_hermetic(outcomes, config, universe, (ghost,))
 
 
 def test_memo_matches_hermetic_on_wan_sweep_with_skipped_bogon_filter():
@@ -102,26 +93,22 @@ def test_memo_matches_hermetic_on_wan_sweep_with_skipped_bogon_filter():
     context = ExecutionContext(sessions=pool)
     ((__, report),) = verify_peering_problems(wan, problems=[problem], workspace=context)
     assert {f.blamed_router for f in report.failures} == {"W1-0"}
-    universe = build_universe(
-        wan.config,
-        problem.invariants,
-        [p.predicate for p in problem.properties],
-        (problem.ghost,),
-    )
-    _assert_matches_hermetic(
-        list(report.iter_outcomes()), wan.config, universe, (problem.ghost,)
-    )
+    sweep = lambda config: ((problem.ghost,), problem.problem())
+    case = oracle.Case("wan3x3-no-bogons", lambda: wan.config, sweep)
+    assert oracle.fingerprint(report) == oracle.run("hermetic", case)
     _assert_one_solve_per_distinct_query(pool, report.num_checks)
 
 
 def test_memo_matches_hermetic_with_a_planted_clear_communities_fault():
-    config = build_full_mesh(6)
-    planted = RouteMap("WIPE", (RouteMapClause(10, actions=(ClearCommunities(),)),))
-    config.routers["R4"].neighbors["R1"].import_map = planted
-    ghost, __, __, universe, checks = _no_transit_problem(config)
-    outcomes = run_checks(checks, config, universe, (ghost,))
-    assert [o.check.edge for o in outcomes if o.failure] == [Edge("R1", "R4")]
-    _assert_matches_hermetic(outcomes, config, universe, (ghost,))
+    def mutant():
+        config = build_full_mesh(6)
+        planted = RouteMap("WIPE", (RouteMapClause(10, actions=(ClearCommunities(),)),))
+        config.routers["R4"].neighbors["R1"].import_map = planted
+        return config, "R4"
+
+    case = oracle.Case("fullmesh6-wipe", partial(build_full_mesh, 6), oracle.no_transit, mutant, True)
+    report = _pooled(case, SessionPool())
+    assert [f.check.edge for f in report.failures] == [Edge("R1", "R4")]
 
 
 # -- (ii) UNKNOWNs are never stored ------------------------------------------
@@ -150,7 +137,7 @@ def test_an_expired_deadline_bypasses_the_memo():
     ghost, __, __, universe, checks = _no_transit_problem(config)
     pool = SessionPool()
     context = ExecutionContext(sessions=pool)
-    assert all(o.passed for o in run_checks(checks, config, universe, (ghost,), context=context))
+    assert all(o.passed for o in run_batch(checks, config, universe, (ghost,), context=context))
     # Every query is now in the memo, yet a check that starts with no time
     # left still comes back UNKNOWN/timeout.
     late = checks[0].run(config, universe, (ghost,), session=pool.get("R1"), deadline_s=0.0)
@@ -168,7 +155,7 @@ def test_memo_hit_counterexample_names_and_satisfies_the_asking_check():
     ghost, __, __, universe, checks = _no_transit_problem(config)
     pool = SessionPool()
     context = ExecutionContext(sessions=pool)
-    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
+    outcomes = run_batch(checks, config, universe, (ghost,), context=context)
     failed = [o for o in outcomes if o.failure]
     assert [o.check.edge for o in failed] == [Edge(p, "R5") for p in ("R1", "R2", "R3")]
     hits = [o for o in failed if o.stats is MEMO_HIT_STATS]
@@ -191,7 +178,7 @@ def test_fullmesh_solves_each_distinct_query_once():
     assert not [c for c in checks if c.kind is CheckKind.ORIGINATE]
     pool = SessionPool()
     context = ExecutionContext(sessions=pool)
-    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
+    outcomes = run_batch(checks, config, universe, (ghost,), context=context)
     assert all(o.passed for o in outcomes)
     _assert_one_solve_per_distinct_query(pool, len(checks))
     # The repeats carry the one shared zero-cost stats object.
@@ -228,24 +215,21 @@ def test_a_jobs_worker_keeps_one_memo_across_its_owner_chunks(monkeypatch):
 
 
 def test_save_load_reverify_matches_hermetic(tmp_path):
-    config = build_full_mesh(6)
-    ghost, prop, invariants, __, __ = _no_transit_problem(config)
+    mesh = partial(build_full_mesh, 6)
+    case = oracle.Case("fullmesh6-strip-r3", mesh, oracle.no_transit, oracle.strip_at(mesh, Edge("R4", "R3")), True)
+    ghosts, problem = case.problem(mesh())
     path = tmp_path / "workspace.lyc"
-    with Workspace(config, ghosts=(ghost,)) as workspace:
-        assert workspace.verify(prop, invariants).passed
+    with Workspace(mesh(), ghosts=ghosts) as workspace:
+        assert workspace.verify(problem.prop, problem.invariants).passed
         workspace.save(path)
 
-    edited = build_full_mesh(6)
-    edited.routers["R3"].neighbors["R4"].import_map = STRIP
-    with Workspace.load(path, config=build_full_mesh(6), ghosts=(ghost,)) as loaded:
+    with Workspace.load(path, config=mesh(), ghosts=ghosts) as loaded:
         assert not loaded.sessions.answers  # the memo is never persisted
-        loaded.apply(edited)
+        loaded.apply(case.config())
         (entry,) = loaded.reverify()
     report = entry.last_result.report
     assert [f.check.edge for f in report.failures] == [Edge("R4", "R3")]
-    edited_invariants = _no_transit_problem(edited)[2]
-    universe = build_universe(edited, edited_invariants, [prop.predicate], (ghost,))
-    _assert_matches_hermetic(list(report.iter_outcomes()), edited, universe, (ghost,))
+    assert oracle.fingerprint(report) == oracle.run("hermetic", case)
 
 
 # -- (vi) no hit across an intern-table reset --------------------------------
@@ -256,13 +240,13 @@ def test_no_memo_hit_across_clear_intern_cache():
     context = ExecutionContext(sessions=pool)
     config = build_full_mesh(4)
     ghost, __, __, universe, checks = _no_transit_problem(config)
-    run_checks(checks[:1], config, universe, (ghost,), context=context)
+    run_batch(checks[:1], config, universe, (ghost,), context=context)
     assert len(pool.answers) == 1
 
     clear_intern_cache()
     config = build_full_mesh(4)
     ghost, __, __, universe, checks = _no_transit_problem(config)
-    outcome = run_checks(checks[:1], config, universe, (ghost,), context=context)[0]
+    outcome = run_batch(checks[:1], config, universe, (ghost,), context=context)[0]
     # Structurally the same query, but built from new terms: a new key.
     assert outcome.passed and outcome.stats is not MEMO_HIT_STATS
     assert pool.stats()["memo_hits"] == 0
@@ -288,7 +272,7 @@ def test_a_model_that_fails_its_own_query_is_an_internal_error():
     ghost, __, __, universe, checks = _no_transit_problem(config)
     pool = SessionPool()
     context = ExecutionContext(sessions=pool)
-    outcomes = run_checks(checks, config, universe, (ghost,), context=context)
+    outcomes = run_batch(checks, config, universe, (ghost,), context=context)
     (failed,) = [o for o in outcomes if o.failure]
     assert _plant_wrong_model(pool) == 1
     with pytest.raises(InternalError, match="import check at R3"):

@@ -25,11 +25,12 @@ from repro.cli import EXIT_DEGRADED, main
 from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.report import DegradationReport
-from repro.core.safety import run_checks, verify_safety
+from repro.core.safety import verify_safety
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
 
-from tests.core.conftest import fullmesh_problem, safety_pieces
+from tests import oracle
+from tests.core.conftest import fullmesh_problem, run_batch, safety_pieces
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 MESH_SIZE = 4 + CHAOS_SEED % 3
@@ -41,18 +42,6 @@ def _clean_faults():
     faults.reset()
     yield
     faults.reset()
-
-
-def _fingerprint(outcome):
-    failure = outcome.failure
-    return (
-        str(outcome.check),
-        outcome.passed,
-        outcome.unknown,
-        None
-        if failure is None
-        else (str(failure.input_route), str(failure.output_route), failure.rejected),
-    )
 
 
 def _kill_plan(checks, owner: str = KILL_OWNER) -> FaultPlan:
@@ -70,7 +59,7 @@ def _assert_no_leaked_children():
 def test_killed_worker_falls_back_to_one_serial_rerun():
     config, ghost, prop, invariants = fullmesh_problem(MESH_SIZE)
     universe, checks = safety_pieces(config, ghost, prop, invariants)
-    serial = run_checks(checks, config, universe, (ghost,))
+    serial = run_batch(checks, config, universe, (ghost,))
 
     faults.install(_kill_plan(checks))
     context = ExecutionContext(2)
@@ -95,9 +84,9 @@ def test_killed_worker_falls_back_to_one_serial_rerun():
             )
     # Identical outcomes to the serial path, in order: the kill fires only
     # inside a worker, so the parent's serial re-run completes.
-    assert [_fingerprint(o) for o in results[0]] == [_fingerprint(o) for o in serial]
-    assert [_fingerprint(o) for o in results[1]] == [
-        _fingerprint(serial[i]) for i in second
+    assert [oracle.outcome_key(o) for o in results[0]] == [oracle.outcome_key(o) for o in serial]
+    assert [oracle.outcome_key(o) for o in results[1]] == [
+        oracle.outcome_key(serial[i]) for i in second
     ]
     assert degradation.serial_fallbacks == 2
     assert len(degradation.reasons) == 2
@@ -117,8 +106,8 @@ def test_verify_safety_reports_recovery_as_degradation():
             config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(2)
         )
     assert report.passed
-    assert [_fingerprint(o) for o in report.outcomes] == [
-        _fingerprint(o) for o in reference.outcomes
+    assert [oracle.outcome_key(o) for o in report.outcomes] == [
+        oracle.outcome_key(o) for o in reference.outcomes
     ]
     assert report.degradation is not None
     assert report.degradation.serial_fallbacks == 1
@@ -161,7 +150,7 @@ def test_exception_in_check_propagates_and_pool_survives():
     faults.install(FaultPlan(raise_in_check_match=str(victim)))
     degradation = DegradationReport()
     with pytest.raises(faults.FaultInjected):
-        run_checks(
+        run_batch(
             checks, config, universe, (ghost,), context=ExecutionContext(2),
             degradation=degradation,
         )
@@ -171,12 +160,12 @@ def test_exception_in_check_propagates_and_pool_survives():
     assert degradation.serial_fallbacks == 0
     _assert_no_leaked_children()
     faults.reset()
-    serial = run_checks(checks, config, universe, (ghost,))
-    again = run_checks(
+    serial = run_batch(checks, config, universe, (ghost,))
+    again = run_batch(
         checks, config, universe, (ghost,), context=ExecutionContext(2),
         degradation=degradation,
     )
-    assert [_fingerprint(o) for o in again] == [_fingerprint(o) for o in serial]
+    assert [oracle.outcome_key(o) for o in again] == [oracle.outcome_key(o) for o in serial]
     assert degradation.serial_fallbacks == 0
     _assert_no_leaked_children()
 

@@ -16,13 +16,15 @@ from repro.core.report import (
     format_liveness_report,
     format_safety_report,
 )
-from repro.core.safety import SafetyReport, verify_safety
+from repro.core.safety import verify_safety
 from repro.lang.predicates import TruePred
 from repro.smt.solver import SolverStats
 from repro.workloads.figure1 import build_figure1
 
+from tests import oracle
 from tests.core.conftest import (
     customer_liveness_property,
+    isp1_ghost,
     no_transit_invariants,
     no_transit_property,
 )
@@ -45,12 +47,7 @@ def _unknown_group(description="undecided stub check"):
 
 def _fig1_safety_report(config=None):
     config = config if config is not None else build_figure1()
-    from repro.bgp.topology import Edge
-    from repro.lang.ghost import GhostAttribute
-
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+    ghost = isp1_ghost(config)
     return verify_safety(
         config, no_transit_property(), no_transit_invariants(config), ghosts=(ghost,)
     )
@@ -69,14 +66,7 @@ def test_safety_summary_counts_unknowns_distinctly():
 
 
 def test_safety_summary_mixes_failures_and_unknowns():
-    from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
-    from repro.workloads.figure1 import TRANSIT_COMMUNITY
-
-    broken = build_figure1()
-    broken.routers["R2"].neighbors["R1"].import_map = RouteMap(
-        "STRIP",
-        (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),),
-    )
+    broken, __ = oracle.CASES["figure1-safety-planted"].mutant()
     report = _fig1_safety_report(broken)
     assert report.failures
     report.groups.append(_unknown_group())

@@ -2,27 +2,21 @@
 
 from __future__ import annotations
 
-from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
 from repro.core.safety import verify_safety
 from repro.core.scenario import assess_impact
 from repro.lang.ghost import GhostAttribute
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
-from tests.core.conftest import no_transit_invariants, no_transit_property
-
-
-def _ghost(config):
-    return GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+from tests import oracle
+from tests.core.conftest import isp1_ghost, no_transit_invariants, no_transit_property
 
 
 def test_missing_tag_bug_is_immediate():
     # R1 fails to tag low-MED routes: such a route announced by ISP1 today
     # flows straight through R2 to ISP2 — immediate impact.
     config = build_figure1(buggy_r1_tagging=True)
-    ghost = _ghost(config)
+    ghost = isp1_ghost(config)
     report = verify_safety(
         config, no_transit_property(), no_transit_invariants(config), ghosts=(ghost,)
     )
@@ -39,11 +33,8 @@ def test_strip_on_unused_path_is_latent():
     # the bug has no effect on today's routing — yet the local check fails:
     # the §6.1 "latent bug" shape.
     config = build_figure1()
-    config.routers["R2"].neighbors["R3"].import_map = RouteMap(
-        "STRIP",
-        (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),),
-    )
-    ghost = _ghost(config)
+    config.routers["R2"].neighbors["R3"].import_map = oracle.STRIP
+    ghost = isp1_ghost(config)
     report = verify_safety(
         config, no_transit_property(), no_transit_invariants(config), ghosts=(ghost,)
     )
@@ -56,7 +47,7 @@ def test_strip_on_unused_path_is_latent():
 
 def test_assessment_with_no_ghost_sources_is_latent():
     config = build_figure1(buggy_r1_tagging=True)
-    ghost = _ghost(config)
+    ghost = isp1_ghost(config)
     report = verify_safety(
         config, no_transit_property(), no_transit_invariants(config), ghosts=(ghost,)
     )
@@ -74,7 +65,7 @@ def test_assessment_on_router_location():
     from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 
     config = build_figure1(buggy_r1_tagging=True)
-    ghost = _ghost(config)
+    ghost = isp1_ghost(config)
     prop = SafetyProperty(
         location="R2",
         predicate=Implies(GhostIs("FromISP1"), HasCommunity(TRANSIT_COMMUNITY)),

@@ -10,15 +10,8 @@ family.  The solver-level encoding counters are the witnesses.
 
 from __future__ import annotations
 
-from repro.bgp.policy import (
-    Disposition,
-    MatchPrefix,
-    RouteMap,
-    RouteMapClause,
-)
-from repro.bgp.prefix import PrefixRange
 from repro.core.exec import ExecutionContext
-from repro.core.safety import verify_safety_family
+from repro.core.safety import verify_safety
 from repro.core.workspace import Workspace
 from repro.smt.solver import SessionPool
 from repro.workloads.figure1 import build_figure1
@@ -29,6 +22,7 @@ from repro.workloads.wan_properties import (
     verify_peering_problems,
 )
 
+from tests import oracle
 from tests.core.conftest import no_transit_invariants, no_transit_property, reverify
 
 
@@ -41,19 +35,7 @@ def _verified(config, from_isp1):
 
 def _edit_r3(config):
     """A benign import-map tweak on R3 (extra bogon deny)."""
-    old_map = config.routers["R3"].neighbors["Customer"].import_map
-    config.routers["R3"].neighbors["Customer"].import_map = RouteMap(
-        "CUST-IN",
-        (
-            RouteMapClause(
-                1,
-                Disposition.DENY,
-                matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
-            ),
-        )
-        + old_map.clauses,
-    )
-    return config
+    return oracle.bogon_edit(config, "R3", "Customer")
 
 
 def test_verify_builds_one_session_per_owner(fig1_config, from_isp1):
@@ -142,13 +124,11 @@ def test_hoisted_peering_sweep_matches_per_family_runs():
     wan = build_wan(regions=3, routers_per_region=3, peers_per_edge=1)
     problems = all_peering_problems(wan)
     hoisted = verify_peering_problems(wan, problems=problems)
-    for problem, report in zip(problems, (r for __, r in hoisted)):
-        solo = verify_safety_family(
+    for problem, (__, report) in zip(problems, hoisted):
+        solo = verify_safety(
             wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
         )
-        assert report.num_checks == solo.num_checks
-        assert report.passed == solo.passed
-        assert [o.passed for o in report.outcomes] == [o.passed for o in solo.outcomes]
+        assert oracle.fingerprint(report) == oracle.fingerprint(solo)
 
 
 def test_hoisted_ip_reuse_sweep_matches_per_region_runs():

@@ -7,12 +7,11 @@ Three layers are pinned here:
   learnt;
 * **CheckSession / SessionPool** — fragments every check asserts are
   asserted once (``prepare``, idempotent) and skipped per check;
-* **Differential equivalence** — every outcome of a pooled-session run
-  equals the hermetic reference (``check.run(..., session=None)``: a
-  fresh :class:`repro.smt.Solver` per check) on randomized safety
-  configs, liveness problems, and the WAN workload that actually learns
-  clauses.  Reuse is a performance policy; it must never change an
-  answer.
+* **Differential equivalence** — a pooled-session run fingerprints as
+  the hermetic reference does (oracle cells, ``tests/oracle.py``) on
+  random safety configs, liveness problems, and the WAN workload that
+  actually learns clauses.  Reuse is a performance policy; it must never
+  change an answer.
 """
 
 from __future__ import annotations
@@ -21,19 +20,18 @@ import pytest
 
 from repro.core.checks import prepare_session
 from repro.core.exec import ExecutionContext
-from repro.core.liveness import LivenessProblem, verify_liveness
-from repro.core.safety import build_universe, verify_safety
+from repro.core.safety import build_universe
 from repro.smt import terms as T
 from repro.smt.sat import SatSolver
 from repro.smt.solver import CheckSession, SessionPool
-from repro.workloads.fullmesh import build_full_mesh, full_mesh_liveness_property
-from repro.workloads.randomnet import build_random_network
+from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import (
     verify_ip_reuse_safety_problems,
     verify_peering_problems,
 )
 
+from tests import oracle
 from tests.core.conftest import mesh_no_transit
 
 
@@ -90,40 +88,19 @@ class TestSessionReuse:
 
 
 # ---------------------------------------------------------------------------
-# Differential: pooled sessions vs. the hermetic reference
+# Differential: pooled sessions vs. the hermetic reference (oracle cells)
 # ---------------------------------------------------------------------------
-
-
-def _fingerprint(outcome):
-    return (str(outcome.check), outcome.passed, outcome.unknown, outcome.unknown_reason)
-
-
-def _assert_matches_hermetic(report, config, universe, ghosts):
-    """Each pooled outcome equals its check re-run on a fresh ``Solver``."""
-    outcomes = list(report.iter_outcomes())
-    assert outcomes
-    for outcome in outcomes:
-        reference = outcome.check.run(config, universe, ghosts)
-        assert _fingerprint(outcome) == _fingerprint(reference)
 
 
 @pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_differential_safety_random_networks(model, seed):
-    config = build_random_network(8, model=model, seed=seed)
-    ghost, prop, invariants = mesh_no_transit(config)
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    report = verify_safety(config, prop, invariants, ghosts=(ghost,))
-    _assert_matches_hermetic(report, config, universe, (ghost,))
+    oracle.agree(oracle.randomnet_case(8, model, seed), "pooled")
 
 
 @pytest.mark.parametrize("n", [6, 10])
 def test_differential_liveness_fullmesh(n):
-    config = build_full_mesh(n)
-    prop = full_mesh_liveness_property(n)
-    report = verify_liveness(config, prop)
-    universe = build_universe(config, None, LivenessProblem(prop).predicates(), ())
-    _assert_matches_hermetic(report, config, universe, ())
+    oracle.agree(oracle.fullmesh_case(n, "liveness"), "pooled")
 
 
 def test_differential_wan_with_learnt_traffic():
@@ -135,11 +112,7 @@ def test_differential_wan_with_learnt_traffic():
     results = verify_ip_reuse_safety_problems(wan, workspace=context)
     results += verify_peering_problems(wan, workspace=context)
     assert pool.stats()["learnts_kept"] > 0
-    for problem, report in results:
-        universe = build_universe(
-            wan.config,
-            problem.invariants,
-            [p.predicate for p in problem.properties],
-            (problem.ghost,),
-        )
-        _assert_matches_hermetic(report, wan.config, universe, (problem.ghost,))
+    for i, (problem, report) in enumerate(results):
+        sweep = lambda config, problem=problem: ((problem.ghost,), problem.problem())
+        case = oracle.Case(f"wan-sweep-{i}", lambda: wan.config, sweep)
+        assert oracle.fingerprint(report) == oracle.run("hermetic", case)

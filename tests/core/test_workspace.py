@@ -4,7 +4,7 @@ Pinned claims:
 
 * ``verify`` is property-polymorphic — a :class:`SafetyProperty` runs the
   §4 pipeline, a :class:`LivenessProperty` the §5 pipeline — and both
-  match the free-function pipelines outcome for outcome;
+  fingerprint as the hermetic reference (``tests/oracle.py``);
 * re-verifying through one workspace (``verify`` again, or
   ``apply``/``reverify``) consults only the owner groups a config edit
   invalidated, across *all* registered properties at once;
@@ -21,10 +21,7 @@ import pickle
 
 import pytest
 
-from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
-from repro.bgp.prefix import PrefixRange
-from repro.core.liveness import verify_liveness
-from repro.core.safety import verify_safety
+from repro.core.liveness import LivenessProblem
 from repro.core.workspace import (
     CACHE_FORMAT,
     Workspace,
@@ -38,6 +35,7 @@ from repro.workloads.fullmesh import (
     full_mesh_single_router_edit,
 )
 
+from tests import oracle
 from tests.core.conftest import (
     customer_liveness_property,
     no_transit_invariants,
@@ -48,35 +46,12 @@ from tests.core.conftest import (
 
 def _edit_r3(config):
     """A benign import-map tweak on R3 (extra bogon deny)."""
-    old_map = config.routers["R3"].neighbors["Customer"].import_map
-    config.routers["R3"].neighbors["Customer"].import_map = RouteMap(
-        "CUST-IN",
-        (
-            RouteMapClause(
-                1,
-                Disposition.DENY,
-                matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
-            ),
-        )
-        + old_map.clauses,
-    )
-    return config
+    return oracle.bogon_edit(config, "R3", "Customer")
 
 
-def _outcome_fp(outcome):
-    failure = outcome.failure
-    return (
-        str(outcome.check),
-        outcome.passed,
-        outcome.unknown,
-        None
-        if failure is None
-        else (str(failure.input_route), str(failure.output_route), failure.rejected),
-    )
-
-
-def _report_fp(report):
-    return sorted(_outcome_fp(o) for o in report.iter_outcomes())
+def _no_transit(config):
+    """The hermetic fingerprint of Table 2's no-transit on ``config``."""
+    return oracle.reference(config, *oracle.figure1_no_transit(config))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +104,7 @@ def test_repeat_verify_consults_nothing(fig1_config, from_isp1):
     (entry,) = ws.entries
     assert entry.last_result.checks_consulted == 0
     assert entry.last_result.cached_checks == first.num_checks
-    assert _report_fp(first) == _report_fp(second)
+    assert oracle.fingerprint(first) == oracle.fingerprint(second)
 
 
 def test_different_budget_registers_a_separate_entry(fig1_config, from_isp1):
@@ -182,17 +157,11 @@ def test_reverify_touches_all_properties_but_only_edited_owners(
     expected = owner_check_count(liveness_entry.tracker, "R3")
     assert liveness_entry.last_result.checks_consulted == expected
     assert liveness_entry.last_result.report.passed
-    # Both match fresh pipelines on the edited config.
-    assert _report_fp(safety_entry.last_result.report) == _report_fp(
-        verify_safety(
-            edited,
-            no_transit_property(),
-            no_transit_invariants(edited),
-            ghosts=(from_isp1,),
-        )
-    )
-    assert _report_fp(liveness_entry.last_result.report) == _report_fp(
-        verify_liveness(edited, customer_liveness_property(), ghosts=(from_isp1,))
+    # Both fingerprint as the hermetic reference on the edited config.
+    assert oracle.fingerprint(safety_entry.report) == _no_transit(edited)
+    liveness = LivenessProblem(customer_liveness_property())
+    assert oracle.fingerprint(liveness_entry.report) == oracle.reference(
+        edited, (from_isp1,), liveness
     )
 
 
@@ -227,14 +196,14 @@ def test_save_load_roundtrip_noop(tmp_path, fig1_config, from_isp1):
         (no_transit_property(), no_transit_invariants(fig1_config)),
         (customer_liveness_property(), None),
     )
-    original = [_report_fp(e.last_result.report) for e in ws.entries]
+    original = [oracle.fingerprint(e.report) for e in ws.entries]
 
     loaded = Workspace.load(path, config=build_figure1(), ghosts=(from_isp1,))
     assert [e.kind for e in loaded.entries] == ["safety", "liveness"]
     entries = loaded.reverify()
     # Nothing changed: every cached outcome is reused without consultation.
     assert [e.last_result.checks_consulted for e in entries] == [0, 0]
-    assert [_report_fp(e.last_result.report) for e in entries] == original
+    assert [oracle.fingerprint(e.report) for e in entries] == original
 
 
 def test_load_then_edit_consults_only_the_owner(tmp_path, fig1_config, from_isp1):
@@ -253,35 +222,13 @@ def test_load_then_edit_consults_only_the_owner(tmp_path, fig1_config, from_isp1
     (entry,) = loaded.reverify()
     assert entry.last_result.checks_consulted == 6  # R3's group only
     assert entry.last_result.cached_checks == 13
-    assert _report_fp(entry.last_result.report) == _report_fp(
-        verify_safety(
-            edited,
-            no_transit_property(),
-            no_transit_invariants(edited),
-            ghosts=(from_isp1,),
-        )
-    )
+    assert oracle.fingerprint(entry.report) == _no_transit(edited)
 
 
-def test_load_detects_breaking_edit(tmp_path, fig1_config, from_isp1):
-    from repro.bgp.policy import DeleteCommunity
-    from repro.workloads.figure1 import TRANSIT_COMMUNITY
-
-    __, path = _saved_workspace(
-        tmp_path,
-        fig1_config,
-        (from_isp1,),
-        (no_transit_property(), no_transit_invariants(fig1_config)),
-    )
-    loaded = Workspace.load(path, config=build_figure1(), ghosts=(from_isp1,))
-    broken = build_figure1()
-    broken.routers["R2"].neighbors["R1"].import_map = RouteMap(
-        "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),)
-    )
-    loaded.apply(broken)
-    (entry,) = loaded.reverify()
-    assert not entry.last_result.report.passed
-    assert {f.blamed_router for f in entry.last_result.report.failures} == {"R2"}
+def test_load_detects_breaking_edit():
+    # The oracle's ``reloaded`` path: save, load, apply R2's STRIP, reverify.
+    case = oracle.CASES["figure1-safety-planted"]
+    assert oracle.blamed_routers(oracle.agree(case, "reloaded")) == {"R2"}
 
 
 def test_load_rejects_config_digest_mismatch(tmp_path, fig1_config, from_isp1):
@@ -388,6 +335,6 @@ def test_save_load_liveness_on_fullmesh(tmp_path):
     expected = owner_check_count(entry.tracker, f"R{n}")
     assert expected > 0
     assert entry.last_result.checks_consulted == expected
-    assert _report_fp(entry.last_result.report) == _report_fp(
-        verify_liveness(edited, prop)
+    assert oracle.fingerprint(entry.report) == oracle.reference(
+        edited, (), LivenessProblem(prop)
     )

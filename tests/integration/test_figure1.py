@@ -11,11 +11,11 @@ from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind, generate_safety_checks
 from repro.core.liveness import generate_propagation_checks, interference_properties
 from repro.core.workspace import Workspace
-from repro.lang.ghost import GhostAttribute
 from repro.workloads.figure1 import build_figure1
 
 from tests.core.conftest import (
     customer_liveness_property,
+    isp1_ghost,
     no_transit_invariants,
     no_transit_property,
 )
@@ -23,10 +23,7 @@ from tests.core.conftest import (
 
 def _workspace():
     config = build_figure1()
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
-    return Workspace(config, ghosts=(ghost,)), config
+    return Workspace(config, ghosts=(isp1_ghost(config),)), config
 
 
 def test_table2_complete_walkthrough():
@@ -77,10 +74,7 @@ def test_table3_complete_walkthrough():
 def test_both_bugs_from_section2_are_found():
     # Bug 1: R1 forgets to tag some ISP1 routes -> safety fails at R1.
     config = build_figure1(buggy_r1_tagging=True)
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
-    report = Workspace(config, ghosts=(ghost,)).verify(
+    report = Workspace(config, ghosts=(isp1_ghost(config),)).verify(
         no_transit_property(), no_transit_invariants(config)
     )
     assert not report.passed

@@ -15,28 +15,11 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.bgp.simulator import EventKind, Simulator
 from repro.bgp.topology import Edge
-from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.workloads.fullmesh import TRANSIT_COMMUNITY
 from repro.workloads.randomnet import build_random_network
 
-
-def _verify_no_transit(config) -> None:
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    report = verify_safety(config, prop, invariants, ghosts=(ghost,))
-    assert report.passed
+from tests.core.conftest import mesh_no_transit
 
 
 _CONFIGS = {
@@ -45,7 +28,8 @@ _CONFIGS = {
     for seed in (0, 1)
 }
 for _cfg in _CONFIGS.values():
-    _verify_no_transit(_cfg)
+    _ghost, _prop, _invariants = mesh_no_transit(_cfg)
+    assert verify_safety(_cfg, _prop, _invariants, ghosts=(_ghost,)).passed
 
 
 @st.composite

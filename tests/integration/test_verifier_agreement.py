@@ -32,7 +32,6 @@ from repro.bgp.route import Community
 from repro.bgp.topology import Edge, Topology
 from repro.core.inference import infer_safety_invariants
 from repro.core.properties import SafetyProperty
-from repro.core.safety import verify_safety
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, Not
 
@@ -85,6 +84,13 @@ def _build_network(e1_import, internal_maps, egress_export) -> NetworkConfig:
     return config
 
 
+def _no_transit(config):
+    """(ghost, property): no E1 route is sent on R3->E3."""
+    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
+    prop = SafetyProperty(Edge("R3", "E3"), Not(GhostIs("FromE1")), name="no-transit")
+    return ghost, prop
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from([TAG, DENY_ALL]),
@@ -95,12 +101,7 @@ def test_lightyear_pass_implies_minesweeper_verifies(
     e1_import, internal_maps, egress_export
 ):
     config = _build_network(e1_import, list(internal_maps), egress_export)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R3", "E3"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
+    ghost, prop = _no_transit(config)
     inferred = infer_safety_invariants(config, prop, ghost, max_candidates=4)
     if not inferred.found:
         return  # Lightyear (with this candidate pool) cannot prove it: no claim.
@@ -116,12 +117,7 @@ def test_lightyear_pass_implies_minesweeper_verifies(
 
 def test_known_safe_network_agrees():
     config = _build_network(TAG, [PASS, PASS, PASS, PASS], BLOCK_TAGGED)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R3", "E3"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
+    ghost, prop = _no_transit(config)
     inferred = infer_safety_invariants(config, prop, ghost)
     assert inferred.found
     ms = MinesweeperVerifier(config, ghosts=(ghost,)).verify(prop)
@@ -132,12 +128,7 @@ def test_known_broken_network_agrees():
     # An internal STRIP breaks the scheme: Lightyear cannot prove it, and
     # Minesweeper exhibits a concrete leak.
     config = _build_network(TAG, [PASS, STRIP, PASS, PASS], BLOCK_TAGGED)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R3", "E3"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
+    ghost, prop = _no_transit(config)
     inferred = infer_safety_invariants(config, prop, ghost)
     assert not inferred.found
     ms = MinesweeperVerifier(config, ghosts=(ghost,)).verify(prop)

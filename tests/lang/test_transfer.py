@@ -38,6 +38,8 @@ from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import Model
 from repro.workloads.figure1 import build_figure1
 
+from tests.core.conftest import isp1_ghost
+
 
 C1 = Community(100, 1)
 C2 = Community(7, 7)
@@ -228,9 +230,7 @@ def test_export_no_prepend_on_ibgp():
 def test_ghost_update_on_import():
     config = build_figure1()
     universe = AttributeUniverse.from_config(config, ghosts=("FromISP1",))
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+    ghost = isp1_ghost(config)
     sym = SymbolicRoute.fresh("r", universe)
     __, out = transfer_import(config, Edge("ISP1", "R1"), sym, ghosts=[ghost])
     assert out.ghosts["FromISP1"] is smt.true()
@@ -265,9 +265,7 @@ def test_symbolic_originated_embeds_ghost_default():
         R(prefix=Prefix.parse("8.8.0.0/16")),
     )
     universe = AttributeUniverse.from_config(config, ghosts=("FromISP1",))
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+    ghost = isp1_ghost(config)
     syms = symbolic_originated(config, Edge("R1", "R2"), universe, ghosts=[ghost])
     assert len(syms) == 1
     assert syms[0].ghosts["FromISP1"] is smt.false()

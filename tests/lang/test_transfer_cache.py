@@ -38,13 +38,7 @@ from repro.bgp.route import Community
 from repro.bgp.topology import Edge
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import build_universe, verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import (
-    HasCommunity,
-    Implies,
-    Not,
-    predicate_term_cache_stats,
-)
+from repro.lang.predicates import HasCommunity, Not, predicate_term_cache_stats
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import (
     reset_transfer_cache,
@@ -56,6 +50,9 @@ from repro.lang.transfer import (
 )
 from repro.smt.terms import clear_intern_cache
 from repro.workloads.randomnet import build_random_network
+
+from tests import oracle
+from tests.core.conftest import mesh_no_transit
 
 SEED = 20260726
 
@@ -189,16 +186,6 @@ def _random_problem(seed: int):
     return config, prop, invariants
 
 
-def _outcome_signature(report):
-    sig = []
-    for o in report.outcomes:
-        failure = None
-        if o.failure is not None:
-            failure = (o.failure.input_route, o.failure.output_route, o.failure.rejected)
-        sig.append((o.check.description, o.passed, o.unknown, failure))
-    return sig
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_check_outcomes_identical_cache_on_vs_off(seed):
     """Full verification agrees outcome-for-outcome with caching disabled."""
@@ -207,7 +194,7 @@ def test_check_outcomes_identical_cache_on_vs_off(seed):
     report_on = verify_safety(config, prop, invariants)
     with transfer_cache_disabled():
         report_off = verify_safety(config, prop, invariants)
-    assert _outcome_signature(report_on) == _outcome_signature(report_off)
+    assert oracle.fingerprint(report_on) == oracle.fingerprint(report_off)
 
 
 def test_differential_suite_exercises_both_verdicts():
@@ -223,9 +210,7 @@ def test_differential_suite_exercises_both_verdicts():
 def test_transfer_terms_identical_on_randomnets(model, seed):
     """Memoised transfer outputs are the same interned terms as uncached ones."""
     config = build_random_network(8, model=model, seed=seed)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
+    ghost = mesh_no_transit(config)[0]
     universe = build_universe(config, None, [], (ghost,))
     route = SymbolicRoute.fresh("r", universe)
     reset_transfer_cache()
@@ -272,9 +257,7 @@ def _assert_routes_identical(a: SymbolicRoute, b: SymbolicRoute, edge) -> None:
 def test_edges_with_equal_policy_share_one_cache_entry():
     """Same filter content on different edges = one symbolic execution."""
     config = build_random_network(6, model="ring", seed=0)
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
+    ghost = mesh_no_transit(config)[0]
     universe = build_universe(config, None, [], (ghost,))
     route = SymbolicRoute.fresh("r", universe)
     reset_transfer_cache()

@@ -35,12 +35,11 @@ from repro.core.workspace import (
     WorkspaceCacheError,
     WorkspaceCacheMismatch,
 )
-from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import TruePred
 from repro.testing.faults import corrupt_file, truncate_file
 from repro.workloads.figure1 import build_figure1
 
-from tests.core.conftest import no_transit_invariants, no_transit_property
+from tests.core.conftest import isp1_ghost, no_transit_invariants, no_transit_property
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +96,7 @@ def test_flip_of_every_pickled_boolean_raises_cache_error(tmp_path):
     # inside a perfectly valid pickle.  Without a digest over the whole
     # payload such a file loaded and a reverify reported PASSED.
     config = build_figure1(buggy_r1_tagging=True)
-    ghost = GhostAttribute.source_tracker(
-        "FromISP1", config.topology, [Edge("ISP1", "R1")]
-    )
+    ghost = isp1_ghost(config)
     saved = tmp_path / "src" / "workspace.lyc"
     with Workspace(config, ghosts=(ghost,)) as ws:
         report = ws.verify(no_transit_property(), no_transit_invariants(config))

@@ -27,6 +27,8 @@ from repro.bgp.configjson import config_to_json
 from repro.cli import main
 from repro.workloads.figure1 import build_figure1
 
+from tests import oracle
+
 SPEC = {
     "ghosts": [{"name": "FromISP1", "kind": "source", "sources": ["ISP1->R1"]}],
     "safety": [
@@ -53,16 +55,7 @@ SPEC = {
 
 
 def _benign_r3_edit(config):
-    from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
-    from repro.bgp.prefix import PrefixRange
-
-    neighbor = config.routers["R3"].neighbors["Customer"]
-    deny = RouteMapClause(
-        1,
-        Disposition.DENY,
-        matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
-    )
-    neighbor.import_map = RouteMap("CUST-IN", (deny,) + neighbor.import_map.clauses)
+    oracle.bogon_edit(config, "R3", "Customer")
 
 
 @pytest.fixture
@@ -172,16 +165,10 @@ def test_verify_cache_cold_then_warm_consults_nothing(cache_setup, capsys):
 
 
 def test_warm_cache_still_detects_breaking_edit(cache_setup, tmp_path, capsys):
-    from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
-    from repro.workloads.figure1 import TRANSIT_COMMUNITY
-
     s = cache_setup
     assert main(["reverify", s["base"], s["edited"], s["spec"], "--cache", s["cache"]]) == 0
     capsys.readouterr()
-    broken = build_figure1()
-    broken.routers["R2"].neighbors["R1"].import_map = RouteMap(
-        "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),)
-    )
+    broken, __ = oracle.CASES["figure1-safety-planted"].mutant()
     (tmp_path / "broken.json").write_text(config_to_json(broken))
     code = main(
         ["reverify", s["base"], str(tmp_path / "broken.json"), s["spec"],
@@ -198,14 +185,8 @@ def test_reverify_cache_written_under_another_hash_seed(cache_setup, tmp_path):
     # The cache pickles route maps that were hashed (memo keys) before the
     # save; the stored hash must not travel, or a process with another
     # PYTHONHASHSEED would miss every memo entry keyed by a loaded map.
-    from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
-    from repro.workloads.figure1 import TRANSIT_COMMUNITY
-
     s = cache_setup
-    broken = build_figure1()
-    broken.routers["R2"].neighbors["R1"].import_map = RouteMap(
-        "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),)
-    )
+    broken, __ = oracle.CASES["figure1-safety-planted"].mutant()
     (tmp_path / "broken.json").write_text(config_to_json(broken))
     src = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -34,6 +34,8 @@ from repro.lang.specjson import (
 )
 from repro.workloads.figure1 import build_figure1
 
+from tests import oracle
+
 
 CONFIG_TEXT = """
 external ISP1 as 100
@@ -322,25 +324,11 @@ def _write_fig1_edit(tmp_path, name, edit=None):
 
 
 def _benign_r3_edit(config):
-    from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
-    from repro.bgp.prefix import PrefixRange
-
-    neighbor = config.routers["R3"].neighbors["Customer"]
-    deny = RouteMapClause(
-        1,
-        Disposition.DENY,
-        matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
-    )
-    neighbor.import_map = RouteMap("CUST-IN", (deny,) + neighbor.import_map.clauses)
+    oracle.bogon_edit(config, "R3", "Customer")
 
 
 def _breaking_r2_edit(config):
-    from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
-    from repro.workloads.figure1 import TRANSIT_COMMUNITY
-
-    config.routers["R2"].neighbors["R1"].import_map = RouteMap(
-        "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),)
-    )
+    config.routers["R2"].neighbors["R1"].import_map = oracle.STRIP
 
 
 def test_cli_reverify_passes_and_reports_reuse(tmp_path, spec_file, capsys):

@@ -4,28 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bgp.topology import Edge
-from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
-from repro.workloads.fullmesh import TRANSIT_COMMUNITY
 from repro.workloads.randomnet import build_random_network
 
-
-def _no_transit_setup(config):
-    ghost = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E1", "R1")]
-    )
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    return ghost, prop, invariants
+from tests.core.conftest import mesh_no_transit
 
 
 @pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
@@ -67,7 +49,7 @@ def test_generator_rejects_bad_inputs():
 @pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
 def test_no_transit_verifies_on_random_topologies(model):
     config = build_random_network(10, model=model, seed=11)
-    ghost, prop, invariants = _no_transit_setup(config)
+    ghost, prop, invariants = mesh_no_transit(config)
     report = verify_safety(config, prop, invariants, ghosts=(ghost,))
     assert report.passed, "\n".join(f.explain() for f in report.failures)
 
@@ -77,7 +59,7 @@ def test_check_count_tracks_edge_count_not_topology():
     # edges-out-of-routers + 1, regardless of structure.
     for model in ("gnp", "ba", "ring"):
         config = build_random_network(14, model=model, seed=2)
-        ghost, prop, invariants = _no_transit_setup(config)
+        ghost, prop, invariants = mesh_no_transit(config)
         report = verify_safety(config, prop, invariants, ghosts=(ghost,))
         edges = config.topology.edges
         into = sum(1 for e in edges if config.topology.is_router(e.dst))
