@@ -1,8 +1,8 @@
 """The scheduler against the hermetic reference, as oracle cells.
 
 Nothing observable may depend on how a batch ran: every case below is a
-cell of the equivalence oracle (``tests/oracle.py``), whose fingerprint
-covers verdicts, UNKNOWN reasons, blame and witness routes.  What the
+cell of the equivalence oracle (``tests/oracle.py``), which compares
+verdicts, UNKNOWN reasons and blame in the reference's order.  What the
 oracle cannot see stays here: the §5 mapping run in either key order,
 its flat listing order, one process map per liveness batch, and the
 consultation counters of a one-router reverify.
@@ -80,12 +80,14 @@ def pools_built(monkeypatch):
 @pytest.mark.parametrize("buggy", [False, True])
 def test_liveness_driver_identical_across_backends(buggy, pools_built):
     case = oracle.CASES["figure1-liveness-planted" if buggy else "figure1-liveness"]
-    reference = oracle.agree(case, "pooled")
+    reference = oracle.listing(oracle.run("hermetic", case))
     assert bool(oracle.blamed_routers(reference)) == buggy
-    report = oracle.parallel(case)
-    # One batch: the whole §5 pipeline shares a single process map.
-    assert len(pools_built) == 1
-    assert oracle.fingerprint(report) == reference
+    for path, pools in ((oracle.pooled, 0), (oracle.parallel, 1)):
+        del pools_built[:]
+        report = path(case)
+        # One batch: the whole §5 pipeline shares a single process map.
+        assert len(pools_built) == pools, path.__name__
+        assert oracle.listing(report) == reference, path.__name__
 
 
 @pytest.mark.parametrize(
@@ -94,7 +96,7 @@ def test_liveness_driver_identical_across_backends(buggy, pools_built):
 def test_incremental_reverify_matches_scratch(parallel):
     case = oracle.randomnet_case(5, "gnp", 0, planted=True)
     result = oracle.tracked(case, parallel=parallel).last_result
-    assert oracle.fingerprint(result.report) == oracle.run("hermetic", case)
+    assert oracle.fingerprint(result.report) == oracle.expected(case)
     assert not result.report.passed
     # Consultation accounting: a one-router edit consults exactly that
     # router's owner group — the O(changed-owner) claim.
@@ -106,7 +108,7 @@ def test_incremental_reverify_matches_scratch(parallel):
 def test_incremental_liveness_reverify_matches_scratch():
     case = oracle.CASES["figure1-liveness-planted"]
     result = oracle.tracked(case).last_result
-    assert oracle.fingerprint(result.report) == oracle.run("hermetic", case)
+    assert oracle.fingerprint(result.report) == oracle.expected(case)
     assert not result.report.passed
     assert result.checks_consulted == result.rerun_checks
     assert result.rerun_checks + result.cached_checks == result.report.num_checks

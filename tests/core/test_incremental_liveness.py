@@ -82,7 +82,9 @@ def test_noop_reverify_consults_no_checks():
     assert result.checks_consulted == 0
     assert result.cached_checks == initial.rerun_checks
     assert result.reuse_fraction == 1.0
-    assert oracle.fingerprint(result.report) == oracle.fingerprint(initial.report)
+    assert oracle.listing(result.report, witness=True) == oracle.listing(
+        initial.report, witness=True
+    )
 
 
 def test_off_path_edit_consults_only_subproof_groups():

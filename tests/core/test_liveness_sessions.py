@@ -5,8 +5,11 @@ through ``verify_liveness``: propagation checks, the final implication
 (now discharged via the scheduler instead of a hermetic bypass), and
 every no-interference sub-proof share encodings.  The pinned claims:
 
-* pooled/hoisted liveness fingerprints as the hermetic reference does
-  (oracle cells, ``tests/oracle.py``; pass and fail cases);
+* hoisting is invisible: on hermetic solvers the covering universe gives
+  every section the outcomes, witness routes included, that each step's
+  own universe gives (pass and fail cases);
+* pooled liveness decides as the hermetic reference does, in order
+  (oracle cells, ``tests/oracle.py``);
 * the covering universe content-covers every universe a sub-step would
   have built for itself — including atoms that only appear in
   caller-supplied ``interference_invariants``;
@@ -20,8 +23,17 @@ from __future__ import annotations
 
 from repro.bgp.route import Community
 from repro.core.exec import ExecutionContext
-from repro.core.liveness import LivenessProblem, interference_properties, verify_liveness
+from repro.core.liveness import (
+    IMPLICATION_KEY,
+    PROPAGATION_KEY,
+    LivenessProblem,
+    interference_properties,
+    resolve_interference_invariants,
+    subproof_key,
+    verify_liveness,
+)
 from repro.core.properties import InvariantMap
+from repro.core.report import DegradationReport, GroupOutcomes
 from repro.core.safety import build_universe
 from repro.lang.predicates import HasCommunity, Implies
 from repro.smt.solver import SessionPool
@@ -40,13 +52,42 @@ from tests.core.conftest import customer_liveness_property
 FIGURE1_LIVENESS = oracle.CASES["figure1-liveness"]
 
 
+def _per_step_universes(config, ghosts, problem):
+    """The pre-hoisting pipeline on hermetic solvers: propagation and the
+    implication under the property's own universe, each no-interference
+    sub-proof under the universe it would build for itself."""
+    prop = problem.prop
+    own = build_universe(config, None, [prop.predicate, *prop.constraints], ghosts)
+    universes = {PROPAGATION_KEY: own, IMPLICATION_KEY: own}
+    properties, invariants = resolve_interference_invariants(config, prop, problem.invariants)
+    for router, safety_prop in properties.items():
+        universe = build_universe(config, invariants[router], [safety_prop.predicate], ghosts)
+        universes[subproof_key(router)] = universe
+    groups = {
+        key: [GroupOutcomes.of(checks, [c.run(config, universes[key], ghosts) for c in checks])]
+        for key, checks in problem.checks(config).items()
+    }
+    return problem.report(groups, 0.0, DegradationReport())
+
+
+def _assert_hoisting_is_invisible(case):
+    config = case.config()
+    ghosts, problem = case.problem(config)
+    hoisted = oracle.hermetic_report(config, ghosts, problem)
+    per_step = _per_step_universes(config, ghosts, problem)
+    assert oracle.listing(hoisted, witness=True) == oracle.listing(per_step, witness=True)
+
+
 def test_pooled_liveness_matches_fresh_pipeline():
+    _assert_hoisting_is_invisible(FIGURE1_LIVENESS)
     reference = oracle.agree(FIGURE1_LIVENESS, "pooled")
     assert not oracle.blamed_routers(reference)
 
 
 def test_pooled_liveness_matches_fresh_pipeline_on_broken_network():
-    reference = oracle.agree(oracle.CASES["figure1-liveness-planted"], "pooled")
+    case = oracle.CASES["figure1-liveness-planted"]
+    _assert_hoisting_is_invisible(case)
+    reference = oracle.agree(case, "pooled")
     assert oracle.blamed_routers(reference) == {"R3"}
 
 
@@ -90,7 +131,8 @@ def test_warm_pool_liveness_adds_no_encoding():
     assert second.passed
     assert pool.total_encoding() == warm_encoding
     assert pool.encoding_sizes() == sizes
-    assert oracle.fingerprint(first) == oracle.fingerprint(second)
+    # Every answer of the second run is a memo hit replaying the first's model.
+    assert oracle.listing(first, witness=True) == oracle.listing(second, witness=True)
 
 
 def test_liveness_universe_covers_subproof_universes(fig1_config):
@@ -124,7 +166,9 @@ def test_liveness_universe_covers_subproof_universes(fig1_config):
     # End to end: with the hoisted universe the custom-atom invariant must
     # lower without a missing-atom KeyError, sharing one pool throughout.
     problem = lambda config: ((), LivenessProblem(prop, custom))
-    oracle.agree(oracle.Case("figure1-liveness-custom", build_figure1, problem), "pooled")
+    case = oracle.Case("figure1-liveness-custom", build_figure1, problem)
+    _assert_hoisting_is_invisible(case)
+    oracle.agree(case, "pooled")
 
 
 def test_liveness_process_backend_agrees_with_serial():
@@ -147,6 +191,6 @@ def test_hoisted_wan_liveness_sweep_matches_per_region_runs():
         )
         assert report.passed == solo.passed
         assert report.num_checks == solo.num_checks
-        assert oracle.fingerprint(report) == oracle.fingerprint(solo)
+        assert oracle.listing(report) == oracle.listing(solo)
     # The sweep shared one pool: a single session per owner overall.
     assert pool.created == len(set(wan.config.topology.routers)) + 1

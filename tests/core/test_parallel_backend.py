@@ -3,9 +3,9 @@
 Pinned here:
 
 * shared-encoding :class:`CheckSession` reuse (the serial default) and
-  the process map (``parallel`` > 1) fingerprint as hermetic fresh-solver
-  checks do on the fullmesh workload — counterexample witnesses and blame
-  on broken networks included (oracle cells, ``tests/oracle.py``);
+  the process map (``parallel`` > 1) decide as hermetic fresh-solver
+  checks do on the fullmesh workload, in order — blame and UNKNOWN
+  reasons on broken networks included (oracle cells, ``tests/oracle.py``);
 * job-count resolution (``auto``, integers, serial forcing) behaves as the
   CLI contract promises, and the process map's chunks are complete and
   owner-pure.
@@ -41,16 +41,16 @@ def test_session_reuse_matches_fresh_solvers_on_broken_fullmesh():
 
 def test_process_backend_agrees_with_serial():
     case = oracle.fullmesh_case(5, "safety")
+    # Both in the hermetic reference's order, check for check.
     oracle.agree(case, "pooled", "parallel")
-    # ...and lists them in the serial path's order, check for check.
-    listing = lambda report: list(map(oracle.outcome_key, report.iter_outcomes()))
-    assert listing(oracle.parallel(case)) == listing(oracle.pooled(case))
 
 
 def test_process_backend_ships_counterexamples_back():
     # Counterexamples, blame included, survive the process boundary.
     case = oracle.fullmesh_case(4, "safety", planted=True)
-    assert oracle.blamed_routers(oracle.run("parallel", case)) == {"R2"}
+    report = oracle.run("parallel", case)
+    assert oracle.blamed_routers(oracle.fingerprint(report)) == {"R2"}
+    assert report.failures and all(f.input_route is not None for f in report.failures)
 
 
 def test_verify_safety_parallel_auto_passes():

@@ -18,6 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import warnings
+from functools import partial
 
 import pytest
 
@@ -83,8 +84,10 @@ def test_killed_worker_falls_back_to_one_serial_rerun():
                 )[("a",)]
             )
     # Identical outcomes to the serial path, in order: the kill fires only
-    # inside a worker, so the parent's serial re-run completes.
-    assert [oracle.outcome_key(o) for o in results[0]] == [oracle.outcome_key(o) for o in serial]
+    # inside a worker, so the parent's serial re-run completes — the same
+    # run as ``serial``, witnesses included.
+    key = partial(oracle.outcome_key, witness=True)
+    assert list(map(key, results[0])) == list(map(key, serial))
     assert [oracle.outcome_key(o) for o in results[1]] == [
         oracle.outcome_key(serial[i]) for i in second
     ]
@@ -106,9 +109,7 @@ def test_verify_safety_reports_recovery_as_degradation():
             config, prop, invariants, ghosts=(ghost,), context=ExecutionContext(2)
         )
     assert report.passed
-    assert [oracle.outcome_key(o) for o in report.outcomes] == [
-        oracle.outcome_key(o) for o in reference.outcomes
-    ]
+    assert oracle.listing(report, witness=True) == oracle.listing(reference, witness=True)
     assert report.degradation is not None
     assert report.degradation.serial_fallbacks == 1
     assert report.degradation.degraded()

@@ -128,7 +128,7 @@ def test_hoisted_peering_sweep_matches_per_family_runs():
         solo = verify_safety(
             wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
         )
-        assert oracle.fingerprint(report) == oracle.fingerprint(solo)
+        assert oracle.listing(report) == oracle.listing(solo)
 
 
 def test_hoisted_ip_reuse_sweep_matches_per_region_runs():

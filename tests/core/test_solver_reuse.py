@@ -115,4 +115,4 @@ def test_differential_wan_with_learnt_traffic():
     for i, (problem, report) in enumerate(results):
         sweep = lambda config, problem=problem: ((problem.ghost,), problem.problem())
         case = oracle.Case(f"wan-sweep-{i}", lambda: wan.config, sweep)
-        assert oracle.fingerprint(report) == oracle.run("hermetic", case)
+        assert oracle.listing(report) == oracle.listing(oracle.hermetic(case))

@@ -154,8 +154,8 @@ def test_run_problem_is_the_reference(network, kind):
     assert again.rerun_checks == 0 and again.cached_checks == reference.num_checks
 
     # The restored tracker lays its report out exactly like the saved one...
-    assert list(map(oracle.outcome_key, again.report.iter_outcomes())) == list(
-        map(oracle.outcome_key, first.report.iter_outcomes())
+    assert oracle.listing(again.report, witness=True) == oracle.listing(
+        first.report, witness=True
     )
     # ...and both agree with the reference section by section (a tracker
     # lists a section owner group by owner group, the reference edge by

@@ -104,7 +104,7 @@ def test_repeat_verify_consults_nothing(fig1_config, from_isp1):
     (entry,) = ws.entries
     assert entry.last_result.checks_consulted == 0
     assert entry.last_result.cached_checks == first.num_checks
-    assert oracle.fingerprint(first) == oracle.fingerprint(second)
+    assert oracle.listing(first, witness=True) == oracle.listing(second, witness=True)
 
 
 def test_different_budget_registers_a_separate_entry(fig1_config, from_isp1):
@@ -196,14 +196,14 @@ def test_save_load_roundtrip_noop(tmp_path, fig1_config, from_isp1):
         (no_transit_property(), no_transit_invariants(fig1_config)),
         (customer_liveness_property(), None),
     )
-    original = [oracle.fingerprint(e.report) for e in ws.entries]
+    original = [oracle.listing(e.report, witness=True) for e in ws.entries]
 
     loaded = Workspace.load(path, config=build_figure1(), ghosts=(from_isp1,))
     assert [e.kind for e in loaded.entries] == ["safety", "liveness"]
     entries = loaded.reverify()
     # Nothing changed: every cached outcome is reused without consultation.
     assert [e.last_result.checks_consulted for e in entries] == [0, 0]
-    assert [oracle.fingerprint(e.report) for e in entries] == original
+    assert [oracle.listing(e.report, witness=True) for e in entries] == original
 
 
 def test_load_then_edit_consults_only_the_owner(tmp_path, fig1_config, from_isp1):

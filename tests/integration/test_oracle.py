@@ -1,12 +1,14 @@
 """The cells of the equivalence oracle (``tests/oracle.py``).
 
-* every path fingerprints every corpus case exactly as the hermetic
-  reference does: pooled ≡ memo ≡ hermetic, serial ≡ ``parallel=2``,
-  full ≡ tracker after an edit ≡ save → load;
+* every path decides every corpus case exactly as the hermetic reference
+  does: pooled ≡ memo ≡ hermetic, serial ≡ ``parallel=2``, full ≡ tracker
+  after an edit ≡ save → load (a property family is not a workspace
+  entry, so it has no tracker cells);
 * every planted fault is killed, on every path, at the planted router —
   §6.1's localisation as a kill count;
 * on small cases the modular verdict is the monolithic baseline's;
-* the fingerprint tells apart outcomes that differ in any one field.
+* the fingerprint tells apart outcomes that differ in any one field, and
+  only the witness fields need ``witness=True``.
 """
 
 from __future__ import annotations
@@ -19,21 +21,25 @@ from repro.core.checks import CheckKind
 
 from tests import oracle
 
-PATHS = [path for path in oracle.PATHS if path != "hermetic"]
+CELLS = [
+    pytest.param(case, path, id=f"{case}-{path}")
+    for case in oracle.CORPUS
+    for path in oracle.cells(case)
+]
 PLANTED = [case for case in oracle.CORPUS if case.planted]
+MODEL_FIELDS = ("witness input", "witness output")
 
 
-@pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("case", oracle.CORPUS, ids=str)
+@pytest.mark.parametrize("case, path", CELLS)
 def test_path_agrees_with_hermetic(case, path):
     oracle.agree(case, path)
 
 
 @pytest.mark.parametrize("case", PLANTED, ids=str)
 def test_planted_fault_is_killed_at_the_planted_router(case):
-    # Every path fingerprints as hermetic does (above), blamed routers
-    # included, so killing it here kills it on every path.
-    assert oracle.blamed_routers(oracle.run("hermetic", case)) == {case.planted_router}
+    # Every path that runs the case decides it as hermetic does (above),
+    # blamed routers included, so killing it here kills it on every path.
+    assert oracle.blamed_routers(oracle.expected(case)) == {case.planted_router}
 
 
 def test_the_kill_count_covers_every_mutation_operator():
@@ -46,7 +52,7 @@ def test_the_kill_count_covers_every_mutation_operator():
 def test_modular_verdict_matches_minesweeper(name):
     case = oracle.CASES[name]
     passed = not any(
-        not key[1] for outcomes in oracle.run("hermetic", case).values() for key in outcomes
+        not key[1] for outcomes in oracle.expected(case).values() for key in outcomes
     )
     assert oracle.minesweeper(case).verified is passed is (not case.planted)
 
@@ -68,7 +74,12 @@ def test_fingerprint_tells_every_one_field_change_apart():
         "witness input": replace(outcome, failure=replace(failure, input_route=other_input)),
         "witness output": replace(outcome, failure=replace(failure, output_route=other_output)),
     }
-    original = oracle.outcome_key(outcome)
+    original = oracle.outcome_key(outcome, witness=True)
     for field, variant in variants.items():
-        assert oracle.outcome_key(variant) != original, field
-    assert len({oracle.outcome_key(v) for v in variants.values()}) == len(variants)
+        assert oracle.outcome_key(variant, witness=True) != original, field
+    keys = {oracle.outcome_key(v, witness=True) for v in variants.values()}
+    assert len(keys) == len(variants)
+    # Without ``witness`` the key drops the witness routes and nothing else.
+    verdict = oracle.outcome_key(outcome)
+    for field, variant in variants.items():
+        assert (oracle.outcome_key(variant) == verdict) is (field in MODEL_FIELDS), field

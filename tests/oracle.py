@@ -5,7 +5,8 @@ the local checks ran.  This module states that once for the whole suite:
 
 * :func:`fingerprint` — per section of a report, the sorted multiset of
   :func:`outcome_key` (check, verdict, UNKNOWN reason, failing edge,
-  blamed router, ``rejected``, witness input and output route);
+  blamed router and ``rejected``; with ``witness=True`` also the witness
+  input and output route);
 * :data:`PATHS` — each runs a :class:`Case` to a report: ``hermetic``
   (a fresh solver per check: the reference), ``pooled`` (``run_problem``
   on a fresh context), ``warm`` (one context twice: every answer a memo
@@ -15,10 +16,21 @@ the local checks ran.  This module states that once for the whole suite:
   is the monolithic baseline, for small cases;
 * :data:`CORPUS` — random networks, full meshes, Figure 1, the WAN and
   the policy-diverse network, clean and with a planted fault that must
-  FAIL at the planted router (§6.1's localisation).
+  FAIL at the planted router (§6.1's localisation).  A case builds
+  nothing until a path runs it.
+
+Every path must agree with ``hermetic`` on the fingerprint, in the
+reference's order for the one-shot paths (a tracker lists a section
+owner group by owner group, so it is compared as a multiset).  Witness
+routes are compared only where one model is being replayed: a memo hit
+(``warm``) against the run that stored it.  A session may pick a
+different satisfying model from a fresh solver's (README, "Query memo"
+rule 4); that every reported model satisfies the asking check is rule
+5's replay.
 
 ``REPRO_CHAOS_SEED`` offsets the random-network seeds.  :func:`run` is
-memoised per (path, case): a test naming a cell another test ran is free.
+memoised per (path, case): a test naming a cell another test ran is
+free, so a test that counts what a run does calls the path itself.
 """
 
 from __future__ import annotations
@@ -39,12 +51,11 @@ from repro.bgp.policy import DeleteCommunity, Disposition, MatchPrefix, RouteMap
 from repro.bgp.prefix import PrefixRange
 from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
-from repro.core.incremental import PropertyTracker
 from repro.core.liveness import LivenessProblem, LivenessReport
 from repro.core.properties import SafetyProperty
 from repro.core.report import DegradationReport, GroupOutcomes
 from repro.core.safety import SafetyProblem, build_universe, run_problem
-from repro.core.workspace import Workspace, WorkspaceEntry, _entry_fingerprint
+from repro.core.workspace import Workspace, WorkspaceEntry
 from repro.lang.specjson import spec_from_json
 from repro.workloads.figure1 import build_figure1
 from repro.workloads import fullmesh, wan_properties
@@ -99,28 +110,26 @@ def random_edit(config: NetworkConfig, rng: random.Random, n: int) -> None:
 # -- the fingerprint -------------------------------------------------------
 
 
-def outcome_key(outcome) -> tuple:
-    """Everything one outcome decides, witness routes included."""
+def outcome_key(outcome, witness: bool = False) -> tuple:
+    """What one outcome decides: the check, its verdict, UNKNOWN reason,
+    failing edge, blamed router and ``rejected``; with ``witness``, also
+    the witness input and output route read from the failure's model."""
     failure = outcome.failure
-    return (
+    key = (
         str(outcome.check),
         outcome.passed,
         outcome.unknown,
         outcome.unknown_reason,
-        failure
-        and (
-            failure.check.edge,
-            failure.blamed_router,
-            failure.rejected,
-            str(failure.input_route),
-            str(failure.output_route),
-        ),
+        failure and (failure.check.edge, failure.blamed_router, failure.rejected),
     )
+    if witness and failure:
+        return (*key, (str(failure.input_route), str(failure.output_route)))
+    return key
 
 
-def fingerprint(report) -> dict[str, list[tuple]]:
-    """Per section of the proof, the sorted multiset of :func:`outcome_key`
-    (a tracker lists a section by owner group, a one-shot run by edge)."""
+def listing(report, witness: bool = False) -> dict[str, list[tuple]]:
+    """Per section of the proof, :func:`outcome_key` of each outcome in
+    the report's order."""
     if isinstance(report, LivenessReport):
         sections = {
             "propagation": report.propagation_outcomes,
@@ -129,11 +138,19 @@ def fingerprint(report) -> dict[str, list[tuple]]:
         }
     else:
         sections = {"safety": report.iter_outcomes()}
-    return {name: sorted(map(outcome_key, outs), key=repr) for name, outs in sections.items()}
+    key = partial(outcome_key, witness=witness)
+    return {name: list(map(key, outcomes)) for name, outcomes in sections.items()}
+
+
+def fingerprint(report, witness: bool = False) -> dict[str, list[tuple]]:
+    """Per section of the proof, the sorted multiset of :func:`outcome_key`
+    (a tracker lists a section by owner group, a one-shot run by edge)."""
+    return {name: sorted(keys, key=repr) for name, keys in listing(report, witness).items()}
 
 
 def blamed_routers(fp: dict[str, list[tuple]]) -> set[str]:
-    """The routers blamed by the failing edge checks of a fingerprint."""
+    """The routers blamed by the failing edge checks of a fingerprint
+    (or a :func:`listing`)."""
     return {key[4][1] for keys in fp.values() for key in keys if key[4] and key[4][0]}
 
 
@@ -147,13 +164,17 @@ class Case:
     """One problem on one network: ``network`` builds the clean
     configuration, ``mutant`` one with a fault planted.  A ``planted`` case
     verifies the mutant.  The tracker paths start from the other side of
-    the fault, so they re-run the planted router's groups."""
+    the fault, so they re-run the planted router's groups; they skip a
+    case that is not ``tracked`` (a property family: a workspace entry is
+    one property, and ``test_run_problem_is_the_reference`` pins a
+    family's tracker)."""
 
     name: str
     network: Callable[[], NetworkConfig]
     problem: Callable[[NetworkConfig], tuple]  # config -> (ghosts, problem)
     mutant: Mutant | None = None
     planted: bool = False
+    tracked: bool = True
 
     def config(self) -> NetworkConfig:
         return self.mutant()[0] if self.planted else self.network()
@@ -169,13 +190,15 @@ class Case:
         return self.name
 
 
-def strip_at(build: Callable[[], NetworkConfig], edge: Edge) -> Mutant:
-    """STRIP on the import of ``edge``: its receiving router is blamed."""
+def strip_at(build: Callable[[], NetworkConfig], edge) -> Mutant:
+    """STRIP on the import of ``edge`` (an :class:`Edge`, or a function of
+    the configuration picking one): its receiving router is blamed."""
 
     def mutant():
         config = build()
-        config.routers[edge.dst].neighbors[edge.src].import_map = STRIP
-        return config, edge.dst
+        at = edge(config) if callable(edge) else edge
+        config.routers[at.dst].neighbors[at.src].import_map = STRIP
+        return config, at.dst
 
     return mutant
 
@@ -191,10 +214,13 @@ def randomnet_case(n: int, model: str, seed: int, planted: bool = False) -> Case
     """No-transit on a random network; the mutant strips the transit tag
     on one seeded internal import."""
     build = partial(build_random_network, n, model=model, seed=seed)
-    internal = sorted(build().topology.internal_edges())
-    mutant = strip_at(build, internal[random.Random(seed).randrange(len(internal))])
+
+    def internal_edge(config):
+        internal = sorted(config.topology.internal_edges())
+        return internal[random.Random(seed).randrange(len(internal))]
+
     name = f"randomnet{n}-{model}-{seed}" + ("-planted" if planted else "")
-    return Case(name, build, no_transit, mutant, planted)
+    return Case(name, build, no_transit, strip_at(build, internal_edge), planted)
 
 
 def mesh_problem(kind: str, n: int) -> tuple:
@@ -215,7 +241,8 @@ def fullmesh_case(n: int, kind: str, planted: bool = False) -> Case:
     mesh = partial(fullmesh.build_full_mesh, n)
     name = f"fullmesh{n}-{kind}" + ("-planted" if planted else "")
     problem = lambda config: mesh_problem(kind, n)
-    return Case(name, mesh, problem, strip_at(mesh, Edge("R1", "R2")), planted)
+    mutant = strip_at(mesh, Edge("R1", "R2"))
+    return Case(name, mesh, problem, mutant, planted, tracked=kind != "family")
 
 
 def figure1_no_transit(config) -> tuple:
@@ -238,32 +265,36 @@ def _wan_problem(kind: str, config) -> tuple:
     return (problem.ghost,), problem.problem()
 
 
-def _e2e_inputs():
-    """The benchmark's input generators, loaded read-only from its file."""
+@cache
+def _policy_diverse(seed: int, n: int) -> tuple[str, str, str, str]:
+    """(config, spec, buggy config, blamed router) of the benchmark's
+    policy-diverse input, generated by its file, loaded read-only."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "e2e_inputs.py"
     spec = importlib.util.spec_from_file_location("e2e_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    config_doc, spec_doc, __ = inputs.policy_diverse(n, seed)
+    buggy_doc, manifest = inputs.policy_diverse_bug(config_doc, seed)
+    dump = inputs.dump
+    return dump(config_doc), dump(spec_doc), dump(buggy_doc), manifest["blamed_router"]
 
 
 def policy_diverse_case(seed: int, n: int = 8) -> Case:
     """The unique-route-map-per-session network with its planted
     ``ClearCommunities`` bug; the manifest names the router to blame."""
-    inputs = _e2e_inputs()
-    config_doc, spec_doc, __ = inputs.policy_diverse(n, seed)
-    buggy_doc, manifest = inputs.policy_diverse_bug(config_doc, seed)
+    docs = partial(_policy_diverse, seed, n)
 
     def problem(config):
-        spec = spec_from_json(inputs.dump(spec_doc))
+        spec = spec_from_json(docs()[1])
         (safety,) = spec.safety
         invariants = safety.build_invariants(config.topology)
         return spec.build_ghosts(config.topology), SafetyProblem(safety.property, invariants)
 
     def mutant():
-        return config_from_json(inputs.dump(buggy_doc)), manifest["blamed_router"]
+        __, __, buggy, blamed = docs()
+        return config_from_json(buggy), blamed
 
-    network = partial(config_from_json, inputs.dump(config_doc))
+    network = lambda: config_from_json(docs()[0])
     return Case(f"policy-diverse-{seed}-planted", network, problem, mutant, True)
 
 
@@ -290,9 +321,10 @@ def _corpus() -> list[Case]:
     for p, suffix in ((False, ""), (True, "-planted")):
         cases.append(Case(f"figure1-safety{suffix}", fig1, figure1_no_transit, fig1_strip, p))
         cases.append(Case(f"figure1-liveness{suffix}", fig1, fig1_liveness, fig1_r3, p))
-        cases.append(Case(f"wan-peering{suffix}", wan, peering, wan_bug, p))
+        cases.append(Case(f"wan-peering{suffix}", wan, peering, wan_bug, p, tracked=False))
     for kind in ("ip-reuse", "ip-reuse-liveness"):
-        cases.append(Case(f"wan-{kind}", wan, partial(_wan_problem, kind), wan_bug))
+        problem = partial(_wan_problem, kind)
+        cases.append(Case(f"wan-{kind}", wan, problem, wan_bug, tracked=kind != "ip-reuse"))
     return cases + [policy_diverse_case(seed) for seed in (0, 1)]
 
 
@@ -346,13 +378,7 @@ def tracked(case: Case, reload: bool = False, parallel: int | None = None) -> Wo
     ``save`` → ``load``, then ``apply`` + ``reverify`` the case."""
     ghosts, problem = case.problem(case.base())
     workspace = Workspace(case.base(), ghosts=ghosts, parallel=parallel)
-    if isinstance(problem.prop, SafetyProperty) or problem.kind == "liveness":
-        workspace.verify(problem.prop, problem.invariants)
-    else:  # ``verify`` names one property; a family registers as ``load`` does
-        tracker = PropertyTracker(workspace, problem, ghosts)
-        fingerprint = _entry_fingerprint(problem, None)
-        workspace._entries.append(WorkspaceEntry(problem.kind, problem.prop, fingerprint, tracker))
-        workspace.reverify()
+    workspace.verify(problem.prop, problem.invariants)
     if reload:
         with tempfile.TemporaryDirectory() as tmp:
             workspace.save(Path(tmp) / "workspace.lyc")
@@ -372,24 +398,43 @@ PATHS = {
     "tracker": lambda case: tracked(case).report,
     "reloaded": lambda case: tracked(case, reload=True).report,
 }
+#: The paths that list a section owner group by owner group.
+TRACKERS = ("tracker", "reloaded")
+
+
+def cells(case: Case) -> list[str]:
+    """The paths compared against ``hermetic`` on ``case``."""
+    return [p for p in PATHS if p != "hermetic" and (case.tracked or p not in TRACKERS)]
 
 
 @cache
-def run(path: str, case: Case) -> dict[str, list[tuple]]:
-    """The fingerprint of one cell, once per session; no path may fall
-    back to serial on a healthy platform."""
+def run(path: str, case: Case):
+    """The report of one cell, once per session; no path may fall back to
+    serial on a healthy platform."""
     report = PATHS[path](case)
     assert not (report.degradation and report.degradation.degraded()), (path, case.name)
-    return fingerprint(report)
+    return report
+
+
+def expected(case: Case) -> dict[str, list[tuple]]:
+    """The hermetic fingerprint of ``case``."""
+    return fingerprint(run("hermetic", case))
 
 
 def agree(case: Case, *paths: str) -> dict[str, list[tuple]]:
-    """Assert each of ``paths`` fingerprints ``case`` as ``hermetic`` does;
-    returns the reference fingerprint."""
-    expected = run("hermetic", case)
+    """Assert each of ``paths`` decides ``case`` as ``hermetic`` does — a
+    one-shot path in the reference's order, a tracker as a multiset — and
+    that ``warm``'s memo hits replay ``pooled``'s witnesses; returns the
+    reference fingerprint."""
+    reference = run("hermetic", case)
     for path in paths:
-        assert run(path, case) == expected, f"{path} diverges from hermetic on {case}"
-    return expected
+        report = run(path, case)
+        view = fingerprint if path in TRACKERS else listing
+        assert view(report) == view(reference), f"{path} diverges from hermetic on {case}"
+        if path == "warm":
+            fresh = listing(run("pooled", case), witness=True)
+            assert listing(report, witness=True) == fresh, f"memo witnesses differ on {case}"
+    return fingerprint(reference)
 
 
 @cache
