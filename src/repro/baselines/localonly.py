@@ -50,7 +50,7 @@ class LocalOnlyChecker:
                 assumption=assumption,
                 goal=goal,
                 route_map_name=None if route_map is None else route_map.name,
-                description=f"user-listed import check on {edge}",
+                text=f"user-listed import check on {edge}",
             )
         )
 
@@ -63,7 +63,7 @@ class LocalOnlyChecker:
                 assumption=assumption,
                 goal=goal,
                 route_map_name=None if route_map is None else route_map.name,
-                description=f"user-listed export check on {edge}",
+                text=f"user-listed export check on {edge}",
             )
         )
 

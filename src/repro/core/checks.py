@@ -35,6 +35,12 @@ asked to solve.  The rules, all enforced in ``_discharge``:
 * every SAT answer, solved or recalled, is replayed against the asking
   check's own assertions before it may become a :class:`CheckFailure`; a
   model that does not satisfy them raises :class:`InternalError`.
+
+Above the memo, the per-check loop answers by class
+(:func:`check_class`): a filter check whose class already passed in the
+batch takes :meth:`LocalCheck.class_member_outcome` — a memo hit's
+outcome, under the same fault hook and expired-deadline bypass — without
+building its terms.
 """
 
 from __future__ import annotations
@@ -52,7 +58,12 @@ from repro.core.properties import Location
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate, predicate_term
 from repro.lang.symroute import SymbolicRoute
-from repro.lang.transfer import symbolic_originated, transfer_export, transfer_import
+from repro.lang.transfer import (
+    symbolic_originated,
+    transfer_export,
+    transfer_import,
+    transfer_policy,
+)
 from repro.lang.universe import AttributeUniverse
 from repro.smt.sat import SatStats
 from repro.smt.solver import SolverStats
@@ -80,17 +91,48 @@ class CheckKind(enum.Enum):
     PROPAGATE_IMPORT = "propagate-import"  # C_i survives Import and is accepted
 
 
+#: The kinds that run an edge's import filter, and its export filter
+#: (tuples: a membership test compares identities, never hashes an enum).
+IMPORT_KINDS = (CheckKind.IMPORT, CheckKind.PROPAGATE_IMPORT)
+EXPORT_KINDS = (CheckKind.EXPORT, CheckKind.PROPAGATE_EXPORT)
+
+#: The description of a generated safety check, rendered on demand from its
+#: kind and edge: it is read only for failures, UNKNOWNs, ``--verbose``
+#: listings and fault matching, never for the checks that simply pass.
+_DESCRIPTIONS = {
+    CheckKind.IMPORT: (
+        "import check at {e.dst} on {e}: I[{e}] routes surviving import satisfy I[{e.dst}]"
+    ),
+    CheckKind.EXPORT: (
+        "export check at {e.src} on {e}: I[{e.src}] routes surviving export satisfy I[{e}]"
+    ),
+    CheckKind.ORIGINATE: "originate check on {e}: originated routes satisfy I[{e}]",
+}
+
+
 @dataclass(frozen=True)
 class LocalCheck:
-    """A single generated check, ready to run."""
+    """A single generated check, ready to run.
+
+    ``text`` is a custom description; without one (the Import, Export and
+    Originate checks of a safety proof) :attr:`description` is rendered
+    from the kind and edge.
+    """
 
     kind: CheckKind
     edge: Edge | None
     assumption: Predicate
     goal: Predicate
-    description: str
+    text: str | None = None
     route_map_name: str | None = None
     location: Location | None = None
+
+    @property
+    def description(self) -> str:
+        if self.text is not None:
+            return self.text
+        template = _DESCRIPTIONS.get(self.kind, "{k} check on {e}")
+        return template.format(k=self.kind.value, e=self.edge or self.location)
 
     def run(
         self,
@@ -116,12 +158,51 @@ class LocalCheck:
         # discharge of a multi-query check draw from the same budget.
         deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
         faults.on_check_start(self, deadline_abs)
-        if self.kind in (CheckKind.IMPORT, CheckKind.PROPAGATE_IMPORT):
+        return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
+
+    def class_member_outcome(
+        self,
+        config: NetworkConfig,
+        universe: AttributeUniverse,
+        ghosts: tuple[GhostAttribute, ...],
+        conflict_budget: int | None,
+        session: "smt.CheckSession",
+        deadline_s: float | None,
+    ) -> "CheckOutcome":
+        """The outcome of this check when a check of its class
+        (:func:`check_class`) already passed in the same batch.
+
+        It is the outcome a query-memo hit gives — the class's query is
+        this check's query — counted as one on the owner's ``session``,
+        but no transfer, predicate or assertion is built for it.  The fault
+        hook and the per-check deadline apply as in :meth:`run`: a check
+        whose deadline has expired bypasses the memo (rule 2 above) and is
+        decided as :meth:`run` decides it.
+        """
+        deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
+        faults.on_check_start(self, deadline_abs)
+        if deadline_abs is not None and time.monotonic() >= deadline_abs:
+            return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
+        session.memo_hits += 1
+        return CheckOutcome(check=self, passed=True, stats=MEMO_HIT_STATS)
+
+    # ------------------------------------------------------------------
+
+    def _decide(
+        self,
+        config: NetworkConfig,
+        universe: AttributeUniverse,
+        ghosts: tuple[GhostAttribute, ...],
+        conflict_budget: int | None,
+        session: "smt.CheckSession | None",
+        deadline_abs: float | None,
+    ) -> "CheckOutcome":
+        if self.kind in IMPORT_KINDS:
             return self._run_filter(
                 config, universe, ghosts, transfer_import, conflict_budget, session,
                 deadline_abs,
             )
-        if self.kind in (CheckKind.EXPORT, CheckKind.PROPAGATE_EXPORT):
+        if self.kind in EXPORT_KINDS:
             return self._run_filter(
                 config, universe, ghosts, transfer_export, conflict_budget, session,
                 deadline_abs,
@@ -133,8 +214,6 @@ class LocalCheck:
         if self.kind is CheckKind.IMPLICATION:
             return self._run_implication(universe, conflict_budget, session, deadline_abs)
         raise AssertionError(f"unhandled check kind {self.kind}")
-
-    # ------------------------------------------------------------------
 
     def _discharge(
         self,
@@ -358,9 +437,34 @@ def check_owner(check: LocalCheck) -> str | None:
     """
     if check.edge is None:
         return None
-    if check.kind in (CheckKind.IMPORT, CheckKind.PROPAGATE_IMPORT):
+    if check.kind in IMPORT_KINDS:
         return check.edge.dst
     return check.edge.src
+
+
+def check_class(
+    check: LocalCheck, config: NetworkConfig, ghosts: tuple[GhostAttribute, ...]
+) -> tuple | None:
+    """A filter check's class key: ``(kind, assumption, goal, policy)``.
+
+    ``policy`` is :func:`repro.lang.transfer.transfer_policy` of the
+    check's edge — route-map content, eBGP prepend, ghost updates — so the
+    key holds everything the check's query is built from except the
+    universe, which a batch fixes (§4.3: a local check depends on its
+    filter, not on which edge it is).  Every check of one class asks the
+    identical query; that is the transfer memo's key-completeness
+    argument, one level up.  ``None`` for originate and implication
+    checks, which are never answered by class.
+    """
+    if check.kind in IMPORT_KINDS:
+        direction = "import"
+    elif check.kind in EXPORT_KINDS:
+        direction = "export"
+    else:
+        return None
+    assert check.edge is not None
+    policy = transfer_policy(config, check.edge, ghosts, direction)
+    return (check.kind, check.assumption, check.goal, policy)
 
 
 def group_checks_by_owner(
@@ -430,7 +534,7 @@ def implication_check(
         location=location,
         assumption=assumption,
         goal=goal,
-        description=f"implication check at {location}: {claim}",
+        text=f"implication check at {location}: {claim}",
     )
 
 
@@ -466,10 +570,6 @@ def generate_safety_checks(
                     assumption=invariants.get(edge),
                     goal=invariants.get(edge.dst),
                     route_map_name=None if route_map is None else route_map.name,
-                    description=(
-                        f"import check at {edge.dst} on {edge}: "
-                        f"I[{edge}] routes surviving import satisfy I[{edge.dst}]"
-                    ),
                 )
             )
         if topo.is_router(edge.src) and (owners is None or edge.src in owners):
@@ -481,10 +581,6 @@ def generate_safety_checks(
                     assumption=invariants.get(edge.src),
                     goal=invariants.get(edge),
                     route_map_name=None if route_map is None else route_map.name,
-                    description=(
-                        f"export check at {edge.src} on {edge}: "
-                        f"I[{edge.src}] routes surviving export satisfy I[{edge}]"
-                    ),
                 )
             )
             if config.originate(edge):
@@ -494,9 +590,6 @@ def generate_safety_checks(
                         edge=edge,
                         assumption=invariants.get(edge),  # unused
                         goal=invariants.get(edge),
-                        description=(
-                            f"originate check on {edge}: originated routes satisfy I[{edge}]"
-                        ),
                     )
                 )
     if owners is None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.checks import check_owner, skipped_outcome
+from repro.core.checks import check_class, check_owner, skipped_outcome
 from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
 from repro.smt.solver import SessionPool
 from repro.testing import faults
@@ -96,8 +96,17 @@ def run_in_sessions(
     through it on the worker's pool.  A check whose query the pool's memo
     already holds never reaches its session (see
     :meth:`repro.core.checks.LocalCheck._discharge`).
+
+    Checks are classes (:func:`repro.core.checks.check_class`): once one
+    filter check of a class has passed, every later member is answered
+    with one set probe, as a memo hit, without building its terms
+    (:meth:`repro.core.checks.LocalCheck.class_member_outcome`).  Config,
+    universe and ghosts are fixed for the call, so the set of passed
+    classes needs no invalidation.  Only a pass fans out: a member of a
+    failed or UNKNOWN class runs itself, for its own blame and witness.
     """
     outcomes: list["CheckOutcome"] = []
+    passed: set[tuple] = set()
     for check in checks:
         # Effective per-check deadline: the tighter of the check budget and
         # what is left of the run's wall budget, from one clock sample.
@@ -111,12 +120,20 @@ def run_in_sessions(
                 outcomes.append(skipped_outcome(check, "wall-budget"))
                 continue
             effective = remaining if effective is None else min(effective, remaining)
-        outcomes.append(
-            check.run(
-                config, universe, ghosts, conflict_budget,
-                session=sessions.get(check_owner(check)), deadline_s=effective,
+        session = sessions.get(check_owner(check))
+        key = check_class(check, config, ghosts)
+        if key in passed:
+            outcome = check.class_member_outcome(
+                config, universe, ghosts, conflict_budget, session, effective
             )
-        )
+        else:
+            outcome = check.run(
+                config, universe, ghosts, conflict_budget,
+                session=session, deadline_s=effective,
+            )
+            if key is not None and outcome.passed:
+                passed.add(key)
+        outcomes.append(outcome)
     return outcomes
 
 

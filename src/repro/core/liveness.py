@@ -124,7 +124,7 @@ def generate_propagation_checks(
                     assumption=c_here,
                     goal=c_next,
                     route_map_name=None if route_map is None else route_map.name,
-                    description=(
+                    text=(
                         f"propagation (export) at {here} on {edge}: "
                         f"good routes are exported and stay good"
                     ),
@@ -143,7 +143,7 @@ def generate_propagation_checks(
                     assumption=c_here,
                     goal=c_next,
                     route_map_name=None if route_map is None else route_map.name,
-                    description=(
+                    text=(
                         f"propagation (import) at {here.dst} on {here}: "
                         f"good routes are accepted and stay good"
                     ),

@@ -92,7 +92,9 @@ from repro.lang.predicates import Predicate
 # Format 7: ``Edge`` is a NamedTuple (pickled as a tuple, not a dataclass
 # state dict) and the pickled ``Topology`` holds adjacency only (no
 # ``_edges`` set); every persisted property or outcome with an edge changes.
-CACHE_FORMAT = 7
+# Format 8: a ``LocalCheck`` stores an optional custom ``text`` instead of
+# its ``description`` (rendered on demand from kind and edge).
+CACHE_FORMAT = 8
 _DIGEST_LEN = hashlib.sha256().digest_size
 
 # Entry kind -> the problem builder ``load`` rebuilds a tracker's problem

@@ -35,6 +35,11 @@ output depends on — never the edge or router name itself:
   the canonical fresh route ``r`` of a sweep keys identically across all
   checks, while chained liveness inputs key by their own structure.
 
+All but the input route is :func:`transfer_policy`, which is also the
+policy part of a filter check's class key: a check whose class already
+passed in a batch is answered without calling the transfer at all
+(:func:`repro.core.exec.pool.run_in_sessions`).
+
 Invalidation: cached values are interned-term graphs, so the caches are
 registered with :func:`repro.smt.terms.register_intern_dependent` and die
 with the intern table — exactly like ``SymbolicRoute.fresh``'s cache.
@@ -339,6 +344,42 @@ def _apply_ghost_updates(
     return route
 
 
+def transfer_policy(
+    config: NetworkConfig,
+    edge: Edge,
+    ghosts: Sequence[GhostAttribute],
+    direction: str,
+) -> tuple:
+    """Everything ``Import``/``Export`` on ``edge`` depends on but the input
+    route: the direction, the route map's content digest, the eBGP prepend
+    ASN (exports only) and the ghost updates on the edge.
+
+    The transfer memo's key is this plus the input route, and it is the
+    policy part of a filter check's class key
+    (:func:`repro.core.checks.check_class`): two edges with equal policies
+    run the same transfer function, whatever their names.
+    """
+    if direction == "import":
+        return (
+            "import",
+            route_map_digest(config.import_map(edge)),
+            _ghost_update_key(edge, ghosts, "import"),
+        )
+    return (
+        "export",
+        route_map_digest(config.export_map(edge)),
+        _prepend_asn(config, edge),
+        _ghost_update_key(edge, ghosts, "export"),
+    )
+
+
+def _prepend_asn(config: NetworkConfig, edge: Edge) -> int | None:
+    """The ASN an export on ``edge`` prepends: the sender's on eBGP."""
+    if edge.src in config.routers and config.is_ebgp(edge):
+        return config.routers[edge.src].asn
+    return None
+
+
 def transfer_import(
     config: NetworkConfig,
     edge: Edge,
@@ -348,12 +389,7 @@ def transfer_import(
     """``Import(edge, r)`` as (accepted, r'), with ghost updates applied."""
     if not _cache_enabled:
         return _transfer_import_uncached(config, edge, route, ghosts)
-    key = (
-        "import",
-        route_map_digest(config.import_map(edge)),
-        _ghost_update_key(edge, ghosts, "import"),
-        _route_key(route),
-    )
+    key = (transfer_policy(config, edge, ghosts, "import"), _route_key(route))
     cached = _transfer_cache.get(key)
     if cached is not None:
         _stats.hits += 1
@@ -382,25 +418,16 @@ def transfer_export(
     ghosts: Sequence[GhostAttribute] = (),
 ) -> tuple[Term, SymbolicRoute]:
     """``Export(edge, r)`` as (accepted, r'), with prepend and ghosts."""
-    prepend_asn = (
-        config.routers[edge.src].asn
-        if edge.src in config.routers and config.is_ebgp(edge)
-        else None
-    )
     if not _cache_enabled:
-        return _transfer_export_uncached(config, edge, route, ghosts, prepend_asn)
-    key = (
-        "export",
-        route_map_digest(config.export_map(edge)),
-        prepend_asn,
-        _ghost_update_key(edge, ghosts, "export"),
-        _route_key(route),
-    )
+        return _transfer_export_uncached(config, edge, route, ghosts, _prepend_asn(config, edge))
+    policy = transfer_policy(config, edge, ghosts, "export")
+    key = (policy, _route_key(route))
     cached = _transfer_cache.get(key)
     if cached is not None:
         _stats.hits += 1
         return cached
     _stats.misses += 1
+    __, __, prepend_asn, __ = policy
     result = _transfer_export_uncached(config, edge, route, ghosts, prepend_asn)
     _transfer_cache[key] = result
     return result

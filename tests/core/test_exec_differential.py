@@ -33,10 +33,6 @@ def test_safety_report_buckets_identical_across_backends():
     oracle.agree(oracle.randomnet_case(5, "ba", 4, True), "pooled", "parallel")
 
 
-def test_liveness_mapping_matches_hermetic_reference():
-    oracle.agree(FIGURE1_LIVENESS, "pooled")
-
-
 def test_outcomes_do_not_depend_on_mapping_order():
     # Independence (the §4.3/§5.3 theorems) is what licenses running a
     # whole proof as one batch with no stages: any key order gives every

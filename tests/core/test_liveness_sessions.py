@@ -16,7 +16,8 @@ every no-interference sub-proof share encodings.  The pinned claims:
 * a warm pool re-verifies with zero marginal encoding;
 * the implication check goes through the shared pool (the ``None``-owner
   session discharges it alongside the sub-proof implications);
-* the process map (``ExecutionContext(parallel=2)``) agrees with serial.
+* the process map (``ExecutionContext(parallel=2)``) agrees with serial
+  (the oracle's ``figure1-liveness-parallel`` cell).
 """
 
 from __future__ import annotations
@@ -169,10 +170,6 @@ def test_liveness_universe_covers_subproof_universes(fig1_config):
     case = oracle.Case("figure1-liveness-custom", build_figure1, problem)
     _assert_hoisting_is_invisible(case)
     oracle.agree(case, "pooled")
-
-
-def test_liveness_process_backend_agrees_with_serial():
-    oracle.agree(FIGURE1_LIVENESS, "pooled", "parallel")
 
 
 def test_hoisted_wan_liveness_sweep_matches_per_region_runs():

@@ -32,19 +32,6 @@ def test_session_reuse_matches_fresh_solvers_on_fullmesh():
     assert not oracle.blamed_routers(reference)
 
 
-def test_session_reuse_matches_fresh_solvers_on_broken_fullmesh():
-    # The transit tag stripped inside the mesh: checks must fail
-    # identically, with the same localisation, under both strategies.
-    reference = oracle.agree(oracle.fullmesh_case(4, "safety", planted=True), "pooled")
-    assert oracle.blamed_routers(reference) == {"R2"}
-
-
-def test_process_backend_agrees_with_serial():
-    case = oracle.fullmesh_case(5, "safety")
-    # Both in the hermetic reference's order, check for check.
-    oracle.agree(case, "pooled", "parallel")
-
-
 def test_process_backend_ships_counterexamples_back():
     # Counterexamples, blame included, survive the process boundary.
     case = oracle.fullmesh_case(4, "safety", planted=True)

@@ -89,7 +89,7 @@ def test_unpicklable_chunk_degrades_to_one_recorded_serial_fallback():
 
     victim = next(i for i, c in enumerate(checks) if check_owner(c) == "R2")
     checks[victim] = dataclasses.replace(
-        checks[victim], description=LocalDescription(checks[victim].description)
+        checks[victim], text=LocalDescription(checks[victim].description)
     )
     serial = run_batch(checks, config, universe, (ghost,))
     degradation = DegradationReport()

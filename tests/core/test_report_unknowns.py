@@ -37,7 +37,7 @@ def _unknown_group(description="undecided stub check"):
         edge=None,
         assumption=TruePred(),
         goal=TruePred(),
-        description=description,
+        text=description,
     )
     outcome = CheckOutcome(
         check=check, passed=False, stats=SolverStats(), unknown=True

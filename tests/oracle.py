@@ -16,8 +16,11 @@ the local checks ran.  This module states that once for the whole suite:
   is the monolithic baseline, for small cases;
 * :data:`CORPUS` — random networks, full meshes, Figure 1, the WAN and
   the policy-diverse network, clean and with a planted fault that must
-  FAIL at the planted router (§6.1's localisation).  A case builds
-  nothing until a path runs it.
+  FAIL at the planted router (§6.1's localisation), plus a mesh whose
+  invariants are misstated on single members of two large check classes
+  (the pooled paths answer a passed class's members without running
+  them, so one failing member must not pass with its class).  A case
+  builds nothing until a path runs it.
 
 Every path must agree with ``hermetic`` on the fingerprint, in the
 reference's order for the one-shot paths (a tracker lists a section
@@ -49,6 +52,7 @@ from repro.bgp.config import NetworkConfig
 from repro.bgp.configjson import config_from_json
 from repro.bgp.policy import DeleteCommunity, Disposition, MatchPrefix, RouteMap, RouteMapClause
 from repro.bgp.prefix import PrefixRange
+from repro.bgp.route import Community
 from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
 from repro.core.liveness import LivenessProblem, LivenessReport
@@ -56,6 +60,7 @@ from repro.core.properties import SafetyProperty
 from repro.core.report import DegradationReport, GroupOutcomes
 from repro.core.safety import SafetyProblem, build_universe, run_problem
 from repro.core.workspace import Workspace, WorkspaceEntry
+from repro.lang.predicates import HasCommunity, TruePred
 from repro.lang.specjson import spec_from_json
 from repro.workloads.figure1 import build_figure1
 from repro.workloads import fullmesh, wan_properties
@@ -245,6 +250,18 @@ def fullmesh_case(n: int, kind: str, planted: bool = False) -> Case:
     return Case(name, mesh, problem, mutant, planted, tracked=kind != "family")
 
 
+def misstated_no_transit(config) -> tuple:
+    """No-transit on the 4-router mesh with two edge invariants misstated:
+    ``I[R3->R4]`` is True and ``I[R2->R3]`` asks for a community nothing
+    adds.  Three checks fail — R4's import from R3 (an assumption apart),
+    R2's export to R3 (a goal apart) and R3's import from R2 — each after
+    checks running the same filter passed earlier in the batch."""
+    ghost, prop, invariants = mesh_no_transit(config)
+    invariants.set_edge("R3", "R4", TruePred())
+    invariants.set_edge("R2", "R3", HasCommunity(Community(9, 9)))
+    return (ghost,), SafetyProblem(prop, invariants)
+
+
 def figure1_no_transit(config) -> tuple:
     problem = SafetyProblem(no_transit_property(), no_transit_invariants(config))
     return (isp1_ghost(config),), problem
@@ -311,6 +328,9 @@ def _corpus() -> list[Case]:
     for n in (4, 5):
         cases += [fullmesh_case(n, k, p) for k in ("safety", "family") for p in (False, True)]
         cases.append(fullmesh_case(n, "liveness"))
+    cases.append(
+        Case("fullmesh4-safety-misstated", partial(fullmesh.build_full_mesh, 4), misstated_no_transit)
+    )
     fig1_strip = strip_at(build_figure1, Edge("R1", "R2"))
     fig1_r3 = lambda: (build_figure1(buggy_r3_strip=True), "R3")
     fig1_liveness = lambda config: ((), LivenessProblem(customer_liveness_property()))
