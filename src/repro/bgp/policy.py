@@ -334,6 +334,12 @@ class RouteMap:
 # so structurally equal policies produce identical keys in every process.
 
 
+# Dataclass type -> its field names, filled the first time the isinstance
+# chain below reaches ``is_dataclass`` for that type.  ``Route`` is matched
+# earlier in the chain, so it never lands here.
+_field_names: dict[type, tuple[str, ...]] = {}
+
+
 def canonical_policy(obj: object) -> object:
     """A hashable, order-canonical representation of a policy object.
 
@@ -341,8 +347,14 @@ def canonical_policy(obj: object) -> object:
     order — it is semantically meaningful or at least author-chosen.
     Unordered containers (community sets, ghost mappings) are sorted.
     """
+    cls = type(obj)
+    names = _field_names.get(cls)
+    if names is not None:
+        return (cls.__name__,) + tuple(canonical_policy(getattr(obj, n)) for n in names)
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, tuple):
+        return tuple(canonical_policy(item) for item in obj)
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, Route):
@@ -357,14 +369,11 @@ def canonical_policy(obj: object) -> object:
             obj.origin,
             tuple(sorted(obj.ghost.items())),
         )
-    if is_dataclass(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
         # Covers Match/Action subclasses, RouteMapClause, RouteMap,
         # Community, Prefix, and PrefixRange: all frozen tuples of fields.
-        return (type(obj).__name__,) + tuple(
-            canonical_policy(getattr(obj, f.name)) for f in fields(obj)
-        )
-    if isinstance(obj, tuple):
-        return tuple(canonical_policy(item) for item in obj)
+        names = _field_names[cls] = tuple(f.name for f in fields(obj))
+        return (cls.__name__,) + tuple(canonical_policy(getattr(obj, n)) for n in names)
     if isinstance(obj, (frozenset, set)):
         return tuple(sorted(canonical_policy(item) for item in obj))
     raise TypeError(f"cannot canonicalise policy object {obj!r}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from operator import is_not
 from typing import ClassVar, Iterator, Mapping
 
 from repro import smt
@@ -226,27 +227,47 @@ class SymbolicRoute:
         return replace(self, ghosts=ghosts)
 
     def merge(self, cond: Term, other: "SymbolicRoute") -> "SymbolicRoute":
-        """Pointwise ``ite(cond, self, other)`` over every field."""
+        """Pointwise ``ite(cond, self, other)`` over every field.
+
+        ``ite`` is built only where the two terms differ (``ite(c, t, t)``
+        is ``t``): a route-map clause changes one or two of a few hundred
+        attributes.  Both routes must list each map's keys in the same order
+        (every constructor keys them by the universe).  Each result map
+        starts from ``other``'s and is ``other``'s own map when nothing
+        differs.
+        """
+        ite = smt.ite
+
+        def pick(then: Term, els: Term) -> Term:
+            return els if then is els else ite(cond, then, els)
+
+        def pointwise(then: Mapping, els: Mapping) -> Mapping:
+            if then is els:
+                return els
+            keys = list(els)
+            if list(then) != keys:
+                raise ValueError("merged routes must key their attributes alike")
+            # Same keys in the same order: compare the terms pairwise in C.
+            changed = list(itertools.compress(keys, map(is_not, then.values(), els.values())))
+            if not changed:
+                return els
+            merged = dict(els)
+            for key in changed:
+                merged[key] = ite(cond, then[key], els[key])
+            return merged
+
         return SymbolicRoute(
             universe=self.universe,
-            prefix_addr=smt.ite(cond, self.prefix_addr, other.prefix_addr),
-            prefix_len=smt.ite(cond, self.prefix_len, other.prefix_len),
-            local_pref=smt.ite(cond, self.local_pref, other.local_pref),
-            med=smt.ite(cond, self.med, other.med),
-            next_hop=smt.ite(cond, self.next_hop, other.next_hop),
-            origin=smt.ite(cond, self.origin, other.origin),
-            as_path_len=smt.ite(cond, self.as_path_len, other.as_path_len),
-            communities={
-                c: smt.ite(cond, self.communities[c], other.communities[c])
-                for c in self.communities
-            },
-            as_path_members={
-                a: smt.ite(cond, self.as_path_members[a], other.as_path_members[a])
-                for a in self.as_path_members
-            },
-            ghosts={
-                g: smt.ite(cond, self.ghosts[g], other.ghosts[g]) for g in self.ghosts
-            },
+            prefix_addr=pick(self.prefix_addr, other.prefix_addr),
+            prefix_len=pick(self.prefix_len, other.prefix_len),
+            local_pref=pick(self.local_pref, other.local_pref),
+            med=pick(self.med, other.med),
+            next_hop=pick(self.next_hop, other.next_hop),
+            origin=pick(self.origin, other.origin),
+            as_path_len=pick(self.as_path_len, other.as_path_len),
+            communities=pointwise(self.communities, other.communities),
+            as_path_members=pointwise(self.as_path_members, other.as_path_members),
+            ghosts=pointwise(self.ghosts, other.ghosts),
         )
 
     # ------------------------------------------------------------------

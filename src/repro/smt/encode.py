@@ -19,9 +19,10 @@ ITE (four clauses, condition sign-normalised).  ``Not`` is a sign flip.
 
 The memos persist for the lifetime of the instance, which is what lets a
 :class:`repro.smt.solver.CheckSession` encode a shared transfer-function
-fragment once and reuse its clauses across many checks.  Gate keys are
-sorted ints and no set is ever iterated into a clause, so the CNF does not
-depend on ``PYTHONHASHSEED``.
+fragment once and reuse its clauses across many checks.  Terms hash by
+identity (:mod:`repro.smt.terms`), so a term's hash depends on memory layout
+as well as on ``PYTHONHASHSEED``; what keeps the CNF stable is that gate
+keys are sorted ints and no set of terms is iterated into a clause.
 """
 
 from __future__ import annotations

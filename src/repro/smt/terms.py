@@ -6,6 +6,11 @@ the smart constructors at the bottom of this module (``and_``, ``bv_eq``,
 encoders see smaller DAGs.  Structural sharing matters: identical subterms are
 interned so the encoder (:mod:`repro.smt.encode`) can memoise on object
 identity.
+
+Terms hash and compare by identity (``object``'s own ``__hash__`` and
+``__eq__``), so a term's hash depends on where it lives in memory as well
+as on ``PYTHONHASHSEED``.  Building a node costs one intern-table lookup on
+a structural key; a hit allocates nothing.
 """
 
 from __future__ import annotations
@@ -56,16 +61,12 @@ class BitVecSort(Sort):
 # Term base and interning
 # ---------------------------------------------------------------------------
 
+# Structural key -> the one term with that structure.  Keys hold child terms,
+# which hash by identity, so a lookup costs one C-level tuple hash.
 _INTERN: dict[tuple, "Term"] = {}
 
-
-def _intern(key: tuple, build) -> "Term":
-    term = _INTERN.get(key)
-    if term is None:
-        term = build()
-        _INTERN[key] = term
-    return term
-
+_new = object.__new__
+_set = object.__setattr__
 
 _intern_dependents: list = []
 
@@ -81,8 +82,14 @@ def register_intern_dependent(clear_fn) -> None:
 
 
 def clear_intern_cache() -> None:
-    """Drop the global intern table (used by long-running benchmarks)."""
+    """Drop the global intern table (used by long-running benchmarks).
+
+    ``TRUE`` and ``FALSE`` stay interned: the smart constructors fold on
+    their identity, so ``BoolConst(True)`` must keep returning ``TRUE``.
+    """
     _INTERN.clear()
+    _INTERN[("BoolConst", True)] = TRUE
+    _INTERN[("BoolConst", False)] = FALSE
     for clear_fn in _intern_dependents:
         clear_fn()
 
@@ -90,15 +97,16 @@ def clear_intern_cache() -> None:
 class Term:
     """Base class of all terms.  Instances are immutable and interned.
 
-    Construction happens entirely inside each subclass ``__new__`` (so that
-    interning can return an existing instance); ``__init__`` must therefore
-    ignore the constructor arguments Python re-passes to it.
+    Each subclass ``__new__`` looks its structural key up in the intern
+    table and builds a node only on a miss, so structurally equal terms are
+    the same object.  That is why ``Term`` keeps ``object``'s identity
+    ``__eq__``/``__hash__``: they run at C speed, and a hash depends on the
+    object's address (so on memory layout as well as ``PYTHONHASHSEED``).
+    Nothing may therefore let the iteration order of a set or dict *of
+    terms* leak into an output.
     """
 
-    __slots__ = ("sort", "_hash")
-
-    def __init__(self, *args: object, **kwargs: object):
-        pass
+    __slots__ = ("sort",)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("terms are immutable")
@@ -114,20 +122,8 @@ class Term:
             raise TypeError(f"{self!r} is not a bit-vector")
         return sort.width
 
-    # Interned terms compare by identity, which is what dict/memo users want.
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return object.__getattribute__(self, "_hash")
-
     def children(self) -> tuple["Term", ...]:
         return ()
-
-
-def _finish(term: Term, h: int) -> Term:
-    object.__setattr__(term, "_hash", h)
-    return term
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +135,15 @@ class BoolConst(Term):
     __slots__ = ("value",)
 
     def __new__(cls, value: bool):
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BOOL)
-            object.__setattr__(t, "value", bool(value))
-            return _finish(t, hash(("BoolConst", value)))
-
-        return _intern(("BoolConst", bool(value)), build)
+        value = bool(value)
+        key = ("BoolConst", value)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BOOL)
+            _set(t, "value", value)
+            _INTERN[key] = t
+        return t
 
     def __repr__(self) -> str:
         return "true" if self.value else "false"
@@ -159,13 +157,14 @@ class BoolVar(Term):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BOOL)
-            object.__setattr__(t, "name", name)
-            return _finish(t, hash(("BoolVar", name)))
-
-        return _intern(("BoolVar", name), build)
+        key = ("BoolVar", name)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BOOL)
+            _set(t, "name", name)
+            _INTERN[key] = t
+        return t
 
     def __repr__(self) -> str:
         return self.name
@@ -175,13 +174,14 @@ class Not(Term):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Term):
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BOOL)
-            object.__setattr__(t, "arg", arg)
-            return _finish(t, hash(("Not", arg)))
-
-        return _intern(("Not", arg), build)
+        key = ("Not", arg)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BOOL)
+            _set(t, "arg", arg)
+            _INTERN[key] = t
+        return t
 
     def children(self) -> tuple[Term, ...]:
         return (self.arg,)
@@ -195,13 +195,14 @@ class _NaryBool(Term):
     _op = "?"
 
     def __new__(cls, args: tuple[Term, ...]):
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BOOL)
-            object.__setattr__(t, "args", args)
-            return _finish(t, hash((cls._op, args)))
-
-        return _intern((cls._op, args), build)
+        key = (cls._op, args)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BOOL)
+            _set(t, "args", args)
+            _INTERN[key] = t
+        return t
 
     def children(self) -> tuple[Term, ...]:
         return self.args
@@ -227,15 +228,16 @@ class Ite(Term):
     __slots__ = ("cond", "then", "els")
 
     def __new__(cls, cond: Term, then: Term, els: Term):
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BOOL)
-            object.__setattr__(t, "cond", cond)
-            object.__setattr__(t, "then", then)
-            object.__setattr__(t, "els", els)
-            return _finish(t, hash(("Ite", cond, then, els)))
-
-        return _intern(("Ite", cond, then, els), build)
+        key = ("Ite", cond, then, els)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BOOL)
+            _set(t, "cond", cond)
+            _set(t, "then", then)
+            _set(t, "els", els)
+            _INTERN[key] = t
+        return t
 
     def children(self) -> tuple[Term, ...]:
         return (self.cond, self.then, self.els)
@@ -249,17 +251,23 @@ class Ite(Term):
 # ---------------------------------------------------------------------------
 
 
+def _check_widths(lhs: Term, rhs: Term) -> None:
+    if lhs.width != rhs.width:
+        raise TypeError(f"width mismatch: {lhs!r} vs {rhs!r}")
+
+
 class BvVar(Term):
     __slots__ = ("name",)
 
     def __new__(cls, name: str, width: int):
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BitVecSort(width))
-            object.__setattr__(t, "name", name)
-            return _finish(t, hash(("BvVar", name, width)))
-
-        return _intern(("BvVar", name, width), build)
+        key = ("BvVar", name, width)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BitVecSort(width))
+            _set(t, "name", name)
+            _INTERN[key] = t
+        return t
 
     def __repr__(self) -> str:
         return f"{self.name}[{self.width}]"
@@ -270,14 +278,14 @@ class BvConst(Term):
 
     def __new__(cls, value: int, width: int):
         value = value & ((1 << width) - 1)
-
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BitVecSort(width))
-            object.__setattr__(t, "value", value)
-            return _finish(t, hash(("BvConst", value, width)))
-
-        return _intern(("BvConst", value, width), build)
+        key = ("BvConst", value, width)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BitVecSort(width))
+            _set(t, "value", value)
+            _INTERN[key] = t
+        return t
 
     def __repr__(self) -> str:
         return f"#{self.value:#x}[{self.width}]"
@@ -290,17 +298,17 @@ class _BinBoolFromBv(Term):
     _op = "?"
 
     def __new__(cls, lhs: Term, rhs: Term):
-        if lhs.width != rhs.width:
-            raise TypeError(f"width mismatch: {lhs!r} vs {rhs!r}")
-
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BOOL)
-            object.__setattr__(t, "lhs", lhs)
-            object.__setattr__(t, "rhs", rhs)
-            return _finish(t, hash((cls._op, lhs, rhs)))
-
-        return _intern((cls._op, lhs, rhs), build)
+        key = (cls._op, lhs, rhs)
+        t = _INTERN.get(key)
+        if t is None:
+            # A hit was checked when it was built.
+            _check_widths(lhs, rhs)
+            t = _new(cls)
+            _set(t, "sort", BOOL)
+            _set(t, "lhs", lhs)
+            _set(t, "rhs", rhs)
+            _INTERN[key] = t
+        return t
 
     def children(self) -> tuple[Term, ...]:
         return (self.lhs, self.rhs)
@@ -331,17 +339,16 @@ class _BinBv(Term):
     _op = "?"
 
     def __new__(cls, lhs: Term, rhs: Term):
-        if lhs.width != rhs.width:
-            raise TypeError(f"width mismatch: {lhs!r} vs {rhs!r}")
-
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BitVecSort(lhs.width))
-            object.__setattr__(t, "lhs", lhs)
-            object.__setattr__(t, "rhs", rhs)
-            return _finish(t, hash((cls._op, lhs, rhs)))
-
-        return _intern((cls._op, lhs, rhs), build)
+        key = (cls._op, lhs, rhs)
+        t = _INTERN.get(key)
+        if t is None:
+            _check_widths(lhs, rhs)
+            t = _new(cls)
+            _set(t, "sort", lhs.sort)
+            _set(t, "lhs", lhs)
+            _set(t, "rhs", rhs)
+            _INTERN[key] = t
+        return t
 
     def children(self) -> tuple[Term, ...]:
         return (self.lhs, self.rhs)
@@ -374,13 +381,14 @@ class BvNot(Term):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Term):
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BitVecSort(arg.width))
-            object.__setattr__(t, "arg", arg)
-            return _finish(t, hash(("bvnot", arg)))
-
-        return _intern(("bvnot", arg), build)
+        key = ("bvnot", arg)
+        t = _INTERN.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "sort", BitVecSort(arg.width))
+            _set(t, "arg", arg)
+            _INTERN[key] = t
+        return t
 
     def children(self) -> tuple[Term, ...]:
         return (self.arg,)
@@ -393,18 +401,17 @@ class BvIte(Term):
     __slots__ = ("cond", "then", "els")
 
     def __new__(cls, cond: Term, then: Term, els: Term):
-        if then.width != els.width:
-            raise TypeError(f"width mismatch: {then!r} vs {els!r}")
-
-        def build():
-            t = object.__new__(cls)
-            object.__setattr__(t, "sort", BitVecSort(then.width))
-            object.__setattr__(t, "cond", cond)
-            object.__setattr__(t, "then", then)
-            object.__setattr__(t, "els", els)
-            return _finish(t, hash(("bvite", cond, then, els)))
-
-        return _intern(("bvite", cond, then, els), build)
+        key = ("bvite", cond, then, els)
+        t = _INTERN.get(key)
+        if t is None:
+            _check_widths(then, els)
+            t = _new(cls)
+            _set(t, "sort", then.sort)
+            _set(t, "cond", cond)
+            _set(t, "then", then)
+            _set(t, "els", els)
+            _INTERN[key] = t
+        return t
 
     def children(self) -> tuple[Term, ...]:
         return (self.cond, self.then, self.els)
@@ -461,7 +468,7 @@ def and_(*args: Term | Iterable[Term]) -> Term:
             seen.add(a)
             flat.append(a)
     for a in flat:
-        if not_(a) in seen:
+        if isinstance(a, Not) and a.arg in seen:
             return FALSE
     if not flat:
         return TRUE
@@ -490,7 +497,7 @@ def or_(*args: Term | Iterable[Term]) -> Term:
             seen.add(a)
             flat.append(a)
     for a in flat:
-        if not_(a) in seen:
+        if isinstance(a, Not) and a.arg in seen:
             return TRUE
     if not flat:
         return FALSE

@@ -26,16 +26,24 @@ from repro.bgp.policy import (
     ClearCommunities,
     DeleteCommunity,
     Disposition,
+    MatchAll,
+    MatchAny,
+    MatchAsPathContains,
+    MatchAsPathLength,
     MatchCommunity,
     MatchLocalPrefRange,
     MatchMedRange,
+    MatchNextHopIn,
     MatchNot,
+    MatchOrigin,
     MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
     SetLocalPref,
     SetMed,
+    SetNextHop,
+    SetOrigin,
     canonical_policy,
     route_map_digest,
 )
@@ -286,3 +294,64 @@ def test_digest_equality_implies_cached_check_reuse():
     assert result.rerun_checks == 0
     assert result.reuse_fraction == 1.0
     assert result.report.passed
+
+
+# ---------------------------------------------------------------------------
+# Pinned values: the on-disk cache key
+# ---------------------------------------------------------------------------
+#
+# Every saved ``--cache`` is matched against ``RouterConfig.digest``, which
+# hashes the repr of ``canonical_policy``'s output.  A change to that output
+# (a renamed field, a reordered tuple, a new container rule) silently turns
+# every cache on disk stale, so it must show up here first.
+
+EVERY_MATCH_AND_ACTION = RouteMap(
+    "PINNED",
+    (
+        RouteMapClause(
+            10,
+            Disposition.DENY,
+            matches=(
+                MatchNot(MatchCommunity(C2)),
+                MatchAny((MatchAsPathContains(666), MatchOrigin(2))),
+            ),
+        ),
+        RouteMapClause(
+            20,
+            matches=(
+                MatchPrefix((PrefixRange(Prefix.parse("10.0.0.0/8"), 16, 24),)),
+                MatchMedRange(0, 50),
+                MatchLocalPrefRange(100, 200),
+                MatchAll((MatchAsPathLength(1, 4),)),
+                MatchNextHopIn((Prefix.parse("192.0.2.0/24"),)),
+            ),
+            actions=(
+                SetLocalPref(300),
+                SetMed(5),
+                SetNextHop(0x0A000001),
+                AddCommunity(C1),
+                DeleteCommunity(C3),
+                PrependAsPath(65000, 2),
+                SetOrigin(1),
+            ),
+        ),
+        RouteMapClause(30, actions=(ClearCommunities(),)),
+    ),
+)
+
+
+def test_route_map_digest_is_pinned():
+    assert route_map_digest(EVERY_MATCH_AND_ACTION) == (
+        "8c160aefb5eb790462fe310bc70db3ca3b67878d10445bbca59b3f855e41a79b"
+    )
+
+
+def test_router_digest_is_pinned():
+    router = _router(
+        import_map=EVERY_MATCH_AND_ACTION,
+        export_map=IMPORT_MAP,
+        rr_clients=frozenset({"P2", "P1"}),
+    )
+    assert router.digest() == (
+        "be4f977e4f9a05a4149aafbf0479181b3cddcc437bca546c6d33cebe087c4c3d"
+    )

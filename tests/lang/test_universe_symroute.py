@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import smt
-from repro.bgp.prefix import Prefix
+from repro.bgp.policy import (
+    AddCommunity,
+    ClearCommunities,
+    DeleteCommunity,
+    MatchCommunity,
+    MatchMedRange,
+    MatchPrefix,
+    PrependAsPath,
+    SetLocalPref,
+    SetMed,
+    SetNextHop,
+    SetOrigin,
+)
+from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
 from repro.lang.symroute import SymbolicRoute
+from repro.lang.transfer import apply_action, match_term
 from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import Model
 from repro.workloads.figure1 import build_figure1
@@ -133,6 +149,112 @@ def test_merge_selects_fields_by_condition():
     s2.add(smt.not_(cond))
     s2.add(smt.bv_eq(merged.med, smt.bv_const(1, 16)))
     assert s2.check() is smt.Result.UNSAT
+
+
+def full_pointwise_merge(then: SymbolicRoute, cond, els: SymbolicRoute) -> SymbolicRoute:
+    """``merge`` as first written: one ``ite`` per field and per atom."""
+    return SymbolicRoute(
+        universe=then.universe,
+        prefix_addr=smt.ite(cond, then.prefix_addr, els.prefix_addr),
+        prefix_len=smt.ite(cond, then.prefix_len, els.prefix_len),
+        local_pref=smt.ite(cond, then.local_pref, els.local_pref),
+        med=smt.ite(cond, then.med, els.med),
+        next_hop=smt.ite(cond, then.next_hop, els.next_hop),
+        origin=smt.ite(cond, then.origin, els.origin),
+        as_path_len=smt.ite(cond, then.as_path_len, els.as_path_len),
+        communities={
+            c: smt.ite(cond, then.communities[c], els.communities[c])
+            for c in then.communities
+        },
+        as_path_members={
+            a: smt.ite(cond, then.as_path_members[a], els.as_path_members[a])
+            for a in then.as_path_members
+        },
+        ghosts={g: smt.ite(cond, then.ghosts[g], els.ghosts[g]) for g in then.ghosts},
+    )
+
+
+SCALARS = ("prefix_addr", "prefix_len", "local_pref", "med", "next_hop", "origin", "as_path_len")
+MAPS = ("communities", "as_path_members", "ghosts")
+
+
+def assert_merges_agree(then: SymbolicRoute, cond, els: SymbolicRoute) -> SymbolicRoute:
+    merged = then.merge(cond, els)
+    reference = full_pointwise_merge(then, cond, els)
+    for name in SCALARS:
+        assert getattr(merged, name) is getattr(reference, name), name
+    for name in MAPS:
+        # Same keys, same order, the very same terms.
+        got, want = getattr(merged, name), getattr(reference, name)
+        assert list(got) == list(want), name
+        assert all(got[k] is want[k] for k in want), name
+        if getattr(then, name) is getattr(els, name):
+            assert got is getattr(els, name), name
+    return merged
+
+
+def _random_action(rng: random.Random):
+    c = rng.choice(UNIVERSE.communities)
+    return rng.choice(
+        [
+            AddCommunity(c),
+            DeleteCommunity(c),
+            ClearCommunities(),
+            SetLocalPref(rng.randrange(300)),
+            SetMed(rng.randrange(3)),
+            SetNextHop(rng.randrange(3)),
+            SetOrigin(rng.randrange(3)),
+            PrependAsPath(rng.choice(UNIVERSE.asns)),
+        ]
+    )
+
+
+def _random_cond(rng: random.Random, route: SymbolicRoute):
+    c = rng.choice(UNIVERSE.communities)
+    return rng.choice(
+        [
+            smt.true(),
+            smt.false(),
+            smt.bool_var(f"c{rng.randrange(3)}"),
+            match_term(MatchCommunity(c), route),
+            match_term(MatchMedRange(0, rng.randrange(4)), route),
+            match_term(MatchPrefix((PrefixRange(Prefix.parse("10.0.0.0/8"), 8, 24),)), route),
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merge_equals_the_full_pointwise_merge_on_random_route_maps(seed):
+    """Fold random clauses the way ``transfer_route_map`` does, checking every
+    merge against the one-``ite``-per-atom reference."""
+    rng = random.Random(seed)
+    route = SymbolicRoute.fresh("r", UNIVERSE)
+    if rng.random() < 0.5:
+        route = route.with_ghost("FromISP1", rng.choice([smt.true(), smt.false()]))
+    output = route
+    for __ in range(rng.randrange(1, 6)):
+        applied = route
+        for ___ in range(rng.randrange(3)):
+            applied = apply_action(_random_action(rng), applied)
+        if rng.random() < 0.3:
+            applied = applied.with_ghost("FromISP1", smt.bool_var("g"))
+        output = assert_merges_agree(applied, _random_cond(rng, route), output)
+
+
+def test_merge_shares_identical_maps_and_folds_constant_conditions():
+    r = SymbolicRoute.fresh("r", UNIVERSE)
+    edited = r.with_community(Community(100, 1), smt.true()).with_field(
+        med=smt.bv_const(5, 16)
+    )
+    for cond in (smt.true(), smt.false(), smt.bool_var("c")):
+        merged = assert_merges_agree(edited, cond, r)
+        assert merged.ghosts is r.ghosts
+        assert merged.as_path_members is r.as_path_members
+    assert r.merge(smt.bool_var("c"), r).communities is r.communities
+    # Terms are compared pairwise, so the maps must list their keys alike.
+    reordered = r.with_field(communities=dict(reversed(list(r.communities.items()))))
+    with pytest.raises(ValueError):
+        edited.merge(smt.bool_var("c"), reordered)
 
 
 def test_with_community_and_ghost_update():

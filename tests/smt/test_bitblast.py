@@ -163,10 +163,12 @@ with Workspace(config, ghosts=spec.build_ghosts(config.topology)) as workspace:
 
 
 def test_encoding_counters_do_not_depend_on_the_hash_seed(tmp_path):
-    # Gate keys are sorted ints and no set iteration reaches a clause, so
-    # one policy-diverse router's session (unique random route maps: the
-    # workload that bypasses every term cache) encodes to the same CNF and
-    # searches it the same way whatever PYTHONHASHSEED says.
+    # Terms hash by identity, so their hashes follow memory layout as well
+    # as PYTHONHASHSEED.  Gate keys are sorted ints and no set of terms is
+    # iterated into a clause, so one policy-diverse router's session
+    # (unique random route maps: the workload that bypasses every term
+    # cache) encodes to the same CNF and searches it the same way whatever
+    # the seed and wherever the terms land.
     root = Path(__file__).resolve().parents[2]
     spec = importlib.util.spec_from_file_location(
         "e2e_inputs", root / "benchmarks" / "e2e" / "e2e_inputs.py"

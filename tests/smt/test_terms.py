@@ -7,6 +7,38 @@ import pytest
 from repro.smt import terms as T
 
 
+def _name(*parts: str) -> str:
+    # A fresh, equal but distinct string object for each call.
+    return "".join(parts)
+
+
+def _one_of_each_term_class() -> list[T.Term]:
+    x = T.BoolVar(_name("x", "1"))
+    y = T.BoolVar(_name("y", "1"))
+    a = T.BvVar(_name("a", "1"), 8)
+    b = T.BvVar(_name("b", "1"), 8)
+    k = T.BvConst(256 + 7, 8)
+    return [
+        T.BoolConst(True),
+        x,
+        T.Not(x),
+        T.And((x, y)),
+        T.Or((x, y)),
+        T.Ite(x, y, T.Not(y)),
+        a,
+        k,
+        T.BvEq(a, k),
+        T.BvUlt(a, b),
+        T.BvUle(b, a),
+        T.BvAnd(a, b),
+        T.BvOr(a, b),
+        T.BvXor(a, b),
+        T.BvAdd(a, k),
+        T.BvNot(a),
+        T.BvIte(x, a, b),
+    ]
+
+
 def test_interning_gives_identity():
     assert T.bool_var("x") is T.bool_var("x")
     assert T.bv_var("p", 8) is T.bv_var("p", 8)
@@ -14,6 +46,18 @@ def test_interning_gives_identity():
     assert T.and_(T.bool_var("x"), T.bool_var("y")) is T.and_(
         T.bool_var("x"), T.bool_var("y")
     )
+    # Every term class: structurally equal constructions are one object.
+    first, second = _one_of_each_term_class(), _one_of_each_term_class()
+    assert {type(t) for t in first} == {
+        cls for cls in vars(T).values()
+        if isinstance(cls, type) and issubclass(cls, T.Term) and not cls.__name__.startswith("_")
+    } - {T.Term}
+    for one, other in zip(first, second):
+        assert one is other
+    assert T.BoolConst(1) is T.TRUE
+    # Same children, different operator: distinct nodes (And/Or, BvAnd/BvOr/BvXor).
+    assert first[3] is not first[4]
+    assert len({id(t) for t in first[11:14]}) == 3
 
 
 def test_bv_const_wraps_modulo_width():
@@ -133,3 +177,44 @@ def test_bitvec_sort_cached_and_immutable():
         T.BitVecSort(0)
     with pytest.raises(AttributeError):
         T.BitVecSort(8).width = 9
+
+
+def test_terms_hash_and_compare_by_identity():
+    assert T.Term.__hash__ is object.__hash__
+    assert T.Term.__eq__ is object.__eq__
+    assert "_hash" not in T.Term.__slots__
+
+
+def test_the_boolean_constants_survive_an_intern_table_clear():
+    T.clear_intern_cache()
+    assert T.BoolConst(True) is T.TRUE
+    assert T.BoolConst(0) is T.FALSE
+    assert T.and_(T.BoolConst(True), T.bool_var("x")) is T.bool_var("x")
+
+
+def test_complements_are_detected_in_either_order_and_when_nested():
+    x, y, z = T.bool_var("x"), T.bool_var("y"), T.bool_var("z")
+    eq = T.bv_eq(T.bv_var("a", 8), T.bv_const(1, 8))
+    for left, right in ((x, T.not_(x)), (T.not_(x), x), (eq, T.not_(eq))):
+        assert T.and_(left, right) is T.FALSE
+        assert T.and_(right, left) is T.FALSE
+        assert T.or_(left, right) is T.TRUE
+        assert T.or_(right, left) is T.TRUE
+    # The complement arrives flattened out of a nested operand.
+    assert T.and_(T.and_(z, x), T.not_(x)) is T.FALSE
+    assert T.and_(T.not_(x), T.and_(z, x)) is T.FALSE
+    assert T.or_(T.or_(z, x), T.not_(x)) is T.TRUE
+    assert T.or_(T.not_(x), [T.or_(x, z)]) is T.TRUE
+    # An operand and the negation of a *different* term are not complements.
+    assert T.and_(T.not_(x), y) is T.And((T.not_(x), y))
+
+
+def test_complement_free_calls_intern_nothing_new():
+    # Names no other test uses, so no ``Not`` of them exists yet.
+    x, y, z = (T.bool_var(f"complement-free.{n}") for n in "xyz")
+    not_z = T.not_(z)
+    conj, disj = T.And((x, y, not_z)), T.Or((x, y, not_z))
+    size = len(T._INTERN)
+    assert T.and_(x, y, not_z) is conj
+    assert T.or_([x, y, not_z]) is disj
+    assert len(T._INTERN) == size
