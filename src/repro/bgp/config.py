@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.bgp.policy import RouteMap, canonical_policy, route_map_digest
 from repro.bgp.route import Route
@@ -33,20 +35,61 @@ class NeighborConfig:
             self.originated = tuple(self.originated)
 
     def policy_fingerprint(self) -> tuple:
-        """Canonical form of everything this session contributes to policy.
+        """Everything this session contributes to policy, by reference:
+        ``(peer, remote_asn, import_map, export_map, originated)``.
 
-        Route maps enter as their memoised content digest rather than their
-        full canonical tree: ``reverify`` recomputes every router's digest,
-        so the per-map canonicalisation must amortise across calls (and
-        across the many routers sharing one map by value).
+        Every part is immutable (the route maps and routes are frozen), so
+        the tuple still describes the session after the session object is
+        edited in place; :meth:`RouterLeaves.digest` canonicalises it.
         """
         return (
             self.peer,
             self.remote_asn,
-            route_map_digest(self.import_map),
-            route_map_digest(self.export_map),
-            tuple(canonical_policy(route) for route in self.originated),
+            self.import_map,
+            self.export_map,
+            self.originated,
         )
+
+
+class RouterLeaves(NamedTuple):
+    """Everything :meth:`RouterConfig.digest` reads, by reference.
+
+    Taking it copies no route map or route, only references to the frozen
+    ones, so it is cheap to keep for every router of a configuration; the
+    SHA-256 is computed by :meth:`digest` when someone asks.
+    """
+
+    name: str
+    asn: int
+    rr_clients: frozenset[str]
+    sessions: tuple[tuple, ...]  # NeighborConfig.policy_fingerprint() each
+
+    def digest(self) -> str:
+        """The canonical fingerprint of the router these leaves were taken
+        from (see :meth:`RouterConfig.digest`).
+
+        Route maps enter as their memoised content digest rather than their
+        full canonical tree, so the per-map canonicalisation amortises
+        across routers sharing one map by value.
+        """
+        canon = (
+            self.name,
+            self.asn,
+            tuple(sorted(self.rr_clients)),
+            tuple(
+                (
+                    peer,
+                    remote_asn,
+                    route_map_digest(import_map),
+                    route_map_digest(export_map),
+                    tuple(canonical_policy(route) for route in originated),
+                )
+                for peer, remote_asn, import_map, export_map, originated in sorted(
+                    self.sessions, key=itemgetter(0)
+                )
+            ),
+        )
+        return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
 @dataclass
@@ -72,6 +115,15 @@ class RouterConfig:
             raise ValueError(f"{self.name}: duplicate neighbor {neighbor.peer!r}")
         self.neighbors[neighbor.peer] = neighbor
 
+    def digest_leaves(self) -> RouterLeaves:
+        """What :meth:`digest` reads, as of now, by reference."""
+        return RouterLeaves(
+            self.name,
+            self.asn,
+            self.rr_clients,
+            tuple(neighbor.policy_fingerprint() for neighbor in self.neighbors.values()),
+        )
+
     def digest(self) -> str:
         """A canonical fingerprint of this router's policy.
 
@@ -80,18 +132,17 @@ class RouterConfig:
         mapping order — digest identically; any change to the router's
         route maps, originations, sessions, ASN, or reflector clients
         produces a different digest.  Incremental re-verification and the
-        transfer-output cache both key on this.
+        on-disk cache identity key on this.
         """
-        canon = (
-            self.name,
-            self.asn,
-            tuple(sorted(self.rr_clients)),
-            tuple(
-                self.neighbors[peer].policy_fingerprint()
-                for peer in sorted(self.neighbors)
-            ),
-        )
-        return hashlib.sha256(repr(canon).encode()).hexdigest()
+        return self.digest_leaves().digest()
+
+    def __getstate__(self) -> dict:
+        # Reflector clients pickle sorted: a set's order follows the hash
+        # seed, and a saved cache must not.
+        return {**self.__dict__, "rr_clients": tuple(sorted(self.rr_clients))}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, rr_clients=frozenset(state["rr_clients"]))
 
 
 class NetworkConfig:

@@ -380,16 +380,32 @@ def canonical_policy(obj: object) -> object:
 
 
 _route_map_digests: dict[RouteMap, str] = {}
+_route_maps: dict[RouteMap, RouteMap] = {}
 
 
 def clear_route_map_digest_memo() -> None:
-    """Drop the digest memo (wired into ``reset_transfer_cache``).
+    """Drop the digest memo and the interned maps (wired into
+    ``reset_transfer_cache``).
 
-    Entries are tiny (map → hex string) but accumulate one per distinct
-    policy ever digested; long-lived sessions that churn through many
+    Entries are small but accumulate one per distinct policy ever digested
+    or interned; long-lived sessions that churn through many
     configurations can reclaim them here.
     """
     _route_map_digests.clear()
+    _route_maps.clear()
+
+
+def intern_route_map(route_map: RouteMap | None) -> RouteMap | None:
+    """The one instance standing for ``route_map``'s value (``None`` stays).
+
+    A memo key holding the interned instance compares by identity on every
+    later probe; holding an equal copy would walk both maps' clause trees
+    each time.  The probe here pays that walk once per copy and call, as
+    :func:`route_map_digest`'s memo does.
+    """
+    if route_map is None:
+        return None
+    return _route_maps.setdefault(route_map, route_map)
 
 
 def route_map_digest(route_map: RouteMap | None) -> str:

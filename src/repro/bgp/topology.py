@@ -153,6 +153,23 @@ class Topology:
         externals = self._externals
         return self._sorted_edges(lambda src, dst: src in externals or dst in externals)
 
+    def __getstate__(self) -> dict[str, object]:
+        # Sets pickle in hash order, which follows PYTHONHASHSEED for
+        # strings; sorted tuples make a saved cache byte-identical across
+        # processes.
+        return {
+            "_routers": tuple(sorted(self._routers)),
+            "_externals": tuple(sorted(self._externals)),
+            "_out": {src: tuple(sorted(dsts)) for src, dsts in sorted(self._out.items())},
+            "_in": {dst: tuple(sorted(srcs)) for dst, srcs in sorted(self._in.items())},
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self._routers = set(state["_routers"])
+        self._externals = set(state["_externals"])
+        self._out = {src: set(dsts) for src, dsts in state["_out"].items()}
+        self._in = {dst: set(srcs) for dst, srcs in state["_in"].items()}
+
     def canonical(self) -> tuple[list[str], list[tuple[str, list[str]]]]:
         """Routers and directed edges in construction-order-independent form
         (for digests): sorted per source node, not as one 20 000-edge list."""

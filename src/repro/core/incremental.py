@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Protocol, Sequence, TypeVar
 
-from repro.bgp.config import NetworkConfig
+from repro.bgp.config import NetworkConfig, RouterLeaves
 from repro.core.checks import LocalCheck, group_checks_by_owner
 from repro.core.exec import ExecutionContext, GroupKey, Scheduler
 from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
@@ -79,34 +79,69 @@ TOPOLOGY_DIGEST_KEY = ("topology",)
 TIME_BOUND_REASONS = frozenset({"timeout", "wall-budget"})
 
 
-def network_digest(config: NetworkConfig) -> str:
-    """Digest of network-level verification inputs owned by no router.
+def _digest_inputs(
+    config: NetworkConfig,
+) -> tuple[dict[str, RouterLeaves], tuple[tuple[str, int], ...], object]:
+    """Every input a cached outcome depends on, as of now: each router's
+    :class:`RouterLeaves` (by reference), the network-level inputs owned
+    by no router, and the topology's canonical form.
 
-    Today that is exactly ``external_asns``: external neighbors' AS numbers
-    enter the attribute universe (``AttributeUniverse.from_config``) and
-    AS-path reasoning, but appear in no :meth:`RouterConfig.digest`.
+    The network-level part is exactly ``external_asns``: external
+    neighbors' AS numbers enter the attribute universe
+    (``AttributeUniverse.from_config``) and AS-path reasoning, but appear
+    in no :meth:`RouterConfig.digest`.
     """
-    canon = tuple(sorted(config.external_asns.items()))
+    return (
+        {name: router.digest_leaves() for name, router in config.routers.items()},
+        tuple(sorted(config.external_asns.items())),
+        config.topology.canonical(),
+    )
+
+
+def _sha256(canon: object) -> str:
     return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
-def topology_digest(config: NetworkConfig) -> str:
-    """Digest of the routers and directed edges."""
-    return hashlib.sha256(repr(config.topology.canonical()).encode()).hexdigest()
+class ConfigSnapshot:
+    """A configuration's change-detection inputs as handed over, digested
+    on first need.
+
+    Taking one copies references, not policies (the route maps and routes
+    a router's :class:`RouterLeaves` hold are frozen), so a plain
+    ``verify`` pays no SHA-256 at all.  :meth:`digests` — per-router
+    policy digests plus the :data:`NETWORK_DIGEST_KEY` and
+    :data:`TOPOLOGY_DIGEST_KEY` entries — is computed when something needs
+    a diff or crosses a process: ``Workspace.save``/``load``/``apply`` and
+    a tracker's second run.  It describes the configuration as it was when
+    the snapshot was taken, even if that object was edited in place since.
+    """
+
+    def __init__(self, config: NetworkConfig) -> None:
+        self._routers, self._network, self._topology = _digest_inputs(config)
+        self._digests: dict | None = None
+
+    @classmethod
+    def saved(cls, digests: dict) -> "ConfigSnapshot":
+        """The snapshot a saved digest map describes."""
+        snapshot = cls.__new__(cls)
+        snapshot._digests = digests
+        return snapshot
+
+    def digests(self) -> dict:
+        """The digest map: every input that can alter a cached outcome is
+        covered by some key (the tracker diffs it, ``Workspace.load``
+        compares it with the saved one)."""
+        if self._digests is None:
+            digests: dict = {name: leaves.digest() for name, leaves in self._routers.items()}
+            digests[NETWORK_DIGEST_KEY] = _sha256(self._network)
+            digests[TOPOLOGY_DIGEST_KEY] = _sha256(self._topology)
+            self._digests = digests
+        return self._digests
 
 
 def config_digests(config: NetworkConfig) -> dict:
-    """Per-router policy digests plus the :data:`NETWORK_DIGEST_KEY` and
-    :data:`TOPOLOGY_DIGEST_KEY` entries.
-
-    This is the change-detection snapshot the tracker diffs (and the cache
-    identity ``Workspace.load`` compares): every input that can alter a
-    cached outcome is covered by some key.
-    """
-    digests: dict = config.policy_digests()
-    digests[NETWORK_DIGEST_KEY] = network_digest(config)
-    digests[TOPOLOGY_DIGEST_KEY] = topology_digest(config)
-    return digests
+    """:meth:`ConfigSnapshot.digests` of ``config`` as it is now."""
+    return ConfigSnapshot(config).digests()
 
 
 def diff_digests(old: dict, new: dict) -> set:
@@ -242,7 +277,7 @@ class PropertyTracker:
         self.problem = problem
         self.ghosts = tuple(ghosts)
         # The snapshot the stored groups were decided under (none yet).
-        self._digests: dict = {}
+        self._snapshot: ConfigSnapshot | None = None
         self._universe: AttributeUniverse | None = None
         self._groups: dict[GroupKey, GroupOutcomes] = {}
         # Group keys whose stored outcomes hold a time-bound UNKNOWN.
@@ -257,9 +292,10 @@ class PropertyTracker:
             "prop": self.problem.prop,
             "invariants": self.problem.invariants,
             "conflict_budget": self.context.conflict_budget,
-            "digests": self._digests,
+            "digests": {} if self._snapshot is None else self._snapshot.digests(),
             "groups": self._groups,
-            "time_bound": self._time_bound,
+            # Sorted: a set pickles in hash order, which follows the seed.
+            "time_bound": sorted(self._time_bound, key=repr),
         }
 
     @classmethod
@@ -275,7 +311,8 @@ class PropertyTracker:
         groups answer for the configuration ``digests`` describes: the
         first ``run`` diffs it against the one it is given."""
         tracker = cls(context, problem, ghosts)
-        tracker._digests = state["digests"]
+        if state["digests"]:
+            tracker._snapshot = ConfigSnapshot.saved(state["digests"])
         tracker._groups = state["groups"]
         tracker._time_bound = set(state["time_bound"])
         # The universe is deliberately not persisted (it is cheap to rescan
@@ -315,14 +352,26 @@ class PropertyTracker:
         for key, group in missing.items():
             group.checks = regenerated.get(key, [])
 
+    def _changed(self, snapshot: ConfigSnapshot) -> set:
+        """The digest keys that differ from the stored groups' snapshot.  A
+        first run changes everything and digests nothing; so does a run on
+        the very snapshot of the last one."""
+        old = self._snapshot
+        if old is None:
+            return {TOPOLOGY_DIGEST_KEY, NETWORK_DIGEST_KEY}
+        if old is snapshot:
+            return set()
+        return diff_digests(old.digests(), snapshot.digests())
+
     def run(
-        self, config: NetworkConfig, digests: dict | None = None
+        self, config: NetworkConfig, snapshot: ConfigSnapshot | None = None
     ) -> IncrementalResult:
         """(Re-)verify against ``config``, reusing everything still valid;
-        ``digests`` is its ``config_digests`` if the caller holds them."""
+        ``snapshot`` is its :class:`ConfigSnapshot` if the caller holds one."""
         start = time.perf_counter()
-        new_digests = config_digests(config) if digests is None else digests
-        changed = diff_digests(self._digests, new_digests)
+        if snapshot is None:
+            snapshot = ConfigSnapshot(config)
+        changed = self._changed(snapshot)
         # A changed topology changes the check set, a network-level edit
         # (external ASNs) the universe and AS-path semantics under every
         # stored outcome: rerun everything.  A first run changes both.
@@ -330,7 +379,7 @@ class PropertyTracker:
         network_changed = NETWORK_DIGEST_KEY in changed
         changed -= {TOPOLOGY_DIGEST_KEY, NETWORK_DIGEST_KEY}
         everything = topology_changed or network_changed
-        if topology_changed and self._digests:
+        if topology_changed and self._snapshot is not None:
             self._universe = None
             # Session reuse is always sound; this only bounds memory.
             self.context.sessions.clear()
@@ -366,7 +415,7 @@ class PropertyTracker:
                 self._time_bound.add(key)
             else:
                 self._time_bound.discard(key)
-        self._digests = new_digests
+        self._snapshot = snapshot
 
         # Reports list groups in section/group order on every run, so a
         # reverify's report is laid out exactly like a first run's.

@@ -6,8 +6,9 @@ The library has two layers, and neither is a shim over the other.  The
 stateless: build the problem, run every check, return a report.
 :class:`Workspace` is the *stateful* layer over the same problem builders
 and the same scheduler: it owns the persistent substrate — an owner-keyed
-:class:`SessionPool`, per-router policy digests, one covering attribute
-universe, and an owner-indexed outcome store — once, the way an
+:class:`SessionPool`, a by-reference snapshot of the configuration's
+policy inputs (digested on first need), one covering attribute universe,
+and an owner-indexed outcome store — once, the way an
 incremental SAT solver exposes one long-lived solver object instead of
 per-call functions.  It *is* an :class:`ExecutionContext`: ``parallel``,
 the conflict budget and the deadlines are set when it is opened and
@@ -63,10 +64,10 @@ from typing import Any, Callable
 from repro.bgp.config import NetworkConfig
 from repro.core.exec import ExecutionContext
 from repro.core.incremental import (
+    ConfigSnapshot,
     IncrementalResult,
     Problem,
     PropertyTracker,
-    config_digests,
     diff_digests,
 )
 from repro.core.liveness import LivenessProblem
@@ -94,7 +95,10 @@ from repro.lang.predicates import Predicate
 # ``_edges`` set); every persisted property or outcome with an edge changes.
 # Format 8: a ``LocalCheck`` stores an optional custom ``text`` instead of
 # its ``description`` (rendered on demand from kind and edge).
-CACHE_FORMAT = 8
+# Format 9: sets pickle as sorted tuples (``Topology`` adjacency,
+# ``RouterConfig.rr_clients``, a tracker's ``time_bound``), so a saved
+# cache is byte-identical under every PYTHONHASHSEED.
+CACHE_FORMAT = 9
 _DIGEST_LEN = hashlib.sha256().digest_size
 
 # Entry kind -> the problem builder ``load`` rebuilds a tracker's problem
@@ -287,8 +291,9 @@ class Workspace(ExecutionContext):
             wall_budget_s=wall_budget_s,
         )
         self.config = config
-        # Digested once per configuration, here and in ``apply``.
-        self._digests = config_digests(config)
+        # Taken once per configuration, here and in ``apply``; digested
+        # only when a save, load, apply or second run needs the digests.
+        self._snapshot = ConfigSnapshot(config)
         self.ghosts = tuple(ghosts)
         self.stats = WorkspaceStats()
         self._entries: list[WorkspaceEntry] = []
@@ -390,7 +395,7 @@ class Workspace(ExecutionContext):
 
     def _run_entry(self, entry: WorkspaceEntry) -> IncrementalResult:
         """Run one entry's tracker against the current config."""
-        result = entry.tracker.run(self.config, self._digests)
+        result = entry.tracker.run(self.config, self._snapshot)
         entry.last_result = result
         self.stats.absorb(result.report)
         return result
@@ -436,7 +441,7 @@ class Workspace(ExecutionContext):
 
         Returns the set of changed digest keys (router names, plus the
         network-level / topology key if external ASNs / routers or edges
-        changed).  The edit is digested here, once — a configuration
+        changed).  The edit is snapshotted here, once — a configuration
         mutated in place later goes unnoticed — and *not*
         re-validated — real incident configs are routinely inconsistent in
         ways the symbolic pipeline tolerates (e.g. a stale ``remote-as``
@@ -445,9 +450,9 @@ class Workspace(ExecutionContext):
         does.  Topology changes are allowed and reset the affected
         trackers' caches on their next run.
         """
-        digests = config_digests(edit)
-        changed = diff_digests(self._digests, digests)
-        self.config, self._digests = edit, digests
+        snapshot = ConfigSnapshot(edit)
+        changed = diff_digests(self._snapshot.digests(), snapshot.digests())
+        self.config, self._snapshot = edit, snapshot
         return changed
 
     def reverify(
@@ -481,7 +486,7 @@ class Workspace(ExecutionContext):
         """
         state = {
             "format": CACHE_FORMAT,
-            "config_digests": self._digests,
+            "config_digests": self._snapshot.digests(),
             "ghosts_fp": _ghosts_fp(self.ghosts),
             # A blob: only ``load(path)`` without ``config=`` rebuilds it.
             "config": zlib.compress(pickle.dumps(self.config, protocol=5), 1),
@@ -596,7 +601,7 @@ class Workspace(ExecutionContext):
                 deadline_s=deadline_s,
                 wall_budget_s=wall_budget_s,
             )
-            if workspace._digests != state["config_digests"]:
+            if workspace._snapshot.digests() != state["config_digests"]:
                 raise WorkspaceCacheMismatch(
                     f"workspace cache at {path} was saved for a different "
                     f"configuration (policy digests differ); delete it or rerun "

@@ -21,10 +21,11 @@ each time.  ``transfer_import`` / ``transfer_export`` / ``symbolic_
 originated`` are therefore memoised.  The cache key is everything the
 output depends on — never the edge or router name itself:
 
-* the **policy content digest** of the route map applied on the edge
-  (:func:`repro.bgp.policy.route_map_digest`, order-canonical, ``-`` for
-  "no filter"); for exports additionally the prepended own ASN when the
-  session is eBGP (``None`` otherwise);
+* the **route map value** applied on the edge, interned
+  (:func:`repro.bgp.policy.intern_route_map`: equal maps are one object,
+  so a probe compares it by identity; ``None`` for "no filter"); for
+  exports additionally the prepended own ASN when the session is eBGP
+  (``None`` otherwise);
 * the **direction** (import/export) — i.e. which concrete semantics apply;
 * the **peer-class ghost updates**: the sorted ``(name, value)`` pairs of
   ghost constants written on this edge in this direction.  Edges whose
@@ -44,7 +45,7 @@ Invalidation: cached values are interned-term graphs, so the caches are
 registered with :func:`repro.smt.terms.register_intern_dependent` and die
 with the intern table — exactly like ``SymbolicRoute.fresh``'s cache.
 There is no other invalidation rule, because every mutable input is part
-of the key (a config edit changes the route-map digest, a different ghost
+of the key (a config edit changes the route-map value, a different ghost
 discipline changes the update pairs).  A companion cache in
 :mod:`repro.lang.predicates` memoises predicate lowering the same way
 (keyed by route instance token + predicate value).
@@ -53,9 +54,11 @@ layers for differential testing, and ``transfer_cache_stats`` /
 ``predicate_term_cache_stats`` expose hit/miss counters for benchmarks.
 
 Key cost: a value used as a memo key hashes once; the hash is never
-pickled.  Route maps (the digest memo), universes (the ``fresh`` cache)
+pickled.  Route maps (the intern table), universes (the ``fresh`` cache)
 and predicates carry :func:`repro.bgp.route.hash_once`, so a hit costs
-one dict probe, not a walk over the key's dataclass tree.
+one dict probe, not a walk over the key's dataclass tree.  No key is a
+SHA-256: digests are for what crosses a process (the cache identity and
+the §7 diff, :mod:`repro.core.incremental`).
 """
 
 from __future__ import annotations
@@ -90,9 +93,8 @@ from repro.bgp.policy import (
     SetMed,
     SetNextHop,
     SetOrigin,
-    canonical_policy,
     clear_route_map_digest_memo,
-    route_map_digest,
+    intern_route_map,
 )
 from repro.bgp.topology import Edge
 from repro.lang.ghost import GhostAttribute
@@ -351,8 +353,8 @@ def transfer_policy(
     direction: str,
 ) -> tuple:
     """Everything ``Import``/``Export`` on ``edge`` depends on but the input
-    route: the direction, the route map's content digest, the eBGP prepend
-    ASN (exports only) and the ghost updates on the edge.
+    route: the direction, the route map (its interned value), the eBGP
+    prepend ASN (exports only) and the ghost updates on the edge.
 
     The transfer memo's key is this plus the input route, and it is the
     policy part of a filter check's class key
@@ -362,12 +364,12 @@ def transfer_policy(
     if direction == "import":
         return (
             "import",
-            route_map_digest(config.import_map(edge)),
+            intern_route_map(config.import_map(edge)),
             _ghost_update_key(edge, ghosts, "import"),
         )
     return (
         "export",
-        route_map_digest(config.export_map(edge)),
+        intern_route_map(config.export_map(edge)),
         _prepend_asn(config, edge),
         _ghost_update_key(edge, ghosts, "export"),
     )
@@ -463,7 +465,7 @@ def symbolic_originated(
     key = (
         "originate",
         universe,
-        tuple(canonical_policy(route) for route in originated),
+        originated,  # frozen routes, equal by value
         tuple(sorted((g.name, g.originated_value) for g in ghosts)),
     )
     cached = _originate_cache.get(key)

@@ -17,6 +17,27 @@ by the sorted literal tuple; OR is ``-AND(-lits)``), XOR (four clauses,
 sign-normalised so ``xor(-a, b)`` and ``-xor(a, b)`` share one variable) and
 ITE (four clauses, condition sign-normalised).  ``Not`` is a sign flip.
 
+**The gate path.**  A gate's clauses all mention its freshly allocated
+output variable, and its inputs are pairwise distinct variables (the folds
+above return before ``a == ±b``, ``c == ±t`` and the like reach a gate).
+So no gate clause is tautological or repeats a literal, and a gate hands
+all its clauses to one :meth:`SatSolver.add_gate` call, which skips
+:meth:`SatSolver.add_clause`'s per-literal seen-set but keeps its level-0
+simplification, clause by clause and in order: root-false literals are
+dropped, root-satisfied clauses skipped, and a clause left with one or no
+literal goes to ``add_clause`` itself.  The clause database, the trail and
+every counter are therefore exactly what one ``add_clause`` per clause
+would leave; ``tests/smt/test_cnf_pin.py`` holds the encoder to that
+reference.
+
+**Constant operand bits** are folded inline where they are most common:
+``BvEq``, ``BvAnd`` and ``BvOr`` against a constant (prefix masks and
+values) and ``<``/``<=`` against a constant (length bounds).  Each folded
+bit yields the literal the generic ``-xor``/``and2``/``ite(xor(a, b), b,
+r)`` chain folds to — for ``<`` the ``ite`` over a constant bit is an
+``and2`` — without one Python call per bit.  A constant's bits are shared
+by every encoder with the same ``true`` literal.
+
 The memos persist for the lifetime of the instance, which is what lets a
 :class:`repro.smt.solver.CheckSession` encode a shared transfer-function
 fragment once and reuse its clauses across many checks.  Terms hash by
@@ -27,6 +48,7 @@ keys are sorted ints and no set of terms is iterated into a clause.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, Iterable
 
 from repro.smt import terms as T
@@ -47,6 +69,12 @@ def conjuncts(term: Term) -> Iterable[Term]:
             yield t
 
 
+@lru_cache(maxsize=4096)
+def _const_bits(true: int, value: int, width: int) -> Bits:
+    """A constant's bits as ``±true``; every session shares its constants."""
+    return tuple(true if (value >> i) & 1 else -true for i in range(width))
+
+
 class Encoder:
     """Encode terms into a :class:`SatSolver`, remembering each variable."""
 
@@ -54,8 +82,10 @@ class Encoder:
         self.sat = sat
         self.true = sat.new_var()
         sat.add_clause([self.true])
-        self._lits: dict[Term, int] = {}
-        self._bits: dict[Term, Bits] = {}
+        # One memo for both sorts (a term has exactly one), under two typed names.
+        memo: dict[Term, Any] = {}
+        self._lits: dict[Term, int] = memo
+        self._bits: dict[Term, Bits] = memo
         # Read by model extraction: the SAT variable(s) of each term variable.
         self.bool_vars: dict[Term, int] = {}
         self.bv_vars: dict[Term, Bits] = {}
@@ -93,25 +123,27 @@ class Encoder:
             self.sat.add_clause(self.clause(conjunct))
 
     def _encode(self, root: Term) -> None:
-        """Memoise ``root`` and every descendant not yet encoded, children first."""
-        lits, bits, node = self._lits, self._bits, self._NODE
-        stack = [root]
+        """Memoise ``root`` and every descendant not yet encoded, children
+        first.  A node with missing children goes back on the stack under a
+        ``None`` marker and them; when the marker comes off, its children
+        are all built and so is it, without scanning them again."""
+        memo, node = self._lits, self._NODE
+        stack: list[Term | None] = [root]
+        pop, push = stack.pop, stack.append
         while stack:
-            t = stack[-1]
-            memo: dict[Term, Any] = lits if t.sort is T.BOOL else bits
-            if t in memo:
-                stack.pop()
-                continue
-            missing = [
-                k
-                for k in t.children()
-                if k not in (lits if k.sort is T.BOOL else bits)
-            ]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[t] = node[type(t)](self, t)
-            stack.pop()
+            t = pop()
+            if t is None:  # above it: a node whose children are all built
+                t = pop()
+                assert t is not None
+                memo[t] = node[type(t)](self, t)
+            elif t not in memo:
+                missing = [k for k in t.children() if k not in memo]
+                if missing:
+                    push(t)
+                    push(None)
+                    stack.extend(missing)
+                else:
+                    memo[t] = node[type(t)](self, t)
 
     # ------------------------------------------------------------------
     # Gates over literals
@@ -147,10 +179,9 @@ class Encoder:
         v = self._ands.get(key)
         if v is None:
             v = self._ands[key] = self.sat.new_var()
-            add = self.sat.add_clause
-            for lit in key:
-                add([-v, lit])
-            add([v, *[-lit for lit in key]])
+            clauses = [(-v, lit) for lit in key]
+            clauses.append((v, *[-lit for lit in key]))
+            self.sat.add_gate(clauses)
         return v
 
     def xor(self, a: int, b: int) -> int:
@@ -168,11 +199,7 @@ class Encoder:
         v = self._xors.get(key)
         if v is None:
             v = self._xors[key] = self.sat.new_var()
-            add = self.sat.add_clause
-            add([-v, a, b])
-            add([-v, -a, -b])
-            add([v, -a, b])
-            add([v, a, -b])
+            self.sat.add_gate([(-v, a, b), (-v, -a, -b), (v, -a, b), (v, a, -b)])
         return -v if flip else v
 
     def ite(self, c: int, t: int, e: int) -> int:
@@ -198,11 +225,7 @@ class Encoder:
         v = self._ites.get(key)
         if v is None:
             v = self._ites[key] = self.sat.new_var()
-            add = self.sat.add_clause
-            add([-v, -c, t])
-            add([-v, c, e])
-            add([v, -c, -t])
-            add([v, c, -e])
+            self.sat.add_gate([(-v, -c, t), (-v, c, e), (v, -c, -t), (v, c, -e)])
         return v
 
     # ------------------------------------------------------------------
@@ -232,8 +255,21 @@ class Encoder:
         return self.ite(lits[t.cond], lits[t.then], lits[t.els])
 
     def _bv_eq(self, t: T.BvEq) -> int:
-        xor = self.xor
-        return self.and_([-xor(a, b) for a, b in self._operands(t)])
+        # ``-xor(a, b)`` per bit, with a constant operand folded inline.
+        true, xor = self.true, self.xor
+        same: list[int] = []
+        for a, b in self._operands(t):
+            if a == true:
+                same.append(b)
+            elif a == -true:
+                same.append(-b)
+            elif b == true:
+                same.append(a)
+            elif b == -true:
+                same.append(-a)
+            else:
+                same.append(-xor(a, b))
+        return self.and_(same)
 
     def _bv_ult(self, t: T.BvUlt) -> int:
         return self._ult(self._bits[t.lhs], self._bits[t.rhs])
@@ -244,9 +280,17 @@ class Encoder:
 
     def _ult(self, a: Bits, b: Bits) -> int:
         """Unsigned a < b: the highest differing bit decides, b's bit wins."""
-        result = -self.true
+        true, and2 = self.true, self.and2
+        result = -true
         for ai, bi in zip(a, b):  # LSB -> MSB; later (higher) bits dominate
-            result = self.ite(self.xor(ai, bi), bi, result)
+            # ``ite(xor(ai, bi), bi, result)``; one constant bit makes it an
+            # AND/OR, the literal that chain folds to.
+            if abs(bi) == true and abs(ai) != true:
+                result = -and2(ai, -result) if bi > 0 else and2(-ai, result)
+            elif abs(ai) == true and abs(bi) != true:
+                result = and2(bi, result) if ai > 0 else -and2(-bi, -result)
+            else:
+                result = self.ite(self.xor(ai, bi), bi, result)
         return result
 
     def _bv_var(self, t: T.BvVar) -> Bits:
@@ -255,20 +299,41 @@ class Encoder:
         return bits
 
     def _bv_const(self, t: T.BvConst) -> Bits:
-        true, value = self.true, t.value
-        return tuple(true if (value >> i) & 1 else -true for i in range(t.width))
+        return _const_bits(self.true, t.value, t.width)
 
     def _operands(self, t: Term) -> Iterable[tuple[int, int]]:
         """Bit pairs of a binary node's operands, LSB first."""
         return zip(self._bits[t.lhs], self._bits[t.rhs])
 
     def _bv_and(self, t: T.BvAnd) -> Bits:
-        and2 = self.and2
-        return tuple(and2(a, b) for a, b in self._operands(t))
+        # ``and2`` per bit, with a constant operand folded inline.
+        true, and2 = self.true, self.and2
+        out: list[int] = []
+        for a, b in self._operands(t):
+            if a == true:
+                out.append(b)
+            elif b == true:
+                out.append(a)
+            elif a == -true or b == -true:
+                out.append(-true)
+            else:
+                out.append(and2(a, b))
+        return tuple(out)
 
     def _bv_or(self, t: T.BvOr) -> Bits:
-        and2 = self.and2
-        return tuple(-and2(-a, -b) for a, b in self._operands(t))
+        # ``-and2(-a, -b)`` per bit, with a constant operand folded inline.
+        true, and2 = self.true, self.and2
+        out: list[int] = []
+        for a, b in self._operands(t):
+            if a == -true:
+                out.append(b)
+            elif b == -true:
+                out.append(a)
+            elif a == true or b == true:
+                out.append(true)
+            else:
+                out.append(-and2(-a, -b))
+        return tuple(out)
 
     def _bv_xor(self, t: T.BvXor) -> Bits:
         xor = self.xor

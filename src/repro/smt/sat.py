@@ -188,6 +188,43 @@ class SatSolver:
         self._watches[clause[1]].append(clause)
         return True
 
+    def add_gate(self, clauses: list[tuple[int, ...]]) -> None:
+        """Add the defining clauses of one gate over a fresh output variable.
+
+        The clause DB, trail and counters end up exactly as if each clause
+        went through :meth:`add_clause` in order: root-false literals are
+        dropped, root-satisfied clauses are skipped, and a clause left with
+        fewer than two literals goes to :meth:`add_clause` itself (a unit
+        propagates, an empty clause makes the formula unsat).  What this
+        entry skips is the per-literal seen-set: a gate's clauses mention
+        pairwise distinct variables by construction, so none is
+        tautological or repeats a literal.
+        """
+        if not self.ok:
+            return
+        values = self._values
+        levels = self.levels
+        watches = self._watches
+        stored = self._clauses
+        for lits in clauses:
+            clause: list[int] = []
+            for lit in lits:
+                code = (lit << 1) if lit > 0 else (((-lit) << 1) | 1)
+                val = values[code]
+                if val != UNASSIGNED and levels[code >> 1] == 0:
+                    if val == 1:
+                        break  # already satisfied at root
+                    continue  # falsified at root: drop literal
+                clause.append(code)
+            else:
+                if len(clause) > 1:
+                    self.num_clauses_added += 1
+                    stored.append(clause)
+                    watches[clause[0]].append(clause)
+                    watches[clause[1]].append(clause)
+                elif not self.add_clause([_to_lit(code) for code in clause]):
+                    return
+
     # ------------------------------------------------------------------
     # Assignment plumbing
     # ------------------------------------------------------------------

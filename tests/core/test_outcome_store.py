@@ -18,17 +18,23 @@ What this file pins:
   listing is asked for;
 * **each configuration is digested once** on that path;
 * **a saved topology change is noticed after a load** (it used to report
-  PASSED over the old, smaller check set).
+  PASSED over the old, smaller check set);
+* **the saved bytes do not follow the hash seed**: sets (topology
+  adjacency, reflector clients, time-bound group keys) pickle sorted.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.bgp.config import RouterConfig
+from repro.bgp.config import RouterLeaves
 from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
 from repro.bgp.prefix import PrefixRange
 from repro.bgp.topology import Edge
@@ -293,9 +299,9 @@ def test_a_cold_reverify_digests_each_configuration_once(tmp_path, monkeypatch):
     ws.save(path)
 
     digested: list[str] = []
-    digest = RouterConfig.digest
+    digest = RouterLeaves.digest  # what RouterConfig.digest and every snapshot hash through
     monkeypatch.setattr(
-        RouterConfig, "digest", lambda self: digested.append(self.name) or digest(self)
+        RouterLeaves, "digest", lambda self: digested.append(self.name) or digest(self)
     )
     loaded = Workspace.load(path, config=build_full_mesh(n), ghosts=(ghost,))
     assert len(digested) == n  # the offered configuration
@@ -326,3 +332,41 @@ def test_a_saved_topology_change_is_noticed_after_a_load(kind, tmp_path):
         assert entry.last_result.cached_checks == 0
         assert oracle.fingerprint(entry.report) == reference
     assert _order(from_disk.report) == _order(in_process.report)
+
+
+_SAVE_SCRIPT = """
+import sys, time
+time.perf_counter = lambda: 0.0  # timings are the one run-dependent content
+from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
+from repro.core.workspace import Workspace
+from repro.workloads.fullmesh import TRANSIT_COMMUNITY, build_full_mesh
+from tests.core.conftest import mesh_no_transit
+
+config = build_full_mesh(6)
+config.routers["R3"].rr_clients = frozenset({"R4", "R5", "R6", "R1"})
+config.routers["R5"].neighbors["R1"].import_map = RouteMap(
+    "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),)
+)
+ghost, prop, invariants = mesh_no_transit(config)
+for path, deadline in zip(sys.argv[1:], (None, 0.0)):
+    ws = Workspace(config, ghosts=(ghost,), deadline_s=deadline)
+    assert not ws.verify(prop, invariants).passed
+    ws.save(path)
+"""
+
+
+def test_a_saved_cache_is_byte_identical_under_every_hash_seed(tmp_path):
+    # One cache with a FAILED check (counterexample routes), one where a
+    # zero deadline leaves every solved group time-bound.
+    root = Path(__file__).resolve().parents[2]
+
+    def save(hash_seed: str) -> list[bytes]:
+        paths = [tmp_path / f"{hash_seed}-{name}.lyc" for name in ("failed", "time-bound")]
+        env = {**os.environ, "PYTHONPATH": f"{root / 'src'}:{root}", "PYTHONHASHSEED": hash_seed}
+        subprocess.run(
+            [sys.executable, "-c", _SAVE_SCRIPT, *map(str, paths)],
+            env=env, check=True, timeout=120, cwd=root,
+        )  # fmt: skip
+        return [path.read_bytes() for path in paths]
+
+    assert save("0") == save("1")

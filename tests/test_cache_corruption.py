@@ -176,13 +176,13 @@ def test_future_format_raises_cache_error(tmp_path):
 
 def test_previous_format_raises_cache_error(tmp_path):
     # The previous formats (6: dataclass edges, 7: stored check
-    # descriptions) must be rejected readably — by their format number,
-    # sealed or not, never as "corrupt" and never by reading them as the
-    # current shape.
-    assert CACHE_FORMAT == 8
+    # descriptions, 8: sets pickled in hash order) must be rejected
+    # readably — by their format number, sealed or not, never as "corrupt"
+    # and never by reading them as the current shape.
+    assert CACHE_FORMAT == 9
     target = tmp_path / "workspace.lyc"
-    for old in (6, 7):
-        refusal = f"has format {old}, this build reads format 8; delete it and rerun"
+    for old in (6, 7, 8):
+        refusal = f"has format {old}, this build reads format 9; delete it and rerun"
         for content in (pickle.dumps({"format": old}), _sealed(pickle.dumps({"format": old}))):
             target.write_bytes(content)
             with pytest.raises(WorkspaceCacheError, match=refusal):
@@ -219,7 +219,7 @@ def test_format6_layout_is_refused_by_its_format(saved_cache, tmp_path):
     _format6_cache(saved, target)
     with pytest.raises(TypeError):
         pickle.loads(target.read_bytes())
-    refusal = "has format 6, this build reads format 8; delete it and rerun"
+    refusal = "has format 6, this build reads format 9; delete it and rerun"
     with pytest.raises(WorkspaceCacheError, match=refusal):
         Workspace.load(target, config=config)
     with pytest.raises(WorkspaceCacheError, match=refusal):
@@ -298,5 +298,5 @@ def test_cli_reverify_on_format6_cache_exits_2(cli_setup, capsys):
     code = main(["reverify", s["base"], s["base"], s["spec"], "--cache", s["cache"]])
     assert code == 2
     err = capsys.readouterr().err
-    assert "has format 6, this build reads format 8; delete it and rerun" in err
+    assert "has format 6, this build reads format 9; delete it and rerun" in err
     assert "Traceback" not in err
