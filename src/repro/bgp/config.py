@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -56,13 +57,16 @@ class RouterLeaves(NamedTuple):
 
     Taking it copies no route map or route, only references to the frozen
     ones, so it is cheap to keep for every router of a configuration; the
-    SHA-256 is computed by :meth:`digest` when someone asks.
+    SHA-256 is computed by :meth:`digest` when someone asks.  ``sessions``
+    is every neighbor's :meth:`NeighborConfig.policy_fingerprint`, flattened
+    into one tuple: a snapshot of a 100-router mesh then holds 100 tuples
+    for the garbage collector to walk, not 10 000.
     """
 
     name: str
     asn: int
     rr_clients: frozenset[str]
-    sessions: tuple[tuple, ...]  # NeighborConfig.policy_fingerprint() each
+    sessions: tuple[object, ...]
 
     def digest(self) -> str:
         """The canonical fingerprint of the router these leaves were taken
@@ -72,6 +76,8 @@ class RouterLeaves(NamedTuple):
         full canonical tree, so the per-map canonicalisation amortises
         across routers sharing one map by value.
         """
+        leaves = iter(self.sessions)
+        by_peer = sorted(zip(*[leaves] * _SESSION_LEAVES), key=itemgetter(0))  # regrouped
         canon = (
             self.name,
             self.asn,
@@ -84,12 +90,14 @@ class RouterLeaves(NamedTuple):
                     route_map_digest(export_map),
                     tuple(canonical_policy(route) for route in originated),
                 )
-                for peer, remote_asn, import_map, export_map, originated in sorted(
-                    self.sessions, key=itemgetter(0)
-                )
+                for peer, remote_asn, import_map, export_map, originated in by_peer
             ),
         )
         return hashlib.sha256(repr(canon).encode()).hexdigest()
+
+
+#: The length of :meth:`NeighborConfig.policy_fingerprint`.
+_SESSION_LEAVES = 5
 
 
 @dataclass
@@ -121,7 +129,11 @@ class RouterConfig:
             self.name,
             self.asn,
             self.rr_clients,
-            tuple(neighbor.policy_fingerprint() for neighbor in self.neighbors.values()),
+            tuple(
+                chain.from_iterable(
+                    neighbor.policy_fingerprint() for neighbor in self.neighbors.values()
+                )
+            ),
         )
 
     def digest(self) -> str:

@@ -239,7 +239,7 @@ class SatSolver:
         codes = [(lit << 1) if lit > 0 else (((-lit) << 1) | 1) for lit in inputs]
         for code in codes:
             if values[code] != UNASSIGNED:
-                clauses = [(-output, lit) for lit in inputs]
+                clauses: list[tuple[int, ...]] = [(-output, lit) for lit in inputs]
                 clauses.append((output, *[-lit for lit in inputs]))
                 self.add_gate(clauses)
                 return
