@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.bgp.policy import RouteMap, canonical_policy, route_map_digest
 from repro.bgp.route import Route
@@ -41,7 +41,7 @@ class NeighborConfig:
 
         Every part is immutable (the route maps and routes are frozen), so
         the tuple still describes the session after the session object is
-        edited in place; :meth:`RouterLeaves.digest` canonicalises it.
+        edited in place; a router digest canonicalises it.
         """
         return (
             self.peer,
@@ -50,6 +50,34 @@ class NeighborConfig:
             self.export_map,
             self.originated,
         )
+
+
+def _router_digest(
+    name: str, asn: int, rr_clients: frozenset[str], sessions: Iterable[tuple]
+) -> str:
+    """The SHA-256 of a router's canonical policy; ``sessions`` are
+    :meth:`NeighborConfig.policy_fingerprint` tuples in peer order.
+
+    Route maps enter as their memoised content digest rather than their
+    full canonical tree, so the per-map canonicalisation amortises across
+    routers sharing one map by value.
+    """
+    canon = (
+        name,
+        asn,
+        tuple(sorted(rr_clients)),
+        tuple(
+            (
+                peer,
+                remote_asn,
+                route_map_digest(import_map),
+                route_map_digest(export_map),
+                tuple(canonical_policy(route) for route in originated),
+            )
+            for peer, remote_asn, import_map, export_map, originated in sessions
+        ),
+    )
+    return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
 class RouterLeaves(NamedTuple):
@@ -69,31 +97,13 @@ class RouterLeaves(NamedTuple):
     sessions: tuple[object, ...]
 
     def digest(self) -> str:
-        """The canonical fingerprint of the router these leaves were taken
-        from (see :meth:`RouterConfig.digest`).
-
-        Route maps enter as their memoised content digest rather than their
-        full canonical tree, so the per-map canonicalisation amortises
-        across routers sharing one map by value.
-        """
-        leaves = iter(self.sessions)
-        by_peer = sorted(zip(*[leaves] * _SESSION_LEAVES), key=itemgetter(0))  # regrouped
-        canon = (
-            self.name,
-            self.asn,
-            tuple(sorted(self.rr_clients)),
-            tuple(
-                (
-                    peer,
-                    remote_asn,
-                    route_map_digest(import_map),
-                    route_map_digest(export_map),
-                    tuple(canonical_policy(route) for route in originated),
-                )
-                for peer, remote_asn, import_map, export_map, originated in by_peer
-            ),
+        """:meth:`RouterConfig.digest` of the router as these leaves were
+        taken from it."""
+        fields = iter(self.sessions)
+        regrouped = zip(*[fields] * _SESSION_LEAVES)
+        return _router_digest(
+            self.name, self.asn, self.rr_clients, sorted(regrouped, key=itemgetter(0))
         )
-        return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
 #: The length of :meth:`NeighborConfig.policy_fingerprint`.
@@ -146,7 +156,13 @@ class RouterConfig:
         produces a different digest.  Incremental re-verification and the
         on-disk cache identity key on this.
         """
-        return self.digest_leaves().digest()
+        neighbors = self.neighbors
+        return _router_digest(
+            self.name,
+            self.asn,
+            self.rr_clients,
+            (neighbors[peer].policy_fingerprint() for peer in sorted(neighbors)),
+        )
 
     def __getstate__(self) -> dict:
         # Reflector clients pickle sorted: a set's order follows the hash

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Protocol, Sequence, TypeVar
 
-from repro.bgp.config import NetworkConfig, RouterLeaves
+from repro.bgp.config import NetworkConfig
 from repro.core.checks import LocalCheck, group_checks_by_owner
 from repro.core.exec import ExecutionContext, GroupKey, Scheduler
 from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
@@ -79,27 +79,31 @@ TOPOLOGY_DIGEST_KEY = ("topology",)
 TIME_BOUND_REASONS = frozenset({"timeout", "wall-budget"})
 
 
-def _digest_inputs(
-    config: NetworkConfig,
-) -> tuple[dict[str, RouterLeaves], tuple[tuple[str, int], ...], object]:
-    """Every input a cached outcome depends on, as of now: each router's
-    :class:`RouterLeaves` (by reference), the network-level inputs owned
-    by no router, and the topology's canonical form.
+def _network_canon(config: NetworkConfig) -> tuple[tuple[str, int], ...]:
+    """Network-level verification inputs owned by no router.
 
-    The network-level part is exactly ``external_asns``: external
-    neighbors' AS numbers enter the attribute universe
-    (``AttributeUniverse.from_config``) and AS-path reasoning, but appear
-    in no :meth:`RouterConfig.digest`.
+    Today that is exactly ``external_asns``: external neighbors' AS numbers
+    enter the attribute universe (``AttributeUniverse.from_config``) and
+    AS-path reasoning, but appear in no :meth:`RouterConfig.digest`.
     """
-    return (
-        {name: router.digest_leaves() for name, router in config.routers.items()},
-        tuple(sorted(config.external_asns.items())),
-        config.topology.canonical(),
-    )
+    return tuple(sorted(config.external_asns.items()))
 
 
-def _sha256(canon: object) -> str:
-    return hashlib.sha256(repr(canon).encode()).hexdigest()
+def _digest_map(routers: dict, network: object, topology: object) -> dict:
+    """Per-router digests plus the :data:`NETWORK_DIGEST_KEY` and
+    :data:`TOPOLOGY_DIGEST_KEY` entries: every input that can alter a
+    cached outcome is covered by some key."""
+    routers[NETWORK_DIGEST_KEY] = hashlib.sha256(repr(network).encode()).hexdigest()
+    routers[TOPOLOGY_DIGEST_KEY] = hashlib.sha256(repr(topology).encode()).hexdigest()
+    return routers
+
+
+def config_digests(config: NetworkConfig) -> dict:
+    """The digest map of ``config`` as it is now: what the tracker diffs
+    and ``Workspace.load`` compares with a saved cache.  ``load`` and
+    ``apply`` need it at once, so they digest the live configuration; a
+    :class:`ConfigSnapshot` defers the same map to first need."""
+    return _digest_map(config.policy_digests(), _network_canon(config), config.topology.canonical())
 
 
 class ConfigSnapshot:
@@ -107,41 +111,34 @@ class ConfigSnapshot:
     on first need.
 
     Taking one copies references, not policies (the route maps and routes
-    a router's :class:`RouterLeaves` hold are frozen), so a plain
-    ``verify`` pays no SHA-256 at all.  :meth:`digests` — per-router
-    policy digests plus the :data:`NETWORK_DIGEST_KEY` and
-    :data:`TOPOLOGY_DIGEST_KEY` entries — is computed when something needs
-    a diff or crosses a process: ``Workspace.save``/``load``/``apply`` and
-    a tracker's second run.  It describes the configuration as it was when
-    the snapshot was taken, even if that object was edited in place since.
+    a router's :class:`repro.bgp.config.RouterLeaves` hold are frozen), so a plain
+    ``verify`` pays no SHA-256 at all.  :meth:`digests` equals
+    :func:`config_digests` of the configuration as it was when the
+    snapshot was taken, even if that object was edited in place since; it
+    is computed when something needs a diff or crosses a process
+    (``Workspace.save``, a tracker's second run).
     """
 
     def __init__(self, config: NetworkConfig) -> None:
-        self._routers, self._network, self._topology = _digest_inputs(config)
+        self._routers = {name: router.digest_leaves() for name, router in config.routers.items()}
+        self._network = _network_canon(config)
+        self._topology: object = config.topology.canonical()
         self._digests: dict | None = None
 
     @classmethod
-    def saved(cls, digests: dict) -> "ConfigSnapshot":
-        """The snapshot a saved digest map describes."""
+    def of_digests(cls, digests: dict) -> "ConfigSnapshot":
+        """A snapshot whose digest map is already known: one saved with a
+        cache, or taken where the map was needed at once."""
         snapshot = cls.__new__(cls)
         snapshot._digests = digests
         return snapshot
 
     def digests(self) -> dict:
-        """The digest map: every input that can alter a cached outcome is
-        covered by some key (the tracker diffs it, ``Workspace.load``
-        compares it with the saved one)."""
+        """The digest map (see :func:`config_digests`)."""
         if self._digests is None:
-            digests: dict = {name: leaves.digest() for name, leaves in self._routers.items()}
-            digests[NETWORK_DIGEST_KEY] = _sha256(self._network)
-            digests[TOPOLOGY_DIGEST_KEY] = _sha256(self._topology)
-            self._digests = digests
+            routers = {name: leaves.digest() for name, leaves in self._routers.items()}
+            self._digests = _digest_map(routers, self._network, self._topology)
         return self._digests
-
-
-def config_digests(config: NetworkConfig) -> dict:
-    """:meth:`ConfigSnapshot.digests` of ``config`` as it is now."""
-    return ConfigSnapshot(config).digests()
 
 
 def diff_digests(old: dict, new: dict) -> set:
@@ -312,7 +309,7 @@ class PropertyTracker:
         first ``run`` diffs it against the one it is given."""
         tracker = cls(context, problem, ghosts)
         if state["digests"]:
-            tracker._snapshot = ConfigSnapshot.saved(state["digests"])
+            tracker._snapshot = ConfigSnapshot.of_digests(state["digests"])
         tracker._groups = state["groups"]
         tracker._time_bound = set(state["time_bound"])
         # The universe is deliberately not persisted (it is cheap to rescan

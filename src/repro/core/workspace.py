@@ -68,6 +68,7 @@ from repro.core.incremental import (
     IncrementalResult,
     Problem,
     PropertyTracker,
+    config_digests,
     diff_digests,
 )
 from repro.core.liveness import LivenessProblem
@@ -450,7 +451,7 @@ class Workspace(ExecutionContext):
         does.  Topology changes are allowed and reset the affected
         trackers' caches on their next run.
         """
-        snapshot = ConfigSnapshot(edit)
+        snapshot = ConfigSnapshot.of_digests(config_digests(edit))
         changed = diff_digests(self._snapshot.digests(), snapshot.digests())
         self.config, self._snapshot = edit, snapshot
         return changed
@@ -601,12 +602,14 @@ class Workspace(ExecutionContext):
                 deadline_s=deadline_s,
                 wall_budget_s=wall_budget_s,
             )
-            if workspace._snapshot.digests() != state["config_digests"]:
+            digests = config_digests(config)
+            if digests != state["config_digests"]:
                 raise WorkspaceCacheMismatch(
                     f"workspace cache at {path} was saved for a different "
                     f"configuration (policy digests differ); delete it or rerun "
                     f"without the cache"
                 )
+            workspace._snapshot = ConfigSnapshot.of_digests(digests)
             for doc in state["entries"]:
                 kind = doc["kind"]
                 tracker_state = doc["state"]

@@ -127,9 +127,9 @@ class Encoder:
 
     def _encode(self, root: Term) -> None:
         """Memoise ``root`` and every descendant not yet encoded, children
-        first.  A node with missing children goes back on the stack under a
-        ``None`` marker and them; when the marker comes off, its children
-        are all built and so is it, without scanning them again."""
+        first.  A node with missing children is pushed back, then a ``None``
+        marker, then the children; when the marker comes off, the node's
+        children are all built, so it is built without scanning them again."""
         memo, node = self._lits, self._NODE
         stack: list[Term | None] = [root]
         pop, push = stack.pop, stack.append

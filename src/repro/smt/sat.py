@@ -3,7 +3,9 @@
 Features: two-watched-literal propagation, 1UIP conflict analysis with
 clause learning, non-chronological backjumping, VSIDS variable activity with
 a lazy heap, phase saving, Luby restarts, learned-clause database reduction,
-level-0 clause simplification on :meth:`SatSolver.add_clause`, and cheap
+level-0 clause simplification on :meth:`SatSolver.add_clause` (and on the
+encoder's gate entries, :meth:`SatSolver.add_gate` and
+:meth:`SatSolver.add_and_gate`, which skip only its seen-set), and cheap
 conflict-clause minimisation.
 
 Externally, literals are signed integers: variable ``v`` (1-based) appears

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bgp import config as config_module
 from repro.bgp import policy as policy_module
-from repro.bgp.config import RouterLeaves
+from repro.bgp.config import RouterConfig, RouterLeaves
 from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Route
@@ -42,12 +42,14 @@ def _mesh_with_an_origination():
 
 @pytest.fixture
 def digest_work(monkeypatch):
-    """Every router digest and every ``canonical_policy`` call, as made."""
+    """Every router digest (of a live router or of a snapshot's leaves)
+    and every ``canonical_policy`` call, as made."""
     calls: list[str] = []
-    digest = RouterLeaves.digest
-    monkeypatch.setattr(
-        RouterLeaves, "digest", lambda self: calls.append(self.name) or digest(self)
-    )
+    for cls in (RouterConfig, RouterLeaves):
+        digest = cls.digest
+        monkeypatch.setattr(
+            cls, "digest", lambda self, digest=digest: calls.append(self.name) or digest(self)
+        )
     canonical = policy_module.canonical_policy
 
     def counted(obj):

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bgp.config import RouterLeaves
+from repro.bgp.config import RouterConfig
 from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
 from repro.bgp.prefix import PrefixRange
 from repro.bgp.topology import Edge
@@ -299,9 +299,9 @@ def test_a_cold_reverify_digests_each_configuration_once(tmp_path, monkeypatch):
     ws.save(path)
 
     digested: list[str] = []
-    digest = RouterLeaves.digest  # what RouterConfig.digest and every snapshot hash through
+    digest = RouterConfig.digest
     monkeypatch.setattr(
-        RouterLeaves, "digest", lambda self: digested.append(self.name) or digest(self)
+        RouterConfig, "digest", lambda self: digested.append(self.name) or digest(self)
     )
     loaded = Workspace.load(path, config=build_full_mesh(n), ghosts=(ghost,))
     assert len(digested) == n  # the offered configuration
