@@ -292,8 +292,9 @@ class Workspace(ExecutionContext):
             wall_budget_s=wall_budget_s,
         )
         self.config = config
-        # Taken once per configuration, here and in ``apply``; digested
-        # only when a save, load, apply or second run needs the digests.
+        # Taken once per configuration; digested only when a save, an
+        # apply or a second run needs the digests (``load`` and ``apply``
+        # replace it with the digest map they compute at once).
         self._snapshot = ConfigSnapshot(config)
         self.ghosts = tuple(ghosts)
         self.stats = WorkspaceStats()
@@ -442,7 +443,7 @@ class Workspace(ExecutionContext):
 
         Returns the set of changed digest keys (router names, plus the
         network-level / topology key if external ASNs / routers or edges
-        changed).  The edit is snapshotted here, once — a configuration
+        changed).  The edit is digested here, once — a configuration
         mutated in place later goes unnoticed — and *not*
         re-validated — real incident configs are routinely inconsistent in
         ways the symbolic pipeline tolerates (e.g. a stale ``remote-as``
