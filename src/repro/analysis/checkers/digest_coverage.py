@@ -10,7 +10,7 @@ content digest of itself (a *digest-bearing* class), every public field
 must be consumed by **some** digest computation — either the class's own
 digest method, or a digest-like function elsewhere in the project that
 reads the field (the repo legitimately splits coverage: ``topology`` and
-``external_asns`` are covered by ``network_digest``/``topology_digest``,
+``external_asns`` are covered by ``config_digests``/``_network_canon``,
 not by ``NetworkConfig`` itself).  The cross-file union is class-blind
 (it matches attribute *names*), which trades a little precision for
 zero-configuration coverage of exactly the historical failure shape: a

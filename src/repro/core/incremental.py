@@ -110,9 +110,9 @@ class ConfigSnapshot:
     """A configuration's change-detection inputs as handed over, digested
     on first need.
 
-    Taking one copies references, not policies (the route maps and routes
-    a router's :class:`repro.bgp.config.RouterLeaves` hold are frozen), so a plain
-    ``verify`` pays no SHA-256 at all.  :meth:`digests` equals
+    Taking one copies references, not policies (the route maps and
+    routes a router's :class:`repro.bgp.config.RouterLeaves` hold are
+    frozen), so a plain ``verify`` pays no SHA-256 at all.  :meth:`digests` equals
     :func:`config_digests` of the configuration as it was when the
     snapshot was taken, even if that object was edited in place since; it
     is computed when something needs a diff or crosses a process

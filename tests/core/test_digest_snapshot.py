@@ -81,7 +81,9 @@ def _strip(config, router: str, peer: str) -> None:
         "STRIPPED",
         (
             RouteMapClause(
-                5, Disposition.DENY, matches=(MatchPrefix((PrefixRange.parse("10.0.0.0/8 le 32"),)),)
+                5,
+                Disposition.DENY,
+                matches=(MatchPrefix((PrefixRange.parse("10.0.0.0/8 le 32"),)),),
             ),
             *session.import_map.clauses,
         ),

@@ -1,7 +1,7 @@
 """Memo keys cost one dict probe, not one walk over the key's tree.
 
 A WAN sweep looks up ``predicate_term``, ``SymbolicRoute.fresh`` and
-``route_map_digest`` tens of thousands of times with the same few
+``intern_route_map`` tens of thousands of times with the same few
 predicates, universes and route maps as keys.  Each of those values runs
 its dataclass-generated ``__hash__`` at most once; the universe a sweep is
 built under walks each distinct predicate once and is the same universe a

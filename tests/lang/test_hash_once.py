@@ -1,7 +1,7 @@
 """A value used as a memo key hashes once; the hash is never pickled.
 
 Predicates, attribute universes and route maps key the lang-layer memos
-(``predicate_term``, ``SymbolicRoute.fresh``, ``route_map_digest``), so
+(``predicate_term``, ``SymbolicRoute.fresh``, ``intern_route_map``), so
 :func:`repro.bgp.route.hash_once` stores each one's dataclass hash on the
 instance after the first ``hash()``.  These tests pin that the stored hash
 is invisible everywhere else: pickles, copies, functional updates, and a
