@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from repro.bgp.policy import RouteMap, canonical_policy, route_map_digest
 from repro.bgp.route import Route
@@ -53,30 +51,17 @@ class NeighborConfig:
 
 
 def _router_digest(
-    name: str, asn: int, rr_clients: frozenset[str], sessions: Iterable[tuple]
+    name: str, asn: int, rr_clients: frozenset[str], sessions: tuple[tuple, ...]
 ) -> str:
-    """The SHA-256 of a router's canonical policy; ``sessions`` are
-    :meth:`NeighborConfig.policy_fingerprint` tuples in peer order.
+    """The SHA-256 of a router's canonical policy; ``sessions`` holds each
+    session's ``(peer, remote_asn, import digest, export digest, canonical
+    originated routes)`` in peer order.
 
     Route maps enter as their memoised content digest rather than their
     full canonical tree, so the per-map canonicalisation amortises across
     routers sharing one map by value.
     """
-    canon = (
-        name,
-        asn,
-        tuple(sorted(rr_clients)),
-        tuple(
-            (
-                peer,
-                remote_asn,
-                route_map_digest(import_map),
-                route_map_digest(export_map),
-                tuple(canonical_policy(route) for route in originated),
-            )
-            for peer, remote_asn, import_map, export_map, originated in sessions
-        ),
-    )
+    canon = (name, asn, tuple(sorted(rr_clients)), sessions)
     return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
@@ -86,28 +71,33 @@ class RouterLeaves(NamedTuple):
     Taking it copies no route map or route, only references to the frozen
     ones, so it is cheap to keep for every router of a configuration; the
     SHA-256 is computed by :meth:`digest` when someone asks.  ``sessions``
-    is every neighbor's :meth:`NeighborConfig.policy_fingerprint`, flattened
-    into one tuple: a snapshot of a 100-router mesh then holds 100 tuples
-    for the garbage collector to walk, not 10 000.
+    holds every neighbor's :meth:`NeighborConfig.policy_fingerprint` in
+    peer order.
     """
 
     name: str
     asn: int
     rr_clients: frozenset[str]
-    sessions: tuple[object, ...]
+    sessions: tuple[tuple, ...]
 
     def digest(self) -> str:
         """:meth:`RouterConfig.digest` of the router as these leaves were
         taken from it."""
-        fields = iter(self.sessions)
-        regrouped = zip(*[fields] * _SESSION_LEAVES)
         return _router_digest(
-            self.name, self.asn, self.rr_clients, sorted(regrouped, key=itemgetter(0))
+            self.name,
+            self.asn,
+            self.rr_clients,
+            tuple(
+                (
+                    peer,
+                    remote_asn,
+                    route_map_digest(import_map),
+                    route_map_digest(export_map),
+                    tuple(canonical_policy(route) for route in originated),
+                )
+                for peer, remote_asn, import_map, export_map, originated in self.sessions
+            ),
         )
-
-
-#: The length of :meth:`NeighborConfig.policy_fingerprint`.
-_SESSION_LEAVES = 5
 
 
 @dataclass
@@ -135,15 +125,12 @@ class RouterConfig:
 
     def digest_leaves(self) -> RouterLeaves:
         """What :meth:`digest` reads, as of now, by reference."""
+        neighbors = self.neighbors
         return RouterLeaves(
             self.name,
             self.asn,
             self.rr_clients,
-            tuple(
-                chain.from_iterable(
-                    neighbor.policy_fingerprint() for neighbor in self.neighbors.values()
-                )
-            ),
+            tuple(neighbors[peer].policy_fingerprint() for peer in sorted(neighbors)),
         )
 
     def digest(self) -> str:
@@ -154,14 +141,24 @@ class RouterConfig:
         mapping order — digest identically; any change to the router's
         route maps, originations, sessions, ASN, or reflector clients
         produces a different digest.  Incremental re-verification and the
-        on-disk cache identity key on this.
+        on-disk cache identity key on this.  It canonicalises the live
+        sessions in one pass, as :meth:`RouterLeaves.digest` does their
+        fingerprints (the same digest, pinned by the tests).
         """
-        neighbors = self.neighbors
         return _router_digest(
             self.name,
             self.asn,
             self.rr_clients,
-            (neighbors[peer].policy_fingerprint() for peer in sorted(neighbors)),
+            tuple(
+                (
+                    peer,
+                    n.remote_asn,
+                    route_map_digest(n.import_map),
+                    route_map_digest(n.export_map),
+                    tuple(canonical_policy(route) for route in n.originated),
+                )
+                for peer, n in sorted(self.neighbors.items())
+            ),
         )
 
     def __getstate__(self) -> dict:

@@ -282,6 +282,23 @@ class Workspace(ExecutionContext):
         deadline_s: float | None = None,
         wall_budget_s: float | None = None,
     ) -> None:
+        self._setup(config, ghosts, parallel, conflict_budget, deadline_s, wall_budget_s)
+        # Taken once per configuration; digested only when a save, an
+        # apply or a second run needs the digests (``load`` and ``apply``
+        # hold the digest map they compute at once instead).
+        self._snapshot = ConfigSnapshot(config)
+
+    def _setup(
+        self,
+        config: NetworkConfig,
+        ghosts: tuple[GhostAttribute, ...],
+        parallel: int | str | None,
+        conflict_budget: int | None,
+        deadline_s: float | None,
+        wall_budget_s: float | None,
+    ) -> None:
+        """Everything a new workspace holds except its configuration's
+        snapshot, which ``__init__`` takes and ``load`` already has."""
         problems = config.validate()
         if problems:
             raise ValueError("invalid network configuration: " + "; ".join(problems))
@@ -292,10 +309,6 @@ class Workspace(ExecutionContext):
             wall_budget_s=wall_budget_s,
         )
         self.config = config
-        # Taken once per configuration; digested only when a save, an
-        # apply or a second run needs the digests (``load`` and ``apply``
-        # replace it with the digest map they compute at once).
-        self._snapshot = ConfigSnapshot(config)
         self.ghosts = tuple(ghosts)
         self.stats = WorkspaceStats()
         self._entries: list[WorkspaceEntry] = []
@@ -595,13 +608,9 @@ class Workspace(ExecutionContext):
                     f"conflict budget(s) {sorted(saved, key=repr)}, not "
                     f"{conflict_budget}; delete it or rerun without the cache"
                 )
-            workspace = cls(
-                config,
-                ghosts=tuple(ghosts),
-                parallel=parallel,
-                conflict_budget=conflict_budget,
-                deadline_s=deadline_s,
-                wall_budget_s=wall_budget_s,
+            workspace = cls.__new__(cls)
+            workspace._setup(
+                config, tuple(ghosts), parallel, conflict_budget, deadline_s, wall_budget_s
             )
             digests = config_digests(config)
             if digests != state["config_digests"]:

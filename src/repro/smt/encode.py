@@ -20,18 +20,15 @@ ITE (four clauses, condition sign-normalised).  ``Not`` is a sign flip.
 **The gate path.**  A gate's clauses all mention its freshly allocated
 output variable, and its inputs are pairwise distinct variables (the folds
 above return before ``a == ±b``, ``c == ±t`` and the like reach a gate).
-So no gate clause is tautological or repeats a literal, and XOR and ITE
-hand their four clauses to one :meth:`SatSolver.add_gate` call, which
-skips :meth:`SatSolver.add_clause`'s per-literal seen-set but keeps its
-level-0 simplification, clause by clause and in order: root-false literals
-are dropped, root-satisfied clauses skipped, and a clause left with one or
-no literal goes to ``add_clause`` itself.  AND hands its output and inputs
-to :meth:`SatSolver.add_and_gate`: with no input assigned nothing can
-simplify, so its ``n + 1`` clauses are built in the solver's own literal
-codes, each input converted once; otherwise they take ``add_gate``'s path.
-The clause database, the trail and every counter are therefore exactly
-what one ``add_clause`` per clause would leave; ``tests/smt/test_cnf_pin.py``
-holds the encoder to that reference.
+So no gate clause is tautological or repeats a literal, and AND, XOR and
+ITE hand their ``n + 1`` / four / four clauses to one
+:meth:`SatSolver.add_gate` call, which skips :meth:`SatSolver.add_clause`'s
+per-literal seen-set but keeps its level-0 simplification, clause by clause
+and in order: root-false literals are dropped, root-satisfied clauses
+skipped, and a clause left with one or no literal goes to ``add_clause``
+itself.  The clause database, the trail and every counter are therefore
+exactly what one ``add_clause`` per clause would leave;
+``tests/smt/test_cnf_pin.py`` holds the encoder to that reference.
 
 **Constant operand bits** are folded inline where they are most common:
 ``BvEq``, ``BvAnd`` and ``BvOr`` against a constant (prefix masks and
@@ -182,7 +179,9 @@ class Encoder:
         v = self._ands.get(key)
         if v is None:
             v = self._ands[key] = self.sat.new_var()
-            self.sat.add_and_gate(v, key)
+            clauses = [(-v, lit) for lit in key]
+            clauses.append((v, *[-lit for lit in key]))
+            self.sat.add_gate(clauses)
         return v
 
     def xor(self, a: int, b: int) -> int:

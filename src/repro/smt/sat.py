@@ -4,8 +4,8 @@ Features: two-watched-literal propagation, 1UIP conflict analysis with
 clause learning, non-chronological backjumping, VSIDS variable activity with
 a lazy heap, phase saving, Luby restarts, learned-clause database reduction,
 level-0 clause simplification on :meth:`SatSolver.add_clause` (and on the
-encoder's gate entries, :meth:`SatSolver.add_gate` and
-:meth:`SatSolver.add_and_gate`, which skip only its seen-set), and cheap
+encoder's gate entry, :meth:`SatSolver.add_gate`, which skips only its
+seen-set), and cheap
 conflict-clause minimisation.
 
 Externally, literals are signed integers: variable ``v`` (1-based) appears
@@ -226,37 +226,6 @@ class SatSolver:
                     watches[clause[1]].append(clause)
                 elif not self.add_clause([_to_lit(code) for code in clause]):
                     return
-
-    def add_and_gate(self, output: int, inputs: tuple[int, ...]) -> None:
-        """:meth:`add_gate` of ``output <-> AND(inputs)``: the clauses
-        ``(-output, x)`` per input, then ``(output, -x1, ..., -xn)``.
-
-        With no input assigned (``output`` is fresh) no clause simplifies,
-        so they are built straight in code form, converting each input
-        once; otherwise they take :meth:`add_gate`'s clause-by-clause path.
-        """
-        if not self.ok:
-            return
-        values = self._values
-        codes = [(lit << 1) if lit > 0 else (((-lit) << 1) | 1) for lit in inputs]
-        for code in codes:
-            if values[code] != UNASSIGNED:
-                clauses: list[tuple[int, ...]] = [(-output, lit) for lit in inputs]
-                clauses.append((output, *[-lit for lit in inputs]))
-                self.add_gate(clauses)
-                return
-        negative = (output << 1) | 1
-        binaries = [[negative, code] for code in codes]
-        wide = [output << 1, *[code ^ 1 for code in codes]]
-        watches = self._watches
-        self._clauses += binaries
-        self._clauses.append(wide)
-        watches[negative] += binaries
-        for clause in binaries:
-            watches[clause[1]].append(clause)
-        watches[wide[0]].append(wide)
-        watches[wide[1]].append(wide)
-        self.num_clauses_added += len(wide)
 
     # ------------------------------------------------------------------
     # Assignment plumbing
