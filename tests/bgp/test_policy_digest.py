@@ -355,5 +355,7 @@ def test_router_digest_is_pinned():
     assert router.digest() == (
         "be4f977e4f9a05a4149aafbf0479181b3cddcc437bca546c6d33cebe087c4c3d"
     )
-    # A snapshot's leaves digest to the same string.
+    # A snapshot's leaves digest to the same string, with or without sessions.
     assert router.digest_leaves().digest() == router.digest()
+    alone = RouterConfig("R9", 65000)
+    assert alone.digest_leaves().digest() == alone.digest()
