@@ -36,7 +36,6 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.checks import check_class, check_owner, skipped_outcome
-from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
 from repro.smt.solver import SessionPool
 from repro.testing import faults
 
@@ -59,7 +58,6 @@ def _init_worker(
     universe: "AttributeUniverse",
     ghosts: tuple["GhostAttribute", ...],
     conflict_budget: int | None,
-    cache_enabled: bool,
     deadline_s: float | None,
     run_deadline: float | None,
     fault_plan: "faults.FaultPlan | None",
@@ -69,11 +67,6 @@ def _init_worker(
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
         SessionPool(),
     )
-    # Mirror the parent's transfer-memoisation switch: workers rebuild
-    # their own caches from the shipped config/universe (term graphs don't
-    # pickle usefully), but a cache-off differential run must stay cache-off
-    # end to end.
-    set_transfer_cache_enabled(cache_enabled)
     # The parent's fault plan, shipped rather than inherited so injection
     # does not depend on the start method (fork copies it, spawn would not).
     faults.install(fault_plan)
@@ -212,9 +205,8 @@ def run_checks_in_processes(
             max_workers=min(jobs, len(chunks)),
             initializer=_init_worker,
             initargs=(
-                config, universe, ghosts, conflict_budget,
-                transfer_cache_enabled(), deadline_s, run_deadline,
-                faults.active_plan(),
+                config, universe, ghosts, conflict_budget, deadline_s,
+                run_deadline, faults.active_plan(),
             ),
         )
         try:

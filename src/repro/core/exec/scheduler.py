@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.core.checks import check_owner
 from repro.core.exec.context import ExecutionContext, resolve_jobs
 from repro.core.exec.pool import run_checks_in_processes, run_in_sessions
+from repro.lang.ghost import unique_ghosts
 
 if TYPE_CHECKING:
     from repro.bgp.config import NetworkConfig
@@ -75,7 +76,7 @@ class Scheduler:
         """
         context = self.context
         run_deadline = context.begin_run_deadline()
-        ghosts = tuple(ghosts)
+        ghosts = unique_ghosts(ghosts)
         flat = [check for checks in groups.values() for check in checks]
         outcomes: list["CheckOutcome"] | None = None
         expired = run_deadline is not None and time.monotonic() >= run_deadline

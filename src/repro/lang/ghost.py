@@ -85,3 +85,18 @@ class GhostAttribute:
             import_updates=import_updates,
             export_updates=export_updates,
         )
+
+
+def unique_ghosts(ghosts: Iterable[GhostAttribute]) -> tuple[GhostAttribute, ...]:
+    """``ghosts`` as a run's tuple; a name declared twice is a ValueError.
+
+    A ghost is one route field, and a transfer applies an edge's updates
+    sorted by name, so two ghosts of one name would have no defined value.
+    """
+    run = tuple(ghosts)
+    seen: set[str] = set()
+    for ghost in run:
+        if ghost.name in seen:
+            raise ValueError(f"ghost {ghost.name!r} is declared more than once")
+        seen.add(ghost.name)
+    return run

@@ -50,21 +50,14 @@ class TermCacheStats:
 # Predicate-term memoisation: every local check lowers its assumption and
 # goal predicates against (usually) the one canonical symbolic route of the
 # sweep, so ``predicate_term`` caches ``pred.to_term(route)`` keyed by
-# (route instance token, predicate-by-value).  Entries are interned terms,
-# so the cache dies with the intern table like every other term-identity
-# cache.  The on/off switch is driven by the lang-layer master toggle in
-# :mod:`repro.lang.transfer`.
+# (route instance token, predicate-by-value).  ``Predicate.to_term`` is the
+# one reader, so the key is complete; it is also the uncached reference the
+# differential tests compare against (there is no off switch).  Entries are
+# interned terms, so the cache dies with the intern table like every other
+# term-identity cache.
 
-_term_cache_enabled: bool = True
 _term_cache: dict[tuple, Term] = {}
 _term_stats = TermCacheStats()
-
-
-def set_predicate_term_cache_enabled(enabled: bool) -> bool:
-    global _term_cache_enabled
-    previous = _term_cache_enabled
-    _term_cache_enabled = bool(enabled)
-    return previous
 
 
 def predicate_term_cache_stats() -> TermCacheStats:
@@ -82,8 +75,6 @@ register_intern_dependent(_term_cache.clear)
 
 def predicate_term(pred: "Predicate", route: SymbolicRoute) -> Term:
     """``pred.to_term(route)``, memoised per (route instance, predicate)."""
-    if not _term_cache_enabled:
-        return pred.to_term(route)
     key = (route.instance_token(), pred)
     term = _term_cache.get(key)
     if term is not None:

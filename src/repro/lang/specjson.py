@@ -46,7 +46,7 @@ from repro.bgp.prefix import PrefixRange
 from repro.bgp.route import Community
 from repro.bgp.topology import Edge, Topology
 from repro.core.properties import InvariantMap, LivenessProperty, Location, SafetyProperty
-from repro.lang.ghost import GhostAttribute
+from repro.lang.ghost import GhostAttribute, unique_ghosts
 from repro.bgp.prefix import Prefix
 from repro.lang.predicates import (
     AllOf,
@@ -210,7 +210,7 @@ class VerificationSpec:
                 )
             else:
                 raise ValueError(f"unknown ghost kind {kind!r}")
-        return tuple(ghosts)
+        return unique_ghosts(ghosts)
 
 
 def spec_from_json(text: str) -> VerificationSpec:

@@ -18,28 +18,25 @@ Transfer-output memoisation
 Symbolic execution dominates large sweeps: a full mesh runs the *same*
 filter (by content) on hundreds of edges, rebuilding identical term DAGs
 each time.  ``transfer_import`` / ``transfer_export`` / ``symbolic_
-originated`` are therefore memoised.  The cache key is everything the
-output depends on — never the edge or router name itself:
+originated`` are therefore memoised, and never on the edge or router name.
 
-* the **route map value** applied on the edge, interned
-  (:func:`repro.bgp.policy.intern_route_map`: equal maps are one object,
-  so a probe compares it by identity; ``None`` for "no filter"); for
-  exports additionally the prepended own ASN when the session is eBGP
-  (``None`` otherwise);
-* the **direction** (import/export) — i.e. which concrete semantics apply;
-* the **peer-class ghost updates**: the sorted ``(name, value)`` pairs of
-  ghost constants written on this edge in this direction.  Edges whose
-  ghost discipline agrees (e.g. "every non-source external import") share
-  entries regardless of which peer they face;
-* the **input route key**: the interned terms of every field of the input
-  :class:`SymbolicRoute` plus its universe.  Terms are hash-consed, so
-  the canonical fresh route ``r`` of a sweep keys identically across all
-  checks, while chained liveness inputs key by their own structure.
-
-All but the input route is :func:`transfer_policy`, which is also the
-policy part of a filter check's class key: a check whose class already
-passed in a batch is answered without calling the transfer at all
-(:func:`repro.core.exec.pool.run_in_sessions`).
+An edge's transfer is one value, :func:`transfer_policy`: the direction,
+the interned route map (:func:`repro.bgp.policy.intern_route_map`: equal
+maps are one object, so a probe compares it by identity; ``None`` for "no
+filter"), the eBGP prepend ASN (``None`` on imports and iBGP exports) and
+the sorted ``(name, value)`` ghost updates written on the edge.  Edges
+whose filter and ghost discipline agree (e.g. "every non-source external
+import") share it regardless of which peer they face.
+:func:`apply_policy` is the one reader of that value and the only code
+that builds a transfer output; the memo key is ``(policy, route instance
+token)``, so it covers everything the output depends on by construction.
+The same value is the policy part of a filter check's class key: a check
+whose class already passed in a batch is answered without calling the
+transfer at all (:func:`repro.core.exec.pool.run_in_sessions`).
+Originated routes key on ``(universe, routes, ghost originated values)``
+and :func:`embed_originated` reads only that.  Ghost names are unique in a
+run (:func:`repro.lang.ghost.unique_ghosts`), so a sorted update list
+means what the declared one did.
 
 Invalidation: cached values are interned-term graphs, so the caches are
 registered with :func:`repro.smt.terms.register_intern_dependent` and die
@@ -48,10 +45,11 @@ There is no other invalidation rule, because every mutable input is part
 of the key (a config edit changes the route-map value, a different ghost
 discipline changes the update pairs).  A companion cache in
 :mod:`repro.lang.predicates` memoises predicate lowering the same way
-(keyed by route instance token + predicate value).
-``set_transfer_cache_enabled`` / ``transfer_cache_disabled`` switch both
-layers for differential testing, and ``transfer_cache_stats`` /
-``predicate_term_cache_stats`` expose hit/miss counters for benchmarks.
+(keyed by route instance token + predicate value).  There is no switch to
+turn either off: tests compare against the uncached references
+(:func:`apply_policy`, :func:`embed_originated`, ``Predicate.to_term``)
+directly, and ``transfer_cache_stats`` / ``predicate_term_cache_stats``
+expose hit/miss counters for benchmarks.
 
 Key cost: a value used as a memo key hashes once; the hash is never
 pickled.  Route maps (the intern table), universes (the ``fresh`` cache)
@@ -63,9 +61,7 @@ the §7 diff, :mod:`repro.core.incremental`).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro import smt
 from repro.bgp.config import NetworkConfig
@@ -102,7 +98,6 @@ from repro.lang.predicates import (
     TermCacheStats,
     _range_term,
     reset_predicate_term_cache,
-    set_predicate_term_cache_enabled,
 )
 from repro.lang.symroute import (
     MED_WIDTH,
@@ -123,39 +118,9 @@ from repro.smt.terms import Term, register_intern_dependent
 # :mod:`repro.lang.predicates`; re-exported under the transfer name.
 TransferCacheStats = TermCacheStats
 
-_cache_enabled: bool = True
 _transfer_cache: dict[tuple, tuple[Term, SymbolicRoute]] = {}
 _originate_cache: dict[tuple, tuple[SymbolicRoute, ...]] = {}
 _stats = TransferCacheStats()
-
-
-def transfer_cache_enabled() -> bool:
-    return _cache_enabled
-
-
-def set_transfer_cache_enabled(enabled: bool) -> bool:
-    """Turn lang-layer memoisation on or off; returns the previous setting.
-
-    This is the master switch for term-construction caching: it covers the
-    transfer-output caches here *and* the predicate-term cache in
-    :mod:`repro.lang.predicates`, so "cache disabled" means every check
-    re-derives its terms from scratch.
-    """
-    global _cache_enabled
-    previous = _cache_enabled
-    _cache_enabled = bool(enabled)
-    set_predicate_term_cache_enabled(enabled)
-    return previous
-
-
-@contextmanager
-def transfer_cache_disabled() -> Iterator[None]:
-    """Run a block with memoisation off (for differential testing)."""
-    previous = set_transfer_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_transfer_cache_enabled(previous)
 
 
 def transfer_cache_stats() -> TransferCacheStats:
@@ -181,39 +146,6 @@ def _clear_cache_entries() -> None:
 
 
 register_intern_dependent(_clear_cache_entries)
-
-
-def _route_key(route: SymbolicRoute) -> int:
-    """A cheap per-instance token identifying the input route.
-
-    A structural key (a tuple of all field terms) would cost more to build
-    and hash than the no-op transfers it guards — so routes are branded
-    with :meth:`SymbolicRoute.instance_token` instead.  Sharing is not
-    lost: every hot input is an *interned instance* (``fresh`` is cached
-    per universe, ``symbolic_originated`` has its own structural cache),
-    so identical inputs carry identical tokens.  Distinct-but-equal
-    instances (chained liveness outputs) miss the cache and recompute,
-    which is sound — interning makes the recomputed terms identical.
-    """
-    return route.instance_token()
-
-
-def _ghost_update_key(
-    edge: Edge, ghosts: Sequence[GhostAttribute], direction: str
-) -> tuple:
-    """The ghost constants written on this edge, as sorted (name, value) pairs.
-
-    Ghost updates commute (each writes its own field), so sorting by name
-    canonicalises without changing the produced route.
-    """
-    applied = []
-    for ghost in ghosts:
-        update = (
-            ghost.import_update(edge) if direction == "import" else ghost.export_update(edge)
-        )
-        if update is not None:
-            applied.append((ghost.name, update))
-    return tuple(sorted(applied))
 
 
 # ---------------------------------------------------------------------------
@@ -331,55 +263,74 @@ def transfer_route_map(
 # ---------------------------------------------------------------------------
 
 
-def _apply_ghost_updates(
-    route: SymbolicRoute,
-    edge: Edge,
-    ghosts: Sequence[GhostAttribute],
-    direction: str,
-) -> SymbolicRoute:
-    for ghost in ghosts:
-        update = (
-            ghost.import_update(edge) if direction == "import" else ghost.export_update(edge)
-        )
-        if update is not None:
-            route = route.with_ghost(ghost.name, smt.true() if update else smt.false())
-    return route
-
-
 def transfer_policy(
     config: NetworkConfig,
     edge: Edge,
     ghosts: Sequence[GhostAttribute],
     direction: str,
 ) -> tuple:
-    """Everything ``Import``/``Export`` on ``edge`` depends on but the input
-    route: the direction, the route map (its interned value), the eBGP
-    prepend ASN (exports only) and the ghost updates on the edge.
+    """The one description of ``Import``/``Export`` on ``edge``:
+    ``(direction, route map, prepend ASN, ghost updates)``.
 
-    The transfer memo's key is this plus the input route, and it is the
-    policy part of a filter check's class key
+    The route map is its interned value (``None``: no filter); the prepend
+    ASN is the sender's on an eBGP export and ``None`` otherwise; the ghost
+    updates are the sorted ``(name, value)`` pairs written on the edge in
+    this direction (each writes its own field, so sorting does not change
+    the output).  :func:`apply_policy` reads nothing else, so the transfer
+    memo's key — this plus the input route — is complete by construction,
+    and it is the policy part of a filter check's class key
     (:func:`repro.core.checks.check_class`): two edges with equal policies
     run the same transfer function, whatever their names.
     """
+    prepend_asn: int | None = None
     if direction == "import":
-        return (
-            "import",
-            intern_route_map(config.import_map(edge)),
-            _ghost_update_key(edge, ghosts, "import"),
+        route_map = config.import_map(edge)
+    else:
+        route_map = config.export_map(edge)
+        if edge.src in config.routers and config.is_ebgp(edge):
+            prepend_asn = config.routers[edge.src].asn
+    # A plain loop: a comprehension here costs a function call per check.
+    updates: list[tuple[str, bool]] = []
+    for ghost in ghosts:
+        value = ghost.import_update(edge) if direction == "import" else ghost.export_update(edge)
+        if value is not None:
+            updates.append((ghost.name, value))
+    updates.sort()
+    return (direction, intern_route_map(route_map), prepend_asn, tuple(updates))
+
+
+def apply_policy(policy: tuple, route: SymbolicRoute) -> tuple[Term, SymbolicRoute]:
+    """Run a :func:`transfer_policy` on ``route``: ``(accepted, r')``.
+
+    The only code that builds a transfer output, and it reads nothing but
+    ``policy`` and ``route``: the route map, then the eBGP prepend, then
+    the ghost updates.
+    """
+    __, route_map, prepend_asn, ghost_updates = policy
+    accepted, output = transfer_route_map(route_map, route)
+    if prepend_asn is not None:
+        output = output.with_as_path_member(prepend_asn, smt.true())
+        output = output.with_field(
+            as_path_len=smt.bv_add(output.as_path_len, smt.bv_const(1, PATHLEN_WIDTH))
         )
-    return (
-        "export",
-        intern_route_map(config.export_map(edge)),
-        _prepend_asn(config, edge),
-        _ghost_update_key(edge, ghosts, "export"),
-    )
+    for name, value in ghost_updates:
+        output = output.with_ghost(name, smt.true() if value else smt.false())
+    return accepted, output
 
 
-def _prepend_asn(config: NetworkConfig, edge: Edge) -> int | None:
-    """The ASN an export on ``edge`` prepends: the sender's on eBGP."""
-    if edge.src in config.routers and config.is_ebgp(edge):
-        return config.routers[edge.src].asn
-    return None
+def _memo_transfer(policy: tuple, route: SymbolicRoute) -> tuple[Term, SymbolicRoute]:
+    # Routes key by instance token, not structure: every hot input is an
+    # interned instance (``fresh`` is cached per universe, originated routes
+    # have their own cache), and a distinct-but-equal instance (a chained
+    # liveness output) just recomputes the same interned terms.
+    key = (policy, route.instance_token())
+    cached = _transfer_cache.get(key)
+    if cached is not None:
+        _stats.hits += 1
+        return cached
+    _stats.misses += 1
+    result = _transfer_cache[key] = apply_policy(policy, route)
+    return result
 
 
 def transfer_import(
@@ -389,28 +340,7 @@ def transfer_import(
     ghosts: Sequence[GhostAttribute] = (),
 ) -> tuple[Term, SymbolicRoute]:
     """``Import(edge, r)`` as (accepted, r'), with ghost updates applied."""
-    if not _cache_enabled:
-        return _transfer_import_uncached(config, edge, route, ghosts)
-    key = (transfer_policy(config, edge, ghosts, "import"), _route_key(route))
-    cached = _transfer_cache.get(key)
-    if cached is not None:
-        _stats.hits += 1
-        return cached
-    _stats.misses += 1
-    result = _transfer_import_uncached(config, edge, route, ghosts)
-    _transfer_cache[key] = result
-    return result
-
-
-def _transfer_import_uncached(
-    config: NetworkConfig,
-    edge: Edge,
-    route: SymbolicRoute,
-    ghosts: Sequence[GhostAttribute],
-) -> tuple[Term, SymbolicRoute]:
-    accepted, output = transfer_route_map(config.import_map(edge), route)
-    output = _apply_ghost_updates(output, edge, ghosts, "import")
-    return accepted, output
+    return _memo_transfer(transfer_policy(config, edge, ghosts, "import"), route)
 
 
 def transfer_export(
@@ -420,36 +350,7 @@ def transfer_export(
     ghosts: Sequence[GhostAttribute] = (),
 ) -> tuple[Term, SymbolicRoute]:
     """``Export(edge, r)`` as (accepted, r'), with prepend and ghosts."""
-    if not _cache_enabled:
-        return _transfer_export_uncached(config, edge, route, ghosts, _prepend_asn(config, edge))
-    policy = transfer_policy(config, edge, ghosts, "export")
-    key = (policy, _route_key(route))
-    cached = _transfer_cache.get(key)
-    if cached is not None:
-        _stats.hits += 1
-        return cached
-    _stats.misses += 1
-    __, __, prepend_asn, __ = policy
-    result = _transfer_export_uncached(config, edge, route, ghosts, prepend_asn)
-    _transfer_cache[key] = result
-    return result
-
-
-def _transfer_export_uncached(
-    config: NetworkConfig,
-    edge: Edge,
-    route: SymbolicRoute,
-    ghosts: Sequence[GhostAttribute],
-    prepend_asn: int | None,
-) -> tuple[Term, SymbolicRoute]:
-    accepted, output = transfer_route_map(config.export_map(edge), route)
-    if prepend_asn is not None:
-        output = output.with_as_path_member(prepend_asn, smt.true())
-        output = output.with_field(
-            as_path_len=smt.bv_add(output.as_path_len, smt.bv_const(1, PATHLEN_WIDTH))
-        )
-    output = _apply_ghost_updates(output, edge, ghosts, "export")
-    return accepted, output
+    return _memo_transfer(transfer_policy(config, edge, ghosts, "export"), route)
 
 
 def symbolic_originated(
@@ -459,13 +360,9 @@ def symbolic_originated(
     ghosts: Sequence[GhostAttribute] = (),
 ) -> list[SymbolicRoute]:
     """``Originate(edge)`` embedded as constant symbolic routes."""
-    originated = config.originate(edge)
-    if not _cache_enabled:
-        return _symbolic_originated_uncached(originated, universe, ghosts)
     key = (
-        "originate",
         universe,
-        originated,  # frozen routes, equal by value
+        config.originate(edge),  # frozen routes, equal by value
         tuple(sorted((g.name, g.originated_value) for g in ghosts)),
     )
     cached = _originate_cache.get(key)
@@ -473,19 +370,20 @@ def symbolic_originated(
         _stats.hits += 1
         return list(cached)
     _stats.misses += 1
-    result = _symbolic_originated_uncached(originated, universe, ghosts)
+    result = embed_originated(*key)
     _originate_cache[key] = tuple(result)
     return result
 
 
-def _symbolic_originated_uncached(
-    originated, universe, ghosts: Sequence[GhostAttribute]
+def embed_originated(
+    universe, originated, ghost_values: Sequence[tuple[str, bool]]
 ) -> list[SymbolicRoute]:
+    """Concrete ``originated`` routes as symbolic ones, each ghost set to its
+    originated value: the output of :func:`symbolic_originated` for its key."""
     result = []
     for route in originated:
         sym = SymbolicRoute.concrete(route, universe)
-        for ghost in ghosts:
-            value = smt.true() if ghost.originated_value else smt.false()
-            sym = sym.with_ghost(ghost.name, value)
+        for name, value in ghost_values:
+            sym = sym.with_ghost(name, smt.true() if value else smt.false())
         result.append(sym)
     return result

@@ -70,13 +70,11 @@ from repro.smt.terms import (
 )
 from repro.smt.solver import (
     CheckSession,
-    Counterexample,
     Model,
     Result,
     SessionPool,
     Solver,
     SolverStats,
-    prove,
 )
 
 __all__ = [
@@ -130,6 +128,4 @@ __all__ = [
     "Result",
     "Model",
     "SolverStats",
-    "prove",
-    "Counterexample",
 ]

@@ -30,9 +30,9 @@ consults it before ``CheckSession.check``, the one-shot :class:`Solver`
 never does).
 
 ``Model`` evaluates *original* terms (including bit-vectors) against the
-SAT assignment so callers never see the bit-level encoding.  ``prove``
-wraps the refutation idiom used throughout Lightyear: a check ``A => B``
-passes iff ``A and not B`` is unsatisfiable.
+SAT assignment so callers never see the bit-level encoding.  Lightyear
+uses one refutation idiom throughout: a check ``A => B`` passes iff ``A
+and not B`` is unsatisfiable.
 """
 
 from __future__ import annotations
@@ -518,28 +518,3 @@ class SessionPool:
         total_vars = sum(s.total_vars for s in self._sessions.values())
         total_clauses = sum(s.total_clauses for s in self._sessions.values())
         return (total_vars, total_clauses)
-
-
-@dataclass
-class Counterexample:
-    """A failed ``prove`` call: the model witnesses the violated implication."""
-
-    model: Model
-    stats: SolverStats
-
-
-def prove(
-    goal: Term, assumptions: list[Term] | None = None
-) -> tuple[Counterexample | None, SolverStats]:
-    """Prove ``assumptions => goal`` by refutation (unbounded search).
-
-    Returns ``(None, stats)`` when the implication is valid and
-    ``(Counterexample, stats)`` when it is not.
-    """
-    solver = Solver()
-    for a in assumptions or []:
-        solver.add(a)
-    solver.add(T.not_(goal))
-    if solver.check() is Result.UNSAT:
-        return None, solver.stats
-    return Counterexample(solver.model(), solver.stats), solver.stats

@@ -202,7 +202,7 @@ def test_a_jobs_worker_keeps_one_memo_across_its_owner_chunks(monkeypatch):
     config = build_full_mesh(6)
     ghost, __, __, universe, checks = _no_transit_problem(config)
     monkeypatch.setattr(exec_pool, "_WORKER_CONTEXT", None)
-    exec_pool._init_worker(config, universe, (ghost,), None, True, None, None, None)
+    exec_pool._init_worker(config, universe, (ghost,), None, None, None, None)
     chunks = exec_pool.chunk_by_owner(checks)
     outcomes = [pair for chunk in chunks for pair in exec_pool._run_chunk(pickle.dumps(chunk))]
     assert all(outcome.passed for __, outcome in outcomes)

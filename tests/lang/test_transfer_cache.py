@@ -1,12 +1,16 @@
-"""Differential tests: memoised vs cache-disabled term construction.
+"""Differential tests: memoised vs uncached term construction.
 
 Caching layers are where soundness bugs hide, so the lang-layer caches get
 the same treatment the CDCL core gets against the reference DPLL
 (``tests/smt/test_sat_differential.py``): run both paths on randomized
-inputs and demand *identical* results.  Identity here is strong — terms are
-hash-consed, so the memoised transfer outputs must be the very same interned
-objects the uncached symbolic execution constructs, and whole verification
-runs must produce outcome-for-outcome equal reports, failures included.
+inputs and demand *identical* results.  The uncached references are plain
+functions — :func:`apply_policy`, :func:`embed_originated` and
+``Predicate.to_term`` — called directly, or patched into
+:mod:`repro.core.checks` for whole runs.  Identity here is strong — terms
+are hash-consed, so the memoised transfer outputs must be the very same
+interned objects the uncached symbolic execution constructs, and whole
+verification runs must produce outcome-for-outcome equal reports, failures
+included.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import random
 
 import pytest
 
+from repro import smt
 from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import (
     AddCommunity,
@@ -36,19 +41,30 @@ from repro.bgp.policy import (
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community
 from repro.bgp.topology import Edge
+from repro.core import checks
+from repro.core.liveness import verify_liveness
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import build_universe, verify_safety
-from repro.lang.predicates import HasCommunity, Not, predicate_term_cache_stats
+from repro.lang.ghost import GhostAttribute
+from repro.lang.predicates import (
+    HasCommunity,
+    Not,
+    predicate_term,
+    predicate_term_cache_stats,
+)
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import (
+    apply_policy,
+    embed_originated,
     reset_transfer_cache,
     symbolic_originated,
-    transfer_cache_disabled,
     transfer_cache_stats,
     transfer_export,
     transfer_import,
+    transfer_policy,
 )
 from repro.smt.terms import clear_intern_cache
+from repro.workloads.fullmesh import build_full_mesh, full_mesh_liveness_property
 from repro.workloads.randomnet import build_random_network
 
 from tests import oracle
@@ -186,14 +202,45 @@ def _random_problem(seed: int):
     return config, prop, invariants
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_check_outcomes_identical_cache_on_vs_off(seed):
-    """Full verification agrees outcome-for-outcome with caching disabled."""
-    config, prop, invariants = _random_problem(seed)
+def _uncached_import(config, edge, route, ghosts=()):
+    return apply_policy(transfer_policy(config, edge, ghosts, "import"), route)
+
+
+def _uncached_export(config, edge, route, ghosts=()):
+    return apply_policy(transfer_policy(config, edge, ghosts, "export"), route)
+
+
+def _uncached_originated(config, edge, universe, ghosts=()):
+    # Declared order, not the memo key's sorted one: names are unique.
+    values = [(g.name, g.originated_value) for g in ghosts]
+    return embed_originated(universe, config.originate(edge), values)
+
+
+def _use_uncached_references(monkeypatch) -> None:
+    """Route every check's terms through the uncached references."""
+    monkeypatch.setattr(checks, "transfer_import", _uncached_import)
+    monkeypatch.setattr(checks, "transfer_export", _uncached_export)
+    monkeypatch.setattr(checks, "symbolic_originated", _uncached_originated)
+    monkeypatch.setattr(checks, "predicate_term", lambda pred, route: pred.to_term(route))
+
+
+def _verify(problem):
+    if problem == "mesh4-liveness":
+        # Propagation checks: chained transfer inputs and sub-proofs.
+        return verify_liveness(build_full_mesh(4), full_mesh_liveness_property(4))
+    config, prop, invariants = _random_problem(problem)
+    return verify_safety(config, prop, invariants)
+
+
+@pytest.mark.parametrize("problem", [*range(10), "mesh4-liveness"])
+def test_check_outcomes_identical_cache_on_vs_off(problem, monkeypatch):
+    """Full verification agrees outcome-for-outcome with the uncached references."""
     reset_transfer_cache()
-    report_on = verify_safety(config, prop, invariants)
-    with transfer_cache_disabled():
-        report_off = verify_safety(config, prop, invariants)
+    report_on = _verify(problem)
+    with monkeypatch.context() as patch:
+        _use_uncached_references(patch)
+        report_off = _verify(problem)
+    assert transfer_cache_stats().misses > 0  # the memoised run used the memo
     # The cache hands back the same interned terms: the same queries.
     assert oracle.listing(report_on, witness=True) == oracle.listing(report_off, witness=True)
 
@@ -216,15 +263,16 @@ def test_transfer_terms_identical_on_randomnets(model, seed):
     route = SymbolicRoute.fresh("r", universe)
     reset_transfer_cache()
     for edge in sorted(config.topology.edges):
-        for transfer in (transfer_import, transfer_export):
+        for transfer, uncached in (
+            (transfer_import, _uncached_import),
+            (transfer_export, _uncached_export),
+        ):
             acc_on, out_on = transfer(config, edge, route, (ghost,))
-            with transfer_cache_disabled():
-                acc_off, out_off = transfer(config, edge, route, (ghost,))
+            acc_off, out_off = uncached(config, edge, route, (ghost,))
             assert acc_on is acc_off, f"accepted differs on {edge}"
             _assert_routes_identical(out_on, out_off, edge)
         syms_on = symbolic_originated(config, edge, universe, (ghost,))
-        with transfer_cache_disabled():
-            syms_off = symbolic_originated(config, edge, universe, (ghost,))
+        syms_off = _uncached_originated(config, edge, universe, (ghost,))
         assert len(syms_on) == len(syms_off)
         for a, b in zip(syms_on, syms_off):
             _assert_routes_identical(a, b, edge)
@@ -271,7 +319,25 @@ def test_edges_with_equal_policy_share_one_cache_entry():
     assert stats.hits >= 1
 
 
-def test_cache_stats_and_toggle():
+def test_equal_maps_with_different_ghost_updates_do_not_share_an_entry():
+    """The memo key is the whole policy: E3->R3 and E4->R4 run one filter,
+    but a source ghost on E3->R3 writes true there and false on E4->R4."""
+    config = build_random_network(6, model="ring", seed=0)
+    ghost = GhostAttribute.source_tracker("S", config.topology, [Edge("E3", "R3")])
+    universe = build_universe(config, None, [], (ghost,))
+    route = SymbolicRoute.fresh("r", universe)
+    reset_transfer_cache()
+    outputs = []
+    for edge in (Edge("E3", "R3"), Edge("E4", "R4")):
+        accepted, output = transfer_import(config, edge, route, (ghost,))
+        acc_ref, out_ref = _uncached_import(config, edge, route, (ghost,))
+        assert accepted is acc_ref
+        _assert_routes_identical(output, out_ref, edge)
+        outputs.append(output.ghosts["S"])
+    assert outputs == [smt.true(), smt.false()]
+
+
+def test_cache_stats():
     config = build_random_network(4, model="ring", seed=7)
     universe = build_universe(config, None, [], ())
     route = SymbolicRoute.fresh("r", universe)
@@ -282,17 +348,25 @@ def test_cache_stats_and_toggle():
     stats = transfer_cache_stats()
     assert (stats.hits, stats.misses) == (1, 1)
     assert stats.hit_rate == 0.5
-    with transfer_cache_disabled():
-        transfer_import(config, edge, route)
-    assert transfer_cache_stats().lookups == 2  # cache-off calls don't count
-    # Predicate-term lowering shares the master toggle.
+    # Predicate-term lowering counts its own probes; the reset zeroed them.
     pred = Not(HasCommunity(Community(100, 1)))
-    from repro.lang.predicates import predicate_term
+    assert predicate_term(pred, route) is predicate_term(pred, route) is pred.to_term(route)
+    stats = predicate_term_cache_stats()
+    assert (stats.hits, stats.misses) == (1, 1)
 
-    before = predicate_term_cache_stats().lookups
-    with transfer_cache_disabled():
-        predicate_term(pred, route)
-    assert predicate_term_cache_stats().lookups == before
+
+def test_duplicate_ghost_names_are_rejected():
+    """Two ghosts named ``X`` would be one field with two update rules: the
+    memo key sorts the updates, so which one wins would depend on order.
+    A run refuses them and names the duplicate."""
+    config = build_random_network(4, model="ring", seed=7)
+    __, prop, invariants = mesh_no_transit(config)
+    ghosts = tuple(
+        GhostAttribute.source_tracker("X", config.topology, [Edge(f"E{i}", f"R{i}")])
+        for i in (1, 2)
+    )
+    with pytest.raises(ValueError, match="ghost 'X' is declared more than once"):
+        verify_safety(config, prop, invariants, ghosts)
 
 
 def test_intern_table_clear_drops_cache_entries():
@@ -309,8 +383,7 @@ def test_intern_table_clear_drops_cache_entries():
         acc, out = transfer_import(config, edge, route2)
         # A post-clear call must rebuild from the new intern table, not hand
         # back a stale graph: the accepted term is interned *now*.
-        with transfer_cache_disabled():
-            acc_ref, __ = transfer_import(config, edge, route2)
+        acc_ref, __ = _uncached_import(config, edge, route2)
         assert acc is acc_ref
     finally:
         clear_intern_cache()

@@ -102,24 +102,28 @@ def test_boolean_structure_with_bv_atoms():
 def test_prove_valid_implication():
     x = smt.bv_var("x", 8)
     goal = smt.bv_ule(smt.bv_and(x, smt.bv_const(0x0F, 8)), smt.bv_const(0x0F, 8))
-    cex, __ = smt.prove(goal)
-    assert cex is None
+    s = smt.Solver()
+    s.add(smt.not_(goal))
+    assert s.check() is smt.Result.UNSAT
 
 
 def test_prove_invalid_gives_counterexample():
     x = smt.bv_var("x", 8)
     goal = smt.bv_ult(x, smt.bv_const(128, 8))
-    cex, __ = smt.prove(goal)
-    assert cex is not None
-    assert cex.model.eval_bv(x) >= 128
+    s = smt.Solver()
+    s.add(smt.not_(goal))
+    assert s.check() is smt.Result.SAT
+    assert s.model().eval_bv(x) >= 128
 
 
 def test_prove_with_assumptions():
     x = smt.bv_var("x", 8)
     assumption = smt.bv_ult(x, smt.bv_const(10, 8))
     goal = smt.bv_ult(x, smt.bv_const(100, 8))
-    cex, __ = smt.prove(goal, assumptions=[assumption])
-    assert cex is None
+    s = smt.Solver()
+    s.add(assumption)
+    s.add(smt.not_(goal))
+    assert s.check() is smt.Result.UNSAT
 
 
 def test_stats_populated():

@@ -230,6 +230,32 @@ def test_cli_rejects_bad_jobs(config_file, spec_file, capsys):
         main(["verify", config_file, spec_file, "--jobs", "0"])
 
 
+def test_cli_rejects_duplicate_ghost_names(tmp_path, capsys):
+    config = tmp_path / "two-externals.cfg"
+    config.write_text(
+        "external E1 as 100\nexternal E2 as 200\nrouter R1 as 65000\n"
+        "  neighbor E1 as 100\n  neighbor E2 as 200\n"
+    )
+    spec = {
+        "ghosts": [
+            {"name": "X", "kind": "source", "sources": ["E1->R1"]},
+            {"name": "X", "kind": "source", "sources": ["E2->R1"]},
+        ],
+        "safety": [
+            {
+                "name": "no-x",
+                "location": "R1->E1",
+                "predicate": {"kind": "not", "inner": {"kind": "ghost", "name": "X"}},
+                "invariants": {"default": {"kind": "true"}},
+            }
+        ],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["verify", str(config), str(spec_path)]) == 2
+    assert "error: ghost 'X' is declared more than once" in capsys.readouterr().err
+
+
 def test_cli_verbose_breakdown(config_file, spec_file, capsys):
     assert main(["verify", config_file, spec_file, "--verbose"]) == 0
     out = capsys.readouterr().out
