@@ -109,9 +109,6 @@ class Route:
     def ghost_value(self, name: str) -> bool:
         return bool(self.ghost.get(name, False))
 
-    def has_community(self, comm: Community) -> bool:
-        return comm in self.communities
-
     def __str__(self) -> str:
         comms = ",".join(str(c) for c in sorted(self.communities)) or "-"
         path = " ".join(str(a) for a in self.as_path) or "-"

@@ -146,6 +146,19 @@ def _parse_jobs(value: str) -> int | str:
     return jobs
 
 
+def _parse_budget(value: str) -> int:
+    """``--budget`` argument: a conflict count, zero or more."""
+    try:
+        budget = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of conflicts, got {value!r}"
+        ) from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative budget, got {budget}")
+    return budget
+
+
 def _parse_seconds(value: str) -> float:
     """``--deadline``/``--wall-budget`` argument: a positive number of seconds."""
     try:
@@ -201,9 +214,9 @@ def _open_workspace(
         # A load without --budget adopts the saved one; that is not this spec.
         same_budget = workspace.conflict_budget == args.budget
         for prop, invariants, interference in problems:
-            if not same_budget or not workspace.has_entry(
+            if not same_budget or workspace.entry(
                 prop, invariants, interference_invariants=interference
-            ):
+            ) is None:
                 raise WorkspaceCacheMismatch(
                     f"workspace cache at {cache_path} does not cover this spec "
                     f"(no cached outcomes for {prop}); delete the cache or rerun "
@@ -373,7 +386,7 @@ def _add_run_options(
         "CPUs); omitted or 1 runs serially",
     )
     parser.add_argument(
-        "--budget", type=int, default=None, help="per-check SAT conflict budget"
+        "--budget", type=_parse_budget, default=None, help="per-check SAT conflict budget"
     )
     parser.add_argument(
         "--deadline",

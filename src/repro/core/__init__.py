@@ -23,9 +23,8 @@ executes (worker processes, budgets, deadlines, session pool) is an
 :class:`repro.core.exec.ExecutionContext`: the ``context=`` of a free
 function, or the workspace itself.
 
-Invariant inference (:mod:`repro.core.inference`), impact assessment
-(:mod:`repro.core.scenario`) and the property templates
-(:mod:`repro.core.templates`) are imported from their own modules; no
+Invariant inference (:mod:`repro.core.inference`) and impact assessment
+(:mod:`repro.core.scenario`) are imported from their own modules; no
 ``verify`` needs them, so the package does not load them.
 """
 

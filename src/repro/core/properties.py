@@ -23,10 +23,6 @@ from repro.lang.predicates import Predicate, TruePred
 Location = Union[str, Edge]
 
 
-def location_str(location: Location) -> str:
-    return str(location)
-
-
 @dataclass(frozen=True)
 class SafetyProperty:
     """``(l, P)``: all routes reaching ``l`` satisfy ``P``."""
@@ -34,6 +30,17 @@ class SafetyProperty:
     location: Location
     predicate: Predicate
     name: str = ""
+
+    def validate_against(self, topology: Topology) -> None:
+        """The location must be an internal router or an edge of the
+        network: anywhere else no check establishes an invariant, so the
+        default would stand in for it and the property pass vacuously."""
+        location = self.location
+        if isinstance(location, Edge):
+            if not topology.has_edge(*location):
+                raise ValueError(f"safety location {location} is not an edge of the network")
+        elif not topology.is_router(location):
+            raise ValueError(f"safety location {location!r} is not an internal router")
 
     def __str__(self) -> str:
         label = f"{self.name}: " if self.name else ""
@@ -96,10 +103,6 @@ class InvariantMap:
         self._topology = topology
         self._default: Predicate = default if default is not None else TruePred()
         self._overrides: dict[Location, Predicate] = {}
-
-    def set_default(self, predicate: Predicate) -> "InvariantMap":
-        self._default = predicate
-        return self
 
     def set(self, location: Location, predicate: Predicate) -> "InvariantMap":
         self._check_settable(location)

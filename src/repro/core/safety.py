@@ -153,6 +153,9 @@ class SafetyProblem:
     def checks(
         self, config: NetworkConfig, owners: set[str] | None = None
     ) -> dict[tuple, list[LocalCheck]]:
+        if owners is None:
+            for p in self._props:
+                p.validate_against(config.topology)
         first = self._props[0]
         checks = generate_safety_checks(
             config, self.invariants, first.location, first.predicate, owners=owners

@@ -389,23 +389,6 @@ class Workspace(ExecutionContext):
     def _registered(self, fingerprint: str) -> WorkspaceEntry | None:
         return next((e for e in self._entries if e.fingerprint == fingerprint), None)
 
-    def has_entry(
-        self,
-        prop: SafetyProperty | LivenessProperty,
-        invariants: InvariantMap | dict[str, InvariantMap] | None = None,
-        *,
-        interference_invariants: dict[str, InvariantMap] | None = None,
-    ) -> bool:
-        """Whether this exact property (same invariants) is registered.
-
-        Used by the CLI to check that a loaded cache covers the spec it is
-        about to run.
-        """
-        return (
-            self.entry(prop, invariants, interference_invariants=interference_invariants)
-            is not None
-        )
-
     # -- verification --------------------------------------------------
 
     def _run_entry(self, entry: WorkspaceEntry) -> IncrementalResult:

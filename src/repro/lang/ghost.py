@@ -70,6 +70,8 @@ class GhostAttribute:
         Filters at the waypoint set the ghost true; imports from externals
         elsewhere set it false; originated routes carry false.
         """
+        if not topology.is_router(router):
+            raise ValueError(f"waypoint {router!r} is not an internal router")
         import_updates: dict[Edge, bool] = {}
         export_updates: dict[Edge, bool] = {}
         for edge in topology.edges_to(router):

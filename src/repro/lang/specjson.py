@@ -180,7 +180,10 @@ class SafetySpec:
     def build_invariants(self, topology: Topology) -> InvariantMap:
         inv = InvariantMap(topology, default=self.invariants_default)
         for location, pred in self.invariants_overrides.items():
-            inv.set(location, pred)
+            try:
+                inv.set(location, pred)
+            except KeyError as exc:
+                raise ValueError(f"invariant override: {exc.args[0]}") from None
         return inv
 
 
@@ -195,8 +198,7 @@ class VerificationSpec:
     def build_ghosts(self, topology: Topology) -> tuple[GhostAttribute, ...]:
         ghosts = []
         for doc in self.ghost_docs:
-            kind = doc.get("kind", "source")
-            if kind == "source":
+            if doc.get("kind", "source") == "source":
                 edges = [location_from_str(e) for e in doc["sources"]]
                 for edge in edges:
                     if not isinstance(edge, Edge):
@@ -204,12 +206,10 @@ class VerificationSpec:
                 ghosts.append(
                     GhostAttribute.source_tracker(doc["name"], topology, edges)
                 )
-            elif kind == "waypoint":
+            else:  # "waypoint": spec_from_json admits no other kind
                 ghosts.append(
                     GhostAttribute.waypoint(doc["name"], topology, doc["router"])
                 )
-            else:
-                raise ValueError(f"unknown ghost kind {kind!r}")
         return unique_ghosts(ghosts)
 
 
@@ -241,8 +241,24 @@ def spec_from_json(text: str) -> VerificationSpec:
         raise ValueError(f"malformed spec: {exc}") from exc
 
 
+#: The key each ghost kind needs besides ``name``.
+_GHOST_KEYS = {"source": "sources", "waypoint": "router"}
+
+
+def _ghost_doc(doc: dict[str, Any]) -> dict[str, Any]:
+    """A ghost entry whose keys are all there; checks that need the
+    topology wait for :meth:`VerificationSpec.build_ghosts`."""
+    kind = doc.get("kind", "source")
+    if kind not in _GHOST_KEYS:
+        raise ValueError(f"unknown ghost kind {kind!r}")
+    for key in ("name", _GHOST_KEYS[kind]):
+        if key not in doc:
+            raise ValueError(f"malformed spec: {kind} ghost is missing required key {key!r}")
+    return doc
+
+
 def _spec_from_doc(doc: dict[str, Any]) -> VerificationSpec:
-    spec = VerificationSpec(ghost_docs=list(doc.get("ghosts", ())))
+    spec = VerificationSpec(ghost_docs=[_ghost_doc(g) for g in doc.get("ghosts", ())])
 
     for sdoc in doc.get("safety", ()):
         prop = SafetyProperty(

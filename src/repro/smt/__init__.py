@@ -12,7 +12,7 @@ Public API:
     from repro.smt import (
         Solver, Result, bool_var, bv_var, bv_const, true, false,
         and_, or_, not_, implies, iff, ite, bv_eq, bv_ult, bv_ule,
-        bv_and, bv_or, bv_not, bv_add,
+        bv_and, bv_add,
     )
 
     s = Solver()
@@ -36,9 +36,6 @@ from repro.smt.terms import (
     BvUlt,
     BvUle,
     BvAnd,
-    BvOr,
-    BvXor,
-    BvNot,
     BvAdd,
     BvIte,
     bool_var,
@@ -49,22 +46,14 @@ from repro.smt.terms import (
     not_,
     implies,
     iff,
-    xor,
     ite,
     bv_var,
     bv_const,
     bv_eq,
-    bv_ne,
     bv_ult,
     bv_ule,
-    bv_ugt,
-    bv_uge,
     bv_and,
-    bv_or,
-    bv_xor,
-    bv_not,
     bv_add,
-    bv_ite,
     BOOL,
     BitVecSort,
 )
@@ -91,9 +80,6 @@ __all__ = [
     "BvUlt",
     "BvUle",
     "BvAnd",
-    "BvOr",
-    "BvXor",
-    "BvNot",
     "BvAdd",
     "BvIte",
     "bool_var",
@@ -104,22 +90,14 @@ __all__ = [
     "not_",
     "implies",
     "iff",
-    "xor",
     "ite",
     "bv_var",
     "bv_const",
     "bv_eq",
-    "bv_ne",
     "bv_ult",
     "bv_ule",
-    "bv_ugt",
-    "bv_uge",
     "bv_and",
-    "bv_or",
-    "bv_xor",
-    "bv_not",
     "bv_add",
-    "bv_ite",
     "BOOL",
     "BitVecSort",
     "Solver",

@@ -31,7 +31,7 @@ exactly what one ``add_clause`` per clause would leave;
 ``tests/smt/test_cnf_pin.py`` holds the encoder to that reference.
 
 **Constant operand bits** are folded inline where they are most common:
-``BvEq``, ``BvAnd`` and ``BvOr`` against a constant (prefix masks and
+``BvEq`` and ``BvAnd`` against a constant (prefix masks and
 values) and ``<``/``<=`` against a constant (length bounds).  Each folded
 bit yields the literal the generic ``-xor``/``and2``/``ite(xor(a, b), b,
 r)`` chain folds to — for ``<`` the ``ite`` over a constant bit is an
@@ -320,28 +320,6 @@ class Encoder:
                 out.append(and2(a, b))
         return tuple(out)
 
-    def _bv_or(self, t: T.BvOr) -> Bits:
-        # ``-and2(-a, -b)`` per bit, with a constant operand folded inline.
-        true, and2 = self.true, self.and2
-        out: list[int] = []
-        for a, b in self._operands(t):
-            if a == -true:
-                out.append(b)
-            elif b == -true:
-                out.append(a)
-            elif a == true or b == true:
-                out.append(true)
-            else:
-                out.append(-and2(-a, -b))
-        return tuple(out)
-
-    def _bv_xor(self, t: T.BvXor) -> Bits:
-        xor = self.xor
-        return tuple(xor(a, b) for a, b in self._operands(t))
-
-    def _bv_not(self, t: T.BvNot) -> Bits:
-        return tuple(-a for a in self._bits[t.arg])
-
     def _bv_add(self, t: T.BvAdd) -> Bits:
         """Ripple-carry addition modulo 2**width."""
         xor, ite = self.xor, self.ite
@@ -372,9 +350,6 @@ class Encoder:
         T.BvVar: _bv_var,
         T.BvConst: _bv_const,
         T.BvAnd: _bv_and,
-        T.BvOr: _bv_or,
-        T.BvXor: _bv_xor,
-        T.BvNot: _bv_not,
         T.BvAdd: _bv_add,
         T.BvIte: _bv_ite,
     }

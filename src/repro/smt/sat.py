@@ -107,7 +107,7 @@ class SatSolver:
         self.stop_reason: str | None = None
 
     # ------------------------------------------------------------------
-    # Signed-literal views (DIMACS export, tests)
+    # Signed-literal views (for tests)
     # ------------------------------------------------------------------
 
     @property
@@ -249,9 +249,6 @@ class SatSolver:
         self.phase[v] = not (code & 1)
         self._trail.append(code)
         return True
-
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
 
     # ------------------------------------------------------------------
     # Unit propagation (two watched literals, flattened)

@@ -148,13 +148,6 @@ class Model:
             return memo[term.lhs] <= memo[term.rhs]
         if isinstance(term, T.BvAnd):
             return memo[term.lhs] & memo[term.rhs]
-        if isinstance(term, T.BvOr):
-            return memo[term.lhs] | memo[term.rhs]
-        if isinstance(term, T.BvXor):
-            return memo[term.lhs] ^ memo[term.rhs]
-        if isinstance(term, T.BvNot):
-            mask = (1 << term.width) - 1
-            return ~memo[term.arg] & mask
         if isinstance(term, T.BvAdd):
             mask = (1 << term.width) - 1
             return (memo[term.lhs] + memo[term.rhs]) & mask
@@ -425,8 +418,7 @@ class SessionPool:
     the marginal encoding of genuinely new terms.  Reuse is always sound —
     a session database holds only definitions and what every one of its
     checks asserts, and each check is discharged under assumptions — so a
-    pool never needs invalidation for correctness;
-    ``drop`` exists to bound memory when an owner's policy is gone for good.
+    pool never needs invalidation for correctness.
 
     Above the sessions the pool owns ``answers``, the query memo: each
     distinct query is solved once per pool, whichever owner asks first,
@@ -436,7 +428,7 @@ class SessionPool:
     among the assertions.  Only SAT and UNSAT are stored (an UNKNOWN is a statement about a budget, not about
     the query).  The key is the query's content — interned terms, compared
     by identity — so an edited policy builds a different key and nothing
-    needs invalidating on ``drop`` or across
+    needs invalidating, not even across
     :func:`repro.smt.terms.clear_intern_cache`; the memo dies with
     ``clear()``, is never pickled and never reaches the on-disk cache.
 
@@ -479,9 +471,6 @@ class SessionPool:
 
     def peek(self, key: object) -> CheckSession | None:
         return self._sessions.get(key)
-
-    def drop(self, key: object) -> None:
-        self._sessions.pop(key, None)
 
     def clear(self) -> None:
         self._sessions.clear()

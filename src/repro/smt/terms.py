@@ -362,39 +362,9 @@ class BvAnd(_BinBv):
     _op = "bvand"
 
 
-class BvOr(_BinBv):
-    __slots__ = ()
-    _op = "bvor"
-
-
-class BvXor(_BinBv):
-    __slots__ = ()
-    _op = "bvxor"
-
-
 class BvAdd(_BinBv):
     __slots__ = ()
     _op = "bvadd"
-
-
-class BvNot(Term):
-    __slots__ = ("arg",)
-
-    def __new__(cls, arg: Term):
-        key = ("bvnot", arg)
-        t = _INTERN.get(key)
-        if t is None:
-            t = _new(cls)
-            _set(t, "sort", BitVecSort(arg.width))
-            _set(t, "arg", arg)
-            _INTERN[key] = t
-        return t
-
-    def children(self) -> tuple[Term, ...]:
-        return (self.arg,)
-
-    def __repr__(self) -> str:
-        return f"(bvnot {self.arg!r})"
 
 
 class BvIte(Term):
@@ -532,10 +502,6 @@ def iff(a: Term, b: Term) -> Term:
     return and_(implies(a, b), implies(b, a))
 
 
-def xor(a: Term, b: Term) -> Term:
-    return not_(iff(a, b))
-
-
 def ite(cond: Term, then: Term, els: Term) -> Term:
     """If-then-else over either sort, with folding on constant conditions."""
     if cond is TRUE:
@@ -577,10 +543,6 @@ def bv_eq(a: Term, b: Term) -> Term:
     return BvEq(a, b)
 
 
-def bv_ne(a: Term, b: Term) -> Term:
-    return not_(bv_eq(a, b))
-
-
 def bv_ult(a: Term, b: Term) -> Term:
     if a is b:
         return FALSE
@@ -603,14 +565,6 @@ def bv_ule(a: Term, b: Term) -> Term:
     return BvUle(a, b)
 
 
-def bv_ugt(a: Term, b: Term) -> Term:
-    return bv_ult(b, a)
-
-
-def bv_uge(a: Term, b: Term) -> Term:
-    return bv_ule(b, a)
-
-
 def bv_and(a: Term, b: Term) -> Term:
     if isinstance(a, BvConst) and isinstance(b, BvConst):
         return BvConst(a.value & b.value, a.width)
@@ -624,33 +578,6 @@ def bv_and(a: Term, b: Term) -> Term:
     return BvAnd(a, b)
 
 
-def bv_or(a: Term, b: Term) -> Term:
-    if isinstance(a, BvConst) and isinstance(b, BvConst):
-        return BvConst(a.value | b.value, a.width)
-    if isinstance(a, BvConst):
-        a, b = b, a
-    if isinstance(b, BvConst):
-        if b.value == 0:
-            return a
-        if b.value == (1 << b.width) - 1:
-            return b
-    return BvOr(a, b)
-
-
-def bv_xor(a: Term, b: Term) -> Term:
-    if isinstance(a, BvConst) and isinstance(b, BvConst):
-        return BvConst(a.value ^ b.value, a.width)
-    return BvXor(a, b)
-
-
-def bv_not(a: Term) -> Term:
-    if isinstance(a, BvConst):
-        return BvConst(~a.value, a.width)
-    if isinstance(a, BvNot):
-        return a.arg
-    return BvNot(a)
-
-
 def bv_add(a: Term, b: Term) -> Term:
     if isinstance(a, BvConst) and isinstance(b, BvConst):
         return BvConst(a.value + b.value, a.width)
@@ -659,20 +586,3 @@ def bv_add(a: Term, b: Term) -> Term:
     if isinstance(b, BvConst) and b.value == 0:
         return a
     return BvAdd(a, b)
-
-
-def bv_ite(cond: Term, then: Term, els: Term) -> Term:
-    return ite(cond, then, els)
-
-
-def term_size(term: Term) -> int:
-    """Number of distinct nodes in the DAG rooted at ``term``."""
-    seen: set[Term] = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        stack.extend(t.children())
-    return len(seen)

@@ -167,7 +167,6 @@ NOT_IMPORTED_BY_VERIFY = (
     "repro.bgp.configparse",
     "repro.core.inference",
     "repro.core.scenario",
-    "repro.core.templates",
 )
 
 

@@ -6,6 +6,9 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
+from repro.core.safety import verify_safety
+from repro.core.workspace import Workspace
+from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import FalsePred, TruePred
 from repro.workloads.figure1 import build_figure1
 
@@ -97,6 +100,31 @@ def test_liveness_property_topological_validation():
     )
     with pytest.raises(ValueError):
         prop.validate_against(config.topology)
+
+
+@pytest.mark.parametrize(
+    "location", ["R9", "ISP1", Edge("R2", "ISP9"), Edge("R9", "R1")], ids=str
+)
+def test_a_safety_location_outside_the_network_is_rejected(location):
+    # The invariant map answers its default anywhere, so a property whose
+    # predicate is the default would pass without any check behind it.
+    config = build_figure1()
+    invariants = InvariantMap(config.topology)
+    prop = SafetyProperty(location, TruePred())
+    family = [SafetyProperty("R1", TruePred()), prop]
+    for run in (
+        lambda: verify_safety(config, prop, invariants),
+        lambda: verify_safety(config, family, invariants),
+        lambda: Workspace(config).verify(prop, invariants),
+    ):
+        with pytest.raises(ValueError, match="safety location"):
+            run()
+
+
+def test_a_waypoint_outside_the_network_is_rejected():
+    config = build_figure1()
+    with pytest.raises(ValueError, match="waypoint 'R9'"):
+        GhostAttribute.waypoint("ViaR9", config.topology, "R9")
 
 
 def test_property_str_rendering():

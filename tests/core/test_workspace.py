@@ -117,7 +117,7 @@ def test_different_budget_registers_a_separate_entry(fig1_config, from_isp1):
     with pytest.raises(TypeError):
         ws.verify(prop, inv, conflict_budget=5)
     with pytest.raises(TypeError):
-        ws.has_entry(prop, inv, conflict_budget=123)
+        ws.entry(prop, inv, conflict_budget=123)
     # The budget is still part of an entry's identity.
     unlimited = Workspace(fig1_config, ghosts=(from_isp1,))
     unlimited.verify(prop, inv)
@@ -262,7 +262,7 @@ def test_load_adopts_the_saved_budget_and_rejects_another(tmp_path, fig1_config,
     # Like config and ghosts: defaults to the saved value, must match if given.
     for loaded in (Workspace.load(path), Workspace.load(path, conflict_budget=7)):
         assert loaded.conflict_budget == 7
-        assert loaded.has_entry(prop, inv)
+        assert loaded.entry(prop, inv) is not None
         assert loaded.entries[0].fingerprint == ws.entries[0].fingerprint
         loaded.verify(prop, inv)
         assert loaded.entries[0].last_result.checks_consulted == 0

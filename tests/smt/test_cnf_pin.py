@@ -3,8 +3,8 @@
 :class:`ReferenceEncoder` keeps the gate code the encoder had before gates
 went through :meth:`SatSolver.add_gate` and constant operand bits were
 folded inline: every gate clause is one :meth:`SatSolver.add_clause` call,
-``BvEq`` is ``and_`` over ``-xor`` per bit, ``BvAnd``/``BvOr`` are
-``and2`` per bit and ``<`` is the ``ite(xor(a, b), b, result)`` chain.
+``BvEq`` is ``and_`` over ``-xor`` per bit, ``BvAnd`` is ``and2`` per
+bit and ``<`` is the ``ite(xor(a, b), b, result)`` chain.
 Both encoders must leave identical solvers behind — the same clause
 database in the same order, variable count, added-clause count and root
 trail — on random terms (with root units asserted before and between
@@ -111,15 +111,10 @@ class ReferenceEncoder(Encoder):
         and2 = self.and2
         return tuple(and2(a, b) for a, b in self._operands(t))
 
-    def _bv_or(self, t: T.BvOr) -> Bits:
-        and2 = self.and2
-        return tuple(-and2(-a, -b) for a, b in self._operands(t))
-
     _NODE = {
         **Encoder._NODE,
         T.BvEq: _bv_eq,
         T.BvAnd: _bv_and,
-        T.BvOr: _bv_or,
     }
 
 
@@ -131,7 +126,7 @@ def _state(sat: SatSolver) -> tuple:
 # Random terms over small widths
 # ---------------------------------------------------------------------------
 
-_BV_NODES = (T.BvAnd, T.BvOr, T.BvXor, T.BvAdd)
+_BV_NODES = (T.BvAnd, T.BvAdd)
 _CMP_NODES = (T.BvEq, T.BvUlt, T.BvUle)
 
 
@@ -141,8 +136,6 @@ def _bv(rng: random.Random, width: int, depth: int) -> T.Term:
         if rng.random() < 0.5:
             return T.BvConst(rng.randrange(2**width), width)
         return T.BvVar(rng.choice("xyz"), width)
-    if roll < 0.4:
-        return T.BvNot(_bv(rng, width, depth - 1))
     if roll < 0.5:
         return T.BvIte(
             _bool(rng, width, depth - 1), _bv(rng, width, depth - 1), _bv(rng, width, depth - 1)
@@ -222,7 +215,7 @@ def test_root_units_reach_the_gate_path():
     x, y = T.BvVar("x", 3), T.BvVar("y", 3)
     steps = [
         ("assert", T.BvEq(x, T.BvConst(5, 3))),
-        ("literal", T.BvEq(T.BvAnd(x, y), T.BvXor(y, x))),
+        ("literal", T.BvEq(T.BvAnd(x, y), T.BvAdd(y, x))),
         ("literal", T.BvUlt(T.BvAdd(x, y), y)),
     ]
     answers, state = _replay(Encoder, steps)

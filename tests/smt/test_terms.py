@@ -31,10 +31,7 @@ def _one_of_each_term_class() -> list[T.Term]:
         T.BvUlt(a, b),
         T.BvUle(b, a),
         T.BvAnd(a, b),
-        T.BvOr(a, b),
-        T.BvXor(a, b),
-        T.BvAdd(a, k),
-        T.BvNot(a),
+        T.BvAdd(a, b),
         T.BvIte(x, a, b),
     ]
 
@@ -55,9 +52,9 @@ def test_interning_gives_identity():
     for one, other in zip(first, second):
         assert one is other
     assert T.BoolConst(1) is T.TRUE
-    # Same children, different operator: distinct nodes (And/Or, BvAnd/BvOr/BvXor).
+    # Same children, different operator: distinct nodes (And/Or, BvAnd/BvAdd).
     assert first[3] is not first[4]
-    assert len({id(t) for t in first[11:14]}) == 3
+    assert first[11] is not first[12]
 
 
 def test_bv_const_wraps_modulo_width():
@@ -130,7 +127,7 @@ def test_bv_relations_fold_constants():
     assert T.bv_ult(three, five) is T.true()
     assert T.bv_ult(five, three) is T.false()
     assert T.bv_ule(three, three) is T.true()
-    assert T.bv_uge(five, three) is T.true()
+    assert T.bv_ule(three, five) is T.true()
 
 
 def test_bv_bitwise_folding():
@@ -139,10 +136,7 @@ def test_bv_bitwise_folding():
     ones = T.bv_const(0xFF, 8)
     assert T.bv_and(a, ones) is a
     assert T.bv_and(a, zeros) is zeros
-    assert T.bv_or(a, zeros) is a
-    assert T.bv_or(a, ones) is ones
     assert T.bv_add(a, zeros) is a
-    assert T.bv_not(T.bv_not(a)) is a
     assert T.bv_and(T.bv_const(0b1100, 8), T.bv_const(0b1010, 8)).value == 0b1000
 
 
@@ -161,14 +155,6 @@ def test_width_property_on_bool_raises():
 def test_or_of_term_and_its_negation_is_true():
     shared = T.and_(T.bool_var("x"), T.bool_var("y"))
     assert T.or_(shared, T.not_(shared)) is T.true()
-
-
-def test_term_size_counts_shared_nodes_once():
-    c = T.bool_var("c")
-    shared = T.and_(T.bool_var("x"), T.bool_var("y"))
-    term = T.Ite(c, shared, T.not_(shared))
-    # ite-node, c, shared and-node, not-node, x, y
-    assert T.term_size(term) == 6
 
 
 def test_bitvec_sort_cached_and_immutable():
