@@ -5,6 +5,12 @@ The paper reports 11 peering-policy errors and one undocumented-community
 bug found in production, each localised to a specific route map.  These
 benchmarks inject the analogous faults into the synthetic WAN and measure
 detection time; assertions confirm the blame lands on the planted router.
+Each peering bug is also replayed through the simulator
+(:func:`repro.core.scenario.assess_impact`) and classified as §6.1 does:
+``immediate`` if the witness route violates the property in today's
+network, ``latent`` if it only could under other failures or
+announcements.  Both planted peering bugs here are immediate: the peer's
+witness route is imported and selected at the router that lacks the filter.
 
 Run: ``pytest benchmarks/bench_bugfinding.py --benchmark-only``
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.safety import verify_safety_family
+from repro.core.scenario import assess_impact
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import (
     ip_reuse_safety_problem,
@@ -23,6 +30,16 @@ from repro.workloads.wan_properties import (
 
 
 WAN_ARGS = dict(regions=4, routers_per_region=4, peers_per_edge=2)
+
+
+def impact(wan, problem, report) -> set[str]:
+    """The §6.1 classification of every failure, each replayed against
+    the family's property at the router it blames."""
+    located = {prop.location: prop for prop in problem.properties}
+    return {
+        assess_impact(wan.config, located[f.blamed_router], problem.ghost, f).classification
+        for f in report.failures
+    }
 
 
 def test_find_missing_bogon_filter(benchmark):
@@ -39,8 +56,10 @@ def test_find_missing_bogon_filter(benchmark):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert not report.passed
     assert {f.blamed_router for f in report.failures} == {"W2-0"}
+    assert impact(wan, problem, report) == {"immediate"}
     benchmark.extra_info["failed_checks"] = len(report.failures)
     benchmark.extra_info["blamed"] = "W2-0"
+    benchmark.extra_info["impact"] = "immediate"
 
 
 def test_find_adhoc_aspath_policy(benchmark):
@@ -59,6 +78,8 @@ def test_find_adhoc_aspath_policy(benchmark):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert not report.passed
     assert {f.blamed_router for f in report.failures} == {"W1-0"}
+    assert impact(wan, problem, report) == {"immediate"}
+    benchmark.extra_info["impact"] = "immediate"
 
 
 def test_find_undocumented_community(benchmark):

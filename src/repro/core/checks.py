@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro import smt
@@ -468,7 +469,7 @@ def check_class(
 
 
 def group_checks_by_owner(
-    checks: "list[LocalCheck]",
+    checks: "Iterable[LocalCheck]",
 ) -> "dict[str | None, list[LocalCheck]]":
     """Group checks by owner router, preserving first-seen group order.
 

@@ -14,7 +14,7 @@ the pool initializer, and runs every chunk through the same loop on the
 worker's own :class:`repro.smt.SessionPool`, so the shared encoding stays
 hot within a chunk and the pool's query memo spans every chunk the worker
 runs.  Outcomes (including counterexamples) are plain picklable
-dataclasses and come back tagged with their original index, so callers
+dataclasses and come back per chunk in the chunk's order, so callers
 see results in input order regardless of scheduling.
 
 Workers live for one call: nothing persists between batches on the
@@ -33,9 +33,9 @@ computes identical outcomes.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.core.checks import check_class, check_owner, skipped_outcome
+from repro.core.checks import check_class, check_owner, group_checks_by_owner, skipped_outcome
 from repro.smt.solver import SessionPool
 from repro.testing import faults
 
@@ -130,33 +130,21 @@ def run_in_sessions(
     return outcomes
 
 
-def _run_chunk(payload: bytes) -> list[tuple[int, "CheckOutcome"]]:
-    """Discharge one owner's pickled ``(index, check)`` pairs in this
-    worker, sharing one session."""
+def _run_chunk(payload: bytes) -> list["CheckOutcome"]:
+    """Discharge one owner's pickled checks in this worker, sharing one
+    session; outcomes come back in the chunk's order."""
     import pickle
 
     assert _WORKER_CONTEXT is not None, "worker initializer did not run"
-    indexed_checks: list[tuple[int, "LocalCheck"]] = pickle.loads(payload)
     (
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
         sessions,
     ) = _WORKER_CONTEXT
-    outcomes = run_in_sessions(
-        [check for __, check in indexed_checks],
+    return run_in_sessions(
+        pickle.loads(payload),
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
         sessions,
     )
-    return [(index, outcome) for (index, __), outcome in zip(indexed_checks, outcomes)]
-
-
-def chunk_by_owner(
-    checks: Sequence["LocalCheck"],
-) -> list[list[tuple[int, "LocalCheck"]]]:
-    """Group (index, check) pairs by owner router, preserving first-seen order."""
-    groups: dict[str | None, list[tuple[int, "LocalCheck"]]] = {}
-    for index, check in enumerate(checks):
-        groups.setdefault(check_owner(check), []).append((index, check))
-    return list(groups.values())
 
 
 def run_checks_in_processes(
@@ -187,7 +175,7 @@ def run_checks_in_processes(
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    chunks = chunk_by_owner(checks)
+    chunks = list(group_checks_by_owner(checks).values())
     if not chunks:
         return []
     # Pickled here, before any worker exists, not in the pool's feeder
@@ -199,7 +187,6 @@ def run_checks_in_processes(
         payloads = [pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL) for chunk in chunks]
     except (pickle.PicklingError, AttributeError, TypeError):
         return None
-    outcomes: list["CheckOutcome | None"] = [None] * len(checks)
     try:
         pool = ProcessPoolExecutor(
             max_workers=min(jobs, len(chunks)),
@@ -221,15 +208,17 @@ def run_checks_in_processes(
                 wait(futures, timeout=remaining, return_when=FIRST_EXCEPTION)
                 for future in futures:
                     future.cancel()
+            # A chunk keeps its checks in input order, so the input is
+            # reassembled by taking each check's owner's next outcome.
+            streams: dict[str | None, Iterator["CheckOutcome"]] = {}
             for chunk, future in zip(chunks, futures):
                 if future.cancelled():
-                    pairs = [(i, skipped_outcome(c, "wall-budget")) for i, c in chunk]
+                    chunk_outcomes = [skipped_outcome(c, "wall-budget") for c in chunk]
                 else:
-                    pairs = future.result()
-                for index, outcome in pairs:
-                    outcomes[index] = outcome
+                    chunk_outcomes = future.result()
+                streams[check_owner(chunk[0])] = iter(chunk_outcomes)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-        return outcomes  # type: ignore[return-value]
+        return [next(streams[check_owner(check)]) for check in checks]
     except (OSError, BrokenProcessPool, pickle.PicklingError, EOFError, ImportError):
         return None

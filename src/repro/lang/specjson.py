@@ -245,12 +245,25 @@ def spec_from_json(text: str) -> VerificationSpec:
 _GHOST_KEYS = {"source": "sources", "waypoint": "router"}
 
 
+def _known_keys(doc: dict[str, Any], allowed: tuple[str, ...], where: str) -> dict[str, Any]:
+    """``doc`` itself, if it has no key outside ``allowed``: a misspelt
+    key would otherwise be ignored and its property never checked."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"malformed spec: unknown key {unknown[0]!r} in {where} "
+            f"(expected one of {', '.join(allowed)})"
+        )
+    return doc
+
+
 def _ghost_doc(doc: dict[str, Any]) -> dict[str, Any]:
     """A ghost entry whose keys are all there; checks that need the
     topology wait for :meth:`VerificationSpec.build_ghosts`."""
     kind = doc.get("kind", "source")
     if kind not in _GHOST_KEYS:
         raise ValueError(f"unknown ghost kind {kind!r}")
+    _known_keys(doc, ("name", "kind", _GHOST_KEYS[kind]), f"a {kind} ghost")
     for key in ("name", _GHOST_KEYS[kind]):
         if key not in doc:
             raise ValueError(f"malformed spec: {kind} ghost is missing required key {key!r}")
@@ -258,15 +271,19 @@ def _ghost_doc(doc: dict[str, Any]) -> dict[str, Any]:
 
 
 def _spec_from_doc(doc: dict[str, Any]) -> VerificationSpec:
+    _known_keys(doc, ("ghosts", "safety", "liveness"), "the spec")
+    if not doc.get("safety") and not doc.get("liveness"):
+        raise ValueError("malformed spec: no safety or liveness property to verify")
     spec = VerificationSpec(ghost_docs=[_ghost_doc(g) for g in doc.get("ghosts", ())])
 
     for sdoc in doc.get("safety", ()):
+        _known_keys(sdoc, ("name", "location", "predicate", "invariants"), "a safety property")
         prop = SafetyProperty(
             location=location_from_str(sdoc["location"]),
             predicate=predicate_from_json(sdoc["predicate"]),
             name=sdoc.get("name", ""),
         )
-        inv_doc = sdoc.get("invariants", {})
+        inv_doc = _known_keys(sdoc.get("invariants", {}), ("default", "overrides"), "invariants")
         default = (
             predicate_from_json(inv_doc["default"])
             if "default" in inv_doc
@@ -285,6 +302,9 @@ def _spec_from_doc(doc: dict[str, Any]) -> VerificationSpec:
         )
 
     for ldoc in doc.get("liveness", ()):
+        _known_keys(
+            ldoc, ("name", "location", "predicate", "path", "constraints"), "a liveness property"
+        )
         spec.liveness.append(
             LivenessProperty(
                 location=location_from_str(ldoc["location"]),

@@ -5,8 +5,9 @@ Three clusters:
 * ``resolve_jobs("auto")`` source preference — process CPU count, then
   the affinity mask, then ``os.cpu_count()`` — pinned per source by
   monkeypatching;
-* :class:`Scheduler` batch structure — one dispatch per run, outcomes
-  routed back per key, and a single-owner batch never forks a pool;
+* :class:`Scheduler` batch structure — one dispatch per run (a whole §5
+  proof is one process map), outcomes routed back per key in mapping
+  order, and a single-owner batch never forks a pool;
 * serial-fallback degradation — the :class:`RuntimeWarning` fires once
   per :class:`ExecutionContext` while each run's
   :class:`DegradationReport` carries its own event.
@@ -22,6 +23,7 @@ import pytest
 from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, Scheduler, resolve_jobs
 from repro.core.report import DegradationReport
+from repro.core.safety import build_universe
 
 from tests import oracle
 from tests.core.conftest import fullmesh_problem, run_batch, safety_pieces
@@ -76,6 +78,49 @@ def test_empty_plan_and_empty_groups():
         {("none",): []}, config, universe, (ghost,)
     )
     assert one_empty == {("none",): []}
+
+
+def test_outcomes_do_not_depend_on_mapping_order():
+    # Independence (the §4.3/§5.3 theorems) is what licenses running a
+    # whole proof as one batch with no stages: any key order gives every
+    # key the hermetic outcomes, over sessions warmed in a different order.
+    case = oracle.CASES["figure1-liveness"]
+    config = case.config()
+    ghosts, problem = case.problem(config)
+    universe = build_universe(config, None, problem.predicates(), ghosts)
+    sections = problem.checks(config)
+    reference = {
+        key: [oracle.outcome_key(check.run(config, universe, ghosts)) for check in checks]
+        for key, checks in sections.items()
+    }
+    for keys in (list(sections), list(reversed(sections))):
+        mapping = {key: sections[key] for key in keys}
+        result = Scheduler(ExecutionContext()).run(mapping, config, universe, ghosts)
+        assert list(result) == keys
+        for key in keys:
+            assert list(map(oracle.outcome_key, result[key])) == reference[key], key
+        # Flat order is mapping order, check for check.
+        assert [o.check for outcomes in result.values() for o in outcomes] == [
+            check for checks in mapping.values() for check in checks
+        ]
+
+
+def test_a_liveness_proof_is_one_process_map(monkeypatch):
+    import concurrent.futures
+
+    real, built = concurrent.futures.ProcessPoolExecutor, []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    case = oracle.CASES["figure1-liveness-planted"]
+    reference = oracle.listing(oracle.run("hermetic", case))
+    for path, pools in ((oracle.pooled, 0), (oracle.parallel, 1)):
+        del built[:]
+        assert oracle.listing(path(case)) == reference, path.__name__
+        assert len(built) == pools, path.__name__
 
 
 def test_single_owner_batch_never_forks_a_pool(broken_process_pool):

@@ -1,291 +1,212 @@
-"""Tests for incremental re-verification after per-router config edits.
+"""What a reverify consults, re-encodes and rebuilds — the counters no
+oracle cell sees.
 
-Driven through ``Workspace.verify/apply/reverify``; the cache accounting
-is read off the single entry's ``last_result`` and, where a test pins what
-the tracker kept alive, off ``entry.tracker``.
+That a tracker's report after an edit is the hermetic one on the edited
+configuration is the oracle's ``tracker``/``reloaded`` cells
+(``tests/oracle.py``: one-router edits, a grown topology, an external-ASN
+edit, every problem kind).  Pinned here, driven through
+``Workspace.verify/apply/reverify``:
+
+* a one-router edit consults exactly that owner's groups — for liveness
+  its propagation checks (if on the witness path) and its group in every
+  sub-proof, never the implication;
+* the universe object survives edits that add no atom, and is rebuilt
+  on one that does, or on an external-ASN edit (which reuses nothing);
+* a session is built per owner and only the edited owner's grows;
+* a chain of random edits through one workspace stays equal to the
+  hermetic reference at every step;
+* ``conflict_budget`` reaches the scheduler on every run.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
+from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import AddCommunity, RouteMap, RouteMapClause
+from repro.bgp.route import Community
+from repro.bgp.topology import Topology
+from repro.core.incremental import NETWORK_DIGEST_KEY, config_digests
+from repro.core.liveness import IMPLICATION_KEY, PROPAGATION_KEY
 from repro.core.workspace import Workspace
 from repro.workloads.figure1 import build_figure1
+from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
 from tests import oracle
-from tests.core.conftest import (
-    last_result,
-    no_transit_invariants,
-    no_transit_property,
-    reverify,
-)
+from tests.core.conftest import last_result, owner_check_count, reverify
 
 
-def _workspace(config, from_isp1, **kwargs):
-    return Workspace(config, ghosts=(from_isp1,), **kwargs)
+def _verified(case: str, **kwargs):
+    """A workspace that has run ``case``'s problem once, on its network."""
+    case = oracle.CASES[case]
+    config = case.network()
+    ghosts, problem = case.problem(config)
+    workspace = Workspace(config, ghosts=ghosts, **kwargs)
+    workspace.verify(problem.prop, problem.invariants)
+    return workspace, workspace.entries[0].tracker
 
 
-def _verify(ws):
-    """First (full) verification of the no-transit problem."""
-    ws.verify(no_transit_property(), no_transit_invariants(ws.config))
-    return last_result(ws)
+def _r3_edit():
+    return oracle.bogon_edit(build_figure1(), "R3", "Customer")
 
 
-def test_initial_run_executes_all_checks(fig1_config, from_isp1):
-    ws = _workspace(fig1_config, from_isp1)
-    result = _verify(ws)
-    assert result.report.passed
-    assert result.rerun_checks == 19
-    assert result.cached_checks == 0
+def test_a_one_router_edit_consults_only_its_owner_group():
+    ws, __ = _verified("figure1-safety")
+    first = last_result(ws)
+    assert (first.rerun_checks, first.cached_checks, first.checks_consulted) == (19, 0, 19)
+    noop = reverify(ws, build_figure1())
+    assert (noop.rerun_checks, noop.cached_checks, noop.checks_consulted) == (0, 19, 0)
+    assert noop.reuse_fraction == 1.0
+    # R3 owns imports on Customer->R3, R1->R3, R2->R3 and exports on
+    # R3->Customer, R3->R1, R3->R2.
+    edited = reverify(ws, _r3_edit())
+    assert (edited.rerun_checks, edited.cached_checks, edited.checks_consulted) == (6, 13, 6)
+    broken = reverify(ws, oracle.CASES["figure1-safety-planted"].config())
+    assert broken.rerun_checks == 6 + 6  # R3 back, R2 strips
+    assert {f.blamed_router for f in broken.report.failures} == {"R2"}
+    assert reverify(ws, build_figure1()).rerun_checks == 6  # R2 back
 
 
-def test_noop_reverify_reuses_everything(fig1_config, from_isp1):
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-    result = reverify(ws, build_figure1())  # identical configuration
-    assert result.report.passed
-    assert result.rerun_checks == 0
-    assert result.cached_checks == 19
-    assert result.reuse_fraction == 1.0
+def test_a_liveness_edit_never_consults_the_implication():
+    ws, tracker = _verified("fullmesh5-liveness")
+    implication = tracker._groups[(*IMPLICATION_KEY, None)].kept
+    # R5 is off the witness path E2 -> R2 -> R3: its sub-proof groups only.
+    off_path = reverify(ws, full_mesh_single_router_edit(5))
+    assert (*PROPAGATION_KEY, "R5") not in tracker._groups
+    assert off_path.checks_consulted == off_path.rerun_checks == owner_check_count(tracker, "R5")
+    # R2 is on it: its propagation checks too (the bogon deny overlaps the
+    # short-prefix constraint, so one now fails, found from R2's groups).
+    on_path = reverify(ws, full_mesh_single_router_edit(5, router="R2"))
+    assert len(tracker._groups[(*PROPAGATION_KEY, "R2")].stats) > 0
+    assert on_path.checks_consulted == owner_check_count(tracker, "R2") + owner_check_count(tracker, "R5")
+    assert not on_path.report.passed
+    assert tracker._groups[(*IMPLICATION_KEY, None)].kept is implication  # reused wholesale
 
 
-def test_single_router_edit_reruns_only_its_checks(fig1_config, from_isp1):
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-
-    # Edit R3's customer import (a benign tweak: extra deny of a bogon).
-    updated = oracle.bogon_edit(build_figure1(), "R3", "Customer")
-
-    result = reverify(ws, updated)
-    assert result.report.passed
-    # R3 owns: imports on Customer->R3, R1->R3, R2->R3 and exports on
-    # R3->Customer, R3->R1, R3->R2 = 6 checks.
-    assert result.rerun_checks == 6
-    assert result.cached_checks == 13
-
-
-def test_breaking_edit_detected_incrementally(fig1_config, from_isp1):
-    ws = _workspace(fig1_config, from_isp1)
-    assert _verify(ws).report.passed
-
-    # R2 starts re-tagging... er, stripping the transit community on the
-    # iBGP import from R1 — breaking the "no filter strips 100:1" invariant.
-    updated, __ = oracle.CASES["figure1-safety-planted"].mutant()
-    result = reverify(ws, updated)
-    assert not result.report.passed
-    assert result.rerun_checks == 6
-    blamed = {f.blamed_router for f in result.report.failures}
-    assert blamed == {"R2"}
-
-    # Reverting the edit re-runs R2's checks again and passes.
-    result2 = reverify(ws, build_figure1())
-    assert result2.report.passed
-    assert result2.rerun_checks == 6
-
-
-def test_universe_not_rebuilt_when_nothing_changed(fig1_config, from_isp1):
-    """Regression: reverify used to rebuild the universe (and the check
-    list) unconditionally; with unchanged digests nothing is rebuilt."""
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-    tracker = ws.entries[0].tracker
-    assert tracker.universe_builds == 1
+@pytest.mark.parametrize("case", ["figure1-safety", "figure1-liveness"])
+def test_the_universe_is_rebuilt_only_when_its_atoms_change(case):
+    ws, tracker = _verified(case)
     universe = tracker._universe
     groups = {key: id(group) for key, group in tracker._groups.items()}
-
     reverify(ws, build_figure1())
-    assert tracker.universe_builds == 1
-    assert tracker._universe is universe  # same object, not an equal rebuild
-    # Every owner group object survives untouched — nothing regenerated.
+    # Nothing changed: no universe, no group regenerated.
     assert {key: id(group) for key, group in tracker._groups.items()} == groups
+    # A benign edit rescans to the same content: the same object survives.
+    assert reverify(ws, _r3_edit()).rerun_checks == owner_check_count(tracker, "R3")
+    assert tracker.universe_builds == 1 and tracker._universe is universe
+
+    tagged = build_figure1()
+    session = tagged.routers["R3"].neighbors["Customer"]
+    *head, last = session.import_map.clauses
+    extra = RouteMapClause(last.seq, last.disposition, last.matches, (*last.actions, AddCommunity(Community(999, 9))))
+    session.import_map = RouteMap("CUST-IN", (*head, extra))
+    result = reverify(ws, tagged)
+    assert result.report.passed and result.rerun_checks == owner_check_count(tracker, "R3")
+    assert tracker.universe_builds == 2 and Community(999, 9) in tracker._universe.communities
+
+    # An external ASN is in no router's digest, yet in the universe and
+    # in AS-path semantics: nothing is reused.
+    asn = build_figure1()
+    asn.set_external_asn("ISP2", 999)
+    assert reverify(ws, asn).cached_checks == 0
+    assert tracker.universe_builds == 3 and 999 in tracker._universe.asns
 
 
-def test_universe_object_kept_across_content_preserving_edits(fig1_config, from_isp1):
-    """A policy edit that mentions no new communities/ASNs rescans but
-    keeps the same universe object, so value-keyed caches stay warm."""
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-    tracker = ws.entries[0].tracker
-    universe = tracker._universe
+@pytest.mark.parametrize("case", ["figure1-safety", "fullmesh5-liveness"])
+def test_sessions_are_per_owner_and_only_the_edited_owner_grows(case):
+    ws, tracker = _verified(case)
+    pool = ws.sessions
+    routers = set(ws.config.routers)
+    assert set(pool.keys()) == routers | {None}  # the implication owns None
+    assert pool.created == len(routers) + 1
+    before, discharged = pool.encoding_sizes(), pool.checks_discharged
 
-    updated = oracle.bogon_edit(build_figure1(), "R3", "Customer")
-    result = reverify(ws, updated)
-    assert result.rerun_checks == 6
-    assert tracker.universe_builds == 1
-    assert tracker._universe is universe
+    noop = reverify(ws, oracle.CASES[case].network())
+    assert noop.rerun_checks == noop.checks_consulted == 0 and noop.reuse_fraction == 1.0
+    assert (pool.encoding_sizes(), pool.checks_discharged) == (before, discharged)
 
-
-def test_universe_rebuilt_when_edit_mentions_new_community(fig1_config, from_isp1):
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-
-    updated = build_figure1()
-    from repro.bgp.route import Community
-
-    old_map = updated.routers["R3"].neighbors["Customer"].import_map
-    updated.routers["R3"].neighbors["Customer"].import_map = RouteMap(
-        "CUST-IN",
-        old_map.clauses[:-1]
-        + (
-            RouteMapClause(
-                old_map.clauses[-1].seq,
-                old_map.clauses[-1].disposition,
-                old_map.clauses[-1].matches,
-                old_map.clauses[-1].actions + (AddCommunity(Community(999, 9)),),
-            ),
-        ),
+    edited = (lambda: _r3_edit()) if case.startswith("figure1") else (
+        lambda: full_mesh_single_router_edit(5, router="R3")
     )
-    result = reverify(ws, updated)
-    tracker = ws.entries[0].tracker
-    assert tracker.universe_builds == 2  # the universe content genuinely changed
-    assert Community(999, 9) in tracker._universe.communities
-    assert result.rerun_checks == 6
-    assert result.report.passed
+    reverify(ws, edited())
+    after = pool.encoding_sizes()
+    assert pool.created == len(routers) + 1  # kept, none rebuilt
+    assert {key for key in after if after[key] != before[key]} == {"R3"}
+    assert after["R3"][0] > before["R3"][0]  # the deny needs new terms
+
+    # Flip-flopping re-solves but encodes nothing new: both policies of
+    # R3 are in its session already.
+    reverify(ws, oracle.CASES[case].network())
+    reverify(ws, edited())
+    assert pool.encoding_sizes() == after
 
 
-def test_reverify_consults_only_the_edited_owners_checks(fig1_config, from_isp1):
-    """The owner index makes reverify O(changed owner): a single-router
-    edit examines exactly that router's check group, never the full cache."""
-    ws = _workspace(fig1_config, from_isp1)
-    initial = _verify(ws)
-    assert initial.checks_consulted == 19  # a full verify consults everything
-
-    updated = oracle.bogon_edit(build_figure1(), "R3", "Customer")
-    result = reverify(ws, updated)
-    assert result.checks_consulted == 6  # R3's owner group, nothing else
-    assert result.rerun_checks == 6
-    assert result.cached_checks == 13
-
-
-def test_noop_reverify_consults_no_checks(fig1_config, from_isp1):
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-    result = reverify(ws, build_figure1())
-    assert result.checks_consulted == 0
+def test_a_topology_change_reruns_everything_on_the_same_pool():
+    ws, __ = _verified("figure1-safety")
+    pool = ws.sessions
+    grown = build_figure1()
+    grown.topology.add_external("ISP3")
+    grown.set_external_asn("ISP3", 400)
+    grown.topology.add_peering("R1", "ISP3")
+    grown.routers["R1"].add_neighbor(NeighborConfig("ISP3", 400))
+    result = reverify(ws, grown)
+    assert (result.cached_checks, result.rerun_checks) == (0, 21)  # two more edges
+    assert ws.sessions is pool and len(pool) > 0  # cleared in place, refilled
 
 
-def test_external_asn_edit_invalidates_all_outcomes():
-    """Regression: ``set_external_asn`` on an unchanged topology alters no
-    router policy digest, yet changes the universe and AS-path semantics —
-    the verifier used to reuse a stale universe and stale outcomes (and
-    would have returned the pre-edit PASS here)."""
-    from repro.bgp.topology import Edge
-    from repro.core.properties import InvariantMap, SafetyProperty
-    from repro.core.safety import SafetyProblem
-    from repro.lang.predicates import AsPathHas
-    from repro.workloads.fullmesh import (
-        INTERNAL_AS,
-        build_full_mesh,
-        full_mesh_external_asn_edit,
-    )
-
-    n = 4
-    config = build_full_mesh(n)
-    # Exported routes on the eBGP edge R4->E4 carry our ASN (the eBGP
-    # prepend) — an invariant sensitive to whether the edge *is* eBGP,
-    # which is decided by E4's entry in ``external_asns``.
-    prop = SafetyProperty(
-        location=Edge("R4", "E4"),
-        predicate=AsPathHas(INTERNAL_AS),
-        name="exported-has-our-as",
-    )
-    invariants = InvariantMap(config.topology)
-    invariants.set_edge("R4", "E4", AsPathHas(INTERNAL_AS))
-    ws = Workspace(config)
-    assert ws.verify(prop, invariants).passed
-
-    # E4 joins our AS: the session becomes iBGP, no prepend happens, and
-    # the export check must now fail.  Only external_asns changed.
-    edited = full_mesh_external_asn_edit(n, asn=INTERNAL_AS)
-    assert edited.policy_digests() == config.policy_digests()
-    result = reverify(ws, edited)
-    assert not result.report.passed
-    assert result.cached_checks == 0  # every outcome recomputed
-    assert oracle.fingerprint(result.report) == oracle.reference(
-        edited, (), SafetyProblem(prop, invariants)
-    )
-
-    # Reverting the ASN restores the pass — again via a full recompute.
-    reverted = reverify(ws, build_full_mesh(n))
-    assert reverted.report.passed
-    assert reverted.cached_checks == 0
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["safety", "liveness"])
+def test_a_chain_of_random_edits_stays_hermetic(kind, seed):
+    # One workspace through four reverifies: router edits (benign and
+    # breaking), an external ASN and a topology change between the 4- and
+    # 5-router mesh; the problem is stated over the larger.
+    rng = random.Random(seed)
+    ghosts, problem = oracle.mesh_problem(kind, 5)
+    ws = Workspace(build_full_mesh(4), ghosts=ghosts)
+    ws.verify(problem.prop, problem.invariants)
+    size, steps = 4, ["router", "router", "asn", "topology"]
+    rng.shuffle(steps)
+    for step in steps:
+        if step == "topology":
+            size = 9 - size
+        edited = build_full_mesh(size)
+        if step == "asn":
+            edited.set_external_asn(f"E{rng.randrange(1, size + 1)}", 64000 + seed)
+        else:
+            for __ in range(rng.randrange(1, 3)):
+                oracle.random_edit(edited, rng, size)
+        result = reverify(ws, edited)
+        assert oracle.fingerprint(result.report) == oracle.reference(edited, ghosts, problem), step
+        oracle.accounted(result)
+        if step in ("asn", "topology"):
+            assert result.cached_checks == 0, step
 
 
-def test_external_asn_edit_rescans_universe(fig1_config, from_isp1):
-    """The universe is rebuilt on a network-level edit (external ASNs feed
-    ``AttributeUniverse.from_config``), even with all router digests
-    unchanged."""
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-    tracker = ws.entries[0].tracker
-    assert tracker.universe_builds == 1
-
-    updated = build_figure1()
-    updated.set_external_asn("ISP2", 999)
-    result = reverify(ws, updated)
-    assert tracker.universe_builds == 2
-    assert 999 in tracker._universe.asns
-    assert result.cached_checks == 0
-
-
-def test_conflict_budget_is_threaded_to_run_checks(
-    monkeypatch, fig1_config, from_isp1
-):
-    """Regression: the CLI's --budget used to be dropped on the floor by
-    the incremental path — the per-check loop never saw it."""
+@pytest.mark.parametrize("case", ["figure1-safety", "figure1-liveness"])
+def test_the_conflict_budget_reaches_every_run(case, monkeypatch):
     import repro.core.exec.scheduler as mod
 
-    captured = []
-    real = mod.run_in_sessions
+    captured, real = [], mod.run_in_sessions
 
     def spy(checks, config, universe, ghosts, conflict_budget, *rest):
         captured.append(conflict_budget)
         return real(checks, config, universe, ghosts, conflict_budget, *rest)
 
     monkeypatch.setattr(mod, "run_in_sessions", spy)
-    ws = _workspace(fig1_config, from_isp1, conflict_budget=4242)
-    _verify(ws)
-    reverify(ws, build_figure1())
-    assert captured and all(budget == 4242 for budget in captured)
+    ws, __ = _verified(case, conflict_budget=4242)
+    reverify(ws, oracle.CASES[f"{case}-planted"].config())
+    assert captured and set(captured) == {4242}
 
 
-def test_network_digest_key_cannot_collide_with_router_names():
-    """The network-level digest entry is a non-string sentinel, so even a
-    router literally named "__network__" keeps its own digest slot."""
-    from repro.bgp.config import NetworkConfig, RouterConfig
-    from repro.bgp.topology import Topology
-    from repro.core.incremental import NETWORK_DIGEST_KEY, config_digests
-
-    topo = Topology()
-    topo.add_router("__network__")
-    topo.add_router("R1")
-    topo.add_peering("__network__", "R1")
-    config = NetworkConfig(topo)
-    config.add_router_config(RouterConfig("__network__", 65000))
-    config.add_router_config(RouterConfig("R1", 65000))
-
+def test_the_network_digest_key_cannot_collide_with_a_router_name():
+    topology = Topology()
+    for name in ("__network__", "R1"):
+        topology.add_router(name)
+    topology.add_peering("__network__", "R1")
+    config = NetworkConfig(topology)
+    for name in ("__network__", "R1"):
+        config.add_router_config(RouterConfig(name, 65000))
     digests = config_digests(config)
-    assert NETWORK_DIGEST_KEY in digests
-    assert "__network__" in digests
     assert digests[NETWORK_DIGEST_KEY] != digests["__network__"]
-
-
-def test_topology_change_triggers_full_rerun(fig1_config, from_isp1):
-    ws = _workspace(fig1_config, from_isp1)
-    _verify(ws)
-    pool = ws.sessions
-
-    updated = build_figure1()
-    updated.topology.add_external("ISP3")
-    updated.set_external_asn("ISP3", 400)
-    updated.topology.add_peering("R1", "ISP3")
-    from repro.bgp.config import NeighborConfig
-
-    updated.routers["R1"].add_neighbor(NeighborConfig("ISP3", 400))
-
-    result = reverify(ws, updated)
-    assert result.cached_checks == 0
-    assert result.rerun_checks == 21  # two more edges -> two more checks
-    # The reset cleared the workspace's pool in place and the rerun
-    # repopulated it: same object, encodings for the new check set.
-    assert ws.sessions is pool
-    assert len(pool) > 0

@@ -6,21 +6,25 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind
+from repro.core.exec import ExecutionContext
 from repro.core.liveness import (
+    IMPLICATION_KEY,
+    PROPAGATION_KEY,
     generate_propagation_checks,
     interference_properties,
+    resolve_interference_invariants,
+    subproof_key,
     verify_liveness,
 )
 from repro.core.properties import LivenessProperty
+from repro.core.report import DegradationReport, GroupOutcomes
+from repro.core.safety import build_universe
 from repro.lang.predicates import HasCommunity, Not, PrefixIn, TruePred
+from repro.smt.solver import SessionPool
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
+from tests import oracle
 from tests.core.conftest import customer_liveness_property
-
-
-def test_customer_liveness_verifies(fig1_config):
-    report = verify_liveness(fig1_config, customer_liveness_property())
-    assert report.passed, "\n".join(f.explain() for f in report.failures)
 
 
 def test_propagation_check_structure(fig1_config):
@@ -35,8 +39,9 @@ def test_propagation_check_structure(fig1_config):
         CheckKind.PROPAGATE_IMPORT,
         CheckKind.PROPAGATE_EXPORT,
     ]
-    assert checks[0].edge == Edge("Customer", "R3")
-    assert checks[-1].edge == Edge("R2", "ISP2")
+    # Table 3's propagation rows.
+    edges = [Edge("Customer", "R3"), Edge("R3", "R2"), Edge("R3", "R2"), Edge("R2", "ISP2")]
+    assert [c.edge for c in checks] == edges
 
 
 def test_interference_properties_target_path_routers(fig1_config):
@@ -137,3 +142,56 @@ def test_custom_interference_invariants(fig1_config):
         fig1_config, prop, interference_invariants=invariants
     )
     assert report.passed
+
+
+# -- one universe and one pool for the whole §5 proof ---------------------
+
+
+def _per_step_universes(config, ghosts, problem):
+    """The §5 proof on hermetic solvers with the universe each step would
+    build for itself: the property's for propagation and the implication,
+    each sub-proof's own (its invariants' atoms included)."""
+    prop = problem.prop
+    own = build_universe(config, None, [prop.predicate, *prop.constraints], ghosts)
+    universes = {PROPAGATION_KEY: own, IMPLICATION_KEY: own}
+    hoisted = build_universe(config, None, problem.predicates(), ghosts)
+    properties, invariants = resolve_interference_invariants(config, prop, problem.invariants)
+    for router, safety_prop in properties.items():
+        universe = build_universe(config, invariants[router], [safety_prop.predicate], ghosts)
+        universes[subproof_key(router)] = universe
+        for atoms in ("communities", "asns", "ghosts"):  # the hoisted one covers it
+            assert set(getattr(universe, atoms)) <= set(getattr(hoisted, atoms))
+    groups = {
+        key: [GroupOutcomes.of(checks, [c.run(config, universes[key], ghosts) for c in checks])]
+        for key, checks in problem.checks(config).items()
+    }
+    return problem.report(groups, 0.0, DegradationReport())
+
+
+@pytest.mark.parametrize("name", ["figure1-liveness", "figure1-liveness-planted", "figure1-liveness-custom"])
+def test_hoisting_the_universe_is_invisible(name):
+    # Witness routes included; "custom" has an invariant atom (777:7)
+    # that only a sub-proof's own universe would otherwise contain.
+    case = oracle.CASES[name]
+    config = case.config()
+    ghosts, problem = case.problem(config)
+    hoisted = oracle.listing(oracle.run("hermetic", case), witness=True)
+    assert hoisted == oracle.listing(_per_step_universes(config, ghosts, problem), witness=True)
+
+
+def test_the_whole_proof_shares_one_pool(fig1_config):
+    pool = SessionPool()
+    context = ExecutionContext(sessions=pool)
+    assert verify_liveness(fig1_config, customer_liveness_property(), context=context).passed
+    # Propagation, the two sub-proofs and the implication: one session
+    # per owner.  The implication goes through the pool too (it used to
+    # bypass it with a one-shot solver): the None-owner session answers
+    # it and each sub-proof's implication, solved or recalled.
+    assert set(pool.keys()) == {"R1", "R2", "R3", None} and pool.created == 4
+    implications = pool.peek(None)
+    assert implications.checks_discharged + implications.memo_hits == 3
+    assert implications.checks_discharged >= 1
+    # A second run on the warm pool encodes nothing.
+    sizes = pool.encoding_sizes()
+    verify_liveness(fig1_config, customer_liveness_property(), context=context)
+    assert pool.encoding_sizes() == sizes

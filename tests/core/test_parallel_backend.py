@@ -2,10 +2,9 @@
 
 Pinned here:
 
-* shared-encoding :class:`CheckSession` reuse (the serial default) and
-  the process map (``parallel`` > 1) decide as hermetic fresh-solver
-  checks do on the fullmesh workload, in order — blame and UNKNOWN
-  reasons on broken networks included (oracle cells, ``tests/oracle.py``);
+* the process map (``parallel`` > 1) ships counterexamples back whole
+  (that it decides as the hermetic reference does is the oracle's
+  ``parallel`` cells, ``tests/oracle.py``);
 * job-count resolution (``auto``, integers, serial forcing) behaves as the
   CLI contract promises, and the process map's chunks are complete and
   owner-pure.
@@ -23,13 +22,6 @@ from repro.core.safety import verify_safety
 
 from tests import oracle
 from tests.core.conftest import fullmesh_problem, safety_pieces
-
-
-def test_session_reuse_matches_fresh_solvers_on_fullmesh():
-    # Reference: hermetic solver per check; default serial path: one
-    # shared session per owner router.
-    reference = oracle.agree(oracle.fullmesh_case(6, "safety"), "pooled")
-    assert not oracle.blamed_routers(reference)
 
 
 def test_process_backend_ships_counterexamples_back():
@@ -69,13 +61,13 @@ def test_resolve_jobs_contract():
 
 
 def test_chunking_is_complete_and_owner_pure():
-    from repro.core.exec.pool import chunk_by_owner
+    from repro.core.checks import group_checks_by_owner
 
     config, ghost, prop, invariants = fullmesh_problem(5)
     __, checks = safety_pieces(config, ghost, prop, invariants)
-    chunks = chunk_by_owner(checks)
-    indices = sorted(i for chunk in chunks for i, __ in chunk)
-    assert indices == list(range(len(checks)))
-    for chunk in chunks:
-        owners = {check_owner(check) for __, check in chunk}
-        assert len(owners) == 1
+    groups = group_checks_by_owner(checks)
+    assert sorted(map(id, (c for group in groups.values() for c in group))) == sorted(map(id, checks))
+    for owner, group in groups.items():
+        assert {check_owner(check) for check in group} == {owner}
+        # Each group keeps its checks in input order.
+        assert group == [check for check in checks if check_owner(check) == owner]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind, generate_safety_checks
-from repro.core.exec import ExecutionContext
 from repro.core.properties import SafetyProperty
 from repro.core.safety import verify_safety
 from repro.core.workspace import Workspace
@@ -14,17 +13,6 @@ from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
 from tests.core.conftest import no_transit_invariants, no_transit_property
-
-
-def test_no_transit_verifies(fig1_config, from_isp1):
-    report = verify_safety(
-        fig1_config,
-        no_transit_property(),
-        no_transit_invariants(fig1_config),
-        ghosts=(from_isp1,),
-    )
-    assert report.passed, "\n".join(f.explain() for f in report.failures)
-    assert not report.unknowns
 
 
 def test_check_count_is_linear_in_edges(fig1_config, from_isp1):
@@ -42,6 +30,12 @@ def test_check_count_is_linear_in_edges(fig1_config, from_isp1):
     assert kinds.count(CheckKind.ORIGINATE) == 0
     assert kinds.count(CheckKind.IMPLICATION) == 1
     assert len(checks) == 19
+    # Table 2's generated rows: the ISP1->R1 import establishes the key
+    # invariant, the R2->ISP2 export discharges the property edge, and
+    # every other filter preserves the key invariant.
+    rows = {(c.kind, c.edge) for c in checks}
+    assert {(CheckKind.IMPORT, Edge("ISP1", "R1")), (CheckKind.EXPORT, Edge("R2", "ISP2"))} <= rows
+    assert {(CheckKind.IMPORT, e) for e in fig1_config.topology.internal_edges()} <= rows
 
 
 def test_buggy_tagging_fails_and_localises_to_r1(from_isp1):
@@ -103,22 +97,6 @@ def test_too_strong_invariant_fails_at_establishing_filter(fig1_config, from_isp
     assert not report.passed
     blamed_edges = {f.check.edge for f in report.failures if f.check.edge}
     assert Edge("ISP1", "R1") in blamed_edges
-
-
-def test_parallel_checks_agree_with_sequential(fig1_config, from_isp1):
-    inv = no_transit_invariants(fig1_config)
-    seq = verify_safety(
-        fig1_config, no_transit_property(), inv, ghosts=(from_isp1,)
-    )
-    par = verify_safety(
-        fig1_config,
-        no_transit_property(),
-        inv,
-        ghosts=(from_isp1,),
-        context=ExecutionContext(parallel=4),
-    )
-    assert seq.passed == par.passed
-    assert seq.num_checks == par.num_checks
 
 
 def test_engine_rejects_invalid_config():

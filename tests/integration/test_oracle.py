@@ -2,10 +2,12 @@
 
 * every path decides every corpus case exactly as the hermetic reference
   does: pooled ≡ memo ≡ hermetic, serial ≡ ``parallel=2``, full ≡ tracker
-  after an edit ≡ save → load (a property family is not a workspace
-  entry, so it has no tracker cells);
+  after an edit ≡ save → load (the costly paths on the cases
+  ``oracle.COSTLY`` names);
 * every planted fault is killed, on every path, at the planted router —
   §6.1's localisation as a kill count;
+* every clean case verifies, and then no simulated trace violates what
+  it proved (``oracle.traces``); a planted fault does show in some;
 * on small cases the modular verdict is the monolithic baseline's;
 * the fingerprint tells apart outcomes that differ in any one field, and
   only the witness fields need ``witness=True``.
@@ -44,8 +46,31 @@ def test_planted_fault_is_killed_at_the_planted_router(case):
 
 def test_the_kill_count_covers_every_mutation_operator():
     names = {case.name.split("-")[0] for case in PLANTED}
-    assert names == {"randomnet6", "fullmesh4", "fullmesh5", "figure1", "wan", "policy"}
-    assert len(PLANTED) == 15
+    assert names == {
+        "randomnet5", "randomnet6", "randomnet8", "fullmesh4", "fullmesh5", "fullmesh6",
+        "figure1", "wan", "wan3x3", "rrwan", "policy",
+    }
+    assert len(PLANTED) == 32
+
+
+def test_every_costly_cell_names_a_corpus_case():
+    for path, reasons in oracle.COSTLY.items():
+        assert set(reasons) <= set(oracle.CASES), path
+
+
+@pytest.mark.parametrize("case", [case for case in oracle.CORPUS if case.passes], ids=str)
+def test_verified_means_no_simulated_trace_violates_it(case):
+    expected = oracle.expected(case)
+    assert all(key[1] for keys in expected.values() for key in keys), f"{case} does not verify"
+    assert oracle.traces(case) > 0
+
+
+@pytest.mark.parametrize(
+    "name", ["figure1-safety-untagged", "figure1-liveness-planted", "fullmesh6-safety-wiped"]
+)
+def test_the_traces_check_sees_a_planted_fault(name):
+    with pytest.raises(AssertionError):
+        oracle.traces(oracle.CASES[name])
 
 
 @pytest.mark.parametrize("name", oracle.SMALL)

@@ -1,4 +1,4 @@
-"""One equivalence oracle: paths × corpus × mutations.
+"""One equivalence oracle: paths × corpus × mutations, and the traces check.
 
 The §4.3/§5.3 independence theorems say a verdict cannot depend on how
 the local checks ran.  This module states that once for the whole suite:
@@ -10,17 +10,24 @@ the local checks ran.  This module states that once for the whole suite:
 * :data:`PATHS` — each runs a :class:`Case` to a report: ``hermetic``
   (a fresh solver per check: the reference), ``pooled`` (``run_problem``
   on a fresh context), ``warm`` (one context twice: every answer a memo
-  hit), ``parallel`` (two worker processes), ``tracker`` (a workspace
-  verifies the case's base, then ``apply`` + ``reverify``) and
-  ``reloaded`` (the same through ``save`` → ``load``); :func:`minesweeper`
-  is the monolithic baseline, for small cases;
+  hit), ``parallel`` (two worker processes), ``tracker`` (a
+  :class:`PropertyTracker` runs the case's base, then the case) and
+  ``reloaded`` (a workspace verifies the base, goes through ``save`` →
+  ``load``, then ``apply`` + ``reverify``); both trackers must account
+  for every check (re-run + reused = all, consulted = re-run).
+  :func:`minesweeper` is the monolithic baseline, for small cases;
 * :data:`CORPUS` — random networks, full meshes, Figure 1, the WAN and
   the policy-diverse network, clean and with a planted fault that must
   FAIL at the planted router (§6.1's localisation), plus a mesh whose
   invariants are misstated on single members of two large check classes
   (the pooled paths answer a passed class's members without running
-  them, so one failing member must not pass with its class).  A case
-  builds nothing until a path runs it.
+  them, so one failing member must not pass with its class), edits a
+  tracker must not miss (a grown topology, an external ASN) and a
+  liveness problem with caller-supplied interference invariants.  A case
+  builds nothing until a path runs it;
+* :func:`traces` — soundness against the simulator: on a case that
+  verifies, no simulated trace violates the property or an invariant
+  (§4.3), and a liveness witness arrives while its path is up (§5.3).
 
 Every path must agree with ``hermetic`` on the fingerprint, in the
 reference's order for the one-shot paths (a tracker lists a section
@@ -29,16 +36,21 @@ routes are compared only where one model is being replayed: a memo hit
 (``warm``) against the run that stored it.  A session may pick a
 different satisfying model from a fresh solver's (README, "Query memo"
 rule 4); that every reported model satisfies the asking check is rule
-5's replay.
+5's replay.  ``parallel`` and ``reloaded`` cost a process map or a cache
+file per run, so they run only on the cases :data:`COSTLY` names, each
+for what it exercises that the others do not.
 
-``REPRO_CHAOS_SEED`` offsets the random-network seeds.  :func:`run` is
-memoised per (path, case): a test naming a cell another test ran is
-free, so a test that counts what a run does calls the path itself.
+``REPRO_CHAOS_SEED`` offsets the random-network and trace seeds.
+:func:`run` is memoised per (path, case): a test naming a cell another
+test ran is free, so a test that counts what a run does calls the path
+itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import itertools
 import os
 import random
 import tempfile
@@ -50,17 +62,31 @@ from typing import Callable
 from repro.baselines.minesweeper import MinesweeperVerifier
 from repro.bgp.config import NetworkConfig
 from repro.bgp.configjson import config_from_json
-from repro.bgp.policy import DeleteCommunity, Disposition, MatchPrefix, RouteMap, RouteMapClause
-from repro.bgp.prefix import PrefixRange
-from repro.bgp.route import Community
+from repro.bgp.policy import (
+    ClearCommunities,
+    DeleteCommunity,
+    Disposition,
+    MatchPrefix,
+    RouteMap,
+    RouteMapClause,
+)
+from repro.bgp.prefix import Prefix, PrefixRange
+from repro.bgp.route import Community, Route
+from repro.bgp.simulator import EventKind, Simulator
 from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
-from repro.core.liveness import LivenessProblem, LivenessReport
-from repro.core.properties import SafetyProperty
+from repro.core.incremental import PropertyTracker
+from repro.core.liveness import (
+    LivenessProblem,
+    LivenessReport,
+    interference_properties,
+    resolve_interference_invariants,
+)
+from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import DegradationReport, GroupOutcomes
 from repro.core.safety import SafetyProblem, build_universe, run_problem
-from repro.core.workspace import Workspace, WorkspaceEntry
-from repro.lang.predicates import HasCommunity, TruePred
+from repro.core.workspace import Workspace
+from repro.lang.predicates import AsPathHas, HasCommunity, Implies, TruePred
 from repro.lang.specjson import spec_from_json
 from repro.workloads.figure1 import build_figure1
 from repro.workloads import fullmesh, wan_properties
@@ -167,19 +193,18 @@ Mutant = Callable[[], tuple[NetworkConfig, str]]  # -> (config, planted router)
 @dataclass(frozen=True)
 class Case:
     """One problem on one network: ``network`` builds the clean
-    configuration, ``mutant`` one with a fault planted.  A ``planted`` case
+    configuration, ``mutant`` one with a fault planted (or, for an edit
+    case, the configuration the trackers start from).  A ``planted`` case
     verifies the mutant.  The tracker paths start from the other side of
-    the fault, so they re-run the planted router's groups; they skip a
-    case that is not ``tracked`` (a property family: a workspace entry is
-    one property, and ``test_run_problem_is_the_reference`` pins a
-    family's tracker)."""
+    the mutant, so they re-run the groups it changes.  A clean case
+    ``verifies`` unless its problem fails by construction."""
 
     name: str
     network: Callable[[], NetworkConfig]
     problem: Callable[[NetworkConfig], tuple]  # config -> (ghosts, problem)
     mutant: Mutant | None = None
     planted: bool = False
-    tracked: bool = True
+    verifies: bool = True
 
     def config(self) -> NetworkConfig:
         return self.mutant()[0] if self.planted else self.network()
@@ -190,6 +215,10 @@ class Case:
     @property
     def planted_router(self) -> str:
         return self.mutant()[1]
+
+    @property
+    def passes(self) -> bool:
+        return self.verifies and not self.planted
 
     def __str__(self) -> str:
         return self.name
@@ -216,16 +245,26 @@ def no_transit(config) -> tuple:
 
 @cache
 def randomnet_case(n: int, model: str, seed: int, planted: bool = False) -> Case:
-    """No-transit on a random network; the mutant strips the transit tag
-    on one seeded internal import."""
+    """No-transit on a random network.  The mutant strips the transit tag
+    on one seeded internal import; on the 8-router networks it strips it
+    on every internal import of R3, so one failing query repeats across
+    edges (the repeats are memo hits) and R3 alone is blamed."""
     build = partial(build_random_network, n, model=model, seed=seed)
 
     def internal_edge(config):
         internal = sorted(config.topology.internal_edges())
         return internal[random.Random(seed).randrange(len(internal))]
 
+    def strip_r3():
+        config = build()
+        for peer, session in config.routers["R3"].neighbors.items():
+            if config.topology.is_router(peer):
+                session.import_map = STRIP
+        return config, "R3"
+
     name = f"randomnet{n}-{model}-{seed}" + ("-planted" if planted else "")
-    return Case(name, build, no_transit, strip_at(build, internal_edge), planted)
+    mutant = strip_r3 if n == 8 else strip_at(build, internal_edge)
+    return Case(name, build, no_transit, mutant, planted)
 
 
 def mesh_problem(kind: str, n: int) -> tuple:
@@ -247,7 +286,7 @@ def fullmesh_case(n: int, kind: str, planted: bool = False) -> Case:
     name = f"fullmesh{n}-{kind}" + ("-planted" if planted else "")
     problem = lambda config: mesh_problem(kind, n)
     mutant = strip_at(mesh, Edge("R1", "R2"))
-    return Case(name, mesh, problem, mutant, planted, tracked=kind != "family")
+    return Case(name, mesh, problem, mutant, planted, verifies=kind != "family")
 
 
 def misstated_no_transit(config) -> tuple:
@@ -262,23 +301,62 @@ def misstated_no_transit(config) -> tuple:
     return (ghost,), SafetyProblem(prop, invariants)
 
 
+def wiped_mesh() -> tuple[NetworkConfig, str]:
+    """The 6-router mesh with R4 clearing every community on its import
+    from R1: the other planted operator (no community survives, not just
+    the transit tag)."""
+    config = fullmesh.build_full_mesh(6)
+    wipe = RouteMap("WIPE", (RouteMapClause(10, actions=(ClearCommunities(),)),))
+    config.routers["R4"].neighbors["R1"].import_map = wipe
+    return config, "R4"
+
+
+def exported_has_our_as(config) -> tuple:
+    """Routes R4 exports to E4 carry our ASN: true exactly while the
+    session is eBGP, which only ``external_asns`` decides."""
+    prop = SafetyProperty(Edge("R4", "E4"), AsPathHas(fullmesh.INTERNAL_AS), name="exported-has-our-as")
+    invariants = InvariantMap(config.topology)
+    invariants.set_edge("R4", "E4", prop.predicate)
+    return (), SafetyProblem(prop, invariants)
+
+
 def figure1_no_transit(config) -> tuple:
     problem = SafetyProblem(no_transit_property(), no_transit_invariants(config))
     return (isp1_ghost(config),), problem
 
 
-WAN_SHAPE = (2, 3)
+def figure1_custom_liveness(config) -> tuple:
+    """Table 3's liveness with caller-supplied interference invariants
+    whose atom (community 777:7) appears nowhere in the property; R3's
+    sub-proof, too weak at R1, fails."""
+    prop = customer_liveness_property()
+    subproofs = interference_properties(prop)
+    custom = {r: InvariantMap(config.topology, default=p.predicate) for r, p in subproofs.items()}
+    custom["R3"].set_router("R1", Implies(HasCommunity(Community(777, 7)), subproofs["R3"].predicate))
+    return (), LivenessProblem(prop, custom)
 
 
-def _wan_problem(kind: str, config) -> tuple:
-    wan = build_wan(*WAN_SHAPE)
+#: The WANs of the corpus: Table 4's shape, a larger one, and one whose
+#: regions are route-reflector stars.
+WANS = {
+    "wan": partial(build_wan, 2, 3),
+    "wan3x3": partial(build_wan, 3, 3),
+    "rrwan": partial(build_wan, 3, 4, peers_per_edge=1, route_reflectors=True),
+}
+
+
+def _wan_problem(kind: str, build, config) -> tuple:
+    wan = build()
     if kind == "peering":
         quality = wan_properties.peering_quality_predicates(wan)["no-bogons"]
         problem = wan_properties.peering_problem(wan, "no-bogons", quality)
     elif kind == "ip-reuse":
         problem = wan_properties.ip_reuse_safety_problem(wan, 0)
-    else:
-        problem = wan_properties.ip_reuse_liveness_problem(wan, 0)
+    else:  # on a reflector star, a target the witness reaches via the hub
+        members, (__, attach) = wan.routers_by_region[0], wan.dc_edge_into(0)
+        star = wan.config.routers[members[0]].rr_clients
+        target = next(m for m in members[1:] if m != attach) if star else None
+        problem = wan_properties.ip_reuse_liveness_problem(wan, 0, target_router=target)
     return (problem.ghost,), problem.problem()
 
 
@@ -316,42 +394,82 @@ def policy_diverse_case(seed: int, n: int = 8) -> Case:
 
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+SEEDS = (2 * CHAOS_SEED, 2 * CHAOS_SEED + 1)
 
 
 def _corpus() -> list[Case]:
     cases = [
-        randomnet_case(6, model, seed, planted)
+        randomnet_case(n, model, seed, planted)
+        for n in (5, 6, 8)
         for model in ("gnp", "ba", "ring")
-        for seed in (2 * CHAOS_SEED, 2 * CHAOS_SEED + 1)
+        for seed in SEEDS
         for planted in (False, True)
     ]
     for n in (4, 5):
         cases += [fullmesh_case(n, k, p) for k in ("safety", "family") for p in (False, True)]
         cases.append(fullmesh_case(n, "liveness"))
-    cases.append(
-        Case("fullmesh4-safety-misstated", partial(fullmesh.build_full_mesh, 4), misstated_no_transit)
-    )
+    mesh = partial(fullmesh.build_full_mesh, 4)
+    mesh6 = partial(fullmesh.build_full_mesh, 6)
+    cases.append(Case("fullmesh4-safety-misstated", mesh, misstated_no_transit, verifies=False))
+    cases += [fullmesh_case(6, "safety"), Case("fullmesh6-safety-wiped", mesh6, no_transit, wiped_mesh, True)]
+    cases += [fullmesh_case(n, "liveness") for n in (6, 10)]
+    for kind in ("safety", "liveness"):  # the tracker's base is the 4-router mesh
+        grown = lambda config, kind=kind: mesh_problem(kind, 5)
+        smaller = lambda: (fullmesh.build_full_mesh(4), None)
+        cases.append(Case(f"fullmesh5-{kind}-grown", partial(fullmesh.build_full_mesh, 5), grown, smaller))
+    # E4 joins our AS: no router's configuration changes, yet R4's export
+    # to E4 stops prepending our ASN.
+    joined = lambda: (fullmesh.full_mesh_external_asn_edit(4, asn=fullmesh.INTERNAL_AS), "R4")
+    cases += [Case("fullmesh4-asn" + s, mesh, exported_has_our_as, joined, p) for p, s in VARIANTS]
     fig1_strip = strip_at(build_figure1, Edge("R1", "R2"))
     fig1_r3 = lambda: (build_figure1(buggy_r3_strip=True), "R3")
     fig1_liveness = lambda config: ((), LivenessProblem(customer_liveness_property()))
-    wan = lambda: build_wan(*WAN_SHAPE).config
-    wan_bug = lambda: (build_wan(*WAN_SHAPE, buggy_edge_router="W1-0").config, "W1-0")
-    peering = partial(_wan_problem, "peering")
     fig1 = build_figure1
-    for p, suffix in ((False, ""), (True, "-planted")):
+    for p, suffix in VARIANTS:
         cases.append(Case(f"figure1-safety{suffix}", fig1, figure1_no_transit, fig1_strip, p))
         cases.append(Case(f"figure1-liveness{suffix}", fig1, fig1_liveness, fig1_r3, p))
-        cases.append(Case(f"wan-peering{suffix}", wan, peering, wan_bug, p, tracked=False))
-    for kind in ("ip-reuse", "ip-reuse-liveness"):
-        problem = partial(_wan_problem, kind)
-        cases.append(Case(f"wan-{kind}", wan, problem, wan_bug, tracked=kind != "ip-reuse"))
+    untagged = lambda: (build_figure1(buggy_r1_tagging=True), "R1")  # §2's first bug
+    cases.append(Case("figure1-safety-untagged", fig1, figure1_no_transit, untagged, True))
+    cases.append(Case("figure1-liveness-custom", fig1, figure1_custom_liveness, fig1_r3, verifies=False))
+    for name, build in WANS.items():
+        wan = lambda build=build: build().config
+        wan_bug = lambda build=build: (build(buggy_edge_router="W1-0").config, "W1-0")
+        peering = partial(_wan_problem, "peering", build)
+        cases += [Case(f"{name}-peering{s}", wan, peering, wan_bug, p) for p, s in VARIANTS]
+        if name != "wan3x3":
+            for kind in ("ip-reuse", "ip-reuse-liveness"):
+                problem = partial(_wan_problem, kind, build)
+                cases.append(Case(f"{name}-{kind}", wan, problem, wan_bug))
     return cases + [policy_diverse_case(seed) for seed in (0, 1)]
 
 
+VARIANTS = ((False, ""), (True, "-planted"))
 CORPUS = _corpus()
 CASES = {case.name: case for case in CORPUS}
 #: Within the monolithic baseline's reach (about 0.3 s each).
-SMALL = ("figure1-safety", "figure1-safety-planted", "fullmesh4-safety")
+SMALL = ("figure1-safety", "figure1-safety-planted", "figure1-safety-untagged", "fullmesh4-safety")
+#: The cases ``parallel`` and ``reloaded`` run on, each with what it
+#: exercises that no other case does; every other case runs the
+#: in-process paths only.
+COSTLY = {
+    "parallel": {
+        f"randomnet8-ba-{SEEDS[0]}-planted": "one owner's repeated failures answered in one worker",
+        "fullmesh4-safety-planted": "a counterexample pickled back from a worker",
+        "fullmesh4-safety-misstated": "failing members of passed classes inside a worker's chunk",
+        "fullmesh5-family-planted": "two properties and an edgeless failure in one map",
+        "figure1-liveness-planted": "every section of a §5 proof in one process map",
+        "wan-ip-reuse": "the family whose sessions learn clauses, spread over workers",
+        "policy-diverse-0-planted": "a route map per session: no two checks share a class",
+    },
+    "reloaded": {
+        f"randomnet6-gnp-{SEEDS[0]}-planted": "a restored all-PASSED base broken at a seeded owner",
+        "fullmesh4-safety": "a planted FAILED restored from the file, repaired at its owner",
+        "fullmesh5-liveness-grown": "a topology change after a load: nothing is reused",
+        "fullmesh4-asn-planted": "an external-ASN edit after a load: nothing is reused",
+        "figure1-liveness-planted": "sub-proof groups restored and re-run at their owner",
+        "policy-diverse-1-planted": "a route map per session, restored from the nested configuration",
+    },
+}
 
 
 # -- the paths -----------------------------------------------------------------
@@ -393,21 +511,36 @@ def parallel(case: Case):
     return pooled(case, ExecutionContext(parallel=2))
 
 
-def tracked(case: Case, reload: bool = False, parallel: int | None = None) -> WorkspaceEntry:
-    """A workspace verifies ``case.base()``, optionally goes through
-    ``save`` → ``load``, then ``apply`` + ``reverify`` the case."""
+def accounted(result):
+    """The report of a tracker run, which must account for every check."""
+    assert result.rerun_checks + result.cached_checks == result.report.num_checks
+    assert result.checks_consulted == result.rerun_checks
+    return result.report
+
+
+def tracker(case: Case):
+    """A tracker runs ``case.base()`` (running every check), then the case."""
     ghosts, problem = case.problem(case.base())
-    workspace = Workspace(case.base(), ghosts=ghosts, parallel=parallel)
+    tracker = PropertyTracker(ExecutionContext(), problem, ghosts)
+    first = tracker.run(case.base())
+    assert first.cached_checks == 0
+    accounted(first)
+    return accounted(tracker.run(case.config()))
+
+
+def reloaded(case: Case):
+    """A workspace verifies ``case.base()`` and is saved; the one loaded
+    from the file (configuration included), on two workers, applies the
+    case and re-verifies (a multi-owner reverify is a process map)."""
+    ghosts, problem = case.problem(case.base())
+    workspace = Workspace(case.base(), ghosts=ghosts)
     workspace.verify(problem.prop, problem.invariants)
-    if reload:
-        with tempfile.TemporaryDirectory() as tmp:
-            workspace.save(Path(tmp) / "workspace.lyc")
-            workspace = Workspace.load(
-                Path(tmp) / "workspace.lyc", config=case.base(), ghosts=ghosts, parallel=parallel
-            )
+    with tempfile.TemporaryDirectory() as tmp:
+        workspace.save(Path(tmp) / "workspace.lyc")
+        workspace = Workspace.load(Path(tmp) / "workspace.lyc", ghosts=ghosts, parallel=2)
     workspace.apply(case.config())
     (entry,) = workspace.reverify()
-    return entry
+    return accounted(entry.last_result)
 
 
 PATHS = {
@@ -415,8 +548,8 @@ PATHS = {
     "pooled": pooled,
     "warm": warm,
     "parallel": parallel,
-    "tracker": lambda case: tracked(case).report,
-    "reloaded": lambda case: tracked(case, reload=True).report,
+    "tracker": tracker,
+    "reloaded": reloaded,
 }
 #: The paths that list a section owner group by owner group.
 TRACKERS = ("tracker", "reloaded")
@@ -424,7 +557,10 @@ TRACKERS = ("tracker", "reloaded")
 
 def cells(case: Case) -> list[str]:
     """The paths compared against ``hermetic`` on ``case``."""
-    return [p for p in PATHS if p != "hermetic" and (case.tracked or p not in TRACKERS)]
+    return [
+        path for path in PATHS
+        if path != "hermetic" and (path not in COSTLY or case.name in COSTLY[path])
+    ]
 
 
 @cache
@@ -463,3 +599,203 @@ def minesweeper(case: Case):
     config = case.config()
     ghosts, problem = case.problem(config)
     return MinesweeperVerifier(config, ghosts=ghosts).verify(problem.prop)
+
+
+# -- the traces check ------------------------------------------------------
+
+#: Simulations per verified case: seeded announcements and link failures.
+TRACE_DRAWS = 60
+
+
+def _prefix_ranges(value) -> set[PrefixRange]:
+    """Every prefix range a route map or predicate mentions."""
+    found, stack = set(), [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, PrefixRange):
+            found.add(item)
+        elif isinstance(item, (tuple, list, frozenset)):
+            stack.extend(item)
+        elif dataclasses.is_dataclass(item):
+            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
+    return found
+
+
+class Traces:
+    """Seeded simulations of one configuration.
+
+    Ghosts are realised by provenance: each external announces only from
+    its own pool of prefixes, so a route's ghost values are what the
+    imports from its announcer set (originated routes carry the
+    originated value).  An announcement must satisfy the invariants
+    assumed on its external's edges (for some value of the ghosts it
+    carries in), as the theorems assume.  ``reserve`` is ``(external,
+    ranges)``: the prefixes in ``ranges`` only that external announces."""
+
+    def __init__(self, seed: str, config, ghosts, problem, maps, reserve=None) -> None:
+        self.config, self.ghosts, self.maps = config, ghosts, maps
+        self.rng = rng = random.Random(f"{seed}-{CHAOS_SEED}")
+        topology = config.topology
+        universe = build_universe(config, None, problem.predicates(), ghosts)
+        self.communities = sorted({*universe.communities, Community(9, 9)})
+        self.asns = sorted({*universe.asns, 64512, 666})
+        ranges = _prefix_ranges(problem.predicates())
+        for router in config.routers.values():
+            for session in router.neighbors.values():
+                ranges |= _prefix_ranges((session.import_map, session.export_map))
+        self.externals = sorted(topology.externals)
+        originated = {
+            route.prefix for edge in topology.edges if topology.is_router(edge.src)
+            for route in config.originate(edge)
+        }
+        # Two ordinary prefixes each, and a random share of the members and
+        # near-misses of every range, so filters meet both sides of theirs.
+        ordinary = [Prefix((40 + i) << 24, 8) for i in range(2 * len(self.externals))]
+        near = {
+            next(r.prefix.subprefixes(max(length, r.prefix.length)))
+            for r in ranges
+            for length in {r.min_length, r.max_length, min(r.max_length + 1, 32)}
+        }
+        near = sorted(near - originated - set(ordinary), key=str)
+        rng.shuffle(near)
+        step = len(self.externals)
+        self.pools = {
+            e: ordinary[2 * i : 2 * i + 2] + near[i::step] for i, e in enumerate(self.externals)
+        }
+        if reserve:
+            source, held = reserve
+            mine = [p for p in near if any(r.matches(p) for r in held)]
+            for e in self.externals:
+                self.pools[e] = [p for p in self.pools[e] if p not in mine]
+            self.pools[source] += mine
+        self.values = {}  # prefix -> the ghost values a route for it carries
+        for external, prefixes in self.pools.items():
+            values = {g.name: self._entry_value(g, external) for g in ghosts}
+            self.values.update(dict.fromkeys(prefixes, values))
+        self.originated = {g.name: g.originated_value for g in ghosts}
+
+    def _entry_value(self, ghost, external: str) -> bool:
+        updates = {ghost.import_update(e) for e in self.config.topology.edges_from(external)}
+        assert len(updates) == 1 and None not in updates, (ghost.name, external)
+        return updates.pop()
+
+    def realise(self, route: Route) -> Route:
+        return dataclasses.replace(route, ghost=self.values.get(route.prefix, self.originated))
+
+    def admissible(self, external: str, route: Route) -> bool:
+        edges = list(self.config.topology.edges_from(external))
+        names = [g.name for g in self.ghosts]
+        return all(
+            any(
+                m.get(edge).holds(dataclasses.replace(route, ghost=dict(zip(names, bits))))
+                for bits in itertools.product((False, True), repeat=len(names))
+            )
+            for m in self.maps
+            for edge in edges
+        )
+
+    def route(self, external: str, prefix: Prefix) -> Route:
+        rng = self.rng
+        asn = self.config.external_asns.get(external)
+        path = tuple(rng.sample(self.asns, rng.randrange(3)))
+        return Route(
+            prefix=prefix,
+            as_path=path if asn is None else (asn, *path),
+            local_pref=rng.choice((50, 100, 200)),
+            med=rng.randrange(50),
+            communities=frozenset(rng.sample(self.communities, rng.randrange(3))),
+            origin=rng.randrange(3),
+        )
+
+    def announcements(self, exclude: str | None = None) -> dict[str, list[Route]]:
+        """Up to two admissible routes from each external's pool."""
+        drawn = {}
+        for external in self.externals:
+            pool = self.pools[external]
+            if external == exclude or not pool:
+                continue
+            routes = [self.route(external, self.rng.choice(pool)) for __ in range(self.rng.randrange(3))]
+            drawn[external] = [r for r in routes if self.admissible(external, r)]
+        return drawn
+
+    def failures(self, keep: set = frozenset(), most: int = 3) -> set[Edge]:
+        edges = sorted(set(self.config.topology.edges) - keep)
+        return set(self.rng.sample(edges, min(len(edges), self.rng.randrange(most + 1))))
+
+    def violations(self, result, claims: dict) -> list[str]:
+        """Events whose route breaks a claim at their location: a route
+        sent on an edge, or selected at a router."""
+        return [
+            f"{event} breaks {claim}"
+            for event in result.events
+            if event.kind is not EventKind.RECV
+            for claim in claims.get(event.location, ())
+            if not claim.holds(self.realise(event.route))
+        ]
+
+
+def _claims(properties, invariants: InvariantMap, topology) -> dict:
+    """Every location's invariant, and each property at its location."""
+    claims: dict = {
+        location: [invariants.get(location)]
+        for location in (*topology.routers, *topology.edges)
+        if topology.is_router(location if isinstance(location, str) else location.src)
+    }
+    for prop in properties:
+        claims.setdefault(prop.location, []).append(prop.predicate)
+    return claims
+
+
+def traces(case: Case, draws: int = TRACE_DRAWS) -> int:
+    """The soundness theorems against the simulator on a case that
+    verifies; returns the number of events checked.
+
+    Safety (§4.3): no trace under any admissible announcements and link
+    failures sends or selects a route that breaks the property or an
+    invariant.  Liveness (§5.3): each no-interference sub-proof holds as
+    safety does, and a route meeting the first path constraint, announced
+    while every path edge is up, reaches the location as a route the
+    property admits, whatever else is announced and fails."""
+    config = case.config()
+    ghosts, problem = case.problem(config)
+    topology = config.topology
+    liveness = problem.prop if isinstance(problem, LivenessProblem) else None
+    if liveness is None:
+        properties = problem.prop if isinstance(problem.prop, list) else [problem.prop]
+        claims = _claims(properties, problem.invariants, topology)
+        sim = Traces(case.name, config, ghosts, problem, [problem.invariants])
+    else:
+        subproofs, maps = resolve_interference_invariants(config, liveness, problem.invariants)
+        claims = {}
+        for router, sub in subproofs.items():
+            for location, predicates in _claims([sub], maps[router], topology).items():
+                claims.setdefault(location, []).extend(predicates)
+        source, first = liveness.path[0].src, liveness.constraints[0]
+        held = _prefix_ranges(first)
+        sim = Traces(case.name, config, ghosts, problem, list(maps.values()), held and (source, held))
+        # The verifier does not model eBGP loop prevention, so a witness
+        # whose path holds one of our ASNs would be dropped on entry.
+        ours = {router.asn for router in config.routers.values()}
+        witnesses = [
+            route for route in (sim.route(source, p) for p in sim.pools[source] * 8)
+            if first.holds(sim.realise(route)) and sim.admissible(source, route)
+            and not ours & set(route.as_path)
+        ]
+        assert witnesses, f"no route from {source}'s pool meets {first}"
+        path = {step for step in liveness.path if isinstance(step, Edge)}
+    checked = 0
+    for __ in range(draws):
+        if liveness is None:
+            result = Simulator(config, failed_edges=sim.failures()).run(sim.announcements())
+        else:
+            announced = {**sim.announcements(exclude=source), source: [sim.rng.choice(witnesses)]}
+            failed = sim.failures(keep=path, most=len(topology.edges))
+            result = Simulator(config, failed_edges=failed).run(announced)
+            arrived = [
+                e.route for e in result.events
+                if e.location == liveness.location and e.kind is not EventKind.RECV
+            ]
+            assert any(liveness.predicate.holds(sim.realise(r)) for r in arrived), (case.name, announced)
+        assert not sim.violations(result, claims), (case.name, sim.violations(result, claims)[:3])
+        checked += len(result.events)
+    return checked

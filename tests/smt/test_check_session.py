@@ -4,7 +4,9 @@ A session discharges a sequence of independent queries against one shared
 clause database.  Every query's verdict and model must match what a fresh
 one-shot :class:`Solver` computes — in any interleaving of SAT and UNSAT
 answers — and the per-check stats must stay marginal (bounded by one
-check's encoding, not the accumulated session).
+check's encoding, not the accumulated session).  What it keeps between
+checks is pinned too: learnt clauses under a persistent cap, and the
+shared fragment asserted once and skipped per check.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from __future__ import annotations
 import pytest
 
 from repro import smt
-from repro.smt.solver import CheckSession
+from repro.core.checks import prepare_session
+from repro.core.exec import ExecutionContext
+from repro.smt import terms as T
+from repro.smt.sat import SatSolver
+from repro.smt.solver import CheckSession, SessionPool
+from repro.workloads.wan import build_wan
+from repro.workloads.wan_properties import verify_ip_reuse_safety_problems
+
+from tests.core.conftest import fullmesh_problem, safety_pieces
 
 
 def _fresh_result(assertions):
@@ -98,3 +108,37 @@ def test_session_conflict_budget_returns_unknown():
     assert session.check(assertions) is smt.Result.UNSAT
     p = smt.bool_var("p")
     assert session.check([p]) is smt.Result.SAT
+
+
+# -- what a session keeps across checks ------------------------------------
+
+
+def test_the_learnt_clause_cap_persists_across_solves():
+    # solve() used to reset the cap to its base every call, so a grown
+    # learnt DB was re-truncated by each later check.
+    solver = SatSolver()
+    solver.add_clause([solver.new_var()])
+    solver._max_learnts = 123456
+    assert solver.solve() is True
+    assert solver._max_learnts == 123456
+
+
+def test_prepare_asserts_each_shared_conjunct_once():
+    config, ghost, prop, invariants = fullmesh_problem(4)
+    universe, __ = safety_pieces(config, ghost, prop, invariants)
+    pool = SessionPool()
+    session = pool.get("R1")
+    prepare_session(session, universe)
+    encoded, asserted = pool.total_encoding(), set(session._asserted)
+    assert asserted, "well-formedness must contribute a conjunct"
+    prepare_session(session, universe)
+    assert (pool.total_encoding(), session._asserted) == (encoded, asserted)
+    with pytest.raises(ValueError, match="unsatisfiable"):
+        CheckSession().prepare((T.FALSE,))
+
+
+def test_every_discharged_check_skips_the_shared_fragment():
+    pool = SessionPool()
+    verify_ip_reuse_safety_problems(build_wan(2, 3), workspace=ExecutionContext(sessions=pool))
+    stats = pool.stats()
+    assert stats["shared_skips"] >= stats["checks_discharged"] > 0

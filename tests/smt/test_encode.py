@@ -69,32 +69,34 @@ _BOOL_KINDS = ["var", "const", "not", "and", "or", "ite", "eq", "ult", "ule"]
 WIDTHS = st.integers(1, 3)
 
 
-def _satisfying_assignments(assertions, width: int) -> list[tuple]:
-    """Every (p, q, x, y) under which all ``assertions`` evaluate to true."""
-    found = []
-    values = range(2**width)
-    for point in itertools.product((False, True), (False, True), values, values):
-        model = Model(dict(zip(BOOLS, point[:2])), dict(zip(_bv_vars(width), point[2:])))
-        if all(model.eval_bool(a) for a in assertions):
-            found.append(point)
-    return found
+def satisfiable(assertions, width: int) -> bool:
+    """Whether some assignment makes every assertion true, by brute force
+    with the independent ``Model._eval`` over the Boolean variables and
+    the ``width``-bit vectors the assertions mention (the others cannot
+    change the answer)."""
+    mentioned, stack = set(), list(assertions)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (T.BoolVar, T.BvVar)):
+            mentioned.add(node)
+        stack.extend(node.children())
+    bools = sorted((v for v in mentioned if isinstance(v, T.BoolVar)), key=lambda v: v.name)
+    bvs = sorted((v for v in mentioned if isinstance(v, T.BvVar)), key=lambda v: v.name)
+    for bits in itertools.product((False, True), repeat=len(bools)):
+        for values in itertools.product(range(2**width), repeat=len(bvs)):
+            model = Model(dict(zip(bools, bits)), dict(zip(bvs, values)))
+            if all(model.eval_bool(a) for a in assertions):
+                return True
+    return False
 
 
-def _point(model: Model, width: int) -> tuple:
-    x, y = _bv_vars(width)
-    return (
-        model.eval_bool(BOOLS[0]),
-        model.eval_bool(BOOLS[1]),
-        model.eval_bv(x),
-        model.eval_bv(y),
-    )
-
-
-def _assert_agrees(result, model_of, assertions, width: int) -> None:
-    expected = _satisfying_assignments(assertions, width)
-    assert result is (smt.Result.SAT if expected else smt.Result.UNSAT)
-    if expected:
-        assert _point(model_of(), width) in expected
+def _assert_agrees(result, model_of, assertions, sat: bool) -> None:
+    """``result`` is SAT iff brute force found a model (``sat``), and a
+    SAT model makes every assertion true."""
+    assert result is (smt.Result.SAT if sat else smt.Result.UNSAT)
+    if sat:
+        model = model_of()
+        assert all(model.eval_bool(a) for a in assertions)
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,7 +106,7 @@ def test_solver_is_sat_iff_brute_force_finds_a_model(data):
     term = data.draw(bool_terms(width, DEPTH))
     solver = smt.Solver()
     solver.add(term)
-    _assert_agrees(solver.check(), solver.model, [term], width)
+    _assert_agrees(solver.check(), solver.model, [term], satisfiable([term], width))
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,7 +117,7 @@ def test_long_lived_session_agrees_with_brute_force_on_every_query(data):
     # true (dropped) and to false (UNSAT without a solve).
     width = data.draw(WIDTHS)
     shared = data.draw(bool_terms(width, DEPTH - 1))
-    assume(_satisfying_assignments([shared], width))
+    assume(satisfiable([shared], width))
     session = CheckSession()
     session.prepare((shared,))
     queries = data.draw(
@@ -123,11 +125,12 @@ def test_long_lived_session_agrees_with_brute_force_on_every_query(data):
     )
     for extra in queries:
         assertions = [shared, *extra]
-        _assert_agrees(session.check(assertions), session.model, assertions, width)
+        sat = satisfiable(assertions, width)
+        _assert_agrees(session.check(assertions), session.model, assertions, sat)
         fresh = smt.Solver()
         for a in assertions:
             fresh.add(a)
-        _assert_agrees(fresh.check(), fresh.model, assertions, width)
+        _assert_agrees(fresh.check(), fresh.model, assertions, sat)
 
 
 def test_prepare_rejects_a_fragment_that_encodes_to_false():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro import smt
 from repro.smt import terms as T
 
+from tests.smt.test_encode import satisfiable
+
 
 def test_bv_equality_model():
     s = smt.Solver()
@@ -205,25 +207,7 @@ def test_model_satisfies_asserted_term(term):
         assert s.model().eval_bool(term) is True
     else:
         # UNSAT must agree with brute force over the tiny variable space.
-        assert not _brute_force_satisfiable(term)
-
-
-def _brute_force_satisfiable(term) -> bool:
-    import itertools
-
-    from repro.smt.solver import Model
-
-    bools = ["p", "q", "r"]
-    bvs = ["a", "b", "c"]
-    for bool_bits in itertools.product([False, True], repeat=len(bools)):
-        for bv_vals in itertools.product(range(2**_WIDTH), repeat=len(bvs)):
-            model = Model(
-                {smt.bool_var(n): v for n, v in zip(bools, bool_bits)},
-                {smt.bv_var(n, _WIDTH): v for n, v in zip(bvs, bv_vals)},
-            )
-            if model.eval_bool(term):
-                return True
-    return False
+        assert not satisfiable([term], _WIDTH)
 
 
 def test_model_evaluates_chain_deeper_than_the_recursion_limit():

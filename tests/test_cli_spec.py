@@ -256,63 +256,6 @@ def test_cli_rejects_duplicate_ghost_names(tmp_path, capsys):
     assert "error: ghost 'X' is declared more than once" in capsys.readouterr().err
 
 
-def _with_safety(**changes) -> dict:
-    """SPEC with its one safety problem changed by ``changes``."""
-    return {**SPEC, "safety": [{**SPEC["safety"][0], **changes}]}
-
-
-_DEFAULT_INVARIANT = SPEC["safety"][0]["invariants"]["default"]
-_SOURCE_GHOST = SPEC["ghosts"][0]
-
-BAD_INPUTS = {
-    # Names not in the network: each would PASS vacuously.
-    "location-router": (_with_safety(location="R9", predicate=_DEFAULT_INVARIANT), ()),
-    "location-edge": (_with_safety(location="R2->ISP9", predicate=_DEFAULT_INVARIANT), ()),
-    "location-typo": (_with_safety(location="R2->ISP3", predicate=_DEFAULT_INVARIANT), ()),
-    "waypoint-router": (
-        {**SPEC, "ghosts": [_SOURCE_GHOST, {"name": "ViaR9", "kind": "waypoint", "router": "R9"}]},
-        (),
-    ),
-    # Malformed specs and options.
-    "override-router": (
-        _with_safety(invariants={"default": _DEFAULT_INVARIANT, "overrides": {"R9": {"kind": "true"}}}),
-        (),
-    ),
-    "override-edge": (
-        _with_safety(invariants={"default": _DEFAULT_INVARIANT, "overrides": {"R1->R9": {"kind": "true"}}}),
-        (),
-    ),
-    "ghost-without-sources": ({**SPEC, "ghosts": [{"name": "FromISP1", "kind": "source"}]}, ()),
-    "waypoint-without-router": (
-        {**SPEC, "ghosts": [_SOURCE_GHOST, {"name": "Via", "kind": "waypoint"}]},
-        (),
-    ),
-    "negative-budget": (SPEC, ("--budget", "-5")),
-}
-
-
-@pytest.mark.parametrize("spec, options", BAD_INPUTS.values(), ids=BAD_INPUTS)
-@pytest.mark.parametrize("command", ["verify", "reverify"])
-def test_cli_rejects_bad_input_with_exit_2(command, spec, options, config_file, tmp_path, capsys):
-    # Exit 1 means "a real counterexample"; a bad input is exit 2 with a
-    # one-line error, never a vacuous PASS or a traceback.
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    configs = [config_file] * (2 if command == "reverify" else 1)
-    try:
-        code = main([command, *configs, str(spec_path), *options])
-    except SystemExit as exc:  # argparse rejects an option value
-        code = exc.code
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_cli_verbose_breakdown(config_file, spec_file, capsys):
-    assert main(["verify", config_file, spec_file, "--verbose"]) == 0
-    out = capsys.readouterr().out
-    assert "check breakdown:" in out
-
-
 LIVENESS_SPEC = {
     "safety": [],
     "liveness": [
@@ -352,6 +295,74 @@ LIVENESS_SPEC = {
         }
     ],
 }
+
+
+def _with_safety(**changes) -> dict:
+    """SPEC with its one safety problem changed by ``changes``."""
+    return {**SPEC, "safety": [{**SPEC["safety"][0], **changes}]}
+
+
+_DEFAULT_INVARIANT = SPEC["safety"][0]["invariants"]["default"]
+_SOURCE_GHOST = SPEC["ghosts"][0]
+
+BAD_INPUTS = {
+    # Names not in the network: each would PASS vacuously.
+    "location-router": (_with_safety(location="R9", predicate=_DEFAULT_INVARIANT), ()),
+    "location-edge": (_with_safety(location="R2->ISP9", predicate=_DEFAULT_INVARIANT), ()),
+    "location-typo": (_with_safety(location="R2->ISP3", predicate=_DEFAULT_INVARIANT), ()),
+    "waypoint-router": (
+        {**SPEC, "ghosts": [_SOURCE_GHOST, {"name": "ViaR9", "kind": "waypoint", "router": "R9"}]},
+        (),
+    ),
+    # Malformed specs and options.
+    "override-router": (
+        _with_safety(invariants={"default": _DEFAULT_INVARIANT, "overrides": {"R9": {"kind": "true"}}}),
+        (),
+    ),
+    "override-edge": (
+        _with_safety(invariants={"default": _DEFAULT_INVARIANT, "overrides": {"R1->R9": {"kind": "true"}}}),
+        (),
+    ),
+    "ghost-without-sources": ({**SPEC, "ghosts": [{"name": "FromISP1", "kind": "source"}]}, ()),
+    "waypoint-without-router": (
+        {**SPEC, "ghosts": [_SOURCE_GHOST, {"name": "Via", "kind": "waypoint"}]},
+        (),
+    ),
+    "negative-budget": (SPEC, ("--budget", "-5")),
+    # Unknown keys and empty specs: each would PASS with zero checks.
+    "no-property": ({}, ()),
+    "only-ghosts": ({"ghosts": SPEC["ghosts"]}, ()),
+    "top-level-typo": ({"ghosts": SPEC["ghosts"], "saftey": SPEC["safety"]}, ()),
+    "ghost-key-typo": ({**SPEC, "ghosts": [{**_SOURCE_GHOST, "soruces": ["ISP2->R2"]}]}, ()),
+    "safety-key-typo": (_with_safety(invariant=SPEC["safety"][0]["invariants"]), ()),
+    "invariants-key-typo": (
+        _with_safety(invariants={"default": _DEFAULT_INVARIANT, "override": {}}),
+        (),
+    ),
+    "liveness-key-typo": ({"liveness": [{**LIVENESS_SPEC["liveness"][0], "constraint": []}]}, ()),
+}
+
+
+@pytest.mark.parametrize("spec, options", BAD_INPUTS.values(), ids=BAD_INPUTS)
+@pytest.mark.parametrize("command", ["verify", "reverify"])
+def test_cli_rejects_bad_input_with_exit_2(command, spec, options, config_file, tmp_path, capsys):
+    # Exit 1 means "a real counterexample"; a bad input is exit 2 with a
+    # one-line error, never a vacuous PASS or a traceback.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    configs = [config_file] * (2 if command == "reverify" else 1)
+    try:
+        code = main([command, *configs, str(spec_path), *options])
+    except SystemExit as exc:  # argparse rejects an option value
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_verbose_breakdown(config_file, spec_file, capsys):
+    assert main(["verify", config_file, spec_file, "--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert "check breakdown:" in out
 
 
 def test_cli_liveness_spec(tmp_path, capsys):

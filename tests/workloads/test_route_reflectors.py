@@ -1,4 +1,7 @@
-"""Route-reflector support: simulator rules and WAN-with-RR verification."""
+"""Route-reflector support: simulator rules and the WAN with reflector
+stars.  Verifying that WAN (peering, ip-reuse safety, and liveness via a
+region's reflector, checked against simulated traces too) is the oracle's
+``rrwan-*`` cases (``tests/oracle.py``)."""
 
 from __future__ import annotations
 
@@ -8,16 +11,8 @@ from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.bgp.simulator import Simulator
-from repro.bgp.topology import Edge, Topology
-from repro.core.liveness import verify_liveness
-from repro.core.safety import verify_safety_family
+from repro.bgp.topology import Topology
 from repro.workloads.wan import build_wan
-from repro.workloads.wan_properties import (
-    ip_reuse_liveness_problem,
-    ip_reuse_safety_problem,
-    peering_problem,
-    peering_quality_predicates,
-)
 
 
 def _star_network(clients: int = 3) -> NetworkConfig:
@@ -103,56 +98,3 @@ def test_rr_wan_reused_route_reaches_whole_region():
         assert result.selected(router, prefix) is not None, router
     for router in wan.routers_by_region[1]:
         assert result.selected(router, prefix) is None, router
-
-
-def test_rr_wan_peering_properties_verify(rr_wan):
-    problem = peering_problem(
-        rr_wan, "no-bogons", peering_quality_predicates(rr_wan)["no-bogons"]
-    )
-    report = verify_safety_family(
-        rr_wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
-    )
-    assert report.passed
-
-
-def test_rr_wan_ip_reuse_safety_verifies(rr_wan):
-    problem = ip_reuse_safety_problem(rr_wan, region=1)
-    report = verify_safety_family(
-        rr_wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
-    )
-    assert report.passed, "\n".join(f.explain() for f in report.failures)
-
-
-def test_rr_wan_ip_reuse_liveness_goes_via_reflector(rr_wan):
-    # Target a client that is NOT adjacent to the DC attach router: the
-    # witness path must route through the region's reflector.
-    members = rr_wan.routers_by_region[0]
-    dc, attach = rr_wan.dc_edge_into(0)
-    target = next(m for m in members[1:] if m != attach)
-    problem = ip_reuse_liveness_problem(rr_wan, region=0, target_router=target)
-    assert members[0] in [l for l in problem.property.path if isinstance(l, str)]
-    report = verify_liveness(
-        rr_wan.config,
-        problem.property,
-        interference_invariants=problem.interference_invariants,
-        ghosts=(problem.ghost,),
-    )
-    assert report.passed, "\n".join(f.explain() for f in report.failures)
-
-
-def test_rr_wan_liveness_matches_simulation(rr_wan):
-    # The verified liveness property is realised by the simulator.
-    wan = build_wan(regions=2, routers_per_region=4, route_reflectors=True)
-    members = wan.routers_by_region[0]
-    dc, attach = wan.dc_edge_into(0)
-    target = next(m for m in members[1:] if m != attach)
-    problem = ip_reuse_liveness_problem(wan, region=0, target_router=target)
-    report = verify_liveness(
-        wan.config,
-        problem.property,
-        interference_invariants=problem.interference_invariants,
-        ghosts=(problem.ghost,),
-    )
-    assert report.passed
-    result = Simulator(wan.config).run({dc: [wan.reused_route()]})
-    assert result.selected(target, wan.reused_route().prefix) is not None

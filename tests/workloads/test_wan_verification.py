@@ -10,6 +10,7 @@ from repro.core.exec import ExecutionContext
 from repro.core.liveness import verify_liveness
 from repro.core.safety import verify_safety_family
 from repro.core.workspace import Workspace
+from repro.smt.solver import SessionPool
 from repro.workloads.wan import build_wan, region_community
 from repro.workloads.wan_properties import (
     all_peering_problems,
@@ -23,6 +24,8 @@ from repro.workloads.wan_properties import (
     verify_peering_problems,
 )
 
+from tests import oracle
+
 
 @pytest.fixture(scope="module")
 def wan():
@@ -33,22 +36,6 @@ def _verify_peering(wan, problem):
     return verify_safety_family(
         wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
     )
-
-
-def test_no_bogons_from_peers_verifies(wan):
-    problems = {p.name: p for p in all_peering_problems(wan)}
-    report = _verify_peering(wan, problems["no-bogons"])
-    assert report.passed, "\n".join(f.explain() for f in report.failures)
-
-
-def test_all_eleven_peering_properties_verify(wan):
-    problems = all_peering_problems(wan)
-    assert len(problems) == 11
-    for problem in problems:
-        report = _verify_peering(wan, problem)
-        assert report.passed, f"{problem.name}:\n" + "\n".join(
-            f.explain() for f in report.failures
-        )
 
 
 def test_combined_property_also_verifies(wan):
@@ -83,23 +70,6 @@ def test_adhoc_aspath_filter_caught():
     assert report_bogons.passed
 
 
-def test_ip_reuse_safety_verifies(wan):
-    problem = ip_reuse_safety_problem(wan, region=0)
-    report = verify_safety_family(
-        wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
-    )
-    assert report.passed, "\n".join(f.explain() for f in report.failures)
-
-
-def test_ip_reuse_safety_all_regions(wan):
-    for region in range(wan.regions):
-        problem = ip_reuse_safety_problem(wan, region=region)
-        report = verify_safety_family(
-            wan.config, problem.properties, problem.invariants, ghosts=(problem.ghost,)
-        )
-        assert report.passed, f"region {region}"
-
-
 def test_wrong_community_bug_caught_by_reuse_safety():
     # The router tags reused routes with a community outside the documented
     # metadata; the region's local invariant (written from the metadata)
@@ -115,17 +85,6 @@ def test_wrong_community_bug_caught_by_reuse_safety():
     assert attach in blamed
     witness = report.failures[0]
     assert region_community(0) not in (witness.output_route or witness.input_route).communities
-
-
-def test_ip_reuse_liveness_verifies(wan):
-    problem = ip_reuse_liveness_problem(wan, region=1)
-    report = verify_liveness(
-        wan.config,
-        problem.property,
-        interference_invariants=problem.interference_invariants,
-        ghosts=(problem.ghost,),
-    )
-    assert report.passed, "\n".join(f.explain() for f in report.failures)
 
 
 def test_ip_reuse_liveness_broken_by_wrong_community():
@@ -191,3 +150,44 @@ def test_sweep_runs_under_its_contexts_limits(sweep):
         total = sum(r.num_checks for __, r in results)
         assert _unknown_reasons(results) == {"wall-budget": total} and total
     assert all(r.passed for __, r in sweep(small))
+
+
+# -- one pool and one universe per sweep ---------------------------------
+#
+# A sweep hoists one covering universe over its problems and answers them
+# all through one session pool, so later problems run on sessions warmed
+# (and clauses learnt) by earlier ones.  Neither may show: every one of
+# the 11 peering families and each region's ip-reuse safety and liveness
+# problem passes, listed as the hermetic run of that problem alone is.
+
+
+def test_hoisted_sweeps_on_one_pool_match_each_problem_alone(wan):
+    pool = SessionPool()
+    context = ExecutionContext(sessions=pool)
+    results = verify_peering_problems(wan, workspace=context)
+    results += verify_ip_reuse_safety_problems(wan, workspace=context)
+    results += verify_ip_reuse_liveness_problems(wan, workspace=context)
+    assert len(all_peering_problems(wan)) == 11
+    assert len(results) == 11 + 2 * wan.regions  # every region, both kinds
+    for problem, report in results:
+        assert report.passed, problem.name
+        alone = oracle.hermetic_report(wan.config, (problem.ghost,), problem.problem())
+        assert oracle.listing(report) == oracle.listing(alone), problem.name
+    # One session per owner for the whole sweep, not per problem; each
+    # distinct query solved once, the repeats answered by the memo.
+    assert pool.created == len(wan.config.routers) + 1
+    stats = pool.stats()
+    assert stats["checks_discharged"] == stats["memo_entries"] and stats["memo_hits"] > 0
+    assert stats["checks_discharged"] + stats["memo_hits"] == sum(r.num_checks for __, r in results)
+    assert stats["learnts_kept"] > 0
+
+
+def test_later_peering_families_encode_less_than_the_first(wan):
+    problems = all_peering_problems(wan)[:3]
+    pool = SessionPool()
+    context = ExecutionContext(sessions=pool)
+    encoded = lambda: sum(v for v, __ in pool.encoding_sizes().values())
+    verify_peering_problems(wan, problems=problems[:1], workspace=context)
+    first = encoded()
+    verify_peering_problems(wan, problems=problems[1:], workspace=context)
+    assert encoded() - first < first  # the transfer terms are already there
