@@ -22,13 +22,6 @@ Subcommands:
   Structurally compare two configurations and report which routers
   changed — the input to incremental re-verification.
 
-* ``lightyear lint [PATHS]``
-  Run the repo's own static-analysis pass (:mod:`repro.analysis`): three
-  checkers enforcing the verifier's soundness invariants — digest
-  coverage, deadline discipline, cache-format discipline — over files
-  parsed once, with inline suppressions.  Exits non-zero on any
-  unsuppressed error finding.
-
 * ``lightyear reverify BASE EDITED SPEC``
   The incremental pipeline end to end: verify every property in the spec
   against ``BASE``, then re-verify against ``EDITED`` reusing everything
@@ -48,8 +41,7 @@ or a SAT model that failed its self-check (an internal error, never
 reported as a counterexample); 3 nothing failed outright but some checks
 are UNKNOWN (``--budget``, ``--deadline``, ``--wall-budget``) or
 execution degraded (a ``--jobs`` run that fell back to serial) — see the
-README's "Failure modes & degradation" section.  ``lint`` exits 0 clean,
-1 on unsuppressed error findings, 2 on usage errors.
+README's "Failure modes & degradation" section.
 
 Every subcommand executes through the unified runtime in
 :mod:`repro.core.exec`: the workspace's trackers hand each run's
@@ -407,9 +399,7 @@ def _add_run_options(
     parser.add_argument("--verbose", action="store_true")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser — or, given the ``command`` about to run, one that
-    skips importing :mod:`repro.analysis` unless that command is ``lint``."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lightyear",
         description="Modular BGP control-plane verification (SIGCOMM 2023 reproduction)",
@@ -456,26 +446,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "load it, skip the base run, and consult only the edited owners' checks",
     )
     p_rev.set_defaults(func=_cmd_reverify)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the static-analysis pass over the repo's own sources",
-    )
-    if command in (None, "lint"):
-        from repro.analysis.cli import add_lint_arguments, run_from_args
-
-        add_lint_arguments(p_lint)
-        p_lint.set_defaults(func=run_from_args)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # The top-level parser takes no options of its own, so the first
-    # non-option word is the subcommand (none: usage/help, full parser).
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -1,7 +1,5 @@
 """The scheduler: one batch per run, for every verification path.
 
-# repro: hot-path
-
 The paper reduces an end-to-end property to local checks that are
 mutually independent (the §4.3 and §5.3 theorems), so there is nothing to
 order: a body of work is an ordered mapping ``{key: checks}`` and

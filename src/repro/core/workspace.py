@@ -80,6 +80,8 @@ from repro.lang.predicates import Predicate
 
 
 # Bump whenever the pickled cache layout changes; a loader never guesses.
+# ``cache-shape.json`` records the layout of the current format, and a
+# tier-1 test fails (printing the new record) when the two disagree.
 # Format 2: CheckOutcome records ``unknown_reason`` (deadline/budget
 # attribution), so format-1 outcomes would deserialize incompletely.
 # Format 3: adds the integrity-checked per-owner solver-state section

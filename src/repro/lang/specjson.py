@@ -65,6 +65,7 @@ from repro.lang.predicates import (
     Predicate,
     PrefixIn,
     TruePred,
+    predicate_atoms,
 )
 
 
@@ -267,7 +268,29 @@ def _ghost_doc(doc: dict[str, Any]) -> dict[str, Any]:
     for key in ("name", _GHOST_KEYS[kind]):
         if key not in doc:
             raise ValueError(f"malformed spec: {kind} ghost is missing required key {key!r}")
+    if kind == "source" and not doc["sources"]:
+        # No source edge: the ghost is false on every route, and any
+        # property that negates it passes vacuously.
+        raise ValueError(f"malformed spec: source ghost {doc['name']!r} has no sources")
     return doc
+
+
+def _check_ghost_names(spec: VerificationSpec) -> None:
+    """Every ghost a predicate names is declared: an undeclared one would
+    enter the universe as a free attribute and fail (or pass) for nothing."""
+    declared = {doc["name"] for doc in spec.ghost_docs}
+    predicates = [
+        pred
+        for s in spec.safety
+        for pred in (s.property.predicate, s.invariants_default, *s.invariants_overrides.values())
+    ] + [pred for l in spec.liveness for pred in (l.predicate, *l.constraints)]
+    for pred in predicates:
+        undeclared = sorted(predicate_atoms(pred)[2] - declared)
+        if undeclared:
+            raise ValueError(
+                f"malformed spec: predicate names undeclared ghost {undeclared[0]!r} "
+                f"(declared: {', '.join(sorted(declared)) or 'none'})"
+            )
 
 
 def _spec_from_doc(doc: dict[str, Any]) -> VerificationSpec:
@@ -316,6 +339,7 @@ def _spec_from_doc(doc: dict[str, Any]) -> VerificationSpec:
                 name=ldoc.get("name", ""),
             )
         )
+    _check_ghost_names(spec)
     return spec
 
 

@@ -340,7 +340,8 @@ class SatSolver:
         index = len(trail) - 1
         cur_level = len(self.trail_lim)
 
-        # repro: ignore[deadline-discipline] -- bounded: each iteration consumes one marked trail literal and the trail is finite
+        # Terminates without a deadline: each iteration consumes one
+        # marked trail literal, and the trail is finite.
         while True:
             for q in reason:
                 if q == p:
@@ -604,7 +605,8 @@ class SatSolver:
 def _luby(i: int) -> int:
     """The Luby restart sequence 1,1,2,1,1,2,4,... (``i`` is 0-based)."""
     i += 1
-    # repro: ignore[deadline-discipline] -- terminating recurrence: i strictly decreases toward a power-of-two boundary
+    # Terminates without a deadline: i strictly decreases toward a
+    # power-of-two boundary.
     while True:
         k = i.bit_length()
         if i == (1 << k) - 1:

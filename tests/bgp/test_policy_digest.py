@@ -6,8 +6,9 @@ of the transfer-output cache, so it must satisfy two directions:
 * **stability** — it depends only on policy *content*: permuting neighbor
   insertion order, community-set construction order, or unrelated routers
   must not change it;
-* **sensitivity** — any change to the router's route maps, originations,
-  sessions, ASN, or reflector clients must change it.
+* **sensitivity** — a change to any field of a router or of one of its
+  sessions must change it, and a change to any attribute of the network
+  must change the configuration's digest map.
 
 The last test closes the loop: digest equality ⇒ the incremental verifier
 reruns nothing.
@@ -16,7 +17,9 @@ reruns nothing.
 from __future__ import annotations
 
 import random
+from dataclasses import fields, replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,29 +229,121 @@ def test_digest_changes_when_a_clause_is_appended(route_map):
     assert _router(import_map=route_map).digest() != _router(import_map=extended).digest()
 
 
-def test_digest_changes_on_every_policy_dimension():
+# One edit per field of every dataclass a router digest reads (the router,
+# its sessions, their originated routes, route maps and clauses) and per
+# attribute of a ``NetworkConfig``.  A field added without a row here fails
+# ``test_every_digested_field_has_an_edit``, so no configuration input
+# escapes the digest map unseen: ``external_asns`` once did, and
+# ``canonical_policy`` lists a ``Route``'s fields by hand.
+
+
+def _on_e1(edit):
+    """``edit`` applied to a router's E1 session."""
+
+    def apply(router):
+        sessions = (edit(n) if n.peer == "E1" else n for n in router.neighbors.values())
+        return replace(router, neighbors={n.peer: n for n in sessions})
+
+    return apply
+
+
+def _on_origin(edit):
+    return _on_e1(lambda n: replace(n, originated=tuple(map(edit, n.originated))))
+
+
+def _on_import_map(edit):
+    return _on_e1(lambda n: replace(n, import_map=edit(n.import_map)))
+
+
+def _on_clause(index, edit):
+    """``edit`` applied to clause ``index`` of the E1 import map."""
+
+    def apply(route_map):
+        clauses = list(route_map.clauses)
+        clauses[index] = edit(clauses[index])
+        return replace(route_map, clauses=tuple(clauses))
+
+    return _on_import_map(apply)
+
+
+ROUTER_EDITS = {
+    "RouterConfig.name": lambda r: replace(r, name="R2"),
+    "RouterConfig.asn": lambda r: replace(r, asn=65001),
+    "RouterConfig.neighbors": lambda r: replace(
+        r, neighbors={p: n for p, n in r.neighbors.items() if p != "P2"}
+    ),
+    "RouterConfig.rr_clients": lambda r: replace(r, rr_clients=frozenset({"P1"})),
+    "NeighborConfig.peer": _on_e1(lambda n: replace(n, peer="E2")),
+    "NeighborConfig.remote_asn": _on_e1(lambda n: replace(n, remote_asn=65101)),
+    "NeighborConfig.import_map": _on_e1(lambda n: replace(n, import_map=None)),
+    "NeighborConfig.export_map": _on_e1(lambda n: replace(n, export_map=IMPORT_MAP)),
+    "NeighborConfig.originated": _on_e1(lambda n: replace(n, originated=())),
+    "Route.prefix": _on_origin(lambda o: replace(o, prefix=Prefix.parse("10.2.0.0/16"))),
+    "Route.as_path": _on_origin(lambda o: replace(o, as_path=(65100,))),
+    "Route.next_hop": _on_origin(lambda o: replace(o, next_hop=1)),
+    "Route.local_pref": _on_origin(lambda o: replace(o, local_pref=200)),
+    "Route.med": _on_origin(lambda o: replace(o, med=5)),
+    "Route.communities": _on_origin(lambda o: replace(o, communities=frozenset({C1}))),
+    "Route.origin": _on_origin(lambda o: replace(o, origin=2)),
+    "Route.ghost": _on_origin(lambda o: replace(o, ghost={"x": True})),
+    "RouteMap.name": _on_import_map(lambda m: replace(m, name="IN-V2")),
+    "RouteMap.clauses": _on_import_map(lambda m: replace(m, clauses=m.clauses[1:])),
+    "RouteMapClause.seq": _on_clause(0, lambda c: replace(c, seq=5)),
+    "RouteMapClause.disposition": _on_clause(0, lambda c: replace(c, disposition=Disposition.PERMIT)),
+    "RouteMapClause.matches": _on_clause(0, lambda c: replace(c, matches=(MatchCommunity(C3),))),
+    "RouteMapClause.actions": _on_clause(1, lambda c: replace(c, actions=c.actions[:1])),
+}
+
+
+def _add_external(config):
+    config.topology.add_external("ISP9")
+    config.topology.add_peering("ISP9", "R1")
+
+
+NETWORK_EDITS = {
+    "NetworkConfig.topology": _add_external,
+    "NetworkConfig.routers": lambda config: setattr(config.routers["R3"], "asn", 65001),
+    "NetworkConfig.external_asns": lambda config: config.set_external_asn("ISP1", 101),
+}
+
+
+def test_every_digested_field_has_an_edit():
+    from repro.workloads.figure1 import build_figure1
+
+    digested = (RouterConfig, NeighborConfig, Route, RouteMap, RouteMapClause)
+    assert set(ROUTER_EDITS) == {f"{cls.__name__}.{f.name}" for cls in digested for f in fields(cls)}
+    assert set(NETWORK_EDITS) == {f"NetworkConfig.{name}" for name in vars(build_figure1())}
+
+
+@pytest.mark.parametrize("edit", ROUTER_EDITS.values(), ids=ROUTER_EDITS)
+def test_digest_changes_on_every_policy_dimension(edit):
+    reference = _router(import_map=IMPORT_MAP)
+    edited = edit(reference)
+    assert edited.digest() != reference.digest()
+    assert edited.digest_leaves().digest() == edited.digest()
+
+
+def test_digest_changes_when_a_map_moves_or_a_constant_changes():
     reference = _router(import_map=IMPORT_MAP).digest()
-    # Action constant changed deep inside a clause.
+    # An action constant deep inside a clause, and the same map moved from
+    # import to export.
     tweaked = RouteMap(
-        "IN",
-        (
-            IMPORT_MAP.clauses[0],
-            RouteMapClause(20, actions=(AddCommunity(C1), SetLocalPref(201))),
-        ),
+        "IN", (IMPORT_MAP.clauses[0], RouteMapClause(20, actions=(AddCommunity(C1), SetLocalPref(201))))
     )
     assert _router(import_map=tweaked).digest() != reference
-    # Route-map renamed (content is metadata-complete, names included).
-    renamed = RouteMap("IN-V2", IMPORT_MAP.clauses)
-    assert _router(import_map=renamed).digest() != reference
-    # Same map moved from import to export.
     assert _router(export_map=IMPORT_MAP).digest() != reference
-    # Origination, ASN, reflector clients.
-    assert _router(import_map=IMPORT_MAP, community_order=(C1,)).digest() != reference
-    assert _router(import_map=IMPORT_MAP, asn=65001).digest() != reference
-    assert (
-        _router(import_map=IMPORT_MAP, rr_clients=frozenset({"P1"})).digest()
-        != reference
-    )
+
+
+@pytest.mark.parametrize("edit", NETWORK_EDITS.values(), ids=NETWORK_EDITS)
+def test_config_digests_change_on_every_network_attribute(edit):
+    from repro.core.incremental import ConfigSnapshot, config_digests
+    from repro.workloads.figure1 import build_figure1
+
+    before = config_digests(build_figure1())
+    config = build_figure1()
+    edit(config)
+    assert config_digests(config) != before
+    assert ConfigSnapshot(config).digests() != before
 
 
 def test_originated_ghost_order_is_canonical():

@@ -13,6 +13,7 @@ tests are fast and deterministic — no real runaway SAT search needed.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
@@ -29,8 +30,9 @@ from repro.core.safety import build_universe, verify_safety
 from repro.core.workspace import Workspace
 from repro.lang.predicates import AllOf, AnyOf, HasCommunity, Not
 from repro.lang.specjson import SafetySpec, VerificationSpec, location_to_str, spec_to_json
-from repro.smt.solver import SessionPool, Solver
-from repro.smt.terms import BoolVar
+from repro.smt.sat import SatSolver
+from repro.smt.solver import CheckSession, Result, SessionPool, Solver
+from repro.smt.terms import BoolVar, not_, or_
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
 from repro.workloads.fullmesh import build_full_mesh
@@ -62,6 +64,57 @@ def test_solver_expired_deadline_returns_unknown_with_timeout_reason():
     # The session is not poisoned: the same solver decides normally next.
     assert solver.check().name == "SAT"
     assert solver.stats.unknown_reason is None
+
+
+def _pigeonhole():
+    """Pigeonhole 8 -> 7 as clauses over variables 1..56."""
+    holes = [[7 * pigeon + hole + 1 for hole in range(7)] for pigeon in range(8)]
+    return holes + [[-a, -b] for hole in zip(*holes) for a, b in itertools.combinations(hole, 2)]
+
+
+def _as_terms(clauses):
+    literal = lambda lit: BoolVar(f"p{lit}") if lit > 0 else not_(BoolVar(f"p{-lit}"))
+    return [or_(*map(literal, clause)) for clause in clauses]
+
+
+def _sat_solve(clauses, deadline_s):
+    solver = SatSolver()
+    for __ in range(56):
+        solver.new_var()
+    for clause in clauses:
+        solver.add_clause(clause)
+    return solver.solve(deadline=time.monotonic() + deadline_s), solver.stop_reason
+
+
+def _solver_check(clauses, deadline_s):
+    solver = Solver()
+    for term in _as_terms(clauses):
+        solver.add(term)
+    return solver.check(deadline_s=deadline_s), solver.stats.unknown_reason
+
+
+def _session_check(clauses, deadline_s):
+    session = CheckSession()
+    return session.check(_as_terms(clauses), deadline_s=deadline_s), session.stats.unknown_reason
+
+
+# Every entry point that takes a wall deadline, and what it answers when the
+# deadline stops the search.
+CDCL_ENTRY_POINTS = {
+    "SatSolver.solve": (_sat_solve, None),
+    "Solver.check": (_solver_check, Result.UNKNOWN),
+    "CheckSession.check": (_session_check, Result.UNKNOWN),
+}
+
+
+@pytest.mark.parametrize("solve, stopped", CDCL_ENTRY_POINTS.values(), ids=CDCL_ENTRY_POINTS)
+def test_cdcl_search_stops_at_its_wall_deadline(solve, stopped):
+    # Pigeonhole 8 -> 7 takes about a second of conflict-heavy search to
+    # refute, with no conflict budget: a search loop that never samples
+    # the clock, or a layer that drops the deadline, answers UNSAT.
+    answer, reason = solve(_pigeonhole(), 0.05)
+    assert answer is stopped
+    assert reason == "timeout"
 
 
 # ---------------------------------------------------------------------------

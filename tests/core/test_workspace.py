@@ -13,23 +13,31 @@ That a workspace's reports are the hermetic ones — after ``verify``,
   skips the base run, consults exactly what the saved one would, and
   persists no solver state, while a config/ghost/budget mismatch or a
   damaged, foreign or future file is rejected loudly (the file-level
-  damage cases are ``tests/test_cache_corruption.py``).
+  damage cases are ``tests/test_cache_corruption.py``);
+* what ``save`` writes has the shape ``cache-shape.json`` records for
+  ``CACHE_FORMAT``, so a persisted shape changes only with a format bump.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import pickle
+import time
+import zlib
+from pathlib import Path
 
 import pytest
 
-from repro.core.workspace import Workspace, WorkspaceCacheMismatch
+from repro.core.workspace import CACHE_FORMAT, Workspace, WorkspaceCacheMismatch
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
 from tests import oracle
 from tests.core.conftest import (
     customer_liveness_property,
+    isp1_ghost,
     no_transit_invariants,
     no_transit_property,
     owner_check_count,
@@ -274,3 +282,66 @@ def test_a_loaded_tracker_reverifies_like_the_saved_one(kind, tmp_path):
     for counter in ("rerun_checks", "cached_checks", "checks_consulted"):
         assert getattr(from_disk, counter) == getattr(in_process, counter), counter
     assert from_disk.checks_consulted == owner_check_count(loaded.entries[0].tracker, "R2") > 0
+
+
+# ---------------------------------------------------------------------------
+# The persisted shape moves only with CACHE_FORMAT
+# ---------------------------------------------------------------------------
+
+MANIFEST = Path(__file__).resolve().parents[2] / "cache-shape.json"
+# Dataclasses the saved cache below must keep reaching.
+PERSISTED_TYPES = (
+    "GroupOutcomes", "LocalCheck", "CheckOutcome", "CheckFailure", "SolverStats",
+    "SatStats", "GhostAttribute", "NeighborConfig", "RouterConfig",
+)
+
+
+def _dataclass_shapes(*roots):
+    """The fields of every dataclass pickle reaches from ``roots``."""
+    shapes, seen, todo = {}, {}, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type(None), type)):
+            continue
+        seen[id(obj)] = obj  # held, so no id is reused by a freed temporary
+        if isinstance(obj, dict):
+            todo += [*obj, *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo += obj
+        else:
+            if dataclasses.is_dataclass(obj):
+                shapes[f"dataclass:{type(obj).__name__}"] = sorted(f.name for f in dataclasses.fields(obj))
+            reduced = obj.__reduce_ex__(5)  # (callable, args, state, items...)
+            todo += [*reduced[1:3], *map(list, filter(None, reduced[3:5]))]
+    return shapes
+
+
+def test_the_saved_cache_has_the_shape_its_format_records(tmp_path):
+    config = build_figure1()
+    config.routers["R2"].neighbors["R1"].import_map = oracle.STRIP  # persists a CheckFailure
+    ws = Workspace(config, ghosts=(isp1_ghost(config),))
+    assert not ws.verify(no_transit_property(), no_transit_invariants(config)).passed
+    ws.verify(customer_liveness_property())
+    ws.set_run_deadline(time.monotonic() - 1)  # every check a time-bound UNKNOWN
+    assert set(ws.verify(no_transit_property()).unknown_reason_counts) == {"wall-budget"}
+    ws.save(tmp_path / "workspace.lyc")
+
+    state = pickle.loads((tmp_path / "workspace.lyc").read_bytes())
+    shapes = {"save:state": sorted(state)}
+    for doc in state["entries"]:
+        shapes[f"state_dict:{doc['kind']}"] = sorted(doc["state"])
+    shapes.update(_dataclass_shapes(state, pickle.loads(zlib.decompress(state["config"]))))
+    assert {f"dataclass:{name}" for name in PERSISTED_TYPES} <= set(shapes)
+    assert state["entries"][-1]["state"]["time_bound"]
+
+    manifest = json.loads(MANIFEST.read_text())
+    paste = json.dumps(
+        {**manifest, "cache_format": CACHE_FORMAT, "shapes": dict(sorted(shapes.items()))}, indent=2
+    )
+    if manifest["cache_format"] != CACHE_FORMAT:
+        pytest.fail(f"stale manifest: CACHE_FORMAT is {CACHE_FORMAT}; write this to cache-shape.json:\n{paste}")
+    if manifest["shapes"] != shapes:
+        pytest.fail(
+            "the saved cache changed shape: bump `CACHE_FORMAT` (saying what changed), then write"
+            f" this to cache-shape.json with the new number:\n{paste}"
+        )

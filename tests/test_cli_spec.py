@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,8 +306,16 @@ def _with_safety(**changes) -> dict:
     return {**SPEC, "safety": [{**SPEC["safety"][0], **changes}]}
 
 
+def _with_liveness(**changes) -> dict:
+    """LIVENESS_SPEC with SPEC's ghost declared and its one liveness
+    problem changed by ``changes``."""
+    return {"ghosts": SPEC["ghosts"], "liveness": [{**LIVENESS_SPEC["liveness"][0], **changes}]}
+
+
 _DEFAULT_INVARIANT = SPEC["safety"][0]["invariants"]["default"]
 _SOURCE_GHOST = SPEC["ghosts"][0]
+# ``FromISP1`` is the declared ghost.
+_GHOST_TYPO = {"kind": "not", "inner": {"kind": "ghost", "name": "FromISP"}}
 
 BAD_INPUTS = {
     # Names not in the network: each would PASS vacuously.
@@ -324,6 +336,29 @@ BAD_INPUTS = {
         (),
     ),
     "ghost-without-sources": ({**SPEC, "ghosts": [{"name": "FromISP1", "kind": "source"}]}, ()),
+    # A ghost with no source is false everywhere: `not FromISP1` would PASS.
+    "ghost-empty-sources": ({**SPEC, "ghosts": [{**_SOURCE_GHOST, "sources": []}]}, ()),
+    # An undeclared ghost is a free attribute: a bogus FAILED (or PASS).
+    "ghost-name-typo": (
+        _with_safety(invariants={
+            "default": {**_DEFAULT_INVARIANT, "antecedent": {"kind": "ghost", "name": "FromISP"}},
+            "overrides": {},
+        }),
+        (),
+    ),
+    "property-ghost-typo": (
+        _with_safety(predicate={"kind": "not", "inner": {"kind": "ghost", "name": "Nope"}}),
+        (),
+    ),
+    "override-ghost-typo": (
+        _with_safety(invariants={"default": _DEFAULT_INVARIANT, "overrides": {"R1->R2": _GHOST_TYPO}}),
+        (),
+    ),
+    "liveness-ghost-typo": (_with_liveness(predicate=_GHOST_TYPO), ()),
+    "constraint-ghost-typo": (
+        _with_liveness(constraints=[_GHOST_TYPO, *LIVENESS_SPEC["liveness"][0]["constraints"][1:]]),
+        (),
+    ),
     "waypoint-without-router": (
         {**SPEC, "ghosts": [_SOURCE_GHOST, {"name": "Via", "kind": "waypoint"}]},
         (),
@@ -475,3 +510,46 @@ def test_cli_diff(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "changed: R2" in out
     assert main(["diff", str(old_path), str(old_path)]) == 0
+
+
+# Modules a JSON ``verify`` never runs, so must never import: the
+# simulator and decision process, the dialect parser, and the library
+# extras of ``repro.core``.
+NOT_IMPORTED_BY_VERIFY = (
+    "repro.bgp.simulator",
+    "repro.bgp.selection",
+    "repro.bgp.configparse",
+    "repro.core.inference",
+    "repro.core.scenario",
+)
+
+
+def test_json_verify_imports_no_library_extras(tmp_path, spec_file):
+    program = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(['verify', *sys.argv[1:]])\n"
+        f"leaked = sorted(set(sys.modules) & {set(NOT_IMPORTED_BY_VERIFY)!r})\n"
+        "print('leaked:', leaked)\n"
+        "sys.exit(code or bool(leaked))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    config = _write_fig1_edit(tmp_path, "base.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", program, config, spec_file],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASSED" in proc.stdout
+    assert "leaked: []" in proc.stdout
+
+
+def test_lint_is_not_a_subcommand(capsys):
+    # The invariants it checked are tests now: the saved cache's shape,
+    # digest coverage by field, and the CDCL loop's wall deadline.
+    with pytest.raises(SystemExit) as exc:
+        main(["lint"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lint'" in capsys.readouterr().err
