@@ -33,37 +33,6 @@ class NeighborConfig:
         if not isinstance(self.originated, tuple):
             self.originated = tuple(self.originated)
 
-    def policy_fingerprint(self) -> tuple:
-        """Everything this session contributes to policy, by reference:
-        ``(peer, remote_asn, import_map, export_map, originated)``.
-
-        Every part is immutable (the route maps and routes are frozen), so
-        the tuple still describes the session after the session object is
-        edited in place; a router digest canonicalises it.
-        """
-        return (
-            self.peer,
-            self.remote_asn,
-            self.import_map,
-            self.export_map,
-            self.originated,
-        )
-
-
-def _router_digest(
-    name: str, asn: int, rr_clients: frozenset[str], sessions: tuple[tuple, ...]
-) -> str:
-    """The SHA-256 of a router's canonical policy; ``sessions`` holds each
-    session's ``(peer, remote_asn, import digest, export digest, canonical
-    originated routes)`` in peer order.
-
-    Route maps enter as their memoised content digest rather than their
-    full canonical tree, so the per-map canonicalisation amortises across
-    routers sharing one map by value.
-    """
-    canon = (name, asn, tuple(sorted(rr_clients)), sessions)
-    return hashlib.sha256(repr(canon).encode()).hexdigest()
-
 
 class RouterLeaves(NamedTuple):
     """Everything :meth:`RouterConfig.digest` reads, by reference.
@@ -71,11 +40,14 @@ class RouterLeaves(NamedTuple):
     Taking it copies no route map or route, only references to the frozen
     ones, so it is cheap to keep for every router of a configuration; the
     SHA-256 is computed by :meth:`digest` when someone asks.
-    ``session_columns`` holds every neighbor's
-    :meth:`NeighborConfig.policy_fingerprint` in peer order, transposed:
-    one tuple per fingerprint field, not one per session.  A 100-router
-    full mesh then keeps 500 tuples instead of 10 000, about 0.6 MB less
-    peak memory for a ``verify``.
+    ``session_columns`` holds every session's ``(peer, remote_asn,
+    import_map, export_map, originated)`` in peer order, transposed: one
+    tuple per field, not one per session.  The peer is the session's key
+    in ``RouterConfig.neighbors``, the name
+    :meth:`NetworkConfig.neighbor_config` looks it up by; every other part
+    is immutable, so the leaves still describe the router after a session
+    is edited in place.  A 100-router full mesh keeps 500 tuples instead
+    of 10 000, about 0.6 MB less peak memory for a ``verify``.
     """
 
     name: str
@@ -85,24 +57,26 @@ class RouterLeaves(NamedTuple):
 
     def digest(self) -> str:
         """:meth:`RouterConfig.digest` of the router as these leaves were
-        taken from it."""
-        return _router_digest(
-            self.name,
-            self.asn,
-            self.rr_clients,
-            tuple(
-                (
-                    peer,
-                    remote_asn,
-                    route_map_digest(import_map),
-                    route_map_digest(export_map),
-                    tuple(canonical_policy(route) for route in originated),
-                )
-                for peer, remote_asn, import_map, export_map, originated in zip(
-                    *self.session_columns
-                )
-            ),
+        taken from it: the SHA-256 of its canonical policy.
+
+        Route maps enter as their memoised content digest rather than their
+        full canonical tree, so the per-map canonicalisation amortises across
+        routers sharing one map by value.
+        """
+        sessions = tuple(
+            (
+                peer,
+                remote_asn,
+                route_map_digest(import_map),
+                route_map_digest(export_map),
+                tuple(canonical_policy(route) for route in originated),
+            )
+            for peer, remote_asn, import_map, export_map, originated in zip(
+                *self.session_columns
+            )
         )
+        canon = (self.name, self.asn, tuple(sorted(self.rr_clients)), sessions)
+        return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
 @dataclass
@@ -130,13 +104,11 @@ class RouterConfig:
 
     def digest_leaves(self) -> RouterLeaves:
         """What :meth:`digest` reads, as of now, by reference."""
-        neighbors = self.neighbors
-        return RouterLeaves(
-            self.name,
-            self.asn,
-            self.rr_clients,
-            tuple(zip(*(neighbors[peer].policy_fingerprint() for peer in sorted(neighbors)))),
+        sessions = (
+            (peer, n.remote_asn, n.import_map, n.export_map, n.originated)
+            for peer, n in sorted(self.neighbors.items())
         )
+        return RouterLeaves(self.name, self.asn, self.rr_clients, tuple(zip(*sessions)))
 
     def digest(self) -> str:
         """A canonical fingerprint of this router's policy.
@@ -146,25 +118,10 @@ class RouterConfig:
         mapping order — digest identically; any change to the router's
         route maps, originations, sessions, ASN, or reflector clients
         produces a different digest.  Incremental re-verification and the
-        on-disk cache identity key on this.  It canonicalises the live
-        sessions in one pass, as :meth:`RouterLeaves.digest` does their
-        fingerprints (the same digest, pinned by the tests).
+        on-disk cache identity key on this.  It is the digest of
+        :meth:`digest_leaves`, so a snapshot's leaves digest the same.
         """
-        return _router_digest(
-            self.name,
-            self.asn,
-            self.rr_clients,
-            tuple(
-                (
-                    peer,
-                    n.remote_asn,
-                    route_map_digest(n.import_map),
-                    route_map_digest(n.export_map),
-                    tuple(canonical_policy(route) for route in n.originated),
-                )
-                for peer, n in sorted(self.neighbors.items())
-            ),
-        )
+        return self.digest_leaves().digest()
 
     def __getstate__(self) -> dict:
         # Reflector clients pickle sorted: a set's order follows the hash

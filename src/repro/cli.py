@@ -48,6 +48,12 @@ Every subcommand executes through the unified runtime in
 ``{key: checks}`` mapping to one ``Scheduler``, which runs it as one
 batch — serially, or with ``--jobs N`` on a per-batch process map.
 
+The process entry :func:`run` (what ``lightyear`` and ``python -m
+repro.cli`` call) raises the cyclic collector's thresholds and freezes the
+heap before exit, so neither the run nor interpreter teardown keeps
+re-walking clauses and interned terms; :func:`main` and the library leave
+CPython's GC defaults alone.
+
 Example::
 
     lightyear verify network.cfg properties.json --jobs auto --verbose
@@ -60,6 +66,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from repro.bgp.configjson import config_from_json, config_to_json
 from repro.core.checks import InternalError
@@ -77,6 +84,11 @@ CACHE_FILENAME = "workspace.lyc"
 # (a --jobs run fell back to serial).  Scripts must not read a degraded
 # run as a clean pass.
 EXIT_DEGRADED = 3
+
+# The process entry's collector thresholds (CPython's default is
+# (700, 10, 10)): every stored clause, watch list and interned term is a
+# tracked container, and each young collection walks the survivors again.
+GC_THRESHOLD = (50_000, 20, 100)
 
 
 def _load_config(path: str):
@@ -461,5 +473,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run(argv: list[str] | None = None) -> NoReturn:
+    """The process entry: :func:`main` under a process-wide GC policy.
+
+    Raises the collector's thresholds for the run, then freezes the heap
+    once ``main`` has returned, so interpreter teardown does not walk
+    every object still alive again; exit handlers, stdio flushing and the
+    exit code are ``sys.exit``'s as usual.  Only the process entry makes
+    this choice: ``main`` and library callers keep CPython's defaults.
+    """
+    # Imported here: ``gc`` is built in but not loaded at start-up, and an
+    # in-process ``main`` has no use for it.
+    import gc
+
+    gc.set_threshold(*GC_THRESHOLD)
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -450,7 +450,11 @@ def test_router_digest_is_pinned():
     assert router.digest() == (
         "be4f977e4f9a05a4149aafbf0479181b3cddcc437bca546c6d33cebe087c4c3d"
     )
-    # A snapshot's leaves digest to the same string, with or without sessions.
-    assert router.digest_leaves().digest() == router.digest()
+    # A snapshot's leaves digest to the same string: with or without
+    # sessions, and after a session's peer is edited in place (it stays
+    # keyed, and looked up, by its old name).
     alone = RouterConfig("R9", 65000)
-    assert alone.digest_leaves().digest() == alone.digest()
+    renamed = _router()
+    renamed.neighbors["E1"].peer = "E2"
+    for cell in (router, alone, renamed):
+        assert cell.digest_leaves().digest() == cell.digest()

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import configparser
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +16,7 @@ import pytest
 
 from repro.bgp.configjson import config_to_json
 from repro.bgp.topology import Edge
-from repro.cli import main
+from repro.cli import GC_THRESHOLD, main
 from repro.lang.predicates import (
     AllOf,
     AnyOf,
@@ -39,6 +43,8 @@ from repro.lang.specjson import (
 from repro.workloads.figure1 import build_figure1
 
 from tests import oracle
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 CONFIG_TEXT = """
@@ -524,6 +530,12 @@ NOT_IMPORTED_BY_VERIFY = (
 )
 
 
+def _src_env() -> dict:
+    """The environment for a child interpreter that imports ``repro``."""
+    path = (str(REPO / "src"), os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_json_verify_imports_no_library_extras(tmp_path, spec_file):
     program = (
         "import sys\n"
@@ -533,13 +545,10 @@ def test_json_verify_imports_no_library_extras(tmp_path, spec_file):
         "print('leaked:', leaked)\n"
         "sys.exit(code or bool(leaked))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
     config = _write_fig1_edit(tmp_path, "base.json")
     proc = subprocess.run(
         [sys.executable, "-c", program, config, spec_file],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASSED" in proc.stdout
@@ -553,3 +562,80 @@ def test_lint_is_not_a_subcommand(capsys):
         main(["lint"])
     assert exc.value.code == 2
     assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The process entry: its GC policy stays out of ``main``
+# ---------------------------------------------------------------------------
+
+
+def test_in_process_main_keeps_the_gc_defaults(config_file, spec_file, capsys):
+    before = gc.get_threshold(), gc.get_freeze_count()
+    assert main(["verify", config_file, spec_file]) == 0
+    assert (gc.get_threshold(), gc.get_freeze_count()) == before
+
+
+def _durations_masked(out: str) -> str:
+    # The reports print check durations ("0.00s total"), which two runs
+    # need not share; everything else must match byte for byte.
+    return re.sub(r"\d+\.\d+s\b", "<t>s", out)
+
+
+@pytest.mark.parametrize("case", ["passed", "failed", "bad-input"])
+def test_module_entry_matches_in_process_main(case, config_file, spec_file, tmp_path, capsys):
+    config, spec = config_file, spec_file
+    if case == "failed":  # no-transit's tagging action dropped, as above
+        config = str(tmp_path / "broken.cfg")
+        Path(config).write_text(CONFIG_TEXT.replace("    add community 100:1\n", ""))
+    if case == "bad-input":
+        spec = str(tmp_path / "bad.json")
+        Path(spec).write_text(json.dumps(BAD_INPUTS["location-router"][0]))
+    code = main(["verify", config, spec])
+    out = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "verify", config, spec],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_src_env(),
+    )
+    assert code == {"passed": 0, "failed": 1, "bad-input": 2}[case]
+    assert proc.returncode == code
+    assert _durations_masked(proc.stdout.decode()) == _durations_masked(out)
+
+
+def test_module_entry_sets_the_gc_policy(tmp_path):
+    # ``python -m repro.cli`` is runpy running the module as __main__; an
+    # exit hook registered first sees the policy the entry left in place.
+    program = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_threshold(), gc.get_freeze_count()))\n"
+        "sys.argv[0] = 'repro.cli'\n"
+        "runpy.run_module('repro.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program, "parse", _write_fig1_edit(tmp_path, "base.json")],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    threshold, freeze_count = proc.stdout.splitlines()[-1].rsplit(" ", 1)
+    assert threshold == str(GC_THRESHOLD)
+    assert int(freeze_count) > 0
+
+
+def test_console_script_is_the_module_entry():
+    # The installed ``lightyear`` and ``python -m repro.cli`` run one
+    # function: setup.cfg's target is what cli.py's __main__ block calls.
+    setup = configparser.ConfigParser()
+    setup.read(REPO / "setup.cfg")
+    scripts = dict(
+        line.replace(" ", "").split("=")
+        for line in setup["options.entry_points"]["console_scripts"].strip().splitlines()
+    )
+    module = ast.parse((REPO / "src" / "repro" / "cli.py").read_text())
+    (guard,) = [
+        node for node in module.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    calls = [
+        node.func.id for node in ast.walk(guard)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert [scripts["lightyear"]] == [f"repro.cli:{name}" for name in calls]
