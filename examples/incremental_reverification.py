@@ -110,7 +110,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cache = Path(tmp) / "workspace.lyc"
         workspace.save(cache)
-        loaded = Workspace.load(cache, config=build_figure1(), ghosts=(from_isp1,))
+        loaded = Workspace.load(cache, build_figure1(), (from_isp1,))
         loaded.apply(edited_figure1())
         (entry,) = loaded.reverify()
         result = entry.last_result

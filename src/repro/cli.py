@@ -214,11 +214,9 @@ def _open_workspace(
     if not loaded:
         workspace = Workspace(config, ghosts=ghosts, **limits)
     else:
-        workspace = Workspace.load(cache_path, config=config, ghosts=ghosts, **limits)
-        # A load without --budget adopts the saved one; that is not this spec.
-        same_budget = workspace.conflict_budget == args.budget
+        workspace = Workspace.load(cache_path, config, ghosts, **limits)
         for prop, invariants, interference in problems:
-            if not same_budget or workspace.entry(
+            if workspace.entry(
                 prop, invariants, interference_invariants=interference
             ) is None:
                 raise WorkspaceCacheMismatch(
@@ -293,11 +291,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             workspace.save(cache_path)
 
     totals = (
-        f"totals: {workspace.stats.num_checks} local checks, "
-        f"largest {workspace.stats.max_vars} vars / {workspace.stats.max_clauses} "
-        f"constraints, {workspace.stats.wall_time_s:.2f}s "
-        f"({workspace.stats.solve_time_s:.2f}s solving)"
+        f"totals: {sum(report.num_checks for report in reports)} local checks, "
+        f"largest {max((report.max_vars for report in reports), default=0)} vars / "
+        f"{max((report.max_clauses for report in reports), default=0)} constraints"
     )
+    if args.verbose:
+        # Durations differ from run to run; default output does not.
+        totals += (
+            f", {sum(report.wall_time_s for report in reports):.2f}s "
+            f"({sum(report.solve_time_s for report in reports):.2f}s solving)"
+        )
     if resolve_jobs(args.jobs) == 1:
         # Under --jobs each worker keeps its own query memo and none comes
         # back, so there is no run-wide count to print.
@@ -339,7 +342,7 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
                     prop, invariants, interference_invariants=interference
                 )
                 if args.verbose:
-                    print(f"base: {report.summary()}")
+                    print(f"base: {report.summary(verbose=True)}")
             if cache_path is not None:
                 # Persist the *base* outcomes: later invocations (each a
                 # fresh process) load them and skip the base run — the

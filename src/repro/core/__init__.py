@@ -44,7 +44,6 @@ from repro.core.workspace import (
     WorkspaceCacheError,
     WorkspaceCacheMismatch,
     WorkspaceEntry,
-    WorkspaceStats,
 )
 from repro.core.incremental import IncrementalResult
 
@@ -67,6 +66,5 @@ __all__ = [
     "WorkspaceCacheError",
     "WorkspaceCacheMismatch",
     "WorkspaceEntry",
-    "WorkspaceStats",
     "IncrementalResult",
 ]

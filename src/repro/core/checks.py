@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro import smt
@@ -68,8 +68,11 @@ from repro.lang.transfer import (
 from repro.lang.universe import AttributeUniverse
 from repro.smt.sat import SatStats
 from repro.smt.solver import SolverStats
-from repro.testing import faults
 
+#: Called as ``hook(check, deadline_abs)`` before every check starts, when
+#: set; :func:`repro.testing.faults.install` fills it, the process map
+#: ships its value to the workers, and nothing else touches it.
+check_start_hook: "Callable[[LocalCheck, float | None], None] | None" = None
 
 #: The stats of an answer recalled from the query memo: nothing was encoded
 #: or solved for the asking check.  One shared instance, so the outcomes of
@@ -158,7 +161,8 @@ class LocalCheck:
         # Pin the deadline once, up front, so encoding time and every
         # discharge of a multi-query check draw from the same budget.
         deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
-        faults.on_check_start(self, deadline_abs)
+        if check_start_hook is not None:
+            check_start_hook(self, deadline_abs)
         return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
 
     def class_member_outcome(
@@ -181,7 +185,8 @@ class LocalCheck:
         decided as :meth:`run` decides it.
         """
         deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
-        faults.on_check_start(self, deadline_abs)
+        if check_start_hook is not None:
+            check_start_hook(self, deadline_abs)
         if deadline_abs is not None and time.monotonic() >= deadline_abs:
             return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
         session.memo_hits += 1

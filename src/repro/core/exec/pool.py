@@ -33,11 +33,11 @@ computes identical outcomes.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from repro.core import checks as _checks
 from repro.core.checks import check_class, check_owner, group_checks_by_owner, skipped_outcome
 from repro.smt.solver import SessionPool
-from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.bgp.config import NetworkConfig
@@ -60,16 +60,17 @@ def _init_worker(
     conflict_budget: int | None,
     deadline_s: float | None,
     run_deadline: float | None,
-    fault_plan: "faults.FaultPlan | None",
+    check_start_hook: "Callable[[LocalCheck, float | None], None] | None",
 ) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = (
         config, universe, ghosts, conflict_budget, deadline_s, run_deadline,
         SessionPool(),
     )
-    # The parent's fault plan, shipped rather than inherited so injection
-    # does not depend on the start method (fork copies it, spawn would not).
-    faults.install(fault_plan)
+    # The parent's check-start hook (an injected fault), shipped rather than
+    # inherited so it does not depend on the start method (fork copies it,
+    # spawn would not).
+    _checks.check_start_hook = check_start_hook
 
 
 def run_in_sessions(
@@ -193,7 +194,7 @@ def run_checks_in_processes(
             initializer=_init_worker,
             initargs=(
                 config, universe, ghosts, conflict_budget, deadline_s,
-                run_deadline, faults.active_plan(),
+                run_deadline, _checks.check_start_hook,
             ),
         )
         try:

@@ -288,7 +288,6 @@ class PropertyTracker:
         return {
             "prop": self.problem.prop,
             "invariants": self.problem.invariants,
-            "conflict_budget": self.context.conflict_budget,
             "digests": {} if self._snapshot is None else self._snapshot.digests(),
             "groups": self._groups,
             # Sorted: a set pickles in hash order, which follows the seed.

@@ -93,14 +93,16 @@ class LivenessReport(VerificationReport):
         # Owner-less, so kept whole: no listing needed.
         return self.implication.kept[0]
 
-    def summary(self) -> str:
+    def summary(self, verbose: bool = False) -> str:
         propagation = sum(len(group.stats) for group in self.propagation)
-        return (
+        text = (
             f"{self.property}: {self.status()} — {self.num_checks} local checks "
             f"({propagation} propagation, "
-            f"{len(self.interference_reports)} no-interference sub-proofs), "
-            f"{self.wall_time_s:.2f}s total"
+            f"{len(self.interference_reports)} no-interference sub-proofs)"
         )
+        if verbose:
+            text += f", {self.wall_time_s:.2f}s total"
+        return text
 
 
 def generate_propagation_checks(

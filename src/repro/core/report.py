@@ -60,19 +60,18 @@ class DegradationReport:
     :meth:`VerificationReport.unknown_reason_counts`.
     """
 
-    serial_fallbacks: int = 0
     reasons: list[str] = field(default_factory=list)
 
+    @property
+    def serial_fallbacks(self) -> int:
+        """One serial re-run per recorded reason."""
+        return len(self.reasons)
+
     def record_fallback(self, reason: str) -> None:
-        self.serial_fallbacks += 1
         self.reasons.append(reason)
 
     def degraded(self) -> bool:
-        return bool(self.serial_fallbacks)
-
-    def merge(self, other: "DegradationReport") -> None:
-        self.serial_fallbacks += other.serial_fallbacks
-        self.reasons.extend(other.reasons)
+        return bool(self.reasons)
 
     def describe(self) -> list[str]:
         """One line per degradation kind, for report rendering."""
@@ -252,13 +251,14 @@ class VerificationReport:
             return "PASSED"
         return failure_status(self.failures, self.unknowns)
 
-    def summary(self) -> str:
+    def summary(self, verbose: bool = False) -> str:
+        """One line: verdict and check count; durations only if ``verbose``."""
         raise NotImplementedError
 
 
 def format_safety_report(report, verbose: bool = False) -> str:
     """Render a safety report: summary, then any failures, then detail."""
-    lines = [report.summary()]
+    lines = [report.summary(verbose)]
     for failure in report.failures:
         lines.append("")
         lines.append(failure.explain())
@@ -278,7 +278,7 @@ def format_safety_report(report, verbose: bool = False) -> str:
 
 
 def format_liveness_report(report, verbose: bool = False) -> str:
-    lines = [report.summary()]
+    lines = [report.summary(verbose)]
     # The proof's own checks: propagation along the path, then C_n ⊆ P.
     proof = [
         outcome

@@ -71,12 +71,14 @@ class SafetyReport(VerificationReport):
     def outcomes(self) -> list[CheckOutcome]:
         return list(self.iter_outcomes())
 
-    def summary(self) -> str:
-        return (
+    def summary(self, verbose: bool = False) -> str:
+        text = (
             f"{self.property}: {self.status()} — {self.num_checks} local checks, "
-            f"max {self.max_vars} vars / {self.max_clauses} constraints per check, "
-            f"{self.wall_time_s:.2f}s total ({self.solve_time_s:.2f}s solving)"
+            f"max {self.max_vars} vars / {self.max_clauses} constraints per check"
         )
+        if verbose:
+            text += f", {self.wall_time_s:.2f}s total ({self.solve_time_s:.2f}s solving)"
+        return text
 
 
 def invariant_predicates(invariants: InvariantMap) -> list[Predicate]:

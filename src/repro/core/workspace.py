@@ -33,30 +33,30 @@ The one-shot driver is the tracker's reference in the equivalence oracle
 **On-disk outcome cache.**  ``save(path)`` persists the digests and
 outcome groups (:class:`~repro.core.report.GroupOutcomes`: stats rows,
 non-passed and owner-less outcomes, folds) of every tracker — never the
-checks, which are regenerated, nor solver state — in a versioned file
-keyed by a config+spec fingerprint and sealed by a SHA-256 of the whole
-payload; ``Workspace.load(path, config=...)`` restores them in a fresh
-process (the saved configuration is a nested pickle only ``load(path)``
-without ``config=`` opens).  A second ``lightyear reverify --cache DIR``
-invocation thus skips the base run entirely and generates, runs and reads
-only the edited owners' checks, on freshly built sessions.  A file whose
-payload digest does not match is rejected as corrupt before anything in it is
-used (one flipped bit could otherwise turn a cached FAILED into PASSED);
-a cache whose fingerprint does not match the offered configuration or
-spec is rejected with :class:`WorkspaceCacheMismatch`.  Outcomes that
-are UNKNOWN only because a run ran out of *time* (``deadline_s``,
-``wall_budget_s`` — neither is part of the fingerprint) are saved for the
-record but never reused: the next run re-runs their groups.
+checks, which are regenerated, nor solver state, nor the configuration.
+The file is a header naming the format, the SHA-256 of the payload, and
+the payload: one pickle of the configuration's digests, the ghost set's
+fingerprint, the workspace's conflict budget and each tracker's state.
+``Workspace.load(path, config, ghosts, conflict_budget=...)`` restores them
+in a fresh process, for exactly the configuration, ghosts and budget it is
+handed.  A second ``lightyear reverify --cache DIR`` invocation thus skips
+the base run entirely and generates, runs and reads only the edited
+owners' checks, on freshly built sessions.  A file of another format, or
+whose payload digest does not match, is rejected before anything in it
+is unpickled (one flipped bit could otherwise turn a cached FAILED into
+PASSED); a cache saved for another configuration, ghost set or budget is
+rejected with :class:`WorkspaceCacheMismatch`.  Outcomes that are UNKNOWN
+only because a run ran out of *time* (``deadline_s``, ``wall_budget_s`` —
+neither is part of the cache identity) are saved for the record but never
+reused: the next run re-runs their groups.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import pickle
 import tempfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -101,7 +101,12 @@ from repro.lang.predicates import Predicate
 # Format 9: sets pickle as sorted tuples (``Topology`` adjacency,
 # ``RouterConfig.rr_clients``, a tracker's ``time_bound``), so a saved
 # cache is byte-identical under every PYTHONHASHSEED.
-CACHE_FORMAT = 9
+# Format 10: the format is an ASCII header ahead of the seal, so nothing is
+# unpickled before the digest holds; the payload holds no configuration, no
+# ghosts and one conflict budget for the workspace, not one per tracker.
+CACHE_FORMAT = 10
+_PREFIX = b"lightyear-cache "
+_HEADER = _PREFIX + b"%d\n" % CACHE_FORMAT
 _DIGEST_LEN = hashlib.sha256().digest_size
 
 # Entry kind -> the problem builder ``load`` rebuilds a tracker's problem
@@ -120,24 +125,6 @@ class WorkspaceCacheError(ValueError):
 class WorkspaceCacheMismatch(WorkspaceCacheError):
     """The cache exists and parses, but was saved for a different
     configuration, ghost set, or spec (fingerprint mismatch)."""
-
-
-@dataclass
-class WorkspaceStats:
-    """Aggregated measurements across one or more verification runs."""
-
-    num_checks: int = 0
-    max_vars: int = 0
-    max_clauses: int = 0
-    wall_time_s: float = 0.0
-    solve_time_s: float = 0.0
-
-    def absorb(self, report: VerificationReport) -> None:
-        self.num_checks += report.num_checks
-        self.max_vars = max(self.max_vars, report.max_vars)
-        self.max_clauses = max(self.max_clauses, report.max_clauses)
-        self.wall_time_s += report.wall_time_s
-        self.solve_time_s += report.solve_time_s
 
 
 @dataclass
@@ -199,9 +186,9 @@ def _ghosts_fp(ghosts: tuple[GhostAttribute, ...]) -> tuple[object, ...]:
     )
 
 
-def _entry_fingerprint(problem: Problem, conflict_budget: int | None) -> str:
-    """Content identity of one registered problem under the workspace's
-    budget (never persisted: ``load`` recomputes it)."""
+def _entry_fingerprint(problem: Problem) -> str:
+    """Content identity of one registered problem (never persisted:
+    ``load`` recomputes it; the budget is the workspace's, one for all)."""
     invariants = problem.invariants
     invariants_fp: object
     if isinstance(invariants, dict):  # liveness: per-router interference maps
@@ -212,26 +199,8 @@ def _entry_fingerprint(problem: Problem, conflict_budget: int | None) -> str:
         )
     else:
         invariants_fp = _invariant_map_fp(invariants)
-    payload = (problem.kind, repr(problem.prop), invariants_fp, conflict_budget)
+    payload = (problem.kind, repr(problem.prop), invariants_fp)
     return hashlib.sha256(repr(payload).encode()).hexdigest()
-
-
-def _declared_format(raw: bytes) -> object:
-    """The ``format`` a cache file's pickle opens with, read from its first
-    opcodes without building any object — an older format may hold objects
-    this build's classes cannot rebuild (a format-6 ``Edge``).  ``None`` if
-    the file does not open like a cache."""
-    import pickletools
-
-    try:
-        opcodes = [arg for _, arg, _ in itertools.islice(pickletools.genops(raw), 8)]
-    except Exception:
-        return None
-    if "format" not in opcodes:
-        return None
-    following = opcodes[opcodes.index("format") + 1:]
-    # The key is followed by its memo slot (MEMOIZE, no argument), then the value.
-    return next((arg for arg in following if arg is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +281,6 @@ class Workspace(ExecutionContext):
         )
         self.config = config
         self.ghosts = tuple(ghosts)
-        self.stats = WorkspaceStats()
         self._entries: list[WorkspaceEntry] = []
 
     def __enter__(self) -> "Workspace":
@@ -370,7 +338,7 @@ class Workspace(ExecutionContext):
             raise TypeError(
                 f"expected a SafetyProperty or LivenessProperty, got {prop!r}"
             )
-        return problem, _entry_fingerprint(problem, self.conflict_budget)
+        return problem, _entry_fingerprint(problem)
 
     def entry(
         self,
@@ -397,7 +365,6 @@ class Workspace(ExecutionContext):
         """Run one entry's tracker against the current config."""
         result = entry.tracker.run(self.config, self._snapshot)
         entry.last_result = result
-        self.stats.absorb(result.report)
         return result
 
     def verify(
@@ -478,19 +445,16 @@ class Workspace(ExecutionContext):
     def save(self, path: str | os.PathLike[str]) -> None:
         """Persist digests and outcome groups to ``path``.
 
-        The file is versioned and fingerprinted by configuration digests,
-        ghost definitions, and the registered spec; :meth:`load` refuses a
-        mismatch.  Nothing solver-side is persisted (session encodings are
-        process-local).  The pickle is followed by its SHA-256, which
-        :meth:`load` checks before using anything in the file.
+        The file is the format header, the SHA-256 of the payload, and the
+        payload: the configuration's digests, the ghost set's fingerprint,
+        the conflict budget and every tracker's state.  :meth:`load`
+        refuses any other configuration, ghost set or budget.  Nothing
+        solver-side is persisted (session encodings are process-local).
         """
         state = {
-            "format": CACHE_FORMAT,
             "config_digests": self._snapshot.digests(),
             "ghosts_fp": _ghosts_fp(self.ghosts),
-            # A blob: only ``load(path)`` without ``config=`` rebuilds it.
-            "config": zlib.compress(pickle.dumps(self.config, protocol=5), 1),
-            "ghosts": self.ghosts,
+            "conflict_budget": self.conflict_budget,
             "entries": [
                 {"kind": entry.kind, "state": entry.tracker.state_dict()}
                 for entry in self._entries
@@ -506,7 +470,7 @@ class Workspace(ExecutionContext):
         try:
             payload = pickle.dumps(state, protocol=5)
             with os.fdopen(fd, "wb") as handle:
-                handle.write(payload + hashlib.sha256(payload).digest())
+                handle.write(_HEADER + hashlib.sha256(payload).digest() + payload)
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -519,8 +483,9 @@ class Workspace(ExecutionContext):
     def load(
         cls,
         path: str | os.PathLike[str],
-        config: NetworkConfig | None = None,
-        ghosts: tuple[GhostAttribute, ...] | None = None,
+        config: NetworkConfig,
+        ghosts: tuple[GhostAttribute, ...] = (),
+        *,
         parallel: int | str | None = None,
         conflict_budget: int | None = None,
         deadline_s: float | None = None,
@@ -528,45 +493,41 @@ class Workspace(ExecutionContext):
     ) -> "Workspace":
         """Restore a workspace (outcome caches included) from :meth:`save`.
 
-        ``config``/``ghosts``/``conflict_budget`` default to the saved
-        values; when supplied (the CLI passes the freshly parsed base
-        configuration), they must match the saved ones —
+        The cache answers only for the ``config``, ``ghosts`` and
+        ``conflict_budget`` it is handed, which must be the saved ones —
         :class:`WorkspaceCacheMismatch` otherwise, so a cache can never
         silently answer for a different network, ghost set or budget.
         Outcomes saved between an ``apply`` and its ``reverify`` answer
         for the digests their tracker kept, and are diffed, not trusted.
-        Execution parameters (``parallel``, deadlines) are not part of the
-        fingerprint; pass whatever this process should use.
+        The header is read first, then the payload digest is checked, and
+        only then is anything unpickled.  Execution parameters
+        (``parallel``, deadlines) are not part of the cache identity; pass
+        whatever this process should use.
         """
+        workspace = cls.__new__(cls)
+        workspace._setup(
+            config, tuple(ghosts), parallel, conflict_budget, deadline_s, wall_budget_s
+        )
         try:
             raw = Path(path).read_bytes()
         except OSError as exc:
             raise WorkspaceCacheError(f"cannot read workspace cache: {exc}") from exc
-        seal = hashlib.sha256(raw[:-_DIGEST_LEN]).digest()
-        intact = seal == raw[-_DIGEST_LEN:]
-        try:
-            state = pickle.loads(raw)  # reads up to the pickle's end, not the seal
-        except Exception as exc:  # unpickling garbage, or an older build's objects
-            declared = _declared_format(raw)
-            if declared is None or declared == CACHE_FORMAT:
-                raise WorkspaceCacheError(
-                    f"workspace cache at {path} is corrupt or not a cache: {exc}"
-                ) from exc
-            state = {"format": declared}
-        if not isinstance(state, dict) or "format" not in state:
-            raise WorkspaceCacheError(
-                f"workspace cache at {path} is not a workspace cache"
+        if not raw.startswith(_HEADER):
+            named, newline, __ = raw.partition(b"\n")
+            found = (
+                f"has format {named[len(_PREFIX):].decode(errors='replace')}"
+                if newline and named.startswith(_PREFIX)
+                else "has no format header"
             )
-        if state["format"] != CACHE_FORMAT:
             raise WorkspaceCacheError(
-                f"workspace cache at {path} has format {state['format']}, "
-                f"this build reads format {CACHE_FORMAT}; delete it and rerun"
+                f"workspace cache at {path} {found}, this build reads format "
+                f"{CACHE_FORMAT}; delete it and rerun"
             )
-        # Up to here only ``format`` was read, to tell an older build's
-        # digest-less file from a damaged one.  A flipped bit can leave a
-        # *valid* pickle with a different verdict inside, so nothing else
-        # is used unless the payload digest holds.
-        if not intact:
+        seal = raw[len(_HEADER):len(_HEADER) + _DIGEST_LEN]
+        payload = raw[len(_HEADER) + _DIGEST_LEN:]
+        # A flipped bit can leave a *valid* pickle with a different verdict
+        # inside, so nothing is unpickled unless the payload digest holds.
+        if hashlib.sha256(payload).digest() != seal:
             raise WorkspaceCacheError(
                 f"workspace cache at {path} is corrupt: payload digest mismatch"
             )
@@ -574,29 +535,18 @@ class Workspace(ExecutionContext):
         # (written by a diverged build); the caller must see
         # WorkspaceCacheError, never a raw KeyError/TypeError.
         try:
-            if config is None:
-                config = pickle.loads(zlib.decompress(state["config"]))
-            if ghosts is None:
-                ghosts = state["ghosts"]
-            elif _ghosts_fp(tuple(ghosts)) != state["ghosts_fp"]:
+            state = pickle.loads(payload)
+            if _ghosts_fp(workspace.ghosts) != state["ghosts_fp"]:
                 raise WorkspaceCacheMismatch(
                     f"workspace cache at {path} was saved with different ghost "
                     f"definitions; delete it or rerun without the cache"
                 )
-            # One workspace, one budget: the entries' common saved budget.
-            saved = {doc["state"]["conflict_budget"] for doc in state["entries"]}
-            if conflict_budget is None and len(saved) == 1:
-                (conflict_budget,) = saved
-            elif saved - {conflict_budget}:
+            if conflict_budget != state["conflict_budget"]:
                 raise WorkspaceCacheMismatch(
                     f"workspace cache at {path} holds outcomes decided under "
-                    f"conflict budget(s) {sorted(saved, key=repr)}, not "
+                    f"conflict budget {state['conflict_budget']}, not "
                     f"{conflict_budget}; delete it or rerun without the cache"
                 )
-            workspace = cls.__new__(cls)
-            workspace._setup(
-                config, tuple(ghosts), parallel, conflict_budget, deadline_s, wall_budget_s
-            )
             digests = config_digests(config)
             if digests != state["config_digests"]:
                 raise WorkspaceCacheMismatch(
@@ -620,7 +570,7 @@ class Workspace(ExecutionContext):
                     WorkspaceEntry(
                         kind=kind,
                         property=problem.prop,
-                        fingerprint=_entry_fingerprint(problem, conflict_budget),
+                        fingerprint=_entry_fingerprint(problem),
                         tracker=PropertyTracker.from_state(
                             workspace, problem, tracker_state, workspace.ghosts
                         ),
@@ -629,7 +579,7 @@ class Workspace(ExecutionContext):
         except WorkspaceCacheError:
             raise
         except (KeyError, TypeError, AttributeError, IndexError, ValueError, EOFError,
-                pickle.PickleError, zlib.error) as exc:  # fmt: skip
+                pickle.PickleError) as exc:  # fmt: skip
             raise WorkspaceCacheError(
                 f"workspace cache at {path} is corrupt: {exc!r}"
             ) from exc

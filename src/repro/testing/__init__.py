@@ -10,7 +10,6 @@ instead of hoped for.
 from repro.testing.faults import (
     FaultInjected,
     FaultPlan,
-    active_plan,
     corrupt_file,
     install,
     reset,
@@ -20,7 +19,6 @@ from repro.testing.faults import (
 __all__ = [
     "FaultInjected",
     "FaultPlan",
-    "active_plan",
     "corrupt_file",
     "install",
     "reset",

@@ -23,17 +23,13 @@ on demand.  This module plants failures at fixed points:
   hardening can be asserted against every byte position, not just "the
   file is missing".
 
-Faults are installed process-wide with :func:`install` (tests) or via the
-``REPRO_FAULTS`` environment variable (CLI/subprocess chaos runs), e.g.::
+Faults are installed process-wide with :func:`install`, which sets the
+plan's hook as :data:`repro.core.checks.check_start_hook`; the verifier
+itself never imports this module.  The process map ships the parent's hook
+to each worker with the problem context.
 
-    REPRO_FAULTS="kill_in_check_match=import check at R3"
-    REPRO_FAULTS="delay_check_s=0.5,delay_check_match=import check at R3"
-
-Worker processes do not re-read the environment: the process map ships
-the parent's active plan to each worker with the problem context.
-
-Everything here is inert unless a plan is active; the hooks cost one
-``None`` check on the hot path.
+Everything here is inert unless a plan is installed; the hook slot costs
+one ``None`` check on the hot path.
 """
 
 from __future__ import annotations
@@ -41,6 +37,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+
+from repro.core import checks
 
 
 class FaultInjected(RuntimeError):
@@ -69,37 +67,6 @@ class FaultPlan:
     hang_check_match: str | None = None
     # Raise FaultInjected from matching checks.
     raise_in_check_match: str | None = None
-
-    @classmethod
-    def from_env(cls, env: str | None = None) -> "FaultPlan | None":
-        """Parse ``REPRO_FAULTS`` (or ``env``): comma-separated key=value.
-
-        Unknown keys are rejected loudly — a typoed chaos spec silently
-        injecting nothing would defeat the point of the harness.
-        """
-        spec = os.environ.get("REPRO_FAULTS") if env is None else env
-        if not spec:
-            return None
-        fields = {f.name: f.type for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        kwargs: dict = {}
-        for item in spec.split(","):
-            if not item.strip():
-                continue
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep or key not in fields:
-                raise ValueError(
-                    f"REPRO_FAULTS: unknown or malformed entry {item!r} "
-                    f"(known keys: {', '.join(sorted(fields))})"
-                )
-            annotation = str(fields[key])
-            if "float" in annotation:
-                kwargs[key] = float(value)
-            elif "int" in annotation:
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
 
     # -- check-level hooks ---------------------------------------------
 
@@ -136,38 +103,14 @@ class FaultPlan:
 # Process-wide installation
 # ---------------------------------------------------------------------------
 
-_ACTIVE: FaultPlan | None = None
-_ENV_READ = False
-
-
 def install(plan: FaultPlan | None) -> None:
     """Install a fault plan process-wide (``None`` clears it)."""
-    global _ACTIVE, _ENV_READ
-    _ACTIVE = plan
-    _ENV_READ = True  # an explicit install wins over the environment
+    checks.check_start_hook = None if plan is None else plan.on_check_start
 
 
 def reset() -> None:
-    """Remove any installed plan and re-enable environment lookup."""
-    global _ACTIVE, _ENV_READ
-    _ACTIVE = None
-    _ENV_READ = False
-
-
-def active_plan() -> FaultPlan | None:
-    """The installed plan, else one parsed from ``REPRO_FAULTS`` (cached)."""
-    global _ACTIVE, _ENV_READ
-    if not _ENV_READ:
-        _ACTIVE = FaultPlan.from_env()
-        _ENV_READ = True
-    return _ACTIVE
-
-
-def on_check_start(check, deadline_abs: float | None = None) -> None:
-    """Hot-path hook called by :meth:`LocalCheck.run`; no-op when inert."""
-    plan = active_plan()
-    if plan is not None:
-        plan.on_check_start(check, deadline_abs)
+    """Remove any installed plan."""
+    install(None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 a broken process pool for the serial-fallback tests, helpers for reading
 a single-property workspace's cache accounting, the §6.2 no-transit
 problem on E1/R1/R2/E2-shaped networks (full meshes, random networks)
-that half the suite verifies, and :func:`run_batch` for a bare check
-list."""
+that half the suite verifies, :func:`run_batch` for a bare check list,
+and :func:`saved_state` for a saved cache's pickled state."""
 
 from __future__ import annotations
+
+import hashlib
+import pickle
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +152,10 @@ def customer_liveness_property() -> LivenessProperty:
         constraints=(has_cust, good, good, good, has_cust),
         name="customer-reaches-isp2",
     )
+
+
+def saved_state(path) -> dict:
+    """The pickled state of a saved workspace cache, read past the format
+    header line and the payload's SHA-256."""
+    payload = Path(path).read_bytes().partition(b"\n")[2][hashlib.sha256().digest_size:]
+    return pickle.loads(payload)

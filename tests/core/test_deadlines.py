@@ -393,7 +393,7 @@ def test_wall_budget_unknowns_are_rerun_in_process_and_after_a_load(tmp_path):
     # ...and both the live and the loaded tracker re-run exactly the
     # time-bound groups once the budget is lifted; nothing else.
     ws.wall_budget_s = None
-    loaded = Workspace.load(path, config=config, ghosts=(ghost,))
+    loaded = Workspace.load(path, config, (ghost,))
     for workspace in (ws, loaded):
         report = workspace.verify(prop, invariants)
         assert report.passed
@@ -449,7 +449,9 @@ def test_a_loaded_workspace_runs_under_the_limits_it_was_opened_with(tmp_path):
     with Workspace(config, ghosts=(ghost,)) as ws:
         assert ws.verify(prop, invariants).passed
         ws.save(path)
-    loaded = Workspace.load(path, parallel=2, deadline_s=0.2, wall_budget_s=60.0)
+    loaded = Workspace.load(
+        path, config, (ghost,), parallel=2, deadline_s=0.2, wall_budget_s=60.0
+    )
     assert (loaded.parallel, loaded.deadline_s, loaded.wall_budget_s) == (2, 0.2, 60.0)
     # ...and they bite: an edit to R3 re-runs its group, where a check hangs.
     edited = build_full_mesh(4)
@@ -459,7 +461,7 @@ def test_a_loaded_workspace_runs_under_the_limits_it_was_opened_with(tmp_path):
     loaded.apply(edited)
     (entry,) = loaded.reverify()
     assert "timeout" in entry.last_result.report.unknown_reason_counts
-    spent = Workspace.load(path, wall_budget_s=1e-9)
+    spent = Workspace.load(path, config, (ghost,), wall_budget_s=1e-9)
     spent.apply(edited)
     assert set(spent.reverify()[0].last_result.report.unknown_reason_counts) == {
         "wall-budget"
@@ -496,7 +498,7 @@ def test_conflict_budget_unknowns_are_reused(tmp_path):
 
     path = tmp_path / "workspace.lyc"
     ws.save(path)
-    loaded = Workspace.load(path, conflict_budget=1)
+    loaded = Workspace.load(path, wan.config, (problem.ghost,), conflict_budget=1)
     for workspace in (ws, loaded):
         again = workspace.verify(problem.properties[0], problem.invariants)
         assert workspace.entries[0].last_result.checks_consulted == 0

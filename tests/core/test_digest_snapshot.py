@@ -12,7 +12,6 @@ not as it was edited in place afterwards.
 
 from __future__ import annotations
 
-import pickle
 
 import pytest
 
@@ -27,7 +26,7 @@ from repro.core.incremental import config_digests
 from repro.core.workspace import Workspace, WorkspaceCacheMismatch
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
-from tests.core.conftest import mesh_no_transit
+from tests.core.conftest import mesh_no_transit, saved_state
 
 N = 5
 
@@ -99,9 +98,9 @@ def test_an_in_place_edit_after_verify_is_not_what_gets_saved(tmp_path):
     path = tmp_path / "workspace.lyc"
     ws.save(path)
     with pytest.raises(WorkspaceCacheMismatch, match="policy digests differ"):
-        Workspace.load(path, config=config, ghosts=(ghost,))
+        Workspace.load(path, config, (ghost,))
     # The configuration as handed over still opens it.
-    assert Workspace.load(path, config=build_full_mesh(N), ghosts=(ghost,)).entries
+    assert Workspace.load(path, build_full_mesh(N), (ghost,)).entries
 
 
 def test_saved_digests_are_those_of_the_configuration_handed_over(tmp_path):
@@ -115,7 +114,7 @@ def test_saved_digests_are_those_of_the_configuration_handed_over(tmp_path):
     assert config_digests(config) != expected
     path = tmp_path / "workspace.lyc"
     ws.save(path)
-    saved = pickle.loads(path.read_bytes())
+    saved = saved_state(path)
     assert saved["config_digests"] == expected
     assert saved["entries"][0]["state"]["digests"] == expected
 

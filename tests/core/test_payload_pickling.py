@@ -16,7 +16,6 @@ context, the chunked checks, the outcomes) and everything
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 import multiprocessing
 import pickle
@@ -68,6 +67,7 @@ from tests.core.conftest import (
     no_transit_property,
     run_batch,
     safety_pieces,
+    saved_state,
 )
 
 
@@ -178,7 +178,7 @@ def corpus(tmp_path_factory):
     ).passed
     path = tmp_path_factory.mktemp("ws") / "workspace.lyc"
     workspace.save(path)
-    state = pickle.loads(path.read_bytes()[: -hashlib.sha256().digest_size])
+    state = saved_state(path)
     (entry,) = state["entries"]
     group = next(g for g in entry["state"]["groups"].values() if g.kept)
     failure = next(o.failure for o in group.kept.values() if o.failure is not None)

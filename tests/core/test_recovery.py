@@ -171,9 +171,7 @@ def test_exception_in_check_propagates_and_pool_survives():
     _assert_no_leaked_children()
 
 
-def test_cli_killed_worker_exits_degraded_with_the_same_verdict(
-    tmp_path, capsys, monkeypatch
-):
+def test_cli_killed_worker_exits_degraded_with_the_same_verdict(tmp_path, capsys):
     from tests.core.test_deadlines import CONFIG_TEXT, SPEC_JSON
 
     config = tmp_path / "network.cfg"
@@ -189,9 +187,7 @@ def test_cli_killed_worker_exits_degraded_with_the_same_verdict(
     clean = capsys.readouterr().out
     assert "degraded execution" not in clean
 
-    # Through the environment, the way a chaos run of the real CLI sets it.
-    monkeypatch.setenv("REPRO_FAULTS", "kill_in_check_match=import check at R1")
-    faults.reset()
+    faults.install(FaultPlan(kill_in_check_match="import check at R1"))
     with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
         code = main(["verify", str(config), str(spec), "--jobs", "2"])
     assert code == EXIT_DEGRADED

@@ -11,9 +11,8 @@ That a workspace's reports are the hermetic ones — after ``verify``,
   only the owner groups the edit invalidated;
 * ``save``/``load`` round-trips the outcome cache: a loaded workspace
   skips the base run, consults exactly what the saved one would, and
-  persists no solver state, while a config/ghost/budget mismatch or a
-  damaged, foreign or future file is rejected loudly (the file-level
-  damage cases are ``tests/test_cache_corruption.py``);
+  persists no solver state (what it refuses is ``tests/test_cache.py``'s
+  table);
 * what ``save`` writes has the shape ``cache-shape.json`` records for
   ``CACHE_FORMAT``, so a persisted shape changes only with a format bump.
 """
@@ -21,16 +20,13 @@ That a workspace's reports are the hermetic ones — after ``verify``,
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-import pickle
 import time
-import zlib
 from pathlib import Path
 
 import pytest
 
-from repro.core.workspace import CACHE_FORMAT, Workspace, WorkspaceCacheMismatch
+from repro.core.workspace import CACHE_FORMAT, Workspace
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
@@ -42,6 +38,7 @@ from tests.core.conftest import (
     no_transit_property,
     owner_check_count,
     reverify,
+    saved_state,
 )
 
 
@@ -63,7 +60,6 @@ def test_verify_dispatches_on_property_type(fig1_config, from_isp1):
     assert hasattr(liveness, "interference_reports")  # §5 pipeline ran
     assert not hasattr(safety, "interference_reports")  # §4 pipeline ran
     assert [e.kind for e in ws.entries] == ["safety", "liveness"]
-    assert ws.stats.num_checks == safety.num_checks + liveness.num_checks
 
 
 def test_verify_rejects_non_properties(fig1_config):
@@ -103,21 +99,15 @@ def test_repeat_verify_consults_nothing(fig1_config, from_isp1):
     assert oracle.listing(first, witness=True) == oracle.listing(second, witness=True)
 
 
-def test_different_budget_registers_a_separate_entry(fig1_config, from_isp1):
+def test_a_workspace_has_one_budget_and_no_per_call_override(fig1_config, from_isp1):
     prop, inv = no_transit_property(), no_transit_invariants(fig1_config)
     ws = Workspace(fig1_config, ghosts=(from_isp1,), conflict_budget=123)
     ws.verify(prop, inv)
-    (entry,) = ws.entries
-    assert entry.tracker.state_dict()["conflict_budget"] == 123
-    # One workspace, one budget: there is no per-call override to drop.
     with pytest.raises(TypeError):
         ws.verify(prop, inv, conflict_budget=5)
     with pytest.raises(TypeError):
         ws.entry(prop, inv, conflict_budget=123)
-    # The budget is still part of an entry's identity.
-    unlimited = Workspace(fig1_config, ghosts=(from_isp1,))
-    unlimited.verify(prop, inv)
-    assert unlimited.entries[0].fingerprint != entry.fingerprint
+    assert ws.entry(prop, inv) is ws.entries[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +169,7 @@ def test_save_load_roundtrip_noop(tmp_path, fig1_config, from_isp1):
     )
     original = [oracle.listing(e.report, witness=True) for e in ws.entries]
 
-    loaded = Workspace.load(path, config=build_figure1(), ghosts=(from_isp1,))
+    loaded = Workspace.load(path, build_figure1(), (from_isp1,))
     assert [e.kind for e in loaded.entries] == ["safety", "liveness"]
     entries = loaded.reverify()
     # Nothing changed: every cached outcome is reused without consultation.
@@ -197,70 +187,12 @@ def test_load_then_edit_consults_only_the_owner(tmp_path, fig1_config, from_isp1
         (from_isp1,),
         (no_transit_property(), no_transit_invariants(fig1_config)),
     )
-    loaded = Workspace.load(path, config=build_figure1(), ghosts=(from_isp1,))
+    loaded = Workspace.load(path, build_figure1(), (from_isp1,))
     assert not loaded.sessions.answers  # the query memo is never persisted
     loaded.apply(_edit_r3(build_figure1()))
     (entry,) = loaded.reverify()
     assert entry.last_result.checks_consulted == 6  # R3's group only
     assert entry.last_result.cached_checks == 13
-
-
-def test_load_rejects_config_digest_mismatch(tmp_path, fig1_config, from_isp1):
-    __, path = _saved_workspace(
-        tmp_path,
-        fig1_config,
-        (from_isp1,),
-        (no_transit_property(), no_transit_invariants(fig1_config)),
-    )
-    with pytest.raises(WorkspaceCacheMismatch):
-        Workspace.load(path, config=_edit_r3(build_figure1()), ghosts=(from_isp1,))
-
-
-def test_load_rejects_ghost_mismatch(tmp_path, fig1_config, from_isp1):
-    from repro.bgp.topology import Edge
-    from repro.lang.ghost import GhostAttribute
-
-    __, path = _saved_workspace(
-        tmp_path,
-        fig1_config,
-        (from_isp1,),
-        (no_transit_property(), no_transit_invariants(fig1_config)),
-    )
-    other = GhostAttribute.source_tracker(
-        "FromISP2", build_figure1().topology, [Edge("ISP2", "R2")]
-    )
-    with pytest.raises(WorkspaceCacheMismatch):
-        Workspace.load(path, config=build_figure1(), ghosts=(other,))
-
-
-def test_load_adopts_the_saved_budget_and_rejects_another(tmp_path, fig1_config, from_isp1):
-    prop, inv = no_transit_property(), no_transit_invariants(fig1_config)
-    ws = Workspace(fig1_config, ghosts=(from_isp1,), conflict_budget=7)
-    ws.verify(prop, inv)
-    path = tmp_path / "workspace.lyc"
-    ws.save(path)
-    # Like config and ghosts: defaults to the saved value, must match if given.
-    for loaded in (Workspace.load(path), Workspace.load(path, conflict_budget=7)):
-        assert loaded.conflict_budget == 7
-        assert loaded.entry(prop, inv) is not None
-        assert loaded.entries[0].fingerprint == ws.entries[0].fingerprint
-        loaded.verify(prop, inv)
-        assert loaded.entries[0].last_result.checks_consulted == 0
-    with pytest.raises(WorkspaceCacheMismatch, match="conflict budget"):
-        Workspace.load(path, conflict_budget=8)
-
-    # A format-5 file written when the budget was per call can hold entries
-    # decided under different budgets.  One workspace runs under one, so
-    # the file is refused — with a message, with or without a budget.
-    state = pickle.loads(path.read_bytes())
-    second = pickle.loads(pickle.dumps(state["entries"][0]))
-    second["state"]["conflict_budget"] = None
-    state["entries"].append(second)
-    payload = pickle.dumps(state)
-    path.write_bytes(payload + hashlib.sha256(payload).digest())
-    for budget in (None, 7):
-        with pytest.raises(WorkspaceCacheMismatch, match=r"budget\(s\) \[7, None\]"):
-            Workspace.load(path, conflict_budget=budget)
 
 
 @pytest.mark.parametrize("kind", ["safety", "liveness"])
@@ -270,9 +202,9 @@ def test_a_loaded_tracker_reverifies_like_the_saved_one(kind, tmp_path):
     ws.verify(problem.prop, problem.invariants)
     path = tmp_path / "workspace.lyc"
     ws.save(path)
-    loaded = Workspace.load(path, config=build_full_mesh(5), ghosts=ghosts)
+    loaded = Workspace.load(path, build_full_mesh(5), ghosts)
     with pytest.raises(TypeError):
-        Workspace.load(path, sessions=None)  # a workspace owns its pool
+        Workspace.load(path, build_full_mesh(5), ghosts, sessions=None)  # a workspace owns its pool
 
     # R2 sits on the liveness witness path and owns safety checks too; the
     # bogon deny makes a liveness propagation check fail.
@@ -291,8 +223,7 @@ def test_a_loaded_tracker_reverifies_like_the_saved_one(kind, tmp_path):
 MANIFEST = Path(__file__).resolve().parents[2] / "cache-shape.json"
 # Dataclasses the saved cache below must keep reaching.
 PERSISTED_TYPES = (
-    "GroupOutcomes", "LocalCheck", "CheckOutcome", "CheckFailure", "SolverStats",
-    "SatStats", "GhostAttribute", "NeighborConfig", "RouterConfig",
+    "GroupOutcomes", "LocalCheck", "CheckOutcome", "CheckFailure", "SolverStats", "SatStats",
 )
 
 
@@ -326,11 +257,12 @@ def test_the_saved_cache_has_the_shape_its_format_records(tmp_path):
     assert set(ws.verify(no_transit_property()).unknown_reason_counts) == {"wall-budget"}
     ws.save(tmp_path / "workspace.lyc")
 
-    state = pickle.loads((tmp_path / "workspace.lyc").read_bytes())
+    assert (tmp_path / "workspace.lyc").read_bytes().startswith(b"lightyear-cache %d\n" % CACHE_FORMAT)
+    state = saved_state(tmp_path / "workspace.lyc")
     shapes = {"save:state": sorted(state)}
     for doc in state["entries"]:
         shapes[f"state_dict:{doc['kind']}"] = sorted(doc["state"])
-    shapes.update(_dataclass_shapes(state, pickle.loads(zlib.decompress(state["config"]))))
+    shapes.update(_dataclass_shapes(state))
     assert {f"dataclass:{name}" for name in PERSISTED_TYPES} <= set(shapes)
     assert state["entries"][-1]["state"]["time_bound"]
 

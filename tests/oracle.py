@@ -467,7 +467,7 @@ COSTLY = {
         "fullmesh5-liveness-grown": "a topology change after a load: nothing is reused",
         "fullmesh4-asn-planted": "an external-ASN edit after a load: nothing is reused",
         "figure1-liveness-planted": "sub-proof groups restored and re-run at their owner",
-        "policy-diverse-1-planted": "a route map per session, restored from the nested configuration",
+        "policy-diverse-1-planted": "a route map per session, each restored and re-digested",
     },
 }
 
@@ -530,14 +530,14 @@ def tracker(case: Case):
 
 def reloaded(case: Case):
     """A workspace verifies ``case.base()`` and is saved; the one loaded
-    from the file (configuration included), on two workers, applies the
+    from the file for a freshly built base, on two workers, applies the
     case and re-verifies (a multi-owner reverify is a process map)."""
     ghosts, problem = case.problem(case.base())
     workspace = Workspace(case.base(), ghosts=ghosts)
     workspace.verify(problem.prop, problem.invariants)
     with tempfile.TemporaryDirectory() as tmp:
         workspace.save(Path(tmp) / "workspace.lyc")
-        workspace = Workspace.load(Path(tmp) / "workspace.lyc", ghosts=ghosts, parallel=2)
+        workspace = Workspace.load(Path(tmp) / "workspace.lyc", case.base(), ghosts, parallel=2)
     workspace.apply(case.config())
     (entry,) = workspace.reverify()
     return accounted(entry.last_result)
