@@ -64,20 +64,16 @@ def main() -> None:
 
     workspace = Workspace(config, ghosts=(from_isp1,))
     report = workspace.verify(prop, invariants)
-    (entry,) = workspace.entries
-    print(
-        f"initial run:    {entry.last_result.rerun_checks} checks run, "
-        f"passed={report.passed}"
-    )
+    print(f"initial run:    {report.rerun_checks} checks run, passed={report.passed}")
 
-    # Benign edit: only R3's owner group is consulted.
+    # Benign edit: only R3's owner group is re-run.
     workspace.apply(edited_figure1())
     (entry,) = workspace.reverify()
-    result = entry.last_result
+    report = entry.report
     print(
-        f"benign edit:    {result.rerun_checks} checks re-run, "
-        f"{result.cached_checks} reused ({result.reuse_fraction:.0%}), "
-        f"passed={result.report.passed}"
+        f"benign edit:    {report.rerun_checks} checks re-run, "
+        f"{report.reused_checks} reused ({report.reused_checks / report.num_checks:.0%}), "
+        f"passed={report.passed}"
     )
 
     # Breaking edit: R2 strips the tracking community on iBGP import.
@@ -87,22 +83,18 @@ def main() -> None:
     )
     workspace.apply(broken)
     (entry,) = workspace.reverify()
-    result = entry.last_result
+    report = entry.report
     print(
-        f"breaking edit:  {result.rerun_checks} checks re-run, "
-        f"{result.cached_checks} reused, passed={result.report.passed}"
+        f"breaking edit:  {report.rerun_checks} checks re-run, "
+        f"{report.reused_checks} reused, passed={report.passed}"
     )
-    for failure in result.report.failures:
+    for failure in report.failures:
         print("  " + failure.explain().splitlines()[0])
 
     # Revert.
     workspace.apply(build_figure1())
     (entry,) = workspace.reverify()
-    result = entry.last_result
-    print(
-        f"revert:         {result.rerun_checks} checks re-run, "
-        f"passed={result.report.passed}"
-    )
+    print(f"revert:         {entry.report.rerun_checks} checks re-run, passed={entry.report.passed}")
 
     # The outcome cache survives on disk: a fresh workspace (think: a new
     # process — this is exactly `lightyear reverify --cache`) loads it,
@@ -113,13 +105,12 @@ def main() -> None:
         loaded = Workspace.load(cache, build_figure1(), (from_isp1,))
         loaded.apply(edited_figure1())
         (entry,) = loaded.reverify()
-        result = entry.last_result
+        report = entry.report
         print(
-            f"cache reload:   {result.checks_consulted} checks consulted "
-            f"after load+edit (of {result.rerun_checks + result.cached_checks}), "
-            f"passed={result.report.passed}"
+            f"cache reload:   {report.rerun_checks} checks consulted "
+            f"after load+edit (of {report.num_checks}), passed={report.passed}"
         )
-        assert result.checks_consulted == result.rerun_checks == 6
+        assert report.rerun_checks == 6
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ class LocalOnlyChecker:
     def run(self) -> LocalOnlyResult:
         start = time.perf_counter()
         predicates = [c.assumption for c in self._checks] + [c.goal for c in self._checks]
-        universe = build_universe(self.config, None, predicates, self.ghosts)
+        universe = build_universe(self.config, predicates, self.ghosts)
         outcomes = [
             check.run(self.config, universe, self.ghosts) for check in self._checks
         ]

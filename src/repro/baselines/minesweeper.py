@@ -42,7 +42,6 @@ from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
 from repro.lang.symroute import PATHLEN_WIDTH, PREF_WIDTH, MED_WIDTH, SymbolicRoute
 from repro.lang.transfer import transfer_export, transfer_import
-from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import SolverStats
 from repro.smt.terms import Term
 
@@ -84,20 +83,16 @@ class MinesweeperVerifier:
         self,
         config: NetworkConfig,
         ghosts: tuple[GhostAttribute, ...] = (),
-        universe: AttributeUniverse | None = None,
     ) -> None:
         self.config = config
         self.ghosts = tuple(ghosts)
-        self._universe = universe
 
     # ------------------------------------------------------------------
 
     def _encode(self, prop: SafetyProperty) -> tuple[smt.Solver, dict[Edge, SymbolicRoute], dict[str, SymbolicRoute]]:
         config = self.config
         topo = config.topology
-        universe = self._universe or build_universe(
-            config, None, [prop.predicate], self.ghosts
-        )
+        universe = build_universe(config, [prop.predicate], self.ghosts)
         solver = smt.Solver()
 
         # One route record and sent-flag per directed edge.  Routes model a

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import NoReturn
 
@@ -177,12 +176,12 @@ def _parse_seconds(value: str) -> float:
 
 
 def _spec_problems(spec, topology) -> list[tuple]:
-    """The spec's problems as (prop, invariants, interference) triples."""
+    """The spec's problems as (prop, invariants) pairs."""
     problems: list[tuple] = []
     for sspec in spec.safety:
-        problems.append((sspec.property, sspec.build_invariants(topology), None))
+        problems.append((sspec.property, sspec.build_invariants(topology)))
     for prop in spec.liveness:
-        problems.append((prop, None, None))
+        problems.append((prop, None))
     return problems
 
 
@@ -207,28 +206,27 @@ def _open_workspace(
     wrong problem.  The deadlines are execution parameters, not part of
     the cache identity.
     """
+    # One wall budget for the whole invocation: the workspace fixes one
+    # absolute deadline when it is opened, so it spans every property (and
+    # a reverify's base run), not each run separately.
     limits = dict(
-        parallel=args.jobs, conflict_budget=args.budget, deadline_s=args.deadline
+        parallel=args.jobs,
+        conflict_budget=args.budget,
+        deadline_s=args.deadline,
+        wall_budget_s=args.wall_budget,
     )
     loaded = cache_path is not None and cache_path.exists()
     if not loaded:
         workspace = Workspace(config, ghosts=ghosts, **limits)
     else:
         workspace = Workspace.load(cache_path, config, ghosts, **limits)
-        for prop, invariants, interference in problems:
-            if workspace.entry(
-                prop, invariants, interference_invariants=interference
-            ) is None:
+        for prop, invariants in problems:
+            if workspace.entry(prop, invariants) is None:
                 raise WorkspaceCacheMismatch(
                     f"workspace cache at {cache_path} does not cover this spec "
                     f"(no cached outcomes for {prop}); delete the cache or rerun "
                     f"without --cache"
                 )
-    if args.wall_budget is not None:
-        # One budget for the whole invocation: pin a single absolute
-        # deadline so it spans every property (and a reverify's base run),
-        # not each run separately.
-        workspace.set_run_deadline(time.monotonic() + args.wall_budget)
     return workspace, loaded
 
 
@@ -241,17 +239,17 @@ def _reports_exit_code(reports) -> int:
     if any(report.failures for report in reports):
         return 1
     for report in reports:
-        degradation = getattr(report, "degradation", None)
-        if report.unknowns or (degradation is not None and degradation.degraded()):
+        if report.unknowns or report.degradation.degraded():
             return EXIT_DEGRADED
     return 0
 
 
-def _consulted_line(result, label: str = "reverify") -> str:
-    total = result.rerun_checks + result.cached_checks
+def _consulted_line(report, label: str = "reverify") -> str:
+    # A run consults exactly the checks it re-runs: reused groups are
+    # taken whole, never inspected check by check.
     return (
-        f"  {label}: consulted {result.checks_consulted} of {total} checks "
-        f"({result.rerun_checks} re-run, {result.cached_checks} reused)"
+        f"  {label}: consulted {report.rerun_checks} of {report.num_checks} checks "
+        f"({report.rerun_checks} re-run, {report.reused_checks} reused)"
     )
 
 
@@ -271,17 +269,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     reran = False
     with workspace:
-        for prop, invariants, interference in problems:
-            report = workspace.verify(
-                prop, invariants, interference_invariants=interference
-            )
+        for prop, invariants in problems:
+            report = workspace.verify(prop, invariants)
             print(format_report(report, verbose=args.verbose))
             if loaded:
-                entry = workspace.entry(
-                    prop, invariants, interference_invariants=interference
-                )
-                print(_consulted_line(entry.last_result, "cache"))
-                reran = reran or entry.last_result.rerun_checks > 0
+                print(_consulted_line(report, "cache"))
+                reran = reran or report.rerun_checks > 0
             print()
             reports.append(report)
         # A loaded cache is rewritten only if this run repaired it: the
@@ -337,10 +330,8 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
         if loaded:
             print(f"cache: loaded base outcomes from {cache_path} (base run skipped)")
         else:
-            for prop, invariants, interference in problems:
-                report = workspace.verify(
-                    prop, invariants, interference_invariants=interference
-                )
+            for prop, invariants in problems:
+                report = workspace.verify(prop, invariants)
                 if args.verbose:
                     print(f"base: {report.summary(verbose=True)}")
             if cache_path is not None:
@@ -352,17 +343,13 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
         # Only the spec's entries: a loaded cache may hold more properties
         # than this invocation asked about, and those must not leak into
         # the output or the exit code.
-        selected = [
-            workspace.entry(prop, invariants, interference_invariants=interference)
-            for prop, invariants, interference in problems
-        ]
+        selected = [workspace.entry(prop, invariants) for prop, invariants in problems]
         workspace.apply(edited)
         for entry in workspace.reverify(selected):
-            result = entry.last_result
-            print(format_report(result.report, verbose=args.verbose))
-            print(_consulted_line(result))
+            print(format_report(entry.report, verbose=args.verbose))
+            print(_consulted_line(entry.report))
             print()
-            reports.append(result.report)
+            reports.append(entry.report)
     return _reports_exit_code(reports)
 
 

@@ -12,14 +12,19 @@ incremental ``apply``/``reverify``, and an on-disk outcome cache
     report = ws.verify(prop, invariants)   # SafetyProperty or LivenessProperty
     assert report.passed
 
-There are two layers, and neither wraps the other.  The free functions
-``verify_safety``/``verify_liveness`` build a problem and hand it to the
-one-shot driver (:func:`repro.core.safety.run_problem`): stateless —
-generate every check, run it, report.  ``Workspace`` is the stateful
-layer over the same problem builders and scheduler, and its incremental
-tracker (:mod:`repro.core.incremental`) is held to the one-shot driver by
-the test suite's equivalence oracle (``tests/oracle.py``).  How a run
-executes (worker processes, budgets, deadlines, session pool) is an
+Every run of every property kind returns one
+:class:`VerificationReport`: the proof's sections (the §4 checks; or the
+§5 propagation checks, one safety sub-proof per path router and the
+final implication), each a list of outcome groups, plus how many checks
+were re-run and how many reused.  There are two layers, and neither
+wraps the other.  The free functions ``verify_safety``/``verify_liveness``
+build a problem and hand it to the one-shot driver
+(:func:`repro.core.safety.run_problem`): stateless — generate every
+check, run it, report.  ``Workspace`` is the stateful layer over the same
+problem builders and scheduler, and its incremental tracker
+(:mod:`repro.core.incremental`) is held to the one-shot driver by the
+test suite's equivalence oracle (``tests/oracle.py``).  How a run
+executes (worker processes, budgets, deadlines) is an
 :class:`repro.core.exec.ExecutionContext`: the ``context=`` of a free
 function, or the workspace itself.
 
@@ -36,8 +41,8 @@ from repro.core.properties import (
 )
 from repro.core.checks import CheckKind, CheckOutcome, LocalCheck
 from repro.core.counterexample import CheckFailure
-from repro.core.safety import SafetyReport, verify_safety
-from repro.core.liveness import LivenessReport, verify_liveness
+from repro.core.safety import verify_safety
+from repro.core.liveness import verify_liveness
 from repro.core.report import VerificationReport, format_report
 from repro.core.workspace import (
     Workspace,
@@ -45,7 +50,6 @@ from repro.core.workspace import (
     WorkspaceCacheMismatch,
     WorkspaceEntry,
 )
-from repro.core.incremental import IncrementalResult
 
 __all__ = [
     "InvariantMap",
@@ -56,9 +60,7 @@ __all__ = [
     "CheckOutcome",
     "LocalCheck",
     "CheckFailure",
-    "SafetyReport",
     "verify_safety",
-    "LivenessReport",
     "verify_liveness",
     "VerificationReport",
     "format_report",
@@ -66,5 +68,4 @@ __all__ = [
     "WorkspaceCacheError",
     "WorkspaceCacheMismatch",
     "WorkspaceEntry",
-    "IncrementalResult",
 ]

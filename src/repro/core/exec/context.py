@@ -1,13 +1,16 @@
-"""Execution context: the bundled substrate every verification path shares.
+"""Execution context: how a verification run executes, fixed when opened.
 
-An :class:`ExecutionContext` is the only carrier of *how* to run: the
-owner-keyed :class:`SessionPool`, the requested worker-process count, the
-conflict budget, the per-check deadline and the wall budget.  Nothing
-above :meth:`repro.core.exec.scheduler.Scheduler.run` takes any of these
-as a parameter — a one-shot function takes ``context=``, a
-:class:`repro.core.workspace.Workspace` *is* one (it inherits this
-class), and the scheduler reads every limit from the context it is bound
-to, so a limit set here cannot be dropped on the way down.
+An :class:`ExecutionContext` is the only carrier of *how* to run: its
+owner-keyed :class:`SessionPool` (always its own), the requested
+worker-process count, the conflict budget, the per-check deadline and
+one absolute wall deadline (``run_deadline``, fixed from
+``wall_budget_s`` when the context is opened, so a budget spans every run
+on it).  Nothing above :meth:`repro.core.exec.scheduler.Scheduler.run`
+takes any of these as a parameter — a one-shot function takes
+``context=``, a :class:`repro.core.workspace.Workspace` *is* one (it
+inherits this class), and the scheduler reads every limit from the
+context it is bound to, so a limit set here cannot be dropped on the way
+down.
 
 There is no backend selection to do here: ``parallel`` resolving to more
 than one job means the per-batch process map for batches that span more
@@ -76,16 +79,17 @@ def resolve_jobs(parallel: int | str | None) -> int:
 class ExecutionContext:
     """Session pool, job count and budgets for workspaces and the scheduler.
 
-    Holds an owner-keyed :class:`SessionPool`: a fresh one, or the one
-    passed as ``sessions=``.  Handing the same context to several one-shot
-    calls is how they share encodings and the query memo.
+    ``wall_budget_s`` is spent from the moment the context is opened:
+    every run checks against the one absolute ``run_deadline`` it fixes
+    (``None`` without a budget), so one budget spans every run.  Handing
+    the same context to several one-shot calls is how they share its
+    ``sessions`` — encodings and the query memo — and its budgets.
     """
 
     def __init__(
         self,
         parallel: int | str | None = None,
         conflict_budget: int | None = None,
-        sessions: SessionPool | None = None,
         deadline_s: float | None = None,
         wall_budget_s: float | None = None,
     ) -> None:
@@ -93,11 +97,11 @@ class ExecutionContext:
         self.parallel = parallel
         self.conflict_budget = conflict_budget
         self.deadline_s = deadline_s
-        self.wall_budget_s = wall_budget_s
-        # An absolute time.monotonic() deadline pinned across runs by
-        # :meth:`set_run_deadline`; None = derive one per run.
-        self._pinned_deadline: float | None = None
-        self.sessions = sessions if sessions is not None else SessionPool()
+        # An absolute time.monotonic() deadline; None = no wall budget.
+        self.run_deadline = (
+            None if wall_budget_s is None else time.monotonic() + wall_budget_s
+        )
+        self.sessions = SessionPool()
         self._fallback_warned = False
 
     # -- degradation reporting -----------------------------------------
@@ -130,29 +134,3 @@ class ExecutionContext:
             )
         if degradation is not None:
             degradation.record_fallback(reason)
-
-    # -- run deadlines --------------------------------------------------
-
-    def set_run_deadline(self, deadline: float | None) -> None:
-        """Pin an absolute ``time.monotonic()`` deadline across runs.
-
-        Until cleared (pass ``None``), every run checks against this
-        single deadline instead of deriving a fresh one from
-        ``wall_budget_s`` — how one ``--wall-budget`` spans all the
-        properties of one CLI invocation.
-        """
-        self._pinned_deadline = deadline
-
-    def begin_run_deadline(self) -> float | None:
-        """The deadline the run now starting must enforce.
-
-        The pinned deadline if there is one; otherwise a fresh
-        ``now + wall_budget_s`` (or ``None`` without a budget).  Called
-        by :meth:`Scheduler.run` and nowhere else, so a run is exactly
-        one batch.
-        """
-        if self._pinned_deadline is not None:
-            return self._pinned_deadline
-        if self.wall_budget_s is None:
-            return None
-        return time.monotonic() + self.wall_budget_s

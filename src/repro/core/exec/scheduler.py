@@ -73,7 +73,7 @@ class Scheduler:
         outcomes.
         """
         context = self.context
-        run_deadline = context.begin_run_deadline()
+        run_deadline = context.run_deadline
         ghosts = unique_ghosts(ghosts)
         flat = [check for checks in groups.values() for check in checks]
         outcomes: list["CheckOutcome"] | None = None

@@ -1,4 +1,5 @@
-"""Incremental re-verification: only re-check what a config change touches.
+"""Incremental re-verification (§7): re-run only the proof sections an
+edit touches, reuse the rest.
 
 Every local check reads a single router's policy (§4.2), and a §5
 liveness proof is nothing but propagation checks plus §4 safety
@@ -15,18 +16,17 @@ claim; the ablation benchmark measures the saving.
 :class:`PropertyTracker` is that rule, written once.  Its cache is an
 **owner index** — ``(*section, owner) →``
 :class:`~repro.core.report.GroupOutcomes`, results only: checks are a pure
-function of ``(problem, config, owner)`` — where a safety property has the
-single section ``("safety",)`` and a liveness property has ``("prop",)``,
-``("impl",)`` and one ``("sub", router)`` per path router.  What differs
-between the kinds lives in a small *problem builder* beside the pipeline it describes
+function of ``(problem, config, owner)`` — over the section keys of
+:mod:`repro.core.report`.  What differs between the kinds lives in a
+small *problem builder* beside the pipeline it describes
 (:class:`repro.core.safety.SafetyProblem`,
 :class:`repro.core.liveness.LivenessProblem`; the :class:`Problem`
-protocol below): the predicates its universe must cover, check
-generation per section — in full, or restricted to some owners — and
-report assembly.  A run compares per-router digests (O(routers)) and then
-touches only the invalidated owners' groups:
-``IncrementalResult.checks_consulted`` counts the checks a run actually
-examined, and a single-router edit consults exactly that router's groups.
+protocol below): the property a report names, the predicates its
+universe must cover, and check generation per section — in full, or
+restricted to some owners.  A run compares per-router digests
+(O(routers)), re-runs only the invalidated owners' groups and returns the
+same :class:`~repro.core.report.VerificationReport` a one-shot run does,
+with ``reused_checks`` counting what it took from the index.
 
 Change detection covers more than router policies: the digest map carries
 a **network-level** entry (:data:`NETWORK_DIGEST_KEY`) derived from
@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Protocol, Sequence, TypeVar
+from typing import Any, Protocol, Sequence
 
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import LocalCheck, group_checks_by_owner
@@ -148,26 +147,25 @@ def diff_digests(old: dict, new: dict) -> set:
     return changed
 
 
-#: One part of a proof: ``("safety",)``, ``("prop",)``, ``("impl",)`` or
-#: ``("sub", router)``.  A scheduler group key is ``(*section, owner)``.
+#: One part of a proof: a section key of :mod:`repro.core.report`.  A
+#: scheduler group key is ``(*section, owner)``.
 Section = tuple
 
 
-R_co = TypeVar("R_co", bound=VerificationReport, covariant=True)
-
-
-class Problem(Protocol[R_co]):
+class Problem(Protocol):
     """What a driver needs to know about one property kind.
 
     ``prop`` and ``invariants`` are the two constructor arguments (the
     user's invariant map for safety, the optional interference-invariant
     dict for liveness); the tracker persists them verbatim and
-    ``Workspace.load`` rebuilds the builder from them.
+    ``Workspace.load`` rebuilds the builder from them.  ``property`` is
+    the property a report of the problem names.
     """
 
     kind: str
     prop: Any
     invariants: Any
+    property: Any
 
     def predicates(self) -> list[Predicate]:
         """Every predicate a check of this problem can mention — what the
@@ -180,35 +178,6 @@ class Problem(Protocol[R_co]):
         """Every section's checks — or, with ``owners``, only the checks
         those routers own (sections owning none may be omitted)."""
         ...
-
-    def report(
-        self,
-        groups: dict[Section, list[GroupOutcomes]],
-        wall_time_s: float,
-        degradation: DegradationReport,
-    ) -> R_co:
-        """Assemble the pipeline's report from per-section outcome groups."""
-        ...
-
-
-@dataclass
-class IncrementalResult:
-    """A (re-)verification outcome plus cache accounting."""
-
-    report: VerificationReport
-    rerun_checks: int
-    cached_checks: int
-    # Checks whose cache entries this run individually examined or wrote.
-    # This equals ``rerun_checks`` *by design* — cached groups are reused
-    # wholesale, never inspected per-check — and that equality is the
-    # O(changed-owner) claim: the pre-index digest walk examined every
-    # cached check on every run.
-    checks_consulted: int = 0
-
-    @property
-    def reuse_fraction(self) -> float:
-        total = self.rerun_checks + self.cached_checks
-        return self.cached_checks / total if total else 0.0
 
 
 def _by_group_key(
@@ -361,7 +330,7 @@ class PropertyTracker:
 
     def run(
         self, config: NetworkConfig, snapshot: ConfigSnapshot | None = None
-    ) -> IncrementalResult:
+    ) -> VerificationReport:
         """(Re-)verify against ``config``, reusing everything still valid;
         ``snapshot`` is its :class:`ConfigSnapshot` if the caller holds one."""
         start = time.perf_counter()
@@ -387,9 +356,7 @@ class PropertyTracker:
         # across sections.
         stale = self._stale_checks(config, changed, everything)
         if self._universe is None or changed or network_changed:
-            universe = build_universe(
-                config, None, self.problem.predicates(), self.ghosts
-            )
+            universe = build_universe(config, self.problem.predicates(), self.ghosts)
             if universe != self._universe:
                 # Adopt only on content change; an equal universe keeps the
                 # existing object so downstream value-keyed caches stay warm.
@@ -423,12 +390,9 @@ class PropertyTracker:
             if group.checks is None:  # restored from a cache, not listed yet
                 missing[key] = group
                 group.regenerate = regenerate
-        elapsed = time.perf_counter() - start
-        report = self.problem.report(by_section, elapsed, degradation)
         rerun = sum(len(checks) for checks in stale.values())
-        return IncrementalResult(
-            report=report,
-            rerun_checks=rerun,
-            cached_checks=report.num_checks - rerun,
-            checks_consulted=rerun,
+        reused = sum(len(group.stats) for group in self._groups.values()) - rerun
+        elapsed = time.perf_counter() - start
+        return VerificationReport(
+            self.problem.property, by_section, elapsed, degradation, reused
         )

@@ -34,7 +34,7 @@ from repro.bgp.route import Community
 from repro.core.counterexample import CheckFailure
 from repro.core.exec import ExecutionContext
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.safety import SafetyReport, verify_safety
+from repro.core.safety import verify_safety
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Predicate
 
@@ -147,7 +147,7 @@ def infer_safety_invariants(
     for community in candidate_communities(config, ghost)[:max_candidates]:
         key_invariant = Implies(tracked, HasCommunity(community))
         invariants = _build_map(config, prop, key_invariant)
-        report: SafetyReport = verify_safety(
+        report = verify_safety(
             config, prop, invariants, ghosts=(ghost,), context=context
         )
         result = CandidateResult(

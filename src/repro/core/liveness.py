@@ -39,13 +39,11 @@ universe under every encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.topology import Edge
 from repro.core.checks import (
     CheckKind,
-    CheckOutcome,
     LocalCheck,
     check_owner,
     generate_safety_checks,
@@ -53,56 +51,15 @@ from repro.core.checks import (
 )
 from repro.core.exec import ExecutionContext
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
-from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
-from repro.core.safety import SafetyReport, invariant_predicates, run_problem
+from repro.core.report import (
+    IMPLICATION_KEY,
+    PROPAGATION_KEY,
+    VerificationReport,
+    subproof_key,
+)
+from repro.core.safety import invariant_predicates, run_problem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Implies, Predicate, PrefixIn, TruePred, prefix_projection
-from repro.lang.universe import AttributeUniverse
-
-
-@dataclass
-class LivenessReport(VerificationReport):
-    """Outcome of liveness verification.
-
-    Outcome accounting (``passed``/``failures``/``unknowns``/size maxima/
-    solve time) is inherited from the shared
-    :class:`repro.core.report.VerificationReport` protocol, folded from
-    :meth:`iter_groups` — propagation checks first, then the final
-    implication, then every no-interference sub-proof's groups.
-    """
-
-    property: LivenessProperty
-    propagation: list[GroupOutcomes]
-    implication: GroupOutcomes
-    interference_reports: dict[str, SafetyReport]
-    wall_time_s: float
-    degradation: DegradationReport | None = None
-
-    def iter_groups(self) -> Iterable[GroupOutcomes]:
-        yield from self.propagation
-        yield self.implication
-        for report in self.interference_reports.values():
-            yield from report.groups
-
-    @property
-    def propagation_outcomes(self) -> list[CheckOutcome]:
-        return [outcome for group in self.propagation for outcome in group.outcomes()]
-
-    @property
-    def implication_outcome(self) -> CheckOutcome:
-        # Owner-less, so kept whole: no listing needed.
-        return self.implication.kept[0]
-
-    def summary(self, verbose: bool = False) -> str:
-        propagation = sum(len(group.stats) for group in self.propagation)
-        text = (
-            f"{self.property}: {self.status()} — {self.num_checks} local checks "
-            f"({propagation} propagation, "
-            f"{len(self.interference_reports)} no-interference sub-proofs)"
-        )
-        if verbose:
-            text += f", {self.wall_time_s:.2f}s total"
-        return text
 
 
 def generate_propagation_checks(
@@ -244,16 +201,6 @@ def generate_liveness_checks(
     )
 
 
-#: Section keys of a §5 proof (the incremental tracker's own group keys
-#: extend each with the owner router).
-PROPAGATION_KEY = ("prop",)
-IMPLICATION_KEY = ("impl",)
-
-
-def subproof_key(router: str) -> tuple:
-    return ("sub", router)
-
-
 class LivenessProblem:
     """The §5 pipeline, stated once for :func:`repro.core.safety.run_problem`
     and :class:`repro.core.incremental.PropertyTracker`: the propagation
@@ -262,6 +209,7 @@ class LivenessProblem:
     ``invariants`` optionally maps each path router to the invariant map
     proving its no-interference property; a router without one gets the
     default inductive shape (:func:`resolve_interference_invariants`).
+    A report names ``prop`` itself (``property``).
     """
 
     kind = "liveness"
@@ -271,7 +219,7 @@ class LivenessProblem:
         prop: LivenessProperty,
         invariants: dict[str, InvariantMap] | None = None,
     ) -> None:
-        self.prop = prop
+        self.prop = self.property = prop
         self.invariants = invariants
 
     def predicates(self) -> list[Predicate]:
@@ -328,28 +276,6 @@ class LivenessProblem:
             )
         return sections
 
-    def report(
-        self,
-        groups: dict[tuple, list[GroupOutcomes]],
-        wall_time_s: float,
-        degradation: DegradationReport,
-    ) -> LivenessReport:
-        return LivenessReport(
-            property=self.prop,
-            propagation=groups[PROPAGATION_KEY],
-            implication=groups[IMPLICATION_KEY][0],
-            interference_reports={
-                router: SafetyReport(
-                    property=safety_prop,
-                    groups=groups[subproof_key(router)],
-                    wall_time_s=0.0,
-                )
-                for router, safety_prop in interference_properties(self.prop).items()
-            },
-            wall_time_s=wall_time_s,
-            degradation=degradation,
-        )
-
 
 def verify_liveness(
     config: NetworkConfig,
@@ -358,9 +284,8 @@ def verify_liveness(
     ghosts: tuple[GhostAttribute, ...] = (),
     *,
     context: ExecutionContext | None = None,
-    universe: AttributeUniverse | None = None,
-) -> LivenessReport:
+) -> VerificationReport:
     """Verify a liveness property via local checks (§5); see
     :class:`LivenessProblem` and :func:`repro.core.safety.run_problem`."""
     problem = LivenessProblem(prop, interference_invariants)
-    return run_problem(context or ExecutionContext(), problem, config, ghosts, universe)
+    return run_problem(context or ExecutionContext(), problem, config, ghosts)

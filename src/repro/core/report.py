@@ -1,19 +1,20 @@
-"""One report protocol for every verification pipeline, plus rendering.
+"""One report for every verification run, plus rendering.
 
-Safety and liveness used to duplicate their outcome accounting — two
-hand-rolled copies of ``passed``/``failures``/``unknowns``/size maxima
-that had already drifted once (unknown-only reports rendered as
-``FAILED (0 checks)``).  :class:`VerificationReport` is the single
-protocol both now implement: a subclass provides :meth:`iter_groups`
-(every :class:`GroupOutcomes` the run produced or reused, in presentation
-order) and the base derives all counting from the groups' folds, so a new
-outcome state or a new pipeline changes the accounting in exactly one
-place — and a summary never walks 20 000 outcomes to learn that one
-failed.  :class:`GroupOutcomes` is also what the incremental tracker
-stores and ``Workspace.save`` persists per ``(section, owner)`` group.
+A run proves one property as one proof in *sections*: a §4 safety proof
+is the single section :data:`SAFETY_KEY`; a §5 liveness proof is its
+propagation checks (:data:`PROPAGATION_KEY`), one §4 sub-proof per path
+router (:func:`subproof_key`) and the final implication
+(:data:`IMPLICATION_KEY`); a §7 re-verification re-runs some sections'
+groups and reuses the rest.  :class:`VerificationReport` is that shape,
+once: the property, its sections (each a list of :class:`GroupOutcomes`),
+the wall time, any degradation and how many checks were reused from an
+earlier run.  All accounting folds over the groups, so a summary never
+walks 20 000 outcomes to learn that one failed.  :class:`GroupOutcomes`
+is also what the incremental tracker stores and ``Workspace.save``
+persists per ``(section, owner)`` group.
 
-:func:`format_report` renders any report for the CLI and examples,
-dispatching to ``format_safety_report``/``format_liveness_report``.
+:func:`format_report` renders a report for the CLI and examples; the
+summary and the rendering branch on the property's kind.
 """
 
 from __future__ import annotations
@@ -22,11 +23,25 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.core.checks import CheckOutcome
+from repro.core.properties import LivenessProperty
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.checks import LocalCheck
     from repro.core.counterexample import CheckFailure
+    from repro.core.properties import SafetyProperty
     from repro.smt.solver import SolverStats
+
+
+#: The one section of a §4 proof.
+SAFETY_KEY = ("safety",)
+#: The sections of a §5 proof besides its sub-proofs (:func:`subproof_key`).
+PROPAGATION_KEY = ("prop",)
+IMPLICATION_KEY = ("impl",)
+
+
+def subproof_key(router: str) -> tuple:
+    """The section of the no-interference sub-proof at ``router``."""
+    return ("sub", router)
 
 
 # Human-readable text for CheckOutcome.unknown_reason values; an UNKNOWN
@@ -168,39 +183,54 @@ def failure_status(failures: list, unknowns: list) -> str:
     return f"FAILED ({', '.join(parts)})" if parts else "FAILED"
 
 
-class VerificationReport:
-    """Shared outcome-counting protocol for verification reports.
+def _kept(groups: Iterable[GroupOutcomes]) -> Iterator[CheckOutcome]:
+    """The whole outcomes the groups kept: every check that did not pass,
+    and every owner-less one."""
+    for group in groups:
+        yield from group.kept.values()
 
-    Subclasses implement :meth:`iter_groups`; everything below is derived
-    from the groups' folds and kept outcomes.  ``wall_time_s`` stays a
-    subclass field (dataclasses own their fields), and ``summary()`` stays
-    per-pipeline — only its PASSED/FAILED status half is shared via
-    :meth:`status`.
+
+@dataclass
+class VerificationReport:
+    """Everything one run of one property learned, section by section.
+
+    ``sections`` maps each section key to its groups in presentation
+    order; a one-shot run has one group per section, a tracker one per
+    owner router.  ``reused_checks`` counts the checks answered from an
+    earlier run (0 for a one-shot run); the rest were re-run.  Every
+    count, verdict and size maximum is a fold over the groups.
     """
 
-    def iter_groups(self) -> "Iterable[GroupOutcomes]":
-        """Every group of outcomes in this report, in presentation order."""
-        raise NotImplementedError
+    property: "SafetyProperty | LivenessProperty"
+    sections: dict[tuple, list[GroupOutcomes]]
+    wall_time_s: float
+    degradation: DegradationReport = field(default_factory=DegradationReport)
+    reused_checks: int = 0
 
-    def iter_outcomes(self) -> "Iterator[CheckOutcome]":
-        """Every check outcome in this report, in presentation order."""
-        for group in self.iter_groups():
+    def _groups(self) -> Iterator[GroupOutcomes]:
+        for groups in self.sections.values():
+            yield from groups
+
+    def iter_outcomes(self) -> Iterator[CheckOutcome]:
+        """The per-check listing: every outcome, section by section, in
+        group order."""
+        for group in self._groups():
             yield from group.outcomes()
 
-    def _kept(self) -> "Iterator[CheckOutcome]":
-        for group in self.iter_groups():
-            yield from group.kept.values()
+    def section_outcomes(self, key: tuple) -> list[CheckOutcome]:
+        """The per-check listing of one section (empty if it has none)."""
+        return [o for group in self.sections.get(key, ()) for o in group.outcomes()]
 
     @property
     def passed(self) -> bool:
-        return all(o.passed for o in self._kept())
+        return all(o.passed for o in _kept(self._groups()))
 
     @property
     def failures(self) -> "list[CheckFailure]":
-        return [o.failure for o in self._kept() if o.failure is not None]
+        return [o.failure for o in _kept(self._groups()) if o.failure is not None]
 
     @property
-    def unknowns(self) -> "list[CheckOutcome]":
+    def unknowns(self) -> list[CheckOutcome]:
         """Outcomes the solver could not decide (budget exhausted).
 
         Unknowns fail the property (``passed`` is False) but carry no
@@ -208,10 +238,10 @@ class VerificationReport:
         must count them separately or an unknown-only failure reads as
         ``FAILED (0 checks)``.
         """
-        return [o for o in self._kept() if o.unknown]
+        return [o for o in _kept(self._groups()) if o.unknown]
 
     @property
-    def unknown_reason_counts(self) -> "dict[str, int]":
+    def unknown_reason_counts(self) -> dict[str, int]:
         """UNKNOWN outcomes bucketed by why: conflicts/timeout/wall-budget.
 
         Outcomes without a recorded reason count under ``"unspecified"``.
@@ -224,108 +254,123 @@ class VerificationReport:
 
     @property
     def num_checks(self) -> int:
-        return sum(len(group.stats) for group in self.iter_groups())
+        return sum(len(group.stats) for group in self._groups())
+
+    @property
+    def rerun_checks(self) -> int:
+        """The checks this run executed: every one it did not reuse."""
+        return self.num_checks - self.reused_checks
 
     @property
     def max_vars(self) -> int:
         """Largest SMT variable count in any single local check (Fig. 3b)."""
-        return max((group.max_vars for group in self.iter_groups()), default=0)
+        return max((group.max_vars for group in self._groups()), default=0)
 
     @property
     def max_clauses(self) -> int:
         """Largest SMT constraint count in any single local check (Fig. 3b)."""
-        return max((group.max_clauses for group in self.iter_groups()), default=0)
+        return max((group.max_clauses for group in self._groups()), default=0)
 
     @property
     def solve_time_s(self) -> float:
         """Pure constraint-solving time across all checks (Fig. 3d)."""
-        return sum(group.solve_time_s for group in self.iter_groups())
+        return sum(group.solve_time_s for group in self._groups())
 
     @property
     def build_time_s(self) -> float:
-        return sum(group.build_time_s for group in self.iter_groups())
+        return sum(group.build_time_s for group in self._groups())
 
     def status(self) -> str:
-        """The shared PASSED/FAILED half of a summary line."""
+        """The PASSED/FAILED half of a summary line."""
         if self.passed:
             return "PASSED"
         return failure_status(self.failures, self.unknowns)
 
     def summary(self, verbose: bool = False) -> str:
         """One line: verdict and check count; durations only if ``verbose``."""
-        raise NotImplementedError
+        text = f"{self.property}: {self.status()} — {self.num_checks} local checks"
+        if isinstance(self.property, LivenessProperty):
+            groups = self.sections.get(PROPAGATION_KEY, ())
+            propagation = sum(len(group.stats) for group in groups)
+            subproofs = sum(1 for key in self.sections if key[0] == "sub")
+            text += (
+                f" ({propagation} propagation, {subproofs} no-interference sub-proofs)"
+            )
+            if verbose:
+                text += f", {self.wall_time_s:.2f}s total"
+            return text
+        text += f", max {self.max_vars} vars / {self.max_clauses} constraints per check"
+        if verbose:
+            text += f", {self.wall_time_s:.2f}s total ({self.solve_time_s:.2f}s solving)"
+        return text
 
 
-def format_safety_report(report, verbose: bool = False) -> str:
-    """Render a safety report: summary, then any failures, then detail."""
-    lines = [report.summary(verbose)]
+def _safety_lines(report: VerificationReport, verbose: bool) -> list[str]:
+    """Failures, then UNKNOWNs, then (verbose) every check."""
+    lines = []
     for failure in report.failures:
-        lines.append("")
-        lines.append(failure.explain())
+        lines += ["", failure.explain()]
     for outcome in report.unknowns:
         lines.append(f"UNKNOWN ({unknown_label(outcome)}): {outcome.check.description}")
     if verbose:
-        lines.append("")
-        lines.append("check breakdown:")
-        for outcome in report.outcomes:
+        lines += ["", "check breakdown:"]
+        for outcome in report.iter_outcomes():
             mark = "ok  " if outcome.passed else "FAIL"
             lines.append(
                 f"  [{mark}] {outcome.check.description} "
                 f"({outcome.stats.num_vars}v/{outcome.stats.num_clauses}c, "
                 f"{outcome.stats.total_time_s * 1000:.1f}ms)"
             )
-    return "\n".join(lines)
+    return lines
 
 
-def format_liveness_report(report, verbose: bool = False) -> str:
-    lines = [report.summary(verbose)]
+def _liveness_lines(report: VerificationReport, verbose: bool) -> list[str]:
+    """The proof's own failures, each sub-proof's verdict, then the
+    proof's UNKNOWNs."""
+    lines = []
     # The proof's own checks: propagation along the path, then C_n ⊆ P.
     proof = [
         outcome
-        for group in (*report.propagation, report.implication)
-        for outcome in group.kept.values()
+        for key in (PROPAGATION_KEY, IMPLICATION_KEY)
+        for outcome in _kept(report.sections.get(key, ()))
     ]
     for outcome in proof:
         if outcome.failure is not None:
-            lines.append("")
-            lines.append(outcome.failure.explain())
-    for router, sub in sorted(report.interference_reports.items()):
-        if not sub.passed:
-            lines.append("")
-            lines.append(f"no-interference sub-proof at {router} FAILED:")
-            for failure in sub.failures:
-                lines.append("  " + failure.explain().replace("\n", "\n  "))
-            for outcome in sub.unknowns:
+            lines += ["", outcome.failure.explain()]
+    for key in sorted(key for key in report.sections if key[0] == "sub"):
+        groups = report.sections[key]
+        kept = list(_kept(groups))
+        if all(o.passed for o in kept):
+            if verbose:
+                checks = sum(len(group.stats) for group in groups)
+                lines.append(f"no-interference at {key[1]}: ok ({checks} checks)")
+            continue
+        lines += ["", f"no-interference sub-proof at {key[1]} FAILED:"]
+        for outcome in kept:
+            if outcome.failure is not None:
+                lines.append("  " + outcome.failure.explain().replace("\n", "\n  "))
+        for outcome in kept:
+            if outcome.unknown:
                 lines.append(
                     f"  UNKNOWN ({unknown_label(outcome)}): {outcome.check.description}"
                 )
-        elif verbose:
-            lines.append(f"no-interference at {router}: ok ({sub.num_checks} checks)")
     # Undecided propagation/implication checks have no counterexample to
     # explain; list them so an unknown-only failure is never silent.
     for outcome in proof:
         if outcome.unknown:
             lines.append(f"UNKNOWN ({unknown_label(outcome)}): {outcome.check.description}")
-    return "\n".join(lines)
-
-
-def degradation_lines(report) -> list[str]:
-    """The "degraded execution" section for a report, possibly empty."""
-    degradation = getattr(report, "degradation", None)
-    if degradation is None or not degradation.degraded():
-        return []
-    lines = ["", "degraded execution:"]
-    lines.extend("  " + line for line in degradation.describe())
     return lines
 
 
-def format_report(report, verbose: bool = False) -> str:
-    """Render any :class:`VerificationReport` (safety or liveness)."""
-    if hasattr(report, "interference_reports"):
-        rendered = format_liveness_report(report, verbose=verbose)
+def format_report(report: VerificationReport, verbose: bool = False) -> str:
+    """Render a report: its summary, what failed or is undecided, the
+    per-check detail if ``verbose``, and any degraded execution."""
+    lines = [report.summary(verbose)]
+    if isinstance(report.property, LivenessProperty):
+        lines += _liveness_lines(report, verbose)
     else:
-        rendered = format_safety_report(report, verbose=verbose)
-    extra = degradation_lines(report)
-    if extra:
-        rendered += "\n" + "\n".join(extra)
-    return rendered
+        lines += _safety_lines(report, verbose)
+    if report.degradation.degraded():
+        lines += ["", "degraded execution:"]
+        lines += ["  " + line for line in report.degradation.describe()]
+    return "\n".join(lines)

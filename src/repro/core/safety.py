@@ -25,60 +25,24 @@ function by the equivalence oracle (``tests/oracle.py``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Sequence
 
 from repro.bgp.config import NetworkConfig
-from repro.core.checks import (
-    CheckOutcome,
-    LocalCheck,
-    generate_safety_checks,
-    implication_check,
-)
+from repro.core.checks import LocalCheck, generate_safety_checks, implication_check
 from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
+from repro.core.report import (
+    SAFETY_KEY,
+    DegradationReport,
+    GroupOutcomes,
+    VerificationReport,
+)
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate, predicate_atoms
 from repro.lang.universe import AttributeUniverse
 
 if TYPE_CHECKING:
     from repro.core.incremental import Problem
-
-R = TypeVar("R", bound=VerificationReport)
-
-
-@dataclass
-class SafetyReport(VerificationReport):
-    """Everything ``verify_safety`` learned.
-
-    All outcome accounting (``passed``/``failures``/``unknowns``/size
-    maxima/solve time) is inherited from the shared
-    :class:`repro.core.report.VerificationReport` protocol, folded from
-    ``groups``; ``outcomes`` is the per-check listing, built on first use.
-    """
-
-    property: SafetyProperty
-    groups: list[GroupOutcomes]
-    wall_time_s: float
-    degradation: DegradationReport | None = None
-
-    def iter_groups(self) -> Iterable[GroupOutcomes]:
-        return self.groups
-
-    @cached_property
-    def outcomes(self) -> list[CheckOutcome]:
-        return list(self.iter_outcomes())
-
-    def summary(self, verbose: bool = False) -> str:
-        text = (
-            f"{self.property}: {self.status()} — {self.num_checks} local checks, "
-            f"max {self.max_vars} vars / {self.max_clauses} constraints per check"
-        )
-        if verbose:
-            text += f", {self.wall_time_s:.2f}s total ({self.solve_time_s:.2f}s solving)"
-        return text
 
 
 def invariant_predicates(invariants: InvariantMap) -> list[Predicate]:
@@ -90,12 +54,9 @@ def invariant_predicates(invariants: InvariantMap) -> list[Predicate]:
 
 
 def build_universe(
-    config: NetworkConfig,
-    invariants: InvariantMap | None,
-    predicates,
-    ghosts: tuple[GhostAttribute, ...],
+    config: NetworkConfig, predicates, ghosts: tuple[GhostAttribute, ...]
 ) -> AttributeUniverse:
-    """The universe covering config, invariants, properties, and ghosts.
+    """The universe covering config, predicates and ghosts.
 
     A sweep hands over the same few predicates thousands of times (every
     problem's invariant overrides), so each distinct one is walked once.
@@ -103,10 +64,7 @@ def build_universe(
     communities = set()
     asns = set()
     ghost_names = {g.name for g in ghosts}
-    preds = set(predicates)
-    if invariants is not None:
-        preds.update(invariant_predicates(invariants))
-    for pred in preds:
+    for pred in set(predicates):
         c, a, g = predicate_atoms(pred)
         communities |= c
         asns |= a
@@ -119,10 +77,6 @@ def build_universe(
     )
 
 
-#: The one section of a §4 proof in the incremental tracker's owner index.
-SAFETY_KEY = ("safety",)
-
-
 class SafetyProblem:
     """The §4 pipeline, stated once for :func:`run_problem` and
     :class:`repro.core.incremental.PropertyTracker`: one section holding
@@ -132,7 +86,8 @@ class SafetyProblem:
     (Table 4a's "at any router R": one predicate at many locations).  The
     Import/Export/Originate checks depend only on the invariants, so a
     family runs them once and repeats only the cheap ``I_l ⊆ P``
-    implication per property.
+    implication per property.  ``property`` is what a report names: the
+    property, or for a family its first member renamed "(xN locations)".
     """
 
     kind = "safety"
@@ -146,6 +101,11 @@ class SafetyProblem:
         self._props = [prop] if isinstance(prop, SafetyProperty) else list(prop)
         if not self._props:
             raise ValueError("empty property family")
+        first = self._props[0]
+        if self._family:
+            name = f"{first.name or 'family'} (x{len(self._props)} locations)"
+            first = SafetyProperty(first.location, first.predicate, name=name)
+        self.property = first
 
     def predicates(self) -> list[Predicate]:
         """Every predicate a check of this problem can mention: what the
@@ -176,26 +136,14 @@ class SafetyProblem:
             ]
         return {SAFETY_KEY: checks}
 
-    def report(
-        self,
-        groups: dict[tuple, list[GroupOutcomes]],
-        wall_time_s: float,
-        degradation: DegradationReport,
-    ) -> SafetyReport:
-        first = self._props[0]
-        if self._family:
-            name = f"{first.name or 'family'} (x{len(self._props)} locations)"
-            first = SafetyProperty(first.location, first.predicate, name=name)
-        return SafetyReport(first, groups[SAFETY_KEY], wall_time_s, degradation)
-
 
 def run_problem(
     context: ExecutionContext,
-    problem: "Problem[R]",
+    problem: "Problem",
     config: NetworkConfig,
     ghosts: tuple[GhostAttribute, ...] = (),
     universe: AttributeUniverse | None = None,
-) -> R:
+) -> VerificationReport:
     """Verify one problem from scratch: every check, one batch, a report.
 
     The one-shot driver for every property kind, and the reference the
@@ -209,13 +157,15 @@ def run_problem(
     degradation = DegradationReport()
     sections = problem.checks(config)
     if universe is None:
-        universe = build_universe(config, None, problem.predicates(), ghosts)
+        universe = build_universe(config, problem.predicates(), ghosts)
     outcomes = Scheduler(context).run(sections, config, universe, ghosts, degradation)
     groups = {
         section: [GroupOutcomes.of(checks, outcomes[section])]
         for section, checks in sections.items()
     }
-    return problem.report(groups, time.perf_counter() - start, degradation)
+    return VerificationReport(
+        problem.property, groups, time.perf_counter() - start, degradation
+    )
 
 
 def verify_safety(
@@ -225,12 +175,11 @@ def verify_safety(
     ghosts: tuple[GhostAttribute, ...] = (),
     *,
     context: ExecutionContext | None = None,
-    universe: AttributeUniverse | None = None,
-) -> SafetyReport:
+) -> VerificationReport:
     """Verify a safety property, or a family sharing ``invariants``, via
     local checks (§4); see :class:`SafetyProblem` and :func:`run_problem`."""
     problem = SafetyProblem(prop, invariants)
-    return run_problem(context or ExecutionContext(), problem, config, ghosts, universe)
+    return run_problem(context or ExecutionContext(), problem, config, ghosts)
 
 
 #: Kept as the name for the family form: ``verify_safety(config, props, …)``.

@@ -3,32 +3,33 @@
 The library has two layers, and neither is a shim over the other.  The
 *one-shot driver* (:func:`repro.core.safety.run_problem`, behind
 ``verify_safety`` and :func:`repro.core.liveness.verify_liveness`) is
-stateless: build the problem, run every check, return a report.
-:class:`Workspace` is the *stateful* layer over the same problem builders
-and the same scheduler: it owns the persistent substrate — an owner-keyed
-:class:`SessionPool`, a by-reference snapshot of the configuration's
-policy inputs (digested on first need), one covering attribute universe,
-and an owner-indexed outcome store — once, the way an
-incremental SAT solver exposes one long-lived solver object instead of
-per-call functions.  It *is* an :class:`ExecutionContext`: ``parallel``,
-the conflict budget and the deadlines are set when it is opened and
-nowhere else (one workspace, one budget), and it can be handed to a
-one-shot function as ``context=`` to share its sessions and limits.
+stateless: build the problem, run every check, return a
+:class:`~repro.core.report.VerificationReport`.  :class:`Workspace` is
+the *stateful* layer over the same problem builders, the same scheduler
+and the same report: it owns an owner-keyed :class:`SessionPool`, a
+by-reference snapshot of the configuration's policy inputs (digested on
+first need) and one :class:`~repro.core.incremental.PropertyTracker`
+(owner-indexed outcomes and a covering universe) per verified property.
+It *is* an :class:`ExecutionContext`: ``parallel``, the conflict budget
+and the deadlines are fixed when it is opened and nowhere else (one
+workspace, one budget), and it can be handed to a one-shot function as
+``context=`` to share its sessions and limits.
 
     ws = Workspace(config, ghosts=(ghost,))
     report = ws.verify(prop, invariants)        # safety or liveness
     ws.apply(edited_config)
     for entry in ws.reverify():                 # O(changed owner) each
-        print(entry.last_result.report.summary())
+        report = entry.report
+        print(report.summary(), report.rerun_checks, report.reused_checks)
 
-``verify`` is property-polymorphic: a :class:`SafetyProperty` runs the §4
-pipeline, a :class:`LivenessProperty` the §5 pipeline, both against the
-workspace's shared session pool.  Each verified property gets a persistent
-:class:`repro.core.incremental.PropertyTracker` holding its owner-indexed
-outcome cache, so re-verifying after ``apply`` — or simply calling
-``verify`` again — consults only the checks a config edit invalidated.
-The one-shot driver is the tracker's reference in the equivalence oracle
-(``tests/oracle.py``: incremental ≡ full ≡ cache-loaded).
+``verify`` dispatches on the property type: a :class:`SafetyProperty`
+runs the §4 pipeline under one invariant map, a :class:`LivenessProperty`
+the §5 pipeline under an optional dict of interference invariant maps.
+Re-verifying after ``apply`` — or simply calling ``verify`` again — re-runs
+only the checks a config edit invalidated, and the report says how many
+it re-ran and reused.  The one-shot driver is the tracker's reference in
+the equivalence oracle (``tests/oracle.py``: incremental ≡ full ≡
+cache-loaded).
 
 **On-disk outcome cache.**  ``save(path)`` persists the digests and
 outcome groups (:class:`~repro.core.report.GroupOutcomes`: stats rows,
@@ -65,7 +66,6 @@ from repro.bgp.config import NetworkConfig
 from repro.core.exec import ExecutionContext
 from repro.core.incremental import (
     ConfigSnapshot,
-    IncrementalResult,
     Problem,
     PropertyTracker,
     config_digests,
@@ -130,18 +130,13 @@ class WorkspaceCacheMismatch(WorkspaceCacheError):
 @dataclass
 class WorkspaceEntry:
     """One property registered with a workspace: its tracker plus the most
-    recent run's result (report + consultation counters)."""
+    recent run's report (which counts the checks it re-ran and reused)."""
 
     kind: str  # "safety" | "liveness"
     property: SafetyProperty | LivenessProperty
     fingerprint: str
     tracker: PropertyTracker
-    last_result: IncrementalResult | None = None
-
-    @property
-    def report(self) -> VerificationReport | None:
-        """The most recent run's report, if any."""
-        return None if self.last_result is None else self.last_result.report
+    report: VerificationReport | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +227,11 @@ class Workspace(ExecutionContext):
         a check that exceeds it comes back UNKNOWN with reason
         ``timeout`` instead of hanging the run.
     wall_budget_s:
-        Wall-clock cap for each ``verify``/``reverify`` run; once spent,
-        the remaining checks come back UNKNOWN with reason
-        ``wall-budget`` and the report carries the partial results.
-        :meth:`ExecutionContext.set_run_deadline` instead pins one
-        absolute deadline across several runs.  Neither deadline is part
-        of a cache fingerprint — they bound execution, not the problem.
+        Wall-clock cap for everything the workspace runs, counted from
+        when it is opened (``run_deadline``); once spent, the remaining
+        checks come back UNKNOWN with reason ``wall-budget`` and the
+        report carries the partial results.  Neither deadline is part of
+        a cache fingerprint — they bound execution, not the problem.
 
     The workspace is a context manager for its callers' convenience;
     ``close()`` has nothing to release (worker processes live for one
@@ -307,15 +301,10 @@ class Workspace(ExecutionContext):
         self,
         prop: SafetyProperty | LivenessProperty,
         invariants: InvariantMap | dict[str, InvariantMap] | None,
-        interference_invariants: dict[str, InvariantMap] | None,
     ) -> tuple[Problem, str]:
         """(problem builder, fingerprint) for a request."""
         problem: Problem
         if isinstance(prop, SafetyProperty):
-            if interference_invariants is not None:
-                raise TypeError(
-                    "interference_invariants only applies to liveness properties"
-                )
             if isinstance(invariants, dict):
                 raise TypeError("safety properties take one invariant map")
             problem = SafetyProblem(
@@ -325,15 +314,12 @@ class Workspace(ExecutionContext):
                 else InvariantMap(self.config.topology),
             )
         elif isinstance(prop, LivenessProperty):
-            if interference_invariants is None and isinstance(invariants, dict):
-                # Positional convenience: ws.verify(liveness_prop, {...}).
-                interference_invariants = invariants
-            elif invariants is not None:
+            if invariants is not None and not isinstance(invariants, dict):
                 raise TypeError(
-                    "liveness properties take interference_invariants, not an "
-                    "invariant map"
+                    "liveness properties take a dict of interference invariant "
+                    "maps, not an invariant map"
                 )
-            problem = LivenessProblem(prop, interference_invariants)
+            problem = LivenessProblem(prop, invariants)
         else:
             raise TypeError(
                 f"expected a SafetyProperty or LivenessProperty, got {prop!r}"
@@ -344,8 +330,6 @@ class Workspace(ExecutionContext):
         self,
         prop: SafetyProperty | LivenessProperty,
         invariants: InvariantMap | dict[str, InvariantMap] | None = None,
-        *,
-        interference_invariants: dict[str, InvariantMap] | None = None,
     ) -> WorkspaceEntry | None:
         """The registered entry matching this exact problem, if any.
 
@@ -353,7 +337,7 @@ class Workspace(ExecutionContext):
         workspace's budget), so it finds cache-loaded entries for freshly
         parsed, equal problems — object identity plays no part.
         """
-        __, fingerprint = self._normalize(prop, invariants, interference_invariants)
+        __, fingerprint = self._normalize(prop, invariants)
         return self._registered(fingerprint)
 
     def _registered(self, fingerprint: str) -> WorkspaceEntry | None:
@@ -361,37 +345,33 @@ class Workspace(ExecutionContext):
 
     # -- verification --------------------------------------------------
 
-    def _run_entry(self, entry: WorkspaceEntry) -> IncrementalResult:
+    def _run_entry(self, entry: WorkspaceEntry) -> VerificationReport:
         """Run one entry's tracker against the current config."""
-        result = entry.tracker.run(self.config, self._snapshot)
-        entry.last_result = result
-        return result
+        entry.report = entry.tracker.run(self.config, self._snapshot)
+        return entry.report
 
     def verify(
         self,
         prop: SafetyProperty | LivenessProperty,
         invariants: InvariantMap | dict[str, InvariantMap] | None = None,
-        *,
-        interference_invariants: dict[str, InvariantMap] | None = None,
     ) -> VerificationReport:
         """Verify a property against the current configuration.
 
         Dispatches on the property type: a :class:`SafetyProperty` runs
         the §4 pipeline (``invariants`` supplies the user's network
         invariants, defaulting to ``True`` everywhere), a
-        :class:`LivenessProperty` the §5 pipeline
-        (``interference_invariants`` optionally maps path routers to the
-        invariant maps proving their no-interference sub-proofs).
+        :class:`LivenessProperty` the §5 pipeline (``invariants`` then
+        optionally maps path routers to the invariant maps proving their
+        no-interference sub-proofs).
 
         The first ``verify`` of a property runs every generated check and
         caches the outcomes in an owner index; any later ``verify`` of the
         same property — including after :meth:`apply` — re-runs only what
         changed, exactly like :meth:`reverify`.  Changing the invariants
         registers a separate entry (they touch every check).  Returns the
-        pipeline's report; the consultation counters live on the matching
-        :attr:`entries` element's ``last_result``.
+        run's report, which the matching :attr:`entries` element keeps.
         """
-        problem, fingerprint = self._normalize(prop, invariants, interference_invariants)
+        problem, fingerprint = self._normalize(prop, invariants)
         entry = self._registered(fingerprint)
         if entry is None:
             entry = WorkspaceEntry(
@@ -401,7 +381,7 @@ class Workspace(ExecutionContext):
                 tracker=PropertyTracker(self, problem, self.ghosts),
             )
             self._entries.append(entry)
-        return self._run_entry(entry).report
+        return self._run_entry(entry)
 
     def apply(self, edit: NetworkConfig) -> set[str]:
         """Stage an edited configuration for subsequent runs.
@@ -429,7 +409,7 @@ class Workspace(ExecutionContext):
 
         Each entry re-runs only the owner groups its tracker's digest diff
         invalidated (O(changed owner)); the returned entries carry the new
-        reports and consultation counters in ``last_result``.  By default
+        reports.  By default
         every registered property runs; pass ``entries`` (from
         :meth:`entry`/:attr:`entries`) to re-verify a subset — the CLI
         uses this so a cache holding more properties than the requested
@@ -502,7 +482,8 @@ class Workspace(ExecutionContext):
         The header is read first, then the payload digest is checked, and
         only then is anything unpickled.  Execution parameters
         (``parallel``, deadlines) are not part of the cache identity; pass
-        whatever this process should use.
+        whatever this process should use.  A ``wall_budget_s`` is spent
+        from before the file is read.
         """
         workspace = cls.__new__(cls)
         workspace._setup(

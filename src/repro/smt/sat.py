@@ -116,11 +116,6 @@ class SatSolver:
         return [[_to_lit(c) for c in clause] for clause in self._clauses]
 
     @property
-    def learnts(self) -> list[list[int]]:
-        """The learnt clauses as signed literals (a converted copy)."""
-        return [[_to_lit(c) for c in clause] for clause in self._learnts]
-
-    @property
     def trail(self) -> list[int]:
         """The assignment trail as signed literals (a converted copy)."""
         return [_to_lit(c) for c in self._trail]

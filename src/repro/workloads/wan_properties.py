@@ -29,9 +29,10 @@ from typing import Sequence
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
-from repro.core.liveness import LivenessProblem, LivenessReport
+from repro.core.liveness import LivenessProblem
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
-from repro.core.safety import SafetyProblem, SafetyReport, build_universe, run_problem
+from repro.core.report import VerificationReport
+from repro.core.safety import SafetyProblem, build_universe, run_problem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import (
     AllOf,
@@ -157,7 +158,6 @@ def _sweep(wan: WanNetwork, problems, context: ExecutionContext | None) -> list:
     proofs = [prob.problem() for prob in problems]
     universe = build_universe(
         wan.config,
-        None,
         [pred for proof in proofs for pred in proof.predicates()],
         tuple(prob.ghost for prob in problems),
     )
@@ -171,7 +171,7 @@ def verify_peering_problems(
     wan: WanNetwork,
     problems: Sequence[PeeringProblem] | None = None,
     workspace: ExecutionContext | None = None,
-) -> list[tuple[PeeringProblem, SafetyReport]]:
+) -> list[tuple[PeeringProblem, VerificationReport]]:
     """Run Table-4a peering families with encodings shared across families.
 
     All eleven families read the same filters under the same ``FromPeer``
@@ -266,7 +266,7 @@ def verify_ip_reuse_safety_problems(
     wan: WanNetwork,
     regions: Sequence[int] | None = None,
     workspace: ExecutionContext | None = None,
-) -> list[tuple[IpReuseSafetyProblem, SafetyReport]]:
+) -> list[tuple[IpReuseSafetyProblem, VerificationReport]]:
     """Run Table-4b families for many regions with shared encodings.
 
     The per-region ghosts differ (``FromRegion0``, ``FromRegion1``, ...),
@@ -379,7 +379,7 @@ def verify_ip_reuse_liveness_problems(
     wan: WanNetwork,
     regions: Sequence[int] | None = None,
     workspace: ExecutionContext | None = None,
-) -> list[tuple[IpReuseLivenessProblem, LivenessReport]]:
+) -> list[tuple[IpReuseLivenessProblem, VerificationReport]]:
     """Run Table-4c liveness problems for many regions with shared encodings.
 
     The covering universe includes every region's interference invariants

@@ -385,10 +385,9 @@ def test_digest_equality_implies_cached_check_reuse():
         shuffled.set_external_asn(node, asn)
     assert shuffled.policy_digests() == config.policy_digests()
 
-    result = reverify(workspace, shuffled)
-    assert result.rerun_checks == 0
-    assert result.reuse_fraction == 1.0
-    assert result.report.passed
+    report = reverify(workspace, shuffled)
+    assert (report.rerun_checks, report.reused_checks) == (0, report.num_checks)
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------

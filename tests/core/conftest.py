@@ -1,6 +1,6 @@
 """Shared fixtures: the Figure 1 verification problem (Tables 2 and 3),
-a broken process pool for the serial-fallback tests, helpers for reading
-a single-property workspace's cache accounting, the §6.2 no-transit
+a broken process pool for the serial-fallback tests, a helper re-verifying
+a single-property workspace, the §6.2 no-transit
 problem on E1/R1/R2/E2-shaped networks (full meshes, random networks)
 that half the suite verifies, :func:`run_batch` for a bare check list,
 and :func:`saved_state` for a saved cache's pickled state."""
@@ -17,7 +17,7 @@ from repro.bgp.topology import Edge
 from repro.core.checks import generate_safety_checks
 from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
-from repro.core.safety import build_universe
+from repro.core.safety import build_universe, invariant_predicates
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, PrefixIn
 from repro.bgp.prefix import PrefixRange
@@ -56,17 +56,12 @@ def from_isp1(fig1_config):
     return isp1_ghost(fig1_config)
 
 
-def last_result(workspace):
-    """The ``IncrementalResult`` of a single-property workspace's last run."""
-    (entry,) = workspace.entries
-    return entry.last_result
-
-
 def reverify(workspace, edited):
-    """``apply(edited)`` then ``reverify()`` on a single-property workspace."""
+    """``apply(edited)`` then ``reverify()`` on a single-property
+    workspace: the run's report."""
     workspace.apply(edited)
     (entry,) = workspace.reverify()
-    return entry.last_result
+    return entry.report
 
 
 def owner_check_count(tracker, owner) -> int:
@@ -99,7 +94,8 @@ def fullmesh_problem(n: int):
 
 def safety_pieces(config, ghost, prop, invariants):
     """(universe, checks) of a safety problem, for tests below ``verify_safety``."""
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
+    predicates = [prop.predicate, *invariant_predicates(invariants)]
+    universe = build_universe(config, predicates, (ghost,))
     checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
     return universe, checks
 

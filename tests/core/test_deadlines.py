@@ -22,7 +22,7 @@ from repro.bgp.configjson import config_to_json
 from repro.bgp.policy import RouteMap, RouteMapClause
 from repro.bgp.route import Community
 from repro.cli import EXIT_DEGRADED, main
-from repro.core.checks import generate_safety_checks, implication_check
+from repro.core.checks import implication_check
 from repro.core.exec import ExecutionContext
 from repro.core.exec.pool import run_checks_in_processes
 from repro.core.report import DegradationReport
@@ -39,7 +39,7 @@ from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import ip_reuse_safety_problem
 
-from tests.core.conftest import fullmesh_problem, run_batch
+from tests.core.conftest import fullmesh_problem, run_batch, safety_pieces
 
 
 @pytest.fixture(autouse=True)
@@ -124,8 +124,7 @@ def test_cdcl_search_stops_at_its_wall_deadline(solve, stopped):
 
 def test_hung_check_times_out_within_budget_and_rest_completes():
     config, ghost, prop, invariants = fullmesh_problem(4)
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     victim = str(checks[0])
     faults.install(FaultPlan(hang_check_match=victim))
 
@@ -187,21 +186,9 @@ def test_workspace_wall_budget_spans_a_run():
     assert set(report.unknown_reason_counts) == {"wall-budget"}
 
 
-def test_workspace_pinned_run_deadline_wins_over_budget():
-    config, ghost, prop, invariants = fullmesh_problem(4)
-    ws = Workspace(config, ghosts=(ghost,), wall_budget_s=1e-6)
-    # An externally pinned (generous) deadline overrides the per-run
-    # budget — the CLI uses this to span one budget over many properties.
-    ws.set_run_deadline(time.monotonic() + 60.0)
-    with ws:
-        report = ws.verify(prop, invariants)
-    assert report.passed
-
-
 def test_process_map_skips_every_check_after_an_expired_run_deadline():
     config, ghost, prop, invariants = fullmesh_problem(4)
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     # Straight at the process map (the scheduler would not even fork for
     # an expired batch): the workers themselves must honour the deadline.
     outcomes = run_checks_in_processes(
@@ -216,8 +203,7 @@ def test_process_map_skips_every_check_after_an_expired_run_deadline():
 
 def test_process_map_wall_budget_expiring_mid_run_returns_partial_results():
     config, ghost, prop, invariants = fullmesh_problem(5)
-    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
     serial = run_batch(checks, config, universe, (ghost,))
     # ~0.1 s per check: several seconds of work even on two workers, so a
     # 0.6 s budget expires mid-run with checks decided on both sides of it.
@@ -392,17 +378,15 @@ def test_wall_budget_unknowns_are_rerun_in_process_and_after_a_load(tmp_path):
     ws.save(path)
     # ...and both the live and the loaded tracker re-run exactly the
     # time-bound groups once the budget is lifted; nothing else.
-    ws.wall_budget_s = None
+    ws.run_deadline = None
     loaded = Workspace.load(path, config, (ghost,))
     for workspace in (ws, loaded):
         report = workspace.verify(prop, invariants)
         assert report.passed
-        result = workspace.entries[0].last_result
-        assert result.rerun_checks == time_bound
-        assert result.cached_checks == report.num_checks - time_bound
+        assert report.rerun_checks == time_bound
+        assert report.reused_checks == report.num_checks - time_bound
         # Repaired: a third run has nothing left to re-run.
-        workspace.verify(prop, invariants)
-        assert workspace.entries[0].last_result.checks_consulted == 0
+        assert workspace.verify(prop, invariants).rerun_checks == 0
 
 
 def test_cli_wall_budget_unknowns_do_not_poison_the_cache(
@@ -449,10 +433,12 @@ def test_a_loaded_workspace_runs_under_the_limits_it_was_opened_with(tmp_path):
     with Workspace(config, ghosts=(ghost,)) as ws:
         assert ws.verify(prop, invariants).passed
         ws.save(path)
+    opened = time.monotonic()
     loaded = Workspace.load(
         path, config, (ghost,), parallel=2, deadline_s=0.2, wall_budget_s=60.0
     )
-    assert (loaded.parallel, loaded.deadline_s, loaded.wall_budget_s) == (2, 0.2, 60.0)
+    assert (loaded.parallel, loaded.deadline_s) == (2, 0.2)
+    assert opened + 60.0 <= loaded.run_deadline <= time.monotonic() + 60.0
     # ...and they bite: an edit to R3 re-runs its group, where a check hangs.
     edited = build_full_mesh(4)
     session = edited.routers["R3"].neighbors["R1"]
@@ -460,12 +446,10 @@ def test_a_loaded_workspace_runs_under_the_limits_it_was_opened_with(tmp_path):
     faults.install(FaultPlan(hang_check_match="import check at R3"))
     loaded.apply(edited)
     (entry,) = loaded.reverify()
-    assert "timeout" in entry.last_result.report.unknown_reason_counts
+    assert "timeout" in entry.report.unknown_reason_counts
     spent = Workspace.load(path, config, (ghost,), wall_budget_s=1e-9)
     spent.apply(edited)
-    assert set(spent.reverify()[0].last_result.report.unknown_reason_counts) == {
-        "wall-budget"
-    }
+    assert set(spent.reverify()[0].report.unknown_reason_counts) == {"wall-budget"}
 
 
 def test_cli_cache_loaded_workspace_honours_the_deadline(cli_inputs, tmp_path, capsys):
@@ -501,7 +485,7 @@ def test_conflict_budget_unknowns_are_reused(tmp_path):
     loaded = Workspace.load(path, wan.config, (problem.ghost,), conflict_budget=1)
     for workspace in (ws, loaded):
         again = workspace.verify(problem.properties[0], problem.invariants)
-        assert workspace.entries[0].last_result.checks_consulted == 0
+        assert again.rerun_checks == 0
         assert again.unknown_reason_counts == first.unknown_reason_counts
 
 
@@ -522,7 +506,7 @@ def test_hermetic_check_honours_the_conflict_budget():
     a, b = HasCommunity(Community(1, 1)), HasCommunity(Community(1, 2))
     assumption = AllOf((AnyOf((a, b)), AnyOf((a, Not(b))), AnyOf((Not(a), b))))
     check = implication_check("R1", assumption, AllOf((a, b)), "both tags")
-    universe = build_universe(config, None, [assumption], ())
+    universe = build_universe(config, [assumption], ())
     starved = check.run(config, universe, (), conflict_budget=0, session=None)
     assert starved.unknown and starved.unknown_reason == "conflicts"
     assert check.run(config, universe, (), session=None).passed

@@ -129,5 +129,5 @@ def test_a_reverify_after_apply_consults_the_edited_owner_only():
     (entry,) = ws.reverify()
     owned = sum(1 for o in full.iter_outcomes() if check_owner(o.check) == f"R{N}")
     assert owned > 0
-    assert entry.last_result.checks_consulted == owned
+    assert entry.report.rerun_checks == owned
     assert entry.report.passed

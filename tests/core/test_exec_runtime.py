@@ -87,7 +87,7 @@ def test_outcomes_do_not_depend_on_mapping_order():
     case = oracle.CASES["figure1-liveness"]
     config = case.config()
     ghosts, problem = case.problem(config)
-    universe = build_universe(config, None, problem.predicates(), ghosts)
+    universe = build_universe(config, problem.predicates(), ghosts)
     sections = problem.checks(config)
     reference = {
         key: [oracle.outcome_key(check.run(config, universe, ghosts)) for check in checks]

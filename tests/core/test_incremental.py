@@ -29,13 +29,13 @@ from repro.bgp.policy import AddCommunity, RouteMap, RouteMapClause
 from repro.bgp.route import Community
 from repro.bgp.topology import Topology
 from repro.core.incremental import NETWORK_DIGEST_KEY, config_digests
-from repro.core.liveness import IMPLICATION_KEY, PROPAGATION_KEY
+from repro.core.report import IMPLICATION_KEY, PROPAGATION_KEY
 from repro.core.workspace import Workspace
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
 from tests import oracle
-from tests.core.conftest import last_result, owner_check_count, reverify
+from tests.core.conftest import owner_check_count, reverify
 
 
 def _verified(case: str, **kwargs):
@@ -54,18 +54,17 @@ def _r3_edit():
 
 def test_a_one_router_edit_consults_only_its_owner_group():
     ws, __ = _verified("figure1-safety")
-    first = last_result(ws)
-    assert (first.rerun_checks, first.cached_checks, first.checks_consulted) == (19, 0, 19)
+    first = ws.entries[0].report
+    assert (first.rerun_checks, first.reused_checks) == (19, 0)
     noop = reverify(ws, build_figure1())
-    assert (noop.rerun_checks, noop.cached_checks, noop.checks_consulted) == (0, 19, 0)
-    assert noop.reuse_fraction == 1.0
+    assert (noop.rerun_checks, noop.reused_checks) == (0, 19)
     # R3 owns imports on Customer->R3, R1->R3, R2->R3 and exports on
     # R3->Customer, R3->R1, R3->R2.
     edited = reverify(ws, _r3_edit())
-    assert (edited.rerun_checks, edited.cached_checks, edited.checks_consulted) == (6, 13, 6)
+    assert (edited.rerun_checks, edited.reused_checks) == (6, 13)
     broken = reverify(ws, oracle.CASES["figure1-safety-planted"].config())
     assert broken.rerun_checks == 6 + 6  # R3 back, R2 strips
-    assert {f.blamed_router for f in broken.report.failures} == {"R2"}
+    assert {f.blamed_router for f in broken.failures} == {"R2"}
     assert reverify(ws, build_figure1()).rerun_checks == 6  # R2 back
 
 
@@ -75,13 +74,13 @@ def test_a_liveness_edit_never_consults_the_implication():
     # R5 is off the witness path E2 -> R2 -> R3: its sub-proof groups only.
     off_path = reverify(ws, full_mesh_single_router_edit(5))
     assert (*PROPAGATION_KEY, "R5") not in tracker._groups
-    assert off_path.checks_consulted == off_path.rerun_checks == owner_check_count(tracker, "R5")
+    assert off_path.rerun_checks == owner_check_count(tracker, "R5")
     # R2 is on it: its propagation checks too (the bogon deny overlaps the
     # short-prefix constraint, so one now fails, found from R2's groups).
     on_path = reverify(ws, full_mesh_single_router_edit(5, router="R2"))
     assert len(tracker._groups[(*PROPAGATION_KEY, "R2")].stats) > 0
-    assert on_path.checks_consulted == owner_check_count(tracker, "R2") + owner_check_count(tracker, "R5")
-    assert not on_path.report.passed
+    assert on_path.rerun_checks == owner_check_count(tracker, "R2") + owner_check_count(tracker, "R5")
+    assert not on_path.passed
     assert tracker._groups[(*IMPLICATION_KEY, None)].kept is implication  # reused wholesale
 
 
@@ -103,14 +102,14 @@ def test_the_universe_is_rebuilt_only_when_its_atoms_change(case):
     extra = RouteMapClause(last.seq, last.disposition, last.matches, (*last.actions, AddCommunity(Community(999, 9))))
     session.import_map = RouteMap("CUST-IN", (*head, extra))
     result = reverify(ws, tagged)
-    assert result.report.passed and result.rerun_checks == owner_check_count(tracker, "R3")
+    assert result.passed and result.rerun_checks == owner_check_count(tracker, "R3")
     assert tracker.universe_builds == 2 and Community(999, 9) in tracker._universe.communities
 
     # An external ASN is in no router's digest, yet in the universe and
     # in AS-path semantics: nothing is reused.
     asn = build_figure1()
     asn.set_external_asn("ISP2", 999)
-    assert reverify(ws, asn).cached_checks == 0
+    assert reverify(ws, asn).reused_checks == 0
     assert tracker.universe_builds == 3 and 999 in tracker._universe.asns
 
 
@@ -124,7 +123,7 @@ def test_sessions_are_per_owner_and_only_the_edited_owner_grows(case):
     before, discharged = pool.encoding_sizes(), pool.checks_discharged
 
     noop = reverify(ws, oracle.CASES[case].network())
-    assert noop.rerun_checks == noop.checks_consulted == 0 and noop.reuse_fraction == 1.0
+    assert (noop.rerun_checks, noop.reused_checks) == (0, noop.num_checks)
     assert (pool.encoding_sizes(), pool.checks_discharged) == (before, discharged)
 
     edited = (lambda: _r3_edit()) if case.startswith("figure1") else (
@@ -152,7 +151,7 @@ def test_a_topology_change_reruns_everything_on_the_same_pool():
     grown.topology.add_peering("R1", "ISP3")
     grown.routers["R1"].add_neighbor(NeighborConfig("ISP3", 400))
     result = reverify(ws, grown)
-    assert (result.cached_checks, result.rerun_checks) == (0, 21)  # two more edges
+    assert (result.reused_checks, result.rerun_checks) == (0, 21)  # two more edges
     assert ws.sessions is pool and len(pool) > 0  # cleared in place, refilled
 
 
@@ -177,11 +176,10 @@ def test_a_chain_of_random_edits_stays_hermetic(kind, seed):
         else:
             for __ in range(rng.randrange(1, 3)):
                 oracle.random_edit(edited, rng, size)
-        result = reverify(ws, edited)
-        assert oracle.fingerprint(result.report) == oracle.reference(edited, ghosts, problem), step
-        oracle.accounted(result)
+        report = reverify(ws, edited)
+        assert oracle.fingerprint(report) == oracle.reference(edited, ghosts, problem), step
         if step in ("asn", "topology"):
-            assert result.cached_checks == 0, step
+            assert report.reused_checks == 0, step
 
 
 @pytest.mark.parametrize("case", ["figure1-safety", "figure1-liveness"])

@@ -8,19 +8,21 @@ from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind
 from repro.core.exec import ExecutionContext
 from repro.core.liveness import (
-    IMPLICATION_KEY,
-    PROPAGATION_KEY,
     generate_propagation_checks,
     interference_properties,
     resolve_interference_invariants,
-    subproof_key,
     verify_liveness,
 )
 from repro.core.properties import LivenessProperty
-from repro.core.report import DegradationReport, GroupOutcomes
-from repro.core.safety import build_universe
+from repro.core.report import (
+    IMPLICATION_KEY,
+    PROPAGATION_KEY,
+    GroupOutcomes,
+    VerificationReport,
+    subproof_key,
+)
+from repro.core.safety import build_universe, invariant_predicates
 from repro.lang.predicates import HasCommunity, Not, PrefixIn, TruePred
-from repro.smt.solver import SessionPool
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
 from tests import oracle
@@ -58,7 +60,7 @@ def test_liveness_fails_when_r3_keeps_communities():
     # The propagation check at R3's customer import must fail: a tagged
     # customer route stays tagged.
     prop_failures = [
-        o for o in report.propagation_outcomes if not o.passed and o.failure
+        o for o in report.section_outcomes(PROPAGATION_KEY) if not o.passed and o.failure
     ]
     assert prop_failures
     witness = prop_failures[0].failure
@@ -89,7 +91,7 @@ def test_liveness_fails_when_path_filter_rejects_good_routes(fig1_config):
     assert not report.passed
     rejection = [
         o.failure
-        for o in report.propagation_outcomes
+        for o in report.section_outcomes(PROPAGATION_KEY)
         if o.failure is not None and o.failure.rejected
     ]
     assert rejection, "expected a rejected-good-route witness"
@@ -105,7 +107,7 @@ def test_liveness_implication_check_failure(fig1_config):
         constraints=(TruePred(),) * 5,
     )
     report = verify_liveness(fig1_config, prop)
-    assert not report.implication_outcome.passed
+    assert not report.section_outcomes(IMPLICATION_KEY)[0].passed
 
 
 def test_liveness_rejects_bogus_path(fig1_config):
@@ -152,12 +154,13 @@ def _per_step_universes(config, ghosts, problem):
     build for itself: the property's for propagation and the implication,
     each sub-proof's own (its invariants' atoms included)."""
     prop = problem.prop
-    own = build_universe(config, None, [prop.predicate, *prop.constraints], ghosts)
+    own = build_universe(config, [prop.predicate, *prop.constraints], ghosts)
     universes = {PROPAGATION_KEY: own, IMPLICATION_KEY: own}
-    hoisted = build_universe(config, None, problem.predicates(), ghosts)
+    hoisted = build_universe(config, problem.predicates(), ghosts)
     properties, invariants = resolve_interference_invariants(config, prop, problem.invariants)
     for router, safety_prop in properties.items():
-        universe = build_universe(config, invariants[router], [safety_prop.predicate], ghosts)
+        preds = [safety_prop.predicate, *invariant_predicates(invariants[router])]
+        universe = build_universe(config, preds, ghosts)
         universes[subproof_key(router)] = universe
         for atoms in ("communities", "asns", "ghosts"):  # the hoisted one covers it
             assert set(getattr(universe, atoms)) <= set(getattr(hoisted, atoms))
@@ -165,7 +168,7 @@ def _per_step_universes(config, ghosts, problem):
         key: [GroupOutcomes.of(checks, [c.run(config, universes[key], ghosts) for c in checks])]
         for key, checks in problem.checks(config).items()
     }
-    return problem.report(groups, 0.0, DegradationReport())
+    return VerificationReport(problem.property, groups, 0.0)
 
 
 @pytest.mark.parametrize("name", ["figure1-liveness", "figure1-liveness-planted", "figure1-liveness-custom"])
@@ -180,8 +183,8 @@ def test_hoisting_the_universe_is_invisible(name):
 
 
 def test_the_whole_proof_shares_one_pool(fig1_config):
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     assert verify_liveness(fig1_config, customer_liveness_property(), context=context).passed
     # Propagation, the two sub-proofs and the implication: one session
     # per owner.  The implication goes through the pool too (it used to

@@ -75,13 +75,10 @@ def test_a_peering_sweep_hashes_each_memo_key_once():
     assert instances < checks // 4, (instances, checks)
 
 
-def _reference_universe(config, invariants, predicates, ghosts):
+def _reference_universe(config, predicates, ghosts):
     """The universe from a walk over every predicate occurrence."""
     communities, asns, names = set(), set(), {g.name for g in ghosts}
-    preds = list(predicates)
-    if invariants is not None:
-        preds.extend(safety.invariant_predicates(invariants))
-    for pred in preds:
+    for pred in predicates:
         c, a, g = predicate_atoms(pred)
         communities |= c
         asns |= a
@@ -97,21 +94,26 @@ def _wan_sweep_inputs():
         *(ip_reuse_liveness_problem(wan, region) for region in range(2)),
     ]
     predicates = [pred for prob in problems for pred in prob.problem().predicates()]
-    return wan.config, None, predicates, tuple(prob.ghost for prob in problems)
+    return wan.config, predicates, tuple(prob.ghost for prob in problems)
 
 
 def _figure1_inputs():
     config = build_figure1()
     ghost = isp1_ghost(config)
     liveness = customer_liveness_property()
-    predicates = [no_transit_property().predicate, liveness.predicate, *liveness.constraints]
-    return config, no_transit_invariants(config), predicates, (ghost,)
+    predicates = [
+        no_transit_property().predicate,
+        liveness.predicate,
+        *liveness.constraints,
+        *safety.invariant_predicates(no_transit_invariants(config)),
+    ]
+    return config, predicates, (ghost,)
 
 
 @pytest.mark.parametrize("inputs", [_wan_sweep_inputs, _figure1_inputs], ids=["wan-2-3", "figure1"])
 def test_build_universe_walks_each_distinct_predicate_once(inputs, monkeypatch):
-    config, invariants, predicates, ghosts = inputs()
-    expected = _reference_universe(config, invariants, predicates, ghosts)
+    config, predicates, ghosts = inputs()
+    expected = _reference_universe(config, predicates, ghosts)
     walked = []
 
     def counting_atoms(pred):
@@ -119,10 +121,7 @@ def test_build_universe_walks_each_distinct_predicate_once(inputs, monkeypatch):
         return predicate_atoms(pred)
 
     monkeypatch.setattr(safety, "predicate_atoms", counting_atoms)
-    universe = safety.build_universe(config, invariants, predicates, ghosts)
+    universe = safety.build_universe(config, predicates, ghosts)
     assert universe == expected
     assert len(walked) == len(set(walked))
-    occurrences = list(predicates)
-    if invariants is not None:
-        occurrences += safety.invariant_predicates(invariants)
-    assert set(walked) == set(occurrences)
+    assert set(walked) == set(predicates)

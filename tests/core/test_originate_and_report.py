@@ -10,7 +10,7 @@ from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind, generate_safety_checks
 from repro.core.liveness import verify_liveness
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.report import format_liveness_report, format_safety_report
+from repro.core.report import format_report
 from repro.core.safety import verify_safety
 from repro.lang.predicates import HasCommunity, Not, TruePred
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
@@ -69,7 +69,7 @@ def test_originate_check_passes_when_tagged():
     # invariant set is deliberately too strong; look only at the originate
     # outcome here.
     originate_outcomes = [
-        o for o in report.outcomes if o.check.kind is CheckKind.ORIGINATE
+        o for o in report.iter_outcomes() if o.check.kind is CheckKind.ORIGINATE
     ]
     assert len(originate_outcomes) == 1
     assert originate_outcomes[0].passed
@@ -125,9 +125,9 @@ def test_multi_query_outcome_keeps_search_counters_and_unknown_reason():
     prop, invariants = _originated_tagged_problem(config)
     checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
     (originate,) = [c for c in checks if c.kind is CheckKind.ORIGINATE]
-    from repro.core.safety import build_universe
+    from repro.core.safety import build_universe, invariant_predicates
 
-    universe = build_universe(config, invariants, [prop.predicate], ())
+    universe = build_universe(config, [prop.predicate, *invariant_predicates(invariants)], ())
     outcome = originate.run(config, universe, deadline_s=0.0)
     assert outcome.unknown and outcome.unknown_reason == "timeout"
     assert outcome.stats.unknown_reason == "timeout"
@@ -143,9 +143,9 @@ def test_format_safety_report_pass_and_verbose():
     invariants = InvariantMap(config.topology, default=TruePred())
     invariants.set_edge("R2", "ISP2", Not(HasCommunity(TRANSIT_COMMUNITY)))
     report = verify_safety(config, prop, invariants)
-    text = format_safety_report(report)
+    text = format_report(report)
     assert "PASSED" in text
-    verbose = format_safety_report(report, verbose=True)
+    verbose = format_report(report, verbose=True)
     assert "check breakdown:" in verbose
     assert verbose.count("[ok  ]") == report.num_checks
 
@@ -159,7 +159,7 @@ def test_format_safety_report_failure_contains_explanation():
     report = verify_safety(
         config, no_transit_property(), no_transit_invariants(config), ghosts=(ghost,)
     )
-    text = format_safety_report(report)
+    text = format_report(report)
     assert "FAILED" in text
     assert "blamed router: R1" in text
 
@@ -167,7 +167,7 @@ def test_format_safety_report_failure_contains_explanation():
 def test_format_liveness_report():
     config = build_figure1()
     report = verify_liveness(config, customer_liveness_property())
-    text = format_liveness_report(report, verbose=True)
+    text = format_report(report, verbose=True)
     assert "PASSED" in text
     assert "no-interference at R2: ok" in text
     assert "no-interference at R3: ok" in text
@@ -176,6 +176,6 @@ def test_format_liveness_report():
 def test_format_liveness_report_failure():
     config = build_figure1(buggy_r3_strip=True)
     report = verify_liveness(config, customer_liveness_property())
-    text = format_liveness_report(report)
+    text = format_report(report)
     assert "FAILED" in text
     assert "Customer->R3" in text

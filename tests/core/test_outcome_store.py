@@ -36,18 +36,16 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.config import RouterConfig
-from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
 from repro.bgp.prefix import PrefixRange
 from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
 from repro.core.liveness import LivenessProblem, interference_properties
-from repro.core.properties import InvariantMap, LivenessProperty
-from repro.core.report import format_report
+from repro.core.properties import InvariantMap
+from repro.core.report import IMPLICATION_KEY, format_report
 from repro.core.safety import run_problem
 from repro.core.workspace import Workspace
 from repro.lang.predicates import Implies, PrefixIn
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
-from repro.workloads.randomnet import build_random_network
 
 from tests import oracle
 from tests.core.conftest import mesh_no_transit, reverify
@@ -57,20 +55,13 @@ def _ranges(text: str) -> PrefixIn:
     return PrefixIn((PrefixRange.parse(text),))
 
 
-SHORT = _ranges("0.0.0.0/0 le 24")
 # Valid, but refuting its negation takes a case split on the first prefix
 # bit — one conflict — where every other check of these networks is decided
 # by propagation alone: under ``conflict_budget=0`` the one check that has
 # to *prove* it comes back UNKNOWN/``conflicts`` and nothing else does.
 HARD = Implies(
-    SHORT,
+    oracle.SHORT,
     _ranges("0.0.0.0/1 ge 1 le 24") | _ranges("128.0.0.0/1 ge 1 le 24") | _ranges("0.0.0.0/0 le 0"),
-)
-
-
-DENY_SHORT = RouteMap(
-    "BREAK-PROP",
-    (RouteMapClause(10, Disposition.DENY, matches=(MatchPrefix((SHORT.ranges[0],)),)), RouteMapClause(20)),
 )
 
 
@@ -107,37 +98,6 @@ def _planted(name: str, edit: str | None = None):
     return config, ghosts, _harden(config, problem, hard), oracle.bogon_edit(case.config(), *edited)
 
 
-def _mesh_liveness(build):
-    """The corpus has no planted liveness case on a mesh-shaped network:
-    a short-prefix liveness property along E2 → R2 → its first internal
-    neighbor → that router's external, with R2's export to that neighbor
-    denying short prefixes (FAILED), ``HARD`` at the last router's exit and
-    the edit at the one before it."""
-
-    def planted():
-        config = build()
-        topology = config.topology
-        peer = min(r for r in topology.successors("R2") if topology.is_router(r))
-        config.routers["R2"].neighbors[peer].export_map = DENY_SHORT
-        return config, peer
-
-    config, peer = planted()
-    last = len(config.routers)
-    assert peer not in (f"R{last}", f"R{last - 1}")
-    exit_edge = Edge(peer, "E" + peer[1:])
-    path = (Edge("E2", "R2"), "R2", Edge("R2", peer), peer, exit_edge)
-    prop = LivenessProperty(
-        location=exit_edge,
-        predicate=SHORT,
-        path=path,
-        constraints=(SHORT,) * len(path),
-        name="short-prefix-leaves",
-    )
-    problem = _harden(config, LivenessProblem(prop), Edge(f"R{last}", f"E{last}"))
-    edited = oracle.bogon_edit(planted()[0], f"R{last - 1}", f"E{last - 1}")
-    return config, (), problem, edited
-
-
 CELLS = {
     **{
         name: partial(_planted, name)
@@ -146,12 +106,10 @@ CELLS = {
             "figure1-liveness-planted",
             "fullmesh5-safety-planted",
             f"randomnet6-gnp-{oracle.SEEDS[0]}-planted",
+            "fullmesh5-liveness-planted",
+            "randomnet6-gnp-3-liveness-planted",
         )
     },
-    "fullmesh5-liveness-planted": partial(_mesh_liveness, partial(build_full_mesh, 5)),
-    "randomnet6-gnp-3-liveness-planted": partial(
-        _mesh_liveness, partial(build_random_network, 6, model="gnp", seed=3)
-    ),
     # A conflicts UNKNOWN is an answer of the session that asked: a warm
     # tracker re-running R2's group decides ``import check at R2 on
     # ISP2->R2``, which a fresh one-shot run leaves UNKNOWN.
@@ -182,8 +140,8 @@ def _order(report) -> list:
     return list(map(oracle.outcome_key, report.iter_outcomes()))
 
 
-def _accounting(result) -> tuple[int, int, int]:
-    return result.rerun_checks, result.cached_checks, result.checks_consulted
+def _accounting(report) -> tuple[int, int]:
+    return report.rerun_checks, report.reused_checks
 
 
 @pytest.mark.parametrize("build", CELLS.values(), ids=CELLS)
@@ -197,12 +155,12 @@ def test_in_process_loaded_and_one_shot_agree(build, tmp_path):
     # A one-router edit whose run starts with its time already spent: that
     # router's groups — and nothing else — become time-bound UNKNOWNs.
     expired = time.monotonic() - 1
-    ws.set_run_deadline(expired)
+    ws.run_deadline = expired
     degraded = reverify(ws, edited)
     rerun = degraded.rerun_checks
     assert 0 < rerun < first.num_checks
-    assert degraded.report.unknown_reason_counts["wall-budget"] == rerun
-    assert degraded.report.failures and "conflicts" in degraded.report.unknown_reason_counts
+    assert degraded.unknown_reason_counts["wall-budget"] == rerun
+    assert degraded.failures and "conflicts" in degraded.unknown_reason_counts
     path = tmp_path / "workspace.lyc"
     ws.save(path)
 
@@ -212,14 +170,14 @@ def test_in_process_loaded_and_one_shot_agree(build, tmp_path):
     # FAILED and conflict-budget UNKNOWN included, check by check in the
     # same order.
     loaded = Workspace.load(path, build()[3], ghosts, conflict_budget=0)
-    loaded.set_run_deadline(expired)
+    loaded.run_deadline = expired
     (from_disk,) = loaded.reverify()
     (in_process,) = ws.reverify()
-    assert _accounting(from_disk.last_result) == _accounting(in_process.last_result)
-    assert _accounting(in_process.last_result) == _accounting(degraded)
+    assert _accounting(from_disk.report) == _accounting(in_process.report)
+    assert _accounting(in_process.report) == _accounting(degraded)
     for entry in (from_disk, in_process):
-        assert _text(entry.report) == _text(degraded.report)
-        assert _order(entry.report) == _order(degraded.report)
+        assert _text(entry.report) == _text(degraded)
+        assert _order(entry.report) == _order(degraded)
 
     # With the time limit lifted both repair the same groups and agree
     # with a from-scratch run on the edited configuration (which lists a
@@ -227,9 +185,9 @@ def test_in_process_loaded_and_one_shot_agree(build, tmp_path):
     problem = ws.entries[0].tracker.problem
     reference = run_problem(ExecutionContext(conflict_budget=0), problem, edited, ghosts)
     for workspace in (ws, loaded):
-        workspace.set_run_deadline(None)
+        workspace.run_deadline = None
         (entry,) = workspace.reverify()
-        assert _accounting(entry.last_result) == _accounting(degraded)
+        assert _accounting(entry.report) == _accounting(degraded)
         report = entry.report
         assert "wall-budget" not in report.unknown_reason_counts
         assert report.status() == reference.status()
@@ -241,7 +199,7 @@ def test_in_process_loaded_and_one_shot_agree(build, tmp_path):
     # Repaired means repaired: nothing is time-bound any more.
     for workspace in (ws, loaded):
         (entry,) = workspace.reverify()
-        assert entry.last_result.rerun_checks == 0
+        assert entry.report.rerun_checks == 0
 
 
 @pytest.mark.parametrize("kind", ["safety", "liveness"])
@@ -270,21 +228,20 @@ def test_cache_loaded_reverify_generates_only_the_edited_owners_checks(
 
     loaded = Workspace.load(path, build_full_mesh(n), ghosts)
     edited = full_mesh_single_router_edit(n, router="R4")
-    result = reverify(loaded, edited)
+    report = reverify(loaded, edited)
     sections = 1 if kind == "safety" else 2  # one §4 check set per sub-proof
     assert asked == [{"R4"}] * sections
-    assert 0 < result.rerun_checks < total
+    assert 0 < report.rerun_checks < total
 
     # Everything a summary, the CLI's default output or an exit code reads
     # comes from the stored rows.
-    report = result.report
     assert report.passed and report.num_checks == total
     assert not report.failures and not report.unknowns
     assert report.max_vars >= 0 and report.solve_time_s >= 0 and report.build_time_s >= 0
     format_report(report)
     if kind == "liveness":
         format_report(report, verbose=True)  # counts sub-proof checks, lists none
-        assert report.implication_outcome.passed
+        assert report.section_outcomes(IMPLICATION_KEY)[0].passed
     assert asked == [{"R4"}] * sections
 
     # The listing regenerates the other owners' checks, once.
@@ -297,7 +254,7 @@ def test_cache_loaded_reverify_generates_only_the_edited_owners_checks(
     assert len(asked) == 2 * sections
     # ...and lists what the in-process tracker, which never dropped its
     # checks, lists.
-    assert list(map(oracle.outcome_key, listing)) == _order(reverify(ws, edited).report)
+    assert list(map(oracle.outcome_key, listing)) == _order(reverify(ws, edited))
 
 
 def test_a_cold_reverify_digests_each_configuration_once(tmp_path, monkeypatch):
@@ -316,9 +273,9 @@ def test_a_cold_reverify_digests_each_configuration_once(tmp_path, monkeypatch):
     )
     loaded = Workspace.load(path, build_full_mesh(n), (ghost,))
     assert len(digested) == n  # the offered configuration
-    result = reverify(loaded, full_mesh_single_router_edit(n))
+    report = reverify(loaded, full_mesh_single_router_edit(n))
     assert len(digested) == 2 * n  # the edit; the tracker reads the workspace's
-    assert result.report.passed and 0 < result.rerun_checks < result.report.num_checks
+    assert report.passed and 0 < report.rerun_checks < report.num_checks
 
 
 @pytest.mark.parametrize("kind", ["safety", "liveness"])
@@ -340,7 +297,7 @@ def test_a_saved_topology_change_is_noticed_after_a_load(kind, tmp_path):
     reference = oracle.reference(grown, ghosts, problem)
     for entry in (from_disk, in_process):
         assert entry.report.num_checks > before
-        assert entry.last_result.cached_checks == 0
+        assert entry.report.reused_checks == 0
         assert oracle.fingerprint(entry.report) == reference
     assert _order(from_disk.report) == _order(in_process.report)
 

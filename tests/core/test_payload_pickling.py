@@ -183,7 +183,7 @@ def corpus(tmp_path_factory):
     group = next(g for g in entry["state"]["groups"].values() if g.kept)
     failure = next(o.failure for o in group.kept.values() if o.failure is not None)
 
-    outcome = report.outcomes[0]
+    outcome = next(report.iter_outcomes())
     instances = {
         NetworkConfig: config,
         AttributeUniverse: universe,

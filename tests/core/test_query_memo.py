@@ -52,11 +52,9 @@ def _assert_one_solve_per_distinct_query(pool, num_queries):
 
 def test_budgeted_unknowns_are_not_memoised_and_a_later_run_decides():
     wan = build_wan(regions=2, routers_per_region=3)
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
-    starved = verify_ip_reuse_safety_problems(
-        wan, workspace=ExecutionContext(conflict_budget=0, sessions=pool)
-    )
+    context = ExecutionContext(conflict_budget=0)
+    pool = context.sessions
+    starved = verify_ip_reuse_safety_problems(wan, workspace=context)
     unknown = [o for __, r in starved for o in r.iter_outcomes() if o.unknown]
     assert unknown and {o.unknown_reason for o in unknown} == {"conflicts"}
     assert all(result is not Result.UNKNOWN for result, __ in pool.answers.values())
@@ -64,6 +62,7 @@ def test_budgeted_unknowns_are_not_memoised_and_a_later_run_decides():
     # one of the UNKNOWNs above.
     assert pool.checks_discharged - len(pool.answers) == len(unknown)
 
+    context.conflict_budget = None  # a later run on the same sessions
     decided = verify_ip_reuse_safety_problems(wan, workspace=context)
     assert all(report.passed for __, report in decided)
 
@@ -71,8 +70,8 @@ def test_budgeted_unknowns_are_not_memoised_and_a_later_run_decides():
 def test_an_expired_deadline_bypasses_the_memo():
     config = build_full_mesh(4)
     ghost, __, __, universe, checks = _no_transit_problem(config)
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     assert all(o.passed for o in run_batch(checks, config, universe, (ghost,), context=context))
     # Every query is now in the memo, yet a check that starts with no time
     # left still comes back UNKNOWN/timeout.
@@ -89,8 +88,8 @@ def test_memo_hit_counterexample_names_and_satisfies_the_asking_check():
     for peer in ("R1", "R2", "R3"):
         config.routers["R5"].neighbors[peer].import_map = STRIP
     ghost, __, __, universe, checks = _no_transit_problem(config)
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     outcomes = run_batch(checks, config, universe, (ghost,), context=context)
     failed = [o for o in outcomes if o.failure]
     assert [o.check.edge for o in failed] == [Edge(p, "R5") for p in ("R1", "R2", "R3")]
@@ -112,8 +111,8 @@ def test_fullmesh_solves_each_distinct_query_once():
     config = build_full_mesh(10)
     ghost, __, __, universe, checks = _no_transit_problem(config)
     assert not [c for c in checks if c.kind is CheckKind.ORIGINATE]
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     outcomes = run_batch(checks, config, universe, (ghost,), context=context)
     assert all(o.passed for o in outcomes)
     _assert_one_solve_per_distinct_query(pool, len(checks))
@@ -141,8 +140,8 @@ def test_a_jobs_worker_keeps_one_memo_across_its_owner_chunks(monkeypatch):
 
 
 def test_no_memo_hit_across_clear_intern_cache():
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     config = build_full_mesh(4)
     ghost, __, __, universe, checks = _no_transit_problem(config)
     run_batch(checks[:1], config, universe, (ghost,), context=context)
@@ -175,8 +174,8 @@ def test_a_model_that_fails_its_own_query_is_an_internal_error():
     config = build_full_mesh(4)
     config.routers["R3"].neighbors["R1"].import_map = STRIP
     ghost, __, __, universe, checks = _no_transit_problem(config)
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     outcomes = run_batch(checks, config, universe, (ghost,), context=context)
     (failed,) = [o for o in outcomes if o.failure]
     assert _plant_wrong_model(pool) == 1

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from repro.core.checks import CheckKind, CheckOutcome, LocalCheck
 from repro.core.liveness import verify_liveness
-from repro.core.report import (
-    GroupOutcomes,
-    format_liveness_report,
-    format_safety_report,
-)
+from repro.core.report import IMPLICATION_KEY, SAFETY_KEY, GroupOutcomes, format_report
 from repro.core.safety import verify_safety
 from repro.lang.predicates import TruePred
 from repro.smt.solver import SolverStats
@@ -56,7 +52,7 @@ def _fig1_safety_report(config=None):
 def test_safety_summary_counts_unknowns_distinctly():
     report = _fig1_safety_report()
     assert report.passed
-    report.groups.append(_unknown_group())
+    report.sections[SAFETY_KEY].append(_unknown_group())
     assert not report.passed
     assert not report.failures  # no counterexample anywhere...
     assert len(report.unknowns) == 1  # ...but one undecided check
@@ -69,7 +65,7 @@ def test_safety_summary_mixes_failures_and_unknowns():
     broken, __ = oracle.CASES["figure1-safety-planted"].mutant()
     report = _fig1_safety_report(broken)
     assert report.failures
-    report.groups.append(_unknown_group())
+    report.sections[SAFETY_KEY].append(_unknown_group())
     summary = report.summary()
     assert f"{len(report.failures)} failed" in summary
     assert "1 unknown" in summary
@@ -77,8 +73,8 @@ def test_safety_summary_mixes_failures_and_unknowns():
 
 def test_safety_formatter_lists_unknown_checks():
     report = _fig1_safety_report()
-    report.groups.append(_unknown_group("the undecided check"))
-    text = format_safety_report(report)
+    report.sections[SAFETY_KEY].append(_unknown_group("the undecided check"))
+    text = format_report(report)
     assert "UNKNOWN (budget exhausted): the undecided check" in text
 
 
@@ -86,8 +82,8 @@ def test_liveness_summary_counts_unknowns_distinctly():
     config = build_figure1()
     report = verify_liveness(config, customer_liveness_property())
     assert report.passed
-    report.implication_outcome.passed = False
-    report.implication_outcome.unknown = True
+    (implication,) = report.section_outcomes(IMPLICATION_KEY)
+    implication.passed, implication.unknown = False, True
     assert not report.passed
     assert not report.failures
     assert len(report.unknowns) == 1
@@ -99,11 +95,11 @@ def test_liveness_summary_counts_unknowns_distinctly():
 def test_liveness_formatter_lists_unknown_checks():
     config = build_figure1()
     report = verify_liveness(config, customer_liveness_property())
-    report.implication_outcome.passed = False
-    report.implication_outcome.unknown = True
-    sub = next(iter(report.interference_reports.values()))
-    sub.groups.append(_unknown_group())
-    text = format_liveness_report(report)
+    (implication,) = report.section_outcomes(IMPLICATION_KEY)
+    implication.passed, implication.unknown = False, True
+    sub = next(key for key in report.sections if key[0] == "sub")
+    report.sections[sub].append(_unknown_group())
+    text = format_report(report)
     assert text.count("UNKNOWN (budget exhausted)") == 2
     assert "FAILED (2 unknown)" in report.summary()
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.report import PROPAGATION_KEY, SAFETY_KEY
 from repro.core.workspace import CACHE_FORMAT, Workspace
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
@@ -57,8 +58,8 @@ def test_verify_dispatches_on_property_type(fig1_config, from_isp1):
     safety = ws.verify(no_transit_property(), no_transit_invariants(fig1_config))
     liveness = ws.verify(customer_liveness_property())
     assert safety.passed and liveness.passed
-    assert hasattr(liveness, "interference_reports")  # §5 pipeline ran
-    assert not hasattr(safety, "interference_reports")  # §4 pipeline ran
+    assert list(safety.sections) == [SAFETY_KEY]  # §4 pipeline ran
+    assert PROPAGATION_KEY in liveness.sections  # §5 pipeline ran
     assert [e.kind for e in ws.entries] == ["safety", "liveness"]
 
 
@@ -68,7 +69,10 @@ def test_verify_rejects_non_properties(fig1_config):
         ws.verify("not a property")
     with pytest.raises(TypeError):
         # interference invariants make no sense for safety properties
-        ws.verify(no_transit_property(), interference_invariants={})
+        ws.verify(no_transit_property(), {})
+    with pytest.raises(TypeError):
+        # nor one invariant map for a liveness property
+        ws.verify(customer_liveness_property(), no_transit_invariants(fig1_config))
 
 
 def test_workspace_validates_config_and_backend(fig1_config):
@@ -93,9 +97,7 @@ def test_repeat_verify_consults_nothing(fig1_config, from_isp1):
     ws = Workspace(fig1_config, ghosts=(from_isp1,))
     first = ws.verify(no_transit_property(), no_transit_invariants(fig1_config))
     second = ws.verify(no_transit_property(), no_transit_invariants(fig1_config))
-    (entry,) = ws.entries
-    assert entry.last_result.checks_consulted == 0
-    assert entry.last_result.cached_checks == first.num_checks
+    assert (second.rerun_checks, second.reused_checks) == (0, first.num_checks)
     assert oracle.listing(first, witness=True) == oracle.listing(second, witness=True)
 
 
@@ -135,14 +137,13 @@ def test_reverify_touches_all_properties_but_only_edited_owners(
     safety_entry, liveness_entry = ws.reverify()
 
     # Safety: R3 owns 6 of the 19 checks.
-    assert safety_entry.last_result.checks_consulted == 6
-    assert safety_entry.last_result.cached_checks == 13
-    assert safety_entry.last_result.report.passed
+    assert (safety_entry.report.rerun_checks, safety_entry.report.reused_checks) == (6, 13)
+    assert safety_entry.report.passed
     # Liveness: R3's propagation checks + its group in each sub-proof,
     # never the implication.
     expected = owner_check_count(liveness_entry.tracker, "R3")
-    assert liveness_entry.last_result.checks_consulted == expected
-    assert liveness_entry.last_result.report.passed
+    assert liveness_entry.report.rerun_checks == expected
+    assert liveness_entry.report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_save_load_roundtrip_noop(tmp_path, fig1_config, from_isp1):
     assert [e.kind for e in loaded.entries] == ["safety", "liveness"]
     entries = loaded.reverify()
     # Nothing changed: every cached outcome is reused without consultation.
-    assert [e.last_result.checks_consulted for e in entries] == [0, 0]
+    assert [e.report.rerun_checks for e in entries] == [0, 0]
     assert [oracle.listing(e.report, witness=True) for e in entries] == original
 
 
@@ -191,8 +192,7 @@ def test_load_then_edit_consults_only_the_owner(tmp_path, fig1_config, from_isp1
     assert not loaded.sessions.answers  # the query memo is never persisted
     loaded.apply(_edit_r3(build_figure1()))
     (entry,) = loaded.reverify()
-    assert entry.last_result.checks_consulted == 6  # R3's group only
-    assert entry.last_result.cached_checks == 13
+    assert (entry.report.rerun_checks, entry.report.reused_checks) == (6, 13)  # R3's group only
 
 
 @pytest.mark.parametrize("kind", ["safety", "liveness"])
@@ -203,17 +203,14 @@ def test_a_loaded_tracker_reverifies_like_the_saved_one(kind, tmp_path):
     path = tmp_path / "workspace.lyc"
     ws.save(path)
     loaded = Workspace.load(path, build_full_mesh(5), ghosts)
-    with pytest.raises(TypeError):
-        Workspace.load(path, build_full_mesh(5), ghosts, sessions=None)  # a workspace owns its pool
 
     # R2 sits on the liveness witness path and owns safety checks too; the
     # bogon deny makes a liveness propagation check fail.
     edited = full_mesh_single_router_edit(5, router="R2")
     in_process, from_disk = reverify(ws, edited), reverify(loaded, edited)
-    assert oracle.listing(from_disk.report) == oracle.listing(in_process.report)
-    for counter in ("rerun_checks", "cached_checks", "checks_consulted"):
-        assert getattr(from_disk, counter) == getattr(in_process, counter), counter
-    assert from_disk.checks_consulted == owner_check_count(loaded.entries[0].tracker, "R2") > 0
+    assert oracle.listing(from_disk) == oracle.listing(in_process)
+    assert from_disk.reused_checks == in_process.reused_checks
+    assert from_disk.rerun_checks == owner_check_count(loaded.entries[0].tracker, "R2") > 0
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def test_the_saved_cache_has_the_shape_its_format_records(tmp_path):
     ws = Workspace(config, ghosts=(isp1_ghost(config),))
     assert not ws.verify(no_transit_property(), no_transit_invariants(config)).passed
     ws.verify(customer_liveness_property())
-    ws.set_run_deadline(time.monotonic() - 1)  # every check a time-bound UNKNOWN
+    ws.run_deadline = time.monotonic() - 1  # every check a time-bound UNKNOWN
     assert set(ws.verify(no_transit_property()).unknown_reason_counts) == {"wall-budget"}
     ws.save(tmp_path / "workspace.lyc")
 

@@ -50,7 +50,7 @@ def test_the_kill_count_covers_every_mutation_operator():
         "randomnet5", "randomnet6", "randomnet8", "fullmesh4", "fullmesh5", "fullmesh6",
         "figure1", "wan", "wan3x3", "rrwan", "policy",
     }
-    assert len(PLANTED) == 32
+    assert len(PLANTED) == 34
 
 
 def test_every_costly_cell_names_a_corpus_case():

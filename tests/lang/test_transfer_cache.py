@@ -259,7 +259,7 @@ def test_transfer_terms_identical_on_randomnets(model, seed):
     """Memoised transfer outputs are the same interned terms as uncached ones."""
     config = build_random_network(8, model=model, seed=seed)
     ghost = mesh_no_transit(config)[0]
-    universe = build_universe(config, None, [], (ghost,))
+    universe = build_universe(config, [], (ghost,))
     route = SymbolicRoute.fresh("r", universe)
     reset_transfer_cache()
     for edge in sorted(config.topology.edges):
@@ -307,7 +307,7 @@ def test_edges_with_equal_policy_share_one_cache_entry():
     """Same filter content on different edges = one symbolic execution."""
     config = build_random_network(6, model="ring", seed=0)
     ghost = mesh_no_transit(config)[0]
-    universe = build_universe(config, None, [], (ghost,))
+    universe = build_universe(config, [], (ghost,))
     route = SymbolicRoute.fresh("r", universe)
     reset_transfer_cache()
     # E3->R3 and E4->R4 run the same generic prefix filter with the same
@@ -324,7 +324,7 @@ def test_equal_maps_with_different_ghost_updates_do_not_share_an_entry():
     but a source ghost on E3->R3 writes true there and false on E4->R4."""
     config = build_random_network(6, model="ring", seed=0)
     ghost = GhostAttribute.source_tracker("S", config.topology, [Edge("E3", "R3")])
-    universe = build_universe(config, None, [], (ghost,))
+    universe = build_universe(config, [], (ghost,))
     route = SymbolicRoute.fresh("r", universe)
     reset_transfer_cache()
     outputs = []
@@ -339,7 +339,7 @@ def test_equal_maps_with_different_ghost_updates_do_not_share_an_entry():
 
 def test_cache_stats():
     config = build_random_network(4, model="ring", seed=7)
-    universe = build_universe(config, None, [], ())
+    universe = build_universe(config, [], ())
     route = SymbolicRoute.fresh("r", universe)
     edge = Edge("E2", "R2")
     reset_transfer_cache()
@@ -372,7 +372,7 @@ def test_duplicate_ghost_names_are_rejected():
 def test_intern_table_clear_drops_cache_entries():
     """Cached term graphs must die with the intern table (like fresh())."""
     config = build_random_network(4, model="ring", seed=9)
-    universe = build_universe(config, None, [], ())
+    universe = build_universe(config, [], ())
     route = SymbolicRoute.fresh("r", universe)
     edge = Edge("E2", "R2")
     reset_transfer_cache()

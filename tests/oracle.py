@@ -3,18 +3,19 @@
 The §4.3/§5.3 independence theorems say a verdict cannot depend on how
 the local checks ran.  This module states that once for the whole suite:
 
-* :func:`fingerprint` — per section of a report, the sorted multiset of
-  :func:`outcome_key` (check, verdict, UNKNOWN reason, failing edge,
-  blamed router and ``rejected``; with ``witness=True`` also the witness
-  input and output route);
+* :func:`fingerprint` — per section of a report, keyed by the section
+  key (``("safety",)``, ``("prop",)``, ``("sub", router)``,
+  ``("impl",)``), the sorted multiset of :func:`outcome_key` (check,
+  verdict, UNKNOWN reason, failing edge, blamed router and ``rejected``;
+  with ``witness=True`` also the witness input and output route);
 * :data:`PATHS` — each runs a :class:`Case` to a report: ``hermetic``
   (a fresh solver per check: the reference), ``pooled`` (``run_problem``
   on a fresh context), ``warm`` (one context twice: every answer a memo
   hit), ``parallel`` (two worker processes), ``tracker`` (a
   :class:`PropertyTracker` runs the case's base, then the case) and
   ``reloaded`` (a workspace verifies the base, goes through ``save`` →
-  ``load``, then ``apply`` + ``reverify``); both trackers must account
-  for every check (re-run + reused = all, consulted = re-run).
+  ``load``, then ``apply`` + ``reverify``); a tracker's first run must
+  reuse nothing.
   :func:`minesweeper` is the monolithic baseline, for small cases;
 * :data:`CORPUS` — random networks, full meshes, Figure 1, the WAN and
   the policy-diverse network, clean and with a planted fault that must
@@ -22,9 +23,10 @@ the local checks ran.  This module states that once for the whole suite:
   invariants are misstated on single members of two large check classes
   (the pooled paths answer a passed class's members without running
   them, so one failing member must not pass with its class), edits a
-  tracker must not miss (a grown topology, an external ASN) and a
-  liveness problem with caller-supplied interference invariants.  A case
-  builds nothing until a path runs it;
+  tracker must not miss (a grown topology, an external ASN), a
+  liveness problem with caller-supplied interference invariants, and a
+  short-prefix liveness problem on a mesh and on a random network whose
+  propagation R2 breaks.  A case builds nothing until a path runs it;
 * :func:`traces` — soundness against the simulator: on a case that
   verifies, no simulated trace violates the property or an invariant
   (§4.3), and a liveness witness arrives while its path is up (§5.3).
@@ -78,15 +80,14 @@ from repro.core.exec import ExecutionContext
 from repro.core.incremental import PropertyTracker
 from repro.core.liveness import (
     LivenessProblem,
-    LivenessReport,
     interference_properties,
     resolve_interference_invariants,
 )
-from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.report import DegradationReport, GroupOutcomes
+from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
+from repro.core.report import GroupOutcomes, VerificationReport
 from repro.core.safety import SafetyProblem, build_universe, run_problem
 from repro.core.workspace import Workspace
-from repro.lang.predicates import AsPathHas, HasCommunity, Implies, TruePred
+from repro.lang.predicates import AsPathHas, HasCommunity, Implies, PrefixIn, TruePred
 from repro.lang.specjson import spec_from_json
 from repro.workloads.figure1 import build_figure1
 from repro.workloads import fullmesh, wan_properties
@@ -105,6 +106,11 @@ STRIP = RouteMap(
     "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(fullmesh.TRANSIT_COMMUNITY),)),)
 )
 BOGONS = MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),))
+SHORT = PrefixIn((PrefixRange.parse("0.0.0.0/0 le 24"),))
+DENY_SHORT = RouteMap(
+    "BREAK-PROP",
+    (RouteMapClause(10, Disposition.DENY, matches=(MatchPrefix(SHORT.ranges),)), RouteMapClause(20)),
+)
 
 
 def bogon_edit(config: NetworkConfig, router: str, peer: str) -> NetworkConfig:
@@ -126,11 +132,7 @@ def random_edit(config: NetworkConfig, rng: random.Random, n: int) -> None:
     if kind == "benign":
         bogon_edit(config, f"R{router}", f"E{router}")
     elif kind == "break-propagation":
-        short = MatchPrefix((PrefixRange.parse("0.0.0.0/0 le 24"),))
-        deny = RouteMapClause(10, Disposition.DENY, matches=(short,))
-        config.routers["R2"].neighbors["R3"].export_map = RouteMap(
-            "BREAK-PROP", (deny, RouteMapClause(20))
-        )
+        config.routers["R2"].neighbors["R3"].export_map = DENY_SHORT
     elif kind == "strip":
         dst = rng.choice([r for r in config.routers if r != f"R{router}"])
         config.routers[dst].neighbors[f"R{router}"].import_map = STRIP
@@ -158,28 +160,23 @@ def outcome_key(outcome, witness: bool = False) -> tuple:
     return key
 
 
-def listing(report, witness: bool = False) -> dict[str, list[tuple]]:
+def listing(report, witness: bool = False) -> dict[tuple, list[tuple]]:
     """Per section of the proof, :func:`outcome_key` of each outcome in
     the report's order."""
-    if isinstance(report, LivenessReport):
-        sections = {
-            "propagation": report.propagation_outcomes,
-            "implication": [report.implication_outcome],
-            **{f"sub {r}": sub.outcomes for r, sub in report.interference_reports.items()},
-        }
-    else:
-        sections = {"safety": report.iter_outcomes()}
     key = partial(outcome_key, witness=witness)
-    return {name: list(map(key, outcomes)) for name, outcomes in sections.items()}
+    return {
+        section: list(map(key, report.section_outcomes(section)))
+        for section in report.sections
+    }
 
 
-def fingerprint(report, witness: bool = False) -> dict[str, list[tuple]]:
+def fingerprint(report, witness: bool = False) -> dict[tuple, list[tuple]]:
     """Per section of the proof, the sorted multiset of :func:`outcome_key`
     (a tracker lists a section by owner group, a one-shot run by edge)."""
     return {name: sorted(keys, key=repr) for name, keys in listing(report, witness).items()}
 
 
-def blamed_routers(fp: dict[str, list[tuple]]) -> set[str]:
+def blamed_routers(fp: dict[tuple, list[tuple]]) -> set[str]:
     """The routers blamed by the failing edge checks of a fingerprint
     (or a :func:`listing`)."""
     return {key[4][1] for keys in fp.values() for key in keys if key[4] and key[4][0]}
@@ -336,6 +333,39 @@ def figure1_custom_liveness(config) -> tuple:
     return (), LivenessProblem(prop, custom)
 
 
+def _first_peer(config) -> str:
+    topology = config.topology
+    return min(r for r in topology.successors("R2") if topology.is_router(r))
+
+
+def short_prefix_liveness(config) -> tuple:
+    """A short-prefix route from E2 leaves by the external of R2's first
+    internal neighbour: the path E2 -> R2 -> peer -> its external."""
+    peer = _first_peer(config)
+    exit_edge = Edge(peer, "E" + peer[1:])
+    path = (Edge("E2", "R2"), "R2", Edge("R2", peer), peer, exit_edge)
+    prop = LivenessProperty(
+        location=exit_edge,
+        predicate=SHORT,
+        path=path,
+        constraints=(SHORT,) * len(path),
+        name="short-prefix-leaves",
+    )
+    return (), LivenessProblem(prop)
+
+
+def short_prefix_liveness_case(name: str, build: Callable[[], NetworkConfig]) -> Case:
+    """:func:`short_prefix_liveness` with R2's export to the peer denying
+    short prefixes: its propagation check fails, blamed on R2."""
+
+    def mutant():
+        config = build()
+        config.routers["R2"].neighbors[_first_peer(config)].export_map = DENY_SHORT
+        return config, "R2"
+
+    return Case(name, build, short_prefix_liveness, mutant, True)
+
+
 #: The WANs of the corpus: Table 4's shape, a larger one, and one whose
 #: regions are route-reflector stars.
 WANS = {
@@ -413,6 +443,11 @@ def _corpus() -> list[Case]:
     cases.append(Case("fullmesh4-safety-misstated", mesh, misstated_no_transit, verifies=False))
     cases += [fullmesh_case(6, "safety"), Case("fullmesh6-safety-wiped", mesh6, no_transit, wiped_mesh, True)]
     cases += [fullmesh_case(n, "liveness") for n in (6, 10)]
+    random6 = partial(build_random_network, 6, model="gnp", seed=3)
+    cases += [
+        short_prefix_liveness_case("fullmesh5-liveness-planted", partial(fullmesh.build_full_mesh, 5)),
+        short_prefix_liveness_case("randomnet6-gnp-3-liveness-planted", random6),
+    ]
     for kind in ("safety", "liveness"):  # the tracker's base is the 4-router mesh
         grown = lambda config, kind=kind: mesh_problem(kind, 5)
         smaller = lambda: (fullmesh.build_full_mesh(4), None)
@@ -481,16 +516,16 @@ def hermetic(case: Case):
     return hermetic_report(config, *case.problem(config))
 
 
-def hermetic_report(config: NetworkConfig, ghosts: tuple, problem):
-    universe = build_universe(config, None, problem.predicates(), ghosts)
+def hermetic_report(config: NetworkConfig, ghosts: tuple, problem) -> VerificationReport:
+    universe = build_universe(config, problem.predicates(), ghosts)
     groups = {
         section: [GroupOutcomes.of(checks, [c.run(config, universe, ghosts) for c in checks])]
         for section, checks in problem.checks(config).items()
     }
-    return problem.report(groups, 0.0, DegradationReport())
+    return VerificationReport(problem.property, groups, 0.0)
 
 
-def reference(config: NetworkConfig, ghosts: tuple, problem) -> dict[str, list[tuple]]:
+def reference(config: NetworkConfig, ghosts: tuple, problem) -> dict[tuple, list[tuple]]:
     """The hermetic fingerprint of a problem on any configuration."""
     return fingerprint(hermetic_report(config, ghosts, problem))
 
@@ -511,21 +546,12 @@ def parallel(case: Case):
     return pooled(case, ExecutionContext(parallel=2))
 
 
-def accounted(result):
-    """The report of a tracker run, which must account for every check."""
-    assert result.rerun_checks + result.cached_checks == result.report.num_checks
-    assert result.checks_consulted == result.rerun_checks
-    return result.report
-
-
 def tracker(case: Case):
     """A tracker runs ``case.base()`` (running every check), then the case."""
     ghosts, problem = case.problem(case.base())
     tracker = PropertyTracker(ExecutionContext(), problem, ghosts)
-    first = tracker.run(case.base())
-    assert first.cached_checks == 0
-    accounted(first)
-    return accounted(tracker.run(case.config()))
+    assert tracker.run(case.base()).reused_checks == 0
+    return tracker.run(case.config())
 
 
 def reloaded(case: Case):
@@ -540,7 +566,7 @@ def reloaded(case: Case):
         workspace = Workspace.load(Path(tmp) / "workspace.lyc", case.base(), ghosts, parallel=2)
     workspace.apply(case.config())
     (entry,) = workspace.reverify()
-    return accounted(entry.last_result)
+    return entry.report
 
 
 PATHS = {
@@ -568,16 +594,16 @@ def run(path: str, case: Case):
     """The report of one cell, once per session; no path may fall back to
     serial on a healthy platform."""
     report = PATHS[path](case)
-    assert not (report.degradation and report.degradation.degraded()), (path, case.name)
+    assert not report.degradation.degraded(), (path, case.name)
     return report
 
 
-def expected(case: Case) -> dict[str, list[tuple]]:
+def expected(case: Case) -> dict[tuple, list[tuple]]:
     """The hermetic fingerprint of ``case``."""
     return fingerprint(run("hermetic", case))
 
 
-def agree(case: Case, *paths: str) -> dict[str, list[tuple]]:
+def agree(case: Case, *paths: str) -> dict[tuple, list[tuple]]:
     """Assert each of ``paths`` decides ``case`` as ``hermetic`` does — a
     one-shot path in the reference's order, a tracker as a multiset — and
     that ``warm``'s memo hits replay ``pooled``'s witnesses; returns the
@@ -636,7 +662,7 @@ class Traces:
         self.config, self.ghosts, self.maps = config, ghosts, maps
         self.rng = rng = random.Random(f"{seed}-{CHAOS_SEED}")
         topology = config.topology
-        universe = build_universe(config, None, problem.predicates(), ghosts)
+        universe = build_universe(config, problem.predicates(), ghosts)
         self.communities = sorted({*universe.communities, Community(9, 9)})
         self.asns = sorted({*universe.asns, 64512, 666})
         ranges = _prefix_ranges(problem.predicates())

@@ -138,7 +138,7 @@ def test_prepare_asserts_each_shared_conjunct_once():
 
 
 def test_every_discharged_check_skips_the_shared_fragment():
-    pool = SessionPool()
-    verify_ip_reuse_safety_problems(build_wan(2, 3), workspace=ExecutionContext(sessions=pool))
-    stats = pool.stats()
+    context = ExecutionContext()
+    verify_ip_reuse_safety_problems(build_wan(2, 3), workspace=context)
+    stats = context.sessions.stats()
     assert stats["shared_skips"] >= stats["checks_discharged"] > 0

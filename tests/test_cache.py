@@ -400,9 +400,9 @@ def test_flip_of_every_pickled_boolean_raises_cache_error(tmp_path):
     # the stored outcome, nothing is re-run.
     with Workspace.load(saved, config, ghosts) as ws:
         (entry,) = ws.reverify()
-        assert not entry.last_result.report.passed
-        assert entry.last_result.rerun_checks == 0
-        assert entry.last_result.report.failures[0].blamed_router == "R1"
+        assert not entry.report.passed
+        assert entry.report.rerun_checks == 0
+        assert entry.report.failures[0].blamed_router == "R1"
 
 
 UNPICKLED: list[str] = []

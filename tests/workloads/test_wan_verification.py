@@ -10,7 +10,6 @@ from repro.core.exec import ExecutionContext
 from repro.core.liveness import verify_liveness
 from repro.core.safety import verify_safety_family
 from repro.core.workspace import Workspace
-from repro.smt.solver import SessionPool
 from repro.workloads.wan import build_wan, region_community
 from repro.workloads.wan_properties import (
     all_peering_problems,
@@ -162,8 +161,8 @@ def test_sweep_runs_under_its_contexts_limits(sweep):
 
 
 def test_hoisted_sweeps_on_one_pool_match_each_problem_alone(wan):
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     results = verify_peering_problems(wan, workspace=context)
     results += verify_ip_reuse_safety_problems(wan, workspace=context)
     results += verify_ip_reuse_liveness_problems(wan, workspace=context)
@@ -184,8 +183,8 @@ def test_hoisted_sweeps_on_one_pool_match_each_problem_alone(wan):
 
 def test_later_peering_families_encode_less_than_the_first(wan):
     problems = all_peering_problems(wan)[:3]
-    pool = SessionPool()
-    context = ExecutionContext(sessions=pool)
+    context = ExecutionContext()
+    pool = context.sessions
     encoded = lambda: sum(v for v, __ in pool.encoding_sizes().values())
     verify_peering_problems(wan, problems=problems[:1], workspace=context)
     first = encoded()
