@@ -39,8 +39,7 @@ from repro.bgp.topology import Edge
 from repro.core.properties import SafetyProperty
 from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import Predicate
-from repro.lang.symroute import PATHLEN_WIDTH, PREF_WIDTH, MED_WIDTH, SymbolicRoute
+from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import transfer_export, transfer_import
 from repro.smt.solver import SolverStats
 from repro.smt.terms import Term

@@ -14,7 +14,7 @@ topology, policies, configurations) and the JSON codec.  The simulator
 verifying a JSON configuration loads none of them.
 """
 
-from repro.bgp.prefix import Prefix, PrefixRange, PrefixTrie
+from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route, ORIGIN_IGP, ORIGIN_EGP, ORIGIN_INCOMPLETE
 from repro.bgp.topology import Edge, Topology
 from repro.bgp.policy import (
@@ -48,7 +48,6 @@ from repro.bgp.configjson import config_from_json, config_to_json
 __all__ = [
     "Prefix",
     "PrefixRange",
-    "PrefixTrie",
     "Community",
     "Route",
     "ORIGIN_IGP",

@@ -35,7 +35,7 @@ class NeighborConfig:
 
 
 class RouterLeaves(NamedTuple):
-    """Everything :meth:`RouterConfig.digest` reads, by reference.
+    """Everything a router's policy digest reads, by reference.
 
     Taking it copies no route map or route, only references to the frozen
     ones, so it is cheap to keep for every router of a configuration; the
@@ -56,10 +56,15 @@ class RouterLeaves(NamedTuple):
     session_columns: tuple[tuple, ...]
 
     def digest(self) -> str:
-        """:meth:`RouterConfig.digest` of the router as these leaves were
-        taken from it: the SHA-256 of its canonical policy.
+        """The router's policy fingerprint as these leaves were taken from
+        it: the SHA-256 of its canonical policy.
 
-        Route maps enter as their memoised content digest rather than their
+        Two configurations that differ only in construction order —
+        neighbor insertion order, community-set insertion order, ghost
+        mapping order — digest identically; any change to the router's
+        route maps, originations, sessions, ASN, or reflector clients
+        produces a different digest.  Incremental re-verification and the
+        on-disk cache identity key on this.  Route maps enter as their memoised content digest rather than their
         full canonical tree, so the per-map canonicalisation amortises across
         routers sharing one map by value.
         """
@@ -103,25 +108,12 @@ class RouterConfig:
         self.neighbors[neighbor.peer] = neighbor
 
     def digest_leaves(self) -> RouterLeaves:
-        """What :meth:`digest` reads, as of now, by reference."""
+        """What the router's digest reads, as of now, by reference."""
         sessions = (
             (peer, n.remote_asn, n.import_map, n.export_map, n.originated)
             for peer, n in sorted(self.neighbors.items())
         )
         return RouterLeaves(self.name, self.asn, self.rr_clients, tuple(zip(*sessions)))
-
-    def digest(self) -> str:
-        """A canonical fingerprint of this router's policy.
-
-        Two configurations that differ only in construction order —
-        neighbor insertion order, community-set insertion order, ghost
-        mapping order — digest identically; any change to the router's
-        route maps, originations, sessions, ASN, or reflector clients
-        produces a different digest.  Incremental re-verification and the
-        on-disk cache identity key on this.  It is the digest of
-        :meth:`digest_leaves`, so a snapshot's leaves digest the same.
-        """
-        return self.digest_leaves().digest()
 
     def __getstate__(self) -> dict:
         # Reflector clients pickle sorted: a set's order follows the hash
@@ -156,10 +148,6 @@ class NetworkConfig:
         if not self.topology.is_external(name):
             raise ValueError(f"{name!r} is not an external node")
         self.external_asns[name] = asn
-
-    def policy_digests(self) -> dict[str, str]:
-        """Per-router canonical policy digests (see :meth:`RouterConfig.digest`)."""
-        return {name: rc.digest() for name, rc in self.routers.items()}
 
     def asn_of(self, node: str) -> int:
         if node in self.routers:

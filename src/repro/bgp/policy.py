@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields, is_dataclass
 
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route, hash_once

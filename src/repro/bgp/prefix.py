@@ -1,15 +1,14 @@
-"""IPv4 prefixes, prefix-list ranges, and a binary trie for prefix sets.
+"""IPv4 prefixes and prefix-list ranges.
 
 Routes in the paper's model carry a prefix = (address, length) pair (§3.1).
 This module implements that pair with the operations the rest of the system
-needs: containment, overlap, parsing, and efficient membership queries over
-large prefix collections (bogon lists, reused-IP pools).
+needs: containment, overlap and parsing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 _MAX_LEN = 32
@@ -161,94 +160,3 @@ class PrefixRange:
         if self.max_length == _MAX_LEN:
             return f"{base} ge {self.min_length}"
         return f"{base} ge {self.min_length} le {self.max_length}"
-
-
-class _TrieNode:
-    __slots__ = ("children", "terminal")
-
-    def __init__(self) -> None:
-        self.children: list[_TrieNode | None] = [None, None]
-        self.terminal = False
-
-
-class PrefixTrie:
-    """A binary trie over prefixes supporting exact and covering queries."""
-
-    def __init__(self, prefixes: Iterable[Prefix] = ()) -> None:
-        self._root = _TrieNode()
-        self._count = 0
-        for p in prefixes:
-            self.add(p)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def add(self, prefix: Prefix) -> None:
-        node = self._root
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        if not node.terminal:
-            node.terminal = True
-            self._count += 1
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        node = self._root
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                return False
-            node = child
-        return node.terminal
-
-    def covering(self, prefix: Prefix) -> list[Prefix]:
-        """All stored prefixes that contain ``prefix`` (shortest first)."""
-        found: list[Prefix] = []
-        node = self._root
-        if node.terminal:
-            found.append(Prefix(0, 0))
-        addr = prefix.address
-        consumed = 0
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                return found
-            node = child
-            consumed += 1
-            if node.terminal:
-                found.append(Prefix(addr & _mask_for(consumed), consumed))
-        return found
-
-    def covers(self, prefix: Prefix) -> bool:
-        """True if some stored prefix contains ``prefix``."""
-        node = self._root
-        if node.terminal:
-            return True
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                return False
-            node = child
-            if node.terminal:
-                return True
-        return False
-
-    def __iter__(self) -> Iterator[Prefix]:
-        def walk(node: _TrieNode, addr: int, depth: int) -> Iterator[Prefix]:
-            if node.terminal:
-                yield Prefix(addr, depth)
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
-                    next_addr = addr | (bit << (31 - depth))
-                    yield from walk(child, next_addr, depth + 1)
-
-        yield from walk(self._root, 0, 0)
-
-
-def _bits(prefix: Prefix) -> Iterator[int]:
-    for i in range(prefix.length):
-        yield (prefix.address >> (31 - i)) & 1

@@ -27,11 +27,6 @@ def preference_key(route: Route, neighbor: str = "") -> tuple:
     )
 
 
-def prefer(r1: Route, r2: Route, n1: str = "", n2: str = "") -> bool:
-    """True if ``r1`` (learned from ``n1``) is preferred over ``r2``."""
-    return preference_key(r1, n1) < preference_key(r2, n2)
-
-
 def best_route(candidates: Iterable[tuple[str, Route]]) -> tuple[str, Route] | None:
     """Pick the best (neighbor, route) pair; None if there are no candidates."""
     best: tuple[str, Route] | None = None

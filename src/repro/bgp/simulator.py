@@ -15,7 +15,7 @@ verifies — the cross-validation tests rely on exactly that containment.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.prefix import Prefix

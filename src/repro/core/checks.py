@@ -48,11 +48,10 @@ from __future__ import annotations
 import enum
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import smt
 from repro.bgp.config import NetworkConfig
-from repro.bgp.route import Route
 from repro.bgp.topology import Edge
 from repro.core.counterexample import CheckFailure
 from repro.core.properties import Location

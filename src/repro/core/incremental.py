@@ -83,7 +83,7 @@ def _network_canon(config: NetworkConfig) -> tuple[tuple[str, int], ...]:
 
     Today that is exactly ``external_asns``: external neighbors' AS numbers
     enter the attribute universe (``AttributeUniverse.from_config``) and
-    AS-path reasoning, but appear in no :meth:`RouterConfig.digest`.
+    AS-path reasoning, but appear in no :meth:`RouterLeaves.digest`.
     """
     return tuple(sorted(config.external_asns.items()))
 
@@ -100,9 +100,9 @@ def _digest_map(routers: dict, network: object, topology: object) -> dict:
 def config_digests(config: NetworkConfig) -> dict:
     """The digest map of ``config`` as it is now: what the tracker diffs
     and ``Workspace.load`` compares with a saved cache.  ``load`` and
-    ``apply`` need it at once, so they digest the live configuration; a
-    :class:`ConfigSnapshot` defers the same map to first need."""
-    return _digest_map(config.policy_digests(), _network_canon(config), config.topology.canonical())
+    ``apply`` need it at once; a :class:`ConfigSnapshot` kept by a
+    tracker defers the same map to first need."""
+    return ConfigSnapshot(config).digests()
 
 
 class ConfigSnapshot:

@@ -13,7 +13,7 @@ as §4.1 requires — no assumption may be made about what neighbors announce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from repro.bgp.topology import Edge, Topology

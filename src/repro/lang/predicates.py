@@ -38,21 +38,13 @@ class TermCacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 # Predicate-term memoisation: every local check lowers its assumption and
 # goal predicates against (usually) the one canonical symbolic route of the
 # sweep, so ``predicate_term`` caches ``pred.to_term(route)`` keyed by
 # (route instance token, predicate-by-value).  ``Predicate.to_term`` is the
 # one reader, so the key is complete; it is also the uncached reference the
-# differential tests compare against (there is no off switch).  Entries are
+# equivalence oracle's ``uncached`` path runs (there is no off switch).  Entries are
 # interned terms, so the cache dies with the intern table like every other
 # term-identity cache.
 

@@ -46,10 +46,12 @@ of the key (a config edit changes the route-map value, a different ghost
 discipline changes the update pairs).  A companion cache in
 :mod:`repro.lang.predicates` memoises predicate lowering the same way
 (keyed by route instance token + predicate value).  There is no switch to
-turn either off: tests compare against the uncached references
-(:func:`apply_policy`, :func:`embed_originated`, ``Predicate.to_term``)
-directly, and ``transfer_cache_stats`` / ``predicate_term_cache_stats``
-expose hit/miss counters for benchmarks.
+turn either off: the equivalence oracle's ``uncached`` path
+(``tests/oracle.py``) runs its cases with the uncached references
+(:func:`apply_policy`, :func:`embed_originated`, ``Predicate.to_term``) in
+their place and must decide each witness for witness as the memoised run
+does; ``transfer_cache_stats`` / ``predicate_term_cache_stats`` expose
+hit/miss counters for benchmarks.
 
 Key cost: a value used as a memo key hashes once; the hash is never
 pickled.  Route maps (the intern table), universes (the ``fresh`` cache)

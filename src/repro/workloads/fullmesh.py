@@ -146,7 +146,7 @@ def full_mesh_external_asn_edit(n: int, asn: int = 64999) -> NetworkConfig:
 
     ``set_external_asn`` alone touches no router's configuration, so every
     per-router policy digest is unchanged — this is exactly the edit that a
-    change detector keyed only on ``policy_digests()`` cannot see, even
+    change detector keyed only on per-router digests cannot see, even
     though external ASNs feed the attribute universe and AS-path
     reasoning.  (The adjacent session keeps its configured ``remote-as``,
     as a stale real-world config would; ``validate()`` flags the mismatch

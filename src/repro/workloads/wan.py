@@ -28,7 +28,6 @@ from repro.bgp.policy import (
     AddCommunity,
     ClearCommunities,
     Disposition,
-    Match,
     MatchAsPathContains,
     MatchCommunity,
     MatchPrefix,

@@ -1,6 +1,7 @@
 """Tests for the extended route-map vocabulary: AS-path length, origin,
-next-hop matching, and origin setting — concrete, symbolic, parsed, and
-serialised."""
+next-hop matching, and origin setting — concrete, parsed and serialised.
+The symbolic side meets the concrete one in ``tests/lang/test_transfer.py``
+(route maps) and ``tests/lang/test_predicates.py`` (predicates)."""
 
 from __future__ import annotations
 
@@ -70,46 +71,6 @@ def test_set_origin():
 # ---------------------------------------------------------------------------
 
 
-def _route_map_agrees(route_map: RouteMap, route: Route) -> None:
-    sym = SymbolicRoute.concrete(route, UNIVERSE)
-    accepted, out = transfer_route_map(route_map, sym)
-    expected = route_map.apply(route)
-    if expected is None:
-        assert not EMPTY_MODEL.eval_bool(accepted)
-        return
-    assert EMPTY_MODEL.eval_bool(accepted)
-    got = out.evaluate(EMPTY_MODEL)
-    assert got.origin == expected.origin
-    assert got.next_hop == expected.next_hop
-
-
-@pytest.mark.parametrize(
-    "route",
-    [
-        Route(prefix=PFX, as_path=(100,)),
-        Route(prefix=PFX, as_path=(100, 200)),
-        Route(prefix=PFX, origin=2, next_hop=parse_ipv4("10.9.9.9")),
-        Route(prefix=PFX, next_hop=parse_ipv4("172.16.0.1")),
-    ],
-)
-def test_symbolic_agreement_extended_features(route):
-    route_map = RouteMap(
-        "EXT",
-        (
-            RouteMapClause(
-                10,
-                matches=(
-                    MatchAsPathLength(0, 2),
-                    MatchNextHopIn((Prefix.parse("10.0.0.0/8"),)),
-                ),
-                actions=(SetOrigin(ORIGIN_EGP),),
-            ),
-            RouteMapClause(20, matches=(MatchOrigin(ORIGIN_INCOMPLETE),)),
-        ),
-    )
-    _route_map_agrees(route_map, route)
-
-
 def test_symbolic_as_path_length_includes_prepend():
     # After a prepend, the symbolic length reflects the increment.
     from repro.bgp.policy import PrependAsPath
@@ -120,27 +81,6 @@ def test_symbolic_as_path_length_includes_prepend():
     sym = SymbolicRoute.concrete(Route(prefix=PFX, as_path=(200,)), UNIVERSE)
     __, out = transfer_route_map(route_map, sym)
     assert EMPTY_MODEL.eval_bv(out.as_path_len) == 3
-
-
-# ---------------------------------------------------------------------------
-# Predicates
-# ---------------------------------------------------------------------------
-
-
-def test_predicates_concrete_and_symbolic_agree():
-    routes = [
-        Route(prefix=PFX, as_path=(100, 200), origin=1, next_hop=parse_ipv4("10.0.0.1")),
-        Route(prefix=PFX),
-    ]
-    preds = [
-        AsPathLenIn(1, 2),
-        OriginIs(1),
-        NextHopIn((Prefix.parse("10.0.0.0/8"),)),
-    ]
-    for route in routes:
-        sym = SymbolicRoute.concrete(route, UNIVERSE)
-        for pred in preds:
-            assert EMPTY_MODEL.eval_bool(pred.to_term(sym)) is pred.holds(route)
 
 
 def test_spec_json_roundtrip_new_predicates():

@@ -21,7 +21,6 @@ from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import (
@@ -52,68 +51,11 @@ from repro.bgp.policy import (
 )
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
+from repro.core.incremental import config_digests
 
-C1 = Community(100, 1)
-C2 = Community(7, 7)
+from tests.lang.test_transfer import C1, C2, route_maps
+
 C3 = Community(9, 9)
-
-
-# ---------------------------------------------------------------------------
-# Strategies (mirroring tests/lang/test_transfer.py)
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def matches(draw):
-    kind = draw(st.integers(0, 4))
-    if kind == 0:
-        return MatchCommunity(draw(st.sampled_from([C1, C2])))
-    if kind == 1:
-        base = draw(st.sampled_from(["10.0.0.0/8", "20.0.0.0/8", "0.0.0.0/0"]))
-        prefix = Prefix.parse(base)
-        lo = draw(st.integers(prefix.length, 32))
-        hi = draw(st.integers(lo, 32))
-        return MatchPrefix((PrefixRange(prefix, lo, hi),))
-    if kind == 2:
-        lo = draw(st.integers(0, 50))
-        return MatchMedRange(lo, draw(st.integers(lo, 100)))
-    if kind == 3:
-        lo = draw(st.integers(0, 200))
-        return MatchLocalPrefRange(lo, draw(st.integers(lo, 400)))
-    return MatchNot(MatchCommunity(draw(st.sampled_from([C1, C2]))))
-
-
-@st.composite
-def actions(draw):
-    kind = draw(st.integers(0, 5))
-    if kind == 0:
-        return SetLocalPref(draw(st.integers(0, 400)))
-    if kind == 1:
-        return SetMed(draw(st.integers(0, 100)))
-    if kind == 2:
-        return AddCommunity(draw(st.sampled_from([C1, C2])))
-    if kind == 3:
-        return DeleteCommunity(draw(st.sampled_from([C1, C2])))
-    if kind == 4:
-        return ClearCommunities()
-    return PrependAsPath(draw(st.sampled_from([666, 65000])), draw(st.integers(1, 2)))
-
-
-@st.composite
-def route_maps(draw):
-    n = draw(st.integers(1, 4))
-    clauses = []
-    for i in range(n):
-        deny = draw(st.booleans())
-        clause_matches = tuple(draw(st.lists(matches(), max_size=2)))
-        if deny:
-            clauses.append(RouteMapClause((i + 1) * 10, Disposition.DENY, clause_matches))
-        else:
-            clause_actions = tuple(draw(st.lists(actions(), max_size=3)))
-            clauses.append(
-                RouteMapClause((i + 1) * 10, Disposition.PERMIT, clause_matches, clause_actions)
-            )
-    return RouteMap("RAND", tuple(clauses))
 
 
 def _router(
@@ -144,6 +86,10 @@ def _router(
     return rc
 
 
+def _digest(router: RouterConfig) -> str:
+    return router.digest_leaves().digest()
+
+
 IMPORT_MAP = RouteMap(
     "IN",
     (
@@ -160,20 +106,20 @@ IMPORT_MAP = RouteMap(
 
 def test_digest_ignores_neighbor_insertion_order():
     rng = random.Random(7)
-    reference = _router(import_map=IMPORT_MAP).digest()
+    reference = _digest(_router(import_map=IMPORT_MAP))
     for __ in range(6):
         order = ["E1", "P1", "P2"]
         rng.shuffle(order)
-        assert _router(neighbor_order=order, import_map=IMPORT_MAP).digest() == reference
+        assert _digest(_router(neighbor_order=order, import_map=IMPORT_MAP)) == reference
 
 
 def test_digest_ignores_community_set_construction_order():
     rng = random.Random(8)
-    reference = _router().digest()
+    reference = _digest(_router())
     for __ in range(6):
         order = [C1, C2, C3]
         rng.shuffle(order)
-        assert _router(community_order=order).digest() == reference
+        assert _digest(_router(community_order=order)) == reference
 
 
 def test_digest_ignores_unrelated_routers():
@@ -194,8 +140,8 @@ def test_digest_ignores_unrelated_routers():
         config.add_router_config(r2)
         return config
 
-    base = build(None).policy_digests()
-    edited = build(IMPORT_MAP).policy_digests()
+    base = config_digests(build(None))
+    edited = config_digests(build(IMPORT_MAP))
     assert base["R1"] == edited["R1"]
     assert base["R2"] != edited["R2"]
 
@@ -206,8 +152,8 @@ def test_digest_stable_across_rebuilds(route_map):
     """A structurally rebuilt router digests identically (any route map)."""
     rebuilt = RouteMap(route_map.name, tuple(route_map.clauses))
     assert route_map_digest(route_map) == route_map_digest(rebuilt)
-    a = _router(import_map=route_map).digest()
-    b = _router(neighbor_order=("P2", "E1", "P1"), import_map=rebuilt).digest()
+    a = _digest(_router(import_map=route_map))
+    b = _digest(_router(neighbor_order=("P2", "E1", "P1"), import_map=rebuilt))
     assert a == b
 
 
@@ -226,7 +172,7 @@ def test_digest_changes_when_a_clause_is_appended(route_map):
     )
     assert canonical_policy(route_map) != canonical_policy(extended)
     assert route_map_digest(route_map) != route_map_digest(extended)
-    assert _router(import_map=route_map).digest() != _router(import_map=extended).digest()
+    assert _digest(_router(import_map=route_map)) != _digest(_router(import_map=extended))
 
 
 # One edit per field of every dataclass a router digest reads (the router,
@@ -319,31 +265,28 @@ def test_every_digested_field_has_an_edit():
 def test_digest_changes_on_every_policy_dimension(edit):
     reference = _router(import_map=IMPORT_MAP)
     edited = edit(reference)
-    assert edited.digest() != reference.digest()
-    assert edited.digest_leaves().digest() == edited.digest()
+    assert _digest(edited) != _digest(reference)
 
 
 def test_digest_changes_when_a_map_moves_or_a_constant_changes():
-    reference = _router(import_map=IMPORT_MAP).digest()
+    reference = _digest(_router(import_map=IMPORT_MAP))
     # An action constant deep inside a clause, and the same map moved from
     # import to export.
     tweaked = RouteMap(
         "IN", (IMPORT_MAP.clauses[0], RouteMapClause(20, actions=(AddCommunity(C1), SetLocalPref(201))))
     )
-    assert _router(import_map=tweaked).digest() != reference
-    assert _router(export_map=IMPORT_MAP).digest() != reference
+    assert _digest(_router(import_map=tweaked)) != reference
+    assert _digest(_router(export_map=IMPORT_MAP)) != reference
 
 
 @pytest.mark.parametrize("edit", NETWORK_EDITS.values(), ids=NETWORK_EDITS)
 def test_config_digests_change_on_every_network_attribute(edit):
-    from repro.core.incremental import ConfigSnapshot, config_digests
     from repro.workloads.figure1 import build_figure1
 
     before = config_digests(build_figure1())
     config = build_figure1()
     edit(config)
     assert config_digests(config) != before
-    assert ConfigSnapshot(config).digests() != before
 
 
 def test_originated_ghost_order_is_canonical():
@@ -383,7 +326,7 @@ def test_digest_equality_implies_cached_check_reuse():
         shuffled.add_router_config(copy)
     for node, asn in config.external_asns.items():
         shuffled.set_external_asn(node, asn)
-    assert shuffled.policy_digests() == config.policy_digests()
+    assert config_digests(shuffled) == config_digests(config)
 
     report = reverify(workspace, shuffled)
     assert (report.rerun_checks, report.reused_checks) == (0, report.num_checks)
@@ -394,7 +337,7 @@ def test_digest_equality_implies_cached_check_reuse():
 # Pinned values: the on-disk cache key
 # ---------------------------------------------------------------------------
 #
-# Every saved ``--cache`` is matched against ``RouterConfig.digest``, which
+# Every saved ``--cache`` is matched against ``RouterLeaves.digest``, which
 # hashes the repr of ``canonical_policy``'s output.  A change to that output
 # (a renamed field, a reordered tuple, a new container rule) silently turns
 # every cache on disk stale, so it must show up here first.
@@ -446,14 +389,6 @@ def test_router_digest_is_pinned():
         export_map=IMPORT_MAP,
         rr_clients=frozenset({"P2", "P1"}),
     )
-    assert router.digest() == (
+    assert _digest(router) == (
         "be4f977e4f9a05a4149aafbf0479181b3cddcc437bca546c6d33cebe087c4c3d"
     )
-    # A snapshot's leaves digest to the same string: with or without
-    # sessions, and after a session's peer is edited in place (it stays
-    # keyed, and looked up, by its old name).
-    alone = RouterConfig("R9", 65000)
-    renamed = _router()
-    renamed.neighbors["E1"].peer = "E2"
-    for cell in (router, alone, renamed):
-        assert cell.digest_leaves().digest() == cell.digest()

@@ -1,4 +1,4 @@
-"""Tests for IPv4 prefixes, ranges, and the prefix trie."""
+"""Tests for IPv4 prefixes and prefix-list ranges."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.bgp.prefix import (
     Prefix,
     PrefixRange,
-    PrefixTrie,
     format_ipv4,
     parse_ipv4,
 )
@@ -106,50 +105,11 @@ def test_prefix_range_invalid_bounds():
         PrefixRange(Prefix.parse("10.0.0.0/16"), 8, 24)
 
 
-def test_trie_membership_and_cover():
-    trie = PrefixTrie([Prefix.parse("10.0.0.0/8"), Prefix.parse("192.168.1.0/24")])
-    assert Prefix.parse("10.0.0.0/8") in trie
-    assert Prefix.parse("10.0.0.0/16") not in trie
-    assert trie.covers(Prefix.parse("10.20.0.0/16"))
-    assert trie.covers(Prefix.parse("192.168.1.128/25"))
-    assert not trie.covers(Prefix.parse("192.168.2.0/24"))
-    assert not trie.covers(Prefix.parse("192.0.0.0/8"))
-
-
-def test_trie_covering_lists_all_ancestors():
-    trie = PrefixTrie(
-        [Prefix.parse("10.0.0.0/8"), Prefix.parse("10.1.0.0/16"), Prefix.parse("0.0.0.0/0")]
-    )
-    found = trie.covering(Prefix.parse("10.1.2.0/24"))
-    assert found == [
-        Prefix.parse("0.0.0.0/0"),
-        Prefix.parse("10.0.0.0/8"),
-        Prefix.parse("10.1.0.0/16"),
-    ]
-
-
-def test_trie_iteration_and_len():
-    prefixes = {Prefix.parse("10.0.0.0/8"), Prefix.parse("10.0.0.0/16")}
-    trie = PrefixTrie(prefixes)
-    assert len(trie) == 2
-    assert set(trie) == prefixes
-    trie.add(Prefix.parse("10.0.0.0/8"))  # duplicate
-    assert len(trie) == 2
-
-
 @st.composite
 def prefixes(draw):
     length = draw(st.integers(0, 32))
     addr = draw(st.integers(0, 2**32 - 1))
     return Prefix(addr & ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0), length)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(prefixes(), max_size=30), prefixes())
-def test_trie_covers_matches_linear_scan(stored, probe):
-    trie = PrefixTrie(stored)
-    expected = any(p.contains(probe) for p in stored)
-    assert trie.covers(probe) is expected
 
 
 @settings(max_examples=200, deadline=None)

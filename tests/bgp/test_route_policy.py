@@ -25,7 +25,7 @@ from repro.bgp.policy import (
 )
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
-from repro.bgp.selection import best_route, prefer
+from repro.bgp.selection import best_route
 
 
 PFX = Prefix.parse("10.0.0.0/8")
@@ -228,20 +228,11 @@ def test_permit_all_and_deny_all():
 # ---------------------------------------------------------------------------
 
 
-def test_prefer_local_pref_dominates():
-    high = _route(local_pref=200, as_path=(1, 2, 3))
-    low = _route(local_pref=100)
-    assert prefer(high, low)
-    assert not prefer(low, high)
-
-
-def test_prefer_shorter_as_path_then_lower_med():
-    short = _route(as_path=(1,))
-    long = _route(as_path=(1, 2))
-    assert prefer(short, long)
-    med_low = _route(as_path=(1,), med=0)
-    med_high = _route(as_path=(1,), med=10)
-    assert prefer(med_low, med_high)
+def test_best_route_prefers_local_pref_then_shorter_path_then_lower_med():
+    high, low = _route(local_pref=200, as_path=(1, 2, 3)), _route(local_pref=100)
+    short, med_high = _route(as_path=(1,), med=0), _route(as_path=(1,), med=10)
+    for best, worse in ((high, low), (short, _route(as_path=(1, 2))), (short, med_high)):
+        assert best_route([("A", worse), ("B", best)]) == ("B", best)
 
 
 def test_best_route_deterministic_tiebreak():

@@ -162,10 +162,10 @@ def test_router_digest_changes_with_config():
     rc1.add_neighbor(NeighborConfig("E1", 100))
     rc2 = RouterConfig("R1", 65000)
     rc2.add_neighbor(NeighborConfig("E1", 100, import_map=RouteMap.deny_all()))
-    assert rc1.digest() != rc2.digest()
+    assert rc1.digest_leaves().digest() != rc2.digest_leaves().digest()
     rc3 = RouterConfig("R1", 65000)
     rc3.add_neighbor(NeighborConfig("E1", 100))
-    assert rc1.digest() == rc3.digest()
+    assert rc1.digest_leaves().digest() == rc3.digest_leaves().digest()
 
 
 def test_duplicate_neighbor_rejected():

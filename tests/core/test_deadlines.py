@@ -39,6 +39,7 @@ from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import ip_reuse_safety_problem
 
+from tests.conftest import CONFIG_TEXT
 from tests.core.conftest import fullmesh_problem, run_batch, safety_pieces
 
 
@@ -234,53 +235,9 @@ def test_process_map_wall_budget_expiring_mid_run_returns_partial_results():
 # CLI: flags parse, degraded runs exit EXIT_DEGRADED
 # ---------------------------------------------------------------------------
 
-CONFIG_TEXT = """
-external ISP1 as 100
-external ISP2 as 200
-router R1 as 65000
-  neighbor ISP1 as 100
-    import route-map ISP1-IN
-  neighbor R2 as 65000
-router R2 as 65000
-  neighbor ISP2 as 200
-    export route-map ISP2-OUT
-  neighbor R1 as 65000
-route-map ISP1-IN
-  clause 10 permit
-    add community 100:1
-route-map ISP2-OUT
-  clause 10 deny
-    match community 100:1
-  clause 20 permit
-"""
-
-SPEC_JSON = """{
-  "ghosts": [{"name": "FromISP1", "kind": "source", "sources": ["ISP1->R1"]}],
-  "safety": [{
-    "name": "no-transit",
-    "location": "R2->ISP2",
-    "predicate": {"kind": "not", "inner": {"kind": "ghost", "name": "FromISP1"}},
-    "invariants": {
-      "default": {
-        "kind": "implies",
-        "antecedent": {"kind": "ghost", "name": "FromISP1"},
-        "consequent": {"kind": "community", "community": "100:1"}
-      },
-      "overrides": {
-        "R2->ISP2": {"kind": "not", "inner": {"kind": "ghost", "name": "FromISP1"}}
-      }
-    }
-  }]
-}"""
-
-
-@pytest.fixture
-def cli_inputs(tmp_path):
-    config = tmp_path / "network.cfg"
-    config.write_text(CONFIG_TEXT)
-    spec = tmp_path / "spec.json"
-    spec.write_text(SPEC_JSON)
-    return str(config), str(spec)
+# One check of R1's owner group whose solve reads the deadline (R1's
+# import from ISP1 is decided without reading it, so it cannot time out).
+HUNG = "import check at R1 on R2->R1"
 
 
 def test_cli_passes_cleanly_with_generous_deadlines(cli_inputs):
@@ -314,7 +271,7 @@ def test_cli_jobs_honour_the_wall_budget(cli_inputs, capsys):
 
 def test_cli_hung_check_under_deadline_exits_degraded(cli_inputs, capsys):
     config, spec = cli_inputs
-    faults.install(FaultPlan(hang_check_match="import check at R1"))
+    faults.install(FaultPlan(hang_check_match=HUNG))
     start = time.monotonic()
     code = main(["verify", config, spec, "--deadline", "0.2"])
     assert time.monotonic() - start < 10.0
@@ -325,7 +282,7 @@ def test_cli_hung_check_under_deadline_exits_degraded(cli_inputs, capsys):
 def test_cli_jobs_honour_the_deadline(cli_inputs, capsys):
     # The per-check deadline reaches the workers of the process map too.
     config, spec = cli_inputs
-    faults.install(FaultPlan(hang_check_match="import check at R1"))
+    faults.install(FaultPlan(hang_check_match=HUNG))
     start = time.monotonic()
     code = main(["verify", config, spec, "--jobs", "2", "--deadline", "0.2"])
     assert time.monotonic() - start < 10.0
@@ -412,7 +369,7 @@ def test_cli_wall_budget_unknowns_do_not_poison_the_cache(
 def test_cli_deadline_unknowns_do_not_poison_the_cache(cli_inputs, tmp_path, capsys):
     config, spec = cli_inputs
     cached = ["verify", config, spec, "--cache", str(tmp_path / "cache")]
-    faults.install(FaultPlan(hang_check_match="import check at R1"))
+    faults.install(FaultPlan(hang_check_match=HUNG))
     assert main([*cached, "--deadline", "0.2"]) == EXIT_DEGRADED
     assert "UNKNOWN (deadline exceeded)" in capsys.readouterr().out
     faults.reset()
@@ -463,7 +420,7 @@ def test_cli_cache_loaded_workspace_honours_the_deadline(cli_inputs, tmp_path, c
     capsys.readouterr()
     # The second invocation loads the base outcomes and re-runs only R1's
     # group — under the --deadline it was started with.
-    faults.install(FaultPlan(hang_check_match="import check at R1"))
+    faults.install(FaultPlan(hang_check_match=HUNG))
     assert main([*cached, "--deadline", "0.2"]) == EXIT_DEGRADED
     out = capsys.readouterr().out
     assert "base run skipped" in out

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bgp.config import RouterConfig
+from repro.bgp.config import RouterLeaves
 from repro.bgp.prefix import PrefixRange
 from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
@@ -267,9 +267,9 @@ def test_a_cold_reverify_digests_each_configuration_once(tmp_path, monkeypatch):
     ws.save(path)
 
     digested: list[str] = []
-    digest = RouterConfig.digest
+    digest = RouterLeaves.digest  # every router digest, live or snapshot
     monkeypatch.setattr(
-        RouterConfig, "digest", lambda self: digested.append(self.name) or digest(self)
+        RouterLeaves, "digest", lambda self: digested.append(self.name) or digest(self)
     )
     loaded = Workspace.load(path, build_full_mesh(n), (ghost,))
     assert len(digested) == n  # the offered configuration

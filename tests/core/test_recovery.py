@@ -171,25 +171,18 @@ def test_exception_in_check_propagates_and_pool_survives():
     _assert_no_leaked_children()
 
 
-def test_cli_killed_worker_exits_degraded_with_the_same_verdict(tmp_path, capsys):
-    from tests.core.test_deadlines import CONFIG_TEXT, SPEC_JSON
-
-    config = tmp_path / "network.cfg"
-    config.write_text(CONFIG_TEXT)
-    spec = tmp_path / "spec.json"
-    spec.write_text(SPEC_JSON)
-
+def test_cli_killed_worker_exits_degraded_with_the_same_verdict(cli_inputs, capsys):
     def verdict_lines(out: str) -> list[str]:
         # Up to the em dash: the property and its verdict, not the timings.
         return [line.split(" — ")[0] for line in out.splitlines() if " — " in line]
 
-    assert main(["verify", str(config), str(spec)]) == 0
+    assert main(["verify", *cli_inputs]) == 0
     clean = capsys.readouterr().out
     assert "degraded execution" not in clean
 
     faults.install(FaultPlan(kill_in_check_match="import check at R1"))
     with pytest.warns(RuntimeWarning, match="degraded to the serial path"):
-        code = main(["verify", str(config), str(spec), "--jobs", "2"])
+        code = main(["verify", *cli_inputs, "--jobs", "2"])
     assert code == EXIT_DEGRADED
     degraded = capsys.readouterr().out
     assert verdict_lines(degraded)[0] == verdict_lines(clean)[0]

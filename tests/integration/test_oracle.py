@@ -1,9 +1,10 @@
 """The cells of the equivalence oracle (``tests/oracle.py``).
 
 * every path decides every corpus case exactly as the hermetic reference
-  does: pooled ≡ memo ≡ hermetic, serial ≡ ``parallel=2``, full ≡ tracker
-  after an edit ≡ save → load (the costly paths on the cases
-  ``oracle.COSTLY`` names);
+  does: pooled ≡ memo ≡ hermetic ≡ uncached terms, serial ≡
+  ``parallel=2``, full ≡ tracker after an edit ≡ save → load (the costly
+  paths on the cases ``oracle.COSTLY`` names), and each case has the
+  verdict it pins;
 * every planted fault is killed, on every path, at the planted router —
   §6.1's localisation as a kill count;
 * every clean case verifies, and then no simulated trace violates what
@@ -58,10 +59,13 @@ def test_every_costly_cell_names_a_corpus_case():
         assert set(reasons) <= set(oracle.CASES), path
 
 
+def test_every_case_has_its_pinned_verdict():
+    assert [case.name for case in oracle.CORPUS if oracle.verified(case) is not case.passes] == []
+
+
 @pytest.mark.parametrize("case", [case for case in oracle.CORPUS if case.passes], ids=str)
 def test_verified_means_no_simulated_trace_violates_it(case):
-    expected = oracle.expected(case)
-    assert all(key[1] for keys in expected.values() for key in keys), f"{case} does not verify"
+    assert oracle.verified(case), f"{case} does not verify"
     assert oracle.traces(case) > 0
 
 
@@ -76,10 +80,7 @@ def test_the_traces_check_sees_a_planted_fault(name):
 @pytest.mark.parametrize("name", oracle.SMALL)
 def test_modular_verdict_matches_minesweeper(name):
     case = oracle.CASES[name]
-    passed = not any(
-        not key[1] for outcomes in oracle.expected(case).values() for key in outcomes
-    )
-    assert oracle.minesweeper(case).verified is passed is (not case.planted)
+    assert oracle.minesweeper(case).verified is oracle.verified(case) is (not case.planted)
 
 
 def test_fingerprint_tells_every_one_field_change_apart():

@@ -7,19 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import smt
-from repro.bgp.prefix import Prefix, PrefixRange
+from repro.bgp.prefix import Prefix, PrefixRange, parse_ipv4
 from repro.bgp.route import Community, Route
 from repro.lang.predicates import (
     AllOf,
     AnyOf,
     AsPathHas,
+    AsPathLenIn,
     FalsePred,
     GhostIs,
     HasCommunity,
     Implies,
     LocalPrefIn,
     MedIn,
+    NextHopIn,
     Not,
+    OriginIs,
     PrefixIn,
     TruePred,
     prefix_projection,
@@ -49,6 +52,13 @@ ROUTES = [
     Route(prefix=Prefix.parse("20.0.0.0/8"), as_path=(100, 666), med=30),
     Route(prefix=Prefix.parse("0.0.0.0/0"), local_pref=250, ghost={"FromISP1": True}),
     Route(prefix=Prefix.parse("172.16.5.0/24"), ghost={"FromRegion": True}, med=5),
+    Route(prefix=Prefix.parse("10.0.0.0/8"), as_path=(100,), origin=1,
+          next_hop=parse_ipv4("10.0.0.1")),
+    # Both sides of every combinator row and of every range bound.
+    Route(prefix=Prefix.parse("10.1.0.0/16"), communities=frozenset({C1}), as_path=(100, 666, 100),
+          local_pref=200, med=60, ghost={"FromISP1": True}),
+    Route(prefix=Prefix.parse("10.1.0.0/24"), local_pref=201, med=10),
+    Route(prefix=Prefix.parse("10.1.0.0/24"), communities=frozenset({C1}), med=11),
 ]
 
 PREDICATES = [
@@ -67,6 +77,9 @@ PREDICATES = [
     AllOf((HasCommunity(C1), MedIn(0, 50))),
     AnyOf((AsPathHas(666), GhostIs("FromISP1"))),
     Implies(GhostIs("FromISP1"), HasCommunity(C1)),
+    AsPathLenIn(1, 2),
+    OriginIs(1),
+    NextHopIn((Prefix.parse("10.0.0.0/8"),)),
 ]
 
 
@@ -173,10 +186,7 @@ def routes(draw):
         as_path=path,
         local_pref=draw(st.integers(0, 400)),
         med=draw(st.integers(0, 100)),
-        ghost={
-            "FromISP1": draw(st.booleans()),
-            "FromRegion": draw(st.booleans()),
-        },
+        ghost={"FromISP1": draw(st.booleans()), "FromRegion": draw(st.booleans())},
     )
 
 

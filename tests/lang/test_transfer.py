@@ -1,4 +1,10 @@
-"""Tests that symbolic route-map execution matches the concrete interpreter."""
+"""Symbolic route-map execution matches the concrete interpreter.
+
+The concrete ``RouteMap.apply`` is the transfer's one reference: random
+route maps (every action; community, prefix, MED, local-pref, path-length,
+origin and next-hop matches) on random routes.  The edge-level wrappers
+(prepend, ghost updates, originated routes) are pinned directly.
+"""
 
 from __future__ import annotations
 
@@ -12,18 +18,23 @@ from repro.bgp.policy import (
     ClearCommunities,
     DeleteCommunity,
     Disposition,
+    MatchAsPathLength,
     MatchCommunity,
     MatchLocalPrefRange,
     MatchMedRange,
+    MatchNextHopIn,
     MatchNot,
+    MatchOrigin,
     MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
     SetLocalPref,
     SetMed,
+    SetNextHop,
+    SetOrigin,
 )
-from repro.bgp.prefix import Prefix, PrefixRange
+from repro.bgp.prefix import Prefix, PrefixRange, parse_ipv4
 from repro.bgp.route import Community, Route
 from repro.bgp.topology import Edge
 from repro.lang.ghost import GhostAttribute
@@ -64,8 +75,8 @@ def _assert_same(route_map: RouteMap | None, route: Route) -> None:
         return
     assert got is not None
     assert got.prefix == expected.prefix
-    assert got.local_pref == expected.local_pref
-    assert got.med == expected.med
+    assert (got.local_pref, got.med) == (expected.local_pref, expected.med)
+    assert (got.origin, got.next_hop) == (expected.origin, expected.next_hop)
     assert got.communities & set(UNIVERSE.communities) == expected.communities & set(
         UNIVERSE.communities
     )
@@ -78,61 +89,24 @@ def test_none_route_map_is_identity():
     assert _run_concrete(None, r) is not None
 
 
-def test_first_match_semantics_symbolic():
-    rm = RouteMap(
-        "RM",
-        (
-            RouteMapClause(10, matches=(MatchMedRange(0, 10),), actions=(SetLocalPref(200),)),
-            RouteMapClause(20, actions=(SetLocalPref(50),)),
-        ),
-    )
-    _assert_same(rm, Route(prefix=Prefix.parse("1.0.0.0/8"), med=5))
-    _assert_same(rm, Route(prefix=Prefix.parse("1.0.0.0/8"), med=50))
-
-
-def test_deny_clause_symbolic():
-    rm = RouteMap(
-        "RM",
-        (
-            RouteMapClause(10, Disposition.DENY, matches=(MatchCommunity(C1),)),
-            RouteMapClause(20),
-        ),
-    )
-    _assert_same(rm, Route(prefix=Prefix.parse("1.0.0.0/8"), communities={C1}))
-    _assert_same(rm, Route(prefix=Prefix.parse("1.0.0.0/8")))
-
-
-def test_implicit_deny_symbolic():
-    rm = RouteMap("RM", (RouteMapClause(10, matches=(MatchCommunity(C1),)),))
-    assert _run_concrete(rm, Route(prefix=Prefix.parse("1.0.0.0/8"))) is None
-
-
-def test_action_stack_symbolic():
-    rm = RouteMap(
-        "RM",
-        (
-            RouteMapClause(
-                10,
-                actions=(
-                    ClearCommunities(),
-                    AddCommunity(C2),
-                    SetMed(42),
-                    PrependAsPath(65000, 2),
-                ),
-            ),
-        ),
-    )
-    _assert_same(rm, Route(prefix=Prefix.parse("1.0.0.0/8"), communities={C1}, as_path=(300,)))
-
-
 # ---------------------------------------------------------------------------
 # Randomised faithfulness
 # ---------------------------------------------------------------------------
 
 
+NEXT_HOPS = (0, parse_ipv4("10.9.9.9"), parse_ipv4("172.16.0.1"))
+
+
 @st.composite
 def matches(draw):
-    kind = draw(st.integers(0, 4))
+    kind = draw(st.integers(0, 7))
+    if kind == 5:
+        lo = draw(st.integers(0, 3))
+        return MatchAsPathLength(lo, draw(st.integers(lo, 4)))
+    if kind == 6:
+        return MatchOrigin(draw(st.integers(0, 2)))
+    if kind == 7:
+        return MatchNextHopIn((Prefix.parse("10.0.0.0/8"),))
     if kind == 0:
         return MatchCommunity(draw(st.sampled_from([C1, C2])))
     if kind == 1:
@@ -152,7 +126,11 @@ def matches(draw):
 
 @st.composite
 def actions(draw):
-    kind = draw(st.integers(0, 5))
+    kind = draw(st.integers(0, 7))
+    if kind == 6:
+        return SetOrigin(draw(st.integers(0, 2)))
+    if kind == 7:
+        return SetNextHop(draw(st.sampled_from(NEXT_HOPS)))
     if kind == 0:
         return SetLocalPref(draw(st.integers(0, 400)))
     if kind == 1:
@@ -194,6 +172,8 @@ def routes(draw):
         as_path=tuple(draw(st.lists(st.sampled_from([100, 300, 666]), max_size=3))),
         local_pref=draw(st.integers(0, 400)),
         med=draw(st.integers(0, 100)),
+        origin=draw(st.integers(0, 2)),
+        next_hop=draw(st.sampled_from(NEXT_HOPS)),
     )
 
 

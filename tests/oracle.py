@@ -12,21 +12,25 @@ the local checks ran.  This module states that once for the whole suite:
   (a fresh solver per check: the reference), ``pooled`` (``run_problem``
   on a fresh context), ``warm`` (one context twice: every answer a memo
   hit), ``parallel`` (two worker processes), ``tracker`` (a
-  :class:`PropertyTracker` runs the case's base, then the case) and
+  :class:`PropertyTracker` runs the case's base, then the case),
   ``reloaded`` (a workspace verifies the base, goes through ``save`` →
-  ``load``, then ``apply`` + ``reverify``); a tracker's first run must
-  reuse nothing.
+  ``load``, then ``apply`` + ``reverify``) and ``uncached`` (``hermetic``
+  with the lang layer's term memos bypassed: every transfer, originated
+  route and predicate built by its uncached reference, :data:`UNCACHED`);
+  a tracker's first run must reuse nothing.
   :func:`minesweeper` is the monolithic baseline, for small cases;
-* :data:`CORPUS` — random networks, full meshes, Figure 1, the WAN and
-  the policy-diverse network, clean and with a planted fault that must
+* :data:`CORPUS` — random networks, full meshes, Figure 1, the WAN, the
+  policy-diverse network and triangles with a seeded random route map on
+  every session, clean and with a planted fault that must
   FAIL at the planted router (§6.1's localisation), plus a mesh whose
   invariants are misstated on single members of two large check classes
   (the pooled paths answer a passed class's members without running
-  them, so one failing member must not pass with its class), edits a
-  tracker must not miss (a grown topology, an external ASN), a
-  liveness problem with caller-supplied interference invariants, and a
-  short-prefix liveness problem on a mesh and on a random network whose
-  propagation R2 breaks.  A case builds nothing until a path runs it;
+  them, so one failing member must not pass with its class), a mesh
+  with an originated route, edits a tracker must not miss (a grown
+  topology, an external ASN), a liveness problem with caller-supplied
+  interference invariants, and a short-prefix liveness problem on a mesh
+  and on a random network whose propagation R2 breaks.  A case builds
+  nothing until a path runs it;
 * :func:`traces` — soundness against the simulator: on a case that
   verifies, no simulated trace violates the property or an invariant
   (§4.3), and a liveness witness arrives while its path is up (§5.3).
@@ -35,7 +39,9 @@ Every path must agree with ``hermetic`` on the fingerprint, in the
 reference's order for the one-shot paths (a tracker lists a section
 owner group by owner group, so it is compared as a multiset).  Witness
 routes are compared only where one model is being replayed: a memo hit
-(``warm``) against the run that stored it.  A session may pick a
+(``warm``) against the run that stored it, and ``uncached`` against
+``hermetic`` (a memo hands back the very terms the reference builds, so
+each fresh solver meets the same query).  A session may pick a
 different satisfying model from a fresh solver's (README, "Query memo"
 rule 4); that every reported model satisfies the asking check is rule
 5's replay.  ``parallel`` and ``reloaded`` cost a process map or a cache
@@ -60,22 +66,32 @@ from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 from repro.baselines.minesweeper import MinesweeperVerifier
-from repro.bgp.config import NetworkConfig
+from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.configjson import config_from_json
 from repro.bgp.policy import (
+    AddCommunity,
     ClearCommunities,
     DeleteCommunity,
     Disposition,
+    MatchAsPathLength,
+    MatchCommunity,
+    MatchMedRange,
+    MatchNot,
     MatchPrefix,
+    PrependAsPath,
     RouteMap,
     RouteMapClause,
+    SetLocalPref,
+    SetMed,
 )
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
 from repro.bgp.simulator import EventKind, Simulator
-from repro.bgp.topology import Edge
+from repro.bgp.topology import Edge, Topology
+from repro.core import checks
 from repro.core.exec import ExecutionContext
 from repro.core.incremental import PropertyTracker
 from repro.core.liveness import (
@@ -87,8 +103,9 @@ from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import GroupOutcomes, VerificationReport
 from repro.core.safety import SafetyProblem, build_universe, run_problem
 from repro.core.workspace import Workspace
-from repro.lang.predicates import AsPathHas, HasCommunity, Implies, PrefixIn, TruePred
+from repro.lang.predicates import AsPathHas, HasCommunity, Implies, Not, PrefixIn, TruePred
 from repro.lang.specjson import spec_from_json
+from repro.lang.transfer import apply_policy, embed_originated, transfer_policy
 from repro.workloads.figure1 import build_figure1
 from repro.workloads import fullmesh, wan_properties
 from repro.workloads.randomnet import build_random_network
@@ -308,6 +325,14 @@ def wiped_mesh() -> tuple[NetworkConfig, str]:
     return config, "R4"
 
 
+def originating_mesh() -> NetworkConfig:
+    """The 4-router mesh with R1 originating one route towards R2: the
+    corpus's originate check."""
+    config = fullmesh.build_full_mesh(4)
+    config.routers["R1"].neighbors["R2"].originated = (Route(Prefix.parse("10.9.0.0/16")),)
+    return config
+
+
 def exported_has_our_as(config) -> tuple:
     """Routes R4 exports to E4 carry our ASN: true exactly while the
     session is eBGP, which only ``external_asns`` decides."""
@@ -423,6 +448,106 @@ def policy_diverse_case(seed: int, n: int = 8) -> Case:
     return Case(f"policy-diverse-{seed}-planted", network, problem, mutant, True)
 
 
+TRIANGLE_COMMUNITIES = [Community(100, v) for v in range(1, 5)]
+TRIANGLE_RANGES = [
+    PrefixRange.parse(r) for r in ("10.0.0.0/8 le 24", "192.168.0.0/16 le 32", "0.0.0.0/0 le 8")
+]
+
+
+def _random_match(rng: random.Random, depth: int = 0):
+    kind = rng.choice(("community", "prefix", "med", "pathlen", "not")[: 5 - depth])
+    if kind == "community":
+        return MatchCommunity(rng.choice(TRIANGLE_COMMUNITIES))
+    if kind == "prefix":
+        return MatchPrefix((rng.choice(TRIANGLE_RANGES),))
+    if kind == "med":
+        low = rng.randint(0, 50)
+        return MatchMedRange(low, low + rng.randint(0, 100))
+    if kind == "pathlen":
+        low = rng.randint(0, 3)
+        return MatchAsPathLength(low, low + rng.randint(0, 5))
+    return MatchNot(_random_match(rng, 1))
+
+
+def _random_action(rng: random.Random):
+    kind = rng.choice(("lp", "med", "add", "del", "clear", "prepend"))
+    if kind == "lp":
+        return SetLocalPref(rng.randint(0, 300))
+    if kind == "med":
+        return SetMed(rng.randint(0, 100))
+    if kind in ("add", "del"):
+        community = rng.choice(TRIANGLE_COMMUNITIES)
+        return AddCommunity(community) if kind == "add" else DeleteCommunity(community)
+    if kind == "clear":
+        return ClearCommunities()
+    return PrependAsPath(65000 + rng.randint(0, 3), rng.randint(1, 2))
+
+
+def _random_route_map(rng: random.Random, name: str) -> RouteMap | None:
+    """None (no filter) or 1–4 clauses; a deny has no actions."""
+    if rng.random() < 0.2:
+        return None
+    clauses = []
+    for i in range(rng.randint(1, 4)):
+        deny = rng.random() < 0.3
+        matches = tuple(_random_match(rng) for __ in range(rng.randint(0, 2)))
+        actions = () if deny else tuple(_random_action(rng) for __ in range(rng.randint(0, 3)))
+        disposition = Disposition.DENY if deny else Disposition.PERMIT
+        clauses.append(RouteMapClause((i + 1) * 10, disposition, matches, actions))
+    return RouteMap(name, tuple(clauses))
+
+
+def _tracked(seed: int) -> Community:
+    return Community(100, 9 if seed % 2 == 0 else 1)
+
+
+def triangle(seed: int) -> NetworkConfig:
+    """Three iBGP routers in a triangle, ``Ri`` peering with ``Ei``, and a
+    seeded random route map (or none) on every session: community,
+    prefix, MED and path-length matches, negated too, under local-pref,
+    MED, community and prepend actions.  On an even seed every external
+    import first denies the tracked community, which no action adds."""
+    rng = random.Random(20260726 + seed)
+    routers = ("R1", "R2", "R3")
+    topology = Topology()
+    for i, name in enumerate(routers, 1):
+        topology.add_router(name)
+        topology.add_external(f"E{i}")
+        topology.add_peering(name, f"E{i}")
+    for a, b in (("R1", "R2"), ("R2", "R3"), ("R1", "R3")):
+        topology.add_peering(a, b)
+    config = NetworkConfig(topology)
+    guard = RouteMapClause(1, Disposition.DENY, (MatchCommunity(_tracked(seed)),))
+    for i, name in enumerate(routers):
+        config.set_external_asn(f"E{i + 1}", 65100 + i)
+        inner = _random_route_map(rng, f"{name}-EXT-IN")
+        clauses = inner.clauses if inner else (RouteMapClause(5),)
+        import_map = RouteMap(f"{name}-EXT-IN", (guard, *clauses) if seed % 2 == 0 else clauses)
+        export_map = _random_route_map(rng, f"{name}-EXT-OUT")
+        router = RouterConfig(name, 65000)
+        router.add_neighbor(NeighborConfig(f"E{i + 1}", 65100 + i, import_map, export_map))
+        for peer in routers:
+            if peer != name:
+                peer_map = _random_route_map(rng, f"{name}-{peer}-IN")
+                router.add_neighbor(NeighborConfig(peer, 65000, peer_map))
+        config.add_router_config(router)
+    return config
+
+
+def triangle_problem(seed: int, config: NetworkConfig) -> tuple:
+    """No route tagged with the tracked community leaves R2 for E2, held
+    as the invariant everywhere."""
+    untracked = Not(HasCommunity(_tracked(seed)))
+    prop = SafetyProperty(Edge("R2", "E2"), untracked, name="untracked-to-E2")
+    return (), SafetyProblem(prop, InvariantMap(config.topology, default=untracked))
+
+
+def triangle_case(seed: int) -> Case:
+    """:func:`triangle` and its problem; the even seeds verify."""
+    network, problem = partial(triangle, seed), partial(triangle_problem, seed)
+    return Case(f"triangle-{seed}", network, problem, verifies=seed % 2 == 0)
+
+
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 SEEDS = (2 * CHAOS_SEED, 2 * CHAOS_SEED + 1)
 
@@ -441,6 +566,7 @@ def _corpus() -> list[Case]:
     mesh = partial(fullmesh.build_full_mesh, 4)
     mesh6 = partial(fullmesh.build_full_mesh, 6)
     cases.append(Case("fullmesh4-safety-misstated", mesh, misstated_no_transit, verifies=False))
+    cases.append(Case("fullmesh4-safety-originating", originating_mesh, no_transit))
     cases += [fullmesh_case(6, "safety"), Case("fullmesh6-safety-wiped", mesh6, no_transit, wiped_mesh, True)]
     cases += [fullmesh_case(n, "liveness") for n in (6, 10)]
     random6 = partial(build_random_network, 6, model="gnp", seed=3)
@@ -475,6 +601,7 @@ def _corpus() -> list[Case]:
             for kind in ("ip-reuse", "ip-reuse-liveness"):
                 problem = partial(_wan_problem, kind, build)
                 cases.append(Case(f"{name}-{kind}", wan, problem, wan_bug))
+    cases += [triangle_case(seed) for seed in range(10)]
     return cases + [policy_diverse_case(seed) for seed in (0, 1)]
 
 
@@ -554,6 +681,32 @@ def tracker(case: Case):
     return tracker.run(case.config())
 
 
+def _uncached_transfer(direction: str, config, edge, route, ghosts=()):
+    return apply_policy(transfer_policy(config, edge, ghosts, direction), route)
+
+
+def _uncached_originated(config, edge, universe, ghosts=()):
+    # Declared order, not the memo key's sorted one: names are unique.
+    values = [(g.name, g.originated_value) for g in ghosts]
+    return embed_originated(universe, config.originate(edge), values)
+
+
+#: Each memoised term builder a check calls, and the uncached reference
+#: it must equal.
+UNCACHED = {
+    "transfer_import": partial(_uncached_transfer, "import"),
+    "transfer_export": partial(_uncached_transfer, "export"),
+    "symbolic_originated": _uncached_originated,
+    "predicate_term": lambda pred, route: pred.to_term(route),
+}
+
+
+def uncached(case: Case):
+    """``hermetic`` with every term built by the uncached references."""
+    with mock.patch.multiple(checks, **UNCACHED):
+        return hermetic(case)
+
+
 def reloaded(case: Case):
     """A workspace verifies ``case.base()`` and is saved; the one loaded
     from the file for a freshly built base, on two workers, applies the
@@ -576,9 +729,12 @@ PATHS = {
     "parallel": parallel,
     "tracker": tracker,
     "reloaded": reloaded,
+    "uncached": uncached,
 }
 #: The paths that list a section owner group by owner group.
 TRACKERS = ("tracker", "reloaded")
+#: The paths that replay another's models, and the path each replays.
+REPLAYS = {"warm": "pooled", "uncached": "hermetic"}
 
 
 def cells(case: Case) -> list[str]:
@@ -603,19 +759,24 @@ def expected(case: Case) -> dict[tuple, list[tuple]]:
     return fingerprint(run("hermetic", case))
 
 
+def verified(case: Case) -> bool:
+    """Whether every hermetic outcome of ``case`` passed."""
+    return all(key[1] for keys in expected(case).values() for key in keys)
+
+
 def agree(case: Case, *paths: str) -> dict[tuple, list[tuple]]:
     """Assert each of ``paths`` decides ``case`` as ``hermetic`` does — a
     one-shot path in the reference's order, a tracker as a multiset — and
-    that ``warm``'s memo hits replay ``pooled``'s witnesses; returns the
-    reference fingerprint."""
+    that a path in :data:`REPLAYS` lists the witnesses of the run it
+    replays; returns the reference fingerprint."""
     reference = run("hermetic", case)
     for path in paths:
         report = run(path, case)
         view = fingerprint if path in TRACKERS else listing
         assert view(report) == view(reference), f"{path} diverges from hermetic on {case}"
-        if path == "warm":
-            fresh = listing(run("pooled", case), witness=True)
-            assert listing(report, witness=True) == fresh, f"memo witnesses differ on {case}"
+        if path in REPLAYS:
+            replayed = listing(run(REPLAYS[path], case), witness=True)
+            assert listing(report, witness=True) == replayed, f"{path} witnesses differ on {case}"
     return fingerprint(reference)
 
 

@@ -1,12 +1,8 @@
-"""Semantics of :class:`repro.smt.CheckSession`: reuse must be invisible.
-
-A session discharges a sequence of independent queries against one shared
-clause database.  Every query's verdict and model must match what a fresh
-one-shot :class:`Solver` computes — in any interleaving of SAT and UNSAT
-answers — and the per-check stats must stay marginal (bounded by one
-check's encoding, not the accumulated session).  What it keeps between
-checks is pinned too: learnt clauses under a persistent cap, and the
-shared fragment asserted once and skipped per check.
+"""Semantics of :class:`repro.smt.CheckSession` beyond the encoder oracle
+(``tests/smt/test_encode.py`` holds every query's verdict and model to brute
+force and a fresh :class:`Solver`): per-check stats stay marginal, learnt
+clauses stay under a persistent cap, and the shared fragment is asserted
+once and skipped per check.
 """
 
 from __future__ import annotations
@@ -23,55 +19,6 @@ from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import verify_ip_reuse_safety_problems
 
 from tests.core.conftest import fullmesh_problem, safety_pieces
-
-
-def _fresh_result(assertions):
-    solver = smt.Solver()
-    for a in assertions:
-        solver.add(a)
-    return solver.check()
-
-
-def test_session_matches_fresh_solver_on_interleaved_queries():
-    x = smt.bv_var("x", 8)
-    p = smt.bool_var("p")
-    queries = [
-        [smt.bv_eq(x, smt.bv_const(3, 8))],
-        [smt.bv_eq(x, smt.bv_const(3, 8)), smt.bv_eq(x, smt.bv_const(4, 8))],
-        [smt.or_(p, smt.bv_ult(x, smt.bv_const(10, 8)))],
-        [smt.and_(p, smt.not_(p))],
-        [smt.bv_ule(smt.bv_const(250, 8), x), smt.not_(p)],
-    ]
-    session = CheckSession()
-    for assertions in queries:
-        assert session.check(assertions) is _fresh_result(assertions)
-
-
-def test_session_model_satisfies_current_query_only():
-    x = smt.bv_var("x", 8)
-    session = CheckSession()
-    assert session.check([smt.bv_eq(x, smt.bv_const(7, 8))]) is smt.Result.SAT
-    assert session.model().eval_bv(x) == 7
-    # A later query over the same variable must re-pin it.
-    assert session.check([smt.bv_eq(x, smt.bv_const(200, 8))]) is smt.Result.SAT
-    assert session.model().eval_bv(x) == 200
-
-
-def test_session_model_unavailable_after_unsat():
-    p = smt.bool_var("p")
-    session = CheckSession()
-    assert session.check([p, smt.not_(p)]) is smt.Result.UNSAT
-    with pytest.raises(RuntimeError):
-        session.model()
-
-
-def test_session_trivially_false_assertion_is_unsat_not_poisonous():
-    p = smt.bool_var("p")
-    session = CheckSession()
-    assert session.check([smt.false()]) is smt.Result.UNSAT
-    # The shared clause database must survive a degenerate query.
-    assert session.check([p]) is smt.Result.SAT
-    assert session.model().eval_bool(p) is True
 
 
 def test_session_stats_are_marginal_not_cumulative():

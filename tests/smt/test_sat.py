@@ -1,12 +1,11 @@
-"""Unit and property tests for the CDCL SAT core."""
+"""The CDCL SAT core: directed cases, and random CNFs against brute force."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.smt.sat import SatSolver, _luby
 
@@ -14,21 +13,6 @@ from repro.smt.sat import SatSolver, _luby
 def test_empty_formula_is_sat():
     s = SatSolver()
     assert s.solve() is True
-
-
-def test_single_unit_clause():
-    s = SatSolver()
-    a = s.new_var()
-    assert s.add_clause([a])
-    assert s.solve() is True
-    assert s.value(a) is True
-
-
-def test_contradictory_units_unsat():
-    s = SatSolver()
-    a = s.new_var()
-    s.add_clause([a])
-    assert not s.add_clause([-a]) or s.solve() is False
 
 
 def test_implication_chain_propagates():
@@ -41,28 +25,6 @@ def test_implication_chain_propagates():
     assert all(s.value(x) is True for x in xs)
 
 
-def test_simple_conflict_requires_learning():
-    s = SatSolver()
-    a, b, c = (s.new_var() for _ in range(3))
-    s.add_clause([a, b])
-    s.add_clause([a, -b])
-    s.add_clause([-a, c])
-    s.add_clause([-a, -c])
-    assert s.solve() is False
-
-
-def test_pigeonhole_3_into_2_unsat():
-    # p[i][j]: pigeon i in hole j.
-    s = SatSolver()
-    p = [[s.new_var() for _ in range(2)] for _ in range(3)]
-    for i in range(3):
-        s.add_clause([p[i][0], p[i][1]])
-    for j in range(2):
-        for i1, i2 in itertools.combinations(range(3), 2):
-            s.add_clause([-p[i1][j], -p[i2][j]])
-    assert s.solve() is False
-
-
 def test_pigeonhole_4_into_4_sat():
     s = SatSolver()
     n = 4
@@ -73,27 +35,8 @@ def test_pigeonhole_4_into_4_sat():
         for i1, i2 in itertools.combinations(range(n), 2):
             s.add_clause([-p[i1][j], -p[i2][j]])
     assert s.solve() is True
-    # Check the model is a valid assignment of pigeons to distinct holes.
-    holes = []
-    for i in range(n):
-        row = [j for j in range(n) if s.value(p[i][j])]
-        assert row
-        holes.append(row[0])
-
-
-def test_tautological_clause_ignored():
-    s = SatSolver()
-    a = s.new_var()
-    s.add_clause([a, -a])
-    assert s.solve() is True
-
-
-def test_duplicate_literals_collapse():
-    s = SatSolver()
-    a = s.new_var()
-    s.add_clause([a, a, a])
-    assert s.solve() is True
-    assert s.value(a) is True
+    # The model puts every pigeon in a hole, and no two in one.
+    assert sorted(j for i in range(n) for j in range(n) if s.value(p[i][j])) == list(range(n))
 
 
 def test_assumptions_sat_and_unsat():
@@ -107,64 +50,69 @@ def test_assumptions_sat_and_unsat():
     assert s.solve(assumptions=[a]) is False
 
 
-def test_conflict_budget_returns_none_or_answer():
-    s = SatSolver()
-    n = 8
-    p = [[s.new_var() for _ in range(n - 1)] for _ in range(n)]
-    for i in range(n):
-        s.add_clause(p[i])
-    for j in range(n - 1):
-        for i1, i2 in itertools.combinations(range(n), 2):
-            s.add_clause([-p[i1][j], -p[i2][j]])
-    result = s.solve(conflict_budget=5)
-    assert result is None or result is False
-
-
 def test_luby_sequence_prefix():
     assert [_luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
 def _brute_force(num_vars: int, clauses: list[list[int]]) -> bool:
-    for bits in itertools.product([False, True], repeat=num_vars):
-        ok = True
-        for clause in clauses:
-            if not any(bits[abs(l) - 1] == (l > 0) for l in clause):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    """The one SAT reference: whether any of the 2^n assignments satisfies
+    every clause."""
+    return any(
+        all(any((bits >> (abs(lit) - 1) & 1) == (lit > 0) for lit in clause) for clause in clauses)
+        for bits in range(2**num_vars)
+    )
 
 
-@st.composite
-def cnf_instances(draw):
-    num_vars = draw(st.integers(min_value=1, max_value=6))
-    num_clauses = draw(st.integers(min_value=1, max_value=14))
-    clauses = []
-    for _ in range(num_clauses):
-        width = draw(st.integers(min_value=1, max_value=3))
-        clause = [
-            draw(st.integers(min_value=1, max_value=num_vars))
-            * (1 if draw(st.booleans()) else -1)
-            for _ in range(width)
-        ]
-        clauses.append(clause)
-    return num_vars, clauses
+def _random_cnf(seed: int) -> tuple[int, list[list[int]], list[int]]:
+    """Seed ``seed``'s CNF (≤ 8 variables, ≤ 30 clauses) and 1–3 assumptions."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(1, 8)
+    literal = lambda: rng.randint(1, num_vars) * rng.choice((1, -1))
+    clauses = [[literal() for __ in range(rng.randint(1, 3))] for __ in range(rng.randint(1, 30))]
+    return num_vars, clauses, sorted({literal() for __ in range(rng.randint(1, 3))})
 
 
-@settings(max_examples=150, deadline=None)
-@given(cnf_instances())
-def test_cdcl_matches_brute_force(instance):
-    num_vars, clauses = instance
-    s = SatSolver()
-    lits = [s.new_var() for _ in range(num_vars)]
-    assert all(abs(l) == i + 1 for i, l in enumerate(lits))
+def _solver(num_vars: int, clauses: list[list[int]]) -> SatSolver:
+    solver = SatSolver()
+    for __ in range(num_vars):
+        solver.new_var()
     for clause in clauses:
-        s.add_clause(clause)
-    expected = _brute_force(num_vars, clauses)
-    got = s.solve()
-    assert got is expected
-    if got:
-        # The returned model must satisfy every clause.
-        for clause in clauses:
-            assert any(s.value(l) for l in clause)
+        solver.add_clause(list(clause))
+    return solver
+
+
+def _assert_agrees(solver: SatSolver, answer: bool | None, num_vars: int, clauses) -> None:
+    """``answer`` is the reference's, and a SAT model satisfies every clause."""
+    assert answer is _brute_force(num_vars, clauses), clauses
+    if answer:
+        assert all(any(solver.value(lit) for lit in clause) for clause in clauses), clauses
+
+
+# One seeded instance per test, so a failure names its seed.
+CNF_SEEDS = range(200)
+ASSUMPTION_SEEDS = range(200, 260)
+
+
+@pytest.mark.parametrize("seed", CNF_SEEDS)
+def test_cdcl_agrees_with_brute_force_on_random_cnfs(seed):
+    num_vars, clauses, __ = _random_cnf(seed)
+    solver = _solver(num_vars, clauses)
+    _assert_agrees(solver, solver.solve(), num_vars, clauses)
+
+
+@pytest.mark.parametrize("seed", ASSUMPTION_SEEDS)
+def test_cdcl_agrees_with_brute_force_under_assumptions(seed):
+    # Solving under assumptions is solving with them as units, and leaves
+    # the base formula's answer (and any learnt clauses) sound.
+    num_vars, clauses, assumptions = _random_cnf(seed)
+    solver = _solver(num_vars, clauses)
+    answer = solver.solve(assumptions=assumptions)
+    _assert_agrees(solver, answer, num_vars, clauses + [[a] for a in assumptions])
+    _assert_agrees(solver, solver.solve(), num_vars, clauses)
+
+
+def test_random_cnfs_take_both_verdicts():
+    # A skewed generator would silently weaken the two tests above.
+    plain = {_brute_force(*_random_cnf(seed)[:2]) for seed in CNF_SEEDS}
+    assumed = {_brute_force(n, cs + [[a] for a in units]) for n, cs, units in map(_random_cnf, ASSUMPTION_SEEDS)}
+    assert plain == assumed == {True, False}

@@ -50,7 +50,7 @@ from repro.testing.faults import corrupt_file, truncate_file
 from repro.workloads.figure1 import build_figure1
 
 from tests import oracle
-from tests.test_cli_spec import SPEC
+from tests.conftest import SPEC
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = b"lightyear-cache %d\n" % CACHE_FORMAT

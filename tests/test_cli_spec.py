@@ -42,60 +42,9 @@ from repro.lang.specjson import (
 from repro.workloads.figure1 import build_figure1
 
 from tests import oracle
+from tests.conftest import CONFIG_TEXT, SPEC
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-CONFIG_TEXT = """
-external ISP1 as 100
-external ISP2 as 200
-external Customer as 300
-router R1 as 65000
-  neighbor ISP1 as 100
-    import route-map ISP1-IN
-  neighbor R2 as 65000
-  neighbor R3 as 65000
-router R2 as 65000
-  neighbor ISP2 as 200
-    export route-map ISP2-OUT
-  neighbor R1 as 65000
-  neighbor R3 as 65000
-router R3 as 65000
-  neighbor Customer as 300
-  neighbor R1 as 65000
-  neighbor R2 as 65000
-route-map ISP1-IN
-  clause 10 permit
-    add community 100:1
-route-map ISP2-OUT
-  clause 10 deny
-    match community 100:1
-  clause 20 permit
-"""
-
-SPEC = {
-    "ghosts": [{"name": "FromISP1", "kind": "source", "sources": ["ISP1->R1"]}],
-    "safety": [
-        {
-            "name": "no-transit",
-            "location": "R2->ISP2",
-            "predicate": {"kind": "not", "inner": {"kind": "ghost", "name": "FromISP1"}},
-            "invariants": {
-                "default": {
-                    "kind": "implies",
-                    "antecedent": {"kind": "ghost", "name": "FromISP1"},
-                    "consequent": {"kind": "community", "community": "100:1"},
-                },
-                "overrides": {
-                    "R2->ISP2": {
-                        "kind": "not",
-                        "inner": {"kind": "ghost", "name": "FromISP1"},
-                    }
-                },
-            },
-        }
-    ],
-}
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +109,15 @@ def test_spec_ghost_building():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def config_file(tmp_path):
-    path = tmp_path / "network.cfg"
-    path.write_text(CONFIG_TEXT)
-    return str(path)
-
-
-@pytest.fixture
-def spec_file(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(SPEC))
-    return str(path)
-
-
-def test_cli_parse(config_file, capsys):
-    assert main(["parse", config_file]) == 0
+def test_cli_parse(cli_inputs, capsys):
+    assert main(["parse", cli_inputs[0]]) == 0
     out = capsys.readouterr().out
     assert "3 routers" in out
     assert "router R1 (AS 65000)" in out
 
 
-def test_cli_parse_json_dump_roundtrips(config_file, tmp_path, capsys):
-    assert main(["parse", config_file, "--dump-json"]) == 0
+def test_cli_parse_json_dump_roundtrips(cli_inputs, tmp_path, capsys):
+    assert main(["parse", cli_inputs[0], "--dump-json"]) == 0
     out = capsys.readouterr().out
     json_part = out[out.index("{") :]
     path = tmp_path / "network.json"
@@ -190,53 +125,53 @@ def test_cli_parse_json_dump_roundtrips(config_file, tmp_path, capsys):
     assert main(["parse", str(path)]) == 0
 
 
-def test_cli_verify_passes(config_file, spec_file, capsys):
-    assert main(["verify", config_file, spec_file]) == 0
+def test_cli_verify_passes(cli_inputs, capsys):
+    assert main(["verify", *cli_inputs]) == 0
     out = capsys.readouterr().out
     assert "PASSED" in out
     assert "totals:" in out
 
 
-def test_cli_verify_fails_on_buggy_config(tmp_path, spec_file, capsys):
+def test_cli_verify_fails_on_buggy_config(tmp_path, cli_inputs, capsys):
     # Drop the tagging action from ISP1-IN: no-transit must fail.
     broken = CONFIG_TEXT.replace("    add community 100:1\n", "")
     path = tmp_path / "broken.cfg"
     path.write_text(broken)
-    assert main(["verify", str(path), spec_file]) == 1
+    assert main(["verify", str(path), cli_inputs[1]]) == 1
     out = capsys.readouterr().out
     assert "FAILED" in out
     assert "blamed router: R1" in out
 
 
-def test_cli_verify_json_config(tmp_path, spec_file):
+def test_cli_verify_json_config(tmp_path, cli_inputs):
     config = build_figure1()
     path = tmp_path / "fig1.json"
     path.write_text(config_to_json(config))
-    assert main(["verify", str(path), spec_file]) == 0
+    assert main(["verify", str(path), cli_inputs[1]]) == 0
 
 
-def test_cli_error_on_missing_file(spec_file):
-    assert main(["verify", "/nonexistent.cfg", spec_file]) == 2
+def test_cli_error_on_missing_file(cli_inputs):
+    assert main(["verify", "/nonexistent.cfg", cli_inputs[1]]) == 2
 
 
-def test_cli_verify_with_jobs(config_file, spec_file, capsys):
-    assert main(["verify", config_file, spec_file, "--jobs", "2"]) == 0
+def test_cli_verify_with_jobs(cli_inputs, capsys):
+    assert main(["verify", *cli_inputs, "--jobs", "2"]) == 0
     assert "PASSED" in capsys.readouterr().out
 
 
-def test_cli_verify_with_jobs_auto_and_serial(config_file, spec_file, capsys):
-    assert main(["verify", config_file, spec_file, "--jobs", "auto"]) == 0
+def test_cli_verify_with_jobs_auto_and_serial(cli_inputs, capsys):
+    assert main(["verify", *cli_inputs, "--jobs", "auto"]) == 0
     capsys.readouterr()
     # --jobs 1 forces the serial path.
-    assert main(["verify", config_file, spec_file, "--jobs", "1"]) == 0
+    assert main(["verify", *cli_inputs, "--jobs", "1"]) == 0
     assert "PASSED" in capsys.readouterr().out
 
 
-def test_cli_rejects_bad_jobs(config_file, spec_file, capsys):
+def test_cli_rejects_bad_jobs(cli_inputs, capsys):
     with pytest.raises(SystemExit):
-        main(["verify", config_file, spec_file, "--jobs", "zero"])
+        main(["verify", *cli_inputs, "--jobs", "zero"])
     with pytest.raises(SystemExit):
-        main(["verify", config_file, spec_file, "--jobs", "0"])
+        main(["verify", *cli_inputs, "--jobs", "0"])
 
 
 def test_cli_rejects_duplicate_ghost_names(tmp_path, capsys):
@@ -400,14 +335,14 @@ BAD_INPUT_ERRORS = {
 
 @pytest.mark.parametrize("name", BAD_INPUTS)
 @pytest.mark.parametrize("command", ["verify", "reverify"])
-def test_cli_rejects_bad_input_with_exit_2(command, name, config_file, tmp_path, capsys):
+def test_cli_rejects_bad_input_with_exit_2(command, name, cli_inputs, tmp_path, capsys):
     # Exit 1 means "a real counterexample"; a bad input is exit 2 with a
     # one-line error, never a vacuous PASS or a traceback.
     spec, options = BAD_INPUTS[name]
-    spec_path = tmp_path / "spec.json"
+    spec_path = tmp_path / "offered.json"
     if spec is not None:
         spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
-    configs = [config_file] * (2 if command == "reverify" else 1)
+    configs = [cli_inputs[0]] * (2 if command == "reverify" else 1)
     try:
         code = main([command, *configs, str(spec_path), *options])
     except SystemExit as exc:  # argparse rejects an option or its value
@@ -417,12 +352,12 @@ def test_cli_rejects_bad_input_with_exit_2(command, name, config_file, tmp_path,
     assert BAD_INPUT_ERRORS.get(name, "error:") in err and "Traceback" not in err
 
 
-def test_cli_verbose_breakdown(config_file, spec_file, capsys):
-    assert main(["verify", config_file, spec_file, "--verbose"]) == 0
+def test_cli_verbose_breakdown(cli_inputs, capsys):
+    assert main(["verify", *cli_inputs, "--verbose"]) == 0
     verbose = capsys.readouterr().out
     assert "check breakdown:" in verbose
     # Durations are part of the verbose output only.
-    assert main(["verify", config_file, spec_file]) == 0
+    assert main(["verify", *cli_inputs]) == 0
     plain = capsys.readouterr().out
     assert "s total (" in verbose and "s solving)" in verbose.splitlines()[-1]
     assert "s total" not in plain and "solving" not in plain
@@ -482,10 +417,10 @@ def _breaking_r2_edit(config):
     config.routers["R2"].neighbors["R1"].import_map = oracle.STRIP
 
 
-def test_cli_reverify_passes_and_reports_reuse(tmp_path, spec_file, capsys):
+def test_cli_reverify_passes_and_reports_reuse(tmp_path, cli_inputs, capsys):
     base = _write_fig1_edit(tmp_path, "base.json")
     edited = _write_fig1_edit(tmp_path, "edited.json", _benign_r3_edit)
-    assert main(["reverify", base, edited, spec_file]) == 0
+    assert main(["reverify", base, edited, cli_inputs[1]]) == 0
     out = capsys.readouterr().out
     assert "config diff: changed: R3" in out
     assert "PASSED" in out
@@ -493,10 +428,10 @@ def test_cli_reverify_passes_and_reports_reuse(tmp_path, spec_file, capsys):
     assert "reverify: consulted 6 of 19 checks (6 re-run, 13 reused)" in out
 
 
-def test_cli_reverify_detects_breaking_edit(tmp_path, spec_file, capsys):
+def test_cli_reverify_detects_breaking_edit(tmp_path, cli_inputs, capsys):
     base = _write_fig1_edit(tmp_path, "base.json")
     edited = _write_fig1_edit(tmp_path, "edited.json", _breaking_r2_edit)
-    assert main(["reverify", base, edited, spec_file]) == 1
+    assert main(["reverify", base, edited, cli_inputs[1]]) == 1
     out = capsys.readouterr().out
     assert "FAILED" in out
     assert "blamed router: R2" in out
@@ -513,11 +448,11 @@ def test_cli_reverify_liveness_spec(tmp_path, capsys):
     assert "reverify: consulted" in out
 
 
-def test_cli_reverify_accepts_budget_and_verbose(tmp_path, spec_file, capsys):
+def test_cli_reverify_accepts_budget_and_verbose(tmp_path, cli_inputs, capsys):
     base = _write_fig1_edit(tmp_path, "base.json")
     edited = _write_fig1_edit(tmp_path, "edited.json", _benign_r3_edit)
     assert (
-        main(["reverify", base, edited, spec_file, "--budget", "100000", "--verbose"])
+        main(["reverify", base, edited, cli_inputs[1], "--budget", "100000", "--verbose"])
         == 0
     )
     out = capsys.readouterr().out
@@ -560,7 +495,7 @@ def _src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-def test_json_verify_imports_no_library_extras(tmp_path, spec_file):
+def test_json_verify_imports_no_library_extras(tmp_path, cli_inputs):
     program = (
         "import sys\n"
         "from repro.cli import main\n"
@@ -571,7 +506,7 @@ def test_json_verify_imports_no_library_extras(tmp_path, spec_file):
     )
     config = _write_fig1_edit(tmp_path, "base.json")
     proc = subprocess.run(
-        [sys.executable, "-c", program, config, spec_file],
+        [sys.executable, "-c", program, config, cli_inputs[1]],
         capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -593,15 +528,15 @@ def test_lint_is_not_a_subcommand(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_in_process_main_keeps_the_gc_defaults(config_file, spec_file, capsys):
+def test_in_process_main_keeps_the_gc_defaults(cli_inputs, capsys):
     before = gc.get_threshold(), gc.get_freeze_count()
-    assert main(["verify", config_file, spec_file]) == 0
+    assert main(["verify", *cli_inputs]) == 0
     assert (gc.get_threshold(), gc.get_freeze_count()) == before
 
 
 @pytest.mark.parametrize("case", ["passed", "failed", "bad-input"])
-def test_module_entry_matches_in_process_main(case, config_file, spec_file, tmp_path, capsys):
-    config, spec = config_file, spec_file
+def test_module_entry_matches_in_process_main(case, cli_inputs, tmp_path, capsys):
+    config, spec = cli_inputs
     if case == "failed":  # no-transit's tagging action dropped, as above
         config = str(tmp_path / "broken.cfg")
         Path(config).write_text(CONFIG_TEXT.replace("    add community 100:1\n", ""))

@@ -65,7 +65,7 @@ def test_without_reflector_clients_route_stays_at_hub():
 def test_rr_digest_differs_from_plain_router():
     with_clients = RouterConfig("RR", 65000, rr_clients=frozenset({"C0"}))
     without = RouterConfig("RR", 65000)
-    assert with_clients.digest() != without.digest()
+    assert with_clients.digest_leaves().digest() != without.digest_leaves().digest()
 
 
 # ---------------------------------------------------------------------------
