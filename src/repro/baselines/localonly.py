@@ -45,12 +45,8 @@ class LocalOnlyChecker:
         route_map = self.config.import_map(edge)
         self._checks.append(
             LocalCheck(
-                kind=CheckKind.IMPORT,
-                edge=edge,
-                assumption=assumption,
-                goal=goal,
-                route_map_name=None if route_map is None else route_map.name,
-                text=f"user-listed import check on {edge}",
+                CheckKind.IMPORT, edge, assumption, goal, f"user-listed import check on {edge}",
+                None if route_map is None else route_map.name,
             )
         )
 
@@ -58,12 +54,8 @@ class LocalOnlyChecker:
         route_map = self.config.export_map(edge)
         self._checks.append(
             LocalCheck(
-                kind=CheckKind.EXPORT,
-                edge=edge,
-                assumption=assumption,
-                goal=goal,
-                route_map_name=None if route_map is None else route_map.name,
-                text=f"user-listed export check on {edge}",
+                CheckKind.EXPORT, edge, assumption, goal, f"user-listed export check on {edge}",
+                None if route_map is None else route_map.name,
             )
         )
 

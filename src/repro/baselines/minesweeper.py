@@ -102,7 +102,7 @@ class MinesweeperVerifier:
 
         adv: dict[Edge, SymbolicRoute] = {}
         sent: dict[Edge, Term] = {}
-        for edge in sorted(topo.edges):
+        for edge in topo.sorted_edges():
             record = SymbolicRoute.fresh(f"adv.{edge.src}.{edge.dst}", universe)
             record = record.with_field(prefix_addr=global_addr, prefix_len=global_len)
             adv[edge] = record

@@ -136,12 +136,17 @@ class Topology:
         for src in sorted(self._in.get(node, ())):
             yield Edge(src, node)
 
-    def _sorted_edges(self, keep: Callable[[str, str], bool]) -> Iterator[Edge]:
-        """The edges ``keep`` accepts, in ``(src, dst)`` order."""
+    def _sorted_edges(self, keep: Callable[[str, str], bool] | None) -> Iterator[Edge]:
+        """The edges ``keep`` accepts (all without one), in ``(src, dst)`` order."""
         for src in sorted(self._out):
             for dst in sorted(self._out[src]):
-                if keep(src, dst):
+                if keep is None or keep(src, dst):
                     yield Edge(src, dst)
+
+    def sorted_edges(self) -> Iterator[Edge]:
+        """Every directed edge, in ``(src, dst)`` order: ``sorted(edges)``
+        walked from the sorted adjacency, with no edge set built or sorted."""
+        return self._sorted_edges(None)
 
     def internal_edges(self) -> Iterator[Edge]:
         """Edges between two internal routers, in ``(src, dst)`` order."""

@@ -116,6 +116,11 @@ def _load_config(path: str):
 def _cmd_parse(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     problems = config.validate()
+    if problems:
+        # A configuration error, like one neither parser accepts: exit 2.
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
+        return 2
     topo = config.topology
     print(
         f"{args.config}: {len(topo.routers)} routers, "
@@ -124,11 +129,6 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     for name in sorted(topo.routers):
         rc = config.routers[name]
         print(f"  router {name} (AS {rc.asn}): {len(rc.neighbors)} sessions")
-    if problems:
-        print("problems:")
-        for p in problems:
-            print(f"  ! {p}")
-        return 1
     if args.dump_json:
         print(config_to_json(config))
     return 0

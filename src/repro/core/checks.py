@@ -51,7 +51,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro import smt
-from repro.bgp.config import NetworkConfig
+from repro.bgp.config import NeighborConfig, NetworkConfig
 from repro.bgp.topology import Edge
 from repro.core.counterexample import CheckFailure
 from repro.core.properties import Location
@@ -113,13 +113,17 @@ _DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class LocalCheck:
     """A single generated check, ready to run.
 
     ``text`` is a custom description; without one (the Import, Export and
     Originate checks of a safety proof) :attr:`description` is rendered
     from the kind and edge.
+
+    A plain dataclass, built positionally: a run generates one per edge
+    side, and a frozen one costs several times as much to build.  Checks
+    compare by value but are not hashable, and nothing mutates one.
     """
 
     kind: CheckKind
@@ -189,7 +193,7 @@ class LocalCheck:
         if deadline_abs is not None and time.monotonic() >= deadline_abs:
             return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
         session.memo_hits += 1
-        return CheckOutcome(check=self, passed=True, stats=MEMO_HIT_STATS)
+        return CheckOutcome(self, True, MEMO_HIT_STATS)
 
     # ------------------------------------------------------------------
 
@@ -534,12 +538,8 @@ def implication_check(
 ) -> LocalCheck:
     """The owner-less closing check of a proof: ``assumption ⊆ goal``."""
     return LocalCheck(
-        kind=CheckKind.IMPLICATION,
-        edge=None,
-        location=location,
-        assumption=assumption,
-        goal=goal,
-        text=f"implication check at {location}: {claim}",
+        CheckKind.IMPLICATION, None, assumption, goal,
+        f"implication check at {location}: {claim}", None, location,
     )
 
 
@@ -557,46 +557,50 @@ def generate_safety_checks(
     uses this to refresh just the edited routers' checks instead of
     rebuilding the whole list.
     """
-    checks: list[LocalCheck] = []
     topo = config.topology
+    routers = topo.routers
     if owners is None:
-        edges = sorted(topo.edges)
+        edges: Iterable[Edge] = topo.sorted_edges()
+        owning = routers
     else:
         edges = sorted(
             {e for owner in owners for e in (*topo.edges_from(owner), *topo.edges_to(owner))}
         )
+        owning = routers & owners
+    # Per call, not per edge: each owning router's invariant and neighbors
+    # (a router without a configuration has none, as neighbor_config says).
+    node_invariant = {router: invariants.get(router) for router in owning}
+    no_neighbors: dict[str, NeighborConfig] = {}
+    neighbors = {
+        router: config.routers[router].neighbors if router in config.routers else no_neighbors
+        for router in owning
+    }
+    checks: list[LocalCheck] = []
+    append = checks.append
     for edge in edges:
-        if topo.is_router(edge.dst) and (owners is None or edge.dst in owners):
-            route_map = config.import_map(edge)
-            checks.append(
+        src, dst = edge
+        edge_invariant = invariants.get(edge)
+        if dst in owning:
+            neighbor = neighbors[dst].get(src)
+            route_map = None if neighbor is None else neighbor.import_map
+            append(
                 LocalCheck(
-                    kind=CheckKind.IMPORT,
-                    edge=edge,
-                    assumption=invariants.get(edge),
-                    goal=invariants.get(edge.dst),
-                    route_map_name=None if route_map is None else route_map.name,
+                    CheckKind.IMPORT, edge, edge_invariant, node_invariant[dst], None,
+                    None if route_map is None else route_map.name,
                 )
             )
-        if topo.is_router(edge.src) and (owners is None or edge.src in owners):
-            route_map = config.export_map(edge)
-            checks.append(
+        if src in owning:
+            neighbor = neighbors[src].get(dst)
+            route_map = None if neighbor is None else neighbor.export_map
+            append(
                 LocalCheck(
-                    kind=CheckKind.EXPORT,
-                    edge=edge,
-                    assumption=invariants.get(edge.src),
-                    goal=invariants.get(edge),
-                    route_map_name=None if route_map is None else route_map.name,
+                    CheckKind.EXPORT, edge, node_invariant[src], edge_invariant, None,
+                    None if route_map is None else route_map.name,
                 )
             )
-            if config.originate(edge):
-                checks.append(
-                    LocalCheck(
-                        kind=CheckKind.ORIGINATE,
-                        edge=edge,
-                        assumption=invariants.get(edge),  # unused
-                        goal=invariants.get(edge),
-                    )
-                )
+            if neighbor is not None and neighbor.originated:
+                # The assumption is unused: an originate check has no input route.
+                append(LocalCheck(CheckKind.ORIGINATE, edge, edge_invariant, edge_invariant))
     if owners is None:
         checks.append(
             implication_check(

@@ -100,6 +100,8 @@ def run_in_sessions(
     failed or UNKNOWN class runs itself, for its own blame and witness.
     """
     outcomes: list["CheckOutcome"] = []
+    append = outcomes.append
+    get_session = sessions.get
     passed: set[tuple] = set()
     for check in checks:
         # Effective per-check deadline: the tighter of the check budget and
@@ -111,10 +113,10 @@ def run_in_sessions(
         if run_deadline is not None:
             remaining = run_deadline - time.monotonic()
             if remaining <= 0:
-                outcomes.append(skipped_outcome(check, "wall-budget"))
+                append(skipped_outcome(check, "wall-budget"))
                 continue
             effective = remaining if effective is None else min(effective, remaining)
-        session = sessions.get(check_owner(check))
+        session = get_session(check_owner(check))
         key = check_class(check, config, ghosts)
         if key in passed:
             outcome = check.class_member_outcome(
@@ -127,7 +129,7 @@ def run_in_sessions(
             )
             if key is not None and outcome.passed:
                 passed.add(key)
-        outcomes.append(outcome)
+        append(outcome)
     return outcomes
 
 

@@ -78,15 +78,10 @@ def generate_propagation_checks(
             route_map = config.export_map(edge)
             checks.append(
                 LocalCheck(
-                    kind=CheckKind.PROPAGATE_EXPORT,
-                    edge=edge,
-                    assumption=c_here,
-                    goal=c_next,
-                    route_map_name=None if route_map is None else route_map.name,
-                    text=(
-                        f"propagation (export) at {here} on {edge}: "
-                        f"good routes are exported and stay good"
-                    ),
+                    CheckKind.PROPAGATE_EXPORT, edge, c_here, c_next,
+                    f"propagation (export) at {here} on {edge}: "
+                    f"good routes are exported and stay good",
+                    None if route_map is None else route_map.name,
                 )
             )
         else:
@@ -97,15 +92,10 @@ def generate_propagation_checks(
             route_map = config.import_map(here)
             checks.append(
                 LocalCheck(
-                    kind=CheckKind.PROPAGATE_IMPORT,
-                    edge=here,
-                    assumption=c_here,
-                    goal=c_next,
-                    route_map_name=None if route_map is None else route_map.name,
-                    text=(
-                        f"propagation (import) at {here.dst} on {here}: "
-                        f"good routes are accepted and stay good"
-                    ),
+                    CheckKind.PROPAGATE_IMPORT, here, c_here, c_next,
+                    f"propagation (import) at {here.dst} on {here}: "
+                    f"good routes are accepted and stay good",
+                    None if route_map is None else route_map.name,
                 )
             )
     return checks

@@ -284,13 +284,18 @@ def transfer_policy(
     (:func:`repro.core.checks.check_class`): two edges with equal policies
     run the same transfer function, whatever their names.
     """
+    # The owner's neighbor entry read directly: this runs for every filter check.
     prepend_asn: int | None = None
     if direction == "import":
-        route_map = config.import_map(edge)
+        router = config.routers.get(edge.dst)
+        neighbor = None if router is None else router.neighbors.get(edge.src)
+        route_map = None if neighbor is None else neighbor.import_map
     else:
-        route_map = config.export_map(edge)
-        if edge.src in config.routers and config.is_ebgp(edge):
-            prepend_asn = config.routers[edge.src].asn
+        router = config.routers.get(edge.src)
+        neighbor = None if router is None else router.neighbors.get(edge.dst)
+        route_map = None if neighbor is None else neighbor.export_map
+        if router is not None and config.is_ebgp(edge):
+            prepend_asn = router.asn
     # A plain loop: a comprehension here costs a function call per check.
     updates: list[tuple[str, bool]] = []
     for ghost in ghosts:

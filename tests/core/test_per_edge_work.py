@@ -4,7 +4,10 @@ Parsing, validating, digesting and diffing a configuration construct no
 :class:`Edge`; incremental check generation and invariant overrides touch
 only the edges they name, never the whole edge set; and nothing derived
 from the adjacency is stored, so a config pickles the same whatever was
-asked of it.
+asked of it.  Full check generation walks the sorted adjacency, making
+one :class:`Edge` per directed edge and reading each side's session once,
+and the session loop builds a filter check's transfer policy once for its
+class key and once more only when the check runs.
 """
 
 from __future__ import annotations
@@ -13,18 +16,31 @@ import pickle
 
 import pytest
 
+from repro.bgp.config import NetworkConfig
 from repro.bgp.configdiff import diff_configs
 from repro.bgp.configjson import config_from_json, config_to_json
+from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
 from repro.bgp.topology import Edge, Topology
-from repro.core.checks import check_owner, generate_safety_checks
+from repro.core import checks as checks_module
+from repro.core.checks import (
+    CheckKind,
+    LocalCheck,
+    check_owner,
+    generate_safety_checks,
+    implication_check,
+)
+from repro.core.exec.pool import run_in_sessions
 from repro.core.incremental import config_digests
 from repro.core.properties import InvariantMap
+from repro.lang import transfer
 from repro.lang.predicates import TruePred
+from repro.smt.solver import SessionPool
 from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import ip_reuse_safety_problem
 
-from tests.core.conftest import mesh_no_transit
+from tests.core.conftest import mesh_no_transit, safety_pieces
 
 
 @pytest.fixture
@@ -120,3 +136,108 @@ def test_reading_edges_leaves_no_trace_in_the_pickle():
     topo.canonical()
     assert pickle.dumps(config, protocol=5) == before
     assert set(vars(topo)) == {"_routers", "_externals", "_out", "_in"}
+
+
+def _generation_problems():
+    """(config, ghost, invariants, property) of a 20-router mesh whose R1
+    originates towards E1 and R3 towards R4, and of a WAN region's problem."""
+    mesh = build_full_mesh(20)
+    for router, peer in (("R1", "E1"), ("R3", "R4")):
+        mesh.routers[router].neighbors[peer].originated = (
+            Route(prefix=Prefix.parse("8.8.0.0/16")),
+        )
+    ghost, prop, invariants = mesh_no_transit(mesh)
+    wan = build_wan(3, 3)
+    problem = ip_reuse_safety_problem(wan, 0)
+    return [
+        pytest.param(mesh, ghost, invariants, prop, id="fullmesh-20"),
+        pytest.param(
+            wan.config, problem.ghost, problem.invariants, problem.properties[0], id="wan-3-3"
+        ),
+    ]
+
+
+def _reference_checks(config, invariants, prop):
+    """The full check list as the per-edge accessors define it: edges in
+    ``(src, dst)`` order, and within an edge Import, Export, Originate."""
+    def name(route_map):
+        return None if route_map is None else route_map.name
+
+    topo = config.topology
+    checks = []
+    for edge in sorted(topo.edges):
+        if topo.is_router(edge.dst):
+            checks.append(LocalCheck(
+                CheckKind.IMPORT, edge, invariants.get(edge), invariants.get(edge.dst),
+                None, name(config.import_map(edge)),
+            ))
+        if topo.is_router(edge.src):
+            checks.append(LocalCheck(
+                CheckKind.EXPORT, edge, invariants.get(edge.src), invariants.get(edge),
+                None, name(config.export_map(edge)),
+            ))
+            if config.originate(edge):
+                checks.append(LocalCheck(
+                    CheckKind.ORIGINATE, edge, invariants.get(edge), invariants.get(edge)
+                ))
+    location = prop.location
+    checks.append(implication_check(
+        location, invariants.get(location), prop.predicate,
+        f"I[{location}] implies the property",
+    ))
+    return checks
+
+
+@pytest.mark.parametrize("config, ghost, invariants, prop", _generation_problems())
+def test_full_generation_reads_each_edge_side_once(
+    config, ghost, invariants, prop, edge_count, monkeypatch
+):
+    reference = _reference_checks(config, invariants, prop)
+    directed = len(config.topology.edges)
+
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"NetworkConfig.{name} was called")
+        return refused
+
+    for name in ("neighbor_config", "import_map", "export_map", "originate"):
+        monkeypatch.setattr(NetworkConfig, name, refuse(name))
+    monkeypatch.setattr(Topology, "edges", property(_refuse))
+    edge_count[0] = 0
+    generated = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    assert edge_count[0] == directed
+    assert generated == reference
+    originating = [s for r in config.routers.values() for s in r.neighbors.values() if s.originated]
+    assert sum(check.kind is CheckKind.ORIGINATE for check in generated) == len(originating)
+
+
+@pytest.mark.parametrize("config, ghost, invariants, prop", _generation_problems())
+def test_the_session_loop_builds_a_filter_policy_per_key_and_per_run(
+    config, ghost, invariants, prop, monkeypatch
+):
+    universe, checks = safety_pieces(config, ghost, prop, invariants)
+    built = []
+    original = transfer.transfer_policy
+
+    def counting(config, edge, ghosts, direction):
+        built.append((edge, direction))
+        return original(config, edge, ghosts, direction)
+
+    ran = []
+    original_run = LocalCheck.run
+
+    def counting_run(self, *args, **kwargs):
+        ran.append(self)
+        return original_run(self, *args, **kwargs)
+
+    # Both bindings: the class key's (core.checks) and the transfer's own.
+    monkeypatch.setattr(checks_module, "transfer_policy", counting)
+    monkeypatch.setattr(transfer, "transfer_policy", counting)
+    monkeypatch.setattr(LocalCheck, "run", counting_run)
+    outcomes = run_in_sessions(checks, config, universe, (ghost,), None, None, None, SessionPool())
+    assert len(outcomes) == len(checks)
+    filters = [c for c in checks if c.kind in (CheckKind.IMPORT, CheckKind.EXPORT)]
+    run_filters = [c for c in ran if c.kind in (CheckKind.IMPORT, CheckKind.EXPORT)]
+    # A class member answered by the probe builds no policy of its own.
+    assert len(run_filters) < len(filters)
+    assert sorted(built) == sorted((c.edge, c.kind.value) for c in filters + run_filters)

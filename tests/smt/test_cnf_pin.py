@@ -4,8 +4,11 @@
 went through :meth:`SatSolver.add_gate` and constant operand bits were
 folded inline: every gate clause is one :meth:`SatSolver.add_clause` call,
 ``BvEq`` is ``and_`` over ``-xor`` per bit, ``BvAnd`` is ``and2`` per
-bit and ``<`` is the ``ite(xor(a, b), b, result)`` chain.
-Both encoders must leave identical solvers behind — the same clause
+bit and ``<`` is the ``ite(xor(a, b), b, result)`` chain.  It is not a
+subclass: it owns every node handler, the ripple-carry adder and the
+comparisons included, so a change to how the encoder does arithmetic or
+compares fails here and not only against the brute force of
+``test_encode.py``.  Both encoders must leave identical solvers behind — the same clause
 database in the same order, variable count, added-clause count and root
 trail — on random terms (with root units asserted before and between
 encodings), on the policy-diverse route maps checked as the pipeline
@@ -15,7 +18,7 @@ checks them, and on the monolithic baseline's whole-network query.
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Any, Callable
 
 import pytest
 
@@ -28,16 +31,72 @@ from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, Not
 from repro.smt import solver as solver_module
 from repro.smt import terms as T
-from repro.smt.encode import Bits, Encoder
+from repro.smt.encode import Bits, Encoder, conjuncts
 from repro.smt.sat import SatSolver
 from repro.workloads.fullmesh import build_full_mesh
 from tests import oracle
 
 
-class ReferenceEncoder(Encoder):
-    """The encoder with one ``add_clause`` per clause and no inline folds."""
+class ReferenceEncoder:
+    """The plain encoding, owning its whole dispatch: one ``add_clause`` per
+    clause, no inline folds, no shared constants, children encoded in the
+    encoder's order.  It shares no node or gate code with :class:`Encoder`,
+    so a change to the encoder's arithmetic or comparisons shows here."""
 
-    def _and_gate(self, key: Bits) -> int:
+    def __init__(self, sat: SatSolver) -> None:
+        self.sat = sat
+        self.true = sat.new_var()
+        sat.add_clause([self.true])
+        self.memo: dict[T.Term, Any] = {}
+        self.bool_vars: dict[T.Term, int] = {}
+        self.bv_vars: dict[T.Term, Bits] = {}
+        self._ands: dict[Bits, int] = {}
+        self._xors: dict[tuple[int, int], int] = {}
+        self._ites: dict[tuple[int, int, int], int] = {}
+
+    # -- entry points, as CheckSession and Solver call them ---------------
+
+    def literal(self, term: T.Term) -> int:
+        self._encode(term)
+        return self.memo[term]
+
+    def clause(self, conjunct: T.Term) -> list[int]:
+        if isinstance(conjunct, T.Or):
+            return [self.literal(a) for a in conjunct.args]
+        return [self.literal(conjunct)]
+
+    def assert_true(self, term: T.Term) -> None:
+        for conjunct in conjuncts(term):
+            self.sat.add_clause(self.clause(conjunct))
+
+    def _encode(self, root: T.Term) -> None:
+        # Post-order, the missing children of a node last to first.
+        memo = self.memo
+        stack: list[tuple[T.Term, bool]] = [(root, False)]
+        while stack:
+            t, ready = stack.pop()
+            if ready:
+                memo[t] = self._NODE[type(t)](self, t)
+            elif t not in memo:
+                stack.append((t, True))
+                stack.extend((k, False) for k in t.children() if k not in memo)
+
+    # -- gates -------------------------------------------------------------
+
+    def and_(self, lits) -> int:
+        true = self.true
+        seen: set[int] = set()
+        for lit in lits:
+            if lit == true:
+                continue
+            if lit == -true or -lit in seen:
+                return -true
+            seen.add(lit)
+        if not seen:
+            return true
+        key = tuple(sorted(seen))
+        if len(key) == 1:
+            return key[0]
         v = self._ands.get(key)
         if v is None:
             v = self._ands[key] = self.sat.new_var()
@@ -46,6 +105,9 @@ class ReferenceEncoder(Encoder):
                 add([-v, lit])
             add([v, *[-lit for lit in key]])
         return v
+
+    def and2(self, a: int, b: int) -> int:
+        return self.and_((a, b))
 
     def xor(self, a: int, b: int) -> int:
         true = self.true
@@ -97,24 +159,57 @@ class ReferenceEncoder(Encoder):
             add([v, c, -e])
         return v
 
-    def _bv_eq(self, t: T.BvEq) -> int:
-        xor = self.xor
-        return self.and_([-xor(a, b) for a, b in self._operands(t)])
+    # -- nodes -------------------------------------------------------------
+
+    def _operands(self, t: T.Term):
+        return zip(self.memo[t.lhs], self.memo[t.rhs])
 
     def _ult(self, a: Bits, b: Bits) -> int:
         result = -self.true
-        for ai, bi in zip(a, b):
+        for ai, bi in zip(a, b):  # LSB -> MSB: the highest differing bit decides
             result = self.ite(self.xor(ai, bi), bi, result)
         return result
 
-    def _bv_and(self, t: T.BvAnd) -> Bits:
-        and2 = self.and2
-        return tuple(and2(a, b) for a, b in self._operands(t))
+    def _bv_add(self, t: T.BvAdd) -> Bits:
+        # Ripple carry modulo 2**width: no carry out of the top bit.
+        carry = -self.true
+        out = []
+        for i, (a, b) in enumerate(self._operands(t)):
+            differ = self.xor(a, b)
+            out.append(self.xor(differ, carry))
+            if i < t.width - 1:
+                carry = self.ite(differ, carry, a)
+        return tuple(out)
 
-    _NODE = {
-        **Encoder._NODE,
-        T.BvEq: _bv_eq,
-        T.BvAnd: _bv_and,
+    def _bv_var(self, t: T.BvVar) -> Bits:
+        bits = self.bv_vars[t] = tuple(self.sat.new_var() for _ in range(t.width))
+        return bits
+
+    def _bool_var(self, t: T.BoolVar) -> int:
+        var = self.bool_vars[t] = self.sat.new_var()
+        return var
+
+    def _bv_const(self, t: T.BvConst) -> Bits:
+        true = self.true
+        return tuple(true if (t.value >> i) & 1 else -true for i in range(t.width))
+
+    _NODE: dict[type, Callable[..., Any]] = {
+        T.BoolConst: lambda self, t: self.true if t.value else -self.true,
+        T.BoolVar: _bool_var,
+        T.Not: lambda self, t: -self.memo[t.arg],
+        T.And: lambda self, t: self.and_([self.memo[a] for a in t.args]),
+        T.Or: lambda self, t: -self.and_([-self.memo[a] for a in t.args]),
+        T.Ite: lambda self, t: self.ite(self.memo[t.cond], self.memo[t.then], self.memo[t.els]),
+        T.BvEq: lambda self, t: self.and_([-self.xor(a, b) for a, b in self._operands(t)]),
+        T.BvUlt: lambda self, t: self._ult(self.memo[t.lhs], self.memo[t.rhs]),
+        T.BvUle: lambda self, t: -self._ult(self.memo[t.rhs], self.memo[t.lhs]),
+        T.BvVar: _bv_var,
+        T.BvConst: _bv_const,
+        T.BvAnd: lambda self, t: tuple(self.and2(a, b) for a, b in self._operands(t)),
+        T.BvAdd: _bv_add,
+        T.BvIte: lambda self, t: tuple(
+            self.ite(self.memo[t.cond], a, b) for a, b in zip(self.memo[t.then], self.memo[t.els])
+        ),
     }
 
 
@@ -189,7 +284,7 @@ def _script(seed: int) -> list[tuple[str, T.Term]]:
     return steps
 
 
-def _replay(encoder_type: type[Encoder], steps: list[tuple[str, T.Term]]) -> tuple:
+def _replay(encoder_type: type, steps: list[tuple[str, T.Term]]) -> tuple:
     sat = SatSolver()
     encoder = encoder_type(sat)
     answers = []
@@ -229,12 +324,12 @@ def test_root_units_reach_the_gate_path():
 
 
 def _solvers_built(
-    monkeypatch: pytest.MonkeyPatch, encoder_type: type[Encoder], run: Callable[[], object]
+    monkeypatch: pytest.MonkeyPatch, encoder_type: type, run: Callable[[], object]
 ) -> tuple[list[SatSolver], object]:
     """Every SAT solver ``run`` encodes into, under ``encoder_type``."""
     built: list[SatSolver] = []
 
-    def make(sat: SatSolver) -> Encoder:
+    def make(sat: SatSolver) -> Any:
         built.append(sat)
         return encoder_type(sat)
 

@@ -399,6 +399,18 @@ def test_cli_empty_directory_errors(tmp_path):
     assert main(["parse", str(empty)]) == 2
 
 
+def test_cli_parse_rejects_an_inconsistent_network_with_exit_2(tmp_path, capsys):
+    # Well-formed JSON whose network fails validate(): a configuration
+    # error (exit 2), not a counterexample (exit 1).
+    def wrong_remote_as(config):
+        config.routers["R2"].neighbors["R1"].remote_asn = 123
+
+    assert main(["parse", _write_fig1_edit(tmp_path, "bad.json", wrong_remote_as)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: R2: neighbor 'R1' remote-as 123 but 'R1' is AS 65000\n"
+    assert captured.out == ""
+
+
 def _write_fig1_edit(tmp_path, name, edit=None):
     """Serialise a (possibly edited) Figure 1 config to JSON."""
     config = build_figure1()
