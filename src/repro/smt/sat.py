@@ -1,8 +1,10 @@
 """A CDCL SAT solver (MiniSat-style) in pure Python, with a flattened hot path.
 
 Features: two-watched-literal propagation, 1UIP conflict analysis with
-clause learning, non-chronological backjumping, VSIDS variable activity with
-a lazy heap, phase saving, Luby restarts, learned-clause database reduction,
+clause learning, non-chronological backjumping, VSIDS variable activity
+(each free decision takes the unassigned variable of highest activity,
+lowest index on ties, from an order heap that holds at most one live entry
+per variable), phase saving, Luby restarts, learned-clause database reduction,
 level-0 clause simplification on :meth:`SatSolver.add_clause` (and on the
 encoder's gate entry, :meth:`SatSolver.add_gate`, which skips only its
 seen-set), and cheap
@@ -50,7 +52,8 @@ def _to_lit(code: int) -> int:
 
 @dataclass
 class SatStats:
-    """Counters describing one :meth:`SatSolver.solve` run."""
+    """Search counters of one solver, summed over its :meth:`SatSolver.solve`
+    runs (a :class:`repro.smt.solver.CheckSession` reports per-check deltas)."""
 
     decisions: int = 0
     propagations: int = 0
@@ -62,6 +65,16 @@ class SatStats:
 
 class SatSolver:
     """Incremental-construction CDCL solver.
+
+    ``order_heap`` holds ``(-activity, var)`` entries.  ``_in_heap[v]`` is
+    set while the heap holds v's entry at v's current activity (its *live*
+    entry): the flag is set when that entry is pushed and cleared when it
+    is popped or when a bump makes it stale, and a backjump pushes only
+    unflagged variables.  So each variable has at most one live entry and
+    the heap at most ``num_vars`` plus one stale entry per bump; a stale
+    entry is skipped when popped, and an activity rescale rebuilds the
+    heap.  Every unassigned variable is flagged, which is what makes
+    :meth:`_pick_branch_var` exact.
 
     Usage::
 
@@ -93,6 +106,7 @@ class SatSolver:
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.order_heap: list[tuple[float, int]] = []
+        self._in_heap = bytearray(1)
         self.ok = True
         self.stats = SatStats()
         self.max_learnts_base = 4000
@@ -137,6 +151,7 @@ class SatSolver:
         self._watches.append([])
         self._watches.append([])
         heapq.heappush(self.order_heap, (0.0, v))
+        self._in_heap.append(1)
         return v
 
     def add_clause(self, lits: list[int]) -> bool:
@@ -258,14 +273,13 @@ class SatSolver:
         reasons = self.reasons
         phase = self.phase
         level = len(self.trail_lim)
-        qhead = self.qhead
-        nprops = 0
+        start = qhead = self.qhead
         while qhead < len(trail):
-            p = trail[qhead]
+            neg = trail[qhead] ^ 1
             qhead += 1
-            nprops += 1
-            neg = p ^ 1
             watch_list = watches[neg]
+            if not watch_list:
+                continue
             i = 0
             j = 0
             n = len(watch_list)
@@ -282,41 +296,34 @@ class SatSolver:
                     j += 1
                     continue
                 # Look for a new literal to watch.
-                found = False
                 for k in range(2, len(clause)):
                     lk = clause[k]
                     if values[lk] != 0:
                         clause[1] = lk
                         clause[k] = neg
                         watches[lk].append(clause)
-                        found = True
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watch_list[j] = clause
-                j += 1
-                if values[first] == 0:
-                    # Conflict: keep remaining watches, then report.
-                    while i < n:
-                        watch_list[j] = watch_list[i]
-                        j += 1
-                        i += 1
-                    del watch_list[j:]
-                    self.qhead = len(trail)
-                    self.stats.propagations += nprops
-                    return clause
-                # Unit: enqueue inline (first is unassigned here).
-                v = first >> 1
-                values[first] = 1
-                values[first ^ 1] = 0
-                levels[v] = level
-                reasons[v] = clause
-                phase[v] = not (first & 1)
-                trail.append(first)
+                else:
+                    # Clause is unit or conflicting.
+                    watch_list[j] = clause
+                    j += 1
+                    if values[first] == 0:
+                        # Conflict: keep the unvisited watches, then report.
+                        del watch_list[j:i]
+                        self.qhead = len(trail)
+                        self.stats.propagations += qhead - start
+                        return clause
+                    # Unit: enqueue inline (first is unassigned here).
+                    v = first >> 1
+                    values[first] = 1
+                    values[first ^ 1] = 0
+                    levels[v] = level
+                    reasons[v] = clause
+                    phase[v] = not (first & 1)
+                    trail.append(first)
             del watch_list[j:]
         self.qhead = qhead
-        self.stats.propagations += nprops
+        self.stats.propagations += qhead - start
         return None
 
     # ------------------------------------------------------------------
@@ -394,12 +401,31 @@ class SatSolver:
         return learnt, backjump
 
     def _bump_var(self, v: int) -> None:
+        # Only conflict analysis bumps, and only assigned variables: v's
+        # entry goes stale here and _cancel_until re-enters v when it
+        # unassigns it.
         self.activity[v] += self.var_inc
+        self._in_heap[v] = 0
         if self.activity[v] > 1e100:
-            for i in range(1, self.num_vars + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
-        heapq.heappush(self.order_heap, (-self.activity[v], v))
+            self._rescale_activities()
+
+    def _rescale_activities(self) -> None:
+        """Scale every activity by 1e-100 and rebuild the heap from them.
+
+        Keys from before the rescale would outrank every later one, so the
+        heap is rebuilt: one live entry per unassigned variable.
+        """
+        activity = self.activity
+        values = self._values
+        for i in range(1, self.num_vars + 1):
+            activity[i] *= 1e-100
+        self.var_inc *= 1e-100
+        free = [v for v in range(1, self.num_vars + 1) if values[v << 1] == UNASSIGNED]
+        self.order_heap = [(-activity[v], v) for v in free]
+        heapq.heapify(self.order_heap)
+        self._in_heap = bytearray(self.num_vars + 1)
+        for v in free:
+            self._in_heap[v] = 1
 
     def _decay_activities(self) -> None:
         self.var_inc /= self.var_decay
@@ -417,24 +443,37 @@ class SatSolver:
         reasons = self.reasons
         activity = self.activity
         heap = self.order_heap
+        in_heap = self._in_heap
         push = heapq.heappush
-        for idx in range(len(trail) - 1, bound - 1, -1):
-            code = trail[idx]
+        for code in trail[bound:]:
             v = code >> 1
             values[code] = UNASSIGNED
             values[code ^ 1] = UNASSIGNED
             reasons[v] = None
-            push(heap, (-activity[v], v))
+            if not in_heap[v]:
+                in_heap[v] = 1
+                push(heap, (-activity[v], v))
         del trail[bound:]
         del self.trail_lim[level:]
         self.qhead = len(trail)
 
     def _pick_branch_var(self) -> int | None:
+        """The unassigned variable of highest activity, lowest index on ties.
+
+        A live entry carries its variable's highest activity so far, so it
+        leaves the heap before any stale entry of that variable: a popped
+        entry is live iff its variable is still flagged.
+        """
+        heap = self.order_heap
         values = self._values
-        while self.order_heap:
-            __, v = heapq.heappop(self.order_heap)
-            if values[v << 1] == UNASSIGNED:
-                return v
+        in_heap = self._in_heap
+        pop = heapq.heappop
+        while heap:
+            __, v = pop(heap)
+            if in_heap[v]:
+                in_heap[v] = 0
+                if values[v << 1] == UNASSIGNED:
+                    return v
         return None
 
     # ------------------------------------------------------------------

@@ -116,3 +116,119 @@ def test_random_cnfs_take_both_verdicts():
     plain = {_brute_force(*_random_cnf(seed)[:2]) for seed in CNF_SEEDS}
     assumed = {_brute_force(n, cs + [[a] for a in units]) for n, cs, units in map(_random_cnf, ASSUMPTION_SEEDS)}
     assert plain == assumed == {True, False}
+
+
+def _random_3sat(seed: int, num_vars: int) -> list[list[int]]:
+    """Seed ``seed``'s random 3-SAT instance at the threshold ratio 4.26,
+    where CDCL search is conflict-heavy."""
+    rng = random.Random(seed)
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for __ in range(round(num_vars * 4.26))
+    ]
+
+
+def _trajectory(solver: SatSolver, answer: bool | None) -> tuple:
+    stats = solver.stats
+    return (answer, stats.decisions, stats.propagations, stats.conflicts, stats.restarts)
+
+
+# (answer, decisions, propagations, conflicts, restarts) of each instance.
+# A kernel change that moves any of them changes the search, not only its
+# cost: recorded once, never re-pinned to let a speed-up pass.
+TRAJECTORIES = {
+    (0, 60): (False, 162, 2112, 137, 1),
+    (2, 80): (False, 383, 6335, 317, 2),
+    (3, 90): (False, 306, 5524, 264, 2),
+    (4, 100): (True, 304, 6527, 241, 2),
+    (6, 80): (True, 278, 4690, 219, 2),
+    (7, 90): (False, 410, 7425, 349, 2),
+}
+
+
+@pytest.mark.parametrize(("seed", "num_vars"), sorted(TRAJECTORIES))
+def test_the_search_trajectory_is_pinned(seed, num_vars):
+    solver = _solver(num_vars, _random_3sat(seed, num_vars))
+    assert _trajectory(solver, solver.solve()) == TRAJECTORIES[seed, num_vars]
+
+
+def test_the_search_trajectory_is_pinned_across_assumption_sets():
+    # Counters accumulate over one solver's solves; the second search starts
+    # from the first one's learnt clauses, activities and saved phases.
+    solver = _solver(80, _random_3sat(21, 80))
+    first = _trajectory(solver, solver.solve(assumptions=[1, -2, 3]))
+    second = _trajectory(solver, solver.solve(assumptions=[-1, 4, -5]))
+    assert (first, second) == ((False, 108, 1952, 92, 0), (True, 173, 3032, 137, 0))
+
+
+def _checked_picks(monkeypatch, solver: SatSolver) -> list[int]:
+    """Wrap ``solver``'s branching so every free decision is checked against
+    a scan of all variables (highest activity, then lowest index); returns
+    the list the picks are recorded in."""
+    pick = solver._pick_branch_var
+    picks: list[int] = []
+
+    def checked() -> int | None:
+        free = [v for v in range(1, solver.num_vars + 1) if solver.value(v) is None]
+        expected = min(free, key=lambda v: (-solver.activity[v], v), default=None)
+        chosen = pick()
+        assert chosen == expected, (len(picks), chosen, expected)
+        if chosen is not None:
+            picks.append(chosen)
+        return chosen
+
+    monkeypatch.setattr(solver, "_pick_branch_var", checked)
+    return picks
+
+
+@pytest.mark.parametrize(("seed", "num_vars"), [(2, 80), (4, 100)])
+def test_every_free_decision_is_the_most_active_unassigned_variable(monkeypatch, seed, num_vars):
+    solver = _solver(num_vars, _random_3sat(seed, num_vars))
+    picks = _checked_picks(monkeypatch, solver)
+    solver.solve()
+    assert len(picks) == solver.stats.decisions > 100
+
+
+@pytest.mark.parametrize(("seed", "num_vars"), [(2, 80), (4, 100)])
+def test_the_order_heap_holds_one_live_entry_per_variable(monkeypatch, seed, num_vars):
+    # Each variable has at most one entry at its current activity; only a
+    # bump leaves an older one behind.  A backjump that re-enters every
+    # variable it unassigns outgrows this bound within a few conflicts.
+    solver = _solver(num_vars, _random_3sat(seed, num_vars))
+    bump, cancel = solver._bump_var, solver._cancel_until
+    bumps = 0
+    peak = 0
+
+    def counted_bump(v: int) -> None:
+        nonlocal bumps
+        bumps += 1
+        bump(v)
+
+    def checked_cancel(level: int) -> None:
+        nonlocal peak
+        cancel(level)
+        peak = max(peak, len(solver.order_heap))
+        assert len(solver.order_heap) <= solver.num_vars + bumps
+
+    monkeypatch.setattr(solver, "_bump_var", counted_bump)
+    monkeypatch.setattr(solver, "_cancel_until", checked_cancel)
+    solver.solve()
+    assert solver.stats.conflicts > 200 and peak > solver.num_vars
+
+
+def test_an_activity_rescale_keeps_the_branching_rule(monkeypatch):
+    # Past 1e100 every activity is scaled by 1e-100.  Keys from before the
+    # rescale must not outrank the rescaled ones.
+    solver = _solver(80, _random_3sat(2, 80))
+    solver.var_inc = 1e99
+    _checked_picks(monkeypatch, solver)
+    checked = solver._pick_branch_var
+    incs: list[float] = []
+
+    def recorded() -> int | None:
+        incs.append(solver.var_inc)
+        return checked()
+
+    monkeypatch.setattr(solver, "_pick_branch_var", recorded)
+    assert solver.solve() is TRAJECTORIES[2, 80][0]
+    assert sum(inc < 1e90 for inc in incs) > 100, "too few decisions after a rescale"
