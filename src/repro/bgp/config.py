@@ -157,7 +157,8 @@ class NetworkConfig:
         raise KeyError(f"no ASN recorded for {node!r}")
 
     def validate(self) -> list[str]:
-        """Return a list of consistency problems (empty = valid)."""
+        """Return a list of consistency problems (empty = valid), each
+        located as the JSON builder locates its errors."""
         problems: list[str] = []
         for name in sorted(self.topology.routers):
             if name not in self.routers:
@@ -165,17 +166,24 @@ class NetworkConfig:
         for name, config in sorted(self.routers.items()):
             for peer, ncfg in sorted(config.neighbors.items()):
                 if not self.topology.has_edge(name, peer) and not self.topology.has_edge(peer, name):
-                    problems.append(f"{name}: neighbor {peer!r} has no topology edge")
+                    problems.append(f"router {name!r}: neighbor {peer!r} has no topology edge")
                 try:
                     actual = self.asn_of(peer)
                 except KeyError:
                     continue
                 if actual != ncfg.remote_asn:
                     problems.append(
-                        f"{name}: neighbor {peer!r} remote-as {ncfg.remote_asn} "
+                        f"router {name!r}: neighbor {peer!r}: remote-as {ncfg.remote_asn} "
                         f"but {peer!r} is AS {actual}"
                     )
         return problems
+
+    def require_valid(self) -> None:
+        """Raise :class:`ValueError` listing :meth:`validate`'s problems,
+        one a line."""
+        problems = self.validate()
+        if problems:
+            raise ValueError("\n".join(problems))
 
     # ------------------------------------------------------------------
     # The §3.1 policy functions

@@ -50,6 +50,8 @@ def _router_changes(old: RouterConfig, new: RouterConfig) -> list[str]:
     changes: list[str] = []
     if old.asn != new.asn:
         changes.append(f"asn {old.asn} -> {new.asn}")
+    if old.rr_clients != new.rr_clients:
+        changes.append("route-reflector clients changed")
     for peer in sorted(set(old.neighbors) | set(new.neighbors)):
         o = old.neighbors.get(peer)
         n = new.neighbors.get(peer)

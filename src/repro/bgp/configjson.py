@@ -1,8 +1,11 @@
-"""JSON serialisation of :class:`NetworkConfig`.
+"""JSON serialisation of :class:`NetworkConfig`, and the one builder.
 
 Round-trips the full configuration model so that synthetic workloads can be
-saved, diffed, and re-loaded, and so the CLI can accept machine-generated
-configurations alongside the text dialect.
+saved, diffed, and re-loaded.  :func:`config_from_doc` is the only code
+that turns a configuration document into a :class:`NetworkConfig`: the
+text dialect (:mod:`repro.bgp.configparse`) lowers to the same document, so
+both input formats mean the same network and report a defect with the same
+message.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def config_to_json(config: NetworkConfig) -> str:
     }
     for name in sorted(config.routers):
         rc = config.routers[name]
-        doc["routers"][name] = {
+        router = doc["routers"][name] = {
             "asn": rc.asn,
             "neighbors": {
                 peer: {
@@ -147,7 +150,26 @@ def config_to_json(config: NetworkConfig) -> str:
                 for peer, ncfg in sorted(rc.neighbors.items())
             },
         }
+        if rc.rr_clients:  # only reflectors carry the key
+            router["rr_clients"] = sorted(rc.rr_clients)
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def canonical_match(doc: Any) -> dict[str, Any]:
+    """A match document decoded and re-encoded: checked, and spelled as
+    :func:`config_to_json` spells it."""
+    return _match_to_json(_match_from_json(doc))
+
+
+def canonical_action(doc: Any) -> dict[str, Any]:
+    """An action document, checked and spelled as :func:`config_to_json` does."""
+    return _action_to_json(_action_from_json(doc))
+
+
+def canonical_route(doc: Any) -> dict[str, Any]:
+    """An originated route's document, checked and spelled (every field,
+    communities sorted) as :func:`config_to_json` does."""
+    return _route_to_json(_route_from_json(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +323,11 @@ def _neighbor_from_json(peer: str, doc: Any) -> NeighborConfig:
 
 def _router_from_json(name: str, doc: Any, topo: Topology) -> RouterConfig:
     doc = _object(doc, "a router")
-    rc = RouterConfig(name=name, asn=_int(doc, "asn"))
+    clients = _array(doc.get("rr_clients", []), '"rr_clients"')
+    for client in clients:
+        if not isinstance(client, str):
+            raise _ill_typed('an "rr_clients" entry', "a string", client)
+    rc = RouterConfig(name=name, asn=_int(doc, "asn"), rr_clients=frozenset(clients))
     neighbors = _object(doc.get("neighbors", {}), '"neighbors"')
     for peer, ndoc in neighbors.items():
         try:
@@ -313,12 +339,20 @@ def _router_from_json(name: str, doc: Any, topo: Topology) -> RouterConfig:
 
 
 def config_from_json(text: str) -> NetworkConfig:
-    """Parse a JSON document produced by :func:`config_to_json`.
+    """Parse a JSON document produced by :func:`config_to_json`; see
+    :func:`config_from_doc`."""
+    return config_from_doc(json.loads(text))
+
+
+def config_from_doc(doc: Any) -> NetworkConfig:
+    """Build the network a configuration document describes, checked once.
 
     Raises :class:`ValueError` naming the router (and neighbor, route map,
-    clause) of any missing or ill-typed field.
+    clause) of any missing or ill-typed field; a well-formed document of an
+    inconsistent network raises one with a line per
+    :meth:`NetworkConfig.validate` problem.
     """
-    doc = _object(json.loads(text), "the configuration")
+    doc = _object(doc, "the configuration")
     routers = _object(doc.get("routers", {}), '"routers"')
     externals = _object(doc.get("externals", {}), '"externals"')
     topo = Topology()
@@ -338,4 +372,5 @@ def config_from_json(text: str) -> NetworkConfig:
             config.add_router_config(_router_from_json(name, rdoc, topo))
         except _MALFORMED as exc:
             raise _located(f"router {name!r}", exc) from None
+    config.require_valid()
     return config

@@ -95,32 +95,31 @@ def _load_config(path: str):
 
     A directory is treated the way production repositories are laid out —
     one dialect file per device (plus shared route-map files); the pieces
-    are concatenated (sorted by name) and parsed as one network.
+    are concatenated (sorted by name) and parsed as one network.  Either
+    format is checked once, by the builder both share; each line of its
+    error names ``path`` (a reverify reads two configurations).
     """
     target = Path(path)
-    if target.suffix == ".json" and not target.is_dir():
-        return config_from_json(target.read_text())
-    # The dialect parser is imported only for dialect inputs.
-    from repro.bgp.configparse import parse_config
+    try:
+        if target.suffix == ".json" and not target.is_dir():
+            return config_from_json(target.read_text())
+        # The dialect parser is imported only for dialect inputs.
+        from repro.bgp.configparse import parse_config
 
-    if target.is_dir():
-        pieces = sorted(
-            p for p in target.iterdir() if p.suffix in (".cfg", ".txt", ".conf")
-        )
-        if not pieces:
-            raise ValueError(f"{path}: no .cfg/.txt/.conf files in directory")
-        return parse_config("\n".join(p.read_text() for p in pieces))
-    return parse_config(target.read_text())
+        if target.is_dir():
+            pieces = sorted(
+                p for p in target.iterdir() if p.suffix in (".cfg", ".txt", ".conf")
+            )
+            if not pieces:
+                raise ValueError("no .cfg/.txt/.conf files in directory")
+            return parse_config("\n".join(p.read_text() for p in pieces))
+        return parse_config(target.read_text())
+    except ValueError as exc:
+        raise ValueError("\n".join(f"{path}: {line}" for line in str(exc).split("\n"))) from None
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    problems = config.validate()
-    if problems:
-        # A configuration error, like one neither parser accepts: exit 2.
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
     topo = config.topology
     print(
         f"{args.config}: {len(topo.routers)} routers, "
@@ -307,13 +306,6 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
 
     base = _load_config(args.base)
     edited = _load_config(args.edited)
-    problems_found = edited.validate()
-    if problems_found:
-        print(
-            f"error: edited configuration is invalid: {'; '.join(problems_found)}",
-            file=sys.stderr,
-        )
-        return 2
     spec = spec_from_json(Path(args.spec).read_text())
     ghosts = spec.build_ghosts(base.topology)
     diff = diff_configs(base, edited)
@@ -456,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One ``error:`` line per problem: a configuration can have several.
+        print("\n".join(f"error: {line}" for line in str(exc).split("\n")), file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

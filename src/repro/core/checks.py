@@ -24,6 +24,9 @@ asked to solve.  The rules, all enforced in ``_discharge``:
 
 * only SAT/UNSAT answers are stored — an UNKNOWN (``conflicts`` /
   ``timeout``) describes a budget, not the query;
+* under a conflict budget a query the memo has not answered is solved on
+  a fresh solver, as on the hermetic path, so a ``conflicts`` UNKNOWN is
+  the query's answer on every path, never the asking session's;
 * a check whose deadline has already expired bypasses the memo and comes
   back UNKNOWN/``timeout`` exactly as without it;
 * the hermetic path (``session=None``) never touches the memo — it is the
@@ -236,12 +239,25 @@ class LocalCheck:
 
         A pooled ``session`` is asked only for queries its pool's memo has
         not answered, and gets the route's well-formedness pre-asserted
-        (:func:`prepare_session`) before its first such solve.
+        (:func:`prepare_session`) before its first such solve.  Under a
+        conflict budget a query the memo has not answered is solved on a
+        fresh solver instead, as on the hermetic path: a session's learnt
+        clauses change how many conflicts a query takes, so a ``conflicts``
+        UNKNOWN would otherwise depend on what the session solved before.
         """
         deadline_s = (
             None if deadline_abs is None else deadline_abs - time.monotonic()
         )
-        if session is None:
+        query = tuple(assertions)
+        answers = None if session is None else session.answers
+        expired = deadline_s is not None and deadline_s <= 0
+        answer = None if answers is None or expired else answers.get(query)
+        if answer is not None:
+            assert session is not None
+            session.memo_hits += 1
+            result, model = answer
+            stats = MEMO_HIT_STATS
+        elif session is None or conflict_budget is not None:
             solver = smt.Solver()
             for assertion in assertions:
                 solver.add(assertion)
@@ -249,23 +265,12 @@ class LocalCheck:
             model = solver.model() if result is smt.Result.SAT else None
             stats = solver.stats
         else:
-            query = tuple(assertions)
-            answers = session.answers
-            expired = deadline_s is not None and deadline_s <= 0
-            answer = None if answers is None or expired else answers.get(query)
-            if answer is not None:
-                session.memo_hits += 1
-                result, model = answer
-                stats = MEMO_HIT_STATS
-            else:
-                prepare_session(session, universe)
-                result = session.check(
-                    assertions, conflict_budget=conflict_budget, deadline_s=deadline_s
-                )
-                model = session.model() if result is smt.Result.SAT else None
-                stats = session.stats
-                if answers is not None and result is not smt.Result.UNKNOWN:
-                    answers[query] = (result, model)
+            prepare_session(session, universe)
+            result = session.check(assertions, deadline_s=deadline_s)
+            model = session.model() if result is smt.Result.SAT else None
+            stats = session.stats
+        if answer is None and answers is not None and result is not smt.Result.UNKNOWN:
+            answers[query] = (result, model)
         if model is not None and not all(model.eval_bool(a) for a in assertions):
             raise InternalError(
                 f"{self}: the solver's model does not satisfy the check's own query"

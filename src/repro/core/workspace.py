@@ -264,9 +264,7 @@ class Workspace(ExecutionContext):
     ) -> None:
         """Everything a new workspace holds except its configuration's
         snapshot, which ``__init__`` takes and ``load`` already has."""
-        problems = config.validate()
-        if problems:
-            raise ValueError("invalid network configuration: " + "; ".join(problems))
+        config.require_valid()
         super().__init__(
             parallel,
             conflict_budget,
@@ -392,10 +390,12 @@ class Workspace(ExecutionContext):
         mutated in place later goes unnoticed — and *not*
         re-validated — real incident configs are routinely inconsistent in
         ways the symbolic pipeline tolerates (e.g. a stale ``remote-as``
-        after :meth:`NetworkConfig.set_external_asn`); callers that want
-        strict checking run ``edit.validate()`` themselves, as the CLI
-        does.  Topology changes are allowed and reset the affected
-        trackers' caches on their next run.
+        after :meth:`NetworkConfig.set_external_asn`).  A configuration
+        read from a file was checked by the one builder that made it
+        (:func:`repro.bgp.configjson.config_from_doc`); for one built in
+        code, call :meth:`NetworkConfig.require_valid` first.  Topology
+        changes are allowed and reset the affected trackers' caches on
+        their next run.
         """
         snapshot = ConfigSnapshot.of_digests(config_digests(edit))
         changed = diff_digests(self._snapshot.digests(), snapshot.digests())

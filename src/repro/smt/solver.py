@@ -312,17 +312,15 @@ class CheckSession:
                 sat.add_clause(clause)
                 self._asserted.add(conjunct)
 
-    def check(
-        self,
-        assertions: Sequence[Term],
-        conflict_budget: int | None = None,
-        deadline_s: float | None = None,
-    ) -> Result:
+    def check(self, assertions: Sequence[Term], deadline_s: float | None = None) -> Result:
         """Decide the conjunction of ``assertions`` under encoding reuse.
 
         ``deadline_s`` bounds this check's SAT search in wall-clock
         seconds; expiry yields UNKNOWN with ``stats.unknown_reason ==
-        "timeout"``.  The session stays usable afterwards.
+        "timeout"``.  The session stays usable afterwards.  There is no
+        conflict budget: how many conflicts a query takes here depends on
+        what the session learnt before, so a budgeted query is solved on a
+        fresh :class:`Solver` (:meth:`repro.core.checks.LocalCheck._discharge`).
         """
         self._model = None
         sat = self._sat
@@ -369,11 +367,7 @@ class CheckSession:
         conflicts, restarts, learned = before.conflicts, before.restarts, before.learned
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         solve_start = time.perf_counter()
-        answer = sat.solve(
-            assumptions=assumptions,
-            conflict_budget=conflict_budget,
-            deadline=deadline,
-        )
+        answer = sat.solve(assumptions=assumptions, deadline=deadline)
         self.stats.solve_time_s = time.perf_counter() - solve_start
         self.stats.sat = SatStats(
             decisions=sat.stats.decisions - decisions,

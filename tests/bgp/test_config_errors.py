@@ -1,9 +1,12 @@
-"""Malformed and self-peering configurations are configuration errors.
+"""Malformed, self-peering and inconsistent configurations are
+configuration errors.
 
 Exit code 1 means "a property has a counterexample", so a configuration
 the parsers cannot accept must exit 2 with a message that says where the
-problem is — never a traceback.  The JSON parser names the router (and
-neighbor, route map and clause) whose field is missing or ill-typed.
+problem is — never a traceback.  The JSON builder, which the dialect
+lowers to, names the router (and neighbor, route map and clause) whose
+field is missing or ill-typed, or whose session contradicts the network;
+every command prints one ``error:`` line per problem, naming the file.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ import json
 import pytest
 
 from repro.bgp.configjson import config_from_json
-from repro.bgp.configparse import ConfigSyntaxError, parse_config
+from repro.bgp.configparse import ConfigSyntaxError, lower_config, parse_config
 from repro.bgp.topology import Topology
 from repro.cli import main
+
+from tests.conftest import CONFIG_TEXT
+from tests.conftest import SPEC as CLI_SPEC
 
 SPEC = {
     "safety": [
@@ -188,10 +194,15 @@ SELF_PEERING_DIALECT = "router R1 as 1\n  neighbor R1 as 1\n"
 
 
 def test_both_parsers_reject_self_peering():
-    with pytest.raises(ValueError, match="router 'R1': 'R1' cannot peer with itself"):
-        config_from_json(json.dumps(SELF_PEERING_JSON))
-    with pytest.raises(ConfigSyntaxError, match="R1: 'R1' cannot peer with itself"):
-        parse_config(SELF_PEERING_DIALECT)
+    # One builder behind both formats: one message, and not a syntax error.
+    for parse, text in (
+        (config_from_json, json.dumps(SELF_PEERING_JSON)),
+        (parse_config, SELF_PEERING_DIALECT),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert not isinstance(info.value, ConfigSyntaxError)
+        assert str(info.value) == "router 'R1': 'R1' cannot peer with itself"
 
 
 @pytest.mark.parametrize("command", ["parse", "verify"])
@@ -210,3 +221,87 @@ def test_self_peering_exits_2(tmp_path, capsys, command, name, text):
     err = capsys.readouterr().err
     assert "cannot peer with itself" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# One builder: one message per defect, in either format, from any command
+# ---------------------------------------------------------------------------
+
+MISMATCH = "router 'R2': neighbor 'R1': remote-as 123 but 'R1' is AS 65000"
+R2_SESSIONS = "  neighbor R1 as 65000\n  neighbor R3 as 65000\n"  # R2's stanza only
+
+
+def _figure1_files(tmp_path, suffix: str) -> tuple[str, str, str]:
+    """(Figure 1, Figure 1 with R2's remote-as for R1 set to 123, its
+    no-transit spec) as files; a ``.json`` one holds the lowered dialect."""
+    assert CONFIG_TEXT.count(R2_SESSIONS) == 1
+    bad = CONFIG_TEXT.replace(R2_SESSIONS, R2_SESSIONS.replace("65000", "123", 1))
+    paths = []
+    for name, text in (("good", CONFIG_TEXT), ("bad", bad)):
+        path = tmp_path / f"{name}{suffix}"
+        path.write_text(json.dumps(lower_config(text)) if suffix == ".json" else text)
+        paths.append(str(path))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CLI_SPEC))
+    return (*paths, str(spec))
+
+
+COMMANDS = {
+    "parse": lambda good, bad, spec: ["parse", bad],
+    "verify": lambda good, bad, spec: ["verify", bad, spec],
+    "reverify-base": lambda good, bad, spec: ["reverify", bad, good, spec],
+    "reverify-edited": lambda good, bad, spec: ["reverify", good, bad, spec],
+}
+
+
+@pytest.mark.parametrize("suffix", [".json", ".cfg"])
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_inconsistent_network_is_one_error_line_in_every_format_and_command(
+    tmp_path, capsys, suffix, argv
+):
+    good, bad, spec = _figure1_files(tmp_path, suffix)
+    assert main(argv(good, bad, spec)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no "config diff:" before the refusal
+    assert captured.err == f"error: {bad}: {MISMATCH}\n"
+
+
+# Each used to be reported as "line 0: ...": a network defect is the
+# builder's, located as in a JSON file; a syntax error names its line.
+NETWORK_DEFECTS = [
+    (
+        "undeclared-neighbor",
+        "router R as 2\n  neighbor GHOST as 1\n",
+        "router 'R': unknown node 'GHOST'",
+    ),
+    (
+        "router-and-external",
+        "external R as 1\nrouter R as 2\n",
+        "external 'R': 'R' is already an internal router",
+    ),
+    (
+        "remote-as",
+        "external E as 1\nrouter R as 2\n  neighbor E as 99\n",
+        "router 'R': neighbor 'E': remote-as 99 but 'E' is AS 1",
+    ),
+    (
+        "dangling-route-map",
+        "external E as 1\nrouter R as 2\n  neighbor E as 1\n    export route-map NOPE\n",
+        "line 4: route-map 'NOPE' is never defined",
+    ),
+    (
+        "duplicate-neighbor",
+        "external E as 1\nrouter R as 2\n  neighbor E as 1\n  neighbor E as 1\n",
+        "line 4: duplicate neighbor 'E' (in 'neighbor E as 1')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [case[1:] for case in NETWORK_DEFECTS], ids=[case[0] for case in NETWORK_DEFECTS]
+)
+def test_no_dialect_error_says_line_0(text, expected):
+    with pytest.raises(ValueError) as info:
+        parse_config(text)
+    assert str(info.value) == expected
+    assert isinstance(info.value, ConfigSyntaxError) is expected.startswith("line ")

@@ -7,7 +7,9 @@ from repro.bgp.configdiff import diff_configs
 from repro.bgp.policy import RouteMap
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
+from repro.core.incremental import config_digests, diff_digests
 from repro.workloads.figure1 import build_figure1
+from repro.workloads.wan import build_wan
 
 
 def test_identical_configs_diff_empty():
@@ -85,3 +87,16 @@ def test_diff_agrees_with_incremental_verifier_ownership():
     result = reverify(workspace, new)
     # R2 owns imports on 3 in-edges and exports on 3 out-edges.
     assert result.rerun_checks == 6
+
+
+def test_reflector_client_change_detected():
+    # The digests already saw it (a reverify re-runs W0-0); the diff the
+    # CLI prints must say so too, not "no changes".
+    old = build_wan(2, 4, route_reflectors=True).config
+    new = build_wan(2, 4, route_reflectors=True).config
+    assert old.routers["W0-0"].rr_clients
+    new.routers["W0-0"].rr_clients = frozenset()
+    diff = diff_configs(old, new)
+    assert diff.summary() == "changed: W0-0"
+    assert diff.details == {"W0-0": ["route-reflector clients changed"]}
+    assert diff_digests(config_digests(old), config_digests(new)) == {"W0-0"}

@@ -140,7 +140,8 @@ def test_undefined_route_map_rejected():
     """
     with pytest.raises(ConfigSyntaxError) as excinfo:
         parse_config(text)
-    assert "never defined" in str(excinfo.value)
+    assert str(excinfo.value) == "line 5: route-map 'MISSING' is never defined"
+    assert excinfo.value.line_no == 5
 
 
 def test_unknown_neighbor_rejected():
@@ -148,8 +149,9 @@ def test_unknown_neighbor_rejected():
     router R as 2
       neighbor GHOST as 1
     """
-    with pytest.raises(ConfigSyntaxError):
+    with pytest.raises(ValueError) as excinfo:
         parse_config(text)
+    assert str(excinfo.value) == "router 'R': unknown node 'GHOST'"
 
 
 def test_remote_as_mismatch_rejected():
@@ -158,8 +160,9 @@ def test_remote_as_mismatch_rejected():
     router R as 2
       neighbor E as 99
     """
-    with pytest.raises(ConfigSyntaxError):
+    with pytest.raises(ValueError) as excinfo:
         parse_config(text)
+    assert str(excinfo.value) == "router 'R': neighbor 'E': remote-as 99 but 'E' is AS 1"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ a broken process pool for the serial-fallback tests, a helper re-verifying
 a single-property workspace, the §6.2 no-transit
 problem on E1/R1/R2/E2-shaped networks (full meshes, random networks)
 that half the suite verifies, :func:`run_batch` for a bare check list,
-and :func:`saved_state` for a saved cache's pickled state."""
+:func:`saved_state` for a saved cache's pickled state, and :data:`HARD`,
+an invariant conjunct that makes a check spend a conflict."""
 
 from __future__ import annotations
 
@@ -16,12 +17,14 @@ import pytest
 from repro.bgp.topology import Edge
 from repro.core.checks import generate_safety_checks
 from repro.core.exec import ExecutionContext, Scheduler
+from repro.core.liveness import LivenessProblem, interference_properties
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.safety import build_universe, invariant_predicates
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, PrefixIn
 from repro.bgp.prefix import PrefixRange
 from repro.workloads import fullmesh
+from repro.workloads.wan_properties import ip_reuse_safety_problem
 from repro.workloads.figure1 import (
     CUSTOMER_PREFIX,
     TRANSIT_COMMUNITY,
@@ -155,3 +158,53 @@ def saved_state(path) -> dict:
     header line and the payload's SHA-256."""
     payload = Path(path).read_bytes().partition(b"\n")[2][hashlib.sha256().digest_size:]
     return pickle.loads(payload)
+
+
+def _prefixes(text: str) -> PrefixIn:
+    return PrefixIn((PrefixRange.parse(text),))
+
+
+#: Valid, but refuting its negation takes a case split on the first two
+#: prefix bits — a conflict, on a fresh solver too — where every stock
+#: check of the test networks is decided by propagation alone: under
+#: ``conflict_budget=0`` a check that has to *prove* it comes back
+#: UNKNOWN/``conflicts`` and nothing else does.
+HARD = Implies(
+    _prefixes("0.0.0.0/0 le 24"),
+    _prefixes("0.0.0.0/2 ge 2 le 24")
+    | _prefixes("64.0.0.0/2 ge 2 le 24")
+    | _prefixes("128.0.0.0/1 ge 1 le 24")
+    | _prefixes("0.0.0.0/0 le 1"),
+)
+
+
+def harden(config, problem, hard: Edge):
+    """``problem`` with :data:`HARD` conjoined to the invariant at ``hard``
+    (a liveness problem's first sub-proof's), so exactly that edge's export
+    check has to prove it."""
+    if problem.kind == "safety":
+        problem.invariants.set_edge(*hard, problem.invariants.default & HARD)
+        return problem
+    router, sub = next(iter(interference_properties(problem.prop).items()))
+    sub_invariants = InvariantMap(config.topology, default=sub.predicate)
+    sub_invariants.set_edge(*hard, sub.predicate & HARD)
+    return LivenessProblem(problem.prop, {router: sub_invariants})
+
+
+#: W0-0's and W1-0's internal exports on ``build_wan(2, 3)``.
+STARVED_EDGES = tuple(
+    Edge(src, dst)
+    for src, dsts in (("W0-0", ("W0-1", "W0-2", "W1-0")), ("W1-0", ("W0-0", "W1-1", "W1-2")))
+    for dst in dsts
+)
+
+
+def starved_ip_reuse_problem(wan):
+    """Region 0's ip-reuse safety problem on ``build_wan(2, 3)`` with
+    :data:`HARD` on the invariant of each of :data:`STARVED_EDGES`: six
+    export checks (three owned by W0-0) that ``conflict_budget=0`` leaves
+    UNKNOWN/``conflicts`` on every path."""
+    problem = ip_reuse_safety_problem(wan, 0)
+    for edge in STARVED_EDGES:
+        problem.invariants.set_edge(*edge, problem.invariants.get(edge) & HARD)
+    return problem

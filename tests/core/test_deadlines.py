@@ -37,10 +37,14 @@ from repro.testing import faults
 from repro.testing.faults import FaultPlan
 from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
-from repro.workloads.wan_properties import ip_reuse_safety_problem
 
 from tests.conftest import CONFIG_TEXT
-from tests.core.conftest import fullmesh_problem, run_batch, safety_pieces
+from tests.core.conftest import (
+    fullmesh_problem,
+    run_batch,
+    safety_pieces,
+    starved_ip_reuse_problem,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -432,7 +436,7 @@ def test_conflict_budget_unknowns_are_reused(tmp_path):
     ``conflicts`` UNKNOWN is a deterministic answer to the registered
     problem: it stays cached, in-process and across save/load."""
     wan = build_wan(2, 3)
-    problem = ip_reuse_safety_problem(wan, 0)
+    problem = starved_ip_reuse_problem(wan)
     ws = Workspace(wan.config, ghosts=(problem.ghost,), conflict_budget=1)
     first = ws.verify(problem.properties[0], problem.invariants)
     assert set(first.unknown_reason_counts) == {"conflicts"}
@@ -450,9 +454,11 @@ def test_conflict_budget_unknowns_are_reused(tmp_path):
 # The conflict budget, end to end: --budget reaches every solve
 # ---------------------------------------------------------------------------
 #
-# The WAN ip-reuse problem is the stock instance that needs conflicts:
-# under ``--budget 0`` six of its import checks cannot be decided.  Each
-# test below fails if any hop between the flag (or the keyword) and
+# Every stock check is decided by propagation alone, so the WAN ip-reuse
+# problem here carries ``HARD`` on six internal exports
+# (:func:`tests.core.conftest.starved_ip_reuse_problem`): under
+# ``--budget 0`` those six export checks cannot be decided, on any path.
+# Each test below fails if any hop between the flag (or the keyword) and
 # ``sat.solve`` drops the budget.
 
 
@@ -467,7 +473,7 @@ def test_hermetic_check_honours_the_conflict_budget():
     starved = check.run(config, universe, (), conflict_budget=0, session=None)
     assert starved.unknown and starved.unknown_reason == "conflicts"
     assert check.run(config, universe, (), session=None).passed
-    # The same through a session: CheckSession.check forwards it too.
+    # The same with a session: a budgeted query goes to a fresh solver.
     session = SessionPool().get(None)
     starved = check.run(config, universe, (), conflict_budget=0, session=session)
     assert starved.unknown and starved.unknown_reason == "conflicts"
@@ -475,10 +481,11 @@ def test_hermetic_check_honours_the_conflict_budget():
 
 @pytest.fixture
 def wan_cli_inputs(tmp_path):
-    """The WAN ip-reuse problem as CLI inputs: base config, a benign edit
-    of W0-0 (which owns one of the budget-starved checks), and the spec."""
+    """The starved WAN ip-reuse problem as CLI inputs: base config, a
+    benign edit of W0-0 (which owns three of the budget-starved checks),
+    and the spec."""
     wan = build_wan(2, 3)
-    problem = ip_reuse_safety_problem(wan, 0)
+    problem = starved_ip_reuse_problem(wan)
     invariants = problem.invariants
     spec = VerificationSpec(
         ghost_docs=[
@@ -535,10 +542,11 @@ def test_cli_reverify_honours_the_conflict_budget(wan_cli_inputs, capsys, jobs):
     code = main(["reverify", base, edited, spec, "--budget", "0", *jobs])
     assert code == EXIT_DEGRADED
     out = capsys.readouterr().out
-    # W0-0's group was re-run (a warm session may now decide its starved
-    # check); the other owners' starved outcomes are reused as they are.
+    # W0-0's group was re-run, and a budgeted query is solved on a fresh
+    # solver, so its three starved checks stay starved; the other owners'
+    # starved outcomes are reused as they are.
     assert "consulted 0 of" not in out
-    assert out.count("UNKNOWN (conflict budget exhausted)") >= 5
+    assert out.count("UNKNOWN (conflict budget exhausted)") == 6
 
 
 def test_cli_cache_saved_under_one_budget_refuses_another(wan_cli_inputs, tmp_path, capsys):

@@ -36,66 +36,29 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.config import RouterLeaves
-from repro.bgp.prefix import PrefixRange
-from repro.bgp.topology import Edge
 from repro.core.exec import ExecutionContext
-from repro.core.liveness import LivenessProblem, interference_properties
-from repro.core.properties import InvariantMap
 from repro.core.report import IMPLICATION_KEY, format_report
 from repro.core.safety import run_problem
 from repro.core.workspace import Workspace
-from repro.lang.predicates import Implies, PrefixIn
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
 from tests import oracle
 from tests.core.conftest import mesh_no_transit, reverify
 
 
-def _ranges(text: str) -> PrefixIn:
-    return PrefixIn((PrefixRange.parse(text),))
-
-
-# Valid, but refuting its negation takes a case split on the first prefix
-# bit — one conflict — where every other check of these networks is decided
-# by propagation alone: under ``conflict_budget=0`` the one check that has
-# to *prove* it comes back UNKNOWN/``conflicts`` and nothing else does.
-HARD = Implies(
-    oracle.SHORT,
-    _ranges("0.0.0.0/1 ge 1 le 24") | _ranges("128.0.0.0/1 ge 1 le 24") | _ranges("0.0.0.0/0 le 0"),
-)
-
-
-def _harden(config, problem, hard: Edge):
-    """``problem`` with ``HARD`` conjoined to the invariant at ``hard`` (a
-    liveness problem's first sub-proof's), so exactly that edge's export
-    check has to prove it."""
-    if problem.kind == "safety":
-        problem.invariants.set_edge(*hard, problem.invariants.default & HARD)
-        return problem
-    router, sub = next(iter(interference_properties(problem.prop).items()))
-    sub_invariants = InvariantMap(config.topology, default=sub.predicate)
-    sub_invariants.set_edge(*hard, sub.predicate & HARD)
-    return LivenessProblem(problem.prop, {router: sub_invariants})
-
-
-def _exits(config) -> list[Edge]:
-    topology = config.topology
-    return sorted(edge for edge in topology.external_edges() if topology.is_router(edge.src))
-
-
 def _planted(name: str, edit: str | None = None):
-    """The corpus case ``name`` (a planted FAILED) with ``HARD`` at the last
+    """The corpus case ``name`` (a planted FAILED) with ``oracle.HARD`` at the last
     router's exit and a benign edit at router ``edit``'s exit — by default
     the first router that is neither planted nor hard: (config, ghosts,
     problem, edited config)."""
     case = oracle.CASES[name]
     config = case.config()
     ghosts, problem = case.problem(config)
-    exits = _exits(config)
+    exits = oracle.exits(config)
     hard = exits[-1]
     skip = (case.planted_router, hard.src)
     edited = next(e for e in exits if e.src == edit or (edit is None and e.src not in skip))
-    return config, ghosts, _harden(config, problem, hard), oracle.bogon_edit(case.config(), *edited)
+    return config, ghosts, oracle.harden(config, problem, hard), oracle.bogon_edit(case.config(), *edited)
 
 
 CELLS = {
@@ -110,13 +73,10 @@ CELLS = {
             "randomnet6-gnp-3-liveness-planted",
         )
     },
-    # A conflicts UNKNOWN is an answer of the session that asked: a warm
-    # tracker re-running R2's group decides ``import check at R2 on
-    # ISP2->R2``, which a fresh one-shot run leaves UNKNOWN.
-    "figure1-liveness-planted-edit-R2": pytest.param(
-        partial(_planted, "figure1-liveness-planted", edit="R2"),
-        marks=pytest.mark.xfail(strict=True, reason="conflicts UNKNOWNs follow the session"),
-    ),
+    # A budgeted query is solved on a fresh solver on every path: a warm
+    # tracker re-running R2's group leaves ``import check at R2 on
+    # ISP2->R2`` UNKNOWN, as a fresh one-shot run does.
+    "figure1-liveness-planted-edit-R2": partial(_planted, "figure1-liveness-planted", edit="R2"),
 }
 
 

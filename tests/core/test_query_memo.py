@@ -23,14 +23,19 @@ from repro.bgp.topology import Edge
 from repro.cli import main as cli_main
 from repro.core.checks import MEMO_HIT_STATS, CheckKind, InternalError, group_checks_by_owner
 from repro.core.exec import ExecutionContext
-from repro.smt.solver import CheckSession, Model, Result, SessionPool
+from repro.core.safety import SafetyProblem, run_problem
+from repro.smt.solver import CheckSession, Model, Result, SessionPool, Solver
 from repro.smt.terms import clear_intern_cache
 from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
-from repro.workloads.wan_properties import verify_ip_reuse_safety_problems
 
 from tests import oracle
-from tests.core.conftest import mesh_no_transit, run_batch, safety_pieces
+from tests.core.conftest import (
+    mesh_no_transit,
+    run_batch,
+    safety_pieces,
+    starved_ip_reuse_problem,
+)
 
 STRIP = oracle.STRIP
 
@@ -50,21 +55,34 @@ def _assert_one_solve_per_distinct_query(pool, num_queries):
 # -- (i) UNKNOWNs are never stored ------------------------------------------
 
 
-def test_budgeted_unknowns_are_not_memoised_and_a_later_run_decides():
+def test_budgeted_unknowns_are_not_memoised_and_a_later_run_decides(monkeypatch):
     wan = build_wan(regions=2, routers_per_region=3)
+    problem = starved_ip_reuse_problem(wan)
+    safety = SafetyProblem(problem.properties[0], problem.invariants)
     context = ExecutionContext(conflict_budget=0)
     pool = context.sessions
-    starved = verify_ip_reuse_safety_problems(wan, workspace=context)
-    unknown = [o for __, r in starved for o in r.iter_outcomes() if o.unknown]
-    assert unknown and {o.unknown_reason for o in unknown} == {"conflicts"}
+    # Under a budget every query the memo has not answered is solved on a
+    # fresh solver.
+    solves = []
+    check = Solver.check
+
+    def spy(self, **limits):
+        solves.append(limits)
+        return check(self, **limits)
+
+    monkeypatch.setattr(Solver, "check", spy)
+    starved = run_problem(context, safety, wan.config, (problem.ghost,))
+    unknown = [o for o in starved.iter_outcomes() if o.unknown]
+    assert len(unknown) == 6 and {o.unknown_reason for o in unknown} == {"conflicts"}
     assert all(result is not Result.UNKNOWN for result, __ in pool.answers.values())
     # Only decided answers went in: every solve that did not store one is
     # one of the UNKNOWNs above.
-    assert pool.checks_discharged - len(pool.answers) == len(unknown)
+    assert {kw["conflict_budget"] for kw in solves} == {0}
+    assert len(solves) - len(pool.answers) == len(unknown)
+    assert pool.checks_discharged == 0
 
     context.conflict_budget = None  # a later run on the same sessions
-    decided = verify_ip_reuse_safety_problems(wan, workspace=context)
-    assert all(report.passed for __, report in decided)
+    assert run_problem(context, safety, wan.config, (problem.ghost,)).passed
 
 
 def test_an_expired_deadline_bypasses_the_memo():

@@ -5,6 +5,8 @@
   ``parallel=2``, full ≡ tracker after an edit ≡ save → load (the costly
   paths on the cases ``oracle.COSTLY`` names), and each case has the
   verdict it pins;
+* under a conflict budget that bites, pooled ≡ tracker ≡ save → load ≡
+  hermetic, ``conflicts`` UNKNOWNs included (``oracle.BUDGETED``);
 * every planted fault is killed, on every path, at the planted router —
   §6.1's localisation as a kill count;
 * every clean case verifies, and then no simulated trace violates what
@@ -36,6 +38,22 @@ MODEL_FIELDS = ("witness input", "witness output")
 @pytest.mark.parametrize("case, path", CELLS)
 def test_path_agrees_with_hermetic(case, path):
     oracle.agree(case, path)
+
+
+@pytest.mark.parametrize(
+    "case, path",
+    [
+        pytest.param(case, path, id=f"{case}-{path}")
+        for case in oracle.BUDGETED
+        for path in oracle.BUDGETED_PATHS
+    ],
+)
+def test_budgeted_path_agrees_with_hermetic(case, path):
+    # Under a conflict budget an UNKNOWN is the query's answer, not the
+    # session's that asked: every path gives it where a fresh solver does.
+    reference = oracle.agree(case, path, budget=oracle.BUDGET)
+    reasons = {key[3] for keys in reference.values() for key in keys}
+    assert "conflicts" in reasons, f"the budget does not bite on {case}"
 
 
 @pytest.mark.parametrize("case", PLANTED, ids=str)

@@ -17,7 +17,9 @@ the local checks ran.  This module states that once for the whole suite:
   ``load``, then ``apply`` + ``reverify``) and ``uncached`` (``hermetic``
   with the lang layer's term memos bypassed: every transfer, originated
   route and predicate built by its uncached reference, :data:`UNCACHED`);
-  a tracker's first run must reuse nothing.
+  a tracker's first run must reuse nothing.  ``hermetic``, ``pooled``,
+  ``tracker`` and ``reloaded`` also run under :data:`BUDGET` on the
+  cases :data:`BUDGETED` names, where the budget leaves checks UNKNOWN;
   :func:`minesweeper` is the monolithic baseline, for small cases;
 * :data:`CORPUS` — random networks, full meshes, Figure 1, the WAN, the
   policy-diverse network and triangles with a seeded random route map on
@@ -113,6 +115,7 @@ from repro.workloads.wan import build_wan
 
 from tests.core.conftest import (
     customer_liveness_property,
+    harden,
     isp1_ghost,
     mesh_no_transit,
     no_transit_invariants,
@@ -155,6 +158,12 @@ def random_edit(config: NetworkConfig, rng: random.Random, n: int) -> None:
         config.routers[dst].neighbors[f"R{router}"].import_map = STRIP
     else:
         config.set_external_asn(f"E{router}", 60000 + rng.randrange(100))
+
+
+def exits(config: NetworkConfig) -> list[Edge]:
+    """Every edge from an internal router to an external, sorted."""
+    topology = config.topology
+    return sorted(edge for edge in topology.external_edges() if topology.is_router(edge.src))
 
 
 # -- the fingerprint -------------------------------------------------------
@@ -634,19 +643,50 @@ COSTLY = {
 }
 
 
+#: The conflict budget of the budgeted cells.  A ``conflicts`` UNKNOWN is
+#: the query's answer, so every path must give it where ``hermetic`` does.
+BUDGET = 0
+
+
+def hardened_case(name: str) -> Case:
+    """``CASES[name]`` with ``HARD`` at its last router's exit
+    (:func:`tests.core.conftest.harden`)."""
+    case = CASES[name]
+
+    def problem(config):
+        ghosts, problem = case.problem(config)
+        return ghosts, harden(config, problem, exits(config)[-1])
+
+    return dataclasses.replace(case, name=f"{name}-hard", problem=problem)
+
+
+#: The cases the budgeted cells run on: on each, :data:`BUDGET` leaves a
+#: check UNKNOWN that an unbudgeted run decides.  Their trackers re-run the
+#: planted router's groups, the hard one's too on Figure 1.
+BUDGETED = [
+    CASES["triangle-9"],  # a random route map whose check takes a conflict
+    *map(hardened_case, ("figure1-liveness-planted", "fullmesh5-liveness-planted")),
+    hardened_case(f"randomnet6-gnp-{SEEDS[0]}-planted"),
+]
+
+
 # -- the paths -----------------------------------------------------------------
 
 
-def hermetic(case: Case):
+def hermetic(case: Case, budget: int | None = None):
     """Every check on a fresh solver, no session, no memo: the reference."""
     config = case.config()
-    return hermetic_report(config, *case.problem(config))
+    return hermetic_report(config, *case.problem(config), budget=budget)
 
 
-def hermetic_report(config: NetworkConfig, ghosts: tuple, problem) -> VerificationReport:
+def hermetic_report(
+    config: NetworkConfig, ghosts: tuple, problem, budget: int | None = None
+) -> VerificationReport:
     universe = build_universe(config, problem.predicates(), ghosts)
     groups = {
-        section: [GroupOutcomes.of(checks, [c.run(config, universe, ghosts) for c in checks])]
+        section: [
+            GroupOutcomes.of(checks, [c.run(config, universe, ghosts, budget) for c in checks])
+        ]
         for section, checks in problem.checks(config).items()
     }
     return VerificationReport(problem.property, groups, 0.0)
@@ -657,10 +697,11 @@ def reference(config: NetworkConfig, ghosts: tuple, problem) -> dict[tuple, list
     return fingerprint(hermetic_report(config, ghosts, problem))
 
 
-def pooled(case: Case, context: ExecutionContext | None = None):
+def pooled(case: Case, context: ExecutionContext | None = None, budget: int | None = None):
     config = case.config()
     ghosts, problem = case.problem(config)
-    return run_problem(context or ExecutionContext(), problem, config, ghosts)
+    context = context or ExecutionContext(conflict_budget=budget)
+    return run_problem(context, problem, config, ghosts)
 
 
 def warm(case: Case):
@@ -673,10 +714,10 @@ def parallel(case: Case):
     return pooled(case, ExecutionContext(parallel=2))
 
 
-def tracker(case: Case):
+def tracker(case: Case, budget: int | None = None):
     """A tracker runs ``case.base()`` (running every check), then the case."""
     ghosts, problem = case.problem(case.base())
-    tracker = PropertyTracker(ExecutionContext(), problem, ghosts)
+    tracker = PropertyTracker(ExecutionContext(conflict_budget=budget), problem, ghosts)
     assert tracker.run(case.base()).reused_checks == 0
     return tracker.run(case.config())
 
@@ -707,16 +748,17 @@ def uncached(case: Case):
         return hermetic(case)
 
 
-def reloaded(case: Case):
+def reloaded(case: Case, budget: int | None = None):
     """A workspace verifies ``case.base()`` and is saved; the one loaded
     from the file for a freshly built base, on two workers, applies the
     case and re-verifies (a multi-owner reverify is a process map)."""
     ghosts, problem = case.problem(case.base())
-    workspace = Workspace(case.base(), ghosts=ghosts)
+    workspace = Workspace(case.base(), ghosts=ghosts, conflict_budget=budget)
     workspace.verify(problem.prop, problem.invariants)
     with tempfile.TemporaryDirectory() as tmp:
-        workspace.save(Path(tmp) / "workspace.lyc")
-        workspace = Workspace.load(Path(tmp) / "workspace.lyc", case.base(), ghosts, parallel=2)
+        path = Path(tmp) / "workspace.lyc"
+        workspace.save(path)
+        workspace = Workspace.load(path, case.base(), ghosts, conflict_budget=budget, parallel=2)
     workspace.apply(case.config())
     (entry,) = workspace.reverify()
     return entry.report
@@ -733,6 +775,8 @@ PATHS = {
 }
 #: The paths that list a section owner group by owner group.
 TRACKERS = ("tracker", "reloaded")
+#: The paths compared with ``hermetic`` under :data:`BUDGET` as well.
+BUDGETED_PATHS = ("pooled", "tracker", "reloaded")
 #: The paths that replay another's models, and the path each replays.
 REPLAYS = {"warm": "pooled", "uncached": "hermetic"}
 
@@ -745,11 +789,16 @@ def cells(case: Case) -> list[str]:
     ]
 
 
+def run(path: str, case: Case, budget: int | None = None):
+    """The report of one cell, once per session, under a conflict budget
+    if one is given (:data:`BUDGETED_PATHS` take one); no path may fall
+    back to serial on a healthy platform."""
+    return _run(path, case, budget)
+
+
 @cache
-def run(path: str, case: Case):
-    """The report of one cell, once per session; no path may fall back to
-    serial on a healthy platform."""
-    report = PATHS[path](case)
+def _run(path: str, case: Case, budget: int | None):
+    report = PATHS[path](case) if budget is None else PATHS[path](case, budget=budget)
     assert not report.degradation.degraded(), (path, case.name)
     return report
 
@@ -764,14 +813,15 @@ def verified(case: Case) -> bool:
     return all(key[1] for keys in expected(case).values() for key in keys)
 
 
-def agree(case: Case, *paths: str) -> dict[tuple, list[tuple]]:
-    """Assert each of ``paths`` decides ``case`` as ``hermetic`` does — a
-    one-shot path in the reference's order, a tracker as a multiset — and
-    that a path in :data:`REPLAYS` lists the witnesses of the run it
-    replays; returns the reference fingerprint."""
-    reference = run("hermetic", case)
+def agree(case: Case, *paths: str, budget: int | None = None) -> dict[tuple, list[tuple]]:
+    """Assert each of ``paths`` decides ``case`` as ``hermetic`` does —
+    under the same ``budget``, if one is given; a one-shot path in the
+    reference's order, a tracker as a multiset — and that a path in
+    :data:`REPLAYS` lists the witnesses of the run it replays; returns the
+    reference fingerprint."""
+    reference = run("hermetic", case, budget)
     for path in paths:
-        report = run(path, case)
+        report = run(path, case, budget)
         view = fingerprint if path in TRACKERS else listing
         assert view(report) == view(reference), f"{path} diverges from hermetic on {case}"
         if path in REPLAYS:

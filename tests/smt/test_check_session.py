@@ -37,8 +37,8 @@ def test_session_stats_are_marginal_not_cumulative():
     assert session.stats.num_clauses == 0
 
 
-def test_session_conflict_budget_returns_unknown():
-    # Pigeonhole 6-into-5 is hard enough to exhaust a one-conflict budget.
+def test_session_stays_sound_after_an_undecided_query():
+    # Pigeonhole 6-into-5 needs search, so an expired deadline stops it.
     holes, pigeons = 5, 6
     ps = [
         [smt.bool_var(f"ph.{i}.{j}") for j in range(holes)] for i in range(pigeons)
@@ -49,9 +49,10 @@ def test_session_conflict_budget_returns_unknown():
             for i2 in range(i1 + 1, pigeons):
                 assertions.append(smt.or_(smt.not_(ps[i1][j]), smt.not_(ps[i2][j])))
     session = CheckSession()
-    assert session.check(assertions, conflict_budget=1) is smt.Result.UNKNOWN
-    # The session keeps working after a budgeted query, with learnt clauses
-    # (consequences of the definitions) carried over soundly.
+    assert session.check(assertions, deadline_s=0.0) is smt.Result.UNKNOWN
+    assert session.stats.unknown_reason == "timeout"
+    # The session keeps working after an undecided query, with learnt
+    # clauses (consequences of the definitions) carried over soundly.
     assert session.check(assertions) is smt.Result.UNSAT
     p = smt.bool_var("p")
     assert session.check([p]) is smt.Result.SAT

@@ -405,9 +405,12 @@ def test_cli_parse_rejects_an_inconsistent_network_with_exit_2(tmp_path, capsys)
     def wrong_remote_as(config):
         config.routers["R2"].neighbors["R1"].remote_asn = 123
 
-    assert main(["parse", _write_fig1_edit(tmp_path, "bad.json", wrong_remote_as)]) == 2
+    path = _write_fig1_edit(tmp_path, "bad.json", wrong_remote_as)
+    assert main(["parse", path]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: R2: neighbor 'R1' remote-as 123 but 'R1' is AS 65000\n"
+    assert captured.err == (
+        f"error: {path}: router 'R2': neighbor 'R1': remote-as 123 but 'R1' is AS 65000\n"
+    )
     assert captured.out == ""
 
 
