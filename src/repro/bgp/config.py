@@ -176,6 +176,14 @@ class NetworkConfig:
                         f"router {name!r}: neighbor {peer!r}: remote-as {ncfg.remote_asn} "
                         f"but {peer!r} is AS {actual}"
                     )
+            for client in sorted(config.rr_clients):
+                session = config.neighbors.get(client)
+                ibgp = session is not None and session.remote_asn == config.asn
+                if not (ibgp and self.topology.is_router(client)):
+                    problems.append(
+                        f"router {name!r}: route-reflector client {client!r} "
+                        "is not an iBGP neighbor"
+                    )
         return problems
 
     def require_valid(self) -> None:

@@ -19,6 +19,7 @@ class ConfigDiff:
     added_routers: list[str] = field(default_factory=list)
     removed_routers: list[str] = field(default_factory=list)
     changed_routers: list[str] = field(default_factory=list)
+    changed_externals: list[str] = field(default_factory=list)
     topology_changed: bool = False
     details: dict[str, list[str]] = field(default_factory=dict)
 
@@ -28,6 +29,7 @@ class ConfigDiff:
             self.added_routers
             or self.removed_routers
             or self.changed_routers
+            or self.changed_externals
             or self.topology_changed
         )
 
@@ -43,6 +45,8 @@ class ConfigDiff:
             parts.append(f"removed: {', '.join(self.removed_routers)}")
         if self.changed_routers:
             parts.append(f"changed: {', '.join(self.changed_routers)}")
+        if self.changed_externals:
+            parts.append(f"external ASN changed: {', '.join(self.changed_externals)}")
         return "; ".join(parts)
 
 
@@ -88,4 +92,11 @@ def diff_configs(old: NetworkConfig, new: NetworkConfig) -> ConfigDiff:
         if changes:
             diff.changed_routers.append(name)
             diff.details[name] = changes
+    # An external's ASN is no router's configuration, yet it decides which
+    # sessions are eBGP and what an export prepends.
+    for name in sorted(old.topology.externals & new.topology.externals):
+        before, after = old.external_asns.get(name), new.external_asns.get(name)
+        if before != after:
+            diff.changed_externals.append(name)
+            diff.details[name] = [f"asn {before} -> {after}"]
     return diff

@@ -96,6 +96,8 @@ class _Lowering:
         head = tokens[0]
         if head == "external":
             name, asn = _declaration(tokens)
+            if name in self.externals:
+                raise ValueError(f"duplicate external {name!r}")
             self.externals[name] = asn
         elif head == "router":
             name, asn = _declaration(tokens)

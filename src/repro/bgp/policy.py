@@ -8,7 +8,7 @@ implicit deny).
 
 The same clause structure is interpreted twice in this system: concretely
 here (:meth:`RouteMap.apply`) and symbolically in :mod:`repro.lang.transfer`.
-A hypothesis test asserts the two agree on every route.
+Seeded differential tests assert the two agree on drawn routes.
 """
 
 from __future__ import annotations

@@ -352,9 +352,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     new = _load_config(args.new)
     diff = diff_configs(old, new)
     print(diff.summary())
-    for router in diff.changed_routers:
-        for change in diff.details[router]:
-            print(f"  {router}: {change}")
+    for name in diff.changed_routers + diff.changed_externals:
+        for change in diff.details[name]:
+            print(f"  {name}: {change}")
     return 0 if diff.is_empty else 1
 
 

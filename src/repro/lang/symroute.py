@@ -133,9 +133,6 @@ class SymbolicRoute:
     # Memoisation support
     # ------------------------------------------------------------------
 
-    # itertools.count: next() is atomic under the GIL, so concurrent checks
-    # (the thread backend) can never hand two instances the same token —
-    # a collision would alias cache entries between different routes.
     _token_counter: ClassVar[Iterator[int]] = itertools.count(1)
 
     def instance_token(self) -> int:

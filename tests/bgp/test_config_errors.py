@@ -15,10 +15,11 @@ import json
 
 import pytest
 
-from repro.bgp.configjson import config_from_json
+from repro.bgp.configjson import config_from_json, config_to_json
 from repro.bgp.configparse import ConfigSyntaxError, lower_config, parse_config
 from repro.bgp.topology import Topology
 from repro.cli import main
+from repro.workloads.wan import build_wan
 
 from tests.conftest import CONFIG_TEXT
 from tests.conftest import SPEC as CLI_SPEC
@@ -294,6 +295,11 @@ NETWORK_DEFECTS = [
         "external E as 1\nrouter R as 2\n  neighbor E as 1\n  neighbor E as 1\n",
         "line 4: duplicate neighbor 'E' (in 'neighbor E as 1')",
     ),
+    (
+        "duplicate-external",
+        "external E1 as 100\nexternal E1 as 200\n",
+        "line 2: duplicate external 'E1' (in 'external E1 as 200')",
+    ),
 ]
 
 
@@ -305,3 +311,27 @@ def test_no_dialect_error_says_line_0(text, expected):
         parse_config(text)
     assert str(info.value) == expected
     assert isinstance(info.value, ConfigSyntaxError) is expected.startswith("line ")
+
+
+def _reflector_naming(*clients):
+    """The WAN with reflectors, ``W0-0`` also naming ``clients``."""
+    config = build_wan(3, 4, route_reflectors=True).config
+    config.routers["W0-0"].rr_clients |= frozenset(clients)
+    return config
+
+
+# An external neighbor of the reflector and a name the network lacks: each
+# is its own located problem, in a config built in code and in JSON.
+BAD_CLIENTS = [
+    "router 'W0-0': route-reflector client 'NOPE' is not an iBGP neighbor",
+    "router 'W0-0': route-reflector client 'Peer-W0-0-0' is not an iBGP neighbor",
+]
+
+
+def test_reflector_clients_must_be_ibgp_neighbors():
+    assert _reflector_naming().validate() == []
+    config = _reflector_naming("Peer-W0-0-0", "NOPE")
+    assert config.validate() == BAD_CLIENTS
+    with pytest.raises(ValueError) as info:
+        config_from_json(config_to_json(config))
+    assert str(info.value).splitlines() == BAD_CLIENTS

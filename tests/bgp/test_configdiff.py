@@ -9,6 +9,7 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.core.incremental import config_digests, diff_digests
 from repro.workloads.figure1 import build_figure1
+from repro.workloads.fullmesh import build_full_mesh, full_mesh_external_asn_edit
 from repro.workloads.wan import build_wan
 
 
@@ -100,3 +101,14 @@ def test_reflector_client_change_detected():
     assert diff.summary() == "changed: W0-0"
     assert diff.details == {"W0-0": ["route-reflector clients changed"]}
     assert diff_digests(config_digests(old), config_digests(new)) == {"W0-0"}
+
+
+def test_external_asn_change_detected():
+    # No router's configuration changes, yet the digests see a network
+    # edit (a reverify re-runs every check): the diff must not say
+    # "no changes".
+    old, new = build_full_mesh(4), full_mesh_external_asn_edit(4)
+    diff = diff_configs(old, new)
+    assert diff.summary() == "external ASN changed: E4"
+    assert diff.details == {"E4": ["asn 1004 -> 64999"]}
+    assert diff_digests(config_digests(old), config_digests(new)) == {("network",)}

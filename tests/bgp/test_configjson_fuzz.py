@@ -1,151 +1,57 @@
-"""Property-based round-trip tests for the JSON configuration codec."""
+"""Seeded round-trip tests for the JSON configuration codec: every match
+and action kind, nested combinators and originated routes
+(``tests/draws.py``)."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import random
+
+import pytest
 
 from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.configjson import config_from_json, config_to_json
-from repro.bgp.policy import (
-    AddCommunity,
-    ClearCommunities,
-    DeleteCommunity,
-    Disposition,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNot,
-    MatchPrefix,
-    PrependAsPath,
-    RouteMap,
-    RouteMapClause,
-    SetLocalPref,
-    SetMed,
-    SetNextHop,
-)
-from repro.bgp.prefix import Prefix, PrefixRange
-from repro.bgp.route import Community, Route
 from repro.bgp.topology import Topology
 
-
-COMMUNITIES = [Community(1, 1), Community(100, 200), Community(65535, 0)]
-
-
-@st.composite
-def matches(draw, depth=0):
-    choices = 7 if depth < 2 else 5
-    kind = draw(st.integers(0, choices - 1))
-    if kind == 0:
-        return MatchCommunity(draw(st.sampled_from(COMMUNITIES)))
-    if kind == 1:
-        base = draw(st.sampled_from(["10.0.0.0/8", "0.0.0.0/0", "192.168.0.0/16"]))
-        prefix = Prefix.parse(base)
-        lo = draw(st.integers(prefix.length, 32))
-        hi = draw(st.integers(lo, 32))
-        return MatchPrefix((PrefixRange(prefix, lo, hi),))
-    if kind == 2:
-        return MatchAsPathContains(draw(st.integers(1, 65535)))
-    if kind == 3:
-        lo = draw(st.integers(0, 100))
-        return MatchMedRange(lo, draw(st.integers(lo, 200)))
-    if kind == 4:
-        lo = draw(st.integers(0, 100))
-        return MatchLocalPrefRange(lo, draw(st.integers(lo, 400)))
-    if kind == 5:
-        return MatchNot(draw(matches(depth=depth + 1)))
-    combinator = draw(st.sampled_from([MatchAll, MatchAny]))
-    return combinator(tuple(draw(st.lists(matches(depth=depth + 1), max_size=2))))
+from tests import draws
 
 
-@st.composite
-def actions(draw):
-    kind = draw(st.integers(0, 6))
-    if kind == 0:
-        return SetLocalPref(draw(st.integers(0, 1000)))
-    if kind == 1:
-        return SetMed(draw(st.integers(0, 1000)))
-    if kind == 2:
-        return SetNextHop(draw(st.integers(0, 2**32 - 1)))
-    if kind == 3:
-        return AddCommunity(draw(st.sampled_from(COMMUNITIES)))
-    if kind == 4:
-        return DeleteCommunity(draw(st.sampled_from(COMMUNITIES)))
-    if kind == 5:
-        return ClearCommunities()
-    return PrependAsPath(draw(st.integers(1, 65535)), draw(st.integers(1, 4)))
+def _maybe_route_map(rng: random.Random, name: str):
+    return draws.route_map(rng, name) if rng.random() < 0.8 else None
 
 
-@st.composite
-def route_maps(draw):
-    n = draw(st.integers(0, 4))
-    clauses = []
-    for i in range(n):
-        if draw(st.booleans()):
-            clauses.append(
-                RouteMapClause(
-                    (i + 1) * 10,
-                    Disposition.DENY,
-                    tuple(draw(st.lists(matches(), max_size=2))),
-                )
-            )
-        else:
-            clauses.append(
-                RouteMapClause(
-                    (i + 1) * 10,
-                    Disposition.PERMIT,
-                    tuple(draw(st.lists(matches(), max_size=2))),
-                    tuple(draw(st.lists(actions(), max_size=3))),
-                )
-            )
-    return RouteMap(draw(st.sampled_from(["A", "B", "C"])), tuple(clauses))
-
-
-@st.composite
-def configs(draw):
+def _config(seed: int) -> NetworkConfig:
+    """R1 (peering with E1 and R2) and R2, with drawn route maps on three
+    sessions and 0–2 originated routes toward E1."""
+    rng = random.Random(seed)
     topo = Topology()
     topo.add_router("R1")
     topo.add_router("R2")
     topo.add_external("E1")
-    config = NetworkConfig(topo)
-    config.external_asns["E1"] = 100
-
-    r1 = RouterConfig("R1", 65000)
     topo.add_peering("R1", "E1")
     topo.add_peering("R1", "R2")
-    originated = tuple(
-        Route(
-            prefix=Prefix.parse("8.8.0.0/16"),
-            communities=frozenset(draw(st.sets(st.sampled_from(COMMUNITIES)))),
-            local_pref=draw(st.integers(0, 400)),
-        )
-        for __ in range(draw(st.integers(0, 2)))
-    )
+    config = NetworkConfig(topo)
+    config.external_asns["E1"] = 100
+    r1 = RouterConfig("R1", 65000)
     r1.add_neighbor(
         NeighborConfig(
             "E1",
             100,
-            import_map=draw(st.one_of(st.none(), route_maps())),
-            export_map=draw(st.one_of(st.none(), route_maps())),
-            originated=originated,
+            import_map=_maybe_route_map(rng, "E1-IN"),
+            export_map=_maybe_route_map(rng, "E1-OUT"),
+            originated=tuple(draws.route(rng, ghosts=()) for __ in range(rng.randint(0, 2))),
         )
     )
     r1.add_neighbor(NeighborConfig("R2", 65000))
     r2 = RouterConfig("R2", 65000)
-    r2.add_neighbor(
-        NeighborConfig("R1", 65000, import_map=draw(st.one_of(st.none(), route_maps())))
-    )
+    r2.add_neighbor(NeighborConfig("R1", 65000, import_map=_maybe_route_map(rng, "R1-IN")))
     config.add_router_config(r1)
     config.add_router_config(r2)
     return config
 
 
-@settings(max_examples=100, deadline=None)
-@given(configs())
-def test_random_configs_roundtrip_through_json(config):
+@pytest.mark.parametrize("seed", range(100))
+def test_random_configs_roundtrip_through_json(seed):
+    config = _config(seed)
     text = config_to_json(config)
     back = config_from_json(text)
     assert back.topology.edges == config.topology.edges

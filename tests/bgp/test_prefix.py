@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bgp.prefix import (
     Prefix,
@@ -12,6 +12,8 @@ from repro.bgp.prefix import (
     format_ipv4,
     parse_ipv4,
 )
+
+from tests import draws
 
 
 def test_parse_and_format_ipv4():
@@ -105,21 +107,15 @@ def test_prefix_range_invalid_bounds():
         PrefixRange(Prefix.parse("10.0.0.0/16"), 8, 24)
 
 
-@st.composite
-def prefixes(draw):
-    length = draw(st.integers(0, 32))
-    addr = draw(st.integers(0, 2**32 - 1))
-    return Prefix(addr & ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0), length)
-
-
-@settings(max_examples=200, deadline=None)
-@given(prefixes(), prefixes())
-def test_containment_antisymmetry(a, b):
+@pytest.mark.parametrize("seed", range(200))
+def test_containment_is_antisymmetric_and_str_round_trips(seed):
+    rng = random.Random(seed)
+    a = draws.prefix(rng)
+    if rng.random() < 0.5:
+        b = draws.prefix(rng)
+    else:  # a's parent, a itself or a child: where containment holds
+        b = Prefix(a.address, min(32, max(0, a.length + rng.randint(-1, 1))))
     if a.contains(b) and b.contains(a):
         assert a == b
-
-
-@settings(max_examples=200, deadline=None)
-@given(prefixes())
-def test_parse_str_roundtrip(p):
-    assert Prefix.parse(str(p)) == p
+    for p in (a, b):
+        assert Prefix.parse(str(p)) == p

@@ -129,23 +129,6 @@ def test_liveness_report_metrics(fig1_config):
     assert "PASSED" in report.summary()
 
 
-def test_custom_interference_invariants(fig1_config):
-    # Supplying explicit invariant maps for the no-interference sub-proofs
-    # must work when they are inductive.
-    from repro.core.properties import InvariantMap
-
-    prop = customer_liveness_property()
-    props = interference_properties(prop)
-    invariants = {
-        router: InvariantMap(fig1_config.topology, default=sp.predicate)
-        for router, sp in props.items()
-    }
-    report = verify_liveness(
-        fig1_config, prop, interference_invariants=invariants
-    )
-    assert report.passed
-
-
 # -- one universe and one pool for the whole §5 proof ---------------------
 
 

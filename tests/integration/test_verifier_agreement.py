@@ -14,9 +14,9 @@ it succeeds — a differential test of both verifiers at once.
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines.minesweeper import MinesweeperVerifier
 from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
@@ -91,16 +91,12 @@ def _no_transit(config):
     return ghost, prop
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from([TAG, DENY_ALL]),
-    st.tuples(*[st.sampled_from(POLICIES)] * 4),
-    st.sampled_from(POLICIES),
-)
-def test_lightyear_pass_implies_minesweeper_verifies(
-    e1_import, internal_maps, egress_export
-):
-    config = _build_network(e1_import, list(internal_maps), egress_export)
+@pytest.mark.parametrize("seed", range(100))  # about one in ten makes the claim
+def test_lightyear_pass_implies_minesweeper_verifies(seed):
+    rng = random.Random(seed)
+    e1_import = rng.choice([TAG, DENY_ALL])
+    internal_maps = [rng.choice(POLICIES) for __ in range(4)]
+    config = _build_network(e1_import, internal_maps, rng.choice(POLICIES))
     ghost, prop = _no_transit(config)
     inferred = infer_safety_invariants(config, prop, ghost, max_candidates=4)
     if not inferred.found:

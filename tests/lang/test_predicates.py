@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import smt
 from repro.bgp.prefix import Prefix, PrefixRange, parse_ipv4
@@ -28,14 +28,11 @@ from repro.lang.predicates import (
     prefix_projection,
 )
 from repro.lang.symroute import SymbolicRoute
-from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import Model
 
+from tests import draws
 
-UNIVERSE = AttributeUniverse(
-    (Community(100, 1), Community(7, 7)), (100, 666), ("FromISP1", "FromRegion")
-)
-
+UNIVERSE = draws.UNIVERSE
 C1 = Community(100, 1)
 
 
@@ -173,24 +170,10 @@ def test_projection_is_sound_overapproximation():
             assert any(r.matches(route.prefix) for r in ranges)
 
 
-@st.composite
-def routes(draw):
-    length = draw(st.integers(0, 32))
-    addr = draw(st.integers(0, 2**32 - 1))
-    mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
-    comms = draw(st.sets(st.sampled_from([C1, Community(7, 7)])))
-    path = tuple(draw(st.lists(st.sampled_from([100, 666]), max_size=3)))
-    return Route(
-        prefix=Prefix(addr & mask, length),
-        communities=frozenset(comms),
-        as_path=path,
-        local_pref=draw(st.integers(0, 400)),
-        med=draw(st.integers(0, 100)),
-        ghost={"FromISP1": draw(st.booleans()), "FromRegion": draw(st.booleans())},
-    )
+PREDICATE_SEEDS = range(150)
 
 
-@settings(max_examples=100, deadline=None)
-@given(routes(), st.sampled_from(PREDICATES))
-def test_agreement_property(route, pred):
-    _concrete_agreement(pred, route)
+@pytest.mark.parametrize("seed", PREDICATE_SEEDS)
+def test_agreement_on_drawn_predicates_and_routes(seed):
+    rng = random.Random(seed)
+    _concrete_agreement(draws.predicate(rng), draws.route(rng))

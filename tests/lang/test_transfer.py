@@ -1,45 +1,27 @@
 """Symbolic route-map execution matches the concrete interpreter.
 
-The concrete ``RouteMap.apply`` is the transfer's one reference: random
-route maps (every action; community, prefix, MED, local-pref, path-length,
-origin and next-hop matches) on random routes.  The edge-level wrappers
+The concrete ``RouteMap.apply`` is the transfer's one reference: seeded
+route maps drawn over every match and action kind (``tests/draws.py``) on
+seeded routes.  The edge-level wrappers
 (prepend, ghost updates, originated routes) are pinned directly.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import smt
-from repro.bgp.policy import (
-    AddCommunity,
-    ClearCommunities,
-    DeleteCommunity,
-    Disposition,
-    MatchAsPathLength,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNextHopIn,
-    MatchNot,
-    MatchOrigin,
-    MatchPrefix,
-    PrependAsPath,
-    RouteMap,
-    RouteMapClause,
-    SetLocalPref,
-    SetMed,
-    SetNextHop,
-    SetOrigin,
-)
-from repro.bgp.prefix import Prefix, PrefixRange, parse_ipv4
-from repro.bgp.route import Community, Route
+from repro.bgp.policy import Action, Match, RouteMap
+from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
 from repro.bgp.topology import Edge
 from repro.lang.ghost import GhostAttribute
+from repro.lang.predicates import Predicate
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import (
+    match_term,
     symbolic_originated,
     transfer_export,
     transfer_import,
@@ -49,138 +31,69 @@ from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import Model
 from repro.workloads.figure1 import build_figure1
 
+from tests import draws
 from tests.core.conftest import isp1_ghost
+from tests.lang.test_predicates import PREDICATE_SEEDS
 
-
-C1 = Community(100, 1)
-C2 = Community(7, 7)
-UNIVERSE = AttributeUniverse((C1, C2), (100, 300, 666, 65000), ("FromISP1",))
 EMPTY_MODEL = Model({}, {})
 
 
-def _run_concrete(route_map: RouteMap | None, route: Route):
-    """Run symbolically on a constant embedding, evaluate to concrete."""
-    sym = SymbolicRoute.concrete(route, UNIVERSE)
-    accepted, out = transfer_route_map(route_map, sym)
-    if not EMPTY_MODEL.eval_bool(accepted):
-        return None
-    return out.evaluate(EMPTY_MODEL)
-
-
 def _assert_same(route_map: RouteMap | None, route: Route) -> None:
+    """Run symbolically on a constant embedding and read the output back:
+    it is what ``route_map.apply`` gives (the AS path as universe
+    members and a length)."""
     expected = route_map.apply(route) if route_map is not None else route
-    got = _run_concrete(route_map, route)
+    accepted, out = transfer_route_map(route_map, SymbolicRoute.concrete(route, draws.UNIVERSE))
+    assert EMPTY_MODEL.eval_bool(accepted) is (expected is not None)
     if expected is None:
-        assert got is None
         return
-    assert got is not None
+    got = out.evaluate(EMPTY_MODEL)
     assert got.prefix == expected.prefix
     assert (got.local_pref, got.med) == (expected.local_pref, expected.med)
     assert (got.origin, got.next_hop) == (expected.origin, expected.next_hop)
-    assert got.communities & set(UNIVERSE.communities) == expected.communities & set(
-        UNIVERSE.communities
-    )
-    # AS-path abstraction: membership of universe ASNs and total length.
-    assert set(got.as_path) == {a for a in expected.as_path if a in UNIVERSE.asns}
+    assert got.communities == expected.communities  # every community drawn is in the universe
+    assert set(got.as_path) == {a for a in expected.as_path if a in draws.UNIVERSE.asns}
+    assert EMPTY_MODEL.eval_bv(out.as_path_len) == len(expected.as_path)
 
 
 def test_none_route_map_is_identity():
-    r = Route(prefix=Prefix.parse("10.0.0.0/8"), med=3)
-    assert _run_concrete(None, r) is not None
+    _assert_same(None, Route(prefix=Prefix.parse("10.0.0.0/8"), med=3))
 
 
 # ---------------------------------------------------------------------------
 # Randomised faithfulness
 # ---------------------------------------------------------------------------
 
-
-NEXT_HOPS = (0, parse_ipv4("10.9.9.9"), parse_ipv4("172.16.0.1"))
-
-
-@st.composite
-def matches(draw):
-    kind = draw(st.integers(0, 7))
-    if kind == 5:
-        lo = draw(st.integers(0, 3))
-        return MatchAsPathLength(lo, draw(st.integers(lo, 4)))
-    if kind == 6:
-        return MatchOrigin(draw(st.integers(0, 2)))
-    if kind == 7:
-        return MatchNextHopIn((Prefix.parse("10.0.0.0/8"),))
-    if kind == 0:
-        return MatchCommunity(draw(st.sampled_from([C1, C2])))
-    if kind == 1:
-        base = draw(st.sampled_from(["10.0.0.0/8", "20.0.0.0/8", "0.0.0.0/0"]))
-        prefix = Prefix.parse(base)
-        lo = draw(st.integers(prefix.length, 32))
-        hi = draw(st.integers(lo, 32))
-        return MatchPrefix((PrefixRange(prefix, lo, hi),))
-    if kind == 2:
-        lo = draw(st.integers(0, 50))
-        return MatchMedRange(lo, draw(st.integers(lo, 100)))
-    if kind == 3:
-        lo = draw(st.integers(0, 200))
-        return MatchLocalPrefRange(lo, draw(st.integers(lo, 400)))
-    return MatchNot(MatchCommunity(draw(st.sampled_from([C1, C2]))))
+TRANSFER_SEEDS = range(240)
 
 
-@st.composite
-def actions(draw):
-    kind = draw(st.integers(0, 7))
-    if kind == 6:
-        return SetOrigin(draw(st.integers(0, 2)))
-    if kind == 7:
-        return SetNextHop(draw(st.sampled_from(NEXT_HOPS)))
-    if kind == 0:
-        return SetLocalPref(draw(st.integers(0, 400)))
-    if kind == 1:
-        return SetMed(draw(st.integers(0, 100)))
-    if kind == 2:
-        return AddCommunity(draw(st.sampled_from([C1, C2])))
-    if kind == 3:
-        return DeleteCommunity(draw(st.sampled_from([C1, C2])))
-    if kind == 4:
-        return ClearCommunities()
-    return PrependAsPath(draw(st.sampled_from([666, 65000])), draw(st.integers(1, 2)))
-
-
-@st.composite
-def route_maps(draw):
-    n = draw(st.integers(1, 4))
-    clauses = []
-    for i in range(n):
-        deny = draw(st.booleans())
-        clause_matches = tuple(draw(st.lists(matches(), max_size=2)))
-        if deny:
-            clauses.append(RouteMapClause((i + 1) * 10, Disposition.DENY, clause_matches))
-        else:
-            clause_actions = tuple(draw(st.lists(actions(), max_size=3)))
-            clauses.append(
-                RouteMapClause((i + 1) * 10, Disposition.PERMIT, clause_matches, clause_actions)
-            )
-    return RouteMap("RAND", tuple(clauses))
-
-
-@st.composite
-def routes(draw):
-    length = draw(st.integers(0, 32))
-    addr = draw(st.integers(0, 2**32 - 1))
-    mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
-    return Route(
-        prefix=Prefix(addr & mask, length),
-        communities=frozenset(draw(st.sets(st.sampled_from([C1, C2])))),
-        as_path=tuple(draw(st.lists(st.sampled_from([100, 300, 666]), max_size=3))),
-        local_pref=draw(st.integers(0, 400)),
-        med=draw(st.integers(0, 100)),
-        origin=draw(st.integers(0, 2)),
-        next_hop=draw(st.sampled_from(NEXT_HOPS)),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(route_maps(), routes())
-def test_transfer_matches_concrete_interpreter(route_map, route):
+@pytest.mark.parametrize("seed", TRANSFER_SEEDS)
+def test_transfer_matches_concrete_interpreter(seed):
+    rng = random.Random(seed)
+    route_map, route = draws.route_map(rng), draws.route(rng)
     _assert_same(route_map, route)
+    # Each match alone too: an earlier clause or a sibling match can hide
+    # a wrong one from the route map's outcome.
+    sym = SymbolicRoute.concrete(route, draws.UNIVERSE)
+    for match in (m for clause in route_map.clauses for m in clause.matches):
+        assert EMPTY_MODEL.eval_bool(match_term(match, sym)) is match.matches(route), match
+
+
+def _concrete_subclasses(base: type) -> set[type]:
+    below = set(base.__subclasses__())
+    return below.union(*map(_concrete_subclasses, below))
+
+
+def test_the_differential_seeds_draw_every_match_action_and_predicate_kind():
+    # A draw is only as good as its reach: a kind added to the language
+    # must be drawn by the seeds the transfer and predicate cells run.
+    reached = set()
+    for seed in TRANSFER_SEEDS:
+        reached |= draws.kinds(draws.route_map(random.Random(seed)))
+    for seed in PREDICATE_SEEDS:
+        reached |= draws.kinds(draws.predicate(random.Random(seed)))
+    for base in (Match, Action, Predicate):
+        assert _concrete_subclasses(base) <= reached, base
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,7 @@ import random
 import pytest
 
 from repro import smt
-from repro.bgp.policy import (
-    AddCommunity,
-    ClearCommunities,
-    DeleteCommunity,
-    MatchCommunity,
-    MatchMedRange,
-    MatchPrefix,
-    PrependAsPath,
-    SetLocalPref,
-    SetMed,
-    SetNextHop,
-    SetOrigin,
-)
-from repro.bgp.prefix import Prefix, PrefixRange
+from repro.bgp.prefix import Prefix
 from repro.bgp.route import Community, Route
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import apply_action, match_term
@@ -28,6 +15,8 @@ from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import Model
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.wan import build_wan
+
+from tests import draws
 
 
 def test_universe_from_figure1_collects_community_and_asns():
@@ -193,34 +182,9 @@ def assert_merges_agree(then: SymbolicRoute, cond, els: SymbolicRoute) -> Symbol
     return merged
 
 
-def _random_action(rng: random.Random):
-    c = rng.choice(UNIVERSE.communities)
-    return rng.choice(
-        [
-            AddCommunity(c),
-            DeleteCommunity(c),
-            ClearCommunities(),
-            SetLocalPref(rng.randrange(300)),
-            SetMed(rng.randrange(3)),
-            SetNextHop(rng.randrange(3)),
-            SetOrigin(rng.randrange(3)),
-            PrependAsPath(rng.choice(UNIVERSE.asns)),
-        ]
-    )
-
-
 def _random_cond(rng: random.Random, route: SymbolicRoute):
-    c = rng.choice(UNIVERSE.communities)
-    return rng.choice(
-        [
-            smt.true(),
-            smt.false(),
-            smt.bool_var(f"c{rng.randrange(3)}"),
-            match_term(MatchCommunity(c), route),
-            match_term(MatchMedRange(0, rng.randrange(4)), route),
-            match_term(MatchPrefix((PrefixRange(Prefix.parse("10.0.0.0/8"), 8, 24),)), route),
-        ]
-    )
+    drawn = match_term(draws.match(rng), route)
+    return rng.choice([smt.true(), smt.false(), smt.bool_var(f"c{rng.randrange(3)}"), drawn])
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -228,14 +192,14 @@ def test_merge_equals_the_full_pointwise_merge_on_random_route_maps(seed):
     """Fold random clauses the way ``transfer_route_map`` does, checking every
     merge against the one-``ite``-per-atom reference."""
     rng = random.Random(seed)
-    route = SymbolicRoute.fresh("r", UNIVERSE)
+    route = SymbolicRoute.fresh("r", draws.UNIVERSE)
     if rng.random() < 0.5:
         route = route.with_ghost("FromISP1", rng.choice([smt.true(), smt.false()]))
     output = route
     for __ in range(rng.randrange(1, 6)):
         applied = route
         for ___ in range(rng.randrange(3)):
-            applied = apply_action(_random_action(rng), applied)
+            applied = apply_action(draws.action(rng), applied)
         if rng.random() < 0.3:
             applied = applied.with_ghost("FromISP1", smt.bool_var("g"))
         output = assert_merges_agree(applied, _random_cond(rng, route), output)

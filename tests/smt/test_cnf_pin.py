@@ -34,7 +34,7 @@ from repro.smt import terms as T
 from repro.smt.encode import Bits, Encoder, conjuncts
 from repro.smt.sat import SatSolver
 from repro.workloads.fullmesh import build_full_mesh
-from tests import oracle
+from tests import draws, oracle
 
 
 class ReferenceEncoder:
@@ -218,42 +218,8 @@ def _state(sat: SatSolver) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Random terms over small widths
+# Random terms over small widths (``tests/draws.py``)
 # ---------------------------------------------------------------------------
-
-_BV_NODES = (T.BvAnd, T.BvAdd)
-_CMP_NODES = (T.BvEq, T.BvUlt, T.BvUle)
-
-
-def _bv(rng: random.Random, width: int, depth: int) -> T.Term:
-    roll = rng.random()
-    if depth == 0 or roll < 0.3:
-        if rng.random() < 0.5:
-            return T.BvConst(rng.randrange(2**width), width)
-        return T.BvVar(rng.choice("xyz"), width)
-    if roll < 0.5:
-        return T.BvIte(
-            _bool(rng, width, depth - 1), _bv(rng, width, depth - 1), _bv(rng, width, depth - 1)
-        )
-    node = rng.choice(_BV_NODES)
-    return node(_bv(rng, width, depth - 1), _bv(rng, width, depth - 1))
-
-
-def _bool(rng: random.Random, width: int, depth: int) -> T.Term:
-    roll = rng.random()
-    if depth == 0 or roll < 0.15:
-        if rng.random() < 0.2:
-            return T.BoolConst(rng.random() < 0.5)
-        return T.BoolVar(rng.choice("pqr"))
-    if roll < 0.25:
-        return T.Not(_bool(rng, width, depth - 1))
-    if roll < 0.4:
-        node = T.And if rng.random() < 0.5 else T.Or
-        return node(tuple(_bool(rng, width, depth - 1) for _ in range(rng.randint(2, 3))))
-    if roll < 0.5:
-        return T.Ite(*(_bool(rng, width, depth - 1) for _ in range(3)))
-    node = rng.choice(_CMP_NODES)
-    return node(_bv(rng, width, depth - 1), _bv(rng, width, depth - 1))
 
 
 def _root_unit(rng: random.Random, width: int) -> T.Term:
@@ -278,9 +244,9 @@ def _script(seed: int) -> list[tuple[str, T.Term]]:
         if roll < 0.25:
             steps.append(("assert", _root_unit(rng, width)))
         elif roll < 0.4:
-            steps.append(("assert", _bool(rng, width, 3)))
+            steps.append(("assert", draws.bool_term(rng, width, 3)))
         else:
-            steps.append(("literal", _bool(rng, width, 4)))
+            steps.append(("literal", draws.bool_term(rng, width, 4)))
     return steps
 
 

@@ -24,8 +24,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from repro import smt
 from repro.smt import terms as T
@@ -33,7 +31,8 @@ from repro.smt.encode import Encoder
 from repro.smt.sat import SatSolver
 from repro.smt.solver import CheckSession, Model
 
-BOOLS = (T.BoolVar("p"), T.BoolVar("q"))
+from tests import draws
+
 DEPTH = 4
 
 
@@ -64,49 +63,10 @@ def test_gates_on_concrete_operands(width):
             assert answer is (smt.Result.SAT if holds else smt.Result.UNSAT), (width, a, b, atom)
 
 
-def _bv_vars(width: int) -> tuple[T.Term, T.Term]:
-    return T.BvVar("x", width), T.BvVar("y", width)
-
-
-@st.composite
-def bv_terms(draw, width: int, depth: int) -> T.Term:
-    kind = draw(st.sampled_from(["var", "const"] if depth == 0 else _BV_KINDS))
-    if kind == "var":
-        return draw(st.sampled_from(_bv_vars(width)))
-    if kind == "const":
-        return T.BvConst(draw(st.integers(0, 2**width - 1)), width)
-    if kind == "ite":
-        return T.BvIte(
-            draw(bool_terms(width, depth - 1)),
-            draw(bv_terms(width, depth - 1)),
-            draw(bv_terms(width, depth - 1)),
-        )
-    node = {"and": T.BvAnd, "add": T.BvAdd}[kind]
-    return node(draw(bv_terms(width, depth - 1)), draw(bv_terms(width, depth - 1)))
-
-
-@st.composite
-def bool_terms(draw, width: int, depth: int) -> T.Term:
-    kind = draw(st.sampled_from(["var", "const"] if depth == 0 else _BOOL_KINDS))
-    if kind == "var":
-        return draw(st.sampled_from(BOOLS))
-    if kind == "const":
-        return T.BoolConst(draw(st.booleans()))
-    if kind == "not":
-        return T.Not(draw(bool_terms(width, depth - 1)))
-    if kind in ("and", "or"):
-        args = draw(st.lists(bool_terms(width, depth - 1), min_size=2, max_size=3))
-        return (T.And if kind == "and" else T.Or)(tuple(args))
-    if kind == "ite":
-        return T.Ite(*(draw(bool_terms(width, depth - 1)) for _ in range(3)))
-    node = {"eq": T.BvEq, "ult": T.BvUlt, "ule": T.BvUle}[kind]
-    return node(draw(bv_terms(width, depth - 1)), draw(bv_terms(width, depth - 1)))
-
-
-_BV_KINDS = ["var", "const", "ite", "and", "add"]
-_BOOL_KINDS = ["var", "const", "not", "and", "or", "ite", "eq", "ult", "ule"]
-
-WIDTHS = st.integers(1, 3)
+def _term(rng: random.Random, width: int, depth: int = DEPTH) -> T.Term:
+    # Two variables of each sort keep the brute force at most 2^2 * 8^2
+    # assignments.
+    return draws.bool_term(rng, width, depth, variables=2)
 
 
 def satisfiable(assertions, width: int) -> bool:
@@ -139,32 +99,37 @@ def _assert_agrees(result, model_of, assertions, sat: bool) -> None:
         assert all(model.eval_bool(a) for a in assertions)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_solver_is_sat_iff_brute_force_finds_a_model(data):
-    width = data.draw(WIDTHS)
-    term = data.draw(bool_terms(width, DEPTH))
+SOLVER_SEEDS, SESSION_SEEDS = range(300), range(300, 450)
+
+
+def _solver_input(seed: int) -> tuple[int, T.Term]:
+    rng = random.Random(seed)
+    width = rng.randint(1, 3)
+    return width, _term(rng, width)
+
+
+@pytest.mark.parametrize("seed", SOLVER_SEEDS)
+def test_solver_is_sat_iff_brute_force_finds_a_model(seed):
+    width, term = _solver_input(seed)
     solver = smt.Solver()
     solver.add(term)
     _assert_agrees(solver.check(), solver.model, [term], satisfiable([term], width))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_long_lived_session_agrees_with_brute_force_on_every_query(data):
+@pytest.mark.parametrize("seed", SESSION_SEEDS)
+def test_long_lived_session_agrees_with_brute_force_on_every_query(seed):
     # One encoder across a sequence of queries: gate memo hits, a
     # prepare()d conjunct that later checks skip, conjuncts that fold to
     # true (dropped) and to false (UNSAT without a solve).
-    width = data.draw(WIDTHS)
-    shared = data.draw(bool_terms(width, DEPTH - 1))
-    assume(satisfiable([shared], width))
+    rng = random.Random(seed)
+    width = rng.randint(1, 3)
+    shared = _term(rng, width, DEPTH - 1)
+    while not satisfiable([shared], width):
+        shared = _term(rng, width, DEPTH - 1)
     session = CheckSession()
     session.prepare((shared,))
-    queries = data.draw(
-        st.lists(st.lists(bool_terms(width, DEPTH), min_size=1, max_size=3), min_size=2, max_size=5)
-    )
-    for extra in queries:
-        assertions = [shared, *extra]
+    for __ in range(rng.randint(2, 5)):
+        assertions = [shared, *(_term(rng, width) for __ in range(rng.randint(1, 3)))]
         sat = satisfiable(assertions, width)
         _assert_agrees(session.check(assertions), session.model, assertions, sat)
         fresh = smt.Solver()
@@ -183,22 +148,23 @@ def test_prepare_rejects_a_fragment_that_encodes_to_false():
     assert session.check([T.BoolVar("p")]) is smt.Result.SAT
 
 
-def test_every_node_kind_is_reachable_by_the_strategies():
+def test_every_node_kind_is_drawn_by_the_solver_seeds():
     # The oracle is only as good as its coverage: a node class added to the
-    # encoder's dispatch table must be added to the strategies above too.
-    # And the table is the fragment: every concrete term class has exactly
-    # one encoder node, and no node outlives its class.
-    named = {
-        T.BoolVar, T.BoolConst, T.Not, T.And, T.Or, T.Ite, T.BvEq, T.BvUlt, T.BvUle,
-        T.BvVar, T.BvConst, T.BvIte, T.BvAnd, T.BvAdd,
-    }  # fmt: skip
-    assert set(Encoder._NODE) == named
+    # encoder's dispatch table must be drawn by the seeds above too.  And
+    # the table is the fragment: every concrete term class has exactly one
+    # encoder node, and no node outlives its class.
     concrete = {
         cls for cls in vars(T).values()
         if isinstance(cls, type) and issubclass(cls, T.Term)
         and cls is not T.Term and not cls.__name__.startswith("_")
     }  # fmt: skip
     assert concrete == set(Encoder._NODE)
+    drawn, stack = set(), [_solver_input(seed)[1] for seed in SOLVER_SEEDS]
+    while stack:
+        node = stack.pop()
+        drawn.add(type(node))
+        stack.extend(node.children())
+    assert drawn == concrete
 
 
 def test_model_evaluates_chain_deeper_than_the_recursion_limit():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bgp.configjson import config_to_json
+from repro.bgp.configjson import config_from_json, config_to_json
 from repro.bgp.topology import Edge
 from repro.cli import GC_THRESHOLD, main
 from repro.lang.predicates import (
@@ -474,19 +474,36 @@ def test_cli_reverify_accepts_budget_and_verbose(tmp_path, cli_inputs, capsys):
     assert "base: " in out  # verbose shows the base run summary too
 
 
-def test_cli_diff(tmp_path, capsys):
-    old = build_figure1()
-    new = build_figure1()
+def _import_map_edit(config):
     from repro.bgp.policy import RouteMap
 
-    new.routers["R2"].neighbors["R1"].import_map = RouteMap.permit_all()
+    config.routers["R2"].neighbors["R1"].import_map = RouteMap.permit_all()
+
+
+def _external_asn_edit(config):
+    # An external with no session, so the edit leaves the network valid.
+    config.set_external_asn("E9", 10)
+
+
+DIFFS = {
+    "import-map": (_import_map_edit, "changed: R2\n  R2: R1: import route-map changed\n"),
+    "external-asn": (_external_asn_edit, "external ASN changed: E9\n  E9: asn 9 -> 10\n"),
+}
+
+
+@pytest.mark.parametrize("edit, expected", DIFFS.values(), ids=DIFFS)
+def test_cli_diff(tmp_path, capsys, edit, expected):
+    old = build_figure1()
+    old.topology.add_external("E9")
+    old.set_external_asn("E9", 9)
+    new = config_from_json(config_to_json(old))
+    edit(new)
     old_path = tmp_path / "old.json"
     new_path = tmp_path / "new.json"
     old_path.write_text(config_to_json(old))
     new_path.write_text(config_to_json(new))
     assert main(["diff", str(old_path), str(new_path)]) == 1
-    out = capsys.readouterr().out
-    assert "changed: R2" in out
+    assert capsys.readouterr().out == expected
     assert main(["diff", str(old_path), str(old_path)]) == 0
 
 
