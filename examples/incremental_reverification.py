@@ -21,13 +21,13 @@ from repro.bgp.topology import Edge
 from repro.core import SafetyProperty, Workspace
 from repro.core.properties import InvariantMap
 from repro.lang import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
+from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, PrefixIn
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
 
 def edited_figure1():
     """Figure 1 with a benign edit: R3 also rejects a martian prefix."""
-    from repro.bgp.policy import Disposition, MatchPrefix
+    from repro.bgp.policy import Disposition
     from repro.bgp.prefix import PrefixRange
 
     edited = build_figure1()
@@ -38,7 +38,7 @@ def edited_figure1():
             RouteMapClause(
                 1,
                 Disposition.DENY,
-                matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
+                matches=(PrefixIn((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
             ),
         )
         + old.clauses,

@@ -2,9 +2,11 @@
 message-passing simulator implementing the trace semantics of §3 of the
 paper.
 
-This package has no dependency on the SMT layer; it provides the *concrete*
-semantics that the symbolic layer (:mod:`repro.lang`) mirrors and that the
-test suite uses as ground truth.
+It provides the *concrete* semantics that the symbolic layer
+(:mod:`repro.lang`) mirrors and that the test suite uses as ground truth.
+Route-map conditions are :mod:`repro.lang.predicates` values, so a
+configuration holds objects of the symbolic layer (which imports the SMT
+layer); this package only calls their ``holds``.
 
 The package namespace re-exports the data model (routes, prefixes,
 topology, policies, configurations) and the JSON codec.  The simulator
@@ -22,18 +24,6 @@ from repro.bgp.policy import (
     AddCommunity,
     ClearCommunities,
     DeleteCommunity,
-    Match,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchAsPathLength,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNextHopIn,
-    MatchNot,
-    MatchOrigin,
-    MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
@@ -59,18 +49,6 @@ __all__ = [
     "AddCommunity",
     "ClearCommunities",
     "DeleteCommunity",
-    "Match",
-    "MatchAll",
-    "MatchAny",
-    "MatchAsPathContains",
-    "MatchAsPathLength",
-    "MatchCommunity",
-    "MatchLocalPrefRange",
-    "MatchMedRange",
-    "MatchNextHopIn",
-    "MatchNot",
-    "MatchOrigin",
-    "MatchPrefix",
     "PrependAsPath",
     "RouteMap",
     "RouteMapClause",

@@ -6,32 +6,25 @@ that turns a configuration document into a :class:`NetworkConfig`: the
 text dialect (:mod:`repro.bgp.configparse`) lowers to the same document, so
 both input formats mean the same network and report a defect with the same
 message.
+
+Route-map conditions (:mod:`repro.lang.predicates`) and actions, and a
+spec's predicates, go through one codec, :func:`to_doc` / :func:`from_doc`,
+driven by a :class:`KindTable` per format.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from dataclasses import MISSING, fields
+from functools import cache
+from typing import Any, Callable
 
 from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import (
-    Action,
     AddCommunity,
     ClearCommunities,
     DeleteCommunity,
     Disposition,
-    Match,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchAsPathLength,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNextHopIn,
-    MatchNot,
-    MatchOrigin,
-    MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
@@ -50,52 +43,6 @@ from repro.bgp.topology import Topology
 # ---------------------------------------------------------------------------
 
 
-def _match_to_json(match: Match) -> dict[str, Any]:
-    if isinstance(match, MatchCommunity):
-        return {"kind": "community", "community": str(match.community)}
-    if isinstance(match, MatchPrefix):
-        return {"kind": "prefix", "ranges": [str(r) for r in match.ranges]}
-    if isinstance(match, MatchAsPathContains):
-        return {"kind": "as-path-contains", "asn": match.asn}
-    if isinstance(match, MatchAsPathLength):
-        return {"kind": "as-path-length", "low": match.low, "high": match.high}
-    if isinstance(match, MatchOrigin):
-        return {"kind": "origin", "origin": match.origin}
-    if isinstance(match, MatchNextHopIn):
-        return {"kind": "next-hop", "prefixes": [str(p) for p in match.prefixes]}
-    if isinstance(match, MatchMedRange):
-        return {"kind": "med", "low": match.low, "high": match.high}
-    if isinstance(match, MatchLocalPrefRange):
-        return {"kind": "local-pref", "low": match.low, "high": match.high}
-    if isinstance(match, MatchNot):
-        return {"kind": "not", "inner": _match_to_json(match.inner)}
-    if isinstance(match, MatchAny):
-        return {"kind": "any", "inners": [_match_to_json(m) for m in match.inners]}
-    if isinstance(match, MatchAll):
-        return {"kind": "all", "inners": [_match_to_json(m) for m in match.inners]}
-    raise TypeError(f"cannot serialise match {match!r}")
-
-
-def _action_to_json(action: Action) -> dict[str, Any]:
-    if isinstance(action, SetLocalPref):
-        return {"kind": "set-local-pref", "value": action.value}
-    if isinstance(action, SetMed):
-        return {"kind": "set-med", "value": action.value}
-    if isinstance(action, SetNextHop):
-        return {"kind": "set-next-hop", "value": action.value}
-    if isinstance(action, AddCommunity):
-        return {"kind": "add-community", "community": str(action.community)}
-    if isinstance(action, DeleteCommunity):
-        return {"kind": "delete-community", "community": str(action.community)}
-    if isinstance(action, ClearCommunities):
-        return {"kind": "clear-communities"}
-    if isinstance(action, PrependAsPath):
-        return {"kind": "prepend", "asn": action.asn, "count": action.count}
-    if isinstance(action, SetOrigin):
-        return {"kind": "set-origin", "origin": action.origin}
-    raise TypeError(f"cannot serialise action {action!r}")
-
-
 def _route_to_json(route: Route) -> dict[str, Any]:
     return {
         "prefix": str(route.prefix),
@@ -109,14 +56,15 @@ def _route_to_json(route: Route) -> dict[str, Any]:
 
 
 def _route_map_to_json(route_map: RouteMap) -> dict[str, Any]:
+    conditions = condition_kinds()
     return {
         "name": route_map.name,
         "clauses": [
             {
                 "seq": c.seq,
                 "disposition": c.disposition.value,
-                "matches": [_match_to_json(m) for m in c.matches],
-                "actions": [_action_to_json(a) for a in c.actions],
+                "matches": [to_doc(m, conditions) for m in c.matches],
+                "actions": [to_doc(a, ACTION_KINDS) for a in c.actions],
             }
             for c in route_map.clauses
         ],
@@ -155,15 +103,10 @@ def config_to_json(config: NetworkConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def canonical_match(doc: Any) -> dict[str, Any]:
-    """A match document decoded and re-encoded: checked, and spelled as
-    :func:`config_to_json` spells it."""
-    return _match_to_json(_match_from_json(doc))
-
-
-def canonical_action(doc: Any) -> dict[str, Any]:
-    """An action document, checked and spelled as :func:`config_to_json` does."""
-    return _action_to_json(_action_from_json(doc))
+def canonical(doc: Any, kinds: KindTable) -> dict[str, Any]:
+    """A match or action document decoded and re-encoded: checked, and
+    spelled as :func:`config_to_json` spells it."""
+    return to_doc(from_doc(doc, kinds), kinds)
 
 
 def canonical_route(doc: Any) -> dict[str, Any]:
@@ -218,52 +161,131 @@ def _int(doc: dict[str, Any], key: str) -> int:
     return value
 
 
-def _match_from_json(doc: Any) -> Match:
-    kind = _object(doc, "a match")["kind"]
-    if kind == "community":
-        return MatchCommunity(Community.parse(doc["community"]))
-    if kind == "prefix":
-        return MatchPrefix(tuple(PrefixRange.parse(r) for r in doc["ranges"]))
-    if kind == "as-path-contains":
-        return MatchAsPathContains(doc["asn"])
-    if kind == "as-path-length":
-        return MatchAsPathLength(doc["low"], doc["high"])
-    if kind == "origin":
-        return MatchOrigin(doc["origin"])
-    if kind == "next-hop":
-        return MatchNextHopIn(tuple(Prefix.parse(p) for p in doc["prefixes"]))
-    if kind == "med":
-        return MatchMedRange(doc["low"], doc["high"])
-    if kind == "local-pref":
-        return MatchLocalPrefRange(doc["low"], doc["high"])
-    if kind == "not":
-        return MatchNot(_match_from_json(doc["inner"]))
-    if kind == "any":
-        return MatchAny(tuple(_match_from_json(m) for m in doc["inners"]))
-    if kind == "all":
-        return MatchAll(tuple(_match_from_json(m) for m in doc["inners"]))
-    raise ValueError(f"unknown match kind {kind!r}")
+# ---------------------------------------------------------------------------
+# Kind-tagged values: one codec, a kind-name table per format
+# ---------------------------------------------------------------------------
+#
+# A document is ``{"kind": NAME, FIELD: value, ...}``: the table names the
+# class, the other keys are its dataclass fields.  Nested predicates are
+# documents, communities, prefix ranges and prefixes strings, the rest
+# JSON scalars.
 
 
-def _action_from_json(doc: Any) -> Action:
-    kind = _object(doc, "an action")["kind"]
-    if kind == "set-local-pref":
-        return SetLocalPref(doc["value"])
-    if kind == "set-med":
-        return SetMed(doc["value"])
-    if kind == "set-next-hop":
-        return SetNextHop(doc["value"])
-    if kind == "add-community":
-        return AddCommunity(Community.parse(doc["community"]))
-    if kind == "delete-community":
-        return DeleteCommunity(Community.parse(doc["community"]))
-    if kind == "clear-communities":
-        return ClearCommunities()
-    if kind == "prepend":
-        return PrependAsPath(doc["asn"], doc.get("count", 1))
-    if kind == "set-origin":
-        return SetOrigin(doc["origin"])
-    raise ValueError(f"unknown action kind {kind!r}")
+class KindTable:
+    """How one format spells one family of values (route-map conditions,
+    actions, spec predicates): the class each kind name stands for, the
+    noun its errors use, and the message refusing each list field the
+    format requires non-empty."""
+
+    def __init__(
+        self, noun: str, classes: dict[str, type], nonempty: dict[str, str] | None = None
+    ) -> None:
+        self.noun = noun
+        self.what = f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
+        self.names = {cls: kind for kind, cls in classes.items()}
+        # kind -> (class, its (field, default) pairs)
+        self.classes = {
+            kind: (cls, tuple((f.name, f.default) for f in fields(cls)))
+            for kind, cls in classes.items()
+        }
+        self.nonempty = nonempty or {}
+
+
+#: field -> (encode, decode), for the fields spelled as strings.
+_SPELLED: dict[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "community": (str, Community.parse),
+    "ranges": (lambda rs: [str(r) for r in rs], lambda docs: tuple(map(PrefixRange.parse, docs))),
+    "prefixes": (lambda ps: [str(p) for p in ps], lambda docs: tuple(map(Prefix.parse, docs))),
+}
+#: The fields holding one nested predicate; ``inners`` holds a list.
+_NESTED = ("inner", "antecedent", "consequent")
+
+
+def to_doc(value: Any, kinds: KindTable) -> dict[str, Any]:
+    """``value`` as a document of the format ``kinds`` describes."""
+    kind = kinds.names.get(type(value))
+    if kind is None:
+        raise TypeError(f"cannot serialise {kinds.noun} {value!r}")
+    doc: dict[str, Any] = {"kind": kind}
+    for name, __ in kinds.classes[kind][1]:
+        field = getattr(value, name)
+        if name in _NESTED:
+            field = to_doc(field, kinds)
+        elif name == "inners":
+            field = [to_doc(inner, kinds) for inner in field]
+        elif name in _SPELLED:
+            field = _SPELLED[name][0](field)
+        doc[name] = field
+    return doc
+
+
+def from_doc(doc: Any, kinds: KindTable) -> Any:
+    """The value a document of the format ``kinds`` describes.  A missing
+    field raises :class:`KeyError`; a document that is not an object, a
+    kind the format lacks and a list it refuses empty raise
+    :class:`ValueError`."""
+    kind = _object(doc, kinds.what)["kind"]
+    entry = kinds.classes.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValueError(f"unknown {kinds.noun} kind {kind!r}")
+    cls, params = entry
+    args = []
+    for name, default in params:
+        field = doc[name] if default is MISSING else doc.get(name, default)
+        if name in _NESTED:
+            field = from_doc(field, kinds)
+        elif name == "inners":
+            field = tuple(from_doc(inner, kinds) for inner in field)
+        elif name in _SPELLED:
+            field = _SPELLED[name][1](field)
+            if not field and name in kinds.nonempty:
+                raise ValueError(kinds.nonempty[name])
+        args.append(field)
+    return cls(*args)
+
+
+ACTION_KINDS = KindTable(
+    "action",
+    {
+        "set-local-pref": SetLocalPref,
+        "set-med": SetMed,
+        "set-next-hop": SetNextHop,
+        "add-community": AddCommunity,
+        "delete-community": DeleteCommunity,
+        "clear-communities": ClearCommunities,
+        "prepend": PrependAsPath,
+        "set-origin": SetOrigin,
+    },
+)
+
+
+@cache
+def condition_kinds() -> KindTable:
+    """Route-map conditions: the predicate kinds a router can test (no
+    ghost, ``true``, ``false`` or ``implies``), as :func:`config_to_json`
+    spells them; an empty prefix or next-hop list is refused."""
+    from repro.lang import predicates as p  # repro.lang imports this package
+
+    return KindTable(
+        "match",
+        {
+            "community": p.HasCommunity,
+            "prefix": p.PrefixIn,
+            "as-path-contains": p.AsPathHas,
+            "as-path-length": p.AsPathLenIn,
+            "origin": p.OriginIs,
+            "next-hop": p.NextHopIn,
+            "med": p.MedIn,
+            "local-pref": p.LocalPrefIn,
+            "not": p.Not,
+            "any": p.AnyOf,
+            "all": p.AllOf,
+        },
+        nonempty={
+            "ranges": "prefix list must have at least one entry",
+            "prefixes": "next-hop match needs at least one prefix",
+        },
+    )
 
 
 def _route_from_json(doc: Any) -> Route:
@@ -286,8 +308,12 @@ def _clause_from_json(doc: Any) -> RouteMapClause:
     return RouteMapClause(
         seq=_int(doc, "seq"),
         disposition=Disposition(doc["disposition"]),
-        matches=tuple(_match_from_json(m) for m in _array(doc.get("matches", []), '"matches"')),
-        actions=tuple(_action_from_json(a) for a in _array(doc.get("actions", []), '"actions"')),
+        matches=tuple(
+            from_doc(m, condition_kinds()) for m in _array(doc.get("matches", []), '"matches"')
+        ),
+        actions=tuple(
+            from_doc(a, ACTION_KINDS) for a in _array(doc.get("actions", []), '"actions"')
+        ),
     )
 
 

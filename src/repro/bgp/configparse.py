@@ -41,9 +41,10 @@ from typing import Any
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.configjson import (
-    canonical_action,
-    canonical_match,
+    ACTION_KINDS,
+    canonical,
     canonical_route,
+    condition_kinds,
     config_from_doc,
 )
 from repro.bgp.prefix import parse_ipv4
@@ -149,13 +150,13 @@ class _Lowering:
                 match = {"kind": "not", "inner": _match(tokens[2:])}
             else:
                 match = _match(tokens[1:])
-            self.clause["matches"].append(canonical_match(match))
+            self.clause["matches"].append(canonical(match, condition_kinds()))
         elif head in ("set", "add", "delete", "clear", "prepend"):
             if self.clause is None:
                 raise ValueError(f"'{head}' outside a clause")
             if self.clause["disposition"] == "deny":
                 raise ValueError("deny clauses cannot carry actions")
-            self.clause["actions"].append(canonical_action(_action(tokens)))
+            self.clause["actions"].append(canonical(_action(tokens), ACTION_KINDS))
         else:
             raise ValueError(f"unknown keyword {head!r}")
 
@@ -202,8 +203,8 @@ def _match(args: list[str]) -> dict[str, Any]:
     kind = args[0]
     if kind == "community":
         return {"kind": kind, "community": args[1]}
-    if kind == "prefix":
-        return {"kind": kind, "ranges": [" ".join(args[1:])]}
+    if kind == "prefix":  # no range: the builder's empty-list refusal
+        return {"kind": kind, "ranges": [" ".join(args[1:])] if args[1:] else []}
     if kind == "as-path-contains":
         return {"kind": kind, "asn": int(args[1])}
     if kind in ("as-path-length", "med", "local-pref"):

@@ -6,9 +6,12 @@ attribute-modifying actions applied when a permit clause matches.  The first
 matching clause decides; a route matching no clause is denied (the standard
 implicit deny).
 
-The same clause structure is interpreted twice in this system: concretely
-here (:meth:`RouteMap.apply`) and symbolically in :mod:`repro.lang.transfer`.
-Seeded differential tests assert the two agree on drawn routes.
+A match condition is a set of routes, so it is a
+:class:`repro.lang.predicates.Predicate`, the language of properties and
+invariants (named here for annotations only: :mod:`repro.lang` imports
+this package).  :meth:`RouteMap.apply` calls each condition's ``holds``,
+:func:`repro.lang.transfer.transfer_route_map` its ``to_term``; seeded
+differential tests assert the two agree on drawn routes.
 """
 
 from __future__ import annotations
@@ -16,154 +19,12 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, fields, is_dataclass
+from typing import TYPE_CHECKING
 
-from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route, hash_once
 
-
-# ---------------------------------------------------------------------------
-# Match conditions
-# ---------------------------------------------------------------------------
-
-
-class Match:
-    """Base class of route-map match conditions."""
-
-    def matches(self, route: Route) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class MatchCommunity(Match):
-    """Matches routes tagged with the given community."""
-
-    community: Community
-
-    def matches(self, route: Route) -> bool:
-        return self.community in route.communities
-
-
-@dataclass(frozen=True)
-class MatchPrefix(Match):
-    """Matches routes whose prefix satisfies any entry of a prefix list."""
-
-    ranges: tuple[PrefixRange, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.ranges, tuple):
-            object.__setattr__(self, "ranges", tuple(self.ranges))
-        if not self.ranges:
-            raise ValueError("prefix list must have at least one entry")
-
-    def matches(self, route: Route) -> bool:
-        return any(r.matches(route.prefix) for r in self.ranges)
-
-
-@dataclass(frozen=True)
-class MatchAsPathContains(Match):
-    """Matches routes whose AS path mentions the given ASN."""
-
-    asn: int
-
-    def matches(self, route: Route) -> bool:
-        return self.asn in route.as_path
-
-
-@dataclass(frozen=True)
-class MatchMedRange(Match):
-    """Matches routes whose MED lies in [low, high]."""
-
-    low: int
-    high: int
-
-    def matches(self, route: Route) -> bool:
-        return self.low <= route.med <= self.high
-
-
-@dataclass(frozen=True)
-class MatchLocalPrefRange(Match):
-    """Matches routes whose local preference lies in [low, high]."""
-
-    low: int
-    high: int
-
-    def matches(self, route: Route) -> bool:
-        return self.low <= route.local_pref <= self.high
-
-
-@dataclass(frozen=True)
-class MatchAsPathLength(Match):
-    """Matches routes whose AS-path length lies in [low, high]."""
-
-    low: int
-    high: int
-
-    def matches(self, route: Route) -> bool:
-        return self.low <= len(route.as_path) <= self.high
-
-
-@dataclass(frozen=True)
-class MatchOrigin(Match):
-    """Matches routes with the given BGP origin code (0=IGP,1=EGP,2=?)."""
-
-    origin: int
-
-    def matches(self, route: Route) -> bool:
-        return route.origin == self.origin
-
-
-@dataclass(frozen=True)
-class MatchNextHopIn(Match):
-    """Matches routes whose next hop lies in any of the given prefixes."""
-
-    prefixes: tuple["Prefix", ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.prefixes, tuple):
-            object.__setattr__(self, "prefixes", tuple(self.prefixes))
-        if not self.prefixes:
-            raise ValueError("next-hop match needs at least one prefix")
-
-    def matches(self, route: Route) -> bool:
-        return any(p.contains_address(route.next_hop) for p in self.prefixes)
-
-
-@dataclass(frozen=True)
-class MatchNot(Match):
-    """Negation of another condition."""
-
-    inner: Match
-
-    def matches(self, route: Route) -> bool:
-        return not self.inner.matches(route)
-
-
-@dataclass(frozen=True)
-class MatchAny(Match):
-    """Disjunction of conditions (empty = never matches)."""
-
-    inners: tuple[Match, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.inners, tuple):
-            object.__setattr__(self, "inners", tuple(self.inners))
-
-    def matches(self, route: Route) -> bool:
-        return any(m.matches(route) for m in self.inners)
-
-
-@dataclass(frozen=True)
-class MatchAll(Match):
-    """Conjunction of conditions (empty = always matches)."""
-
-    inners: tuple[Match, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.inners, tuple):
-            object.__setattr__(self, "inners", tuple(self.inners))
-
-    def matches(self, route: Route) -> bool:
-        return all(m.matches(route) for m in self.inners)
+if TYPE_CHECKING:
+    from repro.lang.predicates import Predicate
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +124,7 @@ class RouteMapClause:
 
     seq: int
     disposition: Disposition = Disposition.PERMIT
-    matches: tuple[Match, ...] = ()
+    matches: tuple[Predicate, ...] = ()
     actions: tuple[Action, ...] = ()
 
     def __post_init__(self) -> None:
@@ -275,7 +136,7 @@ class RouteMapClause:
             raise ValueError("deny clauses cannot carry set actions")
 
     def matches_route(self, route: Route) -> bool:
-        return all(m.matches(route) for m in self.matches)
+        return all(m.holds(route) for m in self.matches)
 
     def apply_actions(self, route: Route) -> Route:
         for action in self.actions:
@@ -328,7 +189,7 @@ class RouteMap:
 # policy applied here".  ``repr`` is not a safe key: it leaks the iteration
 # order of unordered containers (``frozenset`` community sets, ghost dicts),
 # which varies with insertion order and hash seed.  ``canonical_policy``
-# converts any policy object — matches, actions, clauses, route maps, routes —
+# converts any policy object — conditions, actions, clauses, route maps, routes —
 # into nested tuples of primitives where every unordered container is sorted,
 # so structurally equal policies produce identical keys in every process.
 
@@ -369,7 +230,7 @@ def canonical_policy(obj: object) -> object:
             tuple(sorted(obj.ghost.items())),
         )
     if is_dataclass(obj) and not isinstance(obj, type):
-        # Covers Match/Action subclasses, RouteMapClause, RouteMap,
+        # Covers predicates, Action subclasses, RouteMapClause, RouteMap,
         # Community, Prefix, and PrefixRange: all frozen tuples of fields.
         names = _field_names[cls] = tuple(f.name for f in fields(obj))
         return (cls.__name__,) + tuple(canonical_policy(getattr(obj, n)) for n in names)

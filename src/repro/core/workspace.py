@@ -104,7 +104,10 @@ from repro.lang.predicates import Predicate
 # Format 10: the format is an ASCII header ahead of the seal, so nothing is
 # unpickled before the digest holds; the payload holds no configuration, no
 # ghosts and one conflict budget for the workspace, not one per tracker.
-CACHE_FORMAT = 10
+# Format 11: route-map match conditions are predicates, so every route-map
+# digest names predicate classes; a format 10 cache is refused by its
+# header, not reported as another configuration.
+CACHE_FORMAT = 11
 _PREFIX = b"lightyear-cache "
 _HEADER = _PREFIX + b"%d\n" % CACHE_FORMAT
 _DIGEST_LEN = hashlib.sha256().digest_size

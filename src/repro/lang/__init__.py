@@ -6,9 +6,11 @@ SMT substrate (:mod:`repro.smt`).  A :class:`SymbolicRoute` represents an
 arbitrary route announcement as bit-vector/boolean terms over a finite
 :class:`AttributeUniverse`; :func:`transfer_route_map` symbolically executes
 a route map, producing the ``(accepted, output)`` pair the local checks
-constrain; and :mod:`repro.lang.predicates` is the user-facing language for
-the paper's invariants ``I_l``, path constraints ``C_i``, and properties
-``P``.
+constrain; and :mod:`repro.lang.predicates` is the one language of route
+sets: the paper's invariants ``I_l``, path constraints ``C_i`` and
+properties ``P``, and the match conditions of every route-map clause
+(:mod:`repro.bgp` holds them in its configurations and evaluates them
+concretely).
 """
 
 from repro.lang.universe import AttributeUniverse

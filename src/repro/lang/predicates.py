@@ -10,6 +10,10 @@ description of such a set that can be interpreted twice:
   used to cross-validate verified properties against simulator traces and
   to explain counterexamples.
 
+A route-map clause's match conditions are predicates too (a filter tests a
+set of routes, §3): :meth:`repro.bgp.policy.RouteMap.apply` calls their
+``holds``, :func:`repro.lang.transfer.transfer_route_map` their ``to_term``.
+
 :func:`prefix_projection` computes a sound over-approximation of the §5.2
 set ``Prefix(C_i)`` used in no-interference checks.
 
@@ -27,7 +31,15 @@ from dataclasses import dataclass
 from repro import smt
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route, hash_once
-from repro.lang.symroute import ADDR_WIDTH, LEN_WIDTH, SymbolicRoute
+from repro.lang.symroute import (
+    ADDR_WIDTH,
+    LEN_WIDTH,
+    MED_WIDTH,
+    ORIGIN_WIDTH,
+    PATHLEN_WIDTH,
+    PREF_WIDTH,
+    SymbolicRoute,
+)
 from repro.smt.terms import Term, register_intern_dependent
 
 
@@ -224,8 +236,6 @@ class LocalPrefIn(Predicate):
     high: int
 
     def to_term(self, route: SymbolicRoute) -> Term:
-        from repro.lang.symroute import PREF_WIDTH
-
         return smt.and_(
             smt.bv_ule(smt.bv_const(self.low, PREF_WIDTH), route.local_pref),
             smt.bv_ule(route.local_pref, smt.bv_const(self.high, PREF_WIDTH)),
@@ -247,8 +257,6 @@ class MedIn(Predicate):
     high: int
 
     def to_term(self, route: SymbolicRoute) -> Term:
-        from repro.lang.symroute import MED_WIDTH
-
         return smt.and_(
             smt.bv_ule(smt.bv_const(self.low, MED_WIDTH), route.med),
             smt.bv_ule(route.med, smt.bv_const(self.high, MED_WIDTH)),
@@ -270,8 +278,6 @@ class AsPathLenIn(Predicate):
     high: int
 
     def to_term(self, route: SymbolicRoute) -> Term:
-        from repro.lang.symroute import PATHLEN_WIDTH
-
         return smt.and_(
             smt.bv_ule(smt.bv_const(self.low, PATHLEN_WIDTH), route.as_path_len),
             smt.bv_ule(route.as_path_len, smt.bv_const(self.high, PATHLEN_WIDTH)),
@@ -292,8 +298,6 @@ class OriginIs(Predicate):
     origin: int
 
     def to_term(self, route: SymbolicRoute) -> Term:
-        from repro.lang.symroute import ORIGIN_WIDTH
-
         return smt.bv_eq(route.origin, smt.bv_const(self.origin, ORIGIN_WIDTH))
 
     def holds(self, route: Route) -> bool:
@@ -420,6 +424,30 @@ def _range_term(prange: PrefixRange, route: SymbolicRoute) -> Term:
     return smt.and_(addr_ok, len_lo, len_hi)
 
 
+def add_atoms(
+    pred: Predicate, communities: set[Community], asns: set[int], ghosts: set[str]
+) -> None:
+    """Add the communities, ASNs and ghost names ``pred`` mentions to the
+    three sets: the one atom walk, for properties and invariants
+    (:func:`predicate_atoms`) and route-map conditions (the universe scan,
+    over every session's maps) alike.  It compares exact classes, which
+    is cheaper than ``isinstance``: no predicate class is subclassed."""
+    if type(pred) is HasCommunity:
+        communities.add(pred.community)
+    elif type(pred) is AsPathHas:
+        asns.add(pred.asn)
+    elif type(pred) is GhostIs:
+        ghosts.add(pred.name)
+    elif type(pred) is Not:
+        add_atoms(pred.inner, communities, asns, ghosts)
+    elif type(pred) is AllOf or type(pred) is AnyOf:
+        for inner in pred.inners:
+            add_atoms(inner, communities, asns, ghosts)
+    elif type(pred) is Implies:
+        add_atoms(pred.antecedent, communities, asns, ghosts)
+        add_atoms(pred.consequent, communities, asns, ghosts)
+
+
 def predicate_atoms(
     pred: Predicate,
 ) -> tuple[set[Community], set[int], set[str]]:
@@ -431,24 +459,7 @@ def predicate_atoms(
     communities: set[Community] = set()
     asns: set[int] = set()
     ghosts: set[str] = set()
-
-    def walk(p: Predicate) -> None:
-        if isinstance(p, HasCommunity):
-            communities.add(p.community)
-        elif isinstance(p, AsPathHas):
-            asns.add(p.asn)
-        elif isinstance(p, GhostIs):
-            ghosts.add(p.name)
-        elif isinstance(p, Not):
-            walk(p.inner)
-        elif isinstance(p, (AllOf, AnyOf)):
-            for inner in p.inners:
-                walk(inner)
-        elif isinstance(p, Implies):
-            walk(p.antecedent)
-            walk(p.consequent)
-
-    walk(pred)
+    add_atoms(pred, communities, asns, ghosts)
     return communities, asns, ghosts
 
 

@@ -42,12 +42,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.bgp.prefix import PrefixRange
-from repro.bgp.route import Community
+from repro.bgp.configjson import KindTable, from_doc, to_doc
 from repro.bgp.topology import Edge, Topology
 from repro.core.properties import InvariantMap, LivenessProperty, Location, SafetyProperty
 from repro.lang.ghost import GhostAttribute, unique_ghosts
-from repro.bgp.prefix import Prefix
 from repro.lang.predicates import (
     AllOf,
     AnyOf,
@@ -70,84 +68,39 @@ from repro.lang.predicates import (
 
 
 # ---------------------------------------------------------------------------
-# Predicate codec
+# Predicate codec: the configuration's (repro.bgp.configjson), with the
+# spec's kind names
 # ---------------------------------------------------------------------------
+
+#: How a spec spells each predicate kind.
+SPEC_KINDS = KindTable(
+    "predicate",
+    {
+        "true": TruePred,
+        "false": FalsePred,
+        "community": HasCommunity,
+        "prefix-in": PrefixIn,
+        "ghost": GhostIs,
+        "as-path-has": AsPathHas,
+        "as-path-len-in": AsPathLenIn,
+        "origin-is": OriginIs,
+        "next-hop-in": NextHopIn,
+        "local-pref-in": LocalPrefIn,
+        "med-in": MedIn,
+        "not": Not,
+        "all": AllOf,
+        "any": AnyOf,
+        "implies": Implies,
+    },
+)
 
 
 def predicate_to_json(pred: Predicate) -> dict[str, Any]:
-    if isinstance(pred, TruePred):
-        return {"kind": "true"}
-    if isinstance(pred, FalsePred):
-        return {"kind": "false"}
-    if isinstance(pred, HasCommunity):
-        return {"kind": "community", "community": str(pred.community)}
-    if isinstance(pred, PrefixIn):
-        return {"kind": "prefix-in", "ranges": [str(r) for r in pred.ranges]}
-    if isinstance(pred, GhostIs):
-        return {"kind": "ghost", "name": pred.name, "value": pred.value}
-    if isinstance(pred, AsPathHas):
-        return {"kind": "as-path-has", "asn": pred.asn}
-    if isinstance(pred, AsPathLenIn):
-        return {"kind": "as-path-len-in", "low": pred.low, "high": pred.high}
-    if isinstance(pred, OriginIs):
-        return {"kind": "origin-is", "origin": pred.origin}
-    if isinstance(pred, NextHopIn):
-        return {"kind": "next-hop-in", "prefixes": [str(p) for p in pred.prefixes]}
-    if isinstance(pred, LocalPrefIn):
-        return {"kind": "local-pref-in", "low": pred.low, "high": pred.high}
-    if isinstance(pred, MedIn):
-        return {"kind": "med-in", "low": pred.low, "high": pred.high}
-    if isinstance(pred, Not):
-        return {"kind": "not", "inner": predicate_to_json(pred.inner)}
-    if isinstance(pred, AllOf):
-        return {"kind": "all", "inners": [predicate_to_json(p) for p in pred.inners]}
-    if isinstance(pred, AnyOf):
-        return {"kind": "any", "inners": [predicate_to_json(p) for p in pred.inners]}
-    if isinstance(pred, Implies):
-        return {
-            "kind": "implies",
-            "antecedent": predicate_to_json(pred.antecedent),
-            "consequent": predicate_to_json(pred.consequent),
-        }
-    raise TypeError(f"cannot serialise predicate {pred!r}")
+    return to_doc(pred, SPEC_KINDS)
 
 
 def predicate_from_json(doc: dict[str, Any]) -> Predicate:
-    kind = doc["kind"]
-    if kind == "true":
-        return TruePred()
-    if kind == "false":
-        return FalsePred()
-    if kind == "community":
-        return HasCommunity(Community.parse(doc["community"]))
-    if kind == "prefix-in":
-        return PrefixIn(tuple(PrefixRange.parse(r) for r in doc["ranges"]))
-    if kind == "ghost":
-        return GhostIs(doc["name"], doc.get("value", True))
-    if kind == "as-path-has":
-        return AsPathHas(doc["asn"])
-    if kind == "as-path-len-in":
-        return AsPathLenIn(doc["low"], doc["high"])
-    if kind == "origin-is":
-        return OriginIs(doc["origin"])
-    if kind == "next-hop-in":
-        return NextHopIn(tuple(Prefix.parse(p) for p in doc["prefixes"]))
-    if kind == "local-pref-in":
-        return LocalPrefIn(doc["low"], doc["high"])
-    if kind == "med-in":
-        return MedIn(doc["low"], doc["high"])
-    if kind == "not":
-        return Not(predicate_from_json(doc["inner"]))
-    if kind == "all":
-        return AllOf(tuple(predicate_from_json(p) for p in doc["inners"]))
-    if kind == "any":
-        return AnyOf(tuple(predicate_from_json(p) for p in doc["inners"]))
-    if kind == "implies":
-        return Implies(
-            predicate_from_json(doc["antecedent"]),
-            predicate_from_json(doc["consequent"]),
-        )
-    raise ValueError(f"unknown predicate kind {kind!r}")
+    return from_doc(doc, SPEC_KINDS)
 
 
 # ---------------------------------------------------------------------------

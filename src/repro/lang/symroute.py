@@ -25,13 +25,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from operator import is_not
-from typing import ClassVar, Iterator, Mapping
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping
 
 from repro import smt
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Community, Route
-from repro.lang.universe import AttributeUniverse
 from repro.smt.terms import Term, register_intern_dependent
+
+if TYPE_CHECKING:  # the universe scan imports the predicates, which import this
+    from repro.lang.universe import AttributeUniverse
 
 ADDR_WIDTH = 32
 LEN_WIDTH = 6
@@ -275,8 +277,10 @@ class SymbolicRoute:
         """Read a concrete route out of a satisfying model.
 
         The AS path is reconstructed as an (ordered arbitrarily) list of the
-        universe ASNs marked present; real paths also contain ASNs outside
-        the universe, so the reported path is representative, not exact.
+        universe ASNs marked present, padded to the modelled length with an
+        ASN outside the universe (which no condition distinguishes), so the
+        route meets the length conditions the query did; real paths hold
+        other ASNs, so the reported path is representative, not exact.
         """
         length = min(model.eval_bv(self.prefix_len), 32)
         address = model.eval_bv(self.prefix_addr)
@@ -285,9 +289,11 @@ class SymbolicRoute:
             asn for asn, term in sorted(self.as_path_members.items())
             if model.eval_bool(term)
         ]
+        outside = max(self.as_path_members, default=0) + 1
+        padding = model.eval_bv(self.as_path_len) - len(members)
         return Route(
             prefix=Prefix(address & mask, length),
-            as_path=tuple(members),
+            as_path=tuple(members) + (outside,) * padding,
             next_hop=model.eval_bv(self.next_hop),
             local_pref=model.eval_bv(self.local_pref),
             med=model.eval_bv(self.med),

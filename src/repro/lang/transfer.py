@@ -5,7 +5,10 @@ Every Lightyear local check constrains ``r' = Import(edge, r)`` or
 those relations symbolically: given a :class:`SymbolicRoute` ``r``, it
 returns a pair ``(accepted, r')`` where ``accepted`` is a boolean term
 ("the filter did not reject") and ``r'`` is a symbolic route whose fields
-are ``ite`` terms mirroring the route map's first-match semantics.
+are ``ite`` terms mirroring the route map's first-match semantics.  A
+clause's match conditions are predicates (:mod:`repro.lang.predicates`),
+so a condition lowers by the ``to_term`` that lowers a property or an
+invariant; only the actions are encoded here.
 
 The lifted semantics matches :class:`repro.bgp.config.NetworkConfig`'s
 concrete functions exactly — including eBGP AS-path prepending on export —
@@ -73,18 +76,6 @@ from repro.bgp.policy import (
     ClearCommunities,
     DeleteCommunity,
     Disposition,
-    Match,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchAsPathLength,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNextHopIn,
-    MatchNot,
-    MatchOrigin,
-    MatchPrefix,
     PrependAsPath,
     RouteMap,
     SetLocalPref,
@@ -96,16 +87,13 @@ from repro.bgp.policy import (
 )
 from repro.bgp.topology import Edge
 from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import (
-    TermCacheStats,
-    _range_term,
-    reset_predicate_term_cache,
-)
+from repro.lang.predicates import TermCacheStats, reset_predicate_term_cache
 from repro.lang.symroute import (
+    ADDR_WIDTH,
     MED_WIDTH,
+    ORIGIN_WIDTH,
     PATHLEN_WIDTH,
     PREF_WIDTH,
-    ADDR_WIDTH,
     SymbolicRoute,
 )
 from repro.smt.terms import Term, register_intern_dependent
@@ -151,52 +139,8 @@ register_intern_dependent(_clear_cache_entries)
 
 
 # ---------------------------------------------------------------------------
-# Match and action encoding
+# Action encoding (a clause's conditions are predicates: ``to_term``)
 # ---------------------------------------------------------------------------
-
-
-def match_term(match: Match, route: SymbolicRoute) -> Term:
-    """Encode ``match.matches(route)`` as a boolean term."""
-    if isinstance(match, MatchCommunity):
-        return route.community_term(match.community)
-    if isinstance(match, MatchPrefix):
-        return smt.or_(_range_term(r, route) for r in match.ranges)
-    if isinstance(match, MatchAsPathContains):
-        return route.as_path_member_term(match.asn)
-    if isinstance(match, MatchMedRange):
-        return smt.and_(
-            smt.bv_ule(smt.bv_const(match.low, MED_WIDTH), route.med),
-            smt.bv_ule(route.med, smt.bv_const(match.high, MED_WIDTH)),
-        )
-    if isinstance(match, MatchLocalPrefRange):
-        return smt.and_(
-            smt.bv_ule(smt.bv_const(match.low, PREF_WIDTH), route.local_pref),
-            smt.bv_ule(route.local_pref, smt.bv_const(match.high, PREF_WIDTH)),
-        )
-    if isinstance(match, MatchAsPathLength):
-        return smt.and_(
-            smt.bv_ule(smt.bv_const(match.low, PATHLEN_WIDTH), route.as_path_len),
-            smt.bv_ule(route.as_path_len, smt.bv_const(match.high, PATHLEN_WIDTH)),
-        )
-    if isinstance(match, MatchOrigin):
-        from repro.lang.symroute import ORIGIN_WIDTH
-
-        return smt.bv_eq(route.origin, smt.bv_const(match.origin, ORIGIN_WIDTH))
-    if isinstance(match, MatchNextHopIn):
-        return smt.or_(
-            smt.bv_eq(
-                smt.bv_and(route.next_hop, smt.bv_const(p.mask, ADDR_WIDTH)),
-                smt.bv_const(p.address, ADDR_WIDTH),
-            )
-            for p in match.prefixes
-        )
-    if isinstance(match, MatchNot):
-        return smt.not_(match_term(match.inner, route))
-    if isinstance(match, MatchAny):
-        return smt.or_(match_term(m, route) for m in match.inners)
-    if isinstance(match, MatchAll):
-        return smt.and_(match_term(m, route) for m in match.inners)
-    raise TypeError(f"cannot encode match {match!r}")
 
 
 def apply_action(action: Action, route: SymbolicRoute) -> SymbolicRoute:
@@ -221,8 +165,6 @@ def apply_action(action: Action, route: SymbolicRoute) -> SymbolicRoute:
             )
         )
     if isinstance(action, SetOrigin):
-        from repro.lang.symroute import ORIGIN_WIDTH
-
         return route.with_field(origin=smt.bv_const(action.origin, ORIGIN_WIDTH))
     raise TypeError(f"cannot encode action {action!r}")
 
@@ -248,7 +190,10 @@ def transfer_route_map(
     accepted: Term = smt.false()  # implicit deny when nothing matches
     output = route
     for clause in reversed(route_map.clauses):
-        cond = smt.and_(match_term(m, route) for m in clause.matches)
+        # ``to_term`` itself, not the memoised ``predicate_term``: the
+        # transfer memo already runs this once per policy, and the
+        # predicate memo's counters stay those of the checks' lowering.
+        cond = smt.and_(m.to_term(route) for m in clause.matches)
         if clause.disposition is Disposition.DENY:
             accepted = smt.ite(cond, smt.false(), accepted)
         else:

@@ -19,16 +19,11 @@ from repro.bgp.policy import (
     Action,
     AddCommunity,
     DeleteCommunity,
-    Match,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchCommunity,
-    MatchNot,
     PrependAsPath,
     RouteMap,
 )
 from repro.bgp.route import Community, hash_once
+from repro.lang.predicates import add_atoms
 
 
 @hash_once
@@ -80,16 +75,22 @@ class AttributeUniverse:
         extra_asns: tuple[int, ...] = (),
         ghosts: tuple[str, ...] = (),
     ) -> "AttributeUniverse":
-        """Scan every route map and session for mentioned values."""
+        """Scan every route map and session for mentioned values.
+
+        A route-map condition that names a ghost is a :class:`ValueError`
+        naming the map: ghosts exist only in the verifier (§4.4), so no
+        router can test one.
+        """
         communities: set[Community] = set(extra_communities)
         asns: set[int] = set(extra_asns)
+        named: set[str] = set()  # ghosts a condition names: must stay empty
         for rc in config.routers.values():
             asns.add(rc.asn)
             for ncfg in rc.neighbors.values():
                 asns.add(ncfg.remote_asn)
                 for route_map in (ncfg.import_map, ncfg.export_map):
                     if route_map is not None:
-                        _scan_route_map(route_map, communities, asns)
+                        _scan_route_map(route_map, communities, asns, named)
                 for route in ncfg.originated:
                     communities.update(route.communities)
                     asns.update(route.as_path)
@@ -97,24 +98,19 @@ class AttributeUniverse:
         return cls(tuple(communities), tuple(asns), tuple(ghosts))
 
 
-def _scan_route_map(route_map: RouteMap, communities: set[Community], asns: set[int]) -> None:
+def _scan_route_map(
+    route_map: RouteMap, communities: set[Community], asns: set[int], named: set[str]
+) -> None:
     for clause in route_map.clauses:
-        for match in clause.matches:
-            _scan_match(match, communities, asns)
+        for condition in clause.matches:
+            add_atoms(condition, communities, asns, named)
         for action in clause.actions:
             _scan_action(action, communities, asns)
-
-
-def _scan_match(match: Match, communities: set[Community], asns: set[int]) -> None:
-    if isinstance(match, MatchCommunity):
-        communities.add(match.community)
-    elif isinstance(match, MatchAsPathContains):
-        asns.add(match.asn)
-    elif isinstance(match, MatchNot):
-        _scan_match(match.inner, communities, asns)
-    elif isinstance(match, (MatchAny, MatchAll)):
-        for inner in match.inners:
-            _scan_match(inner, communities, asns)
+    if named:
+        raise ValueError(
+            f"route map {route_map.name!r} tests ghost attribute {min(named)!r}, "
+            f"which only the verifier tracks"
+        )
 
 
 def _scan_action(action: Action, communities: set[Community], asns: set[int]) -> None:

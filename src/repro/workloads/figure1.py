@@ -30,15 +30,13 @@ from repro.bgp.policy import (
     AddCommunity,
     ClearCommunities,
     Disposition,
-    MatchCommunity,
-    MatchMedRange,
-    MatchPrefix,
     RouteMap,
     RouteMapClause,
 )
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community
 from repro.bgp.topology import Topology
+from repro.lang.predicates import HasCommunity, MedIn, PrefixIn
 
 
 TRANSIT_COMMUNITY = Community(100, 1)
@@ -79,7 +77,7 @@ def build_figure1(
     deny_customer_space = RouteMapClause(
         1,
         Disposition.DENY,
-        matches=(MatchPrefix((PrefixRange(CUSTOMER_PREFIX, 8, 32),)),),
+        matches=(PrefixIn((PrefixRange(CUSTOMER_PREFIX, 8, 32),)),),
     )
 
     # R1: tag everything from ISP1 with 100:1 (customer space is denied).
@@ -89,7 +87,7 @@ def build_figure1(
             (
                 deny_customer_space,
                 # BUG: routes with MED <= 10 slip through untagged.
-                RouteMapClause(5, matches=(MatchMedRange(0, 10),)),
+                RouteMapClause(5, matches=(MedIn(0, 10),)),
                 RouteMapClause(10, actions=(AddCommunity(TRANSIT_COMMUNITY),)),
             ),
         )
@@ -110,14 +108,14 @@ def build_figure1(
         "ISP2-OUT",
         (
             RouteMapClause(
-                10, Disposition.DENY, matches=(MatchCommunity(TRANSIT_COMMUNITY),)
+                10, Disposition.DENY, matches=(HasCommunity(TRANSIT_COMMUNITY),)
             ),
             RouteMapClause(20),
         ),
     )
 
     # R3: accept only customer prefixes; strip communities on the way in.
-    customer_match = MatchPrefix((PrefixRange(CUSTOMER_PREFIX, 8, 24),))
+    customer_match = PrefixIn((PrefixRange(CUSTOMER_PREFIX, 8, 24),))
     if buggy_r3_strip:
         cust_in = RouteMap("CUST-IN", (RouteMapClause(10, matches=(customer_match,)),))
     else:

@@ -21,8 +21,6 @@ from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import (
     AddCommunity,
     Disposition,
-    MatchCommunity,
-    MatchPrefix,
     RouteMap,
     RouteMapClause,
 )
@@ -30,14 +28,14 @@ from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community
 from repro.bgp.topology import Edge, Topology
 from repro.core.properties import LivenessProperty
-from repro.lang.predicates import PrefixIn
+from repro.lang.predicates import HasCommunity, PrefixIn
 
 
 TRANSIT_COMMUNITY = Community(100, 1)
 INTERNAL_AS = 65000
 EXTERNAL_AS_BASE = 1000
 
-_SHORT_PREFIXES = MatchPrefix((PrefixRange(Prefix.parse("0.0.0.0/0"), 0, 24),))
+_SHORT_PREFIXES = PrefixIn((PrefixRange(Prefix.parse("0.0.0.0/0"), 0, 24),))
 
 
 def build_full_mesh(n: int) -> NetworkConfig:
@@ -79,7 +77,7 @@ def build_full_mesh(n: int) -> NetworkConfig:
         "E2-OUT",
         (
             RouteMapClause(
-                10, Disposition.DENY, matches=(MatchCommunity(TRANSIT_COMMUNITY),)
+                10, Disposition.DENY, matches=(HasCommunity(TRANSIT_COMMUNITY),)
             ),
             RouteMapClause(20),
         ),
@@ -133,7 +131,7 @@ def full_mesh_single_router_edit(n: int, router: str | None = None) -> NetworkCo
     bogon = RouteMapClause(
         1,
         Disposition.DENY,
-        matches=(MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
+        matches=(PrefixIn((PrefixRange.parse("192.168.0.0/16 le 32"),)),),
     )
     neighbor.import_map = RouteMap(
         f"{neighbor.import_map.name}-EDIT", (bogon,) + neighbor.import_map.clauses

@@ -18,13 +18,12 @@ from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import (
     AddCommunity,
     Disposition,
-    MatchCommunity,
-    MatchPrefix,
     RouteMap,
     RouteMapClause,
 )
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.topology import Topology
+from repro.lang.predicates import HasCommunity, PrefixIn
 from repro.workloads.fullmesh import (
     EXTERNAL_AS_BASE,
     INTERNAL_AS,
@@ -32,7 +31,7 @@ from repro.workloads.fullmesh import (
 )
 
 
-_SHORT_PREFIXES = MatchPrefix((PrefixRange(Prefix.parse("0.0.0.0/0"), 0, 24),))
+_SHORT_PREFIXES = PrefixIn((PrefixRange(Prefix.parse("0.0.0.0/0"), 0, 24),))
 
 
 def _internal_graph(n: int, model: str, seed: int):
@@ -105,7 +104,7 @@ def build_random_network(
         "E2-OUT",
         (
             RouteMapClause(
-                10, Disposition.DENY, matches=(MatchCommunity(TRANSIT_COMMUNITY),)
+                10, Disposition.DENY, matches=(HasCommunity(TRANSIT_COMMUNITY),)
             ),
             RouteMapClause(20),
         ),

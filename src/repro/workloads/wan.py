@@ -28,9 +28,6 @@ from repro.bgp.policy import (
     AddCommunity,
     ClearCommunities,
     Disposition,
-    MatchAsPathContains,
-    MatchCommunity,
-    MatchPrefix,
     RouteMap,
     RouteMapClause,
     SetLocalPref,
@@ -38,6 +35,7 @@ from repro.bgp.policy import (
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
 from repro.bgp.topology import Topology
+from repro.lang.predicates import AsPathHas, HasCommunity, PrefixIn
 
 
 INTERNAL_AS = 65000
@@ -121,14 +119,14 @@ def _peering_import_map(strict: bool = True, adhoc_aspath: bool = False) -> Rout
     if strict:
         clauses.append(
             RouteMapClause(
-                seq, Disposition.DENY, matches=(MatchPrefix(BOGON_PREFIXES),)
+                seq, Disposition.DENY, matches=(PrefixIn(BOGON_PREFIXES),)
             )
         )
         seq += 10
     if not adhoc_aspath:
         clauses.append(
             RouteMapClause(
-                seq, Disposition.DENY, matches=(MatchAsPathContains(BAD_TRANSIT_AS),)
+                seq, Disposition.DENY, matches=(AsPathHas(BAD_TRANSIT_AS),)
             )
         )
         seq += 10
@@ -137,7 +135,7 @@ def _peering_import_map(strict: bool = True, adhoc_aspath: bool = False) -> Rout
     clauses.append(
         RouteMapClause(
             seq,
-            matches=(MatchPrefix((PrefixRange(Prefix.parse("0.0.0.0/0"), 0, 24),)),),
+            matches=(PrefixIn((PrefixRange(Prefix.parse("0.0.0.0/0"), 0, 24),)),),
             actions=(ClearCommunities(), SetLocalPref(100)),
         )
     )
@@ -157,7 +155,7 @@ def _dc_import_map(region: int, wrong_community: Community | None = None) -> Rou
         (
             RouteMapClause(
                 10,
-                matches=(MatchPrefix((REUSED_RANGE,)),),
+                matches=(PrefixIn((REUSED_RANGE,)),),
                 actions=(ClearCommunities(), AddCommunity(community)),
             ),
             RouteMapClause(20, actions=(ClearCommunities(),)),
@@ -178,7 +176,7 @@ def _interregion_import_map(my_region: int, regions: int) -> RouteMap:
             RouteMapClause(
                 seq,
                 Disposition.DENY,
-                matches=(MatchCommunity(region_community(region)),),
+                matches=(HasCommunity(region_community(region)),),
             )
         )
         seq += 10
@@ -339,7 +337,7 @@ def _peer_export_map() -> RouteMap:
         (
             RouteMapClause(
                 10,
-                matches=(MatchPrefix((PrefixRange(OWN_PREFIX, 16, 24),)),),
+                matches=(PrefixIn((PrefixRange(OWN_PREFIX, 16, 24),)),),
             ),
         ),
     )

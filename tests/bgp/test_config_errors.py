@@ -17,8 +17,12 @@ import pytest
 
 from repro.bgp.configjson import config_from_json, config_to_json
 from repro.bgp.configparse import ConfigSyntaxError, lower_config, parse_config
+from repro.bgp.policy import Disposition, RouteMap, RouteMapClause
 from repro.bgp.topology import Topology
 from repro.cli import main
+from repro.lang.predicates import GhostIs, Not
+from repro.lang.universe import AttributeUniverse
+from repro.workloads.figure1 import build_figure1
 from repro.workloads.wan import build_wan
 
 from tests.conftest import CONFIG_TEXT
@@ -44,6 +48,13 @@ def _router(neighbors=None, **fields):
 
 def _neighbor(**fields):
     return {"remote_asn": 2, **fields}
+
+
+def _importing(match):
+    """R1 importing from E1 through one clause that tests ``match``."""
+    clause = {"seq": 10, "disposition": "permit", "matches": [match]}
+    import_map = {"name": "IN", "clauses": [clause]}
+    return {"externals": {"E1": 2}, "routers": {"R1": _router({"E1": _neighbor(import_map=import_map)})}}
 
 
 # (id, document, what stderr must contain)
@@ -102,28 +113,18 @@ MALFORMED = [
     ),
     (
         "unknown-match-kind",
-        {
-            "externals": {"E1": 2},
-            "routers": {
-                "R1": _router(
-                    {
-                        "E1": _neighbor(
-                            import_map={
-                                "name": "IN",
-                                "clauses": [
-                                    {
-                                        "seq": 10,
-                                        "disposition": "permit",
-                                        "matches": [{"kind": "colour"}],
-                                    }
-                                ],
-                            }
-                        )
-                    }
-                )
-            },
-        },
+        _importing({"kind": "colour"}),
         "router 'R1': neighbor 'E1': route map 'IN' clause 0: unknown match kind 'colour'",
+    ),
+    (
+        "empty-prefix-list",
+        _importing({"kind": "prefix", "ranges": []}),
+        "router 'R1': neighbor 'E1': route map 'IN' clause 0: prefix list must have at least one entry",
+    ),
+    (
+        "empty-next-hop-list",
+        _importing({"kind": "next-hop", "prefixes": []}),
+        "router 'R1': neighbor 'E1': route map 'IN' clause 0: next-hop match needs at least one prefix",
     ),
     (
         "originated-not-array",
@@ -311,6 +312,54 @@ def test_no_dialect_error_says_line_0(text, expected):
         parse_config(text)
     assert str(info.value) == expected
     assert isinstance(info.value, ConfigSyntaxError) is expected.startswith("line ")
+
+
+# A prefix or next-hop list with no entry: in JSON a builder row of
+# MALFORMED, in the dialect the same message at the match's line.
+EMPTY_LIST_DIALECT = (
+    "external E as 1\nrouter R as 2\n  neighbor E as 1\n    import route-map IN\n"
+    "route-map IN\n  clause 10 permit\n    {}\n"
+)
+EMPTY_LISTS = [
+    (
+        "prefix",
+        "match prefix",
+        "line 7: prefix list must have at least one entry (in 'match prefix')",
+    ),
+    (
+        "next-hop",
+        "match next-hop",
+        "line 7: next-hop match needs at least one prefix (in 'match next-hop')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "line, expected", [case[1:] for case in EMPTY_LISTS], ids=[case[0] for case in EMPTY_LISTS]
+)
+def test_an_empty_list_in_the_dialect_is_a_located_error(tmp_path, capsys, line, expected):
+    text = EMPTY_LIST_DIALECT.format(line)
+    with pytest.raises(ConfigSyntaxError) as info:
+        parse_config(text)
+    assert str(info.value) == expected
+    config = tmp_path / "empty.cfg"
+    config.write_text(text)
+    assert main(["parse", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {expected}\n"
+
+
+def test_a_route_map_condition_on_a_ghost_is_refused():
+    # Ghosts exist only in the verifier: no router can test one, and no
+    # configuration format can spell one.
+    config = build_figure1()
+    session = config.routers["R1"].neighbors["ISP1"]
+    session.import_map = RouteMap(
+        "GHOSTLY", (RouteMapClause(10, Disposition.DENY, (Not(GhostIs("FromISP1")),)),)
+    )
+    with pytest.raises(ValueError, match="route map 'GHOSTLY' tests ghost attribute 'FromISP1'"):
+        AttributeUniverse.from_config(config)
+    with pytest.raises(TypeError, match="cannot serialise match"):
+        config_to_json(config)
 
 
 def _reflector_naming(*clients):

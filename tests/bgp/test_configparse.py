@@ -6,10 +6,10 @@ import pytest
 
 from repro.bgp.configjson import config_from_json, config_to_json
 from repro.bgp.configparse import ConfigSyntaxError, parse_config
-from repro.bgp.policy import Disposition, MatchNot, MatchPrefix
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Community, Route
 from repro.bgp.topology import Edge
+from repro.lang.predicates import Not
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.wan import build_wan
 
@@ -104,7 +104,7 @@ def test_parse_match_not_and_ranges():
     config = parse_config(text)
     rm = config.import_map(Edge("E", "R"))
     clause = rm.clauses[0]
-    assert any(isinstance(m, MatchNot) for m in clause.matches)
+    assert any(isinstance(m, Not) for m in clause.matches)
     route = Route(
         prefix=Prefix.parse("1.0.0.0/8"), med=10, local_pref=150, as_path=(666,)
     )

@@ -1,7 +1,9 @@
 """Tests for the extended route-map vocabulary: AS-path length, origin,
 next-hop matching, and origin setting — concrete, parsed and serialised.
 The symbolic side meets the concrete one in ``tests/lang/test_transfer.py``
-(route maps) and ``tests/lang/test_predicates.py`` (predicates)."""
+(route maps) and ``tests/lang/test_predicates.py`` (predicates); the
+builder's refusal of an empty next-hop list is a row of
+``tests/bgp/test_config_errors.py``."""
 
 from __future__ import annotations
 
@@ -10,9 +12,6 @@ import pytest
 from repro.bgp.configjson import config_from_json, config_to_json
 from repro.bgp.configparse import parse_config
 from repro.bgp.policy import (
-    MatchAsPathLength,
-    MatchNextHopIn,
-    MatchOrigin,
     RouteMap,
     RouteMapClause,
     SetOrigin,
@@ -38,25 +37,23 @@ EMPTY_MODEL = Model({}, {})
 
 
 def test_match_as_path_length():
-    m = MatchAsPathLength(1, 2)
-    assert m.matches(Route(prefix=PFX, as_path=(100,)))
-    assert m.matches(Route(prefix=PFX, as_path=(100, 200)))
-    assert not m.matches(Route(prefix=PFX))
-    assert not m.matches(Route(prefix=PFX, as_path=(1, 2, 3)))
+    m = AsPathLenIn(1, 2)
+    assert m.holds(Route(prefix=PFX, as_path=(100,)))
+    assert m.holds(Route(prefix=PFX, as_path=(100, 200)))
+    assert not m.holds(Route(prefix=PFX))
+    assert not m.holds(Route(prefix=PFX, as_path=(1, 2, 3)))
 
 
 def test_match_origin():
-    assert MatchOrigin(ORIGIN_IGP).matches(Route(prefix=PFX))
-    assert not MatchOrigin(ORIGIN_EGP).matches(Route(prefix=PFX))
-    assert MatchOrigin(ORIGIN_INCOMPLETE).matches(Route(prefix=PFX, origin=2))
+    assert OriginIs(ORIGIN_IGP).holds(Route(prefix=PFX))
+    assert not OriginIs(ORIGIN_EGP).holds(Route(prefix=PFX))
+    assert OriginIs(ORIGIN_INCOMPLETE).holds(Route(prefix=PFX, origin=2))
 
 
 def test_match_next_hop():
-    m = MatchNextHopIn((Prefix.parse("10.0.0.0/8"),))
-    assert m.matches(Route(prefix=PFX, next_hop=parse_ipv4("10.1.2.3")))
-    assert not m.matches(Route(prefix=PFX, next_hop=parse_ipv4("11.0.0.1")))
-    with pytest.raises(ValueError):
-        MatchNextHopIn(())
+    m = NextHopIn((Prefix.parse("10.0.0.0/8"),))
+    assert m.holds(Route(prefix=PFX, next_hop=parse_ipv4("10.1.2.3")))
+    assert not m.holds(Route(prefix=PFX, next_hop=parse_ipv4("11.0.0.1")))
 
 
 def test_set_origin():

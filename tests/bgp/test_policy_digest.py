@@ -27,17 +27,6 @@ from repro.bgp.policy import (
     ClearCommunities,
     DeleteCommunity,
     Disposition,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchAsPathLength,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNextHopIn,
-    MatchNot,
-    MatchOrigin,
-    MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
@@ -51,6 +40,19 @@ from repro.bgp.policy import (
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
 from repro.core.incremental import config_digests
+from repro.lang.predicates import (
+    AllOf,
+    AnyOf,
+    AsPathHas,
+    AsPathLenIn,
+    HasCommunity,
+    LocalPrefIn,
+    MedIn,
+    NextHopIn,
+    Not,
+    OriginIs,
+    PrefixIn,
+)
 
 from tests import draws
 
@@ -92,7 +94,7 @@ def _digest(router: RouterConfig) -> str:
 IMPORT_MAP = RouteMap(
     "IN",
     (
-        RouteMapClause(10, Disposition.DENY, matches=(MatchCommunity(C2),)),
+        RouteMapClause(10, Disposition.DENY, matches=(HasCommunity(C2),)),
         RouteMapClause(20, actions=(AddCommunity(C1), SetLocalPref(200))),
     ),
 )
@@ -235,7 +237,7 @@ ROUTER_EDITS = {
     "RouteMap.clauses": _on_import_map(lambda m: replace(m, clauses=m.clauses[1:])),
     "RouteMapClause.seq": _on_clause(0, lambda c: replace(c, seq=5)),
     "RouteMapClause.disposition": _on_clause(0, lambda c: replace(c, disposition=Disposition.PERMIT)),
-    "RouteMapClause.matches": _on_clause(0, lambda c: replace(c, matches=(MatchCommunity(C3),))),
+    "RouteMapClause.matches": _on_clause(0, lambda c: replace(c, matches=(HasCommunity(C3),))),
     "RouteMapClause.actions": _on_clause(1, lambda c: replace(c, actions=c.actions[:1])),
 }
 
@@ -348,18 +350,18 @@ EVERY_MATCH_AND_ACTION = RouteMap(
             10,
             Disposition.DENY,
             matches=(
-                MatchNot(MatchCommunity(C2)),
-                MatchAny((MatchAsPathContains(666), MatchOrigin(2))),
+                Not(HasCommunity(C2)),
+                AnyOf((AsPathHas(666), OriginIs(2))),
             ),
         ),
         RouteMapClause(
             20,
             matches=(
-                MatchPrefix((PrefixRange(Prefix.parse("10.0.0.0/8"), 16, 24),)),
-                MatchMedRange(0, 50),
-                MatchLocalPrefRange(100, 200),
-                MatchAll((MatchAsPathLength(1, 4),)),
-                MatchNextHopIn((Prefix.parse("192.0.2.0/24"),)),
+                PrefixIn((PrefixRange(Prefix.parse("10.0.0.0/8"), 16, 24),)),
+                MedIn(0, 50),
+                LocalPrefIn(100, 200),
+                AllOf((AsPathLenIn(1, 4),)),
+                NextHopIn((Prefix.parse("192.0.2.0/24"),)),
             ),
             actions=(
                 SetLocalPref(300),
@@ -378,7 +380,7 @@ EVERY_MATCH_AND_ACTION = RouteMap(
 
 def test_route_map_digest_is_pinned():
     assert route_map_digest(EVERY_MATCH_AND_ACTION) == (
-        "8c160aefb5eb790462fe310bc70db3ca3b67878d10445bbca59b3f855e41a79b"
+        "c6160014833d23676c85ef47844c1d68d8f604b7526e16b607fb106aa587c72e"
     )
 
 
@@ -389,5 +391,5 @@ def test_router_digest_is_pinned():
         rr_clients=frozenset({"P2", "P1"}),
     )
     assert _digest(router) == (
-        "be4f977e4f9a05a4149aafbf0479181b3cddcc437bca546c6d33cebe087c4c3d"
+        "16724eb4d8e03cbc946c3397a86dbb276c253566ff7c6ab0ff9e7f394c3a77b3"
     )

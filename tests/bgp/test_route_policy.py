@@ -9,14 +9,6 @@ from repro.bgp.policy import (
     ClearCommunities,
     DeleteCommunity,
     Disposition,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNot,
-    MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
@@ -26,6 +18,16 @@ from repro.bgp.policy import (
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
 from repro.bgp.selection import best_route
+from repro.lang.predicates import (
+    AllOf,
+    AnyOf,
+    AsPathHas,
+    HasCommunity,
+    LocalPrefIn,
+    MedIn,
+    Not,
+    PrefixIn,
+)
 
 
 PFX = Prefix.parse("10.0.0.0/8")
@@ -107,42 +109,42 @@ def test_prepend_as_path():
 
 
 # ---------------------------------------------------------------------------
-# Match conditions
+# Route-map conditions (predicates, evaluated concretely)
 # ---------------------------------------------------------------------------
 
 
 def test_match_community():
-    m = MatchCommunity(Community(100, 1))
-    assert m.matches(_route(communities={Community(100, 1)}))
-    assert not m.matches(_route())
+    m = HasCommunity(Community(100, 1))
+    assert m.holds(_route(communities={Community(100, 1)}))
+    assert not m.holds(_route())
 
 
 def test_match_prefix_list():
-    m = MatchPrefix((PrefixRange.parse("10.0.0.0/8 le 24"), PrefixRange.parse("172.16.0.0/12")))
-    assert m.matches(_route(prefix=Prefix.parse("10.1.0.0/16")))
-    assert m.matches(_route(prefix=Prefix.parse("172.16.0.0/12")))
-    assert not m.matches(_route(prefix=Prefix.parse("192.168.0.0/16")))
+    m = PrefixIn((PrefixRange.parse("10.0.0.0/8 le 24"), PrefixRange.parse("172.16.0.0/12")))
+    assert m.holds(_route(prefix=Prefix.parse("10.1.0.0/16")))
+    assert m.holds(_route(prefix=Prefix.parse("172.16.0.0/12")))
+    assert not m.holds(_route(prefix=Prefix.parse("192.168.0.0/16")))
 
 
 def test_match_as_path_and_ranges():
-    assert MatchAsPathContains(666).matches(_route(as_path=(1, 666, 2)))
-    assert not MatchAsPathContains(666).matches(_route(as_path=(1, 2)))
-    assert MatchMedRange(0, 10).matches(_route(med=5))
-    assert not MatchMedRange(0, 10).matches(_route(med=11))
-    assert MatchLocalPrefRange(100, 100).matches(_route())
+    assert AsPathHas(666).holds(_route(as_path=(1, 666, 2)))
+    assert not AsPathHas(666).holds(_route(as_path=(1, 2)))
+    assert MedIn(0, 10).holds(_route(med=5))
+    assert not MedIn(0, 10).holds(_route(med=11))
+    assert LocalPrefIn(100, 100).holds(_route())
 
 
 def test_match_combinators():
-    has_comm = MatchCommunity(Community(1, 1))
-    low_med = MatchMedRange(0, 10)
+    has_comm = HasCommunity(Community(1, 1))
+    low_med = MedIn(0, 10)
     r_both = _route(communities={Community(1, 1)}, med=5)
     r_neither = _route(med=50)
-    assert MatchAll((has_comm, low_med)).matches(r_both)
-    assert not MatchAll((has_comm, low_med)).matches(r_neither)
-    assert MatchAny((has_comm, low_med)).matches(_route(med=5))
-    assert not MatchAny(()).matches(r_both)
-    assert MatchAll(()).matches(r_neither)
-    assert MatchNot(has_comm).matches(r_neither)
+    assert AllOf((has_comm, low_med)).holds(r_both)
+    assert not AllOf((has_comm, low_med)).holds(r_neither)
+    assert AnyOf((has_comm, low_med)).holds(_route(med=5))
+    assert not AnyOf(()).holds(r_both)
+    assert AllOf(()).holds(r_neither)
+    assert Not(has_comm).holds(r_neither)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def test_route_map_first_match_wins():
     rm = RouteMap(
         "RM",
         (
-            RouteMapClause(10, matches=(MatchMedRange(0, 10),), actions=(SetLocalPref(200),)),
+            RouteMapClause(10, matches=(MedIn(0, 10),), actions=(SetLocalPref(200),)),
             RouteMapClause(20, actions=(SetLocalPref(50),)),
         ),
     )
@@ -163,7 +165,7 @@ def test_route_map_first_match_wins():
 
 
 def test_route_map_implicit_deny():
-    rm = RouteMap("RM", (RouteMapClause(10, matches=(MatchMedRange(0, 10),)),))
+    rm = RouteMap("RM", (RouteMapClause(10, matches=(MedIn(0, 10),)),))
     assert rm.apply(_route(med=99)) is None
 
 
@@ -171,7 +173,7 @@ def test_route_map_explicit_deny():
     rm = RouteMap(
         "RM",
         (
-            RouteMapClause(10, Disposition.DENY, matches=(MatchCommunity(Community(6, 6)),)),
+            RouteMapClause(10, Disposition.DENY, matches=(HasCommunity(Community(6, 6)),)),
             RouteMapClause(20),
         ),
     )

@@ -18,12 +18,13 @@ import pytest
 from repro.bgp import config as config_module
 from repro.bgp import policy as policy_module
 from repro.bgp.config import RouterLeaves
-from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
+from repro.bgp.policy import Disposition, RouteMap, RouteMapClause
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Route
 from repro.core.checks import CheckKind, check_owner
 from repro.core.incremental import config_digests
 from repro.core.workspace import Workspace, WorkspaceCacheMismatch
+from repro.lang.predicates import PrefixIn
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
 from tests.core.conftest import mesh_no_transit, saved_state
@@ -80,7 +81,7 @@ def _strip(config, router: str, peer: str) -> None:
             RouteMapClause(
                 5,
                 Disposition.DENY,
-                matches=(MatchPrefix((PrefixRange.parse("10.0.0.0/8 le 32"),)),),
+                matches=(PrefixIn((PrefixRange.parse("10.0.0.0/8 le 32"),)),),
             ),
             *session.import_map.clauses,
         ),

@@ -2,11 +2,13 @@
 
 Every randomized test in the suite draws here, from a ``random.Random``
 its cell seeds, so a failing cell names its input by seed and reruns it
-exactly.  A draw reaches every concrete ``Match``, ``Action`` and
-``Predicate`` kind, nested ``MatchNot``/``MatchAny``/``MatchAll`` and
-predicate combinators included, and every term node the encoder has
-(``tests/lang/test_transfer.py`` and ``tests/smt/test_encode.py`` fail
-unless the seeds their differential cells run draw each one).
+exactly.  One predicate draw serves two vocabularies: a route map's
+conditions (:func:`condition`: the kinds a configuration admits, nested
+``Not``/``AnyOf``/``AllOf`` included) and a spec's predicates
+(:func:`predicate`: every kind).  Draws reach every ``Action`` kind and
+every term node the encoder has (``tests/lang/test_transfer.py`` and
+``tests/smt/test_encode.py`` fail unless the seeds their differential
+cells run draw each one).
 
 Values come from one small vocabulary, so a symbolic route over
 :data:`UNIVERSE` can encode whatever a draw mentions, and route values
@@ -25,18 +27,6 @@ from repro.bgp.policy import (
     ClearCommunities,
     DeleteCommunity,
     Disposition,
-    Match,
-    MatchAll,
-    MatchAny,
-    MatchAsPathContains,
-    MatchAsPathLength,
-    MatchCommunity,
-    MatchLocalPrefRange,
-    MatchMedRange,
-    MatchNextHopIn,
-    MatchNot,
-    MatchOrigin,
-    MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
@@ -118,32 +108,6 @@ def route(rng: random.Random, ghosts: tuple[str, ...] = GHOSTS) -> Route:
 # Route maps
 # ---------------------------------------------------------------------------
 
-MAX_DEPTH = 2  # nesting of MatchNot/MatchAny/MatchAll, and of predicate combinators
-
-_MATCHES: tuple[Callable[[random.Random], Match], ...] = (
-    lambda rng: MatchCommunity(community(rng)),
-    lambda rng: MatchPrefix(_some(rng, prefix_range, 1, 2)),
-    lambda rng: MatchAsPathContains(rng.choice(ASNS)),
-    lambda rng: MatchMedRange(*_bounds(rng, MED_TOP)),
-    lambda rng: MatchLocalPrefRange(*_bounds(rng, LOCAL_PREF_TOP)),
-    lambda rng: MatchAsPathLength(*_bounds(rng, PATH_TOP)),
-    lambda rng: MatchOrigin(rng.randint(0, 2)),
-    lambda rng: MatchNextHopIn(_some(rng, next_hop_prefix, 1, 2)),
-)
-
-
-def match(rng: random.Random, depth: int = 0) -> Match:
-    """Any match kind; below :data:`MAX_DEPTH` a negation, disjunction or
-    conjunction (empty too) of further draws."""
-    kind = rng.randrange(len(_MATCHES) + (3 if depth < MAX_DEPTH else 0))
-    if kind < len(_MATCHES):
-        return _MATCHES[kind](rng)
-    inner = lambda r: match(r, depth + 1)
-    if kind == len(_MATCHES):
-        return MatchNot(inner(rng))
-    return (MatchAny, MatchAll)[kind - len(_MATCHES) - 1](_some(rng, inner, 0, 3))
-
-
 _ACTIONS: tuple[Callable[[random.Random], Any], ...] = (
     lambda rng: SetLocalPref(_value(rng, LOCAL_PREF_TOP)),
     lambda rng: SetMed(_value(rng, MED_TOP)),
@@ -164,7 +128,7 @@ def route_map(rng: random.Random, name: str = "RAND") -> RouteMap:
     """0–4 clauses (none denies everything); a deny carries no actions."""
     clauses = []
     for i in range(rng.randint(0, 4)):
-        seq, matches = (i + 1) * 10, _some(rng, match, 0, 2)
+        seq, matches = (i + 1) * 10, _some(rng, condition, 0, 2)
         if rng.random() < 0.3:
             clauses.append(RouteMapClause(seq, Disposition.DENY, matches))
         else:
@@ -177,34 +141,64 @@ def route_map(rng: random.Random, name: str = "RAND") -> RouteMap:
 # Predicates
 # ---------------------------------------------------------------------------
 
-_PREDICATES: tuple[Callable[[random.Random], P.Predicate], ...] = (
-    lambda rng: P.TruePred(),
-    lambda rng: P.FalsePred(),
-    lambda rng: P.HasCommunity(community(rng)),
-    lambda rng: P.PrefixIn(_some(rng, prefix_range, 1, 2)),
-    lambda rng: P.GhostIs(rng.choice(GHOSTS), rng.random() < 0.5),
-    lambda rng: P.AsPathHas(rng.choice(ASNS)),
-    lambda rng: P.LocalPrefIn(*_bounds(rng, LOCAL_PREF_TOP)),
-    lambda rng: P.MedIn(*_bounds(rng, MED_TOP)),
-    lambda rng: P.AsPathLenIn(*_bounds(rng, PATH_TOP)),
-    lambda rng: P.OriginIs(rng.randint(0, 2)),
-    lambda rng: P.NextHopIn(_some(rng, next_hop_prefix, 1, 2)),
+#: How each leaf kind is drawn.
+_LEAVES: dict[type, Callable[[random.Random], P.Predicate]] = {
+    P.TruePred: lambda rng: P.TruePred(),
+    P.FalsePred: lambda rng: P.FalsePred(),
+    P.HasCommunity: lambda rng: P.HasCommunity(community(rng)),
+    P.PrefixIn: lambda rng: P.PrefixIn(_some(rng, prefix_range, 1, 2)),
+    P.GhostIs: lambda rng: P.GhostIs(rng.choice(GHOSTS), rng.random() < 0.5),
+    P.AsPathHas: lambda rng: P.AsPathHas(rng.choice(ASNS)),
+    P.LocalPrefIn: lambda rng: P.LocalPrefIn(*_bounds(rng, LOCAL_PREF_TOP)),
+    P.MedIn: lambda rng: P.MedIn(*_bounds(rng, MED_TOP)),
+    P.AsPathLenIn: lambda rng: P.AsPathLenIn(*_bounds(rng, PATH_TOP)),
+    P.OriginIs: lambda rng: P.OriginIs(rng.randint(0, 2)),
+    P.NextHopIn: lambda rng: P.NextHopIn(_some(rng, next_hop_prefix, 1, 2)),
+}
+#: How each combinator draws its operands (``inner`` draws one).
+_COMBINATORS: dict[type, Callable[..., P.Predicate]] = {
+    P.Not: lambda rng, inner: P.Not(inner(rng)),
+    P.AllOf: lambda rng, inner: P.AllOf(_some(rng, inner, 0, 3)),
+    P.AnyOf: lambda rng, inner: P.AnyOf(_some(rng, inner, 0, 3)),
+    P.Implies: lambda rng, inner: P.Implies(inner(rng), inner(rng)),
+}
+
+MAX_DEPTH = 2  # nesting of predicate combinators
+
+#: (leaves, combinators) a vocabulary draws from, in draw order
+#: (reordering changes every seeded cell's input).
+CONDITION_KINDS = (
+    (P.HasCommunity, P.PrefixIn, P.AsPathHas, P.MedIn, P.LocalPrefIn, P.AsPathLenIn,
+     P.OriginIs, P.NextHopIn),
+    (P.Not, P.AnyOf, P.AllOf),
 )
+PREDICATE_KINDS = (
+    (P.TruePred, P.FalsePred, P.HasCommunity, P.PrefixIn, P.GhostIs, P.AsPathHas,
+     P.LocalPrefIn, P.MedIn, P.AsPathLenIn, P.OriginIs, P.NextHopIn),
+    (P.Not, P.AllOf, P.AnyOf, P.Implies),
+)
+
+
+def condition(rng: random.Random, depth: int = 0) -> P.Predicate:
+    """A route-map condition: any kind a configuration admits; below
+    :data:`MAX_DEPTH` a ``Not``, ``AnyOf`` or ``AllOf`` (empty too) of
+    further draws."""
+    return _predicate(rng, depth, CONDITION_KINDS)
 
 
 def predicate(rng: random.Random, depth: int = 0) -> P.Predicate:
     """Any predicate kind; below :data:`MAX_DEPTH` a ``Not``, ``AllOf``,
     ``AnyOf`` (empty too) or ``Implies`` of further draws."""
-    kind = rng.randrange(len(_PREDICATES) + (4 if depth < MAX_DEPTH else 0))
-    if kind < len(_PREDICATES):
-        return _PREDICATES[kind](rng)
-    inner = lambda r: predicate(r, depth + 1)
-    combinator = kind - len(_PREDICATES)
-    if combinator == 0:
-        return P.Not(inner(rng))
-    if combinator == 3:
-        return P.Implies(inner(rng), inner(rng))
-    return (P.AllOf, P.AnyOf)[combinator - 1](_some(rng, inner, 0, 3))
+    return _predicate(rng, depth, PREDICATE_KINDS)
+
+
+def _predicate(rng: random.Random, depth: int, vocabulary: tuple) -> P.Predicate:
+    leaves, combinators = vocabulary
+    kind = rng.randrange(len(leaves) + (len(combinators) if depth < MAX_DEPTH else 0))
+    if kind < len(leaves):
+        return _LEAVES[leaves[kind]](rng)
+    inner = lambda r: _predicate(r, depth + 1, vocabulary)
+    return _COMBINATORS[combinators[kind - len(leaves)]](rng, inner)
 
 
 def kinds(obj: object) -> set[type]:

@@ -8,7 +8,8 @@
 * under a conflict budget that bites, pooled ≡ tracker ≡ save → load ≡
   hermetic, ``conflicts`` UNKNOWNs included (``oracle.BUDGETED``);
 * every planted fault is killed, on every path, at the planted router —
-  §6.1's localisation as a kill count;
+  §6.1's localisation as a kill count — and every FAILED filter check's
+  witness replays on the concrete network (``oracle.replay_witnesses``);
 * every clean case verifies, and then no simulated trace violates what
   it proved (``oracle.traces``); a planted fault does show in some;
 * on small cases the modular verdict is the monolithic baseline's;
@@ -61,6 +62,16 @@ def test_planted_fault_is_killed_at_the_planted_router(case):
     # Every path that runs the case decides it as hermetic does (above),
     # blamed routers included, so killing it here kills it on every path.
     assert oracle.blamed_routers(oracle.expected(case)) == {case.planted_router}
+
+
+@pytest.mark.parametrize("case", PLANTED, ids=str)
+def test_a_planted_fault_has_a_concrete_witness(case):
+    # ``hermetic`` and ``pooled`` replay every FAILED filter check's witness
+    # on the concrete network (``oracle.replay_witnesses``); each planted
+    # fault fails at least one such check.
+    config = case.config()
+    ghosts, problem = case.problem(config)
+    assert oracle.replay_witnesses(oracle.run("hermetic", case), config, ghosts, problem) > 0
 
 
 def test_the_kill_count_covers_every_mutation_operator():

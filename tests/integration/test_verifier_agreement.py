@@ -7,9 +7,10 @@ space.  The checkable relationship is therefore one-directional:
     if Lightyear verifies a property (under *some* invariants),
     then Minesweeper must verify the same property.
 
-This test fuzzes small networks with randomly composed policies, lets the
-§8 inference search find invariants, and asserts the implication whenever
-it succeeds — a differential test of both verifiers at once.
+This test fuzzes small networks with randomly composed policies and lets
+the §8 inference search find invariants.  Each cell redraws from its seed
+until the search succeeds (about one draw in six), so every cell asserts
+the implication — a differential test of both verifiers at once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.bgp.policy import (
     AddCommunity,
     DeleteCommunity,
     Disposition,
-    MatchCommunity,
     RouteMap,
     RouteMapClause,
 )
@@ -33,7 +33,7 @@ from repro.bgp.topology import Edge, Topology
 from repro.core.inference import infer_safety_invariants
 from repro.core.properties import SafetyProperty
 from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, Not
+from repro.lang.predicates import GhostIs, HasCommunity, Not
 
 
 C = Community(100, 1)
@@ -45,7 +45,7 @@ STRIP = RouteMap("STRIP", (RouteMapClause(10, actions=(DeleteCommunity(C),)),))
 BLOCK_TAGGED = RouteMap(
     "BLOCK",
     (
-        RouteMapClause(10, Disposition.DENY, matches=(MatchCommunity(C),)),
+        RouteMapClause(10, Disposition.DENY, matches=(HasCommunity(C),)),
         RouteMapClause(20),
     ),
 )
@@ -91,16 +91,27 @@ def _no_transit(config):
     return ghost, prop
 
 
-@pytest.mark.parametrize("seed", range(100))  # about one in ten makes the claim
+#: Draws a cell may take to find a network Lightyear proves; over 300
+#: seeds none needed more than 34.
+MAX_DRAWS = 60
+
+
+def _provable_network(rng: random.Random):
+    """(config, ghost, property) of the first drawn network whose
+    no-transit property the inference search proves."""
+    for __ in range(MAX_DRAWS):
+        e1_import = rng.choice([TAG, DENY_ALL])
+        internal_maps = [rng.choice(POLICIES) for __ in range(4)]
+        config = _build_network(e1_import, internal_maps, rng.choice(POLICIES))
+        ghost, prop = _no_transit(config)
+        if infer_safety_invariants(config, prop, ghost, max_candidates=4).found:
+            return config, ghost, prop
+    pytest.fail(f"no draw in {MAX_DRAWS} is a network Lightyear proves")
+
+
+@pytest.mark.parametrize("seed", range(60))
 def test_lightyear_pass_implies_minesweeper_verifies(seed):
-    rng = random.Random(seed)
-    e1_import = rng.choice([TAG, DENY_ALL])
-    internal_maps = [rng.choice(POLICIES) for __ in range(4)]
-    config = _build_network(e1_import, internal_maps, rng.choice(POLICIES))
-    ghost, prop = _no_transit(config)
-    inferred = infer_safety_invariants(config, prop, ghost, max_candidates=4)
-    if not inferred.found:
-        return  # Lightyear (with this candidate pool) cannot prove it: no claim.
+    config, ghost, prop = _provable_network(random.Random(seed))
     ms = MinesweeperVerifier(config, ghosts=(ghost,)).verify(
         prop, conflict_budget=20000
     )

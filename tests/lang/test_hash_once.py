@@ -23,7 +23,6 @@ import pytest
 from repro.bgp.policy import (
     AddCommunity,
     Disposition,
-    MatchCommunity,
     RouteMap,
     RouteMapClause,
 )
@@ -49,7 +48,7 @@ def build() -> list:
     return [
         Implies(GhostIs("FromPeer"), AllOf((HasCommunity(Community(100, 1)), Not(AsPathHas(7))))),
         RouteMap("PEER-IN", (
-            RouteMapClause(10, Disposition.DENY, matches=(MatchCommunity(Community(1, 2)),)),
+            RouteMapClause(10, Disposition.DENY, matches=(HasCommunity(Community(1, 2)),)),
             RouteMapClause(20, actions=(AddCommunity(Community(100, 1)),)),
         )),
         AttributeUniverse((Community(100, 1),), (7, 65000), ("FromPeer", "FromRegion0")),

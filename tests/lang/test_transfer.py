@@ -1,8 +1,8 @@
 """Symbolic route-map execution matches the concrete interpreter.
 
 The concrete ``RouteMap.apply`` is the transfer's one reference: seeded
-route maps drawn over every match and action kind (``tests/draws.py``) on
-seeded routes.  The edge-level wrappers
+route maps drawn over every condition kind a configuration admits and
+every action kind (``tests/draws.py``) on seeded routes.  The edge-level wrappers
 (prepend, ghost updates, originated routes) are pinned directly.
 """
 
@@ -13,7 +13,8 @@ import random
 import pytest
 
 from repro import smt
-from repro.bgp.policy import Action, Match, RouteMap
+from repro.bgp.configjson import condition_kinds
+from repro.bgp.policy import Action, RouteMap
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.bgp.topology import Edge
@@ -21,7 +22,6 @@ from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import (
-    match_term,
     symbolic_originated,
     transfer_export,
     transfer_import,
@@ -41,7 +41,7 @@ EMPTY_MODEL = Model({}, {})
 def _assert_same(route_map: RouteMap | None, route: Route) -> None:
     """Run symbolically on a constant embedding and read the output back:
     it is what ``route_map.apply`` gives (the AS path as universe
-    members and a length)."""
+    members and a length; the witness pads it with an outside ASN)."""
     expected = route_map.apply(route) if route_map is not None else route
     accepted, out = transfer_route_map(route_map, SymbolicRoute.concrete(route, draws.UNIVERSE))
     assert EMPTY_MODEL.eval_bool(accepted) is (expected is not None)
@@ -52,8 +52,9 @@ def _assert_same(route_map: RouteMap | None, route: Route) -> None:
     assert (got.local_pref, got.med) == (expected.local_pref, expected.med)
     assert (got.origin, got.next_hop) == (expected.origin, expected.next_hop)
     assert got.communities == expected.communities  # every community drawn is in the universe
-    assert set(got.as_path) == {a for a in expected.as_path if a in draws.UNIVERSE.asns}
-    assert EMPTY_MODEL.eval_bv(out.as_path_len) == len(expected.as_path)
+    members = set(draws.UNIVERSE.asns)
+    assert set(got.as_path) & members == set(expected.as_path) & members
+    assert EMPTY_MODEL.eval_bv(out.as_path_len) == len(got.as_path) == len(expected.as_path)
 
 
 def test_none_route_map_is_identity():
@@ -72,11 +73,11 @@ def test_transfer_matches_concrete_interpreter(seed):
     rng = random.Random(seed)
     route_map, route = draws.route_map(rng), draws.route(rng)
     _assert_same(route_map, route)
-    # Each match alone too: an earlier clause or a sibling match can hide
-    # a wrong one from the route map's outcome.
+    # Each condition alone too: an earlier clause or a sibling condition
+    # can hide a wrong one from the route map's outcome.
     sym = SymbolicRoute.concrete(route, draws.UNIVERSE)
-    for match in (m for clause in route_map.clauses for m in clause.matches):
-        assert EMPTY_MODEL.eval_bool(match_term(match, sym)) is match.matches(route), match
+    for cond in (m for clause in route_map.clauses for m in clause.matches):
+        assert EMPTY_MODEL.eval_bool(cond.to_term(sym)) is cond.holds(route), cond
 
 
 def _concrete_subclasses(base: type) -> set[type]:
@@ -86,14 +87,18 @@ def _concrete_subclasses(base: type) -> set[type]:
 
 def test_the_differential_seeds_draw_every_match_action_and_predicate_kind():
     # A draw is only as good as its reach: a kind added to the language
-    # must be drawn by the seeds the transfer and predicate cells run.
-    reached = set()
+    # must be drawn by the seeds the transfer and predicate cells run.  The
+    # route maps must reach every condition kind a configuration admits
+    # (combinators included) and every action, the predicates every kind.
+    in_maps, in_predicates = set(), set()
     for seed in TRANSFER_SEEDS:
-        reached |= draws.kinds(draws.route_map(random.Random(seed)))
+        in_maps |= draws.kinds(draws.route_map(random.Random(seed)))
     for seed in PREDICATE_SEEDS:
-        reached |= draws.kinds(draws.predicate(random.Random(seed)))
-    for base in (Match, Action, Predicate):
-        assert _concrete_subclasses(base) <= reached, base
+        in_predicates |= draws.kinds(draws.predicate(random.Random(seed)))
+    admitted = {cls for cls, __ in condition_kinds().classes.values()}
+    assert admitted <= in_maps, admitted - in_maps
+    assert _concrete_subclasses(Action) <= in_maps
+    assert _concrete_subclasses(Predicate) <= in_predicates
 
 
 # ---------------------------------------------------------------------------

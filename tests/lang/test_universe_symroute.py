@@ -10,7 +10,7 @@ from repro import smt
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Community, Route
 from repro.lang.symroute import SymbolicRoute
-from repro.lang.transfer import apply_action, match_term
+from repro.lang.transfer import apply_action
 from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import Model
 from repro.workloads.figure1 import build_figure1
@@ -183,7 +183,7 @@ def assert_merges_agree(then: SymbolicRoute, cond, els: SymbolicRoute) -> Symbol
 
 
 def _random_cond(rng: random.Random, route: SymbolicRoute):
-    drawn = match_term(draws.match(rng), route)
+    drawn = draws.condition(rng).to_term(route)
     return rng.choice([smt.true(), smt.false(), smt.bool_var(f"c{rng.randrange(3)}"), drawn])
 
 

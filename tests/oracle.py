@@ -78,11 +78,6 @@ from repro.bgp.policy import (
     ClearCommunities,
     DeleteCommunity,
     Disposition,
-    MatchAsPathLength,
-    MatchCommunity,
-    MatchMedRange,
-    MatchNot,
-    MatchPrefix,
     PrependAsPath,
     RouteMap,
     RouteMapClause,
@@ -105,7 +100,16 @@ from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import GroupOutcomes, VerificationReport
 from repro.core.safety import SafetyProblem, build_universe, run_problem
 from repro.core.workspace import Workspace
-from repro.lang.predicates import AsPathHas, HasCommunity, Implies, Not, PrefixIn, TruePred
+from repro.lang.predicates import (
+    AsPathHas,
+    AsPathLenIn,
+    HasCommunity,
+    Implies,
+    MedIn,
+    Not,
+    PrefixIn,
+    TruePred,
+)
 from repro.lang.specjson import spec_from_json
 from repro.lang.transfer import apply_policy, embed_originated, transfer_policy
 from repro.workloads.figure1 import build_figure1
@@ -125,11 +129,10 @@ from tests.core.conftest import (
 STRIP = RouteMap(
     "STRIP", (RouteMapClause(10, actions=(DeleteCommunity(fullmesh.TRANSIT_COMMUNITY),)),)
 )
-BOGONS = MatchPrefix((PrefixRange.parse("192.168.0.0/16 le 32"),))
+BOGONS = PrefixIn((PrefixRange.parse("192.168.0.0/16 le 32"),))
 SHORT = PrefixIn((PrefixRange.parse("0.0.0.0/0 le 24"),))
 DENY_SHORT = RouteMap(
-    "BREAK-PROP",
-    (RouteMapClause(10, Disposition.DENY, matches=(MatchPrefix(SHORT.ranges),)), RouteMapClause(20)),
+    "BREAK-PROP", (RouteMapClause(10, Disposition.DENY, matches=(SHORT,)), RouteMapClause(20))
 )
 
 
@@ -463,19 +466,19 @@ TRIANGLE_RANGES = [
 ]
 
 
-def _random_match(rng: random.Random, depth: int = 0):
+def _random_condition(rng: random.Random, depth: int = 0):
     kind = rng.choice(("community", "prefix", "med", "pathlen", "not")[: 5 - depth])
     if kind == "community":
-        return MatchCommunity(rng.choice(TRIANGLE_COMMUNITIES))
+        return HasCommunity(rng.choice(TRIANGLE_COMMUNITIES))
     if kind == "prefix":
-        return MatchPrefix((rng.choice(TRIANGLE_RANGES),))
+        return PrefixIn((rng.choice(TRIANGLE_RANGES),))
     if kind == "med":
         low = rng.randint(0, 50)
-        return MatchMedRange(low, low + rng.randint(0, 100))
+        return MedIn(low, low + rng.randint(0, 100))
     if kind == "pathlen":
         low = rng.randint(0, 3)
-        return MatchAsPathLength(low, low + rng.randint(0, 5))
-    return MatchNot(_random_match(rng, 1))
+        return AsPathLenIn(low, low + rng.randint(0, 5))
+    return Not(_random_condition(rng, 1))
 
 
 def _random_action(rng: random.Random):
@@ -499,7 +502,7 @@ def _random_route_map(rng: random.Random, name: str) -> RouteMap | None:
     clauses = []
     for i in range(rng.randint(1, 4)):
         deny = rng.random() < 0.3
-        matches = tuple(_random_match(rng) for __ in range(rng.randint(0, 2)))
+        matches = tuple(_random_condition(rng) for __ in range(rng.randint(0, 2)))
         actions = () if deny else tuple(_random_action(rng) for __ in range(rng.randint(0, 3)))
         disposition = Disposition.DENY if deny else Disposition.PERMIT
         clauses.append(RouteMapClause((i + 1) * 10, disposition, matches, actions))
@@ -526,7 +529,7 @@ def triangle(seed: int) -> NetworkConfig:
     for a, b in (("R1", "R2"), ("R2", "R3"), ("R1", "R3")):
         topology.add_peering(a, b)
     config = NetworkConfig(topology)
-    guard = RouteMapClause(1, Disposition.DENY, (MatchCommunity(_tracked(seed)),))
+    guard = RouteMapClause(1, Disposition.DENY, (HasCommunity(_tracked(seed)),))
     for i, name in enumerate(routers):
         config.set_external_asn(f"E{i + 1}", 65100 + i)
         inner = _random_route_map(rng, f"{name}-EXT-IN")
@@ -689,7 +692,46 @@ def hermetic_report(
         ]
         for section, checks in problem.checks(config).items()
     }
-    return VerificationReport(problem.property, groups, 0.0)
+    report = VerificationReport(problem.property, groups, 0.0)
+    replay_witnesses(report, config, ghosts, problem)
+    return report
+
+
+def replay_witnesses(
+    report: VerificationReport, config: NetworkConfig, ghosts: tuple, problem
+) -> int:
+    """Replay every FAILED filter check's witness on the concrete network;
+    returns how many were replayed.
+
+    The input meets the check's assumption; the concrete transfer
+    (``import_route``/``export_route``, then the edge's ghost updates)
+    rejects it exactly where the witness says so, and otherwise gives the
+    witness output, which breaks the goal.  A witness spells the AS path
+    as the universe members present plus padding, so two paths compare by
+    length and by the members they hold."""
+    universe = set(build_universe(config, problem.predicates(), ghosts).asns)
+    replayed = 0
+    for outcome in report.iter_outcomes():
+        failure = outcome.failure
+        filters = (*checks.IMPORT_KINDS, *checks.EXPORT_KINDS)
+        if failure is None or failure.check.kind not in filters:
+            continue
+        check, route = failure.check, failure.input_route
+        assert check.assumption.holds(route), (str(check), route)
+        importing = check.kind in checks.IMPORT_KINDS
+        output = (config.import_route if importing else config.export_route)(check.edge, route)
+        for ghost in ghosts if output else ():
+            value = (ghost.import_update if importing else ghost.export_update)(check.edge)
+            output = output if value is None else output.with_ghost(ghost.name, value)
+        assert (output is None) is failure.rejected, (str(check), route)
+        if output is not None:
+            witness = failure.output_route
+            assert dataclasses.replace(output, as_path=()) == dataclasses.replace(witness, as_path=())
+            assert len(output.as_path) == len(witness.as_path), (str(check), route)
+            assert set(output.as_path) & universe == set(witness.as_path) & universe
+            assert not check.goal.holds(output), (str(check), route)
+        replayed += 1
+    return replayed
 
 
 def reference(config: NetworkConfig, ghosts: tuple, problem) -> dict[tuple, list[tuple]]:
@@ -701,7 +743,9 @@ def pooled(case: Case, context: ExecutionContext | None = None, budget: int | No
     config = case.config()
     ghosts, problem = case.problem(config)
     context = context or ExecutionContext(conflict_budget=budget)
-    return run_problem(context, problem, config, ghosts)
+    report = run_problem(context, problem, config, ghosts)
+    replay_witnesses(report, config, ghosts, problem)  # a session's models, not a fresh solver's
+    return report
 
 
 def warm(case: Case):
