@@ -178,12 +178,11 @@ class NetworkConfig:
                     )
             for client in sorted(config.rr_clients):
                 session = config.neighbors.get(client)
-                ibgp = session is not None and session.remote_asn == config.asn
-                if not (ibgp and self.topology.is_router(client)):
-                    problems.append(
-                        f"router {name!r}: route-reflector client {client!r} "
-                        "is not an iBGP neighbor"
-                    )
+                remote_asn = None if session is None else session.remote_asn
+                internal = self.topology.is_router(client)
+                problem = reflector_problem(name, config.asn, client, remote_asn, internal)
+                if problem is not None:
+                    problems.append(problem)
         return problems
 
     def require_valid(self) -> None:
@@ -246,3 +245,14 @@ class NetworkConfig:
         if ncfg is None:
             return ()
         return ncfg.originated
+
+
+def reflector_problem(
+    router: str, asn: int, client: str, remote_asn: int | None, internal: bool
+) -> str | None:
+    """Why ``router`` (AS ``asn``) cannot reflect for ``client``, whose
+    session names ``remote_asn`` (``None``: no session) and which is an
+    ``internal`` router or not; ``None`` if it is an iBGP neighbor."""
+    if remote_asn == asn and internal:
+        return None
+    return f"router {router!r}: route-reflector client {client!r} is not an iBGP neighbor"

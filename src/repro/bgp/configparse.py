@@ -12,6 +12,7 @@ same front end for a compact text dialect::
         export route-map ISP1-OUT
         originate 10.0.0.0/8 community 100:1 local-pref 200
       neighbor R2 as 65000
+        route-reflector-client
 
     route-map ISP1-IN
       clause 10 permit
@@ -31,15 +32,18 @@ action and originated route spelled as the JSON codec spells it), and
 :func:`parse_config` hands that document to the one builder both formats
 share, :func:`repro.bgp.configjson.config_from_doc`, which checks the
 network (declared neighbors, self-peering, remote-as) with the messages it
-gives for a JSON file.  A syntax error is a :class:`ConfigSyntaxError`
-naming its line; so is a session whose route map the text never defines.
+gives for a JSON file.  A ``route-reflector-client`` line makes the
+stanza's neighbor one of the router's ``rr_clients``.  A syntax error is a
+:class:`ConfigSyntaxError` naming its line; so is a session whose route
+map the text never defines, and a reflector client that is not an iBGP
+neighbor (``NetworkConfig.validate``'s message, at the client's line).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.bgp.config import NetworkConfig
+from repro.bgp.config import NetworkConfig, reflector_problem
 from repro.bgp.configjson import (
     ACTION_KINDS,
     canonical,
@@ -88,7 +92,11 @@ class _Lowering:
         self.route_maps: dict[str, list[dict[str, Any]]] = {}
         # (line, session, "import_map"/"export_map", route-map name)
         self.map_uses: list[tuple[int, dict[str, Any], str, str]] = []
+        # (line, router, peer) of each route-reflector-client line
+        self.clients: list[tuple[int, str, str]] = []
+        self.router: str | None = None
         self.neighbors: dict[str, Any] | None = None  # the router stanza's
+        self.peer: str | None = None
         self.session: dict[str, Any] | None = None  # the neighbor stanza's
         self.clauses: list[dict[str, Any]] | None = None  # the route-map's
         self.clause: dict[str, Any] | None = None
@@ -104,7 +112,7 @@ class _Lowering:
             name, asn = _declaration(tokens)
             if name in self.routers:
                 raise ValueError(f"duplicate router {name!r}")
-            self.neighbors = {}
+            self.router, self.neighbors = name, {}
             self.routers[name] = {"asn": asn, "neighbors": self.neighbors}
             self.session = self.clauses = self.clause = None
         elif head == "neighbor":
@@ -113,6 +121,7 @@ class _Lowering:
             peer, asn = _declaration(tokens)
             if peer in self.neighbors:
                 raise ValueError(f"duplicate neighbor {peer!r}")
+            self.peer = peer
             self.session = self.neighbors[peer] = {
                 "remote_asn": asn, "import_map": None, "export_map": None, "originated": [],
             }
@@ -122,6 +131,13 @@ class _Lowering:
             if len(tokens) != 3 or tokens[1] != "route-map":
                 raise ValueError(f"expected: {head} route-map NAME")
             self.map_uses.append((line_no, self.session, f"{head}_map", tokens[2]))
+        elif head == "route-reflector-client":
+            if self.session is None:
+                raise ValueError("'route-reflector-client' outside a neighbor stanza")
+            if len(tokens) != 1:
+                raise ValueError("expected: route-reflector-client")
+            assert self.router is not None and self.peer is not None
+            self.clients.append((line_no, self.router, self.peer))
         elif head == "originate":
             if self.session is None:
                 raise ValueError("'originate' outside a neighbor stanza")
@@ -161,13 +177,21 @@ class _Lowering:
             raise ValueError(f"unknown keyword {head!r}")
 
     def finish(self) -> dict[str, Any]:
-        """The document: every session's route maps resolved by name."""
+        """The document: every session's route maps resolved by name, and
+        each reflector's sorted clients."""
         for clauses in self.route_maps.values():
             clauses.sort(key=lambda clause: clause["seq"])
         for line_no, session, key, name in self.map_uses:
             if name not in self.route_maps:
                 raise ConfigSyntaxError(line_no, f"route-map {name!r} is never defined")
             session[key] = {"name": name, "clauses": self.route_maps[name]}
+        for line_no, name, peer in self.clients:
+            router = self.routers[name]
+            remote_asn = router["neighbors"][peer]["remote_asn"]
+            problem = reflector_problem(name, router["asn"], peer, remote_asn, peer in self.routers)
+            if problem is not None:
+                raise ConfigSyntaxError(line_no, problem)
+            router["rr_clients"] = sorted({*router.get("rr_clients", ()), peer})
         return {"externals": self.externals, "routers": self.routers}
 
 

@@ -1,9 +1,11 @@
 """Local check generation and execution (§4.2, §5.2).
 
-Each :class:`LocalCheck` is one SMT query about a single filter on a single
-edge — the unit of Lightyear's scalability claim.  Checks carry enough
-metadata to localise a failure to the exact router, direction, and route
-map, and to render the violated implication.
+Each :class:`LocalCheck` is one SMT query about a single filter — the
+unit of Lightyear's scalability claim — standing for every edge of its
+owner router that asks it (§4.3: a check depends on its filter, not on
+which edge it is).  Checks carry enough metadata to localise a failure to
+the exact router, direction, and route map, and to render the violated
+implication.
 
 A check can be discharged hermetically (a fresh :class:`repro.smt.Solver`
 per query) or against a shared :class:`repro.smt.CheckSession`, which
@@ -39,19 +41,17 @@ asked to solve.  The rules, all enforced in ``_discharge``:
   check's own assertions before it may become a :class:`CheckFailure`; a
   model that does not satisfy them raises :class:`InternalError`.
 
-Above the memo, the per-check loop answers by class
-(:func:`check_class`): a filter check whose class already passed in the
-batch takes :meth:`LocalCheck.class_member_outcome` — a memo hit's
-outcome, under the same fault hook and expired-deadline bypass — without
-building its terms.
+Above the memo, :func:`repro.core.exec.pool.run_in_sessions` answers a
+check's members by class.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 from repro import smt
 from repro.bgp.config import NeighborConfig, NetworkConfig
@@ -62,10 +62,10 @@ from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate, predicate_term
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import (
+    edge_policy,
     symbolic_originated,
     transfer_export,
     transfer_import,
-    transfer_policy,
 )
 from repro.lang.universe import AttributeUniverse
 from repro.smt.sat import SatStats
@@ -124,9 +124,16 @@ class LocalCheck:
     Originate checks of a safety proof) :attr:`description` is rendered
     from the kind and edge.
 
-    A plain dataclass, built positionally: a run generates one per edge
-    side, and a frozen one costs several times as much to build.  Checks
-    compare by value but are not hashable, and nothing mutates one.
+    A filter check's class ``key`` is ``(kind, assumption, goal, policy)``
+    (``policy``: :func:`repro.lang.transfer.transfer_policy`), every input
+    of its query but the universe a batch fixes; its ``members`` are the
+    edges of its owner with that key, ``edge`` first, all asking one query.
+    Without ``members`` a check stands for its ``edge`` alone; without a
+    key (originate, implication) it is never answered by class.  Both hold
+    for the configuration and ghosts the check was generated from.
+
+    A plain dataclass, built positionally.  Checks compare by value but
+    are not hashable, and nothing mutates one once generated.
     """
 
     kind: CheckKind
@@ -136,6 +143,24 @@ class LocalCheck:
     text: str | None = None
     route_map_name: str | None = None
     location: Location | None = None
+    members: list[Edge] | None = None
+    key: tuple | None = None
+
+    @property
+    def size(self) -> int:
+        """How many edge checks this check stands for."""
+        return 1 if self.members is None else len(self.members)
+
+    def expand(self) -> "Iterator[LocalCheck]":
+        """One check per member edge, in member order, built as drawn."""
+        if self.members is None:
+            yield self
+            return
+        for edge in self.members:
+            yield type(self)(
+                self.kind, edge, self.assumption, self.goal, self.text,
+                self.route_map_name, self.location,
+            )
 
     @property
     def description(self) -> str:
@@ -171,7 +196,7 @@ class LocalCheck:
             check_start_hook(self, deadline_abs)
         return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
 
-    def class_member_outcome(
+    def passed_key_outcome(
         self,
         config: NetworkConfig,
         universe: AttributeUniverse,
@@ -180,8 +205,8 @@ class LocalCheck:
         session: "smt.CheckSession",
         deadline_s: float | None,
     ) -> "CheckOutcome":
-        """The outcome of this check when a check of its class
-        (:func:`check_class`) already passed in the same batch.
+        """The outcome of this check when a check with its class ``key``
+        already passed in the same batch.
 
         It is the outcome a query-memo hit gives — the class's query is
         this check's query — counted as one on the owner's ``session``,
@@ -422,21 +447,47 @@ class CheckOutcome:
     # (per-check deadline), or "wall-budget" (the run's wall budget ran
     # out before this check started).  None when the check was decided.
     unknown_reason: str | None = None
+    # A check of several members that did not pass: each member's own
+    # outcome, in member order; ``stats`` is their fold.
+    members: "list[CheckOutcome] | None" = None
+
+    def expanded(self) -> "list[CheckOutcome]":
+        """One outcome per edge check: each member's own, or for a passed
+        check its stats on the first member and memo hits on the rest."""
+        if self.members is not None or self.check.members is None:
+            return self.members or [self]
+        return [
+            CheckOutcome(member, True, MEMO_HIT_STATS if i else self.stats)
+            for i, member in enumerate(self.check.expand())
+        ]
+
+
+def unit_outcome(check: LocalCheck, rows: "list[CheckOutcome]") -> CheckOutcome:
+    """The outcome of ``check`` from its members' own, ``rows``: a pass
+    if every row passed (members past them were memo hits), else one that
+    keeps every row."""
+    if all(row.passed for row in rows):
+        return CheckOutcome(check, True, rows[0].stats if rows else MEMO_HIT_STATS)
+    if check.members is None:
+        return rows[0]
+    return CheckOutcome(
+        check, False, reduce(_merge_stats, (row.stats for row in rows)), members=rows
+    )
 
 
 def skipped_outcome(check: LocalCheck, reason: str) -> CheckOutcome:
-    """An UNKNOWN outcome for a check that was never run.
+    """An UNKNOWN outcome for a check that was never run, member by member.
 
     Used when the run's wall budget expires with checks still queued: the
     run completes with partial results, and each unexecuted check is
     accounted for explicitly instead of silently missing from the report.
     """
-    return CheckOutcome(
-        check=check,
-        passed=False,
-        stats=SolverStats(),
-        unknown=True,
-        unknown_reason=reason,
+    return unit_outcome(
+        check,
+        [
+            CheckOutcome(member, False, SolverStats(), unknown=True, unknown_reason=reason)
+            for member in check.expand()
+        ],
     )
 
 
@@ -454,31 +505,6 @@ def check_owner(check: LocalCheck) -> str | None:
     if check.kind in IMPORT_KINDS:
         return check.edge.dst
     return check.edge.src
-
-
-def check_class(
-    check: LocalCheck, config: NetworkConfig, ghosts: tuple[GhostAttribute, ...]
-) -> tuple | None:
-    """A filter check's class key: ``(kind, assumption, goal, policy)``.
-
-    ``policy`` is :func:`repro.lang.transfer.transfer_policy` of the
-    check's edge — route-map content, eBGP prepend, ghost updates — so the
-    key holds everything the check's query is built from except the
-    universe, which a batch fixes (§4.3: a local check depends on its
-    filter, not on which edge it is).  Every check of one class asks the
-    identical query; that is the transfer memo's key-completeness
-    argument, one level up.  ``None`` for originate and implication
-    checks, which are never answered by class.
-    """
-    if check.kind in IMPORT_KINDS:
-        direction = "import"
-    elif check.kind in EXPORT_KINDS:
-        direction = "export"
-    else:
-        return None
-    assert check.edge is not None
-    policy = transfer_policy(config, check.edge, ghosts, direction)
-    return (check.kind, check.assumption, check.goal, policy)
 
 
 def group_checks_by_owner(
@@ -553,9 +579,12 @@ def generate_safety_checks(
     invariants,
     property_location: Location,
     property_predicate: Predicate,
+    ghosts: "Sequence[GhostAttribute]",
     owners: "set[str] | None" = None,
 ) -> list[LocalCheck]:
-    """The Import/Export/Originate checks for every edge, plus ``I_l ⊆ P``.
+    """The Import/Export/Originate checks for every edge, plus ``I_l ⊆ P``:
+    one Import or Export check per owner router and class key under
+    ``ghosts``, in the order of its first member edge.
 
     With ``owners``, only checks owned by those routers are generated (and
     the owner-less implication check is skipped) — the incremental verifier
@@ -572,37 +601,44 @@ def generate_safety_checks(
             {e for owner in owners for e in (*topo.edges_from(owner), *topo.edges_to(owner))}
         )
         owning = routers & owners
-    # Per call, not per edge: each owning router's invariant and neighbors
-    # (a router without a configuration has none, as neighbor_config says).
+    # Per call, not per edge: each owning router's invariant, configuration
+    # and neighbors (a router without a configuration has none, as
+    # neighbor_config says).
     node_invariant = {router: invariants.get(router) for router in owning}
+    router_config = {router: config.routers.get(router) for router in owning}
     no_neighbors: dict[str, NeighborConfig] = {}
     neighbors = {
-        router: config.routers[router].neighbors if router in config.routers else no_neighbors
-        for router in owning
+        router: no_neighbors if c is None else c.neighbors for router, c in router_config.items()
     }
     checks: list[LocalCheck] = []
     append = checks.append
+    units: dict[tuple, LocalCheck] = {}  # the policy's direction stands for the kind
+
+    def join(
+        kind: CheckKind, direction: str, edge: Edge, owner: str,
+        neighbor: NeighborConfig | None, assumption: Predicate, goal: Predicate,
+    ) -> None:
+        policy = edge_policy(config, edge, router_config[owner], neighbor, ghosts, direction)
+        unit = units.get((owner, assumption, goal, policy))
+        if unit is None:
+            route_map = policy[1]
+            units[owner, assumption, goal, policy] = unit = LocalCheck(
+                kind, edge, assumption, goal, None,
+                None if route_map is None else route_map.name, None, [],
+                (kind, assumption, goal, policy),
+            )
+            append(unit)
+        unit.members.append(edge)  # type: ignore[union-attr]
+
     for edge in edges:
         src, dst = edge
         edge_invariant = invariants.get(edge)
         if dst in owning:
             neighbor = neighbors[dst].get(src)
-            route_map = None if neighbor is None else neighbor.import_map
-            append(
-                LocalCheck(
-                    CheckKind.IMPORT, edge, edge_invariant, node_invariant[dst], None,
-                    None if route_map is None else route_map.name,
-                )
-            )
+            join(CheckKind.IMPORT, "import", edge, dst, neighbor, edge_invariant, node_invariant[dst])
         if src in owning:
             neighbor = neighbors[src].get(dst)
-            route_map = None if neighbor is None else neighbor.export_map
-            append(
-                LocalCheck(
-                    CheckKind.EXPORT, edge, node_invariant[src], edge_invariant, None,
-                    None if route_map is None else route_map.name,
-                )
-            )
+            join(CheckKind.EXPORT, "export", edge, src, neighbor, node_invariant[src], edge_invariant)
             if neighbor is not None and neighbor.originated:
                 # The assumption is unused: an originate check has no input route.
                 append(LocalCheck(CheckKind.ORIGINATE, edge, edge_invariant, edge_invariant))

@@ -2,7 +2,7 @@
 
 :func:`run_in_sessions` is the one per-check loop — wall-budget expiry,
 effective deadline, the owner's :class:`repro.smt.CheckSession`, the
-check — and the whole of the serial path.
+check and its members — and the whole of the serial path.
 
 The paper's deployment discharges local checks as separate processes, one
 per device; :func:`run_checks_in_processes` is the reproduction of that
@@ -36,7 +36,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.core import checks as _checks
-from repro.core.checks import check_class, check_owner, group_checks_by_owner, skipped_outcome
+from repro.core.checks import check_owner, group_checks_by_owner, skipped_outcome, unit_outcome
 from repro.smt.solver import SessionPool
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -91,45 +91,55 @@ def run_in_sessions(
     already holds never reaches its session (see
     :meth:`repro.core.checks.LocalCheck._discharge`).
 
-    Checks are classes (:func:`repro.core.checks.check_class`): once one
-    filter check of a class has passed, every later member is answered
-    with one set probe, as a memo hit, without building its terms
-    (:meth:`repro.core.checks.LocalCheck.class_member_outcome`).  Config,
-    universe and ghosts are fixed for the call, so the set of passed
-    classes needs no invalidation.  Only a pass fans out: a member of a
-    failed or UNKNOWN class runs itself, for its own blame and witness.
+    A check runs for its first member; once its class ``key`` has passed
+    (:class:`repro.core.checks.LocalCheck`), each later member, of this
+    check or another owner's, is answered as a memo hit without building
+    its terms (:meth:`repro.core.checks.LocalCheck.passed_key_outcome`).
+    Config, universe and ghosts are fixed for the call, so the set of
+    passed keys needs no invalidation.  Only a pass fans out: each member
+    of a failed or UNKNOWN check runs itself, for its own blame and
+    witness.  Every member meets the wall budget, the fault hook and its
+    own deadline; with none of them set, they are counted in one step.
     """
     outcomes: list["CheckOutcome"] = []
     append = outcomes.append
     get_session = sessions.get
+    plain = _checks.check_start_hook is None and deadline_s is None and run_deadline is None
     passed: set[tuple] = set()
-    for check in checks:
-        # Effective per-check deadline: the tighter of the check budget and
-        # what is left of the run's wall budget, from one clock sample.
-        # ``run_deadline`` is absolute CLOCK_MONOTONIC, which is system-wide
-        # on Linux, so a parent's timestamp is directly comparable in a
-        # worker.  An expired budget short-circuits before any encoding.
-        effective = deadline_s
-        if run_deadline is not None:
-            remaining = run_deadline - time.monotonic()
-            if remaining <= 0:
-                append(skipped_outcome(check, "wall-budget"))
-                continue
-            effective = remaining if effective is None else min(effective, remaining)
-        session = get_session(check_owner(check))
-        key = check_class(check, config, ghosts)
-        if key in passed:
-            outcome = check.class_member_outcome(
-                config, universe, ghosts, conflict_budget, session, effective
-            )
-        else:
-            outcome = check.run(
-                config, universe, ghosts, conflict_budget,
-                session=session, deadline_s=effective,
-            )
-            if key is not None and outcome.passed:
-                passed.add(key)
-        append(outcome)
+    for unit in checks:
+        key = unit.key
+        rows: list["CheckOutcome"] = []
+        members = unit.expand()
+        for check in members:
+            # Effective per-check deadline: the tighter of the check budget and
+            # what is left of the run's wall budget, from one clock sample.
+            # ``run_deadline`` is absolute CLOCK_MONOTONIC, which is system-wide
+            # on Linux, so a parent's timestamp is directly comparable in a
+            # worker.  An expired budget short-circuits before any encoding.
+            effective = deadline_s
+            if run_deadline is not None:
+                remaining = run_deadline - time.monotonic()
+                if remaining <= 0:
+                    rows += [skipped_outcome(c, "wall-budget") for c in (check, *members)]
+                    break
+                effective = remaining if effective is None else min(effective, remaining)
+            session = get_session(check_owner(unit))
+            if plain and key in passed and all(row.passed for row in rows):
+                session.memo_hits += unit.size - len(rows)
+                break
+            if key in passed:
+                outcome = check.passed_key_outcome(
+                    config, universe, ghosts, conflict_budget, session, effective
+                )
+            else:
+                outcome = check.run(
+                    config, universe, ghosts, conflict_budget,
+                    session=session, deadline_s=effective,
+                )
+                if key is not None and outcome.passed:
+                    passed.add(key)
+            rows.append(outcome)
+        append(unit_outcome(unit, rows))
     return outcomes
 
 

@@ -16,7 +16,7 @@ claim; the ablation benchmark measures the saving.
 :class:`PropertyTracker` is that rule, written once.  Its cache is an
 **owner index** — ``(*section, owner) →``
 :class:`~repro.core.report.GroupOutcomes`, results only: checks are a pure
-function of ``(problem, config, owner)`` — over the section keys of
+function of ``(problem, config, ghosts, owner)`` — over the section keys of
 :mod:`repro.core.report`.  What differs between the kinds lives in a
 small *problem builder* beside the pipeline it describes
 (:class:`repro.core.safety.SafetyProblem`,
@@ -56,7 +56,7 @@ from typing import Any, Protocol, Sequence
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import LocalCheck, group_checks_by_owner
 from repro.core.exec import ExecutionContext, GroupKey, Scheduler
-from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport
+from repro.core.report import DegradationReport, GroupOutcomes, VerificationReport, kept_outcomes
 from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
@@ -173,10 +173,13 @@ class Problem(Protocol):
         ...
 
     def checks(
-        self, config: NetworkConfig, owners: set[str] | None = None
+        self,
+        config: NetworkConfig,
+        ghosts: Sequence[GhostAttribute],
+        owners: set[str] | None = None,
     ) -> dict[Section, list[LocalCheck]]:
-        """Every section's checks — or, with ``owners``, only the checks
-        those routers own (sections owning none may be omitted)."""
+        """Every section's checks, keyed by class under ``ghosts`` — or, with
+        ``owners``, only those routers' (sections owning none may be omitted)."""
         ...
 
 
@@ -294,14 +297,12 @@ class PropertyTracker:
         the whole check set, or the regenerated groups of the owners that
         were edited or hold a time-bound UNKNOWN."""
         if everything:
-            return _by_group_key(self.problem.checks(config))
+            return _by_group_key(self.problem.checks(config, self.ghosts))
         keys = [
             key for key in self._groups if key[-1] in changed or key in self._time_bound
         ]
         owners = {key[-1] for key in keys} - {None}
-        fresh = (
-            _by_group_key(self.problem.checks(config, owners=owners)) if owners else {}
-        )
+        fresh = _by_group_key(self.problem.checks(config, self.ghosts, owners)) if owners else {}
         for key in keys:
             if key[-1] is None:  # no generator call yields these: the group keeps them
                 fresh[key] = self._groups[key].checks or ()
@@ -313,7 +314,7 @@ class PropertyTracker:
         """The ``regenerate`` of groups restored without checks: one
         generator call for all of them, on a config they are valid for."""
         owners = {key[-1] for key in missing}
-        regenerated = _by_group_key(self.problem.checks(config, owners=owners))
+        regenerated = _by_group_key(self.problem.checks(config, self.ghosts, owners=owners))
         for key, group in missing.items():
             group.checks = regenerated.get(key, [])
 
@@ -374,7 +375,7 @@ class PropertyTracker:
             self._time_bound = set()
         for key, outcomes in result.items():
             group = self._groups[key] = GroupOutcomes.of(stale[key], outcomes)
-            if any(o.unknown_reason in TIME_BOUND_REASONS for o in group.kept.values()):
+            if any(o.unknown_reason in TIME_BOUND_REASONS for o in kept_outcomes([group])):
                 self._time_bound.add(key)
             else:
                 self._time_bound.discard(key)
@@ -390,8 +391,8 @@ class PropertyTracker:
             if group.checks is None:  # restored from a cache, not listed yet
                 missing[key] = group
                 group.regenerate = regenerate
-        rerun = sum(len(checks) for checks in stale.values())
-        reused = sum(len(group.stats) for group in self._groups.values()) - rerun
+        rerun = sum(check.size for checks in stale.values() for check in checks)
+        reused = sum(group.num_checks for group in self._groups.values()) - rerun
         elapsed = time.perf_counter() - start
         return VerificationReport(
             self.problem.property, by_section, elapsed, degradation, reused

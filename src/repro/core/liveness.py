@@ -39,6 +39,7 @@ universe under every encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.topology import Edge
@@ -60,12 +61,14 @@ from repro.core.report import (
 from repro.core.safety import invariant_predicates, run_problem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Implies, Predicate, PrefixIn, TruePred, prefix_projection
+from repro.lang.transfer import transfer_policy
 
 
 def generate_propagation_checks(
-    config: NetworkConfig, prop: LivenessProperty
+    config: NetworkConfig, prop: LivenessProperty, ghosts: Sequence[GhostAttribute]
 ) -> list[LocalCheck]:
-    """The §5.2 checks that ``C_i`` routes survive each filter on the path."""
+    """The §5.2 checks that ``C_i`` routes survive each filter on the path,
+    keyed by their classes under ``ghosts``."""
     checks: list[LocalCheck] = []
     for i in range(len(prop.path) - 1):
         here = prop.path[i]
@@ -76,12 +79,14 @@ def generate_propagation_checks(
             edge = prop.path[i + 1]
             assert isinstance(edge, Edge)
             route_map = config.export_map(edge)
+            policy = transfer_policy(config, edge, ghosts, "export")
             checks.append(
                 LocalCheck(
                     CheckKind.PROPAGATE_EXPORT, edge, c_here, c_next,
                     f"propagation (export) at {here} on {edge}: "
                     f"good routes are exported and stay good",
                     None if route_map is None else route_map.name,
+                    key=(CheckKind.PROPAGATE_EXPORT, c_here, c_next, policy),
                 )
             )
         else:
@@ -90,12 +95,14 @@ def generate_propagation_checks(
             if not config.topology.is_router(here.dst):
                 continue  # the path ends into an external neighbor
             route_map = config.import_map(here)
+            policy = transfer_policy(config, here, ghosts, "import")
             checks.append(
                 LocalCheck(
                     CheckKind.PROPAGATE_IMPORT, here, c_here, c_next,
                     f"propagation (import) at {here.dst} on {here}: "
                     f"good routes are accepted and stay good",
                     None if route_map is None else route_map.name,
+                    key=(CheckKind.PROPAGATE_IMPORT, c_here, c_next, policy),
                 )
             )
     return checks
@@ -168,14 +175,16 @@ class LivenessChecks:
 def generate_liveness_checks(
     config: NetworkConfig,
     prop: LivenessProperty,
+    ghosts: Sequence[GhostAttribute],
     interference_invariants: dict[str, InvariantMap] | None = None,
 ) -> LivenessChecks:
-    """Generate the full §5 check set without executing anything."""
+    """Generate the full §5 check set, under ``ghosts``, without executing
+    anything."""
     properties, invariants = resolve_interference_invariants(
         config, prop, interference_invariants
     )
     return LivenessChecks(
-        propagation=generate_propagation_checks(config, prop),
+        propagation=generate_propagation_checks(config, prop, ghosts),
         implication=implication_check(
             prop.location,
             prop.constraints[-1],
@@ -184,7 +193,7 @@ def generate_liveness_checks(
         ),
         subproof_checks={
             router: generate_safety_checks(
-                config, invariants[router], safety_prop.location, safety_prop.predicate
+                config, invariants[router], safety_prop.location, safety_prop.predicate, ghosts
             )
             for router, safety_prop in properties.items()
         },
@@ -231,11 +240,14 @@ class LivenessProblem:
         return preds
 
     def checks(
-        self, config: NetworkConfig, owners: set[str] | None = None
+        self,
+        config: NetworkConfig,
+        ghosts: Sequence[GhostAttribute],
+        owners: set[str] | None = None,
     ) -> dict[tuple, list[LocalCheck]]:
         if owners is None:
             self.prop.validate_against(config.topology)
-            checks = generate_liveness_checks(config, self.prop, self.invariants)
+            checks = generate_liveness_checks(config, self.prop, ghosts, self.invariants)
             # Checks are independent, so section order only fixes which
             # checks the serial path (and so an expiring wall budget)
             # reaches first: propagation, sub-proofs, implication.
@@ -252,7 +264,7 @@ class LivenessProblem:
         sections = {
             PROPAGATION_KEY: [
                 check
-                for check in generate_propagation_checks(config, self.prop)
+                for check in generate_propagation_checks(config, self.prop, ghosts)
                 if check_owner(check) in owners
             ]
         }
@@ -262,6 +274,7 @@ class LivenessProblem:
                 invariants[router],
                 safety_prop.location,
                 safety_prop.predicate,
+                ghosts,
                 owners=owners,
             )
         return sections

@@ -109,13 +109,15 @@ class GroupOutcomes:
     A group is one ``(section, owner)`` entry of the incremental tracker's
     owner index, or a whole section of a one-shot run.  ``stats`` holds one
     row per check in group order (repeats of a memoised query share one
-    object, in memory and in a pickle); ``kept`` maps a check's index to
-    its whole :class:`~repro.core.checks.CheckOutcome` for every check that
-    did not pass and for every owner-less check (the implications), so
-    failures, UNKNOWNs and blame render without the other checks; the four
-    folds are what every summary asks for, computed once.
+    object, in memory and in a pickle), and ``num_checks`` counts the edge
+    checks they stand for, members included; ``kept`` maps a check's index
+    to its whole :class:`~repro.core.checks.CheckOutcome` for every check
+    that did not pass (each member's outcome within it) and for every
+    owner-less check (the implications), so failures, UNKNOWNs and blame
+    render without the other checks; the folds are what every summary
+    asks for, computed once.
 
-    Checks are a pure function of ``(problem, config, owner)`` and not
+    Checks are a pure function of ``(problem, config, ghosts, owner)`` and not
     persisted (unless every outcome is kept, and with it its check):
     ``checks`` is set by the run that produced the group, else
     ``regenerate`` (set by the tracker that restored it) fills it in when
@@ -124,6 +126,7 @@ class GroupOutcomes:
 
     stats: "list[SolverStats]"
     kept: dict[int, CheckOutcome]
+    num_checks: int
     max_vars: int
     max_clauses: int
     solve_time_s: float
@@ -144,6 +147,7 @@ class GroupOutcomes:
                 for i, o in enumerate(outcomes)
                 if not o.passed or o.check.edge is None
             },
+            num_checks=sum(check.size for check in checks),
             max_vars=max((s.num_vars for s in stats), default=0),
             max_clauses=max((s.num_clauses for s in stats), default=0),
             solve_time_s=sum(s.solve_time_s for s in stats),
@@ -156,15 +160,17 @@ class GroupOutcomes:
         return {**self.__dict__, "checks": checks, "regenerate": None}
 
     def outcomes(self) -> list[CheckOutcome]:
-        """One outcome per check, in group order: the per-check listing."""
+        """One outcome per edge check, check by check and member by member
+        in group order: the per-check listing.  A passed check's first
+        member carries its stats, the others were memo hits."""
         if self.checks is None and self.regenerate is not None:
             self.regenerate()
         if self.checks is None:
             raise ValueError("the group has no checks and no way to regenerate them")
-        rows = zip(self.checks, self.stats, strict=True)
         return [
-            self.kept.get(i) or CheckOutcome(check, True, stats)
-            for i, (check, stats) in enumerate(rows)
+            row
+            for i, (check, stats) in enumerate(zip(self.checks, self.stats, strict=True))
+            for row in (self.kept.get(i) or CheckOutcome(check, True, stats)).expanded()
         ]
 
 
@@ -183,11 +189,12 @@ def failure_status(failures: list, unknowns: list) -> str:
     return f"FAILED ({', '.join(parts)})" if parts else "FAILED"
 
 
-def _kept(groups: Iterable[GroupOutcomes]) -> Iterator[CheckOutcome]:
-    """The whole outcomes the groups kept: every check that did not pass,
-    and every owner-less one."""
+def kept_outcomes(groups: Iterable[GroupOutcomes]) -> Iterator[CheckOutcome]:
+    """The whole outcomes the groups kept: every edge check that did not
+    pass, and every owner-less one."""
     for group in groups:
-        yield from group.kept.values()
+        for outcome in group.kept.values():
+            yield from outcome.expanded()
 
 
 @dataclass
@@ -223,11 +230,11 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(o.passed for o in _kept(self._groups()))
+        return all(o.passed for o in kept_outcomes(self._groups()))
 
     @property
     def failures(self) -> "list[CheckFailure]":
-        return [o.failure for o in _kept(self._groups()) if o.failure is not None]
+        return [o.failure for o in kept_outcomes(self._groups()) if o.failure is not None]
 
     @property
     def unknowns(self) -> list[CheckOutcome]:
@@ -238,7 +245,7 @@ class VerificationReport:
         must count them separately or an unknown-only failure reads as
         ``FAILED (0 checks)``.
         """
-        return [o for o in _kept(self._groups()) if o.unknown]
+        return [o for o in kept_outcomes(self._groups()) if o.unknown]
 
     @property
     def unknown_reason_counts(self) -> dict[str, int]:
@@ -254,7 +261,7 @@ class VerificationReport:
 
     @property
     def num_checks(self) -> int:
-        return sum(len(group.stats) for group in self._groups())
+        return sum(group.num_checks for group in self._groups())
 
     @property
     def rerun_checks(self) -> int:
@@ -291,7 +298,7 @@ class VerificationReport:
         text = f"{self.property}: {self.status()} — {self.num_checks} local checks"
         if isinstance(self.property, LivenessProperty):
             groups = self.sections.get(PROPAGATION_KEY, ())
-            propagation = sum(len(group.stats) for group in groups)
+            propagation = sum(group.num_checks for group in groups)
             subproofs = sum(1 for key in self.sections if key[0] == "sub")
             text += (
                 f" ({propagation} propagation, {subproofs} no-interference sub-proofs)"
@@ -332,17 +339,17 @@ def _liveness_lines(report: VerificationReport, verbose: bool) -> list[str]:
     proof = [
         outcome
         for key in (PROPAGATION_KEY, IMPLICATION_KEY)
-        for outcome in _kept(report.sections.get(key, ()))
+        for outcome in kept_outcomes(report.sections.get(key, ()))
     ]
     for outcome in proof:
         if outcome.failure is not None:
             lines += ["", outcome.failure.explain()]
     for key in sorted(key for key in report.sections if key[0] == "sub"):
         groups = report.sections[key]
-        kept = list(_kept(groups))
+        kept = list(kept_outcomes(groups))
         if all(o.passed for o in kept):
             if verbose:
-                checks = sum(len(group.stats) for group in groups)
+                checks = sum(group.num_checks for group in groups)
                 lines.append(f"no-interference at {key[1]}: ok ({checks} checks)")
             continue
         lines += ["", f"no-interference sub-proof at {key[1]} FAILED:"]

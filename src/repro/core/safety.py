@@ -113,14 +113,17 @@ class SafetyProblem:
         return [p.predicate for p in self._props] + invariant_predicates(self.invariants)
 
     def checks(
-        self, config: NetworkConfig, owners: set[str] | None = None
+        self,
+        config: NetworkConfig,
+        ghosts: Sequence[GhostAttribute],
+        owners: set[str] | None = None,
     ) -> dict[tuple, list[LocalCheck]]:
         if owners is None:
             for p in self._props:
                 p.validate_against(config.topology)
         first = self._props[0]
         checks = generate_safety_checks(
-            config, self.invariants, first.location, first.predicate, owners=owners
+            config, self.invariants, first.location, first.predicate, ghosts, owners=owners
         )
         if self._family and owners is None:
             # The generator's last check is ``first``'s implication: a
@@ -155,7 +158,7 @@ def run_problem(
     """
     start = time.perf_counter()
     degradation = DegradationReport()
-    sections = problem.checks(config)
+    sections = problem.checks(config, ghosts)
     if universe is None:
         universe = build_universe(config, problem.predicates(), ghosts)
     outcomes = Scheduler(context).run(sections, config, universe, ghosts, degradation)

@@ -107,7 +107,10 @@ from repro.lang.predicates import Predicate
 # Format 11: route-map match conditions are predicates, so every route-map
 # digest names predicate classes; a format 10 cache is refused by its
 # header, not reported as another configuration.
-CACHE_FORMAT = 11
+# Format 12: a group holds one stats row per generated check, which stands
+# for all of its owner's edges in one class, and counts the edge checks in
+# ``num_checks``; a check that did not pass keeps each member's outcome.
+CACHE_FORMAT = 12
 _PREFIX = b"lightyear-cache "
 _HEADER = _PREFIX + b"%d\n" % CACHE_FORMAT
 _DIGEST_LEN = hashlib.sha256().digest_size

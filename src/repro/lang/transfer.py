@@ -33,9 +33,11 @@ import") share it regardless of which peer they face.
 :func:`apply_policy` is the one reader of that value and the only code
 that builds a transfer output; the memo key is ``(policy, route instance
 token)``, so it covers everything the output depends on by construction.
-The same value is the policy part of a filter check's class key: a check
-whose class already passed in a batch is answered without calling the
-transfer at all (:func:`repro.core.exec.pool.run_in_sessions`).
+The same value is the policy part of a filter check's class key: check
+generation (:func:`repro.core.checks.generate_safety_checks`) builds it
+from the owner's neighbor entry it reads anyway (:func:`edge_policy`)
+and emits one check per owner and key, so the transfer runs once per
+class, not once per edge.
 Originated routes key on ``(universe, routes, ghost originated values)``
 and :func:`embed_originated` reads only that.  Ghost names are unique in a
 run (:func:`repro.lang.ghost.unique_ghosts`), so a sorted update list
@@ -69,7 +71,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro import smt
-from repro.bgp.config import NetworkConfig
+from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import (
     Action,
     AddCommunity,
@@ -226,25 +228,40 @@ def transfer_policy(
     the output).  :func:`apply_policy` reads nothing else, so the transfer
     memo's key — this plus the input route — is complete by construction,
     and it is the policy part of a filter check's class key
-    (:func:`repro.core.checks.check_class`): two edges with equal policies
+    (:class:`repro.core.checks.LocalCheck`): two edges with equal policies
     run the same transfer function, whatever their names.
     """
-    # The owner's neighbor entry read directly: this runs for every filter check.
+    owner, peer = (edge.dst, edge.src) if direction == "import" else edge
+    router = config.routers.get(owner)
+    neighbor = None if router is None else router.neighbors.get(peer)
+    return edge_policy(config, edge, router, neighbor, ghosts, direction)
+
+
+def edge_policy(
+    config: NetworkConfig,
+    edge: Edge,
+    router: RouterConfig | None,
+    neighbor: NeighborConfig | None,
+    ghosts: Sequence[GhostAttribute],
+    direction: str,
+) -> tuple:
+    """The :func:`transfer_policy` of ``edge``, from its owner's ``router``
+    configuration and that router's ``neighbor`` entry for the peer (each
+    ``None`` when absent), for a caller that has read them already: check
+    generation reads each edge side's once."""
     prepend_asn: int | None = None
     if direction == "import":
-        router = config.routers.get(edge.dst)
-        neighbor = None if router is None else router.neighbors.get(edge.src)
         route_map = None if neighbor is None else neighbor.import_map
     else:
-        router = config.routers.get(edge.src)
-        neighbor = None if router is None else router.neighbors.get(edge.dst)
         route_map = None if neighbor is None else neighbor.export_map
         if router is not None and config.is_ebgp(edge):
             prepend_asn = router.asn
-    # A plain loop: a comprehension here costs a function call per check.
+    # A plain loop over the update tables: check generation calls this once
+    # per edge side, and a comprehension or method call costs one per ghost.
+    importing = direction == "import"
     updates: list[tuple[str, bool]] = []
     for ghost in ghosts:
-        value = ghost.import_update(edge) if direction == "import" else ghost.export_update(edge)
+        value = (ghost.import_updates if importing else ghost.export_updates).get(edge)
         if value is not None:
             updates.append((ghost.name, value))
     updates.sort()

@@ -140,18 +140,18 @@ def full_mesh_single_router_edit(n: int, router: str | None = None) -> NetworkCo
 
 
 def full_mesh_external_asn_edit(n: int, asn: int = 64999) -> NetworkConfig:
-    """The N-router mesh with one *network-level* edit: ``En``'s ASN changed.
+    """The N-router mesh with one *network-level* edit: ``En``'s ASN changed,
+    and ``Rn``'s session to it says the new ``remote-as`` (the network
+    stays valid).
 
-    ``set_external_asn`` alone touches no router's configuration, so every
-    per-router policy digest is unchanged — this is exactly the edit that a
-    change detector keyed only on per-router digests cannot see, even
-    though external ASNs feed the attribute universe and AS-path
-    reasoning.  (The adjacent session keeps its configured ``remote-as``,
-    as a stale real-world config would; ``validate()`` flags the mismatch
-    but the symbolic pipeline reads only ``external_asns``.)
+    The session edit changes ``Rn``'s policy digest only, but the new ASN
+    is no router's: it feeds the attribute universe and AS-path reasoning
+    everywhere, so the network-level digest changes and a reverify re-runs
+    every owner's checks, not just ``Rn``'s.
     """
     config = build_full_mesh(n)
     config.set_external_asn(f"E{n}", asn)
+    config.routers[f"R{n}"].neighbors[f"E{n}"].remote_asn = asn
     return config
 
 

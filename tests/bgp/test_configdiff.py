@@ -104,11 +104,12 @@ def test_reflector_client_change_detected():
 
 
 def test_external_asn_change_detected():
-    # No router's configuration changes, yet the digests see a network
-    # edit (a reverify re-runs every check): the diff must not say
-    # "no changes".
+    # Only R4's session to E4 changes in a router's configuration, yet the
+    # digests see a network edit (a reverify re-runs every check), and the
+    # diff names the external's new ASN as well as the session.
     old, new = build_full_mesh(4), full_mesh_external_asn_edit(4)
+    assert new.validate() == []
     diff = diff_configs(old, new)
-    assert diff.summary() == "external ASN changed: E4"
-    assert diff.details == {"E4": ["asn 1004 -> 64999"]}
-    assert diff_digests(config_digests(old), config_digests(new)) == {("network",)}
+    assert diff.summary() == "changed: R4; external ASN changed: E4"
+    assert diff.details == {"R4": ["E4: remote-as 1004 -> 64999"], "E4": ["asn 1004 -> 64999"]}
+    assert diff_digests(config_digests(old), config_digests(new)) == {("network",), "R4"}

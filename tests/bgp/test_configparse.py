@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.bgp.configjson import config_from_json, config_to_json
@@ -9,6 +11,8 @@ from repro.bgp.configparse import ConfigSyntaxError, parse_config
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Community, Route
 from repro.bgp.topology import Edge
+from repro.cli import main
+from repro.core.incremental import config_digests
 from repro.lang.predicates import Not
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.wan import build_wan
@@ -200,6 +204,65 @@ def test_json_roundtrip_parsed_example():
 def test_json_roundtrip_wan():
     wan = build_wan(regions=2, routers_per_region=2)
     _assert_equivalent(wan.config, config_from_json(config_to_json(wan.config)))
+
+
+REFLECTOR = """
+external E1 as 100
+router RR as 65000
+  neighbor E1 as 100
+  neighbor C2 as 65000
+    route-reflector-client
+  neighbor C1 as 65000
+    route-reflector-client
+router C1 as 65000
+  neighbor RR as 65000
+router C2 as 65000
+  neighbor RR as 65000
+"""
+
+#: :data:`REFLECTOR` as a JSON document.
+REFLECTOR_JSON = {
+    "externals": {"E1": 100},
+    "routers": {
+        "RR": {
+            "asn": 65000,
+            "rr_clients": ["C1", "C2"],
+            "neighbors": {
+                "E1": {"remote_asn": 100},
+                "C2": {"remote_asn": 65000},
+                "C1": {"remote_asn": 65000},
+            },
+        },
+        "C1": {"asn": 65000, "neighbors": {"RR": {"remote_asn": 65000}}},
+        "C2": {"asn": 65000, "neighbors": {"RR": {"remote_asn": 65000}}},
+    },
+}
+
+
+def test_dialect_reflector_clients_build_the_json_twin():
+    parsed, twin = parse_config(REFLECTOR), config_from_json(json.dumps(REFLECTOR_JSON))
+    _assert_equivalent(parsed, twin)
+    assert parsed.routers["RR"].rr_clients == twin.routers["RR"].rr_clients == {"C1", "C2"}
+    assert config_digests(parsed) == config_digests(twin)
+    assert config_to_json(parsed) == config_to_json(twin)
+
+
+@pytest.mark.parametrize(
+    "peer, line", [("E1", "  neighbor E1 as 100"), ("R9", "  neighbor R9 as 65009")]
+)
+def test_a_dialect_reflector_client_must_be_an_ibgp_neighbor(peer, line, tmp_path, capsys):
+    # An external, and an internal router of another AS, in place of RR's
+    # session to E1: ``validate``'s message, at the route-reflector-client line.
+    text = REFLECTOR.replace("  neighbor E1 as 100", f"{line}\n    route-reflector-client")
+    text += "router R9 as 65009\n  neighbor RR as 65000\n"
+    expected = f"line 5: router 'RR': route-reflector client {peer!r} is not an iBGP neighbor"
+    with pytest.raises(ConfigSyntaxError) as info:
+        parse_config(text)
+    assert str(info.value) == expected and info.value.line_no == 5
+    path = tmp_path / "reflector.cfg"
+    path.write_text(text)
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {expected}\n"
 
 
 def test_json_roundtrip_is_stable():

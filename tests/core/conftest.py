@@ -15,12 +15,14 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.topology import Edge
-from repro.core.checks import generate_safety_checks
+from repro.core.checks import IMPORT_KINDS, generate_safety_checks
 from repro.core.exec import ExecutionContext, Scheduler
 from repro.core.liveness import LivenessProblem, interference_properties
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
+from repro.core.report import GroupOutcomes
 from repro.core.safety import build_universe, invariant_predicates
 from repro.lang.ghost import GhostAttribute
+from repro.lang.transfer import transfer_policy
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, PrefixIn
 from repro.bgp.prefix import PrefixRange
 from repro.workloads import fullmesh
@@ -71,7 +73,7 @@ def owner_check_count(tracker, owner) -> int:
     """How many checks the tracker's owner index holds for ``owner``,
     across every section of the proof."""
     return sum(
-        len(group.stats) for key, group in tracker._groups.items() if key[-1] == owner
+        group.num_checks for key, group in tracker._groups.items() if key[-1] == owner
     )
 
 
@@ -99,16 +101,24 @@ def safety_pieces(config, ghost, prop, invariants):
     """(universe, checks) of a safety problem, for tests below ``verify_safety``."""
     predicates = [prop.predicate, *invariant_predicates(invariants)]
     universe = build_universe(config, predicates, (ghost,))
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate, (ghost,))
     return universe, checks
 
 
+def class_key(config, kind, edge, assumption, goal, ghosts) -> tuple:
+    """The class key of a filter check of ``kind`` on ``edge`` alone, read
+    off the edge by :func:`repro.lang.transfer.transfer_policy`."""
+    direction = "import" if kind in IMPORT_KINDS else "export"
+    return (kind, assumption, goal, transfer_policy(config, edge, ghosts, direction))
+
+
 def run_batch(checks, config, universe, ghosts, context=None, degradation=None):
-    """A bare check list run as one batch; outcomes in input order."""
+    """A bare check list run as one batch; one outcome per member edge, in
+    input order (:meth:`GroupOutcomes.outcomes`)."""
     batch = Scheduler(context or ExecutionContext()).run(
         {("batch",): checks}, config, universe, ghosts, degradation
     )
-    return batch[("batch",)]
+    return GroupOutcomes.of(checks, batch[("batch",)]).outcomes()
 
 
 def no_transit_property() -> SafetyProperty:

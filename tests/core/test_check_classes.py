@@ -1,20 +1,23 @@
-"""Checks are classes: a filter check whose class already passed in the
-batch is answered without being run.
+"""Checks are generated as classes: one check per owner router and class
+key, standing for every edge of that owner that asks its query.
 
-:func:`repro.core.checks.check_class` keys a filter check by
+:func:`repro.core.checks.generate_safety_checks` keys a filter check by
 ``(kind, assumption, goal, policy)``, where ``policy`` is
-:func:`repro.lang.transfer.transfer_policy` of its edge; every check of
-one class asks the same query, so :func:`repro.core.exec.pool.run_in_sessions`
-runs the first and answers each later member of a *passed* class as a
-memo hit.  Pinned here:
+:func:`repro.lang.transfer.transfer_policy` of its edge, and emits one
+check per ``(owner, key)`` carrying its member edges; every member asks
+the same query, so :func:`repro.core.exec.pool.run_in_sessions` runs a
+check once and answers its members — and every later check whose key
+already passed, another owner's too — as memo hits.  Pinned here:
 
-* completeness: two checks one transfer input apart are in different
-  classes, and checks apart only in edge names or owner share one;
+* completeness: two edge sides one query input apart are in different
+  checks, and sides apart only in edge names share one key (one check
+  within an owner, the passed-key probe across owners);
 * the probe: a batch calls ``LocalCheck.run`` once per class (plus every
-  originate and implication check) and decides exactly as the hermetic
-  reference does, each member counted as a memo hit;
+  originate and implication check) and decides member by member exactly
+  as the hermetic reference does, each member counted as a memo hit;
+* a check that does not pass re-runs each member, for its own blame;
 * every member still meets the run's wall budget, the fault hook and its
-  own deadline, as the per-edge loop did.
+  own deadline, as a check of its own would.
 
 That every execution path decides every corpus case as the per-edge
 hermetic reference does, planted faults included, is the equivalence
@@ -23,7 +26,6 @@ oracle's job (``tests/integration/test_oracle.py``).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import pytest
@@ -31,18 +33,24 @@ import pytest
 from repro.bgp.policy import AddCommunity, RouteMap, RouteMapClause
 from repro.bgp.route import Community
 from repro.bgp.topology import Edge
-from repro.core.checks import CheckKind, LocalCheck, check_class, check_owner
+from repro.core.checks import (
+    CheckKind,
+    LocalCheck,
+    check_owner,
+    generate_safety_checks,
+)
 from repro.core.exec import ExecutionContext
 from repro.core.exec.pool import run_in_sessions
+from repro.core.report import GroupOutcomes
+from repro.core.safety import build_universe, invariant_predicates
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import TruePred
-from repro.lang.transfer import transfer_policy
 from repro.smt.solver import SessionPool
 from repro.testing import faults
 from repro.testing.faults import FaultInjected, FaultPlan
 
 from tests import oracle
-from tests.core.conftest import fullmesh_problem, run_batch, safety_pieces
+from tests.core.conftest import class_key, fullmesh_problem, run_batch
 
 IMPORT, EXPORT = CheckKind.IMPORT, CheckKind.EXPORT
 TAG = RouteMap("TAG", (RouteMapClause(10, actions=(AddCommunity(Community(7, 7)),)),))
@@ -55,86 +63,103 @@ def _clean_faults():
     faults.reset()
 
 
-def _mesh(n: int = 4):
-    """(config, ghosts, universe, checks, {(kind, edge): check}) of the
-    no-transit problem on the n-router full mesh."""
+def _mesh(n: int = 4, edit=lambda config, ghosts, invariants: None):
+    """(config, ghosts, universe, checks, edges) of the no-transit problem
+    on the n-router full mesh, after ``edit`` changed its inputs in place;
+    ``edges`` is one check per edge side, in the checks' member order,
+    held to the oracle's per-edge reference (:func:`oracle.checked_members`)."""
     config, ghost, prop, invariants = fullmesh_problem(n)
-    universe, checks = safety_pieces(config, ghost, prop, invariants)
-    return config, (ghost,), universe, checks, {(c.kind, c.edge): c for c in checks}
-
-
-def test_checks_one_transfer_input_apart_are_in_different_classes():
-    config, ghosts, __, __, by = _mesh()
-    internal = by[IMPORT, Edge("R3", "R2")]
-    key = check_class(internal, config, ghosts)
-
-    retagged, *__ = fullmesh_problem(4)
-    retagged.routers["R2"].neighbors["R3"].import_map = TAG
-    renumbered, *__ = fullmesh_problem(4)
-    renumbered.routers["R1"].asn += 1
-    external_in = by[IMPORT, Edge("E1", "R1")]
-    elsewhere = GhostAttribute.source_tracker(
-        "FromE1", config.topology, [Edge("E2", "R2")]
+    ghosts = [ghost]
+    edit(config, ghosts, invariants)
+    universe = build_universe(config, [prop.predicate, *invariant_predicates(invariants)], ghosts)
+    checks = generate_safety_checks(
+        config, invariants, prop.location, prop.predicate, tuple(ghosts)
     )
-    external_out = by[EXPORT, Edge("R1", "E1")]
-    internal_out = dataclasses.replace(
-        by[EXPORT, Edge("R3", "R2")], assumption=internal.assumption, goal=internal.goal
-    )
-    pairs = {
-        "route-map content": (key, check_class(internal, retagged, ghosts)),
-        "eBGP prepend ASN": (
-            check_class(external_out, config, ghosts),
-            check_class(external_out, renumbered, ghosts),
-        ),
-        "ghost update on the edge": (
-            check_class(external_in, config, ghosts),
-            check_class(external_in, config, (elsewhere,)),
-        ),
-        "assumption": (
-            key,
-            check_class(dataclasses.replace(internal, assumption=TruePred()), config, ghosts),
-        ),
-        "goal": (
-            key,
-            check_class(dataclasses.replace(internal, goal=TruePred()), config, ghosts),
-        ),
-        "kind": (
-            key,
-            check_class(
-                dataclasses.replace(internal, kind=CheckKind.PROPAGATE_IMPORT), config, ghosts
-            ),
-        ),
-        "import vs export": (key, check_class(internal_out, config, ghosts)),
-    }
-    for name, (one, other) in pairs.items():
-        assert one is not None and other is not None, name
-        assert one != other, name
-    # Each pair differs in its policy alone where the input is a policy
-    # input, and the direction is part of the policy, not just of the kind.
-    for name in ("route-map content", "eBGP prepend ASN", "ghost update on the edge"):
-        one, other = pairs[name]
-        assert one[:3] == other[:3] and one[3] != other[3], name
+    edges = oracle.checked_members(config, invariants, checks)
+    return config, tuple(ghosts), universe, checks, edges
+
+
+def _check_of(checks, kind, edge) -> LocalCheck:
+    """The generated check whose members hold ``kind`` on ``edge``."""
+    (check,) = [c for c in checks if c.kind is kind and edge in (c.members or (c.edge,))]
+    return check
+
+
+def _retag(config, ghosts, invariants):
+    config.routers["R2"].neighbors["R3"].import_map = TAG
+
+
+def _own_as(config, ghosts, invariants):
+    config.routers["R3"].asn = 65001  # R2's session to R3 is now eBGP
+
+
+def _ghost_on_one_edge(config, ghosts, invariants):
+    ghosts.append(GhostAttribute("Seen", import_updates={Edge("R3", "R2"): True}))
+
+
+def _assume(config, ghosts, invariants):
+    invariants.set_edge("R3", "R2", TruePred())
+
+
+def _goal(config, ghosts, invariants):
+    invariants.set_edge("R2", "R3", TruePred())
+
+
+#: Each query input, the edit that sets it apart on one edge side, the two
+#: sides one check holds before the edit, and the key part that differs
+#: (1 assumption, 2 goal, 3 policy).
+SPLITS = {
+    "route-map content": (_retag, IMPORT, ("R3", "R2"), ("R4", "R2"), 3),
+    "eBGP prepend ASN": (_own_as, EXPORT, ("R2", "R3"), ("R2", "R4"), 3),
+    "ghost update on the edge": (_ghost_on_one_edge, IMPORT, ("R3", "R2"), ("R4", "R2"), 3),
+    "assumption": (_assume, IMPORT, ("R3", "R2"), ("R4", "R2"), 1),
+    "goal": (_goal, EXPORT, ("R2", "R3"), ("R2", "R4"), 2),
+}
+
+
+@pytest.mark.parametrize("name", SPLITS)
+def test_each_query_input_splits_a_check(name):
+    edit, kind, one, other, part = SPLITS[name]
+    one, other = Edge(*one), Edge(*other)
+    checks = _mesh()[3]
+    assert _check_of(checks, kind, one) is _check_of(checks, kind, other)
+    checks = _mesh(edit=edit)[3]
+    first, second = _check_of(checks, kind, one), _check_of(checks, kind, other)
+    assert first is not second and check_owner(first) == check_owner(second)
+    assert [i for i in range(4) if first.key[i] != second.key[i]] == [part]
+
+
+def test_direction_and_kind_split_a_key():
+    # One edge, one assumption and goal: import, export and propagation
+    # keys differ, and the direction is part of the policy, not only of
+    # the kind.
+    config, ghosts, __, checks, __ = _mesh()
     edge = Edge("R3", "R2")
-    assert transfer_policy(config, edge, ghosts, "import") != transfer_policy(
-        config, edge, ghosts, "export"
-    )
+    imported = _check_of(checks, IMPORT, edge)
+    kinds = (IMPORT, EXPORT, CheckKind.PROPAGATE_IMPORT)
+    keys = [class_key(config, k, edge, imported.assumption, imported.goal, ghosts) for k in kinds]
+    assert keys[0] == imported.key and len(set(keys)) == 3
+    assert keys[0][3] != keys[1][3] and keys[0][1:] == keys[2][1:]
 
 
-def test_checks_apart_only_in_edge_names_or_owner_share_a_class():
-    config, ghosts, __, checks, by = _mesh()
-    imports = [by[IMPORT, Edge(s, d)] for s, d in (("R3", "R2"), ("R4", "R2"), ("R2", "R3"))]
-    exports = [by[EXPORT, Edge(s, d)] for s, d in (("R3", "R4"), ("R4", "R3"), ("R3", "R1"))]
-    for members in (imports, exports):
-        assert len({check_owner(c) for c in members}) > 1
-        assert len({check_class(c, config, ghosts) for c in members}) == 1
-    # The implication check has no class (nor would an originate check).
-    kinds = {c.kind for c in checks if check_class(c, config, ghosts) is None}
-    assert kinds == {CheckKind.IMPLICATION}
+def test_sides_apart_only_in_edge_names_share_a_key():
+    config, ghosts, __, checks, __ = _mesh()
+    # Within an owner: one check whose members are the edges.
+    internal = _check_of(checks, IMPORT, Edge("R3", "R2"))
+    assert internal.members == [Edge("R1", "R2"), Edge("R3", "R2"), Edge("R4", "R2")]
+    assert internal.edge == internal.members[0]
+    # Across owners: one key, so only the first check of it runs.
+    for kind, edges in ((IMPORT, (("R3", "R2"), ("R2", "R3"))), (EXPORT, (("R3", "R4"), ("R4", "R3")))):
+        apart = [_check_of(checks, kind, Edge(*e)) for e in edges]
+        assert len({check_owner(c) for c in apart}) == 2
+        assert apart[0].key == apart[1].key
+    # The implication has no key (nor would an originate check).
+    assert {c.kind for c in checks if c.key is None} == {CheckKind.IMPLICATION}
+    assert sum(c.size for c in checks) == 2 * (4 * 3 + 4) + 1
 
 
 def test_a_batch_runs_one_check_per_class_and_decides_as_hermetic(monkeypatch):
-    config, ghosts, universe, checks, __ = _mesh(5)
-    classes = [check_class(c, config, ghosts) for c in checks]
+    config, ghosts, universe, checks, edges = _mesh(5)
     ran: list[LocalCheck] = []
     run = LocalCheck.run
 
@@ -145,56 +170,140 @@ def test_a_batch_runs_one_check_per_class_and_decides_as_hermetic(monkeypatch):
     monkeypatch.setattr(LocalCheck, "run", spy)
     context = ExecutionContext()
     outcomes = run_batch(checks, config, universe, ghosts, context=context)
-    distinct = {key for key in classes if key is not None}
-    assert len(ran) == len(distinct) + classes.count(None)
-    assert len(ran) < len(checks) // 4
+    keys = [c.key for c in checks]
+    assert len(ran) == len(set(keys) - {None}) + keys.count(None)
+    assert len(ran) < len(edges) // 4
     assert [oracle.outcome_key(o) for o in outcomes] == [
-        oracle.outcome_key(run(c, config, universe, ghosts)) for c in checks
+        oracle.outcome_key(run(c, config, universe, ghosts)) for c in edges
     ]
-    members = len(checks) - len(ran)
-    assert context.sessions.stats()["memo_hits"] >= members
+    assert context.sessions.stats()["memo_hits"] >= len(edges) - len(ran)
     assert all(o.passed for o in outcomes)
 
 
-def _member(checks, by, config, ghosts) -> int:
-    """The index of R3's import from R1: a member of the class R2's import
-    from R1 opens, whose query does not fold to a constant — so an expired
-    deadline leaves it undecided instead of UNSAT."""
-    first, member = by[IMPORT, Edge("R1", "R2")], by[IMPORT, Edge("R1", "R3")]
-    assert check_class(first, config, ghosts) == check_class(member, config, ghosts)
-    assert checks.index(first) < checks.index(member)
-    return checks.index(member)
+def test_a_failing_check_reruns_its_members_and_blames_each_planted_edge(monkeypatch):
+    planted = [Edge("R3", "R2"), Edge("R4", "R2")]
+
+    def strip(config, ghosts, invariants):
+        for edge in planted:
+            config.routers["R2"].neighbors[edge.src].import_map = oracle.STRIP
+
+    config, ghosts, universe, checks, edges = _mesh(edit=strip)
+    failing = _check_of(checks, IMPORT, planted[0])
+    assert failing.members == planted  # R1->R2, unstripped, is another check
+    ran: list[LocalCheck] = []
+    run = LocalCheck.run
+
+    def spy(self, *args, **kwargs):
+        ran.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalCheck, "run", spy)
+    outcomes = run_batch(checks, config, universe, ghosts)
+    assert [c.edge for c in ran if c.kind is IMPORT and c.edge in planted] == planted
+    failures = [o.failure for o in outcomes if o.failure]
+    assert [f.check.edge for f in failures] == planted
+    assert {f.blamed_router for f in failures} == {"R2"}
+    for failure in failures:
+        assert failure.check.assumption.holds(failure.input_route)
+    assert [oracle.outcome_key(o) for o in outcomes] == [
+        oracle.outcome_key(run(c, config, universe, ghosts)) for c in edges
+    ]
 
 
-def test_a_wall_budget_expiring_inside_a_passed_class_skips_the_rest():
+def _member(checks, edges, edge=Edge("R3", "R2")):
+    """(check, side, index) of R2's import from R3 (or ``edge``): the
+    check holding it, its own check and its index in ``edges``.  R3->R2 is
+    the second member of R2's internal import check, whose query does not
+    fold to a constant — so an expired deadline leaves it undecided
+    instead of UNSAT."""
+    check = _check_of(checks, IMPORT, edge)
+    (index,) = [i for i, c in enumerate(edges) if (c.kind, c.edge) == (IMPORT, edge)]
+    return check, edges[index], index
+
+
+def test_a_wall_budget_expiring_inside_a_passed_check_skips_the_rest():
     # The run deadline passes while a member's fault hook sleeps: that
     # member comes back UNKNOWN/timeout (its own deadline expired, so it
-    # bypasses the memo) and every later check UNKNOWN/wall-budget, as in
-    # the per-edge loop; nothing after the expiry is answered by class.
-    config, ghosts, universe, checks, by = _mesh()
-    victim = _member(checks, by, config, ghosts)
-    faults.install(FaultPlan(delay_check_s=0.6, delay_check_match=str(checks[victim])))
+    # bypasses the memo) and every later member UNKNOWN/wall-budget, as in
+    # a per-edge loop; nothing after the expiry is answered by class.
+    config, ghosts, universe, checks, edges = _mesh()
+    check, side, victim = _member(checks, edges)
+    assert check.members.index(side.edge) == 1
+    faults.install(FaultPlan(delay_check_s=0.6, delay_check_match=str(side)))
     outcomes = run_in_sessions(
         checks, config, universe, ghosts, None, None, time.monotonic() + 0.5, SessionPool()
     )
-    assert all(o.passed and not o.unknown for o in outcomes[:victim])
-    assert (outcomes[victim].unknown, outcomes[victim].unknown_reason) == (True, "timeout")
-    assert [o.unknown_reason for o in outcomes[victim + 1 :]] == ["wall-budget"] * (
-        len(checks) - victim - 1
+    listing = GroupOutcomes.of(checks, outcomes).outcomes()
+    assert all(o.passed and not o.unknown for o in listing[:victim])
+    assert (listing[victim].unknown, listing[victim].unknown_reason) == (True, "timeout")
+    assert [o.unknown_reason for o in listing[victim + 1 :]] == ["wall-budget"] * (
+        len(listing) - victim - 1
     )
 
 
-def test_every_member_meets_the_fault_hook_and_its_own_deadline():
-    config, ghosts, universe, checks, by = _mesh()
-    victim = _member(checks, by, config, ghosts)
-    # A hang on a member runs past its deadline: UNKNOWN/timeout, never
-    # the class's PASSED.
-    faults.install(FaultPlan(hang_check_match=str(checks[victim])))
-    context = ExecutionContext(deadline_s=0.2)
+def test_without_a_fault_plan_the_wall_budget_still_stops_inside_a_passed_check(monkeypatch):
+    # No hook tells the members apart, but the run deadline does: a clock
+    # that jumps past it once R2's internal import check has run leaves that
+    # check's other members, and everything after, UNKNOWN/wall-budget.
+    config, ghosts, universe, checks, edges = _mesh()
+    check = _member(checks, edges)[0]
+    first = _member(checks, edges, check.edge)[2]  # the check's first member, which runs
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    run = LocalCheck.run
+
+    def jump(self, *args, **kwargs):
+        outcome = run(self, *args, **kwargs)
+        if (self.kind, self.edge) == (IMPORT, check.edge):
+            now[0] = 2.0
+        return outcome
+
+    monkeypatch.setattr(LocalCheck, "run", jump)
+    outcomes = run_in_sessions(checks, config, universe, ghosts, None, None, 1.0, SessionPool())
+    listing = GroupOutcomes.of(checks, outcomes).outcomes()
+    assert all(o.passed for o in listing[: first + 1])
+    assert [o.unknown_reason for o in listing[first + 1 :]] == ["wall-budget"] * (
+        len(listing) - first - 1
+    )
+
+
+def test_without_a_fault_plan_an_expired_deadline_meets_every_member():
+    # A zero deadline expires every member's own deadline: each bypasses the
+    # memo and is decided as it would be alone on its owner's session (a
+    # query that folds to a constant still passes), never counted as a
+    # class's memo hit.
+    config, ghosts, universe, checks, edges = _mesh()
+    context, alone = ExecutionContext(deadline_s=0.0), SessionPool()
     outcomes = run_batch(checks, config, universe, ghosts, context=context)
-    assert [i for i, o in enumerate(outcomes) if not o.passed] == [victim]
-    assert outcomes[victim].unknown_reason == "timeout"
-    # A raise on a member propagates.
-    faults.install(FaultPlan(raise_in_check_match=str(checks[victim])))
-    with pytest.raises(FaultInjected):
-        run_batch(checks, config, universe, ghosts)
+    assert [oracle.outcome_key(o) for o in outcomes] == [
+        oracle.outcome_key(
+            c.run(config, universe, ghosts, session=alone.get(check_owner(c)), deadline_s=0.0)
+        )
+        for c in edges
+    ]
+    assert any(o.passed for o in outcomes) and any(o.unknown for o in outcomes)
+    assert context.sessions.stats()["memo_hits"] == 0
+
+
+def test_every_member_meets_the_fault_hook_and_its_own_deadline():
+    config, ghosts, universe, checks, edges = _mesh()
+    check, side, victim = _member(checks, edges)
+    # R3's import from R1 is answered by the key R2's internal imports
+    # passed: a member of another owner's check meets the hook too.
+    elsewhere, other_side, __ = _member(checks, edges, Edge("R1", "R3"))
+    assert elsewhere.key == check.key and checks.index(elsewhere) > checks.index(check)
+    for member in (side, other_side):
+        # A hang on a member runs past its deadline: UNKNOWN/timeout, never
+        # the class's PASSED.
+        faults.install(FaultPlan(hang_check_match=str(member)))
+        outcomes = run_batch(
+            checks, config, universe, ghosts, context=ExecutionContext(deadline_s=0.2)
+        )
+        assert [str(o.check) for o in outcomes if not o.passed] == [str(member)]
+        assert [o.unknown_reason for o in outcomes if not o.passed] == ["timeout"]
+        # A raise on a member propagates.
+        faults.install(FaultPlan(raise_in_check_match=str(member)))
+        with pytest.raises(FaultInjected):
+            run_batch(checks, config, universe, ghosts)
+    faults.reset()
+    assert run_batch(checks, config, universe, ghosts)[victim].check == side

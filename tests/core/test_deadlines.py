@@ -25,7 +25,7 @@ from repro.cli import EXIT_DEGRADED, main
 from repro.core.checks import implication_check
 from repro.core.exec import ExecutionContext
 from repro.core.exec.pool import run_checks_in_processes
-from repro.core.report import DegradationReport
+from repro.core.report import DegradationReport, GroupOutcomes
 from repro.core.safety import build_universe, verify_safety
 from repro.core.workspace import Workspace
 from repro.lang.predicates import AllOf, AnyOf, HasCommunity, Not
@@ -202,6 +202,8 @@ def test_process_map_skips_every_check_after_an_expired_run_deadline():
     if outcomes is None:
         pytest.skip("process pools unavailable in this environment")
     assert [o.check for o in outcomes] == checks
+    outcomes = GroupOutcomes.of(checks, outcomes).outcomes()  # one per member edge
+    assert [o.check for o in outcomes] == [member for c in checks for member in c.expand()]
     assert all(o.unknown and o.unknown_reason == "wall-budget" for o in outcomes)
     assert all(o.stats.num_vars == 0 for o in outcomes)  # nothing was encoded
 
@@ -223,7 +225,7 @@ def test_process_map_wall_budget_expiring_mid_run_returns_partial_results():
     elapsed = time.monotonic() - start
     # The budget was honoured inside the workers, not by going serial.
     assert degradation.serial_fallbacks == 0
-    assert elapsed < 0.1 * len(checks) / 2
+    assert elapsed < 0.1 * sum(c.size for c in checks) / 2
     # Checks reached after expiry are skipped; the (at most one per
     # worker) check in flight at expiry times out, as on the serial path.
     reasons = [o.unknown_reason for o in outcomes if o.unknown]
@@ -331,7 +333,7 @@ def test_wall_budget_unknowns_are_rerun_in_process_and_after_a_load(tmp_path):
     assert set(degraded.unknown_reason_counts) <= {"wall-budget", "timeout"}
     (entry,) = ws.entries
     tracker = entry.tracker
-    time_bound = sum(len(tracker._groups[key].stats) for key in tracker._time_bound)
+    time_bound = sum(tracker._groups[key].num_checks for key in tracker._time_bound)
     assert 0 < len(degraded.unknowns) <= time_bound < degraded.num_checks
 
     # The degraded outcomes are saved (the decided ones are worth keeping)...

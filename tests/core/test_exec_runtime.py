@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, Scheduler, resolve_jobs
-from repro.core.report import DegradationReport
+from repro.core.report import DegradationReport, GroupOutcomes
 from repro.core.safety import build_universe
 
 from tests import oracle
@@ -88,17 +88,18 @@ def test_outcomes_do_not_depend_on_mapping_order():
     config = case.config()
     ghosts, problem = case.problem(config)
     universe = build_universe(config, problem.predicates(), ghosts)
-    sections = problem.checks(config)
-    reference = {
+    sections = problem.checks(config, ghosts)
+    reference = {  # every member edge on its own fresh solver
         key: [oracle.outcome_key(check.run(config, universe, ghosts)) for check in checks]
-        for key, checks in sections.items()
+        for key, checks in oracle.edge_checks(config, ghosts, problem).items()
     }
     for keys in (list(sections), list(reversed(sections))):
         mapping = {key: sections[key] for key in keys}
         result = Scheduler(ExecutionContext()).run(mapping, config, universe, ghosts)
         assert list(result) == keys
         for key in keys:
-            assert list(map(oracle.outcome_key, result[key])) == reference[key], key
+            listing = GroupOutcomes.of(sections[key], result[key]).outcomes()
+            assert list(map(oracle.outcome_key, listing)) == reference[key], key
         # Flat order is mapping order, check for check.
         assert [o.check for outcomes in result.values() for o in outcomes] == [
             check for checks in mapping.values() for check in checks

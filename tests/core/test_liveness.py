@@ -31,7 +31,7 @@ from tests.core.conftest import customer_liveness_property
 
 def test_propagation_check_structure(fig1_config):
     prop = customer_liveness_property()
-    checks = generate_propagation_checks(fig1_config, prop)
+    checks = generate_propagation_checks(fig1_config, prop, ())
     kinds = [c.kind for c in checks]
     # Path Customer->R3, R3, R3->R2, R2, R2->ISP2 has two imports
     # (Customer->R3 at R3, R3->R2 at R2) and two exports (R3, R2).
@@ -149,7 +149,7 @@ def _per_step_universes(config, ghosts, problem):
             assert set(getattr(universe, atoms)) <= set(getattr(hoisted, atoms))
     groups = {
         key: [GroupOutcomes.of(checks, [c.run(config, universes[key], ghosts) for c in checks])]
-        for key, checks in problem.checks(config).items()
+        for key, checks in oracle.edge_checks(config, ghosts, problem).items()
     }
     return VerificationReport(problem.property, groups, 0.0)
 

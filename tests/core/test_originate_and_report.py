@@ -49,12 +49,12 @@ def _originated_tagged_problem(config):
 def test_originate_check_generated_only_when_routes_exist():
     config = _config_with_origination(tagged=True)
     prop, invariants = _originated_tagged_problem(config)
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate, ())
     originate = [c for c in checks if c.kind is CheckKind.ORIGINATE]
     assert [c.edge for c in originate] == [Edge("R1", "ISP1")]
 
     clean = build_figure1()
-    checks2 = generate_safety_checks(clean, invariants, prop.location, prop.predicate)
+    checks2 = generate_safety_checks(clean, invariants, prop.location, prop.predicate, ())
     assert not [c for c in checks2 if c.kind is CheckKind.ORIGINATE]
 
 
@@ -123,7 +123,7 @@ def test_multi_query_outcome_keeps_search_counters_and_unknown_reason():
     # stats too, not only on the outcome.
     config = _config_with_origination(tagged=False)
     prop, invariants = _originated_tagged_problem(config)
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate, ())
     (originate,) = [c for c in checks if c.kind is CheckKind.ORIGINATE]
     from repro.core.safety import build_universe, invariant_predicates
 

@@ -179,9 +179,9 @@ def test_cache_loaded_reverify_generates_only_the_edited_owners_checks(
 
     asked: list = []
 
-    def spy(config, invariants, location, predicate, owners=None):
+    def spy(config, invariants, location, predicate, ghosts, owners=None):
         asked.append(owners)
-        return generate_safety_checks(config, invariants, location, predicate, owners=owners)
+        return generate_safety_checks(config, invariants, location, predicate, ghosts, owners)
 
     monkeypatch.setattr(repro.core.safety, "generate_safety_checks", spy)
     monkeypatch.setattr(repro.core.liveness, "generate_safety_checks", spy)

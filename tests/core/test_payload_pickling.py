@@ -225,7 +225,7 @@ def test_every_payload_type_round_trips(corpus):
     prop = instances[SafetyProperty]
     invariants_copy = pickle.loads(pickle.dumps(instances[InvariantMap]))
     assert (
-        generate_safety_checks(config, invariants_copy, prop.location, prop.predicate)
+        generate_safety_checks(config, invariants_copy, prop.location, prop.predicate, (ghost,))
         == checks
     )
 

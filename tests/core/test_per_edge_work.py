@@ -6,8 +6,8 @@ only the edges they name, never the whole edge set; and nothing derived
 from the adjacency is stored, so a config pickles the same whatever was
 asked of it.  Full check generation walks the sorted adjacency, making
 one :class:`Edge` per directed edge and reading each side's session once,
-and the session loop builds a filter check's transfer policy once for its
-class key and once more only when the check runs.
+and emits the per-edge checks grouped by owner and class key; the session
+loop builds a filter check's transfer policy only when the check runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.bgp.configjson import config_from_json, config_to_json
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.bgp.topology import Edge, Topology
-from repro.core import checks as checks_module
 from repro.core.checks import (
     CheckKind,
     LocalCheck,
@@ -40,7 +39,8 @@ from repro.workloads.fullmesh import build_full_mesh
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import ip_reuse_safety_problem
 
-from tests.core.conftest import mesh_no_transit, safety_pieces
+from tests import oracle
+from tests.core.conftest import class_key, mesh_no_transit, safety_pieces
 
 
 @pytest.fixture
@@ -101,26 +101,29 @@ def test_set_edge_does_not_read_the_edge_set(monkeypatch):
 
 
 def _problems():
-    """(config, invariants, property) of a mesh and a WAN problem."""
+    """(config, ghosts, invariants, property) of a mesh and a WAN problem."""
     mesh = build_full_mesh(12)
-    __, prop, invariants = mesh_no_transit(mesh)
+    ghost, prop, invariants = mesh_no_transit(mesh)
     wan = build_wan(2, 3)
     problem = ip_reuse_safety_problem(wan, 0)
     return [
-        pytest.param(mesh, invariants, prop, id="fullmesh-12"),
-        pytest.param(wan.config, problem.invariants, problem.properties[0], id="wan-2-3"),
+        pytest.param(mesh, (ghost,), invariants, prop, id="fullmesh-12"),
+        pytest.param(
+            wan.config, (problem.ghost,), problem.invariants, problem.properties[0],
+            id="wan-2-3",
+        ),
     ]
 
 
-@pytest.mark.parametrize("config, invariants, prop", _problems())
-def test_owner_checks_are_the_full_list_filtered(config, invariants, prop, monkeypatch):
-    full = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+@pytest.mark.parametrize("config, ghosts, invariants, prop", _problems())
+def test_owner_checks_are_the_full_list_filtered(config, ghosts, invariants, prop, monkeypatch):
+    full = generate_safety_checks(config, invariants, prop.location, prop.predicate, ghosts)
     routers = sorted(config.topology.routers)
     monkeypatch.setattr(Topology, "edges", property(_refuse))
     owner_sets = [{router} for router in routers] + [set(routers[:2]), {"NOT-A-ROUTER"}]
     for owners in owner_sets:
         generated = generate_safety_checks(
-            config, invariants, prop.location, prop.predicate, owners=owners
+            config, invariants, prop.location, prop.predicate, ghosts, owners=owners
         )
         assert generated == [check for check in full if check_owner(check) in owners]
 
@@ -140,13 +143,16 @@ def test_reading_edges_leaves_no_trace_in_the_pickle():
 
 def _generation_problems():
     """(config, ghost, invariants, property) of a 20-router mesh whose R1
-    originates towards E1 and R3 towards R4, and of a WAN region's problem."""
+    originates towards E1 and R3 towards R4, and whose R3->R5 invariant
+    alone is True (one export goal and one import assumption set apart),
+    and of a WAN region's problem."""
     mesh = build_full_mesh(20)
     for router, peer in (("R1", "E1"), ("R3", "R4")):
         mesh.routers[router].neighbors[peer].originated = (
             Route(prefix=Prefix.parse("8.8.0.0/16")),
         )
     ghost, prop, invariants = mesh_no_transit(mesh)
+    invariants.set_edge("R3", "R5", TruePred())
     wan = build_wan(3, 3)
     problem = ip_reuse_safety_problem(wan, 0)
     return [
@@ -158,34 +164,16 @@ def _generation_problems():
 
 
 def _reference_checks(config, invariants, prop):
-    """The full check list as the per-edge accessors define it: edges in
-    ``(src, dst)`` order, and within an edge Import, Export, Originate."""
-    def name(route_map):
-        return None if route_map is None else route_map.name
-
-    topo = config.topology
-    checks = []
-    for edge in sorted(topo.edges):
-        if topo.is_router(edge.dst):
-            checks.append(LocalCheck(
-                CheckKind.IMPORT, edge, invariants.get(edge), invariants.get(edge.dst),
-                None, name(config.import_map(edge)),
-            ))
-        if topo.is_router(edge.src):
-            checks.append(LocalCheck(
-                CheckKind.EXPORT, edge, invariants.get(edge.src), invariants.get(edge),
-                None, name(config.export_map(edge)),
-            ))
-            if config.originate(edge):
-                checks.append(LocalCheck(
-                    CheckKind.ORIGINATE, edge, invariants.get(edge), invariants.get(edge)
-                ))
+    """The full check list as the per-edge accessors define it
+    (:func:`tests.oracle.per_edge_checks`), then the implication."""
     location = prop.location
-    checks.append(implication_check(
-        location, invariants.get(location), prop.predicate,
-        f"I[{location}] implies the property",
-    ))
-    return checks
+    return [
+        *oracle.per_edge_checks(config, invariants),
+        implication_check(
+            location, invariants.get(location), prop.predicate,
+            f"I[{location}] implies the property",
+        ),
+    ]
 
 
 @pytest.mark.parametrize("config, ghost, invariants, prop", _generation_problems())
@@ -204,15 +192,35 @@ def test_full_generation_reads_each_edge_side_once(
         monkeypatch.setattr(NetworkConfig, name, refuse(name))
     monkeypatch.setattr(Topology, "edges", property(_refuse))
     edge_count[0] = 0
-    generated = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    generated = generate_safety_checks(config, invariants, prop.location, prop.predicate, (ghost,))
     assert edge_count[0] == directed
-    assert generated == reference
+    # Member by member, the generated checks are the reference's, and each
+    # check's members follow the reference order, as the checks' first
+    # members do.
+    position = {(c.kind, c.edge): i for i, c in enumerate(reference)}
+    members = [member for check in generated for member in check.expand()]
+    assert sorted(members, key=lambda c: position[c.kind, c.edge]) == reference
+    firsts = [position[c.kind, c.edge] for c in generated]
+    assert firsts == sorted(firsts)
+    for check in generated:
+        assert [position[check.kind, e] for e in check.members or ()] == sorted(
+            position[check.kind, e] for e in check.members or ()
+        )
     originating = [s for r in config.routers.values() for s in r.neighbors.values() if s.originated]
     assert sum(check.kind is CheckKind.ORIGINATE for check in generated) == len(originating)
+    monkeypatch.undo()
+    # One check per owner and class key, each member of it keyed alike.
+    keys = [(check_owner(c), c.key) for c in generated if c.key is not None]
+    assert len(keys) == len(set(keys)) < len(members)
+    for check in generated:
+        for edge in check.members or ():
+            assert check.key == class_key(
+                config, check.kind, edge, check.assumption, check.goal, (ghost,)
+            )
 
 
 @pytest.mark.parametrize("config, ghost, invariants, prop", _generation_problems())
-def test_the_session_loop_builds_a_filter_policy_per_key_and_per_run(
+def test_the_session_loop_builds_a_filter_policy_only_per_run(
     config, ghost, invariants, prop, monkeypatch
 ):
     universe, checks = safety_pieces(config, ghost, prop, invariants)
@@ -230,14 +238,13 @@ def test_the_session_loop_builds_a_filter_policy_per_key_and_per_run(
         ran.append(self)
         return original_run(self, *args, **kwargs)
 
-    # Both bindings: the class key's (core.checks) and the transfer's own.
-    monkeypatch.setattr(checks_module, "transfer_policy", counting)
     monkeypatch.setattr(transfer, "transfer_policy", counting)
     monkeypatch.setattr(LocalCheck, "run", counting_run)
     outcomes = run_in_sessions(checks, config, universe, (ghost,), None, None, None, SessionPool())
     assert len(outcomes) == len(checks)
     filters = [c for c in checks if c.kind in (CheckKind.IMPORT, CheckKind.EXPORT)]
     run_filters = [c for c in ran if c.kind in (CheckKind.IMPORT, CheckKind.EXPORT)]
-    # A class member answered by the probe builds no policy of its own.
+    # A check answered by its class, or a member by its check's pass,
+    # builds no policy: the generated key already holds it.
     assert len(run_filters) < len(filters)
-    assert sorted(built) == sorted((c.edge, c.kind.value) for c in filters + run_filters)
+    assert sorted(built) == sorted((c.edge, c.kind.value) for c in run_filters)

@@ -133,7 +133,7 @@ def test_fullmesh_solves_each_distinct_query_once():
     pool = context.sessions
     outcomes = run_batch(checks, config, universe, (ghost,), context=context)
     assert all(o.passed for o in outcomes)
-    _assert_one_solve_per_distinct_query(pool, len(checks))
+    _assert_one_solve_per_distinct_query(pool, sum(c.size for c in checks))
     # The repeats carry the one shared zero-cost stats object.
     assert sum(o.stats is MEMO_HIT_STATS for o in outcomes) == pool.stats()["memo_hits"]
     assert (MEMO_HIT_STATS.num_vars, MEMO_HIT_STATS.total_time_s) == (0, 0.0)
@@ -151,7 +151,7 @@ def test_a_jobs_worker_keeps_one_memo_across_its_owner_chunks(monkeypatch):
     assert all(outcome.passed for outcome in outcomes)
     worker_pool = exec_pool._WORKER_CONTEXT[-1]
     assert len(worker_pool) == len(chunks)  # one session per owner chunk
-    _assert_one_solve_per_distinct_query(worker_pool, len(checks))
+    _assert_one_solve_per_distinct_query(worker_pool, sum(c.size for c in checks))
 
 
 # -- (iv) no hit across an intern-table reset --------------------------------

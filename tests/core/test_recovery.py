@@ -25,7 +25,7 @@ import pytest
 from repro.cli import EXIT_DEGRADED, main
 from repro.core.checks import check_owner
 from repro.core.exec import ExecutionContext, Scheduler
-from repro.core.report import DegradationReport
+from repro.core.report import DegradationReport, GroupOutcomes
 from repro.core.safety import verify_safety
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
@@ -86,10 +86,14 @@ def test_killed_worker_falls_back_to_one_serial_rerun():
     # Identical outcomes to the serial path, in order: the kill fires only
     # inside a worker, so the parent's serial re-run completes — the same
     # run as ``serial``, witnesses included.
+    first, again = (
+        GroupOutcomes.of(batch, outcomes).outcomes()
+        for batch, outcomes in zip((checks, [checks[i] for i in second]), results)
+    )
     key = partial(oracle.outcome_key, witness=True)
-    assert list(map(key, results[0])) == list(map(key, serial))
-    assert [oracle.outcome_key(o) for o in results[1]] == [
-        oracle.outcome_key(serial[i]) for i in second
+    assert list(map(key, first)) == list(map(key, serial))
+    assert [oracle.outcome_key(o) for o in again] == [
+        oracle.outcome_key(o) for o in serial if check_owner(o.check) in (KILL_OWNER, "R4")
     ]
     assert degradation.serial_fallbacks == 2
     assert len(degradation.reasons) == 2

@@ -64,6 +64,14 @@ def test_planted_fault_is_killed_at_the_planted_router(case):
     assert oracle.blamed_routers(oracle.expected(case)) == {case.planted_router}
 
 
+@pytest.mark.parametrize("path", ["hermetic", "pooled"])
+def test_the_untagged_figure1_fault_blames_the_isp1_import_map(path):
+    # §2's first bug: R1's ISP1-IN route map lets a low-MED ISP1 route in
+    # without the transit community, and each failure names that map.
+    failures = oracle.run(path, oracle.CASES["figure1-safety-untagged"]).failures
+    assert failures and all("ISP1-IN" in f.blamed_policy for f in failures)
+
+
 @pytest.mark.parametrize("case", PLANTED, ids=str)
 def test_a_planted_fault_has_a_concrete_witness(case):
     # ``hermetic`` and ``pooled`` replay every FAILED filter check's witness

@@ -97,7 +97,7 @@ from repro.core.liveness import (
     resolve_interference_invariants,
 )
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
-from repro.core.report import GroupOutcomes, VerificationReport
+from repro.core.report import SAFETY_KEY, GroupOutcomes, VerificationReport, subproof_key
 from repro.core.safety import SafetyProblem, build_universe, run_problem
 from repro.core.workspace import Workspace
 from repro.lang.predicates import (
@@ -590,8 +590,8 @@ def _corpus() -> list[Case]:
         grown = lambda config, kind=kind: mesh_problem(kind, 5)
         smaller = lambda: (fullmesh.build_full_mesh(4), None)
         cases.append(Case(f"fullmesh5-{kind}-grown", partial(fullmesh.build_full_mesh, 5), grown, smaller))
-    # E4 joins our AS: no router's configuration changes, yet R4's export
-    # to E4 stops prepending our ASN.
+    # E4 joins our AS (R4's session follows): R4's export to E4 stops
+    # prepending our ASN, and the network digest re-runs every owner.
     joined = lambda: (fullmesh.full_mesh_external_asn_edit(4, asn=fullmesh.INTERNAL_AS), "R4")
     cases += [Case("fullmesh4-asn" + s, mesh, exported_has_our_as, joined, p) for p, s in VARIANTS]
     fig1_strip = strip_at(build_figure1, Edge("R1", "R2"))
@@ -690,11 +690,73 @@ def hermetic_report(
         section: [
             GroupOutcomes.of(checks, [c.run(config, universe, ghosts, budget) for c in checks])
         ]
-        for section, checks in problem.checks(config).items()
+        for section, checks in edge_checks(config, ghosts, problem).items()
     }
     report = VerificationReport(problem.property, groups, 0.0)
     replay_witnesses(report, config, ghosts, problem)
     return report
+
+
+def per_edge_checks(config: NetworkConfig, invariants: InvariantMap) -> list[checks.LocalCheck]:
+    """Every edge's Import, Export and Originate check as the per-edge
+    accessors define it, edge by edge with no class in sight: edges in
+    ``(src, dst)`` order, and within an edge Import, Export, Originate."""
+    def name(route_map):
+        return None if route_map is None else route_map.name
+
+    kind, topo, edge_checks = checks.CheckKind, config.topology, []
+    for edge in sorted(topo.edges):
+        if topo.is_router(edge.dst):
+            edge_checks.append(checks.LocalCheck(
+                kind.IMPORT, edge, invariants.get(edge), invariants.get(edge.dst),
+                None, name(config.import_map(edge)),
+            ))
+        if topo.is_router(edge.src):
+            edge_checks.append(checks.LocalCheck(
+                kind.EXPORT, edge, invariants.get(edge.src), invariants.get(edge),
+                None, name(config.export_map(edge)),
+            ))
+            if config.originate(edge):
+                edge_checks.append(checks.LocalCheck(
+                    kind.ORIGINATE, edge, invariants.get(edge), invariants.get(edge)
+                ))
+    return edge_checks
+
+
+def checked_members(
+    config: NetworkConfig, invariants: InvariantMap, generated: list
+) -> list[checks.LocalCheck]:
+    """The members of ``generated`` (checks of one invariant map), one
+    check per edge side in generation's order, after asserting that its
+    edge checks are exactly :func:`per_edge_checks`' — so a member given
+    its class's assumption, goal or route map, or lost or doubled by the
+    grouping, fails every cell that runs it."""
+    members = [member for check in generated for member in check.expand()]
+    reference = per_edge_checks(config, invariants)
+    position = {(c.kind, c.edge): i for i, c in enumerate(reference)}
+    edge_kinds = (checks.CheckKind.IMPORT, checks.CheckKind.EXPORT, checks.CheckKind.ORIGINATE)
+    edge_sides = [c for c in members if c.kind in edge_kinds]
+    assert sorted(edge_sides, key=lambda c: position.get((c.kind, c.edge), -1)) == reference
+    return members
+
+
+def edge_checks(config: NetworkConfig, ghosts: tuple, problem) -> dict[tuple, list]:
+    """Per section of ``problem``, its generated checks member by member
+    (:func:`checked_members` for a safety proof or sub-proof; propagation
+    and implication checks stand for one edge or none as generated)."""
+    if problem.kind == "safety":
+        maps = {SAFETY_KEY: problem.invariants}
+    else:
+        __, by_router = resolve_interference_invariants(config, problem.prop, problem.invariants)
+        maps = {subproof_key(router): invariants for router, invariants in by_router.items()}
+    sections = problem.checks(config, ghosts)
+    assert set(maps) <= set(sections)
+    for section, generated in sections.items():
+        if section in maps:
+            sections[section] = checked_members(config, maps[section], generated)
+        else:
+            assert all(check.members is None for check in generated), section
+    return sections
 
 
 def replay_witnesses(

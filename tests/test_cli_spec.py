@@ -33,6 +33,8 @@ from repro.lang.predicates import (
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Community
 from repro.lang.specjson import (
+    SafetySpec,
+    VerificationSpec,
     location_from_str,
     predicate_from_json,
     predicate_to_json,
@@ -40,9 +42,11 @@ from repro.lang.specjson import (
     spec_to_json,
 )
 from repro.workloads.figure1 import build_figure1
+from repro.workloads.fullmesh import build_full_mesh, full_mesh_external_asn_edit
 
 from tests import oracle
 from tests.conftest import CONFIG_TEXT, SPEC
+from tests.core.conftest import mesh_no_transit
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -505,6 +509,41 @@ def test_cli_diff(tmp_path, capsys, edit, expected):
     assert main(["diff", str(old_path), str(new_path)]) == 1
     assert capsys.readouterr().out == expected
     assert main(["diff", str(old_path), str(old_path)]) == 0
+
+
+def _mesh_spec(config) -> str:
+    """The mesh's no-transit problem (``mesh_no_transit``) as a spec file."""
+    __, prop, invariants = mesh_no_transit(config)
+    overrides = {loc: invariants.get(loc) for loc in invariants.overridden_locations()}
+    ghost = {"name": "FromE1", "kind": "source", "sources": ["E1->R1"]}
+    return spec_to_json(VerificationSpec([ghost], [SafetySpec(prop, invariants.default, overrides)]))
+
+
+def test_cli_reverify_of_an_external_asn_edit_reruns_everything(tmp_path, capsys):
+    # E4 moves to another AS and R4's session follows: the diff names both,
+    # and the network-level digest re-runs every owner's generated checks,
+    # to the verdict and check count of a fresh verify.
+    paths = {name: tmp_path / f"{name}.json" for name in ("base", "edited", "spec")}
+    paths["base"].write_text(config_to_json(build_full_mesh(4)))
+    paths["edited"].write_text(config_to_json(full_mesh_external_asn_edit(4)))
+    paths["spec"].write_text(_mesh_spec(build_full_mesh(4)))
+    base, edited, spec = map(str, paths.values())
+    assert main(["diff", base, edited]) == 1
+    assert capsys.readouterr().out == (
+        "changed: R4; external ASN changed: E4\n"
+        "  R4: E4: remote-as 1004 -> 64999\n"
+        "  E4: asn 1004 -> 64999\n"
+    )
+    assert main(["verify", edited, spec]) == 0
+    fresh = capsys.readouterr().out.splitlines()[0]
+    assert main(["reverify", base, edited, spec]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "config diff: changed: R4; external ASN changed: E4"
+    verdict = lines[1].split(" — ")
+    assert verdict[0] == fresh.split(" — ")[0] and verdict[0].endswith("PASSED")
+    total = int(verdict[1].split()[0])
+    assert total == int(fresh.split(" — ")[1].split()[0]) == 2 * (4 * 3 + 4) + 1
+    assert lines[2] == f"  reverify: consulted {total} of {total} checks ({total} re-run, 0 reused)"
 
 
 # Modules a JSON ``verify`` never runs, so must never import: the
