@@ -12,17 +12,16 @@ intuitive local check here yet is caught by Lightyear's generated closure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.bgp.config import NetworkConfig
 from repro.core.checks import CheckKind, CheckOutcome, LocalCheck
 from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
+from repro.record import Record
 
 
-@dataclass
-class LocalOnlyResult:
+class LocalOnlyResult(Record):
     outcomes: list[CheckOutcome]
     wall_time_s: float
 

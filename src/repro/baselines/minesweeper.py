@@ -30,7 +30,6 @@ synthetic setup.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro import smt
 from repro.bgp.config import NetworkConfig
@@ -41,12 +40,12 @@ from repro.core.safety import build_universe
 from repro.lang.ghost import GhostAttribute
 from repro.lang.symroute import SymbolicRoute
 from repro.lang.transfer import transfer_export, transfer_import
+from repro.record import Record
 from repro.smt.solver import SolverStats
 from repro.smt.terms import Term
 
 
-@dataclass
-class MinesweeperResult:
+class MinesweeperResult(Record):
     """Outcome of one monolithic verification."""
 
     verified: bool

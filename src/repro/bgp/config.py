@@ -11,27 +11,40 @@ functions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.bgp.policy import RouteMap, canonical_policy, route_map_digest
 from repro.bgp.route import Route
 from repro.bgp.topology import Edge, Topology
+from repro.record import Record
 
 
-@dataclass
-class NeighborConfig:
-    """One BGP session as seen from the owning router."""
+class NeighborConfig(Record):
+    """One BGP session as seen from the owning router.
+
+    A parse builds one per session (20 000 for two 100-router meshes), so
+    the class keeps a positional ``__init__`` of its own.
+    """
 
     peer: str
     remote_asn: int
-    import_map: RouteMap | None = None
-    export_map: RouteMap | None = None
-    originated: tuple[Route, ...] = ()
+    import_map: RouteMap | None
+    export_map: RouteMap | None
+    originated: tuple[Route, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.originated, tuple):
-            self.originated = tuple(self.originated)
+    def __init__(
+        self,
+        peer: str,
+        remote_asn: int,
+        import_map: RouteMap | None = None,
+        export_map: RouteMap | None = None,
+        originated: tuple[Route, ...] = (),
+    ) -> None:
+        self.peer = peer
+        self.remote_asn = remote_asn
+        self.import_map = import_map
+        self.export_map = export_map
+        self.originated = originated if isinstance(originated, tuple) else tuple(originated)
 
 
 class RouterLeaves(NamedTuple):
@@ -84,8 +97,7 @@ class RouterLeaves(NamedTuple):
         return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
-@dataclass
-class RouterConfig:
+class RouterConfig(Record):
     """A router's BGP configuration: its ASN, sessions, and RR clients.
 
     ``rr_clients`` names the iBGP neighbors this router acts as a route
@@ -95,7 +107,7 @@ class RouterConfig:
 
     name: str
     asn: int
-    neighbors: dict[str, NeighborConfig] = field(default_factory=dict)
+    neighbors: dict[str, NeighborConfig] = {}
     rr_clients: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:

@@ -7,21 +7,19 @@ structurally (not textually), plus a human-readable change summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.bgp.config import NetworkConfig, RouterConfig
+from repro.record import Record
 
 
-@dataclass
-class ConfigDiff:
+class ConfigDiff(Record):
     """Differences between two network configurations."""
 
-    added_routers: list[str] = field(default_factory=list)
-    removed_routers: list[str] = field(default_factory=list)
-    changed_routers: list[str] = field(default_factory=list)
-    changed_externals: list[str] = field(default_factory=list)
+    added_routers: list[str] = []
+    removed_routers: list[str] = []
+    changed_routers: list[str] = []
+    changed_externals: list[str] = []
     topology_changed: bool = False
-    details: dict[str, list[str]] = field(default_factory=dict)
+    details: dict[str, list[str]] = {}
 
     @property
     def is_empty(self) -> bool:

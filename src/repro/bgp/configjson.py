@@ -15,7 +15,6 @@ driven by a :class:`KindTable` per format.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
 from functools import cache
 from typing import Any, Callable
 
@@ -36,6 +35,7 @@ from repro.bgp.policy import (
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
 from repro.bgp.topology import Topology
+from repro.record import defaults, fields
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def _int(doc: dict[str, Any], key: str) -> int:
 # ---------------------------------------------------------------------------
 #
 # A document is ``{"kind": NAME, FIELD: value, ...}``: the table names the
-# class, the other keys are its dataclass fields.  Nested predicates are
+# class, the other keys are its record fields.  Nested predicates are
 # documents, communities, prefix ranges and prefixes strings, the rest
 # JSON scalars.
 
@@ -183,11 +183,8 @@ class KindTable:
         self.noun = noun
         self.what = f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
         self.names = {cls: kind for kind, cls in classes.items()}
-        # kind -> (class, its (field, default) pairs)
-        self.classes = {
-            kind: (cls, tuple((f.name, f.default) for f in fields(cls)))
-            for kind, cls in classes.items()
-        }
+        # kind -> (class, its fields, the defaults of those that have one)
+        self.classes = {kind: (cls, fields(cls), defaults(cls)) for kind, cls in classes.items()}
         self.nonempty = nonempty or {}
 
 
@@ -207,7 +204,7 @@ def to_doc(value: Any, kinds: KindTable) -> dict[str, Any]:
     if kind is None:
         raise TypeError(f"cannot serialise {kinds.noun} {value!r}")
     doc: dict[str, Any] = {"kind": kind}
-    for name, __ in kinds.classes[kind][1]:
+    for name in kinds.classes[kind][1]:
         field = getattr(value, name)
         if name in _NESTED:
             field = to_doc(field, kinds)
@@ -228,10 +225,10 @@ def from_doc(doc: Any, kinds: KindTable) -> Any:
     entry = kinds.classes.get(kind) if isinstance(kind, str) else None
     if entry is None:
         raise ValueError(f"unknown {kinds.noun} kind {kind!r}")
-    cls, params = entry
+    cls, names, given = entry
     args = []
-    for name, default in params:
-        field = doc[name] if default is MISSING else doc.get(name, default)
+    for name in names:
+        field = doc.get(name, given[name]) if name in given else doc[name]
         if name in _NESTED:
             field = from_doc(field, kinds)
         elif name == "inners":

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING
 
-from repro.bgp.route import Community, Route, hash_once
+from repro.bgp.route import Community, Route
+from repro.record import Record, Value, fields, replace
 
 if TYPE_CHECKING:
     from repro.lang.predicates import Predicate
@@ -32,14 +32,13 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-class Action:
+class Action(Value):
     """Base class of attribute-modifying actions."""
 
     def apply(self, route: Route) -> Route:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class SetLocalPref(Action):
     value: int
 
@@ -47,7 +46,6 @@ class SetLocalPref(Action):
         return route.with_local_pref(self.value)
 
 
-@dataclass(frozen=True)
 class SetMed(Action):
     value: int
 
@@ -55,7 +53,6 @@ class SetMed(Action):
         return route.with_med(self.value)
 
 
-@dataclass(frozen=True)
 class SetNextHop(Action):
     value: int
 
@@ -63,7 +60,6 @@ class SetNextHop(Action):
         return route.with_next_hop(self.value)
 
 
-@dataclass(frozen=True)
 class AddCommunity(Action):
     community: Community
 
@@ -71,7 +67,6 @@ class AddCommunity(Action):
         return route.add_community(self.community)
 
 
-@dataclass(frozen=True)
 class DeleteCommunity(Action):
     community: Community
 
@@ -79,13 +74,11 @@ class DeleteCommunity(Action):
         return route.delete_community(self.community)
 
 
-@dataclass(frozen=True)
 class ClearCommunities(Action):
     def apply(self, route: Route) -> Route:
         return route.clear_communities()
 
 
-@dataclass(frozen=True)
 class PrependAsPath(Action):
     asn: int
     count: int = 1
@@ -94,7 +87,6 @@ class PrependAsPath(Action):
         return route.prepend_as(self.asn, self.count)
 
 
-@dataclass(frozen=True)
 class SetOrigin(Action):
     origin: int
 
@@ -103,8 +95,6 @@ class SetOrigin(Action):
             raise ValueError(f"origin must be 0 (IGP), 1 (EGP), or 2, got {self.origin}")
 
     def apply(self, route: Route) -> Route:
-        from dataclasses import replace
-
         return replace(route, origin=self.origin)
 
 
@@ -118,8 +108,7 @@ class Disposition(enum.Enum):
     DENY = "deny"
 
 
-@dataclass(frozen=True)
-class RouteMapClause:
+class RouteMapClause(Value):
     """One numbered clause: disposition, conjunctive matches, actions."""
 
     seq: int
@@ -144,9 +133,7 @@ class RouteMapClause:
         return route
 
 
-@hash_once
-@dataclass(frozen=True)
-class RouteMap:
+class RouteMap(Value):
     """An ordered sequence of clauses with first-match semantics."""
 
     name: str
@@ -194,8 +181,8 @@ class RouteMap:
 # so structurally equal policies produce identical keys in every process.
 
 
-# Dataclass type -> its field names, filled the first time the isinstance
-# chain below reaches ``is_dataclass`` for that type.  ``Route`` is matched
+# Record type -> its field names, filled the first time the isinstance
+# chain below reaches ``Record`` for that type.  ``Route`` is matched
 # earlier in the chain, so it never lands here.
 _field_names: dict[type, tuple[str, ...]] = {}
 
@@ -229,10 +216,10 @@ def canonical_policy(obj: object) -> object:
             obj.origin,
             tuple(sorted(obj.ghost.items())),
         )
-    if is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Record):
         # Covers predicates, Action subclasses, RouteMapClause, RouteMap,
         # Community, Prefix, and PrefixRange: all frozen tuples of fields.
-        names = _field_names[cls] = tuple(f.name for f in fields(obj))
+        names = _field_names[cls] = fields(obj)
         return (cls.__name__,) + tuple(canonical_policy(getattr(obj, n)) for n in names)
     if isinstance(obj, (frozenset, set)):
         return tuple(sorted(canonical_policy(item) for item in obj))

@@ -7,8 +7,9 @@ needs: containment, overlap and parsing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
+
+from repro.record import Value
 
 
 _MAX_LEN = 32
@@ -42,8 +43,7 @@ def format_ipv4(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
+class Prefix(Value, order=True):
     """An IPv4 prefix: a network address and a mask length.
 
     The address is stored canonically (host bits zeroed), so two equal
@@ -97,8 +97,7 @@ class Prefix:
         return f"{format_ipv4(self.address)}/{self.length}"
 
 
-@dataclass(frozen=True)
-class PrefixRange:
+class PrefixRange(Value):
     """A prefix-list entry: a base prefix plus allowed mask-length bounds.
 
     ``PrefixRange(Prefix.parse("10.0.0.0/8"), 8, 24)`` matches every route

@@ -15,13 +15,13 @@ verifies — the cross-validation tests rely on exactly that containment.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Route
 from repro.bgp.selection import best_route
 from repro.bgp.topology import Edge
+from repro.record import Record, Value
 
 
 class EventKind(enum.Enum):
@@ -30,8 +30,7 @@ class EventKind(enum.Enum):
     FRWD = "frwd"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Value):
     """One trace event.  ``location`` is an Edge for recv/frwd, a str for slct."""
 
     kind: EventKind
@@ -46,8 +45,7 @@ class ConvergenceError(RuntimeError):
     """Raised when the network fails to reach a fixpoint within the bound."""
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(Record):
     """The outcome of a simulation run."""
 
     events: list[Event]

@@ -50,7 +50,6 @@ from __future__ import annotations
 import enum
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import reduce
 
 from repro import smt
@@ -68,6 +67,7 @@ from repro.lang.transfer import (
     transfer_import,
 )
 from repro.lang.universe import AttributeUniverse
+from repro.record import Record
 from repro.smt.sat import SatStats
 from repro.smt.solver import SolverStats
 
@@ -116,8 +116,7 @@ _DESCRIPTIONS = {
 }
 
 
-@dataclass
-class LocalCheck:
+class LocalCheck(Record):
     """A single generated check, ready to run.
 
     ``text`` is a custom description; without one (the Import, Export and
@@ -132,19 +131,42 @@ class LocalCheck:
     key (originate, implication) it is never answered by class.  Both hold
     for the configuration and ghosts the check was generated from.
 
-    A plain dataclass, built positionally.  Checks compare by value but
-    are not hashable, and nothing mutates one once generated.
+    A plain record with its own positional ``__init__`` (a WAN sweep
+    builds tens of thousands).  Checks compare by value but are not
+    hashable, and nothing mutates one once generated.
     """
 
     kind: CheckKind
     edge: Edge | None
     assumption: Predicate
     goal: Predicate
-    text: str | None = None
-    route_map_name: str | None = None
-    location: Location | None = None
-    members: list[Edge] | None = None
-    key: tuple | None = None
+    text: str | None
+    route_map_name: str | None
+    location: Location | None
+    members: list[Edge] | None
+    key: tuple | None
+
+    def __init__(
+        self,
+        kind: CheckKind,
+        edge: Edge | None,
+        assumption: Predicate,
+        goal: Predicate,
+        text: str | None = None,
+        route_map_name: str | None = None,
+        location: Location | None = None,
+        members: list[Edge] | None = None,
+        key: tuple | None = None,
+    ) -> None:
+        self.kind = kind
+        self.edge = edge
+        self.assumption = assumption
+        self.goal = goal
+        self.text = text
+        self.route_map_name = route_map_name
+        self.location = location
+        self.members = members
+        self.key = key
 
     @property
     def size(self) -> int:
@@ -434,22 +456,40 @@ class LocalCheck:
         return self.description
 
 
-@dataclass
-class CheckOutcome:
-    """The result of running one local check."""
+class CheckOutcome(Record):
+    """The result of running one local check (built once per check run,
+    so with its own positional ``__init__``)."""
 
     check: LocalCheck
     passed: bool
     stats: SolverStats
-    failure: CheckFailure | None = None
-    unknown: bool = False
+    failure: CheckFailure | None
+    unknown: bool
     # Why the check is UNKNOWN: "conflicts" (conflict budget), "timeout"
     # (per-check deadline), or "wall-budget" (the run's wall budget ran
     # out before this check started).  None when the check was decided.
-    unknown_reason: str | None = None
+    unknown_reason: str | None
     # A check of several members that did not pass: each member's own
     # outcome, in member order; ``stats`` is their fold.
-    members: "list[CheckOutcome] | None" = None
+    members: "list[CheckOutcome] | None"
+
+    def __init__(
+        self,
+        check: LocalCheck,
+        passed: bool,
+        stats: SolverStats,
+        failure: CheckFailure | None = None,
+        unknown: bool = False,
+        unknown_reason: str | None = None,
+        members: "list[CheckOutcome] | None" = None,
+    ) -> None:
+        self.check = check
+        self.passed = passed
+        self.stats = stats
+        self.failure = failure
+        self.unknown = unknown
+        self.unknown_reason = unknown_reason
+        self.members = members
 
     def expanded(self) -> "list[CheckOutcome]":
         """One outcome per edge check: each member's own, or for a passed

@@ -9,17 +9,16 @@ route map, and the input/output routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.bgp.route import Route
+from repro.record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.checks import LocalCheck
 
 
-@dataclass
-class CheckFailure:
+class CheckFailure(Record):
     """A concrete witness for one failed local check."""
 
     check: "LocalCheck"

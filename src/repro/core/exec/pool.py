@@ -14,7 +14,7 @@ the pool initializer, and runs every chunk through the same loop on the
 worker's own :class:`repro.smt.SessionPool`, so the shared encoding stays
 hot within a chunk and the pool's query memo spans every chunk the worker
 runs.  Outcomes (including counterexamples) are plain picklable
-dataclasses and come back per chunk in the chunk's order, so callers
+records and come back per chunk in the chunk's order, so callers
 see results in input order regardless of scheduling.
 
 Workers live for one call: nothing persists between batches on the

@@ -26,7 +26,6 @@ feedback loop §2.1 describes users performing by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.policy import AddCommunity, RouteMap
@@ -37,20 +36,19 @@ from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import verify_safety
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Predicate
+from repro.record import Record
 
 
-@dataclass
-class CandidateResult:
+class CandidateResult(Record):
     """One tried candidate and how it fared."""
 
     community: Community
     invariant: Predicate
     passed: bool
-    failures: list[CheckFailure] = field(default_factory=list)
+    failures: list[CheckFailure] = []
 
 
-@dataclass
-class InferenceResult:
+class InferenceResult(Record):
     """The outcome of an invariant search."""
 
     property: SafetyProperty

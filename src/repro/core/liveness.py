@@ -38,7 +38,6 @@ universe under every encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.bgp.config import NetworkConfig
@@ -62,6 +61,7 @@ from repro.core.safety import invariant_predicates, run_problem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Implies, Predicate, PrefixIn, TruePred, prefix_projection
 from repro.lang.transfer import transfer_policy
+from repro.record import Record
 
 
 def generate_propagation_checks(
@@ -152,8 +152,7 @@ def resolve_interference_invariants(
     return properties, invariants
 
 
-@dataclass
-class LivenessChecks:
+class LivenessChecks(Record):
     """The complete §5 check set for one property, generated but not run.
 
     Separating generation from execution is what makes the pipeline

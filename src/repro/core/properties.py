@@ -13,18 +13,17 @@ as §4.1 requires — no assumption may be made about what neighbors announce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from repro.bgp.topology import Edge, Topology
 from repro.lang.predicates import Predicate, TruePred
+from repro.record import Value
 
 
 Location = Union[str, Edge]
 
 
-@dataclass(frozen=True)
-class SafetyProperty:
+class SafetyProperty(Value):
     """``(l, P)``: all routes reaching ``l`` satisfy ``P``."""
 
     location: Location
@@ -47,8 +46,7 @@ class SafetyProperty:
         return f"{label}safety at {self.location}: {self.predicate!r}"
 
 
-@dataclass(frozen=True)
-class LivenessProperty:
+class LivenessProperty(Value):
     """``(l, P)`` plus a witness path and per-location path constraints.
 
     ``path`` alternates routers and edges, ending at ``location`` (§5.1).

@@ -19,11 +19,11 @@ summary and the rendering branch on the property's kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.core.checks import CheckOutcome
 from repro.core.properties import LivenessProperty
+from repro.record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.checks import LocalCheck
@@ -59,8 +59,7 @@ def unknown_label(outcome) -> str:
     return _UNKNOWN_LABELS.get(reason, "budget exhausted")
 
 
-@dataclass
-class DegradationReport:
+class DegradationReport(Record):
     """How far a run strayed from clean parallel execution.
 
     Verification that silently degrades — a process pool quietly replaced
@@ -75,7 +74,7 @@ class DegradationReport:
     :meth:`VerificationReport.unknown_reason_counts`.
     """
 
-    reasons: list[str] = field(default_factory=list)
+    reasons: list[str] = []
 
     @property
     def serial_fallbacks(self) -> int:
@@ -102,8 +101,7 @@ class DegradationReport:
         return lines
 
 
-@dataclass
-class GroupOutcomes:
+class GroupOutcomes(Record):
     """The outcomes of one group of checks, as rows a report can fold.
 
     A group is one ``(section, owner)`` entry of the incremental tracker's
@@ -197,8 +195,7 @@ def kept_outcomes(groups: Iterable[GroupOutcomes]) -> Iterator[CheckOutcome]:
             yield from outcome.expanded()
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Everything one run of one property learned, section by section.
 
     ``sections`` maps each section key to its groups in presentation
@@ -211,7 +208,7 @@ class VerificationReport:
     property: "SafetyProperty | LivenessProperty"
     sections: dict[tuple, list[GroupOutcomes]]
     wall_time_s: float
-    degradation: DegradationReport = field(default_factory=DegradationReport)
+    degradation: DegradationReport = DegradationReport()
     reused_checks: int = 0
 
     def _groups(self) -> Iterator[GroupOutcomes]:

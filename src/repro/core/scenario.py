@@ -13,7 +13,6 @@ under some announcement/failure combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 
 from repro.bgp.config import NetworkConfig
 from repro.bgp.route import Route
@@ -22,10 +21,10 @@ from repro.bgp.topology import Edge
 from repro.core.counterexample import CheckFailure
 from repro.core.properties import Location, SafetyProperty
 from repro.lang.ghost import GhostAttribute
+from repro.record import Record, replace
 
 
-@dataclass
-class ImpactAssessment:
+class ImpactAssessment(Record):
     """The outcome of replaying a counterexample in simulation."""
 
     failure: CheckFailure

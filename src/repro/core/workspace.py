@@ -56,9 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -77,6 +75,7 @@ from repro.core.report import VerificationReport
 from repro.core.safety import SafetyProblem
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
+from repro.record import Record
 
 
 # Bump whenever the pickled cache layout changes; a loader never guesses.
@@ -133,8 +132,7 @@ class WorkspaceCacheMismatch(WorkspaceCacheError):
     configuration, ghost set, or spec (fingerprint mismatch)."""
 
 
-@dataclass
-class WorkspaceEntry:
+class WorkspaceEntry(Record):
     """One property registered with a workspace: its tracker plus the most
     recent run's report (which counts the checks it re-ran and reused)."""
 
@@ -155,7 +153,7 @@ def _invariant_map_fp(
 ) -> tuple[str, tuple[tuple[str, str], ...]] | None:
     """Canonical content of an invariant map (order-insensitive).
 
-    Predicate ``repr``\\ s are content-determined dataclass renderings, so
+    Predicate ``repr``\\ s are content-determined record renderings, so
     this is stable across processes — the property pickled cache
     fingerprints need.
     """
@@ -437,6 +435,8 @@ class Workspace(ExecutionContext):
         refuses any other configuration, ghost set or budget.  Nothing
         solver-side is persisted (session encodings are process-local).
         """
+        import pickle
+
         state = {
             "config_digests": self._snapshot.digests(),
             "ghosts_fp": _ghosts_fp(self.ghosts),
@@ -491,6 +491,8 @@ class Workspace(ExecutionContext):
         whatever this process should use.  A ``wall_budget_s`` is spent
         from before the file is read.
         """
+        import pickle
+
         workspace = cls.__new__(cls)
         workspace._setup(
             config, tuple(ghosts), parallel, conflict_budget, deadline_s, wall_budget_s

@@ -14,20 +14,19 @@ false by other external imports, untouched inside), ``FromPeer``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.bgp.topology import Edge, Topology
+from repro.record import Value
 
 
-@dataclass(frozen=True)
-class GhostAttribute:
+class GhostAttribute(Value):
     """One ghost boolean field and its update discipline."""
 
     name: str
     originated_value: bool = False
-    import_updates: dict[Edge, bool] = field(default_factory=dict)
-    export_updates: dict[Edge, bool] = field(default_factory=dict)
+    import_updates: dict[Edge, bool] = {}
+    export_updates: dict[Edge, bool] = {}
 
     def import_update(self, edge: Edge) -> bool | None:
         """The constant written after the import filter on ``edge`` (or None)."""

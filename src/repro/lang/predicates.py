@@ -19,18 +19,14 @@ set ``Prefix(C_i)`` used in no-interference checks.
 
 Predicates are memo keys (:func:`predicate_term`, the universe builder),
 and a value used as a memo key hashes once; the hash is never pickled:
-every subclass stacks :func:`repro.bgp.route.hash_once` above its
-``@dataclass(frozen=True)``, which would otherwise regenerate a
-tree-walking ``__hash__`` per class.
+every predicate is a :class:`repro.record.Value`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import smt
 from repro.bgp.prefix import Prefix, PrefixRange
-from repro.bgp.route import Community, Route, hash_once
+from repro.bgp.route import Community, Route
 from repro.lang.symroute import (
     ADDR_WIDTH,
     LEN_WIDTH,
@@ -40,11 +36,11 @@ from repro.lang.symroute import (
     PREF_WIDTH,
     SymbolicRoute,
 )
+from repro.record import Record, Value
 from repro.smt.terms import Term, register_intern_dependent
 
 
-@dataclass
-class TermCacheStats:
+class TermCacheStats(Record):
     """Hit/miss counters for a lang-layer term-construction cache."""
 
     hits: int = 0
@@ -90,7 +86,7 @@ def predicate_term(pred: "Predicate", route: SymbolicRoute) -> Term:
     return term
 
 
-class Predicate:
+class Predicate(Value):
     """Base class: a decidable set of routes."""
 
     def to_term(self, route: SymbolicRoute) -> Term:
@@ -114,8 +110,6 @@ class Predicate:
         return Implies(self, other)
 
 
-@hash_once
-@dataclass(frozen=True)
 class TruePred(Predicate):
     """All routes (the unconstrained external-edge invariant)."""
 
@@ -129,8 +123,6 @@ class TruePred(Predicate):
         return "True"
 
 
-@hash_once
-@dataclass(frozen=True)
 class FalsePred(Predicate):
     """No routes (a location no route may ever reach)."""
 
@@ -144,8 +136,6 @@ class FalsePred(Predicate):
         return "False"
 
 
-@hash_once
-@dataclass(frozen=True)
 class HasCommunity(Predicate):
     """Routes tagged with a community: ``c in Comm(r)``."""
 
@@ -161,8 +151,6 @@ class HasCommunity(Predicate):
         return f"{self.community} in Comm(r)"
 
 
-@hash_once
-@dataclass(frozen=True)
 class PrefixIn(Predicate):
     """Routes whose prefix matches some entry of a prefix list."""
 
@@ -191,8 +179,6 @@ class PrefixIn(Predicate):
         return f"Prefix(r) in {{{', '.join(str(r) for r in self.ranges)}}}"
 
 
-@hash_once
-@dataclass(frozen=True)
 class GhostIs(Predicate):
     """Routes whose ghost attribute has the given value."""
 
@@ -210,8 +196,6 @@ class GhostIs(Predicate):
         return f"{self.name}(r)" if self.value else f"not {self.name}(r)"
 
 
-@hash_once
-@dataclass(frozen=True)
 class AsPathHas(Predicate):
     """Routes whose AS path mentions an ASN."""
 
@@ -227,8 +211,6 @@ class AsPathHas(Predicate):
         return f"{self.asn} in ASPath(r)"
 
 
-@hash_once
-@dataclass(frozen=True)
 class LocalPrefIn(Predicate):
     """Routes with local preference in [low, high]."""
 
@@ -248,8 +230,6 @@ class LocalPrefIn(Predicate):
         return f"LocalPref(r) in [{self.low}, {self.high}]"
 
 
-@hash_once
-@dataclass(frozen=True)
 class MedIn(Predicate):
     """Routes with MED in [low, high]."""
 
@@ -269,8 +249,6 @@ class MedIn(Predicate):
         return f"MED(r) in [{self.low}, {self.high}]"
 
 
-@hash_once
-@dataclass(frozen=True)
 class AsPathLenIn(Predicate):
     """Routes whose AS-path length lies in [low, high]."""
 
@@ -290,8 +268,6 @@ class AsPathLenIn(Predicate):
         return f"|ASPath(r)| in [{self.low}, {self.high}]"
 
 
-@hash_once
-@dataclass(frozen=True)
 class OriginIs(Predicate):
     """Routes with the given BGP origin code."""
 
@@ -307,8 +283,6 @@ class OriginIs(Predicate):
         return f"Origin(r) = {self.origin}"
 
 
-@hash_once
-@dataclass(frozen=True)
 class NextHopIn(Predicate):
     """Routes whose next hop falls in any of the given prefixes."""
 
@@ -334,8 +308,6 @@ class NextHopIn(Predicate):
         return f"NextHop(r) in {{{', '.join(str(p) for p in self.prefixes)}}}"
 
 
-@hash_once
-@dataclass(frozen=True)
 class Not(Predicate):
     inner: Predicate
 
@@ -349,8 +321,6 @@ class Not(Predicate):
         return f"not ({self.inner!r})"
 
 
-@hash_once
-@dataclass(frozen=True)
 class AllOf(Predicate):
     inners: tuple[Predicate, ...]
 
@@ -368,8 +338,6 @@ class AllOf(Predicate):
         return " and ".join(f"({p!r})" for p in self.inners) or "True"
 
 
-@hash_once
-@dataclass(frozen=True)
 class AnyOf(Predicate):
     inners: tuple[Predicate, ...]
 
@@ -387,8 +355,6 @@ class AnyOf(Predicate):
         return " or ".join(f"({p!r})" for p in self.inners) or "False"
 
 
-@hash_once
-@dataclass(frozen=True)
 class Implies(Predicate):
     antecedent: Predicate
     consequent: Predicate

@@ -39,7 +39,6 @@ live next to the configurations they check::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bgp.configjson import KindTable, from_doc, to_doc
@@ -65,6 +64,7 @@ from repro.lang.predicates import (
     TruePred,
     predicate_atoms,
 )
+from repro.record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,7 @@ def location_to_str(location: Location) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SafetySpec:
+class SafetySpec(Record):
     property: SafetyProperty
     invariants_default: Predicate
     invariants_overrides: dict[Location, Predicate]
@@ -141,13 +140,12 @@ class SafetySpec:
         return inv
 
 
-@dataclass
-class VerificationSpec:
+class VerificationSpec(Record):
     """A parsed spec file: ghosts plus safety and liveness problems."""
 
-    ghost_docs: list[dict[str, Any]] = field(default_factory=list)
-    safety: list[SafetySpec] = field(default_factory=list)
-    liveness: list[LivenessProperty] = field(default_factory=list)
+    ghost_docs: list[dict[str, Any]] = []
+    safety: list[SafetySpec] = []
+    liveness: list[LivenessProperty] = []
 
     def build_ghosts(self, topology: Topology) -> tuple[GhostAttribute, ...]:
         ghosts = []

@@ -23,13 +23,13 @@ fields are ``ite`` terms over the original variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from operator import is_not
 from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping
 
 from repro import smt
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Community, Route
+from repro.record import Value, replace
 from repro.smt.terms import Term, register_intern_dependent
 
 if TYPE_CHECKING:  # the universe scan imports the predicates, which import this
@@ -43,9 +43,14 @@ ORIGIN_WIDTH = 2
 PATHLEN_WIDTH = 8
 
 
-@dataclass(frozen=True)
-class SymbolicRoute:
-    """A route whose attributes are SMT terms over a fixed universe."""
+class SymbolicRoute(Value):
+    """A route whose attributes are SMT terms over a fixed universe.
+
+    Its memo token and well-formedness term live in slots, outside the
+    field dict that ``==`` and pickles read.
+    """
+
+    __slots__ = ("__dict__", "_instance_token", "_well_formed")
 
     universe: AttributeUniverse
     prefix_addr: Term
@@ -149,11 +154,11 @@ class SymbolicRoute:
         the same instance is harmless: both tokens are unique, the loser's
         cache entries just go cold.)
         """
-        token = self.__dict__.get("_instance_token")
-        if token is None:
-            token = next(SymbolicRoute._token_counter)
-            object.__setattr__(self, "_instance_token", token)
-        return token
+        try:
+            return self._instance_token
+        except AttributeError:
+            object.__setattr__(self, "_instance_token", next(SymbolicRoute._token_counter))
+            return self._instance_token
 
     # ------------------------------------------------------------------
     # Well-formedness
@@ -165,11 +170,12 @@ class SymbolicRoute:
         Cached on the instance (fields are immutable, updates copy): every
         filter and implication check asks the one cached ``fresh`` route.
         """
-        term = self.__dict__.get("_well_formed")
-        if term is None:
+        try:
+            return self._well_formed
+        except AttributeError:
             term = smt.bv_ule(self.prefix_len, smt.bv_const(32, LEN_WIDTH))
             object.__setattr__(self, "_well_formed", term)
-        return term
+            return term
 
     # ------------------------------------------------------------------
     # Field access helpers
@@ -199,7 +205,7 @@ class SymbolicRoute:
     # ------------------------------------------------------------------
 
     def with_field(self, **updates: object) -> "SymbolicRoute":
-        return replace(self, **updates)  # type: ignore[arg-type]
+        return replace(self, **updates)
 
     def with_community(self, comm: Community, value: Term) -> "SymbolicRoute":
         if comm not in self.communities:

@@ -60,8 +60,9 @@ hit/miss counters for benchmarks.
 
 Key cost: a value used as a memo key hashes once; the hash is never
 pickled.  Route maps (the intern table), universes (the ``fresh`` cache)
-and predicates carry :func:`repro.bgp.route.hash_once`, so a hit costs
-one dict probe, not a walk over the key's dataclass tree.  No key is a
+and predicates are :class:`repro.record.Value` instances, which keep
+their hash once computed, so a hit costs one dict probe, not a walk over
+the key's field tree.  No key is a
 SHA-256: digests are for what crosses a process (the cache identity and
 the §7 diff, :mod:`repro.core.incremental`).
 """

@@ -12,8 +12,6 @@ verifiers (Minesweeper makes the same move).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bgp.config import NetworkConfig
 from repro.bgp.policy import (
     Action,
@@ -22,13 +20,12 @@ from repro.bgp.policy import (
     PrependAsPath,
     RouteMap,
 )
-from repro.bgp.route import Community, hash_once
+from repro.bgp.route import Community
 from repro.lang.predicates import add_atoms
+from repro.record import Value
 
 
-@hash_once
-@dataclass(frozen=True)
-class AttributeUniverse:
+class AttributeUniverse(Value):
     """The distinguishable communities, ASNs, and ghost attribute names."""
 
     communities: tuple[Community, ...]

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 
+from repro.record import Record
 
 UNASSIGNED = -1
 
@@ -50,8 +50,7 @@ def _to_lit(code: int) -> int:
     return -(code >> 1) if code & 1 else (code >> 1)
 
 
-@dataclass
-class SatStats:
+class SatStats(Record):
     """Search counters of one solver, summed over its :meth:`SatSolver.solve`
     runs (a :class:`repro.smt.solver.CheckSession` reports per-check deltas)."""
 

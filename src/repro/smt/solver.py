@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
 from typing import KeysView, Sequence
 
+from repro.record import Record
 from repro.smt import terms as T
 from repro.smt.encode import Encoder, conjuncts
 from repro.smt.sat import SatSolver, SatStats
@@ -54,8 +54,7 @@ class Result(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class SolverStats:
+class SolverStats(Record):
     """Size and timing data for one ``check()`` call.
 
     For a :class:`CheckSession` these are *marginal* figures: the variables
@@ -68,7 +67,7 @@ class SolverStats:
     num_clauses: int = 0
     build_time_s: float = 0.0
     solve_time_s: float = 0.0
-    sat: SatStats = field(default_factory=SatStats)
+    sat: SatStats = SatStats()
     # Why the answer was UNKNOWN: "conflicts" (budget) or "timeout"
     # (wall-clock deadline).  None for decided answers.
     unknown_reason: str | None = None

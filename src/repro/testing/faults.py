@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 from repro.core import checks
+from repro.record import Value
 
 
 class FaultInjected(RuntimeError):
@@ -51,8 +51,7 @@ class FaultInjected(RuntimeError):
 HANG_CAP_S = 10.0
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Value):
     """A declarative set of faults to inject, picklable so the process
     map can ship it to worker processes."""
 

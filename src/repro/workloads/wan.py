@@ -21,7 +21,6 @@ from the region metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.bgp.config import NeighborConfig, NetworkConfig, RouterConfig
 from repro.bgp.policy import (
@@ -36,6 +35,7 @@ from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
 from repro.bgp.topology import Topology
 from repro.lang.predicates import AsPathHas, HasCommunity, PrefixIn
+from repro.record import Record
 
 
 INTERNAL_AS = 65000
@@ -74,8 +74,7 @@ def region_community(region: int) -> Community:
     return Community(INTERNAL_AS & 0xFFFF, 1000 + region)
 
 
-@dataclass
-class WanNetwork:
+class WanNetwork(Record):
     """The generated WAN plus the metadata the §6.1 invariants need."""
 
     config: NetworkConfig
@@ -86,7 +85,7 @@ class WanNetwork:
     datacenters: dict[str, tuple[int, str]]  # dc external -> (region, router)
     # The paper's "metadata file" of documented region communities.  A bug
     # mode can make a router use a community missing from this map.
-    documented_communities: dict[int, Community] = field(default_factory=dict)
+    documented_communities: dict[int, Community] = {}
 
     def region_of(self, router: str) -> int:
         for region, members in self.routers_by_region.items():

@@ -23,7 +23,6 @@ encodings built for the first problem are reused by all later ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.bgp.prefix import Prefix, PrefixRange
@@ -45,6 +44,7 @@ from repro.lang.predicates import (
     Predicate,
     PrefixIn,
 )
+from repro.record import Record
 from repro.workloads.wan import (
     BAD_TRANSIT_AS,
     BOGON_PREFIXES,
@@ -90,8 +90,7 @@ def peering_quality_predicates(wan: WanNetwork) -> dict[str, Predicate]:
     }
 
 
-@dataclass
-class PeeringProblem:
+class PeeringProblem(Record):
     """One Table 4a-style verification problem."""
 
     name: str
@@ -211,8 +210,7 @@ def _exactly_region_community(wan: WanNetwork, region: int) -> Predicate:
     return AllOf(tuple(parts))
 
 
-@dataclass
-class IpReuseSafetyProblem:
+class IpReuseSafetyProblem(Record):
     """The Table 4b verification problem for one region."""
 
     region: int
@@ -284,8 +282,7 @@ def verify_ip_reuse_safety_problems(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IpReuseLivenessProblem:
+class IpReuseLivenessProblem(Record):
     """The Table 4c verification problem for one region."""
 
     region: int

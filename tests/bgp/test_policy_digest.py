@@ -17,7 +17,6 @@ reruns nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import fields, replace
 
 import pytest
 
@@ -53,6 +52,7 @@ from repro.lang.predicates import (
     OriginIs,
     PrefixIn,
 )
+from repro.record import fields, replace
 
 from tests import draws
 
@@ -176,7 +176,7 @@ def test_digest_changes_when_a_clause_is_appended(seed):
     assert _digest(_router(import_map=route_map)) != _digest(_router(import_map=extended))
 
 
-# One edit per field of every dataclass a router digest reads (the router,
+# One edit per field of every record a router digest reads (the router,
 # its sessions, their originated routes, route maps and clauses) and per
 # attribute of a ``NetworkConfig``.  A field added without a row here fails
 # ``test_every_digested_field_has_an_edit``, so no configuration input
@@ -258,7 +258,7 @@ def test_every_digested_field_has_an_edit():
     from repro.workloads.figure1 import build_figure1
 
     digested = (RouterConfig, NeighborConfig, Route, RouteMap, RouteMapClause)
-    assert set(ROUTER_EDITS) == {f"{cls.__name__}.{f.name}" for cls in digested for f in fields(cls)}
+    assert set(ROUTER_EDITS) == {f"{cls.__name__}.{name}" for cls in digested for name in fields(cls)}
     assert set(NETWORK_EDITS) == {f"NetworkConfig.{name}" for name in vars(build_figure1())}
 
 

@@ -2,8 +2,8 @@
 
 A WAN sweep looks up ``predicate_term``, ``SymbolicRoute.fresh`` and
 ``intern_route_map`` tens of thousands of times with the same few
-predicates, universes and route maps as keys.  Each of those values runs
-its dataclass-generated ``__hash__`` at most once; the universe a sweep is
+predicates, universes and route maps as keys.  Each of those values
+hashes its fields at most once; the universe a sweep is
 built under walks each distinct predicate once and is the same universe a
 walk over every occurrence gives.
 """
@@ -20,6 +20,7 @@ from repro.core.exec import ExecutionContext
 from repro.lang.predicates import Predicate, predicate_atoms
 from repro.lang.transfer import reset_transfer_cache
 from repro.lang.universe import AttributeUniverse
+from repro.record import Value
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import (
@@ -40,16 +41,16 @@ MEMO_KEYS = (Predicate, AttributeUniverse, RouteMap)
 
 
 def _count_generated_hashes(run):
-    """(calls, distinct instances) of the dataclass-generated ``__hash__``
-    of every memo-key type while ``run()`` executes."""
+    """(calls, distinct instances) of ``Value.__hash__`` hashing the fields
+    of a memo-key value (not answering from the kept hash) while ``run()``
+    executes."""
     hashed: dict[int, object] = {}  # id -> instance, kept alive so ids stay unique
     calls = [0]
 
     def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_name == "__hash__" and code.co_filename == "<string>":
+        if event == "call" and frame.f_code is Value.__hash__.__code__:
             value = frame.f_locals.get("self")
-            if isinstance(value, MEMO_KEYS):
+            if isinstance(value, MEMO_KEYS) and not hasattr(value, "_hash"):
                 calls[0] += 1
                 hashed[id(value)] = value
 

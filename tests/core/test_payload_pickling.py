@@ -15,7 +15,6 @@ context, the chunked checks, the outcomes) and everything
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import multiprocessing
 import pickle
@@ -52,6 +51,7 @@ from repro.lang.predicates import (
     TruePred,
 )
 from repro.lang.universe import AttributeUniverse
+from repro.record import fields, replace
 from repro.smt.sat import SatStats
 from repro.smt.solver import SolverStats
 from repro.testing.faults import FaultPlan
@@ -88,7 +88,7 @@ def test_unpicklable_chunk_degrades_to_one_recorded_serial_fallback():
         """Defined in a function: pickle cannot name it, so cannot ship it."""
 
     victim = next(i for i, c in enumerate(checks) if check_owner(c) == "R2")
-    checks[victim] = dataclasses.replace(
+    checks[victim] = replace(
         checks[victim], text=LocalDescription(checks[victim].description)
     )
     serial = run_batch(checks, config, universe, (ghost,))
@@ -117,7 +117,7 @@ def test_attribute_error_raised_by_a_check_in_a_worker_propagates():
     universe, checks = safety_pieces(config, ghost, prop, invariants)
     victim = next(i for i, c in enumerate(checks) if check_owner(c) == "R2")
     checks[victim] = _RaisingCheck(
-        **{f.name: getattr(checks[victim], f.name) for f in dataclasses.fields(LocalCheck)}
+        **{name: getattr(checks[victim], name) for name in fields(LocalCheck)}
     )
     degradation = DegradationReport()
     with pytest.raises(AttributeError, match="raised by the check itself") as raised:

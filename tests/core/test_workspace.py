@@ -19,7 +19,6 @@ That a workspace's reports are the hermetic ones — after ``verify``,
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -28,6 +27,7 @@ import pytest
 
 from repro.core.report import PROPAGATION_KEY, SAFETY_KEY
 from repro.core.workspace import CACHE_FORMAT, Workspace
+from repro.record import Record, fields
 from repro.workloads.figure1 import build_figure1
 from repro.workloads.fullmesh import build_full_mesh, full_mesh_single_router_edit
 
@@ -218,14 +218,15 @@ def test_a_loaded_tracker_reverifies_like_the_saved_one(kind, tmp_path):
 # ---------------------------------------------------------------------------
 
 MANIFEST = Path(__file__).resolve().parents[2] / "cache-shape.json"
-# Dataclasses the saved cache below must keep reaching.
+# Records the saved cache below must keep reaching.
 PERSISTED_TYPES = (
     "GroupOutcomes", "LocalCheck", "CheckOutcome", "CheckFailure", "SolverStats", "SatStats",
 )
 
 
 def _dataclass_shapes(*roots):
-    """The fields of every dataclass pickle reaches from ``roots``."""
+    """The fields of every record pickle reaches from ``roots`` (keyed
+    ``dataclass:NAME``, the manifest's spelling since format 5)."""
     shapes, seen, todo = {}, {}, list(roots)
     while todo:
         obj = todo.pop()
@@ -237,8 +238,8 @@ def _dataclass_shapes(*roots):
         elif isinstance(obj, (list, tuple, set, frozenset)):
             todo += obj
         else:
-            if dataclasses.is_dataclass(obj):
-                shapes[f"dataclass:{type(obj).__name__}"] = sorted(f.name for f in dataclasses.fields(obj))
+            if isinstance(obj, Record):
+                shapes[f"dataclass:{type(obj).__name__}"] = sorted(fields(obj))
             reduced = obj.__reduce_ex__(5)  # (callable, args, state, items...)
             todo += [*reduced[1:3], *map(list, filter(None, reduced[3:5]))]
     return shapes

@@ -19,7 +19,6 @@ of a bound are drawn.
 from __future__ import annotations
 
 import random
-from dataclasses import fields, is_dataclass
 from typing import Any, Callable
 
 from repro.bgp.policy import (
@@ -39,6 +38,7 @@ from repro.bgp.prefix import Prefix, PrefixRange, parse_ipv4
 from repro.bgp.route import Community, Route
 from repro.lang import predicates as P
 from repro.lang.universe import AttributeUniverse
+from repro.record import Record, fields
 from repro.smt import terms as T
 
 COMMUNITIES = (Community(100, 1), Community(7, 7), Community(65535, 0))
@@ -202,15 +202,15 @@ def _predicate(rng: random.Random, depth: int, vocabulary: tuple) -> P.Predicate
 
 
 def kinds(obj: object) -> set[type]:
-    """The type of ``obj`` and of every dataclass and tuple item inside it."""
+    """The type of ``obj`` and of every record and tuple item inside it."""
     found, stack = set(), [obj]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
             stack.extend(item)
-        elif is_dataclass(item) and not isinstance(item, type):
+        elif isinstance(item, Record):
             found.add(type(item))
-            stack.extend(getattr(item, f.name) for f in fields(item))
+            stack.extend(getattr(item, name) for name in fields(item))
     return found
 
 

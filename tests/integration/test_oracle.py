@@ -19,11 +19,10 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.checks import CheckKind
+from repro.record import replace
 
 from tests import oracle
 
@@ -124,7 +123,6 @@ def test_fingerprint_tells_every_one_field_change_apart():
     case = oracle.CASES["fullmesh4-safety-planted"]
     (outcome,) = [o for o in oracle.hermetic(case).iter_outcomes() if o.failure]
     failure = outcome.failure
-    replace = dataclasses.replace
     assert failure.check.kind is CheckKind.IMPORT
     other_input = replace(failure.input_route, med=failure.input_route.med + 1)
     other_output = replace(failure.output_route, med=failure.output_route.med + 1)

@@ -95,7 +95,7 @@ def test_the_differential_seeds_draw_every_match_action_and_predicate_kind():
         in_maps |= draws.kinds(draws.route_map(random.Random(seed)))
     for seed in PREDICATE_SEEDS:
         in_predicates |= draws.kinds(draws.predicate(random.Random(seed)))
-    admitted = {cls for cls, __ in condition_kinds().classes.values()}
+    admitted = {cls for cls, *__ in condition_kinds().classes.values()}
     assert admitted <= in_maps, admitted - in_maps
     assert _concrete_subclasses(Action) <= in_maps
     assert _concrete_subclasses(Predicate) <= in_predicates

@@ -238,3 +238,28 @@ def test_field_access_outside_universe_raises():
         r.as_path_member_term(12345)
     with pytest.raises(KeyError):
         r.ghost_term("nope")
+
+
+def test_symbolic_route_membership_errors_are_the_universe_errors():
+    # The field dicts answer membership; a miss must still raise the
+    # universe's own message, word for word.
+    route = SymbolicRoute.fresh("r", AttributeUniverse((Community(1, 1),), (5,), ("G",)))
+    value = route.ghosts["G"]
+    empty = AttributeUniverse((), (), ())
+    cases = [
+        (lambda: route.community_term(Community(9, 9)), lambda: empty.require_community(Community(9, 9))),
+        (lambda: route.with_community(Community(9, 9), value), lambda: empty.require_community(Community(9, 9))),
+        (lambda: route.as_path_member_term(6), lambda: empty.require_asn(6)),
+        (lambda: route.with_as_path_member(6, value), lambda: empty.require_asn(6)),
+        (lambda: route.ghost_term("H"), lambda: empty.require_ghost("H")),
+        (lambda: route.with_ghost("H", value), lambda: empty.require_ghost("H")),
+    ]  # fmt: skip
+    for call, reference in cases:
+        with pytest.raises(KeyError) as got:
+            call()
+        with pytest.raises(KeyError) as expected:
+            reference()
+        assert str(got.value) == str(expected.value)
+    assert route.community_term(Community(1, 1)) is route.communities[Community(1, 1)]
+    assert route.as_path_member_term(5) is route.as_path_members[5]
+    assert route.ghost_term("G") is route.ghosts["G"]

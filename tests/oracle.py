@@ -112,6 +112,7 @@ from repro.lang.predicates import (
 )
 from repro.lang.specjson import spec_from_json
 from repro.lang.transfer import apply_policy, embed_originated, transfer_policy
+from repro.record import Record, fields, replace
 from repro.workloads.figure1 import build_figure1
 from repro.workloads import fullmesh, wan_properties
 from repro.workloads.randomnet import build_random_network
@@ -788,7 +789,7 @@ def replay_witnesses(
         assert (output is None) is failure.rejected, (str(check), route)
         if output is not None:
             witness = failure.output_route
-            assert dataclasses.replace(output, as_path=()) == dataclasses.replace(witness, as_path=())
+            assert replace(output, as_path=()) == replace(witness, as_path=())
             assert len(output.as_path) == len(witness.as_path), (str(check), route)
             assert set(output.as_path) & universe == set(witness.as_path) & universe
             assert not check.goal.holds(output), (str(check), route)
@@ -959,8 +960,8 @@ def _prefix_ranges(value) -> set[PrefixRange]:
             found.add(item)
         elif isinstance(item, (tuple, list, frozenset)):
             stack.extend(item)
-        elif dataclasses.is_dataclass(item):
-            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
+        elif isinstance(item, Record):
+            stack.extend(getattr(item, name) for name in fields(item))
     return found
 
 
@@ -1023,14 +1024,14 @@ class Traces:
         return updates.pop()
 
     def realise(self, route: Route) -> Route:
-        return dataclasses.replace(route, ghost=self.values.get(route.prefix, self.originated))
+        return replace(route, ghost=self.values.get(route.prefix, self.originated))
 
     def admissible(self, external: str, route: Route) -> bool:
         edges = list(self.config.topology.edges_from(external))
         names = [g.name for g in self.ghosts]
         return all(
             any(
-                m.get(edge).holds(dataclasses.replace(route, ghost=dict(zip(names, bits))))
+                m.get(edge).holds(replace(route, ghost=dict(zip(names, bits))))
                 for bits in itertools.product((False, True), repeat=len(names))
             )
             for m in self.maps

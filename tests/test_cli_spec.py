@@ -547,8 +547,10 @@ def test_cli_reverify_of_an_external_asn_edit_reruns_everything(tmp_path, capsys
 
 
 # Modules a JSON ``verify`` never runs, so must never import: the
-# simulator and decision process, the dialect parser, and the library
-# extras of ``repro.core`` and the fault-injection harness.
+# simulator and decision process, the dialect parser, the library extras
+# of ``repro.core`` and the fault-injection harness; ``dataclasses`` and
+# what it pulls in (records need none of it), and ``pickle`` (a verify
+# without ``--cache`` reads and writes no cache).
 NOT_IMPORTED_BY_VERIFY = (
     "repro.bgp.simulator",
     "repro.bgp.selection",
@@ -557,6 +559,12 @@ NOT_IMPORTED_BY_VERIFY = (
     "repro.core.scenario",
     "repro.testing",
     "repro.testing.faults",
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
+    "pickle",
 )
 
 
