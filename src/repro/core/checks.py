@@ -29,8 +29,9 @@ asked to solve.  The rules, all enforced in ``_discharge``:
 * under a conflict budget a query the memo has not answered is solved on
   a fresh solver, as on the hermetic path, so a ``conflicts`` UNKNOWN is
   the query's answer on every path, never the asking session's;
-* a check whose deadline has already expired bypasses the memo and comes
-  back UNKNOWN/``timeout`` exactly as without it;
+* a check whose deadline has already expired is not solved: it comes
+  back UNKNOWN/``timeout`` on the hermetic, pooled and budgeted paths
+  alike, memo or no memo;
 * the hermetic path (``session=None``) never touches the memo — it is the
   reference of the equivalence oracle (``tests/oracle.py``);
 * a hit's outcome belongs to the *asking* check: its counterexample is
@@ -295,10 +296,13 @@ class LocalCheck(Record):
         deadline_s = (
             None if deadline_abs is None else deadline_abs - time.monotonic()
         )
+        if deadline_s is not None and deadline_s <= 0:
+            # Expired before the solve: UNKNOWN on every path, unsolved (a
+            # solver would still answer a query its propagation decides).
+            return smt.Result.UNKNOWN, SolverStats(unknown_reason="timeout"), None
         query = tuple(assertions)
         answers = None if session is None else session.answers
-        expired = deadline_s is not None and deadline_s <= 0
-        answer = None if answers is None or expired else answers.get(query)
+        answer = None if answers is None else answers.get(query)
         if answer is not None:
             assert session is not None
             session.memo_hits += 1

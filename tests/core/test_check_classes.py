@@ -269,20 +269,32 @@ def test_without_a_fault_plan_the_wall_budget_still_stops_inside_a_passed_check(
 
 def test_without_a_fault_plan_an_expired_deadline_meets_every_member():
     # A zero deadline expires every member's own deadline: each bypasses the
-    # memo and is decided as it would be alone on its owner's session (a
-    # query that folds to a constant still passes), never counted as a
-    # class's memo hit.
+    # memo and is decided as it is alone on the hermetic path, never counted
+    # as a class's memo hit.
     config, ghosts, universe, checks, edges = _mesh()
-    context, alone = ExecutionContext(deadline_s=0.0), SessionPool()
+    context = ExecutionContext(deadline_s=0.0)
     outcomes = run_batch(checks, config, universe, ghosts, context=context)
     assert [oracle.outcome_key(o) for o in outcomes] == [
-        oracle.outcome_key(
-            c.run(config, universe, ghosts, session=alone.get(check_owner(c)), deadline_s=0.0)
-        )
-        for c in edges
+        oracle.outcome_key(c.run(config, universe, ghosts, deadline_s=0.0)) for c in edges
     ]
-    assert any(o.passed for o in outcomes) and any(o.unknown for o in outcomes)
+    assert outcomes and all(o.unknown_reason == "timeout" for o in outcomes if not o.passed)
     assert context.sessions.stats()["memo_hits"] == 0
+
+
+@pytest.mark.parametrize("path", ["hermetic", "pooled", "budgeted"])
+def test_an_expired_deadline_is_unknown_on_every_path(path):
+    # The E1->R1 import of the 4-router mesh: a fresh solver's propagation
+    # decides it, so it passed on the hermetic path while an owner's
+    # session said UNKNOWN.  Expired, it is not solved on any path.
+    config, ghosts, universe, checks, edges = _mesh()
+    (check,) = [c for c in edges if (c.kind, c.edge) == (IMPORT, Edge("E1", "R1"))]
+    pool = SessionPool()
+    session = None if path == "hermetic" else pool.get(check_owner(check))
+    budget = 1000 if path == "budgeted" else None
+    assert check.run(config, universe, ghosts, budget, session, deadline_s=60.0).passed
+    outcome = check.run(config, universe, ghosts, budget, session, deadline_s=0.0)
+    assert (outcome.passed, outcome.unknown, outcome.unknown_reason) == (False, True, "timeout")
+    assert outcome.stats.sat.decisions == outcome.stats.sat.propagations == 0
 
 
 def test_every_member_meets_the_fault_hook_and_its_own_deadline():
