@@ -29,6 +29,7 @@ many times per run defines its own positional one.
 from __future__ import annotations
 
 import operator
+from operator import attrgetter
 from typing import Any, Callable, TypeVar, dataclass_transform
 
 _R = TypeVar("_R", bound="Record")
@@ -39,10 +40,17 @@ class FrozenInstanceError(AttributeError):
     """Assignment to a field of a :class:`Value`."""
 
 
+def _field_tuple(names: tuple[str, ...]) -> Callable[[Any], tuple]:
+    if len(names) > 1:
+        return attrgetter(*names)
+    get = attrgetter(*names) if names else None
+    return lambda record: (get(record),) if get else ()
+
+
 def _ordering(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
     def compare(self: Any, other: Any) -> Any:
         if other.__class__ is self.__class__:
-            return op(values(self), values(other))
+            return op(self._values(self), self._values(other))
         return NotImplemented
 
     compare.__name__ = f"__{op.__name__}__"
@@ -58,6 +66,7 @@ class Record:
     _defaults: dict[str, Any] = {}
     _factories: dict[str, type] = {}
     _post_init: Callable[[Any], None] | None = None
+    _values: Callable[[Any], tuple]
 
     def __init_subclass__(cls, order: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -83,6 +92,7 @@ class Record:
             if isinstance(default, (list, dict, set, Record)) and not isinstance(default, Value)
         }
         cls._post_init = getattr(cls, "__post_init__", None)
+        cls._values = staticmethod(_field_tuple(cls._fields))  # type: ignore[assignment]
         if order:
             for op in (operator.lt, operator.le, operator.gt, operator.ge):
                 setattr(cls, f"__{op.__name__}__", _ordering(op))
@@ -136,11 +146,11 @@ class Value(Record):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            _setattr(self, "_hash", hash(values(self)))
-            return self._hash
+        kept: int | None = getattr(self, "_hash", None)
+        if kept is None:
+            kept = hash(self._values(self))
+            _setattr(self, "_hash", kept)
+        return kept
 
     def __getstate__(self) -> object:
         return self.__dict__ or None
@@ -148,7 +158,7 @@ class Value(Record):
 
 def values(record: Record) -> tuple:
     """The field values of a record, in field order."""
-    return tuple([getattr(record, name) for name in record._fields])
+    return record._values(record)
 
 
 def fields(record: Record | type[Record]) -> tuple[str, ...]:
