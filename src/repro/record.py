@@ -79,11 +79,6 @@ class Record:
                 names.append(name)
             if name in vars(cls):
                 defaults[name] = vars(cls)[name]
-            else:
-                defaults.pop(name, None)
-        for first, name in zip(names, names[1:]):
-            if first in defaults and name not in defaults:
-                raise TypeError(f"non-default argument {name!r} follows default argument")
         cls._fields = tuple(names)
         cls._defaults = defaults
         cls._factories = {
