@@ -3,9 +3,16 @@
 Each :class:`LocalCheck` is one SMT query about a single filter — the
 unit of Lightyear's scalability claim — standing for every edge of its
 owner router that asks it (§4.3: a check depends on its filter, not on
-which edge it is).  Checks carry enough metadata to localise a failure to
-the exact router, direction, and route map, and to render the violated
-implication.
+which edge it is); an originate check asks one query per originated
+route.  Checks carry enough metadata to localise a failure to the exact
+router, direction, and route map, and to render the violated implication.
+
+Every kind is decided by one loop: :meth:`LocalCheck._queries` yields the
+kind's queries, and :meth:`LocalCheck._decide` discharges them in order —
+the first UNKNOWN answer makes the check UNKNOWN, the first SAT makes it
+FAILED with that query's witness, and all UNSAT make it PASSED.  Both
+entry points, :meth:`LocalCheck.run` and
+:meth:`LocalCheck.passed_key_outcome`, start in :meth:`LocalCheck._start`.
 
 A check can be discharged hermetically (a fresh :class:`repro.smt.Solver`
 per query) or against a shared :class:`repro.smt.CheckSession`, which
@@ -22,16 +29,17 @@ On real policy most checks are the *same* query: hash-consing hands
 for every edge running the same filter under the same invariants.  A
 pooled session therefore carries its pool's query memo
 (:attr:`repro.smt.SessionPool.answers`), consulted before the session is
-asked to solve.  The rules, all enforced in ``_discharge``:
+asked to solve.  The rules, all enforced in ``_start`` and ``_discharge``:
 
 * only SAT/UNSAT answers are stored — an UNKNOWN (``conflicts`` /
   ``timeout``) describes a budget, not the query;
 * under a conflict budget a query the memo has not answered is solved on
   a fresh solver, as on the hermetic path, so a ``conflicts`` UNKNOWN is
   the query's answer on every path, never the asking session's;
-* a check whose deadline has already expired is not solved: it comes
-  back UNKNOWN/``timeout`` on the hermetic, pooled and budgeted paths
-  alike, memo or no memo;
+* a check whose deadline has expired is not solved: when it starts, it is
+  answered UNKNOWN/``timeout`` before any term is built, and a query
+  reached after expiry comes back UNKNOWN/``timeout`` unsolved — on the
+  hermetic, pooled and budgeted paths alike, memo or no memo;
 * the hermetic path (``session=None``) never touches the memo — it is the
   reference of the equivalence oracle (``tests/oracle.py``);
 * a hit's outcome belongs to the *asking* check: its counterexample is
@@ -212,21 +220,13 @@ class LocalCheck(Record):
         (originate) spread it across their discharges — after which the
         outcome is UNKNOWN with ``unknown_reason == "timeout"``.
         """
-        # Pin the deadline once, up front, so encoding time and every
-        # discharge of a multi-query check draw from the same budget.
-        deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
-        if check_start_hook is not None:
-            check_start_hook(self, deadline_abs)
+        deadline_abs, expired = self._start(deadline_s)
+        if expired is not None:
+            return expired
         return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
 
     def passed_key_outcome(
-        self,
-        config: NetworkConfig,
-        universe: AttributeUniverse,
-        ghosts: tuple[GhostAttribute, ...],
-        conflict_budget: int | None,
-        session: "smt.CheckSession",
-        deadline_s: float | None,
+        self, session: "smt.CheckSession", deadline_s: float | None
     ) -> "CheckOutcome":
         """The outcome of this check when a check with its class ``key``
         already passed in the same batch.
@@ -234,19 +234,68 @@ class LocalCheck(Record):
         It is the outcome a query-memo hit gives — the class's query is
         this check's query — counted as one on the owner's ``session``,
         but no transfer, predicate or assertion is built for it.  The fault
-        hook and the per-check deadline apply as in :meth:`run`: a check
-        whose deadline has expired bypasses the memo (rule 2 above) and is
-        decided as :meth:`run` decides it.
+        hook and the per-check deadline apply as in :meth:`run`.
         """
-        deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
-        if check_start_hook is not None:
-            check_start_hook(self, deadline_abs)
-        if deadline_abs is not None and time.monotonic() >= deadline_abs:
-            return self._decide(config, universe, ghosts, conflict_budget, session, deadline_abs)
+        __, expired = self._start(deadline_s)
+        if expired is not None:
+            return expired
         session.memo_hits += 1
         return CheckOutcome(self, True, MEMO_HIT_STATS)
 
     # ------------------------------------------------------------------
+
+    def _start(self, deadline_s: float | None) -> "tuple[float | None, CheckOutcome | None]":
+        """Pin the deadline once, so building and every discharge draw
+        from one budget, then call the fault hook; returns the absolute
+        deadline and, if it has already expired, the UNKNOWN/``timeout``
+        outcome (rule 3 above), decided before any term is built."""
+        deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
+        if check_start_hook is not None:
+            check_start_hook(self, deadline_abs)
+        if deadline_abs is None or time.monotonic() < deadline_abs:
+            return deadline_abs, None
+        stats = SolverStats(unknown_reason="timeout")
+        expired = CheckOutcome(self, False, stats, unknown=True, unknown_reason="timeout")
+        return deadline_abs, expired
+
+    def _queries(
+        self,
+        config: NetworkConfig,
+        universe: AttributeUniverse,
+        ghosts: tuple[GhostAttribute, ...],
+    ) -> "Iterator[tuple[list, SymbolicRoute, smt.Term | None, SymbolicRoute | None]]":
+        """The queries this check asks, in order, each as ``(assertions,
+        input route, accepted, output route)``: one per originated route for
+        an originate check, else one about a fresh route, through the edge's
+        filter when there is an edge.  Without a filter (originate,
+        implication) ``accepted`` and the output route are None."""
+        if self.kind is CheckKind.ORIGINATE:
+            assert self.edge is not None
+            for sym in symbolic_originated(config, self.edge, universe, ghosts):
+                yield [smt.not_(predicate_term(self.goal, sym))], sym, None, None
+            return
+        route = SymbolicRoute.fresh("r", universe)
+        accepted: smt.Term | None = None
+        route_out: SymbolicRoute | None = None
+        if self.edge is not None:
+            transfer = transfer_import if self.kind in IMPORT_KINDS else transfer_export
+            accepted, route_out = transfer(config, self.edge, route, ghosts)
+        assertions = [route.well_formed(), predicate_term(self.assumption, route)]
+        if accepted is None or route_out is None:
+            # An implication: refute assumption(r) and not goal(r).
+            assertions.append(smt.not_(predicate_term(self.goal, route)))
+        elif self.kind in (CheckKind.PROPAGATE_IMPORT, CheckKind.PROPAGATE_EXPORT):
+            # Propagation checks must prove acceptance: refute
+            #   assumption(r) and (rejected or not goal(r')).
+            assertions.append(
+                smt.or_(smt.not_(accepted), smt.not_(predicate_term(self.goal, route_out)))
+            )
+        else:
+            # Safety checks only constrain accepted routes: refute
+            #   assumption(r) and accepted and not goal(r').
+            assertions.append(accepted)
+            assertions.append(smt.not_(predicate_term(self.goal, route_out)))
+        yield assertions, route, accepted, route_out
 
     def _decide(
         self,
@@ -257,23 +306,30 @@ class LocalCheck(Record):
         session: "smt.CheckSession | None",
         deadline_abs: float | None,
     ) -> "CheckOutcome":
-        if self.kind in IMPORT_KINDS:
-            return self._run_filter(
-                config, universe, ghosts, transfer_import, conflict_budget, session,
-                deadline_abs,
+        """The one decision loop (see the module docstring).  An originate
+        check's stats fold its queries'; a one-query check keeps its
+        query's own stats object (a memo hit's is :data:`MEMO_HIT_STATS`)."""
+        fold = self.kind is CheckKind.ORIGINATE
+        stats = SolverStats()
+        for assertions, route, accepted, route_out in self._queries(config, universe, ghosts):
+            result, answer_stats, model = self._discharge(
+                assertions, universe, conflict_budget, session, deadline_abs
             )
-        if self.kind in EXPORT_KINDS:
-            return self._run_filter(
-                config, universe, ghosts, transfer_export, conflict_budget, session,
-                deadline_abs,
-            )
-        if self.kind is CheckKind.ORIGINATE:
-            return self._run_originate(
-                config, universe, ghosts, conflict_budget, session, deadline_abs
-            )
-        if self.kind is CheckKind.IMPLICATION:
-            return self._run_implication(universe, conflict_budget, session, deadline_abs)
-        raise AssertionError(f"unhandled check kind {self.kind}")
+            stats = _merge_stats(stats, answer_stats) if fold else answer_stats
+            if result is smt.Result.UNKNOWN:
+                return CheckOutcome(
+                    self, False, stats, unknown=True, unknown_reason=stats.unknown_reason
+                )
+            if result is smt.Result.SAT:
+                assert model is not None
+                input_route = route.evaluate(model)
+                rejected = accepted is not None and not model.eval_bool(accepted)
+                output_route = (
+                    None if route_out is None or rejected else route_out.evaluate(model)
+                )
+                failure = CheckFailure(self, input_route, output_route, rejected)
+                return CheckOutcome(self, False, stats, failure)
+        return CheckOutcome(self, True, stats)
 
     def _discharge(
         self,
@@ -297,8 +353,9 @@ class LocalCheck(Record):
             None if deadline_abs is None else deadline_abs - time.monotonic()
         )
         if deadline_s is not None and deadline_s <= 0:
-            # Expired before the solve: UNKNOWN on every path, unsolved (a
-            # solver would still answer a query its propagation decides).
+            # Expired while the terms were built or an earlier query was
+            # solved: UNKNOWN on every path, unsolved (a solver would still
+            # answer a query its propagation decides).
             return smt.Result.UNKNOWN, SolverStats(unknown_reason="timeout"), None
         query = tuple(assertions)
         answers = None if session is None else session.answers
@@ -327,134 +384,6 @@ class LocalCheck(Record):
                 f"{self}: the solver's model does not satisfy the check's own query"
             )
         return result, stats, model
-
-    def _run_filter(
-        self,
-        config: NetworkConfig,
-        universe: AttributeUniverse,
-        ghosts: tuple[GhostAttribute, ...],
-        transfer,
-        conflict_budget: int | None,
-        session: "smt.CheckSession | None",
-        deadline_abs: float | None,
-    ) -> "CheckOutcome":
-        assert self.edge is not None
-        route_in = SymbolicRoute.fresh("r", universe)
-        accepted, route_out = transfer(config, self.edge, route_in, ghosts)
-
-        assertions = [route_in.well_formed(), predicate_term(self.assumption, route_in)]
-        if self.kind in (CheckKind.PROPAGATE_IMPORT, CheckKind.PROPAGATE_EXPORT):
-            # Propagation checks must prove acceptance: refute
-            #   assumption(r) and (rejected or not goal(r')).
-            assertions.append(
-                smt.or_(smt.not_(accepted), smt.not_(predicate_term(self.goal, route_out)))
-            )
-        else:
-            # Safety checks only constrain accepted routes: refute
-            #   assumption(r) and accepted and not goal(r').
-            assertions.append(accepted)
-            assertions.append(smt.not_(predicate_term(self.goal, route_out)))
-        result, stats, model = self._discharge(
-            assertions, universe, conflict_budget, session, deadline_abs
-        )
-
-        if result is smt.Result.UNSAT:
-            return CheckOutcome(check=self, passed=True, stats=stats)
-        if result is smt.Result.UNKNOWN:
-            return CheckOutcome(
-                check=self,
-                passed=False,
-                stats=stats,
-                unknown=True,
-                unknown_reason=stats.unknown_reason,
-            )
-        assert model is not None
-        input_route = route_in.evaluate(model)
-        rejected = not model.eval_bool(accepted)
-        output_route = None if rejected else route_out.evaluate(model)
-        failure = CheckFailure(
-            check=self,
-            input_route=input_route,
-            output_route=output_route,
-            rejected=rejected,
-        )
-        return CheckOutcome(check=self, passed=False, stats=stats, failure=failure)
-
-    def _run_originate(
-        self,
-        config: NetworkConfig,
-        universe: AttributeUniverse,
-        ghosts: tuple[GhostAttribute, ...],
-        conflict_budget: int | None,
-        session: "smt.CheckSession | None",
-        deadline_abs: float | None,
-    ) -> "CheckOutcome":
-        assert self.edge is not None
-        combined = SolverStats()
-        for sym in symbolic_originated(config, self.edge, universe, ghosts):
-            result, stats, model = self._discharge(
-                [smt.not_(predicate_term(self.goal, sym))],
-                universe,
-                conflict_budget,
-                session,
-                deadline_abs,
-            )
-            combined = _merge_stats(combined, stats)
-            if result is smt.Result.UNKNOWN:
-                return CheckOutcome(
-                    check=self,
-                    passed=False,
-                    stats=combined,
-                    unknown=True,
-                    unknown_reason=stats.unknown_reason,
-                )
-            if result is smt.Result.SAT:
-                assert model is not None
-                failure = CheckFailure(
-                    check=self,
-                    input_route=sym.evaluate(model),
-                    output_route=None,
-                    rejected=False,
-                )
-                return CheckOutcome(
-                    check=self, passed=False, stats=combined, failure=failure
-                )
-        return CheckOutcome(check=self, passed=True, stats=combined)
-
-    def _run_implication(
-        self,
-        universe: AttributeUniverse,
-        conflict_budget: int | None,
-        session: "smt.CheckSession | None",
-        deadline_abs: float | None,
-    ) -> "CheckOutcome":
-        route = SymbolicRoute.fresh("r", universe)
-        assertions = [
-            route.well_formed(),
-            predicate_term(self.assumption, route),
-            smt.not_(predicate_term(self.goal, route)),
-        ]
-        result, stats, model = self._discharge(
-            assertions, universe, conflict_budget, session, deadline_abs
-        )
-        if result is smt.Result.UNSAT:
-            return CheckOutcome(check=self, passed=True, stats=stats)
-        if result is smt.Result.UNKNOWN:
-            return CheckOutcome(
-                check=self,
-                passed=False,
-                stats=stats,
-                unknown=True,
-                unknown_reason=stats.unknown_reason,
-            )
-        assert model is not None
-        failure = CheckFailure(
-            check=self,
-            input_route=route.evaluate(model),
-            output_route=None,
-            rejected=False,
-        )
-        return CheckOutcome(check=self, passed=False, stats=stats, failure=failure)
 
     def __str__(self) -> str:
         return self.description

@@ -128,9 +128,7 @@ def run_in_sessions(
                 session.memo_hits += unit.size - len(rows)
                 break
             if key in passed:
-                outcome = check.passed_key_outcome(
-                    config, universe, ghosts, conflict_budget, session, effective
-                )
+                outcome = check.passed_key_outcome(session, effective)
             else:
                 outcome = check.run(
                     config, universe, ghosts, conflict_budget,

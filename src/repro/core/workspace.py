@@ -81,34 +81,14 @@ from repro.record import Record
 # Bump whenever the pickled cache layout changes; a loader never guesses.
 # ``cache-shape.json`` records the layout of the current format, and a
 # tier-1 test fails (printing the new record) when the two disagree.
-# Format 2: CheckOutcome records ``unknown_reason`` (deadline/budget
-# attribution), so format-1 outcomes would deserialize incompletely.
-# Format 3: adds the integrity-checked per-owner solver-state section
-# (kept learnt clauses keyed by preamble digest) for solver warm-start.
-# Format 4: one tracker state shape for both property kinds (sectioned
-# ``checks``/``outcomes`` owner indexes, ``time_bound`` group keys).
-# Format 5: the solver-state section is gone (nothing solver-side is
-# persisted) and a SHA-256 of the whole pickle follows it in the file.
-# Format 6: a tracker persists ``groups`` (one GroupOutcomes per (section,
-# owner)) instead of ``checks``/``outcomes`` objects, and no ``config``; the
-# topology is a digest-map key; ``config`` is a nested, deflated pickle.
-# Format 7: ``Edge`` is a NamedTuple (pickled as a tuple, not a dataclass
-# state dict) and the pickled ``Topology`` holds adjacency only (no
-# ``_edges`` set); every persisted property or outcome with an edge changes.
-# Format 8: a ``LocalCheck`` stores an optional custom ``text`` instead of
-# its ``description`` (rendered on demand from kind and edge).
-# Format 9: sets pickle as sorted tuples (``Topology`` adjacency,
-# ``RouterConfig.rr_clients``, a tracker's ``time_bound``), so a saved
-# cache is byte-identical under every PYTHONHASHSEED.
-# Format 10: the format is an ASCII header ahead of the seal, so nothing is
-# unpickled before the digest holds; the payload holds no configuration, no
-# ghosts and one conflict budget for the workspace, not one per tracker.
-# Format 11: route-map match conditions are predicates, so every route-map
-# digest names predicate classes; a format 10 cache is refused by its
-# header, not reported as another configuration.
-# Format 12: a group holds one stats row per generated check, which stands
-# for all of its owner's edges in one class, and counts the edge checks in
-# ``num_checks``; a check that did not pass keeps each member's outcome.
+# Format 12: the ASCII header, the SHA-256 of the pickle (nothing is
+# unpickled before it holds), then the pickle: no configuration, no ghosts,
+# one conflict budget for the workspace, and per tracker one GroupOutcomes
+# per (section, owner).  A group holds one stats row per generated check,
+# which stands for all of its owner's edges in one class, and counts the
+# edge checks in ``num_checks``; a check that did not pass keeps each
+# member's outcome.  Sets pickle as sorted tuples, so a saved cache is
+# byte-identical under every PYTHONHASHSEED.
 CACHE_FORMAT = 12
 _PREFIX = b"lightyear-cache "
 _HEADER = _PREFIX + b"%d\n" % CACHE_FORMAT

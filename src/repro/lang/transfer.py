@@ -107,18 +107,14 @@ from repro.smt.terms import Term, register_intern_dependent
 # ---------------------------------------------------------------------------
 
 
-# Counter shape shared with the predicate-term cache in
-# :mod:`repro.lang.predicates`; re-exported under the transfer name.
-TransferCacheStats = TermCacheStats
-
 _transfer_cache: dict[tuple, tuple[Term, SymbolicRoute]] = {}
 _originate_cache: dict[tuple, tuple[SymbolicRoute, ...]] = {}
-_stats = TransferCacheStats()
+_stats = TermCacheStats()
 
 
-def transfer_cache_stats() -> TransferCacheStats:
+def transfer_cache_stats() -> TermCacheStats:
     """A snapshot of the cache counters since the last reset."""
-    return TransferCacheStats(hits=_stats.hits, misses=_stats.misses)
+    return TermCacheStats(hits=_stats.hits, misses=_stats.misses)
 
 
 def reset_transfer_cache() -> None:

@@ -44,7 +44,8 @@ from repro.core.exec.pool import run_in_sessions
 from repro.core.report import GroupOutcomes
 from repro.core.safety import build_universe, invariant_predicates
 from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import TruePred
+from repro.lang.predicates import TruePred, predicate_term_cache_stats
+from repro.lang.transfer import transfer_cache_stats
 from repro.smt.solver import SessionPool
 from repro.testing import faults
 from repro.testing.faults import FaultInjected, FaultPlan
@@ -281,20 +282,28 @@ def test_without_a_fault_plan_an_expired_deadline_meets_every_member():
     assert context.sessions.stats()["memo_hits"] == 0
 
 
-@pytest.mark.parametrize("path", ["hermetic", "pooled", "budgeted"])
+@pytest.mark.parametrize("path", ["hermetic", "pooled", "budgeted", "passed-key"])
 def test_an_expired_deadline_is_unknown_on_every_path(path):
     # The E1->R1 import of the 4-router mesh: a fresh solver's propagation
     # decides it, so it passed on the hermetic path while an owner's
-    # session said UNKNOWN.  Expired, it is not solved on any path.
+    # session said UNKNOWN.  Expired, it is not solved on any path, and
+    # none of its terms is built (the term caches do not move).
     config, ghosts, universe, checks, edges = _mesh()
     (check,) = [c for c in edges if (c.kind, c.edge) == (IMPORT, Edge("E1", "R1"))]
     pool = SessionPool()
     session = None if path == "hermetic" else pool.get(check_owner(check))
     budget = 1000 if path == "budgeted" else None
     assert check.run(config, universe, ghosts, budget, session, deadline_s=60.0).passed
-    outcome = check.run(config, universe, ghosts, budget, session, deadline_s=0.0)
+    built = transfer_cache_stats(), predicate_term_cache_stats()
+    if path == "passed-key":
+        assert session is not None
+        outcome = check.passed_key_outcome(session, 0.0)
+    else:
+        outcome = check.run(config, universe, ghosts, budget, session, deadline_s=0.0)
+    assert (transfer_cache_stats(), predicate_term_cache_stats()) == built
     assert (outcome.passed, outcome.unknown, outcome.unknown_reason) == (False, True, "timeout")
     assert outcome.stats.sat.decisions == outcome.stats.sat.propagations == 0
+    assert pool.stats()["memo_hits"] == 0
 
 
 def test_every_member_meets_the_fault_hook_and_its_own_deadline():

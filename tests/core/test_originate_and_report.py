@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import pytest
 
 from repro.bgp.prefix import Prefix
@@ -11,7 +13,7 @@ from repro.core.checks import CheckKind, generate_safety_checks
 from repro.core.liveness import verify_liveness
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.report import format_report
-from repro.core.safety import verify_safety
+from repro.core.safety import build_universe, invariant_predicates, verify_safety
 from repro.lang.predicates import HasCommunity, Not, TruePred
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
 
@@ -19,16 +21,26 @@ from tests.core.conftest import customer_liveness_property, isp1_ghost
 
 
 OWN = Community(65000, 9)
+TAGGED = Route(prefix=Prefix.parse("8.8.0.0/16"), communities=frozenset({OWN}))
+TAGGED_TOO = Route(prefix=Prefix.parse("9.9.0.0/16"), communities=frozenset({OWN}))
+UNTAGGED = Route(prefix=Prefix.parse("9.9.0.0/16"), communities=frozenset())
 
 
-def _config_with_origination(tagged: bool):
-    """R1 originates 8.8.0.0/16 toward ISP1, tagged (or not) with 65000:9."""
+def _config_with_origination(*routes: Route):
+    """R1 originates ``routes`` toward ISP1, in order."""
     config = build_figure1()
-    communities = frozenset({OWN}) if tagged else frozenset()
-    config.routers["R1"].neighbors["ISP1"].originated = (
-        Route(prefix=Prefix.parse("8.8.0.0/16"), communities=communities),
-    )
+    config.routers["R1"].neighbors["ISP1"].originated = routes
     return config
+
+
+def _run_originate_check(config, deadline_s=None):
+    """The outcome of the R1->ISP1 originate check of the own-tag problem,
+    run alone on the hermetic path."""
+    prop, invariants = _originated_tagged_problem(config)
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate, ())
+    (originate,) = [c for c in checks if c.kind is CheckKind.ORIGINATE]
+    universe = build_universe(config, [prop.predicate, *invariant_predicates(invariants)], ())
+    return originate.run(config, universe, deadline_s=deadline_s)
 
 
 def _originated_tagged_problem(config):
@@ -47,7 +59,7 @@ def _originated_tagged_problem(config):
 
 
 def test_originate_check_generated_only_when_routes_exist():
-    config = _config_with_origination(tagged=True)
+    config = _config_with_origination(TAGGED)
     prop, invariants = _originated_tagged_problem(config)
     checks = generate_safety_checks(config, invariants, prop.location, prop.predicate, ())
     originate = [c for c in checks if c.kind is CheckKind.ORIGINATE]
@@ -59,7 +71,7 @@ def test_originate_check_generated_only_when_routes_exist():
 
 
 def test_originate_check_passes_when_tagged():
-    config = _config_with_origination(tagged=True)
+    config = _config_with_origination(TAGGED)
     prop, invariants = _originated_tagged_problem(config)
     # All exported routes on R1->ISP1 must carry the tag too; R1 forwards
     # routes from other neighbors there, so restrict the node invariant.
@@ -76,17 +88,36 @@ def test_originate_check_passes_when_tagged():
 
 
 def test_originate_check_fails_when_untagged():
-    config = _config_with_origination(tagged=False)
+    # Each originated route is a query of its own: the check does not stop
+    # at the first one that passes, and blames the one that does not.
+    config = _config_with_origination(TAGGED, UNTAGGED)
     prop, invariants = _originated_tagged_problem(config)
     report = verify_safety(config, prop, invariants)
     originate_failures = [
         f for f in report.failures if f.check.kind is CheckKind.ORIGINATE
     ]
-    assert originate_failures
+    assert len(originate_failures) == 1
     witness = originate_failures[0]
-    assert witness.input_route.prefix == Prefix.parse("8.8.0.0/16")
+    assert witness.input_route.prefix == UNTAGGED.prefix
     assert OWN not in witness.input_route.communities
+    assert witness.blamed_router == "R1"
     assert "originated" in witness.explain()
+
+
+def test_a_passing_originate_check_folds_its_queries_stats():
+    # Compared on the deterministic fields: sizes, SAT counters, reason.
+    from repro.core.checks import _merge_stats
+    from repro.smt.solver import SolverStats
+
+    def counts(stats):
+        return stats.num_vars, stats.num_clauses, stats.sat, stats.unknown_reason
+
+    both = _run_originate_check(_config_with_origination(TAGGED, TAGGED_TOO))
+    alone = [_run_originate_check(_config_with_origination(r)) for r in (TAGGED, TAGGED_TOO)]
+    assert both.passed and all(outcome.passed for outcome in alone)
+    fold = reduce(_merge_stats, (outcome.stats for outcome in alone), SolverStats())
+    assert counts(both.stats) == counts(fold)
+    assert both.stats.sat.propagations > alone[-1].stats.sat.propagations
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +152,7 @@ def test_multi_query_outcome_keeps_search_counters_and_unknown_reason():
 
     # End to end: an originate check that runs out of time says why on its
     # stats too, not only on the outcome.
-    config = _config_with_origination(tagged=False)
-    prop, invariants = _originated_tagged_problem(config)
-    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate, ())
-    (originate,) = [c for c in checks if c.kind is CheckKind.ORIGINATE]
-    from repro.core.safety import build_universe, invariant_predicates
-
-    universe = build_universe(config, [prop.predicate, *invariant_predicates(invariants)], ())
-    outcome = originate.run(config, universe, deadline_s=0.0)
+    outcome = _run_originate_check(_config_with_origination(UNTAGGED), deadline_s=0.0)
     assert outcome.unknown and outcome.unknown_reason == "timeout"
     assert outcome.stats.unknown_reason == "timeout"
 
